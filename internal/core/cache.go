@@ -172,6 +172,9 @@ func (c *ProgramCache) build(src string, cfg Config) (*comp.Program, *Artifact, 
 // in-flight build), SourceDisk (restored from the persistent cache,
 // front end skipped) or SourceCompiled (full pipeline).
 func (c *ProgramCache) BuildDetail(src string, cfg Config) (*comp.Program, *Artifact, BuildSource, error) {
+	if err := cfg.check(); err != nil {
+		return nil, nil, SourceCompiled, err
+	}
 	if cfg.FileName == "" {
 		cfg.FileName = "program.c"
 	}

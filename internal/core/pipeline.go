@@ -198,6 +198,16 @@ type Result struct {
 	CacheHit bool
 }
 
+// check rejects option values no stage could honor. The schedule clause
+// is printed into the pragmas verbatim and read back by the compile
+// step, which falls back to static on a clause it cannot parse; an
+// unknown one must fail the build instead of silently running static
+// under its own cache key.
+func (cfg Config) check() error {
+	_, _, err := rt.ParseSchedule(cfg.Transform.Schedule)
+	return err
+}
+
 // frontRuns counts pipeline front-end entries. Disk-cache restores and
 // in-memory hits bypass Front entirely, so the delta of FrontRuns
 // across a build is the test- and stats-visible proof that the compile
@@ -211,6 +221,9 @@ func FrontRuns() uint64 { return frontRuns.Load() }
 // Front runs the pipeline front end (PC-PrePro → GCC-E → PC-CC → polycc
 // → PC-PosPro) on src, stopping before the executable compile.
 func Front(src string, cfg Config) (*Artifact, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	frontRuns.Add(1)
 	if cfg.FileName == "" {
 		cfg.FileName = "program.c"

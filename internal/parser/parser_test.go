@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -405,4 +407,56 @@ func genProgram(seed uint32) string {
 	b.WriteString(pick(bodies))
 	b.WriteString(" }\n")
 	return b.String()
+}
+
+// bigSource is about 24 KB of stencil kernels.
+func bigSource() string {
+	var b strings.Builder
+	for i := 0; b.Len() < 24<<10; i++ {
+		fmt.Fprintf(&b, `
+float kernel%d(float* a, float* b, int n) {
+	float s = 0.0f;
+	for (int i = 1; i < n - 1; i++) {
+		for (int j = 0; j < n; j++) {
+			a[i * n + j] = 0.25f * (b[(i - 1) * n + j] + b[(i + 1) * n + j]) + (float)(i %% 7);
+			s += a[i * n + j] * b[j];
+		}
+	}
+	return s;
+}
+`, i)
+	}
+	return b.String()
+}
+
+// The front end parses every program three times, so what Parse allocates
+// is paid thrice per cold compile. The token slice used to be grown by
+// append from nil, which put Parse at 130 bytes allocated per source byte
+// (3.2 MB for this source); sized once it is 51.
+func TestParseAllocationBudget(t *testing.T) {
+	src := bigSource()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Parse("big.c", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(src))
+	if perByte > 80 {
+		t.Errorf("Parse allocates %.0f bytes per source byte, budget 80", perByte)
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	src := bigSource()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse("big.c", src); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

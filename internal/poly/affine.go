@@ -90,15 +90,6 @@ func (a Affine) Eval(env map[string]int64) int64 {
 	return r
 }
 
-// Rename returns a copy with every variable v replaced by f(v).
-func (a Affine) Rename(f func(string) string) Affine {
-	r := NewAffine(a.Const)
-	for k, v := range a.Coef {
-		r.Coef[f(k)] += v
-	}
-	return r
-}
-
 // Vars returns the variables with nonzero coefficients, sorted.
 func (a Affine) Vars() []string {
 	vs := make([]string, 0, len(a.Coef))

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -118,71 +119,6 @@ type Nest struct {
 // Depth returns the number of loops.
 func (n *Nest) Depth() int { return len(n.Iters) }
 
-// isIter reports whether v is one of the nest iterators.
-func (n *Nest) isIter(v string) bool {
-	for _, it := range n.Iters {
-		if it == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Points enumerates all integer points of the domain under the given
-// parameter values (tests only; exponential in depth).
-func (n *Nest) Points(params map[string]int64) [][]int64 {
-	sys := n.Domain.Clone()
-	for p, v := range params {
-		sys.AddEQ(Var(p).Sub(NewAffine(v)))
-	}
-	var out [][]int64
-	var rec func(level int, env map[string]int64)
-	rec = func(level int, env map[string]int64) {
-		if level == len(n.Iters) {
-			pt := make([]int64, len(n.Iters))
-			for i, it := range n.Iters {
-				pt[i] = env[it]
-			}
-			out = append(out, pt)
-			return
-		}
-		// Bound the current iterator given the fixed outer values.
-		cur := sys.Clone()
-		for i := 0; i < level; i++ {
-			cur.AddEQ(Var(n.Iters[i]).Sub(NewAffine(env[n.Iters[i]])))
-		}
-		inner := append([]string{}, n.Iters[level+1:]...)
-		cur = cur.EliminateAll(inner)
-		lo, hasLo, hi, hasHi := cur.Bounds(n.Iters[level])
-		if !hasLo || !hasHi {
-			return
-		}
-		for v := lo; v <= hi; v++ {
-			env[n.Iters[level]] = v
-			// Validate against the full system restricted to known vars.
-			rec(level+1, env)
-		}
-		delete(env, n.Iters[level])
-	}
-	rec(0, map[string]int64{})
-	// Filter points that do not satisfy the full domain (FM projection
-	// may over-approximate).
-	valid := out[:0]
-	for _, pt := range out {
-		env := map[string]int64{}
-		for p, v := range params {
-			env[p] = v
-		}
-		for i, it := range n.Iters {
-			env[it] = pt[i]
-		}
-		if n.Domain.Satisfies(env) {
-			valid = append(valid, pt)
-		}
-	}
-	return valid
-}
-
 // ----------------------------------------------------------------------------
 // Dependence analysis
 
@@ -254,9 +190,6 @@ func (d *Dep) String() string {
 		d.Kind, d.Array, d.Src.ID, d.Dst.ID, d.Level, strings.Join(parts, ","), suffix)
 }
 
-const srcSuffix = "$s"
-const dstSuffix = "$t"
-
 // AnalyzeDeps computes all dependences of the nest: for every pair of
 // accesses to the same array with at least one write, and every carrying
 // level, it builds the dependence polyhedron (both instances in the
@@ -264,18 +197,19 @@ const dstSuffix = "$t"
 // tests emptiness with Fourier–Motzkin. Non-empty systems yield a Dep
 // with its distance vector bounds.
 func AnalyzeDeps(n *Nest) []*Dep {
+	ds := newDepSolver(n)
 	var deps []*Dep
-	for _, s1 := range n.Stmts {
-		for _, s2 := range n.Stmts {
-			for _, a1 := range s1.Accesses() {
-				for _, a2 := range s2.Accesses() {
+	for i, s1 := range n.Stmts {
+		for j, s2 := range n.Stmts {
+			for _, a1 := range ds.accs[i] {
+				for _, a2 := range ds.accs[j] {
 					if a1.Array != a2.Array || (!a1.Write && !a2.Write) {
 						continue
 					}
 					if !a1.Star && !a2.Star && len(a1.Subs) != len(a2.Subs) {
 						continue
 					}
-					deps = append(deps, depsForPair(n, s1, s2, a1, a2)...)
+					deps = ds.pair(deps, s1, s2, a1, a2)
 				}
 			}
 		}
@@ -283,67 +217,153 @@ func AnalyzeDeps(n *Nest) []*Dep {
 	return deps
 }
 
-// depsForPair finds the dependences with source access a1 in s1 and
-// target access a2 in s2.
-func depsForPair(n *Nest, s1, s2 *Statement, a1, a2 Access) []*Dep {
-	base := NewSystem()
-	rename := func(suffix string) func(string) string {
-		return func(v string) string {
-			if n.isIter(v) {
-				return v + suffix
+// depSolver is the per-nest state of AnalyzeDeps. Dependence polyhedra
+// live in dense rows over one column layout: source iterators [0,d),
+// target iterators [d,2d), then every other name of the nest (the
+// parameters, shared by both instances), then the distance variable.
+type depSolver struct {
+	d     int
+	delta int // column of the distance variable (the last one)
+	// order lists the columns but delta the way their names i$s, i$t, N
+	// sort: the elimination order, which with the tightening fixes the
+	// answers.
+	order []int
+	dom   rows       // the domain of both instances, lowered once
+	accs  [][]access // per statement, writes then reads
+	// The systems of the pair at hand, each extending the one before:
+	// subscripts equal; outer iterators equal; source before target at
+	// one level. work is the copy being solved.
+	base, outer, level, work rows
+	tmp                      []int64
+}
+
+// access is an Access with its subscripts lowered to rows over the
+// source instance.
+type access struct {
+	Access
+	subs [][]int64
+}
+
+func newDepSolver(n *Nest) *depSolver {
+	ds := &depSolver{d: n.Depth()}
+	col := map[string]int{}
+	names := make([]string, 2*ds.d)
+	for k, it := range n.Iters {
+		col[it] = k
+		names[k], names[ds.d+k] = it+"$s", it+"$t"
+	}
+	note := func(a Affine) {
+		for v := range a.Coef {
+			if _, ok := col[v]; !ok {
+				col[v] = len(names)
+				names = append(names, v)
 			}
-			return v // parameters shared
 		}
 	}
 	for _, c := range n.Domain.Cons {
-		base.Add(Constraint{Expr: c.Expr.Rename(rename(srcSuffix)), Rel: c.Rel})
-		base.Add(Constraint{Expr: c.Expr.Rename(rename(dstSuffix)), Rel: c.Rel})
+		note(c.Expr)
 	}
+	stmtAccs := make([][]Access, len(n.Stmts))
+	for i, s := range n.Stmts {
+		stmtAccs[i] = s.Accesses()
+		for _, a := range stmtAccs[i] {
+			for _, sub := range a.Subs {
+				note(sub)
+			}
+		}
+	}
+	ds.delta = len(names)
+	for c := range names {
+		ds.order = append(ds.order, c)
+	}
+	slices.SortFunc(ds.order, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+
+	lower := func(a Affine) []int64 {
+		row := make([]int64, ds.delta+2)
+		for v, k := range a.Coef {
+			row[col[v]] = k
+		}
+		row[ds.delta+1] = a.Const
+		return row
+	}
+	ds.tmp = make([]int64, ds.delta+2)
+	ds.dom.nc = ds.delta + 1
+	for _, c := range n.Domain.Cons {
+		row := lower(c.Expr)
+		ds.dom.put(row, c.Rel == EQ)
+		copy(row[ds.d:], row[:ds.d]) // the same constraint on the target instance
+		clear(row[:ds.d])
+		ds.dom.put(row, c.Rel == EQ)
+	}
+	for _, accs := range stmtAccs {
+		las := make([]access, len(accs))
+		for i, a := range accs {
+			las[i].Access = a
+			for _, sub := range a.Subs {
+				las[i].subs = append(las[i].subs, lower(sub))
+			}
+		}
+		ds.accs = append(ds.accs, las)
+	}
+	return ds
+}
+
+// unit returns the scratch row target_k - source_k + dcoef·delta + c.
+func (ds *depSolver) unit(k int, dcoef, c int64) []int64 {
+	clear(ds.tmp)
+	ds.tmp[k], ds.tmp[ds.d+k], ds.tmp[ds.delta], ds.tmp[ds.delta+1] = -1, 1, dcoef, c
+	return ds.tmp
+}
+
+// pair appends the dependences with source access a1 in s1 and target
+// access a2 in s2.
+func (ds *depSolver) pair(deps []*Dep, s1, s2 *Statement, a1, a2 access) []*Dep {
+	d := ds.d
+	ds.base.copyFrom(&ds.dom)
 	// A star access may touch any cell, so no subscript equation can
 	// constrain the dependence polyhedron: every instance pair that the
 	// ordering admits conflicts conservatively.
 	if !a1.Star && !a2.Star {
-		for k := range a1.Subs {
-			eq := a1.Subs[k].Rename(rename(srcSuffix)).Sub(a2.Subs[k].Rename(rename(dstSuffix)))
-			base.AddEQ(eq)
+		for k, src := range a1.subs {
+			dst := a2.subs[k]
+			for c := range ds.tmp {
+				if c < d {
+					ds.tmp[c], ds.tmp[d+c] = src[c], -dst[c]
+				} else if c >= 2*d {
+					ds.tmp[c] = src[c] - dst[c]
+				}
+			}
+			ds.base.put(ds.tmp, true)
 		}
 	}
-	kind := classifyDep(a1, a2)
+	if ds.base.infeasible {
+		return deps
+	}
+	kind := classifyDep(a1.Access, a2.Access)
 	reduction := a1.Reduction && a2.Reduction
-	var out []*Dep
 	// Carried at level l: outer iterators equal, level-l source < target.
-	for l := 1; l <= n.Depth(); l++ {
-		sys := base.Clone()
-		for k := 0; k < l-1; k++ {
-			it := n.Iters[k]
-			sys.AddEQ(Var(it + srcSuffix).Sub(Var(it + dstSuffix)))
-		}
-		it := n.Iters[l-1]
-		// dst - src >= 1
-		sys.AddGE(Var(it + dstSuffix).Sub(Var(it + srcSuffix)).Sub(NewAffine(1)))
-		if sys.IsEmpty() {
+	ds.outer.copyFrom(&ds.base)
+	for l := 1; l <= d; l++ {
+		ds.level.copyFrom(&ds.outer)
+		ds.level.put(ds.unit(l-1, 0, -1), false) // dst - src >= 1
+		ds.outer.put(ds.unit(l-1, 0, 0), true)
+		ds.work.copyFrom(&ds.level)
+		if ds.work.isEmpty(ds.order) {
 			continue
 		}
-		out = append(out, &Dep{
+		deps = append(deps, &Dep{
 			Src: s1, Dst: s2, Array: a1.Array, Level: l, Kind: kind,
-			Dist: distVector(n, sys), Reduction: reduction,
+			Dist: ds.distVector(), Reduction: reduction,
 		})
 	}
-	// Loop-independent dependence: same iteration, s1 textually before s2
-	// (or a write/read pair within one statement).
-	if s1.Seq < s2.Seq || (s1 == s2 && a1.Write != a2.Write) {
-		sys := base.Clone()
-		for _, it := range n.Iters {
-			sys.AddEQ(Var(it + srcSuffix).Sub(Var(it + dstSuffix)))
-		}
-		if !sys.IsEmpty() && s1.Seq < s2.Seq {
-			out = append(out, &Dep{
-				Src: s1, Dst: s2, Array: a1.Array, Level: 0, Kind: kind,
-				Dist: zeroDist(n.Depth()), Reduction: reduction,
-			})
-		}
+	// Loop-independent dependence: same iteration, s1 textually before s2.
+	if s1.Seq < s2.Seq && !ds.outer.isEmpty(ds.order) {
+		deps = append(deps, &Dep{
+			Src: s1, Dst: s2, Array: a1.Array, Level: 0, Kind: kind,
+			Dist: zeroDist(d), Reduction: reduction,
+		})
 	}
-	return out
+	return deps
 }
 
 func classifyDep(a1, a2 Access) DepKind {
@@ -366,14 +386,13 @@ func zeroDist(d int) []DistEntry {
 }
 
 // distVector computes per-level bounds of dst−src over the dependence
-// polyhedron sys.
-func distVector(n *Nest, sys *System) []DistEntry {
-	out := make([]DistEntry, n.Depth())
-	for k, it := range n.Iters {
-		cur := sys.Clone()
-		delta := "delta$" + it
-		cur.AddEQ(Var(delta).Sub(Var(it + dstSuffix)).Add(Var(it + srcSuffix)))
-		lo, hasLo, hi, hasHi := cur.Bounds(delta)
+// polyhedron in ds.level.
+func (ds *depSolver) distVector() []DistEntry {
+	out := make([]DistEntry, ds.d)
+	for k := range out {
+		ds.work.copyFrom(&ds.level)
+		ds.work.put(ds.unit(k, -1, 0), true) // dst - src - delta == 0
+		lo, hasLo, hi, hasHi := ds.work.bounds(ds.delta, ds.order)
 		e := DistEntry{Min: lo, Max: hi, HasMin: hasLo, HasMax: hasHi}
 		if hasLo && hasHi && lo == hi {
 			e.Known = true

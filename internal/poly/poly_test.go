@@ -443,3 +443,58 @@ func TestDepString(t *testing.T) {
 		t.Fatal("empty dep string")
 	}
 }
+
+// Points enumerates all integer points of the domain under the given
+// parameter values (tests only; exponential in depth).
+func (n *Nest) Points(params map[string]int64) [][]int64 {
+	sys := n.Domain.Clone()
+	for p, v := range params {
+		sys.AddEQ(Var(p).Sub(NewAffine(v)))
+	}
+	var out [][]int64
+	var rec func(level int, env map[string]int64)
+	rec = func(level int, env map[string]int64) {
+		if level == len(n.Iters) {
+			pt := make([]int64, len(n.Iters))
+			for i, it := range n.Iters {
+				pt[i] = env[it]
+			}
+			out = append(out, pt)
+			return
+		}
+		// Bound the current iterator given the fixed outer values.
+		cur := sys.Clone()
+		for i := 0; i < level; i++ {
+			cur.AddEQ(Var(n.Iters[i]).Sub(NewAffine(env[n.Iters[i]])))
+		}
+		inner := append([]string{}, n.Iters[level+1:]...)
+		cur = cur.EliminateAll(inner)
+		lo, hasLo, hi, hasHi := cur.Bounds(n.Iters[level])
+		if !hasLo || !hasHi {
+			return
+		}
+		for v := lo; v <= hi; v++ {
+			env[n.Iters[level]] = v
+			// Validate against the full system restricted to known vars.
+			rec(level+1, env)
+		}
+		delete(env, n.Iters[level])
+	}
+	rec(0, map[string]int64{})
+	// Filter points that do not satisfy the full domain (FM projection
+	// may over-approximate).
+	valid := out[:0]
+	for _, pt := range out {
+		env := map[string]int64{}
+		for p, v := range params {
+			env[p] = v
+		}
+		for i, it := range n.Iters {
+			env[it] = pt[i]
+		}
+		if n.Domain.Satisfies(env) {
+			valid = append(valid, pt)
+		}
+	}
+	return valid
+}

@@ -204,11 +204,14 @@ func Generate(n *Nest, parallel []bool) (*GenNest, error) {
 	g := &GenNest{Nest: n}
 	for k, it := range n.Iters {
 		elim := append([]string{}, n.Iters[k+1:]...)
-		lowers, uppers := n.Domain.SymbolicBounds(it, elim)
+		lowers, uppers, overflow := n.Domain.symbolicBounds(it, elim)
 		if len(lowers) == 0 || len(uppers) == 0 {
 			return nil, fmt.Errorf("iterator %s has no finite bounds", it)
 		}
-		lp := Loop{Iter: it, Lowers: dedupBounds(lowers), Uppers: dedupBounds(uppers)}
+		if overflow {
+			return nil, fmt.Errorf("bounds of iterator %s overflow int64", it)
+		}
+		lp := Loop{Iter: it, Lowers: lowers, Uppers: uppers}
 		if parallel != nil && k < len(parallel) {
 			lp.Parallel = parallel[k]
 		}
@@ -218,23 +221,6 @@ func Generate(n *Nest, parallel []bool) (*GenNest, error) {
 		g.Loops = append(g.Loops, lp)
 	}
 	return g, nil
-}
-
-func dedupBounds(bs []Bound) []Bound {
-	var out []Bound
-	for _, b := range bs {
-		dup := false
-		for _, o := range out {
-			if o.Div == b.Div && o.Ceil == b.Ceil && o.Expr.Equal(b.Expr) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Tile applies rectangular tiling with the given sizes to the nest's

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -107,50 +108,38 @@ func (s *System) Satisfies(env map[string]int64) bool {
 	return true
 }
 
-// normalizeEqs rewrites EQ constraints as two GE constraints, returning a
-// GE-only system.
-func (s *System) normalizeEqs() *System {
-	out := NewSystem()
-	for _, c := range s.Cons {
-		if c.Rel == EQ {
-			out.AddGE(c.Expr.Clone())
-			out.AddGE(c.Expr.Scale(-1))
-			continue
-		}
-		out.AddGE(c.Expr.Clone())
+// lower converts the system to dense rows (see rows) over its variables in
+// sorted order, which is also the order IsEmpty and Bounds eliminate in.
+// An EQ constraint becomes the two opposite GE rows.
+func (s *System) lower() (r *rows, vars []string, order []int) {
+	vars = s.Vars()
+	col := make(map[string]int, len(vars))
+	for i, v := range vars {
+		col[v] = i
+		order = append(order, i)
 	}
-	return out
+	r = &rows{nc: len(vars)}
+	row := make([]int64, len(vars)+1)
+	for _, c := range s.Cons {
+		clear(row)
+		for v, k := range c.Expr.Coef {
+			row[col[v]] = k
+		}
+		row[len(vars)] = c.Expr.Const
+		r.put(row, c.Rel == EQ)
+	}
+	return r, vars, order
 }
 
-// gcd returns the (non-negative) greatest common divisor.
-func gcd(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
+// affine converts a dense row back, leaving out column skip (-1: none).
+func affine(row []int64, vars []string, skip int) Affine {
+	a := NewAffine(row[len(vars)])
+	for i, k := range row[:len(vars)] {
+		if k != 0 && i != skip {
+			a.Coef[vars[i]] = k
+		}
 	}
 	return a
-}
-
-// normalizeRow divides a GE row by the gcd of its coefficients, tightening
-// the constant with integer floor division (a valid integer tightening).
-func normalizeRow(e Affine) Affine {
-	var g int64
-	for _, c := range e.Coef {
-		g = gcd(g, c)
-	}
-	if g <= 1 {
-		return e
-	}
-	r := NewAffine(floorDiv(e.Const, g))
-	for k, c := range e.Coef {
-		r.Coef[k] = c / g
-	}
-	return r
 }
 
 func floorDiv(a, b int64) int64 {
@@ -161,105 +150,6 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// Eliminate projects out variable v using Fourier–Motzkin elimination and
-// returns the projected system. The projection is exact over the
-// rationals and an over-approximation over the integers.
-func (s *System) Eliminate(v string) *System {
-	ge := s.normalizeEqs()
-	var lowers, uppers, rest []Affine
-	for _, c := range ge.Cons {
-		coef := c.Expr.CoefOf(v)
-		switch {
-		case coef > 0:
-			lowers = append(lowers, c.Expr) // c·v + r >= 0  →  v >= -r/c
-		case coef < 0:
-			uppers = append(uppers, c.Expr) // -c·v + r >= 0 →  v <= r/c
-		default:
-			rest = append(rest, c.Expr)
-		}
-	}
-	out := NewSystem()
-	for _, r := range rest {
-		out.AddGE(normalizeRow(r))
-	}
-	for _, lo := range lowers {
-		cl := lo.CoefOf(v)
-		for _, up := range uppers {
-			cu := -up.CoefOf(v)
-			// combine: cu*lo + cl*up eliminates v
-			comb := lo.Scale(cu).Add(up.Scale(cl))
-			delete(comb.Coef, v)
-			out.AddGE(normalizeRow(comb))
-		}
-	}
-	return out
-}
-
-// EliminateAll projects out every variable in vs, in order.
-func (s *System) EliminateAll(vs []string) *System {
-	cur := s
-	for _, v := range vs {
-		cur = cur.Eliminate(v)
-	}
-	return cur
-}
-
-// IsEmpty reports whether the system has no rational solution: after
-// eliminating every variable, some constant constraint is violated.
-// Empty here is definitive; "not empty" may still be integer-empty, which
-// is a safe over-approximation for dependence analysis (a spurious
-// dependence can only suppress a parallelization, never break one).
-func (s *System) IsEmpty() bool {
-	cur := s.normalizeEqs()
-	for {
-		vars := cur.Vars()
-		// Check constant rows as soon as they appear.
-		for _, c := range cur.Cons {
-			if c.Expr.IsConst() && c.Expr.Const < 0 {
-				return true
-			}
-		}
-		if len(vars) == 0 {
-			return false
-		}
-		cur = cur.Eliminate(vars[0])
-	}
-}
-
-// Bounds computes the rational lower and upper bounds of variable v over
-// the system by eliminating all other variables. Unbounded directions
-// report ok=false for the respective side.
-func (s *System) Bounds(v string) (lo int64, hasLo bool, hi int64, hasHi bool) {
-	cur := s.normalizeEqs()
-	for _, other := range cur.Vars() {
-		if other != v {
-			cur = cur.Eliminate(other)
-		}
-	}
-	hasLo, hasHi = false, false
-	for _, c := range cur.Cons {
-		coef := c.Expr.CoefOf(v)
-		if coef == 0 {
-			continue
-		}
-		// coef·v + const >= 0
-		if coef > 0 {
-			// v >= ceil(-const/coef)
-			b := ceilDiv(-c.Expr.Const, coef)
-			if !hasLo || b > lo {
-				lo, hasLo = b, true
-			}
-		} else {
-			// v <= floor(const/(-coef))
-			b := floorDiv(c.Expr.Const, -coef)
-			if !hasHi || b < hi {
-				hi, hasHi = b, true
-			}
-		}
-	}
-	return lo, hasLo, hi, hasHi
-}
-
 func ceilDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) == (b < 0)) {
@@ -268,31 +158,77 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
+// Eliminate projects out variable v using Fourier–Motzkin elimination and
+// returns the projected system. The projection is exact over the
+// rationals and an over-approximation over the integers.
+func (s *System) Eliminate(v string) *System { return s.EliminateAll([]string{v}) }
+
+// EliminateAll projects out every variable in vs, in order.
+func (s *System) EliminateAll(vs []string) *System {
+	r, vars := s.eliminated(vs)
+	out := NewSystem()
+	for i := 0; i < len(r.a); i += r.nc + 1 {
+		out.AddGE(affine(r.a[i:i+r.nc+1], vars, -1))
+	}
+	return out
+}
+
+// eliminated lowers the system and projects out vs, in order.
+func (s *System) eliminated(vs []string) (*rows, []string) {
+	r, vars, _ := s.lower()
+	for _, v := range vs {
+		r.eliminate(slices.Index(vars, v))
+	}
+	return r, vars
+}
+
+// IsEmpty reports whether the system has no rational solution: after
+// eliminating every variable, some constant constraint is violated.
+// Empty here is definitive; "not empty" may still be integer-empty, which
+// is a safe over-approximation for dependence analysis (a spurious
+// dependence can only suppress a parallelization, never break one).
+func (s *System) IsEmpty() bool {
+	r, _, order := s.lower()
+	return r.isEmpty(order)
+}
+
+// Bounds computes the rational lower and upper bounds of variable v over
+// the system by eliminating all other variables. Unbounded directions
+// report ok=false for the respective side.
+func (s *System) Bounds(v string) (lo int64, hasLo bool, hi int64, hasHi bool) {
+	r, vars, order := s.lower()
+	return r.bounds(slices.Index(vars, v), order)
+}
+
 // SymbolicBounds extracts, for variable v, the set of affine lower and
 // upper bound expressions implied by the system in terms of the remaining
 // variables (after eliminating the variables listed in elim). Each
 // returned bound is the affine rhs of v >= lb or v <= ub, with the
 // convention that integer division is rounded toward the feasible side.
 // This is the code-generation step (CLooG's role): loop bounds for
-// transformed iterators are max(lowers) .. min(uppers).
+// transformed iterators are max(lowers) .. min(uppers). No bound is
+// listed twice.
 func (s *System) SymbolicBounds(v string, elim []string) (lowers, uppers []Bound) {
-	cur := s.normalizeEqs().EliminateAll(elim)
-	for _, c := range cur.Cons {
-		coef := c.Expr.CoefOf(v)
-		if coef == 0 {
-			continue
-		}
-		rest := c.Expr.Clone()
-		delete(rest.Coef, v)
-		if coef > 0 {
+	lowers, uppers, _ = s.symbolicBounds(v, elim)
+	return lowers, uppers
+}
+
+// symbolicBounds also reports whether the elimination dropped a row that
+// overflowed int64, in which case the bounds may be too wide to scan.
+func (s *System) symbolicBounds(v string, elim []string) (lowers, uppers []Bound, overflow bool) {
+	r, vars := s.eliminated(elim)
+	c := slices.Index(vars, v)
+	for i := 0; c >= 0 && i < len(r.a); i += r.nc + 1 {
+		row := r.a[i : i+r.nc+1]
+		if coef := row[c]; coef > 0 {
 			// coef·v >= -rest  →  v >= ceil(-rest/coef)
-			lowers = append(lowers, Bound{Expr: rest.Scale(-1), Div: coef, Ceil: true})
-		} else {
+			lowers = append(lowers, Bound{Expr: affine(row, vars, c).Scale(-1), Div: coef, Ceil: true})
+		} else if coef < 0 {
 			// -coef·v <= rest  →  v <= floor(rest/-coef)
-			uppers = append(uppers, Bound{Expr: rest, Div: -coef, Ceil: false})
+			uppers = append(uppers, Bound{Expr: affine(row, vars, c), Div: -coef, Ceil: false})
 		}
 	}
-	return lowers, uppers
+	return lowers, uppers, r.overflow
 }
 
 // Bound is an affine expression divided by a positive constant, with

@@ -255,6 +255,9 @@ func (s *Server) config(req *RunRequest) (core.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown engine %q (want closure or tape)", req.Options.Engine)
 	}
+	if _, _, err := rt.ParseSchedule(req.Options.Schedule); err != nil {
+		return cfg, err
+	}
 	if req.Options.Cores < 0 || req.Options.Cores > s.opts.MaxCores {
 		return cfg, fmt.Errorf("cores must be in [0,%d]", s.opts.MaxCores)
 	}

@@ -326,12 +326,21 @@ func TestRunOptionsValidated(t *testing.T) {
 		{Source: "int main(void){return 0;}", Options: RunOptions{Backend: "clang"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Engine: "jit"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Cores: -1}},
+		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "bogus"}},
+		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "dynamic,0"}},
 	} {
 		resp := post(t, ts, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%+v: status %d, want 400", req.Options, resp.StatusCode)
 		}
-		readBody(t, resp)
+		body := readBody(t, resp)
+		if req.Options.Schedule == "bogus" && !strings.Contains(body, `unknown schedule \"bogus\"`) {
+			t.Fatalf("bogus schedule: body %s", body)
+		}
+	}
+	// Rejected before admission: nothing was built or cached.
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("cache holds %d programs after rejected requests", n)
 	}
 
 	src := `int main(void) { printf("ok\n"); return 0; }`
