@@ -1,0 +1,41 @@
+package comp_test
+
+import (
+	"testing"
+
+	"purec/internal/apps"
+	"purec/internal/comp"
+	"purec/internal/core"
+)
+
+// BenchmarkCompileProgram measures the compile side of comp — the
+// "GCC/ICC" step alone, front end excluded: one op is Artifact.Compile
+// over every apps.Corpus() source. The loop-kernel matcher runs once
+// per for statement here, so allocs/op is the native number to watch
+// when the matcher or an emitter changes.
+func BenchmarkCompileProgram(b *testing.B) {
+	for _, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
+		b.Run(backend.String(), func(b *testing.B) {
+			cfg := core.Config{Parallelize: true, Backend: backend}
+			var arts []*core.Artifact
+			for _, s := range apps.Corpus() {
+				c := cfg
+				c.Defines = s.Defines
+				art, err := core.Front(s.Src, c)
+				if err != nil {
+					b.Fatalf("%s: %v", s.Name, err)
+				}
+				arts = append(arts, art)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, art := range arts {
+					if _, err := art.Compile(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,14 +1,6 @@
 package comp
 
-import (
-	"math"
-
-	"purec/internal/ast"
-	"purec/internal/token"
-	"purec/internal/types"
-)
-
-// This file fuses pure-gather map loops
+// This file emits the pure-gather map loops matchGatherMap recognizes,
 //
 //	for (i = lo; i </<= hi; i++) y[a*i+b] = x[idx[c*i+d]];
 //
@@ -16,7 +8,7 @@ import (
 //
 //	y[a*i+b] = x[idx[c*i+d] < L ? L : (idx[c*i+d] > H ? H : idx[c*i+d])];
 //
-// into segment-walking kernels. The destination and the index array are
+// as segment-walking kernels. The destination and the index array are
 // affine operands (one hoisted range check each, elidable under a
 // bounds proof like every kAccess); the gathered read x[idx[...]] is
 // data-dependent, so it pays a per-element bounds test — unless the
@@ -25,160 +17,12 @@ import (
 // indexed copy. The elided and checked variants are bit-identical
 // whenever the checked one does not trap, which the proof guarantees.
 
-// tryGatherKernel recognizes the gather map shape; nil kernel when the
-// loop does not match (the caller tries the other kernel families and
-// finally falls back to closure dispatch).
-func (fc *funcCompiler) tryGatherKernel(x *ast.ForStmt) (canonicalLoop, kernRun) {
-	cl, ok := fc.canonical(x)
-	if !ok || !fc.hoistableBounds(cl) {
-		return cl, nil
-	}
-	es, ok := singleStmt(cl.body).(*ast.ExprStmt)
-	if !ok {
-		return cl, nil
-	}
-	as, ok := es.X.(*ast.AssignExpr)
-	if !ok || as.Op != token.ASSIGN {
-		return cl, nil
-	}
-	dst, ok := fc.matchKAccess(as.LHS, cl.iterSym)
-	if !ok {
-		return cl, nil
-	}
-	gx, ok := stripParens(as.RHS).(*ast.IndexExpr)
-	if !ok {
-		return cl, nil
-	}
-	// The gathered array: a 1-D base whose element kind matches the
-	// store exactly (implicit conversions stay on the dispatch path),
-	// invariant and effect-free so it hoists to one evaluation.
-	elemT := fc.prog.info.ExprType[ast.Expr(gx)]
-	if elemT == nil || (elemT.Kind != types.Int && elemT.Kind != types.Float) {
-		return cl, nil
-	}
-	float := elemT.Kind == types.Float
-	if float != dst.float {
-		return cl, nil
-	}
-	if baseID, okID := stripParens(gx.X).(*ast.Ident); okID {
-		if sym := fc.symOf(baseID); sym != nil && sym.IsArray() && len(sym.Dims) != 1 {
-			return cl, nil
-		}
-	}
-	bt := fc.prog.info.ExprType[gx.X]
-	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
-		return cl, nil
-	}
-	if fc.usesSym(gx.X, cl.iterSym) || !fc.effectFree(gx.X) {
-		return cl, nil
-	}
-	// The data-dependent subscript: an affine int access idx[c*i+d],
-	// possibly wrapped in a ?:-min/max clamp with constant bounds.
-	idxExpr, clampLo, clampHi, okC := matchClamp(stripParens(gx.Index))
-	if !okC {
-		return cl, nil
-	}
-	subIx, ok := idxExpr.(*ast.IndexExpr)
-	if !ok {
-		return cl, nil
-	}
-	idxAcc, ok := fc.matchKAccess(subIx, cl.iterSym)
-	if !ok || idxAcc.float {
-		return cl, nil
-	}
-	trusted := fc.prog.proven(ast.Expr(gx))
-	fc.countElided(dst, idxAcc)
-	if trusted {
-		fc.prog.elidedChecks++ // the per-element gather bounds test
-	}
-	return cl, emitGather(fc.ptr(gx.X), dst, idxAcc, float, trusted, clampLo, clampHi, ast.PrintExpr(gx))
-}
-
-// matchClamp peels a ?:-min/max clamp off a gather subscript:
-//
-//	v < L ? L : rest   (lower clamp; also L > v ? L : rest)
-//	v > H ? H : rest   (upper clamp; also H < v ? H : rest)
-//
-// where rest is v itself or a nested clamp of the same v, compared
-// syntactically. It returns the clamped access v and the accumulated
-// bounds (math.MinInt64/MaxInt64 when a side is unclamped); a
-// non-ternary subscript passes through with open bounds. ok is false
-// for ternaries that are not clamps — those stay on the dispatch path.
-func matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	ce, isCond := e.(*ast.CondExpr)
-	if !isCond {
-		return e, lo, hi, true
-	}
-	cond, isBin := stripParens(ce.Cond).(*ast.BinaryExpr)
-	if !isBin {
-		return nil, 0, 0, false
-	}
-	v, bound, op := stripParens(cond.X), stripParens(cond.Y), cond.Op
-	k, isLit := intLitValue(bound)
-	if !isLit {
-		// Mirrored form: L > v ? L : rest.
-		if k2, isLit2 := intLitValue(v); isLit2 {
-			v, k, isLit = bound, k2, true
-			switch op {
-			case token.LSS:
-				op = token.GTR
-			case token.GTR:
-				op = token.LSS
-			default:
-				return nil, 0, 0, false
-			}
-		}
-	}
-	if !isLit {
-		return nil, 0, 0, false
-	}
-	// The taken arm must be the bound constant.
-	if tk, isTk := intLitValue(stripParens(ce.Then)); !isTk || tk != k {
-		return nil, 0, 0, false
-	}
-	rest, rlo, rhi, okR := matchClamp(stripParens(ce.Else))
-	if !okR || ast.PrintExpr(rest) != ast.PrintExpr(v) {
-		return nil, 0, 0, false
-	}
-	switch op {
-	case token.LSS:
-		lo = k
-	case token.GTR:
-		hi = k
-	default:
-		return nil, 0, 0, false
-	}
-	if rlo > lo {
-		lo = rlo
-	}
-	if rhi < hi {
-		hi = rhi
-	}
-	return rest, lo, hi, true
-}
-
-// intLitValue evaluates an integer literal, allowing a leading unary
-// minus.
-func intLitValue(e ast.Expr) (int64, bool) {
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.SUB {
-		if v, ok2 := intLitValue(stripParens(u.X)); ok2 {
-			return -v, true
-		}
-		return 0, false
-	}
-	lit, ok := e.(*ast.IntLit)
-	if !ok {
-		return 0, false
-	}
-	return lit.Value, true
-}
-
-// emitGather builds the kernel. src is the gathered array's hoisted
-// base pointer; trusted elides the per-element bounds test; clampLo and
-// clampHi apply the subscript's ?:-clamp (open sides are the int64
-// extremes, so clamping is unconditional and branch-predictable).
-func emitGather(src ptrFn, dst, idxAcc kAccess, float, trusted bool, clampLo, clampHi int64, expr string) kernRun {
+// emitGather builds the kernel: g.trusted elides the per-element bounds
+// test, and the subscript's ?:-clamp applies unconditionally (open
+// sides are the int64 extremes, so it stays branch-predictable).
+func emitGather(dst kAccess, g kGather) kernRun {
+	src, idxAcc, float, trusted := g.base, g.idx, g.float, g.trusted
+	clampLo, clampHi, expr := g.lo, g.hi, g.expr
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return

@@ -16,37 +16,21 @@ package comp
 // error, mirroring the interp oracle's validation.
 //
 // The canonical histogram body additionally compiles to a fused
-// gather-update kernel (tryHistKernel): one hoisted range check for
-// the subscript operand, raw-slice walking for the index values, and a
-// per-element bounds check on the data-dependent target cell — the
-// PR 4 fused-kernel contract applied to the privatized copies.
+// gather-update kernel (matchHist): the subscript operand B gets one
+// hoisted range check per launch and is walked as a raw slice; the
+// data-dependent target cell gets a per-element bounds check that
+// traps exactly like the dispatch backend's per-access checks. The
+// kernel reads the target array through the environment's pointer
+// slot, so running it on a worker's cloned environment transparently
+// updates that worker's private copy.
 
 import (
-	"math"
-
 	"purec/internal/ast"
 	"purec/internal/mem"
 	"purec/internal/sema"
 	"purec/internal/token"
 	"purec/internal/types"
 )
-
-// resolveArrayReduction binds a reduction(op:A[]) clause to the
-// updated array's pointer slot. found reports whether any matching
-// update of A exists in the loop body at all (a clause without one is
-// a malformed pragma); ok additionally requires a privatizable
-// function-local declared array of int/float elements.
-func (fc *funcCompiler) resolveArrayReduction(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
-	if c.op == token.LSS || c.op == token.GTR {
-		return fc.resolveArrayMinMax(body, c)
-	}
-	inner := declaredInside(body)
-	site := fc.findArrayUpdate(body, c, inner)
-	if site == nil {
-		return reduction{}, false, false
-	}
-	return fc.arrayReductionFor(site, c.op)
-}
 
 // findArrayUpdate locates the base identifier of an update of array
 // c.name with the clause's operator: a compound assignment
@@ -56,123 +40,28 @@ func (fc *funcCompiler) resolveArrayReduction(body ast.Stmt, c redClause) (r red
 func (fc *funcCompiler) findArrayUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
 	var site *ast.Ident
 	ast.Walk(body, func(n ast.Node) bool {
-		if site != nil {
-			return false
-		}
-		var ix *ast.IndexExpr
-		switch x := n.(type) {
-		case *ast.AssignExpr:
-			bin, okOp := x.Op.AssignBinOp()
-			if !okOp || bin != c.op {
-				return true
+		if e, ok := n.(ast.Expr); ok && site == nil {
+			lhs, op, rhs := updateOf(e)
+			if lhs != nil && ((rhs != nil && op == c.op) || (rhs == nil && c.op == token.ADD)) {
+				site = fc.clauseBase(lhs, c, inner)
 			}
-			ix, _ = stripParens(x.LHS).(*ast.IndexExpr)
-		case *ast.PostfixExpr:
-			if c.op != token.ADD || (x.Op != token.INC && x.Op != token.DEC) {
-				return true
-			}
-			ix, _ = stripParens(x.X).(*ast.IndexExpr)
-		case *ast.UnaryExpr:
-			if c.op != token.ADD || (x.Op != token.INC && x.Op != token.DEC) {
-				return true
-			}
-			ix, _ = stripParens(x.X).(*ast.IndexExpr)
-		default:
-			return true
 		}
-		if ix == nil {
-			return true
-		}
-		base := ast.BaseIdent(ix)
-		if base == nil || base.Name != c.name {
-			return true
-		}
-		sym := fc.prog.info.Ref[base]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			return true
-		}
-		site = base
-		return false
+		return site == nil
 	})
 	return site
 }
 
-// resolveArrayMinMax binds a reduction(min:A[])/reduction(max:A[])
-// clause: the loop body must contain a guarded update of an element of
-// A in the clause's direction (ast.MinMaxUpdateLV with an index-chain
-// target). found mirrors the scalar resolveMinMax contract — any plain
-// assignment to an element of A binds the clause; a body whose
-// assignments merely fail the pattern runs serially.
-func (fc *funcCompiler) resolveArrayMinMax(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
-	inner := declaredInside(body)
-	for _, as := range ast.Assignments(body) {
-		if as.Op != token.ASSIGN {
-			continue
-		}
-		ix, okIx := stripParens(as.LHS).(*ast.IndexExpr)
-		if !okIx {
-			continue
-		}
-		base := ast.BaseIdent(ix)
-		if base == nil || base.Name != c.name {
-			continue
-		}
-		sym := fc.prog.info.Ref[base]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			continue
-		}
-		found = true
-		break
-	}
-	if !found {
-		return reduction{}, false, false
-	}
-	var site *ast.Ident
-	ast.Walk(body, func(n ast.Node) bool {
-		if site != nil {
-			return false
-		}
-		s, okS := n.(ast.Stmt)
-		if !okS {
-			return true
-		}
-		target, _, dir, okM := ast.MinMaxUpdateLV(s)
-		if !okM || dir != c.op {
-			return true
-		}
-		ix, okIx := target.(*ast.IndexExpr)
-		if !okIx {
-			return true
-		}
-		base := ast.BaseIdent(ix)
-		if base == nil || base.Name != c.name {
-			return true
-		}
-		sym := fc.prog.info.Ref[base]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			return true
-		}
-		site = base
-		return false
-	})
-	if site == nil {
-		return reduction{}, true, false
-	}
-	return fc.arrayReductionFor(site, c.op)
-}
-
 // arrayReductionFor builds the privatize/combine pair for the array
-// whose base identifier is site. found is always true here; ok
-// requires a function-local declared array — or a single-level local
-// pointer the alias analysis resolved, which the transformer only
-// tags when its target region is known — of int/float elements
-// reachable through a frame pointer slot.
-func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r reduction, found, ok bool) {
+// whose base identifier is site. ok requires a function-local declared
+// array — or a single-level local pointer the alias analysis resolved,
+// which the transformer only tags when its target region is known — of
+// int/float elements reachable through a frame pointer slot.
+func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r reduction, ok bool) {
 	sym := fc.prog.info.Ref[site]
 	if sym == nil || sym.Kind == sema.SymGlobal || sym.Type == nil {
 		// Global bases live in Process storage shared by every worker;
 		// they run serially.
-		return reduction{}, true, false
+		return reduction{}, false
 	}
 	if !sym.IsArray() {
 		// A local pointer base qualifies when it is single-level: its
@@ -180,419 +69,29 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 		// privatize/combine pair below works on the pointed-to segment
 		// exactly as it does for a decayed local array.
 		if !sym.Type.IsPtr() || sym.Type.Elem == nil || sym.Type.Elem.IsPtr() {
-			return reduction{}, true, false
+			return reduction{}, false
 		}
 	}
 	sl, global := fc.slotOf(sym, site)
 	if global || sl.kind != slotPtr {
-		return reduction{}, true, false
+		return reduction{}, false
 	}
 	elem := sym.Type.BaseElem()
 	if elem == nil {
-		return reduction{}, true, false
+		return reduction{}, false
 	}
-	idx := sl.idx
-	name := site.Name
+	f32 := elem.Kind == types.Float && elem.CSize == 4
 	switch elem.Kind {
 	case types.Int:
-		var identity int64
-		var fold func(a, b int64) int64
-		switch op {
-		case token.ADD:
-			identity, fold = 0, func(a, b int64) int64 { return a + b }
-		case token.SUB:
-			// Negation onto "+": the body subtracts into the
-			// identity-valued private, so partials add (see
-			// parseOmpReductions).
-			identity, fold = 0, func(a, b int64) int64 { return a + b }
-		case token.MUL:
-			identity, fold = 1, func(a, b int64) int64 { return a * b }
-		case token.AND:
-			identity, fold = -1, func(a, b int64) int64 { return a & b }
-		case token.OR:
-			identity, fold = 0, func(a, b int64) int64 { return a | b }
-		case token.XOR:
-			identity, fold = 0, func(a, b int64) int64 { return a ^ b }
-		case token.LSS:
-			identity = math.MaxInt64
-			fold = func(a, b int64) int64 {
-				if b < a {
-					return b
-				}
-				return a
-			}
-		case token.GTR:
-			identity = math.MinInt64
-			fold = func(a, b int64) int64 {
-				if b > a {
-					return b
-				}
-				return a
-			}
-		default:
-			return reduction{}, true, false
-		}
-		if fc.prog.sparsePrivates {
-			return reduction{
-				setIdentity: func(we *env) {
-					privateSparse(we, idx, name, func(n int, label string) *mem.Segment {
-						return mem.NewSparseIntSegment(n, identity, label)
-					})
-				},
-				combine: func(dst, src *env) {
-					dp, sp := accPair(dst, src, idx, name)
-					foldSegsInt(dp.Seg, sp.Seg, fold)
-				},
-			}, true, true
-		}
-		return reduction{
-			setIdentity: func(we *env) {
-				seg := privateCopy(we, idx, mem.CellInt, name)
-				if identity != 0 {
-					for i := range seg.I {
-						seg.I[i] = identity //lint:rawmem range loop over a fresh private copy
-					}
-				}
-			},
-			combine: func(dst, src *env) {
-				d, s := combineSlicesInt(dst, src, idx, name)
-				for i := range d {
-					d[i] = fold(d[i], s[i])
-				}
-			},
-		}, true, true
+		r, ok = arrayReduction[int64](sl.idx, site.Name, mem.CellInt, op, false, fc.prog.sparsePrivates)
 	case types.Float:
-		var identity float64
-		var fold func(a, b float64) float64
-		switch op {
-		case token.ADD:
-			identity, fold = 0, func(a, b float64) float64 { return a + b }
-		case token.SUB:
-			identity, fold = 0, func(a, b float64) float64 { return a + b }
-		case token.MUL:
-			identity, fold = 1, func(a, b float64) float64 { return a * b }
-		case token.LSS:
-			// Strict-comparison folds: NaN partials never replace an
-			// accumulator, exactly like the guarded update in the body.
-			identity = math.Inf(1)
-			fold = func(a, b float64) float64 {
-				if b < a {
-					return b
-				}
-				return a
-			}
-		case token.GTR:
-			identity = math.Inf(-1)
-			fold = func(a, b float64) float64 {
-				if b > a {
-					return b
-				}
-				return a
-			}
-		default:
-			return reduction{}, true, false
-		}
-		// C float accumulators round every stored value through
-		// float32; the combine is a store and rounds the same way.
-		// Min/max pick among already-rounded stored values, which the
-		// rounding maps to themselves.
-		if elem.CSize == 4 {
-			inner := fold
-			fold = func(a, b float64) float64 { return float64(float32(inner(a, b))) }
-		}
-		if fc.prog.sparsePrivates {
-			return reduction{
-				setIdentity: func(we *env) {
-					privateSparse(we, idx, name, func(n int, label string) *mem.Segment {
-						return mem.NewSparseFloatSegment(n, identity, label)
-					})
-				},
-				combine: func(dst, src *env) {
-					dp, sp := accPair(dst, src, idx, name)
-					foldSegsFloat(dp.Seg, sp.Seg, fold)
-				},
-			}, true, true
-		}
-		return reduction{
-			setIdentity: func(we *env) {
-				seg := privateCopy(we, idx, mem.CellFloat, name)
-				if identity != 0 {
-					for i := range seg.F {
-						seg.F[i] = identity //lint:rawmem range loop over a fresh private copy
-					}
-				}
-			},
-			combine: func(dst, src *env) {
-				d, s := combineSlicesFloat(dst, src, idx, name)
-				for i := range d {
-					d[i] = fold(d[i], s[i])
-				}
-			},
-		}, true, true
+		r, ok = arrayReduction[float64](sl.idx, site.Name, mem.CellFloat, op, f32, fc.prog.sparsePrivates)
 	}
-	return reduction{}, true, false
-}
-
-// privateCopy replaces the worker environment's pointer slot with a
-// fresh private segment sized like the parent's array; the caller
-// fills the identity when it is nonzero (fresh segments are zeroed).
-func privateCopy(we *env, idx int, kind mem.CellKind, name string) *mem.Segment {
-	p := we.P[idx]
-	if p.IsNull() || p.Seg.Freed() {
-		rtPanic("array reduction accumulator %s is not allocated", name)
-	}
-	seg := mem.NewSegment(kind, p.Seg.Len(), p.Seg.Name+" (reduction private)")
-	// Keep the slot's element offset: a pointer base like p = &a[4] must
-	// index the private segment exactly as it indexed the shared one, or
-	// the combine would fold shifted cells.
-	//lint:rawmem repointing the slot at an equal-length private segment; p.Off was validated when p was built
-	we.P[idx] = mem.Pointer{Seg: seg, Off: p.Off}
-	return seg
-}
-
-// privateSparse replaces the worker's pointer slot with a block-sparse
-// private segment (Options.SparsePrivates): untouched blocks are never
-// allocated or identity-filled — the fill happens at a block's
-// first-touch store inside mem — so a worker touching k cells pays
-// O(k), not O(len), in allocation, fill and combine.
-func privateSparse(we *env, idx int, name string, newSeg func(n int, label string) *mem.Segment) {
-	p := we.P[idx]
-	if p.IsNull() || p.Seg.Freed() {
-		rtPanic("array reduction accumulator %s is not allocated", name)
-	}
-	seg := newSeg(p.Seg.Len(), p.Seg.Name+" (reduction private)")
-	// Keep the slot's element offset, exactly like privateCopy.
-	//lint:rawmem repointing the slot at an equal-length private segment; p.Off was validated when p was built
-	we.P[idx] = mem.Pointer{Seg: seg, Off: p.Off}
-}
-
-// accPair validates the accumulator slot pair of a sparse-private
-// combine (the dense paths use combineSlicesInt/Float).
-func accPair(dst, src *env, idx int, name string) (dp, sp mem.Pointer) {
-	dp, sp = dst.P[idx], src.P[idx]
-	if dp.IsNull() || sp.IsNull() || dp.Seg.Len() != sp.Seg.Len() {
-		rtPanic("array reduction accumulator %s changed under the loop", name)
-	}
-	return dp, sp
-}
-
-// foldSegsInt folds the source accumulator segment into the
-// destination element-wise. Sparse sources contribute only their dirty
-// blocks: every untouched cell still holds the fold's identity, and
-// fold(a, identity) == a for every supported operator, so skipping
-// them is exact. The destination is the caller's dense array (linear
-// combine, or the tree's root fold) or a sibling private — sparse when
-// the source is — during tree merges; block bases align because both
-// segments share the accumulator's length.
-func foldSegsInt(d, s *mem.Segment, fold func(a, b int64) int64) {
-	switch {
-	case !s.IsSparse() && !d.IsSparse():
-		di, si := d.I, s.I
-		for i := range di {
-			di[i] = fold(di[i], si[i]) //lint:rawmem equal-length accumulator pair validated by accPair
-		}
-	case s.IsSparse() && !d.IsSparse():
-		di := d.I
-		s.DirtyIntBlocks(func(base int, cells []int64) {
-			for i, v := range cells {
-				di[base+i] = fold(di[base+i], v) //lint:rawmem dirty block lies inside the equal-length dense accumulator
-			}
-		})
-	default: // sparse source into sparse destination
-		s.DirtyIntBlocks(func(base int, cells []int64) {
-			dc := d.SparseIntCells(base)
-			for i, v := range cells {
-				dc[i] = fold(dc[i], v)
-			}
-		})
-	}
-}
-
-// foldSegsFloat is foldSegsInt for float accumulators.
-func foldSegsFloat(d, s *mem.Segment, fold func(a, b float64) float64) {
-	switch {
-	case !s.IsSparse() && !d.IsSparse():
-		df, sf := d.F, s.F
-		for i := range df {
-			df[i] = fold(df[i], sf[i]) //lint:rawmem equal-length accumulator pair validated by accPair
-		}
-	case s.IsSparse() && !d.IsSparse():
-		df := d.F
-		s.DirtyFloatBlocks(func(base int, cells []float64) {
-			for i, v := range cells {
-				df[base+i] = fold(df[base+i], v) //lint:rawmem dirty block lies inside the equal-length dense accumulator
-			}
-		})
-	default:
-		s.DirtyFloatBlocks(func(base int, cells []float64) {
-			dc := d.SparseFloatCells(base)
-			for i, v := range cells {
-				dc[i] = fold(dc[i], v)
-			}
-		})
-	}
-}
-
-// combineSlicesInt fetches the parent and private integer cells of the
-// accumulator slot for the worker-ordered combine.
-func combineSlicesInt(dst, src *env, idx int, name string) (d, s []int64) {
-	dp, sp := dst.P[idx], src.P[idx]
-	if dp.IsNull() || sp.IsNull() || len(dp.Seg.I) != len(sp.Seg.I) {
-		rtPanic("array reduction accumulator %s changed under the loop", name)
-	}
-	return dp.Seg.I, sp.Seg.I
-}
-
-// combineSlicesFloat is combineSlicesInt for float accumulators.
-func combineSlicesFloat(dst, src *env, idx int, name string) (d, s []float64) {
-	dp, sp := dst.P[idx], src.P[idx]
-	if dp.IsNull() || sp.IsNull() || len(dp.Seg.F) != len(sp.Seg.F) {
-		rtPanic("array reduction accumulator %s changed under the loop", name)
-	}
-	return dp.Seg.F, sp.Seg.F
+	return r, ok
 }
 
 // ----------------------------------------------------------------------------
 // Fused gather-update kernel
-
-// tryHistKernel recognizes the canonical array-reduction body — a
-// single statement updating a 1-D array through an int-array gather
-// subscript:
-//
-//	A[B[affine(i)]]++            (and --)
-//	A[B[affine(i)]] op= inv      (op ∈ + - * & | ^; float: + - *)
-//
-// and compiles it into a fused kernel: the subscript operand B gets
-// one hoisted range check per launch (mem.Segment.IntRange) and is
-// walked as a raw slice; the data-dependent target cell gets a
-// per-element bounds check that traps exactly like the dispatch
-// backend's per-access checks. Float updates compute in float64 and
-// round through float32 at 4-byte stores — bit-identical to dispatch.
-//
-// The kernel reads the target array through the environment's pointer
-// slot, so running it on a worker's cloned environment transparently
-// updates that worker's private copy.
-func (fc *funcCompiler) tryHistKernel(x *ast.ForStmt) (canonicalLoop, kernRun) {
-	cl, ok := fc.canonical(x)
-	if !ok || !fc.hoistableBounds(cl) {
-		return cl, nil
-	}
-	stmt := singleStmt(cl.body)
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return cl, nil
-	}
-	var target *ast.IndexExpr
-	var op token.Kind
-	var rhsX ast.Expr // nil for ++/--
-	switch u := es.X.(type) {
-	case *ast.AssignExpr:
-		bin, okOp := u.Op.AssignBinOp()
-		if !okOp {
-			return cl, nil
-		}
-		switch bin {
-		case token.ADD, token.SUB, token.MUL, token.AND, token.OR, token.XOR:
-			op = bin
-		default:
-			// Division/modulo/shift keep their per-iteration trap
-			// semantics on the dispatch path.
-			return cl, nil
-		}
-		target, _ = stripParens(u.LHS).(*ast.IndexExpr)
-		rhsX = u.RHS
-	case *ast.PostfixExpr:
-		if u.Op != token.INC && u.Op != token.DEC {
-			return cl, nil
-		}
-		if u.Op == token.INC {
-			op = token.ADD
-		} else {
-			op = token.SUB
-		}
-		target, _ = stripParens(u.X).(*ast.IndexExpr)
-	case *ast.UnaryExpr:
-		if u.Op != token.INC && u.Op != token.DEC {
-			return cl, nil
-		}
-		if u.Op == token.INC {
-			op = token.ADD
-		} else {
-			op = token.SUB
-		}
-		target, _ = stripParens(u.X).(*ast.IndexExpr)
-	default:
-		return cl, nil
-	}
-	if target == nil {
-		return cl, nil
-	}
-	baseID, ok := stripParens(target.X).(*ast.Ident)
-	if !ok {
-		return cl, nil // only 1-D bases: a nested index chain means 2-D
-	}
-	sym := fc.symOf(baseID)
-	if sym == nil {
-		return cl, nil
-	}
-	if sym.IsArray() && len(sym.Dims) != 1 {
-		return cl, nil
-	}
-	if !sym.IsArray() {
-		bt := fc.prog.info.ExprType[ast.Expr(baseID)]
-		if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
-			return cl, nil
-		}
-	}
-	elemT := fc.prog.info.ExprType[ast.Expr(target)]
-	if elemT == nil || (elemT.Kind != types.Int && elemT.Kind != types.Float) {
-		return cl, nil
-	}
-	float := elemT.Kind == types.Float
-	if float && op != token.ADD && op != token.SUB && op != token.MUL {
-		return cl, nil
-	}
-	if float && rhsX == nil {
-		// Float ++/-- stores unrounded in the dispatch backend (unlike
-		// compound assignment); keep those on the dispatch path rather
-		// than replicate the corner case.
-		return cl, nil
-	}
-	// The gather subscript: an int-element access affine in the
-	// iterator (B[i], B[2*i+c], pointer chains included).
-	subIx, ok := stripParens(target.Index).(*ast.IndexExpr)
-	if !ok {
-		return cl, nil
-	}
-	idxAcc, ok := fc.matchKAccess(subIx, cl.iterSym)
-	if !ok || idxAcc.float {
-		return cl, nil
-	}
-	// The update value: 1 for ++/--, otherwise a hoistable invariant.
-	var rhsI intFn
-	var rhsF fltFn
-	switch {
-	case rhsX == nil:
-		// constant 1
-	case !fc.hoistable(rhsX, cl.iterSym) || !fc.effectFree(rhsX):
-		return cl, nil
-	case float:
-		rhsF = fc.num(rhsX)
-	default:
-		t := fc.prog.info.ExprType[stripParens(rhsX)]
-		if t == nil || t.Kind != types.Int {
-			return cl, nil
-		}
-		rhsI = fc.integer(rhsX)
-	}
-	base := fc.ptr(baseID)
-	f32 := float && elemT.CSize == 4
-	fc.countElided(idxAcc)
-	if float {
-		return cl, emitHistFloat(base, idxAcc, op, rhsF, f32)
-	}
-	return cl, emitHistInt(base, idxAcc, op, rhsI)
-}
 
 // histCell converts the data-dependent target cell index to a slice
 // index, trapping on int overflow like the dispatch backend's checked
@@ -606,8 +105,10 @@ func histCell(off, bin int64) int {
 	return int(cell)
 }
 
-// emitHistInt emits the integer gather-update kernel.
-func emitHistInt(base ptrFn, idxAcc kAccess, op token.Kind, rhs intFn) kernRun {
+// emitHistInt emits the integer gather-update kernel for the target
+// g (see matchHist); a nil rhs updates by 1.
+func emitHistInt(g kGather, op token.Kind, rhs intFn) kernRun {
+	base, idxAcc := g.base, g.idx
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
@@ -685,7 +186,8 @@ func emitHistInt(base ptrFn, idxAcc kAccess, op token.Kind, rhs intFn) kernRun {
 // emitHistFloat emits the float gather-update kernel: float64
 // arithmetic, float32 rounding at 4-byte stores, like the dispatch
 // backend.
-func emitHistFloat(base ptrFn, idxAcc kAccess, op token.Kind, rhs fltFn, f32 bool) kernRun {
+func emitHistFloat(g kGather, op token.Kind, rhs fltFn) kernRun {
+	base, idxAcc, f32 := g.base, g.idx, g.f32
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
@@ -697,10 +199,7 @@ func emitHistFloat(base ptrFn, idxAcc kAccess, op token.Kind, rhs fltFn, f32 boo
 		}
 		off := int64(p.Off)
 		n := int(hi - lo + 1)
-		v := 1.0
-		if rhs != nil {
-			v = rhs(e)
-		}
+		v := rhs(e)
 		ix, ss := is.i, is.stride
 		if p.Seg.IsSparse() {
 			// Sparse private copy: per-cell accessors with first-touch

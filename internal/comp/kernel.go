@@ -18,13 +18,18 @@ package comp
 //     behaves identically;
 //  3. float arithmetic is float64 with one float32 rounding at the
 //     store exactly when the stored C type is 4 bytes — bit-identical
-//     to the closure backend and the interp oracle.
+//     to the closure backend and the interp oracle;
+//  4. operands are live views of guest memory, so a kernel caches
+//     across iterations only values no operand can read: a reduce
+//     kernel whose memory-cell accumulator lies inside one of its own
+//     operands (x[3] += x[k]) runs write-through — cell loaded and
+//     stored every iteration — instead of accumulating in a local.
 //
-// Recognition is table-driven: the loop body compiles to a small
-// postfix tape over operand loads, hoisted invariants and the
-// iterator; a shape table then replaces the common tapes (fill, copy,
-// scale, triad) by specialized loops and everything else runs on the
-// generic tape walker, still with raw-slice operands.
+// Recognition (match.go) compiles the right-hand side of an element
+// store to a small postfix tape over operand loads, hoisted invariants
+// and the iterator; a shape table then replaces the common tapes (fill,
+// copy, scale, triad) by specialized loops and everything else runs on
+// the generic tape walker, still with raw-slice operands.
 
 import (
 	"purec/internal/ast"
@@ -32,30 +37,6 @@ import (
 	"purec/internal/token"
 	"purec/internal/types"
 )
-
-// kernRun executes iterations [lo, hi] (inclusive) of a fused loop.
-// Parallel regions call it once per chunk; sequential loops once.
-type kernRun func(e *env, lo, hi int64)
-
-// kAccess is one array operand of a fused kernel: an
-// iterator-invariant base pointer and offset (evaluated once per
-// launch) plus a constant iterator stride (walked per iteration).
-type kAccess struct {
-	base   ptrFn
-	off    intFn // loop-invariant offset, nil means 0
-	stride int64 // constant iterator coefficient, 0 = invariant access
-	float  bool
-	f32    bool // stored C type is 4 bytes (float32 rounding at stores)
-	// trusted marks an operand whose per-launch range check the
-	// value-range analysis discharged at compile time: every subscript
-	// the loop can form is proven inside the array extent, and the
-	// analysis' escape reasoning guarantees the underlying segment
-	// cannot have been freed (a pointer that ever reaches free() is
-	// escaped and unprovable). prep then skips the range check; the
-	// null-pointer check stays, and the Go slice expression remains the
-	// memory-safety backstop.
-	trusted bool
-}
 
 // tape opcodes. The tape is the postfix form of the loop body's
 // right-hand side; float and int tapes share the arithmetic opcodes.
@@ -91,123 +72,26 @@ type fusedKernel struct {
 	invI  []intFn
 	tape  []kOp
 	float bool // element kind of the store (and of every load)
-	depth int  // maximum tape stack depth
+	sp    int  // evaluation stack depth after the ops pushed so far
 }
 
 // maxTapeDepth bounds the fixed evaluation stack of the tape walker.
 const maxTapeDepth = 16
 
-// ----------------------------------------------------------------------------
-// Recognition
-
-// tryFuseLoop recognizes a canonical innermost loop with an
-// element-wise affine body and returns its chunk kernel; nil when the
-// loop does not fuse (the caller falls back to closure dispatch).
-func (fc *funcCompiler) tryFuseLoop(x *ast.ForStmt) (canonicalLoop, kernRun) {
-	cl, ok := fc.canonical(x)
-	if !ok || !fc.hoistableBounds(cl) {
-		return cl, nil
-	}
-	stmt := singleStmt(cl.body)
-	if stmt == nil {
-		return cl, nil
-	}
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return cl, nil
-	}
-	as, ok := es.X.(*ast.AssignExpr)
-	if !ok {
-		return cl, nil
-	}
-	store, ok := fc.matchKAccess(as.LHS, cl.iterSym)
-	if !ok || store.stride < 1 {
-		// Invariant stores are loop-carried reductions, handled by the
-		// reduction kernels of vector.go.
-		return cl, nil
-	}
-	k := &fusedKernel{store: store, float: store.float}
-	if bin, compound := as.Op.AssignBinOp(); compound {
-		// Y[i] op= rhs  ≡  Y[i] = Y[i] op rhs, with the load walking
-		// the same cells as the store.
-		load := store
-		k.loads = append(k.loads, load)
-		k.push(kOp{code: opLoad, arg: 0})
-		if !fc.buildTape(k, as.RHS, cl.iterSym) {
-			return cl, nil
-		}
-		op, ok := tapeOp(bin, k.float)
-		if !ok {
-			return cl, nil
-		}
-		k.push(kOp{code: op})
-	} else {
-		if !fc.buildTape(k, as.RHS, cl.iterSym) {
-			return cl, nil
-		}
-	}
-	if k.depth > maxTapeDepth {
-		return cl, nil
-	}
-	return cl, fc.emitFused(k)
-}
-
-// seqKernelStmt wraps a chunk kernel for plain sequential execution:
-// evaluate the bounds once, run the whole range, and leave the
-// dispatch loop's post-loop iterator value (the first failing
-// iteration) in the slot.
-func seqKernelStmt(cl canonicalLoop, kern kernRun) stmtFn {
-	iterSlot := cl.iterSlot
-	lower, upper := cl.lower, cl.upper
-	return func(e *env) ctrl {
-		lo, hi := lower(e), upper(e)
-		kern(e, lo, hi)
-		if hi < lo {
-			e.I[iterSlot] = lo
-		} else {
-			e.I[iterSlot] = hi + 1
-		}
-		return ctrlNext
-	}
-}
-
-// countElided bumps the program's elided-check counter for every
-// trusted operand: each one is a runtime range-check site the
-// value-range analysis discharged at compile time.
-func (fc *funcCompiler) countElided(accs ...kAccess) {
-	for _, a := range accs {
-		if a.trusted {
-			fc.prog.elidedChecks++
-		}
-	}
-}
-
-// hoistableBounds reports whether the loop bounds can be evaluated
-// once per launch: a sequential dispatch loop re-evaluates the upper
-// bound every iteration, so fusion requires it to be invariant and
-// effect-free (the lower bound runs once in both schemes but must not
-// trap differently, so it gets the same test).
-func (fc *funcCompiler) hoistableBounds(cl canonicalLoop) bool {
-	return fc.hoistable(cl.lowerX, cl.iterSym) && fc.hoistable(cl.upperX, cl.iterSym)
-}
-
-// push appends a tape op, tracking the stack depth.
-func (k *fusedKernel) push(op kOp) {
+// push appends a tape op and tracks the evaluation stack depth; false
+// when the op overflows the walker's fixed stack (the loop then stays
+// on the dispatch path).
+func (k *fusedKernel) push(op kOp) bool {
 	k.tape = append(k.tape, op)
-	d := 0
-	for _, o := range k.tape {
-		switch o.code {
-		case opLoad, opInv, opIter, opIterF:
-			d++
-			if d > k.depth {
-				k.depth = d
-			}
-		case opNeg, opNot:
-			// unary: depth unchanged
-		default:
-			d--
-		}
+	switch op.code {
+	case opLoad, opInv, opIter, opIterF:
+		k.sp++
+	case opNeg, opNot:
+		// unary: depth unchanged
+	default:
+		k.sp--
 	}
+	return k.sp <= maxTapeDepth
 }
 
 // tapeOp maps a binary operator token to its tape opcode for the
@@ -259,16 +143,14 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 			return false
 		}
 		if k.float {
-			k.push(kOp{code: opInv, arg: len(k.invF)})
 			k.invF = append(k.invF, fc.num(e))
-		} else {
-			if t.Kind != types.Int {
-				return false
-			}
-			k.push(kOp{code: opInv, arg: len(k.invI)})
-			k.invI = append(k.invI, fc.integer(e))
+			return k.push(kOp{code: opInv, arg: len(k.invF) - 1})
 		}
-		return true
+		if t.Kind != types.Int {
+			return false
+		}
+		k.invI = append(k.invI, fc.integer(e))
+		return k.push(kOp{code: opInv, arg: len(k.invI) - 1})
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -276,19 +158,16 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 			return false
 		}
 		if k.float {
-			k.push(kOp{code: opIterF})
-		} else {
-			k.push(kOp{code: opIter})
+			return k.push(kOp{code: opIterF})
 		}
-		return true
+		return k.push(kOp{code: opIter})
 	case *ast.IndexExpr:
 		acc, ok := fc.matchKAccess(x, iter)
 		if !ok || acc.float != k.float {
 			return false
 		}
-		k.push(kOp{code: opLoad, arg: len(k.loads)})
 		k.loads = append(k.loads, acc)
-		return true
+		return k.push(kOp{code: opLoad, arg: len(k.loads) - 1})
 	case *ast.BinaryExpr:
 		op, ok := tapeOp(x.Op, k.float)
 		if !ok {
@@ -309,25 +188,13 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 				return false
 			}
 		}
-		if !fc.buildTape(k, x.X, iter) || !fc.buildTape(k, x.Y, iter) {
-			return false
-		}
-		k.push(kOp{code: op})
-		return true
+		return fc.buildTape(k, x.X, iter) && fc.buildTape(k, x.Y, iter) && k.push(kOp{code: op})
 	case *ast.UnaryExpr:
 		switch x.Op {
 		case token.SUB:
-			if !fc.buildTape(k, x.X, iter) {
-				return false
-			}
-			k.push(kOp{code: opNeg})
-			return true
+			return fc.buildTape(k, x.X, iter) && k.push(kOp{code: opNeg})
 		case token.TILDE:
-			if k.float || !fc.buildTape(k, x.X, iter) {
-				return false
-			}
-			k.push(kOp{code: opNot})
-			return true
+			return !k.float && fc.buildTape(k, x.X, iter) && k.push(kOp{code: opNot})
 		}
 	}
 	return false
@@ -354,292 +221,8 @@ func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 	return fc.hoistable(e, iter)
 }
 
-// hoistable reports whether e is loop-invariant, effect-free and free
-// of memory reads, so evaluating it once per kernel launch cannot be
-// observed even when the fused store aliases other arrays. Scalar
-// variables qualify (the single array-store body cannot modify frame
-// or global scalar slots); array loads do not (the store may alias
-// them).
-func (fc *funcCompiler) hoistable(e ast.Expr, iter *sema.Symbol) bool {
-	ok := true
-	ast.Walk(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Ident:
-			sym := fc.prog.info.Ref[x]
-			if sym == nil || sym == iter || sym.IsArray() ||
-				sym.Type == nil || sym.Type.Kind == types.Ptr || sym.Type.Kind == types.Struct {
-				ok = false
-			}
-		case *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.ParenExpr, *ast.SizeofExpr:
-		case *ast.BinaryExpr:
-			switch x.Op {
-			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
-				token.AND, token.OR, token.XOR, token.SHL, token.SHR:
-			default:
-				ok = false
-			}
-		case *ast.UnaryExpr:
-			if x.Op != token.SUB && x.Op != token.TILDE {
-				ok = false
-			}
-		default:
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
-// effectFree reports whether evaluating e cannot write any state —
-// required of operand base expressions, which hoist to one evaluation
-// per launch.
-func (fc *funcCompiler) effectFree(e ast.Expr) bool {
-	ok := true
-	ast.Walk(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignExpr, *ast.PostfixExpr, *ast.CallExpr:
-			ok = false
-		case *ast.UnaryExpr:
-			if x.Op == token.INC || x.Op == token.DEC {
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok
-}
-
-// matchKAccess matches an affine scalar array access against the loop
-// iterator: a declared array fully indexed with affine subscripts, or
-// a pointer expression indexed by one affine subscript. The result
-// decomposes the flat cell index as stride*iter + offset with a
-// constant stride ≥ 0 and a hoisted invariant offset.
-func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bool) {
-	x, ok := stripParens(e).(*ast.IndexExpr)
-	if !ok {
-		return kAccess{}, false
-	}
-	t := fc.prog.info.ExprType[e]
-	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
-		return kAccess{}, false
-	}
-	// Declared (possibly multi-dimensional) array, fully subscripted:
-	// row-major flattening with per-dimension strides.
-	subs, base := collectSubs(x)
-	if id, okID := base.(*ast.Ident); okID {
-		if sym := fc.prog.info.Ref[id]; sym != nil && sym.IsArray() {
-			if len(subs) != len(sym.Dims) {
-				return kAccess{}, false
-			}
-			acc := kAccess{
-				base:    fc.ptr(id),
-				float:   t.Kind == types.Float,
-				f32:     t.Kind == types.Float && t.CSize == 4,
-				trusted: fc.prog.proven(e),
-			}
-			dimStride := int64(1)
-			var offs []intFn
-			for d := len(subs) - 1; d >= 0; d-- {
-				coef, inv, okA := fc.affineInIter(subs[d], iter)
-				if !okA {
-					return kAccess{}, false
-				}
-				acc.stride += coef * dimStride
-				if inv != nil {
-					offs = append(offs, scaleIntFn(inv, dimStride))
-				}
-				dimStride *= int64(sym.Dims[d])
-			}
-			acc.off = sumIntFns(offs)
-			if acc.stride < 0 {
-				return kAccess{}, false
-			}
-			return acc, true
-		}
-	}
-	// General chain: pointer base, single affine subscript over scalar
-	// elements. The base must be invariant and effect-free — it hoists
-	// to one evaluation (fused stores write int/float cells, so they
-	// can never modify the pointer cells the base may load from).
-	bt := fc.prog.info.ExprType[x.X]
-	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
-		return kAccess{}, false
-	}
-	if bt.Elem.Kind != types.Int && bt.Elem.Kind != types.Float {
-		return kAccess{}, false
-	}
-	if fc.usesSym(x.X, iter) || !fc.effectFree(x.X) {
-		return kAccess{}, false
-	}
-	coef, inv, okA := fc.affineInIter(x.Index, iter)
-	if !okA || coef < 0 {
-		return kAccess{}, false
-	}
-	return kAccess{
-		base:    fc.ptr(x.X),
-		off:     inv,
-		stride:  coef,
-		float:   bt.Elem.Kind == types.Float,
-		f32:     bt.Elem.Kind == types.Float && bt.Elem.CSize == 4,
-		trusted: fc.prog.proven(e),
-	}, true
-}
-
-// affineInIter decomposes an integer expression as coef*iter + inv
-// with a compile-time constant coef and a hoistable invariant inv
-// (nil = 0). It accepts sums, differences and constant multiples of
-// the iterator — i, i+c, c+i, i-c, 2*i, i*3, 2*i+c, N-1-i (negative
-// coefficients are decomposed correctly and rejected by the callers).
-func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intFn, bool) {
-	e = stripParens(e)
-	if id, ok := e.(*ast.Ident); ok && fc.prog.info.Ref[id] == iter {
-		return 1, nil, true
-	}
-	if fc.hoistable(e, iter) {
-		t := fc.prog.info.ExprType[e]
-		if t == nil || t.Kind != types.Int {
-			return 0, nil, false
-		}
-		return 0, fc.integer(e), true
-	}
-	switch x := e.(type) {
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.ADD:
-			ca, ia, oka := fc.affineInIter(x.X, iter)
-			cb, ib, okb := fc.affineInIter(x.Y, iter)
-			if !oka || !okb {
-				return 0, nil, false
-			}
-			return ca + cb, addIntFns(ia, ib), true
-		case token.SUB:
-			ca, ia, oka := fc.affineInIter(x.X, iter)
-			cb, ib, okb := fc.affineInIter(x.Y, iter)
-			if !oka || !okb {
-				return 0, nil, false
-			}
-			return ca - cb, subIntFns(ia, ib), true
-		case token.MUL:
-			if c, ok := sema.ConstInt(x.X); ok {
-				cb, ib, okb := fc.affineInIter(x.Y, iter)
-				if !okb {
-					return 0, nil, false
-				}
-				return c * cb, scaleIntFn(ib, c), true
-			}
-			if c, ok := sema.ConstInt(x.Y); ok {
-				ca, ia, oka := fc.affineInIter(x.X, iter)
-				if !oka {
-					return 0, nil, false
-				}
-				return c * ca, scaleIntFn(ia, c), true
-			}
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.SUB {
-			c, i, ok := fc.affineInIter(x.X, iter)
-			if !ok {
-				return 0, nil, false
-			}
-			return -c, scaleIntFn(i, -1), true
-		}
-	}
-	return 0, nil, false
-}
-
-// Invariant-offset closure algebra (nil means the constant 0).
-
-func sumIntFns(fns []intFn) intFn {
-	var out intFn
-	for _, f := range fns {
-		out = addIntFns(out, f)
-	}
-	return out
-}
-
-func addIntFns(a, b intFn) intFn {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(e *env) int64 { return a(e) + b(e) }
-}
-
-func subIntFns(a, b intFn) intFn {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		return func(e *env) int64 { return -b(e) }
-	}
-	return func(e *env) int64 { return a(e) - b(e) }
-}
-
-func scaleIntFn(a intFn, c int64) intFn {
-	if a == nil || c == 0 {
-		return nil
-	}
-	if c == 1 {
-		return a
-	}
-	return func(e *env) int64 { return a(e) * c }
-}
-
 // ----------------------------------------------------------------------------
 // Emission
-
-// kslice is one prepared operand: the checked raw cells plus the
-// per-iteration stride within them.
-type kslice struct {
-	f      []float64
-	i      []int64
-	stride int
-}
-
-// prep performs the hoisted per-launch work of one operand: evaluate
-// base and offset once, run the single range check, hand back the raw
-// cells. Violations trap as runtime errors exactly like the
-// per-access checks of the closure backend.
-func (a *kAccess) prep(e *env, lo, hi int64) kslice {
-	p := a.base(e)
-	if p.IsNull() {
-		rtPanic("null pointer operand in fused loop")
-	}
-	off := int64(p.Off)
-	if a.off != nil {
-		off += a.off(e)
-	}
-	first := off + a.stride*lo
-	last := off + a.stride*hi
-	var s kslice
-	s.stride = int(a.stride)
-	if a.trusted {
-		// The range check was discharged at compile time (see the
-		// kAccess.trusted contract); only the slice handoff remains.
-		if a.float {
-			s.f = p.Seg.TrustedFloatRange(first, last+1)
-		} else {
-			s.i = p.Seg.TrustedIntRange(first, last+1)
-		}
-		return s
-	}
-	if a.float {
-		xs, err := p.Seg.FloatRange(first, last+1)
-		if err != nil {
-			rtPanic("%v", err)
-		}
-		s.f = xs
-	} else {
-		xs, err := p.Seg.IntRange(first, last+1)
-		if err != nil {
-			rtPanic("%v", err)
-		}
-		s.i = xs
-	}
-	return s
-}
 
 // kframe is the per-launch state of a fused kernel after hoisting.
 type kframe struct {
@@ -676,13 +259,11 @@ func (k *fusedKernel) prepFrame(e *env, lo, hi int64) kframe {
 	return fr
 }
 
-// emitFused selects the kernel body: a specialized loop for the common
+// emit selects the kernel body: a specialized loop for the common
 // shapes, the generic tape walker otherwise.
-func (fc *funcCompiler) emitFused(k *fusedKernel) kernRun {
-	fc.countElided(k.store)
-	fc.countElided(k.loads...)
-	for _, sh := range kernelShapes {
-		if r := sh.emit(k); r != nil {
+func (k *fusedKernel) emit() kernRun {
+	for _, shape := range kernelShapes {
+		if r := shape(k); r != nil {
 			return r
 		}
 	}
@@ -692,22 +273,11 @@ func (fc *funcCompiler) emitFused(k *fusedKernel) kernRun {
 	return k.genericInt()
 }
 
-// kernelShape is one entry of the table-driven emitter: match the
-// kernel's tape, return a specialized loop (nil = no match).
-type kernelShape struct {
-	name string
-	emit func(k *fusedKernel) kernRun
-}
-
-// kernelShapes is ordered most-specific first; the generic tape walker
-// is the fallback and not listed.
-var kernelShapes = []kernelShape{
-	{"fill", emitFill},
-	{"copy", emitCopy},
-	{"scale", emitScale},
-	{"triad", emitTriad},
-	{"stencil3", emitStencil3},
-}
+// kernelShapes is the table-driven emitter, ordered most-specific
+// first: each entry matches the kernel's tape and returns a specialized
+// loop (nil = no match). The generic tape walker is the fallback and
+// not listed.
+var kernelShapes = []func(k *fusedKernel) kernRun{emitFill, emitCopy, emitScale, emitTriad, emitStencil3}
 
 // tapeIs matches the kernel tape against an opcode signature.
 func (k *fusedKernel) tapeIs(codes ...uint8) bool {

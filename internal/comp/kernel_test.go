@@ -528,3 +528,38 @@ int main(void) {
 		t.Fatalf("unexpected trap: %v", err)
 	}
 }
+
+// TestFusedTapeDepthLimit pins the accept/reject boundary of the tape
+// walker's fixed evaluation stack: a right-nested sum of maxTapeDepth
+// loads needs exactly maxTapeDepth stack cells and fuses, one more load
+// stays on the dispatch path (the builder bails at the push that
+// overflows), and a long left-nested body of depth 2 fuses however many
+// ops it has. All three agree with dispatch and the oracle.
+func TestFusedTapeDepthLimit(t *testing.T) {
+	program := func(rhs string) string {
+		return fmt.Sprintf(`int x[64]; int y[64];
+		int main(void) {
+			for (int i = 0; i < 64; i++) x[i] = i * 3 - 40;
+			for (int i = 0; i < 64; i++) y[i] = %s;
+			return y[63];
+		}`, rhs)
+	}
+	rightNested := func(loads int) string {
+		return strings.Repeat("x[i] + (", loads-1) + "x[i]" + strings.Repeat(")", loads-1)
+	}
+	cases := []struct {
+		name  string
+		rhs   string
+		fused int // kernels besides the fill loop
+	}{
+		{"at-limit", rightNested(maxTapeDepth), 1},
+		{"one-past", rightNested(maxTapeDepth + 1), 0},
+		{"long-shallow", strings.Repeat("x[i] + ", 200) + "x[i]", 1},
+	}
+	for _, c := range cases {
+		m := fuseCompare(t, program(c.rhs), "y")
+		if got := m.Program().FusedKernels(); got != 1+c.fused {
+			t.Errorf("%s: %d fused kernels, want %d", c.name, got, 1+c.fused)
+		}
+	}
+}

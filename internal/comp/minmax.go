@@ -1,100 +1,26 @@
 package comp
 
-import (
-	"purec/internal/ast"
-	"purec/internal/sema"
-	"purec/internal/token"
-	"purec/internal/types"
-)
-
-// minMaxKernel fuses the canonical min/max reduction loop shape
+// emitMinMax emits the min/max fold matched by matchMinMax,
 //
 //	for (int k = LB; k < UB; ++k) if (X[s+k] < m) m = X[s+k];
 //
-// (and its `m = X[k] < m ? X[k] : m` form, in either comparison
-// direction — see ast.MinMaxUpdate) into a segment-walking kernel: one
-// hoisted range check over the chunk, then a tight strict-compare fold
-// over the raw cells. The fold preserves the dispatch path bit for bit:
-// only strict comparisons update, so NaN data never replaces the
-// accumulator, and a float32 accumulator rounds every stored update
-// exactly like the assignment it replaces. The kernel comes back in
-// chunk form (see reduceKernel), so sequential loops run it once while
-// parallel min/max reductions hand each worker its chunk bounds.
-//
-// name and dir identify the matched accumulator and direction so
-// parallelReduceFor can check the kernel against the pragma clause.
-func (fc *funcCompiler) minMaxKernel(x *ast.ForStmt) (cl canonicalLoop, name string, dir token.Kind, kern kernRun) {
-	cl, ok := fc.canonical(x)
-	if !ok || !fc.hoistableBounds(cl) {
-		return cl, "", 0, nil
-	}
-	stmt := singleStmt(cl.body)
-	if stmt == nil {
-		return cl, "", 0, nil
-	}
-	m, data, dir, ok := ast.MinMaxUpdate(stmt)
-	if !ok {
-		return cl, "", 0, nil
-	}
-	sym := fc.prog.info.Ref[m]
-	if sym == nil || sym.Kind == sema.SymGlobal || sym == cl.iterSym {
-		return cl, "", 0, nil
-	}
-	sl, global := fc.slotOf(sym, m)
-	if global || sl.kind == slotPtr {
-		return cl, "", 0, nil
-	}
-	// A bound reading the accumulator the body mutates is not invariant
-	// (the dispatch loop re-evaluates it per iteration).
-	if fc.usesSym(cl.lowerX, sym) || fc.usesSym(cl.upperX, sym) {
-		return cl, "", 0, nil
-	}
-	ld, ok := fc.matchLoad(data, cl.iterSym)
-	if !ok || ld.gather {
-		return cl, "", 0, nil
-	}
-	idx := sl.idx
-	min := dir == token.LSS
-	switch sl.kind {
-	case slotInt:
-		if ld.isFloat {
-			return cl, "", 0, nil
-		}
-		kern = func(e *env, lo, hi int64) {
+// as a segment-walking kernel: one hoisted range check over the chunk,
+// then a tight strict-compare fold over the raw cells into frame slot
+// idx. The fold preserves the dispatch path bit for bit: only strict
+// comparisons update, so NaN data never replaces the accumulator, and
+// a float32 accumulator rounds every stored update exactly like the
+// assignment it replaces (the compare still sees the unrounded
+// candidate, like the dispatch path's condition-then-assign). The
+// kernel comes back in chunk form (see reduceKern), so sequential loops
+// run it once while parallel min/max reductions hand each worker its
+// chunk bounds.
+func emitMinMax(x kAccess, idx int, min, f32 bool) kernRun {
+	if x.float {
+		return func(e *env, lo, hi int64) {
 			if hi < lo {
 				return
 			}
-			xs := ld.prepI(e, lo, hi)
-			accv := e.I[idx]
-			if min {
-				for _, v := range xs {
-					if v < accv {
-						accv = v
-					}
-				}
-			} else {
-				for _, v := range xs {
-					if v > accv {
-						accv = v
-					}
-				}
-			}
-			e.I[idx] = accv
-		}
-		return cl, m.Name, dir, kern
-	case slotFloat:
-		if !ld.isFloat {
-			return cl, "", 0, nil
-		}
-		// A float32 accumulator rounds each stored update; the compare
-		// still sees the unrounded candidate, exactly like the dispatch
-		// path's condition-then-assign.
-		f32 := sym.Type != nil && sym.Type.Kind == types.Float && sym.Type.CSize == 4
-		kern = func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			xs := ld.prepF(e, lo, hi)
+			xs := x.prep(e, lo, hi).f
 			accv := e.F[idx]
 			for _, v := range xs {
 				if (min && v < accv) || (!min && v > accv) {
@@ -107,7 +33,26 @@ func (fc *funcCompiler) minMaxKernel(x *ast.ForStmt) (cl canonicalLoop, name str
 			}
 			e.F[idx] = accv
 		}
-		return cl, m.Name, dir, kern
 	}
-	return cl, "", 0, nil
+	return func(e *env, lo, hi int64) {
+		if hi < lo {
+			return
+		}
+		xs := x.prep(e, lo, hi).i
+		accv := e.I[idx]
+		if min {
+			for _, v := range xs {
+				if v < accv {
+					accv = v
+				}
+			}
+		} else {
+			for _, v := range xs {
+				if v > accv {
+					accv = v
+				}
+			}
+		}
+		e.I[idx] = accv
+	}
 }

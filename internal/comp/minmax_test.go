@@ -8,7 +8,9 @@ import (
 
 // TestMinMaxKernel checks the fused min/max reduction kernels against
 // the dispatch path (NoFuse) and the interp oracle, sequentially and
-// under a parallel reduction clause.
+// under a parallel reduction clause, and that the tape engine — which
+// asks the same matcher — fuses exactly what the closure engine does
+// (its own copy of the dispatch cascade once forgot this family).
 func TestMinMaxKernel(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,6 +75,13 @@ func TestMinMaxKernel(t *testing.T) {
 			}
 			if fused != dispatch {
 				t.Fatalf("fused returned %d, dispatch %d", fused, dispatch)
+			}
+			tp := compile(t, c.src, Options{Engine: EngineTape})
+			if got, want := tp.Program().FusedKernels(), f.Program().FusedKernels(); got != want {
+				t.Fatalf("tape engine fused %d kernels, closure engine %d", got, want)
+			}
+			if taped, err := tp.RunMain(); err != nil || taped != fused {
+				t.Fatalf("tape engine returned %d (%v), closure engine %d", taped, err, fused)
 			}
 			in, err := interp.New(f.Program().Info(), nil)
 			if err != nil {

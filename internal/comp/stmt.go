@@ -1,7 +1,6 @@
 package comp
 
 import (
-	"math"
 	"strings"
 
 	"purec/internal/ast"
@@ -273,43 +272,19 @@ func (fc *funcCompiler) switchStmt(x *ast.SwitchStmt) stmtFn {
 	}
 }
 
-// fuseReductions reports whether canonical reduction loops compile to
-// fused kernels here: the ICC backend vectorizes extracted pure
-// functions, Options.Vectorize extends that everywhere (the PluTo-SICA
-// analog), and Options.NoFuse turns the whole engine off.
-func (fc *funcCompiler) fuseReductions() bool {
-	return !fc.prog.noFuse &&
-		((fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize)
+// forStmt compiles a sequential for loop: the fused kernel where the
+// matcher finds one (element-wise, gather, histogram and min/max bodies
+// on every backend unless Options.NoFuse; canonical reduction loops
+// where fuseReductions says — the vectorization analog), per-iteration
+// dispatch otherwise.
+func (fc *funcCompiler) forStmt(x *ast.ForStmt) stmtFn {
+	return fc.seqFor(x, fc.matchLoop(x))
 }
 
-// forStmt compiles a sequential for loop. Inside pure functions the ICC
-// backend first tries to replace canonical reduction loops by fused
-// kernels (the vectorization analog); element-wise affine loop bodies
-// fuse on every backend unless Options.NoFuse.
-func (fc *funcCompiler) forStmt(x *ast.ForStmt) stmtFn {
-	if fc.fuseReductions() {
-		if k := fc.tryVectorize(x); k != nil {
-			fc.prog.fusedKernels++
-			return k
-		}
-	}
-	if !fc.prog.noFuse {
-		if cl, kern := fc.tryFuseLoop(x); kern != nil {
-			fc.prog.fusedKernels++
-			return seqKernelStmt(cl, kern)
-		}
-		if cl, kern := fc.tryGatherKernel(x); kern != nil {
-			fc.prog.fusedKernels++
-			return seqKernelStmt(cl, kern)
-		}
-		if cl, kern := fc.tryHistKernel(x); kern != nil {
-			fc.prog.fusedKernels++
-			return seqKernelStmt(cl, kern)
-		}
-		if cl, _, _, kern := fc.minMaxKernel(x); kern != nil {
-			fc.prog.fusedKernels++
-			return seqKernelStmt(cl, kern)
-		}
+// seqFor compiles x for sequential execution given its match.
+func (fc *funcCompiler) seqFor(x *ast.ForStmt, lk loopKernel) stmtFn {
+	if lk.run != nil {
+		return fc.seqKernelStmt(lk)
 	}
 	var init stmtFn
 	if x.Init != nil {
@@ -468,57 +443,35 @@ func runsInline(e *env) bool {
 // simulated teams), reading the parent environment's invariants and
 // writing only the shared segments.
 func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
-	cl, ok := fc.canonical(x)
-	if !ok {
+	lk := fc.matchLoop(x)
+	if !lk.canonical {
 		fc.errorf(x, "#pragma omp parallel for requires a canonical loop (int i = lb; i < ub; i++)")
 	}
 	sched, chunk := parseOmpSchedule(pragma)
-	if !fc.prog.noFuse {
-		fcl, kern := fc.tryFuseLoop(x)
-		if kern == nil {
-			// Proven-bounded gather nests arrive here once the
-			// polyhedral stage parallelizes them; chunked gather kernels
-			// are safe because chunks partition the store range and the
-			// gathered array is only read.
-			fcl, kern = fc.tryGatherKernel(x)
-		}
-		if kern != nil {
-			fc.prog.fusedKernels++
-			iterSlot := fcl.iterSlot
-			lower, upper := fcl.lower, fcl.upper
-			return func(e *env) ctrl {
-				lo, hi := lower(e), upper(e)
-				if runsInline(e) {
-					kern(e, lo, hi)
-					if hi >= lo {
-						// The dispatch inline loop leaves the last
-						// iteration value in the slot.
-						e.I[iterSlot] = hi
-					}
-					return ctrlNext
-				}
-				e.team.ParallelFor(lo, hi, sched, chunk, func(_ int, clo, chi int64) {
-					kern(e, clo, chi)
-				})
-				return ctrlNext
+	iterSlot := lk.iterSlot
+	lower, upper := lk.lower, lk.upper
+	if lk.kind == kindMap {
+		// Chunked map kernels are safe — gathers included, which arrive
+		// here once the polyhedral stage parallelizes proven-bounded
+		// nests: chunks partition the store range and the gathered array
+		// is only read.
+		kern := fc.fused(lk)
+		return func(e *env) ctrl {
+			lo, hi := lower(e), upper(e)
+			if runsInline(e) {
+				return inlineKernel(e, iterSlot, lo, hi, kern)
 			}
+			e.team.ParallelFor(lo, hi, sched, chunk, func(_ int, clo, chi int64) {
+				kern(e, clo, chi)
+			})
+			return ctrlNext
 		}
 	}
-	body := fc.loopBody(cl.body)
-	iterSlot := cl.iterSlot
+	body := fc.loopBody(lk.body)
 	return func(e *env) ctrl {
-		lo := cl.lower(e)
-		hi := cl.upper(e)
+		lo, hi := lower(e), upper(e)
 		if runsInline(e) {
-			for i := lo; i <= hi; i++ {
-				e.I[iterSlot] = i
-				if c := body(e); c == ctrlBreak {
-					break
-				} else if c == ctrlReturn {
-					return ctrlReturn
-				}
-			}
-			return ctrlNext
+			return inlineLoop(e, iterSlot, lo, hi, body)
 		}
 		e.team.ParallelFor(lo, hi, sched, chunk, func(w int, clo, chi int64) {
 			we := e.clone()
@@ -529,6 +482,31 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
 		})
 		return ctrlNext
 	}
+}
+
+// inlineKernel runs a parallel region's fused kernel inline on the
+// calling environment, leaving the last iteration value in the
+// iterator slot like the dispatch inline loop does.
+func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
+	kern(e, lo, hi)
+	if hi >= lo {
+		e.I[iterSlot] = hi
+	}
+	return ctrlNext
+}
+
+// inlineLoop runs a parallel region's dispatch body inline on the
+// calling environment.
+func inlineLoop(e *env, iterSlot int, lo, hi int64, body stmtFn) ctrl {
+	for i := lo; i <= hi; i++ {
+		e.I[iterSlot] = i
+		if c := body(e); c == ctrlBreak {
+			break
+		} else if c == ctrlReturn {
+			return ctrlReturn
+		}
+	}
+	return ctrlNext
 }
 
 // redClause is one parsed reduction(op:var) clause entry with the
@@ -580,14 +558,6 @@ func parseOmpReductions(pragma string) (reds []redClause, supported bool) {
 	return reds, true
 }
 
-// reduction is a compiled reduction accumulator: identity installation
-// into a worker's private environment and the worker-ordered combine
-// back into the parent environment.
-type reduction struct {
-	setIdentity func(we *env)
-	combine     func(dst, src *env)
-}
-
 // declaredInside returns the variable declarations nested under n; a
 // reduction clause can only name a variable from the enclosing scope,
 // so symbols declared inside the annotated loop (which shadow it and
@@ -605,20 +575,59 @@ func declaredInside(n ast.Node) map[*ast.VarDecl]bool {
 	return out
 }
 
-// resolveReduction binds a clause to the accumulator's frame slot by
-// locating the `name op= expr` assignment in the loop body, skipping
-// updates of loop-local shadows of the name. found reports whether a
-// matching enclosing-scope accumulator update exists at all (a clause
-// without one is a malformed pragma); ok additionally requires a
-// privatizable local slot. A non-scalar accumulator is a compile error
-// (mirroring the interp oracle's validation).
-func (fc *funcCompiler) resolveReduction(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
-	if c.op == token.LSS || c.op == token.GTR {
-		return fc.resolveMinMax(body, c)
-	}
+// resolveClause binds a reduction clause to its accumulator by locating
+// the update it names in the loop body. found reports whether a
+// matching enclosing-scope update exists at all (a clause without one
+// is a malformed pragma, mirroring the interp oracle's validation); ok
+// additionally requires a privatizable accumulator — otherwise the loop
+// runs serially, which is always correct.
+func (fc *funcCompiler) resolveClause(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
 	inner := declaredInside(body)
-	var sym *sema.Symbol
 	var site *ast.Ident
+	switch {
+	case c.op == token.LSS || c.op == token.GTR:
+		site, found = fc.findMinMaxUpdate(body, c, inner)
+	case c.array:
+		site = fc.findArrayUpdate(body, c, inner)
+		found = site != nil
+	default:
+		site = fc.findScalarUpdate(body, c, inner)
+		found = site != nil
+	}
+	switch {
+	case site == nil:
+	case c.array:
+		r, ok = fc.arrayReductionFor(site, c.op)
+	default:
+		r, ok = fc.scalarReductionFor(site, c)
+	}
+	return r, found, ok
+}
+
+// clauseBase returns the base identifier when the lvalue is the
+// clause's accumulator — the scalar c.name itself, or an element of the
+// array c.name for an array clause — bound in the enclosing scope:
+// symbols declared inside the annotated loop shadow the name, are
+// automatically private, and do not bind the clause.
+func (fc *funcCompiler) clauseBase(lhs ast.Expr, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
+	var base *ast.Ident
+	if !c.array {
+		base, _ = lhs.(*ast.Ident)
+	} else if ix, ok := stripParens(lhs).(*ast.IndexExpr); ok {
+		base = ast.BaseIdent(ix)
+	}
+	if base == nil || base.Name != c.name {
+		return nil
+	}
+	if sym := fc.prog.info.Ref[base]; sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
+		return nil
+	}
+	return base
+}
+
+// findScalarUpdate locates the `name op= expr` assignment of a scalar
+// clause.
+func (fc *funcCompiler) findScalarUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
 	for _, as := range ast.Assignments(body) {
 		bin, okOp := as.Op.AssignBinOp()
 		matches := okOp && bin == c.op
@@ -631,197 +640,61 @@ func (fc *funcCompiler) resolveReduction(body ast.Stmt, c redClause) (r reductio
 				}
 			}
 		}
-		if !matches {
-			continue
+		if matches {
+			if site := fc.clauseBase(as.LHS, c, inner); site != nil {
+				return site
+			}
 		}
-		id, okID := as.LHS.(*ast.Ident)
-		if !okID || id.Name != c.name {
-			continue
-		}
-		s := fc.prog.info.Ref[id]
-		if s == nil || (s.Decl != nil && inner[s.Decl]) {
-			continue // loop-local shadow: automatically private
-		}
-		sym = s
-		site = id
-		break
 	}
-	if sym == nil {
-		return reduction{}, false, false
-	}
-	if sym.Kind == sema.SymGlobal {
-		// Global accumulators live in Process storage shared by every
-		// worker — they cannot be privatized through the frame clone.
-		return reduction{}, true, false
-	}
-	sl, global := fc.slotOf(sym, site)
-	if global {
-		return reduction{}, true, false
-	}
-	if sl.kind == slotPtr {
-		fc.errorf(site, "reduction accumulator %s must be a scalar", c.name)
-	}
-	idx := sl.idx
-	switch sl.kind {
-	case slotInt:
-		var identity int64
-		var fold func(a, b int64) int64
-		switch c.op {
-		case token.ADD:
-			identity, fold = 0, func(a, b int64) int64 { return a + b }
-		case token.SUB:
-			// Negation onto "+": the body subtracts into a zero-seeded
-			// private, so each partial is −(chunk sum) and partials add.
-			identity, fold = 0, func(a, b int64) int64 { return a + b }
-		case token.MUL:
-			identity, fold = 1, func(a, b int64) int64 { return a * b }
-		case token.AND:
-			identity, fold = -1, func(a, b int64) int64 { return a & b }
-		case token.OR:
-			identity, fold = 0, func(a, b int64) int64 { return a | b }
-		case token.XOR:
-			identity, fold = 0, func(a, b int64) int64 { return a ^ b }
-		default:
-			return reduction{}, true, false
-		}
-		return reduction{
-			setIdentity: func(we *env) { we.I[idx] = identity },
-			combine:     func(dst, src *env) { dst.I[idx] = fold(dst.I[idx], src.I[idx]) },
-		}, true, true
-	case slotFloat:
-		var identity float64
-		var fold func(a, b float64) float64
-		switch c.op {
-		case token.ADD:
-			identity, fold = 0, func(a, b float64) float64 { return a + b }
-		case token.SUB:
-			identity, fold = 0, func(a, b float64) float64 { return a + b }
-		case token.MUL:
-			identity, fold = 1, func(a, b float64) float64 { return a * b }
-		default:
-			return reduction{}, true, false
-		}
-		// C float accumulators round every stored value through float32;
-		// the combine is a store and rounds the same way.
-		if sym.Type != nil && sym.Type.CSize == 4 {
-			inner := fold
-			fold = func(a, b float64) float64 { return float64(float32(inner(a, b))) }
-		}
-		return reduction{
-			setIdentity: func(we *env) { we.F[idx] = identity },
-			combine:     func(dst, src *env) { dst.F[idx] = fold(dst.F[idx], src.F[idx]) },
-		}, true, true
-	}
-	return reduction{}, true, false
+	return nil
 }
 
-// resolveMinMax binds a min/max reduction clause (op LSS = min,
-// GTR = max) to its accumulator: the loop body must contain a guarded
-// update of the named variable in the clause's direction —
-// `if (x < m) m = x;` or `m = x < m ? x : m;` (see ast.MinMaxUpdate).
-// found reports whether any plain assignment to the name binds the
-// enclosing scope at all (a clause without one is a malformed pragma,
-// mirroring the interp oracle); ok additionally requires the matching
-// pattern and a privatizable local scalar slot — otherwise the loop
-// runs serially, which is always correct.
-//
-// The identity values are the comparison's absorbing elements
-// (MaxInt64/+Inf for min, MinInt64/−Inf for max) and the combine is
-// the strict-comparison fold itself — NaN data never replaces an
-// accumulator, exactly like the guarded update in the loop body.
-func (fc *funcCompiler) resolveMinMax(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
-	inner := declaredInside(body)
+// findMinMaxUpdate binds a min/max clause (op LSS = min, GTR = max):
+// the loop body must contain a guarded update of the accumulator — the
+// named scalar, or an element of the named array — in the clause's
+// direction: `if (x < m) m = x;` or `m = x < m ? x : m;` (see
+// ast.MinMaxUpdateLV). found reports whether any plain assignment to
+// the accumulator binds the enclosing scope at all; a body whose
+// assignments merely fail the pattern has found set and a nil site.
+func (fc *funcCompiler) findMinMaxUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) (site *ast.Ident, found bool) {
 	for _, as := range ast.Assignments(body) {
-		if as.Op != token.ASSIGN {
-			continue
+		if as.Op == token.ASSIGN && fc.clauseBase(as.LHS, c, inner) != nil {
+			found = true
+			break
 		}
-		id, okID := as.LHS.(*ast.Ident)
-		if !okID || id.Name != c.name {
-			continue
-		}
-		s := fc.prog.info.Ref[id]
-		if s == nil || (s.Decl != nil && inner[s.Decl]) {
-			continue
-		}
-		found = true
-		break
 	}
 	if !found {
-		return reduction{}, false, false
+		return nil, false
 	}
-	var site *ast.Ident
 	ast.Walk(body, func(n ast.Node) bool {
-		if site != nil {
-			return false
+		if s, okS := n.(ast.Stmt); okS && site == nil {
+			if target, _, dir, okM := ast.MinMaxUpdateLV(s); okM && dir == c.op {
+				site = fc.clauseBase(target, c, inner)
+			}
 		}
-		s, okS := n.(ast.Stmt)
-		if !okS {
-			return true
-		}
-		m, _, dir, okM := ast.MinMaxUpdate(s)
-		if !okM || m.Name != c.name || dir != c.op {
-			return true
-		}
-		sym := fc.prog.info.Ref[m]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			return true
-		}
-		site = m
-		return false
+		return site == nil
 	})
-	if site == nil {
-		return reduction{}, true, false
-	}
+	return site, true
+}
+
+// scalarReductionFor builds the reduction of the scalar whose update
+// site is given. Global accumulators live in Process storage shared by
+// every worker — they cannot be privatized through the frame clone —
+// and a non-scalar accumulator is a compile error (mirroring the
+// interp oracle's validation).
+func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, c redClause) (r reduction, ok bool) {
 	sym := fc.prog.info.Ref[site]
-	if sym.Kind == sema.SymGlobal {
-		return reduction{}, true, false
-	}
 	sl, global := fc.slotOf(sym, site)
-	if global {
-		return reduction{}, true, false
-	}
-	if sl.kind == slotPtr {
+	switch {
+	case global:
+	case sl.kind == slotPtr:
 		fc.errorf(site, "reduction accumulator %s must be a scalar", c.name)
+	case sl.kind == slotInt:
+		r, ok = scalarReduction[int64](sl.idx, c.op, false)
+	case sl.kind == slotFloat:
+		r, ok = scalarReduction[float64](sl.idx, c.op, sym.Type != nil && sym.Type.CSize == 4)
 	}
-	idx := sl.idx
-	min := c.op == token.LSS
-	switch sl.kind {
-	case slotInt:
-		identity := int64(math.MaxInt64)
-		if !min {
-			identity = math.MinInt64
-		}
-		return reduction{
-			setIdentity: func(we *env) { we.I[idx] = identity },
-			combine: func(dst, src *env) {
-				if min {
-					if src.I[idx] < dst.I[idx] {
-						dst.I[idx] = src.I[idx]
-					}
-				} else if src.I[idx] > dst.I[idx] {
-					dst.I[idx] = src.I[idx]
-				}
-			},
-		}, true, true
-	case slotFloat:
-		identity := math.Inf(1)
-		if !min {
-			identity = math.Inf(-1)
-		}
-		return reduction{
-			setIdentity: func(we *env) { we.F[idx] = identity },
-			combine: func(dst, src *env) {
-				if min {
-					if src.F[idx] < dst.F[idx] {
-						dst.F[idx] = src.F[idx]
-					}
-				} else if src.F[idx] > dst.F[idx] {
-					dst.F[idx] = src.F[idx]
-				}
-			},
-		}, true, true
-	}
-	return reduction{}, true, false
+	return r, ok
 }
 
 // parallelReduceFor compiles a loop annotated with
@@ -847,24 +720,18 @@ func (fc *funcCompiler) resolveMinMax(body ast.Stmt, c redClause) (r reduction, 
 // malformed pragma and a compile error, mirroring parallelFor's
 // canonical-loop diagnostic and the interp oracle's validation.
 func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn {
-	cl, ok := fc.canonical(x)
-	if !ok {
+	lk := fc.matchLoop(x)
+	if !lk.canonical {
 		fc.errorf(x, "#pragma omp parallel for requires a canonical loop (int i = lb; i < ub; i++)")
 	}
 	clauses, supported := parseOmpReductions(pragma)
 	if !supported {
-		return fc.stmt(x)
+		return fc.seqFor(x, lk)
 	}
 	reds := make([]reduction, 0, len(clauses))
 	hasArray := false
 	for _, c := range clauses {
-		var r reduction
-		var found, ok bool
-		if c.array {
-			r, found, ok = fc.resolveArrayReduction(x.Body, c)
-		} else {
-			r, found, ok = fc.resolveReduction(x.Body, c)
-		}
+		r, found, ok := fc.resolveClause(x.Body, c)
 		if !found {
 			if c.array {
 				fc.errorf(x, "reduction clause names %s[], but the loop has no matching '%s[...] %s=' update", c.name, c.name, c.op)
@@ -873,7 +740,7 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 			}
 		}
 		if !ok {
-			return fc.stmt(x)
+			return fc.seqFor(x, lk)
 		}
 		hasArray = hasArray || c.array
 		reds = append(reds, r)
@@ -885,54 +752,27 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 	// so the kernel's accumulator and the clause's coincide), and the
 	// partials fold back in worker order exactly like the dispatch path.
 	// Array-reduction bodies use the gather-update kernel: the worker's
-	// cloned pointer slot aims it at the private copy.
+	// cloned pointer slot aims it at the private copy. A min/max fold is
+	// the clause's own guarded update, so the kernel must match the
+	// single clause's accumulator and direction.
 	var vecChunk kernRun
-	if hasArray {
-		if !fc.prog.noFuse {
-			if _, kern := fc.tryHistKernel(x); kern != nil {
-				vecChunk = kern
-				fc.prog.fusedKernels++
-			}
-		}
-	} else if fc.fuseReductions() {
-		if _, kern := fc.reduceKernel(x); kern != nil {
-			vecChunk = kern
-			fc.prog.fusedKernels++
-		}
-	}
-	// Min/max clauses fuse on every backend (like the element-wise
-	// kernels): the fold is the clause's own guarded update, so the
-	// kernel must match the single clause's accumulator and direction.
-	if vecChunk == nil && !hasArray && !fc.prog.noFuse && len(clauses) == 1 {
-		c := clauses[0]
-		if _, name, dir, kern := fc.minMaxKernel(x); kern != nil && name == c.name && dir == c.op {
-			vecChunk = kern
-			fc.prog.fusedKernels++
-		}
+	switch {
+	case hasArray && lk.kind == kindHist,
+		!hasArray && lk.kind == kindReduce,
+		!hasArray && lk.kind == kindMinMax && len(clauses) == 1 && lk.acc == clauses[0].name && lk.dir == clauses[0].op:
+		vecChunk = fc.fused(lk)
 	}
 	sched, chunk := parseOmpSchedule(pragma)
-	body := fc.loopBody(cl.body)
-	iterSlot := cl.iterSlot
+	body := fc.loopBody(lk.body)
+	iterSlot := lk.iterSlot
+	lower, upper := lk.lower, lk.upper
 	return func(e *env) ctrl {
+		lo, hi := lower(e), upper(e)
 		if runsInline(e) {
-			lo := cl.lower(e)
-			hi := cl.upper(e)
 			if vecChunk != nil {
-				vecChunk(e, lo, hi)
-				if hi >= lo {
-					e.I[iterSlot] = hi
-				}
-				return ctrlNext
+				return inlineKernel(e, iterSlot, lo, hi, vecChunk)
 			}
-			for i := lo; i <= hi; i++ {
-				e.I[iterSlot] = i
-				if c := body(e); c == ctrlBreak {
-					break
-				} else if c == ctrlReturn {
-					return ctrlReturn
-				}
-			}
-			return ctrlNext
+			return inlineLoop(e, iterSlot, lo, hi, body)
 		}
 		init := func(int) any {
 			we := e.clone()
@@ -978,11 +818,9 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 			// lazy-allocating runtime entry point skips workers that
 			// never receive a chunk and charges the element-wise
 			// combine pass on the simulated critical path.
-			e.team.ParallelForReduceArrayOpts(cl.lower(e), cl.upper(e), sched, chunk, opts,
-				init, bodyFn, combineFn)
+			e.team.ParallelForReduceArrayOpts(lo, hi, sched, chunk, opts, init, bodyFn, combineFn)
 		} else {
-			e.team.ParallelForReduceOpts(cl.lower(e), cl.upper(e), sched, chunk, opts,
-				init, bodyFn, combineFn)
+			e.team.ParallelForReduceOpts(lo, hi, sched, chunk, opts, init, bodyFn, combineFn)
 		}
 		return ctrlNext
 	}

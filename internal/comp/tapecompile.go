@@ -255,6 +255,7 @@ type tapeMark struct {
 	contLens   []int
 	tI, tF, tP int
 	fused      int
+	elided     int
 }
 
 func (tc *tapeCompiler) mark() tapeMark {
@@ -262,7 +263,7 @@ func (tc *tapeCompiler) mark() tapeMark {
 		code:  len(tc.tp.code),
 		loops: len(tc.loops),
 		tI:    tc.ta.tI, tF: tc.ta.tF, tP: tc.ta.tP,
-		fused: tc.fc.prog.fusedKernels,
+		fused: tc.fc.prog.fusedKernels, elided: tc.fc.prog.elidedChecks,
 	}
 	for _, ctx := range tc.loops {
 		m.breakLens = append(m.breakLens, len(ctx.breaks))
@@ -279,7 +280,7 @@ func (tc *tapeCompiler) rollback(m tapeMark) {
 		ctx.conts = ctx.conts[:m.contLens[i]]
 	}
 	tc.ta.tI, tc.ta.tF, tc.ta.tP = m.tI, m.tF, m.tP
-	tc.fc.prog.fusedKernels = m.fused
+	tc.fc.prog.fusedKernels, tc.fc.prog.elidedChecks = m.fused, m.elided
 }
 
 // stmt compiles one statement, escaping it to the closure backend when
@@ -466,30 +467,9 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 // tapeFor mirrors forStmt: fused kernels still win where they match
 // (escaped behind tStmt); everything else linearizes.
 func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
-	fc := tc.fc
-	if fc.fuseReductions() {
-		if k := fc.tryVectorize(x); k != nil {
-			fc.prog.fusedKernels++
-			tc.escapeStmt(k)
-			return
-		}
-	}
-	if !fc.prog.noFuse {
-		if cl, kern := fc.tryFuseLoop(x); kern != nil {
-			fc.prog.fusedKernels++
-			tc.escapeStmt(seqKernelStmt(cl, kern))
-			return
-		}
-		if cl, kern := fc.tryGatherKernel(x); kern != nil {
-			fc.prog.fusedKernels++
-			tc.escapeStmt(seqKernelStmt(cl, kern))
-			return
-		}
-		if cl, kern := fc.tryHistKernel(x); kern != nil {
-			fc.prog.fusedKernels++
-			tc.escapeStmt(seqKernelStmt(cl, kern))
-			return
-		}
+	if lk := tc.fc.matchLoop(x); lk.run != nil {
+		tc.escapeStmt(tc.fc.seqKernelStmt(lk))
+		return
 	}
 	// Rotated loop: entry test, body, post, bottom test jumping back.
 	// The condition compiles twice but evaluates once per round exactly

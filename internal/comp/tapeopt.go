@@ -587,15 +587,23 @@ func (tp *tape) peephole(lv *tlive) bool {
 		in := &tp.code[i]
 		d := &tdescs[in.op]
 		if in.op != tNop {
+			retargeted := false
 			if d.wI >= 0 || d.wF >= 0 || d.wP >= 0 {
 				changed = tp.fuseCmpBranch(i, lv) || changed
-				changed = tp.elimMov(i, lv) || changed
+				retargeted = tp.elimMov(i, lv)
 			}
 			switch in.op {
 			case tMovI, tMovF, tMovP:
 				changed = tp.copyProp(i, lv) || changed
 			}
-			changed = tp.elimDead(i, lv) || changed
+			// elimMov moved the write onto the mov's destination, whose
+			// liveness at i+1 still describes the mov that defined it
+			// there (dead on entry): this round must not judge it.
+			if retargeted {
+				changed = true
+			} else {
+				changed = tp.elimDead(i, lv) || changed
+			}
 		}
 	}
 	return changed

@@ -1,399 +1,198 @@
 package comp
 
-import (
-	"purec/internal/ast"
-	"purec/internal/sema"
-	"purec/internal/token"
-	"purec/internal/types"
-)
+import "purec/internal/mem"
 
-// reduceKernel is the ICC-backend analog of automatic vectorization: a
-// canonical reduction loop inside an extracted pure function,
+// reduceKern is a matched reduce kernel (see matchReduce): the ICC
+// analog of automatic vectorization. It accumulates directly over the
+// memory segments instead of dispatching closures per iteration,
+// preserving C float rounding per iteration, so results are
+// bit-identical to the unvectorized backend. The kernel runs in chunk
+// form — sequential loops once, parallel reduction regions once per
+// worker chunk on the worker's private clone (see parallelReduceFor).
 //
-//	for (int k = LB; k < UB; ++k) acc += X[k] * Y[k];
-//
-// (also through a trivial pure helper like mult(a,b), and the indirect
-// ELL form X[s+k] * Y[Z[s+k]]) is compiled into a fused kernel that
-// accumulates directly over the memory segments instead of dispatching
-// closures per iteration. The paper attributes the pure+ICC advantage
-// on the matrix–matrix multiplication to exactly this: ICC vectorizes
-// the extracted dot function but not the PluTo-inlined loop
-// (Sect. 4.3.1). The kernel preserves C float rounding per iteration,
-// so results are bit-identical to the unvectorized backend.
-//
-// The kernel comes back in chunk form — run iterations [lo, hi] on an
-// environment — so sequential loops run it once while parallel
-// reduction regions hand each worker its chunk bounds (see
-// parallelReduceFor).
-func (fc *funcCompiler) reduceKernel(x *ast.ForStmt) (canonicalLoop, kernRun) {
-	cl, ok := fc.canonical(x)
-	if !ok || !fc.hoistableBounds(cl) {
-		return cl, nil
-	}
-	stmt := singleStmt(cl.body)
-	if stmt == nil {
-		return cl, nil
-	}
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return cl, nil
-	}
-	as, ok := es.X.(*ast.AssignExpr)
-	if !ok || as.Op != token.ADDASSIGN {
-		return cl, nil
-	}
-	acc, f32, ok := fc.accumulator(as.LHS, cl.iterSym)
-	if !ok {
-		return cl, nil
-	}
-	// The reduction body writes the accumulator every iteration: a
-	// bound that reads it (for (k = 0; k < s; k++) s += x[k];) is not
-	// invariant even though hoistable's scalar test passes — the
-	// dispatch loop re-evaluates it per iteration and self-extends.
-	if acc.sym != nil && (fc.usesSym(cl.lowerX, acc.sym) || fc.usesSym(cl.upperX, acc.sym)) {
-		return cl, nil
-	}
-
-	rhs := stripParens(as.RHS)
-	// Unwrap trivial pure helper calls: mult(a, b) with body return a*b.
-	// The helper's float return rounds the product, which the kernel must
-	// reproduce to stay bit-identical with the scalar backend.
-	if call, ok := rhs.(*ast.CallExpr); ok {
-		if a, b, ok := fc.trivialMulBody(call); ok {
-			prodRound := false
-			if sig := fc.prog.info.Funcs[call.Fun.Name]; sig != nil && sig.Ret.Kind == types.Float && sig.Ret.CSize == 4 {
-				prodRound = true
-			}
-			return cl, fc.mulKernel(cl, acc, a, b, f32, prodRound)
-		}
-		return cl, nil
-	}
-	if bin, ok := rhs.(*ast.BinaryExpr); ok && bin.Op == token.MUL {
-		return cl, fc.mulKernel(cl, acc, bin.X, bin.Y, f32, false)
-	}
-	// Plain sum: acc += X[k].
-	if ld, ok := fc.matchLoad(rhs, cl.iterSym); ok && !ld.gather {
-		return cl, fc.sumKernel(acc, ld, f32)
-	}
-	return cl, nil
+// x is the direct operand; y a second direct factor (dot product), g a
+// gathered factor (the ELL SpMV shape acc += X[s+k] * Y[Z[t+k]]), both
+// nil for a plain sum. prodRound marks a product the scalar path rounds
+// through a float return before accumulating.
+type reduceKern struct {
+	sink      accSink
+	x         kAccess
+	y         *kAccess
+	g         *kGather
+	prodRound bool
 }
 
-// tryVectorize wraps reduceKernel for sequential execution (see
-// seqKernelStmt for the bounds and post-loop iterator contract).
-func (fc *funcCompiler) tryVectorize(x *ast.ForStmt) stmtFn {
-	cl, kern := fc.reduceKernel(x)
-	if kern == nil {
-		return nil
+// open starts one launch on the accumulator: its current value and,
+// for a memory cell, the cell. live reports that the cell lies inside
+// an operand span or in the gathered array's segment — some iteration
+// may read what an earlier one accumulated, so the launch must run
+// write-through (add) instead of folding into a local (contract rule
+// 4). Disjoint sinks such as C[i][j] += A[i][k]*Bt[j][k] keep the
+// cached loop.
+func (s *accSink) open(e *env, gathered *mem.Segment, spans ...kspan) (p mem.Pointer, acc float64, live bool) {
+	if s.cell == nil {
+		return p, e.F[s.slot], false
 	}
-	return seqKernelStmt(cl, kern)
+	p = s.cell(e)
+	live = gathered != nil && p.Seg == gathered
+	for _, sp := range spans {
+		live = live || sp.holds(p)
+	}
+	if live {
+		return p, 0, true
+	}
+	return p, p.LoadFloat(), false
 }
 
-// accessor abstracts the reduction target: either a float frame slot or
-// an iterator-invariant float memory cell (e.g. C[i][j] in a k-loop).
-// sym is the accumulator's symbol for the frame-slot variant (nil for
-// memory cells) — reduceKernel uses it to reject loops whose bounds
-// read the accumulator the body mutates.
-type accessor struct {
-	get func(*env) float64
-	set func(*env, float64)
-	sym *sema.Symbol
+// close stores the folded accumulator of a cached launch.
+func (s *accSink) close(e *env, p mem.Pointer, acc float64) {
+	if s.cell == nil {
+		e.F[s.slot] = acc
+	} else {
+		p.StoreFloat(acc)
+	}
 }
 
-// accumulator matches the reduction target of a vectorizable loop.
-func (fc *funcCompiler) accumulator(lhs ast.Expr, iter *sema.Symbol) (accessor, bool, bool) {
-	switch x := stripParens(lhs).(type) {
-	case *ast.Ident:
-		sym := fc.prog.info.Ref[x]
-		if sym == nil || sym.Kind == sema.SymGlobal || sym.Type.Kind != types.Float {
-			return accessor{}, false, false
-		}
-		sl := fc.slots[sym]
-		if sl.kind != slotFloat {
-			return accessor{}, false, false
-		}
-		idx := sl.idx
-		return accessor{
-			get: func(e *env) float64 { return e.F[idx] },
-			set: func(e *env, v float64) { e.F[idx] = v },
-			sym: sym,
-		}, sym.Type.CSize == 4, true
-	case *ast.IndexExpr:
-		t := fc.prog.info.ExprType[lhs]
-		if t == nil || t.Kind != types.Float {
-			return accessor{}, false, false
-		}
-		if fc.usesSym(lhs, iter) {
-			return accessor{}, false, false
-		}
-		addr := fc.addr(x)
-		return accessor{
-			get: func(e *env) float64 { return addr(e).LoadFloat() },
-			set: func(e *env, v float64) { addr(e).StoreFloat(v) },
-		}, t.CSize == 4, true
+// add is one write-through iteration: cell = round(cell + term).
+func (s *accSink) add(p mem.Pointer, term float64) {
+	v := p.LoadFloat() + term
+	if s.f32 {
+		v = float64(float32(v))
 	}
-	return accessor{}, false, false
+	p.StoreFloat(v)
 }
 
-// singleStmt unwraps a body that consists of exactly one statement.
-func singleStmt(s ast.Stmt) ast.Stmt {
-	if b, ok := s.(*ast.BlockStmt); ok {
-		if len(b.List) != 1 {
-			return nil
-		}
-		return b.List[0]
-	}
-	return s
-}
-
-// trivialMulBody recognizes calls f(a, b) to a pure function whose body
-// is exactly "return p1 * p2;" and yields the argument expressions.
-func (fc *funcCompiler) trivialMulBody(call *ast.CallExpr) (ast.Expr, ast.Expr, bool) {
-	callee, ok := fc.prog.funcs[call.Fun.Name]
-	if !ok || !callee.pure || len(call.Args) != 2 || len(callee.decl.Params) != 2 {
-		return nil, nil, false
-	}
-	body := callee.decl.Body
-	if body == nil || len(body.List) != 1 {
-		return nil, nil, false
-	}
-	ret, ok := body.List[0].(*ast.ReturnStmt)
-	if !ok || ret.X == nil {
-		return nil, nil, false
-	}
-	bin, ok := stripParens(ret.X).(*ast.BinaryExpr)
-	if !ok || bin.Op != token.MUL {
-		return nil, nil, false
-	}
-	p1, ok1 := stripParens(bin.X).(*ast.Ident)
-	p2, ok2 := stripParens(bin.Y).(*ast.Ident)
-	if !ok1 || !ok2 {
-		return nil, nil, false
-	}
-	n1, n2 := callee.decl.Params[0].Name, callee.decl.Params[1].Name
+func (r *reduceKern) emit() kernRun {
 	switch {
-	case p1.Name == n1 && p2.Name == n2:
-		return call.Args[0], call.Args[1], true
-	case p1.Name == n2 && p2.Name == n1:
-		return call.Args[1], call.Args[0], true
+	case r.g != nil:
+		return r.ell()
+	case r.y != nil:
+		return r.dot()
 	}
-	return nil, nil, false
+	return r.sum()
 }
 
-// load describes one strided or gathered array load inside the kernel.
-type load struct {
-	base ptrFn // base pointer (iterator-invariant)
-	off  intFn // invariant offset added to the iterator
-	// gather: the element index is read from an int array Z[off+k].
-	gather  bool
-	gBase   ptrFn // float array indexed indirectly
-	isFloat bool
-}
-
-// matchLoad matches X[k], X[s+k], X[k+s], X[k-s] and the gather form
-// Y[Z[s+k]] against iterator iter.
-func (fc *funcCompiler) matchLoad(e ast.Expr, iter *sema.Symbol) (load, bool) {
-	ix, ok := stripParens(e).(*ast.IndexExpr)
-	if !ok {
-		return load{}, false
-	}
-	baseT := fc.prog.info.ExprType[ix.X]
-	if baseT == nil || !baseT.IsPtr() {
-		return load{}, false
-	}
-	if fc.usesSym(ix.X, iter) {
-		return load{}, false
-	}
-	// Direct: subscript linear in iter.
-	if off, ok := fc.linearInIter(ix.Index, iter); ok {
-		return load{
-			base: fc.ptr(ix.X), off: off,
-			isFloat: baseT.Elem.Kind == types.Float,
-		}, true
-	}
-	// Gather: subscript is an int-array load Z[s+k].
-	inner, ok := stripParens(ix.Index).(*ast.IndexExpr)
-	if !ok {
-		return load{}, false
-	}
-	innerT := fc.prog.info.ExprType[inner.X]
-	if innerT == nil || !innerT.IsPtr() || innerT.Elem.Kind != types.Int {
-		return load{}, false
-	}
-	if fc.usesSym(inner.X, iter) {
-		return load{}, false
-	}
-	off, ok := fc.linearInIter(inner.Index, iter)
-	if !ok {
-		return load{}, false
-	}
-	return load{
-		base: fc.ptr(inner.X), off: off,
-		gather: true, gBase: fc.ptr(ix.X),
-		isFloat: baseT.Elem.Kind == types.Float,
-	}, true
-}
-
-// linearInIter matches iter, iter+inv, inv+iter, iter-inv, producing the
-// invariant offset closure.
-func (fc *funcCompiler) linearInIter(e ast.Expr, iter *sema.Symbol) (intFn, bool) {
-	e = stripParens(e)
-	if id, ok := e.(*ast.Ident); ok {
-		if fc.prog.info.Ref[id] == iter {
-			return func(*env) int64 { return 0 }, true
-		}
-		return nil, false
-	}
-	bin, ok := e.(*ast.BinaryExpr)
-	if !ok {
-		return nil, false
-	}
-	isIter := func(x ast.Expr) bool {
-		id, ok := stripParens(x).(*ast.Ident)
-		return ok && fc.prog.info.Ref[id] == iter
-	}
-	switch bin.Op {
-	case token.ADD:
-		if isIter(bin.X) && !fc.usesSym(bin.Y, iter) {
-			return fc.integer(bin.Y), true
-		}
-		if isIter(bin.Y) && !fc.usesSym(bin.X, iter) {
-			return fc.integer(bin.X), true
-		}
-	case token.SUB:
-		if isIter(bin.X) && !fc.usesSym(bin.Y, iter) {
-			f := fc.integer(bin.Y)
-			return func(e *env) int64 { return -f(e) }, true
-		}
-	}
-	return nil, false
-}
-
-// usesSym reports whether the expression references the symbol.
-func (fc *funcCompiler) usesSym(e ast.Expr, sym *sema.Symbol) bool {
-	found := false
-	ast.Walk(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && fc.prog.info.Ref[id] == sym {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// prepF validates the stride-1 float cells the load touches over
-// iterations [lo, hi] — one hoisted range check — and returns the raw
-// slice (see kAccess.prep).
-func (l load) prepF(e *env, lo, hi int64) []float64 {
-	a := kAccess{base: l.base, off: l.off, stride: 1, float: true}
-	return a.prep(e, lo, hi).f
-}
-
-// prepI is prepF for integer cells (the gather index array).
-func (l load) prepI(e *env, lo, hi int64) []int64 {
-	a := kAccess{base: l.base, off: l.off, stride: 1}
-	return a.prep(e, lo, hi).i
-}
-
-// mulKernel builds the fused multiply-accumulate kernel for
-// acc += A·B over iterations [lo, hi]. prodRound marks that the scalar
-// path rounds the product through a float return before accumulating.
-func (fc *funcCompiler) mulKernel(cl canonicalLoop, acc accessor, ax, bx ast.Expr, f32, prodRound bool) kernRun {
-	la, ok := fc.matchLoad(ax, cl.iterSym)
-	if !ok || !la.isFloat {
-		return nil
-	}
-	lb, ok := fc.matchLoad(bx, cl.iterSym)
-	if !ok || !lb.isFloat {
-		return nil
-	}
-	switch {
-	case !la.gather && !lb.gather:
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			n := int(hi - lo + 1)
-			xs := la.prepF(e, lo, hi)
-			ys := lb.prepF(e, lo, hi)
-			accv := acc.get(e)
-			switch {
-			case f32 && prodRound:
-				// acc = f32(acc + f32(x*y)) per iteration.
-				for i := 0; i < n; i++ {
-					accv = float64(float32(accv + float64(float32(xs[i]*ys[i]))))
-				}
-			case f32:
-				// acc = f32(acc + x*y): the store rounds, the product
-				// stays double (C expression semantics of the model).
-				for i := 0; i < n; i++ {
-					accv = float64(float32(accv + xs[i]*ys[i]))
-				}
-			default:
-				for i := 0; i < n; i++ {
-					accv += xs[i] * ys[i]
-				}
-			}
-			acc.set(e, accv)
-		}
-	case !la.gather && lb.gather:
-		return fc.gatherKernel(acc, la, lb, f32)
-	case la.gather && !lb.gather:
-		return fc.gatherKernel(acc, lb, la, f32)
-	default:
-		return nil
-	}
-}
-
-// gatherKernel handles acc += X[s+k] * Y[Z[t+k]] (the ELL SpMV shape).
-// The direct operand and the index array get hoisted range checks; the
-// gathered target keeps per-element checks, its indices being
-// data-dependent.
-func (fc *funcCompiler) gatherKernel(acc accessor, direct, gather load, f32 bool) kernRun {
+// dot handles acc += X[s+k] * Y[t+k].
+func (r *reduceKern) dot() kernRun {
+	sink, x, y := &r.sink, r.x, *r.y
+	f32, prodRound := sink.f32, r.prodRound
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
 		}
 		n := int(hi - lo + 1)
-		xs := direct.prepF(e, lo, hi)
-		zs := gather.prepI(e, lo, hi)
-		py := gather.gBase(e)
+		xsp, ysp := x.span(e, lo, hi), y.span(e, lo, hi)
+		xs, ys := x.cells(xsp).f, y.cells(ysp).f
+		p, accv, live := sink.open(e, nil, xsp, ysp)
+		switch {
+		case live:
+			for i := 0; i < n; i++ {
+				t := xs[i] * ys[i]
+				if prodRound {
+					t = float64(float32(t))
+				}
+				sink.add(p, t)
+			}
+			return
+		case f32 && prodRound:
+			// acc = f32(acc + f32(x*y)) per iteration.
+			for i := 0; i < n; i++ {
+				accv = float64(float32(accv + float64(float32(xs[i]*ys[i]))))
+			}
+		case f32:
+			// acc = f32(acc + x*y): the store rounds, the product
+			// stays double (C expression semantics of the model).
+			for i := 0; i < n; i++ {
+				accv = float64(float32(accv + xs[i]*ys[i]))
+			}
+		case prodRound:
+			for i := 0; i < n; i++ {
+				accv += float64(float32(xs[i] * ys[i]))
+			}
+		default:
+			for i := 0; i < n; i++ {
+				accv += xs[i] * ys[i]
+			}
+		}
+		sink.close(e, p, accv)
+	}
+}
+
+// ell handles acc += X[s+k] * Y[Z[t+k]]. The direct operand and the
+// index array get hoisted range checks; the gathered target keeps
+// per-element checks, its indices being data-dependent.
+func (r *reduceKern) ell() kernRun {
+	sink, x, g := &r.sink, r.x, r.g
+	f32, prodRound := sink.f32, r.prodRound
+	return func(e *env, lo, hi int64) {
+		if hi < lo {
+			return
+		}
+		n := int(hi - lo + 1)
+		xsp := x.span(e, lo, hi)
+		xs := x.cells(xsp).f
+		zs := g.idx.prep(e, lo, hi).i
+		py := g.base(e)
 		yf := py.Seg.F
 		yo := py.Off
-		accv := acc.get(e)
-		if f32 {
+		p, accv, live := sink.open(e, py.Seg, xsp)
+		switch {
+		case live:
+			for i := 0; i < n; i++ {
+				t := xs[i] * yf[yo+int(zs[i])]
+				if prodRound {
+					t = float64(float32(t))
+				}
+				sink.add(p, t)
+			}
+			return
+		case prodRound:
+			for i := 0; i < n; i++ {
+				accv += float64(float32(xs[i] * yf[yo+int(zs[i])]))
+				if f32 {
+					accv = float64(float32(accv))
+				}
+			}
+		case f32:
 			for i := 0; i < n; i++ {
 				accv = float64(float32(accv + xs[i]*yf[yo+int(zs[i])]))
 			}
-		} else {
+		default:
 			for i := 0; i < n; i++ {
 				accv += xs[i] * yf[yo+int(zs[i])]
 			}
 		}
-		acc.set(e, accv)
+		sink.close(e, p, accv)
 	}
 }
 
-// sumKernel handles acc += X[s+k].
-func (fc *funcCompiler) sumKernel(acc accessor, ld load, f32 bool) kernRun {
-	if !ld.isFloat {
-		return nil
-	}
+// sum handles acc += X[s+k].
+func (r *reduceKern) sum() kernRun {
+	sink, x := &r.sink, r.x
+	f32 := sink.f32
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
 		}
 		n := int(hi - lo + 1)
-		xs := ld.prepF(e, lo, hi)
-		accv := acc.get(e)
-		if f32 {
+		xsp := x.span(e, lo, hi)
+		xs := x.cells(xsp).f
+		p, accv, live := sink.open(e, nil, xsp)
+		switch {
+		case live:
+			for i := 0; i < n; i++ {
+				sink.add(p, xs[i])
+			}
+			return
+		case f32:
 			for i := 0; i < n; i++ {
 				accv = float64(float32(accv + xs[i]))
 			}
-		} else {
+		default:
 			for i := 0; i < n; i++ {
 				accv += xs[i]
 			}
 		}
-		acc.set(e, accv)
+		sink.close(e, p, accv)
 	}
 }

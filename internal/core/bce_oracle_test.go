@@ -246,3 +246,117 @@ func TestBCEProofMargin(t *testing.T) {
 		}
 	})
 }
+
+// sumMarginSrc is the proof-margin pair for a reduce kernel, whose
+// operands are ordinary kAccesses and so honour value-range proofs like
+// map operands do: with SLACK=0 the sum reads x[0..N-1], the proof
+// holds with nothing to spare and the launch check is elided; with
+// SLACK=1 the last subscript is N, one past the end, the proof fails
+// and the kept check must trap.
+const sumMarginSrc = `
+float x[N];
+float total[1];
+
+void fill() {
+    for (int i = 0; i < N; i++) { x[i] = (float)(i % 7) * 0.25f; }
+}
+
+void sum() {
+    float s = 0.0f;
+    for (int k = 0; k < N; k++) { s += x[k + SLACK]; }
+    total[0] = s;
+}
+
+int main() { fill(); sum(); return 0; }
+`
+
+// TestBCEProofMarginSumKernel pins both edges of the proof boundary for
+// the sum kernel on both statement engines, against the interp oracle.
+func TestBCEProofMarginSumKernel(t *testing.T) {
+	n := 256
+	engines := []comp.Engine{comp.EngineClosure, comp.EngineTape}
+	oracle := func(defs map[string]string) (*interp.Interp, error) {
+		art, err := Front(sumMarginSrc, withDefs(Config{}, defs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := interp.New(art.Info, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = in.RunMain()
+		return in, err
+	}
+
+	t.Run("proven-edge", func(t *testing.T) {
+		defs := marginDefines(n, n, 0)
+		in, err := oracle(defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := in.GlobalPtr("total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range engines {
+			cfg := withDefs(Config{Vectorize: true, NoCache: true, Engine: eng}, defs)
+			prog, _, _, err := BuildProgram(sumMarginSrc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fill casts and takes a modulus, so only the sum fuses.
+			if prog.FusedKernels() != 1 {
+				t.Errorf("engine=%v: %d fused kernels, want the sum", eng, prog.FusedKernels())
+			}
+			cfg.NoBCE = true
+			checked, _, _, err := BuildProgram(sumMarginSrc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prog.ElidedChecks() - checked.ElidedChecks(); got != 1 {
+				t.Errorf("engine=%v: BCE elided %d checks, want the sum operand's", eng, got)
+			}
+			proc, err := prog.NewProcess(comp.ProcOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := proc.RunMain(); err != nil {
+				t.Fatalf("engine=%v: proven-edge run: %v", eng, err)
+			}
+			pp, err := proc.GlobalPtr("total")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snapshotVec(pp, "total", 1) != snapshotVec(op, "total", 1) {
+				t.Errorf("engine=%v: proven-edge sum differs from oracle", eng)
+			}
+		}
+	})
+
+	t.Run("unprovable-by-one", func(t *testing.T) {
+		defs := marginDefines(n, n, 1)
+		for _, eng := range engines {
+			prog, _, _, err := BuildProgram(sumMarginSrc,
+				withDefs(Config{Vectorize: true, NoCache: true, Engine: eng}, defs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.FusedKernels() != 1 || prog.ElidedChecks() != 0 {
+				t.Errorf("engine=%v: %d fused kernels and %d elided checks, want the sum fused with its check kept",
+					eng, prog.FusedKernels(), prog.ElidedChecks())
+			}
+			proc, err := prog.NewProcess(comp.ProcOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := proc.RunMain(); err == nil {
+				t.Fatalf("engine=%v: unprovable sum operand must trap with BCE on", eng)
+			} else if _, isRT := err.(*comp.RuntimeError); !isRT {
+				t.Fatalf("engine=%v: want RuntimeError, got %T %v", eng, err, err)
+			}
+		}
+		if _, err := oracle(defs); err == nil {
+			t.Fatal("interp oracle must also trap")
+		}
+	})
+}

@@ -1,0 +1,224 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"purec/internal/apps"
+	"purec/internal/comp"
+)
+
+// matchedBuilds are the compile configurations the matched-set tests
+// sweep: the two backends plus GCC with -vectorize (ICC fuses reduction
+// loops in pure functions, Vectorize everywhere).
+var matchedBuilds = []struct {
+	name      string
+	backend   comp.Backend
+	vectorize bool
+}{
+	{"gcc", comp.BackendGCC, false},
+	{"icc", comp.BackendICC, false},
+	{"gcc+vec", comp.BackendGCC, true},
+}
+
+// matchedCounts compiles one corpus sample under one build and engine
+// and returns Program.FusedKernels() and Program.ElidedChecks().
+func matchedCounts(t *testing.T, s apps.Sample, build int, par bool, eng comp.Engine) (fused, elided int) {
+	t.Helper()
+	b := matchedBuilds[build]
+	cfg := Config{Parallelize: par, Defines: s.Defines, Backend: b.backend, Vectorize: b.vectorize, Engine: eng}
+	art, err := Front(s.Src, cfg)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", s.Name, b.name, err)
+	}
+	prog, err := art.Compile(cfg)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", s.Name, b.name, err)
+	}
+	return prog.FusedKernels(), prog.ElidedChecks()
+}
+
+// TestMatchedSetGolden pins which loops comp fuses and which checks it
+// elides: FusedKernels()/ElidedChecks() for every corpus source × build
+// × parallel/sequential, asserted under both statement engines — one
+// row serves both, which is the engine-parity contract: the tape
+// engine consults the same matcher as the closure engine, so the two
+// can never fuse or elide differently. The table was recorded at the
+// commit before the five kernel families moved behind one matcher
+// (PR 15, where closure and tape already agreed on every corpus cell)
+// and differs from that recording only in the cells CHANGES.md lists.
+// To re-record after a change that is meant to move the matched set,
+// run
+//
+//	go test ./internal/core -run TestMatchedSetGolden
+//
+// and paste the rows the failure messages print.
+func TestMatchedSetGolden(t *testing.T) {
+	for _, s := range apps.Corpus() {
+		for bi, b := range matchedBuilds {
+			for _, par := range []bool{true, false} {
+				mode := "seq"
+				if par {
+					mode = "par"
+				}
+				key := s.Name + "/" + b.name + "/" + mode
+				want, ok := matchedGolden[key]
+				for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
+					fused, elided := matchedCounts(t, s, bi, par, eng)
+					if got := [2]int{fused, elided}; !ok || got != want {
+						t.Errorf("engine=%v: %-30s {%d, %d},", eng, fmt.Sprintf("%q:", key), fused, elided)
+					}
+				}
+			}
+		}
+	}
+}
+
+// matchedGolden maps source/build/mode to {fused kernels, elided
+// checks}.
+var matchedGolden = map[string][2]int{
+	"matmul/gcc/par":               {0, 0},
+	"matmul/gcc/seq":               {0, 0},
+	"matmul/icc/par":               {1, 0},
+	"matmul/icc/seq":               {1, 0},
+	"matmul/gcc+vec/par":           {1, 0},
+	"matmul/gcc+vec/seq":           {1, 0},
+	"matmul-noinitpar/gcc/par":     {0, 0},
+	"matmul-noinitpar/gcc/seq":     {0, 0},
+	"matmul-noinitpar/icc/par":     {1, 0},
+	"matmul-noinitpar/icc/seq":     {1, 0},
+	"matmul-noinitpar/gcc+vec/par": {1, 0},
+	"matmul-noinitpar/gcc+vec/seq": {1, 0},
+	"matmul-inlined/gcc/par":       {1, 0},
+	"matmul-inlined/gcc/seq":       {1, 0},
+	"matmul-inlined/icc/par":       {1, 0},
+	"matmul-inlined/icc/seq":       {1, 0},
+	"matmul-inlined/gcc+vec/par":   {2, 0},
+	"matmul-inlined/gcc+vec/seq":   {2, 0},
+	"matmul-kern/gcc/par":          {0, 0},
+	"matmul-kern/gcc/seq":          {0, 0},
+	"matmul-kern/icc/par":          {1, 0},
+	"matmul-kern/icc/seq":          {1, 0},
+	"matmul-kern/gcc+vec/par":      {1, 0},
+	"matmul-kern/gcc+vec/seq":      {1, 0},
+	"heat/gcc/par":                 {1, 0},
+	"heat/gcc/seq":                 {1, 0},
+	"heat/icc/par":                 {1, 0},
+	"heat/icc/seq":                 {1, 0},
+	"heat/gcc+vec/par":             {1, 0},
+	"heat/gcc+vec/seq":             {1, 0},
+	"heat-inlined/gcc/par":         {2, 0},
+	"heat-inlined/gcc/seq":         {2, 0},
+	"heat-inlined/icc/par":         {2, 0},
+	"heat-inlined/icc/seq":         {2, 0},
+	"heat-inlined/gcc+vec/par":     {2, 0},
+	"heat-inlined/gcc+vec/seq":     {2, 0},
+	"satellite/gcc/par":            {0, 0},
+	"satellite/gcc/seq":            {0, 0},
+	"satellite/icc/par":            {1, 0},
+	"satellite/icc/seq":            {1, 0},
+	"satellite/gcc+vec/par":        {1, 0},
+	"satellite/gcc+vec/seq":        {1, 0},
+	"memosat/gcc/par":              {0, 0},
+	"memosat/gcc/seq":              {0, 0},
+	"memosat/icc/par":              {0, 0},
+	"memosat/icc/seq":              {0, 0},
+	"memosat/gcc+vec/par":          {0, 0},
+	"memosat/gcc+vec/seq":          {0, 0},
+	"lama/gcc/par":                 {0, 0},
+	"lama/gcc/seq":                 {0, 0},
+	"lama/icc/par":                 {1, 0},
+	"lama/icc/seq":                 {1, 0},
+	"lama/gcc+vec/par":             {1, 0},
+	"lama/gcc+vec/seq":             {1, 0},
+	"lama-manual/gcc/par":          {0, 0},
+	"lama-manual/gcc/seq":          {0, 0},
+	"lama-manual/icc/par":          {0, 0},
+	"lama-manual/icc/seq":          {0, 0},
+	"lama-manual/gcc+vec/par":      {1, 2},
+	"lama-manual/gcc+vec/seq":      {1, 2},
+	"reduce-sum/gcc/par":           {0, 0},
+	"reduce-sum/gcc/seq":           {0, 0},
+	"reduce-sum/icc/par":           {0, 0},
+	"reduce-sum/icc/seq":           {0, 0},
+	"reduce-sum/gcc+vec/par":       {0, 0},
+	"reduce-sum/gcc+vec/seq":       {0, 0},
+	"reduce-dot/gcc/par":           {0, 0},
+	"reduce-dot/gcc/seq":           {0, 0},
+	"reduce-dot/icc/par":           {1, 0},
+	"reduce-dot/icc/seq":           {1, 0},
+	"reduce-dot/gcc+vec/par":       {1, 0},
+	"reduce-dot/gcc+vec/seq":       {1, 0},
+	"axpy/gcc/par":                 {1, 3},
+	"axpy/gcc/seq":                 {1, 3},
+	"axpy/icc/par":                 {1, 3},
+	"axpy/icc/seq":                 {1, 3},
+	"axpy/gcc+vec/par":             {1, 3},
+	"axpy/gcc+vec/seq":             {1, 3},
+	"copy/gcc/par":                 {1, 2},
+	"copy/gcc/seq":                 {1, 2},
+	"copy/icc/par":                 {1, 2},
+	"copy/icc/seq":                 {1, 2},
+	"copy/gcc+vec/par":             {1, 2},
+	"copy/gcc+vec/seq":             {1, 2},
+	"stencil/gcc/par":              {1, 4},
+	"stencil/gcc/seq":              {1, 4},
+	"stencil/icc/par":              {1, 4},
+	"stencil/icc/seq":              {1, 4},
+	"stencil/gcc+vec/par":          {1, 4},
+	"stencil/gcc+vec/seq":          {1, 4},
+	"noncanon/gcc/par":             {0, 0},
+	"noncanon/gcc/seq":             {0, 0},
+	"noncanon/icc/par":             {0, 0},
+	"noncanon/icc/seq":             {0, 0},
+	"noncanon/gcc+vec/par":         {0, 0},
+	"noncanon/gcc+vec/seq":         {0, 0},
+	"histogram/gcc/par":            {4, 5},
+	"histogram/gcc/seq":            {4, 5},
+	"histogram/icc/par":            {4, 5},
+	"histogram/icc/seq":            {4, 5},
+	"histogram/gcc+vec/par":        {4, 5},
+	"histogram/gcc+vec/seq":        {4, 5},
+	"sparsehist/gcc/par":           {4, 5},
+	"sparsehist/gcc/seq":           {4, 5},
+	"sparsehist/icc/par":           {4, 5},
+	"sparsehist/icc/seq":           {4, 5},
+	"sparsehist/gcc+vec/par":       {4, 5},
+	"sparsehist/gcc+vec/seq":       {4, 5},
+	"gather/gcc/par":               {2, 4},
+	"gather/gcc/seq":               {2, 4},
+	"gather/icc/par":               {2, 4},
+	"gather/icc/seq":               {2, 4},
+	"gather/gcc+vec/par":           {2, 4},
+	"gather/gcc+vec/seq":           {2, 4},
+	"gather-opaque/gcc/par":        {2, 3},
+	"gather-opaque/gcc/seq":        {2, 3},
+	"gather-opaque/icc/par":        {2, 3},
+	"gather-opaque/icc/seq":        {2, 3},
+	"gather-opaque/gcc+vec/par":    {2, 3},
+	"gather-opaque/gcc+vec/seq":    {2, 3},
+	"derived/gcc/par":              {1, 2},
+	"derived/gcc/seq":              {0, 0},
+	"derived/icc/par":              {1, 2},
+	"derived/icc/seq":              {0, 0},
+	"derived/gcc+vec/par":          {1, 2},
+	"derived/gcc+vec/seq":          {0, 0},
+	"clamp-gather/gcc/par":         {1, 1},
+	"clamp-gather/gcc/seq":         {1, 1},
+	"clamp-gather/icc/par":         {1, 1},
+	"clamp-gather/icc/seq":         {1, 1},
+	"clamp-gather/gcc+vec/par":     {1, 1},
+	"clamp-gather/gcc+vec/seq":     {1, 1},
+	"ptr-scale/gcc/par":            {1, 2},
+	"ptr-scale/gcc/seq":            {1, 2},
+	"ptr-scale/icc/par":            {1, 2},
+	"ptr-scale/icc/seq":            {1, 2},
+	"ptr-scale/gcc+vec/par":        {1, 2},
+	"ptr-scale/gcc+vec/seq":        {1, 2},
+	"aliased-pair/gcc/par":         {1, 2},
+	"aliased-pair/gcc/seq":         {1, 2},
+	"aliased-pair/icc/par":         {1, 2},
+	"aliased-pair/icc/seq":         {1, 2},
+	"aliased-pair/gcc+vec/par":     {1, 2},
+	"aliased-pair/gcc+vec/seq":     {1, 2},
+}

@@ -320,7 +320,7 @@ func reductionPragmaError(info *sema.Info, pr *ast.PragmaStmt, f *ast.ForStmt) s
 		if name, isArr := strings.CutSuffix(c.Var, "[]"); isArr {
 			// Array-reduction clause (reduction(+:hist[])): the loop
 			// must update an element of the named array with the
-			// clause's operator — mirroring comp.resolveArrayReduction.
+			// clause's operator — mirroring comp.resolveClause.
 			// Accumulators the compiler cannot privatize (globals,
 			// pointer bases) run serially there and are accepted here.
 			if msg := arrayClauseError(info, c.Op, name, f, inner); msg != "" {
@@ -333,7 +333,7 @@ func reductionPragmaError(info *sema.Info, pr *ast.PragmaStmt, f *ast.ForStmt) s
 			// the parallelized set: validate below
 		case "min", "max":
 			// min/max clauses bind a plain assignment inside a guarded
-			// update; mirror the compiler's resolveMinMax validation.
+			// update; mirror the compiler's findMinMaxUpdate validation.
 			if msg := minMaxClauseError(info, c, f, inner); msg != "" {
 				return msg
 			}
@@ -464,7 +464,7 @@ func bindsArrayElement(info *sema.Info, e ast.Expr, name string, inner map[*ast.
 }
 
 // minMaxClauseError validates a reduction(min:m)/reduction(max:m)
-// clause exactly like comp.resolveMinMax: the loop body must contain a
+// clause exactly like comp.findMinMaxUpdate: the loop body must contain a
 // plain assignment to the accumulator binding the enclosing scope (no
 // assignment = malformed pragma), and a matching guarded update naming
 // a non-scalar accumulator is an error. A body whose updates merely
