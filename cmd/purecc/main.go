@@ -228,6 +228,7 @@ func main() {
 		fmt.Printf("memoizable pure functions: %s\n", strings.Join(sortedNames(art.Memoizable), ", "))
 		fmt.Printf("SCoPs: %d\n", art.SCoPs)
 		fmt.Printf("fused kernels: %d\n", prog.FusedKernels())
+		fmt.Printf("inlined calls: %d\n", prog.InlinedCalls())
 		fmt.Printf("elided checks: %d\n", prog.ElidedChecks())
 		if instrs, consts, temps := prog.TapeStats(); prog.Engine() == comp.EngineTape {
 			fmt.Printf("tape: %d instructions, %d pooled constants, %d temp slots\n",

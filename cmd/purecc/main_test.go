@@ -7,16 +7,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"purec/internal/apps"
 )
+
+// buildPurecc compiles the command into a scratch directory.
+func buildPurecc(t *testing.T) (dir, bin string) {
+	t.Helper()
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "purecc")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
 
 // purecc -schedule bogus used to print the program's output and exit 0:
 // the clause was emitted, ignored by the compile step and run static.
 func TestScheduleFlagValidated(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "purecc")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := buildPurecc(t)
 	src := filepath.Join(dir, "sum.c")
 	prog := "int a[64];\nint main(void) {\n  int s = 0;\n  for (int i = 0; i < 64; i++) a[i] = i;\n" +
 		"  for (int i = 0; i < 64; i++) s += a[i];\n  printf(\"%d\\n\", s);\n  return 0;\n}\n"
@@ -37,6 +46,39 @@ func TestScheduleFlagValidated(t *testing.T) {
 		out, err := exec.Command(bin, "-schedule", sched, "-cores", "2", src).CombinedOutput()
 		if err != nil || string(out) != "2016\n" {
 			t.Errorf("-schedule %q: %v, output %q", sched, err, out)
+		}
+	}
+}
+
+// The report answers "why is this loop a kernel now": the heat stencil
+// call and reduce-sum's square(...) are one inlined call site each, and
+// heat's stencil loop counts as a fused kernel beside the copy loop.
+func TestReportInlinedCalls(t *testing.T) {
+	dir, bin := buildPurecc(t)
+	for _, c := range []struct {
+		name, src string
+		defs      map[string]string
+		want      []string
+	}{
+		{"heat", apps.HeatSrc, apps.HeatDefines(16, 2), []string{"inlined calls: 1\n", "fused kernels: 2\n"}},
+		{"reduce-sum", apps.ReduceSumSrc, apps.ReduceDefines(64), []string{"inlined calls: 1\n"}},
+	} {
+		path := filepath.Join(dir, c.name+".c")
+		if err := os.WriteFile(path, []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-emit", "report"}
+		for k, v := range c.defs {
+			args = append(args, "-D", k+"="+v)
+		}
+		out, err := exec.Command(bin, append(args, path)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, out)
+		}
+		for _, line := range c.want {
+			if !strings.Contains(string(out), line) {
+				t.Errorf("%s: report lacks %q:\n%s", c.name, line, out)
+			}
 		}
 	}
 }

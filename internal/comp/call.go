@@ -28,150 +28,6 @@ var mathBinary = map[string]func(float64, float64) float64{
 	"fmin": math.Min, "fmax": math.Max,
 }
 
-// tryInline inlines a call of a trivial pure function: single return
-// statement, scalar parameters only, each used at most twice, body built
-// from parameters, globals, literals and pure math builtins. This mirrors
-// the -O2 inlining both GCC and ICC perform on helpers like the matmul
-// mult(a,b); functions taking pointer parameters (the heat stencil's avg)
-// are deliberately NOT inlined, matching the paper's observation that the
-// extracted stencil call survives in the pure build (Sect. 4.3.2).
-func (fc *funcCompiler) tryInline(x *ast.CallExpr) (valueFns, bool) {
-	if fc.inlineDepth >= 4 {
-		return valueFns{}, false
-	}
-	callee, ok := fc.prog.funcs[x.Fun.Name]
-	if !ok || !callee.pure || callee.decl.Body == nil || len(callee.decl.Body.List) != 1 {
-		return valueFns{}, false
-	}
-	ret, ok := callee.decl.Body.List[0].(*ast.ReturnStmt)
-	if !ok || ret.X == nil {
-		return valueFns{}, false
-	}
-	sig := fc.prog.info.Funcs[x.Fun.Name]
-	if sig == nil || len(sig.Params) != len(x.Args) {
-		return valueFns{}, false
-	}
-	for _, pt := range sig.Params {
-		if pt.Kind != types.Int && pt.Kind != types.Float {
-			return valueFns{}, false
-		}
-	}
-	if sig.Ret.Kind != types.Int && sig.Ret.Kind != types.Float {
-		return valueFns{}, false
-	}
-	// Map parameter symbols and count their uses; reject unknown locals
-	// and calls to anything but pure math builtins.
-	paramSyms := map[*sema.Symbol]int{}
-	ok = true
-	ast.Walk(ret.X, func(n ast.Node) bool {
-		switch y := n.(type) {
-		case *ast.CallExpr:
-			if _, isMath := mathUnary[y.Fun.Name]; !isMath {
-				if _, isMath2 := mathBinary[y.Fun.Name]; !isMath2 {
-					ok = false
-				}
-			}
-		case *ast.Ident:
-			sym := fc.prog.info.Ref[y]
-			if sym == nil {
-				ok = false
-				return false
-			}
-			switch sym.Kind {
-			case sema.SymParam:
-				paramSyms[sym]++
-				if paramSyms[sym] > 2 {
-					ok = false
-				}
-			case sema.SymGlobal, sema.SymBuiltin, sema.SymFunc:
-				// fine
-			default:
-				ok = false
-			}
-		case *ast.AssignExpr, *ast.PostfixExpr:
-			ok = false
-		case *ast.UnaryExpr:
-			if y.Op == token.INC || y.Op == token.DEC {
-				ok = false
-			}
-		}
-		return ok
-	})
-	if !ok {
-		return valueFns{}, false
-	}
-	// Arguments must be side-effect free since a parameter may be
-	// evaluated twice.
-	for _, a := range x.Args {
-		if hasSideEffects(fc, a) {
-			return valueFns{}, false
-		}
-	}
-	// Bind parameters: compile each argument by the parameter type.
-	binds := map[*sema.Symbol]valueFns{}
-	locals := fc.prog.info.FuncLocals[x.Fun.Name]
-	pi := 0
-	for _, sym := range locals {
-		if sym.Kind != sema.SymParam {
-			continue
-		}
-		if pi >= len(x.Args) {
-			return valueFns{}, false
-		}
-		arg := x.Args[pi]
-		pt := sig.Params[pi]
-		pi++
-		if _, used := paramSyms[sym]; !used {
-			// Parameter unused in the body; still type-check the arg by
-			// compiling it for effectless evaluation at bind time.
-		}
-		switch pt.Kind {
-		case types.Int:
-			binds[sym] = valueFns{kind: slotInt, i: fc.integer(arg)}
-		case types.Float:
-			af := fc.num(arg)
-			if pt.CSize == 4 {
-				inner := af
-				af = func(e *env) float64 { return float64(float32(inner(e))) }
-			}
-			binds[sym] = valueFns{kind: slotFloat, f: af}
-		}
-	}
-	// Compile the callee's return expression in this compiler with the
-	// bindings active.
-	savedBind := fc.paramBind
-	fc.paramBind = binds
-	if savedBind != nil {
-		merged := map[*sema.Symbol]valueFns{}
-		for k, v := range savedBind {
-			merged[k] = v
-		}
-		for k, v := range binds {
-			merged[k] = v
-		}
-		fc.paramBind = merged
-	}
-	fc.inlineDepth++
-	defer func() {
-		fc.paramBind = savedBind
-		fc.inlineDepth--
-	}()
-	out := valueFns{}
-	if sig.Ret.Kind == types.Float {
-		body := fc.num(ret.X)
-		if sig.Ret.CSize == 4 {
-			inner := body
-			body = func(e *env) float64 { return float64(float32(inner(e))) }
-		}
-		out.kind = slotFloat
-		out.f = body
-	} else {
-		out.kind = slotInt
-		out.i = fc.integer(ret.X)
-	}
-	return out, true
-}
-
 // memoArg is one compiled scalar argument of a memoized call (the
 // callee frame slot is resolved at run time — the callee may not have
 // been compiled yet when the call site is).
@@ -229,7 +85,7 @@ func (fc *funcCompiler) tryMemo(x *ast.CallExpr) (valueFns, bool) {
 		case types.Int:
 			args[i] = memoArg{kind: slotInt, i: fc.integer(arg)}
 		case types.Float:
-			args[i] = memoArg{kind: slotFloat, f: fc.num(arg)}
+			args[i] = memoArg{kind: slotFloat, f: fc.argFlt(arg, pt)}
 		default:
 			return valueFns{}, false
 		}
@@ -240,9 +96,7 @@ func (fc *funcCompiler) tryMemo(x *ast.CallExpr) (valueFns, bool) {
 	// run executes the callee with the already-evaluated argument bits
 	// (the miss path and the no-table fallback).
 	run := func(e *env, k *memo.Key) (int64, float64) {
-		ne := e.p.newEnv(callee)
-		ne.team = e.team
-		ne.inParallel = e.inParallel
+		ne := e.call(callee)
 		for j, a := range args {
 			if a.kind == slotInt {
 				ne.I[callee.params[j].idx] = int64(k.Args[j])
@@ -251,7 +105,9 @@ func (fc *funcCompiler) tryMemo(x *ast.CallExpr) (valueFns, bool) {
 			}
 		}
 		callee.body(ne)
-		return ne.retI, ne.retF
+		ri, rf := ne.retI, ne.retF
+		e.fs.pop(ne)
+		return ri, rf
 	}
 	makeKey := func(e *env) memo.Key {
 		k := memo.Key{Fn: name, N: nargs}
@@ -337,6 +193,17 @@ func (fc *funcCompiler) paramType(callee *cfunc, i int) (*types.Type, error) {
 	})
 }
 
+// argFlt compiles a float argument converted to its parameter type: a
+// 4-byte float parameter rounds the value through float32, like every
+// other C conversion to float.
+func (fc *funcCompiler) argFlt(arg ast.Expr, pt *types.Type) fltFn {
+	a := fc.num(arg)
+	if pt.CSize != 4 || fc.f32Exact(arg) {
+		return a
+	}
+	return func(e *env) float64 { return float64(float32(a(e))) }
+}
+
 // hasSideEffects conservatively reports whether evaluating e twice could
 // change program behaviour.
 func hasSideEffects(fc *funcCompiler, e ast.Expr) bool {
@@ -378,14 +245,19 @@ func (fc *funcCompiler) callFlt(x *ast.CallExpr) fltFn {
 		a, b := fc.num(x.Args[0]), fc.num(x.Args[1])
 		return func(e *env) float64 { return f2(a(e), b(e)) }
 	}
-	if inl, ok := fc.tryInline(x); ok && inl.kind == slotFloat {
-		return inl.f
+	if inl, ok := fc.inlineCall(x); ok {
+		return fc.flt(inl)
 	}
 	if m, ok := fc.tryMemo(x); ok && m.kind == slotFloat {
 		return m.f
 	}
 	exec := fc.wrapBypass(name, fc.userCall(x))
-	return func(e *env) float64 { return exec(e).retF }
+	return func(e *env) float64 {
+		ne := exec(e)
+		v := ne.retF
+		e.fs.pop(ne)
+		return v
+	}
 }
 
 // callInt compiles an int-returning call.
@@ -441,20 +313,33 @@ func (fc *funcCompiler) callInt(x *ast.CallExpr) intFn {
 		f := fc.callFlt(x)
 		return func(e *env) int64 { return int64(f(e)) }
 	}
-	if inl, ok := fc.tryInline(x); ok && inl.kind == slotInt {
-		return inl.i
+	if inl, ok := fc.inlineCall(x); ok {
+		return fc.intExpr(inl)
 	}
 	if m, ok := fc.tryMemo(x); ok && m.kind == slotInt {
 		return m.i
 	}
 	exec := fc.wrapBypass(name, fc.userCall(x))
-	return func(e *env) int64 { return exec(e).retI }
+	return func(e *env) int64 {
+		ne := exec(e)
+		v := ne.retI
+		e.fs.pop(ne)
+		return v
+	}
 }
 
 // callPtr compiles a pointer-returning user call.
 func (fc *funcCompiler) callPtr(x *ast.CallExpr) ptrFn {
+	if inl, ok := fc.inlineCall(x); ok {
+		return fc.ptr(inl)
+	}
 	exec := fc.wrapBypass(x.Fun.Name, fc.userCall(x))
-	return func(e *env) mem.Pointer { return exec(e).retP }
+	return func(e *env) mem.Pointer {
+		ne := exec(e)
+		v := ne.retP
+		e.fs.pop(ne)
+		return v
+	}
 }
 
 // callEffect compiles a call in statement position.
@@ -496,14 +381,16 @@ func (fc *funcCompiler) callEffect(x *ast.CallExpr) func(*env) {
 			if t := e.p.memo; t != nil {
 				t.Bypass()
 			}
-			exec(e)
+			e.fs.pop(exec(e))
 		}
 	}
-	return func(e *env) { exec(e) }
+	return func(e *env) { e.fs.pop(exec(e)) }
 }
 
 // userCall compiles a call of a user-defined function into a closure
-// producing the callee's finished environment.
+// that runs the callee on a frame pushed on the caller's stack and
+// returns the finished activation; the call site reads the result it
+// wants and pops it.
 func (fc *funcCompiler) userCall(x *ast.CallExpr) func(*env) *env {
 	name := x.Fun.Name
 	callee, ok := fc.prog.funcs[name]
@@ -532,7 +419,7 @@ func (fc *funcCompiler) userCall(x *ast.CallExpr) func(*env) *env {
 			a := fc.integer(arg)
 			setters = append(setters, func(c *env, ne *env) { ne.I[callee.params[idx].idx] = a(c) })
 		case slotFloat:
-			a := fc.num(arg)
+			a := fc.argFlt(arg, pt)
 			setters = append(setters, func(c *env, ne *env) { ne.F[callee.params[idx].idx] = a(c) })
 		case slotPtr:
 			a := fc.ptr(arg)
@@ -540,9 +427,7 @@ func (fc *funcCompiler) userCall(x *ast.CallExpr) func(*env) *env {
 		}
 	}
 	return func(e *env) *env {
-		ne := e.p.newEnv(callee)
-		ne.team = e.team
-		ne.inParallel = e.inParallel
+		ne := e.call(callee)
 		for _, s := range setters {
 			s(e, ne)
 		}

@@ -6,14 +6,17 @@
 // Two backends model the two compilers of the evaluation:
 //
 //   - BackendGCC compiles straightforwardly (the GCC -O2 analog);
-//   - BackendICC additionally inlines tiny pure functions and replaces
-//     canonical reduction loops inside extracted pure functions by
-//     fused kernels operating directly on memory segments — the analog
-//     of ICC's automatic vectorization of the extracted dot-product
-//     function that the paper credits for the pure+ICC advantage
-//     (Sect. 4.3.1). Inlined loop bodies in the surrounding code are
-//     not "vectorized", matching the paper's observation that ICC does
-//     not vectorize the PluTo-inlined code.
+//   - BackendICC additionally replaces canonical reduction loops inside
+//     extracted pure functions by fused kernels operating directly on
+//     memory segments — the analog of ICC's automatic vectorization of
+//     the extracted dot-product function that the paper credits for the
+//     pure+ICC advantage (Sect. 4.3.1). Inlined loop bodies in the
+//     surrounding code are not "vectorized", matching the paper's
+//     observation that ICC does not vectorize the PluTo-inlined code.
+//
+// Both inline calls of leaf pure functions — a body that is one return
+// expression — as syntax, before loops are matched (inline.go); every
+// other call runs on a per-goroutine frame stack (frames.go).
 //
 // #pragma omp parallel for statements are honored by dispatching loop
 // ranges onto an rt.Team with the requested schedule.
@@ -183,8 +186,10 @@ const (
 
 // env is the execution environment of one function activation. All run
 // state reaches compiled closures through the env: frame slots directly,
-// globals/heap/stdout/rand via the owning Process. Parallel workers get
-// a cloned env: private scalar slots, shared segments.
+// globals/heap/stdout/rand via the owning Process. The slots and the
+// header itself belong to the frame stack of the goroutine the
+// activation runs on (frames.go); parallel workers run on a copy of the
+// region's parent activation: private scalar slots, shared segments.
 type env struct {
 	I []int64
 	F []float64
@@ -194,19 +199,14 @@ type env struct {
 	team       *rt.Team
 	inParallel bool
 
+	// fs is the stack this activation was pushed on, and the marks are
+	// the slab tops to restore when it pops.
+	fs         *frameStack
+	mI, mF, mP slabMark
+
 	retI int64
 	retF float64
 	retP mem.Pointer
-}
-
-func (e *env) clone() *env {
-	ne := &env{
-		I: append([]int64(nil), e.I...),
-		F: append([]float64(nil), e.F...),
-		P: append([]mem.Pointer(nil), e.P...),
-		p: e.p, team: e.team, inParallel: true,
-	}
-	return ne
 }
 
 type (
@@ -242,6 +242,9 @@ type cfunc struct {
 	// memoizable marks verified pure functions whose calls may be served
 	// from the memo table (set only when compiling with Options.Memoize).
 	memoizable bool
+	// leaf caches whether calls of the function can be inlined as an
+	// expression (inline.go).
+	leaf leafInfo
 }
 
 func constFloat(e ast.Expr) (float64, bool) {

@@ -21,17 +21,23 @@ func newFloatSeg(vals []float64) mem.Pointer {
 	return mem.Pointer{Seg: seg}
 }
 
-func compile(t *testing.T, src string, opts Options) *Machine {
-	t.Helper()
+// mustCheck parses and checks a test source.
+func mustCheck(tb testing.TB, src string) *sema.Info {
+	tb.Helper()
 	f, err := parser.Parse("t.c", src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		tb.Fatalf("parse: %v", err)
 	}
 	info, err := sema.Check(f)
 	if err != nil {
-		t.Fatalf("sema: %v", err)
+		tb.Fatalf("sema: %v", err)
 	}
-	m, err := Compile(info, opts)
+	return info
+}
+
+func compile(t *testing.T, src string, opts Options) *Machine {
+	t.Helper()
+	m, err := Compile(mustCheck(t, src), opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

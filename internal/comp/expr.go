@@ -22,11 +22,12 @@ type funcCompiler struct {
 	// declSym maps declarations to their symbols.
 	declSym map[*ast.VarDecl]*sema.Symbol
 	sig     *sema.Sig
-	// paramBind substitutes closures for parameter symbols while a
-	// trivial pure callee is being inlined into this function (the
-	// GCC/ICC -O2 inlining analog, see tryInline).
-	paramBind   map[*sema.Symbol]valueFns
-	inlineDepth int
+	// Leaf-pure inlining state (inline.go): the rewrite of every call
+	// site decided so far, the calls the depth cap left as calls, and
+	// the types of the nodes the rewrites synthesized.
+	inlined   map[*ast.CallExpr]ast.Expr
+	keepCall  map[*ast.CallExpr]bool
+	synthType map[ast.Expr]*types.Type
 	// talloc manages the temp register space shared by the function's
 	// tapes when compiling under EngineTape (nil under EngineClosure).
 	talloc *tapeAlloc
@@ -64,7 +65,7 @@ func (fc *funcCompiler) compile() (err error) {
 		case sym.IsArray():
 			sl = slot{slotPtr, fc.cf.nP}
 			fc.cf.nP++
-			kind, kerr := cellKindOf(sym.Type.BaseElem())
+			kind, kerr := cellKindOf(sym.ElemType())
 			if kerr != nil {
 				fc.errorf(sym.Decl, "%v", kerr)
 			}
@@ -135,7 +136,7 @@ func (fc *funcCompiler) symOf(id *ast.Ident) *sema.Symbol {
 
 // typeOf returns the checked type of an expression.
 func (fc *funcCompiler) typeOf(e ast.Expr) *types.Type {
-	t := fc.prog.info.ExprType[e]
+	t := fc.exprType(e)
 	if t == nil {
 		fc.errorf(e, "expression has no type information (was the file re-checked after transformation?)")
 	}
@@ -180,9 +181,6 @@ func (fc *funcCompiler) intExpr(e ast.Expr) intFn {
 		return func(*env) int64 { return v }
 	case *ast.Ident:
 		sym := fc.symOf(x)
-		if b, ok := fc.paramBind[sym]; ok {
-			return b.i
-		}
 		sl, global := fc.slotOf(sym, x)
 		if global {
 			idx := sl.idx
@@ -498,9 +496,6 @@ func (fc *funcCompiler) flt(e ast.Expr) fltFn {
 		return func(*env) float64 { return v }
 	case *ast.Ident:
 		sym := fc.symOf(x)
-		if b, ok := fc.paramBind[sym]; ok {
-			return b.f
-		}
 		sl, global := fc.slotOf(sym, x)
 		if global {
 			idx := sl.idx
@@ -588,6 +583,17 @@ func (fc *funcCompiler) flt(e ast.Expr) fltFn {
 			return f
 		}
 		g := fc.integer(x.X)
+		if fc.typeOf(x).CSize == 4 {
+			// (float) of an int rounds through float32 like any other
+			// conversion to float; below 2^24 there is nothing to round.
+			return func(e *env) float64 {
+				v := g(e)
+				if v > -1<<24 && v < 1<<24 {
+					return float64(v)
+				}
+				return float64(float32(v))
+			}
+		}
 		return func(e *env) float64 { return float64(g(e)) }
 	case *ast.CallExpr:
 		return fc.callFlt(x)

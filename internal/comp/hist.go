@@ -76,9 +76,9 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 	if global || sl.kind != slotPtr {
 		return reduction{}, false
 	}
-	elem := sym.Type.BaseElem()
-	if elem == nil {
-		return reduction{}, false
+	elem := sym.ElemType() // the cells of an array: pointer cells privatize nothing
+	if !sym.IsArray() {
+		elem = sym.Type.Elem
 	}
 	f32 := elem.Kind == types.Float && elem.CSize == 4
 	switch elem.Kind {

@@ -56,7 +56,8 @@ const (
 	opShl // int only
 	opShr // int only
 	opNeg
-	opNot // int only (~)
+	opNot   // int only (~)
+	opRound // float only: round through float32, a C conversion to float
 )
 
 type kOp struct {
@@ -86,7 +87,7 @@ func (k *fusedKernel) push(op kOp) bool {
 	switch op.code {
 	case opLoad, opInv, opIter, opIterF:
 		k.sp++
-	case opNeg, opNot:
+	case opNeg, opNot, opRound:
 		// unary: depth unchanged
 	default:
 		k.sp--
@@ -130,15 +131,17 @@ func tapeOp(op token.Kind, float bool) (uint8, bool) {
 // buildTape compiles e into postfix tape ops of the kernel's element
 // kind. Whole loop-invariant subexpressions hoist into one evaluation
 // per launch; affine array accesses become raw-slice loads; the
-// iterator itself is a leaf. Anything else (calls, gathers, casts,
-// mixed-kind subtrees that vary with the iterator) rejects the loop.
+// iterator itself is a leaf; a conversion between float types is the
+// identity or one rounding op (inlined pure calls leave those behind).
+// Anything else (calls, gathers, int/float casts, mixed-kind subtrees
+// that vary with the iterator) rejects the loop.
 func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol) bool {
 	e = stripParens(e)
 	if fc.hoistable(e, iter) {
 		// Invariant leaf: any effect-free scalar expression, evaluated
 		// once per launch. fc.num converts invariant int subtrees in
 		// float context exactly like the closure backend does.
-		t := fc.prog.info.ExprType[e]
+		t := fc.exprType(e)
 		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 			return false
 		}
@@ -177,7 +180,7 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		// subtree that varies with the iterator (e.g. i/2 stored to a
 		// float array) computes in integer arithmetic in the closure
 		// backend — evaluating it with float ops would diverge.
-		t := fc.prog.info.ExprType[e]
+		t := fc.exprType(e)
 		if t == nil || (k.float && t.Kind != types.Float) || (!k.float && t.Kind != types.Int) {
 			return false
 		}
@@ -189,6 +192,18 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 			}
 		}
 		return fc.buildTape(k, x.X, iter) && fc.buildTape(k, x.Y, iter) && k.push(kOp{code: op})
+	case *ast.CastExpr:
+		t, in := fc.exprType(x), fc.exprType(x.X)
+		if t == nil || in == nil || t.Kind != in.Kind || !t.IsArith() || (t.Kind == types.Float) != k.float {
+			return false
+		}
+		if !fc.buildTape(k, x.X, iter) {
+			return false
+		}
+		if k.float && t.CSize == 4 && !fc.f32Exact(x.X) {
+			return k.push(kOp{code: opRound})
+		}
+		return true
 	case *ast.UnaryExpr:
 		switch x.Op {
 		case token.SUB:
@@ -205,7 +220,7 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 // iterator, or an invariant expression routed through fc.num).
 func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 	e = stripParens(e)
-	t := fc.prog.info.ExprType[e]
+	t := fc.exprType(e)
 	if t == nil {
 		return false
 	}
@@ -572,6 +587,8 @@ func (k *fusedKernel) genericFloat() kernRun {
 					st[sp-1] /= st[sp]
 				case opNeg:
 					st[sp-1] = -st[sp-1]
+				case opRound:
+					st[sp-1] = float64(float32(st[sp-1]))
 				}
 			}
 			v := st[0]

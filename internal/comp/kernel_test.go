@@ -405,12 +405,14 @@ int main(void) {
 }
 
 func TestFusedKernelsCountAndParallelComposition(t *testing.T) {
-	// One program, three fusible loops (two init fills + axpy), plus a
-	// non-fusible loop (call in body). The counter reports exactly the
-	// fused ones.
+	// One program, four fusible loops — two init fills, axpy, and a map
+	// through a leaf pure function, which inlines into a copy kernel —
+	// plus a non-fusible loop (a call that stays a call). The counters
+	// report exactly the fused loops and the inlined call site.
 	src := `
 float x[50], y[50];
 pure float id(float v) { return v; }
+pure float twice(float v) { float w = v + v; return w; }
 int main(void) {
     for (int i = 0; i < 50; i++)
         x[i] = 1.0f;
@@ -420,14 +422,19 @@ int main(void) {
         y[i] = 0.5f * x[i] + y[i];
     for (int i = 0; i < 50; i++)
         y[i] = id(y[i]);
+    for (int i = 0; i < 50; i++)
+        y[i] = twice(y[i]);
     return 0;
 }`
 	m := compile(t, src, Options{})
 	if _, err := m.RunMain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Program().FusedKernels(); got != 3 {
-		t.Fatalf("FusedKernels = %d, want 3", got)
+	if got := m.Program().FusedKernels(); got != 4 {
+		t.Fatalf("FusedKernels = %d, want 4", got)
+	}
+	if got := m.Program().InlinedCalls(); got != 1 {
+		t.Fatalf("InlinedCalls = %d, want 1", got)
 	}
 }
 

@@ -111,12 +111,21 @@ func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 	if lhs == nil {
 		return lk
 	}
+	if rhs != nil {
+		// Leaf pure calls become the expressions they return, so the
+		// sinks below see their operands (inline.go).
+		rhs = fc.inlineCalls(rhs)
+	}
 	if store, isElem := fc.matchKAccess(lhs, iter); isElem && rhs != nil {
+		val := rhs
+		if op == token.ASSIGN && store.f32 {
+			val = fc.peelF32(rhs)
+		}
 		if store.stride >= 1 {
-			fc.matchMap(&lk, store, op, rhs)
+			fc.matchMap(&lk, store, op, val)
 		}
 		if lk.run == nil && op == token.ASSIGN {
-			fc.matchGatherMap(&lk, store, rhs)
+			fc.matchGatherMap(&lk, store, val)
 		}
 	}
 	if lk.run == nil && op == token.ADD && rhs != nil && fc.fuseReductions() {
@@ -243,9 +252,11 @@ type accSink struct {
 //
 //	acc += X[k]            acc += X[k] * Y[k]            acc += X[k] * Y[Z[k]]
 //
-// with unit-stride operands, the product also through a trivial pure
-// helper mult(a, b). The accumulator is a local float scalar or a float
-// cell the iterator does not move.
+// with unit-stride operands; a product converted to float before it
+// accumulates — what the inlined helper mult(a, b) of the paper's
+// sources leaves behind — keeps that rounding (prodRound). The
+// accumulator is a local float scalar or a float cell the iterator does
+// not move.
 func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	iter := lk.iterSym
 	r := &reduceKern{}
@@ -266,7 +277,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 		r.sink = accSink{slot: sl.idx, f32: sym.Type.CSize == 4}
 		name = x.Name
 	case *ast.IndexExpr:
-		t := fc.prog.info.ExprType[ast.Expr(x)]
+		t := fc.exprType(x)
 		if t == nil || t.Kind != types.Float || fc.usesSym(x, iter) {
 			return
 		}
@@ -274,23 +285,16 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	default:
 		return
 	}
-	// The factors: a plain load, a product, or a trivial pure helper
-	// mult(a, b) whose float return rounds the product before it
-	// accumulates — the kernel reproduces that to stay bit-identical.
-	factors := []ast.Expr{rhs}
-	switch v := stripParens(rhs).(type) {
-	case *ast.CallExpr:
-		a, b, ok := fc.trivialMulBody(v)
-		if !ok {
-			return
-		}
-		factors = []ast.Expr{a, b}
-		sig := fc.prog.info.Funcs[v.Fun.Name]
-		r.prodRound = sig != nil && sig.Ret.Kind == types.Float && sig.Ret.CSize == 4
-	case *ast.BinaryExpr:
-		if v.Op == token.MUL {
-			factors = []ast.Expr{v.X, v.Y}
-		}
+	// The factors: a plain load or a product. A conversion to float
+	// around the product rounds it before it accumulates and the kernel
+	// reproduces that; around anything else it must be the identity.
+	term := fc.peelF32(rhs)
+	factors := []ast.Expr{term}
+	if v, isBin := stripParens(term).(*ast.BinaryExpr); isBin && v.Op == token.MUL {
+		factors = []ast.Expr{v.X, v.Y}
+		r.prodRound = term != rhs
+	} else if term != rhs && !fc.f32Exact(term) {
+		return
 	}
 	var direct []kAccess
 	for _, f := range factors {
@@ -325,40 +329,6 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	lk.set(kindReduce, r.emit(), operands...)
 }
 
-// trivialMulBody recognizes calls f(a, b) to a pure function whose body
-// is exactly "return p1 * p2;" and yields the argument expressions.
-func (fc *funcCompiler) trivialMulBody(call *ast.CallExpr) (ast.Expr, ast.Expr, bool) {
-	callee, ok := fc.prog.funcs[call.Fun.Name]
-	if !ok || !callee.pure || len(call.Args) != 2 || len(callee.decl.Params) != 2 {
-		return nil, nil, false
-	}
-	body := callee.decl.Body
-	if body == nil || len(body.List) != 1 {
-		return nil, nil, false
-	}
-	ret, ok := body.List[0].(*ast.ReturnStmt)
-	if !ok || ret.X == nil {
-		return nil, nil, false
-	}
-	bin, ok := stripParens(ret.X).(*ast.BinaryExpr)
-	if !ok || bin.Op != token.MUL {
-		return nil, nil, false
-	}
-	p1, ok1 := stripParens(bin.X).(*ast.Ident)
-	p2, ok2 := stripParens(bin.Y).(*ast.Ident)
-	if !ok1 || !ok2 {
-		return nil, nil, false
-	}
-	n1, n2 := callee.decl.Params[0].Name, callee.decl.Params[1].Name
-	switch {
-	case p1.Name == n1 && p2.Name == n2:
-		return call.Args[0], call.Args[1], true
-	case p1.Name == n2 && p2.Name == n1:
-		return call.Args[1], call.Args[0], true
-	}
-	return nil, nil, false
-}
-
 // matchHist recognizes the canonical array-reduction body — a single
 // statement updating a 1-D array through an int-array gather subscript:
 //
@@ -391,7 +361,7 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 	case rhs == nil:
 		run = emitHistInt(g, op, nil)
 	default:
-		if t := fc.prog.info.ExprType[stripParens(rhs)]; t == nil || t.Kind != types.Int {
+		if t := fc.exprType(stripParens(rhs)); t == nil || t.Kind != types.Int {
 			return
 		}
 		run = emitHistInt(g, op, fc.integer(rhs))
@@ -473,7 +443,7 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 	if !ok {
 		return kGather{}, false
 	}
-	t := fc.prog.info.ExprType[ast.Expr(gx)]
+	t := fc.exprType(gx)
 	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 		return kGather{}, false
 	}
@@ -483,14 +453,14 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 			return kGather{}, false
 		}
 	}
-	bt := fc.prog.info.ExprType[gx.X]
+	bt := fc.exprType(gx.X)
 	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
 		return kGather{}, false
 	}
 	if fc.usesSym(gx.X, iter) || !fc.effectFree(gx.X) {
 		return kGather{}, false
 	}
-	sub, lo, hi, ok := matchClamp(stripParens(gx.Index))
+	sub, lo, hi, ok := fc.matchClamp(stripParens(gx.Index))
 	if !ok {
 		return kGather{}, false
 	}
@@ -513,12 +483,12 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 //	v < L ? L : rest   (lower clamp; also L > v ? L : rest)
 //	v > H ? H : rest   (upper clamp; also H < v ? H : rest)
 //
-// where rest is v itself or a nested clamp of the same v, compared
-// syntactically. It returns the clamped access v and the accumulated
+// where rest is v itself or a nested clamp of the same v (sameExpr).
+// It returns the clamped access v and the accumulated
 // bounds (math.MinInt64/MaxInt64 when a side is unclamped); a
 // non-ternary subscript passes through with open bounds. ok is false
 // for ternaries that are not clamps — those stay on the dispatch path.
-func matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok bool) {
+func (fc *funcCompiler) matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok bool) {
 	lo, hi = math.MinInt64, math.MaxInt64
 	ce, isCond := e.(*ast.CondExpr)
 	if !isCond {
@@ -551,8 +521,8 @@ func matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok bool) {
 	if tk, isTk := intLitValue(stripParens(ce.Then)); !isTk || tk != k {
 		return nil, 0, 0, false
 	}
-	rest, rlo, rhi, okR := matchClamp(stripParens(ce.Else))
-	if !okR || ast.PrintExpr(rest) != ast.PrintExpr(v) {
+	rest, rlo, rhi, okR := fc.matchClamp(stripParens(ce.Else))
+	if !okR || !fc.sameExpr(rest, v) {
 		return nil, 0, 0, false
 	}
 	switch op {
@@ -570,6 +540,22 @@ func matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok bool) {
 		hi = rhi
 	}
 	return rest, lo, hi, true
+}
+
+// sameExpr reports whether a and b are the same syntax over the same
+// symbols: after inlining, a callee's global and a caller's local may
+// print alike.
+func (fc *funcCompiler) sameExpr(a, b ast.Expr) bool {
+	ia, ib := ast.Idents(a), ast.Idents(b)
+	if len(ia) != len(ib) || ast.PrintExpr(a) != ast.PrintExpr(b) {
+		return false
+	}
+	for i := range ia {
+		if fc.prog.info.Ref[ia[i]] != fc.prog.info.Ref[ib[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // intLitValue evaluates an integer literal, allowing a leading unary
@@ -598,7 +584,7 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	if !ok {
 		return kAccess{}, false
 	}
-	t := fc.prog.info.ExprType[e]
+	t := fc.exprType(e)
 	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 		return kAccess{}, false
 	}
@@ -633,7 +619,7 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	// elements. The base must be invariant and effect-free — it hoists
 	// to one evaluation (fused stores write int/float cells, so they
 	// can never modify the pointer cells the base may load from).
-	bt := fc.prog.info.ExprType[x.X]
+	bt := fc.exprType(x.X)
 	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
 		return kAccess{}, false
 	}
@@ -668,7 +654,7 @@ func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intF
 		return 1, nil, true
 	}
 	if fc.hoistable(e, iter) {
-		t := fc.prog.info.ExprType[e]
+		t := fc.exprType(e)
 		if t == nil || t.Kind != types.Int {
 			return 0, nil, false
 		}
@@ -746,7 +732,12 @@ func (fc *funcCompiler) hoistable(e ast.Expr, iter *sema.Symbol) bool {
 				sym.Type == nil || sym.Type.Kind == types.Ptr || sym.Type.Kind == types.Struct {
 				ok = false
 			}
-		case *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.ParenExpr, *ast.SizeofExpr:
+		case *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.ParenExpr, *ast.SizeofExpr, *ast.TypeExpr:
+		case *ast.CastExpr:
+			// An arithmetic conversion computes on its operand alone.
+			if t := fc.exprType(x); t == nil || !t.IsArith() {
+				ok = false
+			}
 		case *ast.BinaryExpr:
 			switch x.Op {
 			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,

@@ -53,6 +53,12 @@ type Process struct {
 	// without memoization. Shared tables are concurrency-safe, so this
 	// is the one piece of Process state siblings may share.
 	memo *memo.Table
+	// root is the frame stack of the goroutine driving the Process and
+	// workers[w] the stack of worker w of a parallel region (frames.go).
+	// A pooled Process keeps them, so steady-state calls allocate
+	// nothing.
+	root    frameStack
+	workers []*frameStack
 	// randState backs rand()/srand(). Atomic so calls from inside
 	// parallel regions are race-free (sequentially the CAS never
 	// retries, keeping the LCG stream deterministic).
@@ -147,6 +153,7 @@ func (p *Process) ArenaStats() mem.ArenaStats {
 // observable state).
 func (p *Process) Reset() error {
 	p.heap.ReleaseLive()
+	p.root.reset()
 	p.randState.Store(0)
 	if p.team != nil {
 		p.team.TakeSim()
@@ -196,7 +203,7 @@ func (p *Process) ResetGlobals() error {
 			for _, d := range g.Dims {
 				cells *= d
 			}
-			kind, err := cellKindOf(g.Type.BaseElem())
+			kind, err := cellKindOf(g.ElemType())
 			if err != nil {
 				return fmt.Errorf("global %s: %v", g.Name, err)
 			}
@@ -253,7 +260,7 @@ func (p *Process) CallInt(name string) (ret int64, err error) {
 	if !ok {
 		return 0, fmt.Errorf("function %s not found", name)
 	}
-	e := p.newEnv(cf)
+	e := p.rootEnv(cf)
 	cf.body(e)
 	return e.retI, nil
 }
@@ -279,7 +286,7 @@ func (p *Process) CallFloat(name string, args ...any) (ret float64, err error) {
 	if !ok {
 		return 0, fmt.Errorf("function %s not found", name)
 	}
-	e := p.newEnv(cf)
+	e := p.rootEnv(cf)
 	ai := 0
 	for _, ps := range cf.params {
 		if ai >= len(args) {
@@ -309,20 +316,6 @@ func (p *Process) CallFloat(name string, args ...any) (ret float64, err error) {
 	}
 	cf.body(e)
 	return e.retF, nil
-}
-
-// newEnv builds a fresh activation for cf, allocating local arrays.
-func (p *Process) newEnv(cf *cfunc) *env {
-	e := &env{
-		I: make([]int64, cf.nI),
-		F: make([]float64, cf.nF),
-		P: make([]mem.Pointer, cf.nP),
-		p: p, team: p.team,
-	}
-	for _, a := range cf.arrays {
-		e.P[a.slot] = mem.Pointer{Seg: p.heap.NewSegment(a.kind, a.cells, a.name)}
-	}
-	return e
 }
 
 // GlobalPtr returns the pointer value of global pointer/array name, for

@@ -15,15 +15,7 @@ import (
 // compileProgram builds an immutable Program from source.
 func compileProgram(t *testing.T, src string, opts Options) *Program {
 	t.Helper()
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatalf("sema: %v", err)
-	}
-	prog, err := CompileProgram(info, opts)
+	prog, err := CompileProgram(mustCheck(t, src), opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

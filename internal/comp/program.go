@@ -28,6 +28,9 @@ type Program struct {
 	// kernels (element-wise and reduction shapes), for the purecc
 	// "fused kernels: N" report line.
 	fusedKernels int
+	// inlinedCalls counts the call sites leaf-pure inlining replaced by
+	// the callee's return expression, for the "inlined calls: N" line.
+	inlinedCalls int
 	// proofs is the value-range analysis' proven-in-bounds access set
 	// (Options.Proofs); noBCE keeps checks despite proofs, and
 	// elidedChecks counts the runtime checks compilation dropped, for
@@ -133,6 +136,12 @@ func (p *Program) noteTape(tp *tape) {
 // FusedKernels returns the number of loops compiled into fused
 // segment-walking kernels (0 when built with Options.NoFuse).
 func (p *Program) FusedKernels() int { return p.fusedKernels }
+
+// InlinedCalls returns the number of call sites compiled as the
+// callee's return expression instead of a call (inline.go) — sites
+// inside an inlined body included. A loop whose only obstacle to
+// fusion was such a call shows up in FusedKernels as well.
+func (p *Program) InlinedCalls() int { return p.inlinedCalls }
 
 // ElidedChecks returns the number of runtime range checks compilation
 // dropped on the strength of value-range bounds proofs (0 when built

@@ -435,9 +435,11 @@ func runsInline(e *env) bool {
 }
 
 // parallelFor compiles a loop annotated with #pragma omp parallel for.
-// Iterations are distributed over the team; each worker executes on a
-// cloned environment (private scalars, shared segments), the OpenMP
-// private-variable analog. A fusible element-wise body skips the
+// Iterations are distributed over the team; each worker executes every
+// chunk on a fresh copy of the calling environment (private scalars,
+// shared segments), the OpenMP private-variable analog — a copy into
+// the worker's own frame stack, so a region allocates per worker, not
+// per chunk. A fusible element-wise body skips the
 // per-iteration dispatch entirely: each worker runs the fused kernel
 // over its chunk bounds (composing with every schedule, on real and
 // simulated teams), reading the parent environment's invariants and
@@ -473,8 +475,9 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
 		if runsInline(e) {
 			return inlineLoop(e, iterSlot, lo, hi, body)
 		}
+		e.p.growWorkers(e.team.Size())
 		e.team.ParallelFor(lo, hi, sched, chunk, func(w int, clo, chi int64) {
-			we := e.clone()
+			we := e.workerEnv(w)
 			for i := clo; i <= chi; i++ {
 				we.I[iterSlot] = i
 				body(we)
@@ -774,8 +777,9 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 			}
 			return inlineLoop(e, iterSlot, lo, hi, body)
 		}
-		init := func(int) any {
-			we := e.clone()
+		e.p.growWorkers(e.team.Size())
+		init := func(w int) any {
+			we := e.workerEnv(w)
 			for _, r := range reds {
 				r.setIdentity(we)
 			}

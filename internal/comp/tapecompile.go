@@ -11,8 +11,8 @@ package comp
 //
 // Totality comes from the bail mechanism: any construct the tape does
 // not linearize (calls in value context compile to pooled closures;
-// assignment used as an expression value, inline parameter bindings
-// and anything the closure backend itself rejects) panics tapeBail,
+// assignment used as an expression value and anything the closure
+// backend itself rejects) panics tapeBail,
 // which rolls the current statement back and re-compiles the whole
 // statement with the regular backend into a tStmt escape. The
 // surrounding control flow stays on the tape either way.
@@ -576,9 +576,6 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 		return tc.loadConstI(x.Value)
 	case *ast.Ident:
 		sym := fc.symOf(x)
-		if _, ok := fc.paramBind[sym]; ok {
-			panic(tapeBail{})
-		}
 		sl, global := fc.slotOf(sym, x)
 		r := tc.ta.allocI()
 		if global {
@@ -856,9 +853,6 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 		return tc.loadConstF(float64(x.Value))
 	case *ast.Ident:
 		sym := fc.symOf(x)
-		if _, ok := fc.paramBind[sym]; ok {
-			panic(tapeBail{})
-		}
 		sl, global := fc.slotOf(sym, x)
 		r := tc.ta.allocF()
 		if global {
@@ -966,6 +960,9 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 		tc.ta.popI()
 		r := tc.ta.allocF()
 		tc.emit(tinstr{op: tI2F, a: r, b: g})
+		if fc.typeOf(x).CSize == 4 {
+			tc.emit(tinstr{op: tRoundF, a: r, b: r})
+		}
 		return r
 	case *ast.CallExpr:
 		return tc.callF(fc.callFlt(x))

@@ -101,12 +101,12 @@ var matchedGolden = map[string][2]int{
 	"matmul-kern/icc/seq":          {1, 0},
 	"matmul-kern/gcc+vec/par":      {1, 0},
 	"matmul-kern/gcc+vec/seq":      {1, 0},
-	"heat/gcc/par":                 {1, 0},
-	"heat/gcc/seq":                 {1, 0},
-	"heat/icc/par":                 {1, 0},
-	"heat/icc/seq":                 {1, 0},
-	"heat/gcc+vec/par":             {1, 0},
-	"heat/gcc+vec/seq":             {1, 0},
+	"heat/gcc/par":                 {2, 0},
+	"heat/gcc/seq":                 {2, 0},
+	"heat/icc/par":                 {2, 0},
+	"heat/icc/seq":                 {2, 0},
+	"heat/gcc+vec/par":             {2, 0},
+	"heat/gcc+vec/seq":             {2, 0},
 	"heat-inlined/gcc/par":         {2, 0},
 	"heat-inlined/gcc/seq":         {2, 0},
 	"heat-inlined/icc/par":         {2, 0},

@@ -171,7 +171,9 @@ int main(void) {
 // sink and operands come from a small pool of arrays with deliberate
 // overlap — the same array as sink and operand, pointer windows
 // p = a + c into it, index arrays whose contents hit the sink cell or
-// that are updated through themselves. Every subscript stays in
+// that are updated through themselves — and leaf pure calls, scalar and
+// pointer-parameter, that inline into the statement. Every subscript
+// stays in
 // bounds by construction (index contents < 8 before the loop, at most
 // 8 increments, 16-cell arrays), so the programs never trap and every
 // build must print exactly what the interpreter prints.
@@ -189,14 +191,34 @@ func genAliasProgram(seed uint32) string {
 	}
 	store := func() string { return pick("a[k]", "a[k + 1]", "p[k]", "b[k]", "q[k + 1]", "a[2 * k + 1]") }
 	cell := func() string { return pick("a[3]", "a[0]", "p[1]", "b[2]", "q[0]", "a[7]", "acc") }
+	// Leaf pure calls, scalar and pointer-parameter: they inline into
+	// the statement before it is matched. The pointer leaves read c,
+	// which no loop writes — the front end refuses a nest that assigns
+	// an array it also passes to a pure function (Listing 5).
+	leaf := func() string {
+		return pick(
+			"mult("+load()+", "+load()+")",
+			"at((pure float*)c, k)",
+			"at((pure float*)c, k + 1)",
+			"nb((pure float*)c, k)",
+			"mult(at((pure float*)c, k), "+load()+")",
+		)
+	}
 	var stmt string
-	switch pick("map", "gather", "reduce", "reduce", "hist", "minmax") {
+	switch pick("map", "gather", "reduce", "reduce", "hist", "minmax", "leaf") {
 	case "map":
 		stmt = pick(
 			store()+" = "+load()+" "+pick("+", "-", "*")+" "+load()+";",
 			store()+" = 0.5f * "+load()+" + "+load()+";",
 			store()+" "+pick("+=", "-=", "*=")+" "+load()+";",
 			store()+" = 0.25f * ("+load()+" + "+load()+" + "+load()+");",
+		)
+	case "leaf":
+		stmt = pick(
+			store()+" = "+leaf()+";",
+			store()+" = "+leaf()+" "+pick("+", "*")+" "+load()+";",
+			store()+" "+pick("+=", "*=")+" "+leaf()+";",
+			cell()+" += "+leaf()+";",
 		)
 	case "gather":
 		stmt = pick(
@@ -214,6 +236,7 @@ func genAliasProgram(seed uint32) string {
 			gather()+" * "+load(),
 			"mult("+load()+", "+load()+")",
 			"mult("+load()+", "+gather()+")",
+			leaf(),
 		) + ";"
 	case "hist":
 		stmt = pick(
@@ -236,10 +259,13 @@ func genAliasProgram(seed uint32) string {
 	}
 	return fmt.Sprintf(`
 pure float mult(float x, float y) { return x * y; }
-float a[16]; float b[16];
+pure float at(pure float* v, int i) { return v[i]; }
+pure float nb(pure float* v, int i) { return 0.5f * (v[i] + v[i + 1]); }
+float a[16]; float b[16]; float c[16];
 int ia[16]; int ib[16];
 int main(void) {
     for (int i = 0; i < 16; i++) {
+        c[i] = 0.75f + 0.375f * (float)i;
         a[i] = 0.5f * (float)(i + 1);
         b[i] = 1.25f - 0.125f * (float)i;
         ia[i] = (i * 3 + 1) %% 8;
@@ -288,7 +314,7 @@ func TestAliasingDifferential(t *testing.T) {
 	for seed := uint32(0); seed < 160; seed++ {
 		cases = append(cases, struct{ name, src string }{fmt.Sprintf("seed-%d", seed), genAliasProgram(seed)})
 	}
-	fusedSomewhere := 0
+	fusedSomewhere, ptrLeafFused := 0, 0
 	for _, c := range cases {
 		wantOut, wantRet, wantTrap := runOracle(t, c.src)
 		for _, noFuse := range []bool{true, false} {
@@ -304,6 +330,9 @@ func TestAliasingDifferential(t *testing.T) {
 					}
 					if !noFuse && icc && eng == comp.EngineClosure && prog.FusedKernels() > 0 {
 						fusedSomewhere++
+						if strings.Contains(c.src, "((pure float*)c") && prog.InlinedCalls() > 0 {
+							ptrLeafFused++
+						}
 					}
 					var buf strings.Builder
 					proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &buf})
@@ -326,5 +355,9 @@ func TestAliasingDifferential(t *testing.T) {
 	// The generator is only worth its time while its loops actually fuse.
 	if fusedSomewhere < len(cases)*3/4 {
 		t.Errorf("only %d of %d programs fused a kernel", fusedSomewhere, len(cases))
+	}
+	// ... and its pointer-parameter leaves while they inline into them.
+	if ptrLeafFused < 10 {
+		t.Errorf("only %d programs fused a loop over an inlined pointer-parameter leaf", ptrLeafFused)
 	}
 }

@@ -254,3 +254,99 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 		})
 	}
 }
+
+// poolTrapSrc has a clean main and two entry points that trap three
+// activations deep — boom on the root stack, boompar inside the workers
+// of a parallel reduction — leaving frames (and local-array segments)
+// behind that nobody popped.
+const poolTrapSrc = `
+int sink[8];
+int total;
+
+pure int lvl3(int i) {
+    int pad[3];
+    pad[0] = i;
+    return sink[i + pad[0]];
+}
+pure int lvl2(int i) {
+    int k = i + 1;
+    return lvl3(k) + k;
+}
+pure int lvl1(int i) {
+    float f = 0.5f;
+    return lvl2(i + 1) * 2 + (int)f;
+}
+int boom(void) { return lvl1(3); }
+int boompar(void) {
+    int s = 0;
+    for (int i = 0; i < 64; i++)
+        s += lvl1(i % 9);
+    return s;
+}
+int main(void) {
+    for (int i = 0; i < 8; i++)
+        sink[i] = i * i;
+    int s = 0;
+    for (int i = 0; i < 64; i++)
+        s += lvl1(i % 2);
+    total = s;
+    printf("total=%d\n", total);
+    return total % 97;
+}
+`
+
+// TestPoolCleanAfterDeepTrap: a guest trap unwinds through Go panics
+// without popping the frame stack; the pooled Process must still serve
+// the next request as if nothing had happened — on the root stack and
+// on every worker's.
+func TestPoolCleanAfterDeepTrap(t *testing.T) {
+	art, err := Front(poolTrapSrc, Config{FileName: "t.c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantOut bytes.Buffer
+	in, err := interp.New(art.Info, &wantOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRet, err := in.RunMain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
+		cfg := Config{FileName: "t.c", Parallelize: true, Engine: eng, NoCache: true,
+			Transform: transform.Options{Schedule: "dynamic,1", MinParallelTrip: -1}}
+		prog, _, _, err := BuildProgram(poolTrapSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := prog.NewPool(comp.PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(3) }})
+		for round, entry := range []string{"boom", "boompar", "boom"} {
+			proc, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = proc.CallInt(entry)
+			if _, isRT := err.(*comp.RuntimeError); !isRT {
+				t.Fatalf("engine=%v %s: err %v, want a guest trap", eng, entry, err)
+			}
+			pool.Put(proc)
+
+			again, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != proc {
+				t.Fatal("expected the trapped Process back (size-1 pool)")
+			}
+			var out bytes.Buffer
+			again.SetStdout(&out)
+			ret, err := again.RunMain()
+			if err != nil || ret != wantRet || out.String() != wantOut.String() {
+				t.Errorf("engine=%v round %d after %s: ret %d err %v out %q, oracle %d %q",
+					eng, round, entry, ret, err, out.String(), wantRet, wantOut.String())
+			}
+			pool.Put(again)
+		}
+	}
+}

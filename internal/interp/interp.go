@@ -133,7 +133,7 @@ func (in *Interp) Reset() error {
 			for _, d := range g.Dims {
 				cells *= d
 			}
-			kind := cellKind(g.Type.BaseElem())
+			kind := cellKind(g.ElemType())
 			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(kind, cells, "global "+g.Name)})
 		} else if g.Decl != nil && g.Decl.Init != nil {
 			v, ok := sema.ConstInt(g.Decl.Init)
@@ -663,7 +663,7 @@ func (in *Interp) declare(d *ast.VarDecl, fr *frame) {
 		for _, dim := range sym.Dims {
 			cells *= dim
 		}
-		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(sym.Type.BaseElem()), cells, "arr "+d.Name)})
+		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(sym.ElemType()), cells, "arr "+d.Name)})
 	} else if sym.Type.Kind == types.Struct {
 		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(mem.CellMixed, structCellCount(sym.Type), "struct "+d.Name)})
 	} else if d.Init != nil {
@@ -755,7 +755,7 @@ func (in *Interp) lvalue(e ast.Expr, fr *frame) location {
 					off += in.eval(subs[i], fr).AsInt() * stride
 					stride *= int64(sym.Dims[i])
 				}
-				et := sym.Type.BaseElem()
+				et := sym.ElemType()
 				return location{ptr: p.Add(off), kind: cellKind(et), t: et}
 			}
 		}

@@ -50,6 +50,18 @@ type Symbol struct {
 // IsArray reports whether the symbol is an array variable.
 func (s *Symbol) IsArray() bool { return len(s.Dims) > 0 }
 
+// ElemType returns the type of one cell of an array variable: Type
+// with exactly one pointer level stripped per dimension, so the cells
+// of `int* keep[2]` are pointers and those of `float m[3][4]` floats.
+// For a non-array it is Type itself.
+func (s *Symbol) ElemType() *types.Type {
+	t := s.Type
+	for range s.Dims {
+		t = t.Elem
+	}
+	return t
+}
+
 // Sig is a function signature.
 type Sig struct {
 	Name     string
