@@ -7,7 +7,10 @@ import "fmt"
 // paper's headline pattern, which PR 3's reduction stage turns into
 // `#pragma omp parallel for reduction(+:s)`. The accumulator is an
 // integer, so the parallel result is bit-identical to the serial build
-// at every team size.
+// at every team size — and, the sum being exact in any order, comp
+// fuses the loop (square inlined, its argument computed once) into an
+// integer-sum kernel on every backend, which each worker of the
+// reduction runs over its chunks.
 const ReduceSumSrc = `
 int result;
 

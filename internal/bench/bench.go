@@ -132,7 +132,7 @@ func Quick() Params {
 		LamaRows:    200,
 		LamaNNZ:     6,
 		MemoClasses: 8,
-		ReduceN:     20000,
+		ReduceN:     200000, // the sum is a fused kernel: fewer iterations time only the region launch
 		KernN:       2048,
 		KernReps:    3,
 		HistN:       20000,

@@ -404,7 +404,8 @@ func (d *ReduceData) FigR1() *Figure {
 			fmt.Sprintf("sequential baselines: sum %.4f s, dot %.4f s", d.SumSeq, d.DotSeq),
 			"the quickstart loop (s += square(i)) compiles to #pragma omp parallel for reduction(+:s)",
 			"integer sums are bit-identical at every team size; float dot follows the fixed-combine-order determinism contract",
-			"speedup above the core count reflects the execution model: parallel chunks iterate natively while the sequential baseline pays the interpreted loop head per iteration (same effect as the other figures' 1-core points)",
+			"the sum loop is the integer-sum kernel in the sequential build and, chunk by chunk, in the reduction build, so its curve starts at 1 and shows the reduction runtime alone",
+			"the dot curve's speedup above the core count reflects the execution model: GCC does not vectorize the float reduction, so parallel chunks iterate natively while the sequential baseline pays the interpreted loop head per iteration (same effect as the other figures' 1-core points)",
 			"the real rows run actual goroutine teams in wall clock (no simulation); their axis stays within a laptop's physical cores",
 		},
 	}

@@ -98,8 +98,12 @@ func (fs *frameStack) reset() {
 	fs.p.release(slabMark{})
 }
 
-// push opens an activation with nI/nF/nP uninitialized slots.
+// push opens an activation with nI/nF/nP uninitialized slots. Unbounded
+// guest recursion ends here, in a guest trap.
 func (fs *frameStack) push(p *Process, team *rt.Team, inParallel bool, nI, nF, nP int) *env {
+	if fs.depth >= mem.MaxCallDepth {
+		rtPanic("%s", mem.StackOverflow())
+	}
 	if fs.depth == len(fs.envs) {
 		fs.envs = append(fs.envs, &env{fs: fs})
 	}

@@ -117,6 +117,50 @@ int main(void) {
 	}
 }
 
+// Unbounded guest recursion ends in a guest trap — the same text from
+// the interpreter and both engines, after the same output — instead of
+// Go's unrecoverable stack overflow; the Process then runs a bounded
+// recursion to just under the cap as if nothing had happened.
+func TestUnboundedRecursionTraps(t *testing.T) {
+	const src = `
+int f(int n) {
+    if (n % 2500 == 0)
+        printf("depth %d\n", n);
+    return f(n + 1) + 1;
+}
+int g(int n) { return n == 0 ? 0 : g(n - 1) + 1; }
+int deep(void) { return g(9990); }
+int main(void) { return f(0); }`
+	var wantOut bytes.Buffer
+	in, err := interp.New(mustCheck(t, src), &wantOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = in.RunMain()
+	if err == nil {
+		t.Fatal("interp: unbounded recursion returned")
+	}
+	wantTrap := strings.TrimPrefix(err.Error(), "interp ")
+	if !strings.Contains(wantTrap, "stack overflow: call depth exceeds") || !strings.Contains(wantOut.String(), "depth 7500") {
+		t.Fatalf("interp: trap %q after %q", wantTrap, wantOut.String())
+	}
+	for _, eng := range bothEngines {
+		prog := compileProgram(t, src, Options{Engine: eng})
+		var out bytes.Buffer
+		proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = proc.RunMain()
+		if _, isRT := err.(*RuntimeError); !isRT || err.Error() != wantTrap || out.String() != wantOut.String() {
+			t.Errorf("engine=%v: err %v after %q, interp %q after %q", eng, err, out.String(), wantTrap, wantOut.String())
+		}
+		if got, err := proc.CallInt("deep"); err != nil || got != 9990 {
+			t.Errorf("engine=%v: deep() after the trap = %d, %v", eng, got, err)
+		}
+	}
+}
+
 // A frame wider than a slab chunk gets a chunk of its own, also when
 // the chunk in that position was allocated for a narrower frame.
 func TestFrameStackOversizeFrame(t *testing.T) {

@@ -2,9 +2,10 @@ package comp
 
 // Kernel fusion: canonical innermost loops whose body is one
 // element-wise affine array statement — copy, fill, scale, axpy-style
-// triads, stencil reads, compound assigns, general int/float maps —
-// compile into a single Go kernel that walks the raw memory segments
-// instead of dispatching one closure per iteration per operand.
+// triads, stencil reads, compound assigns, general int/float maps — or
+// an integer sum of such an expression compile into a single Go kernel
+// that walks the raw memory segments instead of dispatching one closure
+// per iteration per operand.
 //
 // The fused-kernel contract (see README "Kernel fusion"):
 //
@@ -12,10 +13,12 @@ package comp
 //     mem.Segment Float/IntRange API validates [lo,hi) once and hands
 //     back the raw cell slice, replacing the per-access bounds checks
 //     of the closure backend;
-//  2. iterations execute in ascending order reading and writing
-//     through the same cells as the closure backend, so aliasing
-//     between operands (in-place stencils, overlapping copies)
-//     behaves identically;
+//  2. every iteration reads and writes the cells the closure backend's
+//     ascending loop would, with the values it would find there, so
+//     aliasing between operands (in-place stencils, overlapping
+//     copies) behaves identically: the single-pass loops below run
+//     ascending, the strip evaluator bounds its strips by the distance
+//     rule (strip.go, hazard below);
 //  3. float arithmetic is float64 with one float32 rounding at the
 //     store exactly when the stored C type is 4 bytes — bit-identical
 //     to the closure backend and the interp oracle;
@@ -23,13 +26,18 @@ package comp
 //     across iterations only values no operand can read: a reduce
 //     kernel whose memory-cell accumulator lies inside one of its own
 //     operands (x[3] += x[k]) runs write-through — cell loaded and
-//     stored every iteration — instead of accumulating in a local.
+//     stored every iteration — instead of accumulating in a local;
+//  5. an integer division or modulo by zero traps with the dispatch
+//     loop's message, after exactly the cells the dispatch loop would
+//     have written (zero-divisor replay, strip.go).
 //
 // Recognition (match.go) compiles the right-hand side of an element
-// store to a small postfix tape over operand loads, hoisted invariants
-// and the iterator; a shape table then replaces the common tapes (fill,
-// copy, scale, triad) by specialized loops and everything else runs on
-// the generic tape walker, still with raw-slice operands.
+// store — or of an integer sum `acc += …` — to a small postfix tape
+// over operand loads, hoisted invariants and the iterator. strip.go
+// lowers the tape to a register program and runs it a strip of
+// elements at a time; two float shapes (scale, triad) keep a
+// single-pass loop in front of it. Either way the launch state is a
+// kframe on the Go stack: a launch allocates nothing.
 
 import (
 	"purec/internal/ast"
@@ -65,34 +73,39 @@ type kOp struct {
 	arg  int
 }
 
-// fusedKernel is a fully recognized fusible loop body before emission.
+// fusedKernel is a recognized tape kernel: the sink (the element store,
+// or with sum set the integer accumulator in frame slot acc), the
+// operands, and the tape — first in postfix form, then lowered to the
+// register program the strip evaluator runs.
 type fusedKernel struct {
 	store kAccess
+	sum   bool
+	acc   int
 	loads []kAccess
 	invF  []fltFn
 	invI  []intFn
+	// loadX and invX hold the syntax node each load and invariant was
+	// built from: a node met again — inlining substitutes one argument
+	// node for every read of its parameter — is the same operand.
+	loadX []ast.Expr
+	invX  []ast.Expr
 	tape  []kOp
-	float bool // element kind of the store (and of every load)
-	sp    int  // evaluation stack depth after the ops pushed so far
+	float bool // element kind of the sink (and of every load)
+
+	prog []stripOp
+	res  operand // where the program leaves its result
+	regs int     // columns the program uses
 }
 
-// maxTapeDepth bounds the fixed evaluation stack of the tape walker.
+// maxTapeDepth bounds the evaluation stack a tape may need: the
+// lowering's stack is that deep.
 const maxTapeDepth = 16
 
-// push appends a tape op and tracks the evaluation stack depth; false
-// when the op overflows the walker's fixed stack (the loop then stays
-// on the dispatch path).
+// push appends a tape op; false when the tape outgrows what a lowering
+// looks at (the loop then stays on the dispatch path).
 func (k *fusedKernel) push(op kOp) bool {
 	k.tape = append(k.tape, op)
-	switch op.code {
-	case opLoad, opInv, opIter, opIterF:
-		k.sp++
-	case opNeg, opNot, opRound:
-		// unary: depth unchanged
-	default:
-		k.sp--
-	}
-	return k.sp <= maxTapeDepth
+	return len(k.tape) <= maxNodes
 }
 
 // tapeOp maps a binary operator token to its tape opcode for the
@@ -145,15 +158,20 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 			return false
 		}
-		if k.float {
-			k.invF = append(k.invF, fc.num(e))
-			return k.push(kOp{code: opInv, arg: len(k.invF) - 1})
-		}
-		if t.Kind != types.Int {
+		if !k.float && t.Kind != types.Int {
 			return false
 		}
-		k.invI = append(k.invI, fc.integer(e))
-		return k.push(kOp{code: opInv, arg: len(k.invI) - 1})
+		j := indexOfExpr(k.invX, e)
+		if j < 0 {
+			j = len(k.invX)
+			k.invX = append(k.invX, e)
+			if k.float {
+				k.invF = append(k.invF, fc.num(e))
+			} else {
+				k.invI = append(k.invI, fc.integer(e))
+			}
+		}
+		return k.push(kOp{code: opInv, arg: j})
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -165,12 +183,16 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		}
 		return k.push(kOp{code: opIter})
 	case *ast.IndexExpr:
-		acc, ok := fc.matchKAccess(x, iter)
-		if !ok || acc.float != k.float {
-			return false
+		j := indexOfExpr(k.loadX, e)
+		if j < 0 {
+			acc, ok := fc.matchKAccess(x, iter)
+			if !ok || acc.float != k.float {
+				return false
+			}
+			j = len(k.loads)
+			k.loads, k.loadX = append(k.loads, acc), append(k.loadX, e)
 		}
-		k.loads = append(k.loads, acc)
-		return k.push(kOp{code: opLoad, arg: len(k.loads) - 1})
+		return k.push(kOp{code: opLoad, arg: j})
 	case *ast.BinaryExpr:
 		op, ok := tapeOp(x.Op, k.float)
 		if !ok {
@@ -215,6 +237,16 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 	return false
 }
 
+// indexOfExpr finds the very node e among xs, -1 when it is new.
+func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
+	for i, x := range xs {
+		if x == e {
+			return i
+		}
+	}
+	return -1
+}
+
 // floatTapeOperand reports whether e can be a float-tape subtree: a
 // float-typed expression, or an int-typed leaf the tape converts (the
 // iterator, or an invariant expression routed through fc.num).
@@ -237,62 +269,75 @@ func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 }
 
 // ----------------------------------------------------------------------------
-// Emission
+// Launch
 
-// kframe is the per-launch state of a fused kernel after hoisting.
+// kframe is the per-launch state of a tape kernel after hoisting. It
+// lives on the launching goroutine's stack: the operand arrays are
+// fixed-size, so a launch allocates nothing.
 type kframe struct {
 	n     int
+	lo    int64
+	strip int // elements per strip, see hazard
 	dst   kslice
 	f32   bool
-	loads []kslice
-	invF  []float64
-	invI  []int64
-	lo    int64
+	loads [maxLoads]kslice
+	invF  [maxInvs]float64
+	invI  [maxInvs]int64
 }
 
-// prep hoists everything loop-invariant: operand ranges (one check
-// each), invariant scalars, the store rounding mode.
-func (k *fusedKernel) prepFrame(e *env, lo, hi int64) kframe {
-	fr := kframe{n: int(hi - lo + 1), lo: lo, f32: k.store.f32}
-	fr.dst = k.store.prep(e, lo, hi)
-	fr.loads = make([]kslice, len(k.loads))
+// prepFrame hoists everything loop-invariant: operand ranges (one check
+// each), the strip length the operands' overlap allows, invariant
+// scalars, the store rounding mode.
+func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
+	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.store.f32
+	var st kspan
+	if !k.sum {
+		st = k.store.span(e, lo, hi)
+		fr.dst = k.store.cells(st)
+	}
 	for i := range k.loads {
-		fr.loads[i] = k.loads[i].prep(e, lo, hi)
+		ld := k.loads[i].span(e, lo, hi)
+		fr.loads[i] = k.loads[i].cells(ld)
+		fr.strip = min(fr.strip, hazard(st, k.store.stride, ld, k.loads[i].stride))
 	}
-	if len(k.invF) > 0 {
-		fr.invF = make([]float64, len(k.invF))
-		for i, f := range k.invF {
-			fr.invF[i] = f(e)
-		}
+	for i, f := range k.invF {
+		fr.invF[i] = f(e)
 	}
-	if len(k.invI) > 0 {
-		fr.invI = make([]int64, len(k.invI))
-		for i, f := range k.invI {
-			fr.invI[i] = f(e)
-		}
+	for i, f := range k.invI {
+		fr.invI[i] = f(e)
 	}
-	return fr
 }
 
-// emit selects the kernel body: a specialized loop for the common
-// shapes, the generic tape walker otherwise.
-func (k *fusedKernel) emit() kernRun {
-	for _, shape := range kernelShapes {
-		if r := shape(k); r != nil {
-			return r
-		}
+// hazard is the distance rule of the strip evaluator: the longest strip
+// in which no element loads (through ld, at stride ls) a cell that an
+// earlier element of the same strip stores (through st, at stride ss).
+// Equal strides meet at one fixed distance — none when the load runs
+// ahead of the store, on the very same walk, or between its cells;
+// operands of unequal stride that overlap at all run element by
+// element.
+func hazard(st kspan, ss int64, ld kspan, ls int64) int {
+	if st.seg != ld.seg || ld.last < st.first || st.last < ld.first {
+		return stripLen
 	}
-	if k.float {
-		return k.genericFloat()
+	if ss != ls {
+		return 1
 	}
-	return k.genericInt()
+	d := st.first - ld.first
+	if d <= 0 || d%ss != 0 || d/ss >= stripLen {
+		return stripLen
+	}
+	return int(d / ss)
 }
 
-// kernelShapes is the table-driven emitter, ordered most-specific
-// first: each entry matches the kernel's tape and returns a specialized
-// loop (nil = no match). The generic tape walker is the fallback and
-// not listed.
-var kernelShapes = []func(k *fusedKernel) kernRun{emitFill, emitCopy, emitScale, emitTriad, emitStencil3}
+// ----------------------------------------------------------------------------
+// Shapes
+//
+// Two float tapes keep a specialized single-pass loop in front of the
+// strip evaluator, because there a pass per op costs what the whole
+// loop does: the store rounds through float32, and that rounding is as
+// expensive as the arithmetic it follows (see CHANGES.md, PR 22, for
+// the numbers that kept these and retired the fill, copy and stencil
+// loops and the integer twins of these two).
 
 // tapeIs matches the kernel tape against an opcode signature.
 func (k *fusedKernel) tapeIs(codes ...uint8) bool {
@@ -307,376 +352,73 @@ func (k *fusedKernel) tapeIs(codes ...uint8) bool {
 	return true
 }
 
-// emitFill handles Y[i] = inv.
-func emitFill(k *fusedKernel) kernRun {
-	if !k.tapeIs(opInv) {
-		return nil
-	}
-	if k.float {
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			fr := k.prepFrame(e, lo, hi)
-			v := fr.invF[0]
-			if fr.f32 {
-				v = float64(float32(v))
-			}
-			dst, ds := fr.dst.f, fr.dst.stride
-			for t, c := 0, 0; t < fr.n; t, c = t+1, c+ds {
-				dst[c] = v
-			}
-		}
-	}
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		fr := k.prepFrame(e, lo, hi)
-		v := fr.invI[0]
-		dst, ds := fr.dst.i, fr.dst.stride
-		for t, c := 0, 0; t < fr.n; t, c = t+1, c+ds {
-			dst[c] = v
-		}
-	}
-}
-
-// emitCopy handles Y[i] = X[i] (same element kind; the explicit
-// ascending loop keeps overlapping in-segment copies bit-identical to
-// the closure backend, unlike a memmove).
-func emitCopy(k *fusedKernel) kernRun {
-	if !k.tapeIs(opLoad) {
-		return nil
-	}
-	if k.float {
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			fr := k.prepFrame(e, lo, hi)
-			dst, ds := fr.dst.f, fr.dst.stride
-			src, ss := fr.loads[0].f, fr.loads[0].stride
-			if fr.f32 {
-				for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-					dst[c] = float64(float32(src[s]))
-				}
-				return
-			}
-			for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-				dst[c] = src[s]
-			}
-		}
-	}
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		fr := k.prepFrame(e, lo, hi)
-		dst, ds := fr.dst.i, fr.dst.stride
-		src, ss := fr.loads[0].i, fr.loads[0].stride
-		for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-			dst[c] = src[s]
-		}
-	}
-}
-
-// emitScale handles Y[i] = a * X[i] (either operand order).
+// emitScale handles the float Y[i] = a * X[i] (either operand order).
 func emitScale(k *fusedKernel) kernRun {
-	if !k.tapeIs(opInv, opLoad, opMul) && !k.tapeIs(opLoad, opInv, opMul) {
+	if !k.float || (!k.tapeIs(opInv, opLoad, opMul) && !k.tapeIs(opLoad, opInv, opMul)) {
 		return nil
-	}
-	if k.float {
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			fr := k.prepFrame(e, lo, hi)
-			a := fr.invF[0]
-			dst, ds := fr.dst.f, fr.dst.stride
-			src, ss := fr.loads[0].f, fr.loads[0].stride
-			if fr.f32 {
-				for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-					dst[c] = float64(float32(a * src[s]))
-				}
-				return
-			}
-			for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-				dst[c] = a * src[s]
-			}
-		}
 	}
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
 		}
-		fr := k.prepFrame(e, lo, hi)
-		a := fr.invI[0]
-		dst, ds := fr.dst.i, fr.dst.stride
-		src, ss := fr.loads[0].i, fr.loads[0].stride
+		var fr kframe
+		k.prepFrame(&fr, e, lo, hi)
+		a := fr.invF[0]
+		dst, ds := fr.dst.f, fr.dst.stride
+		src, ss := fr.loads[0].f, fr.loads[0].stride
+		if fr.f32 {
+			for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
+				dst[c] = float64(float32(a * src[s]))
+			}
+			return
+		}
 		for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
 			dst[c] = a * src[s]
 		}
 	}
 }
 
-// emitTriad handles the axpy family Y[i] = a*X[i] + Z[i] in its
+// emitTriad handles the float axpy family Y[i] = a*X[i] + Z[i] in its
 // add-commuted operand orders (float addition and multiplication are
 // exactly commutative, so one loop serves all of them). Compound
 // Y[i] += a*X[i] desugars to the Z=Y instance.
 func emitTriad(k *fusedKernel) kernRun {
-	var x, z int // load indices of the scaled and added operands
+	var x, z int // tape positions of the scaled and the added load
 	switch {
+	case !k.float:
+		return nil
 	case k.tapeIs(opInv, opLoad, opMul, opLoad, opAdd):
-		x, z = 0, 1
+		x, z = 1, 3
 	case k.tapeIs(opLoad, opInv, opMul, opLoad, opAdd):
-		x, z = 0, 1
+		x, z = 0, 3
 	case k.tapeIs(opLoad, opInv, opLoad, opMul, opAdd):
-		z, x = 0, 1
+		z, x = 0, 2
 	case k.tapeIs(opLoad, opLoad, opInv, opMul, opAdd):
 		z, x = 0, 1
 	default:
 		return nil
 	}
-	if k.float {
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			fr := k.prepFrame(e, lo, hi)
-			a := fr.invF[0]
-			dst, ds := fr.dst.f, fr.dst.stride
-			xs, xss := fr.loads[x].f, fr.loads[x].stride
-			zs, zss := fr.loads[z].f, fr.loads[z].stride
-			if fr.f32 {
-				for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
-					dst[c] = float64(float32(a*xs[xi] + zs[zi]))
-				}
-				return
-			}
-			for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
-				dst[c] = a*xs[xi] + zs[zi]
-			}
-		}
-	}
+	// One inlined argument read twice is one load: the indices come from
+	// the tape, not from the positions.
+	x, z = k.tape[x].arg, k.tape[z].arg
 	return func(e *env, lo, hi int64) {
 		if hi < lo {
 			return
 		}
-		fr := k.prepFrame(e, lo, hi)
-		a := fr.invI[0]
-		dst, ds := fr.dst.i, fr.dst.stride
-		xs, xss := fr.loads[x].i, fr.loads[x].stride
-		zs, zss := fr.loads[z].i, fr.loads[z].stride
+		var fr kframe
+		k.prepFrame(&fr, e, lo, hi)
+		a := fr.invF[0]
+		dst, ds := fr.dst.f, fr.dst.stride
+		xs, xss := fr.loads[x].f, fr.loads[x].stride
+		zs, zss := fr.loads[z].f, fr.loads[z].stride
+		if fr.f32 {
+			for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
+				dst[c] = float64(float32(a*xs[xi] + zs[zi]))
+			}
+			return
+		}
 		for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
 			dst[c] = a*xs[xi] + zs[zi]
-		}
-	}
-}
-
-// emitStencil3 handles the 3-point stencil family
-// Y[i] = c * (A[i-1] + B[i] + C[i+1]): three loads summed
-// left-associatively, optionally scaled by an invariant on either
-// side. The edge handling hoists into the per-operand range checks
-// (each shifted slice is validated once per launch), leaving a
-// check-free interior walk with no tape interpretation. The scale
-// multiplies in the matched operand order so NaN payload propagation
-// stays bit-identical to the dispatch path.
-func emitStencil3(k *fusedKernel) kernRun {
-	scaled, invFirst := true, true
-	switch {
-	case k.tapeIs(opInv, opLoad, opLoad, opAdd, opLoad, opAdd, opMul):
-	case k.tapeIs(opLoad, opLoad, opAdd, opLoad, opAdd, opInv, opMul):
-		invFirst = false
-	case k.tapeIs(opLoad, opLoad, opAdd, opLoad, opAdd):
-		scaled = false
-	default:
-		return nil
-	}
-	if len(k.loads) != 3 {
-		return nil
-	}
-	if k.float {
-		return func(e *env, lo, hi int64) {
-			if hi < lo {
-				return
-			}
-			fr := k.prepFrame(e, lo, hi)
-			a := 1.0
-			if scaled {
-				a = fr.invF[0]
-			}
-			dst, ds := fr.dst.f, fr.dst.stride
-			xs, xss := fr.loads[0].f, fr.loads[0].stride
-			ys, yss := fr.loads[1].f, fr.loads[1].stride
-			zs, zss := fr.loads[2].f, fr.loads[2].stride
-			for t, c, xi, yi, zi := 0, 0, 0, 0, 0; t < fr.n; t, c, xi, yi, zi = t+1, c+ds, xi+xss, yi+yss, zi+zss {
-				v := xs[xi] + ys[yi] + zs[zi]
-				switch {
-				case scaled && invFirst:
-					v = a * v
-				case scaled:
-					v = v * a
-				}
-				if fr.f32 {
-					v = float64(float32(v))
-				}
-				dst[c] = v
-			}
-		}
-	}
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		fr := k.prepFrame(e, lo, hi)
-		a := int64(1)
-		if scaled {
-			a = fr.invI[0]
-		}
-		dst, ds := fr.dst.i, fr.dst.stride
-		xs, xss := fr.loads[0].i, fr.loads[0].stride
-		ys, yss := fr.loads[1].i, fr.loads[1].stride
-		zs, zss := fr.loads[2].i, fr.loads[2].stride
-		for t, c, xi, yi, zi := 0, 0, 0, 0, 0; t < fr.n; t, c, xi, yi, zi = t+1, c+ds, xi+xss, yi+yss, zi+zss {
-			v := xs[xi] + ys[yi] + zs[zi]
-			if scaled {
-				v = a * v
-			}
-			dst[c] = v
-		}
-	}
-}
-
-// genericFloat is the tape walker for float kernels: a tight postfix
-// evaluation over raw slices, no closure dispatch.
-func (k *fusedKernel) genericFloat() kernRun {
-	tape := k.tape
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		fr := k.prepFrame(e, lo, hi)
-		cur := make([]int, len(fr.loads))
-		var st [maxTapeDepth]float64
-		dst, ds := fr.dst.f, fr.dst.stride
-		di := 0
-		for t := 0; t < fr.n; t++ {
-			sp := 0
-			for _, op := range tape {
-				switch op.code {
-				case opLoad:
-					st[sp] = fr.loads[op.arg].f[cur[op.arg]]
-					sp++
-				case opInv:
-					st[sp] = fr.invF[op.arg]
-					sp++
-				case opIterF:
-					st[sp] = float64(fr.lo + int64(t))
-					sp++
-				case opAdd:
-					sp--
-					st[sp-1] += st[sp]
-				case opSub:
-					sp--
-					st[sp-1] -= st[sp]
-				case opMul:
-					sp--
-					st[sp-1] *= st[sp]
-				case opQuo:
-					sp--
-					st[sp-1] /= st[sp]
-				case opNeg:
-					st[sp-1] = -st[sp-1]
-				case opRound:
-					st[sp-1] = float64(float32(st[sp-1]))
-				}
-			}
-			v := st[0]
-			if fr.f32 {
-				v = float64(float32(v))
-			}
-			dst[di] = v
-			di += ds
-			for j := range cur {
-				cur[j] += fr.loads[j].stride
-			}
-		}
-	}
-}
-
-// genericInt is the tape walker for integer kernels. Division and
-// modulo trap on zero divisors with the closure backend's messages.
-func (k *fusedKernel) genericInt() kernRun {
-	tape := k.tape
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		fr := k.prepFrame(e, lo, hi)
-		cur := make([]int, len(fr.loads))
-		var st [maxTapeDepth]int64
-		dst, ds := fr.dst.i, fr.dst.stride
-		di := 0
-		for t := 0; t < fr.n; t++ {
-			sp := 0
-			for _, op := range tape {
-				switch op.code {
-				case opLoad:
-					st[sp] = fr.loads[op.arg].i[cur[op.arg]]
-					sp++
-				case opInv:
-					st[sp] = fr.invI[op.arg]
-					sp++
-				case opIter:
-					st[sp] = fr.lo + int64(t)
-					sp++
-				case opAdd:
-					sp--
-					st[sp-1] += st[sp]
-				case opSub:
-					sp--
-					st[sp-1] -= st[sp]
-				case opMul:
-					sp--
-					st[sp-1] *= st[sp]
-				case opQuo:
-					sp--
-					if st[sp] == 0 {
-						rtPanic("integer division by zero")
-					}
-					st[sp-1] /= st[sp]
-				case opRem:
-					sp--
-					if st[sp] == 0 {
-						rtPanic("integer modulo by zero")
-					}
-					st[sp-1] %= st[sp]
-				case opAnd:
-					sp--
-					st[sp-1] &= st[sp]
-				case opOr:
-					sp--
-					st[sp-1] |= st[sp]
-				case opXor:
-					sp--
-					st[sp-1] ^= st[sp]
-				case opShl:
-					sp--
-					st[sp-1] <<= uint(st[sp])
-				case opShr:
-					sp--
-					st[sp-1] >>= uint(st[sp])
-				case opNeg:
-					st[sp-1] = -st[sp-1]
-				case opNot:
-					st[sp-1] = ^st[sp-1]
-				}
-			}
-			dst[di] = st[0]
-			di += ds
-			for j := range cur {
-				cur[j] += fr.loads[j].stride
-			}
 		}
 	}
 }

@@ -117,3 +117,69 @@ func BenchmarkFusedMatmul(b *testing.B) {
 		benchEntry(b, m)
 	})
 }
+
+// BenchmarkKernelStrip times the strip evaluator on the loops the
+// served applications spend their time in, per element: intmap9 is
+// hist's data initialisation (a 9-op int tape), intsum the headline
+// `s += square(f(i))` (the leaf call inlines, the duplicated argument
+// is value-numbered), stencil4 heat's 4-load row at its 126-element
+// launch size, and hazard1 the loop-carried x[i] = x[i-1] + 1, which
+// the distance rule runs at strip length 1 — the floor of the single
+// code path.
+func BenchmarkKernelStrip(b *testing.B) {
+	for _, c := range []struct {
+		name, src string
+		elems     int
+	}{
+		{"intmap9", `
+int data[65536];
+void setup(void) {}
+int run(void) {
+    for (int i = 0; i < 65536; i++)
+        data[i] = ((i + 1000003) * 1103515245 + 12345) % 4096;
+    return 0;
+}`, 65536},
+		{"intsum", `
+int result;
+pure int square(int x) { return x * x; }
+void setup(void) {}
+int run(void) {
+    int s = 0;
+    for (int i = 0; i < 65536; i++)
+        s += square((i + 1000003) % 8191);
+    result = s;
+    return 0;
+}`, 65536},
+		{"stencil4", `
+float cur[128][128], next[128][128];
+void setup(void) {
+    for (int i = 0; i < 128; i++)
+        for (int j = 0; j < 128; j++)
+            cur[i][j] = (float)((i * 7 + j) % 13) * 0.25f;
+}
+int run(void) {
+    for (int i = 1; i < 127; i++)
+        for (int j = 1; j < 127; j++)
+            next[i][j] = 0.25f * (cur[i - 1][j] + cur[i][j - 1] + cur[i][j + 1] + cur[i + 1][j]);
+    return 0;
+}`, 126 * 126},
+		{"hazard1", `
+int x[65536];
+void setup(void) {}
+int run(void) {
+    for (int i = 1; i < 65536; i++)
+        x[i] = x[i - 1] + 1;
+    return 0;
+}`, 65535},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := benchProgram(b, c.src, Options{})
+			if m.Program().FusedKernels() < 1 {
+				b.Fatalf("%s did not fuse", c.name)
+			}
+			b.ReportAllocs()
+			benchEntry(b, m)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.elems), "ns/elem")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -536,12 +537,13 @@ int main(void) {
 	}
 }
 
-// TestFusedTapeDepthLimit pins the accept/reject boundary of the tape
-// walker's fixed evaluation stack: a right-nested sum of maxTapeDepth
-// loads needs exactly maxTapeDepth stack cells and fuses, one more load
-// stays on the dispatch path (the builder bails at the push that
-// overflows), and a long left-nested body of depth 2 fuses however many
-// ops it has. All three agree with dispatch and the oracle.
+// TestFusedTapeDepthLimit pins the accept/reject boundaries of a tape
+// kernel: a right-nested sum of maxTapeDepth loads needs exactly
+// maxTapeDepth stack cells and fuses, one more load stays on the
+// dispatch path (the builder bails at the push that overflows); a
+// left-nested body of depth 2 fuses up to the frame's maxLoads operands
+// and the lowering's maxNodes ops, and stays on dispatch past either.
+// All of them agree with dispatch and the oracle.
 func TestFusedTapeDepthLimit(t *testing.T) {
 	program := func(rhs string) string {
 		return fmt.Sprintf(`int x[64]; int y[64];
@@ -554,6 +556,7 @@ func TestFusedTapeDepthLimit(t *testing.T) {
 	rightNested := func(loads int) string {
 		return strings.Repeat("x[i] + (", loads-1) + "x[i]" + strings.Repeat(")", loads-1)
 	}
+	leftNested := func(loads int) string { return strings.Repeat("x[i] + ", loads-1) + "x[i]" }
 	cases := []struct {
 		name  string
 		rhs   string
@@ -561,12 +564,78 @@ func TestFusedTapeDepthLimit(t *testing.T) {
 	}{
 		{"at-limit", rightNested(maxTapeDepth), 1},
 		{"one-past", rightNested(maxTapeDepth + 1), 0},
-		{"long-shallow", strings.Repeat("x[i] + ", 200) + "x[i]", 1},
+		{"shallow-at-load-limit", leftNested(maxLoads), 1},
+		{"shallow-past-load-limit", leftNested(maxLoads + 1), 0},
+		{"shallow-at-node-limit", "x[i]" + strings.Repeat(" * i + i", (maxNodes-1)/4), 1},
+		{"shallow-past-node-limit", "x[i]" + strings.Repeat(" * i + i", (maxNodes-1)/4+1), 0},
 	}
 	for _, c := range cases {
 		m := fuseCompare(t, program(c.rhs), "y")
 		if got := m.Program().FusedKernels(); got != 1+c.fused {
 			t.Errorf("%s: %d fused kernels, want %d", c.name, got, 1+c.fused)
+		}
+	}
+}
+
+// TestKernelLaunchesDoNotAllocate: the launch frame has fixed-size
+// operand arrays and the strip buffer lives on the launching
+// goroutine's stack, so a pooled run allocates per region and per
+// worker — not per launch (one per iteration of the int loops under
+// dynamic,1 and one per row of the stencil, whose rows the workers of
+// the outer loop's region launch) and not per strip. Each program holds a 9-op int map
+// (hist's initialisation), the integer-sum sink and a 4-load float
+// stencil, and must print what the interpreter prints.
+func TestKernelLaunchesDoNotAllocate(t *testing.T) {
+	for _, pragma := range []string{"", "#pragma omp parallel for schedule(dynamic,1)"} {
+		reduction := pragma
+		if pragma != "" {
+			reduction += " reduction(+:s)"
+		}
+		src := fmt.Sprintf(`
+int data[2000];
+float cur[64][64], next[64][64];
+pure int square(int x) { return x * x; }
+int main(void) {
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            cur[i][j] = (float)((i * 7 + j) %% 13) * 0.25f;
+%[1]s
+    for (int i = 0; i < 2000; i++)
+        data[i] = ((i + 1000003) * 1103515245 + 12345) %% 4096;
+    int s = 0;
+%[2]s
+    for (int i = 0; i < 2000; i++)
+        s += square((i + 1000003) %% 8191);
+%[1]s
+    for (int i = 1; i < 63; i++)
+        for (int j = 1; j < 63; j++)
+            next[i][j] = 0.25f * (cur[i - 1][j] + cur[i][j - 1] + cur[i][j + 1] + cur[i + 1][j]);
+    printf("%%d %%d %%g\n", data[1999], s, next[31][17]);
+    return 0;
+}`, pragma, reduction)
+		_, want := oracleRun(t, src)
+		for _, eng := range bothEngines {
+			prog := compileProgram(t, src, Options{Engine: eng})
+			if prog.FusedKernels() != 3 {
+				t.Fatalf("engine=%v pragma=%q: %d fused kernels, want 3", eng, pragma, prog.FusedKernels())
+			}
+			pool := prog.NewPool(PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(2) }})
+			run := func() {
+				proc, err := pool.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out bytes.Buffer
+				proc.SetStdout(&out)
+				if _, err := proc.RunMain(); err != nil || out.String() != want {
+					t.Fatalf("engine=%v pragma=%q: printed %q err %v, oracle %q", eng, pragma, out.String(), err, want)
+				}
+				pool.Put(proc)
+			}
+			run()                                                     // grows the frame stacks, the arena and the team once
+			if allocs := testing.AllocsPerRun(10, run); allocs > 64 { // three regions on two workers take 48
+				t.Errorf("engine=%v pragma=%q: %.0f allocations per run of 2 000-odd launches, want a small constant", eng, pragma, allocs)
+			}
 		}
 	}
 }

@@ -10,17 +10,20 @@ package comp
 // Recognition is sink × operand × emit table:
 //
 //   - the statement is classified by its sink — an element store
-//     Y[a*i+b] (kindMap), a scalar-or-cell accumulate acc += … that the
-//     iterator does not move (kindReduce), an indexed update
+//     Y[a*i+b] (kindMap), an accumulate acc += … that the iterator does
+//     not move: an integer tape into a local scalar, or a float
+//     sum/dot/ELL term into a scalar or cell (kindReduce), an indexed
+//     update
 //     A[B[a*i+b]] op= inv (kindHist), or a guarded min/max fold into a
 //     scalar (kindMinMax). The sinks are disjoint, so a loop has at most
 //     one kind and callers filter on it;
 //   - every operand is a kAccess (affine in the iterator, one hoisted
 //     range check per launch, elidable under a value-range proof) or a
 //     kGather (x[idx[affine]], optionally ?:-clamped) built on one;
-//   - the emitters (kernel.go maps, gather.go, vector.go reductions,
-//     hist.go, minmax.go) turn sink and operands into the specialised
-//     segment-walking loops.
+//   - the emitters (kernel.go and strip.go for tapes — maps and integer
+//     sums —, gather.go, vector.go float reductions, hist.go, minmax.go)
+//     turn sink and operands into the specialised segment-walking
+//     loops.
 //
 // Because the matcher knows the sink and every operand, it is also
 // where the aliasing rule of the kernel contract lives: operands are
@@ -46,7 +49,7 @@ type loopKind uint8
 
 const (
 	kindMap    loopKind = iota + 1 // Y[a*i+b] (op)= f(operands), gathers included
-	kindReduce                     // acc += x[k] (* y[k] | * y[z[k]]), acc a float scalar or invariant cell
+	kindReduce                     // acc += <int tape>, acc a local int; acc += x[k] (* y[k] | * y[z[k]]), acc a float scalar or invariant cell
 	kindHist                       // A[B[a*i+b]] op= inv, A[B[a*i+b]]++
 	kindMinMax                     // if (x[k] < m) m = x[k]; and its ?: form
 )
@@ -78,10 +81,13 @@ func (lk *loopKernel) set(kind loopKind, run kernRun, operands ...kAccess) {
 	}
 }
 
-// fuseReductions reports whether canonical reduction loops compile to
-// fused kernels here: the ICC backend vectorizes extracted pure
-// functions, Options.Vectorize extends that everywhere (the PluTo-SICA
-// analog), and Options.NoFuse turns the whole engine off.
+// fuseReductions reports whether canonical float reduction loops
+// compile to fused kernels here: the ICC backend vectorizes extracted
+// pure functions, Options.Vectorize extends that everywhere (the
+// PluTo-SICA analog), and Options.NoFuse turns the whole engine off.
+// The gate models C's ban on reassociating float sums (Sect. 4.3.1);
+// integer sums are exact in any order and do not pass through it (see
+// matchIntSum).
 func (fc *funcCompiler) fuseReductions() bool {
 	return !fc.prog.noFuse &&
 		((fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize)
@@ -128,8 +134,11 @@ func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 			fc.matchGatherMap(&lk, store, val)
 		}
 	}
-	if lk.run == nil && op == token.ADD && rhs != nil && fc.fuseReductions() {
-		fc.matchReduce(&lk, lhs, rhs)
+	if lk.run == nil && op == token.ADD && rhs != nil {
+		fc.matchIntSum(&lk, lhs, rhs)
+		if lk.run == nil && fc.fuseReductions() {
+			fc.matchReduce(&lk, lhs, rhs)
+		}
 	}
 	if lk.run == nil {
 		fc.matchHist(&lk, lhs, op, rhs)
@@ -214,11 +223,47 @@ func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, r
 	if op == token.ASSIGN {
 		ok = fc.buildTape(k, rhs, lk.iterSym)
 	} else if code, isOp := tapeOp(op, k.float); isOp {
-		k.loads = append(k.loads, store)
+		k.loads, k.loadX = append(k.loads, store), append(k.loadX, nil)
 		ok = k.push(kOp{code: opLoad}) && fc.buildTape(k, rhs, lk.iterSym) && k.push(kOp{code: code})
 	}
-	if ok {
-		lk.set(kindMap, k.emit(), append(k.loads, k.store)...)
+	if !ok {
+		return
+	}
+	if run := k.emit(); run != nil {
+		lk.set(kindMap, run, append(k.loads, k.store)...)
+	}
+}
+
+// matchIntSum recognizes the integer sum acc += rhs, rhs an int tape
+// over affine loads, invariants and the iterator — the paper's headline
+// `s += square(f(i))` once the leaf call is inlined. The accumulator is
+// a local int scalar no store narrows, other than the iterator, that
+// neither feeds the bounds (the dispatch loop re-evaluates those per
+// iteration) nor is read by rhs. An integer sum is exact in any order,
+// so unlike the float reductions of matchReduce — which C forbids a
+// compiler to reassociate, hence fuseReductions — it fuses on every
+// backend.
+func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
+	id, ok := stripParens(lhs).(*ast.Ident)
+	if !ok {
+		return
+	}
+	sym := fc.prog.info.Ref[id]
+	if sym == nil || sym.Kind == sema.SymGlobal || sym == lk.iterSym ||
+		sym.Type == nil || sym.Type.Kind != types.Int || sym.Type.CSize < 4 {
+		return
+	}
+	sl := fc.slots[sym]
+	if sl.kind != slotInt || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) || fc.usesSym(rhs, sym) {
+		return
+	}
+	k := &fusedKernel{sum: true, acc: sl.idx}
+	if !fc.buildTape(k, rhs, lk.iterSym) {
+		return
+	}
+	if run := k.emit(); run != nil {
+		lk.acc = id.Name
+		lk.set(kindReduce, run, k.loads...)
 	}
 }
 

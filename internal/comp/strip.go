@@ -1,0 +1,563 @@
+package comp
+
+// The strip evaluator: the one body every tape kernel runs on. The
+// postfix tape of a matched loop is lowered once, at compile time, to a
+// small register program; a launch then executes that program one op at
+// a time over a strip of up to stripLen elements — each op a tight loop
+// over columns, the next op over the columns it left — instead of
+// re-dispatching the whole tape per element (the vector-at-a-time
+// execution of column stores: Boncz, Zukowski, Nes, "MonetDB/X100:
+// Hyper-pipelining query execution", CIDR 2005).
+//
+// Columns live in a fixed-size array on the launching goroutine's Go
+// stack and are addressed positionally (buf[r*stripLen:][:n]): map
+// kernels of a parallel region run concurrently on the shared parent
+// env, so scratch can live neither there nor — without an allocation
+// per launch — on the heap. Launch invariants stay scalars and
+// unit-stride loads are read where they lie; neither occupies a column.
+//
+// Two things keep a strip indistinguishable from the per-iteration
+// dispatch loop (contract rules 2 and 5 of kernel.go):
+//
+//   - the distance rule: every load of a strip is read before any of
+//     its results is stored, so a strip must never contain an element
+//     that reads a cell an earlier element of the same strip stores.
+//     prepFrame bounds the strip length by the smallest such backward
+//     distance (x[i] = x[i-d] + c runs d elements at a time, d = 1 one
+//     by one); the same walk (Y[i] op= …) and forward reads are no
+//     hazard;
+//   - zero-divisor replay: an integer strip that meets a zero divisor
+//     stores nothing and is re-run at strip length 1, so the cells
+//     written before the trap and the message (the first trapping op of
+//     the first trapping element) are the dispatch loop's.
+
+import "math/bits"
+
+const (
+	// stripLen is the number of elements an op processes per dispatch.
+	stripLen = 128
+	// maxRegs bounds the columns of a register program and smallRegs
+	// is the size class almost every kernel fits (a launch zeroes its
+	// buffer, and rows of a hundred elements notice 16 KiB of that).
+	maxRegs   = 16
+	smallRegs = 4
+	// maxLoads and maxInvs size the operand arrays of a launch frame
+	// (a tape as deep as maxTapeDepth allows can hold that many loads);
+	// maxNodes bounds the tape a lowering looks at. A loop past any
+	// bound stays on the dispatch path.
+	maxLoads = maxTapeDepth
+	maxInvs  = 8
+	maxNodes = 64
+)
+
+// operand names an input of a register-program op.
+type operand struct {
+	kind uint8
+	idx  uint8
+}
+
+const (
+	inCol  uint8 = iota // column idx of the strip buffer
+	inLoad              // load idx of the frame, read in place
+	inInv               // invariant idx of the frame, a scalar
+)
+
+// stripOp is one op of the register program: dst = a code b over the
+// strip. opLoad gathers a strided load into dst, opIter/opIterF write
+// the iterator values.
+type stripOp struct {
+	code uint8
+	dst  uint8
+	a, b operand
+}
+
+// lower compiles the postfix tape into k.prog with value numbering —
+// identical subtrees (the argument an inlined square(x) duplicates)
+// get one node, so they are computed once per strip — and assigns
+// columns by a linear scan that frees a column at its value's last use.
+// It reports false when the kernel exceeds a bound of the evaluator.
+func (k *fusedKernel) lower() bool {
+	if len(k.loads) > maxLoads || len(k.invF) > maxInvs || len(k.invI) > maxInvs {
+		return false
+	}
+	// Value numbering: a node is its opcode and operand nodes (the
+	// operand index for leaves); the tape is short, so finding an equal
+	// node is a scan.
+	type node struct {
+		code uint8
+		a, b int8
+	}
+	var (
+		nodes [maxNodes]node
+		last  [maxNodes]int8 // index of the last node reading this one
+		stack [maxTapeDepth]int8
+		n, sp int
+	)
+	for _, op := range k.tape {
+		nd := node{code: op.code, a: -1, b: -1}
+		switch op.code {
+		case opLoad, opInv:
+			nd.a = int8(op.arg)
+		case opIter, opIterF:
+		case opNeg, opNot, opRound:
+			sp--
+			nd.a = stack[sp]
+		default:
+			sp -= 2
+			nd.a, nd.b = stack[sp], stack[sp+1]
+		}
+		id := 0
+		for id < n && nodes[id] != nd {
+			id++
+		}
+		if id == n {
+			nodes[n] = nd
+			n++
+			if nd.code != opLoad && nd.code != opInv {
+				if nd.a >= 0 {
+					last[nd.a] = int8(id)
+				}
+				if nd.b >= 0 {
+					last[nd.b] = int8(id)
+				}
+			}
+		}
+		if sp == len(stack) {
+			return false
+		}
+		stack[sp] = int8(id)
+		sp++
+	}
+	root := int(stack[0])
+	last[root] = maxNodes // the sink reads it after the last op
+
+	// Column assignment and emission, in node order. An op may write
+	// the column of an operand that dies with it: every op reads index
+	// i of its inputs before it writes index i.
+	var where [maxNodes]operand
+	free := uint32(1)<<maxRegs - 1
+	k.prog = make([]stripOp, 0, n)
+	for id := 0; id < n; id++ {
+		nd := nodes[id]
+		op := stripOp{code: nd.code}
+		switch nd.code {
+		case opInv:
+			where[id] = operand{inInv, uint8(nd.a)}
+			continue
+		case opLoad:
+			where[id] = operand{inLoad, uint8(nd.a)}
+			if k.loads[nd.a].stride == 1 {
+				continue
+			}
+			op.a = where[id]
+		case opIter, opIterF:
+		default:
+			for _, in := range [2]int8{nd.a, nd.b} {
+				if in >= 0 && where[in].kind == inCol && int(last[in]) == id {
+					free |= 1 << where[in].idx
+				}
+			}
+			op.a = where[nd.a]
+			if nd.b >= 0 {
+				op.b = where[nd.b]
+			}
+		}
+		if free == 0 {
+			return false
+		}
+		op.dst = uint8(bits.TrailingZeros32(free))
+		free &^= 1 << op.dst
+		where[id] = operand{inCol, op.dst}
+		k.regs = max(k.regs, int(op.dst)+1)
+		k.prog = append(k.prog, op)
+	}
+	k.res = where[root]
+	return true
+}
+
+// emit selects the kernel body — nil when the tape exceeds a bound of
+// the evaluator — and drops what only recognition needed: the launch
+// function keeps k alive for as long as the Program lives.
+func (k *fusedKernel) emit() kernRun {
+	run := k.body()
+	k.tape, k.loadX, k.invX = nil, nil, nil
+	return run
+}
+
+// body is a specialized loop for the few shapes that have one,
+// otherwise the evaluator of the kernel's element kind wrapped in a
+// launch function that owns the strip buffer.
+func (k *fusedKernel) body() kernRun {
+	if !k.sum {
+		if r := emitScale(k); r != nil {
+			return r
+		}
+		if r := emitTriad(k); r != nil {
+			return r
+		}
+	}
+	if !k.lower() {
+		return nil
+	}
+	small := k.regs <= smallRegs
+	switch {
+	case k.float && small:
+		return func(e *env, lo, hi int64) {
+			if hi >= lo {
+				var buf [smallRegs * stripLen]float64
+				k.runFloat(e, lo, hi, buf[:])
+			}
+		}
+	case k.float:
+		return func(e *env, lo, hi int64) {
+			if hi >= lo {
+				var buf [maxRegs * stripLen]float64
+				k.runFloat(e, lo, hi, buf[:])
+			}
+		}
+	case small:
+		return func(e *env, lo, hi int64) {
+			if hi >= lo {
+				var buf [smallRegs * stripLen]int64
+				k.runInt(e, lo, hi, buf[:])
+			}
+		}
+	}
+	return func(e *env, lo, hi int64) {
+		if hi >= lo {
+			var buf [maxRegs * stripLen]int64
+			k.runInt(e, lo, hi, buf[:])
+		}
+	}
+}
+
+// runFloat is one launch of a float map kernel: strip by strip, evaluate
+// and store, rounding through float32 exactly when the stored C type is
+// 4 bytes.
+func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) {
+	var fr kframe
+	k.prepFrame(&fr, e, lo, hi)
+	if k.res.kind == inInv {
+		v := fr.invF[k.res.idx]
+		if fr.f32 {
+			v = float64(float32(v))
+		}
+		fillStrip(fr.dst.f, fr.dst.stride, fr.n, v)
+		return
+	}
+	for t0 := 0; t0 < fr.n; t0 += fr.strip {
+		res := k.evalFloat(&fr, buf, t0, min(fr.strip, fr.n-t0))
+		if fr.f32 {
+			roundStrip(fr.dst.f, fr.dst.stride, t0, res)
+		} else {
+			storeStrip(fr.dst.f, fr.dst.stride, t0, res)
+		}
+	}
+}
+
+// runInt is one launch of an integer kernel on either sink: the element
+// store of a map, or the sum into the accumulator's frame slot (exact
+// in any order, so the strip's partial sums are the loop's).
+func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) {
+	var fr kframe
+	k.prepFrame(&fr, e, lo, hi)
+	var sum int64
+	t0 := 0
+	if k.res.kind == inInv {
+		if v := fr.invI[k.res.idx]; k.sum {
+			sum = v * int64(fr.n)
+		} else {
+			fillStrip(fr.dst.i, fr.dst.stride, fr.n, v)
+		}
+		t0 = fr.n
+	}
+	for t0 < fr.n {
+		n := min(fr.strip, fr.n-t0)
+		res, trap := k.evalInt(&fr, buf, t0, n)
+		switch {
+		case trap == "":
+		case n == 1:
+			rtPanic("%s", trap)
+		default:
+			// A zero divisor somewhere in the strip: nothing of it has
+			// been stored; replay it element by element.
+			fr.strip = 1
+			continue
+		}
+		if k.sum {
+			for _, v := range res {
+				sum += v
+			}
+		} else {
+			storeStrip(fr.dst.i, fr.dst.stride, t0, res)
+		}
+		t0 += n
+	}
+	if k.sum {
+		e.I[k.acc] += sum
+	}
+}
+
+// storeStrip writes a strip's results to the store operand. The results
+// may be a load read in place that overlaps the destination, but under
+// the distance rule only from ahead, where the ascending loop reads
+// before it writes and the memmove of copy does as well.
+func storeStrip[T int64 | float64](dst []T, ds, t0 int, res []T) {
+	if ds == 1 && len(res) >= 8 {
+		copy(dst[t0:], res)
+		return
+	}
+	c := t0 * ds
+	for _, v := range res {
+		dst[c] = v
+		c += ds
+	}
+}
+
+// fillStrip stores an invariant result, the whole launch in one strip.
+func fillStrip[T int64 | float64](dst []T, ds, n int, v T) {
+	for c := 0; n > 0; n, c = n-1, c+ds {
+		dst[c] = v
+	}
+}
+
+// roundStrip is storeStrip into a 4-byte float array.
+func roundStrip(dst []float64, ds, t0 int, res []float64) {
+	if ds == 1 {
+		d := dst[t0:][:len(res)]
+		for i, v := range res {
+			d[i] = float64(float32(v))
+		}
+		return
+	}
+	c := t0 * ds
+	for _, v := range res {
+		dst[c] = float64(float32(v))
+		c += ds
+	}
+}
+
+// Operand forms of a binary op.
+const (
+	formVV uint8 = iota // column op column
+	formVS              // column op scalar
+	formSV              // scalar op column
+)
+
+// evalFloat runs the register program over elements [t0, t0+n) of the
+// launch and returns the result column.
+func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) []float64 {
+	col := func(o operand) []float64 {
+		if o.kind == inLoad {
+			return fr.loads[o.idx].f[t0:][:n]
+		}
+		return buf[int(o.idx)*stripLen:][:n]
+	}
+	for i := range k.prog {
+		op := &k.prog[i]
+		d := buf[int(op.dst)*stripLen:][:n]
+		switch op.code {
+		case opLoad:
+			gatherStrip(d, fr.loads[op.a.idx].f, fr.loads[op.a.idx].stride, t0)
+		case opIterF:
+			iterStrip(d, fr.lo+int64(t0))
+		case opNeg:
+			negStrip(d, col(op.a))
+		case opRound:
+			for i, v := range col(op.a)[:len(d)] {
+				d[i] = float64(float32(v))
+			}
+		default:
+			a, b, s, form := d, d, 0.0, formVV
+			if op.a.kind == inInv {
+				s, form = fr.invF[op.a.idx], formSV
+			} else {
+				a = col(op.a)
+			}
+			if op.b.kind == inInv {
+				s, form = fr.invF[op.b.idx], formVS
+			} else {
+				b = col(op.b)
+			}
+			arith(op.code, form, d, a, b, s)
+		}
+	}
+	return col(k.res)
+}
+
+// evalInt is evalFloat for integer programs. A zero divisor anywhere in
+// the strip makes it return the dispatch loop's trap message instead of
+// a column, before the op divides.
+func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, string) {
+	col := func(o operand) []int64 {
+		if o.kind == inLoad {
+			return fr.loads[o.idx].i[t0:][:n]
+		}
+		return buf[int(o.idx)*stripLen:][:n]
+	}
+	for i := range k.prog {
+		op := &k.prog[i]
+		d := buf[int(op.dst)*stripLen:][:n]
+		switch op.code {
+		case opLoad:
+			gatherStrip(d, fr.loads[op.a.idx].i, fr.loads[op.a.idx].stride, t0)
+		case opIter:
+			iterStrip(d, fr.lo+int64(t0))
+		case opNeg:
+			negStrip(d, col(op.a))
+		case opNot:
+			for i, v := range col(op.a)[:len(d)] {
+				d[i] = ^v
+			}
+		default:
+			a, b, s, form := d, d, int64(0), formVV
+			if op.a.kind == inInv {
+				s, form = fr.invI[op.a.idx], formSV
+			} else {
+				a = col(op.a)
+			}
+			if op.b.kind == inInv {
+				s, form = fr.invI[op.b.idx], formVS
+			} else {
+				b = col(op.b)
+			}
+			if op.code == opQuo || op.code == opRem {
+				zero := form == formVS && s == 0
+				if form != formVS {
+					for _, v := range b {
+						zero = zero || v == 0
+					}
+				}
+				if zero && op.code == opQuo {
+					return nil, "integer division by zero"
+				} else if zero {
+					return nil, "integer modulo by zero"
+				}
+			}
+			if op.code <= opQuo {
+				arith(op.code, form, d, a, b, s)
+			} else {
+				intStrip(op.code, form, d, a, b, s)
+			}
+		}
+	}
+	return col(k.res), ""
+}
+
+func gatherStrip[T int64 | float64](d, src []T, stride, t0 int) {
+	c := t0 * stride
+	for i := range d {
+		d[i] = src[c]
+		c += stride
+	}
+}
+
+func iterStrip[T int64 | float64](d []T, first int64) {
+	for i := range d {
+		d[i] = T(first + int64(i))
+	}
+}
+
+func negStrip[T int64 | float64](d, a []T) {
+	for i, v := range a[:len(d)] {
+		d[i] = -v
+	}
+}
+
+// arith runs one of the four binary ops both element kinds have over a
+// strip. Integer division reaches it only after evalInt has seen every
+// divisor.
+func arith[T int64 | float64](code, form uint8, d, a, b []T, s T) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch code<<2 | form {
+	case opAdd<<2 | formVV:
+		for i := range d {
+			d[i] = a[i] + b[i]
+		}
+	case opAdd<<2 | formVS:
+		for i := range d {
+			d[i] = a[i] + s
+		}
+	case opAdd<<2 | formSV:
+		for i := range d {
+			d[i] = s + b[i]
+		}
+	case opSub<<2 | formVV:
+		for i := range d {
+			d[i] = a[i] - b[i]
+		}
+	case opSub<<2 | formVS:
+		for i := range d {
+			d[i] = a[i] - s
+		}
+	case opSub<<2 | formSV:
+		for i := range d {
+			d[i] = s - b[i]
+		}
+	case opMul<<2 | formVV:
+		for i := range d {
+			d[i] = a[i] * b[i]
+		}
+	case opMul<<2 | formVS:
+		for i := range d {
+			d[i] = a[i] * s
+		}
+	case opMul<<2 | formSV:
+		for i := range d {
+			d[i] = s * b[i]
+		}
+	case opQuo<<2 | formVV:
+		for i := range d {
+			d[i] = a[i] / b[i]
+		}
+	case opQuo<<2 | formVS:
+		for i := range d {
+			d[i] = a[i] / s
+		}
+	case opQuo<<2 | formSV:
+		for i := range d {
+			d[i] = s / b[i]
+		}
+	}
+}
+
+// intStrip runs an integer-only binary op over a strip: the modulo
+// (over divisors evalInt has checked), whose cost is the division's,
+// and the bitwise and shift ops, which are rare. Neither earns a loop
+// per operand form, so a scalar operand is a one-cell column walked at
+// stride 0.
+func intStrip(code, form uint8, d, a, b []int64, s int64) {
+	sa, sb, cell := 1, 1, [1]int64{s}
+	switch form {
+	case formVS:
+		b, sb = cell[:], 0
+	case formSV:
+		a, sa = cell[:], 0
+	}
+	switch code {
+	case opRem:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] % b[y]
+		}
+	case opAnd:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] & b[y]
+		}
+	case opOr:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] | b[y]
+		}
+	case opXor:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] ^ b[y]
+		}
+	case opShl:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] << uint(b[y])
+		}
+	case opShr:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = a[x] >> uint(b[y])
+		}
+	}
+}

@@ -137,12 +137,12 @@ var matchedGolden = map[string][2]int{
 	"lama-manual/icc/seq":          {0, 0},
 	"lama-manual/gcc+vec/par":      {1, 2},
 	"lama-manual/gcc+vec/seq":      {1, 2},
-	"reduce-sum/gcc/par":           {0, 0},
-	"reduce-sum/gcc/seq":           {0, 0},
-	"reduce-sum/icc/par":           {0, 0},
-	"reduce-sum/icc/seq":           {0, 0},
-	"reduce-sum/gcc+vec/par":       {0, 0},
-	"reduce-sum/gcc+vec/seq":       {0, 0},
+	"reduce-sum/gcc/par":           {1, 0},
+	"reduce-sum/gcc/seq":           {1, 0},
+	"reduce-sum/icc/par":           {1, 0},
+	"reduce-sum/icc/seq":           {1, 0},
+	"reduce-sum/gcc+vec/par":       {1, 0},
+	"reduce-sum/gcc+vec/seq":       {1, 0},
 	"reduce-dot/gcc/par":           {0, 0},
 	"reduce-dot/gcc/seq":           {0, 0},
 	"reduce-dot/icc/par":           {1, 0},

@@ -255,10 +255,10 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 	}
 }
 
-// poolTrapSrc has a clean main and two entry points that trap three
-// activations deep — boom on the root stack, boompar inside the workers
-// of a parallel reduction — leaving frames (and local-array segments)
-// behind that nobody popped.
+// poolTrapSrc has a clean main and three entry points that trap deep —
+// boom three activations down on the root stack, boompar inside the
+// workers of a parallel reduction, forever at the call-depth cap —
+// leaving frames (and local-array segments) behind that nobody popped.
 const poolTrapSrc = `
 int sink[8];
 int total;
@@ -277,6 +277,12 @@ pure int lvl1(int i) {
     return lvl2(i + 1) * 2 + (int)f;
 }
 int boom(void) { return lvl1(3); }
+int down(int n) {
+    int pad[2];
+    pad[1] = n;
+    return down(pad[1] + 1) + 1;
+}
+int forever(void) { return down(0); }
 int boompar(void) {
     int s = 0;
     for (int i = 0; i < 64; i++)
@@ -321,7 +327,7 @@ func TestPoolCleanAfterDeepTrap(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := prog.NewPool(comp.PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(3) }})
-		for round, entry := range []string{"boom", "boompar", "boom"} {
+		for round, entry := range []string{"boom", "boompar", "forever", "boom"} {
 			proc, err := pool.Get()
 			if err != nil {
 				t.Fatal(err)

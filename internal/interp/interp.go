@@ -85,6 +85,8 @@ type Interp struct {
 	// checkedPragmas memoizes reduction-pragma validation per pragma
 	// node ("" = valid; otherwise the failure message).
 	checkedPragmas map[*ast.PragmaStmt]string
+	// depth counts the live activations (see mem.MaxCallDepth).
+	depth int
 }
 
 // cell is one scalar storage location or an array/struct segment handle.
@@ -196,6 +198,7 @@ func (in *Interp) Call(name string, args ...Value) (v Value, err error) {
 			err = fmt.Errorf("interp runtime error: %v", r)
 		}
 	}()
+	in.depth = 0 // a trapped earlier call left its activations counted
 	v, _ = in.call(name, args)
 	return v, nil
 }
@@ -223,6 +226,10 @@ func (in *Interp) call(name string, args []Value) (Value, ctrl) {
 	if fd == nil || fd.Body == nil {
 		panic(fmt.Sprintf("call of undefined function %s", name))
 	}
+	if in.depth >= mem.MaxCallDepth {
+		panic(mem.StackOverflow())
+	}
+	in.depth++
 	fr := &frame{vars: map[*sema.Symbol]*cell{}}
 	// Bind parameters: FuncLocals lists params first in order.
 	locals := in.info.FuncLocals[name]
@@ -241,6 +248,7 @@ func (in *Interp) call(name string, args []Value) (Value, ctrl) {
 		fr.vars[sym] = c
 	}
 	c := in.stmts(fd.Body.List, fr)
+	in.depth--
 	if c.kind == ctrlReturn {
 		return c.val, ctrl{}
 	}

@@ -20,6 +20,22 @@ import (
 	"sync/atomic"
 )
 
+// MaxCallDepth bounds the guest call stack: the call that would open
+// activation MaxCallDepth+1 traps ("stack overflow: call depth exceeds
+// N") in the interpreter and in both compiled engines alike, instead of
+// running the host goroutine into Go's unrecoverable stack overflow.
+// Every engine nests host frames per guest call: at this depth the
+// plain recursion `return f(n + 1) + 1;` has grown the Go stack to
+// 2 MiB on the closure engine, 4 MiB on the tape engine and 32 MiB in
+// the interpreter — far from the runtime's 1 GB limit, and far above
+// any depth the served programs reach.
+const MaxCallDepth = 10000
+
+// StackOverflow is the trap text of a call past MaxCallDepth.
+func StackOverflow() string {
+	return fmt.Sprintf("stack overflow: call depth exceeds %d", MaxCallDepth)
+}
+
 // CellKind is the element type of a segment.
 type CellKind int
 

@@ -149,38 +149,46 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 }
 
 // TestGuestTrapReturnsStructuredError: a guest that traps (use after
-// free) must produce a structured JSON error response — not crash the
-// daemon, which must keep serving.
+// free; recursion without end, which used to take the whole daemon
+// down with Go's fatal stack overflow) must produce a structured JSON
+// error response — not crash the daemon, which must keep serving.
 func TestGuestTrapReturnsStructuredError(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	trap := `
+	for _, trap := range []struct{ src, text string }{
+		{`
 int main(void) {
     int *p = (int*)malloc(4 * sizeof(int));
     free(p);
     return p[0];
 }
-`
-	resp := post(t, ts, RunRequest{Source: trap})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("trap status = %d, want 422", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Fatalf("trap content type = %q, want JSON", ct)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal([]byte(readBody(t, resp)), &e); err != nil {
-		t.Fatalf("trap body not JSON: %v", err)
-	}
-	if !strings.HasPrefix(e.Error, "run:") || e.Error == "run:" {
-		t.Fatalf("trap error %q does not describe a run fault", e.Error)
-	}
+`, "runtime error"},
+		{`
+int f(int n) { return f(n + 1) + 1; }
+int main(void) { return f(0); }
+`, "stack overflow: call depth exceeds"},
+	} {
+		resp := post(t, ts, RunRequest{Source: trap.src})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("trap status = %d, want 422", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+			t.Fatalf("trap content type = %q, want JSON", ct)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(readBody(t, resp)), &e); err != nil {
+			t.Fatalf("trap body not JSON: %v", err)
+		}
+		if !strings.HasPrefix(e.Error, "run:") || !strings.Contains(e.Error, trap.text) {
+			t.Fatalf("trap error %q does not describe the run fault (%s)", e.Error, trap.text)
+		}
 
-	// The daemon survives and keeps serving.
-	resp = post(t, ts, RunRequest{Source: `int main(void) { printf("alive\n"); return 0; }`})
-	if resp.StatusCode != http.StatusOK || readBody(t, resp) != "alive\n" {
-		t.Fatal("daemon did not keep serving after a guest trap")
+		// The daemon survives and keeps serving.
+		resp = post(t, ts, RunRequest{Source: `int main(void) { printf("alive\n"); return 0; }`})
+		if resp.StatusCode != http.StatusOK || readBody(t, resp) != "alive\n" {
+			t.Fatal("daemon did not keep serving after a guest trap")
+		}
 	}
 }
 
