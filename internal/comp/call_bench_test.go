@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
-// callBenchSrc holds the three ways a guest call can go: leafmap's
-// stencil through a leaf pure function inlines into the loop matcher
-// (handmap is the same loop with the call substituted by hand, casts
-// kept); dotrows calls a pure function with a loop in it once per row
-// and fibrun recurses, so both run on the frame stack.
+// callBenchSrc holds the ways a guest call can go: leafmap's stencil
+// through a leaf pure function inlines into the loop matcher (handmap
+// is the same loop with the call substituted by hand, casts kept);
+// leafloop is matmul's row product, a leaf call inside a float sum that
+// gcc does not fuse, so the statement engine evaluates the inlined
+// expression per iteration; dotrows calls a pure function with a loop
+// in it once per row and fibrun recurses, so both run on the frame
+// stack.
 const callBenchSrc = `
 float a[4096], b[4096], c[64];
 
@@ -21,6 +24,17 @@ pure float dot(pure float* x, pure float* y, int n) {
     float res = 0.0f;
     for (int i = 0; i < n; ++i)
         res += x[i] * y[i];
+    return res;
+}
+
+pure float mult(float x, float y) {
+    return x * y;
+}
+
+pure float dotmult(pure float* x, pure float* y, int n) {
+    float res = 0.0f;
+    for (int i = 0; i < n; ++i)
+        res += mult(x[i], y[i]);
     return res;
 }
 
@@ -39,6 +53,11 @@ int leafmap(void) {
 int handmap(void) {
     for (int j = 1; j < 4095; j++)
         b[j] = 0.25f * (((pure float*)a)[j - 1] + ((pure float*)a)[j] + ((pure float*)a)[j + 1]);
+    return 0;
+}
+
+int leafloop(void) {
+    c[0] = dotmult((pure float*)a, (pure float*)b, 4096);
     return 0;
 }
 
@@ -63,12 +82,15 @@ int main(void) {
 
 // BenchmarkPureCall measures a guest call per path, allocations
 // included: leaf-ptr must stay within noise of leaf-ptr-byhand (both are
-// one fused kernel launch), nonleaf is 64 calls and recursive 3193
-// calls per op on the frame stack — zero allocations once it has grown.
+// one fused kernel launch), leaf-loop on tape must not be slower than
+// on closure (4096 inlined calls per op, none of them a closure tree
+// behind a tape call op), nonleaf is 64 calls and recursive 3193 calls
+// per op on the frame stack — zero allocations once it has grown.
 func BenchmarkPureCall(b *testing.B) {
 	for _, bc := range []struct{ name, fn string }{
 		{"leaf-ptr", "leafmap"},
 		{"leaf-ptr-byhand", "handmap"},
+		{"leaf-loop", "leafloop"},
 		{"nonleaf", "dotrows"},
 		{"recursive", "fibrun"},
 	} {

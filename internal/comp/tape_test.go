@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"purec/internal/apps"
 	"purec/internal/interp"
 	"purec/internal/parser"
+	"purec/internal/preproc"
 	"purec/internal/sema"
 )
 
@@ -407,5 +409,66 @@ func TestTapeSlotAllocation(t *testing.T) {
 	}
 	if got != (1+2)*(3+4)+(5+6)*(7+8) {
 		t.Fatalf("got %d", got)
+	}
+}
+
+// TestTapeInlinesLeafCalls: a leaf pure call that inline.go replaces by
+// its return expression is compiled on the tape like any other
+// expression, not as a pooled closure tree behind tCallI/tCallF. The
+// loops are kept off the kernels (no front end, so no pragmas; NoFuse)
+// so that the tape itself has to evaluate the call.
+func TestTapeInlinesLeafCalls(t *testing.T) {
+	calls := func(tp *tape) (n int) {
+		for _, in := range tp.code {
+			if in.op == tCallI || in.op == tCallF || in.op == tCallP {
+				n++
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name, src string
+		defines   map[string]string
+		fn        string // function whose loop calls the leaf
+	}{
+		{"matmul", apps.MatmulSrc, apps.MatmulDefines(8), "dot"},
+		{"reduce-sum", apps.ReduceSumSrc, apps.ReduceDefines(64), "run"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ex := &preproc.Expander{}
+			for k, v := range c.defines {
+				ex.Define(k, v)
+			}
+			text, err := ex.Expand(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.Parse("t.c", text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := sema.Check(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := CompileProgram(info, Options{Engine: EngineTape, NoFuse: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.InlinedCalls() == 0 {
+				t.Fatal("no call was inlined: the test has nothing to look for")
+			}
+			if n := calls(tapeOf(t, prog.funcs[c.fn])); n != 0 {
+				t.Errorf("tape of %s holds %d closure call ops for an inlined callee, want 0", c.fn, n)
+			}
+		})
+	}
+	// The op is what a call that stays a call compiles to: tri has a
+	// loop and is no leaf.
+	m, _ := compileEngine(t, `
+		pure int tri(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
+		int main(void) { int r = tri(5); return r; }`, EngineTape)
+	if calls(tapeOf(t, m.Program().funcs["main"])) == 0 {
+		t.Fatal("a non-leaf call left no call op on the tape: the scan above proves nothing")
 	}
 }

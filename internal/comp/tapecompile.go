@@ -10,9 +10,10 @@ package comp
 // backend does.
 //
 // Totality comes from the bail mechanism: any construct the tape does
-// not linearize (calls in value context compile to pooled closures;
-// assignment used as an expression value and anything the closure
-// backend itself rejects) panics tapeBail,
+// not linearize (calls in value context compile to pooled closures,
+// except leaf pure calls, whose inlined expression goes on the tape
+// like any other; assignment used as an expression value and anything
+// the closure backend itself rejects) panics tapeBail,
 // which rolls the current statement back and re-compiles the whole
 // statement with the regular backend into a tStmt escape. The
 // surrounding control flow stays on the tape either way.
@@ -648,6 +649,9 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 	case *ast.SizeofExpr:
 		return tc.loadConstI(fc.sizeofValue(x))
 	case *ast.CallExpr:
+		if inl, ok := fc.inlineCall(x); ok {
+			return tc.intExpr(inl)
+		}
 		return tc.callI(fc.callInt(x))
 	}
 	panic(tapeBail{})
@@ -965,6 +969,9 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 		}
 		return r
 	case *ast.CallExpr:
+		if inl, ok := fc.inlineCall(x); ok {
+			return tc.flt(inl)
+		}
 		return tc.callF(fc.callFlt(x))
 	}
 	panic(tapeBail{})
@@ -1068,6 +1075,9 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 	case *ast.CallExpr:
 		if x.Fun.Name == "malloc" {
 			panic(tapeBail{}) // closure backend reports the cast diagnostic
+		}
+		if inl, ok := fc.inlineCall(x); ok {
+			return tc.ptrExpr(inl)
 		}
 		return tc.callP(fc.callPtr(x))
 	case *ast.IntLit:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,24 +13,46 @@ import (
 	"sync"
 
 	"purec/internal/parser"
-	"purec/internal/purity"
 	"purec/internal/sema"
 	"purec/internal/vra"
 )
 
 // The persistent program cache stores validated build products on disk,
-// keyed by the same content hash as the in-memory ProgramCache. An
-// entry holds the lowered, polyhedrally transformed source of a
-// finished build plus the front end's verdicts (pure set, SCoP count,
-// rejections) and an integrity checksum. Loading an entry restores an
-// executable Artifact without re-entering the pipeline front end
-// (preprocess, parse, purity, SCoP detection, polyhedral transform):
-// only the cheap revalidation the chain runs on its own output anyway —
-// parse + semantic check + value-range analysis of the already-lowered
-// source — and the closure compile run again, because compiled
-// Programs are Go closures and cannot be serialized. Corrupt entries
-// (truncated files, bit flips, version skew) are detected by the
-// checksum, rejected, deleted and rebuilt from source — never executed.
+// keyed by the same content hash as the in-memory ProgramCache.
+//
+// What an entry holds. One file per key: a single line of compact JSON
+// (the header, diskEntry) followed by the raw text of the lowered,
+// polyhedrally transformed source (Stages.Transformed), unescaped. The
+// header carries the front end's verdicts (pure set, SCoP count,
+// rejections), the two facts the storing build derived from the final
+// model — the bounds proofs of its value-range analysis, as node
+// ordinals of the stored text (vra.EncodeProofs), and the memoizable
+// set — and a SHA-256 over every one of those fields plus the text.
+// Stages.Final, like Stripped/Expanded/Marked and the transform Report,
+// is not persisted: no consumer of a restored artifact reads it.
+//
+// What Load runs. Restoring an entry re-enters neither the pipeline
+// front end (preprocess, parse, purity, SCoP detection, polyhedral
+// transform) nor the analyses of the final model: it parses and
+// semantically checks the stored text — Compile needs the tree and its
+// model — and rebuilds the proof map from the header's ordinals. The
+// closure compile then runs again, because compiled Programs are Go
+// closures and cannot be serialized.
+//
+// Why the stored proofs are trusted. They sit under the same checksum
+// as the text, and the text already decides what runs and where it runs
+// in parallel (its #pragma lines are executed as written, not
+// re-derived): whoever can forge a proof list with a matching sum can
+// forge the program. Independently of the sum, a list that cannot have
+// come from an analysis of the stored text is refused, and a proof that
+// is wrong anyway only removes a guest-level check in front of a Go
+// slice access — Go's own bounds check still stands behind it, so the
+// worst case is a Go bounds panic reported as a runtime error, never a
+// read or write outside the guest's segments.
+//
+// Entries that fail any of this (truncated files, bit flips, another
+// format version, a payload that no longer revalidates) are rejected,
+// deleted and rebuilt from source — never executed.
 //
 // Writes are torn-write-safe for concurrent daemons sharing one cache
 // directory: each entry is written to an O_EXCL temp file and
@@ -37,44 +60,59 @@ import (
 // complete entry, the new complete entry, or nothing.
 
 // diskEntryVersion is bumped whenever the entry layout or the restore
-// contract changes; entries of other versions are rejected as corrupt.
-const diskEntryVersion = 1
+// contract changes; entries of other versions are rejected as stale.
+// Version 1 was one indented JSON document holding Transformed and
+// Final as escaped strings; its whole file decodes as a header, which
+// is how Load recognises it.
+const diskEntryVersion = 2
 
-// diskEntry is the JSON form of one on-disk cache entry.
+// diskEntry is the header line of one on-disk cache entry; the
+// transformed source follows it after a newline.
 type diskEntry struct {
-	Version     int      `json:"version"`
-	Key         string   `json:"key"`
-	FileName    string   `json:"file_name"`
-	Transformed string   `json:"transformed"`
-	Final       string   `json:"final"`
-	Pure        []string `json:"pure,omitempty"`
-	SCoPs       int      `json:"scops"`
-	Rejections  []string `json:"rejections,omitempty"`
+	Version    int      `json:"version"`
+	Key        string   `json:"key"`
+	FileName   string   `json:"file_name"`
+	Pure       []string `json:"pure,omitempty"`
+	Memoizable []string `json:"memoizable,omitempty"`
+	SCoPs      int      `json:"scops"`
+	Rejections []string `json:"rejections,omitempty"`
+	// Proofs names the accesses the storing build proved in bounds, as
+	// ascending expression-node ordinals of the stored text.
+	Proofs []int `json:"proofs,omitempty"`
 	// Sum is the hex SHA-256 of the canonical payload; Load rejects
-	// entries whose recomputed sum differs (bit flip, truncation that
-	// still parses, hand edits).
+	// entries whose recomputed sum differs (bit flip, truncation, hand
+	// edits).
 	Sum string `json:"sum"`
 }
 
-// sum computes the canonical integrity checksum of the entry payload.
-func (e *diskEntry) sum() string {
+// sum computes the canonical integrity checksum over every header field
+// Load acts on and the source text that follows the header.
+func (e *diskEntry) sum(text []byte) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d;key:%s;file:%d:%s;", e.Version, e.Key, len(e.FileName), e.FileName)
-	fmt.Fprintf(h, "trans:%d:%s;final:%d:%s;", len(e.Transformed), e.Transformed, len(e.Final), e.Final)
-	fmt.Fprintf(h, "pure:%d:%s;scops:%d;rej:%d:%s;",
-		len(e.Pure), strings.Join(e.Pure, ","), e.SCoPs, len(e.Rejections), strings.Join(e.Rejections, "\x00"))
+	fmt.Fprintf(h, "pure:%d:%s;memo:%d:%s;scops:%d;rej:%d:%s;",
+		len(e.Pure), strings.Join(e.Pure, ","), len(e.Memoizable), strings.Join(e.Memoizable, ","),
+		e.SCoPs, len(e.Rejections), strings.Join(e.Rejections, "\x00"))
+	fmt.Fprintf(h, "proofs:%d:%v;text:%d:", len(e.Proofs), e.Proofs, len(text))
+	h.Write(text)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DiskStats counts the disk cache's traffic. Corrupt counts entries the
-// integrity or revalidation checks rejected (each is deleted and the
-// build falls back to the full pipeline).
+// DiskStats counts the disk cache's traffic. A rejected entry is
+// deleted, counted as a miss and under exactly one of three reasons,
+// and the build falls back to the full pipeline: Corrupt (undecodable,
+// wrong key or checksum mismatch — a torn write or a bit flip), Stale
+// (written under another diskEntryVersion — a toolchain roll-over) or
+// Revalidation (checksummed clean, but the text or the proof list no
+// longer revalidates against this toolchain).
 type DiskStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stores  uint64 `json:"stores"`
-	Corrupt uint64 `json:"corrupt"`
-	Evicted uint64 `json:"evicted"`
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Stores       uint64 `json:"stores"`
+	Corrupt      uint64 `json:"corrupt"`
+	Stale        uint64 `json:"stale"`
+	Revalidation uint64 `json:"revalidation"`
+	Evicted      uint64 `json:"evicted"`
 }
 
 // DiskCache is the persistent, shareable half of the program cache: a
@@ -145,11 +183,12 @@ func (d *DiskCache) count(field *uint64) {
 }
 
 // Load restores the Artifact of a previously stored build. It returns
-// ok=false on a plain miss and on any integrity failure; corrupt
-// entries are deleted so the rebuilt artifact can replace them. The
-// returned Artifact carries src as Stages.Original; the intermediate
-// front-end snapshots (Stripped/Expanded/Marked) and the transform
-// Report are not persisted — the daemon's execution path needs neither.
+// ok=false on a plain miss and on any rejection; rejected entries are
+// deleted so the rebuilt artifact can replace them. The returned
+// Artifact carries src as Stages.Original and the stored text as
+// Stages.Transformed; the other snapshots (Stripped/Expanded/Marked/
+// Final) and the transform Report are not persisted — the daemon's
+// execution path needs none of them.
 func (d *DiskCache) Load(src string, key CacheKey, cfg Config) (*Artifact, bool) {
 	d.beginLoad(key)
 	defer d.endLoad(key)
@@ -158,33 +197,43 @@ func (d *DiskCache) Load(src string, key CacheKey, cfg Config) (*Artifact, bool)
 		d.count(&d.stats.Misses)
 		return nil, false
 	}
+	// The header is the first JSON value of the file, whatever follows:
+	// entries of every version so far begin with an object that names
+	// its version, so a foreign one is told apart from garbage.
 	e := &diskEntry{}
-	if err := json.Unmarshal(data, e); err != nil {
-		d.reject(key, "undecodable entry")
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(e); err != nil {
+		d.reject(key, &d.stats.Corrupt)
 		return nil, false
 	}
-	if e.Version != diskEntryVersion || e.Key != key.String() || e.Sum != e.sum() {
-		d.reject(key, "integrity check failed")
+	if e.Version != diskEntryVersion {
+		d.reject(key, &d.stats.Stale)
 		return nil, false
 	}
-	art, err := restoreArtifact(src, e)
+	text, ok := bytes.CutPrefix(data[dec.InputOffset():], []byte{'\n'})
+	if !ok || e.Key != key.String() || e.Sum != e.sum(text) {
+		d.reject(key, &d.stats.Corrupt)
+		return nil, false
+	}
+	art, err := restoreArtifact(src, e, string(text))
 	if err != nil {
-		// The payload checksummed clean but no longer revalidates (e.g.
-		// an entry written by a build of a different toolchain state).
-		// Treat exactly like corruption: reject, delete, rebuild.
-		d.reject(key, "revalidation failed")
+		// The payload checksummed clean but no longer revalidates (an
+		// entry written by a different toolchain state, or edited and
+		// re-summed). Reject, delete, rebuild.
+		d.reject(key, &d.stats.Revalidation)
 		return nil, false
 	}
 	d.count(&d.stats.Hits)
 	return art, true
 }
 
-// reject deletes a failed entry and counts it as corrupt (plus a miss,
-// so hit-rate arithmetic stays honest).
-func (d *DiskCache) reject(key CacheKey, _ string) {
+// reject deletes a failed entry and counts it under reason (one of the
+// three rejection counters of d.stats) plus a miss, so hit-rate
+// arithmetic stays honest.
+func (d *DiskCache) reject(key CacheKey, reason *uint64) {
 	os.Remove(d.path(key))
 	d.mu.Lock()
-	d.stats.Corrupt++
+	*reason++
 	d.stats.Misses++
 	d.mu.Unlock()
 }
@@ -199,26 +248,34 @@ func (d *DiskCache) Store(key CacheKey, cfg Config, art *Artifact) error {
 		name = "program.c"
 	}
 	e := &diskEntry{
-		Version:     diskEntryVersion,
-		Key:         key.String(),
-		FileName:    name,
-		Transformed: art.Stages.Transformed,
-		Final:       art.Stages.Final,
-		Pure:        append([]string(nil), art.Pure...),
-		SCoPs:       art.SCoPs,
-		Rejections:  append([]string(nil), art.Rejections...),
+		Version:    diskEntryVersion,
+		Key:        key.String(),
+		FileName:   name,
+		Pure:       append([]string(nil), art.Pure...),
+		Memoizable: append([]string(nil), art.Memoizable...),
+		SCoPs:      art.SCoPs,
+		Rejections: append([]string(nil), art.Rejections...),
 	}
 	sort.Strings(e.Pure)
-	e.Sum = e.sum()
-	data, err := json.MarshalIndent(e, "", " ")
+	sort.Strings(e.Memoizable)
+	if art.VRA != nil {
+		var err error
+		if e.Proofs, err = art.VRA.EncodeProofs(art.Info.File); err != nil {
+			return err
+		}
+	}
+	text := []byte(art.Stages.Transformed)
+	e.Sum = e.sum(text)
+	data, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
+	data = append(append(data, '\n'), text...)
 	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -280,22 +337,26 @@ func (d *DiskCache) evictOver() {
 	}
 }
 
-// restoreArtifact revalidates a disk entry into an executable Artifact
-// without the pipeline front end: the stored source is already lowered
-// and transformed, so only the chain's own restart-on-generated-file
-// steps run — parse, semantic check, value-range analysis and the
-// memoizable-set computation. Exactly what core.Front does after
-// PC-PosPro, and nothing before it.
-func restoreArtifact(src string, e *diskEntry) (*Artifact, error) {
+// restoreArtifact turns a checksummed disk entry back into an executable
+// Artifact. The stored text is already lowered and transformed, so the
+// chain's restart on its own generated file shrinks to what Compile
+// cannot do without: parse and semantic check of the text (the tree and
+// its model), then the proof map rebuilt from the entry's ordinals onto
+// the nodes of that tree. Neither vra.Analyze nor purity.Memoizable
+// runs — the storing build held both results, and the entry carries
+// them under its checksum. Artifact.VRA of a restored artifact is
+// proofs-only: Compile reads nothing else, and the user-source findings
+// of -analyze are a front-end concern that was never restored.
+func restoreArtifact(src string, e *diskEntry, text string) (*Artifact, error) {
 	art := &Artifact{
-		Pure:       append([]string(nil), e.Pure...),
+		Pure:       e.Pure,
+		Memoizable: e.Memoizable,
 		SCoPs:      e.SCoPs,
-		Rejections: append([]string(nil), e.Rejections...),
+		Rejections: e.Rejections,
 	}
 	art.Stages.Original = src
-	art.Stages.Transformed = e.Transformed
-	art.Stages.Final = e.Final
-	file, err := parser.Parse(e.FileName, e.Transformed)
+	art.Stages.Transformed = text
+	file, err := parser.Parse(e.FileName, text)
 	if err != nil {
 		return nil, fmt.Errorf("stored source does not reparse: %v", err)
 	}
@@ -304,12 +365,13 @@ func restoreArtifact(src string, e *diskEntry) (*Artifact, error) {
 		return nil, fmt.Errorf("stored source does not re-check: %v", err)
 	}
 	art.Info = info
-	// The analysis runs on the final model only: the bounds proofs the
-	// Compile step consumes are keyed to these nodes. The user-source
-	// findings of -analyze are a front-end concern and are not restored.
-	art.VRA = vra.Analyze(info)
-	for name := range purity.Memoizable(info) {
-		art.Memoizable = append(art.Memoizable, name)
+	for _, name := range e.Memoizable {
+		if sig := info.Funcs[name]; sig == nil || !sig.Pure || sig.Builtin {
+			return nil, fmt.Errorf("stored memoizable set names %s, no pure function of the stored source", name)
+		}
+	}
+	if art.VRA, err = vra.RestoreProofs(file, e.Proofs); err != nil {
+		return nil, fmt.Errorf("stored proofs do not revalidate: %v", err)
 	}
 	return art, nil
 }

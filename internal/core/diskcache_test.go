@@ -91,11 +91,18 @@ func TestDiskCacheRestartSkipsFrontEnd(t *testing.T) {
 	}
 }
 
+// rejections lists the three rejection counters by name, the form the
+// tests below assert them in.
+func rejections(st DiskStats) map[string]uint64 {
+	return map[string]uint64{"corrupt": st.Corrupt, "stale": st.Stale, "revalidation": st.Revalidation}
+}
+
 // corruptAndRebuild stores one entry, mangles it with mangle, and
-// asserts the corruption is detected, the entry rejected and deleted,
-// and the next build falls back to the full pipeline (the corrupt
-// payload is never turned into an executable Program).
-func corruptAndRebuild(t *testing.T, mangle func(t *testing.T, path string)) {
+// asserts the damage is detected, the entry rejected under exactly the
+// named reason and deleted, and the next build falls back to the full
+// pipeline (the mangled payload is never turned into an executable
+// Program).
+func corruptAndRebuild(t *testing.T, reason string, mangle func(t *testing.T, path string)) {
 	t.Helper()
 	d, dir := newDiskTest(t, 0)
 	cfg := Config{FileName: "t.c"}
@@ -110,25 +117,28 @@ func corruptAndRebuild(t *testing.T, mangle func(t *testing.T, path string)) {
 		t.Fatalf("entry file missing after store: %v", err)
 	}
 	mangle(t, path)
+	missesBefore := d.Stats().Misses
 
 	// The mangled entry must fail Load outright...
 	if _, ok := d.Load(diskCacheSrc, key, cfg); ok {
-		t.Fatal("Load accepted a corrupted entry")
+		t.Fatal("Load accepted a mangled entry")
 	}
-	if st := d.Stats(); st.Corrupt == 0 {
-		t.Fatalf("corruption not counted: %+v", st)
+	want := map[string]uint64{"corrupt": 0, "stale": 0, "revalidation": 0}
+	want[reason] = 1
+	if st := d.Stats(); fmt.Sprint(rejections(st)) != fmt.Sprint(want) || st.Misses != missesBefore+1 {
+		t.Fatalf("rejection counted as %v and %d misses, want %v and 1 miss", rejections(st), st.Misses-missesBefore, want)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry not deleted (stat err %v)", err)
+		t.Fatalf("rejected entry not deleted (stat err %v)", err)
 	}
 
 	// ...and a restarted daemon must rebuild from source, not execute
-	// the corrupt payload: the front end provably runs again.
+	// the mangled payload: the front end provably runs again.
 	restarted := NewProgramCache(8).WithDisk(d)
 	frontBefore := FrontRuns()
 	bs, out := runViaCache(t, restarted, diskCacheSrc, cfg)
 	if bs != SourceCompiled {
-		t.Fatalf("post-corruption build source = %v, want compiled", bs)
+		t.Fatalf("post-rejection build source = %v, want compiled", bs)
 	}
 	if delta := FrontRuns() - frontBefore; delta == 0 {
 		t.Fatal("front end did not run for the rebuild")
@@ -138,57 +148,69 @@ func corruptAndRebuild(t *testing.T, mangle func(t *testing.T, path string)) {
 	}
 }
 
-// TestDiskCacheTruncatedEntryRejected: a truncated entry file (torn
-// write simulation) is detected, rejected and rebuilt.
+// editEntry rewrites an entry file through edit, which sees the raw
+// bytes of the header line and of the source text after it.
+func editEntry(t *testing.T, path string, edit func(header, text []byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, text, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		t.Fatalf("entry %s has no header line", path)
+	}
+	if err := os.WriteFile(path, edit(header, text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskCacheTruncatedEntryRejected: an entry file cut short (torn
+// write simulation), inside the source text or inside the header, is
+// detected, rejected and rebuilt.
 func TestDiskCacheTruncatedEntryRejected(t *testing.T) {
-	corruptAndRebuild(t, func(t *testing.T, path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	t.Run("text", func(t *testing.T) {
+		corruptAndRebuild(t, "corrupt", func(t *testing.T, path string) {
+			editEntry(t, path, func(header, text []byte) []byte {
+				return append(append(header, '\n'), text[:len(text)/2]...)
+			})
+		})
+	})
+	t.Run("header", func(t *testing.T) {
+		corruptAndRebuild(t, "corrupt", func(t *testing.T, path string) {
+			editEntry(t, path, func(header, text []byte) []byte { return header[:len(header)/2] })
+		})
 	})
 }
 
 // TestDiskCacheBitFlipRejected: a single flipped bit inside the stored
-// payload fails the integrity checksum even when the JSON still
-// decodes.
+// source fails the integrity checksum.
 func TestDiskCacheBitFlipRejected(t *testing.T) {
-	corruptAndRebuild(t, func(t *testing.T, path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Flip a bit inside the transformed-source payload (not in the
-		// JSON structure), so the entry still unmarshals but the sum
-		// breaks.
-		i := bytes.Index(data, []byte("acc"))
-		if i < 0 {
-			t.Fatal("payload marker not found")
-		}
-		data[i] ^= 0x01
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	corruptAndRebuild(t, "corrupt", func(t *testing.T, path string) {
+		editEntry(t, path, func(header, text []byte) []byte {
+			i := bytes.Index(text, []byte("acc"))
+			if i < 0 {
+				t.Fatal("payload marker not found")
+			}
+			text[i] ^= 0x01
+			return append(append(header, '\n'), text...)
+		})
 	})
 }
 
-// TestDiskCacheVersionSkewRejected: entries of another layout version
-// are rejected as corrupt, not restored.
+// TestDiskCacheVersionSkewRejected: an entry whose header names another
+// layout version is rejected as stale and rebuilt, not restored — even
+// though everything else about it is intact.
 func TestDiskCacheVersionSkewRejected(t *testing.T) {
-	corruptAndRebuild(t, func(t *testing.T, path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = bytes.Replace(data,
-			[]byte(fmt.Sprintf(`"version": %d`, diskEntryVersion)),
-			[]byte(fmt.Sprintf(`"version": %d`, diskEntryVersion+1)), 1)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	corruptAndRebuild(t, "stale", func(t *testing.T, path string) {
+		editEntry(t, path, func(header, text []byte) []byte {
+			old := []byte(fmt.Sprintf(`"version":%d,`, diskEntryVersion))
+			if !bytes.Contains(header, old) {
+				t.Fatalf("header %s has no version field to edit", header)
+			}
+			header = bytes.Replace(header, old, []byte(fmt.Sprintf(`"version":%d,`, diskEntryVersion+1)), 1)
+			return append(append(header, '\n'), text...)
+		})
 	})
 }
 

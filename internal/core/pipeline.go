@@ -178,7 +178,9 @@ type Artifact struct {
 	Info *sema.Info
 	// VRA is the value-range analysis of the final source: the bounds
 	// proofs the Compile step uses for check elimination, and the
-	// diagnostics purecc -analyze reports.
+	// diagnostics purecc -analyze reports. An Artifact restored by
+	// DiskCache.Load carries the proofs only, and of its Stages only
+	// Original and Transformed.
 	VRA *vra.Result
 }
 

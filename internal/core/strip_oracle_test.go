@@ -222,9 +222,7 @@ func TestStripDifferential(t *testing.T) {
 					ret, err := proc.RunMain()
 					trap := ""
 					if err != nil {
-						// The compiled engines say which division ("integer
-						// division by zero"), the interpreter does not.
-						trap = strings.Replace(err.Error(), "integer ", "", 1)
+						trap = err.Error()
 					}
 					if out.String() != wantOut.String() || ret != wantRet || trap != wantTrap {
 						t.Errorf("%s: engine=%v par=%v sched=%q workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",

@@ -1086,12 +1086,12 @@ func (in *Interp) binary(x *ast.BinaryExpr, fr *frame) Value {
 		return IntV(ai * bi)
 	case token.QUO:
 		if bi == 0 {
-			panic("division by zero")
+			panic("integer division by zero")
 		}
 		return IntV(ai / bi)
 	case token.REM:
 		if bi == 0 {
-			panic("modulo by zero")
+			panic("integer modulo by zero")
 		}
 		return IntV(ai % bi)
 	case token.AND:
@@ -1242,12 +1242,12 @@ func (in *Interp) assign(x *ast.AssignExpr, fr *frame) Value {
 				rhs = IntV(a * b)
 			case token.QUO:
 				if b == 0 {
-					panic("division by zero")
+					panic("integer division by zero")
 				}
 				rhs = IntV(a / b)
 			case token.REM:
 				if b == 0 {
-					panic("modulo by zero")
+					panic("integer modulo by zero")
 				}
 				rhs = IntV(a % b)
 			case token.AND:

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -409,5 +411,82 @@ func TestStatsEndpoint(t *testing.T) {
 	// The handler serializes the same snapshot the API exposes.
 	if s.StatsSnapshot().Requests.Total != 3 {
 		t.Fatal("StatsSnapshot disagrees with /stats")
+	}
+}
+
+// TestStatsTellRejectionReasons: /stats' disk_cache says why an entry
+// was rejected. A restarted daemon finds one entry with a flipped bit
+// in its source text and one stamped with another format version; it
+// serves both requests by rebuilding, counts one as corrupt and one as
+// stale (none as a revalidation failure: both fail before the payload
+// is looked at), and the daemon after that finds two good entries.
+func TestStatsTellRejectionReasons(t *testing.T) {
+	dir := t.TempDir()
+	reqs := []RunRequest{
+		{Source: serveSrc},
+		{Source: strings.Replace(serveSrc, "i * i", "i * i + 1", 1)},
+	}
+	var want []string
+	_, ts := newTestServer(t, Options{CacheDir: dir})
+	for _, req := range reqs {
+		want = append(want, readBody(t, post(t, ts, req)))
+	}
+
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("cache dir holds %v (err %v), want 2 entries", entries, err)
+	}
+	mangle := func(path string, old, new string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(old)) {
+			t.Fatalf("%s: no %q to edit", path, old)
+		}
+		if err := os.WriteFile(path, bytes.Replace(data, []byte(old), []byte(new), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mangle(entries[0], "buf[i]", "buf[j]")
+	mangle(entries[1], `{"version":`, `{"version":9`)
+
+	diskStats := func(ts *httptest.Server) core.DiskStats {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		if err := json.Unmarshal([]byte(readBody(t, resp)), &st); err != nil {
+			t.Fatalf("stats not JSON: %v", err)
+		}
+		if st.DiskCache == nil {
+			t.Fatal("/stats has no disk_cache")
+		}
+		return *st.DiskCache
+	}
+	serve := func(ts *httptest.Server, build string) {
+		for i, req := range reqs {
+			resp := post(t, ts, req)
+			if got := resp.Header.Get("X-Purecd-Build"); got != build {
+				t.Fatalf("request %d: X-Purecd-Build = %q, want %s", i, got, build)
+			}
+			if out := readBody(t, resp); out != want[i] {
+				t.Fatalf("request %d: output %q, want %q", i, out, want[i])
+			}
+		}
+	}
+
+	_, ts2 := newTestServer(t, Options{CacheDir: dir})
+	serve(ts2, "compiled")
+	if st := diskStats(ts2); st.Corrupt != 1 || st.Stale != 1 || st.Revalidation != 0 ||
+		st.Misses != 2 || st.Hits != 0 || st.Stores != 2 {
+		t.Fatalf("disk stats after two rejections = %+v, want 1 corrupt, 1 stale, 0 revalidation, 2 misses, 2 stores", st)
+	}
+
+	_, ts3 := newTestServer(t, Options{CacheDir: dir})
+	serve(ts3, "disk")
+	if st := diskStats(ts3); st.Hits != 2 || st.Corrupt+st.Stale+st.Revalidation+st.Misses != 0 {
+		t.Fatalf("disk stats after the rebuild = %+v, want 2 clean hits", st)
 	}
 }
