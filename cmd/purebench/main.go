@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	purebench [-fig all|2|3|...|11|m1|m2|r1|k1|a1|a2|t1|b1|s1] [-cores 1,2,4,8,16,32,64] [-reps 3]
+//	purebench [-fig all|2|3|...|11|m1|m2|r1|k1|a1|t1|b1|s1] [-cores 1,2,4,8,16,32,64] [-reps 3]
 //	          [-matmul-n 160] [-heat-n 160] [-heat-steps 30]
 //	          [-sat-pix 2000] [-sat-bands 12] [-sat-iters 48]
 //	          [-lama-rows 12000] [-lama-nnz 16] [-memo-classes 24]
 //	          [-reduce-n 400000] [-kern-n 65536] [-kern-reps 50]
 //	          [-hist-n 400000] [-hist-bins 16,256,4096,65536]
-//	          [-a2-n 400000] [-a2-bins 65536] [-a2-touched 256]
 //	          [-real-cores 1,2,4]
 //	          [-bce-n 96] [-bce-reps 20000] [-gather-m 2048] [-quick]
 //	          [-json dir] [-check dir]
@@ -23,10 +22,7 @@
 // matmul with the fusion engine off and on); figure a1 is the
 // array-reduction scenario (hist[data[i]]++ with privatized per-worker
 // copies, swept over -hist-bins to expose the combine overhead);
-// figure a2 is the reduction-runtime knob A/B (the sparse-touch
-// histogram under every {-combine=linear|tree} x {dense,sparse
-// privates} pair — all bit-identical, so the curves isolate the
-// privatize-and-combine cost); figures r1 and a1 additionally carry
+// figures r1 and a1 additionally carry
 // real-team rows: actual goroutine teams over -real-cores timed in
 // wall clock, no simulation;
 // figure t1 is the statement-engine A/B (closure trees vs linearized
@@ -44,7 +40,7 @@
 // one column per simulated core count.
 //
 // -json writes each collected figure additionally as BENCH_<FIG>.json
-// into the given directory (k1/a1/a2/r1/t1/b1/s1 only — the figures with
+// into the given directory (k1/a1/r1/t1/b1/s1 only — the figures with
 // a machine-readable export). -check instead compares the fresh numbers
 // against committed BENCH_<FIG>.json baselines in the given directory
 // and exits non-zero on a large regression; both flags may be
@@ -63,8 +59,8 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, one of 2..11, or m1/m2/r1/k1/a1/a2/t1/b1/s1 (comma-separable)")
-	jsonDir := flag.String("json", "", "directory receiving BENCH_<FIG>.json exports (k1/a1/a2/r1/t1/b1/s1)")
+	fig := flag.String("fig", "all", "figure to regenerate: all, one of 2..11, or m1/m2/r1/k1/a1/t1/b1/s1 (comma-separable)")
+	jsonDir := flag.String("json", "", "directory receiving BENCH_<FIG>.json exports (k1/a1/r1/t1/b1/s1)")
 	checkDir := flag.String("check", "", "directory holding baseline BENCH_<FIG>.json files to compare against")
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,2,4,8,16,32,64)")
 	reps := flag.Int("reps", 0, "repetitions per measurement (default 3)")
@@ -83,9 +79,6 @@ func main() {
 	kernReps := flag.Int("kern-reps", 0, "sweeps per run of the kernel-fusion scenario (fig k1)")
 	histN := flag.Int("hist-n", 0, "element count of the array-reduction scenario (fig a1)")
 	histBins := flag.String("hist-bins", "", "comma-separated bin counts of the array-reduction scenario (fig a1)")
-	a2N := flag.Int("a2-n", 0, "element count of the sparse-touch histogram (fig a2)")
-	a2Bins := flag.Int("a2-bins", 0, "bin-space size of the sparse-touch histogram (fig a2)")
-	a2Touched := flag.Int("a2-touched", 0, "touched-window width of the sparse-touch histogram (fig a2)")
 	realCores := flag.String("real-cores", "", "comma-separated core counts of the real-team rows (default 1,2,4)")
 	bceN := flag.Int("bce-n", 0, "vector length of the launch-visibility rows (fig b1)")
 	bceReps := flag.Int("bce-reps", 0, "sweeps per run of the launch-visibility rows (fig b1)")
@@ -123,9 +116,6 @@ func main() {
 	setIf(&p.KernN, *kernN)
 	setIf(&p.KernReps, *kernReps)
 	setIf(&p.HistN, *histN)
-	setIf(&p.A2N, *a2N)
-	setIf(&p.A2Bins, *a2Bins)
-	setIf(&p.A2Touched, *a2Touched)
 	setIf(&p.BCEN, *bceN)
 	setIf(&p.BCEReps, *bceReps)
 	setIf(&p.GatherM, *gatherM)
@@ -157,7 +147,7 @@ func main() {
 		for i := 2; i <= 11; i++ {
 			want[strconv.Itoa(i)] = true
 		}
-		for _, f := range []string{"m1", "m2", "r1", "k1", "a1", "a2", "t1", "b1", "s1"} {
+		for _, f := range []string{"m1", "m2", "r1", "k1", "a1", "t1", "b1", "s1"} {
 			want[f] = true
 		}
 	} else {
@@ -278,14 +268,6 @@ func main() {
 			fatalf("histogram: %v", err)
 		}
 		fmt.Println(d.FigA1().Render())
-		handleJSON(d.JSON())
-	}
-	if want["a2"] {
-		d, err := bench.CollectA2(p)
-		if err != nil {
-			fatalf("a2: %v", err)
-		}
-		fmt.Println(d.FigA2().Render())
 		handleJSON(d.JSON())
 	}
 	if want["t1"] {

@@ -47,18 +47,6 @@
 //	                      accesses stay conservative, so nests using
 //	                      them serialize and keep their checks
 //	                      (bit-identical; for A/B and debugging)
-//	-combine T            reduction combine topology: linear (default,
-//	                      worker-ordered folds) or tree (log-depth
-//	                      pairwise merges). Integer reductions are
-//	                      bit-identical across topologies; float
-//	                      reductions follow their topology's documented
-//	                      bracketing, identical across runs, schedules
-//	                      and real/sim teams
-//	-sparse-privates      allocate array-reduction private copies as
-//	                      block-sparse segments with lazy first-touch
-//	                      identity fill: a worker touching k bins of an
-//	                      n-bin histogram pays O(k), not O(n)
-//	                      (bit-identical to dense privates)
 //	-D NAME=VALUE         define an object-like macro (repeatable)
 //	-emit stage           print a stage instead of running:
 //	                      stripped|expanded|marked|transformed|final|report|pure
@@ -118,8 +106,6 @@ func main() {
 	analyze := flag.Bool("analyze", false, "print the value-range analysis report instead of running")
 	noBCE := flag.Bool("nobce", false, "keep runtime checks the analysis proved redundant")
 	noAlias := flag.Bool("noalias", false, "disable the points-to analysis (pointer nests stay serial)")
-	combine := flag.String("combine", "linear", "reduction combine topology: linear or tree")
-	sparsePriv := flag.Bool("sparse-privates", false, "block-sparse array-reduction privates with lazy identity fill")
 	emit := flag.String("emit", "", "print a pipeline stage instead of running")
 	timed := flag.Bool("time", false, "print wall time of main()")
 	runs := flag.Int("runs", 1, "execute main N times, each in a fresh process")
@@ -150,17 +136,13 @@ func main() {
 			Skew:     *skew,
 			Schedule: *schedule,
 		},
-		Vectorize:      *vectorize,
-		NoFuse:         !*fuse,
-		NoBCE:          *noBCE,
-		NoAlias:        *noAlias,
-		SparsePrivates: *sparsePriv,
-		Memoize:        *memoize,
-		MemoCapacity:   *memoCap,
-		Stdout:         os.Stdout,
-	}
-	if cfg.Combine, err = rt.ParseCombine(*combine); err != nil {
-		fatalf("%v", err)
+		Vectorize:    *vectorize,
+		NoFuse:       !*fuse,
+		NoBCE:        *noBCE,
+		NoAlias:      *noAlias,
+		Memoize:      *memoize,
+		MemoCapacity: *memoCap,
+		Stdout:       os.Stdout,
 	}
 	switch *mode {
 	case "pure":

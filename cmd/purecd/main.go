@@ -27,7 +27,7 @@
 //	-pool-size N          idle Processes retained per program (default
 //	                      max-concurrent)
 //	-no-pool              fresh Process per request (A/B baseline)
-//	-max-source BYTES     request body bound (default 4MiB)
+//	-max-source BYTES     request body bound (default 4MiB; longer is a 413)
 //
 // Endpoints: POST /run (body: {"source": "...", "defines": {...},
 // "options": {"backend", "engine", "cores", "sequential", "schedule",

@@ -2,18 +2,15 @@ package apps
 
 import "fmt"
 
-// SparseHistSrc is the sparse-touch array-reduction workload behind
-// Fig A2: a bin count over a huge bin space (BINS cells) whose data
-// values all land in a K-bin window starting at BASE — the shape of
-// feature hashing or cluster counting where the live labels occupy a
-// tiny slice of the id space. The hot loop is the same
-// hist[data[i]]++ array reduction as the Fig A1 histogram, but here
-// each worker touches at most K bins of a BINS-cell accumulator, so
-// dense per-worker private copies pay O(BINS) to allocate,
-// identity-fill and combine while block-sparse privates
-// (-sparse-privates) pay O(K). The combine-topology knob
-// (-combine=tree) cuts the combine critical path from
-// workers x BINS to log2(workers) x BINS on top.
+// SparseHistSrc is a sparse-touch array-reduction corpus program: a
+// bin count over a large bin space (BINS cells) whose data values all
+// land in a K-bin window starting at BASE — the shape of feature
+// hashing or cluster counting where the live labels occupy a tiny
+// slice of the id space. The hot loop is the same hist[data[i]]++
+// array reduction as the Fig A1 histogram, but each worker touches at
+// most K bins of a BINS-cell accumulator while its dense private copy
+// still costs O(BINS) to allocate, identity-fill and combine (the
+// shape on which the retired block-sparse privates were measured).
 //
 // Only the K-bin window copies out, so checking the result stays O(K).
 const SparseHistSrc = `
@@ -43,8 +40,7 @@ int main(void) {
 `
 
 // SparseHistDefines injects the element count, the bin-space size and
-// the touched-window width; the window sits mid-space so neither the
-// first nor the last private block is touched by construction.
+// the touched-window width; the window sits mid-space.
 func SparseHistDefines(n, bins, touched int) map[string]string {
 	if touched > bins {
 		touched = bins
@@ -55,18 +51,4 @@ func SparseHistDefines(n, bins, touched int) map[string]string {
 		"K":    fmt.Sprintf("%d", touched),
 		"BASE": fmt.Sprintf("%d", (bins-touched)/2),
 	}
-}
-
-// SparseHistRef computes the expected counts of the touched window
-// (exact at every team size, combine topology and private layout:
-// integer array reductions are bit-identical by contract).
-func SparseHistRef(n, bins, touched int) []int64 {
-	if touched > bins {
-		touched = bins
-	}
-	hist := make([]int64, touched)
-	for i := 0; i < n; i++ {
-		hist[(int64(i)*1103515245+12345)%int64(touched)]++
-	}
-	return hist
 }

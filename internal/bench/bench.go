@@ -51,13 +51,6 @@ type Params struct {
 	// sweep exposes where combine overhead eats the parallel speedup.
 	HistN    int
 	HistBins []int
-	// A2N, A2Bins and A2Touched size the Fig A2 sparse-touch
-	// histogram: A2N elements land in an A2Touched-bin window of an
-	// A2Bins-cell accumulator, so dense privates pay O(A2Bins) per
-	// worker while block-sparse privates pay O(A2Touched).
-	A2N       int
-	A2Bins    int
-	A2Touched int
 	// RealCores is the core axis of the real-team (non-simulated)
 	// scaling points: actual goroutine teams timed in wall clock, so
 	// the list stays small and within a laptop's physical cores.
@@ -104,9 +97,6 @@ func Default() Params {
 		KernReps:    50,
 		HistN:       400000,
 		HistBins:    []int{16, 256, 4096, 65536},
-		A2N:         400000,
-		A2Bins:      65536,
-		A2Touched:   256,
 		RealCores:   []int{1, 2, 4},
 		BCEN:        96,
 		BCEReps:     20000,
@@ -137,9 +127,6 @@ func Quick() Params {
 		KernReps:    3,
 		HistN:       20000,
 		HistBins:    []int{8, 64},
-		A2N:         20000,
-		A2Bins:      4096,
-		A2Touched:   64,
 		RealCores:   []int{1, 2},
 		BCEN:        32,
 		BCEReps:     200,

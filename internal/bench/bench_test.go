@@ -248,38 +248,6 @@ func TestCollectHistogramQuick(t *testing.T) {
 	}
 }
 
-func TestCollectA2Quick(t *testing.T) {
-	p := Quick()
-	d, err := CollectA2(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Seq <= 0 {
-		t.Fatal("missing sequential baseline")
-	}
-	if len(d.Series) != 4 {
-		t.Fatalf("want 4 configurations, got %d", len(d.Series))
-	}
-	f := d.FigA2()
-	for _, s := range f.Series {
-		for _, c := range f.Cores {
-			if s.Times[c] <= 0 {
-				t.Fatalf("series %s cores %d: no speedup value", s.Name, c)
-			}
-		}
-	}
-	out := f.Render()
-	for _, want := range []string{"Fig A2", "linear/dense", "tree/dense", "linear/sparse", "tree/sparse"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render lacks %q:\n%s", want, out)
-		}
-	}
-	jf := d.JSON()
-	if jf.Fig != "A2" {
-		t.Fatalf("JSON fig %q", jf.Fig)
-	}
-}
-
 func TestRealPointsExportSimFalse(t *testing.T) {
 	// The JSON export must mark real-team rows Sim:false at every core
 	// count — CheckBaseline exempts their wall-clock ratios on that

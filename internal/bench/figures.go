@@ -524,87 +524,6 @@ func (d *HistData) FigA1() *Figure {
 	return f
 }
 
-// A2Data carries the reduction-runtime knob A/B (Fig A2): the
-// sparse-touch histogram measured under every {combine topology,
-// private layout} pair.
-type A2Data struct {
-	P   Params
-	Seq float64
-	// Series holds one curve per configuration, in the fixed order
-	// linear/dense, tree/dense, linear/sparse, tree/sparse.
-	Series []Series
-}
-
-// CollectA2 measures the sparse-touch histogram (A2N elements in an
-// A2Touched-bin window of an A2Bins-cell accumulator) across the four
-// reduction-runtime configurations. All four produce bit-identical
-// results — the knobs move work, not semantics — so the curves isolate
-// exactly the privatize-and-combine cost: dense privates pay
-// O(A2Bins) per worker to allocate, identity-fill and combine where
-// sparse privates pay O(A2Touched), and the tree topology cuts the
-// combine critical path from workers to log2(workers) levels.
-func CollectA2(p Params) (*A2Data, error) {
-	d := &A2Data{P: p}
-	defs := apps.SparseHistDefines(p.A2N, p.A2Bins, p.A2Touched)
-	var err error
-	d.Seq, err = measureSeq(variant{
-		name: "sparse-hist seq", src: apps.SparseHistSrc, defs: defs,
-		init: "initdata", entry: "run",
-		cfg: core.Config{Backend: comp.BackendGCC}}, p.Reps)
-	if err != nil {
-		return nil, err
-	}
-	configs := []struct {
-		name    string
-		combine rt.Combine
-		sparse  bool
-	}{
-		{"linear/dense", rt.CombineLinear, false},
-		{"tree/dense", rt.CombineTree, false},
-		{"linear/sparse", rt.CombineLinear, true},
-		{"tree/sparse", rt.CombineTree, true},
-	}
-	for _, c := range configs {
-		s, err := measure(variant{
-			name: c.name, src: apps.SparseHistSrc, defs: defs,
-			init: "initdata", entry: "run",
-			cfg: core.Config{Parallelize: true, Backend: comp.BackendGCC,
-				Combine: c.combine, SparsePrivates: c.sparse}}, p.Cores, p.Reps)
-		if err != nil {
-			return nil, err
-		}
-		d.Series = append(d.Series, s)
-	}
-	return d, nil
-}
-
-// FigA2 renders the knob A/B speedups, every configuration normalized
-// to the one sequential baseline.
-func (d *A2Data) FigA2() *Figure {
-	f := &Figure{
-		ID: "Fig A2",
-		Title: fmt.Sprintf("reduction runtime knobs on a sparse-touch histogram (N=%d, %d bins, %d touched)",
-			d.P.A2N, d.P.A2Bins, d.P.A2Touched),
-		Kind: "speedup", Cores: sortedCores(d.P.Cores),
-		Notes: []string{
-			fmt.Sprintf("sequential baseline: %.4f s", d.Seq),
-			"all four configurations are bit-identical (integer accumulator; the knobs move work, not semantics)",
-			"dense privates pay O(bins) per worker to allocate, identity-fill and combine; block-sparse privates pay O(touched)",
-			"-combine=tree replaces the worker-ordered combine chain with log-depth pairwise merges: the critical path drops from workers to log2(workers) levels",
-		},
-	}
-	for _, s := range d.Series {
-		ns := Series{Name: s.Name, Times: map[int]float64{}}
-		for c, t := range s.Times {
-			if t > 0 && d.Seq > 0 {
-				ns.Times[c] = d.Seq / t
-			}
-		}
-		f.Series = append(f.Series, ns)
-	}
-	return f
-}
-
 // KernelResult is one Fig K1 workload: the same build measured with
 // the fusion engine off (closure dispatch) and on.
 type KernelResult struct {

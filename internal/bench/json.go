@@ -240,13 +240,3 @@ func (d *HistData) JSON() *JSONFigure {
 	}
 	return jf
 }
-
-// JSON exports Fig A2 (reduction-runtime knob A/B on the sparse-touch
-// histogram).
-func (d *A2Data) JSON() *JSONFigure {
-	f := d.FigA2()
-	jf := speedupFigureJSON("A2", f)
-	jf.Points = append(jf.Points,
-		kernPoint("sparse-hist seq", d.Seq, float64(d.P.A2N), 0))
-	return jf
-}

@@ -116,9 +116,6 @@ type Options struct {
 	// MemoCapacity bounds the memo table entry count (0 selects
 	// memo.DefaultCapacity).
 	MemoCapacity int
-	// MemoShards sets the memo table's lock-stripe count (0 selects
-	// memo.DefaultShards).
-	MemoShards int
 	// NoFuse disables the kernel-fusion engine: element-wise affine
 	// innermost loops (copy, fill, scale, axpy, stencil maps) and the
 	// ICC/Vectorize reduction kernels then run through per-iteration
@@ -143,21 +140,6 @@ type Options struct {
 	// fires); the knob exists for A/B measurement (purebench Fig B1).
 	// Compile-relevant: part of the program-cache key.
 	NoBCE bool
-	// Combine selects the reduction combine topology (rt.CombineLinear
-	// or rt.CombineTree). Integer reductions are bit-identical across
-	// topologies; float reductions are bit-identical to their own
-	// topology's documented bracketing. Compile-relevant: part of the
-	// program-cache key.
-	Combine rt.Combine
-	// SparsePrivates allocates array-reduction private copies as
-	// block-sparse segments with first-touch identity fill, so a worker
-	// touching k cells of a large accumulator pays O(k) in allocation,
-	// fill and combine instead of O(len). Bit-identical for ints; for
-	// floats it folds only touched cells into the reduction target
-	// (untouched cells still hold the identity, and fold(a, identity)
-	// == a for every supported operator). Compile-relevant: part of the
-	// program-cache key.
-	SparsePrivates bool
 }
 
 // slotKind is the storage class of a frame slot.

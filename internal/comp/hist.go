@@ -83,9 +83,9 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 	f32 := elem.Kind == types.Float && elem.CSize == 4
 	switch elem.Kind {
 	case types.Int:
-		r, ok = arrayReduction[int64](sl.idx, site.Name, mem.CellInt, op, false, fc.prog.sparsePrivates)
+		r, ok = arrayReduction[int64](sl.idx, site.Name, mem.CellInt, op, false)
 	case types.Float:
-		r, ok = arrayReduction[float64](sl.idx, site.Name, mem.CellFloat, op, f32, fc.prog.sparsePrivates)
+		r, ok = arrayReduction[float64](sl.idx, site.Name, mem.CellFloat, op, f32)
 	}
 	return r, ok
 }
@@ -125,34 +125,6 @@ func emitHistInt(g kGather, op token.Kind, rhs intFn) kernRun {
 			v = rhs(e)
 		}
 		ix, ss := is.i, is.stride
-		if p.Seg.IsSparse() {
-			// Sparse private copy (Options.SparsePrivates): walk through
-			// the per-cell accessors, which materialize and identity-fill
-			// blocks on first touch and bounds-check like the dense
-			// slice accesses below.
-			seg := p.Seg
-			var f func(a int64) int64
-			switch op {
-			case token.ADD:
-				f = func(a int64) int64 { return a + v }
-			case token.SUB:
-				f = func(a int64) int64 { return a - v }
-			case token.MUL:
-				f = func(a int64) int64 { return a * v }
-			case token.AND:
-				f = func(a int64) int64 { return a & v }
-			case token.OR:
-				f = func(a int64) int64 { return a | v }
-			case token.XOR:
-				f = func(a int64) int64 { return a ^ v }
-			}
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				//lint:rawmem histCell traps offset overflow; the accessor's bounds check traps the rest
-				q := mem.Pointer{Seg: seg, Off: histCell(off, ix[si])}
-				q.StoreInt(f(q.LoadInt()))
-			}
-			return
-		}
 		dst := p.Seg.I
 		switch op {
 		case token.ADD:
@@ -201,29 +173,6 @@ func emitHistFloat(g kGather, op token.Kind, rhs fltFn) kernRun {
 		n := int(hi - lo + 1)
 		v := rhs(e)
 		ix, ss := is.i, is.stride
-		if p.Seg.IsSparse() {
-			// Sparse private copy: per-cell accessors with first-touch
-			// materialization (see emitHistInt).
-			seg := p.Seg
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				//lint:rawmem histCell traps offset overflow; the accessor's bounds check traps the rest
-				q := mem.Pointer{Seg: seg, Off: histCell(off, ix[si])}
-				var nv float64
-				switch op {
-				case token.ADD:
-					nv = q.LoadFloat() + v
-				case token.SUB:
-					nv = q.LoadFloat() - v
-				default:
-					nv = q.LoadFloat() * v
-				}
-				if f32 {
-					nv = float64(float32(nv))
-				}
-				q.StoreFloat(nv)
-			}
-			return
-		}
 		dst := p.Seg.F
 		for t, si := 0, 0; t < n; t, si = t+1, si+ss {
 			c := histCell(off, ix[si])

@@ -105,7 +105,7 @@ func (p *Program) newProcess(opts ProcOptions, arena *mem.Arena) (*Process, erro
 	case opts.Memo != nil:
 		pr.memo = opts.Memo
 	case opts.PrivateMemo && p.memoize:
-		pr.memo = memo.New(p.memoCap, p.memoShards)
+		pr.memo = memo.New(p.memoCap, 0)
 	default:
 		pr.memo = p.memo
 	}

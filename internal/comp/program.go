@@ -6,7 +6,6 @@ import (
 	"purec/internal/ast"
 	"purec/internal/memo"
 	"purec/internal/purity"
-	"purec/internal/rt"
 	"purec/internal/sema"
 )
 
@@ -38,11 +37,6 @@ type Program struct {
 	proofs       map[ast.Expr]bool
 	noBCE        bool
 	elidedChecks int
-	// Reduction knobs (Options.Combine, Options.SparsePrivates): combine
-	// topology passed to the rt reduce entry points and block-sparse
-	// private-copy allocation.
-	combine        rt.Combine
-	sparsePrivates bool
 	// Tape-backend size counters (EngineTape only), for the purecc
 	// "tape:" report line: total instruction words, pooled constants and
 	// temp registers across all function tapes.
@@ -54,9 +48,9 @@ type Program struct {
 	nGI, nGF, nGP int
 
 	// memoization (Options.Memoize)
-	memoize             bool
-	memoCap, memoShards int
-	memo                *memo.Table
+	memoize bool
+	memoCap int
+	memo    *memo.Table
 }
 
 // CompileProgram translates a checked program into an immutable Program.
@@ -64,17 +58,15 @@ type Program struct {
 // them to NewProcess instead.
 func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	p := &Program{
-		info:           info,
-		backend:        opts.Backend,
-		engine:         opts.Engine,
-		vectorize:      opts.Vectorize,
-		noFuse:         opts.NoFuse,
-		proofs:         opts.Proofs,
-		noBCE:          opts.NoBCE,
-		combine:        opts.Combine,
-		sparsePrivates: opts.SparsePrivates,
-		funcs:          map[string]*cfunc{},
-		globalSlots:    map[*sema.Symbol]slot{},
+		info:        info,
+		backend:     opts.Backend,
+		engine:      opts.Engine,
+		vectorize:   opts.Vectorize,
+		noFuse:      opts.NoFuse,
+		proofs:      opts.Proofs,
+		noBCE:       opts.NoBCE,
+		funcs:       map[string]*cfunc{},
+		globalSlots: map[*sema.Symbol]slot{},
 	}
 	if err := p.layoutGlobals(); err != nil {
 		return nil, err
@@ -90,8 +82,7 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	if opts.Memoize {
 		p.memoize = true
 		p.memoCap = opts.MemoCapacity
-		p.memoShards = opts.MemoShards
-		p.memo = memo.New(opts.MemoCapacity, opts.MemoShards)
+		p.memo = memo.New(opts.MemoCapacity, 0)
 		names := opts.Memoizable
 		if names == nil {
 			for name := range purity.Memoizable(info) {

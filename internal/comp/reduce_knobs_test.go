@@ -7,10 +7,10 @@ import (
 	"purec/internal/rt"
 )
 
-// knobTeams is the team matrix of the reduction-runtime knob suite:
-// real and simulated, single worker through the 12-worker acceptance
-// size (oversubscribed on most machines, which is the point — the
-// race detector sees every combine topology under real contention).
+// knobTeams is the team matrix of the reduction-runtime suite: real
+// and simulated, single worker through the 12-worker acceptance size
+// (oversubscribed on most machines, which is the point — the race
+// detector sees the combine under real contention).
 func knobTeams() []*rt.Team {
 	var out []*rt.Team
 	for _, n := range []int{1, 4, 12} {
@@ -19,9 +19,8 @@ func knobTeams() []*rt.Team {
 	return out
 }
 
-// knobProgram pairs an array reduction (600-bin histogram, so sparse
-// privates span multiple 256-cell blocks with most never touched) with
-// a "-" scalar reduction under one schedule clause.
+// knobProgram pairs an array reduction (600-bin histogram, most bins
+// never touched) with a "-" scalar reduction under one schedule clause.
 func knobProgram(sched string) string {
 	return fmt.Sprintf(`
 int data[400];
@@ -45,33 +44,51 @@ int main(void) {
 }`, sched, sched)
 }
 
+// subHistProgram is a "-" array reduction over a non-zero-initialized
+// histogram: negation onto "+" composes with the identity-filled
+// private copies (the identity stays 0, the caller keeps its 5s).
+func subHistProgram(sched string) string {
+	return fmt.Sprintf(`
+int data[300];
+int main(void) {
+    for (int i = 0; i < 300; i++)
+        data[i] = 400 + (i * 7) %% 300;
+    int hist[900];
+    for (int b = 0; b < 900; b++)
+        hist[b] = 5;
+#pragma omp parallel for reduction(-:hist[]) %s
+    for (int i = 0; i < 300; i++)
+        hist[data[i]] -= 2;
+    int sum = 0;
+    for (int b = 0; b < 900; b++)
+        sum += hist[b] * (b %% 3 + 1);
+    return sum %% 509;
+}`, sched)
+}
+
 // TestReductionKnobMatrixMatchesOracle is the acceptance suite of the
-// reduction-runtime rework: every {combine topology} x {private
-// layout} x {statement engine} x {schedule} x {team} combination must
-// return the serial interp oracle's integer result bit-identically.
-// CI runs the whole package under -race, so the 12-worker real teams
-// also put every tree-combine level and sparse materialization path
-// under the race detector.
+// reduction runtime: every {program} x {statement engine} x {schedule}
+// x {team} combination must return the serial interp oracle's integer
+// result bit-identically. CI runs the whole package under -race, so
+// the 12-worker real teams also put every private allocation and the
+// worker-ordered combine under the race detector.
 func TestReductionKnobMatrixMatchesOracle(t *testing.T) {
 	schedules := []string{"", "schedule(static)", "schedule(static,7)", "schedule(dynamic,3)", "schedule(guided,2)"}
-	for _, sched := range schedules {
-		src := knobProgram(sched)
-		want := runSerialOracle(t, src)
-		for _, combine := range []rt.Combine{rt.CombineLinear, rt.CombineTree} {
-			for _, sparse := range []bool{false, true} {
-				for _, engine := range []Engine{EngineClosure, EngineTape} {
-					for _, team := range knobTeams() {
-						m := compile(t, src, Options{Team: team,
-							Combine: combine, SparsePrivates: sparse, Engine: engine})
-						got, err := m.RunMain()
-						if err != nil {
-							t.Fatalf("%q combine=%v sparse=%v engine=%v team=%d sim=%v: %v",
-								sched, combine, sparse, engine, team.Size(), team.Simulated(), err)
-						}
-						if got != want {
-							t.Errorf("%q combine=%v sparse=%v engine=%v team=%d sim=%v: got %d want %d",
-								sched, combine, sparse, engine, team.Size(), team.Simulated(), got, want)
-						}
+	for _, prog := range []func(string) string{knobProgram, subHistProgram} {
+		for _, sched := range schedules {
+			src := prog(sched)
+			want := runSerialOracle(t, src)
+			for _, engine := range []Engine{EngineClosure, EngineTape} {
+				for _, team := range knobTeams() {
+					m := compile(t, src, Options{Team: team, Engine: engine})
+					got, err := m.RunMain()
+					if err != nil {
+						t.Fatalf("%q engine=%v team=%d sim=%v: %v",
+							sched, engine, team.Size(), team.Simulated(), err)
+					}
+					if got != want {
+						t.Errorf("%q engine=%v team=%d sim=%v: got %d want %d",
+							sched, engine, team.Size(), team.Simulated(), got, want)
 					}
 				}
 			}
@@ -80,15 +97,12 @@ func TestReductionKnobMatrixMatchesOracle(t *testing.T) {
 }
 
 // TestCombineOrderFloatDeterminismMatrix pins the float determinism
-// contract per topology: at a fixed team size, simulated teams under
-// every schedule and real teams under static schedules are bit-identical
-// run to run, and real static equals sim static (same span-to-worker
-// assignment, same documented combine order). Real dynamic/guided
-// assign chunks by arrival and promise only integer exactness — they
-// are deliberately absent here and covered by the oracle matrix above.
-// That tree and linear may legally disagree on floats (while never on
-// ints) is proven at the runtime layer in rt's
-// TestTreeVsLinearFloatsMayDiffer.
+// contract: at a fixed team size, simulated teams under every schedule
+// and real teams under static schedules are bit-identical run to run,
+// and real static equals sim static (same span-to-worker assignment,
+// same worker-ordered combine). Real dynamic/guided assign chunks by
+// arrival and promise only integer exactness — they are deliberately
+// absent here and covered by the oracle matrix above.
 func TestCombineOrderFloatDeterminismMatrix(t *testing.T) {
 	prog := func(sched string) string {
 		return fmt.Sprintf(`
@@ -102,9 +116,9 @@ int main(void) {
     return 0;
 }`, sched)
 	}
-	read := func(src string, team *rt.Team, combine rt.Combine) float64 {
+	read := func(src string, team *rt.Team) float64 {
 		t.Helper()
-		m := compile(t, src, Options{Team: team, Combine: combine})
+		m := compile(t, src, Options{Team: team})
 		if _, err := m.RunMain(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -114,175 +128,36 @@ int main(void) {
 		}
 		return v
 	}
-	for _, combine := range []rt.Combine{rt.CombineLinear, rt.CombineTree} {
-		for _, workers := range []int{2, 5, 12} {
-			for _, c := range []struct {
-				sched string
-				sim   bool
-			}{
-				{"schedule(static)", false}, {"schedule(static,7)", false},
-				{"", true}, {"schedule(static,7)", true},
-				{"schedule(dynamic,3)", true}, {"schedule(guided,2)", true},
-			} {
-				src := prog(c.sched)
-				mk := func() *rt.Team {
-					if c.sim {
-						return rt.NewSimTeam(workers)
-					}
-					return rt.NewTeam(workers)
+	for _, workers := range []int{2, 5, 12} {
+		for _, c := range []struct {
+			sched string
+			sim   bool
+		}{
+			{"schedule(static)", false}, {"schedule(static,7)", false},
+			{"", true}, {"schedule(static,7)", true},
+			{"schedule(dynamic,3)", true}, {"schedule(guided,2)", true},
+		} {
+			src := prog(c.sched)
+			mk := func() *rt.Team {
+				if c.sim {
+					return rt.NewSimTeam(workers)
 				}
-				first := read(src, mk(), combine)
-				for rep := 0; rep < 4; rep++ {
-					if got := read(src, mk(), combine); got != first {
-						t.Fatalf("combine=%v @%d workers %q sim=%v: rep %d gave %x, first %x",
-							combine, workers, c.sched, c.sim, rep, got, first)
-					}
-				}
-				// Real and sim static teams share span assignment and
-				// combine order, so their floats agree bitwise too.
-				if !c.sim {
-					if sim := read(src, rt.NewSimTeam(workers), combine); sim != first {
-						t.Fatalf("combine=%v @%d workers %q: real %x != sim %x",
-							combine, workers, c.sched, first, sim)
-					}
+				return rt.NewTeam(workers)
+			}
+			first := read(src, mk())
+			for rep := 0; rep < 4; rep++ {
+				if got := read(src, mk()); got != first {
+					t.Fatalf("@%d workers %q sim=%v: rep %d gave %x, first %x",
+						workers, c.sched, c.sim, rep, got, first)
 				}
 			}
-		}
-	}
-}
-
-// TestTreeVsLinearIntsIdenticalThroughCompiler is the language-level
-// half of the topology contract: integer results never depend on the
-// combine topology, under either private layout.
-func TestTreeVsLinearIntsIdenticalThroughCompiler(t *testing.T) {
-	src := knobProgram("schedule(dynamic,3)")
-	want := runSerialOracle(t, src)
-	for _, sparse := range []bool{false, true} {
-		for _, team := range knobTeams() {
-			lin := compile(t, src, Options{Team: team, Combine: rt.CombineLinear, SparsePrivates: sparse})
-			tree := compile(t, src, Options{Team: team, Combine: rt.CombineTree, SparsePrivates: sparse})
-			lg, err := lin.RunMain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tg, err := tree.RunMain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lg != want || tg != want {
-				t.Errorf("sparse=%v team=%d sim=%v: linear=%d tree=%d want %d",
-					sparse, team.Size(), team.Simulated(), lg, tg, want)
-			}
-		}
-	}
-}
-
-// TestSparsePrivatesFloatHistBitIdentical checks that the sparse
-// private layout changes no float bits either: skipping an
-// unmaterialized block is exact because folding the identity is (+0.0
-// absorbs), so dense and sparse builds agree bitwise with the serial
-// build on static teams.
-func TestSparsePrivatesFloatHistBitIdentical(t *testing.T) {
-	src := `
-int bin[500];
-double out;
-int main(void) {
-    for (int i = 0; i < 500; i++)
-        bin[i] = 300 + (i * 13) % 600;
-    double h[1200];
-    for (int b = 0; b < 1200; b++)
-        h[b] = 0.0;
-#pragma omp parallel for reduction(+:h[]) schedule(static)
-    for (int i = 0; i < 500; i++)
-        h[bin[i]] += 0.37;
-    double sum = 0.0;
-    for (int b = 0; b < 1200; b++)
-        sum += h[b] * (b % 5 + 1);
-    out = sum;
-    return 0;
-}`
-	read := func(team *rt.Team, sparse bool) float64 {
-		t.Helper()
-		m := compile(t, src, Options{Team: team, SparsePrivates: sparse})
-		if _, err := m.RunMain(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		v, err := m.GlobalFloat("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	want := read(rt.NewTeam(1), false)
-	for _, sparse := range []bool{false, true} {
-		for _, team := range []*rt.Team{rt.NewTeam(4), rt.NewTeam(12), rt.NewSimTeam(4), rt.NewSimTeam(12)} {
-			if got := read(team, sparse); got != want {
-				t.Errorf("sparse=%v team=%d sim=%v: %x != serial %x",
-					sparse, team.Size(), team.Simulated(), got, want)
-			}
-		}
-	}
-}
-
-// TestSparsePrivatesSubHist runs the "-" array reduction on sparse
-// privates: negation onto "+" composes with lazy identity fill (the
-// identity stays 0).
-func TestSparsePrivatesSubHist(t *testing.T) {
-	src := `
-int data[300];
-int main(void) {
-    for (int i = 0; i < 300; i++)
-        data[i] = 400 + (i * 7) % 300;
-    int hist[900];
-    for (int b = 0; b < 900; b++)
-        hist[b] = 5;
-#pragma omp parallel for reduction(-:hist[]) schedule(dynamic,7)
-    for (int i = 0; i < 300; i++)
-        hist[data[i]] -= 2;
-    int sum = 0;
-    for (int b = 0; b < 900; b++)
-        sum += hist[b] * (b % 3 + 1);
-    return sum % 509;
-}`
-	want := runSerialOracle(t, src)
-	for _, engine := range []Engine{EngineClosure, EngineTape} {
-		for _, team := range knobTeams() {
-			m := compile(t, src, Options{Team: team, SparsePrivates: true, Engine: engine})
-			got, err := m.RunMain()
-			if err != nil {
-				t.Fatalf("engine=%v team=%d sim=%v: %v", engine, team.Size(), team.Simulated(), err)
-			}
-			if got != want {
-				t.Errorf("engine=%v team=%d sim=%v: got %d want %d",
-					engine, team.Size(), team.Simulated(), got, want)
-			}
-		}
-	}
-}
-
-// TestSparsePrivatesOutOfRangeBinTraps: the sparse accessor's bounds
-// check must trap exactly like a dense private's slice check.
-func TestSparsePrivatesOutOfRangeBinTraps(t *testing.T) {
-	src := `
-int data[10];
-int main(void) {
-    for (int i = 0; i < 10; i++)
-        data[i] = i;
-    data[7] = 99;
-    int hist[8];
-    for (int b = 0; b < 8; b++)
-        hist[b] = 0;
-#pragma omp parallel for reduction(+:hist[])
-    for (int i = 0; i < 10; i++)
-        hist[data[i]]++;
-    return hist[0];
-}`
-	for _, noFuse := range []bool{false, true} {
-		for _, team := range []*rt.Team{rt.NewTeam(1), rt.NewTeam(4), rt.NewSimTeam(4)} {
-			m := compile(t, src, Options{Team: team, SparsePrivates: true, NoFuse: noFuse})
-			if _, err := m.RunMain(); err == nil {
-				t.Errorf("NoFuse=%v team=%d sim=%v: out-of-range bin must trap on sparse privates",
-					noFuse, team.Size(), team.Simulated())
+			// Real and sim static teams share span assignment and
+			// combine order, so their floats agree bitwise too.
+			if !c.sim {
+				if sim := read(src, rt.NewSimTeam(workers)); sim != first {
+					t.Fatalf("@%d workers %q: real %x != sim %x",
+						workers, c.sched, first, sim)
+				}
 			}
 		}
 	}

@@ -3,10 +3,12 @@ package comp
 // The reduction runtime of parallelReduceFor: one operator table —
 // identity, fold, float32-rounding wrap — generic over int64 and
 // float64 accumulators, and the two accumulator layouts built on it:
-// a scalar frame slot, and a privatized array segment (dense, or
-// block-sparse under Options.SparsePrivates). Scalar clauses, min/max
-// clauses and array clauses all draw their operator from here; the
-// interp oracle keeps its own copy on purpose.
+// a scalar frame slot, and a privatized array segment (a dense,
+// identity-filled copy per worker that ran a chunk). Every clause
+// combines linearly: rt folds the partials into the caller in worker
+// order 0..n-1 after the join. Scalar clauses, min/max clauses and
+// array clauses all draw their operator from here; the interp oracle
+// keeps its own copy on purpose.
 
 import (
 	"math"
@@ -127,12 +129,8 @@ func scalarReduction[T cell](idx int, op token.Kind, f32 bool) (r reduction, ok 
 // worker receives a private identity-valued segment sized like the
 // parent's array, installed into its cloned environment's slot so the
 // unchanged loop body (or the hist kernel) updates the copy, and the
-// privates fold back element-wise. Under sparse the private is
-// block-sparse: untouched blocks are never allocated or filled — the
-// fill happens at a block's first-touch store inside mem — so a worker
-// touching k cells pays O(k), not O(len), in allocation, fill and
-// combine.
-func arrayReduction[T cell](idx int, name string, kind mem.CellKind, op token.Kind, f32, sparse bool) (r reduction, ok bool) {
+// privates fold back element-wise.
+func arrayReduction[T cell](idx int, name string, kind mem.CellKind, op token.Kind, f32 bool) (r reduction, ok bool) {
 	o, ok := reductionOp[T](op, f32)
 	return reduction{
 		setIdentity: func(we *env) {
@@ -140,7 +138,7 @@ func arrayReduction[T cell](idx int, name string, kind mem.CellKind, op token.Ki
 			if p.IsNull() || p.Seg.Freed() {
 				rtPanic("array reduction accumulator %s is not allocated", name)
 			}
-			seg := newPrivate(kind, p.Seg.Len(), o.identity, sparse, p.Seg.Name+" (reduction private)")
+			seg := newPrivate(kind, p.Seg.Len(), o.identity, p.Seg.Name+" (reduction private)")
 			// Keep the slot's element offset: a pointer base like
 			// p = &a[4] must index the private segment exactly as it
 			// indexed the shared one, or the combine would fold shifted
@@ -159,13 +157,7 @@ func arrayReduction[T cell](idx int, name string, kind mem.CellKind, op token.Ki
 }
 
 // newPrivate allocates one identity-valued private accumulator.
-func newPrivate[T cell](kind mem.CellKind, n int, identity T, sparse bool, label string) *mem.Segment {
-	switch {
-	case sparse && kind == mem.CellInt:
-		return mem.NewSparseIntSegment(n, int64(identity), label)
-	case sparse:
-		return mem.NewSparseFloatSegment(n, float64(identity), label)
-	}
+func newPrivate[T cell](kind mem.CellKind, n int, identity T, label string) *mem.Segment {
 	seg := mem.NewSegment(kind, n, label)
 	if identity != 0 { // fresh segments are zeroed
 		cells := denseCells[T](seg)
@@ -177,57 +169,20 @@ func newPrivate[T cell](kind mem.CellKind, n int, identity T, sparse bool, label
 }
 
 // foldSegs folds the source accumulator segment into the destination
-// element-wise. Sparse sources contribute only their dirty blocks:
-// every untouched cell still holds the fold's identity, and
-// fold(a, identity) == a for every operator of the table, so skipping
-// them is exact. The destination is the caller's dense array (linear
-// combine, or the tree's root fold) or a sibling private — sparse when
-// the source is — during tree merges; block bases align because both
-// segments share the accumulator's length.
+// element-wise.
 func foldSegs[T cell](d, s *mem.Segment, fold func(a, b T) T) {
-	if !s.IsSparse() {
-		dc, sc := denseCells[T](d), denseCells[T](s)
-		for i := range dc {
-			dc[i] = fold(dc[i], sc[i])
-		}
-		return
-	}
-	block := func(base int, cells []T) {
-		var dc []T
-		if d.IsSparse() {
-			dc = sparseCells[T](d, base)
-		} else {
-			dc = denseCells[T](d)[base:]
-		}
-		for i, v := range cells {
-			dc[i] = fold(dc[i], v)
-		}
-	}
-	switch f := any(block).(type) {
-	case func(int, []int64):
-		s.DirtyIntBlocks(f)
-	case func(int, []float64):
-		s.DirtyFloatBlocks(f)
+	dc, sc := denseCells[T](d), denseCells[T](s)
+	for i := range dc {
+		dc[i] = fold(dc[i], sc[i])
 	}
 }
 
-// denseCells returns a dense accumulator segment's T-typed backing
-// cells. The callers walk equal-length accumulator pairs (validated by
+// denseCells returns an accumulator segment's T-typed backing cells.
+// The callers walk equal-length accumulator pairs (validated by
 // arrayReduction's combine) or a fresh private, in range loops.
 func denseCells[T cell](s *mem.Segment) []T {
 	if c, ok := any(&s.I).(*[]T); ok {
 		return *c
 	}
 	return *any(&s.F).(*[]T)
-}
-
-// sparseCells returns the materialized block of a sparse private that
-// starts at cell base.
-func sparseCells[T cell](s *mem.Segment, base int) []T {
-	if s.Kind == mem.CellInt {
-		c := s.SparseIntCells(base)
-		return *any(&c).(*[]T)
-	}
-	c := s.SparseFloatCells(base)
-	return *any(&c).(*[]T)
 }

@@ -803,28 +803,14 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 				r.combine(e, we)
 			}
 		}
-		// Under the tree topology the runtime also merges partials into
-		// partials; the clause combines apply pairwise to the worker
-		// clones, and the surviving clone folds into the caller through
-		// combineFn exactly once.
-		opts := rt.ReduceOptions{Combine: fc.prog.combine}
-		if opts.Combine == rt.CombineTree {
-			opts.Merge = func(dst, src any) any {
-				d, s := dst.(*env), src.(*env)
-				for _, r := range reds {
-					r.combine(d, s)
-				}
-				return d
-			}
-		}
 		if hasArray {
 			// Array reductions allocate O(len) private copies: the
 			// lazy-allocating runtime entry point skips workers that
 			// never receive a chunk and charges the element-wise
 			// combine pass on the simulated critical path.
-			e.team.ParallelForReduceArrayOpts(lo, hi, sched, chunk, opts, init, bodyFn, combineFn)
+			e.team.ParallelForReduceArray(lo, hi, sched, chunk, init, bodyFn, combineFn)
 		} else {
-			e.team.ParallelForReduceOpts(lo, hi, sched, chunk, opts, init, bodyFn, combineFn)
+			e.team.ParallelForReduce(lo, hi, sched, chunk, init, bodyFn, combineFn)
 		}
 		return ctrlNext
 	}

@@ -554,11 +554,6 @@ func (tp *tape) exec(e *env) ctrl {
 		case tStGIdxFR:
 			p := e.p.gP[in.b]
 			p.Seg.F[p.Off+int(I[in.c]*in.aux)] = float64(float32(F[in.a]))
-		// Frame pointer slots can aim at block-sparse reduction privates
-		// (Options.SparsePrivates), so the int/float indexed ops go
-		// through the Pointer accessors, whose sparse branch handles
-		// first-touch materialization; pointer-cell segments are never
-		// sparse and keep the raw form.
 		case tLdIdx:
 			I[in.a] = P[in.b].Add(I[in.c] * in.aux).LoadInt()
 		case tLdIdxF:

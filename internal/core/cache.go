@@ -46,11 +46,13 @@ func cacheKey(src string, cfg Config) CacheKey {
 	h := sha256.New()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("src:%d:%s;", len(src), src)
-	w("mode:%d;file:%s;par:%t;backend:%d;engine:%d;vec:%t;nofuse:%t;nobce:%t;noalias:%t;combine:%d;sparsepriv:%t;",
-		cfg.Mode, cfg.FileName, cfg.Parallelize, cfg.Backend, cfg.Engine, cfg.Vectorize, cfg.NoFuse, cfg.NoBCE, cfg.NoAlias,
-		cfg.Combine, cfg.SparsePrivates)
-	w("memo:%t;memocap:%d;memoshards:%d;",
-		cfg.Memoize, cfg.MemoCapacity, cfg.MemoShards)
+	// The combine, sparsepriv and memoshards literals stand where three
+	// since-deleted fields were hashed at their zero values: every key
+	// stays byte-identical to the one an older build wrote, so existing
+	// disk caches keep serving.
+	w("mode:%d;file:%s;par:%t;backend:%d;engine:%d;vec:%t;nofuse:%t;nobce:%t;noalias:%t;combine:0;sparsepriv:false;",
+		cfg.Mode, cfg.FileName, cfg.Parallelize, cfg.Backend, cfg.Engine, cfg.Vectorize, cfg.NoFuse, cfg.NoBCE, cfg.NoAlias)
+	w("memo:%t;memocap:%d;memoshards:0;", cfg.Memoize, cfg.MemoCapacity)
 	t := cfg.Transform
 	w("tile:%t;sizes:%v;skew:%t;sched:%s;mintrip:%d;",
 		t.Tile, t.TileSizes, t.Skew, t.Schedule, t.MinParallelTrip)

@@ -54,10 +54,9 @@ const (
 
 // Config controls one pipeline run. The compile-relevant fields (Mode,
 // Defines, Files, Parallelize, Transform, Backend, Engine, Vectorize,
-// NoFuse, NoBCE, NoAlias, Combine, SparsePrivates, Memoize,
-// MemoCapacity, MemoShards) form the content-addressed program-cache
-// key; TeamSize, Stdout and the cache controls are run state and never
-// affect the compiled Program.
+// NoFuse, NoBCE, NoAlias, Memoize, MemoCapacity) form the
+// content-addressed program-cache key; TeamSize, Stdout and the cache
+// controls are run state and never affect the compiled Program.
 type Config struct {
 	// Mode selects pure-aware (default) or classic polyhedral
 	// parallelization.
@@ -106,19 +105,6 @@ type Config struct {
 	// for debugging the analysis.
 	// Compile-relevant: part of the program-cache key.
 	NoAlias bool
-	// Combine selects the reduction combine topology: rt.CombineLinear
-	// (default, worker-ordered folds) or rt.CombineTree (log-depth
-	// pairwise merges). Integer reductions are bit-identical across
-	// topologies; float reductions follow their own topology's
-	// documented bracketing. Compile-relevant: part of the program-cache
-	// key.
-	Combine rt.Combine
-	// SparsePrivates allocates array-reduction private copies as
-	// block-sparse segments with lazy first-touch identity fill, making
-	// a worker's cost proportional to the cells it touches instead of
-	// the accumulator length. Compile-relevant: part of the
-	// program-cache key.
-	SparsePrivates bool
 	// Memoize wraps calls of memoizable pure functions (scalar
 	// signature, global-free body) behind a concurrency-safe memo table
 	// shared by every Process of the compiled Program. Compile-relevant:
@@ -127,9 +113,6 @@ type Config struct {
 	// MemoCapacity bounds the memo table entry count (0 means the
 	// memo package default).
 	MemoCapacity int
-	// MemoShards sets the memo table lock-stripe count (0 means the
-	// memo package default).
-	MemoShards int
 	// TeamSize is the OpenMP thread-count analog (cores in the paper's
 	// figures).
 	//lint:cachekey run state: sizes the Process team, never the Program
@@ -385,18 +368,15 @@ func (a *Artifact) Compile(cfg Config) (*comp.Program, error) {
 		proofs = a.VRA.Proofs()
 	}
 	prog, err := comp.CompileProgram(a.Info, comp.Options{
-		Backend:        cfg.Backend,
-		Engine:         cfg.Engine,
-		Vectorize:      cfg.Vectorize,
-		NoFuse:         cfg.NoFuse,
-		NoBCE:          cfg.NoBCE,
-		Combine:        cfg.Combine,
-		SparsePrivates: cfg.SparsePrivates,
-		Proofs:         proofs,
-		Memoize:        cfg.Memoize,
-		Memoizable:     a.Memoizable,
-		MemoCapacity:   cfg.MemoCapacity,
-		MemoShards:     cfg.MemoShards,
+		Backend:      cfg.Backend,
+		Engine:       cfg.Engine,
+		Vectorize:    cfg.Vectorize,
+		NoFuse:       cfg.NoFuse,
+		NoBCE:        cfg.NoBCE,
+		Proofs:       proofs,
+		Memoize:      cfg.Memoize,
+		Memoizable:   a.Memoizable,
+		MemoCapacity: cfg.MemoCapacity,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compile: %v", err)

@@ -138,9 +138,7 @@ func (a *Arena) NewSegment(k CellKind, n int, name string) *Segment {
 // the observable state free() leaves behind — and parks the reclaimed
 // storage for reuse. Segments already freed by the guest have nothing
 // left to reclaim; their storage was dropped for good at free() time so
-// stale-pointer traps stay truthful for the rest of the run. Sparse
-// segments drop their block tables (blocks are identity-filled per run
-// and too irregular to pool).
+// stale-pointer traps stay truthful for the rest of the run.
 func (a *Arena) Release(s *Segment) {
 	if s == nil || s.freed.Swap(true) {
 		return
@@ -164,5 +162,4 @@ func (a *Arena) Release(s *Segment) {
 		a.recycled++
 	}
 	s.I, s.F, s.P = nil, nil, nil
-	s.blockI, s.blockF = nil, nil
 }

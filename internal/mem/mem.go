@@ -65,164 +65,6 @@ type Segment struct {
 	// double-free detection also works for frees issued from inside
 	// parallel regions.
 	freed atomic.Bool
-
-	// Sparse segments (NewSparseIntSegment/NewSparseFloatSegment) back
-	// their cells with fixed-size blocks materialized on first store,
-	// so a segment of which only k cells are ever written costs
-	// O(k/SparseBlockCells) blocks of allocation and identity fill
-	// instead of O(n). Loads of unmaterialized blocks return the
-	// identity without materializing. Used for reduction private
-	// copies, where most of a large accumulator is never touched.
-	sparse  bool
-	sparseN int
-	identI  int64
-	identF  float64
-	blockI  [][]int64
-	blockF  [][]float64
-}
-
-// SparseBlockCells is the block granularity of sparse segments: the
-// unit of first-touch materialization, identity fill and dirty-block
-// combining.
-const SparseBlockCells = 256
-
-// NewSparseIntSegment allocates a sparse integer segment of n cells
-// whose untouched cells read as ident.
-func NewSparseIntSegment(n int, ident int64, name string) *Segment {
-	return &Segment{Kind: CellInt, Name: name, sparse: true, sparseN: n,
-		identI: ident, blockI: make([][]int64, nblocks(n))}
-}
-
-// NewSparseFloatSegment allocates a sparse float segment of n cells
-// whose untouched cells read as ident.
-func NewSparseFloatSegment(n int, ident float64, name string) *Segment {
-	return &Segment{Kind: CellFloat, Name: name, sparse: true, sparseN: n,
-		identF: ident, blockF: make([][]float64, nblocks(n))}
-}
-
-func nblocks(n int) int { return (n + SparseBlockCells - 1) / SparseBlockCells }
-
-// IsSparse reports whether the segment uses block-sparse backing.
-func (s *Segment) IsSparse() bool { return s.sparse }
-
-// sparseCheck traps out-of-bounds sparse accesses with the same
-// observable behaviour as a dense segment's slice bounds check: a panic
-// the machine converts into a runtime error ("purec: " prefix, see
-// comp's trap recovery).
-func (s *Segment) sparseCheck(off int) {
-	if off < 0 || off >= s.sparseN {
-		panic(fmt.Sprintf("purec: index %d out of bounds of %s (%d cells)", off, s.Name, s.sparseN))
-	}
-}
-
-func (s *Segment) sparseLoadInt(off int) int64 {
-	s.sparseCheck(off)
-	if cells := s.blockI[off/SparseBlockCells]; cells != nil {
-		return cells[off%SparseBlockCells]
-	}
-	return s.identI
-}
-
-func (s *Segment) sparseLoadFloat(off int) float64 {
-	s.sparseCheck(off)
-	if cells := s.blockF[off/SparseBlockCells]; cells != nil {
-		return cells[off%SparseBlockCells]
-	}
-	return s.identF
-}
-
-func (s *Segment) sparseStoreInt(off int, v int64) {
-	s.sparseCheck(off)
-	cells := s.blockI[off/SparseBlockCells]
-	if cells == nil {
-		cells = s.materializeIntBlock(off / SparseBlockCells)
-	}
-	cells[off%SparseBlockCells] = v
-}
-
-func (s *Segment) sparseStoreFloat(off int, v float64) {
-	s.sparseCheck(off)
-	cells := s.blockF[off/SparseBlockCells]
-	if cells == nil {
-		cells = s.materializeFloatBlock(off / SparseBlockCells)
-	}
-	cells[off%SparseBlockCells] = v
-}
-
-// blockLen sizes block b so the final block covers only the segment
-// tail: sparse segments of equal n always produce equal-length blocks
-// at equal bases, which the dirty-block combine relies on.
-func (s *Segment) blockLen(b int) int {
-	n := SparseBlockCells
-	if rem := s.sparseN - b*SparseBlockCells; rem < n {
-		n = rem
-	}
-	return n
-}
-
-func (s *Segment) materializeIntBlock(b int) []int64 {
-	cells := make([]int64, s.blockLen(b))
-	if s.identI != 0 {
-		for i := range cells {
-			cells[i] = s.identI
-		}
-	}
-	s.blockI[b] = cells
-	return cells
-}
-
-func (s *Segment) materializeFloatBlock(b int) []float64 {
-	cells := make([]float64, s.blockLen(b))
-	if s.identF != 0 {
-		for i := range cells {
-			cells[i] = s.identF
-		}
-	}
-	s.blockF[b] = cells
-	return cells
-}
-
-// SparseIntCells returns the backing cells of the block starting at
-// cell index base (a multiple of SparseBlockCells), materializing and
-// identity-filling it if untouched. Combine passes use it to fold a
-// dirty source block into the matching destination block.
-func (s *Segment) SparseIntCells(base int) []int64 {
-	b := base / SparseBlockCells
-	if cells := s.blockI[b]; cells != nil {
-		return cells
-	}
-	return s.materializeIntBlock(b)
-}
-
-// SparseFloatCells is SparseIntCells for float segments.
-func (s *Segment) SparseFloatCells(base int) []float64 {
-	b := base / SparseBlockCells
-	if cells := s.blockF[b]; cells != nil {
-		return cells
-	}
-	return s.materializeFloatBlock(b)
-}
-
-// DirtyIntBlocks visits the materialized blocks of a sparse integer
-// segment in ascending base order: fn(base, cells) with cells the
-// block's backing storage starting at cell index base. Untouched
-// blocks — still holding the identity by construction — are skipped,
-// which is what makes sparse combines O(touched), not O(len).
-func (s *Segment) DirtyIntBlocks(fn func(base int, cells []int64)) {
-	for b, cells := range s.blockI {
-		if cells != nil {
-			fn(b*SparseBlockCells, cells)
-		}
-	}
-}
-
-// DirtyFloatBlocks is DirtyIntBlocks for float segments.
-func (s *Segment) DirtyFloatBlocks(fn func(base int, cells []float64)) {
-	for b, cells := range s.blockF {
-		if cells != nil {
-			fn(b*SparseBlockCells, cells)
-		}
-	}
 }
 
 // NewSegment allocates a segment of n cells of kind k.
@@ -249,9 +91,6 @@ func (s *Segment) Freed() bool { return s.freed.Load() }
 
 // Len returns the cell count.
 func (s *Segment) Len() int {
-	if s.sparse {
-		return s.sparseN
-	}
 	switch s.Kind {
 	case CellInt:
 		return len(s.I)
@@ -307,11 +146,6 @@ func (s *Segment) TrustedIntRange(lo, hi int64) []int64 {
 func (s *Segment) checkRange(lo, hi int64, n int, kind string) error {
 	if s.Freed() {
 		return fmt.Errorf("use of freed segment %s", s.Name)
-	}
-	if s.sparse {
-		// Sparse segments have no contiguous backing; kernels that need a
-		// raw range fall back to the per-cell accessors.
-		return fmt.Errorf("bulk %s range over sparse segment %s", kind, s.Name)
 	}
 	if lo < 0 || hi < lo || hi > int64(n) {
 		return fmt.Errorf("%s range [%d,%d) out of bounds of %s (%d cells)",
@@ -372,44 +206,21 @@ func (p Pointer) String() string {
 	return fmt.Sprintf("&%s[%d]", p.Seg.Name, p.Off)
 }
 
-// LoadInt reads an integer cell. The sparse branch covers reduction
-// private copies; on dense segments it is a predicted-not-taken
-// compare against a field already in cache.
-func (p Pointer) LoadInt() int64 {
-	if p.Seg.sparse {
-		return p.Seg.sparseLoadInt(p.Off)
-	}
-	return p.Seg.I[p.Off]
-}
+// LoadInt reads an integer cell: one slice index, whose Go bounds check
+// is the out-of-bounds trap.
+func (p Pointer) LoadInt() int64 { return p.Seg.I[p.Off] }
 
 // LoadFloat reads a float cell.
-func (p Pointer) LoadFloat() float64 {
-	if p.Seg.sparse {
-		return p.Seg.sparseLoadFloat(p.Off)
-	}
-	return p.Seg.F[p.Off]
-}
+func (p Pointer) LoadFloat() float64 { return p.Seg.F[p.Off] }
 
 // LoadPtr reads a pointer cell.
 func (p Pointer) LoadPtr() Pointer { return p.Seg.P[p.Off] }
 
 // StoreInt writes an integer cell.
-func (p Pointer) StoreInt(v int64) {
-	if p.Seg.sparse {
-		p.Seg.sparseStoreInt(p.Off, v)
-		return
-	}
-	p.Seg.I[p.Off] = v
-}
+func (p Pointer) StoreInt(v int64) { p.Seg.I[p.Off] = v }
 
 // StoreFloat writes a float cell.
-func (p Pointer) StoreFloat(v float64) {
-	if p.Seg.sparse {
-		p.Seg.sparseStoreFloat(p.Off, v)
-		return
-	}
-	p.Seg.F[p.Off] = v
-}
+func (p Pointer) StoreFloat(v float64) { p.Seg.F[p.Off] = v }
 
 // StorePtr writes a pointer cell.
 func (p Pointer) StorePtr(v Pointer) { p.Seg.P[p.Off] = v }
@@ -513,9 +324,7 @@ func (h *Heap) Free(p Pointer) error {
 	// Poison the segment: dropping the backing slices makes any later
 	// access through a stale pointer fail the slice bounds check, which
 	// the machine reports as a runtime error (use-after-free detection).
-	// Sparse segments drop the block table for the same effect.
 	p.Seg.I, p.Seg.F, p.Seg.P = nil, nil, nil
-	p.Seg.blockI, p.Seg.blockF = nil, nil
 	h.frees.Add(1)
 	return nil
 }

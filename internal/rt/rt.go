@@ -80,46 +80,6 @@ func ParseSchedule(s string) (Schedule, int, error) {
 	return Static, 0, fmt.Errorf("unknown schedule %q", s)
 }
 
-// Combine selects the topology of a reduction's post-loop combine
-// pass.
-type Combine int
-
-// Combine topologies.
-const (
-	// CombineLinear folds every worker's partial into the caller in
-	// worker order 0..n-1 — the default. The combine pass is O(n) on
-	// the region's critical path.
-	CombineLinear Combine = iota
-	// CombineTree merges the partials pairwise over the worker index
-	// grid before the final fold into the caller: at stride s = 1, 2,
-	// 4, ... accumulator w (w ≡ 0 mod 2s) absorbs accumulator w+s.
-	// The bracketing is a pure function of which workers hold
-	// accumulators — identical in real and simulated mode — so float
-	// results are deterministic exactly where CombineLinear's are; they
-	// only differ from CombineLinear's by the documented grouping.
-	// Each level's merges are independent: real teams run them
-	// concurrently and simulated teams charge the level's maximum merge
-	// duration, making the combine pass O(log n) on the critical path.
-	CombineTree
-)
-
-var combineNames = [...]string{"linear", "tree"}
-
-// String returns the topology name.
-func (c Combine) String() string { return combineNames[c] }
-
-// ParseCombine parses a combine-topology flag value ("linear", "tree";
-// empty selects linear).
-func ParseCombine(s string) (Combine, error) {
-	switch s {
-	case "", "linear":
-		return CombineLinear, nil
-	case "tree":
-		return CombineTree, nil
-	}
-	return CombineLinear, fmt.Errorf("unknown combine topology %q (want linear or tree)", s)
-}
-
 // ReductionClause is one parsed reduction(op:var) entry of an OpenMP
 // parallel-for pragma. Op is the operator symbol exactly as written
 // ("+", "*", "-", "max", ...); consumers decide which operators they
@@ -350,31 +310,7 @@ type ReduceBody func(w int, lo, hi int64, acc any) any
 // combine, leaving the reduction target untouched.
 func (t *Team) ParallelForReduce(lo, hi int64, sched Schedule, chunk int,
 	init func(w int) any, body ReduceBody, combine func(w int, acc any)) {
-	t.reduceLoop(lo, hi, sched, chunk, ReduceOptions{}, init, false, body, combine)
-}
-
-// ReduceOptions selects the combine topology of a reduction loop.
-type ReduceOptions struct {
-	// Combine is the topology of the post-loop combine pass
-	// (CombineLinear by default).
-	Combine Combine
-	// Merge folds two private accumulators pairwise and returns the
-	// merged accumulator (it may mutate and return dst). Required for
-	// CombineTree — the tree's inner nodes merge partials into partials,
-	// which the final combine callback (partial into caller) cannot
-	// express — and ignored for CombineLinear.
-	Merge func(dst, src any) any
-}
-
-// ParallelForReduceOpts is ParallelForReduce with an explicit combine
-// topology. Under CombineTree the partials are merged pairwise with the
-// fixed bracketing documented on the Combine constants, then the single
-// surviving partial is folded into the caller via combine(0, acc); all
-// other determinism clauses of ParallelForReduce hold unchanged, and
-// integer results are identical across topologies.
-func (t *Team) ParallelForReduceOpts(lo, hi int64, sched Schedule, chunk int, o ReduceOptions,
-	init func(w int) any, body ReduceBody, combine func(w int, acc any)) {
-	t.reduceLoop(lo, hi, sched, chunk, o, init, false, body, combine)
+	t.reduceLoop(lo, hi, sched, chunk, init, false, body, combine)
 }
 
 // ParallelForReduceArray executes an array-reduction loop
@@ -400,17 +336,7 @@ func (t *Team) ParallelForReduceOpts(lo, hi int64, sched Schedule, chunk int, o 
 // combine, leaving the reduction target untouched.
 func (t *Team) ParallelForReduceArray(lo, hi int64, sched Schedule, chunk int,
 	alloc func(w int) any, body ReduceBody, combine func(w int, acc any)) {
-	t.reduceLoop(lo, hi, sched, chunk, ReduceOptions{}, alloc, true, body, combine)
-}
-
-// ParallelForReduceArrayOpts is ParallelForReduceArray with an explicit
-// combine topology. Under CombineTree, workers that never allocated a
-// private copy are skipped by moving their partner's accumulator up the
-// tree unmerged, so the bracketing is a pure function of which workers
-// worked — still deterministic wherever the accumulator assignment is.
-func (t *Team) ParallelForReduceArrayOpts(lo, hi int64, sched Schedule, chunk int, o ReduceOptions,
-	alloc func(w int) any, body ReduceBody, combine func(w int, acc any)) {
-	t.reduceLoop(lo, hi, sched, chunk, o, alloc, true, body, combine)
+	t.reduceLoop(lo, hi, sched, chunk, alloc, true, body, combine)
 }
 
 // reduceLoop is the shared engine behind ParallelForReduce (eager
@@ -420,13 +346,10 @@ func (t *Team) ParallelForReduceArrayOpts(lo, hi int64, sched Schedule, chunk in
 // Both contracts share the deterministic sim-mode accumulation, the
 // sim combine-on-critical-path accounting and the schedule dispatch,
 // so the subtle parts exist exactly once.
-func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int, o ReduceOptions,
+func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int,
 	alloc func(w int) any, lazy bool, body ReduceBody, combine func(w int, acc any)) {
 	if hi < lo {
 		return
-	}
-	if o.Combine == CombineTree && o.Merge == nil {
-		panic("rt: CombineTree requires ReduceOptions.Merge")
 	}
 	accs := make([]any, t.n)
 	used := make([]bool, t.n)
@@ -448,11 +371,6 @@ func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int, o ReduceOptio
 		lo++
 	}
 	wrapped := func(w int, clo, chi int64) { accs[w] = body(w, clo, chi, get(w)) }
-	finish := func(w int) {
-		if used[w] {
-			combine(w, accs[w])
-		}
-	}
 	switch {
 	case t.sim:
 		// Deterministic accumulation: chunks are produced in a fixed
@@ -465,24 +383,7 @@ func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int, o ReduceOptio
 			k++
 			accs[a] = body(a, clo, chi, get(a))
 		}
-		sp := normRange(lo, hi)
-		t.simFor(sp, sched, chunk, simWrapped)
-		start := time.Now()
-		var virt time.Duration
-		if o.Combine == CombineTree && t.n > 1 {
-			virt = t.treeCombineSim(accs, used, o.Merge, combine)
-		} else {
-			for w := range accs {
-				finish(w)
-			}
-			virt = time.Since(start)
-		}
-		d := time.Since(start)
-		t.mu.Lock()
-		t.simReal += d
-		t.simVirt += virt
-		t.mu.Unlock()
-		return
+		t.simFor(normRange(lo, hi), sched, chunk, simWrapped)
 	case t.n == 1:
 		wrapped(0, lo, hi)
 	default:
@@ -496,105 +397,27 @@ func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int, o ReduceOptio
 			t.staticFor(sp, chunk, wrapped)
 		}
 	}
-	// Real mode: combine after the join. Each accs[w] was only touched
-	// by worker w's goroutine, and wg.Wait in the scheduler ordered
-	// those writes before this read.
-	if o.Combine == CombineTree && t.n > 1 {
-		t.treeCombineReal(accs, used, o.Merge, combine)
-		return
+	// Combine after the join, in worker order 0..n-1 on the calling
+	// goroutine. In real mode each accs[w] was only touched by worker
+	// w's goroutine, and wg.Wait in the scheduler ordered those writes
+	// before this read. In simulated mode the combine runs serially
+	// after the barrier, so its wall time is charged to the region's
+	// critical path as is.
+	var start time.Time
+	if t.sim {
+		start = time.Now()
 	}
-	// Linear: worker order 0..n-1 on the calling goroutine.
 	for w := range accs {
-		finish(w)
-	}
-}
-
-// treeCombineSim runs the pairwise tree combine sequentially, timing
-// each merge. The returned duration is the simulated critical path of
-// the pass: per level, the merges are pairwise independent (a real team
-// runs them concurrently), so the level charges only its longest merge;
-// levels are sequentially dependent, so their charges sum, and the
-// final root fold into the caller adds its full duration. The caller
-// charges the wall time actually spent to simReal and the returned
-// critical path to simVirt.
-func (t *Team) treeCombineSim(accs []any, used []bool,
-	merge func(dst, src any) any, combine func(w int, acc any)) time.Duration {
-	var critical time.Duration
-	for s := 1; s < t.n; s *= 2 {
-		var level time.Duration
-		for i := 0; i+s < t.n; i += 2 * s {
-			if !used[i+s] {
-				continue
-			}
-			if !used[i] {
-				// Move, not merge: slot i never worked, so its partner's
-				// partial ascends unchanged. Charged as free — a real
-				// team moves a pointer.
-				accs[i], used[i] = accs[i+s], true
-				accs[i+s], used[i+s] = nil, false
-				continue
-			}
-			mStart := time.Now()
-			accs[i] = merge(accs[i], accs[i+s])
-			if d := time.Since(mStart); d > level {
-				level = d
-			}
-			accs[i+s], used[i+s] = nil, false
-		}
-		critical += level
-	}
-	rootStart := time.Now()
-	if used[0] {
-		combine(0, accs[0])
-	}
-	return critical + time.Since(rootStart)
-}
-
-// treeCombineReal runs the pairwise tree combine with the same fixed
-// bracketing as treeCombineSim, executing each level's independent
-// merges on concurrent goroutines. Worker-body panics inside a merge
-// propagate to the caller exactly like loop-body panics (panicBox).
-// The final surviving partial folds into the caller on the calling
-// goroutine via combine(0, acc).
-func (t *Team) treeCombineReal(accs []any, used []bool,
-	merge func(dst, src any) any, combine func(w int, acc any)) {
-	var box panicBox
-	for s := 1; s < t.n; s *= 2 {
-		var pairs [][2]int
-		for i := 0; i+s < t.n; i += 2 * s {
-			if !used[i+s] {
-				continue
-			}
-			if !used[i] {
-				accs[i], used[i] = accs[i+s], true
-				accs[i+s], used[i+s] = nil, false
-				continue
-			}
-			pairs = append(pairs, [2]int{i, i + s})
-			used[i+s] = false
-		}
-		if len(pairs) == 1 {
-			// A single merge gains nothing from a goroutine.
-			i, j := pairs[0][0], pairs[0][1]
-			box.protect(func() { accs[i] = merge(accs[i], accs[j]) })
-		} else if len(pairs) > 1 {
-			var wg sync.WaitGroup
-			for _, pr := range pairs {
-				wg.Add(1)
-				go func(i, j int) {
-					defer wg.Done()
-					box.protect(func() { accs[i] = merge(accs[i], accs[j]) })
-				}(pr[0], pr[1])
-			}
-			wg.Wait()
-		}
-		box.rethrow()
-		for _, pr := range pairs {
-			accs[pr[1]] = nil
+		if used[w] {
+			combine(w, accs[w])
 		}
 	}
-	if used[0] {
-		combine(0, accs[0])
+	if t.sim {
+		d := time.Since(start)
+		t.mu.Lock()
+		t.simReal += d
+		t.simVirt += d
+		t.mu.Unlock()
 	}
 }
 

@@ -15,6 +15,8 @@
 //	GET  /stats    cache/memo hit rates, pool reuse, admission, latency
 //	GET  /healthz  liveness probe
 //
+// A body longer than Options.MaxSourceBytes is answered 413.
+//
 // Overload behaviour: a request over the per-program quota is rejected
 // immediately with 429; a request that finds the global wait queue full,
 // or times out waiting for a run slot, is rejected with 503. Rejections
@@ -25,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -68,7 +69,8 @@ type Options struct {
 	DiskEntries int
 	// CacheSize bounds the in-memory program cache (default 128).
 	CacheSize int
-	// MaxSourceBytes bounds the request body (default 4MB).
+	// MaxSourceBytes bounds the request body (default 4MB); a longer
+	// body is answered 413.
 	MaxSourceBytes int64
 	// MaxCores bounds the per-request team size (default 64).
 	MaxCores int
@@ -330,9 +332,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, s.opts.MaxSourceBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes))
 	if err := dec.Decode(&req); err != nil {
 		s.reqs.BadRequests.Add(1)
+		// An oversize body is a size problem, not malformed JSON.
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			jsonError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		jsonError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

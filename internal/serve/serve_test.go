@@ -374,6 +374,47 @@ func TestRunOptionsValidated(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: a body over MaxSourceBytes is a 413 naming the limit
+// (not a truncated-JSON 400), a body of exactly the limit is served,
+// and malformed JSON under the limit stays a 400.
+func TestBodyLimit(t *testing.T) {
+	body, err := json.Marshal(RunRequest{Source: `int main(void) { printf("ok\n"); return 0; }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(len(body))
+	s, ts := newTestServer(t, Options{MaxSourceBytes: limit})
+	send := func(b []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readBody(t, resp)
+	}
+
+	over, err := json.Marshal(RunRequest{Source: "int main(void) { return 0; }" + strings.Repeat(" ", 200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got := send(over)
+	if want := fmt.Sprintf(`{"error":"request body exceeds the %d-byte limit"}`+"\n", limit); code != http.StatusRequestEntityTooLarge || got != want {
+		t.Errorf("over the limit: %d %s, want 413 %s", code, got, want)
+	}
+
+	if code, got := send(body); code != http.StatusOK || got != "ok\n" {
+		t.Errorf("exactly at the limit: %d %q, want 200 \"ok\\n\"", code, got)
+	}
+
+	code, got = send([]byte(`{"source": "int main`))
+	if code != http.StatusBadRequest || !strings.Contains(got, "bad request body") {
+		t.Errorf("malformed under the limit: %d %s, want 400", code, got)
+	}
+	if n := s.reqs.BadRequests.Load(); n != 2 {
+		t.Errorf("bad_requests = %d, want 2", n)
+	}
+}
+
 // TestStatsEndpoint: /stats reports request counters, cache hit rates
 // and pool reuse after traffic.
 func TestStatsEndpoint(t *testing.T) {
