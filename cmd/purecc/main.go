@@ -9,12 +9,13 @@
 //	-mode pure|pluto      parallelizer mode (default pure)
 //	-backend LIST         comma-separated compile selections: the
 //	                      compiler analog (gcc or icc, default gcc)
-//	                      and/or the statement engine (closure or
-//	                      tape, default closure) — e.g. -backend
-//	                      icc,tape. The tape engine linearizes
+//	                      and/or the statement engine (tape or
+//	                      closure, default tape) — e.g. -backend
+//	                      icc,closure. The tape engine linearizes
 //	                      statement bodies into flat bytecode run by a
-//	                      switch-dispatch loop; results are
-//	                      bit-identical to the closure engine
+//	                      switch-dispatch loop; the closure engine
+//	                      (one Go closure per syntax node) is its
+//	                      bit-identical reference and fallback
 //	-cores N              worker count for parallel regions (default 1)
 //	-seq                  disable parallelization (sequential baseline)
 //	-tile                 enable rectangular tiling (PluTo-SICA analog)
@@ -24,7 +25,7 @@
 //	                      affine innermost loops compile to fused
 //	                      segment-walking kernels with one hoisted
 //	                      range check per operand; -fuse=false falls
-//	                      back to per-iteration closure dispatch
+//	                      back to per-iteration statement dispatch
 //	-skew                 enable loop shearing when it enables parallelism
 //	-schedule S           OpenMP schedule clause (e.g. dynamic,1)
 //	-memo                 memoize calls of memoizable pure functions
@@ -93,12 +94,12 @@ func (d defineFlags) Set(s string) error {
 
 func main() {
 	mode := flag.String("mode", "pure", "parallelizer mode: pure or pluto")
-	backend := flag.String("backend", "gcc", "comma-separated: compiler analog (gcc|icc) and/or statement engine (closure|tape)")
+	backend := flag.String("backend", "gcc,tape", "comma-separated: compiler analog (gcc|icc) and/or statement engine (tape|closure)")
 	cores := flag.Int("cores", 1, "worker count")
 	seq := flag.Bool("seq", false, "disable parallelization")
 	tile := flag.Bool("tile", false, "enable rectangular tiling")
 	vectorize := flag.Bool("vectorize", false, "enable fused reduction kernels everywhere (SICA SIMD analog)")
-	fuse := flag.Bool("fuse", true, "kernel fusion: compile element-wise affine loops to segment-walking kernels (-fuse=false for closure dispatch)")
+	fuse := flag.Bool("fuse", true, "kernel fusion: compile element-wise affine loops to segment-walking kernels (-fuse=false for per-iteration statement dispatch)")
 	skew := flag.Bool("skew", false, "enable loop shearing")
 	schedule := flag.String("schedule", "", "OpenMP schedule clause")
 	memoize := flag.Bool("memo", false, "memoize calls of memoizable pure functions")
@@ -163,7 +164,7 @@ func main() {
 		case "tape":
 			cfg.Engine = comp.EngineTape
 		default:
-			fatalf("unknown backend %q (want gcc, icc, closure or tape)", sel)
+			fatalf("unknown backend %q (want gcc, icc, tape or closure)", sel)
 		}
 	}
 

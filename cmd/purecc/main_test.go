@@ -53,6 +53,8 @@ func TestScheduleFlagValidated(t *testing.T) {
 // The report answers "why is this loop a kernel now": the heat stencil
 // call and reduce-sum's square(...) are one inlined call site each, and
 // heat's stencil loop counts as a fused kernel beside the copy loop.
+// The default build runs on the tape, so the report carries the "tape:"
+// size line; -backend closure drops it.
 func TestReportInlinedCalls(t *testing.T) {
 	dir, bin := buildPurecc(t)
 	for _, c := range []struct {
@@ -75,10 +77,17 @@ func TestReportInlinedCalls(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, out)
 		}
-		for _, line := range c.want {
+		for _, line := range append(c.want, "\ntape: ") {
 			if !strings.Contains(string(out), line) {
 				t.Errorf("%s: report lacks %q:\n%s", c.name, line, out)
 			}
+		}
+		out, err = exec.Command(bin, append(args, "-backend", "closure", path)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -backend closure: %v\n%s", c.name, err, out)
+		}
+		if strings.Contains(string(out), "\ntape: ") || !strings.Contains(string(out), c.want[0]) {
+			t.Errorf("%s -backend closure: report\n%s", c.name, out)
 		}
 	}
 }

@@ -30,10 +30,10 @@
 //	-max-source BYTES     request body bound (default 4MiB; longer is a 413)
 //
 // Endpoints: POST /run (body: {"source": "...", "defines": {...},
-// "options": {"backend", "engine", "cores", "sequential", "schedule",
-// "memoize"}}; response body is the guest's stdout byte-for-byte, run
-// metadata in X-Purecd-* headers and trailers), GET /stats, GET
-// /healthz.
+// "options": {"backend" gcc|icc, "engine" tape|closure (default tape),
+// "cores", "sequential", "schedule", "memoize"}}; response body is the
+// guest's stdout byte-for-byte, run metadata in X-Purecd-* headers and
+// trailers), GET /stats, GET /healthz.
 //
 // SIGINT/SIGTERM drain: the listener closes immediately, in-flight
 // requests run to completion (bounded by -queue-timeout plus the runs

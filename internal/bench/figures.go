@@ -524,8 +524,8 @@ func (d *HistData) FigA1() *Figure {
 	return f
 }
 
-// KernelResult is one Fig K1 workload: the same build measured with
-// the fusion engine off (closure dispatch) and on.
+// KernelResult is one Fig K1 workload: the same closure-engine build
+// measured with the fusion engine off (closure dispatch) and on.
 type KernelResult struct {
 	Name     string
 	Dispatch float64 // seconds, NoFuse build
@@ -547,10 +547,11 @@ type KernelData struct {
 }
 
 // CollectKernels measures the Fig K1 workloads — axpy, copy, a 1-D
-// stencil and the extracted-dot matmul — as sequential builds with the
-// fusion engine off and on. Fusion changes no results (bit-identical
-// by contract), only the per-iteration execution scheme, so the two
-// columns isolate exactly the dispatch overhead the engine removes.
+// stencil and the extracted-dot matmul — as sequential closure-engine
+// builds with the fusion engine off and on. Fusion changes no results
+// (bit-identical by contract), only the per-iteration execution scheme,
+// so the two columns isolate exactly the dispatch overhead the engine
+// removes; Fig T1 puts the tape's dispatch beside it.
 func CollectKernels(p Params) (*KernelData, error) {
 	d := &KernelData{P: p}
 	kd := apps.KernDefines(p.KernN, p.KernReps)
@@ -561,13 +562,13 @@ func CollectKernels(p Params) (*KernelData, error) {
 		init, entry string
 		cfg         core.Config
 	}{
-		{"axpy", apps.AxpySrc, kd, "initvec", "run", core.Config{}},
-		{"copy", apps.CopySrc, kd, "initvec", "run", core.Config{}},
-		{"stencil", apps.StencilSrc, kd, "initvec", "run", core.Config{}},
+		{"axpy", apps.AxpySrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
+		{"copy", apps.CopySrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
+		{"stencil", apps.StencilSrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
 		// The matmul hot loop is the extracted-dot reduction; the ICC
 		// backend is what fuses it (the paper's Sect. 4.3.1 effect).
 		{"matmul", apps.MatmulKernSrc, apps.MatmulDefines(p.MatmulN), "initmat", "run",
-			core.Config{Backend: comp.BackendICC}},
+			core.Config{Backend: comp.BackendICC, Engine: comp.EngineClosure}},
 	}
 	for _, w := range workloads {
 		r := KernelResult{Name: w.name}
@@ -615,7 +616,7 @@ type TapeResult struct {
 	Name    string
 	Closure float64 // seconds, EngineClosure + NoFuse
 	Tape    float64 // seconds, EngineTape + NoFuse
-	Fused   float64 // seconds, default build (closure engine, fusion on)
+	Fused   float64 // seconds, default build (tape engine, fusion on)
 }
 
 // Speedup is the closure/tape throughput ratio on the unfused builds.
@@ -638,8 +639,8 @@ type TapeData struct {
 // dispatch cost the tape removes, and on the default fused build for
 // scale. Results are bit-identical across all three builds by the
 // engine contract; the non-canonical body never fuses, so its fused
-// column equals closure dispatch and the tape column is the only win
-// available to it.
+// column equals tape dispatch and the tape is the only win available
+// to it.
 func CollectTape(p Params) (*TapeData, error) {
 	d := &TapeData{P: p}
 	kd := apps.KernDefines(p.KernN, p.KernReps)
@@ -753,7 +754,7 @@ func CollectBCE(p Params) (*BCEData, error) {
 		defs map[string]string
 		cfg  core.Config
 	}{
-		{"axpy (closure)", apps.AxpySrc, bd, core.Config{}},
+		{"axpy (closure)", apps.AxpySrc, bd, core.Config{Engine: comp.EngineClosure}},
 		{"axpy (tape)", apps.AxpySrc, bd, core.Config{Engine: comp.EngineTape}},
 		{"stencil", apps.StencilSrc, bd, core.Config{}},
 		{"gather", apps.GatherSrc, gd, core.Config{}},

@@ -1,5 +1,6 @@
-// Package comp compiles checked mini-C programs into trees of Go
-// closures and executes them.
+// Package comp compiles checked mini-C programs into linearized
+// instruction tapes (the default statement engine, tape.go) or trees of
+// Go closures, and executes them.
 //
 // It plays the role of GCC/ICC in the paper's tool chain (Fig. 1): the
 // transformed, pragma-annotated source becomes an executable artifact.
@@ -70,19 +71,22 @@ type Engine int
 
 // Engines.
 const (
-	// EngineClosure executes statement/expression trees of Go closures
-	// (the default, one closure call per AST node).
-	EngineClosure Engine = iota
-	// EngineTape linearizes statements into flat bytecode tapes executed
-	// by a switch-dispatch loop: constants pooled, locals and temps in
-	// fixed frame slots, control flow via relative jumps. Calls, malloc,
-	// switch statements, parallel-region launches and fused kernels
-	// escape into pooled closures; everything else runs instruction by
-	// instruction with no per-node allocation or interface calls.
-	EngineTape
+	// EngineTape (the default) linearizes statements into flat bytecode
+	// tapes executed by a switch-dispatch loop: constants pooled, locals
+	// and temps in fixed frame slots, control flow via relative jumps.
+	// Calls, malloc, switch statements, parallel-region launches and
+	// fused kernels escape into pooled closures; everything else runs
+	// instruction by instruction with no per-node allocation or
+	// interface calls.
+	EngineTape Engine = iota
+	// EngineClosure executes statement/expression trees of Go closures,
+	// one closure call per AST node. It is the tape's reference and the
+	// fallback for every statement the tape compiler does not
+	// linearize.
+	EngineClosure
 )
 
-var engineNames = [...]string{"closure", "tape"}
+var engineNames = [...]string{"tape", "closure"}
 
 // String returns the engine name.
 func (e Engine) String() string { return engineNames[e] }
@@ -119,15 +123,15 @@ type Options struct {
 	// NoFuse disables the kernel-fusion engine: element-wise affine
 	// innermost loops (copy, fill, scale, axpy, stencil maps) and the
 	// ICC/Vectorize reduction kernels then run through per-iteration
-	// closure dispatch. Fusion is on by default and bit-identical to
+	// statement dispatch. Fusion is on by default and bit-identical to
 	// dispatch; the knob exists for A/B measurement (purebench Fig K1)
 	// and as an escape hatch. Compile-relevant: part of the
 	// program-cache key.
 	NoFuse bool
-	// Engine selects closure-tree or linearized-tape execution for
-	// statement dispatch (fused kernels apply under both). Bit-identical
-	// results either way. Compile-relevant: part of the program-cache
-	// key.
+	// Engine selects linearized-tape (default) or closure-tree
+	// execution for statement dispatch (fused kernels apply under both).
+	// Bit-identical results either way. Compile-relevant: part of the
+	// program-cache key.
 	Engine Engine
 	// Proofs is the value-range analysis' proven-in-bounds access set,
 	// keyed by the syntax nodes of the compiled model (vra.Result.Proofs

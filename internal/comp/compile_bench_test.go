@@ -16,26 +16,40 @@ import (
 func BenchmarkCompileProgram(b *testing.B) {
 	for _, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
 		b.Run(backend.String(), func(b *testing.B) {
-			cfg := core.Config{Parallelize: true, Backend: backend}
-			var arts []*core.Artifact
-			for _, s := range apps.Corpus() {
-				c := cfg
-				c.Defines = s.Defines
-				art, err := core.Front(s.Src, c)
-				if err != nil {
-					b.Fatalf("%s: %v", s.Name, err)
-				}
-				arts = append(arts, art)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, art := range arts {
-					if _, err := art.Compile(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			benchCompile(b, core.Config{Parallelize: true, Backend: backend})
 		})
+	}
+}
+
+// BenchmarkCompileEngines is the statement-engine A/B of the same
+// compile step: B/op and ns/op of the tape build against the closure
+// build it replaced as the default.
+func BenchmarkCompileEngines(b *testing.B) {
+	for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
+		b.Run(eng.String(), func(b *testing.B) {
+			benchCompile(b, core.Config{Parallelize: true, Engine: eng})
+		})
+	}
+}
+
+func benchCompile(b *testing.B, cfg core.Config) {
+	var arts []*core.Artifact
+	for _, s := range apps.Corpus() {
+		c := cfg
+		c.Defines = s.Defines
+		art, err := core.Front(s.Src, c)
+		if err != nil {
+			b.Fatalf("%s: %v", s.Name, err)
+		}
+		arts = append(arts, art)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, art := range arts {
+			if _, err := art.Compile(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

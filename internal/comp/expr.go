@@ -29,8 +29,10 @@ type funcCompiler struct {
 	keepCall  map[*ast.CallExpr]bool
 	synthType map[ast.Expr]*types.Type
 	// talloc manages the temp register space shared by the function's
-	// tapes when compiling under EngineTape (nil under EngineClosure).
-	talloc *tapeAlloc
+	// tapes and scratch is the compile's tape working memory, both while
+	// the body compiles under EngineTape (nil under EngineClosure).
+	talloc  *tapeAlloc
+	scratch *tapeScratch
 }
 
 func (fc *funcCompiler) errorf(n ast.Node, format string, args ...any) {

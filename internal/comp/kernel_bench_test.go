@@ -91,7 +91,7 @@ func benchEntry(b *testing.B, m *Machine) {
 // BenchmarkDispatchLoop is the closure-dispatch baseline: one closure
 // call per iteration per operand of the axpy loop.
 func BenchmarkDispatchLoop(b *testing.B) {
-	benchEntry(b, benchProgram(b, benchAxpySrc, Options{NoFuse: true}))
+	benchEntry(b, benchProgram(b, benchAxpySrc, Options{NoFuse: true, Engine: EngineClosure}))
 }
 
 // BenchmarkFusedAxpy runs the same loop as one fused triad kernel.

@@ -57,11 +57,11 @@ func TestMinMaxKernel(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			f := compile(t, c.src, Options{})
+			f := compile(t, c.src, Options{Engine: EngineClosure})
 			if f.Program().FusedKernels() == 0 {
 				t.Fatal("min/max loop did not fuse")
 			}
-			d := compile(t, c.src, Options{NoFuse: true})
+			d := compile(t, c.src, Options{NoFuse: true, Engine: EngineClosure})
 			if d.Program().FusedKernels() != 0 {
 				t.Fatal("NoFuse build still fused")
 			}

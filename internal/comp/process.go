@@ -236,6 +236,22 @@ func (p *Process) ResetGlobals() error {
 	return nil
 }
 
+// trapError converts a recovered guest fault into a *RuntimeError, or
+// returns nil for a panic that is no guest trap. A Go runtime.Error (a
+// raw segment access out of range) already reads "runtime error: …",
+// the prefix RuntimeError.Error adds, so it is stripped here once.
+func trapError(r any) error {
+	switch x := r.(type) {
+	case runtime.Error:
+		return &RuntimeError{Msg: strings.TrimPrefix(x.Error(), "runtime error: ")}
+	case string:
+		if msg, ok := strings.CutPrefix(x, "purec: "); ok {
+			return &RuntimeError{Msg: msg}
+		}
+	}
+	return nil
+}
+
 // RunMain executes main and returns its int result.
 func (p *Process) RunMain() (ret int64, err error) {
 	return p.CallInt("main")
@@ -245,15 +261,9 @@ func (p *Process) RunMain() (ret int64, err error) {
 func (p *Process) CallInt(name string) (ret int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isRT := r.(runtime.Error); isRT {
-				err = &RuntimeError{Msg: fmt.Sprint(r)}
-				return
+			if err = trapError(r); err == nil {
+				panic(r)
 			}
-			if s, isStr := r.(string); isStr && strings.HasPrefix(s, "purec:") {
-				err = &RuntimeError{Msg: strings.TrimPrefix(s, "purec: ")}
-				return
-			}
-			panic(r)
 		}
 	}()
 	cf, ok := p.prog.funcs[name]
@@ -271,15 +281,9 @@ func (p *Process) CallInt(name string) (ret int64, err error) {
 func (p *Process) CallFloat(name string, args ...any) (ret float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isRT := r.(runtime.Error); isRT {
-				err = &RuntimeError{Msg: fmt.Sprint(r)}
-				return
+			if err = trapError(r); err == nil {
+				panic(r)
 			}
-			if s, isStr := r.(string); isStr && strings.HasPrefix(s, "purec:") {
-				err = &RuntimeError{Msg: strings.TrimPrefix(s, "purec: ")}
-				return
-			}
-			panic(r)
 		}
 	}()
 	cf, ok := p.prog.funcs[name]

@@ -37,10 +37,11 @@ type Program struct {
 	proofs       map[ast.Expr]bool
 	noBCE        bool
 	elidedChecks int
-	// Tape-backend size counters (EngineTape only), for the purecc
-	// "tape:" report line: total instruction words, pooled constants and
-	// temp registers across all function tapes.
-	tapeInstrs, tapeConsts, tapeTemps int
+	// tapes lists every compiled tape in compile order and tapeTemps
+	// counts the temp registers of all functions (EngineTape only), for
+	// TapeStats and inspection.
+	tapes     []*tape
+	tapeTemps int
 
 	funcs       map[string]*cfunc
 	globalSlots map[*sema.Symbol]slot
@@ -95,11 +96,27 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 			}
 		}
 	}
-	for _, cf := range p.funcs {
-		fc := &funcCompiler{prog: p, cf: cf}
+	// The tape builds share one scratch, returned to the pool only by a
+	// compile that finished (a failed one may have left it mid-function).
+	var scratch *tapeScratch
+	if p.engine == EngineTape {
+		scratch = tapeScratchPool.Get().(*tapeScratch)
+		scratch.start()
+	}
+	// Declaration order keeps the program-wide tape pools deterministic.
+	for _, d := range info.File.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || p.funcs[fd.Name].decl != fd {
+			continue
+		}
+		fc := &funcCompiler{prog: p, cf: p.funcs[fd.Name], scratch: scratch}
 		if err := fc.compile(); err != nil {
 			return nil, err
 		}
+	}
+	if scratch != nil {
+		scratch.finish(p)
+		tapeScratchPool.Put(scratch)
 	}
 	return p, nil
 }
@@ -115,13 +132,13 @@ func (p *Program) Engine() Engine { return p.engine }
 // instruction words, pooled constants and temp registers across all
 // function tapes (all zero under EngineClosure).
 func (p *Program) TapeStats() (instrs, consts, temps int) {
-	return p.tapeInstrs, p.tapeConsts, p.tapeTemps
-}
-
-// noteTape accumulates one compiled tape into the size counters.
-func (p *Program) noteTape(tp *tape) {
-	p.tapeInstrs += len(tp.code)
-	p.tapeConsts += len(tp.constI) + len(tp.constF)
+	for _, tp := range p.tapes {
+		instrs += len(tp.code)
+	}
+	if len(p.tapes) > 0 {
+		consts = len(p.tapes[0].constI) + len(p.tapes[0].constF)
+	}
+	return instrs, consts, p.tapeTemps
 }
 
 // FusedKernels returns the number of loops compiled into fused

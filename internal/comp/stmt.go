@@ -469,19 +469,15 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
 			return ctrlNext
 		}
 	}
-	body := fc.loopBody(lk.body)
+	body := fc.loopBody(lk.body, iterSlot)
 	return func(e *env) ctrl {
 		lo, hi := lower(e), upper(e)
 		if runsInline(e) {
-			return inlineLoop(e, iterSlot, lo, hi, body)
+			return body(e, lo, hi, false)
 		}
 		e.p.growWorkers(e.team.Size())
 		e.team.ParallelFor(lo, hi, sched, chunk, func(w int, clo, chi int64) {
-			we := e.workerEnv(w)
-			for i := clo; i <= chi; i++ {
-				we.I[iterSlot] = i
-				body(we)
-			}
+			body(e.workerEnv(w), clo, chi, true)
 		})
 		return ctrlNext
 	}
@@ -494,20 +490,6 @@ func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
 	kern(e, lo, hi)
 	if hi >= lo {
 		e.I[iterSlot] = hi
-	}
-	return ctrlNext
-}
-
-// inlineLoop runs a parallel region's dispatch body inline on the
-// calling environment.
-func inlineLoop(e *env, iterSlot int, lo, hi int64, body stmtFn) ctrl {
-	for i := lo; i <= hi; i++ {
-		e.I[iterSlot] = i
-		if c := body(e); c == ctrlBreak {
-			break
-		} else if c == ctrlReturn {
-			return ctrlReturn
-		}
 	}
 	return ctrlNext
 }
@@ -766,16 +748,19 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 		vecChunk = fc.fused(lk)
 	}
 	sched, chunk := parseOmpSchedule(pragma)
-	body := fc.loopBody(lk.body)
 	iterSlot := lk.iterSlot
 	lower, upper := lk.lower, lk.upper
+	var body loopFn // a fused reduction never dispatches its body
+	if vecChunk == nil {
+		body = fc.loopBody(lk.body, iterSlot)
+	}
 	return func(e *env) ctrl {
 		lo, hi := lower(e), upper(e)
 		if runsInline(e) {
 			if vecChunk != nil {
 				return inlineKernel(e, iterSlot, lo, hi, vecChunk)
 			}
-			return inlineLoop(e, iterSlot, lo, hi, body)
+			return body(e, lo, hi, false)
 		}
 		e.p.growWorkers(e.team.Size())
 		init := func(w int) any {
@@ -789,11 +774,8 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 			we := acc.(*env)
 			if vecChunk != nil {
 				vecChunk(we, clo, chi)
-				return we
-			}
-			for i := clo; i <= chi; i++ {
-				we.I[iterSlot] = i
-				body(we)
+			} else {
+				body(we, clo, chi, true)
 			}
 			return we
 		}

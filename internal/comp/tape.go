@@ -10,6 +10,10 @@ package comp
 // constants pooled and every operand materialized in fixed frame slots
 // — no per-node closures and no interface calls on the hot path.
 //
+// Tape is the default statement engine (EngineTape is Engine's zero
+// value); the closure engine stays the reference and the fallback for
+// every statement the tape compiler bails on.
+//
 // The tape contract mirrors the closure backend bit for bit:
 //
 //   - every operand is materialized into a temp register at the moment
@@ -259,11 +263,22 @@ type tinstr struct {
 	aux     int64
 }
 
-// tape is one compiled instruction sequence plus its pools. The main
-// body of a function compiles to one tape; each parallel-region body
-// compiles to its own tape sharing the function's temp register space.
+// tape is one compiled instruction sequence. The main body of a
+// function compiles to one tape; each parallel-region body compiles to
+// its own tape sharing the function's temp register space. All tapes
+// of a program share one set of pools.
 type tape struct {
-	code   []tinstr
+	code []tinstr
+	*tapePools
+
+	// first temp register of each kind (frame slots below these are
+	// locals/params, which the optimizer must treat as always live)
+	tmpI, tmpF, tmpP int32
+}
+
+// tapePools are the constant and closure-escape pools shared by every
+// tape of one program; instructions index them through b (or c).
+type tapePools struct {
 	constI []int64
 	constF []float64
 
@@ -274,14 +289,52 @@ type tape struct {
 	effFns []func(*env)
 	stmts  []stmtFn
 
-	// first temp register of each kind (frame slots below these are
-	// locals/params, which the optimizer must treat as always live)
-	tmpI, tmpF, tmpP int32
+	// constant dedup indexes, live only while the program compiles
+	cI map[int64]int32
+	cF map[uint64]int32
 }
+
+// constIdxI returns the pool index of v, adding it on first use.
+func (p *tapePools) constIdxI(v int64) int32 {
+	if idx, ok := p.cI[v]; ok {
+		return idx
+	}
+	idx := int32(len(p.constI))
+	p.constI = append(p.constI, v)
+	p.cI[v] = idx
+	return idx
+}
+
+// constIdxF is constIdxI for floats, keyed by bit pattern.
+func (p *tapePools) constIdxF(v float64) int32 {
+	bits := math.Float64bits(v)
+	if idx, ok := p.cF[bits]; ok {
+		return idx
+	}
+	idx := int32(len(p.constF))
+	p.constF = append(p.constF, v)
+	p.cF[bits] = idx
+	return idx
+}
+
+// runMode says how tape.run treats the ctrl result an iteration leaves
+// the tape with.
+type runMode uint8
+
+const (
+	// runOnce executes the tape once and returns the result.
+	runOnce runMode = iota
+	// runRange is a parallel loop run inline: break ends the range,
+	// return propagates, continue goes on to the next iteration.
+	runRange
+	// runChunk is a worker's chunk of a parallel loop: every iteration
+	// runs and ctrl results are dropped.
+	runChunk
+)
 
 // stmtFn adapts the tape to the closure backend's statement interface.
 func (tp *tape) stmtFn() stmtFn {
-	return func(e *env) ctrl { return tp.exec(e) }
+	return func(e *env) ctrl { return tp.run(e, runOnce, 0, 0, 0) }
 }
 
 func b2i(b bool) int64 {
@@ -291,461 +344,488 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// exec runs the tape on an environment. Falling off the end of the
-// code is normal completion (ctrlNext). The frame slices are hoisted
-// into locals: an env's I/F/P headers never change after creation
-// (escapes mutate elements in place, workers run on clones).
-func (tp *tape) exec(e *env) ctrl {
+// run executes the tape on an environment: once (runOnce), or once per
+// value lo..hi of the iterator slot, so a parallel loop body pays the
+// set-up once per range rather than once per iteration. Falling off the
+// end of the code is normal completion (ctrlNext). The frame slices are
+// hoisted into locals: an env's I/F/P headers never change after
+// creation (escapes mutate elements in place, workers run on clones).
+func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 	code := tp.code
 	I, F, P := e.I, e.F, e.P
-	cf := tp.constF
-	for pc := 0; pc < len(code); {
-		in := code[pc]
-		switch in.op {
-		case tNop:
-		case tConstI:
-			I[in.a] = tp.constI[in.b]
-		case tMovI:
-			I[in.a] = I[in.b]
-		case tAddI:
-			I[in.a] = I[in.b] + I[in.c]
-		case tSubI:
-			I[in.a] = I[in.b] - I[in.c]
-		case tMulI:
-			I[in.a] = I[in.b] * I[in.c]
-		case tDivI:
-			d := I[in.c]
-			if d == 0 {
-				rtPanic("integer division by zero")
-			}
-			I[in.a] = I[in.b] / d
-		case tRemI:
-			d := I[in.c]
-			if d == 0 {
-				rtPanic("integer modulo by zero")
-			}
-			I[in.a] = I[in.b] % d
-		case tChkDiv0:
-			if I[in.b] == 0 {
-				rtPanic("integer division by zero")
-			}
-		case tChkRem0:
-			if I[in.b] == 0 {
-				rtPanic("integer modulo by zero")
-			}
-		case tAndI:
-			I[in.a] = I[in.b] & I[in.c]
-		case tOrI:
-			I[in.a] = I[in.b] | I[in.c]
-		case tXorI:
-			I[in.a] = I[in.b] ^ I[in.c]
-		case tShlI:
-			I[in.a] = I[in.b] << uint(I[in.c])
-		case tShrI:
-			I[in.a] = I[in.b] >> uint(I[in.c])
-		case tNegI:
-			I[in.a] = -I[in.b]
-		case tCmplI:
-			I[in.a] = ^I[in.b]
-		case tNotI:
-			I[in.a] = b2i(I[in.b] == 0)
-		case tEqI:
-			I[in.a] = b2i(I[in.b] == I[in.c])
-		case tNeI:
-			I[in.a] = b2i(I[in.b] != I[in.c])
-		case tLtI:
-			I[in.a] = b2i(I[in.b] < I[in.c])
-		case tLeI:
-			I[in.a] = b2i(I[in.b] <= I[in.c])
-		case tGtI:
-			I[in.a] = b2i(I[in.b] > I[in.c])
-		case tGeI:
-			I[in.a] = b2i(I[in.b] >= I[in.c])
-
-		case tAddII:
-			I[in.a] = I[in.b] + in.aux
-		case tRsbII:
-			I[in.a] = in.aux - I[in.b]
-		case tMulII:
-			I[in.a] = I[in.b] * in.aux
-		case tDivII:
-			I[in.a] = I[in.b] / in.aux
-		case tRemII:
-			I[in.a] = I[in.b] % in.aux
-		case tAndII:
-			I[in.a] = I[in.b] & in.aux
-		case tOrII:
-			I[in.a] = I[in.b] | in.aux
-		case tXorII:
-			I[in.a] = I[in.b] ^ in.aux
-		case tShlII:
-			I[in.a] = I[in.b] << uint(in.aux)
-		case tShrII:
-			I[in.a] = I[in.b] >> uint(in.aux)
-		case tEqII:
-			I[in.a] = b2i(I[in.b] == in.aux)
-		case tNeII:
-			I[in.a] = b2i(I[in.b] != in.aux)
-		case tLtII:
-			I[in.a] = b2i(I[in.b] < in.aux)
-		case tLeII:
-			I[in.a] = b2i(I[in.b] <= in.aux)
-		case tGtII:
-			I[in.a] = b2i(I[in.b] > in.aux)
-		case tGeII:
-			I[in.a] = b2i(I[in.b] >= in.aux)
-
-		case tConstF:
-			F[in.a] = cf[in.b]
-		case tMovF:
-			F[in.a] = F[in.b]
-		case tAddF:
-			F[in.a] = F[in.b] + F[in.c]
-		case tSubF:
-			F[in.a] = F[in.b] - F[in.c]
-		case tMulF:
-			F[in.a] = F[in.b] * F[in.c]
-		case tDivF:
-			F[in.a] = F[in.b] / F[in.c]
-		case tNegF:
-			F[in.a] = -F[in.b]
-		case tRoundF:
-			F[in.a] = float64(float32(F[in.b]))
-		case tI2F:
-			F[in.a] = float64(I[in.b])
-		case tF2I:
-			I[in.a] = int64(F[in.b])
-		case tTstF:
-			I[in.a] = b2i(F[in.b] != 0)
-		case tEqF:
-			I[in.a] = b2i(F[in.b] == F[in.c])
-		case tNeF:
-			I[in.a] = b2i(F[in.b] != F[in.c])
-		case tLtF:
-			I[in.a] = b2i(F[in.b] < F[in.c])
-		case tLeF:
-			I[in.a] = b2i(F[in.b] <= F[in.c])
-		case tGtF:
-			I[in.a] = b2i(F[in.b] > F[in.c])
-		case tGeF:
-			I[in.a] = b2i(F[in.b] >= F[in.c])
-
-		case tAddFC:
-			F[in.a] = F[in.b] + cf[in.c]
-		case tSubFC:
-			F[in.a] = F[in.b] - cf[in.c]
-		case tRsbFC:
-			F[in.a] = cf[in.c] - F[in.b]
-		case tMulFC:
-			F[in.a] = F[in.b] * cf[in.c]
-		case tDivFC:
-			F[in.a] = F[in.b] / cf[in.c]
-		case tRdivFC:
-			F[in.a] = cf[in.c] / F[in.b]
-		case tEqFC:
-			I[in.a] = b2i(F[in.b] == cf[in.c])
-		case tNeFC:
-			I[in.a] = b2i(F[in.b] != cf[in.c])
-		case tLtFC:
-			I[in.a] = b2i(F[in.b] < cf[in.c])
-		case tLeFC:
-			I[in.a] = b2i(F[in.b] <= cf[in.c])
-		case tGtFC:
-			I[in.a] = b2i(F[in.b] > cf[in.c])
-		case tGeFC:
-			I[in.a] = b2i(F[in.b] >= cf[in.c])
-
-		case tMulAddF:
-			F[in.a] = float64(F[in.b]*F[in.c]) + F[in.aux]
-		case tMulAddFC:
-			F[in.a] = float64(F[in.b]*cf[in.c]) + F[in.aux]
-		case tAddMulF:
-			F[in.a] = F[in.aux] + float64(F[in.b]*F[in.c])
-		case tAddMulFC:
-			F[in.a] = F[in.aux] + float64(F[in.b]*cf[in.c])
-
-		case tLdGI:
-			I[in.a] = e.p.gI[in.b]
-		case tStGI:
-			e.p.gI[in.a] = I[in.b]
-		case tLdGF:
-			F[in.a] = e.p.gF[in.b]
-		case tStGF:
-			e.p.gF[in.a] = F[in.b]
-		case tLdGP:
-			P[in.a] = e.p.gP[in.b]
-		case tStGP:
-			e.p.gP[in.a] = P[in.b]
-
-		case tMovP:
-			P[in.a] = P[in.b]
-		case tNullP:
-			P[in.a] = nullPtr
-		case tTstP:
-			I[in.a] = b2i(!P[in.b].IsNull())
-		case tIntToPtr:
-			if I[in.b] != 0 {
-				rtPanic("cast of non-zero integer to pointer")
-			}
-			P[in.a] = nullPtr
-		case tPtrIdx:
-			P[in.a] = P[in.b].Add(I[in.c] * in.aux)
-		case tPtrOff:
-			P[in.a] = P[in.b].Add(I[in.c])
-		case tPtrImm:
-			P[in.a] = P[in.b].Add(in.aux)
-		case tPtrAdd:
-			P[in.a] = addScaled(P[in.b], I[in.c], in.aux)
-		case tPtrSub:
-			P[in.a] = addScaled(P[in.b], -I[in.c], in.aux)
-		case tPtrDiff:
-			d, err := P[in.b].DiffChecked(P[in.c])
-			if err != nil {
-				rtPanic("%v", err)
-			}
-			I[in.a] = d / in.aux
-		case tPtrEq:
-			I[in.a] = b2i(P[in.b] == P[in.c])
-		case tPtrNe:
-			I[in.a] = b2i(P[in.b] != P[in.c])
-		case tPtrLt:
-			I[in.a] = b2i(P[in.b].Off < P[in.c].Off)
-		case tPtrLe:
-			I[in.a] = b2i(P[in.b].Off <= P[in.c].Off)
-		case tPtrGt:
-			I[in.a] = b2i(P[in.b].Off > P[in.c].Off)
-		case tPtrGe:
-			I[in.a] = b2i(P[in.b].Off >= P[in.c].Off)
-
-		case tLdInd:
-			I[in.a] = P[in.b].LoadInt()
-		case tLdIndF:
-			F[in.a] = P[in.b].LoadFloat()
-		case tLdIndP:
-			P[in.a] = P[in.b].LoadPtr()
-		case tStInd:
-			P[in.a].StoreInt(I[in.b])
-		case tStIndF:
-			P[in.a].StoreFloat(F[in.b])
-		case tStIndP:
-			P[in.a].StorePtr(P[in.b])
-
-		case tLdGIdx:
-			p := e.p.gP[in.b]
-			I[in.a] = p.Seg.I[p.Off+int(I[in.c]*in.aux)]
-		case tLdGIdxF:
-			p := e.p.gP[in.b]
-			F[in.a] = p.Seg.F[p.Off+int(I[in.c]*in.aux)]
-		case tLdGIdxP:
-			p := e.p.gP[in.b]
-			P[in.a] = p.Seg.P[p.Off+int(I[in.c]*in.aux)]
-		case tLdGIdxFR:
-			p := e.p.gP[in.b]
-			F[in.a] = float64(float32(p.Seg.F[p.Off+int(I[in.c]*in.aux)]))
-		case tStGIdx:
-			p := e.p.gP[in.b]
-			p.Seg.I[p.Off+int(I[in.c]*in.aux)] = I[in.a]
-		case tStGIdxF:
-			p := e.p.gP[in.b]
-			p.Seg.F[p.Off+int(I[in.c]*in.aux)] = F[in.a]
-		case tStGIdxP:
-			p := e.p.gP[in.b]
-			p.Seg.P[p.Off+int(I[in.c]*in.aux)] = P[in.a]
-		case tStGIdxFR:
-			p := e.p.gP[in.b]
-			p.Seg.F[p.Off+int(I[in.c]*in.aux)] = float64(float32(F[in.a]))
-		case tLdIdx:
-			I[in.a] = P[in.b].Add(I[in.c] * in.aux).LoadInt()
-		case tLdIdxF:
-			F[in.a] = P[in.b].Add(I[in.c] * in.aux).LoadFloat()
-		case tLdIdxP:
-			p := P[in.b]
-			P[in.a] = p.Seg.P[p.Off+int(I[in.c]*in.aux)]
-		case tLdIdxFR:
-			F[in.a] = float64(float32(P[in.b].Add(I[in.c] * in.aux).LoadFloat()))
-		case tStIdx:
-			P[in.b].Add(I[in.c] * in.aux).StoreInt(I[in.a])
-		case tStIdxF:
-			P[in.b].Add(I[in.c] * in.aux).StoreFloat(F[in.a])
-		case tStIdxP:
-			p := P[in.b]
-			p.Seg.P[p.Off+int(I[in.c]*in.aux)] = P[in.a]
-		case tStIdxFR:
-			P[in.b].Add(I[in.c] * in.aux).StoreFloat(float64(float32(F[in.a])))
-
-		case tJmp:
-			pc += int(in.a)
-			continue
-		case tJz:
-			if I[in.b] == 0 {
-				pc += int(in.a)
-				continue
-			}
-		case tJnz:
-			if I[in.b] != 0 {
-				pc += int(in.a)
-				continue
-			}
-		case tJeqI:
-			if (I[in.b] == I[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJltI:
-			if (I[in.b] < I[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJleI:
-			if (I[in.b] <= I[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJeqII:
-			if (I[in.b] == in.aux) != (in.c != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJltII:
-			if (I[in.b] < in.aux) != (in.c != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJleII:
-			if (I[in.b] <= in.aux) != (in.c != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJeqF:
-			if (F[in.b] == F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJneF:
-			if (F[in.b] != F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJltF:
-			if (F[in.b] < F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJleF:
-			if (F[in.b] <= F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJgtF:
-			if (F[in.b] > F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJgeF:
-			if (F[in.b] >= F[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJeqFC:
-			if (F[in.b] == cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJneFC:
-			if (F[in.b] != cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJltFC:
-			if (F[in.b] < cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJleFC:
-			if (F[in.b] <= cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJgtFC:
-			if (F[in.b] > cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJgeFC:
-			if (F[in.b] >= cf[in.c]) != (in.aux != 0) {
-				pc += int(in.a)
-				continue
-			}
-		case tJzF:
-			if F[in.b] == 0 {
-				pc += int(in.a)
-				continue
-			}
-		case tJnzF:
-			if F[in.b] != 0 {
-				pc += int(in.a)
-				continue
-			}
-		case tJzP:
-			if P[in.b].IsNull() {
-				pc += int(in.a)
-				continue
-			}
-		case tJnzP:
-			if !P[in.b].IsNull() {
-				pc += int(in.a)
-				continue
-			}
-		case tIncJltII:
-			v := I[in.b] + 1
-			I[in.b] = v
-			if v < in.aux {
-				pc += int(in.a)
-				continue
-			}
-		case tRet:
-			return ctrlReturn
-		case tRetI:
-			e.retI = I[in.a]
-			return ctrlReturn
-		case tRetF:
-			e.retF = F[in.a]
-			return ctrlReturn
-		case tRetP:
-			e.retP = P[in.a]
-			return ctrlReturn
-		case tBrk:
-			return ctrlBreak
-		case tCont:
-			return ctrlContinue
-
-		case tCallI:
-			I[in.a] = tp.intFns[in.b](e)
-		case tCallF:
-			F[in.a] = tp.fltFns[in.b](e)
-		case tCallP:
-			P[in.a] = tp.ptrFns[in.b](e)
-		case tEff:
-			tp.effFns[in.b](e)
-		case tStmt:
-			switch tp.stmts[in.b](e) {
-			case ctrlReturn:
-				return ctrlReturn
-			case ctrlBreak:
-				if in.a == tapeCtrlRet {
-					return ctrlBreak
-				}
-				pc += int(in.a)
-				continue
-			case ctrlContinue:
-				if in.c == tapeCtrlRet {
-					return ctrlContinue
-				}
-				pc += int(in.c)
-				continue
-			}
+	ci, cf := tp.constI, tp.constF
+	for it := lo; it <= hi; it++ {
+		if mode != runOnce {
+			I[slot] = it
 		}
-		pc++
+		c := ctrlNext
+	dispatch:
+		for pc := 0; pc < len(code); {
+			in := code[pc]
+			switch in.op {
+			case tNop:
+			case tConstI:
+				I[in.a] = ci[in.b]
+			case tMovI:
+				I[in.a] = I[in.b]
+			case tAddI:
+				I[in.a] = I[in.b] + I[in.c]
+			case tSubI:
+				I[in.a] = I[in.b] - I[in.c]
+			case tMulI:
+				I[in.a] = I[in.b] * I[in.c]
+			case tDivI:
+				d := I[in.c]
+				if d == 0 {
+					rtPanic("integer division by zero")
+				}
+				I[in.a] = I[in.b] / d
+			case tRemI:
+				d := I[in.c]
+				if d == 0 {
+					rtPanic("integer modulo by zero")
+				}
+				I[in.a] = I[in.b] % d
+			case tChkDiv0:
+				if I[in.b] == 0 {
+					rtPanic("integer division by zero")
+				}
+			case tChkRem0:
+				if I[in.b] == 0 {
+					rtPanic("integer modulo by zero")
+				}
+			case tAndI:
+				I[in.a] = I[in.b] & I[in.c]
+			case tOrI:
+				I[in.a] = I[in.b] | I[in.c]
+			case tXorI:
+				I[in.a] = I[in.b] ^ I[in.c]
+			case tShlI:
+				I[in.a] = I[in.b] << uint(I[in.c])
+			case tShrI:
+				I[in.a] = I[in.b] >> uint(I[in.c])
+			case tNegI:
+				I[in.a] = -I[in.b]
+			case tCmplI:
+				I[in.a] = ^I[in.b]
+			case tNotI:
+				I[in.a] = b2i(I[in.b] == 0)
+			case tEqI:
+				I[in.a] = b2i(I[in.b] == I[in.c])
+			case tNeI:
+				I[in.a] = b2i(I[in.b] != I[in.c])
+			case tLtI:
+				I[in.a] = b2i(I[in.b] < I[in.c])
+			case tLeI:
+				I[in.a] = b2i(I[in.b] <= I[in.c])
+			case tGtI:
+				I[in.a] = b2i(I[in.b] > I[in.c])
+			case tGeI:
+				I[in.a] = b2i(I[in.b] >= I[in.c])
+
+			case tAddII:
+				I[in.a] = I[in.b] + in.aux
+			case tRsbII:
+				I[in.a] = in.aux - I[in.b]
+			case tMulII:
+				I[in.a] = I[in.b] * in.aux
+			case tDivII:
+				I[in.a] = I[in.b] / in.aux
+			case tRemII:
+				I[in.a] = I[in.b] % in.aux
+			case tAndII:
+				I[in.a] = I[in.b] & in.aux
+			case tOrII:
+				I[in.a] = I[in.b] | in.aux
+			case tXorII:
+				I[in.a] = I[in.b] ^ in.aux
+			case tShlII:
+				I[in.a] = I[in.b] << uint(in.aux)
+			case tShrII:
+				I[in.a] = I[in.b] >> uint(in.aux)
+			case tEqII:
+				I[in.a] = b2i(I[in.b] == in.aux)
+			case tNeII:
+				I[in.a] = b2i(I[in.b] != in.aux)
+			case tLtII:
+				I[in.a] = b2i(I[in.b] < in.aux)
+			case tLeII:
+				I[in.a] = b2i(I[in.b] <= in.aux)
+			case tGtII:
+				I[in.a] = b2i(I[in.b] > in.aux)
+			case tGeII:
+				I[in.a] = b2i(I[in.b] >= in.aux)
+
+			case tConstF:
+				F[in.a] = cf[in.b]
+			case tMovF:
+				F[in.a] = F[in.b]
+			case tAddF:
+				F[in.a] = F[in.b] + F[in.c]
+			case tSubF:
+				F[in.a] = F[in.b] - F[in.c]
+			case tMulF:
+				F[in.a] = F[in.b] * F[in.c]
+			case tDivF:
+				F[in.a] = F[in.b] / F[in.c]
+			case tNegF:
+				F[in.a] = -F[in.b]
+			case tRoundF:
+				F[in.a] = float64(float32(F[in.b]))
+			case tI2F:
+				F[in.a] = float64(I[in.b])
+			case tF2I:
+				I[in.a] = int64(F[in.b])
+			case tTstF:
+				I[in.a] = b2i(F[in.b] != 0)
+			case tEqF:
+				I[in.a] = b2i(F[in.b] == F[in.c])
+			case tNeF:
+				I[in.a] = b2i(F[in.b] != F[in.c])
+			case tLtF:
+				I[in.a] = b2i(F[in.b] < F[in.c])
+			case tLeF:
+				I[in.a] = b2i(F[in.b] <= F[in.c])
+			case tGtF:
+				I[in.a] = b2i(F[in.b] > F[in.c])
+			case tGeF:
+				I[in.a] = b2i(F[in.b] >= F[in.c])
+
+			case tAddFC:
+				F[in.a] = F[in.b] + cf[in.c]
+			case tSubFC:
+				F[in.a] = F[in.b] - cf[in.c]
+			case tRsbFC:
+				F[in.a] = cf[in.c] - F[in.b]
+			case tMulFC:
+				F[in.a] = F[in.b] * cf[in.c]
+			case tDivFC:
+				F[in.a] = F[in.b] / cf[in.c]
+			case tRdivFC:
+				F[in.a] = cf[in.c] / F[in.b]
+			case tEqFC:
+				I[in.a] = b2i(F[in.b] == cf[in.c])
+			case tNeFC:
+				I[in.a] = b2i(F[in.b] != cf[in.c])
+			case tLtFC:
+				I[in.a] = b2i(F[in.b] < cf[in.c])
+			case tLeFC:
+				I[in.a] = b2i(F[in.b] <= cf[in.c])
+			case tGtFC:
+				I[in.a] = b2i(F[in.b] > cf[in.c])
+			case tGeFC:
+				I[in.a] = b2i(F[in.b] >= cf[in.c])
+
+			case tMulAddF:
+				F[in.a] = float64(F[in.b]*F[in.c]) + F[in.aux]
+			case tMulAddFC:
+				F[in.a] = float64(F[in.b]*cf[in.c]) + F[in.aux]
+			case tAddMulF:
+				F[in.a] = F[in.aux] + float64(F[in.b]*F[in.c])
+			case tAddMulFC:
+				F[in.a] = F[in.aux] + float64(F[in.b]*cf[in.c])
+
+			case tLdGI:
+				I[in.a] = e.p.gI[in.b]
+			case tStGI:
+				e.p.gI[in.a] = I[in.b]
+			case tLdGF:
+				F[in.a] = e.p.gF[in.b]
+			case tStGF:
+				e.p.gF[in.a] = F[in.b]
+			case tLdGP:
+				P[in.a] = e.p.gP[in.b]
+			case tStGP:
+				e.p.gP[in.a] = P[in.b]
+
+			case tMovP:
+				P[in.a] = P[in.b]
+			case tNullP:
+				P[in.a] = nullPtr
+			case tTstP:
+				I[in.a] = b2i(!P[in.b].IsNull())
+			case tIntToPtr:
+				if I[in.b] != 0 {
+					rtPanic("cast of non-zero integer to pointer")
+				}
+				P[in.a] = nullPtr
+			case tPtrIdx:
+				P[in.a] = P[in.b].Add(I[in.c] * in.aux)
+			case tPtrOff:
+				P[in.a] = P[in.b].Add(I[in.c])
+			case tPtrImm:
+				P[in.a] = P[in.b].Add(in.aux)
+			case tPtrAdd:
+				P[in.a] = addScaled(P[in.b], I[in.c], in.aux)
+			case tPtrSub:
+				P[in.a] = addScaled(P[in.b], -I[in.c], in.aux)
+			case tPtrDiff:
+				d, err := P[in.b].DiffChecked(P[in.c])
+				if err != nil {
+					rtPanic("%v", err)
+				}
+				I[in.a] = d / in.aux
+			case tPtrEq:
+				I[in.a] = b2i(P[in.b] == P[in.c])
+			case tPtrNe:
+				I[in.a] = b2i(P[in.b] != P[in.c])
+			case tPtrLt:
+				I[in.a] = b2i(P[in.b].Off < P[in.c].Off)
+			case tPtrLe:
+				I[in.a] = b2i(P[in.b].Off <= P[in.c].Off)
+			case tPtrGt:
+				I[in.a] = b2i(P[in.b].Off > P[in.c].Off)
+			case tPtrGe:
+				I[in.a] = b2i(P[in.b].Off >= P[in.c].Off)
+
+			case tLdInd:
+				I[in.a] = P[in.b].LoadInt()
+			case tLdIndF:
+				F[in.a] = P[in.b].LoadFloat()
+			case tLdIndP:
+				P[in.a] = P[in.b].LoadPtr()
+			case tStInd:
+				P[in.a].StoreInt(I[in.b])
+			case tStIndF:
+				P[in.a].StoreFloat(F[in.b])
+			case tStIndP:
+				P[in.a].StorePtr(P[in.b])
+
+			case tLdGIdx:
+				p := e.p.gP[in.b]
+				I[in.a] = p.Seg.I[p.Off+int(I[in.c]*in.aux)]
+			case tLdGIdxF:
+				p := e.p.gP[in.b]
+				F[in.a] = p.Seg.F[p.Off+int(I[in.c]*in.aux)]
+			case tLdGIdxP:
+				p := e.p.gP[in.b]
+				P[in.a] = p.Seg.P[p.Off+int(I[in.c]*in.aux)]
+			case tLdGIdxFR:
+				p := e.p.gP[in.b]
+				F[in.a] = float64(float32(p.Seg.F[p.Off+int(I[in.c]*in.aux)]))
+			case tStGIdx:
+				p := e.p.gP[in.b]
+				p.Seg.I[p.Off+int(I[in.c]*in.aux)] = I[in.a]
+			case tStGIdxF:
+				p := e.p.gP[in.b]
+				p.Seg.F[p.Off+int(I[in.c]*in.aux)] = F[in.a]
+			case tStGIdxP:
+				p := e.p.gP[in.b]
+				p.Seg.P[p.Off+int(I[in.c]*in.aux)] = P[in.a]
+			case tStGIdxFR:
+				p := e.p.gP[in.b]
+				p.Seg.F[p.Off+int(I[in.c]*in.aux)] = float64(float32(F[in.a]))
+			case tLdIdx:
+				I[in.a] = P[in.b].Add(I[in.c] * in.aux).LoadInt()
+			case tLdIdxF:
+				F[in.a] = P[in.b].Add(I[in.c] * in.aux).LoadFloat()
+			case tLdIdxP:
+				p := P[in.b]
+				P[in.a] = p.Seg.P[p.Off+int(I[in.c]*in.aux)]
+			case tLdIdxFR:
+				F[in.a] = float64(float32(P[in.b].Add(I[in.c] * in.aux).LoadFloat()))
+			case tStIdx:
+				P[in.b].Add(I[in.c] * in.aux).StoreInt(I[in.a])
+			case tStIdxF:
+				P[in.b].Add(I[in.c] * in.aux).StoreFloat(F[in.a])
+			case tStIdxP:
+				p := P[in.b]
+				p.Seg.P[p.Off+int(I[in.c]*in.aux)] = P[in.a]
+			case tStIdxFR:
+				P[in.b].Add(I[in.c] * in.aux).StoreFloat(float64(float32(F[in.a])))
+
+			case tJmp:
+				pc += int(in.a)
+				continue
+			case tJz:
+				if I[in.b] == 0 {
+					pc += int(in.a)
+					continue
+				}
+			case tJnz:
+				if I[in.b] != 0 {
+					pc += int(in.a)
+					continue
+				}
+			case tJeqI:
+				if (I[in.b] == I[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJltI:
+				if (I[in.b] < I[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJleI:
+				if (I[in.b] <= I[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJeqII:
+				if (I[in.b] == in.aux) != (in.c != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJltII:
+				if (I[in.b] < in.aux) != (in.c != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJleII:
+				if (I[in.b] <= in.aux) != (in.c != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJeqF:
+				if (F[in.b] == F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJneF:
+				if (F[in.b] != F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJltF:
+				if (F[in.b] < F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJleF:
+				if (F[in.b] <= F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJgtF:
+				if (F[in.b] > F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJgeF:
+				if (F[in.b] >= F[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJeqFC:
+				if (F[in.b] == cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJneFC:
+				if (F[in.b] != cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJltFC:
+				if (F[in.b] < cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJleFC:
+				if (F[in.b] <= cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJgtFC:
+				if (F[in.b] > cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJgeFC:
+				if (F[in.b] >= cf[in.c]) != (in.aux != 0) {
+					pc += int(in.a)
+					continue
+				}
+			case tJzF:
+				if F[in.b] == 0 {
+					pc += int(in.a)
+					continue
+				}
+			case tJnzF:
+				if F[in.b] != 0 {
+					pc += int(in.a)
+					continue
+				}
+			case tJzP:
+				if P[in.b].IsNull() {
+					pc += int(in.a)
+					continue
+				}
+			case tJnzP:
+				if !P[in.b].IsNull() {
+					pc += int(in.a)
+					continue
+				}
+			case tIncJltII:
+				v := I[in.b] + 1
+				I[in.b] = v
+				if v < in.aux {
+					pc += int(in.a)
+					continue
+				}
+			case tRet:
+				c = ctrlReturn
+				break dispatch
+			case tRetI:
+				e.retI = I[in.a]
+				c = ctrlReturn
+				break dispatch
+			case tRetF:
+				e.retF = F[in.a]
+				c = ctrlReturn
+				break dispatch
+			case tRetP:
+				e.retP = P[in.a]
+				c = ctrlReturn
+				break dispatch
+			case tBrk:
+				c = ctrlBreak
+				break dispatch
+			case tCont:
+				c = ctrlContinue
+				break dispatch
+
+			case tCallI:
+				I[in.a] = tp.intFns[in.b](e)
+			case tCallF:
+				F[in.a] = tp.fltFns[in.b](e)
+			case tCallP:
+				P[in.a] = tp.ptrFns[in.b](e)
+			case tEff:
+				tp.effFns[in.b](e)
+			case tStmt:
+				switch tp.stmts[in.b](e) {
+				case ctrlReturn:
+					c = ctrlReturn
+					break dispatch
+				case ctrlBreak:
+					if in.a == tapeCtrlRet {
+						c = ctrlBreak
+						break dispatch
+					}
+					pc += int(in.a)
+					continue
+				case ctrlContinue:
+					if in.c == tapeCtrlRet {
+						c = ctrlContinue
+						break dispatch
+					}
+					pc += int(in.c)
+					continue
+				}
+			}
+			pc++
+		}
+		switch {
+		case mode == runOnce:
+			return c
+		case mode == runChunk || c == ctrlNext || c == ctrlContinue:
+		case c == ctrlBreak:
+			return ctrlNext
+		default:
+			return c
+		}
 	}
 	return ctrlNext
 }

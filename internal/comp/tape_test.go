@@ -138,6 +138,18 @@ func TestTapeEquivalence(t *testing.T) {
 			p -= 2;
 			return *p;
 		}`},
+		{"ptr-lvalue-compound", `int a[4];
+		int *keep[2];
+		int main(void) {
+			keep[0] = a;
+			int **pp = keep;
+			*pp += 2;
+			a[2] = 7;
+			int r = **pp;
+			pp[0] -= 1;
+			a[1] = 5;
+			return r * 10 + *keep[0];
+		}`},
 		{"matrix", `int m[3][4];
 		int main(void) {
 			for (int i = 0; i < 3; i++)
@@ -250,6 +262,8 @@ func TestTapeEquivalence(t *testing.T) {
 // TestTapeTrapParity pins the trap contract: identical RuntimeError
 // messages under both engines, including the compound-division rule
 // that the divisor evaluates (and traps) before the accumulator load.
+// A fault Go's runtime raises on a raw segment access already reads
+// "runtime error: …"; the trap carries that prefix once.
 func TestTapeTrapParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -263,6 +277,11 @@ func TestTapeTrapParity(t *testing.T) {
 		int main(void) { int x = 5; x /= boom(); return x; }`, "integer division by zero"},
 		{"compound-mod-zero", `int main(void) { int x = 5, z = 0; x %= z; return x; }`, "integer modulo by zero"},
 		{"oob", `int a[4]; int main(void) { int i = 4; return a[i]; }`, "out of"},
+		{"oob-malloc", `int main(void) {
+			int *p = (int*)malloc(4 * sizeof(int));
+			p[9] = 3;
+			return 0;
+		}`, "runtime error: index out of range [9] with length 4"},
 		{"null-deref", `int main(void) { int *p = 0; return p[0]; }`, "nil pointer"},
 		{"use-after-free", `int main(void) {
 			int *p = (int*)malloc(2 * sizeof(int));
@@ -293,6 +312,9 @@ func TestTapeTrapParity(t *testing.T) {
 			}
 			if !strings.Contains(msgs[1], c.msg) {
 				t.Fatalf("trap %q does not mention %q", msgs[1], c.msg)
+			}
+			if n := strings.Count(msgs[1], "runtime error: "); n != 1 {
+				t.Fatalf("trap %q carries the runtime error prefix %d times", msgs[1], n)
 			}
 		})
 	}

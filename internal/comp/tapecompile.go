@@ -19,8 +19,8 @@ package comp
 // surrounding control flow stays on the tape either way.
 
 import (
-	"math"
 	"strings"
+	"sync"
 
 	"purec/internal/ast"
 	"purec/internal/sema"
@@ -72,6 +72,18 @@ func (ta *tapeAlloc) allocP() int32 {
 	return int32(r)
 }
 
+// alloc allocates a temp register of the slot kind.
+func (ta *tapeAlloc) alloc(kind int) int32 {
+	switch kind {
+	case tkI:
+		return ta.allocI()
+	case tkF:
+		return ta.allocF()
+	default:
+		return ta.allocP()
+	}
+}
+
 func (ta *tapeAlloc) popI() { ta.tI-- }
 func (ta *tapeAlloc) popF() { ta.tF-- }
 func (ta *tapeAlloc) popP() { ta.tP-- }
@@ -95,56 +107,169 @@ type tapeCompiler struct {
 	tp    *tape
 	ta    *tapeAlloc
 	loops []*tapeLoopCtx
-	cI    map[int64]int32
-	cF    map[uint64]int32
+	// buf is the emission buffer this nesting depth keeps between tapes.
+	buf []tinstr
 }
 
-// newTape compiles one instruction sequence with a fresh tapeCompiler
-// sharing the function's register space.
-func (fc *funcCompiler) newTape(build func(*tapeCompiler)) *tape {
-	tc := &tapeCompiler{
-		fc: fc,
-		tp: &tape{},
-		ta: fc.talloc,
-		cI: map[int64]int32{},
-		cF: map[uint64]int32{},
+// tapeScratch is the working memory of one CompileProgram's tape
+// builds, reused across fixpoint rounds, tapes, functions and (through
+// tapeScratchPool) compiles: a tapeCompiler with its emission buffer
+// per tape nesting depth (a nested loop-body tape compiles while its
+// parent is open), the register space of the function being compiled,
+// the backing of the program's pools, the bail-rollback stack and the
+// optimizer's arrays. Finished tapes and pools are copied out at exact
+// size, so the Program never references the scratch.
+type tapeScratch struct {
+	tcs   []*tapeCompiler
+	depth int
+	ta    tapeAlloc
+	pools *tapePools
+	free  tapePools // emptied pool buffers and cleared dedup indexes
+	tapes []*tape   // the program's finished tapes, in compile order
+	marks []int     // loop break/continue lengths saved by tapeCompiler.mark
+	opt   tlive
+}
+
+var tapeScratchPool = sync.Pool{New: func() any {
+	return &tapeScratch{free: tapePools{cI: map[int64]int32{}, cF: map[uint64]int32{}}}
+}}
+
+// start opens the program's pools on the scratch buffers.
+func (sc *tapeScratch) start() {
+	clear(sc.free.cI)
+	clear(sc.free.cF)
+	sc.depth, sc.marks, sc.tapes = 0, sc.marks[:0], sc.tapes[:0]
+	p := sc.free
+	sc.pools = &p
+}
+
+// finish gives the program's pools their exact size, takes the buffers
+// back and hands the pools and tapes to p.
+func (sc *tapeScratch) finish(p *Program) {
+	pl, f := sc.pools, &sc.free
+	f.constI, f.constF = settle(&pl.constI), settle(&pl.constF)
+	f.intFns, f.fltFns, f.ptrFns = settle(&pl.intFns), settle(&pl.fltFns), settle(&pl.ptrFns)
+	f.effFns, f.stmts = settle(&pl.effFns), settle(&pl.stmts)
+	pl.cI, pl.cF, sc.pools = nil, nil, nil
+	p.tapes = sc.tapes
+	sc.tapes = settle(&p.tapes)
+}
+
+// clone returns an exact-size copy of s (nil when empty).
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	tc.tp.tmpI = int32(fc.talloc.baseI)
-	tc.tp.tmpF = int32(fc.talloc.baseF)
-	tc.tp.tmpP = int32(fc.talloc.baseP)
-	build(tc)
-	tc.tp.optimize()
-	fc.prog.noteTape(tc.tp)
-	return tc.tp
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// settle swaps *pool for an exact-size copy and returns the original
+// emptied, its elements zeroed so the reused buffer pins nothing.
+func settle[T any](pool *[]T) []T {
+	old := *pool
+	*pool = clone(old)
+	clear(old)
+	return old[:0]
+}
+
+// newTape compiles one statement into an instruction sequence sharing
+// the function's register space and the program's pools.
+func (fc *funcCompiler) newTape(s ast.Stmt) *tape {
+	sc, ta := fc.scratch, fc.talloc
+	if sc.depth == len(sc.tcs) {
+		sc.tcs = append(sc.tcs, &tapeCompiler{})
+	}
+	tc := sc.tcs[sc.depth]
+	sc.depth++
+	tp := &tape{
+		code:      tc.buf[:0],
+		tapePools: sc.pools,
+		tmpI:      int32(ta.baseI),
+		tmpF:      int32(ta.baseF),
+		tmpP:      int32(ta.baseP),
+	}
+	tc.fc, tc.tp, tc.ta, tc.loops = fc, tp, ta, tc.loops[:0]
+	tc.stmt(s)
+	tp.optimize(&sc.opt, ta)
+	tc.buf, tp.code = tp.code[:0], clone(tp.code)
+	tc.fc, tc.tp, tc.ta = nil, nil, nil
+	sc.depth--
+	sc.tapes = append(sc.tapes, tp)
+	return tp
 }
 
 // compileTapeBody compiles the function body for EngineTape.
 func (fc *funcCompiler) compileTapeBody() {
-	fc.talloc = &tapeAlloc{baseI: fc.cf.nI, baseF: fc.cf.nF, baseP: fc.cf.nP}
-	tp := fc.newTape(func(tc *tapeCompiler) {
-		tc.stmtList(fc.cf.decl.Body.List)
-	})
-	fc.cf.body = tp.stmtFn()
-	fc.cf.tape = tp
-	fc.cf.nI = fc.talloc.baseI + fc.talloc.maxI
-	fc.cf.nF = fc.talloc.baseF + fc.talloc.maxF
-	fc.cf.nP = fc.talloc.baseP + fc.talloc.maxP
-	fc.prog.tapeTemps += fc.talloc.maxI + fc.talloc.maxF + fc.talloc.maxP
+	sc := fc.scratch
+	sc.ta = tapeAlloc{baseI: fc.cf.nI, baseF: fc.cf.nF, baseP: fc.cf.nP}
+	fc.talloc = &sc.ta
+	tp := fc.newTape(fc.cf.decl.Body)
+	fc.cf.body, fc.cf.tape = tp.stmtFn(), tp
+	ta := fc.talloc
+	fc.cf.nI = ta.baseI + ta.maxI
+	fc.cf.nF = ta.baseF + ta.maxF
+	fc.cf.nP = ta.baseP + ta.maxP
+	fc.prog.tapeTemps += ta.maxI + ta.maxF + ta.maxP
+	fc.talloc, fc.scratch = nil, nil
 }
 
-// loopBody compiles a parallel-loop body with the active engine: under
-// EngineTape the per-iteration dispatch runs on a nested tape sharing
-// the function's temp registers (all temps are dead at the region
-// boundary, and worker clones copy the extended frame).
-func (fc *funcCompiler) loopBody(s ast.Stmt) stmtFn {
+// loopFn runs a parallel loop's body for the iterator values lo..hi on
+// e: inline (break ends the range, return propagates) or, with chunk
+// set, as a worker's chunk (every iteration runs, ctrl results are
+// dropped).
+type loopFn func(e *env, lo, hi int64, chunk bool) ctrl
+
+// loopBody compiles a parallel-loop body over iterator slot slot with
+// the active engine: under EngineTape the dispatch runs on a nested
+// tape sharing the function's temp registers (all temps are dead at the
+// region boundary, and worker clones copy the extended frame), one tape
+// run per range.
+func (fc *funcCompiler) loopBody(s ast.Stmt, slot int) loopFn {
 	if fc.prog.engine != EngineTape || fc.talloc == nil {
-		return fc.stmt(s)
+		body := fc.stmt(s)
+		return func(e *env, lo, hi int64, chunk bool) ctrl {
+			for i := lo; i <= hi; i++ {
+				e.I[slot] = i
+				switch c := body(e); {
+				case chunk:
+				case c == ctrlBreak:
+					return ctrlNext
+				case c == ctrlReturn:
+					return ctrlReturn
+				}
+			}
+			return ctrlNext
+		}
 	}
 	savedI, savedF, savedP := fc.talloc.tI, fc.talloc.tF, fc.talloc.tP
-	tp := fc.newTape(func(tc *tapeCompiler) { tc.stmt(s) })
+	tp := fc.newTape(s)
 	fc.talloc.tI, fc.talloc.tF, fc.talloc.tP = savedI, savedF, savedP
-	return tp.stmtFn()
+	return func(e *env, lo, hi int64, chunk bool) ctrl {
+		mode := runRange
+		if chunk {
+			mode = runChunk
+		}
+		return tp.run(e, mode, slot, lo, hi)
+	}
 }
+
+// pushLoop opens a loop's break/continue context, reusing the one this
+// loop nesting level held last.
+func (tc *tapeCompiler) pushLoop() *tapeLoopCtx {
+	n := len(tc.loops)
+	var ctx *tapeLoopCtx
+	if n < cap(tc.loops) {
+		ctx = tc.loops[:n+1][n]
+	}
+	if ctx == nil {
+		ctx = &tapeLoopCtx{}
+	}
+	ctx.breaks, ctx.conts = ctx.breaks[:0], ctx.conts[:0]
+	tc.loops = append(tc.loops, ctx)
+	return ctx
+}
+
+func (tc *tapeCompiler) popLoop() { tc.loops = tc.loops[:len(tc.loops)-1] }
 
 // ----------------------------------------------------------------------------
 // Emission primitives
@@ -172,36 +297,15 @@ func (tc *tapeCompiler) patchList(ps []tapePatch, target int) {
 	}
 }
 
-func (tc *tapeCompiler) constIdxI(v int64) int32 {
-	if idx, ok := tc.cI[v]; ok {
-		return idx
-	}
-	idx := int32(len(tc.tp.constI))
-	tc.tp.constI = append(tc.tp.constI, v)
-	tc.cI[v] = idx
-	return idx
-}
-
-func (tc *tapeCompiler) constIdxF(v float64) int32 {
-	bits := math.Float64bits(v)
-	if idx, ok := tc.cF[bits]; ok {
-		return idx
-	}
-	idx := int32(len(tc.tp.constF))
-	tc.tp.constF = append(tc.tp.constF, v)
-	tc.cF[bits] = idx
-	return idx
-}
-
 func (tc *tapeCompiler) loadConstI(v int64) int32 {
 	r := tc.ta.allocI()
-	tc.emit(tinstr{op: tConstI, a: r, b: tc.constIdxI(v)})
+	tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(v)})
 	return r
 }
 
 func (tc *tapeCompiler) loadConstF(v float64) int32 {
 	r := tc.ta.allocF()
-	tc.emit(tinstr{op: tConstF, a: r, b: tc.constIdxF(v)})
+	tc.emit(tinstr{op: tConstF, a: r, b: tc.tp.constIdxF(v)})
 	return r
 }
 
@@ -248,37 +352,40 @@ func (tc *tapeCompiler) escapeStmt(fn stmtFn) {
 // ----------------------------------------------------------------------------
 // Statements
 
-// tapeMark snapshots compiler state for the bail rollback.
+// tapeMark snapshots compiler state for the bail rollback. The open
+// loops' break/continue list lengths go on the scratch marks stack from
+// index lens, popped when the statement finishes.
 type tapeMark struct {
 	code       int
 	loops      int
-	breakLens  []int
-	contLens   []int
+	lens       int
 	tI, tF, tP int
 	fused      int
 	elided     int
 }
 
 func (tc *tapeCompiler) mark() tapeMark {
+	sc := tc.fc.scratch
 	m := tapeMark{
 		code:  len(tc.tp.code),
 		loops: len(tc.loops),
+		lens:  len(sc.marks),
 		tI:    tc.ta.tI, tF: tc.ta.tF, tP: tc.ta.tP,
 		fused: tc.fc.prog.fusedKernels, elided: tc.fc.prog.elidedChecks,
 	}
 	for _, ctx := range tc.loops {
-		m.breakLens = append(m.breakLens, len(ctx.breaks))
-		m.contLens = append(m.contLens, len(ctx.conts))
+		sc.marks = append(sc.marks, len(ctx.breaks), len(ctx.conts))
 	}
 	return m
 }
 
 func (tc *tapeCompiler) rollback(m tapeMark) {
+	lens := tc.fc.scratch.marks[m.lens:]
 	tc.tp.code = tc.tp.code[:m.code]
 	tc.loops = tc.loops[:m.loops]
 	for i, ctx := range tc.loops {
-		ctx.breaks = ctx.breaks[:m.breakLens[i]]
-		ctx.conts = ctx.conts[:m.contLens[i]]
+		ctx.breaks = ctx.breaks[:lens[2*i]]
+		ctx.conts = ctx.conts[:lens[2*i+1]]
 	}
 	tc.ta.tI, tc.ta.tF, tc.ta.tP = m.tI, m.tF, m.tP
 	tc.fc.prog.fusedKernels, tc.fc.prog.elidedChecks = m.fused, m.elided
@@ -289,11 +396,16 @@ func (tc *tapeCompiler) rollback(m tapeMark) {
 func (tc *tapeCompiler) stmt(s ast.Stmt) {
 	m := tc.mark()
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			if _, ok := r.(tapeBail); !ok {
 				panic(r)
 			}
 			tc.rollback(m)
+		}
+		sc := tc.fc.scratch
+		sc.marks = sc.marks[:m.lens]
+		if r != nil {
 			tc.escapeStmt(tc.fc.stmt(s))
 		}
 	}()
@@ -330,10 +442,9 @@ func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 		r := tc.test(x.Cond)
 		jz := tc.emit(tinstr{op: tJz, b: r})
 		tc.ta.popI()
-		ctx := &tapeLoopCtx{}
-		tc.loops = append(tc.loops, ctx)
+		ctx := tc.pushLoop()
 		tc.stmt(x.Body)
-		tc.loops = tc.loops[:len(tc.loops)-1]
+		tc.popLoop()
 		jpc := tc.emit(tinstr{op: tJmp})
 		tc.tp.code[jpc].a = int32(lcond - jpc)
 		tc.patch(jz)
@@ -341,10 +452,9 @@ func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 		tc.patchList(ctx.conts, lcond)
 	case *ast.DoStmt:
 		lbody := tc.here()
-		ctx := &tapeLoopCtx{}
-		tc.loops = append(tc.loops, ctx)
+		ctx := tc.pushLoop()
 		tc.stmt(x.Body)
-		tc.loops = tc.loops[:len(tc.loops)-1]
+		tc.popLoop()
 		lcond := tc.here()
 		r := tc.test(x.Cond)
 		jnz := tc.emit(tinstr{op: tJnz, b: r})
@@ -487,10 +597,9 @@ func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
 		tc.ta.popI()
 	}
 	lbody := tc.here()
-	ctx := &tapeLoopCtx{}
-	tc.loops = append(tc.loops, ctx)
+	ctx := tc.pushLoop()
 	tc.stmt(x.Body)
-	tc.loops = tc.loops[:len(tc.loops)-1]
+	tc.popLoop()
 	lpost := tc.here()
 	if x.Post != nil {
 		tc.effect(x.Post)
@@ -593,8 +702,8 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 		return tc.intUnary(x)
 	case *ast.PostfixExpr:
 		// x++ as int expression: the old value stays on the stack.
-		get, set := tc.intLval(x.X)
-		v := get()
+		lv := tc.lval(x.X, tkI)
+		v := tc.get(lv)
 		delta := int64(1)
 		if x.Op == token.DEC {
 			delta = -1
@@ -602,7 +711,7 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 		d := tc.loadConstI(delta)
 		nv := tc.ta.allocI()
 		tc.emit(tinstr{op: tAddI, a: nv, b: v, c: d})
-		set(nv)
+		tc.set(lv, nv)
 		tc.ta.popI() // nv
 		tc.ta.popI() // d
 		return v
@@ -669,11 +778,11 @@ func (tc *tapeCompiler) intBinary(x *ast.BinaryExpr) int32 {
 		b := tc.test(x.Y)
 		jz2 := tc.emit(tinstr{op: tJz, b: b})
 		tc.ta.popI()
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.constIdxI(1)})
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(1)})
 		jend := tc.emit(tinstr{op: tJmp})
 		tc.patch(jz1)
 		tc.patch(jz2)
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.constIdxI(0)})
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(0)})
 		tc.patch(jend)
 		return r
 	case token.LOR:
@@ -684,11 +793,11 @@ func (tc *tapeCompiler) intBinary(x *ast.BinaryExpr) int32 {
 		b := tc.test(x.Y)
 		jnz2 := tc.emit(tinstr{op: tJnz, b: b})
 		tc.ta.popI()
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.constIdxI(0)})
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(0)})
 		jend := tc.emit(tinstr{op: tJmp})
 		tc.patch(jnz1)
 		tc.patch(jnz2)
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.constIdxI(1)})
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(1)})
 		tc.patch(jend)
 		return r
 	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
@@ -833,8 +942,8 @@ func (tc *tapeCompiler) intUnary(x *ast.UnaryExpr) int32 {
 		return r
 	case token.INC, token.DEC:
 		// pre-increment yields the new value
-		get, set := tc.intLval(x.X)
-		v := get()
+		lv := tc.lval(x.X, tkI)
+		v := tc.get(lv)
 		delta := int64(1)
 		if x.Op == token.DEC {
 			delta = -1
@@ -842,7 +951,7 @@ func (tc *tapeCompiler) intUnary(x *ast.UnaryExpr) int32 {
 		d := tc.loadConstI(delta)
 		tc.emit(tinstr{op: tAddI, a: v, b: v, c: d})
 		tc.ta.popI()
-		set(v)
+		tc.set(lv, v)
 		return v
 	}
 	panic(tapeBail{})
@@ -900,8 +1009,8 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 			return r
 		case token.INC, token.DEC:
 			// no float32 rounding on ++/--, matching the closure backend
-			get, set := tc.fltLval(x.X)
-			v := get()
+			lv := tc.lval(x.X, tkF)
+			v := tc.get(lv)
 			d := 1.0
 			if x.Op == token.DEC {
 				d = -1
@@ -909,13 +1018,13 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 			dr := tc.loadConstF(d)
 			tc.emit(tinstr{op: tAddF, a: v, b: v, c: dr})
 			tc.ta.popF()
-			set(v)
+			tc.set(lv, v)
 			return v
 		}
 		panic(tapeBail{})
 	case *ast.PostfixExpr:
-		get, set := tc.fltLval(x.X)
-		v := get()
+		lv := tc.lval(x.X, tkF)
+		v := tc.get(lv)
 		d := 1.0
 		if x.Op == token.DEC {
 			d = -1
@@ -923,7 +1032,7 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 		dr := tc.loadConstF(d)
 		nv := tc.ta.allocF()
 		tc.emit(tinstr{op: tAddF, a: nv, b: v, c: dr})
-		set(nv)
+		tc.set(lv, nv)
 		tc.ta.popF() // nv
 		tc.ta.popF() // dr
 		return v
@@ -1221,111 +1330,64 @@ func (tc *tapeCompiler) addrOfStruct(e ast.Expr) int32 {
 // independently in get and set — exactly the closure backend's
 // behavior for compound assignment and ++/--.
 
-func (tc *tapeCompiler) intLval(e ast.Expr) (get func() int32, set func(src int32)) {
-	switch x := stripParens(e).(type) {
-	case *ast.Ident:
-		sl, global := tc.fc.slotOf(tc.fc.symOf(x), x)
-		idx := int32(sl.idx)
-		if global {
-			return func() int32 {
-					r := tc.ta.allocI()
-					tc.emit(tinstr{op: tLdGI, a: r, b: idx})
-					return r
-				}, func(src int32) {
-					tc.emit(tinstr{op: tStGI, a: idx, b: src})
-				}
-		}
-		return func() int32 {
-				r := tc.ta.allocI()
-				tc.emit(tinstr{op: tMovI, a: r, b: idx})
-				return r
-			}, func(src int32) {
-				tc.emit(tinstr{op: tMovI, a: idx, b: src})
-			}
-	default:
-		return func() int32 {
-				p := tc.addr(e)
-				r := tc.ta.allocI()
-				tc.emit(tinstr{op: tLdInd, a: r, b: p})
-				tc.ta.popP()
-				return r
-			}, func(src int32) {
-				p := tc.addr(e)
-				tc.emit(tinstr{op: tStInd, a: p, b: src})
-				tc.ta.popP()
-			}
-	}
+// tlval is an lvalue of one slot kind: a frame or global slot, or the
+// address expression e.
+type tlval struct {
+	e      ast.Expr
+	kind   int
+	slot   int32
+	global bool
 }
 
-func (tc *tapeCompiler) fltLval(e ast.Expr) (get func() int32, set func(src int32)) {
-	switch x := stripParens(e).(type) {
-	case *ast.Ident:
-		sl, global := tc.fc.slotOf(tc.fc.symOf(x), x)
-		idx := int32(sl.idx)
-		if global {
-			return func() int32 {
-					r := tc.ta.allocF()
-					tc.emit(tinstr{op: tLdGF, a: r, b: idx})
-					return r
-				}, func(src int32) {
-					tc.emit(tinstr{op: tStGF, a: idx, b: src})
-				}
-		}
-		return func() int32 {
-				r := tc.ta.allocF()
-				tc.emit(tinstr{op: tMovF, a: r, b: idx})
-				return r
-			}, func(src int32) {
-				tc.emit(tinstr{op: tMovF, a: idx, b: src})
-			}
-	default:
-		return func() int32 {
-				p := tc.addr(e)
-				r := tc.ta.allocF()
-				tc.emit(tinstr{op: tLdIndF, a: r, b: p})
-				tc.ta.popP()
-				return r
-			}, func(src int32) {
-				p := tc.addr(e)
-				tc.emit(tinstr{op: tStIndF, a: p, b: src})
-				tc.ta.popP()
-			}
-	}
+// lvalOps are the access opcodes of one slot kind.
+var lvalOps = [3]struct{ ldG, stG, mov, ldInd, stInd topcode }{
+	tkI: {tLdGI, tStGI, tMovI, tLdInd, tStInd},
+	tkF: {tLdGF, tStGF, tMovF, tLdIndF, tStIndF},
+	tkP: {tLdGP, tStGP, tMovP, tLdIndP, tStIndP},
 }
 
-func (tc *tapeCompiler) ptrLval(e ast.Expr) (get func() int32, set func(src int32)) {
-	switch x := stripParens(e).(type) {
-	case *ast.Ident:
+func (tc *tapeCompiler) lval(e ast.Expr, kind int) tlval {
+	if x, ok := stripParens(e).(*ast.Ident); ok {
 		sl, global := tc.fc.slotOf(tc.fc.symOf(x), x)
-		idx := int32(sl.idx)
-		if global {
-			return func() int32 {
-					r := tc.ta.allocP()
-					tc.emit(tinstr{op: tLdGP, a: r, b: idx})
-					return r
-				}, func(src int32) {
-					tc.emit(tinstr{op: tStGP, a: idx, b: src})
-				}
+		return tlval{kind: kind, slot: int32(sl.idx), global: global}
+	}
+	return tlval{e: e, kind: kind}
+}
+
+func (tc *tapeCompiler) get(lv tlval) int32 {
+	ops := &lvalOps[lv.kind]
+	if lv.e == nil {
+		r := tc.ta.alloc(lv.kind)
+		op := ops.mov
+		if lv.global {
+			op = ops.ldG
 		}
-		return func() int32 {
-				r := tc.ta.allocP()
-				tc.emit(tinstr{op: tMovP, a: r, b: idx})
-				return r
-			}, func(src int32) {
-				tc.emit(tinstr{op: tMovP, a: idx, b: src})
-			}
+		tc.emit(tinstr{op: op, a: r, b: lv.slot})
+		return r
+	}
+	p := tc.addr(lv.e)
+	if lv.kind == tkP {
+		// The loaded pointer replaces its address in the same register.
+		tc.emit(tinstr{op: ops.ldInd, a: p, b: p})
+		return p
+	}
+	r := tc.ta.alloc(lv.kind)
+	tc.emit(tinstr{op: ops.ldInd, a: r, b: p})
+	tc.ta.popP()
+	return r
+}
+
+func (tc *tapeCompiler) set(lv tlval, src int32) {
+	ops := &lvalOps[lv.kind]
+	switch {
+	case lv.e != nil:
+		p := tc.addr(lv.e)
+		tc.emit(tinstr{op: ops.stInd, a: p, b: src})
+		tc.ta.popP()
+	case lv.global:
+		tc.emit(tinstr{op: ops.stG, a: lv.slot, b: src})
 	default:
-		return func() int32 {
-				p := tc.addr(e)
-				r := tc.ta.allocP()
-				tc.emit(tinstr{op: tLdIndP, a: r, b: p})
-				tc.ta.popP()
-				return r
-			}, func(src int32) {
-				p := tc.addr(e)
-				tc.emit(tinstr{op: tStIndP, a: p, b: src})
-				tc.ta.popP()
-			}
+		tc.emit(tinstr{op: ops.mov, a: lv.slot, b: src})
 	}
 }
 
@@ -1337,10 +1399,10 @@ func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
 	tl := fc.typeOf(x.LHS)
 	switch tl.Kind {
 	case types.Float:
-		get, set := tc.fltLval(x.LHS)
+		lv := tc.lval(x.LHS, tkF)
 		var v int32
 		if bin, ok := x.Op.AssignBinOp(); ok {
-			v = get()
+			v = tc.get(lv)
 			r := tc.num(x.RHS)
 			var op topcode
 			switch bin {
@@ -1364,13 +1426,13 @@ func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
 		if tl.CSize == 4 {
 			tc.emit(tinstr{op: tRoundF, a: v, b: v})
 		}
-		set(v)
+		tc.set(lv, v)
 		tc.ta.popF()
 	case types.Ptr:
-		get, set := tc.ptrLval(x.LHS)
+		lv := tc.lval(x.LHS, tkP)
 		var v int32
 		if bin, ok := x.Op.AssignBinOp(); ok {
-			v = get()
+			v = tc.get(lv)
 			r := tc.integer(x.RHS)
 			op := tPtrAdd
 			switch bin {
@@ -1386,10 +1448,10 @@ func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
 		} else {
 			v = tc.ptrExpr(x.RHS)
 		}
-		set(v)
+		tc.set(lv, v)
 		tc.ta.popP()
 	default:
-		get, set := tc.intLval(x.LHS)
+		lv := tc.lval(x.LHS, tkI)
 		var v int32
 		if bin, ok := x.Op.AssignBinOp(); ok {
 			if bin == token.QUO || bin == token.REM {
@@ -1401,14 +1463,14 @@ func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
 					chk, op = tChkRem0, tRemI
 				}
 				tc.emit(tinstr{op: chk, b: r})
-				v = get()
+				v = tc.get(lv)
 				tc.emit(tinstr{op: op, a: v, b: v, c: r})
-				set(v)
+				tc.set(lv, v)
 				tc.ta.popI() // v
 				tc.ta.popI() // r
 				return
 			}
-			v = get()
+			v = tc.get(lv)
 			r := tc.integer(x.RHS)
 			var op topcode
 			switch bin {
@@ -1436,7 +1498,7 @@ func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
 		} else {
 			v = tc.integer(x.RHS)
 		}
-		set(v)
+		tc.set(lv, v)
 		tc.ta.popI()
 	}
 }

@@ -31,14 +31,19 @@ import "math"
 
 // optimize runs fusion passes to a fixpoint. Every successful rewrite
 // nops at least one instruction and compaction removes the nops, so the
-// loop strictly shrinks the tape and terminates.
-func (tp *tape) optimize() {
+// loop strictly shrinks the tape and terminates. ta is the function's
+// register space (its high-water marks bound the tape's temps); lv is
+// the compile's reusable optimizer memory, which keeps no reference to
+// tp afterwards.
+func (tp *tape) optimize(lv *tlive, ta *tapeAlloc) {
+	defer func() { lv.tp = nil }()
+	max := [3]int32{tp.tmpI + int32(ta.maxI), tp.tmpF + int32(ta.maxF), tp.tmpP + int32(ta.maxP)}
 	for {
-		tp.compact()
+		lv.compact(tp)
 		if len(tp.code) == 0 {
 			return
 		}
-		lv := tp.analyze()
+		lv.analyze(tp, max)
 		if !tp.peephole(lv) {
 			return
 		}
@@ -67,11 +72,20 @@ const (
 
 // tdesc describes one opcode for the optimizer. rI/rF/rP list the
 // instruction fields holding read slots of each kind; wI/wF/wP the
-// field holding the written slot (or -1).
+// field holding the written slot (or -1). accs flattens both for the
+// liveness pass, writes first.
 type tdesc struct {
 	rI, rF, rP []tfield
 	wI, wF, wP int8
 	flags      uint8
+	accs       []tacc
+}
+
+// tacc is one frame-slot access of an instruction.
+type tacc struct {
+	kind  uint8
+	field tfield
+	write bool
 }
 
 var tdescs [256]tdesc
@@ -191,6 +205,20 @@ func init() {
 	tdef([]topcode{tCallP}, tdesc{wI: no, wF: no, wP: w(fA), flags: tfBarrier})
 	tdef([]topcode{tEff}, tdesc{wI: no, wF: no, wP: no, flags: tfBarrier})
 	tdef([]topcode{tStmt}, tdesc{wI: no, wF: no, wP: no, flags: tfBarrier | tfJump})
+
+	for i := range tdescs {
+		d := &tdescs[i]
+		for k := tkI; k <= tkP; k++ {
+			if wf := d.writeField(k); wf >= 0 {
+				d.accs = append(d.accs, tacc{kind: uint8(k), field: tfield(wf), write: true})
+			}
+		}
+		for k := tkI; k <= tkP; k++ {
+			for _, f := range d.reads(k) {
+				d.accs = append(d.accs, tacc{kind: uint8(k), field: f})
+			}
+		}
+	}
 }
 
 func tfieldVal(in *tinstr, f tfield) int32 {
@@ -281,112 +309,112 @@ func substReads(in *tinstr, kind int, from, to int32) {
 // landing at len(code) is normal fall-off and not a successor).
 func (tp *tape) succs(pc int, buf []int) []int {
 	in := &tp.code[pc]
-	n := len(tp.code)
-	add := func(t int) []int {
-		if t >= 0 && t < n {
-			buf = append(buf, t)
-		}
-		return buf
+	flags := tdescs[in.op].flags
+	if flags&tfExit == 0 {
+		buf = tp.addSucc(buf, pc+1)
 	}
-	d := &tdescs[in.op]
-	if in.op == tStmt {
-		buf = add(pc + 1)
+	switch {
+	case in.op == tStmt:
 		if in.a != tapeCtrlRet {
-			buf = add(pc + int(in.a))
+			buf = tp.addSucc(buf, pc+int(in.a))
 		}
 		if in.c != tapeCtrlRet {
-			buf = add(pc + int(in.c))
+			buf = tp.addSucc(buf, pc+int(in.c))
 		}
-		return buf
+	case flags&tfJump != 0:
+		buf = tp.addSucc(buf, pc+int(in.a))
 	}
-	if d.flags&tfExit != 0 {
-		if in.op == tJmp {
-			return add(pc + int(in.a))
-		}
-		return buf
-	}
-	if d.flags&tfJump != 0 {
-		buf = add(pc + 1)
-		return add(pc + int(in.a))
-	}
-	return add(pc + 1)
+	return buf
 }
 
-// leaders marks every jump target. Index len(code) is the implicit
-// exit block.
-func (tp *tape) leaders() []bool {
+func (tp *tape) addSucc(buf []int, t int) []int {
+	if t >= 0 && t < len(tp.code) {
+		buf = append(buf, t)
+	}
+	return buf
+}
+
+// leaders marks every jump target into lv.ld. Index len(code) is the
+// implicit exit block.
+func (lv *tlive) leaders(tp *tape) {
 	n := len(tp.code)
-	ld := make([]bool, n+1)
+	ld := resize(lv.ld, n+1)
+	clear(ld)
 	ld[0] = true
+	mark := func(pc int, off int32) {
+		if t := pc + int(off); t >= 0 && t <= n {
+			ld[t] = true
+		}
+	}
 	for pc := range tp.code {
 		in := &tp.code[pc]
-		d := &tdescs[in.op]
-		mark := func(off int32) {
-			if t := pc + int(off); t >= 0 && t <= n {
-				ld[t] = true
-			}
-		}
 		if in.op == tStmt {
 			if in.a != tapeCtrlRet {
-				mark(in.a)
+				mark(pc, in.a)
 			}
 			if in.c != tapeCtrlRet {
-				mark(in.c)
+				mark(pc, in.c)
 			}
-		} else if d.flags&tfJump != 0 {
-			mark(in.a)
+		} else if tdescs[in.op].flags&tfJump != 0 {
+			mark(pc, in.a)
 		}
 	}
-	return ld
+	lv.ld = ld
 }
 
-type tbits []uint64
-
-func (b tbits) get(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-func (b tbits) set(i int32)      { b[i>>6] |= 1 << uint(i&63) }
-
-func (b tbits) orInto(o tbits) bool {
-	changed := false
-	for i, w := range o {
-		if b[i]|w != b[i] {
-			b[i] |= w
-			changed = true
-		}
+// resize returns s with length n, reusing its backing array when it is
+// large enough (the contents are unspecified).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return changed
+	return s[:n]
 }
 
-// tlive holds per-pc live-in temp sets per kind, plus the leaders.
+// tlive holds the optimizer's view of one tape: the leaders and the
+// live-in temp sets of every pc, pc-major in one flat bitset array (w
+// words per pc; kind k's bit i = temp slot base+i sits in words
+// off[k]..off[k+1]). It doubles as the compile's reusable working
+// memory for analysis and compaction.
 type tlive struct {
-	tp               *tape
-	inI, inF, inP    []tbits
-	ld               []bool
-	maxI, maxF, maxP int32
+	tp    *tape
+	ld    []bool
+	in    []uint64
+	w     int
+	off   [4]int
+	max   [3]int32 // one past the highest temp slot, per kind
+	row   []uint64
+	back  []int // targets of backward edges seen by the last pass
+	newpc []int
+}
+
+// base returns the first temp slot of the kind.
+func (tp *tape) base(kind int) int32 {
+	switch kind {
+	case tkI:
+		return tp.tmpI
+	case tkF:
+		return tp.tmpF
+	default:
+		return tp.tmpP
+	}
 }
 
 // liveOut reports whether the temp slot is live after pc. Slots below
-// the temp base are always live; slots the tape never reads are dead.
+// the temp base are always live; slots past every temp are dead.
 func (lv *tlive) liveOut(pc int, kind int, slot int32) bool {
-	var base int32
-	var sets []tbits
-	var max int32
-	switch kind {
-	case tkI:
-		base, sets, max = lv.tp.tmpI, lv.inI, lv.maxI
-	case tkF:
-		base, sets, max = lv.tp.tmpF, lv.inF, lv.maxF
-	default:
-		base, sets, max = lv.tp.tmpP, lv.inP, lv.maxP
-	}
+	base := lv.tp.base(kind)
 	if slot < base {
 		return true
 	}
-	if slot >= max {
+	if slot >= lv.max[kind] {
 		return false
 	}
+	i := int(slot - base)
+	word, bit := lv.off[kind]+i>>6, uint64(1)<<uint(i&63)
 	var buf [3]int
 	for _, s := range lv.tp.succs(pc, buf[:0]) {
-		if sets[s].get(slot) {
+		if lv.in[s*lv.w+word]&bit != 0 {
 			return true
 		}
 	}
@@ -394,102 +422,109 @@ func (lv *tlive) liveOut(pc int, kind int, slot int32) bool {
 }
 
 // analyze computes backward liveness of temp registers over the tape's
-// control-flow graph (a standard dataflow fixpoint).
-func (tp *tape) analyze() *tlive {
-	n := len(tp.code)
-	lv := &tlive{tp: tp, ld: tp.leaders()}
-	for pc := range tp.code {
+// control-flow graph; max bounds the temp slots of each kind. The
+// passes run in reverse pc order, so one pass is exact unless a temp is
+// live into the target of a backward edge; temps never live across a
+// statement boundary and loops jump back only to statement starts, so
+// the common case costs one pass and the standard fixpoint iteration
+// covers the rest.
+func (lv *tlive) analyze(tp *tape, max [3]int32) {
+	lv.tp, lv.max = tp, max
+	lv.leaders(tp)
+	w := 0
+	for k := tkI; k <= tkP; k++ {
+		lv.off[k] = w
+		w += int(max[k]-tp.base(k)+63) / 64
+	}
+	lv.off[3], lv.w = w, w
+	lv.in = resize(lv.in, len(tp.code)*w)
+	clear(lv.in)
+	lv.row = resize(lv.row, w)
+	for pass := 0; ; pass++ {
+		if !lv.pass(tp) {
+			return
+		}
+		if pass == 0 && !lv.liveAtBackTargets() {
+			return
+		}
+	}
+}
+
+// pass runs one backward sweep, reporting whether any live-in set grew.
+// It records the targets of backward edges in lv.back.
+func (lv *tlive) pass(tp *tape) bool {
+	changed := false
+	w, row, n := lv.w, lv.row, len(tp.code)
+	base := [3]int32{tp.tmpI, tp.tmpF, tp.tmpP}
+	lv.back = lv.back[:0]
+	var buf [3]int
+	for pc := n - 1; pc >= 0; pc-- {
 		in := &tp.code[pc]
 		d := &tdescs[in.op]
-		grow := func(kind int, max *int32) {
-			for _, f := range d.reads(kind) {
-				if v := tfieldVal(in, f); v >= *max {
-					*max = v + 1
-				}
+		if d.flags&(tfJump|tfExit) == 0 {
+			// Straight-line code, the common case: one successor.
+			if pc+1 < n {
+				copy(row, lv.in[(pc+1)*w:(pc+2)*w])
+			} else {
+				clear(row)
 			}
-			if wf := d.writeField(kind); wf >= 0 {
-				if v := tfieldVal(in, tfield(wf)); v >= *max {
-					*max = v + 1
-				}
-			}
-		}
-		grow(tkI, &lv.maxI)
-		grow(tkF, &lv.maxF)
-		grow(tkP, &lv.maxP)
-	}
-	alloc := func(max int32) []tbits {
-		words := int(max+63) / 64
-		sets := make([]tbits, n)
-		backing := make([]uint64, n*words)
-		for i := range sets {
-			sets[i] = backing[i*words : (i+1)*words]
-		}
-		return sets
-	}
-	lv.inI, lv.inF, lv.inP = alloc(lv.maxI), alloc(lv.maxF), alloc(lv.maxP)
-
-	scratch := struct{ i, f, p tbits }{
-		make(tbits, int(lv.maxI+63)/64),
-		make(tbits, int(lv.maxF+63)/64),
-		make(tbits, int(lv.maxP+63)/64),
-	}
-	var buf [3]int
-	for changed := true; changed; {
-		changed = false
-		for pc := n - 1; pc >= 0; pc-- {
-			in := &tp.code[pc]
-			d := &tdescs[in.op]
-			for i := range scratch.i {
-				scratch.i[i] = 0
-			}
-			for i := range scratch.f {
-				scratch.f[i] = 0
-			}
-			for i := range scratch.p {
-				scratch.p[i] = 0
-			}
+		} else {
+			clear(row)
 			for _, s := range tp.succs(pc, buf[:0]) {
-				scratch.i.orInto(lv.inI[s])
-				scratch.f.orInto(lv.inF[s])
-				scratch.p.orInto(lv.inP[s])
-			}
-			step := func(kind int, set tbits, base int32) {
-				if wf := d.writeField(kind); wf >= 0 {
-					if v := tfieldVal(in, tfield(wf)); v >= base {
-						set[v>>6] &^= 1 << uint(v&63)
-					}
+				if s <= pc {
+					lv.back = append(lv.back, s)
 				}
-				for _, f := range d.reads(kind) {
-					if v := tfieldVal(in, f); v >= base {
-						set.set(v)
-					}
+				for i, x := range lv.in[s*w : (s+1)*w] {
+					row[i] |= x
 				}
 			}
-			step(tkI, scratch.i, tp.tmpI)
-			step(tkF, scratch.f, tp.tmpF)
-			step(tkP, scratch.p, tp.tmpP)
-			if lv.inI[pc].orInto(scratch.i) {
-				changed = true
+		}
+		for _, a := range d.accs {
+			v := int(tfieldVal(in, a.field) - base[a.kind])
+			if v < 0 {
+				continue
 			}
-			if lv.inF[pc].orInto(scratch.f) {
-				changed = true
+			if i, bit := lv.off[a.kind]+v>>6, uint64(1)<<uint(v&63); a.write {
+				row[i] &^= bit
+			} else {
+				row[i] |= bit
 			}
-			if lv.inP[pc].orInto(scratch.p) {
+		}
+		cur := lv.in[pc*w : (pc+1)*w]
+		for i, x := range cur {
+			if x|row[i] != x {
+				cur[i] = x | row[i]
 				changed = true
 			}
 		}
 	}
-	return lv
+	return changed
+}
+
+// liveAtBackTargets reports whether any temp is live into a backward
+// edge's target — the only case where a first pass read a live-in set
+// before computing it.
+func (lv *tlive) liveAtBackTargets() bool {
+	for _, s := range lv.back {
+		for _, x := range lv.in[s*lv.w : (s+1)*lv.w] {
+			if x != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ----------------------------------------------------------------------------
 // Compaction
 
-// compact removes tNop instructions and remaps every relative jump
-// offset (including tStmt break/continue offsets) across the removal.
-func (tp *tape) compact() {
+// compact removes tNop instructions in place and remaps every relative
+// jump offset (including tStmt break/continue offsets) across the
+// removal.
+func (lv *tlive) compact(tp *tape) {
 	n := len(tp.code)
-	newpc := make([]int, n+1)
+	newpc := resize(lv.newpc, n+1)
+	lv.newpc = newpc
 	k := 0
 	for i := 0; i < n; i++ {
 		newpc[i] = k
@@ -501,7 +536,7 @@ func (tp *tape) compact() {
 	if k == n {
 		return
 	}
-	out := make([]tinstr, 0, k)
+	// newpc[i] <= i, so each word moves down over slots already read.
 	for i := 0; i < n; i++ {
 		in := tp.code[i]
 		if in.op == tNop {
@@ -520,33 +555,9 @@ func (tp *tape) compact() {
 		} else if tdescs[in.op].flags&tfJump != 0 {
 			in.a = remap(in.a)
 		}
-		out = append(out, in)
+		tp.code[newpc[i]] = in
 	}
-	tp.code = out
-}
-
-// ----------------------------------------------------------------------------
-// Constant pool access (optimizer side — the compiler's maps are gone)
-
-func (tp *tape) constIIdx(v int64) int32 {
-	for i, x := range tp.constI {
-		if x == v {
-			return int32(i)
-		}
-	}
-	tp.constI = append(tp.constI, v)
-	return int32(len(tp.constI) - 1)
-}
-
-func (tp *tape) constFIdx(v float64) int32 {
-	bits := math.Float64bits(v)
-	for i, x := range tp.constF {
-		if math.Float64bits(x) == bits {
-			return int32(i)
-		}
-	}
-	tp.constF = append(tp.constF, v)
-	return int32(len(tp.constF) - 1)
+	tp.code = tp.code[:k]
 }
 
 // ----------------------------------------------------------------------------
@@ -619,16 +630,7 @@ func (tp *tape) deadOrRedefined(lv *tlive, pc int, kind int, slot int32) bool {
 	return !lv.liveOut(pc, kind, slot)
 }
 
-func (tp *tape) isTmp(kind int, slot int32) bool {
-	switch kind {
-	case tkI:
-		return slot >= tp.tmpI
-	case tkF:
-		return slot >= tp.tmpF
-	default:
-		return slot >= tp.tmpP
-	}
-}
+func (tp *tape) isTmp(kind int, slot int32) bool { return slot >= tp.base(kind) }
 
 // elimDead nops a pure instruction whose only effect is writing dead
 // temp registers.
@@ -715,33 +717,13 @@ func (tp *tape) foldConstI(i int, lv *tlive) bool {
 
 	// Constant-constant chain: an immediate op consuming t.
 	if immK, ok := tapeEvalImm(nx, k); ok && nx.b == t {
-		*nx = tinstr{op: tConstI, a: nx.a, b: tp.constIIdx(immK)}
+		*nx = tinstr{op: tConstI, a: nx.a, b: tp.constIdxI(immK)}
 		*in = tinstr{}
 		return true
 	}
 
-	type immMap struct {
-		right, left topcode // 0 = not foldable on that side
-	}
-	m, ok := map[topcode]immMap{
-		tAddI: {tAddII, tAddII},
-		tSubI: {tAddII, tRsbII}, // b - K == b + (-K) in two's complement
-		tMulI: {tMulII, tMulII},
-		tDivI: {tDivII, 0},
-		tRemI: {tRemII, 0},
-		tAndI: {tAndII, tAndII},
-		tOrI:  {tOrII, tOrII},
-		tXorI: {tXorII, tXorII},
-		tShlI: {tShlII, 0},
-		tShrI: {tShrII, 0},
-		tEqI:  {tEqII, tEqII},
-		tNeI:  {tNeII, tNeII},
-		tLtI:  {tLtII, tGtII}, // K < x  ⇔  x > K
-		tLeI:  {tLeII, tGeII},
-		tGtI:  {tGtII, tLtII},
-		tGeI:  {tGeII, tLeII},
-	}[nx.op]
-	if !ok {
+	m := immFolds[nx.op]
+	if m.right == 0 {
 		return false
 	}
 	aux := k
@@ -761,6 +743,30 @@ func (tp *tape) foldConstI(i int, lv *tlive) bool {
 	}
 	*in = tinstr{}
 	return true
+}
+
+// immFold names the immediate forms of a reg-reg integer op with a
+// constant right (b op K) or left (K op c) operand; 0 = not foldable on
+// that side. Every foldable op has a right form.
+type immFold struct{ right, left topcode }
+
+var immFolds = [256]immFold{
+	tAddI: {tAddII, tAddII},
+	tSubI: {tAddII, tRsbII}, // b - K == b + (-K) in two's complement
+	tMulI: {tMulII, tMulII},
+	tDivI: {tDivII, 0},
+	tRemI: {tRemII, 0},
+	tAndI: {tAndII, tAndII},
+	tOrI:  {tOrII, tOrII},
+	tXorI: {tXorII, tXorII},
+	tShlI: {tShlII, 0},
+	tShrI: {tShrII, 0},
+	tEqI:  {tEqII, tEqII},
+	tNeI:  {tNeII, tNeII},
+	tLtI:  {tLtII, tGtII}, // K < x  ⇔  x > K
+	tLeI:  {tLeII, tGeII},
+	tGtI:  {tGtII, tLtII},
+	tGeI:  {tGeII, tLeII},
 }
 
 // tapeEvalImm evaluates an immediate integer op applied to constant k,
@@ -838,28 +844,13 @@ func (tp *tape) foldConstF(i int, lv *tlive) bool {
 		if nx.b != t {
 			return false
 		}
-		*nx = tinstr{op: tConstF, a: nx.a, b: tp.constFIdx(float64(float32(k)))}
+		*nx = tinstr{op: tConstF, a: nx.a, b: tp.constIdxF(float64(float32(k)))}
 		*in = tinstr{}
 		return true
 	}
 
-	type fcMap struct {
-		right, left topcode
-		swapNaN     bool // left form commutes operands — unsafe for NaN K
-	}
-	m, ok := map[topcode]fcMap{
-		tAddF: {tAddFC, tAddFC, true},
-		tSubF: {tSubFC, tRsbFC, false},
-		tMulF: {tMulFC, tMulFC, true},
-		tDivF: {tDivFC, tRdivFC, false},
-		tEqF:  {tEqFC, tEqFC, false}, // symmetric predicates are exact
-		tNeF:  {tNeFC, tNeFC, false},
-		tLtF:  {tLtFC, tGtFC, false}, // K < x  ⇔  x > K, incl. NaN
-		tLeF:  {tLeFC, tGeFC, false},
-		tGtF:  {tGtFC, tLtFC, false},
-		tGeF:  {tGeFC, tLeFC, false},
-	}[nx.op]
-	if !ok {
+	m := constFolds[nx.op]
+	if m.right == 0 {
 		return false
 	}
 	switch {
@@ -875,6 +866,45 @@ func (tp *tape) foldConstF(i int, lv *tlive) bool {
 	}
 	*in = tinstr{}
 	return true
+}
+
+// constFold names the pooled-constant forms of a reg-reg float op.
+type constFold struct {
+	right, left topcode
+	swapNaN     bool // left form commutes operands — unsafe for NaN K
+}
+
+var constFolds = [256]constFold{
+	tAddF: {tAddFC, tAddFC, true},
+	tSubF: {tSubFC, tRsbFC, false},
+	tMulF: {tMulFC, tMulFC, true},
+	tDivF: {tDivFC, tRdivFC, false},
+	tEqF:  {tEqFC, tEqFC, false}, // symmetric predicates are exact
+	tNeF:  {tNeFC, tNeFC, false},
+	tLtF:  {tLtFC, tGtFC, false}, // K < x  ⇔  x > K, incl. NaN
+	tLeF:  {tLeFC, tGeFC, false},
+	tGtF:  {tGtFC, tLtFC, false},
+	tGeF:  {tGeFC, tLeFC, false},
+}
+
+// cmpBranch is the fused compare-and-branch of a compare op; flip
+// negates the predicate (int compares reduce to eq/lt/le).
+type cmpBranch struct {
+	op   topcode
+	flip bool
+}
+
+var cmpBranches = [256]cmpBranch{
+	tEqI: {tJeqI, false}, tNeI: {tJeqI, true},
+	tLtI: {tJltI, false}, tGeI: {tJltI, true},
+	tLeI: {tJleI, false}, tGtI: {tJleI, true},
+	tEqII: {tJeqII, false}, tNeII: {tJeqII, true},
+	tLtII: {tJltII, false}, tGeII: {tJltII, true},
+	tLeII: {tJleII, false}, tGtII: {tJleII, true},
+	tEqF: {op: tJeqF}, tNeF: {op: tJneF}, tLtF: {op: tJltF},
+	tLeF: {op: tJleF}, tGtF: {op: tJgtF}, tGeF: {op: tJgeF},
+	tEqFC: {op: tJeqFC}, tNeFC: {op: tJneFC}, tLtFC: {op: tJltFC},
+	tLeFC: {op: tJleFC}, tGtFC: {op: tJgtFC}, tGeFC: {op: tJgeFC},
 }
 
 // fuseCmpBranch rewrites [compare t,…][tJz/tJnz t] into one fused
@@ -916,37 +946,13 @@ func (tp *tape) fuseCmpBranch(i int, lv *tlive) bool {
 			out = tinstr{op: tJnzP, a: nx.a, b: in.b}
 		}
 	case tEqI, tNeI, tLtI, tLeI, tGtI, tGeI:
-		m := map[topcode]struct {
-			op   topcode
-			flip bool
-		}{
-			tEqI: {tJeqI, false}, tNeI: {tJeqI, true},
-			tLtI: {tJltI, false}, tGeI: {tJltI, true},
-			tLeI: {tJleI, false}, tGtI: {tJleI, true},
-		}[in.op]
+		m := cmpBranches[in.op]
 		out = tinstr{op: m.op, a: nx.a, b: in.b, c: in.c, aux: b2i(neg != m.flip)}
 	case tEqII, tNeII, tLtII, tLeII, tGtII, tGeII:
-		m := map[topcode]struct {
-			op   topcode
-			flip bool
-		}{
-			tEqII: {tJeqII, false}, tNeII: {tJeqII, true},
-			tLtII: {tJltII, false}, tGeII: {tJltII, true},
-			tLeII: {tJleII, false}, tGtII: {tJleII, true},
-		}[in.op]
+		m := cmpBranches[in.op]
 		out = tinstr{op: m.op, a: nx.a, b: in.b, c: int32(b2i(neg != m.flip)), aux: in.aux}
-	case tEqF, tNeF, tLtF, tLeF, tGtF, tGeF:
-		op := map[topcode]topcode{
-			tEqF: tJeqF, tNeF: tJneF, tLtF: tJltF,
-			tLeF: tJleF, tGtF: tJgtF, tGeF: tJgeF,
-		}[in.op]
-		out = tinstr{op: op, a: nx.a, b: in.b, c: in.c, aux: b2i(neg)}
-	case tEqFC, tNeFC, tLtFC, tLeFC, tGtFC, tGeFC:
-		op := map[topcode]topcode{
-			tEqFC: tJeqFC, tNeFC: tJneFC, tLtFC: tJltFC,
-			tLeFC: tJleFC, tGtFC: tJgtFC, tGeFC: tJgeFC,
-		}[in.op]
-		out = tinstr{op: op, a: nx.a, b: in.b, c: in.c, aux: b2i(neg)}
+	case tEqF, tNeF, tLtF, tLeF, tGtF, tGeF, tEqFC, tNeFC, tLtFC, tLeFC, tGtFC, tGeFC:
+		out = tinstr{op: cmpBranches[in.op].op, a: nx.a, b: in.b, c: in.c, aux: b2i(neg)}
 	default:
 		return false
 	}
@@ -1087,15 +1093,29 @@ func (tp *tape) fuseMulAdd(i int, lv *tlive) bool {
 	return false
 }
 
-// fuseIndexed collapses [base load p][tPtrIdx/tPtrOff p,p,idx][access
-// through p] into one indexed superinstruction. The base producer —
-// tLdGP (global array) or tMovP (frame slot) — may sit a few
-// instructions back; the scan only crosses instructions that cannot
-// change the base slot or the producer's source, so the fused re-read
-// yields the identical pointer. Address arithmetic and the raw segment
-// access match Pointer.Add + Load/Store panic for panic.
+// indexedOps maps an indirect access to its indexed forms: {global
+// base, frame base}.
+var indexedOps = [256][2]topcode{
+	tLdInd:  {tLdGIdx, tLdIdx},
+	tLdIndF: {tLdGIdxF, tLdIdxF},
+	tLdIndP: {tLdGIdxP, tLdIdxP},
+	tStInd:  {tStGIdx, tStIdx},
+	tStIndF: {tStGIdxF, tStIdxF},
+	tStIndP: {tStGIdxP, tStIdxP},
+}
+
+// fuseIndexed collapses [tPtrIdx/tPtrOff p,base,idx][access through p]
+// into one indexed superinstruction that reads the base register at the
+// access — the pair is adjacent, so it holds the same pointer. When the
+// base is a temp that dies there and its producer — tLdGP (global
+// array) or tMovP (frame slot) — sits a few instructions back, the
+// producer folds in too and the fused op re-reads its source; the scan
+// only crosses instructions that cannot change the base slot or the
+// producer's source, so the re-read yields the identical pointer.
+// Address arithmetic and the raw segment access match Pointer.Add +
+// Load/Store panic for panic.
 func (tp *tape) fuseIndexed(i int, lv *tlive) bool {
-	if i+1 >= len(tp.code) || lv.ld[i] || lv.ld[i+1] {
+	if i+1 >= len(tp.code) || lv.ld[i+1] {
 		return false
 	}
 	idx := &tp.code[i]
@@ -1105,7 +1125,7 @@ func (tp *tape) fuseIndexed(i int, lv *tlive) bool {
 	if idx.op == tPtrIdx {
 		st = idx.aux
 	}
-	if !tp.isTmp(tkP, d) || !tp.isTmp(tkP, s) {
+	if !tp.isTmp(tkP, d) {
 		return false
 	}
 	nx := &tp.code[i+1]
@@ -1126,78 +1146,60 @@ func (tp *tape) fuseIndexed(i int, lv *tlive) bool {
 	if !tp.deadOrRedefined(lv, i+1, tkP, d) {
 		return false
 	}
-	if s != d && lv.liveOut(i+1, tkP, s) {
-		return false
-	}
 
-	// Find the producer of the base register.
-	prod := -1
-	for j := i - 1; j >= 0 && j >= i-tapeOptWindow; j-- {
-		pj := &tp.code[j]
-		if pj.op == tLdGP && pj.a == s {
-			prod = j
-			break
-		}
-		if pj.op == tMovP && pj.a == s {
-			prod = j
-			break
-		}
-		if instrReads(pj, tkP, s) || instrWrites(pj, tkP, s) {
-			return false
-		}
-		if tdescs[pj.op].flags&(tfBarrier|tfJump|tfExit|tfGWrite) != 0 {
-			return false
-		}
-		// Positions between producer and access must not be entered
-		// sideways; the producer itself may be a leader (the fused
-		// access re-reads the same unchanged base).
-		if lv.ld[j] {
-			return false
-		}
-	}
-	if prod < 0 {
-		return false
-	}
-	pr := &tp.code[prod]
-	global := pr.op == tLdGP
-	base := pr.b
-	if !global {
-		// Frame-slot base: its value must be unchanged up to the access.
-		for j := prod + 1; j < i; j++ {
-			if instrWrites(&tp.code[j], tkP, base) {
-				return false
-			}
+	global, base, prod := false, s, -1
+	if tp.isTmp(tkP, s) && !lv.ld[i] && (s == d || !lv.liveOut(i+1, tkP, s)) {
+		if prod = tp.baseProducer(i, s, lv); prod >= 0 {
+			global, base = tp.code[prod].op == tLdGP, tp.code[prod].b
 		}
 	}
 
+	ops := indexedOps[nx.op]
+	op := ops[1]
+	if global {
+		op = ops[0]
+	}
 	var out tinstr
 	if isLoad {
-		ops := map[topcode][2]topcode{
-			tLdInd:  {tLdGIdx, tLdIdx},
-			tLdIndF: {tLdGIdxF, tLdIdxF},
-			tLdIndP: {tLdGIdxP, tLdIdxP},
-		}[nx.op]
-		op := ops[1]
-		if global {
-			op = ops[0]
-		}
 		out = tinstr{op: op, a: nx.a, b: base, c: idx.c, aux: st}
 	} else {
-		ops := map[topcode][2]topcode{
-			tStInd:  {tStGIdx, tStIdx},
-			tStIndF: {tStGIdxF, tStIdxF},
-			tStIndP: {tStGIdxP, tStIdxP},
-		}[nx.op]
-		op := ops[1]
-		if global {
-			op = ops[0]
-		}
 		out = tinstr{op: op, a: nx.b, b: base, c: idx.c, aux: st}
 	}
 	*nx = out
 	*idx = tinstr{}
-	*pr = tinstr{}
+	if prod >= 0 {
+		tp.code[prod] = tinstr{}
+	}
 	return true
+}
+
+// baseProducer returns the pc of the tLdGP or tMovP loading the pointer
+// temp s that the access after i indexes from, or -1 when there is
+// none the fused op could re-read in its place.
+func (tp *tape) baseProducer(i int, s int32, lv *tlive) int {
+	for j := i - 1; j >= 0 && j >= i-tapeOptWindow; j-- {
+		pj := &tp.code[j]
+		if (pj.op == tLdGP || pj.op == tMovP) && pj.a == s {
+			if pj.op == tMovP {
+				// Frame-slot base: its value must be unchanged up to the
+				// access.
+				for k := j + 1; k < i; k++ {
+					if instrWrites(&tp.code[k], tkP, pj.b) {
+						return -1
+					}
+				}
+			}
+			return j
+		}
+		// Positions between producer and access must not be entered
+		// sideways; the producer itself may be a leader (the fused
+		// access re-reads the same unchanged base).
+		if instrReads(pj, tkP, s) || instrWrites(pj, tkP, s) || lv.ld[j] ||
+			tdescs[pj.op].flags&(tfBarrier|tfJump|tfExit|tfGWrite) != 0 {
+			return -1
+		}
+	}
+	return -1
 }
 
 // fuseRoundStore merges [tRoundF t,src][indexed float store of t] into

@@ -75,7 +75,7 @@ type Config struct {
 	Transform transform.Options
 	// Backend selects the GCC or ICC compile analog.
 	Backend comp.Backend
-	// Engine selects closure-tree (default) or linearized-tape statement
+	// Engine selects linearized-tape (default) or closure-tree statement
 	// execution in the compiled Program. Results are bit-identical either
 	// way. Compile-relevant: part of the program-cache key.
 	Engine comp.Engine
@@ -85,7 +85,7 @@ type Config struct {
 	// NoFuse disables the kernel-fusion engine (fusion is on by
 	// default): element-wise affine innermost loops and the
 	// ICC/Vectorize reduction kernels then execute through
-	// per-iteration closure dispatch. Results are bit-identical either
+	// per-iteration statement dispatch. Results are bit-identical either
 	// way; the knob exists for A/B measurement (purebench Fig K1).
 	// Compile-relevant: part of the program-cache key.
 	NoFuse bool

@@ -164,14 +164,14 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 	for _, sched := range []string{"", "static,3", "dynamic,1", "guided,2"} {
 		variants = append(variants, variant{
 			name: "closure/gcc/" + sched,
-			cfg: Config{FileName: "t.c", Parallelize: true,
+			cfg: Config{FileName: "t.c", Parallelize: true, Engine: comp.EngineClosure,
 				Transform: transform.Options{Schedule: sched}},
 		})
 	}
 	variants = append(variants,
 		variant{"tape/gcc/", Config{FileName: "t.c", Parallelize: true, Engine: comp.EngineTape}},
-		variant{"closure/icc/", Config{FileName: "t.c", Parallelize: true, Backend: comp.BackendICC}},
-		variant{"closure/gcc/memo", Config{FileName: "t.c", Parallelize: true, Memoize: true}},
+		variant{"closure/icc/", Config{FileName: "t.c", Parallelize: true, Backend: comp.BackendICC, Engine: comp.EngineClosure}},
+		variant{"closure/gcc/memo", Config{FileName: "t.c", Parallelize: true, Memoize: true, Engine: comp.EngineClosure}},
 	)
 
 	teamSizes := []int{1, 2, 3, 5, 8}

@@ -1,7 +1,7 @@
 // Package interp is a boxed-value, tree-walking interpreter for checked
 // mini-C programs. It executes everything sequentially, serving as the
-// semantic oracle: the closure compiler (internal/comp) with any backend
-// and any team size must produce the same observable results. Tests
+// semantic oracle: the compiler (internal/comp) with either statement
+// engine, any backend and any team size must produce the same observable results. Tests
 // compare the two on the paper's applications and on generated programs.
 //
 // OpenMP pragmas have no scheduling effect here, but parallel-for
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 
 	"purec/internal/ast"
@@ -195,7 +196,12 @@ func (in *Interp) RunMain() (ret int64, err error) {
 func (in *Interp) Call(name string, args ...Value) (v Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("interp runtime error: %v", r)
+			msg := fmt.Sprint(r)
+			if re, ok := r.(runtime.Error); ok {
+				// Go's own text already starts with "runtime error: ".
+				msg = strings.TrimPrefix(re.Error(), "runtime error: ")
+			}
+			err = fmt.Errorf("interp runtime error: %s", msg)
 		}
 	}()
 	in.depth = 0 // a trapped earlier call left its activations counted

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"purec/internal/parser"
@@ -121,18 +120,24 @@ func TestPrintfOutput(t *testing.T) {
 }
 
 func TestRuntimeErrorsTrapped(t *testing.T) {
-	f, _ := parser.Parse("t.c", "int main(void) { int z = 0; return 3 / z; }")
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = in.RunMain()
-	if err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("got %v", err)
+	for _, c := range []struct{ src, want string }{
+		{"int main(void) { int z = 0; return 3 / z; }", "interp runtime error: integer division by zero"},
+		// Go's own fault text already starts with "runtime error: ".
+		{"int main(void) { int *p = (int*)malloc(4 * sizeof(int)); p[9] = 3; return 0; }",
+			"interp runtime error: index out of range [9] with length 4"},
+	} {
+		f, _ := parser.Parse("t.c", c.src)
+		info, err := sema.Check(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := New(info, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = in.RunMain(); err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
 	}
 }
 

@@ -194,6 +194,62 @@ int main(void) { return f(0); }
 	}
 }
 
+// TestDefaultEngineIsTape: a request that names no engine builds on
+// the tape, "closure" still builds on closures, and the two are
+// different programs.
+func TestDefaultEngineIsTape(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	keys := map[string]bool{}
+	for _, c := range []struct {
+		engine string
+		want   comp.Engine
+	}{{"", comp.EngineTape}, {"closure", comp.EngineClosure}} {
+		req := RunRequest{Source: serveSrc, Options: RunOptions{Engine: c.engine}}
+		resp := post(t, ts, req)
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK || body != "sum=85344\n" {
+			t.Fatalf("engine %q: status %d body %q", c.engine, resp.StatusCode, body)
+		}
+		keys[resp.Header.Get("X-Purecd-Program")] = true
+		cfg, err := s.config(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, source, err := s.Cache().BuildDetail(serveSrc, cfg)
+		if err != nil || source != core.SourceMemory {
+			t.Fatalf("engine %q: rebuild %v from %v, want the request's program from memory", c.engine, err, source)
+		}
+		if prog.Engine() != c.want {
+			t.Errorf("engine %q built %v, want %v", c.engine, prog.Engine(), c.want)
+		}
+	}
+	if len(keys) != 2 {
+		t.Errorf("default and closure requests share a program key: %v", keys)
+	}
+}
+
+// TestTrapTrailerText: a guest that traps after streaming output gets
+// the fault as the X-Purecd-Error trailer, with Go's "runtime error: "
+// prefix once, on both engines.
+func TestTrapTrailerText(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	src := `int main(void) {
+    int *p = (int*)malloc(4 * sizeof(int));
+    printf("before\n");
+    p[9] = 3;
+    return 0;
+}`
+	for _, engine := range []string{"", "closure"} {
+		resp := post(t, ts, RunRequest{Source: src, Options: RunOptions{Engine: engine}})
+		if body := readBody(t, resp); body != "before\n" {
+			t.Fatalf("engine %q: body %q", engine, body)
+		}
+		want := "runtime error: index out of range [9] with length 4"
+		if got := resp.Trailer.Get("X-Purecd-Error"); got != want {
+			t.Errorf("engine %q: trailer %q, want %q", engine, got, want)
+		}
+	}
+}
+
 // TestBuildErrorReturnsStructuredError: source the front end rejects is
 // a clean 422, not a daemon fault.
 func TestBuildErrorReturnsStructuredError(t *testing.T) {
@@ -357,7 +413,7 @@ func TestRunOptionsValidated(t *testing.T) {
 	for _, opts := range []RunOptions{
 		{},
 		{Sequential: true},
-		{Engine: "tape"},
+		{Engine: "closure"},
 		{Backend: "icc", Cores: 2, Schedule: "dynamic,1"},
 	} {
 		resp := post(t, ts, RunRequest{Source: src, Options: opts})

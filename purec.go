@@ -116,7 +116,7 @@ const (
 	BackendICC = comp.BackendICC
 )
 
-// Engine selects closure-tree (default) or linearized-tape statement
+// Engine selects linearized-tape (default) or closure-tree statement
 // execution in the compiled Program; results are bit-identical.
 type Engine = comp.Engine
 
