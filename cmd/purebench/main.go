@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	purebench [-fig all|2|3|...|11|m1|m2|r1|k1|a1|t1|b1|s1] [-cores 1,2,4,8,16,32,64] [-reps 3]
+//	purebench [-fig all|2|3|...|11|m1|m2|r1|a1|t1|b1|s1] [-cores 1,2,4,8,16,32,64] [-reps 3]
 //	          [-matmul-n 160] [-heat-n 160] [-heat-steps 30]
 //	          [-sat-pix 2000] [-sat-bands 12] [-sat-iters 48]
 //	          [-lama-rows 12000] [-lama-nnz 16] [-memo-classes 24]
-//	          [-reduce-n 400000] [-kern-n 65536] [-kern-reps 50]
+//	          [-reduce-n 400000]
 //	          [-hist-n 400000] [-hist-bins 16,256,4096,65536]
 //	          [-real-cores 1,2,4]
 //	          [-bce-n 96] [-bce-reps 20000] [-gather-m 2048] [-quick]
@@ -17,9 +17,7 @@
 // Figures m1/m2 are the pure-call memoization scenario (quantized
 // satellite retrieval with and without the shared memo table); figure
 // r1 is the parallel scalar-reduction scenario (quickstart sum and
-// extracted dot kernels, serial vs reduction builds); figure k1 is
-// the kernel-fusion A/B (axpy, copy, 1-D stencil and extracted-dot
-// matmul with the fusion engine off and on); figure a1 is the
+// extracted dot kernels, serial vs reduction builds); figure a1 is the
 // array-reduction scenario (hist[data[i]]++ with privatized per-worker
 // copies, swept over -hist-bins to expose the combine overhead);
 // figures r1 and a1 additionally carry
@@ -40,7 +38,7 @@
 // one column per simulated core count.
 //
 // -json writes each collected figure additionally as BENCH_<FIG>.json
-// into the given directory (k1/a1/r1/t1/b1/s1 only — the figures with
+// into the given directory (a1/r1/t1/b1/s1 only — the figures with
 // a machine-readable export). -check instead compares the fresh numbers
 // against committed BENCH_<FIG>.json baselines in the given directory
 // and exits non-zero on a large regression; both flags may be
@@ -59,8 +57,8 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, one of 2..11, or m1/m2/r1/k1/a1/t1/b1/s1 (comma-separable)")
-	jsonDir := flag.String("json", "", "directory receiving BENCH_<FIG>.json exports (k1/a1/r1/t1/b1/s1)")
+	fig := flag.String("fig", "all", "figure to regenerate: all, one of 2..11, or m1/m2/r1/a1/t1/b1/s1 (comma-separable)")
+	jsonDir := flag.String("json", "", "directory receiving BENCH_<FIG>.json exports (a1/r1/t1/b1/s1)")
 	checkDir := flag.String("check", "", "directory holding baseline BENCH_<FIG>.json files to compare against")
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,2,4,8,16,32,64)")
 	reps := flag.Int("reps", 0, "repetitions per measurement (default 3)")
@@ -75,8 +73,6 @@ func main() {
 	lamaNNZ := flag.Int("lama-nnz", 0, "ELL non-zeros per row")
 	memoClasses := flag.Int("memo-classes", 0, "distinct argument classes of the memoization scenario")
 	reduceN := flag.Int("reduce-n", 0, "iteration/vector length of the reduction scenario")
-	kernN := flag.Int("kern-n", 0, "vector length of the kernel-fusion scenario (fig k1)")
-	kernReps := flag.Int("kern-reps", 0, "sweeps per run of the kernel-fusion scenario (fig k1)")
 	histN := flag.Int("hist-n", 0, "element count of the array-reduction scenario (fig a1)")
 	histBins := flag.String("hist-bins", "", "comma-separated bin counts of the array-reduction scenario (fig a1)")
 	realCores := flag.String("real-cores", "", "comma-separated core counts of the real-team rows (default 1,2,4)")
@@ -113,8 +109,6 @@ func main() {
 	setIf(&p.LamaNNZ, *lamaNNZ)
 	setIf(&p.MemoClasses, *memoClasses)
 	setIf(&p.ReduceN, *reduceN)
-	setIf(&p.KernN, *kernN)
-	setIf(&p.KernReps, *kernReps)
 	setIf(&p.HistN, *histN)
 	setIf(&p.BCEN, *bceN)
 	setIf(&p.BCEReps, *bceReps)
@@ -147,7 +141,7 @@ func main() {
 		for i := 2; i <= 11; i++ {
 			want[strconv.Itoa(i)] = true
 		}
-		for _, f := range []string{"m1", "m2", "r1", "k1", "a1", "t1", "b1", "s1"} {
+		for _, f := range []string{"m1", "m2", "r1", "a1", "t1", "b1", "s1"} {
 			want[f] = true
 		}
 	} else {
@@ -252,14 +246,6 @@ func main() {
 			fatalf("reduction: %v", err)
 		}
 		fmt.Println(d.FigR1().Render())
-		handleJSON(d.JSON())
-	}
-	if want["k1"] {
-		d, err := bench.CollectKernels(p)
-		if err != nil {
-			fatalf("kernels: %v", err)
-		}
-		fmt.Println(d.FigK1())
 		handleJSON(d.JSON())
 	}
 	if want["a1"] {

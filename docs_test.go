@@ -61,7 +61,7 @@ func TestDocsMentionCurrentFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range []string{"m1", "m2", "r1", "k1", "a1"} {
+	for _, fig := range []string{"m1", "m2", "r1", "a1"} {
 		if !strings.Contains(string(readme), "`"+fig+"`") {
 			t.Errorf("README figure list lacks %q", fig)
 		}

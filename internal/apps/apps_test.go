@@ -434,7 +434,7 @@ func TestReduceDotParallelizesAndMatchesSerial(t *testing.T) {
 	}
 }
 
-// --- Fig K1 kernel workloads ---
+// --- Kernel workloads ---
 
 // readFVec reads n float cells of a malloc'd global vector.
 func readFVec(t *testing.T, res *core.Result, name string, n int) []float32 {

@@ -2,10 +2,12 @@ package apps
 
 import "fmt"
 
-// Fig K1 workloads: the canonical element-wise kernels the fusion
-// engine targets, each as an init + run pair so the harness times only
-// the kernel (matmul, the fourth K1 workload, reuses MatmulSrc — its
-// hot loop is the extracted-dot reduction kernel).
+// Kernel workloads: the canonical element-wise kernels the fusion
+// engine targets, each as an init + run pair so a harness times only
+// the kernel — the benchmark's comp.kernel_ns_per_elem probes, Figs T1
+// and B1 and the fusion oracle tests (matmul, the fourth workload,
+// reuses MatmulSrc — its hot loop is the extracted-dot reduction
+// kernel).
 //
 // KernRef* compute the expected outputs with the execution model's
 // float semantics (float64 arithmetic, float32 rounding at stores) so
@@ -96,7 +98,7 @@ int main(void) {
 }
 `
 
-// MatmulKernSrc is the K1 matrix-multiplication workload: the paper's
+// MatmulKernSrc is the kernel matrix-multiplication workload: the paper's
 // extracted-dot matmul (Listing 7 shape) with an init/run split so the
 // harness times only the compute. Under the ICC backend the dot loop
 // compiles to the fused reduction kernel; with fusion off it pays one
@@ -176,7 +178,7 @@ int main(void) {
 }
 `
 
-// KernDefines injects the vector length and sweep count of the K1
+// KernDefines injects the vector length and sweep count of the
 // element-wise kernels.
 func KernDefines(n, reps int) map[string]string {
 	return map[string]string{

@@ -40,8 +40,9 @@ type Params struct {
 	// ReduceN is the iteration/vector length of the reduction scenario
 	// (Fig. R1: quickstart sum and extracted dot kernels).
 	ReduceN int
-	// KernN and KernReps size the Fig K1 element-wise kernels (axpy,
-	// copy, 1-D stencil): vector length and sweep count per run.
+	// KernN and KernReps size the element-wise kernels of Fig T1 (axpy,
+	// copy, 1-D stencil) and the full-length gather rows of Fig B1:
+	// vector length and sweep count per run.
 	KernN    int
 	KernReps int
 	// HistN is the element count of the array-reduction scenario

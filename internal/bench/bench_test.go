@@ -166,27 +166,6 @@ func TestCollectReductionQuick(t *testing.T) {
 	}
 }
 
-func TestCollectKernelsQuick(t *testing.T) {
-	d, err := CollectKernels(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Workloads) != 4 {
-		t.Fatalf("want 4 workloads, got %d", len(d.Workloads))
-	}
-	for _, w := range d.Workloads {
-		if w.Dispatch <= 0 || w.Fused <= 0 {
-			t.Errorf("%s: non-positive times: %+v", w.Name, w)
-		}
-	}
-	out := d.FigK1()
-	for _, want := range []string{"Fig K1", "axpy", "copy", "stencil", "matmul", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FigK1 output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCollectTapeQuick(t *testing.T) {
 	d, err := CollectTape(Quick())
 	if err != nil {

@@ -524,91 +524,6 @@ func (d *HistData) FigA1() *Figure {
 	return f
 }
 
-// KernelResult is one Fig K1 workload: the same closure-engine build
-// measured with the fusion engine off (closure dispatch) and on.
-type KernelResult struct {
-	Name     string
-	Dispatch float64 // seconds, NoFuse build
-	Fused    float64 // seconds, default build
-}
-
-// Speedup is the dispatch/fused throughput ratio.
-func (r KernelResult) Speedup() float64 {
-	if r.Fused <= 0 {
-		return 0
-	}
-	return r.Dispatch / r.Fused
-}
-
-// KernelData carries the kernel-fusion A/B measurements (Fig K1).
-type KernelData struct {
-	P         Params
-	Workloads []KernelResult
-}
-
-// CollectKernels measures the Fig K1 workloads — axpy, copy, a 1-D
-// stencil and the extracted-dot matmul — as sequential closure-engine
-// builds with the fusion engine off and on. Fusion changes no results
-// (bit-identical by contract), only the per-iteration execution scheme,
-// so the two columns isolate exactly the dispatch overhead the engine
-// removes; Fig T1 puts the tape's dispatch beside it.
-func CollectKernels(p Params) (*KernelData, error) {
-	d := &KernelData{P: p}
-	kd := apps.KernDefines(p.KernN, p.KernReps)
-	workloads := []struct {
-		name        string
-		src         string
-		defs        map[string]string
-		init, entry string
-		cfg         core.Config
-	}{
-		{"axpy", apps.AxpySrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
-		{"copy", apps.CopySrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
-		{"stencil", apps.StencilSrc, kd, "initvec", "run", core.Config{Engine: comp.EngineClosure}},
-		// The matmul hot loop is the extracted-dot reduction; the ICC
-		// backend is what fuses it (the paper's Sect. 4.3.1 effect).
-		{"matmul", apps.MatmulKernSrc, apps.MatmulDefines(p.MatmulN), "initmat", "run",
-			core.Config{Backend: comp.BackendICC, Engine: comp.EngineClosure}},
-	}
-	for _, w := range workloads {
-		r := KernelResult{Name: w.name}
-		dispatchCfg := w.cfg
-		dispatchCfg.NoFuse = true
-		var err error
-		r.Dispatch, err = measureSeq(variant{
-			name: w.name + " dispatch", src: w.src, defs: w.defs,
-			init: w.init, entry: w.entry, cfg: dispatchCfg,
-		}, p.Reps)
-		if err != nil {
-			return nil, err
-		}
-		r.Fused, err = measureSeq(variant{
-			name: w.name + " fused", src: w.src, defs: w.defs,
-			init: w.init, entry: w.entry, cfg: w.cfg,
-		}, p.Reps)
-		if err != nil {
-			return nil, err
-		}
-		d.Workloads = append(d.Workloads, r)
-	}
-	return d, nil
-}
-
-// FigK1 renders the fused-vs-dispatch throughput table.
-func (d *KernelData) FigK1() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig K1 — fused kernels vs closure dispatch (N=%d, %d sweeps; matmul N=%d)\n",
-		d.P.KernN, d.P.KernReps, d.P.MatmulN)
-	b.WriteString("[seconds per run; speedup = dispatch/fused]\n")
-	fmt.Fprintf(&b, "%-12s%14s%14s%10s\n", "workload", "dispatch", "fused", "speedup")
-	for _, r := range d.Workloads {
-		fmt.Fprintf(&b, "%-12s%14.4f%14.4f%9.1fx\n", r.Name, r.Dispatch, r.Fused, r.Speedup())
-	}
-	b.WriteString("note: outputs are bit-identical by the fusion contract; only the execution scheme differs\n")
-	b.WriteString("note: one hoisted range check per operand per loop replaces the per-access bounds checks\n")
-	return b.String()
-}
-
 // TapeResult is one Fig T1 workload: the same program measured on the
 // closure engine and the tape engine with fusion off (pure dispatch
 // cost), plus the default fused build as the reference point.
@@ -633,8 +548,8 @@ type TapeData struct {
 	Workloads []TapeResult
 }
 
-// CollectTape measures the Fig T1 workloads — the K1 element-wise
-// kernels plus the deliberately non-canonical branchy body — on both
+// CollectTape measures the Fig T1 workloads — the element-wise
+// kernels axpy, copy and a 1-D stencil plus the deliberately non-canonical branchy body — on both
 // statement engines with fusion disabled, isolating exactly the
 // dispatch cost the tape removes, and on the default fused build for
 // scale. Results are bit-identical across all three builds by the

@@ -138,31 +138,13 @@ func speedupFigureJSON(id string, f *Figure) *JSONFigure {
 	return jf
 }
 
-// kernPoint builds one serial A/B point with per-op normalization.
-func kernPoint(workload string, seconds, ops, speedup float64) JSONPoint {
+// serialPoint builds one serial A/B point with per-op normalization.
+func serialPoint(workload string, seconds, ops, speedup float64) JSONPoint {
 	p := JSONPoint{Workload: workload, Cores: 1, Seconds: seconds, Speedup: speedup}
 	if ops > 0 && seconds > 0 {
 		p.NsPerOp = seconds * 1e9 / ops
 	}
 	return p
-}
-
-// JSON exports Fig K1 (dispatch-vs-fused serial A/B).
-func (d *KernelData) JSON() *JSONFigure {
-	jf := &JSONFigure{Fig: "K1",
-		Title: fmt.Sprintf("fused kernels vs closure dispatch (N=%d, %d sweeps; matmul N=%d)",
-			d.P.KernN, d.P.KernReps, d.P.MatmulN)}
-	for _, r := range d.Workloads {
-		ops := float64(d.P.KernN) * float64(d.P.KernReps)
-		if r.Name == "matmul" {
-			n := float64(d.P.MatmulN)
-			ops = n * n * n
-		}
-		jf.Points = append(jf.Points,
-			kernPoint(r.Name+"/dispatch", r.Dispatch, ops, 0),
-			kernPoint(r.Name+"/fused", r.Fused, ops, r.Speedup()))
-	}
-	return jf
 }
 
 // JSON exports Fig T1 (closure-vs-tape-vs-fused serial A/B).
@@ -177,9 +159,9 @@ func (d *TapeData) JSON() *JSONFigure {
 			fusedSp = r.Closure / r.Fused
 		}
 		jf.Points = append(jf.Points,
-			kernPoint(r.Name+"/closure", r.Closure, ops, 0),
-			kernPoint(r.Name+"/tape", r.Tape, ops, r.Speedup()),
-			kernPoint(r.Name+"/fused", r.Fused, ops, fusedSp))
+			serialPoint(r.Name+"/closure", r.Closure, ops, 0),
+			serialPoint(r.Name+"/tape", r.Tape, ops, r.Speedup()),
+			serialPoint(r.Name+"/fused", r.Fused, ops, fusedSp))
 	}
 	return jf
 }
@@ -198,11 +180,11 @@ func (d *BCEData) JSON() *JSONFigure {
 			ops = float64(d.P.KernN) * float64(d.P.KernReps)
 		}
 		jf.Points = append(jf.Points,
-			kernPoint(r.Name+"/checked", r.Checked, ops, 0),
-			kernPoint(r.Name+"/elided", r.Elided, ops, r.Speedup()))
+			serialPoint(r.Name+"/checked", r.Checked, ops, 0),
+			serialPoint(r.Name+"/elided", r.Elided, ops, r.Speedup()))
 	}
 	jf.Points = append(jf.Points,
-		kernPoint("gather opaque serial", d.GatherSerial, float64(d.P.KernN)*float64(d.P.KernReps), 0))
+		serialPoint("gather opaque serial", d.GatherSerial, float64(d.P.KernN)*float64(d.P.KernReps), 0))
 	for _, c := range sortedCores(d.P.Cores) {
 		t, ok := d.GatherPar.Times[c]
 		if !ok {
@@ -225,8 +207,8 @@ func (d *ReduceData) JSON() *JSONFigure {
 	f := d.FigR1()
 	jf := speedupFigureJSON("R1", f)
 	jf.Points = append(jf.Points,
-		kernPoint("sum seq gcc", d.SumSeq, float64(d.P.ReduceN), 0),
-		kernPoint("dot seq gcc", d.DotSeq, float64(d.P.ReduceN), 0))
+		serialPoint("sum seq gcc", d.SumSeq, float64(d.P.ReduceN), 0),
+		serialPoint("dot seq gcc", d.DotSeq, float64(d.P.ReduceN), 0))
 	return jf
 }
 
@@ -236,7 +218,7 @@ func (d *HistData) JSON() *JSONFigure {
 	jf := speedupFigureJSON("A1", f)
 	for _, bins := range sortedCores(append([]int{}, d.P.HistBins...)) {
 		jf.Points = append(jf.Points,
-			kernPoint(fmt.Sprintf("hist seq (%d bins)", bins), d.Seq[bins], float64(d.P.HistN), 0))
+			serialPoint(fmt.Sprintf("hist seq (%d bins)", bins), d.Seq[bins], float64(d.P.HistN), 0))
 	}
 	return jf
 }

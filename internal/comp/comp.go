@@ -124,7 +124,7 @@ type Options struct {
 	// innermost loops (copy, fill, scale, axpy, stencil maps) and the
 	// ICC/Vectorize reduction kernels then run through per-iteration
 	// statement dispatch. Fusion is on by default and bit-identical to
-	// dispatch; the knob exists for A/B measurement (purebench Fig K1)
+	// dispatch; the knob exists for A/B measurement (purebench Fig T1)
 	// and as an escape hatch. Compile-relevant: part of the
 	// program-cache key.
 	NoFuse bool

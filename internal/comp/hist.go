@@ -13,16 +13,8 @@ package comp
 // bases with unknown extent or aliasing — compile to serial execution
 // of the loop: always correct, never silently wrong. A clause naming
 // no matching update at all is a malformed pragma and a compile
-// error, mirroring the interp oracle's validation.
-//
-// The canonical histogram body additionally compiles to a fused
-// gather-update kernel (matchHist): the subscript operand B gets one
-// hoisted range check per launch and is walked as a raw slice; the
-// data-dependent target cell gets a per-element bounds check that
-// traps exactly like the dispatch backend's per-access checks. The
-// kernel reads the target array through the environment's pointer
-// slot, so running it on a worker's cloned environment transparently
-// updates that worker's private copy.
+// error, mirroring the interp oracle's validation. The canonical
+// histogram body additionally fuses into a scatter kernel (matchHist).
 
 import (
 	"purec/internal/ast"
@@ -88,107 +80,4 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 		r, ok = arrayReduction[float64](sl.idx, site.Name, mem.CellFloat, op, f32)
 	}
 	return r, ok
-}
-
-// ----------------------------------------------------------------------------
-// Fused gather-update kernel
-
-// histCell converts the data-dependent target cell index to a slice
-// index, trapping on int overflow like the dispatch backend's checked
-// pointer arithmetic (the slice bounds check then traps negative and
-// out-of-range cells exactly like per-access checks).
-func histCell(off, bin int64) int {
-	cell := off + bin
-	if (bin > 0 && cell < off) || (bin < 0 && cell > off) || int64(int(cell)) != cell {
-		rtPanic("pointer arithmetic overflow: offset %d + %d elements", off, bin)
-	}
-	return int(cell)
-}
-
-// emitHistInt emits the integer gather-update kernel for the target
-// g (see matchHist); a nil rhs updates by 1.
-func emitHistInt(g kGather, op token.Kind, rhs intFn) kernRun {
-	base, idxAcc := g.base, g.idx
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		is := idxAcc.prep(e, lo, hi)
-		p := base(e)
-		if p.IsNull() {
-			rtPanic("null pointer operand in fused loop")
-		}
-		off := int64(p.Off)
-		n := int(hi - lo + 1)
-		v := int64(1)
-		if rhs != nil {
-			v = rhs(e)
-		}
-		ix, ss := is.i, is.stride
-		dst := p.Seg.I
-		switch op {
-		case token.ADD:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] += v
-			}
-		case token.SUB:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] -= v
-			}
-		case token.MUL:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] *= v
-			}
-		case token.AND:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] &= v
-			}
-		case token.OR:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] |= v
-			}
-		case token.XOR:
-			for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-				dst[histCell(off, ix[si])] ^= v
-			}
-		}
-	}
-}
-
-// emitHistFloat emits the float gather-update kernel: float64
-// arithmetic, float32 rounding at 4-byte stores, like the dispatch
-// backend.
-func emitHistFloat(g kGather, op token.Kind, rhs fltFn) kernRun {
-	base, idxAcc, f32 := g.base, g.idx, g.f32
-	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
-		is := idxAcc.prep(e, lo, hi)
-		p := base(e)
-		if p.IsNull() {
-			rtPanic("null pointer operand in fused loop")
-		}
-		off := int64(p.Off)
-		n := int(hi - lo + 1)
-		v := rhs(e)
-		ix, ss := is.i, is.stride
-		dst := p.Seg.F
-		for t, si := 0, 0; t < n; t, si = t+1, si+ss {
-			c := histCell(off, ix[si])
-			var nv float64
-			switch op {
-			case token.ADD:
-				nv = dst[c] + v
-			case token.SUB:
-				nv = dst[c] - v
-			default:
-				nv = dst[c] * v
-			}
-			if f32 {
-				nv = float64(float32(nv))
-			}
-			dst[c] = nv
-		}
-	}
 }

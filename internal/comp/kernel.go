@@ -1,18 +1,20 @@
 package comp
 
 // Kernel fusion: canonical innermost loops whose body is one
-// element-wise affine array statement — copy, fill, scale, axpy-style
-// triads, stencil reads, compound assigns, general int/float maps — or
-// an integer sum of such an expression compile into a single Go kernel
+// fusible statement — an element-wise affine array store (copy, fill,
+// scale, axpy-style triads, stencil reads, compound assigns, gathers,
+// general int/float maps), a sum, dot or min/max fold into an
+// accumulator, or a histogram scatter — compile into a single Go kernel
 // that walks the raw memory segments instead of dispatching one closure
 // per iteration per operand.
 //
 // The fused-kernel contract (see README "Kernel fusion"):
 //
-//  1. one hoisted range check per operand per kernel launch — the
-//     mem.Segment Float/IntRange API validates [lo,hi) once and hands
-//     back the raw cell slice, replacing the per-access bounds checks
-//     of the closure backend;
+//  1. one hoisted range check per affine operand per kernel launch —
+//     the mem.Segment Float/IntRange API validates [lo,hi) once and
+//     hands back the raw cell slice, replacing the per-access bounds
+//     checks of the closure backend; a data-dependent cell (a gathered
+//     load, a scatter target) is compared per element;
 //  2. every iteration reads and writes the cells the closure backend's
 //     ascending loop would, with the values it would find there, so
 //     aliasing between operands (in-place stencils, overlapping
@@ -23,24 +25,27 @@ package comp
 //     store exactly when the stored C type is 4 bytes — bit-identical
 //     to the closure backend and the interp oracle;
 //  4. operands are live views of guest memory, so a kernel caches
-//     across iterations only values no operand can read: a reduce
-//     kernel whose memory-cell accumulator lies inside one of its own
-//     operands (x[3] += x[k]) runs write-through — cell loaded and
-//     stored every iteration — instead of accumulating in a local;
-//  5. an integer division or modulo by zero traps with the dispatch
-//     loop's message, after exactly the cells the dispatch loop would
-//     have written (zero-divisor replay, strip.go).
+//     across iterations only values no operand can read: a fold's
+//     accumulator cell and a scatter's target are stores to the
+//     distance rule, so one that an operand can read (x[3] += x[k], a
+//     histogram whose target is its own index array) runs element by
+//     element, written through every iteration;
+//  5. an integer division or modulo by zero, and a gathered load
+//     outside its array, trap with the dispatch loop's message, after
+//     exactly the cells the dispatch loop would have written (replay,
+//     strip.go).
 //
-// Recognition (match.go) compiles the right-hand side of an element
-// store — or of an integer sum `acc += …` — to a small postfix tape
-// over operand loads, hoisted invariants and the iterator. strip.go
-// lowers the tape to a register program and runs it a strip of
-// elements at a time; two float shapes (scale, triad) keep a
-// single-pass loop in front of it. Either way the launch state is a
-// kframe on the Go stack: a launch allocates nothing.
+// Recognition (match.go) classifies the statement by its sink and
+// compiles the value the sink consumes to a small postfix tape over
+// operand loads, at most one gathered load, hoisted invariants and the
+// iterator. strip.go lowers the tape to a register program and runs it
+// a strip of elements at a time into the sink; two float shapes (scale,
+// triad) keep a single-pass loop in front of it. Either way the launch
+// state is a kframe on the Go stack: a launch allocates nothing.
 
 import (
 	"purec/internal/ast"
+	"purec/internal/mem"
 	"purec/internal/sema"
 	"purec/internal/token"
 	"purec/internal/types"
@@ -49,10 +54,11 @@ import (
 // tape opcodes. The tape is the postfix form of the loop body's
 // right-hand side; float and int tapes share the arithmetic opcodes.
 const (
-	opLoad  uint8 = iota // push loads[arg] at the current iteration
-	opInv                // push invariant arg (invF/invI)
-	opIter               // push the iterator value (int tape)
-	opIterF              // push float64(iterator) (float tape)
+	opLoad   uint8 = iota // push loads[arg] at the current iteration
+	opInv                 // push invariant arg (invF/invI)
+	opIter                // push the iterator value (int tape)
+	opIterF               // push float64(iterator) (float tape)
+	opGather              // push the kernel's gathered load, its index cell loads[arg]
 	opAdd
 	opSub
 	opMul
@@ -73,28 +79,52 @@ type kOp struct {
 	arg  int
 }
 
-// fusedKernel is a recognized tape kernel: the sink (the element store,
-// or with sum set the integer accumulator in frame slot acc), the
+// Sinks: what a kernel does with the value its program computes.
+const (
+	sinkStore   uint8 = iota // store[i] = v
+	sinkSum                  // acc += v, in ascending order
+	sinkMin                  // if (v < acc) acc = v
+	sinkMax                  // if (v > acc) acc = v
+	sinkScatter              // gat[v] op= the kernel's one invariant
+)
+
+// fusedKernel is a recognized tape kernel: the sink and its target, the
 // operands, and the tape — first in postfix form, then lowered to the
 // register program the strip evaluator runs.
 type fusedKernel struct {
-	store kAccess
-	sum   bool
-	acc   int
+	store kAccess // sinkStore
+	// acc is the frame slot of a fold's accumulator, or cell its
+	// iterator-invariant memory cell.
+	acc  int
+	cell ptrFn
+	// gat is the data-dependent array: the source of the opGather load,
+	// or the scatter target, which op updates.
+	gat kGather
+	op  token.Kind
+
 	loads []kAccess
 	invF  []fltFn
 	invI  []intFn
 	// loadX and invX hold the syntax node each load and invariant was
 	// built from: a node met again — inlining substitutes one argument
-	// node for every read of its parameter — is the same operand.
+	// node for every read of its parameter — is the same operand. gatX
+	// is the node the classifier matched as the gathered load.
 	loadX []ast.Expr
 	invX  []ast.Expr
+	gatX  ast.Expr
 	tape  []kOp
-	float bool // element kind of the sink (and of every load)
 
 	prog []stripOp
-	res  operand // where the program leaves its result
 	regs int     // columns the program uses
+	res  operand // where the program leaves its result
+	// mul: a sum's root product is folded from its operands res and
+	// res2, rounded through float32 first with round (otherwise res2 is
+	// res).
+	res2       operand
+	mul, round bool
+	sink       uint8
+	f32        bool // the sink rounds through float32: its C type is 4 bytes
+	float      bool // element kind of the program (and of every load)
 }
 
 // maxTapeDepth bounds the evaluation stack a tape may need: the
@@ -145,9 +175,10 @@ func tapeOp(op token.Kind, float bool) (uint8, bool) {
 // kind. Whole loop-invariant subexpressions hoist into one evaluation
 // per launch; affine array accesses become raw-slice loads; the
 // iterator itself is a leaf; a conversion between float types is the
-// identity or one rounding op (inlined pure calls leave those behind).
-// Anything else (calls, gathers, int/float casts, mixed-kind subtrees
-// that vary with the iterator) rejects the loop.
+// identity or one rounding op (inlined pure calls leave those behind);
+// the node the classifier matched as the kernel's gather is the
+// gathered load. Anything else (calls, other gathers, int/float casts,
+// mixed-kind subtrees that vary with the iterator) rejects the loop.
 func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol) bool {
 	e = stripParens(e)
 	if fc.hoistable(e, iter) {
@@ -183,6 +214,10 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		}
 		return k.push(kOp{code: opIter})
 	case *ast.IndexExpr:
+		if e == k.gatX {
+			k.loads, k.loadX = append(k.loads, k.gat.idx), append(k.loadX, nil)
+			return k.push(kOp{code: opGather, arg: len(k.loads) - 1})
+		}
 		j := indexOfExpr(k.loadX, e)
 		if j < 0 {
 			acc, ok := fc.matchKAccess(x, iter)
@@ -280,25 +315,57 @@ type kframe struct {
 	strip int // elements per strip, see hazard
 	dst   kslice
 	f32   bool
+	// accI or accF is the fold's accumulator, gat the data-dependent
+	// array's base.
+	accI  *int64
+	accF  *float64
+	gat   mem.Pointer
 	loads [maxLoads]kslice
 	invF  [maxInvs]float64
 	invI  [maxInvs]int64
 }
 
-// prepFrame hoists everything loop-invariant: operand ranges (one check
-// each), the strip length the operands' overlap allows, invariant
-// scalars, the store rounding mode.
+// strideAny is the stride of a data-dependent operand: it meets no
+// affine stride, so any overlap with it runs element by element.
+const strideAny = -1
+
+// prepFrame hoists everything loop-invariant: the sink's target and the
+// operand ranges (one check each), the strip length their overlap
+// allows, invariant scalars, the sink's rounding mode.
 func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
-	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.store.f32
+	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
 	var st kspan
-	if !k.sum {
+	ss := k.store.stride
+	switch {
+	case k.sink == sinkStore:
 		st = k.store.span(e, lo, hi)
-		fr.dst = k.store.cells(st)
+		k.store.cells(st, &fr.dst)
+	case k.cell != nil:
+		// The accumulator cell is a store of stride 0, at every element.
+		p := k.cell(e)
+		st, ss = kspan{p.Seg, int64(p.Off), int64(p.Off)}, 0
+		cells := p.Seg.F
+		fr.accF = &cells[p.Off] // the dispatch loop's access, and its trap
+	case k.float:
+		fr.accF = &e.F[k.acc]
+	case k.sink != sinkScatter:
+		fr.accI = &e.I[k.acc]
+	}
+	if k.gat.base != nil {
+		// A null base faults here as on the dispatch loop's first access.
+		// The array is a scatter's store, or a gathered load against the
+		// store (against itself, the scatter's is the same walk).
+		fr.gat = k.gat.base(e)
+		all := kspan{fr.gat.Seg, 0, int64(fr.gat.Seg.Len()) - 1}
+		if k.sink == sinkScatter {
+			st, ss = all, strideAny
+		}
+		fr.strip = hazard(st, ss, all, strideAny)
 	}
 	for i := range k.loads {
 		ld := k.loads[i].span(e, lo, hi)
-		fr.loads[i] = k.loads[i].cells(ld)
-		fr.strip = min(fr.strip, hazard(st, k.store.stride, ld, k.loads[i].stride))
+		k.loads[i].cells(ld, &fr.loads[i])
+		fr.strip = min(fr.strip, hazard(st, ss, ld, k.loads[i].stride))
 	}
 	for i, f := range k.invF {
 		fr.invF[i] = f(e)
@@ -314,12 +381,13 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 // Equal strides meet at one fixed distance — none when the load runs
 // ahead of the store, on the very same walk, or between its cells;
 // operands of unequal stride that overlap at all run element by
-// element.
+// element, and so does a store of stride 0, which every element
+// stores again.
 func hazard(st kspan, ss int64, ld kspan, ls int64) int {
 	if st.seg != ld.seg || ld.last < st.first || st.last < ld.first {
 		return stripLen
 	}
-	if ss != ls {
+	if ss != ls || ss == 0 {
 		return 1
 	}
 	d := st.first - ld.first
@@ -358,9 +426,6 @@ func emitScale(k *fusedKernel) kernRun {
 		return nil
 	}
 	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
 		var fr kframe
 		k.prepFrame(&fr, e, lo, hi)
 		a := fr.invF[0]
@@ -402,9 +467,6 @@ func emitTriad(k *fusedKernel) kernRun {
 	// the tape, not from the positions.
 	x, z = k.tape[x].arg, k.tape[z].arg
 	return func(e *env, lo, hi int64) {
-		if hi < lo {
-			return
-		}
 		var fr kframe
 		k.prepFrame(&fr, e, lo, hi)
 		a := fr.invF[0]

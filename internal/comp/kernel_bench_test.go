@@ -125,11 +125,14 @@ func BenchmarkFusedMatmul(b *testing.B) {
 // is value-numbered), stencil4 heat's 4-load row at its 126-element
 // launch size, and hazard1 the loop-carried x[i] = x[i-1] + 1, which
 // the distance rule runs at strip length 1 — the floor of the single
-// code path.
+// code path. The sink rows follow: the float dot folds with a float
+// and a double accumulator (vectorized builds), the checked gather, the
+// hist scatter and a double min fold.
 func BenchmarkKernelStrip(b *testing.B) {
 	for _, c := range []struct {
 		name, src string
 		elems     int
+		opts      Options
 	}{
 		{"intmap9", `
 int data[65536];
@@ -138,7 +141,7 @@ int run(void) {
     for (int i = 0; i < 65536; i++)
         data[i] = ((i + 1000003) * 1103515245 + 12345) % 4096;
     return 0;
-}`, 65536},
+}`, 65536, Options{}},
 		{"intsum", `
 int result;
 pure int square(int x) { return x * x; }
@@ -149,7 +152,7 @@ int run(void) {
         s += square((i + 1000003) % 8191);
     result = s;
     return 0;
-}`, 65536},
+}`, 65536, Options{}},
 		{"stencil4", `
 float cur[128][128], next[128][128];
 void setup(void) {
@@ -162,7 +165,7 @@ int run(void) {
         for (int j = 1; j < 127; j++)
             next[i][j] = 0.25f * (cur[i - 1][j] + cur[i][j - 1] + cur[i][j + 1] + cur[i + 1][j]);
     return 0;
-}`, 126 * 126},
+}`, 126 * 126, Options{}},
 		{"hazard1", `
 int x[65536];
 void setup(void) {}
@@ -170,10 +173,72 @@ int run(void) {
     for (int i = 1; i < 65536; i++)
         x[i] = x[i - 1] + 1;
     return 0;
-}`, 65535},
+}`, 65535, Options{}},
+		{"dot-float", `
+float x[65536], y[65536];
+float result;
+void setup(void) {
+    for (int i = 0; i < 65536; i++) { x[i] = (float)(i % 13) * 0.25f; y[i] = (float)(i % 7) * 0.5f; }
+}
+int run(void) {
+    float s = 0.0f;
+    for (int i = 0; i < 65536; i++)
+        s += x[i] * y[i];
+    result = s;
+    return 0;
+}`, 65536, Options{Vectorize: true}},
+		{"dot-double", `
+double x[65536], y[65536];
+double result;
+void setup(void) {
+    for (int i = 0; i < 65536; i++) { x[i] = (double)(i % 13) * 0.25; y[i] = (double)(i % 7) * 0.5; }
+}
+int run(void) {
+    double s = 0.0;
+    for (int i = 0; i < 65536; i++)
+        s += x[i] * y[i];
+    result = s;
+    return 0;
+}`, 65536, Options{Vectorize: true}},
+		{"gather", `
+int idx[65536];
+float x[4096], y[65536];
+void setup(void) {
+    for (int i = 0; i < 4096; i++) x[i] = (float)(i % 11) * 0.5f;
+    for (int i = 0; i < 65536; i++) idx[i] = (i * 7 + 13) % 4096;
+}
+int run(void) {
+    for (int i = 0; i < 65536; i++)
+        y[i] = x[idx[i]];
+    return 0;
+}`, 65536, Options{}},
+		{"hist", `
+int data[65536];
+int hist[256];
+void setup(void) {
+    for (int i = 0; i < 65536; i++) data[i] = (i * 1103515245 + 12345) % 256;
+}
+int run(void) {
+    for (int i = 0; i < 65536; i++)
+        hist[data[i]]++;
+    return 0;
+}`, 65536, Options{}},
+		{"min", `
+double a[65536];
+double result;
+void setup(void) {
+    for (int i = 0; i < 65536; i++) a[i] = (double)((i * 37) % 9973) * 0.5;
+}
+int run(void) {
+    double m = 1.0e30;
+    for (int i = 0; i < 65536; i++)
+        if (a[i] < m) m = a[i];
+    result = m;
+    return 0;
+}`, 65536, Options{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			m := benchProgram(b, c.src, Options{})
+			m := benchProgram(b, c.src, c.opts)
 			if m.Program().FusedKernels() < 1 {
 				b.Fatalf("%s did not fuse", c.name)
 			}

@@ -13,22 +13,20 @@ package comp
 //     Y[a*i+b] (kindMap), an accumulate acc += … that the iterator does
 //     not move: an integer tape into a local scalar, or a float
 //     sum/dot/ELL term into a scalar or cell (kindReduce), an indexed
-//     update
-//     A[B[a*i+b]] op= inv (kindHist), or a guarded min/max fold into a
-//     scalar (kindMinMax). The sinks are disjoint, so a loop has at most
-//     one kind and callers filter on it;
+//     update A[B[a*i+b]] op= inv (kindHist), or a guarded min/max fold
+//     into a scalar (kindMinMax). The sinks are disjoint, so a loop has
+//     at most one kind and callers filter on it;
 //   - every operand is a kAccess (affine in the iterator, one hoisted
 //     range check per launch, elidable under a value-range proof) or a
 //     kGather (x[idx[affine]], optionally ?:-clamped) built on one;
-//   - the emitters (kernel.go and strip.go for tapes — maps and integer
-//     sums —, gather.go, vector.go float reductions, hist.go, minmax.go)
-//     turn sink and operands into the specialised segment-walking
-//     loops.
+//   - each classifier admits its sink's operand shapes and compiles the
+//     value the sink consumes with buildTape, so every kernel runs on
+//     the strip evaluator (strip.go), which ends in the sink.
 //
 // Because the matcher knows the sink and every operand, it is also
 // where the aliasing rule of the kernel contract lives: operands are
-// live views of guest memory, so the only value a kernel may cache
-// across iterations is one no operand can read (see reduceKern).
+// live views of guest memory, so the sink's target joins the distance
+// rule as a store (prepFrame).
 
 import (
 	"math"
@@ -40,8 +38,9 @@ import (
 	"purec/internal/types"
 )
 
-// kernRun executes iterations [lo, hi] (inclusive) of a fused loop.
-// Parallel regions call it once per chunk; sequential loops once.
+// kernRun executes iterations [lo, hi] (inclusive, lo ≤ hi) of a fused
+// loop. Parallel regions call it once per chunk — rt hands out no empty
+// chunk —; sequential loops once, when the range is not empty.
 type kernRun func(e *env, lo, hi int64)
 
 // loopKind classifies a fused loop by the sink of its statement.
@@ -72,12 +71,26 @@ type loopKernel struct {
 	elided int
 }
 
-func (lk *loopKernel) set(kind loopKind, run kernRun, operands ...kAccess) {
-	lk.kind, lk.run = kind, run
-	for _, a := range operands {
+// fuse emits k as the loop's kernel of the given kind, counting the
+// checks value-range proofs elided in it: of its operands and its store
+// and, in a gather map, of the gathered load (the matched-set golden
+// table pins the ELL product's count to its operands). A kernel past a
+// bound of the evaluator leaves the loop unfused.
+func (lk *loopKernel) fuse(kind loopKind, k *fusedKernel) {
+	if lk.run = k.emit(); lk.run == nil {
+		return
+	}
+	lk.kind = kind
+	for _, a := range k.loads {
 		if a.trusted {
 			lk.elided++
 		}
+	}
+	if k.store.trusted {
+		lk.elided++
+	}
+	if k.sink == sinkStore && k.gat.trusted {
+		lk.elided++
 	}
 }
 
@@ -192,10 +205,10 @@ func (fc *funcCompiler) seqKernelStmt(lk loopKernel) stmtFn {
 	lower, upper := lk.lower, lk.upper
 	return func(e *env) ctrl {
 		lo, hi := lower(e), upper(e)
-		kern(e, lo, hi)
 		if hi < lo {
 			e.I[iterSlot] = lo
 		} else {
+			kern(e, lo, hi)
 			e.I[iterSlot] = hi + 1
 		}
 		return ctrlNext
@@ -218,7 +231,7 @@ func (fc *funcCompiler) fused(lk loopKernel) kernRun {
 // Compound Y[i] op= rhs is Y[i] = Y[i] op rhs with the load walking the
 // same cells as the store.
 func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, rhs ast.Expr) {
-	k := &fusedKernel{store: store, float: store.float}
+	k := &fusedKernel{store: store, float: store.float, f32: store.f32}
 	ok := false
 	if op == token.ASSIGN {
 		ok = fc.buildTape(k, rhs, lk.iterSym)
@@ -226,11 +239,8 @@ func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, r
 		k.loads, k.loadX = append(k.loads, store), append(k.loadX, nil)
 		ok = k.push(kOp{code: opLoad}) && fc.buildTape(k, rhs, lk.iterSym) && k.push(kOp{code: code})
 	}
-	if !ok {
-		return
-	}
-	if run := k.emit(); run != nil {
-		lk.set(kindMap, run, append(k.loads, k.store)...)
+	if ok {
+		lk.fuse(kindMap, k)
 	}
 }
 
@@ -257,39 +267,27 @@ func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
 	if sl.kind != slotInt || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) || fc.usesSym(rhs, sym) {
 		return
 	}
-	k := &fusedKernel{sum: true, acc: sl.idx}
-	if !fc.buildTape(k, rhs, lk.iterSym) {
-		return
-	}
-	if run := k.emit(); run != nil {
+	k := &fusedKernel{sink: sinkSum, acc: sl.idx}
+	if fc.buildTape(k, rhs, lk.iterSym) {
 		lk.acc = id.Name
-		lk.set(kindReduce, run, k.loads...)
+		lk.fuse(kindReduce, k)
 	}
 }
 
 // matchGatherMap recognizes the pure gather Y[a*i+b] = x[idx[c*i+d]]
 // (a = 0 included). Element kinds must match exactly — implicit
 // conversions stay on the dispatch path. The gathered read pays a
-// per-element bounds test unless the value-range analysis proved the
+// per-element bounds compare unless the value-range analysis proved the
 // index contents inside x's extent; that elision counts as one check.
 func (fc *funcCompiler) matchGatherMap(lk *loopKernel, dst kAccess, rhs ast.Expr) {
 	g, ok := fc.matchGather(rhs, lk.iterSym)
 	if !ok || g.float != dst.float {
 		return
 	}
-	lk.set(kindMap, emitGather(dst, g), dst, g.idx)
-	if g.trusted {
-		lk.elided++
+	k := &fusedKernel{store: dst, gat: g, gatX: stripParens(rhs), float: dst.float, f32: dst.f32}
+	if fc.buildTape(k, rhs, lk.iterSym) {
+		lk.fuse(kindMap, k)
 	}
-}
-
-// accSink is the target of a reduce kernel: a float frame slot, or an
-// iterator-invariant float memory cell (C[i][j] in a k-loop) when cell
-// is set.
-type accSink struct {
-	slot int
-	cell ptrFn
-	f32  bool // the accumulator rounds through float32 at every store
 }
 
 // matchReduce recognizes the ICC-vectorization analog (Sect. 4.3.1: ICC
@@ -299,12 +297,11 @@ type accSink struct {
 //
 // with unit-stride operands; a product converted to float before it
 // accumulates — what the inlined helper mult(a, b) of the paper's
-// sources leaves behind — keeps that rounding (prodRound). The
-// accumulator is a local float scalar or a float cell the iterator does
-// not move.
+// sources leaves behind — keeps that rounding. The accumulator is a
+// local float scalar or a float cell the iterator does not move.
 func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	iter := lk.iterSym
-	r := &reduceKern{}
+	k := &fusedKernel{sink: sinkSum, float: true}
 	name := ""
 	switch x := stripParens(lhs).(type) {
 	case *ast.Ident:
@@ -319,14 +316,13 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 		if sl.kind != slotFloat || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) {
 			return
 		}
-		r.sink = accSink{slot: sl.idx, f32: sym.Type.CSize == 4}
-		name = x.Name
+		k.acc, k.f32, name = sl.idx, sym.Type.CSize == 4, x.Name
 	case *ast.IndexExpr:
 		t := fc.exprType(x)
 		if t == nil || t.Kind != types.Float || fc.usesSym(x, iter) {
 			return
 		}
-		r.sink = accSink{cell: fc.addr(x), f32: t.CSize == 4}
+		k.cell, k.f32 = fc.addr(x), t.CSize == 4
 	default:
 		return
 	}
@@ -337,41 +333,31 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	factors := []ast.Expr{term}
 	if v, isBin := stripParens(term).(*ast.BinaryExpr); isBin && v.Op == token.MUL {
 		factors = []ast.Expr{v.X, v.Y}
-		r.prodRound = term != rhs
 	} else if term != rhs && !fc.f32Exact(term) {
 		return
 	}
-	var direct []kAccess
+	direct := 0
 	for _, f := range factors {
 		if a, ok := fc.matchKAccess(f, iter); ok {
 			if !a.float || a.stride != 1 {
 				return
 			}
-			direct = append(direct, a)
-		} else if g, okG := fc.matchGather(f, iter); okG && r.g == nil {
-			// The ELL kernel walks the index array at unit stride and
+			direct++
+		} else if g, okG := fc.matchGather(f, iter); okG && k.gatX == nil {
+			// The ELL shape walks the index array at unit stride and
 			// reads the gathered array unclamped.
 			if !g.float || g.idx.stride != 1 || g.clamped() {
 				return
 			}
-			r.g = &g
+			k.gat, k.gatX = g, stripParens(f)
 		} else {
 			return
 		}
 	}
-	if len(direct) == 0 {
-		return
+	if direct > 0 && fc.buildTape(k, rhs, iter) {
+		lk.acc = name
+		lk.fuse(kindReduce, k)
 	}
-	r.x = direct[0]
-	operands := direct
-	if len(direct) == 2 {
-		r.y = &direct[1]
-	}
-	if r.g != nil {
-		operands = append(operands, r.g.idx)
-	}
-	lk.acc = name
-	lk.set(kindReduce, r.emit(), operands...)
 }
 
 // matchHist recognizes the canonical array-reduction body — a single
@@ -382,7 +368,9 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 //
 // Division, modulo and shifts keep their per-iteration trap semantics
 // on the dispatch path, and so does float ++/--, which stores unrounded
-// there (unlike compound assignment).
+// there (unlike compound assignment). The kernel reads the target
+// through the environment's pointer slot, so on a worker's cloned
+// environment it updates that worker's private copy.
 func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, rhs ast.Expr) {
 	arith := op == token.ADD || op == token.SUB || op == token.MUL
 	if !arith && op != token.AND && op != token.OR && op != token.XOR {
@@ -396,22 +384,25 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 	if g.float && (rhs == nil || !arith) {
 		return
 	}
-	// The update value: 1 for ++/--, otherwise a hoistable invariant.
-	var run kernRun
+	k := &fusedKernel{sink: sinkScatter, gat: g, op: op, f32: g.f32}
+	// The update value — 1 for ++/--, otherwise a hoistable invariant —
+	// is the kernel's one invariant: the index tape is a single load.
 	switch {
 	case rhs != nil && (!fc.hoistable(rhs, iter) || !fc.effectFree(rhs)):
 		return
 	case g.float:
-		run = emitHistFloat(g, op, fc.num(rhs))
+		k.invF = []fltFn{fc.num(rhs)}
 	case rhs == nil:
-		run = emitHistInt(g, op, nil)
+		k.invI = []intFn{func(*env) int64 { return 1 }}
 	default:
 		if t := fc.exprType(stripParens(rhs)); t == nil || t.Kind != types.Int {
 			return
 		}
-		run = emitHistInt(g, op, fc.integer(rhs))
+		k.invI = []intFn{fc.integer(rhs)}
 	}
-	lk.set(kindHist, run, g.idx)
+	if fc.buildTape(k, stripParens(lhs).(*ast.IndexExpr).Index, iter) {
+		lk.fuse(kindHist, k)
+	}
 }
 
 // matchMinMax recognizes the min/max fold of ast.MinMaxUpdate over a
@@ -431,9 +422,15 @@ func (fc *funcCompiler) matchMinMax(lk *loopKernel, m *ast.Ident, data ast.Expr,
 	if !ok || x.stride != 1 || x.float != (sl.kind == slotFloat) {
 		return
 	}
-	f32 := sym.Type != nil && sym.Type.Kind == types.Float && sym.Type.CSize == 4
-	lk.acc, lk.dir = m.Name, dir
-	lk.set(kindMinMax, emitMinMax(x, sl.idx, dir == token.LSS, f32), x)
+	k := &fusedKernel{sink: sinkMax, acc: sl.idx, float: x.float,
+		f32: sym.Type != nil && sym.Type.Kind == types.Float && sym.Type.CSize == 4}
+	if dir == token.LSS {
+		k.sink = sinkMin
+	}
+	if fc.buildTape(k, data, lk.iterSym) {
+		lk.acc, lk.dir = m.Name, dir
+		lk.fuse(kindMinMax, k)
+	}
 }
 
 // ----------------------------------------------------------------------------
@@ -473,7 +470,6 @@ type kGather struct {
 	// trusted: the value-range analysis proved every index the loop can
 	// read inside the gathered array's extent.
 	trusted bool
-	expr    string // printed access, for trap messages
 }
 
 func (g *kGather) clamped() bool { return g.lo != math.MinInt64 || g.hi != math.MaxInt64 }
@@ -519,7 +515,6 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 		f32:     t.Kind == types.Float && t.CSize == 4,
 		named:   named,
 		trusted: fc.prog.proven(ast.Expr(gx)),
-		expr:    ast.PrintExpr(gx),
 	}, true
 }
 
@@ -851,11 +846,6 @@ type kspan struct {
 	first, last int64
 }
 
-// holds reports whether the cell p addresses lies inside the span.
-func (s kspan) holds(p mem.Pointer) bool {
-	return p.Seg == s.seg && s.first <= int64(p.Off) && int64(p.Off) <= s.last
-}
-
 // span evaluates base and offset — once per launch — and locates the
 // operand's cells for iterations [lo, hi].
 func (a *kAccess) span(e *env, lo, hi int64) kspan {
@@ -870,17 +860,11 @@ func (a *kAccess) span(e *env, lo, hi int64) kspan {
 	return kspan{seg: p.Seg, first: off + a.stride*lo, last: off + a.stride*hi}
 }
 
-// prep performs the hoisted per-launch work of one operand: locate it,
-// run the single range check, hand back the raw cells. Violations trap
-// as runtime errors exactly like the per-access checks of the closure
-// backend.
-func (a *kAccess) prep(e *env, lo, hi int64) kslice {
-	return a.cells(a.span(e, lo, hi))
-}
-
-// cells range-checks a located operand and returns its raw cells.
-func (a *kAccess) cells(sp kspan) kslice {
-	s := kslice{stride: int(a.stride)}
+// cells range-checks a located operand — the hoisted per-launch check,
+// which traps as a runtime error like the closure backend's per-access
+// checks — and hands its raw cells to the zeroed frame slot s.
+func (a *kAccess) cells(sp kspan, s *kslice) {
+	s.stride = int(a.stride)
 	switch {
 	case a.trusted && a.float:
 		// The range check was discharged at compile time (see the
@@ -901,5 +885,4 @@ func (a *kAccess) cells(sp kspan) kslice {
 		}
 		s.i = xs
 	}
-	return s
 }

@@ -487,8 +487,8 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
 // calling environment, leaving the last iteration value in the
 // iterator slot like the dispatch inline loop does.
 func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
-	kern(e, lo, hi)
 	if hi >= lo {
+		kern(e, lo, hi)
 		e.I[iterSlot] = hi
 	}
 	return ctrlNext

@@ -1,13 +1,16 @@
 package comp
 
-// The strip evaluator: the one body every tape kernel runs on. The
+// The strip evaluator: the one body every fused loop runs on. The
 // postfix tape of a matched loop is lowered once, at compile time, to a
 // small register program; a launch then executes that program one op at
 // a time over a strip of up to stripLen elements — each op a tight loop
 // over columns, the next op over the columns it left — instead of
 // re-dispatching the whole tape per element (the vector-at-a-time
 // execution of column stores: Boncz, Zukowski, Nes, "MonetDB/X100:
-// Hyper-pipelining query execution", CIDR 2005).
+// Hyper-pipelining query execution", CIDR 2005). The result column of
+// a strip goes to the kernel's sink: the element store, a fold into an
+// accumulator (sum, with a root product folded straight from its two
+// operands, or min/max), or a histogram scatter.
 //
 // Columns live in a fixed-size array on the launching goroutine's Go
 // stack and are addressed positionally (buf[r*stripLen:][:n]): map
@@ -17,7 +20,7 @@ package comp
 // unit-stride loads are read where they lie; neither occupies a column.
 //
 // Two things keep a strip indistinguishable from the per-iteration
-// dispatch loop (contract rules 2 and 5 of kernel.go):
+// dispatch loop (contract rules 2, 4 and 5 of kernel.go):
 //
 //   - the distance rule: every load of a strip is read before any of
 //     its results is stored, so a strip must never contain an element
@@ -25,13 +28,19 @@ package comp
 //     prepFrame bounds the strip length by the smallest such backward
 //     distance (x[i] = x[i-d] + c runs d elements at a time, d = 1 one
 //     by one); the same walk (Y[i] op= …) and forward reads are no
-//     hazard;
-//   - zero-divisor replay: an integer strip that meets a zero divisor
-//     stores nothing and is re-run at strip length 1, so the cells
-//     written before the trap and the message (the first trapping op of
-//     the first trapping element) are the dispatch loop's.
+//     hazard. An accumulator cell is written back after every strip,
+//     so where an operand can read it, strips of one write it through;
+//   - replay: a strip that meets a zero divisor or a gathered index
+//     outside its array stores nothing and is re-run at strip length 1,
+//     where the trapping op traps, so the cells written before the trap
+//     and the message (the first trapping op of the first trapping
+//     element) are the dispatch loop's.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"purec/internal/token"
+)
 
 const (
 	// stripLen is the number of elements an op processes per dispatch.
@@ -63,8 +72,9 @@ const (
 )
 
 // stripOp is one op of the register program: dst = a code b over the
-// strip. opLoad gathers a strided load into dst, opIter/opIterF write
-// the iterator values.
+// strip. opLoad gathers a strided load into dst, opGather the gathered
+// cells its index load a names, opIter/opIterF write the iterator
+// values.
 type stripOp struct {
 	code uint8
 	dst  uint8
@@ -96,7 +106,7 @@ func (k *fusedKernel) lower() bool {
 	for _, op := range k.tape {
 		nd := node{code: op.code, a: -1, b: -1}
 		switch op.code {
-		case opLoad, opInv:
+		case opLoad, opInv, opGather:
 			nd.a = int8(op.arg)
 		case opIter, opIterF:
 		case opNeg, opNot, opRound:
@@ -113,7 +123,7 @@ func (k *fusedKernel) lower() bool {
 		if id == n {
 			nodes[n] = nd
 			n++
-			if nd.code != opLoad && nd.code != opInv {
+			if nd.code != opLoad && nd.code != opInv && nd.code != opGather {
 				if nd.a >= 0 {
 					last[nd.a] = int8(id)
 				}
@@ -130,6 +140,19 @@ func (k *fusedKernel) lower() bool {
 	}
 	root := int(stack[0])
 	last[root] = maxNodes // the sink reads it after the last op
+	// A float sum folds its root product, rounded or not, straight from
+	// the two operands: a separate product pass costs up to 60 % on a
+	// dot. The product (and the rounding above it) is the last node.
+	if k.sink == sinkSum && k.float {
+		r := root
+		if nodes[r].code == opRound {
+			r = int(nodes[r].a)
+		}
+		if nd := nodes[r]; nd.code == opMul {
+			k.mul, k.round, root, n = true, r != root, r, r
+			last[nd.a], last[nd.b] = maxNodes, maxNodes
+		}
+	}
 
 	// Column assignment and emission, in node order. An op may write
 	// the column of an operand that dies with it: every op reads index
@@ -150,6 +173,8 @@ func (k *fusedKernel) lower() bool {
 				continue
 			}
 			op.a = where[id]
+		case opGather:
+			op.a = operand{inLoad, uint8(nd.a)}
 		case opIter, opIterF:
 		default:
 			for _, in := range [2]int8{nd.a, nd.b} {
@@ -171,7 +196,10 @@ func (k *fusedKernel) lower() bool {
 		k.regs = max(k.regs, int(op.dst)+1)
 		k.prog = append(k.prog, op)
 	}
-	k.res = where[root]
+	k.res, k.res2 = where[root], where[root]
+	if k.mul {
+		k.res, k.res2 = where[nodes[root].a], where[nodes[root].b]
+	}
 	return true
 }
 
@@ -180,7 +208,7 @@ func (k *fusedKernel) lower() bool {
 // function keeps k alive for as long as the Program lives.
 func (k *fusedKernel) emit() kernRun {
 	run := k.body()
-	k.tape, k.loadX, k.invX = nil, nil, nil
+	k.tape, k.loadX, k.invX, k.gatX = nil, nil, nil, nil
 	return run
 }
 
@@ -188,7 +216,7 @@ func (k *fusedKernel) emit() kernRun {
 // otherwise the evaluator of the kernel's element kind wrapped in a
 // launch function that owns the strip buffer.
 func (k *fusedKernel) body() kernRun {
-	if !k.sum {
+	if k.sink == sinkStore {
 		if r := emitScale(k); r != nil {
 			return r
 		}
@@ -199,45 +227,52 @@ func (k *fusedKernel) body() kernRun {
 	if !k.lower() {
 		return nil
 	}
-	small := k.regs <= smallRegs
+	// A launch zeroes its buffer, so it takes the smallest size class:
+	// none, one column, smallRegs or maxRegs columns.
 	switch {
-	case k.float && small:
+	case k.regs == 0 && k.float:
+		return func(e *env, lo, hi int64) { k.runFloat(e, lo, hi, nil) }
+	case k.regs == 0:
+		return func(e *env, lo, hi int64) { k.runInt(e, lo, hi, nil) }
+	case k.regs == 1 && k.float:
 		return func(e *env, lo, hi int64) {
-			if hi >= lo {
-				var buf [smallRegs * stripLen]float64
-				k.runFloat(e, lo, hi, buf[:])
-			}
+			var buf [stripLen]float64
+			k.runFloat(e, lo, hi, buf[:])
+		}
+	case k.regs == 1:
+		return func(e *env, lo, hi int64) {
+			var buf [stripLen]int64
+			k.runInt(e, lo, hi, buf[:])
+		}
+	case k.float && k.regs <= smallRegs:
+		return func(e *env, lo, hi int64) {
+			var buf [smallRegs * stripLen]float64
+			k.runFloat(e, lo, hi, buf[:])
 		}
 	case k.float:
 		return func(e *env, lo, hi int64) {
-			if hi >= lo {
-				var buf [maxRegs * stripLen]float64
-				k.runFloat(e, lo, hi, buf[:])
-			}
+			var buf [maxRegs * stripLen]float64
+			k.runFloat(e, lo, hi, buf[:])
 		}
-	case small:
+	case k.regs <= smallRegs:
 		return func(e *env, lo, hi int64) {
-			if hi >= lo {
-				var buf [smallRegs * stripLen]int64
-				k.runInt(e, lo, hi, buf[:])
-			}
-		}
-	}
-	return func(e *env, lo, hi int64) {
-		if hi >= lo {
-			var buf [maxRegs * stripLen]int64
+			var buf [smallRegs * stripLen]int64
 			k.runInt(e, lo, hi, buf[:])
 		}
 	}
+	return func(e *env, lo, hi int64) {
+		var buf [maxRegs * stripLen]int64
+		k.runInt(e, lo, hi, buf[:])
+	}
 }
 
-// runFloat is one launch of a float map kernel: strip by strip, evaluate
-// and store, rounding through float32 exactly when the stored C type is
-// 4 bytes.
+// runFloat is one launch of a float kernel: strip by strip, evaluate
+// and sink — store, rounding through float32 exactly when the stored C
+// type is 4 bytes, or fold into the accumulator.
 func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) {
 	var fr kframe
 	k.prepFrame(&fr, e, lo, hi)
-	if k.res.kind == inInv {
+	if k.res.kind == inInv { // a fill: a fold's operands all vary
 		v := fr.invF[k.res.idx]
 		if fr.f32 {
 			v = float64(float32(v))
@@ -245,56 +280,165 @@ func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) {
 		fillStrip(fr.dst.f, fr.dst.stride, fr.n, v)
 		return
 	}
-	for t0 := 0; t0 < fr.n; t0 += fr.strip {
-		res := k.evalFloat(&fr, buf, t0, min(fr.strip, fr.n-t0))
-		if fr.f32 {
-			roundStrip(fr.dst.f, fr.dst.stride, t0, res)
-		} else {
-			storeStrip(fr.dst.f, fr.dst.stride, t0, res)
-		}
-	}
-}
-
-// runInt is one launch of an integer kernel on either sink: the element
-// store of a map, or the sum into the accumulator's frame slot (exact
-// in any order, so the strip's partial sums are the loop's).
-func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) {
-	var fr kframe
-	k.prepFrame(&fr, e, lo, hi)
-	var sum int64
-	t0 := 0
-	if k.res.kind == inInv {
-		if v := fr.invI[k.res.idx]; k.sum {
-			sum = v * int64(fr.n)
-		} else {
-			fillStrip(fr.dst.i, fr.dst.stride, fr.n, v)
-		}
-		t0 = fr.n
-	}
-	for t0 < fr.n {
+	for t0 := 0; t0 < fr.n; {
 		n := min(fr.strip, fr.n-t0)
-		res, trap := k.evalInt(&fr, buf, t0, n)
+		res, res2, ok := k.evalFloat(&fr, buf, t0, n)
 		switch {
-		case trap == "":
-		case n == 1:
-			rtPanic("%s", trap)
-		default:
-			// A zero divisor somewhere in the strip: nothing of it has
-			// been stored; replay it element by element.
-			fr.strip = 1
+		case !ok:
+			fr.strip = 1 // replay
 			continue
-		}
-		if k.sum {
-			for _, v := range res {
-				sum += v
-			}
-		} else {
-			storeStrip(fr.dst.i, fr.dst.stride, t0, res)
+		case k.sink == sinkSum:
+			*fr.accF = foldSum(*fr.accF, res, res2, k.mul, k.round, fr.f32)
+		case k.sink != sinkStore:
+			*fr.accF = foldMinMax(*fr.accF, res, k.sink == sinkMin, fr.f32)
+		case fr.f32:
+			roundStrip(fr.dst.f, fr.dst.stride, t0, res)
+		default:
+			storeStrip(fr.dst.f, fr.dst.stride, t0, res)
 		}
 		t0 += n
 	}
-	if k.sum {
-		e.I[k.acc] += sum
+}
+
+// runInt is one launch of an integer kernel: the element store of a
+// map, a fold into the accumulator's frame slot (a sum is exact in any
+// order, so the strip's partial sums are the loop's), or the index
+// column of a scatter.
+func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) {
+	var fr kframe
+	k.prepFrame(&fr, e, lo, hi)
+	if k.res.kind == inInv {
+		if v := fr.invI[k.res.idx]; k.sink == sinkSum {
+			*fr.accI += v * int64(fr.n)
+		} else {
+			fillStrip(fr.dst.i, fr.dst.stride, fr.n, v)
+		}
+		return
+	}
+	for t0 := 0; t0 < fr.n; {
+		n := min(fr.strip, fr.n-t0)
+		res, ok := k.evalInt(&fr, buf, t0, n)
+		switch {
+		case !ok:
+			fr.strip = 1 // replay
+			continue
+		case k.sink == sinkStore:
+			storeStrip(fr.dst.i, fr.dst.stride, t0, res)
+		case k.sink == sinkSum:
+			var s int64
+			for _, v := range res {
+				s += v
+			}
+			*fr.accI += s
+		case k.sink == sinkScatter:
+			k.scatter(&fr, res)
+		default:
+			*fr.accI = foldMinMax(*fr.accI, res, k.sink == sinkMin, false)
+		}
+		t0 += n
+	}
+}
+
+// foldSum adds a strip to acc in ascending order: the column a, or with
+// mul the products a[i]*b[i], rounded through float32 first with round;
+// with f32 every partial sum rounds through float32, like the
+// accumulator's store in the dispatch loop.
+func foldSum(acc float64, a, b []float64, mul, round, f32 bool) float64 {
+	b = b[:len(a)]
+	switch {
+	case !mul:
+		for _, v := range a {
+			acc += v
+			if f32 {
+				acc = float64(float32(acc))
+			}
+		}
+	case round:
+		for i, v := range a {
+			acc += float64(float32(v * b[i]))
+			if f32 {
+				acc = float64(float32(acc))
+			}
+		}
+	default:
+		for i, v := range a {
+			acc += v * b[i]
+			if f32 {
+				acc = float64(float32(acc))
+			}
+		}
+	}
+	return acc
+}
+
+// foldMinMax folds a strip into acc by strict compare, so NaN data never
+// replaces it. With f32 an update stores the candidate rounded through
+// float32 while the compare saw it unrounded, like the dispatch loop's
+// condition-then-assign.
+func foldMinMax[T int64 | float64](acc T, a []T, less, f32 bool) T {
+	for _, v := range a {
+		if (less && v < acc) || (!less && v > acc) {
+			acc = v
+			if f32 {
+				acc = T(float32(v))
+			}
+		}
+	}
+	return acc
+}
+
+// scatter applies a strip of histogram updates gat[v] op= u, u the
+// kernel's one invariant, in element order and each through the slice
+// access of the dispatch loop: an index outside the array traps with
+// its message once the cells before it are updated.
+func (k *fusedKernel) scatter(fr *kframe, ix []int64) {
+	off := fr.gat.Off
+	if k.gat.float {
+		dst, v := fr.gat.Seg.F, fr.invF[0]
+		for _, b := range ix {
+			c := off + int(b)
+			var nv float64
+			switch k.op {
+			case token.ADD:
+				nv = dst[c] + v
+			case token.SUB:
+				nv = dst[c] - v
+			default:
+				nv = dst[c] * v
+			}
+			if fr.f32 {
+				nv = float64(float32(nv))
+			}
+			dst[c] = nv
+		}
+		return
+	}
+	dst, v := fr.gat.Seg.I, fr.invI[0]
+	switch k.op {
+	case token.ADD:
+		for _, b := range ix {
+			dst[off+int(b)] += v
+		}
+	case token.SUB:
+		for _, b := range ix {
+			dst[off+int(b)] -= v
+		}
+	case token.MUL:
+		for _, b := range ix {
+			dst[off+int(b)] *= v
+		}
+	case token.AND:
+		for _, b := range ix {
+			dst[off+int(b)] &= v
+		}
+	case token.OR:
+		for _, b := range ix {
+			dst[off+int(b)] |= v
+		}
+	case token.XOR:
+		for _, b := range ix {
+			dst[off+int(b)] ^= v
+		}
 	}
 }
 
@@ -345,8 +489,10 @@ const (
 )
 
 // evalFloat runs the register program over elements [t0, t0+n) of the
-// launch and returns the result column.
-func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) []float64 {
+// launch and returns the result column — with a folded root product,
+// its two operand columns. A gathered index outside its array makes it
+// report false instead (see gatherIdx).
+func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2 []float64, ok bool) {
 	col := func(o operand) []float64 {
 		if o.kind == inLoad {
 			return fr.loads[o.idx].f[t0:][:n]
@@ -359,6 +505,10 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) []float64 
 		switch op.code {
 		case opLoad:
 			gatherStrip(d, fr.loads[op.a.idx].f, fr.loads[op.a.idx].stride, t0)
+		case opGather:
+			if !gatherIdx(d, fr.gat.Seg.F, fr.gat.Off, fr.loads[op.a.idx], t0, &k.gat) {
+				return nil, nil, false
+			}
 		case opIterF:
 			iterStrip(d, fr.lo+int64(t0))
 		case opNeg:
@@ -382,13 +532,13 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) []float64 
 			arith(op.code, form, d, a, b, s)
 		}
 	}
-	return col(k.res)
+	return col(k.res), col(k.res2), true
 }
 
 // evalInt is evalFloat for integer programs. A zero divisor anywhere in
-// the strip makes it return the dispatch loop's trap message instead of
-// a column, before the op divides.
-func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, string) {
+// the strip makes it report false before the op divides — in a strip
+// of one, trap with the dispatch loop's message.
+func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, bool) {
 	col := func(o operand) []int64 {
 		if o.kind == inLoad {
 			return fr.loads[o.idx].i[t0:][:n]
@@ -401,6 +551,10 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, stri
 		switch op.code {
 		case opLoad:
 			gatherStrip(d, fr.loads[op.a.idx].i, fr.loads[op.a.idx].stride, t0)
+		case opGather:
+			if !gatherIdx(d, fr.gat.Seg.I, fr.gat.Off, fr.loads[op.a.idx], t0, &k.gat) {
+				return nil, false
+			}
 		case opIter:
 			iterStrip(d, fr.lo+int64(t0))
 		case opNeg:
@@ -428,10 +582,13 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, stri
 						zero = zero || v == 0
 					}
 				}
-				if zero && op.code == opQuo {
-					return nil, "integer division by zero"
-				} else if zero {
-					return nil, "integer modulo by zero"
+				switch {
+				case zero && n == 1 && op.code == opQuo:
+					rtPanic("integer division by zero")
+				case zero && n == 1:
+					rtPanic("integer modulo by zero")
+				case zero:
+					return nil, false
 				}
 			}
 			if op.code <= opQuo {
@@ -441,7 +598,7 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, stri
 			}
 		}
 	}
-	return col(k.res), ""
+	return col(k.res), true
 }
 
 func gatherStrip[T int64 | float64](d, src []T, stride, t0 int) {
@@ -450,6 +607,27 @@ func gatherStrip[T int64 | float64](d, src []T, stride, t0 int) {
 		d[i] = src[c]
 		c += stride
 	}
+}
+
+// gatherIdx loads the strip's gathered cells src[off+clamp(idx)], idx
+// walking ix. Unless the bounds proof made the compare needless, an
+// index outside src stops it with false — in a strip of one after
+// trapping through the very slice access of the dispatch loop.
+func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGather) bool {
+	idx, s, c := ix.i, ix.stride, t0*ix.stride
+	lo, hi, trusted := g.lo, g.hi, g.trusted
+	for i := range d {
+		cell := off + int(min(max(idx[c], lo), hi))
+		c += s
+		if !trusted && uint(cell) >= uint(len(src)) {
+			if len(d) == 1 {
+				_ = src[cell]
+			}
+			return false
+		}
+		d[i] = src[cell]
+	}
+	return true
 }
 
 func iterStrip[T int64 | float64](d []T, first int64) {

@@ -14,7 +14,8 @@ import (
 	"purec/internal/rt"
 )
 
-// kernelWorkloads are the Fig K1 programs, sized down for tests.
+// kernelWorkloads are the kernel workloads of internal/apps, sized
+// down for tests.
 func kernelWorkloads() []struct {
 	name string
 	src  string
@@ -61,7 +62,7 @@ func snapshotVec(p mem.Pointer, name string, n int) string {
 }
 
 // TestKernelFusionOracle12Processes is the fused-kernel equivalence
-// proof: every Fig K1 workload runs on 12 concurrent Processes (mixed
+// proof: every kernel workload runs on 12 concurrent Processes (mixed
 // real and simulated teams) of two Programs — fusion on and fusion
 // off — and every output must be bit-identical to the sequential
 // interp oracle. Run under -race in CI: fused parallel workers share

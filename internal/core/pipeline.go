@@ -86,7 +86,7 @@ type Config struct {
 	// default): element-wise affine innermost loops and the
 	// ICC/Vectorize reduction kernels then execute through
 	// per-iteration statement dispatch. Results are bit-identical either
-	// way; the knob exists for A/B measurement (purebench Fig K1).
+	// way; the knob exists for A/B measurement (purebench Fig T1).
 	// Compile-relevant: part of the program-cache key.
 	NoFuse bool
 	// NoBCE disables bounds-check elimination (elision is on by

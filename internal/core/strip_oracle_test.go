@@ -21,6 +21,10 @@ type stripCase struct {
 	// before it is schedule-dependent, so these compare sequential
 	// builds only — stdout, trap text and the cells of `out`.
 	traps bool
+	// seq: the case folds floats, which fuse into sums only under
+	// -vectorize and reassociate across workers, so it runs the
+	// sequential gcc and gcc+vec builds, and fused counts the latter.
+	seq bool
 }
 
 // stripLens are the strip lengths the cases straddle: comp's stripLen
@@ -148,24 +152,146 @@ int main(void) {
 	sum("global", 1, "g = 3;", "for (int i = 0; i < 700; i++) g += x[i] * 3;", "g")
 	sum("char", 1, "char c = 1;", "for (int i = 0; i < 700; i++) c += x[i] * 5;", "c")
 	sum("iterator", 1, "int s = 0; int i;", "for (i = 0; i < 700; i++) i += x[i] % 2 + 1;", "i")
-	return cases
+	return append(cases, genSinkCases(trips)...)
+}
+
+// genSinkCases builds the programs of the sinks other than the element
+// store: gathered loads out of bounds in the middle of a strip, float
+// sums, dots and ELL products into slots and cells — among them cells
+// an operand reads —, min/max folds over NaN data, and scatters whose
+// target is their own index array, each fold at the trip counts around
+// the strip length.
+func genSinkCases(trips []int) []stripCase {
+	var cases []stripCase
+	// A gathered index outside x at element k: the dispatch loop dies
+	// there with Go's own index text, out[0..k) written; a clamped
+	// gather never leaves x; a scatter out of bounds updates the cells
+	// before it.
+	for _, tc := range []struct {
+		name, bad, loop string
+		k               int
+		traps           bool
+	}{
+		{"gather-past-end", "50", "out[i] = x[idx[i]];", 70, true},
+		{"gather-negative", "-1", "out[i] = x[idx[i]];", 200, true},
+		{"gather-clamped", "-9", "out[i] = x[idx[i] < 0 ? 0 : (idx[i] > 49 ? 49 : idx[i])];", 130, false},
+		{"scatter-past-end", "400", "out[idx[i]] += 3;", 90, true},
+	} {
+		cases = append(cases, stripCase{name: "trap-" + tc.name, fused: 2, traps: tc.traps, src: fmt.Sprintf(`
+int x[50]; int idx[400]; int out[400];
+int main(void) {
+    for (int i = 0; i < 50; i++) x[i] = i * 3 + 1;
+    for (int i = 0; i < 400; i++) { idx[i] = (i * 7) %% 50; out[i] = -7; }
+    idx[%d] = %s;
+    idx[%d] = 60;
+    printf("before\n");
+    for (int i = 0; i < 400; i++) %s
+    for (int i = 0; i < 400; i++) printf("%%d\n", out[i]);
+    return 0;
+}`, tc.k, tc.bad, tc.k+40, tc.loop)})
+	}
+	// The ELL product's gathered index fails at element 90: the cell
+	// accumulator holds the sum of the elements before it.
+	cases = append(cases, stripCase{name: "trap-ell-cell", fused: 1, traps: true, seq: true, src: `
+float out[8]; float x[400]; float y[50]; int z[400];
+int main(void) {
+    for (int i = 0; i < 400; i++) { x[i] = 0.1f * (float)(i % 17); z[i] = (i * 3) % 50; }
+    for (int i = 0; i < 50; i++) y[i] = 0.3f * (float)(i % 13) + 0.01f;
+    z[90] = 50;
+    printf("before\n");
+    for (int k = 0; k < 400; k++) out[3] += x[k] * y[z[k]];
+    return 0;
+}`})
+	var folds, aliased, minmax, scatter strings.Builder
+	for j, t := range trips {
+		fmt.Fprintf(&folds, `
+    sf = 0.25f; for (int k = 0; k < %[1]d; k++) sf += xf[k]; printf("%%.9g\n", sf);
+    sd = 0.25; for (int k = 0; k < %[1]d; k++) sd += xd[k]; printf("%%.17g\n", sd);
+    sf = 0.5f; for (int k = 0; k < %[1]d; k++) sf += xf[k] * yf[k]; printf("%%.9g\n", sf);
+    sd = 0.5; for (int k = 0; k < %[1]d; k++) sd += xd[k] * yd[k]; printf("%%.17g\n", sd);
+    sf = 0.0f; for (int k = 0; k < %[1]d; k++) sf += xf[k] * yf[zi[k]]; printf("%%.9g\n", sf);
+    sd = 0.0; for (int k = 0; k < %[1]d; k++) sd += yd[zi[k]] * xd[k]; printf("%%.17g\n", sd);
+    sf = 0.0f; for (int k = 0; k < %[1]d; k++) sf += (float)(xd[k] * yd[k]); printf("%%.9g\n", sf);
+    sd = 0.0; for (int k = 0; k < %[1]d; k++) sd += (float)(xf[k] * yf[k]); printf("%%.17g\n", sd);
+    for (int k = 0; k < %[1]d; k++) cf[%[2]d] += xf[k] * yf[zi[k]];
+    for (int k = 0; k < %[1]d; k++) cd[%[2]d] += xd[k];`, t, j%8)
+		fmt.Fprintf(&aliased, `
+    for (int k = 0; k < %[1]d; k++) xf[%[2]d] += xf[k];
+    for (int k = 0; k < %[1]d; k++) yd[%[2]d] += xd[k] * yd[zi[k]];
+    printf("%%.9g %%.17g\n", xf[%[2]d], yd[%[2]d]);`, t, 3+j)
+		fmt.Fprintf(&minmax, `
+    dm = 1.0e30; for (int k = 0; k < %[1]d; k++) if (d[k] < dm) dm = d[k];
+    fm = 1.0e30f; for (int k = 0; k < %[1]d; k++) if (d[k] < fm) fm = d[k];
+    fm2 = -1.0e30f; for (int k = 0; k < %[1]d; k++) fm2 = d[k] > fm2 ? d[k] : fm2;
+    dn = z / z; for (int k = 0; k < %[1]d; k++) if (d[k] < dn) dn = d[k];
+    printf("%%.17g %%.9g %%.9g %%g\n", dm, fm, fm2, dn);`, t)
+		fmt.Fprintf(&scatter, `
+    im = 1000000; for (int k = 0; k < %[1]d; k++) if (a[k] < im) im = a[k];
+    iM = -1000000; for (int k = 0; k < %[1]d; k++) iM = a[k] > iM ? a[k] : iM;
+    printf("%%d %%d\n", im, iM);
+    for (int i = 0; i < %[1]d; i++) p[h[i]] ^= 1;
+    for (int i = 0; i < %[1]d / 2; i++) p[h[2 * i]] ^= 2;`, t)
+	}
+	const decls = `
+float xf[%[1]d]; float yf[%[1]d]; double xd[%[1]d]; double yd[%[1]d]; int zi[%[1]d];
+float cf[8]; double cd[8];
+int main(void) {
+    for (int i = 0; i < %[1]d; i++) {
+        xf[i] = 0.1f * (float)(i %% 17) - 0.7f; yf[i] = 0.3f * (float)(i %% 13) + 0.01f;
+        xd[i] = 0.1 * (double)(i %% 19) - 0.9; yd[i] = 0.7 * (double)(i %% 11) + 0.003;
+        zi[i] = (i * 7 + 3) %% %[1]d;
+    }
+    float sf; double sd;%[2]s
+    for (int i = 0; i < 8; i++) printf("%%.9g %%.17g\n", cf[i], cd[i]);
+    return 0;
+}`
+	n := 2*256 + 3
+	return append(cases,
+		stripCase{name: "fold-sums", fused: 10 * len(trips), seq: true, src: fmt.Sprintf(decls, n, folds.String())},
+		// The accumulator cell inside its own operand and inside the
+		// gathered array: written through, element by element.
+		stripCase{name: "fold-aliased", fused: 2 * len(trips), seq: true, src: fmt.Sprintf(decls, n, aliased.String())},
+		stripCase{name: "fold-minmax", fused: 4 * len(trips), seq: true, src: fmt.Sprintf(`
+double d[%[1]d];
+int main(void) {
+    double z = 0.0;
+    for (int i = 0; i < %[1]d; i++) d[i] = 0.37 * (double)((i * 29) %% 101) - 11.000000001;
+    for (int i = 0; i < %[1]d; i += 37) d[i] = z / z;
+    double dm; float fm; float fm2; double dn;%[2]s
+    return 0;
+}`, n, minmax.String())},
+		// Int min/max folds, and a scatter through a pointer into its
+		// own index array, at unit and at double index stride.
+		stripCase{name: "fold-int-scatter", fused: 4 * len(trips), src: fmt.Sprintf(`
+int a[%[1]d]; int h[%[1]d];
+int main(void) {
+    for (int i = 0; i < %[1]d; i++) { a[i] = (i * 37) %% 91 - 40; h[i] = (i * 7) %% 512; }
+    int* p = h;
+    int im; int iM;%[2]s
+    for (int i = 0; i < %[1]d; i++) printf("%%d\n", h[i]);
+    return 0;
+}`, n, scatter.String())})
 }
 
 // TestStripDifferential holds the strip evaluator to the interpreter on
 // the generated cases: × {closure, tape} × {sequential build; parallel
 // builds under static and dynamic,1 on real teams of 1, 2 and 3
-// workers}, equal stdout, return value and trap text. The parallel
-// builds launch the map kernels chunk by chunk from parallelFor on the
-// shared parent environment and the sum kernels from parallelReduceFor
-// (the front end writes the reduction(+:s) clause), so run it under
-// -race.
+// workers} — {sequential gcc, gcc+vec} for the float-fold cases —,
+// equal stdout, return value and trap text. The parallel builds launch
+// the map kernels chunk by chunk from parallelFor on the shared parent
+// environment and the int sum and min/max folds from parallelReduceFor
+// (the front end writes the reduction clauses), so run it under -race.
 func TestStripDifferential(t *testing.T) {
 	type build struct {
 		par   bool
 		sched string
+		vec   bool
 	}
-	builds := []build{{false, ""}, {true, "static"}, {true, "dynamic,1"}}
 	for _, c := range genStripCases() {
+		builds := []build{{false, "", false}, {true, "static", false}, {true, "dynamic,1", false}}
+		if c.seq {
+			builds = []build{{false, "", false}, {false, "", true}}
+		}
 		art, err := Front(c.src, Config{})
 		if err != nil {
 			t.Fatalf("%s: front: %v\n%s", c.name, err, c.src)
@@ -180,7 +306,7 @@ func TestStripDifferential(t *testing.T) {
 		if err != nil {
 			wantTrap = strings.TrimPrefix(err.Error(), "interp ")
 		}
-		if c.traps != (wantTrap != "") || (c.traps && !strings.Contains(wantTrap, "by zero")) {
+		if c.traps != (wantTrap != "") || (c.traps && !strings.Contains(wantTrap, "by zero") && !strings.Contains(wantTrap, "index out of range")) {
 			t.Fatalf("%s: interp trap %q, case expects traps=%v", c.name, wantTrap, c.traps)
 		}
 		wantCells := ""
@@ -189,21 +315,21 @@ func TestStripDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCells = fmt.Sprint(p.Seg.I)
+			wantCells = fmt.Sprint(p.Seg.I, p.Seg.F)
 		}
 		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
 			for _, b := range builds {
 				if b.par && c.traps {
 					continue
 				}
-				cfg := Config{Parallelize: b.par, Engine: eng, NoCache: true,
+				cfg := Config{Parallelize: b.par, Vectorize: b.vec, Engine: eng, NoCache: true,
 					Transform: transform.Options{Schedule: b.sched, MinParallelTrip: -1}}
 				prog, _, _, err := BuildProgram(c.src, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v\n%s", c.name, err, c.src)
 				}
-				if !b.par && c.fused >= 0 && prog.FusedKernels() != c.fused {
-					t.Errorf("%s: engine=%v: %d fused kernels, want %d\n%s", c.name, eng, prog.FusedKernels(), c.fused, c.src)
+				if !b.par && b.vec == c.seq && c.fused >= 0 && prog.FusedKernels() != c.fused {
+					t.Errorf("%s: engine=%v vec=%v: %d fused kernels, want %d\n%s", c.name, eng, b.vec, prog.FusedKernels(), c.fused, c.src)
 				}
 				workers := []int{0}
 				if b.par {
@@ -225,16 +351,16 @@ func TestStripDifferential(t *testing.T) {
 						trap = err.Error()
 					}
 					if out.String() != wantOut.String() || ret != wantRet || trap != wantTrap {
-						t.Errorf("%s: engine=%v par=%v sched=%q workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
-							c.name, eng, b.par, b.sched, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
+						t.Errorf("%s: engine=%v par=%v sched=%q vec=%v workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
+							c.name, eng, b.par, b.sched, b.vec, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
 					}
 					if c.traps {
 						p, err := proc.GlobalPtr("out")
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := fmt.Sprint(p.Seg.I); got != wantCells {
-							t.Errorf("%s: engine=%v: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, eng, got, wantCells)
+						if got := fmt.Sprint(p.Seg.I, p.Seg.F); got != wantCells {
+							t.Errorf("%s: engine=%v vec=%v: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, eng, b.vec, got, wantCells)
 						}
 					}
 				}
