@@ -21,11 +21,6 @@
 //	-tile                 enable rectangular tiling (PluTo-SICA analog)
 //	-vectorize            enable fused reduction kernels everywhere
 //	                      (SICA SIMD analog)
-//	-fuse                 kernel fusion (default on): element-wise
-//	                      affine innermost loops compile to fused
-//	                      segment-walking kernels with one hoisted
-//	                      range check per operand; -fuse=false falls
-//	                      back to per-iteration statement dispatch
 //	-skew                 enable loop shearing when it enables parallelism
 //	-schedule S           OpenMP schedule clause (e.g. dynamic,1)
 //	-memo                 memoize calls of memoizable pure functions
@@ -41,9 +36,6 @@
 //	                      guards, each with the interval derivation. A
 //	                      definite out-of-bounds access is a compile
 //	                      error (exit 1)
-//	-nobce                keep every runtime check even when the
-//	                      analysis proved it redundant (bit-identical;
-//	                      for Fig B1 and debugging)
 //	-noalias              disable the points-to analysis: pointer-based
 //	                      accesses stay conservative, so nests using
 //	                      them serialize and keep their checks
@@ -60,8 +52,10 @@
 //	                      reduction — plus per-nest alias notes showing
 //	                      how each pointer access was resolved)
 //	-time                 print the wall time of main()
-//	-runs N               execute main N times, each in a fresh Process
-//	                      of the one compiled Program (default 1)
+//	-runs N               execute main N times in Processes of the one
+//	                      compiled Program, drawn from a size-1 pool:
+//	                      runs 2..N reset and reuse run 1's Process
+//	                      (default 1)
 package main
 
 import (
@@ -99,17 +93,15 @@ func main() {
 	seq := flag.Bool("seq", false, "disable parallelization")
 	tile := flag.Bool("tile", false, "enable rectangular tiling")
 	vectorize := flag.Bool("vectorize", false, "enable fused reduction kernels everywhere (SICA SIMD analog)")
-	fuse := flag.Bool("fuse", true, "kernel fusion: compile element-wise affine loops to segment-walking kernels (-fuse=false for per-iteration statement dispatch)")
 	skew := flag.Bool("skew", false, "enable loop shearing")
 	schedule := flag.String("schedule", "", "OpenMP schedule clause")
 	memoize := flag.Bool("memo", false, "memoize calls of memoizable pure functions")
 	memoCap := flag.Int("memo-capacity", 0, "memo table entry bound (0 = default)")
 	analyze := flag.Bool("analyze", false, "print the value-range analysis report instead of running")
-	noBCE := flag.Bool("nobce", false, "keep runtime checks the analysis proved redundant")
 	noAlias := flag.Bool("noalias", false, "disable the points-to analysis (pointer nests stay serial)")
 	emit := flag.String("emit", "", "print a pipeline stage instead of running")
 	timed := flag.Bool("time", false, "print wall time of main()")
-	runs := flag.Int("runs", 1, "execute main N times, each in a fresh process")
+	runs := flag.Int("runs", 1, "execute main N times, reusing one pooled process")
 	defines := defineFlags{}
 	flag.Var(defines, "D", "define NAME=VALUE (repeatable)")
 	flag.Parse()
@@ -138,8 +130,6 @@ func main() {
 			Schedule: *schedule,
 		},
 		Vectorize:    *vectorize,
-		NoFuse:       !*fuse,
-		NoBCE:        *noBCE,
 		NoAlias:      *noAlias,
 		Memoize:      *memoize,
 		MemoCapacity: *memoCap,

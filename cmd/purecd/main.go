@@ -26,7 +26,6 @@
 //	                      max-concurrent); beyond it: 429
 //	-pool-size N          idle Processes retained per program (default
 //	                      max-concurrent)
-//	-no-pool              fresh Process per request (A/B baseline)
 //	-max-source BYTES     request body bound (default 4MiB; longer is a 413)
 //
 // Endpoints: POST /run (body: {"source": "...", "defines": {...},
@@ -64,7 +63,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "max wait for a run slot (0 = 5s)")
 	perProgram := flag.Int("per-program", 0, "concurrent runs of one program (0 = max-concurrent)")
 	poolSize := flag.Int("pool-size", 0, "idle Processes retained per program (0 = max-concurrent)")
-	noPool := flag.Bool("no-pool", false, "fresh Process per request (A/B baseline)")
 	maxSource := flag.Int64("max-source", 0, "request body bound in bytes (0 = 4MiB)")
 	flag.Parse()
 
@@ -74,7 +72,6 @@ func main() {
 		QueueTimeout:    *queueTimeout,
 		PerProgramLimit: *perProgram,
 		PoolSize:        *poolSize,
-		NoPool:          *noPool,
 		CacheDir:        *cacheDir,
 		DiskEntries:     *cacheEntries,
 		CacheSize:       *cacheSize,

@@ -11,6 +11,7 @@ import (
 	"purec/internal/comp"
 	"purec/internal/core"
 	"purec/internal/interp"
+	"purec/internal/mem"
 	"purec/internal/rt"
 	"purec/internal/transform"
 )
@@ -377,7 +378,7 @@ func TestMatmulConcurrentProcesses(t *testing.T) {
 	}
 }
 
-// --- Reduction kernels (Fig. R1) ---
+// --- Reduction kernels ---
 
 func TestReduceSumParallelizesAndMatchesRef(t *testing.T) {
 	n := 5000
@@ -450,50 +451,65 @@ func readFVec(t *testing.T, res *core.Result, name string, n int) []float32 {
 	return out
 }
 
-func TestAxpyKernelMatchesReferenceFusedAndDispatch(t *testing.T) {
-	const n, reps = 256, 3
-	defs := KernDefines(n, reps)
-	want := KernRefAxpy(n, reps)
-	for _, noFuse := range []bool{false, true} {
-		res := build(t, AxpySrc, defs, core.Config{NoFuse: noFuse})
-		got := readFVec(t, res, "y", n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("NoFuse=%v: y[%d] = %v, want %v (must be bit-identical)", noFuse, i, got[i], want[i])
-			}
+// interpGlobal runs res's program in the interpreter — statement
+// dispatch, no kernels — and returns the named global.
+func interpGlobal(t *testing.T, res *core.Result, name string) mem.Pointer {
+	t.Helper()
+	in, err := interp.New(res.Info, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := in.GlobalPtr(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkFVec requires the fused build's vector and the interpreter's to
+// equal want bit for bit.
+func checkFVec(t *testing.T, res *core.Result, name string, want []float32) {
+	t.Helper()
+	if res.Program.FusedKernels() == 0 {
+		t.Fatal("the kernel did not fuse")
+	}
+	got := readFVec(t, res, name, len(want))
+	ip := interpGlobal(t, res, name)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("fused: %s[%d] = %v, want %v (must be bit-identical)", name, i, got[i], want[i])
+		}
+		if v := float32(ip.Add(int64(i)).LoadFloat()); v != want[i] {
+			t.Fatalf("interp: %s[%d] = %v, want %v (must be bit-identical)", name, i, v, want[i])
 		}
 	}
+}
+
+func TestAxpyKernelMatchesReferenceFusedAndDispatch(t *testing.T) {
+	const n, reps = 256, 3
+	checkFVec(t, build(t, AxpySrc, KernDefines(n, reps), core.Config{}), "y", KernRefAxpy(n, reps))
 }
 
 func TestStencilKernelMatchesReferenceFusedAndDispatch(t *testing.T) {
 	const n, reps = 128, 2
-	defs := KernDefines(n, reps)
-	want := KernRefStencil(n)
-	for _, noFuse := range []bool{false, true} {
-		res := build(t, StencilSrc, defs, core.Config{NoFuse: noFuse})
-		got := readFVec(t, res, "y", n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("NoFuse=%v: y[%d] = %v, want %v (must be bit-identical)", noFuse, i, got[i], want[i])
-			}
-		}
-	}
+	checkFVec(t, build(t, StencilSrc, KernDefines(n, reps), core.Config{}), "y", KernRefStencil(n))
 }
 
 func TestMatmulKernMatchesReference(t *testing.T) {
 	const n = 24
-	defs := MatmulDefines(n)
 	want := flat(MatmulRef(n))
-	for _, noFuse := range []bool{false, true} {
-		res := build(t, MatmulKernSrc, defs, core.Config{Backend: comp.BackendICC, NoFuse: noFuse})
-		ptr, err := res.Machine.GlobalPtr("C")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := flat(ReadMatrix(ptr, n))
+	res := build(t, MatmulKernSrc, MatmulDefines(n), core.Config{Backend: comp.BackendICC})
+	ptr, err := res.Machine.GlobalPtr("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range [][]float32{flat(ReadMatrix(ptr, n)), flat(ReadMatrix(interpGlobal(t, res, "C"), n))} {
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("NoFuse=%v: C[%d] = %v, want %v (must be bit-identical)", noFuse, i, got[i], want[i])
+				t.Fatalf("C[%d] = %v, want %v (must be bit-identical)", i, got[i], want[i])
 			}
 		}
 	}
@@ -533,7 +549,7 @@ func TestHistogramHotLoopParallelized(t *testing.T) {
 	}
 }
 
-// --- Fig B1 gather workload ---
+// --- Gather workload ---
 
 func TestGatherMatchesReferenceSerialAndParallel(t *testing.T) {
 	const n, m, reps = 256, 64, 3

@@ -2,7 +2,7 @@ package apps
 
 import "fmt"
 
-// Fig B1 workloads: the gather y[i] = x[idx[i]] in two builds that
+// Gather workloads: the gather y[i] = x[idx[i]] in two builds that
 // differ only in what the value-range analysis can prove about idx.
 //
 // GatherSrc fills idx with (i*7+13) % M, so every cell is provably in

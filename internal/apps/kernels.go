@@ -4,8 +4,8 @@ import "fmt"
 
 // Kernel workloads: the canonical element-wise kernels the fusion
 // engine targets, each as an init + run pair so a harness times only
-// the kernel — the benchmark's comp.kernel_ns_per_elem probes, Figs T1
-// and B1 and the fusion oracle tests (matmul, the fourth workload,
+// the kernel — the benchmark's comp.kernel_ns_per_elem probes and the
+// fusion oracle tests (matmul, the fourth workload,
 // reuses MatmulSrc — its hot loop is the extracted-dot reduction
 // kernel).
 //
@@ -142,7 +142,7 @@ int main(void) {
 }
 `
 
-// NoncanonSrc is the deliberately non-canonical Fig T1 workload: the
+// NoncanonSrc is the deliberately non-canonical tape workload: the
 // loop body declares a local and branches per element, so it neither
 // fuses (no single element-wise statement) nor vectorizes (no
 // reduction shape) — every iteration runs on the statement engine,

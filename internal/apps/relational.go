@@ -7,7 +7,7 @@ import "fmt"
 // derived-iterator subscript, a ?:-clamped gather, and a pointer-operand
 // loop resolved by the alias analysis — plus the aliased-pointer edge
 // pair that must stay serial. Each is the provable/unprovable A/B
-// discipline of the Fig B1 gather pair: the proof removes only work
+// discipline of the gather pair (gather.go): the proof removes only work
 // that could never fire, so outputs are bit-identical either way.
 
 // DerivedSrc is the derived-iterator subscript: j = i + K inherits i's

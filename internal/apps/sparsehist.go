@@ -7,7 +7,7 @@ import "fmt"
 // land in a K-bin window starting at BASE — the shape of feature
 // hashing or cluster counting where the live labels occupy a tiny
 // slice of the id space. The hot loop is the same hist[data[i]]++
-// array reduction as the Fig A1 histogram, but each worker touches at
+// array reduction as HistogramSrc, but each worker touches at
 // most K bins of a BINS-cell accumulator while its dense private copy
 // still costs O(BINS) to allocate, identity-fill and combine (the
 // shape on which the retired block-sparse privates were measured).

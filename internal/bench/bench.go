@@ -7,7 +7,8 @@
 // Absolute numbers differ from the paper (the backend is an execution
 // model, not a native compiler on a 64-core Opteron); the comparisons the
 // figures make — who wins, how curves scale, where they cross — are the
-// reproduction target (see EXPERIMENTS.md).
+// reproduction target (see ARCHITECTURE.md, "Applications and
+// measurement").
 package bench
 
 import (
@@ -37,45 +38,8 @@ type Params struct {
 	// scenario (quantized satellite retrieval): SatPix pixels collapse
 	// onto MemoClasses pure-call keys.
 	MemoClasses int
-	// ReduceN is the iteration/vector length of the reduction scenario
-	// (Fig. R1: quickstart sum and extracted dot kernels).
-	ReduceN int
-	// KernN and KernReps size the element-wise kernels of Fig T1 (axpy,
-	// copy, 1-D stencil) and the full-length gather rows of Fig B1:
-	// vector length and sweep count per run.
-	KernN    int
-	KernReps int
-	// HistN is the element count of the array-reduction scenario
-	// (Fig A1: bin-count over a data array) and HistBins the bin
-	// counts it sweeps — the private-copy allocation and the
-	// worker-ordered combine both scale with the bin count, so the
-	// sweep exposes where combine overhead eats the parallel speedup.
-	HistN    int
-	HistBins []int
-	// RealCores is the core axis of the real-team (non-simulated)
-	// scaling points: actual goroutine teams timed in wall clock, so
-	// the list stays small and within a laptop's physical cores.
-	RealCores []int
-	// BCEN and BCEReps size the launch-visibility rows of Fig B1: a
-	// tiny vector swept many times, so the per-launch range checks the
-	// bounds proofs elide are a measurable share of each run.
-	BCEN    int
-	BCEReps int
-	// GatherM is the gathered-table length of the Fig B1 gather
-	// y[i] = x[idx[i]] (the output length and sweep count reuse
-	// KernN/KernReps).
-	GatherM int
-	// S1Runs, S1Clients, S1Sizes and S1Reps shape the Fig S1 serving
-	// scenario: S1Runs executions per measured point, spread over each
-	// client count of S1Clients, of the axpy kernel at each vector
-	// length of S1Sizes (S1Reps sweeps per run). Wall-clock real
-	// concurrency, not simulated time.
-	S1Runs    int
-	S1Clients []int
-	S1Sizes   []int
-	S1Reps    int
-	Cores     []int
-	Reps      int
+	Cores       []int
+	Reps        int
 }
 
 // Default returns laptop-scaled parameters preserving the paper's
@@ -93,19 +57,6 @@ func Default() Params {
 		LamaRows:    12000,
 		LamaNNZ:     16,
 		MemoClasses: 24,
-		ReduceN:     400000,
-		KernN:       65536,
-		KernReps:    50,
-		HistN:       400000,
-		HistBins:    []int{16, 256, 4096, 65536},
-		RealCores:   []int{1, 2, 4},
-		BCEN:        96,
-		BCEReps:     20000,
-		GatherM:     2048,
-		S1Runs:      60,
-		S1Clients:   []int{1, 2, 4, 8},
-		S1Sizes:     []int{1024, 8192, 65536},
-		S1Reps:      2,
 		Cores:       []int{1, 2, 4, 8, 16, 32, 64},
 		Reps:        3,
 	}
@@ -123,31 +74,15 @@ func Quick() Params {
 		LamaRows:    200,
 		LamaNNZ:     6,
 		MemoClasses: 8,
-		ReduceN:     200000, // the sum is a fused kernel: fewer iterations time only the region launch
-		KernN:       2048,
-		KernReps:    3,
-		HistN:       20000,
-		HistBins:    []int{8, 64},
-		RealCores:   []int{1, 2},
-		BCEN:        32,
-		BCEReps:     200,
-		GatherM:     256,
-		S1Runs:      120,
-		S1Clients:   []int{1, 2},
-		S1Sizes:     []int{256, 2048, 8192},
-		S1Reps:      2,
 		Cores:       []int{1, 2, 4},
 		Reps:        1,
 	}
 }
 
-// Series is one curve of a figure: seconds per core count. Real marks
-// curves measured on real goroutine teams in wall clock rather than on
-// simulated teams; the JSON export carries the distinction through.
+// Series is one curve of a figure: seconds per core count.
 type Series struct {
 	Name  string
 	Times map[int]float64
-	Real  bool
 }
 
 // Figure is one regenerated paper figure.
@@ -231,10 +166,6 @@ type variant struct {
 	entry string
 	// native, when set, replaces the machine run (the MKL comparator).
 	native func(team *rt.Team)
-	// real runs on real goroutine teams (rt.NewTeam) timed in wall
-	// clock instead of simulated teams; sim accounting is zero there,
-	// so timeIt's adjustment is a no-op and the raw wall time reports.
-	real bool
 }
 
 // measure builds the variant once — through the content-addressed
@@ -242,19 +173,14 @@ type variant struct {
 // times it across core counts on simulated teams: chunks execute
 // sequentially and deterministically; the reported time is wall time
 // with each parallel region's real duration replaced by its simulated
-// parallel duration (DESIGN.md, substitution for the paper's 64-core
-// node). Each core count runs in its own Process of the shared Program.
-// Variants with real set run on real goroutine teams instead: the sim
-// adjustment is zero there, so the raw wall time reports.
+// parallel duration (ARCHITECTURE.md, "Applications and measurement":
+// the substitution for the paper's 64-core node). Each core count runs
+// in its own Process of the shared Program.
 func measure(v variant, cores []int, reps int) (Series, error) {
-	s := Series{Name: v.name, Times: map[int]float64{}, Real: v.real}
-	newTeam := rt.NewSimTeam
-	if v.real {
-		newTeam = rt.NewTeam
-	}
+	s := Series{Name: v.name, Times: map[int]float64{}}
 	if v.native != nil {
 		for _, c := range cores {
-			team := newTeam(c)
+			team := rt.NewSimTeam(c)
 			secs, err := timeIt(reps, team, func() error {
 				v.native(team)
 				return nil
@@ -273,7 +199,7 @@ func measure(v variant, cores []int, reps int) (Series, error) {
 		return s, fmt.Errorf("%s: %v", v.name, err)
 	}
 	for _, c := range cores {
-		team := newTeam(c)
+		team := rt.NewSimTeam(c)
 		proc, err := prog.NewProcess(comp.ProcOptions{Team: team, Stdout: io.Discard})
 		if err != nil {
 			return s, fmt.Errorf("%s @%d cores: %v", v.name, c, err)
@@ -324,7 +250,7 @@ func measureSeq(v variant, reps int) (float64, error) {
 // time minus the real duration of simulated regions plus their
 // simulated duration. The minimum rejects scheduler and GC noise —
 // a slow outlier rep says nothing about the code under test — which
-// keeps the figure ratios and the CI baseline check stable.
+// keeps the figure ratios stable.
 func timeIt(reps int, team *rt.Team, f func() error) (float64, error) {
 	if reps < 1 {
 		reps = 1

@@ -134,120 +134,3 @@ func TestSpeedupDerivation(t *testing.T) {
 		t.Fatalf("speedup: %+v", sp.Series[0])
 	}
 }
-
-func TestCollectReductionQuick(t *testing.T) {
-	d, err := CollectReduction(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.SumSeq <= 0 || d.DotSeq <= 0 {
-		t.Fatal("missing sequential baselines")
-	}
-	f := d.FigR1()
-	// Two simulated curves plus the two real-team rows.
-	if f.Kind != "speedup" || len(f.Series) != 4 {
-		t.Fatalf("FigR1: %+v", f)
-	}
-	for _, s := range f.Series {
-		cores := f.Cores
-		if s.Real {
-			cores = Quick().RealCores
-		}
-		for _, c := range cores {
-			if s.Times[c] <= 0 {
-				t.Fatalf("series %s cores %d: no speedup value", s.Name, c)
-			}
-		}
-	}
-	out := f.Render()
-	if !strings.Contains(out, "Fig R1") || !strings.Contains(out, "dot reduction (gcc)") ||
-		!strings.Contains(out, "sum reduction real (gcc)") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestCollectTapeQuick(t *testing.T) {
-	d, err := CollectTape(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Workloads) != 4 {
-		t.Fatalf("want 4 workloads, got %d", len(d.Workloads))
-	}
-	for _, w := range d.Workloads {
-		if w.Closure <= 0 || w.Tape <= 0 || w.Fused <= 0 {
-			t.Errorf("%s: non-positive times: %+v", w.Name, w)
-		}
-		if w.Speedup() <= 0 {
-			t.Errorf("%s: non-positive speedup", w.Name)
-		}
-	}
-	out := d.FigT1()
-	for _, want := range []string{"Fig T1", "axpy", "copy", "stencil", "noncanon", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FigT1 output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCollectHistogramQuick(t *testing.T) {
-	p := Quick()
-	d, err := CollectHistogram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Par) != len(p.HistBins) {
-		t.Fatalf("want %d curves, got %d", len(p.HistBins), len(d.Par))
-	}
-	for _, bins := range p.HistBins {
-		if d.Seq[bins] <= 0 {
-			t.Fatalf("missing sequential baseline for %d bins", bins)
-		}
-	}
-	f := d.FigA1()
-	// One curve per bin count plus the real-team row.
-	if f.Kind != "speedup" || len(f.Series) != len(p.HistBins)+1 {
-		t.Fatalf("FigA1: %+v", f)
-	}
-	for _, s := range f.Series {
-		cores := f.Cores
-		if s.Real {
-			cores = p.RealCores
-		}
-		for _, c := range cores {
-			if s.Times[c] <= 0 {
-				t.Fatalf("series %s cores %d: no speedup value", s.Name, c)
-			}
-		}
-	}
-	out := f.Render()
-	if !strings.Contains(out, "Fig A1") || !strings.Contains(out, "hist[] reduction") ||
-		!strings.Contains(out, "reduction real") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestRealPointsExportSimFalse(t *testing.T) {
-	// The JSON export must mark real-team rows Sim:false at every core
-	// count — CheckBaseline exempts their wall-clock ratios on that
-	// flag.
-	d, err := CollectReduction(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jf := d.JSON()
-	real, sim := 0, 0
-	for _, pt := range jf.Points {
-		if strings.Contains(pt.Workload, " real ") || strings.HasSuffix(pt.Workload, " real (gcc)") {
-			if pt.Sim {
-				t.Errorf("real point %q cores=%d exported Sim:true", pt.Workload, pt.Cores)
-			}
-			real++
-		} else if pt.Sim {
-			sim++
-		}
-	}
-	if real == 0 || sim == 0 {
-		t.Fatalf("expected both real (%d) and sim (%d) points", real, sim)
-	}
-}

@@ -120,14 +120,6 @@ type Options struct {
 	// MemoCapacity bounds the memo table entry count (0 selects
 	// memo.DefaultCapacity).
 	MemoCapacity int
-	// NoFuse disables the kernel-fusion engine: element-wise affine
-	// innermost loops (copy, fill, scale, axpy, stencil maps) and the
-	// ICC/Vectorize reduction kernels then run through per-iteration
-	// statement dispatch. Fusion is on by default and bit-identical to
-	// dispatch; the knob exists for A/B measurement (purebench Fig T1)
-	// and as an escape hatch. Compile-relevant: part of the
-	// program-cache key.
-	NoFuse bool
 	// Engine selects linearized-tape (default) or closure-tree
 	// execution for statement dispatch (fused kernels apply under both).
 	// Bit-identical results either way. Compile-relevant: part of the
@@ -137,13 +129,8 @@ type Options struct {
 	// keyed by the syntax nodes of the compiled model (vra.Result.Proofs
 	// over the same sema.Info). Accesses in the set may have their
 	// runtime range checks elided; nil disables elision entirely.
-	//lint:cachekey derived deterministically from the hashed source by the value-range analysis (NoBCE gates its use and is hashed)
+	//lint:cachekey derived deterministically from the hashed source by the value-range analysis
 	Proofs map[ast.Expr]bool
-	// NoBCE keeps every runtime range check even for proven accesses.
-	// Bit-identical results either way (an elided check provably never
-	// fires); the knob exists for A/B measurement (purebench Fig B1).
-	// Compile-relevant: part of the program-cache key.
-	NoBCE bool
 }
 
 // slotKind is the storage class of a frame slot.

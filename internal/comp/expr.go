@@ -820,9 +820,6 @@ func (fc *funcCompiler) mallocCall(cast *ast.CastExpr, call *ast.CallExpr) ptrFn
 		if b%cellBytes != 0 {
 			cells++
 		}
-		if cells < 0 {
-			rtPanic("malloc of negative size")
-		}
 		return e.p.heap.Malloc(kind, int(cells), name)
 	}
 }

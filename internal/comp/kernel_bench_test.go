@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"strings"
 	"testing"
 
 	"purec/internal/parser"
@@ -12,10 +13,11 @@ import (
 //
 //	go test ./internal/comp -bench 'Dispatch|Fused' -run xxx
 //
-// BenchmarkDispatchLoop and BenchmarkFusedAxpy run the same axpy
-// program with the engine off and on; BenchmarkFusedMatmul does the
-// same for the extracted-dot matrix multiplication (the reduction
-// kernel family).
+// BenchmarkDispatchLoop and BenchmarkFusedAxpy run the same axpy loop on
+// dispatch and as a kernel; BenchmarkFusedMatmul does the same for the
+// extracted-dot matrix multiplication (the reduction kernel family).
+// The dispatch twins write the loop body in doubled braces, a form the
+// matcher rejects.
 
 const benchAxpySrc = `
 float x[4096], y[4096];
@@ -33,6 +35,10 @@ int run(void) {
 }
 int main(void) { setup(); return run(); }
 `
+
+// benchAxpyDispatchSrc is benchAxpySrc with a body the matcher rejects.
+var benchAxpyDispatchSrc = strings.Replace(benchAxpySrc,
+	"y[i] = a * x[i] + y[i];", "{ { y[i] = a * x[i] + y[i]; } }", 1)
 
 const benchMatmulSrc = `
 float A[48][48], Bt[48][48], C[48][48];
@@ -57,6 +63,11 @@ int run(void) {
 }
 int main(void) { setup(); return run(); }
 `
+
+// benchMatmulDispatchSrc is benchMatmulSrc with a dot loop the matcher
+// rejects.
+var benchMatmulDispatchSrc = strings.Replace(benchMatmulSrc,
+	"res += a[k] * b[k];", "{ { res += a[k] * b[k]; } }", 1)
 
 func benchProgram(b *testing.B, src string, opts Options) *Machine {
 	b.Helper()
@@ -91,7 +102,17 @@ func benchEntry(b *testing.B, m *Machine) {
 // BenchmarkDispatchLoop is the closure-dispatch baseline: one closure
 // call per iteration per operand of the axpy loop.
 func BenchmarkDispatchLoop(b *testing.B) {
-	benchEntry(b, benchProgram(b, benchAxpySrc, Options{NoFuse: true, Engine: EngineClosure}))
+	benchEntry(b, dispatchProgram(b, benchAxpyDispatchSrc, Options{Engine: EngineClosure}))
+}
+
+// dispatchProgram is benchProgram for a source none of whose loops fuse.
+func dispatchProgram(b *testing.B, src string, opts Options) *Machine {
+	b.Helper()
+	m := benchProgram(b, src, opts)
+	if m.Program().FusedKernels() != 0 {
+		b.Fatal("the dispatch twin fused")
+	}
+	return m
 }
 
 // BenchmarkFusedAxpy runs the same loop as one fused triad kernel.
@@ -107,7 +128,7 @@ func BenchmarkFusedAxpy(b *testing.B) {
 // reduction kernel (ICC backend) against its dispatch baseline.
 func BenchmarkFusedMatmul(b *testing.B) {
 	b.Run("dispatch", func(b *testing.B) {
-		benchEntry(b, benchProgram(b, benchMatmulSrc, Options{Backend: BackendICC, NoFuse: true}))
+		benchEntry(b, dispatchProgram(b, benchMatmulDispatchSrc, Options{Backend: BackendICC}))
 	})
 	b.Run("fused", func(b *testing.B) {
 		m := benchProgram(b, benchMatmulSrc, Options{Backend: BackendICC})

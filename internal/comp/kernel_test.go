@@ -9,30 +9,16 @@ import (
 
 	"purec/internal/interp"
 	"purec/internal/mem"
-	"purec/internal/parser"
 	"purec/internal/rt"
-	"purec/internal/sema"
 )
 
-// fuseCompare compiles src with fusion on and off plus the interp
-// oracle, runs all three, and requires bit-identical return values and
-// global array contents. It returns the fused build for extra checks.
+// fuseCompare compiles src and runs it next to the interp oracle,
+// requiring bit-identical return values and global array contents. It
+// returns the build for extra checks.
 func fuseCompare(t *testing.T, src string, arrays ...string) *Machine {
 	t.Helper()
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatalf("sema: %v", err)
-	}
 	fused := compile(t, src, Options{})
-	plain := compile(t, src, Options{NoFuse: true})
-	if got := plain.Program().FusedKernels(); got != 0 {
-		t.Fatalf("NoFuse build reports %d fused kernels", got)
-	}
-	in, err := interp.New(info, nil)
+	in, err := interp.New(mustCheck(t, src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,35 +26,23 @@ func fuseCompare(t *testing.T, src string, arrays ...string) *Machine {
 	if err != nil {
 		t.Fatalf("fused run: %v", err)
 	}
-	rp, err := plain.RunMain()
-	if err != nil {
-		t.Fatalf("dispatch run: %v", err)
-	}
 	ro, err := in.RunMain()
 	if err != nil {
 		t.Fatalf("oracle run: %v", err)
 	}
-	if rf != rp || rf != ro {
-		t.Fatalf("return values diverge: fused=%d dispatch=%d oracle=%d", rf, rp, ro)
+	if rf != ro {
+		t.Fatalf("return values diverge: fused=%d oracle=%d", rf, ro)
 	}
 	for _, name := range arrays {
 		fp, err := fused.GlobalPtr(name)
 		if err != nil {
 			t.Fatalf("global %s: %v", name, err)
 		}
-		pp, err := plain.GlobalPtr(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		op, err := in.GlobalPtr(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fv, pv, ov := snapshotSeg(fp), snapshotSeg(pp), snapshotSeg(op)
-		if fv != pv {
-			t.Fatalf("%s: fused != dispatch\nfused:    %s\ndispatch: %s", name, fv, pv)
-		}
-		if fv != ov {
+		if fv, ov := snapshotSeg(fp), snapshotSeg(op); fv != ov {
 			t.Fatalf("%s: fused != oracle\nfused:  %s\noracle: %s", name, fv, ov)
 		}
 	}
@@ -251,12 +225,22 @@ int main(void) {
         y[i] = x[i - 1] + x[i + 1];
     return 0;
 }`
-	for _, opts := range []Options{{}, {NoFuse: true}} {
-		m := compile(t, src, opts)
-		if _, err := m.RunMain(); err == nil {
-			t.Fatalf("NoFuse=%v: out-of-bounds stencil read must trap", opts.NoFuse)
-		}
+	if _, err := compile(t, src, Options{}).RunMain(); err == nil {
+		t.Fatal("out-of-bounds stencil read must trap")
 	}
+	if _, err := oracleMachine(t, src).RunMain(); err == nil {
+		t.Fatal("interp: out-of-bounds stencil read must trap")
+	}
+}
+
+// oracleMachine is the interpreter over src.
+func oracleMachine(t *testing.T, src string) *interp.Interp {
+	t.Helper()
+	in, err := interp.New(mustCheck(t, src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 func TestFusedDivisionByZeroTraps(t *testing.T) {
@@ -270,15 +254,17 @@ int main(void) {
         w[i] = v[i] / z;
     return 0;
 }`
-	for _, opts := range []Options{{}, {NoFuse: true}} {
-		m := compile(t, src, opts)
-		_, err := m.RunMain()
-		if err == nil {
-			t.Fatalf("NoFuse=%v: division by zero must trap", opts.NoFuse)
-		}
-		if !strings.Contains(err.Error(), "division by zero") {
-			t.Fatalf("NoFuse=%v: unexpected trap message %q", opts.NoFuse, err)
-		}
+	m := compile(t, src, Options{})
+	if m.Program().FusedKernels() != 2 {
+		t.Fatalf("want both loops fused, got %d kernels", m.Program().FusedKernels())
+	}
+	_, err := m.RunMain()
+	if err == nil {
+		t.Fatal("division by zero must trap")
+	}
+	_, want := oracleMachine(t, src).RunMain()
+	if want == nil || "interp "+err.Error() != want.Error() {
+		t.Fatalf("trap %q, interp %v", err, want)
 	}
 }
 
@@ -301,11 +287,18 @@ int main(void) {
     return 0;
 }`, sched)
 		// Serial oracle bits.
-		ref := compile(t, src, Options{NoFuse: true})
-		if _, err := ref.RunMain(); err != nil {
+		in := oracleMachine(t, src)
+		if _, err := in.RunMain(); err != nil {
 			t.Fatal(err)
 		}
-		want := readFloatArray(t, ref, "y", 512)
+		op, err := in.GlobalPtr("y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := op.Seg.FloatRange(0, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, team := range reduceTeams() {
 			m := compile(t, src, Options{Team: team})
 			if m.Program().FusedKernels() < 1 {
@@ -345,14 +338,15 @@ int main(void) {
     out = s;
     return 0;
 }`
-	ref := compile(t, src, Options{NoFuse: true})
-	if _, err := ref.RunMain(); err != nil {
+	in := oracleMachine(t, src)
+	if _, err := in.RunMain(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.GlobalInt("out")
+	out, err := in.GlobalValue("out")
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := out.AsInt()
 	for _, team := range reduceTeams() {
 		// Vectorize extends reduction fusion beyond pure/ICC contexts.
 		m := compile(t, src, Options{Team: team, Vectorize: true})

@@ -96,14 +96,12 @@ func (lk *loopKernel) fuse(kind loopKind, k *fusedKernel) {
 
 // fuseReductions reports whether canonical float reduction loops
 // compile to fused kernels here: the ICC backend vectorizes extracted
-// pure functions, Options.Vectorize extends that everywhere (the
-// PluTo-SICA analog), and Options.NoFuse turns the whole engine off.
-// The gate models C's ban on reassociating float sums (Sect. 4.3.1);
-// integer sums are exact in any order and do not pass through it (see
-// matchIntSum).
+// pure functions, and Options.Vectorize extends that everywhere (the
+// PluTo-SICA analog). The gate models C's ban on reassociating float
+// sums (Sect. 4.3.1); integer sums are exact in any order and do not
+// pass through it (see matchIntSum).
 func (fc *funcCompiler) fuseReductions() bool {
-	return !fc.prog.noFuse &&
-		((fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize)
+	return (fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize
 }
 
 // matchLoop is the matcher. A kernel requires a canonical loop whose
@@ -114,7 +112,7 @@ func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 	cl, ok := fc.canonical(x)
 	lk := loopKernel{canonicalLoop: cl, canonical: ok}
 	iter := cl.iterSym
-	if !ok || fc.prog.noFuse || !fc.hoistable(cl.lowerX, iter) || !fc.hoistable(cl.upperX, iter) {
+	if !ok || !fc.hoistable(cl.lowerX, iter) || !fc.hoistable(cl.upperX, iter) {
 		return lk
 	}
 	stmt := singleStmt(cl.body)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMinMaxKernel checks the fused min/max reduction kernels against
-// the dispatch path (NoFuse) and the interp oracle, sequentially and
+// the interp oracle, sequentially and
 // under a parallel reduction clause, and that the tape engine — which
 // asks the same matcher — fuses exactly what the closure engine does
 // (its own copy of the dispatch cascade once forgot this family).
@@ -61,20 +61,9 @@ func TestMinMaxKernel(t *testing.T) {
 			if f.Program().FusedKernels() == 0 {
 				t.Fatal("min/max loop did not fuse")
 			}
-			d := compile(t, c.src, Options{NoFuse: true, Engine: EngineClosure})
-			if d.Program().FusedKernels() != 0 {
-				t.Fatal("NoFuse build still fused")
-			}
 			fused, err := f.RunMain()
 			if err != nil {
 				t.Fatalf("fused: %v", err)
-			}
-			dispatch, err := d.RunMain()
-			if err != nil {
-				t.Fatalf("dispatch: %v", err)
-			}
-			if fused != dispatch {
-				t.Fatalf("fused returned %d, dispatch %d", fused, dispatch)
 			}
 			tp := compile(t, c.src, Options{Engine: EngineTape})
 			if got, want := tp.Program().FusedKernels(), f.Program().FusedKernels(); got != want {

@@ -179,8 +179,16 @@ func (p *Process) MemoStats() memo.Stats {
 
 // ResetGlobals zeroes global storage, re-creates global array segments
 // and re-evaluates constant initializers. Run it between measurements so
-// each run starts from the C program's initial state.
-func (p *Process) ResetGlobals() error {
+// each run starts from the C program's initial state. A global array
+// over mem.MaxSegmentCells is a *RuntimeError here.
+func (p *Process) ResetGlobals() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if err = trapError(r); err == nil {
+				panic(r)
+			}
+		}
+	}()
 	for i := range p.gI {
 		p.gI[i] = 0
 	}
@@ -244,6 +252,8 @@ func trapError(r any) error {
 	switch x := r.(type) {
 	case runtime.Error:
 		return &RuntimeError{Msg: strings.TrimPrefix(x.Error(), "runtime error: ")}
+	case mem.Trap:
+		return &RuntimeError{Msg: string(x)}
 	case string:
 		if msg, ok := strings.CutPrefix(x, "purec: "); ok {
 			return &RuntimeError{Msg: msg}

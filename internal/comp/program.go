@@ -22,7 +22,6 @@ type Program struct {
 	backend   Backend
 	engine    Engine
 	vectorize bool
-	noFuse    bool
 	// fusedKernels counts the loops compiled into fused segment-walking
 	// kernels (element-wise and reduction shapes), for the purecc
 	// "fused kernels: N" report line.
@@ -31,11 +30,9 @@ type Program struct {
 	// the callee's return expression, for the "inlined calls: N" line.
 	inlinedCalls int
 	// proofs is the value-range analysis' proven-in-bounds access set
-	// (Options.Proofs); noBCE keeps checks despite proofs, and
-	// elidedChecks counts the runtime checks compilation dropped, for
-	// the purecc "elided checks: N" report line.
+	// (Options.Proofs), and elidedChecks counts the runtime checks
+	// compilation dropped, for the purecc "elided checks: N" report line.
 	proofs       map[ast.Expr]bool
-	noBCE        bool
 	elidedChecks int
 	// tapes lists every compiled tape in compile order and tapeTemps
 	// counts the temp registers of all functions (EngineTape only), for
@@ -63,9 +60,7 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 		backend:     opts.Backend,
 		engine:      opts.Engine,
 		vectorize:   opts.Vectorize,
-		noFuse:      opts.NoFuse,
 		proofs:      opts.Proofs,
-		noBCE:       opts.NoBCE,
 		funcs:       map[string]*cfunc{},
 		globalSlots: map[*sema.Symbol]slot{},
 	}
@@ -142,7 +137,7 @@ func (p *Program) TapeStats() (instrs, consts, temps int) {
 }
 
 // FusedKernels returns the number of loops compiled into fused
-// segment-walking kernels (0 when built with Options.NoFuse).
+// segment-walking kernels.
 func (p *Program) FusedKernels() int { return p.fusedKernels }
 
 // InlinedCalls returns the number of call sites compiled as the
@@ -153,13 +148,13 @@ func (p *Program) InlinedCalls() int { return p.inlinedCalls }
 
 // ElidedChecks returns the number of runtime range checks compilation
 // dropped on the strength of value-range bounds proofs (0 when built
-// with Options.NoBCE or without proofs).
+// without proofs).
 func (p *Program) ElidedChecks() int { return p.elidedChecks }
 
 // proven reports whether the access expression carries a bounds proof
 // the compiler may act on.
 func (p *Program) proven(e ast.Expr) bool {
-	return !p.noBCE && p.proofs[e]
+	return p.proofs[e]
 }
 
 // Info returns the semantic model the program was compiled from.

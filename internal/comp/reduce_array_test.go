@@ -84,21 +84,22 @@ func TestArrayReductionEverySchedule(t *testing.T) {
 }
 
 func TestArrayReductionFuseMatchesDispatch(t *testing.T) {
-	// The fused gather-update kernel must be bit-identical to closure
-	// dispatch on every team.
+	// The fused gather-update kernel must be bit-identical to the
+	// interpreter's dispatch on every team.
 	src := histProgram("reduction(+:hist[])", "hist[data[i]] += 2;")
-	want := serialResult(t, src)
-	for _, noFuse := range []bool{false, true} {
-		for _, team := range reduceTeams() {
-			m := compile(t, src, Options{Team: team, NoFuse: noFuse})
-			got, err := m.RunMain()
-			if err != nil {
-				t.Fatalf("NoFuse=%v: %v", noFuse, err)
-			}
-			if got != want {
-				t.Errorf("NoFuse=%v on %d workers (sim=%v): got %d want %d",
-					noFuse, team.Size(), team.Simulated(), got, want)
-			}
+	want := runSerialOracle(t, src)
+	for _, team := range reduceTeams() {
+		m := compile(t, src, Options{Team: team})
+		if m.Program().FusedKernels() == 0 {
+			t.Fatal("the gather-update loop did not fuse")
+		}
+		got, err := m.RunMain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%d workers (sim=%v): got %d want %d",
+				team.Size(), team.Simulated(), got, want)
 		}
 	}
 }
@@ -303,7 +304,7 @@ int main(void) {
 
 func TestArrayReductionOutOfRangeBinTraps(t *testing.T) {
 	// A bin outside the array must trap as a runtime error on every
-	// path — dispatch and fused kernel, serial and parallel.
+	// team, serial and parallel.
 	src := `
 int data[10];
 int main(void) {
@@ -318,13 +319,10 @@ int main(void) {
         hist[data[i]]++;
     return hist[0];
 }`
-	for _, noFuse := range []bool{false, true} {
-		for _, team := range []*rt.Team{rt.NewTeam(1), rt.NewTeam(4), rt.NewSimTeam(4)} {
-			m := compile(t, src, Options{Team: team, NoFuse: noFuse})
-			if _, err := m.RunMain(); err == nil {
-				t.Errorf("NoFuse=%v team=%d sim=%v: out-of-range bin must trap",
-					noFuse, team.Size(), team.Simulated())
-			}
+	for _, team := range []*rt.Team{rt.NewTeam(1), rt.NewTeam(4), rt.NewSimTeam(4)} {
+		m := compile(t, src, Options{Team: team})
+		if _, err := m.RunMain(); err == nil {
+			t.Errorf("team=%d sim=%v: out-of-range bin must trap", team.Size(), team.Simulated())
 		}
 	}
 }
@@ -332,7 +330,7 @@ int main(void) {
 func TestArrayReductionSerialLoopFusesHistKernel(t *testing.T) {
 	// The gather-update kernel also serves plain sequential loops: the
 	// program (no pragma) must report a fused kernel and match the
-	// dispatch build.
+	// interpreter.
 	src := `
 int data[300];
 int hist[16];
@@ -356,12 +354,7 @@ int main(void) {
 	if fused.Program().FusedKernels() == 0 {
 		t.Error("sequential histogram loop did not fuse")
 	}
-	dispatch := compile(t, src, Options{NoFuse: true})
-	want, err := dispatch.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("fused %d != dispatch %d", got, want)
+	if want := runSerialOracle(t, src); got != want {
+		t.Errorf("fused %d != interp %d", got, want)
 	}
 }

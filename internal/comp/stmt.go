@@ -274,7 +274,7 @@ func (fc *funcCompiler) switchStmt(x *ast.SwitchStmt) stmtFn {
 
 // forStmt compiles a sequential for loop: the fused kernel where the
 // matcher finds one (element-wise, gather, histogram, min/max and
-// integer-sum bodies on every backend unless Options.NoFuse; canonical
+// integer-sum bodies on every backend; canonical
 // float reduction loops where fuseReductions says — the vectorization
 // analog), per-iteration dispatch otherwise.
 func (fc *funcCompiler) forStmt(x *ast.ForStmt) stmtFn {

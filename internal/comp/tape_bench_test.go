@@ -7,22 +7,25 @@ import (
 	"purec/internal/sema"
 )
 
-// benchSrc is an axpy-shaped dispatch workload: with fusion off, every
-// iteration pays full statement dispatch on the selected engine.
+// benchSrc is an axpy-shaped dispatch workload: the doubly braced body
+// keeps the matcher off the loop, so every iteration pays full
+// statement dispatch on the selected engine.
 const benchSrc = `
 float x[4096], y[4096];
 
 int run(void) {
 	float a = 1.5f;
-	for (int i = 0; i < 4096; i++)
-		y[i] = a * x[i] + y[i];
+	for (int i = 0; i < 4096; i++) {
+		{ y[i] = a * x[i] + y[i]; }
+	}
 	return 0;
 }
 
 int main(void) { return run(); }
 `
 
-// benchBranchSrc is the non-canonical branchy body (Fig T1's noncanon).
+// benchBranchSrc is a non-canonical branchy body (apps.NoncanonSrc's
+// shape).
 const benchBranchSrc = `
 float x[4096], y[4096];
 
@@ -50,9 +53,12 @@ func benchEngine(b *testing.B, src string, eng Engine) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Compile(info, Options{Engine: eng, NoFuse: true})
+	m, err := Compile(info, Options{Engine: eng})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if m.Program().FusedKernels() != 0 {
+		b.Fatal("the dispatch workload fused")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

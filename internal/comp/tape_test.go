@@ -4,10 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"purec/internal/apps"
 	"purec/internal/interp"
 	"purec/internal/parser"
-	"purec/internal/preproc"
 	"purec/internal/sema"
 )
 
@@ -291,6 +289,12 @@ func TestTapeTrapParity(t *testing.T) {
 		{"int-to-ptr", `int main(void) { int v = 7; int *p = (int*)v; return 0; }`, "cast of non-zero integer to pointer"},
 		{"cross-segment-diff", `int a[4]; int b[4];
 		int main(void) { int *p = a; int *q = b; return p - q; }`, "across segments"},
+		{"huge-local-array", `int main(void) { float big[100000000000]; big[0] = 1.0f; return 0; }`,
+			"runtime error: allocation of 100000000000 cells exceeds the 268435456-cell limit"},
+		{"huge-malloc", `int main(void) { float *p = (float*)malloc(35184372088832 * sizeof(float)); return 0; }`,
+			"runtime error: allocation of 35184372088832 cells exceeds the 268435456-cell limit"},
+		{"negative-malloc", `int main(void) { int n = -4; int *p = (int*)malloc(n * sizeof(int)); return 0; }`,
+			"runtime error: allocation of negative size (-4 cells)"},
 	}
 	for _, c := range cases {
 		c := c
@@ -437,8 +441,9 @@ func TestTapeSlotAllocation(t *testing.T) {
 // TestTapeInlinesLeafCalls: a leaf pure call that inline.go replaces by
 // its return expression is compiled on the tape like any other
 // expression, not as a pooled closure tree behind tCallI/tCallF. The
-// loops are kept off the kernels (no front end, so no pragmas; NoFuse)
-// so that the tape itself has to evaluate the call.
+// loops are kept off the kernels (no front end, so no pragmas; a
+// doubly braced body, which the matcher rejects) so that the tape
+// itself has to evaluate the call.
 func TestTapeInlinesLeafCalls(t *testing.T) {
 	calls := func(tp *tape) (n int) {
 		for _, in := range tp.code {
@@ -450,32 +455,33 @@ func TestTapeInlinesLeafCalls(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name, src string
-		defines   map[string]string
 		fn        string // function whose loop calls the leaf
 	}{
-		{"matmul", apps.MatmulSrc, apps.MatmulDefines(8), "dot"},
-		{"reduce-sum", apps.ReduceSumSrc, apps.ReduceDefines(64), "run"},
+		{"matmul", `
+			pure float mult(float a, float b) { return a * b; }
+			pure float dot(pure float* a, pure float* b, int size) {
+			    float res = 0.0f;
+			    for (int i = 0; i < size; ++i) { { res += mult(a[i], b[i]); } }
+			    return res;
+			}
+			float x[8], y[8];
+			int main(void) { return (int)dot((pure float*)x, (pure float*)y, 8); }`, "dot"},
+		{"reduce-sum", `
+			pure int square(int x) { return x * x; }
+			int run(void) {
+			    int s = 0;
+			    for (int i = 0; i < 64; i++) { { s += square(i % 8191); } }
+			    return s;
+			}
+			int main(void) { return run(); }`, "run"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ex := &preproc.Expander{}
-			for k, v := range c.defines {
-				ex.Define(k, v)
-			}
-			text, err := ex.Expand(c.src)
+			prog, err := CompileProgram(mustCheck(t, c.src), Options{Engine: EngineTape})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := parser.Parse("t.c", text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, err := sema.Check(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := CompileProgram(info, Options{Engine: EngineTape, NoFuse: true})
-			if err != nil {
-				t.Fatal(err)
+			if prog.FusedKernels() != 0 {
+				t.Fatalf("%d fused kernels: the loop must stay on dispatch", prog.FusedKernels())
 			}
 			if prog.InlinedCalls() == 0 {
 				t.Fatal("no call was inlined: the test has nothing to look for")

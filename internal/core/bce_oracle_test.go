@@ -36,9 +36,9 @@ func bceWorkloads() []struct {
 }
 
 // TestBCEOracle12Processes is the check-elision equivalence proof:
-// every workload runs on 12 concurrent Processes (BCE on and off,
-// both compiler backends, both statement engines, all loop schedules,
-// mixed real and simulated teams) and every output must be
+// every workload runs on 12 concurrent Processes (both compiler
+// backends, both statement engines, all loop schedules, each on a real
+// and a simulated team) and every output must be
 // bit-identical to the sequential interp oracle — elision removes only
 // checks that could never fire, never a computation. Run under -race
 // in CI.
@@ -46,14 +46,11 @@ func TestBCEOracle12Processes(t *testing.T) {
 	teamSizes := []int{1, 2, 3, 5, 8, 16}
 	schedules := []string{"", "static,3", "dynamic,1"}
 	builds := []struct {
-		noBCE   bool
 		backend comp.Backend
 		engine  comp.Engine
 	}{
-		{false, comp.BackendGCC, comp.EngineClosure},
-		{true, comp.BackendGCC, comp.EngineClosure},
-		{false, comp.BackendICC, comp.EngineTape},
-		{true, comp.BackendICC, comp.EngineTape},
+		{comp.BackendGCC, comp.EngineClosure},
+		{comp.BackendICC, comp.EngineTape},
 	}
 	for _, w := range bceWorkloads() {
 		w := w
@@ -76,12 +73,11 @@ func TestBCEOracle12Processes(t *testing.T) {
 			want := snapshotVec(op, w.out, w.n)
 
 			var wg sync.WaitGroup
-			errs := make(chan error, len(builds)*len(schedules))
+			errs := make(chan error, 2*len(builds)*len(schedules))
 			idx := 0
 			for _, b := range builds {
 				for _, sched := range schedules {
 					cfg := withDefs(Config{Parallelize: true}, w.defs)
-					cfg.NoBCE = b.noBCE
 					cfg.Backend = b.backend
 					cfg.Engine = b.engine
 					cfg.Transform = transform.Options{Schedule: sched}
@@ -89,33 +85,32 @@ func TestBCEOracle12Processes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					team := rt.NewTeam(teamSizes[idx%len(teamSizes)])
-					if idx%2 == 1 {
-						team = rt.NewSimTeam(teamSizes[idx%len(teamSizes)])
-					}
+					size := teamSizes[idx%len(teamSizes)]
 					idx++
-					wg.Add(1)
-					go func(prog *comp.Program, team *rt.Team, noBCE bool, sched string) {
-						defer wg.Done()
-						proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-						if err != nil {
-							errs <- err
-							return
-						}
-						if _, err := proc.RunMain(); err != nil {
-							errs <- fmt.Errorf("NoBCE=%v sched=%q: %v", noBCE, sched, err)
-							return
-						}
-						p, err := proc.GlobalPtr(w.out)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if got := snapshotVec(p, w.out, w.n); got != want {
-							errs <- fmt.Errorf("NoBCE=%v sched=%q team=%d sim=%v: output differs from oracle",
-								noBCE, sched, team.Size(), team.Simulated())
-						}
-					}(prog, team, b.noBCE, sched)
+					for _, team := range []*rt.Team{rt.NewTeam(size), rt.NewSimTeam(size)} {
+						wg.Add(1)
+						go func(prog *comp.Program, team *rt.Team, sched string) {
+							defer wg.Done()
+							proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
+							if err != nil {
+								errs <- err
+								return
+							}
+							if _, err := proc.RunMain(); err != nil {
+								errs <- fmt.Errorf("sched=%q: %v", sched, err)
+								return
+							}
+							p, err := proc.GlobalPtr(w.out)
+							if err != nil {
+								errs <- err
+								return
+							}
+							if got := snapshotVec(p, w.out, w.n); got != want {
+								errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
+									sched, team.Size(), team.Simulated())
+							}
+						}(prog, team, sched)
+					}
 				}
 			}
 			wg.Wait()
@@ -308,12 +303,7 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 			if prog.FusedKernels() != 1 {
 				t.Errorf("engine=%v: %d fused kernels, want the sum", eng, prog.FusedKernels())
 			}
-			cfg.NoBCE = true
-			checked, _, _, err := BuildProgram(sumMarginSrc, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := prog.ElidedChecks() - checked.ElidedChecks(); got != 1 {
+			if got := prog.ElidedChecks(); got != 1 {
 				t.Errorf("engine=%v: BCE elided %d checks, want the sum operand's", eng, got)
 			}
 			proc, err := prog.NewProcess(comp.ProcOptions{})

@@ -69,9 +69,9 @@ func sorted(names []string) []string {
 // Load by another DiskCache compiles to the program the cold build
 // compiled — same proofs, same memoizable set, same elided checks and
 // fused kernels — and that program prints and returns what the
-// interpreter does, on a real 2-worker team, under both engines, with
-// bounds-check elimination on and off. The load provably runs no
-// analysis: the restored artifact has no findings and no alias facts.
+// interpreter does, on a real 2-worker team, under both engines. The
+// load provably runs no analysis: the restored artifact has no findings
+// and no alias facts.
 func TestDiskRestoreEqualsBuild(t *testing.T) {
 	restored, withProofs, memoizable := 0, 0, 0
 	for _, s := range restoreSample(t) {
@@ -103,74 +103,72 @@ func TestDiskRestoreEqualsBuild(t *testing.T) {
 		}
 
 		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-			for _, noBCE := range []bool{false, true} {
-				cfg := base
-				cfg.Engine, cfg.NoBCE = eng, noBCE
-				name := fmt.Sprintf("%s engine=%v nobce=%v", s.Name, eng, noBCE)
-				cold, err := Front(s.Src, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				coldProg, err := cold.Compile(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				dir := t.TempDir()
-				writer, err := NewDiskCache(dir, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				key := Key(s.Src, cfg)
-				if err := writer.Store(key, cfg, cold); err != nil {
-					t.Fatalf("%s: store: %v", name, err)
-				}
-				reader, err := NewDiskCache(dir, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				front := FrontRuns()
-				art, ok := reader.Load(s.Src, key, cfg)
-				if !ok {
-					t.Fatalf("%s: a freshly stored entry did not load (%+v)", name, reader.Stats())
-				}
-				if FrontRuns() != front {
-					t.Fatalf("%s: Load entered the front end", name)
-				}
-				if art.VRA.Alias != nil || len(art.VRA.Findings) != 0 {
-					t.Fatalf("%s: restored analysis carries alias facts or findings: Load re-analysed", name)
-				}
-				if art.Stages.Transformed != cold.Stages.Transformed || art.Stages.Final != "" {
-					t.Fatalf("%s: restored stages differ: Transformed equal=%v, Final %d bytes, want equal and empty",
-						name, art.Stages.Transformed == cold.Stages.Transformed, len(art.Stages.Final))
-				}
-				if got, want := len(art.VRA.Proofs()), len(cold.VRA.Proofs()); got != want {
-					t.Errorf("%s: %d proofs restored, cold build has %d", name, got, want)
-				}
-				if got, want := fmt.Sprint(sorted(art.Memoizable)), fmt.Sprint(sorted(cold.Memoizable)); got != want {
-					t.Errorf("%s: memoizable set %s restored, cold build has %s", name, got, want)
-				}
-				prog, err := art.Compile(cfg)
-				if err != nil {
-					t.Fatalf("%s: restored artifact does not compile: %v", name, err)
-				}
-				if prog.ElidedChecks() != coldProg.ElidedChecks() || prog.FusedKernels() != coldProg.FusedKernels() ||
-					fmt.Sprint(sorted(prog.Memoizable())) != fmt.Sprint(sorted(coldProg.Memoizable())) {
-					t.Errorf("%s: restored program has %d elided checks, %d fused kernels, memoizes %v; cold build %d, %d, %v",
-						name, prog.ElidedChecks(), prog.FusedKernels(), sorted(prog.Memoizable()),
-						coldProg.ElidedChecks(), coldProg.FusedKernels(), sorted(coldProg.Memoizable()))
-				}
-				out, ret, trap := runProgram(t, prog, 2)
-				if out != wantOut.String() || ret != wantRet || trap != wantTrap {
-					t.Errorf("%s: restored program differs from the interpreter\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
-						name, ret, trap, wantRet, wantTrap, firstDiff(out, wantOut.String()))
-				}
-				restored++
-				if len(art.VRA.Proofs()) > 0 {
-					withProofs++
-				}
-				if len(art.Memoizable) > 0 {
-					memoizable++
-				}
+			cfg := base
+			cfg.Engine = eng
+			name := fmt.Sprintf("%s engine=%v", s.Name, eng)
+			cold, err := Front(s.Src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			coldProg, err := cold.Compile(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			dir := t.TempDir()
+			writer, err := NewDiskCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key(s.Src, cfg)
+			if err := writer.Store(key, cfg, cold); err != nil {
+				t.Fatalf("%s: store: %v", name, err)
+			}
+			reader, err := NewDiskCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			front := FrontRuns()
+			art, ok := reader.Load(s.Src, key, cfg)
+			if !ok {
+				t.Fatalf("%s: a freshly stored entry did not load (%+v)", name, reader.Stats())
+			}
+			if FrontRuns() != front {
+				t.Fatalf("%s: Load entered the front end", name)
+			}
+			if art.VRA.Alias != nil || len(art.VRA.Findings) != 0 {
+				t.Fatalf("%s: restored analysis carries alias facts or findings: Load re-analysed", name)
+			}
+			if art.Stages.Transformed != cold.Stages.Transformed || art.Stages.Final != "" {
+				t.Fatalf("%s: restored stages differ: Transformed equal=%v, Final %d bytes, want equal and empty",
+					name, art.Stages.Transformed == cold.Stages.Transformed, len(art.Stages.Final))
+			}
+			if got, want := len(art.VRA.Proofs()), len(cold.VRA.Proofs()); got != want {
+				t.Errorf("%s: %d proofs restored, cold build has %d", name, got, want)
+			}
+			if got, want := fmt.Sprint(sorted(art.Memoizable)), fmt.Sprint(sorted(cold.Memoizable)); got != want {
+				t.Errorf("%s: memoizable set %s restored, cold build has %s", name, got, want)
+			}
+			prog, err := art.Compile(cfg)
+			if err != nil {
+				t.Fatalf("%s: restored artifact does not compile: %v", name, err)
+			}
+			if prog.ElidedChecks() != coldProg.ElidedChecks() || prog.FusedKernels() != coldProg.FusedKernels() ||
+				fmt.Sprint(sorted(prog.Memoizable())) != fmt.Sprint(sorted(coldProg.Memoizable())) {
+				t.Errorf("%s: restored program has %d elided checks, %d fused kernels, memoizes %v; cold build %d, %d, %v",
+					name, prog.ElidedChecks(), prog.FusedKernels(), sorted(prog.Memoizable()),
+					coldProg.ElidedChecks(), coldProg.FusedKernels(), sorted(coldProg.Memoizable()))
+			}
+			out, ret, trap := runProgram(t, prog, 2)
+			if out != wantOut.String() || ret != wantRet || trap != wantTrap {
+				t.Errorf("%s: restored program differs from the interpreter\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
+					name, ret, trap, wantRet, wantTrap, firstDiff(out, wantOut.String()))
+			}
+			restored++
+			if len(art.VRA.Proofs()) > 0 {
+				withProofs++
+			}
+			if len(art.Memoizable) > 0 {
+				memoizable++
 			}
 		}
 	}

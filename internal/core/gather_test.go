@@ -105,26 +105,3 @@ func TestGatherParallelization(t *testing.T) {
 		t.Fatalf("opaque run: %v", err)
 	}
 }
-
-// TestNoBCECacheKey checks that NoBCE builds do not alias proven builds
-// in the program cache.
-func TestNoBCECacheKey(t *testing.T) {
-	cache := NewProgramCache(8)
-	p1, _, _, err := BuildProgram(gatherProvenSrc, Config{Parallelize: true, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _, hit, err := BuildProgram(gatherProvenSrc, Config{Parallelize: true, NoBCE: true, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit || p1 == p2 {
-		t.Fatalf("NoBCE build served from the BCE cache entry")
-	}
-	if p2.ElidedChecks() != 0 {
-		t.Errorf("NoBCE build elided %d checks", p2.ElidedChecks())
-	}
-	if p1.ElidedChecks() == 0 {
-		t.Errorf("default build elided no checks")
-	}
-}

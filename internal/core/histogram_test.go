@@ -28,7 +28,7 @@ func snapshotIntVec(p mem.Pointer, n int) string {
 // runs through the full pipeline — scop recognition, the
 // reduction(+:hist[]) pragma, privatized per-worker copies — on 12
 // concurrent Processes mixing real and simulated teams, every
-// schedule clause, fusion on and off, and every output must be
+// schedule clause, and every output must be
 // bit-identical to the sequential interp oracle. Integer array
 // reductions are exact by contract regardless of grouping.
 func TestArrayReductionOracle12Processes(t *testing.T) {
@@ -65,52 +65,50 @@ func TestArrayReductionOracle12Processes(t *testing.T) {
 
 	teamSizes := []int{1, 2, 3, 5, 8, 16}
 	for _, sched := range []string{"", "static,5", "dynamic,1", "guided,2"} {
-		for _, noFuse := range []bool{false, true} {
-			cfg := Config{Parallelize: true, NoFuse: noFuse, Defines: defs,
-				Transform: transform.Options{Schedule: sched}}
-			prog, _, _, err := BuildProgram(apps.HistogramSrc, cfg)
-			if err != nil {
-				t.Fatal(err)
+		cfg := Config{Parallelize: true, Defines: defs,
+			Transform: transform.Options{Schedule: sched}}
+		prog, _, _, err := BuildProgram(apps.HistogramSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.FusedKernels() == 0 {
+			t.Fatal("build reports zero fused kernels")
+		}
+		const procs = 12
+		var wg sync.WaitGroup
+		errs := make(chan error, procs)
+		for p := 0; p < procs; p++ {
+			team := rt.NewTeam(teamSizes[p%len(teamSizes)])
+			if p%2 == 1 {
+				team = rt.NewSimTeam(teamSizes[p%len(teamSizes)])
 			}
-			if !noFuse && prog.FusedKernels() == 0 {
-				t.Fatal("fused build reports zero fused kernels")
-			}
-			const procs = 12
-			var wg sync.WaitGroup
-			errs := make(chan error, procs)
-			for p := 0; p < procs; p++ {
-				team := rt.NewTeam(teamSizes[p%len(teamSizes)])
-				if p%2 == 1 {
-					team = rt.NewSimTeam(teamSizes[p%len(teamSizes)])
+			wg.Add(1)
+			go func(team *rt.Team) {
+				defer wg.Done()
+				proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
+				if err != nil {
+					errs <- err
+					return
 				}
-				wg.Add(1)
-				go func(team *rt.Team) {
-					defer wg.Done()
-					proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-					if err != nil {
-						errs <- err
-						return
-					}
-					if _, err := proc.RunMain(); err != nil {
-						errs <- fmt.Errorf("sched=%q NoFuse=%v: %v", sched, noFuse, err)
-						return
-					}
-					gp, err := proc.GlobalPtr("out")
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got := snapshotIntVec(gp, bins); got != want {
-						errs <- fmt.Errorf("sched=%q NoFuse=%v team=%d sim=%v: output differs from oracle",
-							sched, noFuse, team.Size(), team.Simulated())
-					}
-				}(team)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
+				if _, err := proc.RunMain(); err != nil {
+					errs <- fmt.Errorf("sched=%q: %v", sched, err)
+					return
+				}
+				gp, err := proc.GlobalPtr("out")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := snapshotIntVec(gp, bins); got != want {
+					errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
+						sched, team.Size(), team.Simulated())
+				}
+			}(team)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	}
 

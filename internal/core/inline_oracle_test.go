@@ -286,7 +286,7 @@ func leafInfo(t *testing.T, c leafCase, src string, cfg Config) (*comp.Program, 
 		t.Fatal(err)
 	}
 	prog, err := comp.CompileProgram(info, comp.Options{
-		Backend: cfg.Backend, Vectorize: cfg.Vectorize, Engine: cfg.Engine, NoFuse: cfg.NoFuse, Memoize: cfg.Memoize,
+		Backend: cfg.Backend, Vectorize: cfg.Vectorize, Engine: cfg.Engine, Memoize: cfg.Memoize,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -318,7 +318,7 @@ func leafRun(t *testing.T, c leafCase, src string, cfg Config, team *rt.Team) (l
 // TestLeafInlineDifferential holds leaf-pure inlining to the
 // interpreter and to the hand-inlined twin of every case, over
 // {closure, tape} × {gcc, icc, gcc+Vectorize} × {parallel on a
-// 3-worker team, sequential} plus the NoFuse dispatch build of each.
+// 3-worker team, sequential}.
 // Run under -race in CI.
 func TestLeafInlineDifferential(t *testing.T) {
 	for _, c := range leafCases {
@@ -338,50 +338,45 @@ func TestLeafInlineDifferential(t *testing.T) {
 			wantVecs := leafSnapshot(in.GlobalPtr, c.vecs)
 
 			for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-				for bi, b := range matchedBuilds {
+				for _, b := range matchedBuilds {
 					for _, par := range []bool{true, false} {
-						for _, noFuse := range []bool{false, true} {
-							if noFuse && bi > 0 {
-								continue // one dispatch build per engine and mode
-							}
-							cfg := Config{
-								Backend: b.backend, Vectorize: b.vectorize, Engine: eng,
-								NoFuse: noFuse, Memoize: c.memoize, NoCache: true,
-								Parallelize: par,
-								Transform:   transform.Options{MinParallelTrip: -1},
-							}
-							team := rt.NewTeam(1)
-							if par {
-								team = rt.NewTeam(3)
-							}
-							label := fmt.Sprintf("%s engine=%v build=%s par=%v nofuse=%v", c.name, eng, b.name, par, noFuse)
-							got, prog := leafRun(t, c, c.src, cfg, team)
-							if got.out != obuf.String() || got.ret != wantRet || got.vecs != wantVecs || (got.trap != "") != c.traps {
-								t.Errorf("%s: differs from the interpreter\ngot  ret=%d trap=%q\n%s\nwant ret=%d err=%v\n%s",
-									label, got.ret, got.trap, got.out, wantRet, oerr, obuf.String())
-							}
-							if n := prog.InlinedCalls(); n != c.inlined {
-								t.Errorf("%s: InlinedCalls = %d, want %d", label, n, c.inlined)
-							}
-							if c.check != nil {
-								c.check(t, label, prog)
-							}
-							if c.twin == "" {
-								continue
-							}
-							twin, _ := leafRun(t, c, c.twin, cfg, team)
-							if par && c.traps {
-								// The front end parallelizes the nest with the
-								// pure call and not the twin's; a kernel's trap
-								// text names the chunk it was checking.
-								got.trap, twin.trap = "", ""
-							}
-							if got != twin {
-								t.Errorf("%s: differs from the hand-inlined twin\ngot  %+v\ntwin %+v", label, got, twin)
-							}
-							if !noFuse && twin.fused == 0 {
-								t.Errorf("%s: the twin fuses nothing, the case proves nothing", label)
-							}
+						cfg := Config{
+							Backend: b.backend, Vectorize: b.vectorize, Engine: eng,
+							Memoize: c.memoize, NoCache: true,
+							Parallelize: par,
+							Transform:   transform.Options{MinParallelTrip: -1},
+						}
+						team := rt.NewTeam(1)
+						if par {
+							team = rt.NewTeam(3)
+						}
+						label := fmt.Sprintf("%s engine=%v build=%s par=%v", c.name, eng, b.name, par)
+						got, prog := leafRun(t, c, c.src, cfg, team)
+						if got.out != obuf.String() || got.ret != wantRet || got.vecs != wantVecs || (got.trap != "") != c.traps {
+							t.Errorf("%s: differs from the interpreter\ngot  ret=%d trap=%q\n%s\nwant ret=%d err=%v\n%s",
+								label, got.ret, got.trap, got.out, wantRet, oerr, obuf.String())
+						}
+						if n := prog.InlinedCalls(); n != c.inlined {
+							t.Errorf("%s: InlinedCalls = %d, want %d", label, n, c.inlined)
+						}
+						if c.check != nil {
+							c.check(t, label, prog)
+						}
+						if c.twin == "" {
+							continue
+						}
+						twin, _ := leafRun(t, c, c.twin, cfg, team)
+						if par && c.traps {
+							// The front end parallelizes the nest with the
+							// pure call and not the twin's; a kernel's trap
+							// text names the chunk it was checking.
+							got.trap, twin.trap = "", ""
+						}
+						if got != twin {
+							t.Errorf("%s: differs from the hand-inlined twin\ngot  %+v\ntwin %+v", label, got, twin)
+						}
+						if twin.fused == 0 {
+							t.Errorf("%s: the twin fuses nothing, the case proves nothing", label)
 						}
 					}
 				}

@@ -63,9 +63,8 @@ func snapshotVec(p mem.Pointer, name string, n int) string {
 
 // TestKernelFusionOracle12Processes is the fused-kernel equivalence
 // proof: every kernel workload runs on 12 concurrent Processes (mixed
-// real and simulated teams) of two Programs — fusion on and fusion
-// off — and every output must be bit-identical to the sequential
-// interp oracle. Run under -race in CI: fused parallel workers share
+// real and simulated teams) of its fused Program, and every output must
+// be bit-identical to the sequential interp oracle. Run under -race in CI: fused parallel workers share
 // the parent environment read-only and write disjoint chunk slices.
 func TestKernelFusionOracle12Processes(t *testing.T) {
 	teamSizes := []int{1, 2, 3, 5, 8, 16}
@@ -92,45 +91,38 @@ func TestKernelFusionOracle12Processes(t *testing.T) {
 
 			const procs = 12
 			var wg sync.WaitGroup
-			errs := make(chan error, 2*procs)
-			for _, noFuse := range []bool{false, true} {
-				cfg := withDefs(w.cfg, w.defs)
-				cfg.NoFuse = noFuse
-				prog, _, _, err := BuildProgram(w.src, cfg)
-				if err != nil {
-					t.Fatal(err)
+			errs := make(chan error, procs)
+			prog := first.Program
+			if prog.FusedKernels() == 0 {
+				t.Fatalf("%s: build reports zero fused kernels", w.name)
+			}
+			for p := 0; p < procs; p++ {
+				team := rt.NewTeam(teamSizes[p%len(teamSizes)])
+				if p%2 == 1 {
+					team = rt.NewSimTeam(teamSizes[p%len(teamSizes)])
 				}
-				if !noFuse && prog.FusedKernels() == 0 {
-					t.Fatalf("%s: fused build reports zero fused kernels", w.name)
-				}
-				for p := 0; p < procs; p++ {
-					team := rt.NewTeam(teamSizes[p%len(teamSizes)])
-					if p%2 == 1 {
-						team = rt.NewSimTeam(teamSizes[p%len(teamSizes)])
+				wg.Add(1)
+				go func(team *rt.Team) {
+					defer wg.Done()
+					proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
+					if err != nil {
+						errs <- err
+						return
 					}
-					wg.Add(1)
-					go func(prog *comp.Program, team *rt.Team, noFuse bool) {
-						defer wg.Done()
-						proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-						if err != nil {
-							errs <- err
-							return
-						}
-						if _, err := proc.RunMain(); err != nil {
-							errs <- fmt.Errorf("NoFuse=%v: %v", noFuse, err)
-							return
-						}
-						p, err := proc.GlobalPtr(w.out)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if got := snapshotVec(p, w.out, w.n); got != want {
-							errs <- fmt.Errorf("NoFuse=%v team=%d sim=%v: output differs from oracle",
-								noFuse, team.Size(), team.Simulated())
-						}
-					}(prog, team, noFuse)
-				}
+					if _, err := proc.RunMain(); err != nil {
+						errs <- err
+						return
+					}
+					p, err := proc.GlobalPtr(w.out)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got := snapshotVec(p, w.out, w.n); got != want {
+						errs <- fmt.Errorf("team=%d sim=%v: output differs from oracle",
+							team.Size(), team.Simulated())
+					}
+				}(team)
 			}
 			wg.Wait()
 			close(errs)
@@ -148,9 +140,9 @@ func withDefs(cfg Config, defs map[string]string) Config {
 
 // TestKernelFusionOutOfBoundsEdgeTraps pins the hoisted-range-check
 // contract on the trap side: a stencil whose edge iteration reads one
-// cell past the array must fail as a runtime error with fusion on,
-// with fusion off, and in the interp oracle — never silently read a
-// neighboring allocation.
+// cell past the array must fail as a runtime error in the fused build
+// and in the interp oracle — never silently read a neighboring
+// allocation.
 func TestKernelFusionOutOfBoundsEdgeTraps(t *testing.T) {
 	src := `
 float *x, *y;
@@ -169,17 +161,17 @@ int main(void) {
 }
 `
 	defs := map[string]string{"N": "64"}
-	for _, noFuse := range []bool{false, true} {
-		cfg := Config{NoFuse: noFuse, Defines: defs}
-		res, err := Build(src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := res.Machine.RunMain(); err == nil {
-			t.Fatalf("NoFuse=%v: out-of-bounds stencil edge must trap", noFuse)
-		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
-			t.Fatalf("NoFuse=%v: want RuntimeError, got %T %v", noFuse, err, err)
-		}
+	res, err := Build(src, Config{Defines: defs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Program.FusedKernels() == 0 {
+		t.Fatal("the stencil loop did not fuse")
+	}
+	if _, err := res.Machine.RunMain(); err == nil {
+		t.Fatal("out-of-bounds stencil edge must trap")
+	} else if _, isRT := err.(*comp.RuntimeError); !isRT {
+		t.Fatalf("want RuntimeError, got %T %v", err, err)
 	}
 	// The oracle agrees the program is faulty.
 	art, err := Front(src, Config{Defines: defs})

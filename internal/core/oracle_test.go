@@ -13,8 +13,8 @@ import (
 	"purec/internal/sema"
 )
 
-// TestPuritySoundnessOracle is the dynamic side-effect oracle promised in
-// DESIGN.md: for generated programs, whenever the static purity checker
+// TestPuritySoundnessOracle is the dynamic side-effect oracle of the
+// determinism contract (ARCHITECTURE.md): for generated programs, whenever the static purity checker
 // ACCEPTS a pure-marked function, actually executing that function must
 // not change any observable global state. (The converse does not hold —
 // the checker is deliberately conservative.)
@@ -306,9 +306,9 @@ func runOracle(t *testing.T, src string) (out string, ret int64, trap string) {
 
 // TestAliasingDifferential holds every fused-kernel configuration to
 // the interpreter on the committed reproductions and on generated
-// aliasing loops: {NoFuse, fuse} × {closure, tape} × {gcc,
-// icc+Vectorize}, equal stdout, return value and trap text. Fixed
-// seeds; run under -race in CI.
+// aliasing loops: {closure, tape} × {gcc, icc+Vectorize}, equal
+// stdout, return value and trap text. Fixed seeds; run under -race in
+// CI.
 func TestAliasingDifferential(t *testing.T) {
 	cases := aliasRepros
 	for seed := uint32(0); seed < 160; seed++ {
@@ -317,37 +317,35 @@ func TestAliasingDifferential(t *testing.T) {
 	fusedSomewhere, ptrLeafFused := 0, 0
 	for _, c := range cases {
 		wantOut, wantRet, wantTrap := runOracle(t, c.src)
-		for _, noFuse := range []bool{true, false} {
-			for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-				for _, icc := range []bool{false, true} {
-					cfg := Config{NoFuse: noFuse, Engine: eng, NoCache: true}
-					if icc {
-						cfg.Backend, cfg.Vectorize = comp.BackendICC, true
+		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
+			for _, icc := range []bool{false, true} {
+				cfg := Config{Engine: eng, NoCache: true}
+				if icc {
+					cfg.Backend, cfg.Vectorize = comp.BackendICC, true
+				}
+				prog, _, _, err := BuildProgram(c.src, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", c.name, err, c.src)
+				}
+				if icc && eng == comp.EngineClosure && prog.FusedKernels() > 0 {
+					fusedSomewhere++
+					if strings.Contains(c.src, "((pure float*)c") && prog.InlinedCalls() > 0 {
+						ptrLeafFused++
 					}
-					prog, _, _, err := BuildProgram(c.src, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v\n%s", c.name, err, c.src)
-					}
-					if !noFuse && icc && eng == comp.EngineClosure && prog.FusedKernels() > 0 {
-						fusedSomewhere++
-						if strings.Contains(c.src, "((pure float*)c") && prog.InlinedCalls() > 0 {
-							ptrLeafFused++
-						}
-					}
-					var buf strings.Builder
-					proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &buf})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ret, err := proc.RunMain()
-					trap := ""
-					if err != nil {
-						trap = err.Error()
-					}
-					if buf.String() != wantOut || ret != wantRet || trap != wantTrap {
-						t.Errorf("%s: NoFuse=%v engine=%v icc+vec=%v (%d fused kernels) differs from the interpreter\n%s\ngot  ret=%d trap=%q\n%s\nwant ret=%d trap=%q\n%s",
-							c.name, noFuse, eng, icc, prog.FusedKernels(), c.src, ret, trap, buf.String(), wantRet, wantTrap, wantOut)
-					}
+				}
+				var buf strings.Builder
+				proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &buf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ret, err := proc.RunMain()
+				trap := ""
+				if err != nil {
+					trap = err.Error()
+				}
+				if buf.String() != wantOut || ret != wantRet || trap != wantTrap {
+					t.Errorf("%s: engine=%v icc+vec=%v (%d fused kernels) differs from the interpreter\n%s\ngot  ret=%d trap=%q\n%s\nwant ret=%d trap=%q\n%s",
+						c.name, eng, icc, prog.FusedKernels(), c.src, ret, trap, buf.String(), wantRet, wantTrap, wantOut)
 				}
 			}
 		}

@@ -22,6 +22,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -54,7 +55,7 @@ const (
 
 // Config controls one pipeline run. The compile-relevant fields (Mode,
 // Defines, Files, Parallelize, Transform, Backend, Engine, Vectorize,
-// NoFuse, NoBCE, NoAlias, Memoize, MemoCapacity) form the
+// NoAlias, Memoize, MemoCapacity) form the
 // content-addressed program-cache key; TeamSize, Stdout and the cache
 // controls are run state and never affect the compiled Program.
 type Config struct {
@@ -82,21 +83,6 @@ type Config struct {
 	// Vectorize enables the PluTo-SICA SIMD analog: fused-kernel
 	// compilation of canonical reduction loops anywhere in the program.
 	Vectorize bool
-	// NoFuse disables the kernel-fusion engine (fusion is on by
-	// default): element-wise affine innermost loops and the
-	// ICC/Vectorize reduction kernels then execute through
-	// per-iteration statement dispatch. Results are bit-identical either
-	// way; the knob exists for A/B measurement (purebench Fig T1).
-	// Compile-relevant: part of the program-cache key.
-	NoFuse bool
-	// NoBCE disables bounds-check elimination (elision is on by
-	// default): the compiled Program then keeps every runtime range
-	// check even for accesses the value-range analysis proved safe.
-	// Results are bit-identical either way — elision is only applied to
-	// checks that provably never fire — so the knob exists for A/B
-	// measurement (purebench Fig B1) and for debugging the analysis.
-	// Compile-relevant: part of the program-cache key.
-	NoBCE bool
 	// NoAlias disables the points-to analysis (alias resolution is on
 	// by default): the SCoP detector then treats every pointer-based
 	// access conservatively, so nests reading or writing through
@@ -303,7 +289,7 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	// PC-PosPro: lower pure to plain C and re-insert system includes.
 	lowered, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
 	if err != nil {
-		return nil, fmt.Errorf("internal: transformed source does not reparse: %v", err)
+		return nil, reparseError("transformed source does not reparse", err)
 	}
 	StripPure(lowered)
 	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.Print(lowered), includes)
@@ -316,7 +302,7 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	// hands to GCC.
 	finalFile, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
 	if err != nil {
-		return nil, fmt.Errorf("internal: final source does not reparse: %v", err)
+		return nil, reparseError("final source does not reparse", err)
 	}
 	finalInfo, err := sema.Check(finalFile)
 	if err != nil {
@@ -332,6 +318,18 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		res.Memoizable = append(res.Memoizable, name)
 	}
 	return res, nil
+}
+
+// reparseError reports a failed re-parse of the generated source. A
+// nesting limit is the source's fault, not the chain's: tiling adds
+// loop levels, so a nest near the limit can pass the first parse and
+// exceed it on the re-parse, and that fails as the same parse error.
+func reparseError(what string, err error) error {
+	var pe *parser.Error
+	if errors.As(err, &pe) && pe.TooDeep {
+		return fmt.Errorf("parse: %v", err)
+	}
+	return fmt.Errorf("internal: %s: %v", what, err)
 }
 
 // markBoundedStars transfers the analysis' bounds proofs onto the star
@@ -371,8 +369,6 @@ func (a *Artifact) Compile(cfg Config) (*comp.Program, error) {
 		Backend:      cfg.Backend,
 		Engine:       cfg.Engine,
 		Vectorize:    cfg.Vectorize,
-		NoFuse:       cfg.NoFuse,
-		NoBCE:        cfg.NoBCE,
 		Proofs:       proofs,
 		Memoize:      cfg.Memoize,
 		Memoizable:   a.Memoizable,

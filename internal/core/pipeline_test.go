@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"purec/internal/comp"
+	"purec/internal/parser"
 	"purec/internal/transform"
 )
 
@@ -211,5 +212,24 @@ func TestTilingThroughPipeline(t *testing.T) {
 	want, _ := seq.Machine.RunMain()
 	if got != want {
 		t.Fatalf("tiled result %d want %d", got, want)
+	}
+}
+
+// A nest at the statement-nesting limit passes the first parse; tiling
+// adds loop levels, so the re-parse of the transformed source exceeds
+// the limit. That is the source's parse error, not an internal
+// one.
+func TestTilingPastTheNestingLimitIsAParseError(t *testing.T) {
+	depth := parser.MaxStmtDepth - 2 // the i and j loops fill the last two levels
+	src := "float A[64][64];\nint main(void) {\n" + strings.Repeat("{\n", depth) +
+		"for (int i = 0; i < 64; i++)\n for (int j = 0; j < 64; j++)\n A[i][j] = A[i][j] + 1.0f;\n" +
+		strings.Repeat("}\n", depth) + "return 0;\n}\n"
+	if _, err := parser.Parse("t.c", src); err != nil {
+		t.Fatalf("the source itself must parse: %v", err)
+	}
+	_, err := Front(src, Config{Parallelize: true, Transform: transform.Options{Tile: true}})
+	if err == nil || !strings.HasPrefix(err.Error(), "parse: ") ||
+		!strings.Contains(err.Error(), "statement nesting exceeds 127 levels") {
+		t.Fatalf("tiled: %v, want the parse error of the nesting limit", err)
 	}
 }

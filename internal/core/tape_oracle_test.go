@@ -12,9 +12,9 @@ import (
 	"purec/internal/transform"
 )
 
-// tapeWorkloads are the Fig T1 programs sized down for tests: the
-// element-wise kernels plus the non-canonical branchy body, the one
-// workload whose every iteration runs on the statement engine.
+// tapeWorkloads are the kernel workloads plus the non-canonical branchy
+// body, the one workload whose every iteration runs on the statement
+// engine, sized down for tests.
 func tapeWorkloads() []struct {
 	name string
 	src  string
@@ -36,10 +36,10 @@ func tapeWorkloads() []struct {
 }
 
 // TestTapeEngineOracle12Processes is the tape-backend equivalence
-// proof: every Fig T1 workload runs on 12 concurrent Processes (mixed
+// proof: every tape workload runs on 12 concurrent Processes (mixed
 // real and simulated teams, all loop schedules) of tape-engine
-// Programs — fusion on and fusion off — and every output must be
-// bit-identical to the sequential interp oracle. Run under -race in
+// Programs, and every output must be bit-identical to the sequential
+// interp oracle. Run under -race in
 // CI: tape workers clone the environment slice headers but share the
 // constant pools and instruction array read-only.
 func TestTapeEngineOracle12Processes(t *testing.T) {
@@ -67,48 +67,44 @@ func TestTapeEngineOracle12Processes(t *testing.T) {
 			want := snapshotVec(op, w.out, w.n)
 
 			var wg sync.WaitGroup
-			errs := make(chan error, 2*len(schedules)*3)
-			for _, noFuse := range []bool{false, true} {
-				for si, sched := range schedules {
-					cfg := withDefs(w.cfg, w.defs)
-					cfg.NoFuse = noFuse
-					cfg.Engine = comp.EngineTape
-					cfg.Transform = transform.Options{Schedule: sched}
-					prog, _, _, err := BuildProgram(w.src, cfg)
-					if err != nil {
-						t.Fatal(err)
+			errs := make(chan error, len(schedules)*3)
+			for si, sched := range schedules {
+				cfg := withDefs(w.cfg, w.defs)
+				cfg.Engine = comp.EngineTape
+				cfg.Transform = transform.Options{Schedule: sched}
+				prog, _, _, err := BuildProgram(w.src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 3 processes per schedule: 12 concurrent processes.
+				for p := 0; p < 3; p++ {
+					idx := si*3 + p
+					team := rt.NewTeam(teamSizes[idx%len(teamSizes)])
+					if idx%2 == 1 {
+						team = rt.NewSimTeam(teamSizes[idx%len(teamSizes)])
 					}
-					// 3 processes per (noFuse, schedule) build:
-					// 12 concurrent processes per fusion mode.
-					for p := 0; p < 3; p++ {
-						idx := si*3 + p
-						team := rt.NewTeam(teamSizes[idx%len(teamSizes)])
-						if idx%2 == 1 {
-							team = rt.NewSimTeam(teamSizes[idx%len(teamSizes)])
+					wg.Add(1)
+					go func(prog *comp.Program, team *rt.Team, sched string) {
+						defer wg.Done()
+						proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
+						if err != nil {
+							errs <- err
+							return
 						}
-						wg.Add(1)
-						go func(prog *comp.Program, team *rt.Team, noFuse bool, sched string) {
-							defer wg.Done()
-							proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-							if err != nil {
-								errs <- err
-								return
-							}
-							if _, err := proc.RunMain(); err != nil {
-								errs <- fmt.Errorf("NoFuse=%v sched=%q: %v", noFuse, sched, err)
-								return
-							}
-							p, err := proc.GlobalPtr(w.out)
-							if err != nil {
-								errs <- err
-								return
-							}
-							if got := snapshotVec(p, w.out, w.n); got != want {
-								errs <- fmt.Errorf("NoFuse=%v sched=%q team=%d sim=%v: output differs from oracle",
-									noFuse, sched, team.Size(), team.Simulated())
-							}
-						}(prog, team, noFuse, sched)
-					}
+						if _, err := proc.RunMain(); err != nil {
+							errs <- fmt.Errorf("sched=%q: %v", sched, err)
+							return
+						}
+						p, err := proc.GlobalPtr(w.out)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if got := snapshotVec(p, w.out, w.n); got != want {
+							errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
+								sched, team.Size(), team.Simulated())
+						}
+					}(prog, team, sched)
 				}
 			}
 			wg.Wait()
@@ -123,7 +119,9 @@ func TestTapeEngineOracle12Processes(t *testing.T) {
 // TestTapeEngineTrapParity pins the trap side of the engine contract:
 // faulty programs must fail as runtime errors on the tape engine
 // exactly as they do on the closure engine and in the interp oracle —
-// same fault, never a silent wrong answer.
+// same fault, never a silent wrong answer. The loop bodies are doubly
+// braced, a form the matcher rejects, so the statement engines
+// themselves run them.
 func TestTapeEngineTrapParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -133,8 +131,9 @@ func TestTapeEngineTrapParity(t *testing.T) {
 float *y;
 int main(void) {
     y = (float*)malloc(8 * sizeof(float));
-    for (int i = 0; i <= 8; i++)
-        y[i] = 1.0f;
+    for (int i = 0; i <= 8; i++) {
+        { y[i] = 1.0f; }
+    }
     return 0;
 }
 `},
@@ -143,8 +142,9 @@ int d;
 int main(void) {
     d = 0;
     int s = 0;
-    for (int i = 0; i < 4; i++)
-        s = s + i / d;
+    for (int i = 0; i < 4; i++) {
+        { s = s + i / d; }
+    }
     return s;
 }
 `},
@@ -160,9 +160,12 @@ int main(void) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-				res, err := Build(tc.src, Config{Engine: eng, NoFuse: true})
+				res, err := Build(tc.src, Config{Engine: eng})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Program.FusedKernels() != 0 {
+					t.Fatalf("engine=%v: the loop fused", eng)
 				}
 				if _, err := res.Machine.RunMain(); err == nil {
 					t.Fatalf("engine=%v: faulty program must trap", eng)

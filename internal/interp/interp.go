@@ -126,8 +126,18 @@ func New(info *sema.Info, stdout io.Writer) (*Interp, error) {
 	return in, nil
 }
 
-// Reset reinitializes globals.
-func (in *Interp) Reset() error {
+// Reset reinitializes globals. A global array over mem.MaxSegmentCells
+// is an "interp runtime error", as a trap during a call would be.
+func (in *Interp) Reset() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			trap, ok := r.(mem.Trap)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("interp runtime error: %s", trap)
+		}
+	}()
 	in.heap.Reset()
 	for _, g := range in.info.Globals {
 		c := &cell{sym: g}

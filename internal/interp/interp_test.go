@@ -125,6 +125,16 @@ func TestRuntimeErrorsTrapped(t *testing.T) {
 		// Go's own fault text already starts with "runtime error: ".
 		{"int main(void) { int *p = (int*)malloc(4 * sizeof(int)); p[9] = 3; return 0; }",
 			"interp runtime error: index out of range [9] with length 4"},
+		// Allocations outside [0, mem.MaxSegmentCells]; a global one
+		// fails New itself.
+		{"float big[100000000000]; int main(void) { big[0] = 1.0f; return 0; }",
+			"interp runtime error: allocation of 100000000000 cells exceeds the 268435456-cell limit"},
+		{"int main(void) { float big[100000000000]; big[0] = 1.0f; return 0; }",
+			"interp runtime error: allocation of 100000000000 cells exceeds the 268435456-cell limit"},
+		{"int main(void) { float *p = (float*)malloc(35184372088832 * sizeof(float)); return 0; }",
+			"interp runtime error: allocation of 35184372088832 cells exceeds the 268435456-cell limit"},
+		{"int main(void) { int n = -4; int *p = (int*)malloc(n * sizeof(int)); return 0; }",
+			"interp runtime error: allocation of negative size (-4 cells)"},
 	} {
 		f, _ := parser.Parse("t.c", c.src)
 		info, err := sema.Check(f)
@@ -132,10 +142,10 @@ func TestRuntimeErrorsTrapped(t *testing.T) {
 			t.Fatal(err)
 		}
 		in, err := New(info, nil)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			_, err = in.RunMain()
 		}
-		if _, err = in.RunMain(); err == nil || err.Error() != c.want {
+		if err == nil || err.Error() != c.want {
 			t.Errorf("got %v, want %q", err, c.want)
 		}
 	}

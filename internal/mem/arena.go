@@ -87,7 +87,9 @@ func (a *Arena) takePtr(n int) []Pointer {
 // backing storage from the free lists when a previous run released a
 // same-size slice. The Segment struct itself is always fresh — struct
 // identity is what poisoning hangs off, so structs are never reused.
+// The size rule is NewSegment's.
 func (a *Arena) NewSegment(k CellKind, n int, name string) *Segment {
+	checkCells(n)
 	s := &Segment{Kind: k, Name: name}
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -36,6 +36,31 @@ func StackOverflow() string {
 	return fmt.Sprintf("stack overflow: call depth exceeds %d", MaxCallDepth)
 }
 
+// MaxSegmentCells bounds one guest allocation. A global, local or
+// malloc'd segment of more cells — or of a negative count — traps
+// instead of asking the Go runtime for storage it cannot have, which
+// is an unrecoverable fatal error that takes the whole process down.
+// At 8 bytes a cell the cap is 2 GiB per backing slice; the largest
+// allocation of the bundled applications and benchmarks is 2 Mi cells.
+const MaxSegmentCells = 1 << 28
+
+// Trap is a guest fault raised inside mem. The interpreter and both
+// compiled engines report it as a runtime error with exactly this text.
+type Trap string
+
+// Error returns the trap text.
+func (t Trap) Error() string { return string(t) }
+
+// checkCells is the size rule every segment allocation passes.
+func checkCells(n int) {
+	if n < 0 {
+		panic(Trap(fmt.Sprintf("allocation of negative size (%d cells)", n)))
+	}
+	if n > MaxSegmentCells {
+		panic(Trap(fmt.Sprintf("allocation of %d cells exceeds the %d-cell limit", n, MaxSegmentCells)))
+	}
+}
+
 // CellKind is the element type of a segment.
 type CellKind int
 
@@ -67,8 +92,10 @@ type Segment struct {
 	freed atomic.Bool
 }
 
-// NewSegment allocates a segment of n cells of kind k.
+// NewSegment allocates a segment of n cells of kind k. A size outside
+// [0, MaxSegmentCells] panics with a Trap.
 func NewSegment(k CellKind, n int, name string) *Segment {
+	checkCells(n)
 	s := &Segment{Kind: k, Name: name}
 	switch k {
 	case CellInt:

@@ -18,10 +18,28 @@ import (
 	"purec/internal/token"
 )
 
-// Error is a parse error with position information.
+// MaxStmtDepth bounds statement nesting inside a function body: a
+// block, if, for, while, do or switch nested deeper is a parse error.
+// 127 is the nesting every C99 implementation must accept
+// (§5.2.4.1). Later passes recurse over the tree and print it indented,
+// so an unbounded nest would cost time and memory quadratic in its
+// depth.
+const MaxStmtDepth = 127
+
+// MaxExprDepth bounds the depth of an expression tree: operands of
+// unary operators, parentheses, casts, the right-hand sides of
+// assignments and conditionals, and every link of an operator chain
+// such as 1+1+…+1 or a[0][0]… count one level each. Later passes
+// recurse over the tree, so an unbounded depth would overflow the Go
+// stack.
+const MaxExprDepth = 1024
+
+// Error is a parse error with position information. TooDeep marks an
+// error of a nesting limit (MaxStmtDepth, MaxExprDepth).
 type Error struct {
-	Pos token.Pos
-	Msg string
+	Pos     token.Pos
+	Msg     string
+	TooDeep bool
 }
 
 // Error implements the error interface.
@@ -70,6 +88,10 @@ type parser struct {
 	// structTags collects struct names declared so far so that
 	// "struct x" type references can be validated early.
 	structTags map[string]bool
+
+	// stmtDepth and exprDepth are the current statement and expression
+	// nesting (MaxStmtDepth, MaxExprDepth).
+	stmtDepth, exprDepth int
 }
 
 func (p *parser) tok() token.Token { return p.toks[p.pos] }
@@ -107,6 +129,20 @@ func (p *parser) expect(k token.Kind) (token.Token, error) {
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &Error{Pos: p.tok().Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// deeper enters one more level of expression nesting; the caller
+// restores exprDepth when the level is done.
+func (p *parser) deeper() error {
+	if p.exprDepth++; p.exprDepth > MaxExprDepth {
+		return p.tooDeep("expression", MaxExprDepth)
+	}
+	return nil
+}
+
+// tooDeep is the error of a nesting limit.
+func (p *parser) tooDeep(what string, limit int) error {
+	return &Error{Pos: p.tok().Pos, Msg: fmt.Sprintf("%s nesting exceeds %d levels", what, limit), TooDeep: true}
 }
 
 // ----------------------------------------------------------------------------
@@ -530,22 +566,20 @@ func (p *parser) blockStmt() (*ast.BlockStmt, error) {
 
 func (p *parser) stmt() (ast.Stmt, error) {
 	switch p.tok().Kind {
+	case token.LBRACE, token.IF, token.FOR, token.WHILE, token.DO, token.SWITCH:
+		if p.stmtDepth == MaxStmtDepth {
+			return nil, p.tooDeep("statement", MaxStmtDepth)
+		}
+		p.stmtDepth++
+		s, err := p.compoundStmt()
+		p.stmtDepth--
+		return s, err
 	case token.PRAGMA:
 		t := p.next()
 		return &ast.PragmaStmt{PragmaPos: t.Pos, Text: t.Lit}, nil
 	case token.SEMI:
 		t := p.next()
 		return &ast.EmptyStmt{SemiPos: t.Pos}, nil
-	case token.LBRACE:
-		return p.blockStmt()
-	case token.IF:
-		return p.ifStmt()
-	case token.FOR:
-		return p.forStmt()
-	case token.WHILE:
-		return p.whileStmt()
-	case token.DO:
-		return p.doStmt()
 	case token.RETURN:
 		t := p.next()
 		rs := &ast.ReturnStmt{RetPos: t.Pos}
@@ -572,8 +606,6 @@ func (p *parser) stmt() (ast.Stmt, error) {
 			return nil, err
 		}
 		return &ast.ContinueStmt{ContPos: t.Pos}, nil
-	case token.SWITCH:
-		return p.switchStmt()
 	}
 	if p.isTypeStart() {
 		ds, err := p.declStmt()
@@ -591,6 +623,23 @@ func (p *parser) stmt() (ast.Stmt, error) {
 		return nil, err
 	}
 	return &ast.ExprStmt{X: x}, nil
+}
+
+// compoundStmt parses a statement that contains statements.
+func (p *parser) compoundStmt() (ast.Stmt, error) {
+	switch p.tok().Kind {
+	case token.IF:
+		return p.ifStmt()
+	case token.FOR:
+		return p.forStmt()
+	case token.WHILE:
+		return p.whileStmt()
+	case token.DO:
+		return p.doStmt()
+	case token.SWITCH:
+		return p.switchStmt()
+	}
+	return p.blockStmt()
 }
 
 func (p *parser) declStmt() (*ast.DeclStmt, error) {
@@ -805,7 +854,12 @@ func (p *parser) assignExpr() (ast.Expr, error) {
 	}
 	if p.tok().Kind.IsAssignOp() {
 		op := p.next().Kind
+		depth := p.exprDepth
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.assignExpr()
+		p.exprDepth = depth
 		if err != nil {
 			return nil, err
 		}
@@ -822,6 +876,10 @@ func (p *parser) condExpr() (ast.Expr, error) {
 	if !p.accept(token.QUESTION) {
 		return cond, nil
 	}
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	defer func() { p.exprDepth-- }()
 	then, err := p.expr()
 	if err != nil {
 		return nil, err
@@ -836,7 +894,11 @@ func (p *parser) condExpr() (ast.Expr, error) {
 	return &ast.CondExpr{Cond: cond, Then: then, Else: els}, nil
 }
 
+// binExpr parses a precedence-climbing operator chain; every link
+// deepens the (left-leaning) tree by one level.
 func (p *parser) binExpr(minPrec int) (ast.Expr, error) {
+	depth := p.exprDepth
+	defer func() { p.exprDepth = depth }()
 	lhs, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
@@ -848,6 +910,9 @@ func (p *parser) binExpr(minPrec int) (ast.Expr, error) {
 			return lhs, nil
 		}
 		p.next()
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.binExpr(prec + 1)
 		if err != nil {
 			return nil, err
@@ -856,7 +921,17 @@ func (p *parser) binExpr(minPrec int) (ast.Expr, error) {
 	}
 }
 
+// unaryExpr parses one operand, one level deeper than its parent.
 func (p *parser) unaryExpr() (ast.Expr, error) {
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	x, err := p.unary()
+	p.exprDepth--
+	return x, err
+}
+
+func (p *parser) unary() (ast.Expr, error) {
 	t := p.tok()
 	switch t.Kind {
 	case token.ADD:
@@ -932,12 +1007,22 @@ func (p *parser) typeStartAfterLParen() bool {
 	return false
 }
 
+// postfixExpr parses a primary expression and its postfix chain; every
+// link deepens the tree by one level.
 func (p *parser) postfixExpr() (ast.Expr, error) {
+	depth := p.exprDepth
+	defer func() { p.exprDepth = depth }()
 	x, err := p.primaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		switch p.tok().Kind {
+		case token.LBRACK, token.LPAREN, token.DOT, token.ARROW, token.INC, token.DEC:
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
+		}
 		switch p.tok().Kind {
 		case token.LBRACK:
 			p.next()

@@ -460,3 +460,49 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
+
+// The nesting limits hold at their boundary and fail past it with an
+// error that names the limit.
+func TestNestingLimits(t *testing.T) {
+	blocks := func(n int) string {
+		return "int main(void) {" + strings.Repeat("{", n) + strings.Repeat("}", n) + "return 0; }"
+	}
+	parens := func(n int) string {
+		return "int main(void) { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+	}
+	chain := func(n int) string {
+		return "int main(void) { return 1" + strings.Repeat("+1", n) + "; }"
+	}
+	for _, c := range []struct {
+		name  string
+		src   string
+		limit string // "" when the source must parse
+	}{
+		{"blocks-at-limit", blocks(MaxStmtDepth), ""},
+		{"blocks-past-limit", blocks(MaxStmtDepth + 1), "statement nesting exceeds 127 levels"},
+		{"ifs-past-limit", "int main(void) {" + strings.Repeat("if (1) ", MaxStmtDepth+1) + "return 0; }",
+			"statement nesting exceeds 127 levels"},
+		{"parens-under-limit", parens(MaxExprDepth - 8), ""},
+		{"parens-past-limit", parens(MaxExprDepth), "expression nesting exceeds 1024 levels"},
+		{"chain-under-limit", chain(MaxExprDepth - 8), ""},
+		{"chain-past-limit", chain(MaxExprDepth), "expression nesting exceeds 1024 levels"},
+		{"index-chain-past-limit", "int main(void) { int *a; return a" + strings.Repeat("[0]", MaxExprDepth) + "; }",
+			"expression nesting exceeds 1024 levels"},
+		{"assign-chain-past-limit", "int main(void) { int a; " + strings.Repeat("a = ", MaxExprDepth) + "1; return a; }",
+			"expression nesting exceeds 1024 levels"},
+		{"cond-chain-past-limit", "int main(void) { return " + strings.Repeat("1 ? ", MaxExprDepth) + "1" + strings.Repeat(" : 0", MaxExprDepth) + "; }",
+			"expression nesting exceeds 1024 levels"},
+	} {
+		_, err := Parse("t.c", c.src)
+		if c.limit == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		pe, ok := err.(*Error)
+		if !ok || !pe.TooDeep || !strings.Contains(pe.Msg, c.limit) {
+			t.Errorf("%s: %v, want a nesting error naming %q", c.name, err, c.limit)
+		}
+	}
+}

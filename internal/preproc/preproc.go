@@ -44,6 +44,20 @@ func ReinsertSystemIncludes(src string, includes []string) string {
 	return strings.Join(includes, "\n") + "\n" + src
 }
 
+// MaxExpansion bounds the text one Expand produces, intermediate
+// rescans of a line included: four times purecd's default request-body
+// cap. A few doubling #defines (M1 = M0+M0, M2 = M1+M1, …) reach
+// gigabytes, so expansion stops at the budget with an error instead of
+// exhausting memory.
+const MaxExpansion = 16 << 20
+
+// errExpansion is the error of an expansion over MaxExpansion.
+var errExpansion = fmt.Errorf("macro expansion exceeds %d bytes", MaxExpansion)
+
+// maxCondDepth bounds the nesting of a #if expression (parentheses and
+// unary operators), which is evaluated recursively.
+const maxCondDepth = 1024
+
 type macro struct {
 	params   []string // nil for object-like macros
 	body     string
@@ -115,8 +129,15 @@ func (e *Expander) expand(src string, depth int) (string, error) {
 		t := strings.TrimSpace(line)
 		if !strings.HasPrefix(t, "#") {
 			if active() {
-				out.WriteString(e.expandLine(line, 0))
+				x, err := e.expandLine(line, 0)
+				if err != nil {
+					return "", err
+				}
+				out.WriteString(x)
 				out.WriteByte('\n')
+				if out.Len() > MaxExpansion {
+					return "", errExpansion
+				}
 			}
 			continue
 		}
@@ -146,6 +167,9 @@ func (e *Expander) expand(src string, depth int) (string, error) {
 			out.WriteString(sub)
 			if !strings.HasSuffix(sub, "\n") {
 				out.WriteByte('\n')
+			}
+			if out.Len() > MaxExpansion {
+				return "", errExpansion
 			}
 		case "define":
 			if active() {
@@ -269,10 +293,11 @@ func isIdentStart(c byte) bool {
 }
 
 // expandLine performs token-boundary macro substitution on one source
-// line, iterating until no macro names remain (bounded by MaxDepth).
-func (e *Expander) expandLine(line string, depth int) string {
+// line, iterating until no macro names remain (bounded by MaxDepth and
+// MaxExpansion).
+func (e *Expander) expandLine(line string, depth int) (string, error) {
 	if depth >= e.MaxDepth {
-		return line
+		return line, nil
 	}
 	var out strings.Builder
 	i := 0
@@ -314,6 +339,9 @@ func (e *Expander) expandLine(line string, depth int) string {
 			}
 			if !m.funcLike {
 				out.WriteString(m.body)
+				if out.Len() > MaxExpansion {
+					return "", errExpansion
+				}
 				changed = true
 				i = j
 				continue
@@ -334,7 +362,9 @@ func (e *Expander) expandLine(line string, depth int) string {
 				i = j
 				continue
 			}
-			out.WriteString(substParams(m, args))
+			if !substParams(&out, m, args) {
+				return "", errExpansion
+			}
 			changed = true
 			i = end
 		default:
@@ -346,7 +376,7 @@ func (e *Expander) expandLine(line string, depth int) string {
 	if changed {
 		return e.expandLine(res, depth+1)
 	}
-	return res
+	return res, nil
 }
 
 // parseArgs parses a balanced macro argument list starting at the '(' at
@@ -386,11 +416,11 @@ func parseArgs(line string, k int) ([]string, int, bool) {
 	return nil, i, false
 }
 
-// substParams substitutes macro parameters into the body at identifier
-// boundaries.
-func substParams(m macro, args []string) string {
+// substParams writes the body with the parameters substituted at
+// identifier boundaries to out; it reports false once out exceeds
+// MaxExpansion.
+func substParams(out *strings.Builder, m macro, args []string) bool {
 	body := m.body
-	var out strings.Builder
 	i := 0
 	for i < len(body) {
 		if isIdentStart(body[i]) {
@@ -402,10 +432,15 @@ func substParams(m macro, args []string) string {
 			replaced := false
 			for pi, pn := range m.params {
 				if word == pn && pi < len(args) {
-					out.WriteString("(" + args[pi] + ")")
+					out.WriteByte('(')
+					out.WriteString(args[pi])
+					out.WriteByte(')')
 					replaced = true
 					break
 				}
+			}
+			if out.Len() > MaxExpansion {
+				return false
 			}
 			if !replaced {
 				out.WriteString(word)
@@ -416,7 +451,7 @@ func substParams(m macro, args []string) string {
 		out.WriteByte(body[i])
 		i++
 	}
-	return out.String()
+	return true
 }
 
 // evalCond evaluates a #if condition: integers, defined(X), !, &&, ||,
@@ -456,7 +491,10 @@ func (e *Expander) evalCond(rest string) (bool, error) {
 		}
 		s = s[:idx] + val + s[end:]
 	}
-	s = e.expandLine(s, 0)
+	s, err := e.expandLine(s, 0)
+	if err != nil {
+		return false, err
+	}
 	v, err := evalIntExpr(s)
 	if err != nil {
 		return false, err
@@ -480,8 +518,9 @@ func evalIntExpr(s string) (int64, error) {
 }
 
 type condParser struct {
-	s string
-	i int
+	s     string
+	i     int
+	depth int
 }
 
 func (p *condParser) skip() {
@@ -649,6 +688,10 @@ func (p *condParser) mulExpr() (int64, error) {
 }
 
 func (p *condParser) unary() (int64, error) {
+	if p.depth++; p.depth > maxCondDepth {
+		return 0, fmt.Errorf("#if expression nesting exceeds %d levels", maxCondDepth)
+	}
+	defer func() { p.depth-- }()
 	p.skip()
 	if p.has("!") {
 		v, err := p.unary()

@@ -1,6 +1,7 @@
 package preproc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -209,5 +210,28 @@ func TestContinuationLines(t *testing.T) {
 func TestUnterminatedIfError(t *testing.T) {
 	if _, err := Expand("#ifdef A\nint x;\n"); err == nil {
 		t.Fatal("expected unterminated #if error")
+	}
+}
+
+// Doubling macros stop at the expansion budget, and a deeply nested
+// #if expression at its depth bound, each with an error naming the
+// limit.
+func TestExpansionLimits(t *testing.T) {
+	var bomb strings.Builder
+	bomb.WriteString("#define M0 1\n")
+	for i := 1; i <= 30; i++ {
+		fmt.Fprintf(&bomb, "#define M%d M%d+M%d\n", i, i-1, i-1)
+	}
+	bomb.WriteString("int x = M30;\n")
+	deepIf := "#if " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "\n#endif\n"
+	for _, c := range []struct{ name, src, limit string }{
+		{"doubling-macros", bomb.String(), "macro expansion exceeds 16777216 bytes"},
+		{"function-like-fanout", "#define F(x) x x x x x x x x x x x x x x x x\nint x = F(F(F(F(F(F(F(1)))))));\n",
+			"macro expansion exceeds 16777216 bytes"},
+		{"deep-if", deepIf, "#if expression nesting exceeds 1024 levels"},
+	} {
+		if _, err := Expand(c.src); err == nil || !strings.Contains(err.Error(), c.limit) {
+			t.Errorf("%s: %v, want an error naming %q", c.name, err, c.limit)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func ParseOmpReductions(pragma string) []ReductionClause {
 //
 // Simulated mode is how the benchmark harness reproduces the paper's
 // 64-core scaling curves on hosts with fewer cores: it is a substitution
-// for the paper's hardware (documented in DESIGN.md). List scheduling of
+// for the paper's hardware (ARCHITECTURE.md, internal/rt). List scheduling of
 // measured chunk times models exactly the effects the paper discusses —
 // static block imbalance on the satellite workload versus dynamic,1
 // stealing, and the end-of-matrix skew of the LAMA rows.
@@ -319,8 +319,8 @@ func (t *Team) ParallelForReduce(lo, hi int64, sched Schedule, chunk int,
 // array copy — is allocated lazily, on the worker's first chunk, and
 // the combine pass visits only workers that executed work. Allocating
 // and folding an O(len) copy per worker is the dominant overhead of
-// array reductions (the paper-scale tradeoff purebench Fig A1
-// measures), so workers that never receive a chunk must not pay it.
+// array reductions (the benchmark's rt.reduce_array_us.bins4096.t2
+// measures it), so workers that never receive a chunk must not pay it.
 //
 // alloc(w) returns worker w's private copy (must be non-nil); body
 // folds a chunk into it; after the join combine(w, acc) runs in worker

@@ -58,9 +58,6 @@ type Options struct {
 	// PoolSize bounds the idle Processes retained per program (default
 	// MaxConcurrent).
 	PoolSize int
-	// NoPool disables Process reuse: every run gets a fresh Process
-	// (the cold-path A/B of Fig S1).
-	NoPool bool
 	// CacheDir, when set, layers a persistent on-disk program cache
 	// under the in-memory one, so a restarted daemon serves previously
 	// built programs without re-entering the compile chain.
@@ -398,24 +395,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if cores < 1 {
 		cores = 1
 	}
-	var proc *comp.Process
-	poolState := "fresh"
-	if s.opts.NoPool {
-		proc, err = prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(cores)})
-	} else {
-		pool, _ := s.programState(key, prog, cores)
-		before := pool.Stats().Reuses
-		proc, err = pool.Get()
-		if err == nil {
-			if pool.Stats().Reuses > before {
-				poolState = "reused"
-			}
-			defer pool.Put(proc)
-		}
-	}
+	pool, _ := s.programState(key, prog, cores)
+	before := pool.Stats().Reuses
+	proc, err := pool.Get()
 	if err != nil {
+		// A global array past mem.MaxSegmentCells traps while the
+		// Process lays out its globals: a guest fault like any other.
+		var trap *comp.RuntimeError
+		if errors.As(err, &trap) {
+			s.reqs.Trapped.Add(1)
+			jsonError(w, http.StatusUnprocessableEntity, "run: %v", err)
+			return
+		}
 		jsonError(w, http.StatusInternalServerError, "process: %v", err)
 		return
+	}
+	defer pool.Put(proc)
+	poolState := "fresh"
+	if pool.Stats().Reuses > before {
+		poolState = "reused"
 	}
 	// Pools hand back the Process with whatever team it was created
 	// with; honor this request's core count.

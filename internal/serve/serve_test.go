@@ -587,3 +587,46 @@ func TestStatsTellRejectionReasons(t *testing.T) {
 		t.Fatalf("disk stats after the rebuild = %+v, want 2 clean hits", st)
 	}
 }
+
+// TestHostileSourcesAreRejected posts sources that once took the whole
+// process down — a Go fatal error (out of memory, stack overflow) no
+// recover can catch — and requires each to be answered with a 4xx
+// naming the limit it hit, after which the daemon still serves.
+func TestHostileSourcesAreRejected(t *testing.T) {
+	var bomb strings.Builder
+	bomb.WriteString("#define M0 1\n")
+	for i := 1; i <= 30; i++ {
+		fmt.Fprintf(&bomb, "#define M%d M%d+M%d\n", i, i-1, i-1)
+	}
+	bomb.WriteString("int main(void) { return M30; }\n")
+	for _, c := range []struct {
+		name, src, limit string
+	}{
+		{"global-array", "float big[100000000000];\nint main(void) { big[0] = 1.0f; return 0; }",
+			"exceeds the 268435456-cell limit"},
+		{"local-array", "int main(void) { float big[100000000000]; big[0] = 1.0f; return 0; }",
+			"exceeds the 268435456-cell limit"},
+		{"malloc", "int main(void) { float *p = (float*)malloc(35184372088832 * sizeof(float)); p[0] = 1.0f; return 0; }",
+			"exceeds the 268435456-cell limit"},
+		{"negative-malloc", "int main(void) { int n = -4; int *p = (int*)malloc(n * sizeof(int)); return 0; }",
+			"allocation of negative size"},
+		{"nested-blocks", "int main(void) " + strings.Repeat("{", 10000) + strings.Repeat("}", 10000),
+			"statement nesting exceeds 127 levels"},
+		{"nested-parens", "int main(void) { return " + strings.Repeat("(", 1000000) + "1" + strings.Repeat(")", 1000000) + "; }",
+			"expression nesting exceeds 1024 levels"},
+		{"operator-chain", "int main(void) { int x = 1" + strings.Repeat("+1", 1000000) + "; return x; }",
+			"expression nesting exceeds 1024 levels"},
+		{"macro-bomb", bomb.String(), "macro expansion exceeds 16777216 bytes"},
+	} {
+		_, ts := newTestServer(t, Options{})
+		resp := post(t, ts, RunRequest{Source: c.src})
+		body := readBody(t, resp)
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 || !strings.Contains(body, c.limit) {
+			t.Errorf("%s: %d %s, want a 4xx naming %q", c.name, resp.StatusCode, body, c.limit)
+		}
+		resp = post(t, ts, RunRequest{Source: serveSrc})
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK || body != "sum=85344\n" {
+			t.Errorf("%s: the next request got %d %q", c.name, resp.StatusCode, body)
+		}
+	}
+}
