@@ -20,7 +20,9 @@
 // other call runs on a per-goroutine frame stack (frames.go).
 //
 // #pragma omp parallel for statements are honored by dispatching loop
-// ranges onto an rt.Team with the requested schedule.
+// ranges onto an rt.Team with the requested schedule. internal/omp reads
+// and validates each pragma — the same reader the interp oracle runs at
+// load — so a malformed one is a compile error with the oracle's text.
 //
 // Compilation output is split along the executable/run-state boundary:
 //

@@ -12,9 +12,9 @@ package comp
 // Accumulators that cannot be privatized — global arrays, pointer
 // bases with unknown extent or aliasing — compile to serial execution
 // of the loop: always correct, never silently wrong. A clause naming
-// no matching update at all is a malformed pragma and a compile
-// error, mirroring the interp oracle's validation. The canonical
-// histogram body additionally fuses into a scatter kernel (matchHist).
+// no matching update at all is a malformed pragma, rejected by
+// omp.Bind before the loop compiles. The canonical histogram body
+// additionally fuses into a scatter kernel (matchHist).
 
 import (
 	"purec/internal/ast"
@@ -24,27 +24,8 @@ import (
 	"purec/internal/types"
 )
 
-// findArrayUpdate locates the base identifier of an update of array
-// c.name with the clause's operator: a compound assignment
-// `A[e] op= v`, or — for the + clause — `A[e]++`/`A[e]--` (both are
-// sum contributions; the decrement accumulates a negative partial).
-// Loop-local shadows of the name do not bind the clause.
-func (fc *funcCompiler) findArrayUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
-	var site *ast.Ident
-	ast.Walk(body, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && site == nil {
-			lhs, op, rhs := updateOf(e)
-			if lhs != nil && ((rhs != nil && op == c.op) || (rhs == nil && c.op == token.ADD)) {
-				site = fc.clauseBase(lhs, c, inner)
-			}
-		}
-		return site == nil
-	})
-	return site
-}
-
 // arrayReductionFor builds the privatize/combine pair for the array
-// whose base identifier is site. ok requires a function-local declared
+// whose base identifier is site (bound by omp.Resolve). ok requires a function-local declared
 // array — or a single-level local pointer the alias analysis resolved,
 // which the transformer only tags when its target region is known — of
 // int/float elements reachable through a frame pointer slot.

@@ -54,13 +54,13 @@ const (
 )
 
 // loopKernel is the matcher's verdict on one for statement. The
-// embedded canonicalLoop is valid when canonical is set; run is nil
-// when the loop does not fuse.
+// embedded canonicalLoop is valid when the loop is canonical — every
+// loop under a parallel-for pragma, which omp.Bind refuses otherwise,
+// and every fused one; run is nil when the loop does not fuse.
 type loopKernel struct {
 	canonicalLoop
-	canonical bool
-	kind      loopKind
-	run       kernRun
+	kind loopKind
+	run  kernRun
 	// acc names the scalar accumulator of a reduce or min/max kernel
 	// ("" for a memory cell) and dir is the min/max direction (LSS or
 	// GTR), so parallelReduceFor can hold the kernel against its clause.
@@ -110,7 +110,7 @@ func (fc *funcCompiler) fuseReductions() bool {
 // invariant and effect-free — and a body of exactly one statement.
 func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 	cl, ok := fc.canonical(x)
-	lk := loopKernel{canonicalLoop: cl, canonical: ok}
+	lk := loopKernel{canonicalLoop: cl}
 	iter := cl.iterSym
 	if !ok || !fc.hoistable(cl.lowerX, iter) || !fc.hoistable(cl.upperX, iter) {
 		return lk

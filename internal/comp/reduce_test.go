@@ -2,6 +2,7 @@ package comp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"purec/internal/interp"
@@ -304,28 +305,16 @@ int main(void) {
 
 func TestReductionInterpRejectsMalformedPragma(t *testing.T) {
 	// The oracle validates reduction clauses instead of silently
-	// ignoring them.
-	src := `
+	// ignoring them: the clause is refused when the program loads.
+	info := mustCheck(t, `
 int main(void) {
     int s = 0;
 #pragma omp parallel for reduction(+:nosuch)
     for (int i = 0; i < 10; i++)
         s += i;
     return s;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := interp.New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err == nil {
+}`)
+	if _, err := interp.New(info, nil); err == nil {
 		t.Fatal("interp must reject a reduction clause with no matching accumulator")
 	}
 }
@@ -466,25 +455,14 @@ int main(void) {
 func TestReductionMissingAccumulatorIsCompileError(t *testing.T) {
 	// A clause naming no matching update is a malformed pragma: both the
 	// compiler and the oracle must reject it (not one of them).
-	src := `
+	rejectedByBoth(t, `
 int main(void) {
     int s = 0;
 #pragma omp parallel for reduction(+:nosuch)
     for (int i = 0; i < 10; i++)
         s += i;
     return s;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(info, Options{}); err == nil {
-		t.Fatal("reduction clause without a matching accumulator must fail compilation")
-	}
+}`)
 }
 
 func TestNonParallelForPragmaWithReductionIgnoredByOracle(t *testing.T) {
@@ -530,7 +508,7 @@ int main(void) {
 func TestReductionOnlyShadowedUpdateIsCompileError(t *testing.T) {
 	// When every matching update targets a loop-local shadow, the clause
 	// names no enclosing accumulator: both compiler and oracle reject.
-	src := `
+	rejectedByBoth(t, `
 int main(void) {
     int s = 0;
 #pragma omp parallel for reduction(+:s)
@@ -539,25 +517,7 @@ int main(void) {
         s += i;
     }
     return s;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(info, Options{}); err == nil {
-		t.Fatal("shadow-only reduction clause must fail compilation")
-	}
-	in, err := interp.New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err == nil {
-		t.Fatal("oracle must also reject the shadow-only clause")
-	}
+}`)
 }
 
 func TestReductionUnsupportedOpAcceptedByBothBackendAndOracle(t *testing.T) {
@@ -577,40 +537,8 @@ int main(void) {
 	}
 }
 
-func TestReductionSubMissingAccumulatorRejectedByBoth(t *testing.T) {
-	// "-" is now in the parallelized set, so a "-" clause naming no
-	// matching update is a malformed pragma for compiler and oracle
-	// alike.
-	src := `
-int main(void) {
-    int s = 0;
-#pragma omp parallel for reduction(-:nosuch)
-    for (int i = 0; i < 10; i++)
-        s = s + i;
-    return s;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(info, Options{}); err == nil {
-		t.Fatal("reduction(-:nosuch) must fail compilation")
-	}
-	in, err := interp.New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err == nil {
-		t.Fatal("oracle must also reject reduction(-:nosuch)")
-	}
-}
-
 func TestReductionPointerAccumulatorRejectedByBoth(t *testing.T) {
-	src := `
+	rejectedByBoth(t, `
 int main(void) {
     int a[4];
     int* p = a;
@@ -618,24 +546,18 @@ int main(void) {
     for (int i = 0; i < 4; i++)
         p += 1;
     return 0;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(info, Options{}); err == nil {
-		t.Fatal("pointer accumulator must fail compilation")
-	}
-	in, err := interp.New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err == nil {
-		t.Fatal("oracle must also reject a pointer accumulator")
+}`)
+}
+
+// rejectedByBoth asserts that the compiler refuses src and that the
+// interp oracle refuses to load it, with the same diagnostic.
+func rejectedByBoth(t *testing.T, src string) {
+	t.Helper()
+	info := mustCheck(t, src)
+	_, cerr := Compile(info, Options{})
+	_, ierr := interp.New(info, nil)
+	if cerr == nil || ierr == nil || !strings.HasSuffix(cerr.Error(), ": "+ierr.Error()) {
+		t.Fatalf("compile error %v, oracle error %v: want one rejection from both", cerr, ierr)
 	}
 }
 
@@ -763,37 +685,6 @@ int main(void) {
 		if got := runWithTeam(t, src, team); got != 42 {
 			t.Errorf("%d workers (sim=%v): got %d want 42", team.Size(), team.Simulated(), got)
 		}
-	}
-}
-
-func TestReductionMinMaxMissingUpdateRejectedByBoth(t *testing.T) {
-	// A min clause naming a variable with no plain assignment in the
-	// loop is a malformed pragma: compiler and oracle must both reject.
-	src := `
-int main(void) {
-    int m = 7;
-#pragma omp parallel for reduction(min:m)
-    for (int i = 0; i < 10; i++)
-        m += i;
-    return m;
-}`
-	f, err := parser.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := sema.Check(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(info, Options{}); err == nil {
-		t.Fatal("min clause without a plain assignment must fail compilation")
-	}
-	in, err := interp.New(info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err == nil {
-		t.Fatal("oracle must also reject the malformed min clause")
 	}
 }
 

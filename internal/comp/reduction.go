@@ -36,7 +36,7 @@ type redOp[T cell] struct {
 
 // reductionOp is the operator table. "-" reduces by negation onto "+":
 // the loop body subtracts into an identity-seeded private, so each
-// partial is −(chunk sum) and partials add (see parseOmpReductions).
+// partial is −(chunk sum) and partials add (see omp's operator table).
 // Min and max (LSS/GTR) seed with the comparison's absorbing element
 // and fold by strict comparison, so NaN partials never replace an
 // accumulator — exactly like the guarded update in the loop body. The

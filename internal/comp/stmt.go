@@ -1,10 +1,8 @@
 package comp
 
 import (
-	"strings"
-
 	"purec/internal/ast"
-	"purec/internal/rt"
+	"purec/internal/omp"
 	"purec/internal/sema"
 	"purec/internal/token"
 	"purec/internal/types"
@@ -20,23 +18,12 @@ func (fc *funcCompiler) stmtList(list []ast.Stmt) stmtFn {
 	var fns []stmtFn
 	for i := 0; i < len(list); i++ {
 		s := list[i]
-		if pr, ok := s.(*ast.PragmaStmt); ok {
-			if isOmpParallelFor(pr.Text) && i+1 < len(list) {
-				if f, ok := list[i+1].(*ast.ForStmt); ok {
-					// Any reduction clause — supported operator or not —
-					// must take the reduction path: compiling it as a
-					// plain parallelFor would discard the accumulator
-					// updates made in the workers' private clones.
-					if strings.Contains(pr.Text, "reduction(") {
-						fns = append(fns, fc.parallelReduceFor(f, pr.Text))
-					} else {
-						fns = append(fns, fc.parallelFor(f, pr.Text))
-					}
-					i++
-					continue
-				}
-			}
+		if _, ok := s.(*ast.PragmaStmt); ok {
 			// scop/endscop/simd markers have no runtime effect.
+			if f, r := fc.ompLoop(list, i); r != nil {
+				fns = append(fns, fc.parallelRegion(f, r))
+				i++
+			}
 			continue
 		}
 		fns = append(fns, fc.stmt(s))
@@ -57,9 +44,33 @@ func (fc *funcCompiler) stmtList(list []ast.Stmt) stmtFn {
 	}
 }
 
-func isOmpParallelFor(text string) bool {
-	return strings.Contains(text, "omp") && strings.Contains(text, "parallel") &&
-		strings.Contains(text, "for")
+// ompLoop binds the pragma list[i] to the for loop that follows it.
+// It returns a nil region unless the pragma is an omp parallel for
+// annotating a loop; a malformed pragma is a compile error (omp.Bind).
+func (fc *funcCompiler) ompLoop(list []ast.Stmt, i int) (*ast.ForStmt, *omp.Region) {
+	if i+1 >= len(list) {
+		return nil, nil
+	}
+	f, ok := list[i+1].(*ast.ForStmt)
+	if !ok {
+		return nil, nil
+	}
+	r, err := omp.Bind(fc.prog.info, list[i].(*ast.PragmaStmt), f)
+	if err != nil {
+		panic(compileError{err})
+	}
+	return f, r
+}
+
+// parallelRegion compiles loop f under its bound pragma. Any reduction
+// clause — parallelizable operator or not — must take the reduction
+// path: compiling it as a plain parallelFor would discard the
+// accumulator updates made in the workers' private clones.
+func (fc *funcCompiler) parallelRegion(f *ast.ForStmt, r *omp.Region) stmtFn {
+	if len(r.Reductions) > 0 {
+		return fc.parallelReduceFor(f, r)
+	}
+	return fc.parallelFor(f, r)
 }
 
 func (fc *funcCompiler) stmt(s ast.Stmt) stmtFn {
@@ -335,90 +346,25 @@ type canonicalLoop struct {
 	upperX ast.Expr
 }
 
+// canonical compiles the bounds of a loop of omp.Canonical's shape whose
+// iterator has a frame slot (a global does not: omp.Bind refuses it
+// under a parallel-for pragma, and a sequential loop over it dispatches).
 func (fc *funcCompiler) canonical(x *ast.ForStmt) (canonicalLoop, bool) {
-	var cl canonicalLoop
-	var iterName string
-	switch init := x.Init.(type) {
-	case *ast.DeclStmt:
-		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
-			return cl, false
-		}
-		sym := fc.declSym[init.Decls[0]]
-		if sym == nil {
-			return cl, false
-		}
-		sl := fc.slots[sym]
-		if sl.kind != slotInt {
-			return cl, false
-		}
-		cl.iterSlot = sl.idx
-		cl.iterSym = sym
-		cl.lower = fc.integer(init.Decls[0].Init)
-		cl.lowerX = init.Decls[0].Init
-		iterName = init.Decls[0].Name
-	case *ast.ExprStmt:
-		as, ok := init.X.(*ast.AssignExpr)
-		if !ok || as.Op != token.ASSIGN {
-			return cl, false
-		}
-		id, ok := as.LHS.(*ast.Ident)
-		if !ok {
-			return cl, false
-		}
-		sym := fc.symOf(id)
-		sl, global := fc.slotOf(sym, id)
-		if global || sl.kind != slotInt {
-			return cl, false
-		}
-		cl.iterSlot = sl.idx
-		cl.iterSym = sym
-		cl.lower = fc.integer(as.RHS)
-		cl.lowerX = as.RHS
-		iterName = id.Name
-	default:
-		return cl, false
-	}
-	condBin, ok := x.Cond.(*ast.BinaryExpr)
+	l, ok := omp.Canonical(fc.prog.info, x)
 	if !ok {
-		return cl, false
+		return canonicalLoop{}, false
 	}
-	condID, ok := condBin.X.(*ast.Ident)
-	if !ok || condID.Name != iterName {
-		return cl, false
+	sl, global := fc.slotOf(l.Iter, x)
+	if global {
+		return canonicalLoop{}, false
 	}
-	ub := fc.integer(condBin.Y)
-	cl.upperX = condBin.Y
-	switch condBin.Op {
-	case token.LSS:
+	cl := canonicalLoop{iterSlot: sl.idx, iterSym: l.Iter, body: x.Body, lowerX: l.Lower, upperX: l.Upper}
+	cl.lower = fc.integer(l.Lower)
+	cl.upper = fc.integer(l.Upper)
+	if !l.Inclusive {
+		ub := cl.upper
 		cl.upper = func(e *env) int64 { return ub(e) - 1 }
-	case token.LEQ:
-		cl.upper = ub
-	default:
-		return cl, false
 	}
-	switch post := x.Post.(type) {
-	case *ast.PostfixExpr:
-		id, ok := post.X.(*ast.Ident)
-		if !ok || id.Name != iterName || post.Op != token.INC {
-			return cl, false
-		}
-	case *ast.UnaryExpr:
-		id, ok := post.X.(*ast.Ident)
-		if !ok || id.Name != iterName || post.Op != token.INC {
-			return cl, false
-		}
-	case *ast.AssignExpr:
-		id, ok := post.LHS.(*ast.Ident)
-		if !ok || id.Name != iterName || post.Op != token.ADDASSIGN {
-			return cl, false
-		}
-		if v, ok := sema.ConstInt(post.RHS); !ok || v != 1 {
-			return cl, false
-		}
-	default:
-		return cl, false
-	}
-	cl.body = x.Body
 	return cl, true
 }
 
@@ -443,13 +389,11 @@ func runsInline(e *env) bool {
 // per-iteration dispatch entirely: each worker runs the fused kernel
 // over its chunk bounds (composing with every schedule, on real and
 // simulated teams), reading the parent environment's invariants and
-// writing only the shared segments.
-func (fc *funcCompiler) parallelFor(x *ast.ForStmt, pragma string) stmtFn {
+// writing only the shared segments. omp.Bind has proved the loop
+// canonical.
+func (fc *funcCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) stmtFn {
 	lk := fc.matchLoop(x)
-	if !lk.canonical {
-		fc.errorf(x, "#pragma omp parallel for requires a canonical loop (int i = lb; i < ub; i++)")
-	}
-	sched, chunk := parseOmpSchedule(pragma)
+	sched, chunk := r.Schedule, r.Chunk
 	iterSlot := lk.iterSlot
 	lower, upper := lk.lower, lk.upper
 	if lk.kind == kindMap {
@@ -494,190 +438,19 @@ func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
 	return ctrlNext
 }
 
-// redClause is one parsed reduction(op:var) clause entry with the
-// operator resolved to its token. array marks the privatized-array
-// form reduction(op:A[]) — name then holds the bare array name.
-type redClause struct {
-	op    token.Kind // ADD, MUL, AND, OR, XOR; LSS/GTR for min/max
-	name  string
-	array bool
-}
-
-// parseOmpReductions extracts the reduction clauses of an omp pragma and
-// maps the operator symbols to tokens; min/max clauses map to the
-// comparison markers LSS/GTR, and a [] suffix on the variable selects
-// the array-reduction form. supported is false when any clause uses
-// an operator outside the parallelizable set {+,-,*,&,|,^,min,max}
-// (e.g. "/") — the loop must then run serially, which is always
-// correct, instead of losing the accumulator updates. "-" reduces by
-// negation onto "+": the loop body applies the subtractions, so each
-// private partial is the negated sum of its chunk and the partials
-// fold back with addition (OpenMP gives "-" the same identity and
-// combiner as "+").
-func parseOmpReductions(pragma string) (reds []redClause, supported bool) {
-	for _, c := range rt.ParseOmpReductions(pragma) {
-		var op token.Kind
-		switch c.Op {
-		case "+":
-			op = token.ADD
-		case "-":
-			op = token.SUB
-		case "*":
-			op = token.MUL
-		case "&":
-			op = token.AND
-		case "|":
-			op = token.OR
-		case "^":
-			op = token.XOR
-		case "min":
-			op = token.LSS
-		case "max":
-			op = token.GTR
-		default:
-			return nil, false
-		}
-		name, isArr := strings.CutSuffix(c.Var, "[]")
-		reds = append(reds, redClause{op: op, name: name, array: isArr})
-	}
-	return reds, true
-}
-
-// declaredInside returns the variable declarations nested under n; a
-// reduction clause can only name a variable from the enclosing scope,
-// so symbols declared inside the annotated loop (which shadow it and
-// are automatically private) must not bind the clause.
-func declaredInside(n ast.Node) map[*ast.VarDecl]bool {
-	out := map[*ast.VarDecl]bool{}
-	ast.Walk(n, func(m ast.Node) bool {
-		if d, ok := m.(*ast.DeclStmt); ok {
-			for _, vd := range d.Decls {
-				out[vd] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// resolveClause binds a reduction clause to its accumulator by locating
-// the update it names in the loop body. found reports whether a
-// matching enclosing-scope update exists at all (a clause without one
-// is a malformed pragma, mirroring the interp oracle's validation); ok
-// additionally requires a privatizable accumulator — otherwise the loop
-// runs serially, which is always correct.
-func (fc *funcCompiler) resolveClause(body ast.Stmt, c redClause) (r reduction, found, ok bool) {
-	inner := declaredInside(body)
-	var site *ast.Ident
-	switch {
-	case c.op == token.LSS || c.op == token.GTR:
-		site, found = fc.findMinMaxUpdate(body, c, inner)
-	case c.array:
-		site = fc.findArrayUpdate(body, c, inner)
-		found = site != nil
-	default:
-		site = fc.findScalarUpdate(body, c, inner)
-		found = site != nil
-	}
-	switch {
-	case site == nil:
-	case c.array:
-		r, ok = fc.arrayReductionFor(site, c.op)
-	default:
-		r, ok = fc.scalarReductionFor(site, c)
-	}
-	return r, found, ok
-}
-
-// clauseBase returns the base identifier when the lvalue is the
-// clause's accumulator — the scalar c.name itself, or an element of the
-// array c.name for an array clause — bound in the enclosing scope:
-// symbols declared inside the annotated loop shadow the name, are
-// automatically private, and do not bind the clause.
-func (fc *funcCompiler) clauseBase(lhs ast.Expr, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
-	var base *ast.Ident
-	if !c.array {
-		base, _ = lhs.(*ast.Ident)
-	} else if ix, ok := stripParens(lhs).(*ast.IndexExpr); ok {
-		base = ast.BaseIdent(ix)
-	}
-	if base == nil || base.Name != c.name {
-		return nil
-	}
-	if sym := fc.prog.info.Ref[base]; sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-		return nil
-	}
-	return base
-}
-
-// findScalarUpdate locates the `name op= expr` assignment of a scalar
-// clause.
-func (fc *funcCompiler) findScalarUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) *ast.Ident {
-	for _, as := range ast.Assignments(body) {
-		bin, okOp := as.Op.AssignBinOp()
-		matches := okOp && bin == c.op
-		if !matches && c.op == token.SUB && as.Op == token.ASSIGN {
-			// Plain form of a "-" clause: s = s - e (only the
-			// left-anchored form is a reduction — s = e - s is not).
-			if b, okB := stripParens(as.RHS).(*ast.BinaryExpr); okB && b.Op == token.SUB {
-				if x, okX := stripParens(b.X).(*ast.Ident); okX && x.Name == c.name {
-					matches = true
-				}
-			}
-		}
-		if matches {
-			if site := fc.clauseBase(as.LHS, c, inner); site != nil {
-				return site
-			}
-		}
-	}
-	return nil
-}
-
-// findMinMaxUpdate binds a min/max clause (op LSS = min, GTR = max):
-// the loop body must contain a guarded update of the accumulator — the
-// named scalar, or an element of the named array — in the clause's
-// direction: `if (x < m) m = x;` or `m = x < m ? x : m;` (see
-// ast.MinMaxUpdateLV). found reports whether any plain assignment to
-// the accumulator binds the enclosing scope at all; a body whose
-// assignments merely fail the pattern has found set and a nil site.
-func (fc *funcCompiler) findMinMaxUpdate(body ast.Stmt, c redClause, inner map[*ast.VarDecl]bool) (site *ast.Ident, found bool) {
-	for _, as := range ast.Assignments(body) {
-		if as.Op == token.ASSIGN && fc.clauseBase(as.LHS, c, inner) != nil {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, false
-	}
-	ast.Walk(body, func(n ast.Node) bool {
-		if s, okS := n.(ast.Stmt); okS && site == nil {
-			if target, _, dir, okM := ast.MinMaxUpdateLV(s); okM && dir == c.op {
-				site = fc.clauseBase(target, c, inner)
-			}
-		}
-		return site == nil
-	})
-	return site, true
-}
-
 // scalarReductionFor builds the reduction of the scalar whose update
-// site is given. Global accumulators live in Process storage shared by
-// every worker — they cannot be privatized through the frame clone —
-// and a non-scalar accumulator is a compile error (mirroring the
-// interp oracle's validation).
-func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, c redClause) (r reduction, ok bool) {
+// site omp.Resolve bound. Global accumulators live in Process storage
+// shared by every worker — they cannot be privatized through the frame
+// clone — and run serially.
+func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, op token.Kind) (r reduction, ok bool) {
 	sym := fc.prog.info.Ref[site]
 	sl, global := fc.slotOf(sym, site)
 	switch {
 	case global:
-	case sl.kind == slotPtr:
-		fc.errorf(site, "reduction accumulator %s must be a scalar", c.name)
 	case sl.kind == slotInt:
-		r, ok = scalarReduction[int64](sl.idx, c.op, false)
+		r, ok = scalarReduction[int64](sl.idx, op, false)
 	case sl.kind == slotFloat:
-		r, ok = scalarReduction[float64](sl.idx, c.op, sym.Type != nil && sym.Type.CSize == 4)
+		r, ok = scalarReduction[float64](sl.idx, op, sym.Type != nil && sym.Type.CSize == 4)
 	}
 	return r, ok
 }
@@ -697,37 +470,29 @@ func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, c redClause) (r redu
 // floats — and the ICC fused-kernel vectorization of canonical
 // reduction loops in pure functions still applies there.
 //
-// Clauses with operators outside the parallelizable set (e.g. "/"),
-// min/max clauses whose loop body lacks the guarded-update pattern,
-// and accumulators that cannot be privatized (globals) compile to
-// serial execution of the loop — always correct, never silently
-// wrong. A clause naming no matching accumulator update at all is a
-// malformed pragma and a compile error, mirroring parallelFor's
-// canonical-loop diagnostic and the interp oracle's validation.
-func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn {
+// omp.Bind has validated every clause. Clauses it left without a site
+// (operators outside the parallelizable set such as "/", min/max
+// clauses whose loop body lacks the guarded-update pattern) and
+// accumulators that cannot be privatized (globals) compile to serial
+// execution of the loop — always correct, never silently wrong.
+func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) stmtFn {
 	lk := fc.matchLoop(x)
-	if !lk.canonical {
-		fc.errorf(x, "#pragma omp parallel for requires a canonical loop (int i = lb; i < ub; i++)")
-	}
-	clauses, supported := parseOmpReductions(pragma)
-	if !supported {
-		return fc.seqFor(x, lk)
-	}
-	reds := make([]reduction, 0, len(clauses))
+	reds := make([]reduction, 0, len(rg.Reductions))
 	hasArray := false
-	for _, c := range clauses {
-		r, found, ok := fc.resolveClause(x.Body, c)
-		if !found {
-			if c.array {
-				fc.errorf(x, "reduction clause names %s[], but the loop has no matching '%s[...] %s=' update", c.name, c.name, c.op)
-			} else {
-				fc.errorf(x, "reduction clause names %s, but the loop has no matching '%s %s=' update", c.name, c.name, c.op)
-			}
+	for i, c := range rg.Reductions {
+		var r reduction
+		ok := false
+		switch site := rg.Sites[i]; {
+		case site == nil:
+		case c.Array:
+			r, ok = fc.arrayReductionFor(site, c.Kind)
+		default:
+			r, ok = fc.scalarReductionFor(site, c.Kind)
 		}
 		if !ok {
 			return fc.seqFor(x, lk)
 		}
-		hasArray = hasArray || c.array
+		hasArray = hasArray || c.Array
 		reds = append(reds, r)
 	}
 	// A fusible reduction body composes with the parallel runtime: each
@@ -744,10 +509,10 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 	switch {
 	case hasArray && lk.kind == kindHist,
 		!hasArray && lk.kind == kindReduce,
-		!hasArray && lk.kind == kindMinMax && len(clauses) == 1 && lk.acc == clauses[0].name && lk.dir == clauses[0].op:
+		!hasArray && lk.kind == kindMinMax && len(reds) == 1 && lk.acc == rg.Reductions[0].Var && lk.dir == rg.Reductions[0].Kind:
 		vecChunk = fc.fused(lk)
 	}
-	sched, chunk := parseOmpSchedule(pragma)
+	sched, chunk := rg.Schedule, rg.Chunk
 	iterSlot := lk.iterSlot
 	lower, upper := lk.lower, lk.upper
 	var body loopFn // a fused reduction never dispatches its body
@@ -796,22 +561,4 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, pragma string) stmtFn 
 		}
 		return ctrlNext
 	}
-}
-
-// parseOmpSchedule extracts the schedule clause of an omp pragma.
-func parseOmpSchedule(pragma string) (rt.Schedule, int) {
-	i := strings.Index(pragma, "schedule(")
-	if i < 0 {
-		return rt.Static, 0
-	}
-	rest := pragma[i+len("schedule("):]
-	j := strings.IndexByte(rest, ')')
-	if j < 0 {
-		return rt.Static, 0
-	}
-	s, c, err := rt.ParseSchedule(strings.TrimSpace(rest[:j]))
-	if err != nil {
-		return rt.Static, 0
-	}
-	return s, c
 }

@@ -19,7 +19,6 @@ package comp
 // surrounding control flow stays on the tape either way.
 
 import (
-	"strings"
 	"sync"
 
 	"purec/internal/ast"
@@ -489,23 +488,16 @@ func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 	}
 }
 
-// stmtList mirrors the closure backend's pragma handling: an omp
+// stmtList shares the closure backend's pragma handling: an omp
 // parallel-for pragma plus loop compiles through the parallel runtime
 // (whose per-iteration bodies come back as nested tapes via loopBody).
 func (tc *tapeCompiler) stmtList(list []ast.Stmt) {
 	for i := 0; i < len(list); i++ {
 		s := list[i]
-		if pr, ok := s.(*ast.PragmaStmt); ok {
-			if isOmpParallelFor(pr.Text) && i+1 < len(list) {
-				if f, ok := list[i+1].(*ast.ForStmt); ok {
-					if strings.Contains(pr.Text, "reduction(") {
-						tc.escapeStmt(tc.fc.parallelReduceFor(f, pr.Text))
-					} else {
-						tc.escapeStmt(tc.fc.parallelFor(f, pr.Text))
-					}
-					i++
-					continue
-				}
+		if _, ok := s.(*ast.PragmaStmt); ok {
+			if f, r := tc.fc.ompLoop(list, i); r != nil {
+				tc.escapeStmt(tc.fc.parallelRegion(f, r))
+				i++
 			}
 			continue
 		}

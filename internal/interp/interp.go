@@ -4,11 +4,11 @@
 // engine, any backend and any team size must produce the same observable results. Tests
 // compare the two on the paper's applications and on generated programs.
 //
-// OpenMP pragmas have no scheduling effect here, but parallel-for
-// reduction clauses are validated when encountered: each reduction(op:s)
-// must name a scalar accumulator updated by a matching `s op= expr`
-// inside the annotated loop, so a malformed pragma fails loudly in the
-// oracle instead of being silently ignored. Execution of the loop itself
+// OpenMP pragmas have no scheduling effect here, but New validates every
+// omp parallel-for pragma with the compiler's own reader (internal/omp):
+// a malformed one — a clause binding no update, a non-canonical loop,
+// an unknown schedule — fails the load with the compiler's text instead
+// of being silently ignored. Execution of the loop itself
 // stays sequential — the oracle defines the serial accumulation order,
 // which integer reductions must match bit-for-bit on every backend and
 // team size (floats are only guaranteed to match on inline/serial runs;
@@ -25,7 +25,7 @@ import (
 
 	"purec/internal/ast"
 	"purec/internal/mem"
-	"purec/internal/rt"
+	"purec/internal/omp"
 	"purec/internal/sema"
 	"purec/internal/token"
 	"purec/internal/types"
@@ -83,9 +83,6 @@ type Interp struct {
 	heap    mem.Heap
 	stdout  io.Writer
 	rand    uint64
-	// checkedPragmas memoizes reduction-pragma validation per pragma
-	// node ("" = valid; otherwise the failure message).
-	checkedPragmas map[*ast.PragmaStmt]string
 	// depth counts the live activations (see mem.MaxCallDepth).
 	depth int
 }
@@ -114,10 +111,14 @@ type ctrl struct {
 	val  Value
 }
 
-// New loads a program into a fresh interpreter.
+// New loads a program into a fresh interpreter. A malformed omp
+// parallel-for pragma anywhere in the program is a load error.
 func New(info *sema.Info, stdout io.Writer) (*Interp, error) {
 	if stdout == nil {
 		stdout = io.Discard
+	}
+	if err := checkPragmas(info); err != nil {
+		return nil, err
 	}
 	in := &Interp{info: info, globals: map[*sema.Symbol]*cell{}, stdout: stdout}
 	if err := in.Reset(); err != nil {
@@ -272,14 +273,7 @@ func (in *Interp) call(name string, args []Value) (Value, ctrl) {
 }
 
 func (in *Interp) stmts(list []ast.Stmt, fr *frame) ctrl {
-	for i, s := range list {
-		if pr, ok := s.(*ast.PragmaStmt); ok {
-			if i+1 < len(list) {
-				if f, ok := list[i+1].(*ast.ForStmt); ok {
-					in.checkReductionPragma(pr, f)
-				}
-			}
-		}
+	for _, s := range list {
 		if c := in.stmt(s, fr); c.kind != ctrlNext {
 			return c
 		}
@@ -287,260 +281,35 @@ func (in *Interp) stmts(list []ast.Stmt, fr *frame) ctrl {
 	return ctrl{}
 }
 
-// checkReductionPragma validates the reduction clauses of an OpenMP
-// parallel-for pragma against the annotated loop: every named
-// accumulator must be a scalar (non-array, non-pointer) variable updated
-// by a compound assignment with the clause's operator somewhere in the
-// loop body. The loop then executes sequentially like everything else.
-//
-// The check only applies to pragmas the compiler honors (omp parallel
-// for) and only to operators that map onto compound assignments;
-// clauses like reduction(max:m) are outside the recognized grammar and
-// skipped, matching the compiler's serial fallback. The per-pragma
-// result is memoized so hot loops pay one AST walk, not one per
-// execution.
-func (in *Interp) checkReductionPragma(pr *ast.PragmaStmt, f *ast.ForStmt) {
-	if done, seen := in.checkedPragmas[pr]; seen {
-		if done != "" {
-			panic(done)
-		}
-		return
-	}
-	msg := reductionPragmaError(in.info, pr, f)
-	if in.checkedPragmas == nil {
-		in.checkedPragmas = map[*ast.PragmaStmt]string{}
-	}
-	in.checkedPragmas[pr] = msg
-	if msg != "" {
-		panic(msg)
-	}
-}
-
-// reductionPragmaError returns the validation failure message, or ""
-// when the pragma is fine (including pragmas the compiler ignores).
-// The validated operator set is exactly the set the compiler
-// parallelizes — clauses with other operators (/, %, ...) compile to
-// serial execution there and are accepted here, so the oracle and the
-// backend always agree on which programs run. The "-" clause accepts
-// both the compound (s -= e) and plain (s = s - e) spellings,
-// mirroring the compiler's resolver.
-func reductionPragmaError(info *sema.Info, pr *ast.PragmaStmt, f *ast.ForStmt) string {
-	if !strings.Contains(pr.Text, "omp") || !strings.Contains(pr.Text, "parallel") ||
-		!strings.Contains(pr.Text, "for") {
-		return ""
-	}
-	// Variables declared inside the loop shadow the clause name and are
-	// automatically private; they must not satisfy the validation.
-	inner := map[*ast.VarDecl]bool{}
-	ast.Walk(f.Body, func(m ast.Node) bool {
-		if d, ok := m.(*ast.DeclStmt); ok {
-			for _, vd := range d.Decls {
-				inner[vd] = true
-			}
-		}
-		return true
-	})
-	for _, c := range rt.ParseOmpReductions(pr.Text) {
-		if name, isArr := strings.CutSuffix(c.Var, "[]"); isArr {
-			// Array-reduction clause (reduction(+:hist[])): the loop
-			// must update an element of the named array with the
-			// clause's operator — mirroring comp.resolveClause.
-			// Accumulators the compiler cannot privatize (globals,
-			// pointer bases) run serially there and are accepted here.
-			if msg := arrayClauseError(info, c.Op, name, f, inner); msg != "" {
-				return msg
-			}
-			continue
-		}
-		switch c.Op {
-		case "+", "-", "*", "&", "|", "^":
-			// the parallelized set: validate below
-		case "min", "max":
-			// min/max clauses bind a plain assignment inside a guarded
-			// update; mirror the compiler's findMinMaxUpdate validation.
-			if msg := minMaxClauseError(info, c, f, inner); msg != "" {
-				return msg
-			}
-			continue
+// checkPragmas binds every omp parallel-for pragma of the program to
+// the loop it annotates with omp.Bind — the compiler's validation — in
+// the order the compiler meets them, so a malformed pragma fails at
+// load with the compiler's text, even in a function main never calls.
+func checkPragmas(info *sema.Info) error {
+	var err error
+	var visit ast.Visitor
+	visit = func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch x := n.(type) {
+		case *ast.BlockStmt:
+			list = x.List
+		case *ast.CaseClause:
+			list = x.Body
 		default:
-			continue // compiler runs these clauses serially
+			return err == nil
 		}
-		found := false
-		for _, as := range ast.Assignments(f.Body) {
-			matches := false
-			if bin, ok := as.Op.AssignBinOp(); ok && bin.String() == c.Op {
-				matches = true
-			} else if c.Op == "-" && as.Op == token.ASSIGN {
-				// Plain form of the "-" clause: s = s - e.
-				if bin, ok := ast.Unparen(as.RHS).(*ast.BinaryExpr); ok && bin.Op == token.SUB {
-					if x, ok := ast.Unparen(bin.X).(*ast.Ident); ok && x.Name == c.Var {
-						matches = true
-					}
+		for i, s := range list {
+			if f, ok := s.(*ast.ForStmt); ok && i > 0 && err == nil {
+				if pr, ok := list[i-1].(*ast.PragmaStmt); ok {
+					_, err = omp.Bind(info, pr, f)
 				}
 			}
-			if !matches {
-				continue
-			}
-			id, ok := as.LHS.(*ast.Ident)
-			if !ok || id.Name != c.Var {
-				continue
-			}
-			sym := info.Ref[id]
-			if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-				continue
-			}
-			if sym.IsArray() || sym.Type == nil || sym.Type.IsPtr() {
-				return fmt.Sprintf("reduction(%s:%s) names a non-scalar accumulator", c.Op, c.Var)
-			}
-			found = true
-			break
-		}
-		if !found {
-			return fmt.Sprintf("reduction(%s:%s) has no matching '%s %s=' update in the annotated loop", c.Op, c.Var, c.Var, c.Op)
-		}
-	}
-	return ""
-}
-
-// arrayClauseError validates an array-reduction clause
-// reduction(op:A[]) exactly like the compiler's resolver: for the
-// associative-commutative operators the loop body must contain a
-// matching `A[e] op= v` update (the + clause also accepts
-// `A[e]++`/`A[e]--`, both sum contributions); for min/max it must
-// contain a plain assignment to an element of A. Operators outside
-// the parallelized set are skipped (the compiler runs those clauses
-// serially). Loop-local shadows of the array name never bind a
-// clause.
-func arrayClauseError(info *sema.Info, op, name string, f *ast.ForStmt, inner map[*ast.VarDecl]bool) string {
-	var want token.Kind
-	switch op {
-	case "+":
-		want = token.ADD
-	case "-":
-		want = token.SUB
-	case "*":
-		want = token.MUL
-	case "&":
-		want = token.AND
-	case "|":
-		want = token.OR
-	case "^":
-		want = token.XOR
-	case "min", "max":
-		// Mirror resolveArrayMinMax's "found": a plain assignment to an
-		// element of the array binds the clause; whether it matches the
-		// guarded pattern only decides parallel vs serial execution.
-		for _, as := range ast.Assignments(f.Body) {
-			if as.Op != token.ASSIGN {
-				continue
-			}
-			if bindsArrayElement(info, as.LHS, name, inner) {
-				return ""
-			}
-		}
-		return fmt.Sprintf("reduction(%s:%s[]) has no matching '%s[...] =' update in the annotated loop", op, name, name)
-	default:
-		return "" // compiler runs these clauses serially
-	}
-	found := false
-	ast.Walk(f.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.AssignExpr:
-			if bin, ok := x.Op.AssignBinOp(); ok && bin == want &&
-				bindsArrayElement(info, x.LHS, name, inner) {
-				found = true
-			}
-		case *ast.PostfixExpr:
-			if want == token.ADD && (x.Op == token.INC || x.Op == token.DEC) &&
-				bindsArrayElement(info, x.X, name, inner) {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if want == token.ADD && (x.Op == token.INC || x.Op == token.DEC) &&
-				bindsArrayElement(info, x.X, name, inner) {
-				found = true
-			}
-		}
-		return !found
-	})
-	if !found {
-		return fmt.Sprintf("reduction(%s:%s[]) has no matching '%s[...] %s=' update in the annotated loop", op, name, name, op)
-	}
-	return ""
-}
-
-// bindsArrayElement reports whether e is an index expression whose
-// base is the named enclosing-scope variable.
-func bindsArrayElement(info *sema.Info, e ast.Expr, name string, inner map[*ast.VarDecl]bool) bool {
-	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	base := ast.BaseIdent(ix)
-	if base == nil || base.Name != name {
-		return false
-	}
-	sym := info.Ref[base]
-	return sym != nil && (sym.Decl == nil || !inner[sym.Decl])
-}
-
-// minMaxClauseError validates a reduction(min:m)/reduction(max:m)
-// clause exactly like comp.findMinMaxUpdate: the loop body must contain a
-// plain assignment to the accumulator binding the enclosing scope (no
-// assignment = malformed pragma), and a matching guarded update naming
-// a non-scalar accumulator is an error. A body whose updates merely
-// fail to match the pattern is accepted — the compiler runs that loop
-// serially.
-func minMaxClauseError(info *sema.Info, c rt.ReductionClause, f *ast.ForStmt, inner map[*ast.VarDecl]bool) string {
-	found := false
-	for _, as := range ast.Assignments(f.Body) {
-		if as.Op != token.ASSIGN {
-			continue
-		}
-		id, ok := as.LHS.(*ast.Ident)
-		if !ok || id.Name != c.Var {
-			continue
-		}
-		sym := info.Ref[id]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			continue
-		}
-		found = true
-		break
-	}
-	if !found {
-		return fmt.Sprintf("reduction(%s:%s) has no matching '%s =' update in the annotated loop", c.Op, c.Var, c.Var)
-	}
-	want := token.LSS
-	if c.Op == "max" {
-		want = token.GTR
-	}
-	msg := ""
-	ast.Walk(f.Body, func(n ast.Node) bool {
-		if msg != "" {
-			return false
-		}
-		s, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		m, _, dir, ok := ast.MinMaxUpdate(s)
-		if !ok || m.Name != c.Var || dir != want {
-			return true
-		}
-		sym := info.Ref[m]
-		if sym == nil || (sym.Decl != nil && inner[sym.Decl]) {
-			return true
-		}
-		if sym.IsArray() || sym.Type == nil || sym.Type.IsPtr() {
-			msg = fmt.Sprintf("reduction(%s:%s) names a non-scalar accumulator", c.Op, c.Var)
+			ast.Walk(s, visit)
 		}
 		return false
-	})
-	return msg
+	}
+	ast.Walk(info.File, visit)
+	return err
 }
 
 func (in *Interp) stmt(s ast.Stmt, fr *frame) ctrl {

@@ -80,50 +80,6 @@ func ParseSchedule(s string) (Schedule, int, error) {
 	return Static, 0, fmt.Errorf("unknown schedule %q", s)
 }
 
-// ReductionClause is one parsed reduction(op:var) entry of an OpenMP
-// parallel-for pragma. Op is the operator symbol exactly as written
-// ("+", "*", "-", "max", ...); consumers decide which operators they
-// support — purec parallelizes the associative-commutative subset
-// {+, *, &, |, ^} and executes other clauses serially.
-type ReductionClause struct {
-	Op  string
-	Var string
-}
-
-// ParseOmpReductions extracts every reduction clause of an omp pragma
-// line, including clauses with operators purec does not parallelize;
-// comma-separated variable lists expand to one entry per variable.
-func ParseOmpReductions(pragma string) []ReductionClause {
-	var out []ReductionClause
-	rest := pragma
-	for {
-		i := strings.Index(rest, "reduction(")
-		if i < 0 {
-			return out
-		}
-		rest = rest[i+len("reduction("):]
-		j := strings.IndexByte(rest, ')')
-		if j < 0 {
-			return out
-		}
-		body := rest[:j]
-		rest = rest[j+1:]
-		op, vars, ok := strings.Cut(body, ":")
-		if !ok {
-			continue
-		}
-		op = strings.TrimSpace(op)
-		if op == "" {
-			continue
-		}
-		for _, v := range strings.Split(vars, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				out = append(out, ReductionClause{Op: op, Var: v})
-			}
-		}
-	}
-}
-
 // Team is a group of workers executing parallel regions, the analog of
 // an OpenMP thread team pinned with numactl in the paper's experiments.
 //

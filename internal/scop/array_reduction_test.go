@@ -1,6 +1,7 @@
 package scop
 
 import (
+	"strings"
 	"testing"
 
 	"purec/internal/token"
@@ -54,8 +55,8 @@ int main(void) {
 		if !r.IsArray || r.Var != "hist" || r.Op != c.op {
 			t.Errorf("%s: got %+v, want array hist op %v", c.name, r, c.op)
 		}
-		if r.ClauseVar() != "hist[]" {
-			t.Errorf("%s: ClauseVar = %q, want hist[]", c.name, r.ClauseVar())
+		if spec := r.Clause().Spec(); !strings.HasSuffix(spec, ":hist[]") {
+			t.Errorf("%s: clause spec = %q, want op:hist[]", c.name, spec)
 		}
 		// The star accesses of hist must be reduction-tagged so the
 		// dependence analysis keeps the loop parallel.

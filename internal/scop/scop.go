@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"purec/internal/ast"
+	"purec/internal/omp"
 	"purec/internal/poly"
 	"purec/internal/purity"
 	"purec/internal/sema"
@@ -91,27 +92,12 @@ type Reduction struct {
 	IsArray bool
 }
 
-// ClauseOp renders the operator as it appears in an OpenMP reduction
-// clause ("min"/"max" for the if-pattern reductions).
-func (r Reduction) ClauseOp() string {
-	switch r.Op {
-	case token.LSS:
-		return "min"
-	case token.GTR:
-		return "max"
-	}
-	return r.Op.String()
-}
-
-// ClauseVar renders the clause's variable name: array reductions carry
-// a [] suffix ("hist[]") so the executing backends know to privatize a
-// whole array rather than one scalar slot.
-func (r Reduction) ClauseVar() string {
-	if r.IsArray {
-		return r.Var + "[]"
-	}
-	return r.Var
-}
+// Clause is the OpenMP reduction clause the transformer emits for r:
+// the operator spelled from omp's table ("min"/"max" for the
+// if-pattern reductions), and array reductions carry a [] suffix
+// ("hist[]") so the executing backends privatize a whole array rather
+// than one scalar slot.
+func (r Reduction) Clause() omp.Clause { return omp.ClauseFor(r.Op, r.Var, r.IsArray) }
 
 // Iters returns the iterator names outermost-first.
 func (s *SCoP) Iters() []string { return s.Nest.Iters }

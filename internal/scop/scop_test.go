@@ -328,7 +328,7 @@ int main(void) {
 }
 `
 		reds, res := reductionsOf(t, src)
-		if len(reds) != 1 || reds[0].Var != "s" || reds[0].ClauseOp() != c.op {
+		if len(reds) != 1 || reds[0].Var != "s" || reds[0].Clause().Op != c.op {
 			t.Fatalf("%s: reductions = %v", c.stmt, reds)
 		}
 		// The tagged accesses must appear on the statement.
@@ -408,7 +408,7 @@ int main(void) {
     return (int)s;
 }
 `)
-	if len(reds) != 1 || reds[0].ClauseOp() != "+" {
+	if len(reds) != 1 || reds[0].Clause().Op != "+" {
 		t.Fatalf("float sum: %v", reds)
 	}
 }
@@ -447,7 +447,7 @@ int main(void) {
 		t.Fatalf("want 1 SCoP, got %d (rejections: %v)", len(res.SCoPs), res.Rejections)
 	}
 	sc := res.SCoPs[0]
-	if len(sc.Reductions) != 1 || sc.Reductions[0].Var != "m" || sc.Reductions[0].ClauseOp() != "min" {
+	if len(sc.Reductions) != 1 || sc.Reductions[0].Var != "m" || sc.Reductions[0].Clause().Op != "min" {
 		t.Fatalf("reductions = %+v, want min:m", sc.Reductions)
 	}
 	// The accumulator accesses must be reduction-tagged so dependence
@@ -480,7 +480,7 @@ int main(void) {
 		t.Fatalf("want 1 SCoP, got %d (rejections: %v)", len(res.SCoPs), res.Rejections)
 	}
 	sc := res.SCoPs[0]
-	if len(sc.Reductions) != 1 || sc.Reductions[0].ClauseOp() != "max" {
+	if len(sc.Reductions) != 1 || sc.Reductions[0].Clause().Op != "max" {
 		t.Fatalf("reductions = %+v, want max:m", sc.Reductions)
 	}
 }

@@ -198,7 +198,7 @@ func transformOne(sc *scop.SCoP, opts Options) (LoopReport, error) {
 	}
 	lr.ParallelLevel = parIdx
 	for _, r := range sc.Reductions {
-		lr.Reductions = append(lr.Reductions, r.ClauseOp()+":"+r.ClauseVar())
+		lr.Reductions = append(lr.Reductions, r.Clause().Spec())
 	}
 	if parIdx < 0 {
 		lr.SerialReason = serialReason(nest, deps, forced, aliased, tripSuppressed, opts)
@@ -562,7 +562,7 @@ func ompPragma(gen *poly.GenNest, k int, opts Options, sc *scop.SCoP) string {
 	}
 	clauses := make([]string, 0, len(reds))
 	for _, r := range reds {
-		clauses = append(clauses, "reduction("+r.ClauseOp()+":"+r.ClauseVar()+")")
+		clauses = append(clauses, r.Clause().String())
 	}
 	sort.Strings(clauses)
 	for _, c := range clauses {

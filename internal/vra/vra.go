@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"purec/internal/ast"
+	"purec/internal/omp"
 	"purec/internal/sema"
 	"purec/internal/token"
 	"purec/internal/types"
@@ -856,7 +857,8 @@ func (w *walker) guardDerivation(cond ast.Expr) string {
 // forStmt analyzes a loop; canonical loops get a precise iterator
 // interval, everything else falls back to havoc-and-walk-once.
 func (w *walker) forStmt(x *ast.ForStmt) {
-	iter, lb, ub, incl, ok := w.canonical(x)
+	l, ok := omp.Canonical(w.a.info, x)
+	iter, lb, ub, incl := l.Iter, l.Lower, l.Upper, l.Inclusive
 	if ok {
 		if assigned, _ := w.assignedSyms(x.Body); assigned[iter] {
 			ok = false // body reassigns the iterator: not canonical
@@ -914,74 +916,6 @@ func (w *walker) forStmt(x *ast.ForStmt) {
 		entry.written[iter] = true
 		w.merge(w.branch(), entry)
 	}
-}
-
-// canonical matches for (int i = LB; i </<= UB; i++).
-func (w *walker) canonical(x *ast.ForStmt) (iter *sema.Symbol, lb, ub ast.Expr, incl, ok bool) {
-	switch init := x.Init.(type) {
-	case *ast.DeclStmt:
-		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
-			return nil, nil, nil, false, false
-		}
-		iter = w.a.declToSym[init.Decls[0]]
-		lb = init.Decls[0].Init
-	case *ast.ExprStmt:
-		as, okA := init.X.(*ast.AssignExpr)
-		if !okA || as.Op != token.ASSIGN {
-			return nil, nil, nil, false, false
-		}
-		id, okI := ast.Unparen(as.LHS).(*ast.Ident)
-		if !okI {
-			return nil, nil, nil, false, false
-		}
-		iter = w.a.info.Ref[id]
-		lb = as.RHS
-	default:
-		return nil, nil, nil, false, false
-	}
-	if iter == nil || !isIntScalar(iter) {
-		return nil, nil, nil, false, false
-	}
-	cond, okC := ast.Unparen(x.Cond).(*ast.BinaryExpr)
-	if !okC {
-		return nil, nil, nil, false, false
-	}
-	cid, okI := ast.Unparen(cond.X).(*ast.Ident)
-	if !okI || w.a.info.Ref[cid] != iter {
-		return nil, nil, nil, false, false
-	}
-	switch cond.Op {
-	case token.LSS:
-		incl = false
-	case token.LEQ:
-		incl = true
-	default:
-		return nil, nil, nil, false, false
-	}
-	ub = cond.Y
-	switch post := x.Post.(type) {
-	case *ast.PostfixExpr:
-		id, okP := ast.Unparen(post.X).(*ast.Ident)
-		if !okP || w.a.info.Ref[id] != iter || post.Op != token.INC {
-			return nil, nil, nil, false, false
-		}
-	case *ast.UnaryExpr:
-		id, okP := ast.Unparen(post.X).(*ast.Ident)
-		if !okP || w.a.info.Ref[id] != iter || post.Op != token.INC {
-			return nil, nil, nil, false, false
-		}
-	case *ast.AssignExpr:
-		id, okP := ast.Unparen(post.LHS).(*ast.Ident)
-		if !okP || w.a.info.Ref[id] != iter || post.Op != token.ADDASSIGN {
-			return nil, nil, nil, false, false
-		}
-		if v, okV := sema.ConstInt(post.RHS); !okV || v != 1 {
-			return nil, nil, nil, false, false
-		}
-	default:
-		return nil, nil, nil, false, false
-	}
-	return iter, lb, ub, incl, true
 }
 
 // ----------------------------------------------------------------------------
