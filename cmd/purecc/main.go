@@ -7,15 +7,9 @@
 //	purecc [flags] file.c
 //
 //	-mode pure|pluto      parallelizer mode (default pure)
-//	-backend LIST         comma-separated compile selections: the
-//	                      compiler analog (gcc or icc, default gcc)
-//	                      and/or the statement engine (tape or
-//	                      closure, default tape) — e.g. -backend
-//	                      icc,closure. The tape engine linearizes
-//	                      statement bodies into flat bytecode run by a
-//	                      switch-dispatch loop; the closure engine
-//	                      (one Go closure per syntax node) is its
-//	                      bit-identical reference and fallback
+//	-backend gcc|icc      compiler analog (default gcc); either way
+//	                      the program runs on the tape, flat bytecode
+//	                      executed by a switch-dispatch loop
 //	-cores N              worker count for parallel regions (default 1)
 //	-seq                  disable parallelization (sequential baseline)
 //	-tile                 enable rectangular tiling (PluTo-SICA analog)
@@ -88,7 +82,7 @@ func (d defineFlags) Set(s string) error {
 
 func main() {
 	mode := flag.String("mode", "pure", "parallelizer mode: pure or pluto")
-	backend := flag.String("backend", "gcc,tape", "comma-separated: compiler analog (gcc|icc) and/or statement engine (tape|closure)")
+	backend := flag.String("backend", "gcc", "compiler analog: gcc or icc")
 	cores := flag.Int("cores", 1, "worker count")
 	seq := flag.Bool("seq", false, "disable parallelization")
 	tile := flag.Bool("tile", false, "enable rectangular tiling")
@@ -143,19 +137,13 @@ func main() {
 	default:
 		fatalf("unknown mode %q", *mode)
 	}
-	for _, sel := range strings.Split(*backend, ",") {
-		switch strings.TrimSpace(sel) {
-		case "gcc":
-			cfg.Backend = comp.BackendGCC
-		case "icc":
-			cfg.Backend = comp.BackendICC
-		case "closure":
-			cfg.Engine = comp.EngineClosure
-		case "tape":
-			cfg.Engine = comp.EngineTape
-		default:
-			fatalf("unknown backend %q (want gcc, icc, tape or closure)", sel)
-		}
+	switch *backend {
+	case "gcc":
+		cfg.Backend = comp.BackendGCC
+	case "icc":
+		cfg.Backend = comp.BackendICC
+	default:
+		fatalf("unknown backend %q (want gcc or icc)", *backend)
 	}
 
 	prog, art, _, err := core.BuildProgram(string(src), cfg)
@@ -203,10 +191,8 @@ func main() {
 		fmt.Printf("fused kernels: %d\n", prog.FusedKernels())
 		fmt.Printf("inlined calls: %d\n", prog.InlinedCalls())
 		fmt.Printf("elided checks: %d\n", prog.ElidedChecks())
-		if instrs, consts, temps := prog.TapeStats(); prog.Engine() == comp.EngineTape {
-			fmt.Printf("tape: %d instructions, %d pooled constants, %d temp slots\n",
-				instrs, consts, temps)
-		}
+		instrs, consts, temps := prog.TapeStats()
+		fmt.Printf("tape: %d instructions, %d pooled constants, %d temp slots\n", instrs, consts, temps)
 		if art.Report != nil {
 			fmt.Print(art.Report.String())
 		}

@@ -29,8 +29,8 @@
 //	-max-source BYTES     request body bound (default 4MiB; longer is a 413)
 //
 // Endpoints: POST /run (body: {"source": "...", "defines": {...},
-// "options": {"backend" gcc|icc, "engine" tape|closure (default tape),
-// "cores", "sequential", "schedule", "memoize"}}; response body is the
+// "options": {"backend" gcc|icc, "cores", "sequential", "schedule",
+// "memoize"}}; response body is the
 // guest's stdout byte-for-byte, run metadata in X-Purecd-* headers and
 // trailers), GET /stats, GET /healthz.
 //

@@ -101,8 +101,8 @@ int main(void) {
 // MatmulKernSrc is the kernel matrix-multiplication workload: the paper's
 // extracted-dot matmul (Listing 7 shape) with an init/run split so the
 // harness times only the compute. Under the ICC backend the dot loop
-// compiles to the fused reduction kernel; with fusion off it pays one
-// closure per iteration per operand.
+// compiles to the fused reduction kernel; on dispatch it pays tape
+// instructions per iteration per operand.
 const MatmulKernSrc = `
 float **A, **Bt, **C;
 
@@ -145,8 +145,8 @@ int main(void) {
 // NoncanonSrc is the deliberately non-canonical tape workload: the
 // loop body declares a local and branches per element, so it neither
 // fuses (no single element-wise statement) nor vectorizes (no
-// reduction shape) — every iteration runs on the statement engine,
-// making the closure-vs-tape dispatch cost the whole measurement.
+// reduction shape) — every iteration runs on the tape's dispatch loop,
+// making dispatch cost the whole measurement.
 const NoncanonSrc = `
 float *x, *y;
 

@@ -1,5 +1,12 @@
 package comp
 
+// Calls on the tape. A call evaluates its arguments into consecutive
+// registers of each kind, then one op runs the callee — a user function
+// on a frame pushed on the caller's stack, a memoized one behind the
+// memo table, or printf — reading them through its site. Leaf pure
+// calls never get here: they compile as the expression they return
+// (inline.go). The fixed-arity builtins are plain register ops.
+
 import (
 	"fmt"
 	"math"
@@ -13,150 +20,146 @@ import (
 	"purec/internal/types"
 )
 
-// mathBuiltins maps unary float builtins to Go implementations.
-var mathUnary = map[string]func(float64) float64{
-	"sin": math.Sin, "cos": math.Cos, "tan": math.Tan,
-	"asin": math.Asin, "acos": math.Acos, "atan": math.Atan,
-	"exp": math.Exp, "log": math.Log, "log10": math.Log10,
-	"sqrt": math.Sqrt, "fabs": math.Abs, "floor": math.Floor,
-	"ceil": math.Ceil, "expf": math.Exp, "sqrtf": math.Sqrt,
-	"fabsf": math.Abs,
+// mathFns are the float builtins: f1 unary (tMath1), f2 binary (tMath2).
+var mathFns = [...]struct {
+	name string
+	f1   func(float64) float64
+	f2   func(float64, float64) float64
+}{
+	{name: "sin", f1: math.Sin}, {name: "cos", f1: math.Cos}, {name: "tan", f1: math.Tan},
+	{name: "asin", f1: math.Asin}, {name: "acos", f1: math.Acos}, {name: "atan", f1: math.Atan},
+	{name: "exp", f1: math.Exp}, {name: "log", f1: math.Log}, {name: "log10", f1: math.Log10},
+	{name: "sqrt", f1: math.Sqrt}, {name: "fabs", f1: math.Abs}, {name: "floor", f1: math.Floor},
+	{name: "ceil", f1: math.Ceil}, {name: "expf", f1: math.Exp}, {name: "sqrtf", f1: math.Sqrt},
+	{name: "fabsf", f1: math.Abs},
+	{name: "pow", f2: math.Pow}, {name: "atan2", f2: math.Atan2}, {name: "fmod", f2: math.Mod},
+	{name: "fmin", f2: math.Min}, {name: "fmax", f2: math.Max},
 }
 
-var mathBinary = map[string]func(float64, float64) float64{
-	"pow": math.Pow, "atan2": math.Atan2, "fmod": math.Mod,
-	"fmin": math.Min, "fmax": math.Max,
+// mathFn finds a float builtin by name.
+func mathFn(name string) (int, bool) {
+	for i := range mathFns {
+		if mathFns[i].name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
-// memoArg is one compiled scalar argument of a memoized call (the
-// callee frame slot is resolved at run time — the callee may not have
-// been compiled yet when the call site is).
-type memoArg struct {
-	kind slotKind
-	i    intFn
-	f    fltFn
+// intBuiltins are the two-argument int builtins and their ops.
+var intBuiltins = map[string]topcode{"floord": tFloorD, "ceild": tCeilD, "imin": tMinI, "imax": tMaxI}
+
+// callSite is the site of a tCall: the callee, where its arguments
+// sit, the result kind, and how the call meets the memo table.
+type callSite struct {
+	fn   *cfunc
+	args regSpan
+	ret  slotKind
+	void bool
+	// memo serves the call from the memo table (a memoizable callee at a
+	// value call site, all arguments scalar); bypass counts it as a pure
+	// call the table could not serve.
+	memo, bypass bool
+	seed         uint64
 }
 
-// tryMemo compiles a memoized pure call: the scalar argument values
-// form a memo.Key, a table hit returns the cached result bits, and a
-// miss executes the callee once and stores the result. Only functions
-// the purity analysis marked memoizable (scalar signature, global-free
-// body) qualify, so the cached result is bit-identical to execution.
-// Argument expressions are evaluated exactly once, matching the direct
-// call path even when they have side effects.
-func (fc *funcCompiler) tryMemo(x *ast.CallExpr) (valueFns, bool) {
-	if !fc.prog.memoize {
-		return valueFns{}, false
+// run executes the call, leaving the result in register dst of e.
+func (cs *callSite) run(e *env, dst int32) {
+	if cs.memo {
+		cs.runMemo(e, dst)
+		return
 	}
-	callee, ok := fc.prog.funcs[x.Fun.Name]
-	if !ok || !callee.memoizable || len(x.Args) != len(callee.decl.Params) {
-		return valueFns{}, false
+	if t := e.p.memo; cs.bypass && t != nil {
+		t.Bypass()
 	}
-	// Guard against an externally supplied Options.Memoizable entry the
-	// key cannot hold; the call falls back to direct execution.
-	if len(x.Args) > memo.MaxArgs {
-		return valueFns{}, false
-	}
-	// The callee's frame layout may not be compiled yet, so the return
-	// kind comes from the semantic signature (memoizable guarantees it
-	// is scalar).
-	sig := fc.prog.info.Funcs[x.Fun.Name]
-	if sig == nil || sig.Ret == nil {
-		return valueFns{}, false
-	}
-	var retKind slotKind
-	switch sig.Ret.Kind {
-	case types.Int:
-		retKind = slotInt
-	case types.Float:
-		retKind = slotFloat
+	ne := cs.enter(e)
+	cs.fn.run(ne)
+	switch {
+	case cs.void:
+	case cs.ret == slotInt:
+		e.I[dst] = ne.retI
+	case cs.ret == slotFloat:
+		e.F[dst] = ne.retF
 	default:
-		return valueFns{}, false
+		e.P[dst] = ne.retP
 	}
-	// Compile the argument evaluators by parameter type, mirroring
-	// userCall's setters (memoizable guarantees all-scalar parameters).
-	args := make([]memoArg, len(x.Args))
-	for i, arg := range x.Args {
-		pt, err := fc.paramType(callee, i)
-		if err != nil {
-			fc.errorf(x, "%v", err)
-		}
-		switch pt.Kind {
-		case types.Int:
-			args[i] = memoArg{kind: slotInt, i: fc.integer(arg)}
-		case types.Float:
-			args[i] = memoArg{kind: slotFloat, f: fc.argFlt(arg, pt)}
-		default:
-			return valueFns{}, false
-		}
-	}
-	name := x.Fun.Name
-	nargs := uint8(len(x.Args))
-	seed := memo.FnSeed(name)
-	// run executes the callee with the already-evaluated argument bits
-	// (the miss path and the no-table fallback).
-	run := func(e *env, k *memo.Key) (int64, float64) {
-		ne := e.call(callee)
-		for j, a := range args {
-			if a.kind == slotInt {
-				ne.I[callee.params[j].idx] = int64(k.Args[j])
-			} else {
-				ne.F[callee.params[j].idx] = math.Float64frombits(k.Args[j])
-			}
-		}
-		callee.body(ne)
-		ri, rf := ne.retI, ne.retF
-		e.fs.pop(ne)
-		return ri, rf
-	}
-	makeKey := func(e *env) memo.Key {
-		k := memo.Key{Fn: name, N: nargs}
-		for j, a := range args {
-			if a.kind == slotInt {
-				k.Args[j] = uint64(a.i(e))
-			} else {
-				k.Args[j] = math.Float64bits(a.f(e))
-			}
-		}
-		return k
-	}
-	out := valueFns{kind: retKind}
-	if retKind == slotFloat {
-		out.f = func(e *env) float64 {
-			k := makeKey(e)
-			tab := e.p.memo
-			if tab != nil {
-				if v, ok := tab.GetSeeded(seed, k); ok {
-					return math.Float64frombits(v)
-				}
-			}
-			_, rf := run(e, &k)
-			if tab != nil {
-				tab.PutSeeded(seed, k, math.Float64bits(rf))
-			}
-			return rf
-		}
-	} else {
-		out.i = func(e *env) int64 {
-			k := makeKey(e)
-			tab := e.p.memo
-			if tab != nil {
-				if v, ok := tab.GetSeeded(seed, k); ok {
-					return int64(v)
-				}
-			}
-			ri, _ := run(e, &k)
-			if tab != nil {
-				tab.PutSeeded(seed, k, uint64(ri))
-			}
-			return ri
-		}
-	}
-	return out, true
+	e.fs.pop(ne)
 }
 
-// countsAsBypass reports whether calls of name should increment the
-// memo bypass counter: pure calls memoization cannot serve (pointer
+// enter pushes the callee's frame and copies the arguments into its
+// parameter slots, in order (parameters are the first locals of their
+// kind, see funcCompiler.compile).
+func (cs *callSite) enter(e *env) *env {
+	ne := e.call(cs.fn)
+	next := cs.args.first
+	for _, p := range cs.fn.params {
+		r := next[p.kind]
+		next[p.kind]++
+		switch p.kind {
+		case slotInt:
+			ne.I[p.idx] = e.I[r]
+		case slotFloat:
+			ne.F[p.idx] = e.F[r]
+		default:
+			ne.P[p.idx] = e.P[r]
+		}
+	}
+	return ne
+}
+
+// runMemo is run for a memoized call: the argument bits form a
+// memo.Key, a table hit returns the cached result bits, and a miss
+// executes the callee once and stores the result. Only functions the
+// purity analysis marked memoizable (scalar signature, global-free
+// body) qualify, so the cached result is bit-identical to execution.
+func (cs *callSite) runMemo(e *env, dst int32) {
+	k := memo.Key{Fn: cs.fn.name, N: uint8(len(cs.fn.params))}
+	next := cs.args.first
+	for j, p := range cs.fn.params {
+		r := next[p.kind]
+		next[p.kind]++
+		if p.kind == slotInt {
+			k.Args[j] = uint64(e.I[r])
+		} else {
+			k.Args[j] = math.Float64bits(e.F[r])
+		}
+	}
+	tab := e.p.memo
+	v, hit := uint64(0), false
+	if tab != nil {
+		v, hit = tab.GetSeeded(cs.seed, k)
+	}
+	if !hit {
+		ne := cs.enter(e)
+		cs.fn.run(ne)
+		v = uint64(ne.retI)
+		if cs.ret == slotFloat {
+			v = math.Float64bits(ne.retF)
+		}
+		e.fs.pop(ne)
+		if tab != nil {
+			tab.PutSeeded(cs.seed, k, v)
+		}
+	}
+	if cs.ret == slotFloat {
+		e.F[dst] = math.Float64frombits(v)
+	} else {
+		e.I[dst] = int64(v)
+	}
+}
+
+// paramType resolves the declared type of callee's i-th parameter.
+func (fc *funcCompiler) paramType(callee *cfunc, i int) (*types.Type, error) {
+	return types.FromAST(callee.decl.Params[i].Type, func(tag string) (*types.Type, error) {
+		if st, ok := fc.prog.info.Structs[tag]; ok {
+			return st, nil
+		}
+		return nil, fmt.Errorf("unknown struct %s", tag)
+	})
+}
+
+// countsAsBypass reports whether value calls of name increment the memo
+// bypass counter: pure calls memoization cannot serve (pointer
 // arguments, oversized signatures, global-reading bodies). Only
 // consulted when the Program memoizes.
 func (fc *funcCompiler) countsAsBypass(name string) bool {
@@ -167,243 +170,45 @@ func (fc *funcCompiler) countsAsBypass(name string) bool {
 	return ok && cf.pure && !cf.memoizable
 }
 
-// wrapBypass wraps exec to count a memo bypass for calls of name, or
-// returns exec unchanged when such calls are not bypassed pure calls.
-func (fc *funcCompiler) wrapBypass(name string, exec func(*env) *env) func(*env) *env {
-	if !fc.countsAsBypass(name) {
-		return exec
+// memoizes reports whether a value call of callee is served from the
+// memo table: a memoizable callee whose arguments the key can hold and
+// whose signature is all int/float.
+func (fc *funcCompiler) memoizes(x *ast.CallExpr, callee *cfunc) bool {
+	if !fc.prog.memoize || !callee.memoizable || len(x.Args) != len(callee.decl.Params) || len(x.Args) > memo.MaxArgs {
+		return false
 	}
-	return func(e *env) *env {
-		if t := e.p.memo; t != nil {
-			t.Bypass()
+	sig := fc.prog.info.Funcs[callee.name]
+	if sig == nil || sig.Ret == nil || (sig.Ret.Kind != types.Int && sig.Ret.Kind != types.Float) {
+		return false
+	}
+	for i := range x.Args {
+		pt, err := fc.paramType(callee, i)
+		if err != nil {
+			fc.errorf(x, "%v", err)
 		}
-		return exec(e)
+		if pt.Kind != types.Int && pt.Kind != types.Float {
+			return false
+		}
 	}
+	return true
 }
 
-// paramType resolves the declared type of callee's i-th parameter
-// (shared by userCall's setters and tryMemo's key builders so the two
-// call paths cannot diverge).
-func (fc *funcCompiler) paramType(callee *cfunc, i int) (*types.Type, error) {
-	return types.FromAST(callee.decl.Params[i].Type, func(tag string) (*types.Type, error) {
-		if st, ok := fc.prog.info.Structs[tag]; ok {
-			return st, nil
-		}
-		return nil, fmt.Errorf("unknown struct %s", tag)
-	})
-}
-
-// argFlt compiles a float argument converted to its parameter type: a
-// 4-byte float parameter rounds the value through float32, like every
-// other C conversion to float.
-func (fc *funcCompiler) argFlt(arg ast.Expr, pt *types.Type) fltFn {
-	a := fc.num(arg)
-	if pt.CSize != 4 || fc.f32Exact(arg) {
-		return a
-	}
-	return func(e *env) float64 { return float64(float32(a(e))) }
-}
-
-// hasSideEffects conservatively reports whether evaluating e twice could
-// change program behaviour.
-func hasSideEffects(fc *funcCompiler, e ast.Expr) bool {
-	effect := false
-	ast.Walk(e, func(n ast.Node) bool {
-		switch y := n.(type) {
-		case *ast.AssignExpr, *ast.PostfixExpr:
-			effect = true
-		case *ast.UnaryExpr:
-			if y.Op == token.INC || y.Op == token.DEC {
-				effect = true
-			}
-		case *ast.CallExpr:
-			if !sema.IsPureBuiltin(y.Fun.Name) || y.Fun.Name == "malloc" || y.Fun.Name == "free" {
-				if cf, ok := fc.prog.funcs[y.Fun.Name]; !ok || !cf.pure {
-					effect = true
-				}
-			}
-		}
-		return !effect
-	})
-	return effect
-}
-
-// callFlt compiles a float-returning call.
-func (fc *funcCompiler) callFlt(x *ast.CallExpr) fltFn {
-	name := x.Fun.Name
-	if f1, ok := mathUnary[name]; ok {
-		if len(x.Args) != 1 {
-			fc.errorf(x, "%s takes one argument", name)
-		}
-		a := fc.num(x.Args[0])
-		return func(e *env) float64 { return f1(a(e)) }
-	}
-	if f2, ok := mathBinary[name]; ok {
-		if len(x.Args) != 2 {
-			fc.errorf(x, "%s takes two arguments", name)
-		}
-		a, b := fc.num(x.Args[0]), fc.num(x.Args[1])
-		return func(e *env) float64 { return f2(a(e), b(e)) }
-	}
-	if inl, ok := fc.inlineCall(x); ok {
-		return fc.flt(inl)
-	}
-	if m, ok := fc.tryMemo(x); ok && m.kind == slotFloat {
-		return m.f
-	}
-	exec := fc.wrapBypass(name, fc.userCall(x))
-	return func(e *env) float64 {
-		ne := exec(e)
-		v := ne.retF
-		e.fs.pop(ne)
-		return v
-	}
-}
-
-// callInt compiles an int-returning call.
-func (fc *funcCompiler) callInt(x *ast.CallExpr) intFn {
-	name := x.Fun.Name
-	switch name {
-	case "abs":
-		a := fc.integer(x.Args[0])
-		return func(e *env) int64 {
-			v := a(e)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
-	case "floord":
-		a, b := fc.integer(x.Args[0]), fc.integer(x.Args[1])
-		return func(e *env) int64 { return floorDiv(a(e), b(e)) }
-	case "ceild":
-		a, b := fc.integer(x.Args[0]), fc.integer(x.Args[1])
-		return func(e *env) int64 { return ceilDiv(a(e), b(e)) }
-	case "imin":
-		a, b := fc.integer(x.Args[0]), fc.integer(x.Args[1])
-		return func(e *env) int64 {
-			va, vb := a(e), b(e)
-			if va < vb {
-				return va
-			}
-			return vb
-		}
-	case "imax":
-		a, b := fc.integer(x.Args[0]), fc.integer(x.Args[1])
-		return func(e *env) int64 {
-			va, vb := a(e), b(e)
-			if va > vb {
-				return va
-			}
-			return vb
-		}
-	case "rand":
-		// Deterministic LCG so runs are reproducible.
-		return func(e *env) int64 { return e.p.nextRand() }
-	case "printf":
-		eff := fc.printfCall(x)
-		return func(e *env) int64 {
-			eff(e)
-			return 0
-		}
-	case "clock":
-		return func(*env) int64 { return 0 }
-	}
-	if _, ok := mathUnary[name]; ok {
-		f := fc.callFlt(x)
-		return func(e *env) int64 { return int64(f(e)) }
-	}
-	if inl, ok := fc.inlineCall(x); ok {
-		return fc.intExpr(inl)
-	}
-	if m, ok := fc.tryMemo(x); ok && m.kind == slotInt {
-		return m.i
-	}
-	exec := fc.wrapBypass(name, fc.userCall(x))
-	return func(e *env) int64 {
-		ne := exec(e)
-		v := ne.retI
-		e.fs.pop(ne)
-		return v
-	}
-}
-
-// callPtr compiles a pointer-returning user call.
-func (fc *funcCompiler) callPtr(x *ast.CallExpr) ptrFn {
-	if inl, ok := fc.inlineCall(x); ok {
-		return fc.ptr(inl)
-	}
-	exec := fc.wrapBypass(x.Fun.Name, fc.userCall(x))
-	return func(e *env) mem.Pointer {
-		ne := exec(e)
-		v := ne.retP
-		e.fs.pop(ne)
-		return v
-	}
-}
-
-// callEffect compiles a call in statement position.
-func (fc *funcCompiler) callEffect(x *ast.CallExpr) func(*env) {
-	name := x.Fun.Name
-	switch name {
-	case "free":
-		if len(x.Args) != 1 {
-			fc.errorf(x, "free takes one argument")
-		}
-		p := fc.ptr(x.Args[0])
-		return func(e *env) {
-			if err := e.p.heap.Free(p(e)); err != nil {
-				rtPanic("%v", err)
-			}
-		}
-	case "printf":
-		return fc.printfCall(x)
-	case "srand":
-		a := fc.integer(x.Args[0])
-		return func(e *env) { e.p.randState.Store(uint64(a(e))) }
-	case "malloc":
-		fc.errorf(x, "malloc result must be used (cast and assign it)")
-	}
-	if _, ok := mathUnary[name]; ok {
-		f := fc.callFlt(x)
-		return func(e *env) { f(e) }
-	}
-	if _, ok := mathBinary[name]; ok {
-		f := fc.callFlt(x)
-		return func(e *env) { f(e) }
-	}
-	exec := fc.userCall(x)
-	if cf, ok := fc.prog.funcs[name]; ok && fc.prog.memoize && cf.pure {
-		// A pure call in statement position never consults the table
-		// (its result is discarded), so it counts as bypassed — even
-		// when the function is memoizable at value call sites.
-		return func(e *env) {
-			if t := e.p.memo; t != nil {
-				t.Bypass()
-			}
-			e.fs.pop(exec(e))
-		}
-	}
-	return func(e *env) { e.fs.pop(exec(e)) }
-}
-
-// userCall compiles a call of a user-defined function into a closure
-// that runs the callee on a frame pushed on the caller's stack and
-// returns the finished activation; the call site reads the result it
-// wants and pops it.
-func (fc *funcCompiler) userCall(x *ast.CallExpr) func(*env) *env {
+// userCall compiles a call of a user-defined function: the arguments by
+// their parameters' kinds (a 4-byte float parameter rounds its value
+// through float32, like every C conversion to float), then the tCall.
+// ret is the result kind, ignored for a call in statement position.
+func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool) int32 {
+	fc := tc.fc
 	name := x.Fun.Name
 	callee, ok := fc.prog.funcs[name]
 	if !ok {
 		fc.errorf(x, "call of unknown function %s", name)
 	}
+	memoized := value && fc.memoizes(x, callee)
 	if len(x.Args) != len(callee.decl.Params) {
 		fc.errorf(x, "function %s expects %d arguments, got %d", name, len(callee.decl.Params), len(x.Args))
 	}
-	// Compile argument closures by the parameter's slot kind. Parameter
-	// slot layout is params-first, mirroring funcCompiler.compile.
-	type argSetter func(caller *env, ne *env)
-	var setters []argSetter
+	from := tc.ta.level()
 	for i, arg := range x.Args {
 		pt, err := fc.paramType(callee, i)
 		if err != nil {
@@ -413,31 +218,162 @@ func (fc *funcCompiler) userCall(x *ast.CallExpr) func(*env) *env {
 		if err != nil {
 			fc.errorf(x, "%v", err)
 		}
-		idx := i
 		switch k {
 		case slotInt:
-			a := fc.integer(arg)
-			setters = append(setters, func(c *env, ne *env) { ne.I[callee.params[idx].idx] = a(c) })
+			tc.integer(arg)
 		case slotFloat:
-			a := fc.argFlt(arg, pt)
-			setters = append(setters, func(c *env, ne *env) { ne.F[callee.params[idx].idx] = a(c) })
-		case slotPtr:
-			a := fc.ptr(arg)
-			setters = append(setters, func(c *env, ne *env) { ne.P[callee.params[idx].idx] = a(c) })
+			r := tc.num(arg)
+			if pt.CSize == 4 && !fc.f32Exact(arg) {
+				tc.emit(tinstr{op: tRoundF, a: r, b: r})
+			}
+		default:
+			tc.ptrExpr(arg)
 		}
 	}
-	return func(e *env) *env {
-		ne := e.call(callee)
-		for _, s := range setters {
-			s(e, ne)
-		}
-		callee.body(ne)
-		return ne
+	cs := callSite{fn: callee, args: tc.ta.span(from), ret: ret, void: !value, memo: memoized,
+		bypass: fc.prog.memoize && callee.pure && (!value || !callee.memoizable)}
+	if memoized {
+		cs.seed = memo.FnSeed(name)
 	}
+	tc.ta.restore(from)
+	var dst int32
+	if value {
+		dst = tc.ta.alloc(int(ret))
+	}
+	tc.tp.calls = append(tc.tp.calls, cs)
+	tc.emit(tinstr{op: tCall, a: dst, b: int32(len(tc.tp.calls) - 1)})
+	return dst
 }
 
-// printfCall compiles a printf with a constant format string.
-func (fc *funcCompiler) printfCall(x *ast.CallExpr) func(*env) {
+// callInt compiles an int-valued call.
+func (tc *tapeCompiler) callInt(x *ast.CallExpr) int32 {
+	fc := tc.fc
+	switch name := x.Fun.Name; name {
+	case "abs":
+		a := tc.integer(x.Args[0])
+		tc.emit(tinstr{op: tAbsI, a: a, b: a})
+		return a
+	case "floord", "ceild", "imin", "imax":
+		a := tc.integer(x.Args[0])
+		b := tc.integer(x.Args[1])
+		tc.emit(tinstr{op: intBuiltins[name], a: a, b: a, c: b})
+		tc.ta.popI()
+		return a
+	case "rand":
+		// a deterministic LCG, so runs are reproducible
+		r := tc.ta.allocI()
+		tc.emit(tinstr{op: tRand, a: r})
+		return r
+	case "printf":
+		tc.printf(x)
+		return tc.loadConstI(0)
+	case "clock":
+		return tc.loadConstI(0)
+	}
+	if i, ok := mathFn(x.Fun.Name); ok && mathFns[i].f1 != nil {
+		f := tc.callFlt(x)
+		tc.ta.popF()
+		r := tc.ta.allocI()
+		tc.emit(tinstr{op: tF2I, a: r, b: f})
+		return r
+	}
+	if inl, ok := fc.inlineCall(x); ok {
+		return tc.intExpr(inl)
+	}
+	return tc.userCall(x, slotInt, true)
+}
+
+// callFlt compiles a float-valued call.
+func (tc *tapeCompiler) callFlt(x *ast.CallExpr) int32 {
+	fc := tc.fc
+	name := x.Fun.Name
+	if i, ok := mathFn(name); ok {
+		if mathFns[i].f1 != nil {
+			if len(x.Args) != 1 {
+				fc.errorf(x, "%s takes one argument", name)
+			}
+			a := tc.num(x.Args[0])
+			tc.emit(tinstr{op: tMath1, a: a, b: a, c: int32(i)})
+			return a
+		}
+		if len(x.Args) != 2 {
+			fc.errorf(x, "%s takes two arguments", name)
+		}
+		a := tc.num(x.Args[0])
+		b := tc.num(x.Args[1])
+		tc.emit(tinstr{op: tMath2, a: a, b: a, c: b, aux: int64(i)})
+		tc.ta.popF()
+		return a
+	}
+	if inl, ok := fc.inlineCall(x); ok {
+		return tc.flt(inl)
+	}
+	return tc.userCall(x, slotFloat, true)
+}
+
+// callPtr compiles a pointer-valued user call.
+func (tc *tapeCompiler) callPtr(x *ast.CallExpr) int32 {
+	if inl, ok := tc.fc.inlineCall(x); ok {
+		return tc.ptrExpr(inl)
+	}
+	return tc.userCall(x, slotPtr, true)
+}
+
+// callEffect compiles a call in statement position. A pure user call
+// there never consults the memo table (its result is discarded), so it
+// counts as bypassed — even when the function is memoizable at value
+// call sites.
+func (tc *tapeCompiler) callEffect(x *ast.CallExpr) {
+	fc := tc.fc
+	switch name := x.Fun.Name; name {
+	case "free":
+		if len(x.Args) != 1 {
+			fc.errorf(x, "free takes one argument")
+		}
+		p := tc.ptrExpr(x.Args[0])
+		tc.emit(tinstr{op: tFree, b: p})
+		tc.ta.popP()
+		return
+	case "printf":
+		tc.printf(x)
+		return
+	case "srand":
+		a := tc.integer(x.Args[0])
+		tc.emit(tinstr{op: tSrand, b: a})
+		tc.ta.popI()
+		return
+	case "malloc":
+		fc.errorf(x, "malloc result must be used (cast and assign it)")
+	}
+	if _, ok := mathFn(x.Fun.Name); ok {
+		tc.callFlt(x)
+		tc.ta.popF()
+		return
+	}
+	tc.userCall(x, 0, false)
+}
+
+// ----------------------------------------------------------------------------
+// printf
+
+// printfPiece is literal text, or one conversion (verb != 0).
+type printfPiece struct {
+	text string
+	verb byte
+}
+
+// printfSite is the site of a tPrintf: the parsed constant format and
+// the registers holding one argument per conversion.
+type printfSite struct {
+	pieces []printfPiece
+	args   regSpan
+}
+
+// printf compiles a printf with a constant format string: one argument
+// per conversion, evaluated in order; arguments past the last
+// conversion are never evaluated.
+func (tc *tapeCompiler) printf(x *ast.CallExpr) {
+	fc := tc.fc
 	if len(x.Args) == 0 {
 		fc.errorf(x, "printf needs a format string")
 	}
@@ -446,53 +382,9 @@ func (fc *funcCompiler) printfCall(x *ast.CallExpr) func(*env) {
 		fc.errorf(x, "printf format must be a string literal")
 	}
 	format := lit.Value
-	type piece struct {
-		text string
-		verb byte // 0 for plain text
-		long bool
-	}
-	var pieces []piece
-	i := 0
-	for i < len(format) {
-		j := strings.IndexByte(format[i:], '%')
-		if j < 0 {
-			pieces = append(pieces, piece{text: format[i:]})
-			break
-		}
-		if j > 0 {
-			pieces = append(pieces, piece{text: format[i : i+j]})
-		}
-		i += j + 1
-		// skip flags/width/precision
-		long := false
-		for i < len(format) && (format[i] == '-' || format[i] == '+' || format[i] == ' ' ||
-			format[i] == '0' || format[i] == '.' || (format[i] >= '0' && format[i] <= '9')) {
-			i++
-		}
-		for i < len(format) && format[i] == 'l' {
-			long = true
-			i++
-		}
-		if i >= len(format) {
-			break
-		}
-		v := format[i]
-		i++
-		if v == '%' {
-			pieces = append(pieces, piece{text: "%"})
-			continue
-		}
-		pieces = append(pieces, piece{verb: v, long: long})
-	}
-	// Compile value closures for each verb in order.
+	pieces := parseFormat(format)
+	from := tc.ta.level()
 	ai := 1
-	type valFn struct {
-		verb byte
-		i    intFn
-		f    fltFn
-		p    ptrFn
-	}
-	var vals []valFn
 	for _, pc := range pieces {
 		if pc.verb == 0 {
 			continue
@@ -502,46 +394,102 @@ func (fc *funcCompiler) printfCall(x *ast.CallExpr) func(*env) {
 		}
 		arg := x.Args[ai]
 		ai++
-		switch pc.verb {
-		case 'd', 'i', 'u', 'x', 'c':
-			vals = append(vals, valFn{verb: pc.verb, i: fc.integer(arg)})
-		case 'f', 'g', 'e':
-			vals = append(vals, valFn{verb: pc.verb, f: fc.num(arg)})
-		case 's':
-			vals = append(vals, valFn{verb: pc.verb, p: fc.ptr(arg)})
+		switch verbKind(pc.verb) {
+		case tkI:
+			tc.integer(arg)
+		case tkF:
+			tc.num(arg)
+		case tkP:
+			tc.ptrExpr(arg)
 		default:
 			fc.errorf(x, "printf: unsupported verb %%%c", pc.verb)
 		}
 	}
-	return func(e *env) {
-		var b strings.Builder
-		vi := 0
-		for _, pc := range pieces {
-			if pc.verb == 0 {
-				b.WriteString(pc.text)
-				continue
-			}
-			v := vals[vi]
-			vi++
-			switch pc.verb {
-			case 'd', 'i', 'u':
-				fmt.Fprintf(&b, "%d", v.i(e))
-			case 'x':
-				fmt.Fprintf(&b, "%x", v.i(e))
-			case 'c':
-				fmt.Fprintf(&b, "%c", rune(v.i(e)))
-			case 'f':
-				fmt.Fprintf(&b, "%f", v.f(e))
-			case 'g':
-				fmt.Fprintf(&b, "%g", v.f(e))
-			case 'e':
-				fmt.Fprintf(&b, "%e", v.f(e))
-			case 's':
-				b.WriteString(cString(v.p(e)))
-			}
+	tc.tp.printfs = append(tc.tp.printfs, printfSite{pieces: pieces, args: tc.ta.span(from)})
+	tc.ta.restore(from)
+	tc.emit(tinstr{op: tPrintf, b: int32(len(tc.tp.printfs) - 1)})
+}
+
+// parseFormat splits a format into text and conversions; flags, width,
+// precision and length modifiers are skipped.
+func parseFormat(format string) []printfPiece {
+	var pieces []printfPiece
+	i := 0
+	for i < len(format) {
+		j := strings.IndexByte(format[i:], '%')
+		if j < 0 {
+			pieces = append(pieces, printfPiece{text: format[i:]})
+			break
 		}
-		fmt.Fprint(e.p.stdout, b.String())
+		if j > 0 {
+			pieces = append(pieces, printfPiece{text: format[i : i+j]})
+		}
+		i += j + 1
+		for i < len(format) && (format[i] == '-' || format[i] == '+' || format[i] == ' ' ||
+			format[i] == '.' || (format[i] >= '0' && format[i] <= '9')) {
+			i++
+		}
+		for i < len(format) && format[i] == 'l' {
+			i++
+		}
+		if i >= len(format) {
+			break
+		}
+		v := format[i]
+		i++
+		if v == '%' {
+			pieces = append(pieces, printfPiece{text: "%"})
+			continue
+		}
+		pieces = append(pieces, printfPiece{verb: v})
 	}
+	return pieces
+}
+
+// verbKind is the register kind of a conversion's argument, -1 for an
+// unsupported verb.
+func verbKind(v byte) int {
+	switch v {
+	case 'd', 'i', 'u', 'x', 'c':
+		return tkI
+	case 'f', 'g', 'e':
+		return tkF
+	case 's':
+		return tkP
+	}
+	return -1
+}
+
+// run formats the arguments and writes the result in one piece.
+func (ps *printfSite) run(e *env) {
+	var b strings.Builder
+	next := ps.args.first
+	for _, pc := range ps.pieces {
+		if pc.verb == 0 {
+			b.WriteString(pc.text)
+			continue
+		}
+		k := verbKind(pc.verb)
+		r := next[k]
+		next[k]++
+		switch pc.verb {
+		case 'd', 'i', 'u':
+			fmt.Fprintf(&b, "%d", e.I[r])
+		case 'x':
+			fmt.Fprintf(&b, "%x", e.I[r])
+		case 'c':
+			fmt.Fprintf(&b, "%c", rune(e.I[r]))
+		case 'f':
+			fmt.Fprintf(&b, "%f", e.F[r])
+		case 'g':
+			fmt.Fprintf(&b, "%g", e.F[r])
+		case 'e':
+			fmt.Fprintf(&b, "%e", e.F[r])
+		case 's':
+			b.WriteString(cString(e.P[r]))
+		}
+	}
+	fmt.Fprint(e.p.stdout, b.String())
 }
 
 // cString reads a NUL-terminated string from an int segment.
@@ -565,6 +513,71 @@ func cString(p mem.Pointer) string {
 	return b.String()
 }
 
+// ----------------------------------------------------------------------------
+// Memory
+
+// mallocSite is the site of a tMalloc: the cell kind and size the cast
+// target gives the segment, and its name.
+type mallocSite struct {
+	kind      mem.CellKind
+	cellBytes int64
+	name      string
+}
+
+// alloc allocates the cells holding b bytes.
+func (m *mallocSite) alloc(e *env, b int64) mem.Pointer {
+	cells := b / m.cellBytes
+	if b%m.cellBytes != 0 {
+		cells++
+	}
+	return e.p.heap.Malloc(m.kind, int(cells), m.name)
+}
+
+// malloc compiles (T*)malloc(bytes): the segment kind and cell count
+// derive from the cast's element type.
+func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr) int32 {
+	fc := tc.fc
+	if len(call.Args) != 1 {
+		fc.errorf(call, "malloc takes one argument")
+	}
+	b := tc.integer(call.Args[0])
+	t := fc.typeOf(cast)
+	if !t.IsPtr() {
+		fc.errorf(cast, "malloc cast must be a pointer type")
+	}
+	m := mallocSite{name: "malloc@" + fc.cf.name}
+	if elem := t.Elem; elem.Kind == types.Struct {
+		m.kind, m.cellBytes = mem.CellMixed, int64(elem.CSize)/int64(structCells(elem))
+	} else {
+		k, err := cellKindOf(elem)
+		if err != nil {
+			fc.errorf(cast, "%v", err)
+		}
+		m.kind, m.cellBytes = k, int64(elem.CSize)
+		if m.cellBytes == 0 {
+			m.cellBytes = 8
+		}
+	}
+	tc.tp.mallocs = append(tc.tp.mallocs, m)
+	tc.ta.popI()
+	r := tc.ta.allocP()
+	tc.emit(tinstr{op: tMalloc, a: r, b: int32(len(tc.tp.mallocs) - 1), c: b})
+	return r
+}
+
+// stringLit materializes a string literal's segment at compile time; the
+// tape loads its pointer.
+func (tc *tapeCompiler) stringLit(x *ast.StringLit) int32 {
+	seg := mem.NewSegment(mem.CellInt, len(x.Value)+1, "string")
+	for i := 0; i < len(x.Value); i++ {
+		seg.I[i] = int64(x.Value[i]) //lint:rawmem fresh segment sized len+1, i < len by the loop bound
+	}
+	tc.tp.constP = append(tc.tp.constP, mem.Pointer{Seg: seg})
+	r := tc.ta.allocP()
+	tc.emit(tinstr{op: tConstP, a: r, b: int32(len(tc.tp.constP) - 1)})
+	return r
+}
+
 func floorDiv(a, b int64) int64 {
 	if b == 0 {
 		rtPanic("floord division by zero")
@@ -585,4 +598,86 @@ func ceilDiv(a, b int64) int64 {
 		q++
 	}
 	return q
+}
+
+// ----------------------------------------------------------------------------
+// Effects and traps, for inlining and evaluation order
+
+// hasSideEffects conservatively reports whether evaluating e twice could
+// change program behaviour.
+func hasSideEffects(fc *funcCompiler, e ast.Expr) bool {
+	effects, _ := fc.risk(e)
+	return effects
+}
+
+// risk reports whether evaluating e can write state (effects: an
+// assignment, ++/--, a call of a builtin with effects or of a non-pure
+// function) and whether it can trap (a load, a division, pointer
+// arithmetic or an int-to-pointer cast, any call).
+func (fc *funcCompiler) risk(e ast.Expr) (effects, traps bool) {
+	ast.Walk(e, func(n ast.Node) bool {
+		switch y := n.(type) {
+		case *ast.AssignExpr, *ast.PostfixExpr:
+			effects, traps = true, true
+		case *ast.UnaryExpr:
+			switch y.Op {
+			case token.INC, token.DEC:
+				effects, traps = true, true
+			case token.MUL:
+				traps = true
+			}
+		case *ast.CallExpr:
+			traps = true
+			if !sema.IsPureBuiltin(y.Fun.Name) || y.Fun.Name == "malloc" || y.Fun.Name == "free" {
+				if cf, ok := fc.prog.funcs[y.Fun.Name]; !ok || !cf.pure {
+					effects = true
+				}
+			}
+		case *ast.IndexExpr, *ast.MemberExpr:
+			traps = true
+		case *ast.BinaryExpr:
+			if t := fc.exprType(y); y.Op == token.QUO || y.Op == token.REM || (t != nil && t.IsPtr()) {
+				traps = true
+			}
+		case *ast.CastExpr:
+			if t := fc.exprType(y); t != nil && t.IsPtr() {
+				traps = true
+			}
+		}
+		return !effects
+	})
+	return effects, traps
+}
+
+// addrRisk is risk for computing the address of lvalue e: its own cell
+// is not read.
+func (fc *funcCompiler) addrRisk(e ast.Expr) (effects, traps bool) {
+	switch x := stripParens(e).(type) {
+	case *ast.Ident:
+		return false, false
+	case *ast.IndexExpr:
+		subs, base := collectSubs(x)
+		if id, ok := base.(*ast.Ident); ok {
+			if sym := fc.prog.info.Ref[id]; sym != nil && sym.IsArray() && len(subs) == len(sym.Dims) {
+				for _, s := range subs {
+					e, t := fc.risk(s)
+					effects, traps = effects || e, traps || t
+				}
+				return effects, traps
+			}
+		}
+		e1, t1 := fc.risk(x.X)
+		e2, t2 := fc.risk(x.Index)
+		return e1 || e2, t1 || t2
+	case *ast.UnaryExpr:
+		if x.Op == token.MUL {
+			return fc.risk(x.X)
+		}
+	case *ast.MemberExpr:
+		if x.Arrow {
+			return fc.risk(x.X)
+		}
+		return fc.addrRisk(x.X)
+	}
+	return fc.risk(e)
 }

@@ -1,7 +1,6 @@
 package comp
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -9,7 +8,7 @@ import (
 // through a leaf pure function inlines into the loop matcher (handmap
 // is the same loop with the call substituted by hand, casts kept);
 // leafloop is matmul's row product, a leaf call inside a float sum that
-// gcc does not fuse, so the statement engine evaluates the inlined
+// gcc does not fuse, so the tape's dispatch evaluates the inlined
 // expression per iteration; dotrows calls a pure function with a loop
 // in it once per row and fibrun recurses, so both run on the frame
 // stack.
@@ -82,9 +81,8 @@ int main(void) {
 
 // BenchmarkPureCall measures a guest call per path, allocations
 // included: leaf-ptr must stay within noise of leaf-ptr-byhand (both are
-// one fused kernel launch), leaf-loop on tape must not be slower than
-// on closure (4096 inlined calls per op, none of them a closure tree
-// behind a tape call op), nonleaf is 64 calls and recursive 3193 calls
+// one fused kernel launch), leaf-loop is 4096 inlined calls per op,
+// none of them a tape call op, nonleaf is 64 calls and recursive 3193 calls
 // per op on the frame stack — zero allocations once it has grown.
 func BenchmarkPureCall(b *testing.B) {
 	for _, bc := range []struct{ name, fn string }{
@@ -94,23 +92,21 @@ func BenchmarkPureCall(b *testing.B) {
 		{"nonleaf", "dotrows"},
 		{"recursive", "fibrun"},
 	} {
-		for _, eng := range []Engine{EngineClosure, EngineTape} {
-			b.Run(fmt.Sprintf("%s/%v", bc.name, eng), func(b *testing.B) {
-				m, err := Compile(mustCheck(b, callBenchSrc), Options{Engine: eng})
-				if err != nil {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := Compile(mustCheck(b, callBenchSrc), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.RunMain(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.CallInt(bc.fn); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := m.RunMain(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := m.CallInt(bc.fn); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

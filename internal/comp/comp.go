@@ -1,6 +1,5 @@
 // Package comp compiles checked mini-C programs into linearized
-// instruction tapes (the default statement engine, tape.go) or trees of
-// Go closures, and executes them.
+// instruction tapes (tape.go) and executes them.
 //
 // It plays the role of GCC/ICC in the paper's tool chain (Fig. 1): the
 // transformed, pragma-annotated source becomes an executable artifact.
@@ -26,7 +25,7 @@
 //
 // Compilation output is split along the executable/run-state boundary:
 //
-//   - Program is the immutable compile artifact (compiled closures,
+//   - Program is the immutable compile artifact (compiled tapes,
 //     function table, global layout, backend metadata). It holds no
 //     run state and is safe to share between any number of concurrent
 //     runs.
@@ -65,33 +64,20 @@ var backendNames = [...]string{"gcc", "icc"}
 // String returns the backend name.
 func (b Backend) String() string { return backendNames[b] }
 
-// Engine selects the statement execution engine compiled programs run
-// on. Both engines share the trap primitives and float32 store-rounding
-// points, so results and failure behavior are bit-identical; only the
-// dispatch cost differs.
+// Engine once selected between the tape and a closure-tree statement
+// engine.
+//
+// Deprecated: the tape is the only engine; Engine values are accepted
+// and ignored.
 type Engine int
 
-// Engines.
+// Engine values.
+//
+// Deprecated: both build the same tape program.
 const (
-	// EngineTape (the default) linearizes statements into flat bytecode
-	// tapes executed by a switch-dispatch loop: constants pooled, locals
-	// and temps in fixed frame slots, control flow via relative jumps.
-	// Calls, malloc, switch statements, parallel-region launches and
-	// fused kernels escape into pooled closures; everything else runs
-	// instruction by instruction with no per-node allocation or
-	// interface calls.
 	EngineTape Engine = iota
-	// EngineClosure executes statement/expression trees of Go closures,
-	// one closure call per AST node. It is the tape's reference and the
-	// fallback for every statement the tape compiler does not
-	// linearize.
 	EngineClosure
 )
-
-var engineNames = [...]string{"tape", "closure"}
-
-// String returns the engine name.
-func (e Engine) String() string { return engineNames[e] }
 
 // Options configure compilation. Backend and Vectorize shape the
 // Program; Team and Stdout seed the initial Process of a Machine built
@@ -122,11 +108,6 @@ type Options struct {
 	// MemoCapacity bounds the memo table entry count (0 selects
 	// memo.DefaultCapacity).
 	MemoCapacity int
-	// Engine selects linearized-tape (default) or closure-tree
-	// execution for statement dispatch (fused kernels apply under both).
-	// Bit-identical results either way. Compile-relevant: part of the
-	// program-cache key.
-	Engine Engine
 	// Proofs is the value-range analysis' proven-in-bounds access set,
 	// keyed by the syntax nodes of the compiled model (vra.Result.Proofs
 	// over the same sema.Info). Accesses in the set may have their
@@ -160,7 +141,7 @@ const (
 )
 
 // env is the execution environment of one function activation. All run
-// state reaches compiled closures through the env: frame slots directly,
+// state reaches compiled code through the env: frame slots directly,
 // globals/heap/stdout/rand via the owning Process. The slots and the
 // header itself belong to the frame stack of the goroutine the
 // activation runs on (frames.go); parallel workers run on a copy of the
@@ -184,13 +165,6 @@ type env struct {
 	retP mem.Pointer
 }
 
-type (
-	intFn  func(*env) int64
-	fltFn  func(*env) float64
-	ptrFn  func(*env) mem.Pointer
-	stmtFn func(*env) ctrl
-)
-
 // arrayAlloc describes a local array or struct allocated at function
 // entry.
 type arrayAlloc struct {
@@ -207,9 +181,7 @@ type cfunc struct {
 	nI, nF, nP int
 	params     []slot
 	arrays     []arrayAlloc
-	body       stmtFn
-	// tape is the body's main instruction tape under EngineTape (nil
-	// under EngineClosure); kept for stats and unit inspection.
+	// tape is the body's main instruction tape.
 	tape    *tape
 	retKind slotKind
 	retVoid bool
@@ -221,6 +193,9 @@ type cfunc struct {
 	// expression (inline.go).
 	leaf leafInfo
 }
+
+// run executes the function body on its activation.
+func (cf *cfunc) run(e *env) { cf.tape.run(e, runOnce, 0, 0, 0) }
 
 func constFloat(e ast.Expr) (float64, bool) {
 	switch x := e.(type) {

@@ -3,9 +3,9 @@ package comp
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"purec/internal/interp"
 	"purec/internal/mem"
@@ -460,43 +460,69 @@ func TestDynamicScheduleCorrect(t *testing.T) {
 	}
 }
 
-// Property: random straight-line integer programs agree between compiler
-// and interpreter.
-func TestCompilerInterpreterAgreeProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		src := genIntProgram(seed)
-		fAst, err := parser.Parse("p.c", src)
-		if err != nil {
-			return false
-		}
-		info, err := sema.Check(fAst)
-		if err != nil {
-			return false
-		}
-		m, err := Compile(info, Options{})
-		if err != nil {
-			return false
-		}
-		got, err := m.RunMain()
-		if err != nil {
-			return true // runtime fault (e.g. div by zero): both would fault
-		}
-		in, err := interp.New(info, nil)
-		if err != nil {
-			return false
-		}
-		want, err := in.RunMain()
-		if err != nil {
-			return false
-		}
-		return got == want
+// agreeSeeds are the generator seeds TestCompilerInterpreterAgreeProperty
+// checks and FuzzTapeVsInterp starts from.
+func agreeSeeds() []uint32 {
+	r := rand.New(rand.NewSource(1))
+	seeds := make([]uint32, 60)
+	for i := range seeds {
+		seeds[i] = r.Uint32()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	return seeds
+}
+
+// Property: generated integer programs agree between the tape and the
+// interpreter.
+func TestCompilerInterpreterAgreeProperty(t *testing.T) {
+	for _, seed := range agreeSeeds() {
+		tapeVsInterp(t, seed)
 	}
 }
 
-// genIntProgram builds a deterministic random arithmetic program.
+// FuzzTapeVsInterp runs genIntProgram's programs on the tape and the
+// interp oracle: stdout, return value and trap text must be equal. A
+// finding leaves testdata/fuzz/FuzzTapeVsInterp/<hash>.
+func FuzzTapeVsInterp(f *testing.F) {
+	for _, seed := range agreeSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(tapeVsInterp)
+}
+
+func tapeVsInterp(t *testing.T, seed uint32) {
+	src := genIntProgram(seed)
+	info := mustCheck(t, src)
+	m, err := Compile(info, Options{})
+	if err != nil {
+		t.Fatalf("seed %d: %v\n%s", seed, err, src)
+	}
+	var out, wantOut bytes.Buffer
+	m.SetStdout(&out)
+	ret, err := m.RunMain()
+	trap := ""
+	if err != nil {
+		trap = err.Error()
+	}
+	in, err := interp.New(info, &wantOut)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	wantRet, err := in.RunMain()
+	wantTrap := ""
+	if err != nil {
+		wantTrap = strings.TrimPrefix(err.Error(), "interp ")
+	}
+	if ret != wantRet || trap != wantTrap || out.String() != wantOut.String() {
+		t.Fatalf("seed %d: tape ret=%d trap=%q out=%q, interp ret=%d trap=%q out=%q\n%s",
+			seed, ret, trap, out.String(), wantRet, wantTrap, wantOut.String(), src)
+	}
+}
+
+// genIntProgram builds a deterministic random integer program: arithmetic
+// that may divide by zero, branches and loops, switch with
+// fall-through, assignments used as values in conditions and
+// initializers, indexed stores whose address has side effects, calls of
+// a non-leaf function that writes a global, and printf.
 func genIntProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -505,19 +531,58 @@ func genIntProgram(seed uint32) string {
 	}
 	ops := []string{"+", "-", "*", "%", "/", "&", "|", "^"}
 	var b strings.Builder
-	b.WriteString("int main(void) {\n int a = ")
-	fmt.Fprintf(&b, "%d; int v = 1;\n", next(100)+1)
+	b.WriteString(`int g;
+int h[8];
+int bump(int d) {
+    int r = 0;
+    for (int k = 0; k < 2; k++) r = r + d;
+    g = g + r % 101;
+    return g % 97;
+}
+int main(void) {
+`)
+	fmt.Fprintf(&b, " int a = %d; int v = 1; int x = 0;\n", next(100)+1)
 	for i := 0; i < 12; i++ {
 		op := ops[next(len(ops))]
 		c := next(37) + 1
 		fmt.Fprintf(&b, " a = (a %s %d) + v;\n", op, c)
-		if next(3) == 0 {
+		switch next(9) {
+		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
-		}
-		if next(4) == 0 {
+		case 1:
 			fmt.Fprintf(&b, " for (int k = 0; k < %d; k++) a = a + k;\n", next(6))
+		case 2:
+			b.WriteString(" switch ((a % 4 + 4) % 4) {\n")
+			for c := 0; c < 4; c++ {
+				if c == 3 && next(2) == 0 {
+					b.WriteString(" default:")
+				} else {
+					fmt.Fprintf(&b, " case %d:", c)
+				}
+				fmt.Fprintf(&b, " a = a %s %d;", ops[next(3)], next(9)+1)
+				if next(2) == 0 {
+					b.WriteString(" break;")
+				}
+				b.WriteString("\n")
+			}
+			b.WriteString(" }\n")
+		case 3:
+			fmt.Fprintf(&b, " if ((x = a %% %d) > %d) v = v + x;\n", next(50)+1, next(25))
+		case 4:
+			fmt.Fprintf(&b, " { int w = (x = a & %d) + (v += %d); a = a + w - x; }\n", next(64), next(3)+1)
+		case 5:
+			fmt.Fprintf(&b, " for (int k = 0; (x = bump(k + v)) %% %d != 0 && k < 4; k++) a = a + x;\n", next(3)+2)
+		case 6:
+			fmt.Fprintf(&b, " h[(x++) & 7] %s= bump(a %% %d);\n", ops[next(3)], next(13)+1)
+			b.WriteString(" a = a + (h[a & 7] = x) - g;\n")
+		case 7:
+			b.WriteString(` printf("a=%d v=%d x=%d g=%d\n", a, v, x, g);` + "\n")
+		case 8:
+			if next(4) == 0 {
+				fmt.Fprintf(&b, " a = a / (v - %d);\n", next(4))
+			}
 		}
 	}
-	b.WriteString(" return a;\n}\n")
+	b.WriteString(` printf("%d %d %d %d %d\n", a, v, x, g, h[3]);` + "\n return a;\n}\n")
 	return b.String()
 }

@@ -21,17 +21,6 @@ func BenchmarkCompileProgram(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileEngines is the statement-engine A/B of the same
-// compile step: B/op and ns/op of the tape build against the closure
-// build it replaced as the default.
-func BenchmarkCompileEngines(b *testing.B) {
-	for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-		b.Run(eng.String(), func(b *testing.B) {
-			benchCompile(b, core.Config{Parallelize: true, Engine: eng})
-		})
-	}
-}
-
 func benchCompile(b *testing.B, cfg core.Config) {
 	var arts []*core.Artifact
 	for _, s := range apps.Corpus() {

@@ -25,8 +25,6 @@ func oracleRun(t *testing.T, src string) (int64, string) {
 	return ret, out.String()
 }
 
-var bothEngines = []Engine{EngineClosure, EngineTape}
-
 // A loop calling a pure function that is not a leaf (it has a loop of
 // its own) 1000 times: the frames come off the pooled Process's stack,
 // so a run allocates a constant, not one activation per call.
@@ -47,23 +45,21 @@ int main(void) {
     return (int)out[999];
 }`
 	want, _ := oracleRun(t, src)
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		pool := prog.NewPool(PoolOptions{Size: 1})
-		run := func() {
-			proc, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := proc.RunMain(); err != nil || got != want {
-				t.Fatalf("engine=%v: ret %d err %v, oracle %d", eng, got, err, want)
-			}
-			pool.Put(proc)
+	prog := compileProgram(t, src, Options{})
+	pool := prog.NewPool(PoolOptions{Size: 1})
+	run := func() {
+		proc, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
 		}
-		run() // grows the stack and the arena once
-		if allocs := testing.AllocsPerRun(10, run); allocs > 50 {
-			t.Errorf("engine=%v: %.0f allocations per run of 1000 calls, want a small constant", eng, allocs)
+		if got, err := proc.RunMain(); err != nil || got != want {
+			t.Fatalf("ret %d err %v, oracle %d", got, err, want)
 		}
+		pool.Put(proc)
+	}
+	run() // grows the stack and the arena once
+	if allocs := testing.AllocsPerRun(10, run); allocs > 50 {
+		t.Errorf("%.0f allocations per run of 1000 calls, want a small constant", allocs)
 	}
 }
 
@@ -93,32 +89,30 @@ int main(void) {
     return 0;
 }`
 	_, want := oracleRun(t, src)
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		var out bytes.Buffer
-		proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := proc.RunMain(); err != nil {
-			t.Fatal(err)
-		}
-		if out.String() != want {
-			t.Errorf("engine=%v: printed %q, oracle %q", eng, out.String(), want)
-		}
-		fs := &proc.root
-		if len(fs.i.chunks) < 3 || len(fs.f.chunks) < 3 || len(fs.p.chunks) < 3 {
-			t.Errorf("engine=%v: %d/%d/%d slab chunks, the recursion was meant to cross several",
-				eng, len(fs.i.chunks), len(fs.f.chunks), len(fs.p.chunks))
-		}
-		if fs.depth != 1 {
-			t.Errorf("engine=%v: %d frames left on the stack after main returned, want main's own", eng, fs.depth)
-		}
+	prog := compileProgram(t, src, Options{})
+	var out bytes.Buffer
+	proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proc.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Errorf("printed %q, oracle %q", out.String(), want)
+	}
+	fs := &proc.root
+	if len(fs.i.chunks) < 3 || len(fs.f.chunks) < 3 || len(fs.p.chunks) < 3 {
+		t.Errorf("%d/%d/%d slab chunks, the recursion was meant to cross several",
+			len(fs.i.chunks), len(fs.f.chunks), len(fs.p.chunks))
+	}
+	if fs.depth != 1 {
+		t.Errorf("%d frames left on the stack after main returned, want main's own", fs.depth)
 	}
 }
 
 // Unbounded guest recursion ends in a guest trap — the same text from
-// the interpreter and both engines, after the same output — instead of
+// the interpreter and the tape, after the same output — instead of
 // Go's unrecoverable stack overflow; the Process then runs a bounded
 // recursion to just under the cap as if nothing had happened.
 func TestUnboundedRecursionTraps(t *testing.T) {
@@ -144,20 +138,18 @@ int main(void) { return f(0); }`
 	if !strings.Contains(wantTrap, "stack overflow: call depth exceeds") || !strings.Contains(wantOut.String(), "depth 7500") {
 		t.Fatalf("interp: trap %q after %q", wantTrap, wantOut.String())
 	}
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		var out bytes.Buffer
-		proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = proc.RunMain()
-		if _, isRT := err.(*RuntimeError); !isRT || err.Error() != wantTrap || out.String() != wantOut.String() {
-			t.Errorf("engine=%v: err %v after %q, interp %q after %q", eng, err, out.String(), wantTrap, wantOut.String())
-		}
-		if got, err := proc.CallInt("deep"); err != nil || got != 9990 {
-			t.Errorf("engine=%v: deep() after the trap = %d, %v", eng, got, err)
-		}
+	prog := compileProgram(t, src, Options{})
+	var out bytes.Buffer
+	proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = proc.RunMain()
+	if _, isRT := err.(*RuntimeError); !isRT || err.Error() != wantTrap || out.String() != wantOut.String() {
+		t.Errorf("err %v after %q, interp %q after %q", err, out.String(), wantTrap, wantOut.String())
+	}
+	if got, err := proc.CallInt("deep"); err != nil || got != 9990 {
+		t.Errorf("deep() after the trap = %d, %v", got, err)
 	}
 }
 
@@ -196,32 +188,30 @@ int main(void) {
     printf("%d %d\n", first[0], second[0]);
     return 0;
 }`
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		pool := prog.NewPool(PoolOptions{Size: 1})
-		proc, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		proc.SetStdout(&out)
-		if _, err := proc.RunMain(); err != nil {
-			t.Fatal(err)
-		}
-		if out.String() != "7 9\n" {
-			t.Errorf("engine=%v: printed %q", eng, out.String())
-		}
-		stale, err := proc.GlobalPtr("first")
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(proc)
-		if _, err := pool.Get(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stale.Seg.IntRange(0, 4); err == nil || !strings.Contains(err.Error(), "use of freed segment leak.buf") {
-			t.Errorf("engine=%v: stale local array access = %v, want the use-of-freed trap", eng, err)
-		}
+	prog := compileProgram(t, src, Options{})
+	pool := prog.NewPool(PoolOptions{Size: 1})
+	proc, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	proc.SetStdout(&out)
+	if _, err := proc.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "7 9\n" {
+		t.Errorf("printed %q", out.String())
+	}
+	stale, err := proc.GlobalPtr("first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(proc)
+	if _, err := pool.Get(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Seg.IntRange(0, 4); err == nil || !strings.Contains(err.Error(), "use of freed segment leak.buf") {
+		t.Errorf("stale local array access = %v, want the use-of-freed trap", err)
 	}
 }
 
@@ -251,18 +241,16 @@ int main(void) {
     return s % 1000;
 }`
 	want, _ := oracleRun(t, src)
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		for _, team := range []*rt.Team{rt.NewTeam(4), rt.NewSimTeam(3)} {
-			proc, err := prog.NewProcess(ProcOptions{Team: team, Stdout: io.Discard})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < 3; run++ {
-				if got, err := proc.RunMain(); err != nil || got != want {
-					t.Fatalf("engine=%v team=%d sim=%v run %d: ret %d err %v, oracle %d",
-						eng, team.Size(), team.Simulated(), run, got, err, want)
-				}
+	prog := compileProgram(t, src, Options{})
+	for _, team := range []*rt.Team{rt.NewTeam(4), rt.NewSimTeam(3)} {
+		proc, err := prog.NewProcess(ProcOptions{Team: team, Stdout: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			if got, err := proc.RunMain(); err != nil || got != want {
+				t.Fatalf("team=%d sim=%v run %d: ret %d err %v, oracle %d",
+					team.Size(), team.Simulated(), run, got, err, want)
 			}
 		}
 	}
@@ -287,26 +275,24 @@ int fill(void) {
 }
 int main(void) { return fill(); }`
 	}
-	for _, eng := range bothEngines {
-		perRun := func(n string) float64 {
-			prog := compileProgram(t, src(n), Options{Engine: eng})
-			proc, err := prog.NewProcess(ProcOptions{Team: rt.NewTeam(4)})
-			if err != nil {
+	perRun := func(n string) float64 {
+		prog := compileProgram(t, src(n), Options{})
+		proc, err := prog.NewProcess(ProcOptions{Team: rt.NewTeam(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := proc.CallInt("fill"); err != nil {
 				t.Fatal(err)
 			}
-			run := func() {
-				if _, err := proc.CallInt("fill"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			run()
-			return testing.AllocsPerRun(5, run)
 		}
-		small, large := perRun("64"), perRun("4096")
-		if large > small+16 {
-			t.Errorf("engine=%v: %.0f allocations for 4096 chunks, %.0f for 64: must not grow with the iteration count",
-				eng, large, small)
-		}
+		run()
+		return testing.AllocsPerRun(5, run)
+	}
+	small, large := perRun("64"), perRun("4096")
+	if large > small+16 {
+		t.Errorf("%.0f allocations for 4096 chunks, %.0f for 64: must not grow with the iteration count",
+			large, small)
 	}
 }
 
@@ -334,18 +320,16 @@ int main(void) {
 	if want != "7\n9 1.5 0.25\n" {
 		t.Fatalf("interp printed %q", want)
 	}
-	for _, eng := range bothEngines {
-		prog := compileProgram(t, src, Options{Engine: eng})
-		var out bytes.Buffer
-		proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := proc.RunMain(); err != nil {
-			t.Fatalf("engine=%v: %v", eng, err)
-		}
-		if out.String() != want {
-			t.Errorf("engine=%v: printed %q, want %q", eng, out.String(), want)
-		}
+	prog := compileProgram(t, src, Options{})
+	var out bytes.Buffer
+	proc, err := prog.NewProcess(ProcOptions{Stdout: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proc.RunMain(); err != nil {
+		t.Fatalf("%v", err)
+	}
+	if out.String() != want {
+		t.Errorf("printed %q, want %q", out.String(), want)
 	}
 }

@@ -5,25 +5,25 @@ package comp
 // scale, axpy-style triads, stencil reads, compound assigns, gathers,
 // general int/float maps), a sum, dot or min/max fold into an
 // accumulator, or a histogram scatter — compile into a single Go kernel
-// that walks the raw memory segments instead of dispatching one closure
-// per iteration per operand.
+// that walks the raw memory segments instead of dispatching tape
+// instructions per iteration per operand.
 //
 // The fused-kernel contract (see README "Kernel fusion"):
 //
 //  1. one hoisted range check per affine operand per kernel launch —
 //     the mem.Segment Float/IntRange API validates [lo,hi) once and
 //     hands back the raw cell slice, replacing the per-access bounds
-//     checks of the closure backend; a data-dependent cell (a gathered
+//     checks of the dispatch loop; a data-dependent cell (a gathered
 //     load, a scatter target) is compared per element;
-//  2. every iteration reads and writes the cells the closure backend's
-//     ascending loop would, with the values it would find there, so
+//  2. every iteration reads and writes the cells the dispatch loop's
+//     ascending iterations would, with the values it would find there, so
 //     aliasing between operands (in-place stencils, overlapping
 //     copies) behaves identically: the single-pass loops below run
 //     ascending, the strip evaluator bounds its strips by the distance
 //     rule (strip.go, hazard below);
 //  3. float arithmetic is float64 with one float32 rounding at the
 //     store exactly when the stored C type is 4 bytes — bit-identical
-//     to the closure backend and the interp oracle;
+//     to the dispatch loop and the interp oracle;
 //  4. operands are live views of guest memory, so a kernel caches
 //     across iterations only values no operand can read: a fold's
 //     accumulator cell and a scatter's target are stores to the
@@ -41,7 +41,9 @@ package comp
 // iterator. strip.go lowers the tape to a register program and runs it
 // a strip of elements at a time into the sink; two float shapes (scale,
 // triad) keep a single-pass loop in front of it. Either way the launch
-// state is a kframe on the Go stack: a launch allocates nothing.
+// state is a kframe on the Go stack, filled from the registers the
+// launch's tape code computed (kernelOperands): a launch allocates
+// nothing.
 
 import (
 	"purec/internal/ast"
@@ -93,24 +95,28 @@ const (
 // register program the strip evaluator runs.
 type fusedKernel struct {
 	store kAccess // sinkStore
-	// acc is the frame slot of a fold's accumulator, or cell its
-	// iterator-invariant memory cell.
-	acc  int
-	cell ptrFn
+	// acc is the frame slot of a fold's accumulator, or cellX its
+	// iterator-invariant memory cell, whose address the launch computes
+	// into register cell.
+	acc   int
+	cellX ast.Expr
+	cell  int32
 	// gat is the data-dependent array: the source of the opGather load,
 	// or the scatter target, which op updates.
 	gat kGather
 	op  token.Kind
 
 	loads []kAccess
-	invF  []fltFn
-	invI  []intFn
-	// loadX and invX hold the syntax node each load and invariant was
-	// built from: a node met again — inlining substitutes one argument
-	// node for every read of its parameter — is the same operand. gatX
-	// is the node the classifier matched as the gathered load.
-	loadX []ast.Expr
+	// invX are the invariants the launch evaluates into consecutive
+	// registers from inv — float ones when floatInvs — a nil entry is
+	// the constant 1 of a scatter's ++/--. loadX holds the syntax node
+	// each load was built from: a node met again — inlining substitutes
+	// one argument node for every read of its parameter — is the same
+	// operand, and likewise for invX. gatX is the node the classifier
+	// matched as the gathered load.
 	invX  []ast.Expr
+	inv   int32
+	loadX []ast.Expr
 	gatX  ast.Expr
 	tape  []kOp
 
@@ -183,8 +189,8 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 	e = stripParens(e)
 	if fc.hoistable(e, iter) {
 		// Invariant leaf: any effect-free scalar expression, evaluated
-		// once per launch. fc.num converts invariant int subtrees in
-		// float context exactly like the closure backend does.
+		// once per launch (converted to float in a float tape, as the
+		// dispatch loop converts it).
 		t := fc.exprType(e)
 		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 			return false
@@ -196,11 +202,6 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		if j < 0 {
 			j = len(k.invX)
 			k.invX = append(k.invX, e)
-			if k.float {
-				k.invF = append(k.invF, fc.num(e))
-			} else {
-				k.invI = append(k.invI, fc.integer(e))
-			}
 		}
 		return k.push(kOp{code: opInv, arg: j})
 	}
@@ -235,8 +236,8 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		}
 		// The node's own C type must match the tape kind: an int-typed
 		// subtree that varies with the iterator (e.g. i/2 stored to a
-		// float array) computes in integer arithmetic in the closure
-		// backend — evaluating it with float ops would diverge.
+		// float array) computes in integer arithmetic in the dispatch
+		// loop — evaluating it with float ops would diverge.
 		t := fc.exprType(e)
 		if t == nil || (k.float && t.Kind != types.Float) || (!k.float && t.Kind != types.Int) {
 			return false
@@ -284,7 +285,7 @@ func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
 
 // floatTapeOperand reports whether e can be a float-tape subtree: a
 // float-typed expression, or an int-typed leaf the tape converts (the
-// iterator, or an invariant expression routed through fc.num).
+// iterator, or an invariant expression).
 func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 	e = stripParens(e)
 	t := fc.exprType(e)
@@ -325,13 +326,86 @@ type kframe struct {
 	invI  [maxInvs]int64
 }
 
+// floatInvs reports whether the invariants are float: those of a float
+// program, and a float scatter's update.
+func (k *fusedKernel) floatInvs() bool {
+	return k.float || (k.sink == sinkScatter && k.gat.float)
+}
+
+// kernelOperands emits the launch-time evaluation of k's operands —
+// in order the store, the accumulator cell, the gathered or scattered
+// array, the loads, the invariants — and records the registers they
+// land in. The launch keeps them allocated until its tStmt.
+func (tc *tapeCompiler) kernelOperands(k *fusedKernel) {
+	if k.sink == sinkStore {
+		tc.accessOperands(&k.store)
+	}
+	if k.cellX != nil {
+		k.cell = tc.addr(k.cellX)
+	}
+	if k.gat.baseX != nil {
+		k.gat.base = tc.baseOperand(k.gat.baseX)
+	}
+	for i := range k.loads {
+		tc.accessOperands(&k.loads[i])
+	}
+	float := k.floatInvs()
+	if float {
+		k.inv = tc.ta.level()[tkF]
+	} else {
+		k.inv = tc.ta.level()[tkI]
+	}
+	for _, x := range k.invX {
+		switch {
+		case x == nil:
+			tc.loadConstI(1)
+		case float:
+			tc.num(x)
+		default:
+			tc.integer(x)
+		}
+	}
+}
+
+// accessOperands emits an operand's base and invariant offset.
+func (tc *tapeCompiler) accessOperands(a *kAccess) {
+	a.base, a.off = tc.baseOperand(a.baseX), -1
+	for _, t := range a.offX {
+		r := tc.integer(t.x)
+		if t.c != 1 {
+			c := tc.loadConstI(t.c)
+			tc.emit(tinstr{op: tMulI, a: r, b: r, c: c})
+			tc.ta.popI()
+		}
+		if a.off < 0 {
+			a.off = r
+			continue
+		}
+		tc.emit(tinstr{op: tAddI, a: a.off, b: a.off, c: r})
+		tc.ta.popI()
+	}
+}
+
+// baseOperand is the register of a kernel's base pointer: a local's own
+// slot — which a reduction worker's clone privatizes — or a temp the
+// expression is evaluated into.
+func (tc *tapeCompiler) baseOperand(x ast.Expr) int32 {
+	if id, ok := stripParens(x).(*ast.Ident); ok {
+		if sl, global := tc.fc.slotOf(tc.fc.symOf(id), id); !global && sl.kind == slotPtr {
+			return int32(sl.idx)
+		}
+	}
+	return tc.ptrExpr(x)
+}
+
 // strideAny is the stride of a data-dependent operand: it meets no
 // affine stride, so any overlap with it runs element by element.
 const strideAny = -1
 
-// prepFrame hoists everything loop-invariant: the sink's target and the
-// operand ranges (one check each), the strip length their overlap
-// allows, invariant scalars, the sink's rounding mode.
+// prepFrame reads everything loop-invariant from the launch registers:
+// the sink's target and the operand ranges (one check each), the strip
+// length their overlap allows, invariant scalars, the sink's rounding
+// mode.
 func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
 	var st kspan
@@ -340,9 +414,9 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	case k.sink == sinkStore:
 		st = k.store.span(e, lo, hi)
 		k.store.cells(st, &fr.dst)
-	case k.cell != nil:
+	case k.cellX != nil:
 		// The accumulator cell is a store of stride 0, at every element.
-		p := k.cell(e)
+		p := e.P[k.cell]
 		st, ss = kspan{p.Seg, int64(p.Off), int64(p.Off)}, 0
 		cells := p.Seg.F
 		fr.accF = &cells[p.Off] // the dispatch loop's access, and its trap
@@ -351,11 +425,11 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	case k.sink != sinkScatter:
 		fr.accI = &e.I[k.acc]
 	}
-	if k.gat.base != nil {
+	if k.gat.baseX != nil {
 		// A null base faults here as on the dispatch loop's first access.
 		// The array is a scatter's store, or a gathered load against the
 		// store (against itself, the scatter's is the same walk).
-		fr.gat = k.gat.base(e)
+		fr.gat = e.P[k.gat.base]
 		all := kspan{fr.gat.Seg, 0, int64(fr.gat.Seg.Len()) - 1}
 		if k.sink == sinkScatter {
 			st, ss = all, strideAny
@@ -367,11 +441,10 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 		k.loads[i].cells(ld, &fr.loads[i])
 		fr.strip = min(fr.strip, hazard(st, ss, ld, k.loads[i].stride))
 	}
-	for i, f := range k.invF {
-		fr.invF[i] = f(e)
-	}
-	for i, f := range k.invI {
-		fr.invI[i] = f(e)
+	if k.floatInvs() {
+		copy(fr.invF[:], e.F[k.inv:int(k.inv)+len(k.invX)])
+	} else {
+		copy(fr.invI[:], e.I[k.inv:int(k.inv)+len(k.invX)])
 	}
 }
 

@@ -99,10 +99,10 @@ func benchEntry(b *testing.B, m *Machine) {
 	}
 }
 
-// BenchmarkDispatchLoop is the closure-dispatch baseline: one closure
-// call per iteration per operand of the axpy loop.
+// BenchmarkDispatchLoop is the dispatch baseline: the axpy loop run
+// instruction by instruction on the tape.
 func BenchmarkDispatchLoop(b *testing.B) {
-	benchEntry(b, dispatchProgram(b, benchAxpyDispatchSrc, Options{Engine: EngineClosure}))
+	benchEntry(b, dispatchProgram(b, benchAxpyDispatchSrc, Options{}))
 }
 
 // dispatchProgram is benchProgram for a source none of whose loops fuse.

@@ -629,30 +629,28 @@ int main(void) {
     return 0;
 }`, pragma, clause("+:s"), clause("+:hist[]"), clause("min:m"), clause("+:d"))
 		_, want := oracleRun(t, src)
-		for _, eng := range bothEngines {
-			prog := compileProgram(t, src, Options{Engine: eng, Vectorize: true})
-			if prog.FusedKernels() != 8 {
-				t.Fatalf("engine=%v pragma=%q: %d fused kernels, want 8", eng, pragma, prog.FusedKernels())
+		prog := compileProgram(t, src, Options{Vectorize: true})
+		if prog.FusedKernels() != 8 {
+			t.Fatalf("pragma=%q: %d fused kernels, want 8", pragma, prog.FusedKernels())
+		}
+		pool := prog.NewPool(PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(2) }})
+		run := func() {
+			proc, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
 			}
-			pool := prog.NewPool(PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(2) }})
-			run := func() {
-				proc, err := pool.Get()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var out bytes.Buffer
-				proc.SetStdout(&out)
-				if _, err := proc.RunMain(); err != nil || out.String() != want {
-					t.Fatalf("engine=%v pragma=%q: printed %q err %v, oracle %q", eng, pragma, out.String(), err, want)
-				}
-				pool.Put(proc)
+			var out bytes.Buffer
+			proc.SetStdout(&out)
+			if _, err := proc.RunMain(); err != nil || out.String() != want {
+				t.Fatalf("pragma=%q: printed %q err %v, oracle %q", pragma, out.String(), err, want)
 			}
-			run() // grows the frame stacks, the arena and the team once
-			allocs := testing.AllocsPerRun(10, run)
-			t.Logf("engine=%v pragma=%q: %.0f allocations per run", eng, pragma, allocs)
-			if allocs > 160 { // seven regions on two workers and the printf take 115
-				t.Errorf("engine=%v pragma=%q: %.0f allocations per run of 10 000-odd launches, want a small constant", eng, pragma, allocs)
-			}
+			pool.Put(proc)
+		}
+		run() // grows the frame stacks, the arena and the team once
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("pragma=%q: %.0f allocations per run", pragma, allocs)
+		if allocs > 160 { // seven regions on two workers and the printf take 115
+			t.Errorf("pragma=%q: %.0f allocations per run of 10 000-odd launches, want a small constant", pragma, allocs)
 		}
 	}
 }

@@ -23,6 +23,10 @@ package comp
 //     value the sink consumes with buildTape, so every kernel runs on
 //     the strip evaluator (strip.go), which ends in the sink.
 //
+// The matcher only records operand expressions: the launch evaluates
+// them on the tape (kernelOperands), and the kernel reads the registers
+// they land in.
+//
 // Because the matcher knows the sink and every operand, it is also
 // where the aliasing rule of the kernel contract lives: operands are
 // live views of guest memory, so the sink's target joins the distance
@@ -61,6 +65,7 @@ type loopKernel struct {
 	canonicalLoop
 	kind loopKind
 	run  kernRun
+	k    *fusedKernel
 	// acc names the scalar accumulator of a reduce or min/max kernel
 	// ("" for a memory cell) and dir is the min/max direction (LSS or
 	// GTR), so parallelReduceFor can hold the kernel against its clause.
@@ -80,7 +85,7 @@ func (lk *loopKernel) fuse(kind loopKind, k *fusedKernel) {
 	if lk.run = k.emit(); lk.run == nil {
 		return
 	}
-	lk.kind = kind
+	lk.kind, lk.k = kind, k
 	for _, a := range k.loads {
 		if a.trusted {
 			lk.elided++
@@ -193,26 +198,6 @@ func singleStmt(s ast.Stmt) ast.Stmt {
 	return s
 }
 
-// seqKernelStmt wraps a matched kernel for plain sequential execution:
-// evaluate the bounds once, run the whole range, and leave the
-// dispatch loop's post-loop iterator value (the first failing
-// iteration) in the slot.
-func (fc *funcCompiler) seqKernelStmt(lk loopKernel) stmtFn {
-	kern := fc.fused(lk)
-	iterSlot := lk.iterSlot
-	lower, upper := lk.lower, lk.upper
-	return func(e *env) ctrl {
-		lo, hi := lower(e), upper(e)
-		if hi < lo {
-			e.I[iterSlot] = lo
-		} else {
-			kern(e, lo, hi)
-			e.I[iterSlot] = hi + 1
-		}
-		return ctrlNext
-	}
-}
-
 // fused commits a matched kernel to the program: it counts as one
 // fused loop plus the checks its proofs elided.
 func (fc *funcCompiler) fused(lk loopKernel) kernRun {
@@ -308,10 +293,11 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 			return
 		}
 		sl := fc.slots[sym]
-		// The body writes the accumulator every iteration: a bound that
-		// reads it (for (k = 0; k < s; k++) s += x[k];) is not invariant
-		// even though hoistable's scalar test passes.
-		if sl.kind != slotFloat || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) {
+		// The body writes the accumulator every iteration: a bound or an
+		// operand offset that reads it (for (k = 0; k < s; k++) s +=
+		// x[k];) is not invariant even though hoistable's scalar test
+		// passes.
+		if sl.kind != slotFloat || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) || fc.usesSym(rhs, sym) {
 			return
 		}
 		k.acc, k.f32, name = sl.idx, sym.Type.CSize == 4, x.Name
@@ -320,7 +306,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 		if t == nil || t.Kind != types.Float || fc.usesSym(x, iter) {
 			return
 		}
-		k.cell, k.f32 = fc.addr(x), t.CSize == 4
+		k.cellX, k.f32 = x, t.CSize == 4
 	default:
 		return
 	}
@@ -365,10 +351,9 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 //	A[B[affine(i)]] op= inv      (op ∈ + - * & | ^; float: + - *)
 //
 // Division, modulo and shifts keep their per-iteration trap semantics
-// on the dispatch path, and so does float ++/--, which stores unrounded
-// there (unlike compound assignment). The kernel reads the target
-// through the environment's pointer slot, so on a worker's cloned
-// environment it updates that worker's private copy.
+// on the dispatch path, and float ++/-- stays there too. The kernel
+// reads the target through the environment's pointer slot, so on a
+// worker's cloned environment it updates that worker's private copy.
 func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, rhs ast.Expr) {
 	arith := op == token.ADD || op == token.SUB || op == token.MUL
 	if !arith && op != token.AND && op != token.OR && op != token.XOR {
@@ -383,21 +368,18 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 		return
 	}
 	k := &fusedKernel{sink: sinkScatter, gat: g, op: op, f32: g.f32}
-	// The update value — 1 for ++/--, otherwise a hoistable invariant —
-	// is the kernel's one invariant: the index tape is a single load.
+	// The update value — 1 for ++/-- (a nil invariant), otherwise a
+	// hoistable invariant — is the kernel's one invariant: the index
+	// tape is a single load.
 	switch {
 	case rhs != nil && (!fc.hoistable(rhs, iter) || !fc.effectFree(rhs)):
 		return
-	case g.float:
-		k.invF = []fltFn{fc.num(rhs)}
-	case rhs == nil:
-		k.invI = []intFn{func(*env) int64 { return 1 }}
-	default:
+	case rhs != nil && !g.float:
 		if t := fc.exprType(stripParens(rhs)); t == nil || t.Kind != types.Int {
 			return
 		}
-		k.invI = []intFn{fc.integer(rhs)}
 	}
+	k.invX = []ast.Expr{rhs}
 	if fc.buildTape(k, stripParens(lhs).(*ast.IndexExpr).Index, iter) {
 		lk.fuse(kindHist, k)
 	}
@@ -413,7 +395,7 @@ func (fc *funcCompiler) matchMinMax(lk *loopKernel, m *ast.Ident, data ast.Expr,
 		return
 	}
 	sl, global := fc.slotOf(sym, m)
-	if global || sl.kind == slotPtr || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) {
+	if global || sl.kind == slotPtr || fc.usesSym(lk.lowerX, sym) || fc.usesSym(lk.upperX, sym) || fc.usesSym(data, sym) {
 		return
 	}
 	x, ok := fc.matchKAccess(data, lk.iterSym)
@@ -438,11 +420,14 @@ func (fc *funcCompiler) matchMinMax(lk *loopKernel, m *ast.Ident, data ast.Expr,
 // iterator-invariant base pointer and offset (evaluated once per
 // launch) plus a constant iterator stride (walked per iteration).
 type kAccess struct {
-	base   ptrFn
-	off    intFn // loop-invariant offset, nil means 0
-	stride int64 // constant iterator coefficient, 0 = invariant access
-	float  bool
-	f32    bool // stored C type is 4 bytes (float32 rounding at stores)
+	baseX ast.Expr
+	offX  []kTerm // loop-invariant offset Σ c·x, empty means 0
+	// base and off are the launch registers baseX and offX land in (a
+	// local's own slot for a plain local base; off < 0 for no offset).
+	base, off int32
+	stride    int64 // constant iterator coefficient, 0 = invariant access
+	float     bool
+	f32       bool // stored C type is 4 bytes (float32 rounding at stores)
 	// trusted marks an operand whose per-launch range check the
 	// value-range analysis discharged at compile time: every subscript
 	// the loop can form is proven inside the array extent, and the
@@ -459,7 +444,8 @@ type kAccess struct {
 // indices, and an optional ?:-clamp of those indices (open sides are
 // the int64 extremes).
 type kGather struct {
-	base   ptrFn
+	baseX  ast.Expr
+	base   int32 // launch register of baseX
 	idx    kAccess
 	lo, hi int64
 	float  bool
@@ -508,7 +494,7 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 		return kGather{}, false
 	}
 	return kGather{
-		base: fc.ptr(gx.X), idx: idx, lo: lo, hi: hi,
+		baseX: gx.X, idx: idx, lo: lo, hi: hi,
 		float:   t.Kind == types.Float,
 		f32:     t.Kind == types.Float && t.CSize == 4,
 		named:   named,
@@ -635,7 +621,7 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 				return kAccess{}, false
 			}
 			acc := kAccess{
-				base:    fc.ptr(id),
+				baseX:   id,
 				float:   t.Kind == types.Float,
 				f32:     t.Kind == types.Float && t.CSize == 4,
 				trusted: fc.prog.proven(e),
@@ -647,7 +633,7 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 					return kAccess{}, false
 				}
 				acc.stride += coef * dimStride
-				acc.off = addIntFns(acc.off, scaleIntFn(inv, dimStride))
+				acc.offX = append(acc.offX, scaleTerms(inv, dimStride)...)
 				dimStride *= int64(sym.Dims[d])
 			}
 			return acc, acc.stride >= 0
@@ -672,8 +658,8 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 		return kAccess{}, false
 	}
 	return kAccess{
-		base:    fc.ptr(x.X),
-		off:     inv,
+		baseX:   x.X,
+		offX:    inv,
 		stride:  coef,
 		float:   bt.Elem.Kind == types.Float,
 		f32:     bt.Elem.Kind == types.Float && bt.Elem.CSize == 4,
@@ -681,12 +667,19 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	}, true
 }
 
+// kTerm is one term c·x of an invariant offset.
+type kTerm struct {
+	x ast.Expr
+	c int64
+}
+
 // affineInIter decomposes an integer expression as coef*iter + inv
-// with a compile-time constant coef and a hoistable invariant inv
-// (nil = 0). It accepts sums, differences and constant multiples of
-// the iterator — i, i+c, c+i, i-c, 2*i, i*3, 2*i+c, N-1-i (negative
-// coefficients are decomposed correctly and rejected by the callers).
-func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intFn, bool) {
+// with a compile-time constant coef and a hoistable invariant inv, a
+// sum of terms (none = 0). It accepts sums, differences and constant
+// multiples of the iterator — i, i+c, c+i, i-c, 2*i, i*3, 2*i+c, N-1-i
+// (negative coefficients are decomposed correctly and rejected by the
+// callers).
+func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, []kTerm, bool) {
 	e = stripParens(e)
 	if id, ok := e.(*ast.Ident); ok && fc.prog.info.Ref[id] == iter {
 		return 1, nil, true
@@ -696,7 +689,7 @@ func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intF
 		if t == nil || t.Kind != types.Int {
 			return 0, nil, false
 		}
-		return 0, fc.integer(e), true
+		return 0, []kTerm{{e, 1}}, true
 	}
 	switch x := e.(type) {
 	case *ast.BinaryExpr:
@@ -708,9 +701,9 @@ func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intF
 				return 0, nil, false
 			}
 			if x.Op == token.SUB {
-				cb, ib = -cb, scaleIntFn(ib, -1)
+				cb, ib = -cb, scaleTerms(ib, -1)
 			}
-			return ca + cb, addIntFns(ia, ib), true
+			return ca + cb, append(ia, ib...), true
 		case token.MUL:
 			c, okC := sema.ConstInt(x.X)
 			scaled := x.Y
@@ -720,38 +713,28 @@ func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, intF
 			}
 			if okC {
 				cs, is, oks := fc.affineInIter(scaled, iter)
-				return c * cs, scaleIntFn(is, c), oks
+				return c * cs, scaleTerms(is, c), oks
 			}
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.SUB {
 			c, i, ok := fc.affineInIter(x.X, iter)
-			return -c, scaleIntFn(i, -1), ok
+			return -c, scaleTerms(i, -1), ok
 		}
 	}
 	return 0, nil, false
 }
 
-// Invariant-offset closure algebra (nil means the constant 0).
-
-func addIntFns(a, b intFn) intFn {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(e *env) int64 { return a(e) + b(e) }
-}
-
-func scaleIntFn(a intFn, c int64) intFn {
-	if a == nil || c == 0 {
+// scaleTerms multiplies every term by c in place; a zero factor drops
+// the terms (they are never evaluated).
+func scaleTerms(ts []kTerm, c int64) []kTerm {
+	if c == 0 {
 		return nil
 	}
-	if c == 1 {
-		return a
+	for i := range ts {
+		ts[i].c *= c
 	}
-	return func(e *env) int64 { return a(e) * c }
+	return ts
 }
 
 // hoistable reports whether e is loop-invariant, effect-free and free
@@ -844,22 +827,22 @@ type kspan struct {
 	first, last int64
 }
 
-// span evaluates base and offset — once per launch — and locates the
-// operand's cells for iterations [lo, hi].
+// span reads base and offset from their launch registers and locates
+// the operand's cells for iterations [lo, hi].
 func (a *kAccess) span(e *env, lo, hi int64) kspan {
-	p := a.base(e)
+	p := e.P[a.base]
 	if p.IsNull() {
 		rtPanic("null pointer operand in fused loop")
 	}
 	off := int64(p.Off)
-	if a.off != nil {
-		off += a.off(e)
+	if a.off >= 0 {
+		off += e.I[a.off]
 	}
 	return kspan{seg: p.Seg, first: off + a.stride*lo, last: off + a.stride*hi}
 }
 
 // cells range-checks a located operand — the hoisted per-launch check,
-// which traps as a runtime error like the closure backend's per-access
+// which traps as a runtime error like the dispatch loop's per-access
 // checks — and hands its raw cells to the zeroed frame slot s.
 func (a *kAccess) cells(sp kspan, s *kslice) {
 	s.stride = int(a.stride)

@@ -281,7 +281,7 @@ func (p *Process) CallInt(name string) (ret int64, err error) {
 		return 0, fmt.Errorf("function %s not found", name)
 	}
 	e := p.rootEnv(cf)
-	cf.body(e)
+	cf.run(e)
 	return e.retI, nil
 }
 
@@ -328,7 +328,7 @@ func (p *Process) CallFloat(name string, args ...any) (ret float64, err error) {
 		}
 		ai++
 	}
-	cf.body(e)
+	cf.run(e)
 	return e.retF, nil
 }
 

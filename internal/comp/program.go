@@ -10,7 +10,7 @@ import (
 )
 
 // Program is an immutable, concurrency-safe compile artifact: the
-// compiled function closures, the global storage layout and the backend
+// compiled function tapes, the global storage layout and the backend
 // metadata. A Program holds no run state — globals, heap, stdout, team
 // and rand state live in a Process — so any number of Processes of one
 // Program may execute concurrently. The one concurrency-safe mutable
@@ -20,7 +20,6 @@ import (
 type Program struct {
 	info      *sema.Info
 	backend   Backend
-	engine    Engine
 	vectorize bool
 	// fusedKernels counts the loops compiled into fused segment-walking
 	// kernels (element-wise and reduction shapes), for the purecc
@@ -35,8 +34,8 @@ type Program struct {
 	proofs       map[ast.Expr]bool
 	elidedChecks int
 	// tapes lists every compiled tape in compile order and tapeTemps
-	// counts the temp registers of all functions (EngineTape only), for
-	// TapeStats and inspection.
+	// counts the temp registers of all functions, for TapeStats and
+	// inspection.
 	tapes     []*tape
 	tapeTemps int
 
@@ -58,7 +57,6 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	p := &Program{
 		info:        info,
 		backend:     opts.Backend,
-		engine:      opts.Engine,
 		vectorize:   opts.Vectorize,
 		proofs:      opts.Proofs,
 		funcs:       map[string]*cfunc{},
@@ -93,11 +91,8 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	}
 	// The tape builds share one scratch, returned to the pool only by a
 	// compile that finished (a failed one may have left it mid-function).
-	var scratch *tapeScratch
-	if p.engine == EngineTape {
-		scratch = tapeScratchPool.Get().(*tapeScratch)
-		scratch.start()
-	}
+	scratch := tapeScratchPool.Get().(*tapeScratch)
+	scratch.start()
 	// Declaration order keeps the program-wide tape pools deterministic.
 	for _, d := range info.File.Decls {
 		fd, ok := d.(*ast.FuncDecl)
@@ -109,23 +104,16 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 			return nil, err
 		}
 	}
-	if scratch != nil {
-		scratch.finish(p)
-		tapeScratchPool.Put(scratch)
-	}
+	scratch.finish(p)
+	tapeScratchPool.Put(scratch)
 	return p, nil
 }
 
 // Backend returns the compile backend analog the program was built with.
 func (p *Program) Backend() Backend { return p.backend }
 
-// Engine returns the statement execution engine the program was built
-// with.
-func (p *Program) Engine() Engine { return p.engine }
-
-// TapeStats returns the linearized-backend size counters: total
-// instruction words, pooled constants and temp registers across all
-// function tapes (all zero under EngineClosure).
+// TapeStats returns the tape size counters: total instruction words,
+// pooled constants and temp registers across all function tapes.
 func (p *Program) TapeStats() (instrs, consts, temps int) {
 	for _, tp := range p.tapes {
 		instrs += len(tp.code)

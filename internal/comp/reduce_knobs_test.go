@@ -67,8 +67,7 @@ int main(void) {
 }
 
 // TestReductionKnobMatrixMatchesOracle is the acceptance suite of the
-// reduction runtime: every {program} x {statement engine} x {schedule}
-// x {team} combination must return the serial interp oracle's integer
+// reduction runtime: every {program} x {schedule} x {team} combination must return the serial interp oracle's integer
 // result bit-identically. CI runs the whole package under -race, so
 // the 12-worker real teams also put every private allocation and the
 // worker-ordered combine under the race detector.
@@ -78,18 +77,15 @@ func TestReductionKnobMatrixMatchesOracle(t *testing.T) {
 		for _, sched := range schedules {
 			src := prog(sched)
 			want := runSerialOracle(t, src)
-			for _, engine := range []Engine{EngineClosure, EngineTape} {
-				for _, team := range knobTeams() {
-					m := compile(t, src, Options{Team: team, Engine: engine})
-					got, err := m.RunMain()
-					if err != nil {
-						t.Fatalf("%q engine=%v team=%d sim=%v: %v",
-							sched, engine, team.Size(), team.Simulated(), err)
-					}
-					if got != want {
-						t.Errorf("%q engine=%v team=%d sim=%v: got %d want %d",
-							sched, engine, team.Size(), team.Simulated(), got, want)
-					}
+			for _, team := range knobTeams() {
+				m := compile(t, src, Options{Team: team})
+				got, err := m.RunMain()
+				if err != nil {
+					t.Fatalf("%q team=%d sim=%v: %v", sched, team.Size(), team.Simulated(), err)
+				}
+				if got != want {
+					t.Errorf("%q team=%d sim=%v: got %d want %d",
+						sched, team.Size(), team.Simulated(), got, want)
 				}
 			}
 		}

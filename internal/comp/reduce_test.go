@@ -397,7 +397,7 @@ int main(void) {
 func TestReductionSubArrayParallelizes(t *testing.T) {
 	// hist[a[i]] -= e binds a reduction(-:hist[]) clause; the fused
 	// gather-update kernel already handles the SUB update, so the
-	// parallel result is exact at every team size and engine.
+	// parallel result is exact at every team size.
 	src := `
 int main(void) {
     int hist[8];
@@ -411,18 +411,15 @@ int main(void) {
     for (int i = 0; i < 8; i++) s = s + hist[i] * (i + 1);
     return s;
 }`
-	for _, eng := range []Engine{EngineClosure, EngineTape} {
-		for _, team := range reduceTeams() {
-			m := compile(t, src, Options{Team: team, Engine: eng})
-			got, err := m.RunMain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := runSerialOracle(t, src)
-			if got != want {
-				t.Errorf("engine=%v %d workers (sim=%v): got %d want %d",
-					eng, team.Size(), team.Simulated(), got, want)
-			}
+	for _, team := range reduceTeams() {
+		m := compile(t, src, Options{Team: team})
+		got, err := m.RunMain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runSerialOracle(t, src)
+		if got != want {
+			t.Errorf("%d workers (sim=%v): got %d want %d", team.Size(), team.Simulated(), got, want)
 		}
 	}
 }

@@ -1,48 +1,20 @@
 package comp
 
+// Loop launches: a fused kernel (kernel.go) or a parallel region runs
+// behind one tStmt. The tape computes what the launch needs into
+// registers just before it — the canonical bounds, then, once the range
+// is known not to be empty, the kernel's operands (bases, offsets,
+// invariants) — so a zero-trip loop evaluates no operand. The launch
+// runs on the launching goroutine: the registers are written before any
+// worker starts, and workers only read them (map kernels on the shared
+// parent frame) or their copies (workerEnv clones the frame).
+
 import (
 	"purec/internal/ast"
 	"purec/internal/omp"
 	"purec/internal/sema"
 	"purec/internal/token"
-	"purec/internal/types"
 )
-
-// block compiles a statement block, honoring #pragma omp parallel for
-// annotations on the following loop.
-func (fc *funcCompiler) block(b *ast.BlockStmt) stmtFn {
-	return fc.stmtList(b.List)
-}
-
-func (fc *funcCompiler) stmtList(list []ast.Stmt) stmtFn {
-	var fns []stmtFn
-	for i := 0; i < len(list); i++ {
-		s := list[i]
-		if _, ok := s.(*ast.PragmaStmt); ok {
-			// scop/endscop/simd markers have no runtime effect.
-			if f, r := fc.ompLoop(list, i); r != nil {
-				fns = append(fns, fc.parallelRegion(f, r))
-				i++
-			}
-			continue
-		}
-		fns = append(fns, fc.stmt(s))
-	}
-	switch len(fns) {
-	case 0:
-		return func(*env) ctrl { return ctrlNext }
-	case 1:
-		return fns[0]
-	}
-	return func(e *env) ctrl {
-		for _, f := range fns {
-			if c := f(e); c != ctrlNext {
-				return c
-			}
-		}
-		return ctrlNext
-	}
-}
 
 // ompLoop binds the pragma list[i] to the for loop that follows it.
 // It returns a nil region unless the pragma is an omp parallel for
@@ -62,293 +34,32 @@ func (fc *funcCompiler) ompLoop(list []ast.Stmt, i int) (*ast.ForStmt, *omp.Regi
 	return f, r
 }
 
-// parallelRegion compiles loop f under its bound pragma. Any reduction
-// clause — parallelizable operator or not — must take the reduction
-// path: compiling it as a plain parallelFor would discard the
-// accumulator updates made in the workers' private clones.
-func (fc *funcCompiler) parallelRegion(f *ast.ForStmt, r *omp.Region) stmtFn {
-	if len(r.Reductions) > 0 {
-		return fc.parallelReduceFor(f, r)
-	}
-	return fc.parallelFor(f, r)
+// launchFn runs a launched loop over the non-empty range lo..hi.
+type launchFn func(e *env, lo, hi int64) ctrl
+
+// launch is the site of a tStmt: what it runs and the registers it
+// reads.
+type launch struct {
+	run  launchFn
+	regs regSpan
 }
 
-func (fc *funcCompiler) stmt(s ast.Stmt) stmtFn {
-	switch x := s.(type) {
-	case *ast.DeclStmt:
-		return fc.declStmt(x)
-	case *ast.ExprStmt:
-		eff := fc.effect(x.X)
-		return func(e *env) ctrl {
-			eff(e)
-			return ctrlNext
-		}
-	case *ast.EmptyStmt:
-		return func(*env) ctrl { return ctrlNext }
-	case *ast.BlockStmt:
-		return fc.block(x)
-	case *ast.IfStmt:
-		c := fc.cond(x.Cond)
-		then := fc.stmt(x.Then)
-		if x.Else == nil {
-			return func(e *env) ctrl {
-				if c(e) {
-					return then(e)
-				}
-				return ctrlNext
-			}
-		}
-		els := fc.stmt(x.Else)
-		return func(e *env) ctrl {
-			if c(e) {
-				return then(e)
-			}
-			return els(e)
-		}
-	case *ast.ForStmt:
-		return fc.forStmt(x)
-	case *ast.WhileStmt:
-		c := fc.cond(x.Cond)
-		body := fc.stmt(x.Body)
-		return func(e *env) ctrl {
-			for c(e) {
-				switch body(e) {
-				case ctrlBreak:
-					return ctrlNext
-				case ctrlReturn:
-					return ctrlReturn
-				}
-			}
-			return ctrlNext
-		}
-	case *ast.DoStmt:
-		c := fc.cond(x.Cond)
-		body := fc.stmt(x.Body)
-		return func(e *env) ctrl {
-			for {
-				switch body(e) {
-				case ctrlBreak:
-					return ctrlNext
-				case ctrlReturn:
-					return ctrlReturn
-				}
-				if !c(e) {
-					return ctrlNext
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		return fc.returnStmt(x)
-	case *ast.BreakStmt:
-		return func(*env) ctrl { return ctrlBreak }
-	case *ast.ContinueStmt:
-		return func(*env) ctrl { return ctrlContinue }
-	case *ast.SwitchStmt:
-		return fc.switchStmt(x)
-	case *ast.PragmaStmt:
-		return func(*env) ctrl { return ctrlNext }
-	}
-	fc.errorf(s, "unsupported statement %T", s)
-	return nil
-}
-
-func (fc *funcCompiler) declStmt(x *ast.DeclStmt) stmtFn {
-	var fns []func(*env)
-	for _, d := range x.Decls {
-		sym := fc.declSym[d]
-		if sym == nil {
-			fc.errorf(d, "declaration of %s has no symbol", d.Name)
-		}
-		if d.Init == nil {
-			continue
-		}
-		sl := fc.slots[sym]
-		switch sl.kind {
-		case slotInt:
-			v := fc.integer(d.Init)
-			idx := sl.idx
-			fns = append(fns, func(e *env) { e.I[idx] = v(e) })
-		case slotFloat:
-			v := fc.num(d.Init)
-			idx := sl.idx
-			if sym.Type.CSize == 4 {
-				inner := v
-				v = func(e *env) float64 { return float64(float32(inner(e))) }
-			}
-			fns = append(fns, func(e *env) { e.F[idx] = v(e) })
-		case slotPtr:
-			if sym.IsArray() || sym.Type.Kind == types.Struct {
-				fc.errorf(d, "array/struct initializers are not supported")
-			}
-			v := fc.ptr(d.Init)
-			idx := sl.idx
-			fns = append(fns, func(e *env) { e.P[idx] = v(e) })
-		}
-	}
-	return func(e *env) ctrl {
-		for _, f := range fns {
-			f(e)
-		}
-		return ctrlNext
-	}
-}
-
-func (fc *funcCompiler) returnStmt(x *ast.ReturnStmt) stmtFn {
-	if x.X == nil {
-		return func(*env) ctrl { return ctrlReturn }
-	}
-	if fc.cf.retVoid {
-		fc.errorf(x, "value returned from void function")
-	}
-	switch fc.cf.retKind {
-	case slotInt:
-		v := fc.integer(x.X)
-		return func(e *env) ctrl {
-			e.retI = v(e)
-			return ctrlReturn
-		}
-	case slotFloat:
-		v := fc.num(x.X)
-		if fc.sig != nil && fc.sig.Ret.CSize == 4 {
-			inner := v
-			v = func(e *env) float64 { return float64(float32(inner(e))) }
-		}
-		return func(e *env) ctrl {
-			e.retF = v(e)
-			return ctrlReturn
-		}
-	default:
-		v := fc.ptr(x.X)
-		return func(e *env) ctrl {
-			e.retP = v(e)
-			return ctrlReturn
-		}
-	}
-}
-
-func (fc *funcCompiler) switchStmt(x *ast.SwitchStmt) stmtFn {
-	tag := fc.integer(x.Tag)
-	type ccase struct {
-		val   int64
-		deflt bool
-		body  stmtFn
-	}
-	var cases []ccase
-	for _, c := range x.Cases {
-		cc := ccase{body: fc.stmtList(c.Body)}
-		if c.Value == nil {
-			cc.deflt = true
-		} else {
-			v, ok := sema.ConstInt(c.Value)
-			if !ok {
-				fc.errorf(c, "case label must be constant")
-			}
-			cc.val = v
-		}
-		cases = append(cases, cc)
-	}
-	// C fall-through: execution continues into following cases until a
-	// break. We execute from the matching case through the rest.
-	return func(e *env) ctrl {
-		v := tag(e)
-		start := -1
-		for i, c := range cases {
-			if !c.deflt && c.val == v {
-				start = i
-				break
-			}
-		}
-		if start < 0 {
-			for i, c := range cases {
-				if c.deflt {
-					start = i
-					break
-				}
-			}
-		}
-		if start < 0 {
-			return ctrlNext
-		}
-		for i := start; i < len(cases); i++ {
-			switch cases[i].body(e) {
-			case ctrlBreak:
-				return ctrlNext
-			case ctrlReturn:
-				return ctrlReturn
-			case ctrlContinue:
-				return ctrlContinue
-			}
-		}
-		return ctrlNext
-	}
-}
-
-// forStmt compiles a sequential for loop: the fused kernel where the
-// matcher finds one (element-wise, gather, histogram, min/max and
-// integer-sum bodies on every backend; canonical
-// float reduction loops where fuseReductions says — the vectorization
-// analog), per-iteration dispatch otherwise.
-func (fc *funcCompiler) forStmt(x *ast.ForStmt) stmtFn {
-	return fc.seqFor(x, fc.matchLoop(x))
-}
-
-// seqFor compiles x for sequential execution given its match.
-func (fc *funcCompiler) seqFor(x *ast.ForStmt, lk loopKernel) stmtFn {
-	if lk.run != nil {
-		return fc.seqKernelStmt(lk)
-	}
-	var init stmtFn
-	if x.Init != nil {
-		init = fc.stmt(x.Init)
-	}
-	var cond func(*env) bool
-	if x.Cond != nil {
-		cond = fc.cond(x.Cond)
-	} else {
-		cond = func(*env) bool { return true }
-	}
-	var post func(*env)
-	if x.Post != nil {
-		post = fc.effect(x.Post)
-	}
-	body := fc.stmt(x.Body)
-	return func(e *env) ctrl {
-		if init != nil {
-			init(e)
-		}
-		for cond(e) {
-			switch body(e) {
-			case ctrlBreak:
-				return ctrlNext
-			case ctrlReturn:
-				return ctrlReturn
-			}
-			if post != nil {
-				post(e)
-			}
-		}
-		return ctrlNext
-	}
-}
-
-// canonicalLoop extracts (iterSlot, lower, upperInclusive, body) from a
-// canonical loop "for (int i = LB; i < UB; i++) ...".
+// canonicalLoop is a loop of omp.Canonical's shape: "for (i = LB; i <
+// UB; i++) body" (or i <= UB) over a frame slot.
 type canonicalLoop struct {
 	iterSlot int
-	lower    intFn
-	upper    intFn // inclusive
-	body     ast.Stmt
 	iterSym  *sema.Symbol
-	// lowerX and upperX are the bound expressions (upperX is the raw
-	// condition bound, exclusive under <); the fusion engine checks
-	// them for hoistability before evaluating bounds once per launch.
-	lowerX ast.Expr
-	upperX ast.Expr
+	body     ast.Stmt
+	// lowerX and upperX are the bound expressions (upperX exclusive
+	// unless inclusive); the matcher checks them for hoistability, and a
+	// launch evaluates them once.
+	lowerX, upperX ast.Expr
+	inclusive      bool
 }
 
-// canonical compiles the bounds of a loop of omp.Canonical's shape whose
-// iterator has a frame slot (a global does not: omp.Bind refuses it
-// under a parallel-for pragma, and a sequential loop over it dispatches).
+// canonical recognizes a loop of omp.Canonical's shape whose iterator
+// has a frame slot (a global does not: omp.Bind refuses it under a
+// parallel-for pragma, and a sequential loop over it dispatches).
 func (fc *funcCompiler) canonical(x *ast.ForStmt) (canonicalLoop, bool) {
 	l, ok := omp.Canonical(fc.prog.info, x)
 	if !ok {
@@ -358,14 +69,53 @@ func (fc *funcCompiler) canonical(x *ast.ForStmt) (canonicalLoop, bool) {
 	if global {
 		return canonicalLoop{}, false
 	}
-	cl := canonicalLoop{iterSlot: sl.idx, iterSym: l.Iter, body: x.Body, lowerX: l.Lower, upperX: l.Upper}
-	cl.lower = fc.integer(l.Lower)
-	cl.upper = fc.integer(l.Upper)
-	if !l.Inclusive {
-		ub := cl.upper
-		cl.upper = func(e *env) int64 { return ub(e) - 1 }
+	return canonicalLoop{iterSlot: sl.idx, iterSym: l.Iter, body: x.Body,
+		lowerX: l.Lower, upperX: l.Upper, inclusive: l.Inclusive}, true
+}
+
+// launchLoop emits the launch of run over cl's bounds: lower, then
+// upper, into registers; an empty range skips the launch (with
+// emptyIter it leaves lower in the iterator slot, as the dispatch loop
+// would); otherwise k's operands (k may be nil) follow, then the tStmt.
+func (tc *tapeCompiler) launchLoop(cl *canonicalLoop, k *fusedKernel, run launchFn, emptyIter bool) {
+	from := tc.ta.level()
+	lo := tc.integer(cl.lowerX)
+	hi := tc.integer(cl.upperX)
+	if !cl.inclusive {
+		one := tc.loadConstI(1)
+		tc.emit(tinstr{op: tSubI, a: hi, b: hi, c: one})
+		tc.ta.popI()
 	}
-	return cl, true
+	t := tc.ta.allocI()
+	tc.emit(tinstr{op: tLtI, a: t, b: hi, c: lo})
+	empty := tc.emit(tinstr{op: tJnz, b: t})
+	tc.ta.popI()
+	if k != nil {
+		tc.kernelOperands(k)
+	}
+	tc.tp.launches = append(tc.tp.launches, launch{run: run, regs: tc.ta.span(from)})
+	tc.emit(tinstr{op: tStmt, a: lo, b: int32(len(tc.tp.launches) - 1), c: hi})
+	if emptyIter {
+		done := tc.emit(tinstr{op: tJmp})
+		tc.patch(empty)
+		tc.emit(tinstr{op: tMovI, a: int32(cl.iterSlot), b: lo})
+		tc.patch(done)
+	} else {
+		tc.patch(empty)
+	}
+	tc.ta.restore(from)
+}
+
+// parallelRegion compiles loop f under its bound pragma. Any reduction
+// clause — parallelizable operator or not — must take the reduction
+// path: compiling it as a plain parallelFor would discard the
+// accumulator updates made in the workers' private clones.
+func (tc *tapeCompiler) parallelRegion(f *ast.ForStmt, r *omp.Region) {
+	if len(r.Reductions) > 0 {
+		tc.parallelReduceFor(f, r)
+		return
+	}
+	tc.parallelFor(f, r)
 }
 
 // runsInline reports whether a parallel region executes inline on the
@@ -385,25 +135,23 @@ func runsInline(e *env) bool {
 // chunk on a fresh copy of the calling environment (private scalars,
 // shared segments), the OpenMP private-variable analog — a copy into
 // the worker's own frame stack, so a region allocates per worker, not
-// per chunk. A fusible element-wise body skips the
-// per-iteration dispatch entirely: each worker runs the fused kernel
-// over its chunk bounds (composing with every schedule, on real and
-// simulated teams), reading the parent environment's invariants and
-// writing only the shared segments. omp.Bind has proved the loop
-// canonical.
-func (fc *funcCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) stmtFn {
+// per chunk. A fusible element-wise body skips the per-iteration
+// dispatch entirely: each worker runs the fused kernel over its chunk
+// bounds (composing with every schedule, on real and simulated teams),
+// reading the parent environment's operand registers and writing only
+// the shared segments. omp.Bind has proved the loop canonical.
+func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
+	fc := tc.fc
 	lk := fc.matchLoop(x)
 	sched, chunk := r.Schedule, r.Chunk
 	iterSlot := lk.iterSlot
-	lower, upper := lk.lower, lk.upper
 	if lk.kind == kindMap {
 		// Chunked map kernels are safe — gathers included, which arrive
 		// here once the polyhedral stage parallelizes proven-bounded
 		// nests: chunks partition the store range and the gathered array
 		// is only read.
 		kern := fc.fused(lk)
-		return func(e *env) ctrl {
-			lo, hi := lower(e), upper(e)
+		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
 			if runsInline(e) {
 				return inlineKernel(e, iterSlot, lo, hi, kern)
 			}
@@ -411,11 +159,11 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) stmtFn {
 				kern(e, clo, chi)
 			})
 			return ctrlNext
-		}
+		}, false)
+		return
 	}
 	body := fc.loopBody(lk.body, iterSlot)
-	return func(e *env) ctrl {
-		lo, hi := lower(e), upper(e)
+	tc.launchLoop(&lk.canonicalLoop, nil, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			return body(e, lo, hi, false)
 		}
@@ -424,17 +172,15 @@ func (fc *funcCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) stmtFn {
 			body(e.workerEnv(w), clo, chi, true)
 		})
 		return ctrlNext
-	}
+	}, false)
 }
 
 // inlineKernel runs a parallel region's fused kernel inline on the
 // calling environment, leaving the last iteration value in the
 // iterator slot like the dispatch inline loop does.
 func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
-	if hi >= lo {
-		kern(e, lo, hi)
-		e.I[iterSlot] = hi
-	}
+	kern(e, lo, hi)
+	e.I[iterSlot] = hi
 	return ctrlNext
 }
 
@@ -475,7 +221,8 @@ func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, op token.Kind) (r re
 // clauses whose loop body lacks the guarded-update pattern) and
 // accumulators that cannot be privatized (globals) compile to serial
 // execution of the loop — always correct, never silently wrong.
-func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) stmtFn {
+func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
+	fc := tc.fc
 	lk := fc.matchLoop(x)
 	reds := make([]reduction, 0, len(rg.Reductions))
 	hasArray := false
@@ -490,7 +237,8 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) stmtFn
 			r, ok = fc.scalarReductionFor(site, c.Kind)
 		}
 		if !ok {
-			return fc.seqFor(x, lk)
+			tc.seqFor(x, lk)
+			return
 		}
 		hasArray = hasArray || c.Array
 		reds = append(reds, r)
@@ -501,26 +249,25 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) stmtFn
 	// (the body is the single statement updating the clause accumulator,
 	// so the kernel's accumulator and the clause's coincide), and the
 	// partials fold back in worker order exactly like the dispatch path.
-	// Array-reduction bodies use the gather-update kernel: the worker's
-	// cloned pointer slot aims it at the private copy. A min/max fold is
-	// the clause's own guarded update, so the kernel must match the
-	// single clause's accumulator and direction.
+	// Array-reduction bodies use the scatter kernel: the worker's cloned
+	// pointer slot aims it at the private copy. A min/max fold is the
+	// clause's own guarded update, so the kernel must match the single
+	// clause's accumulator and direction.
 	var vecChunk kernRun
+	var k *fusedKernel
 	switch {
 	case hasArray && lk.kind == kindHist,
 		!hasArray && lk.kind == kindReduce,
 		!hasArray && lk.kind == kindMinMax && len(reds) == 1 && lk.acc == rg.Reductions[0].Var && lk.dir == rg.Reductions[0].Kind:
-		vecChunk = fc.fused(lk)
+		vecChunk, k = fc.fused(lk), lk.k
 	}
 	sched, chunk := rg.Schedule, rg.Chunk
 	iterSlot := lk.iterSlot
-	lower, upper := lk.lower, lk.upper
 	var body loopFn // a fused reduction never dispatches its body
 	if vecChunk == nil {
 		body = fc.loopBody(lk.body, iterSlot)
 	}
-	return func(e *env) ctrl {
-		lo, hi := lower(e), upper(e)
+	tc.launchLoop(&lk.canonicalLoop, k, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			if vecChunk != nil {
 				return inlineKernel(e, iterSlot, lo, hi, vecChunk)
@@ -560,5 +307,5 @@ func (fc *funcCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) stmtFn
 			e.team.ParallelForReduce(lo, hi, sched, chunk, init, bodyFn, combineFn)
 		}
 		return ctrlNext
-	}
+	}, false)
 }

@@ -87,7 +87,7 @@ type stripOp struct {
 // columns by a linear scan that frees a column at its value's last use.
 // It reports false when the kernel exceeds a bound of the evaluator.
 func (k *fusedKernel) lower() bool {
-	if len(k.loads) > maxLoads || len(k.invF) > maxInvs || len(k.invI) > maxInvs {
+	if len(k.loads) > maxLoads || len(k.invX) > maxInvs {
 		return false
 	}
 	// Value numbering: a node is its opcode and operand nodes (the
@@ -208,7 +208,7 @@ func (k *fusedKernel) lower() bool {
 // function keeps k alive for as long as the Program lives.
 func (k *fusedKernel) emit() kernRun {
 	run := k.body()
-	k.tape, k.loadX, k.invX, k.gatX = nil, nil, nil, nil
+	k.tape, k.loadX, k.gatX = nil, nil, nil
 	return run
 }
 

@@ -5,27 +5,23 @@ package comp
 // trap the mem accessors raise (see the tape contract below) — routing the
 // hot path through mem would re-add the call overhead the tape exists to cut.
 
-// Linearized bytecode backend: statement/expression trees flatten into
-// a flat instruction array executed by one switch-dispatch loop, with
+// Linearized bytecode: statement/expression trees flatten into a flat
+// instruction array executed by one switch-dispatch loop, with
 // constants pooled and every operand materialized in fixed frame slots
-// — no per-node closures and no interface calls on the hot path.
+// — no per-node closures and no interface calls on the hot path. The
+// tape is the only statement engine.
 //
-// Tape is the default statement engine (EngineTape is Engine's zero
-// value); the closure engine stays the reference and the fallback for
-// every statement the tape compiler bails on.
+// The tape contract is the interp oracle's, bit for bit:
 //
-// The tape contract mirrors the closure backend bit for bit:
-//
-//   - every operand is materialized into a temp register at the moment
-//     the corresponding closure leaf would run, so side effects inside
+//   - operands evaluate in the oracle's order, so side effects inside
 //     subexpressions observe the same intermediate state;
 //   - float arithmetic is float64 with tRoundF emitted at exactly the
-//     closure backend's float32 store-rounding points (4-byte stores,
+//     oracle's float32 store-rounding points (4-byte stores,
 //     declarations, returns, casts);
 //   - traps reuse the same primitives (rtPanic messages, addScaled,
 //     DiffChecked, raw Load/Store panics recovered by Process.CallInt),
 //     so bounds, overflow, use-after-free poisoning and cross-segment
-//     pointer diffs fail identically to dispatch and the interp oracle.
+//     pointer diffs fail with the oracle's text.
 //
 // Temp registers extend the function frame beyond its locals, so worker
 // clones privatize them for free and execution allocates nothing. Temps
@@ -33,10 +29,10 @@ package comp
 // bodies of parallel regions run on the same environment) reuse the
 // same register space.
 //
-// Constructs with heavyweight semantics — calls (inlining, memoization),
-// malloc, printf/free/srand, switch statements, parallel regions and
-// fused kernels — escape into pooled closures compiled by the regular
-// backend; the surrounding control flow still runs on the tape.
+// Calls, printf and malloc are ops whose out-of-line operand (a site in
+// the program's pools) names the registers they read; tStmt launches a
+// parallel region or a fused kernel over bounds and operands the tape
+// computed into registers just before it.
 
 import (
 	"math"
@@ -67,12 +63,10 @@ const (
 	tXorI
 	tShlI
 	tShrI
-	tChkDiv0 // traps "integer division by zero" when I[b] == 0
-	tChkRem0 // traps "integer modulo by zero" when I[b] == 0
-	tNegI    // I[a] = -I[b]
-	tCmplI   // I[a] = ^I[b]
-	tNotI    // I[a] = 1 if I[b] == 0 else 0
-	tEqI     // I[a] = 1 if I[b] == I[c] else 0 (…tGeI likewise)
+	tNegI  // I[a] = -I[b]
+	tCmplI // I[a] = ^I[b]
+	tNotI  // I[a] = 1 if I[b] == 0 else 0
+	tEqI   // I[a] = 1 if I[b] == I[c] else 0 (…tGeI likewise)
 	tNeI
 	tLtI
 	tLeI
@@ -125,7 +119,7 @@ const (
 	tPtrGe
 
 	// Memory access through a pointer register. Bounds and use-after-
-	// free poisoning trap inside mem exactly as in the closure backend.
+	// free poisoning trap inside mem.
 	tLdInd  // I[a] = P[b].LoadInt()
 	tLdIndF // F[a] = P[b].LoadFloat()
 	tLdIndP // P[a] = P[b].LoadPtr()
@@ -144,13 +138,24 @@ const (
 	tBrk  // return ctrlBreak (break with no enclosing tape loop)
 	tCont // return ctrlContinue
 
-	// Closure escapes: calls, malloc, effects, statements with
-	// heavyweight semantics. b indexes the pool.
-	tCallI // I[a] = intFns[b](e)
-	tCallF // F[a] = fltFns[b](e)
-	tCallP // P[a] = ptrFns[b](e)
-	tEff   // effFns[b](e)
-	tStmt  // run stmts[b]; break jumps by a, continue by c
+	// Builtins.
+	tAbsI   // I[a] = |I[b]|
+	tMinI   // I[a] = min(I[b], I[c])
+	tMaxI   // I[a] = max(I[b], I[c])
+	tFloorD // I[a] = floord(I[b], I[c]), traps on a zero divisor
+	tCeilD  // I[a] = ceild(I[b], I[c])
+	tRand   // I[a] = rand()
+	tSrand  // srand(I[b])
+	tMath1  // F[a] = mathFns[c].f1(F[b])
+	tMath2  // F[a] = mathFns[aux].f2(F[b], F[c])
+	tConstP // P[a] = constP[b] (a string literal)
+	tMalloc // P[a] = mallocs[b] of I[c] bytes
+	tFree   // free(P[b])
+
+	// Site ops: b indexes a pool entry that names the registers read.
+	tCall   // a = calls[b](args); a is the result register of its kind
+	tPrintf // printfs[b](args)
+	tStmt   // launches[b] over [I[a], I[c]]: a parallel region or kernel
 
 	// ------------------------------------------------------------------
 	// Fused superinstructions, produced only by the peephole optimizer
@@ -192,8 +197,8 @@ const (
 	tGeFC
 
 	// Fused multiply-add. The explicit float64 conversion around the
-	// product pins the closure backend's two separate roundings — Go may
-	// not contract the expression into an FMA.
+	// product pins the two separate roundings of the unfused ops — Go
+	// may not contract the expression into an FMA.
 	tMulAddF  // F[a] = float64(F[b]*F[c]) + F[aux]
 	tMulAddFC // F[a] = float64(F[b]*constF[c]) + F[aux]
 	tAddMulF  // F[a] = F[aux] + float64(F[b]*F[c])
@@ -252,10 +257,6 @@ const (
 	tStIdxFR
 )
 
-// tapeCtrlRet marks a tStmt break/continue offset with no enclosing
-// tape loop: the ctrl propagates out of the tape instead of jumping.
-const tapeCtrlRet = int32(math.MinInt32)
-
 // tinstr is one tape instruction word.
 type tinstr struct {
 	op      topcode
@@ -276,18 +277,17 @@ type tape struct {
 	tmpI, tmpF, tmpP int32
 }
 
-// tapePools are the constant and closure-escape pools shared by every
-// tape of one program; instructions index them through b (or c).
+// tapePools are the constant and site pools shared by every tape of
+// one program; instructions index them through b.
 type tapePools struct {
 	constI []int64
 	constF []float64
+	constP []mem.Pointer
 
-	// closure escape pools
-	intFns []intFn
-	fltFns []fltFn
-	ptrFns []ptrFn
-	effFns []func(*env)
-	stmts  []stmtFn
+	calls    []callSite
+	printfs  []printfSite
+	mallocs  []mallocSite
+	launches []launch
 
 	// constant dedup indexes, live only while the program compiles
 	cI map[int64]int32
@@ -332,11 +332,6 @@ const (
 	runChunk
 )
 
-// stmtFn adapts the tape to the closure backend's statement interface.
-func (tp *tape) stmtFn() stmtFn {
-	return func(e *env) ctrl { return tp.run(e, runOnce, 0, 0, 0) }
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -349,7 +344,8 @@ func b2i(b bool) int64 {
 // set-up once per range rather than once per iteration. Falling off the
 // end of the code is normal completion (ctrlNext). The frame slices are
 // hoisted into locals: an env's I/F/P headers never change after
-// creation (escapes mutate elements in place, workers run on clones).
+// creation (calls and launches mutate elements in place, workers run on
+// clones).
 func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 	code := tp.code
 	I, F, P := e.I, e.F, e.P
@@ -386,14 +382,6 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 					rtPanic("integer modulo by zero")
 				}
 				I[in.a] = I[in.b] % d
-			case tChkDiv0:
-				if I[in.b] == 0 {
-					rtPanic("integer division by zero")
-				}
-			case tChkRem0:
-				if I[in.b] == 0 {
-					rtPanic("integer modulo by zero")
-				}
 			case tAndI:
 				I[in.a] = I[in.b] & I[in.c]
 			case tOrI:
@@ -786,33 +774,44 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 				c = ctrlContinue
 				break dispatch
 
-			case tCallI:
-				I[in.a] = tp.intFns[in.b](e)
-			case tCallF:
-				F[in.a] = tp.fltFns[in.b](e)
-			case tCallP:
-				P[in.a] = tp.ptrFns[in.b](e)
-			case tEff:
-				tp.effFns[in.b](e)
+			case tAbsI:
+				v := I[in.b]
+				if v < 0 {
+					v = -v
+				}
+				I[in.a] = v
+			case tMinI:
+				I[in.a] = min(I[in.b], I[in.c])
+			case tMaxI:
+				I[in.a] = max(I[in.b], I[in.c])
+			case tFloorD:
+				I[in.a] = floorDiv(I[in.b], I[in.c])
+			case tCeilD:
+				I[in.a] = ceilDiv(I[in.b], I[in.c])
+			case tRand:
+				I[in.a] = e.p.nextRand()
+			case tSrand:
+				e.p.randState.Store(uint64(I[in.b]))
+			case tMath1:
+				F[in.a] = mathFns[in.c].f1(F[in.b])
+			case tMath2:
+				F[in.a] = mathFns[in.aux].f2(F[in.b], F[in.c])
+			case tConstP:
+				P[in.a] = tp.constP[in.b]
+			case tMalloc:
+				P[in.a] = tp.mallocs[in.b].alloc(e, I[in.c])
+			case tFree:
+				if err := e.p.heap.Free(P[in.b]); err != nil {
+					rtPanic("%v", err)
+				}
+			case tCall:
+				tp.calls[in.b].run(e, in.a)
+			case tPrintf:
+				tp.printfs[in.b].run(e)
 			case tStmt:
-				switch tp.stmts[in.b](e) {
-				case ctrlReturn:
+				if tp.launches[in.b].run(e, I[in.a], I[in.c]) == ctrlReturn {
 					c = ctrlReturn
 					break dispatch
-				case ctrlBreak:
-					if in.a == tapeCtrlRet {
-						c = ctrlBreak
-						break dispatch
-					}
-					pc += int(in.a)
-					continue
-				case ctrlContinue:
-					if in.c == tapeCtrlRet {
-						c = ctrlContinue
-						break dispatch
-					}
-					pc += int(in.c)
-					continue
 				}
 			}
 			pc++

@@ -9,7 +9,7 @@ import (
 
 // benchSrc is an axpy-shaped dispatch workload: the doubly braced body
 // keeps the matcher off the loop, so every iteration pays full
-// statement dispatch on the selected engine.
+// statement dispatch on the tape.
 const benchSrc = `
 float x[4096], y[4096];
 
@@ -43,7 +43,7 @@ int run(void) {
 int main(void) { return run(); }
 `
 
-func benchEngine(b *testing.B, src string, eng Engine) {
+func benchDispatch(b *testing.B, src string) {
 	b.Helper()
 	file, err := parser.Parse("bench.c", src)
 	if err != nil {
@@ -53,7 +53,7 @@ func benchEngine(b *testing.B, src string, eng Engine) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Compile(info, Options{Engine: eng})
+	m, err := Compile(info, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,5 @@ func benchEngine(b *testing.B, src string, eng Engine) {
 	}
 }
 
-func BenchmarkAxpyClosure(b *testing.B)   { benchEngine(b, benchSrc, EngineClosure) }
-func BenchmarkAxpyTape(b *testing.B)      { benchEngine(b, benchSrc, EngineTape) }
-func BenchmarkBranchClosure(b *testing.B) { benchEngine(b, benchBranchSrc, EngineClosure) }
-func BenchmarkBranchTape(b *testing.B)    { benchEngine(b, benchBranchSrc, EngineTape) }
+func BenchmarkAxpyTape(b *testing.B)   { benchDispatch(b, benchSrc) }
+func BenchmarkBranchTape(b *testing.B) { benchDispatch(b, benchBranchSrc) }

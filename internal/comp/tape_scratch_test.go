@@ -26,7 +26,7 @@ func corpusArtifacts(t *testing.T) map[string]*core.Artifact {
 
 func compileTape(t *testing.T, art *core.Artifact) *comp.Program {
 	t.Helper()
-	prog, err := art.Compile(core.Config{Parallelize: true, Engine: comp.EngineTape})
+	prog, err := art.Compile(core.Config{Parallelize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

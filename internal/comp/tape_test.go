@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 	"purec/internal/sema"
 )
 
-// compileEngine compiles src with the given engine.
-func compileEngine(t *testing.T, src string, eng Engine) (*Machine, *sema.Info) {
+// compileTape compiles src into a Machine.
+func compileTape(t *testing.T, src string) (*Machine, *sema.Info) {
 	t.Helper()
 	f, err := parser.Parse("t.c", src)
 	if err != nil {
@@ -20,16 +21,16 @@ func compileEngine(t *testing.T, src string, eng Engine) (*Machine, *sema.Info) 
 	if err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	m, err := Compile(info, Options{Engine: eng})
+	m, err := Compile(info, Options{})
 	if err != nil {
-		t.Fatalf("compile (%s): %v", eng, err)
+		t.Fatalf("compile: %v", err)
 	}
 	return m, info
 }
 
-// TestTapeEquivalence runs programs exercising every linearized
-// construct — and the closure escapes — under both engines and the
-// interp oracle, demanding identical results.
+// TestTapeEquivalence runs programs exercising every construct the tape
+// compiles — calls, switch and printf included — on the tape and the
+// interp oracle, demanding identical return values and stdout.
 func TestTapeEquivalence(t *testing.T) {
 	// noOracle skips the interp comparison for shapes the interpreter
 	// does not model (address of a local struct).
@@ -208,6 +209,47 @@ func TestTapeEquivalence(t *testing.T) {
 			int r = c ? 1 : 2;
 			return r;
 		}`},
+		// An assignment used as a value stores once and yields the stored
+		// value: the right side, and the left side's address, evaluate
+		// exactly once.
+		{"assign-value-while", `int n;
+		int next(void) { n++; if (n > 3) return 0; return n; }
+		int main(void) {
+			int x, s = 0;
+			while ((x = next()) != 0) s += x;
+			printf("%d %d\n", s, n);
+			return 0;
+		}`},
+		{"assign-value-index", `int main(void) {
+			int a[4];
+			int i = 0;
+			a[0] = 0; a[1] = 0;
+			int v = (a[i++] = 5);
+			printf("i=%d a[0]=%d a[1]=%d v=%d\n", i, a[0], a[1], v);
+			return 0;
+		}`},
+		{"assign-value-compound", `int main(void) {
+			int x = 6, y = 6;
+			int w = (x += 1) + (y -= 1);
+			printf("%d %d %d\n", x, y, w);
+			return 0;
+		}`},
+		{"assign-value-postinc", `int main(void) {
+			int b, i = 0;
+			int a = (b = i++);
+			printf("%d %d %d\n", a, b, i);
+			return 0;
+		}`},
+		// A 4-byte float ++/-- stores the sum rounded through float32; a
+		// pre-increment's value is the unrounded sum.
+		{"float-incdec-rounding", `int main(void) {
+			float f = 16777216.0f, g = 16777216.0f;
+			double a = ++f;
+			double b = g++;
+			g--;
+			printf("%f %f %f %f\n", f, g, a, b);
+			return 0;
+		}`},
 		{"parallel-region", `double x[64], y[64];
 		int main(void) {
 			for (int i = 0; i < 64; i++) { x[i] = i; y[i] = 0.0; }
@@ -224,21 +266,16 @@ func TestTapeEquivalence(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			mc, info := compileEngine(t, c.src, EngineClosure)
-			mt, _ := compileEngine(t, c.src, EngineTape)
-			want, err := mc.RunMain()
-			if err != nil {
-				t.Fatalf("closure run: %v", err)
-			}
+			mt, info := compileTape(t, c.src)
+			var out bytes.Buffer
+			mt.SetStdout(&out)
 			got, err := mt.RunMain()
 			if err != nil {
 				t.Fatalf("tape run: %v", err)
 			}
-			if got != want {
-				t.Fatalf("tape returned %d, closure %d", got, want)
-			}
 			if !noOracle[c.name] {
-				in, err := interp.New(info, nil)
+				var want bytes.Buffer
+				in, err := interp.New(info, &want)
 				if err != nil {
 					t.Fatalf("interp: %v", err)
 				}
@@ -246,8 +283,8 @@ func TestTapeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("interp run: %v", err)
 				}
-				if got != oracle {
-					t.Fatalf("tape returned %d, interp oracle %d", got, oracle)
+				if got != oracle || out.String() != want.String() {
+					t.Fatalf("tape returned %d, printed %q; interp oracle %d, %q", got, out.String(), oracle, want.String())
 				}
 			}
 			if st, _, _ := mt.Program().TapeStats(); st == 0 {
@@ -257,11 +294,11 @@ func TestTapeEquivalence(t *testing.T) {
 	}
 }
 
-// TestTapeTrapParity pins the trap contract: identical RuntimeError
-// messages under both engines, including the compound-division rule
-// that the divisor evaluates (and traps) before the accumulator load.
-// A fault Go's runtime raises on a raw segment access already reads
-// "runtime error: …"; the trap carries that prefix once.
+// TestTapeTrapParity pins the trap texts of the tape, including the
+// compound division whose right side evaluates (and the division traps)
+// after the accumulator load. A fault Go's runtime raises on a raw
+// segment access already reads "runtime error: …"; the trap carries
+// that prefix once.
 func TestTapeTrapParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -299,26 +336,20 @@ func TestTapeTrapParity(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			var msgs [2]string
-			for i, eng := range []Engine{EngineClosure, EngineTape} {
-				m, _ := compileEngine(t, c.src, eng)
-				_, err := m.RunMain()
-				if err == nil {
-					t.Fatalf("%s: expected a trap", eng)
-				}
-				if _, ok := err.(*RuntimeError); !ok {
-					t.Fatalf("%s: want *RuntimeError, got %T: %v", eng, err, err)
-				}
-				msgs[i] = err.Error()
+			m, _ := compileTape(t, c.src)
+			_, err := m.RunMain()
+			if err == nil {
+				t.Fatal("expected a trap")
 			}
-			if msgs[0] != msgs[1] {
-				t.Fatalf("trap messages differ:\nclosure: %s\ntape:    %s", msgs[0], msgs[1])
+			if _, ok := err.(*RuntimeError); !ok {
+				t.Fatalf("want *RuntimeError, got %T: %v", err, err)
 			}
-			if !strings.Contains(msgs[1], c.msg) {
-				t.Fatalf("trap %q does not mention %q", msgs[1], c.msg)
+			msg := err.Error()
+			if !strings.Contains(msg, c.msg) {
+				t.Fatalf("trap %q does not mention %q", msg, c.msg)
 			}
-			if n := strings.Count(msgs[1], "runtime error: "); n != 1 {
-				t.Fatalf("trap %q carries the runtime error prefix %d times", msgs[1], n)
+			if n := strings.Count(msg, "runtime error: "); n != 1 {
+				t.Fatalf("trap %q carries the runtime error prefix %d times", msg, n)
 			}
 		})
 	}
@@ -340,7 +371,7 @@ func TestTapeJumpPatching(t *testing.T) {
 		}
 		return s;
 	}`
-	m, _ := compileEngine(t, src, EngineTape)
+	m, info := compileTape(t, src)
 	prog := m.Program()
 	cf := prog.funcs["main"]
 	tp := tapeOf(t, cf)
@@ -353,33 +384,27 @@ func TestTapeJumpPatching(t *testing.T) {
 			if tgt := pc + int(in.a); tgt < 0 || tgt > len(tp.code) {
 				t.Fatalf("pc %d: jump lands at %d, outside [0,%d]", pc, tgt, len(tp.code))
 			}
-		case tStmt:
-			for _, off := range []int32{in.a, in.c} {
-				if off == tapeCtrlRet {
-					continue
-				}
-				if tgt := pc + int(off); tgt < 0 || tgt > len(tp.code) {
-					t.Fatalf("pc %d: tStmt ctrl jump lands at %d, outside [0,%d]", pc, tgt, len(tp.code))
-				}
-			}
 		}
 	}
 	got, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, _ := compileEngine(t, src, EngineClosure)
-	want, err := mc.RunMain()
+	in, err := interp.New(info, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := in.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("tape returned %d, closure %d", got, want)
+		t.Fatalf("tape returned %d, interp %d", got, want)
 	}
 }
 
 // tapeOf fetches the main instruction tape the compiler attaches to a
-// function compiled under EngineTape.
+// function.
 func tapeOf(t *testing.T, cf *cfunc) *tape {
 	t.Helper()
 	if cf.tape == nil {
@@ -396,7 +421,7 @@ func TestTapeConstantPooling(t *testing.T) {
 		int b = 7;
 		return 7 + a + b - 7;
 	}`
-	m, _ := compileEngine(t, src, EngineTape)
+	m, _ := compileTape(t, src)
 	_, consts, _ := m.Program().TapeStats()
 	if consts != 1 {
 		t.Fatalf("want 1 pooled constant (7), got %d", consts)
@@ -417,7 +442,7 @@ func TestTapeSlotAllocation(t *testing.T) {
 	src := `int main(void) {
 		return ((1 + 2) * (3 + 4)) + ((5 + 6) * (7 + 8));
 	}`
-	m, _ := compileEngine(t, src, EngineTape)
+	m, _ := compileTape(t, src)
 	prog := m.Program()
 	cf := prog.funcs["main"]
 	// No locals: nI is purely temps. The right-hand product holds the
@@ -440,14 +465,14 @@ func TestTapeSlotAllocation(t *testing.T) {
 
 // TestTapeInlinesLeafCalls: a leaf pure call that inline.go replaces by
 // its return expression is compiled on the tape like any other
-// expression, not as a pooled closure tree behind tCallI/tCallF. The
+// expression, not as a frame push behind tCall. The
 // loops are kept off the kernels (no front end, so no pragmas; a
 // doubly braced body, which the matcher rejects) so that the tape
 // itself has to evaluate the call.
 func TestTapeInlinesLeafCalls(t *testing.T) {
 	calls := func(tp *tape) (n int) {
 		for _, in := range tp.code {
-			if in.op == tCallI || in.op == tCallF || in.op == tCallP {
+			if in.op == tCall {
 				n++
 			}
 		}
@@ -476,7 +501,7 @@ func TestTapeInlinesLeafCalls(t *testing.T) {
 			int main(void) { return run(); }`, "run"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			prog, err := CompileProgram(mustCheck(t, c.src), Options{Engine: EngineTape})
+			prog, err := CompileProgram(mustCheck(t, c.src), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,15 +512,15 @@ func TestTapeInlinesLeafCalls(t *testing.T) {
 				t.Fatal("no call was inlined: the test has nothing to look for")
 			}
 			if n := calls(tapeOf(t, prog.funcs[c.fn])); n != 0 {
-				t.Errorf("tape of %s holds %d closure call ops for an inlined callee, want 0", c.fn, n)
+				t.Errorf("tape of %s holds %d call ops for an inlined callee, want 0", c.fn, n)
 			}
 		})
 	}
 	// The op is what a call that stays a call compiles to: tri has a
 	// loop and is no leaf.
-	m, _ := compileEngine(t, `
+	m, _ := compileTape(t, `
 		pure int tri(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
-		int main(void) { int r = tri(5); return r; }`, EngineTape)
+		int main(void) { int r = tri(5); return r; }`)
 	if calls(tapeOf(t, m.Program().funcs["main"])) == 0 {
 		t.Fatal("a non-leaf call left no call op on the tape: the scan above proves nothing")
 	}

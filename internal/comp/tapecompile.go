@@ -1,22 +1,16 @@
 package comp
 
-// The tape compiler walks the same AST the closure backend walks and
-// emits tinstr words instead of closures. Every emitter mirrors its
-// closure counterpart's evaluation order exactly — operands materialize
-// into temp registers at the moment the corresponding closure would
-// run, compound assignments compute the lvalue address twice, and the
-// integer /= and %= forms evaluate the divisor (and trap on zero)
-// before the accumulator load, because that is what the closure
-// backend does.
+// The tape compiler walks the checked AST and emits tinstr words. It is
+// total over what comp accepts: every statement and expression either
+// becomes tape code or is a compile error. Operands evaluate in the
+// interp oracle's order; where two orders are indistinguishable the
+// emitter picks the one the peephole optimizer fuses best (an
+// assignment's address after its right side, see pinned).
 //
-// Totality comes from the bail mechanism: any construct the tape does
-// not linearize (calls in value context compile to pooled closures,
-// except leaf pure calls, whose inlined expression goes on the tape
-// like any other; assignment used as an expression value and anything
-// the closure backend itself rejects) panics tapeBail,
-// which rolls the current statement back and re-compiles the whole
-// statement with the regular backend into a tStmt escape. The
-// surrounding control flow stays on the tape either way.
+// Register discipline: every expression emitter nets exactly one new
+// temp register of its result kind, at the top of that kind's stack as
+// it stood on entry; operand registers pop as soon as the consuming
+// instruction is emitted.
 
 import (
 	"sync"
@@ -26,11 +20,6 @@ import (
 	"purec/internal/token"
 	"purec/internal/types"
 )
-
-// tapeBail aborts native tape compilation of the current statement;
-// tapeCompiler.stmt recovers it and escapes the statement into a
-// pooled closure compiled by the regular backend.
-type tapeBail struct{}
 
 // tapeAlloc manages one function's temp register space. The bases sit
 // just past the locals; temps stack upward and never live across a
@@ -87,18 +76,44 @@ func (ta *tapeAlloc) popI() { ta.tI-- }
 func (ta *tapeAlloc) popF() { ta.tF-- }
 func (ta *tapeAlloc) popP() { ta.tP-- }
 
-// tapePatch is a pending jump offset: field a of the instruction at pc,
-// or field c (the tStmt continue offset) when cont is set.
-type tapePatch struct {
-	pc   int
-	cont bool
+// pop frees the top temp register of the slot kind.
+func (ta *tapeAlloc) pop(kind int) {
+	switch kind {
+	case tkI:
+		ta.tI--
+	case tkF:
+		ta.tF--
+	default:
+		ta.tP--
+	}
 }
 
-// tapeLoopCtx collects the pending break/continue exits of one open
-// tape loop.
+// level returns the next free register of each kind.
+func (ta *tapeAlloc) level() [3]int32 {
+	return [3]int32{int32(ta.baseI + ta.tI), int32(ta.baseF + ta.tF), int32(ta.baseP + ta.tP)}
+}
+
+// restore frees every register allocated since level l.
+func (ta *tapeAlloc) restore(l [3]int32) {
+	ta.tI, ta.tF, ta.tP = int(l[tkI])-ta.baseI, int(l[tkF])-ta.baseF, int(l[tkP])-ta.baseP
+}
+
+// regSpan is the block of registers a site op reads: n[k] consecutive
+// registers of kind k from first[k] — a call's or printf's arguments in
+// order, a launch's bounds and kernel operands.
+type regSpan struct{ first, n [3]int32 }
+
+// span returns the registers allocated since level from.
+func (ta *tapeAlloc) span(from [3]int32) regSpan {
+	to := ta.level()
+	return regSpan{first: from, n: [3]int32{to[0] - from[0], to[1] - from[1], to[2] - from[2]}}
+}
+
+// tapeLoopCtx collects the pending break/continue jumps of one open
+// tape loop or switch (whose continues belong to the enclosing loop).
 type tapeLoopCtx struct {
-	breaks []tapePatch
-	conts  []tapePatch
+	breaks, conts []int
+	sw            bool
 }
 
 type tapeCompiler struct {
@@ -115,9 +130,9 @@ type tapeCompiler struct {
 // tapeScratchPool) compiles: a tapeCompiler with its emission buffer
 // per tape nesting depth (a nested loop-body tape compiles while its
 // parent is open), the register space of the function being compiled,
-// the backing of the program's pools, the bail-rollback stack and the
-// optimizer's arrays. Finished tapes and pools are copied out at exact
-// size, so the Program never references the scratch.
+// the backing of the program's pools and the optimizer's arrays.
+// Finished tapes and pools are copied out at exact size, so the Program
+// never references the scratch.
 type tapeScratch struct {
 	tcs   []*tapeCompiler
 	depth int
@@ -125,7 +140,6 @@ type tapeScratch struct {
 	pools *tapePools
 	free  tapePools // emptied pool buffers and cleared dedup indexes
 	tapes []*tape   // the program's finished tapes, in compile order
-	marks []int     // loop break/continue lengths saved by tapeCompiler.mark
 	opt   tlive
 }
 
@@ -137,7 +151,7 @@ var tapeScratchPool = sync.Pool{New: func() any {
 func (sc *tapeScratch) start() {
 	clear(sc.free.cI)
 	clear(sc.free.cF)
-	sc.depth, sc.marks, sc.tapes = 0, sc.marks[:0], sc.tapes[:0]
+	sc.depth, sc.tapes = 0, sc.tapes[:0]
 	p := sc.free
 	sc.pools = &p
 }
@@ -146,9 +160,9 @@ func (sc *tapeScratch) start() {
 // back and hands the pools and tapes to p.
 func (sc *tapeScratch) finish(p *Program) {
 	pl, f := sc.pools, &sc.free
-	f.constI, f.constF = settle(&pl.constI), settle(&pl.constF)
-	f.intFns, f.fltFns, f.ptrFns = settle(&pl.intFns), settle(&pl.fltFns), settle(&pl.ptrFns)
-	f.effFns, f.stmts = settle(&pl.effFns), settle(&pl.stmts)
+	f.constI, f.constF, f.constP = settle(&pl.constI), settle(&pl.constF), settle(&pl.constP)
+	f.calls, f.printfs = settle(&pl.calls), settle(&pl.printfs)
+	f.mallocs, f.launches = settle(&pl.mallocs), settle(&pl.launches)
 	pl.cI, pl.cF, sc.pools = nil, nil, nil
 	p.tapes = sc.tapes
 	sc.tapes = settle(&p.tapes)
@@ -197,13 +211,12 @@ func (fc *funcCompiler) newTape(s ast.Stmt) *tape {
 	return tp
 }
 
-// compileTapeBody compiles the function body for EngineTape.
+// compileTapeBody compiles the function body.
 func (fc *funcCompiler) compileTapeBody() {
 	sc := fc.scratch
 	sc.ta = tapeAlloc{baseI: fc.cf.nI, baseF: fc.cf.nF, baseP: fc.cf.nP}
 	fc.talloc = &sc.ta
-	tp := fc.newTape(fc.cf.decl.Body)
-	fc.cf.body, fc.cf.tape = tp.stmtFn(), tp
+	fc.cf.tape = fc.newTape(fc.cf.decl.Body)
 	ta := fc.talloc
 	fc.cf.nI = ta.baseI + ta.maxI
 	fc.cf.nF = ta.baseF + ta.maxF
@@ -218,31 +231,14 @@ func (fc *funcCompiler) compileTapeBody() {
 // dropped).
 type loopFn func(e *env, lo, hi int64, chunk bool) ctrl
 
-// loopBody compiles a parallel-loop body over iterator slot slot with
-// the active engine: under EngineTape the dispatch runs on a nested
-// tape sharing the function's temp registers (all temps are dead at the
-// region boundary, and worker clones copy the extended frame), one tape
-// run per range.
+// loopBody compiles a parallel-loop body over iterator slot slot into a
+// nested tape sharing the function's temp registers (all temps are dead
+// at the region boundary, and worker clones copy the extended frame),
+// run once per range.
 func (fc *funcCompiler) loopBody(s ast.Stmt, slot int) loopFn {
-	if fc.prog.engine != EngineTape || fc.talloc == nil {
-		body := fc.stmt(s)
-		return func(e *env, lo, hi int64, chunk bool) ctrl {
-			for i := lo; i <= hi; i++ {
-				e.I[slot] = i
-				switch c := body(e); {
-				case chunk:
-				case c == ctrlBreak:
-					return ctrlNext
-				case c == ctrlReturn:
-					return ctrlReturn
-				}
-			}
-			return ctrlNext
-		}
-	}
-	savedI, savedF, savedP := fc.talloc.tI, fc.talloc.tF, fc.talloc.tP
+	saved := fc.talloc.level()
 	tp := fc.newTape(s)
-	fc.talloc.tI, fc.talloc.tF, fc.talloc.tP = savedI, savedF, savedP
+	fc.talloc.restore(saved)
 	return func(e *env, lo, hi int64, chunk bool) ctrl {
 		mode := runRange
 		if chunk {
@@ -252,9 +248,9 @@ func (fc *funcCompiler) loopBody(s ast.Stmt, slot int) loopFn {
 	}
 }
 
-// pushLoop opens a loop's break/continue context, reusing the one this
-// loop nesting level held last.
-func (tc *tapeCompiler) pushLoop() *tapeLoopCtx {
+// pushLoop opens a loop's (or a switch's) break/continue context,
+// reusing the one this nesting level held last.
+func (tc *tapeCompiler) pushLoop(sw bool) *tapeLoopCtx {
 	n := len(tc.loops)
 	var ctx *tapeLoopCtx
 	if n < cap(tc.loops) {
@@ -263,7 +259,7 @@ func (tc *tapeCompiler) pushLoop() *tapeLoopCtx {
 	if ctx == nil {
 		ctx = &tapeLoopCtx{}
 	}
-	ctx.breaks, ctx.conts = ctx.breaks[:0], ctx.conts[:0]
+	ctx.breaks, ctx.conts, ctx.sw = ctx.breaks[:0], ctx.conts[:0], sw
 	tc.loops = append(tc.loops, ctx)
 	return ctx
 }
@@ -285,15 +281,16 @@ func (tc *tapeCompiler) patch(pc int) {
 	tc.tp.code[pc].a = int32(len(tc.tp.code) - pc)
 }
 
-func (tc *tapeCompiler) patchList(ps []tapePatch, target int) {
-	for _, p := range ps {
-		off := int32(target - p.pc)
-		if p.cont {
-			tc.tp.code[p.pc].c = off
-		} else {
-			tc.tp.code[p.pc].a = off
-		}
+func (tc *tapeCompiler) patchList(ps []int, target int) {
+	for _, pc := range ps {
+		tc.tp.code[pc].a = int32(target - pc)
 	}
+}
+
+// jumpTo emits an instruction whose jump lands at target.
+func (tc *tapeCompiler) jumpTo(in tinstr, target int) {
+	pc := tc.emit(in)
+	tc.tp.code[pc].a = int32(target - pc)
 }
 
 func (tc *tapeCompiler) loadConstI(v int64) int32 {
@@ -308,110 +305,10 @@ func (tc *tapeCompiler) loadConstF(v float64) int32 {
 	return r
 }
 
-// Closure escape pools: the result lands in a fresh register.
-
-func (tc *tapeCompiler) callI(fn intFn) int32 {
-	idx := int32(len(tc.tp.intFns))
-	tc.tp.intFns = append(tc.tp.intFns, fn)
-	r := tc.ta.allocI()
-	tc.emit(tinstr{op: tCallI, a: r, b: idx})
-	return r
-}
-
-func (tc *tapeCompiler) callF(fn fltFn) int32 {
-	idx := int32(len(tc.tp.fltFns))
-	tc.tp.fltFns = append(tc.tp.fltFns, fn)
-	r := tc.ta.allocF()
-	tc.emit(tinstr{op: tCallF, a: r, b: idx})
-	return r
-}
-
-func (tc *tapeCompiler) callP(fn ptrFn) int32 {
-	idx := int32(len(tc.tp.ptrFns))
-	tc.tp.ptrFns = append(tc.tp.ptrFns, fn)
-	r := tc.ta.allocP()
-	tc.emit(tinstr{op: tCallP, a: r, b: idx})
-	return r
-}
-
-// escapeStmt pools a closure-compiled statement behind a tStmt word.
-// Inside a tape loop its break/continue ctrl results jump like native
-// break/continue; otherwise they propagate out of the tape.
-func (tc *tapeCompiler) escapeStmt(fn stmtFn) {
-	idx := int32(len(tc.tp.stmts))
-	tc.tp.stmts = append(tc.tp.stmts, fn)
-	pc := tc.emit(tinstr{op: tStmt, a: tapeCtrlRet, b: idx, c: tapeCtrlRet})
-	if n := len(tc.loops); n > 0 {
-		ctx := tc.loops[n-1]
-		ctx.breaks = append(ctx.breaks, tapePatch{pc: pc})
-		ctx.conts = append(ctx.conts, tapePatch{pc: pc, cont: true})
-	}
-}
-
 // ----------------------------------------------------------------------------
 // Statements
 
-// tapeMark snapshots compiler state for the bail rollback. The open
-// loops' break/continue list lengths go on the scratch marks stack from
-// index lens, popped when the statement finishes.
-type tapeMark struct {
-	code       int
-	loops      int
-	lens       int
-	tI, tF, tP int
-	fused      int
-	elided     int
-}
-
-func (tc *tapeCompiler) mark() tapeMark {
-	sc := tc.fc.scratch
-	m := tapeMark{
-		code:  len(tc.tp.code),
-		loops: len(tc.loops),
-		lens:  len(sc.marks),
-		tI:    tc.ta.tI, tF: tc.ta.tF, tP: tc.ta.tP,
-		fused: tc.fc.prog.fusedKernels, elided: tc.fc.prog.elidedChecks,
-	}
-	for _, ctx := range tc.loops {
-		sc.marks = append(sc.marks, len(ctx.breaks), len(ctx.conts))
-	}
-	return m
-}
-
-func (tc *tapeCompiler) rollback(m tapeMark) {
-	lens := tc.fc.scratch.marks[m.lens:]
-	tc.tp.code = tc.tp.code[:m.code]
-	tc.loops = tc.loops[:m.loops]
-	for i, ctx := range tc.loops {
-		ctx.breaks = ctx.breaks[:lens[2*i]]
-		ctx.conts = ctx.conts[:lens[2*i+1]]
-	}
-	tc.ta.tI, tc.ta.tF, tc.ta.tP = m.tI, m.tF, m.tP
-	tc.fc.prog.fusedKernels, tc.fc.prog.elidedChecks = m.fused, m.elided
-}
-
-// stmt compiles one statement, escaping it to the closure backend when
-// any part of it bails. Compile errors propagate.
 func (tc *tapeCompiler) stmt(s ast.Stmt) {
-	m := tc.mark()
-	defer func() {
-		r := recover()
-		if r != nil {
-			if _, ok := r.(tapeBail); !ok {
-				panic(r)
-			}
-			tc.rollback(m)
-		}
-		sc := tc.fc.scratch
-		sc.marks = sc.marks[:m.lens]
-		if r != nil {
-			tc.escapeStmt(tc.fc.stmt(s))
-		}
-	}()
-	tc.stmtNative(s)
-}
-
-func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.DeclStmt:
 		tc.tapeDecl(x)
@@ -435,29 +332,27 @@ func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 			tc.patch(jmp)
 		}
 	case *ast.ForStmt:
-		tc.tapeFor(x)
+		tc.seqFor(x, tc.fc.matchLoop(x))
 	case *ast.WhileStmt:
 		lcond := tc.here()
 		r := tc.test(x.Cond)
 		jz := tc.emit(tinstr{op: tJz, b: r})
 		tc.ta.popI()
-		ctx := tc.pushLoop()
+		ctx := tc.pushLoop(false)
 		tc.stmt(x.Body)
 		tc.popLoop()
-		jpc := tc.emit(tinstr{op: tJmp})
-		tc.tp.code[jpc].a = int32(lcond - jpc)
+		tc.jumpTo(tinstr{op: tJmp}, lcond)
 		tc.patch(jz)
 		tc.patchList(ctx.breaks, tc.here())
 		tc.patchList(ctx.conts, lcond)
 	case *ast.DoStmt:
 		lbody := tc.here()
-		ctx := tc.pushLoop()
+		ctx := tc.pushLoop(false)
 		tc.stmt(x.Body)
 		tc.popLoop()
 		lcond := tc.here()
 		r := tc.test(x.Cond)
-		jnz := tc.emit(tinstr{op: tJnz, b: r})
-		tc.tp.code[jnz].a = int32(lbody - jnz)
+		tc.jumpTo(tinstr{op: tJnz, b: r}, lbody)
 		tc.ta.popI()
 		tc.patchList(ctx.breaks, tc.here())
 		tc.patchList(ctx.conts, lcond)
@@ -465,38 +360,34 @@ func (tc *tapeCompiler) stmtNative(s ast.Stmt) {
 		tc.tapeReturn(x)
 	case *ast.BreakStmt:
 		if n := len(tc.loops); n > 0 {
-			pc := tc.emit(tinstr{op: tJmp})
 			ctx := tc.loops[n-1]
-			ctx.breaks = append(ctx.breaks, tapePatch{pc: pc})
+			ctx.breaks = append(ctx.breaks, tc.emit(tinstr{op: tJmp}))
 		} else {
 			tc.emit(tinstr{op: tBrk})
 		}
 	case *ast.ContinueStmt:
-		if n := len(tc.loops); n > 0 {
-			pc := tc.emit(tinstr{op: tJmp})
-			ctx := tc.loops[n-1]
-			ctx.conts = append(ctx.conts, tapePatch{pc: pc})
-		} else {
-			tc.emit(tinstr{op: tCont})
+		for i := len(tc.loops) - 1; i >= 0; i-- {
+			if ctx := tc.loops[i]; !ctx.sw {
+				ctx.conts = append(ctx.conts, tc.emit(tinstr{op: tJmp}))
+				return
+			}
 		}
+		tc.emit(tinstr{op: tCont})
 	case *ast.SwitchStmt:
-		// C fall-through and per-case break consumption stay on the
-		// battle-tested closure path.
-		tc.escapeStmt(tc.fc.switchStmt(x))
+		tc.tapeSwitch(x)
 	default:
-		panic(tapeBail{}) // closure backend reports the diagnostic
+		tc.fc.errorf(s, "unsupported statement %T", s)
 	}
 }
 
-// stmtList shares the closure backend's pragma handling: an omp
-// parallel-for pragma plus loop compiles through the parallel runtime
-// (whose per-iteration bodies come back as nested tapes via loopBody).
+// stmtList compiles a statement list; an omp parallel-for pragma plus
+// the loop it annotates becomes a region launch (stmt.go).
 func (tc *tapeCompiler) stmtList(list []ast.Stmt) {
 	for i := 0; i < len(list); i++ {
 		s := list[i]
 		if _, ok := s.(*ast.PragmaStmt); ok {
 			if f, r := tc.fc.ompLoop(list, i); r != nil {
-				tc.escapeStmt(tc.fc.parallelRegion(f, r))
+				tc.parallelRegion(f, r)
 				i++
 			}
 			continue
@@ -510,7 +401,7 @@ func (tc *tapeCompiler) tapeDecl(x *ast.DeclStmt) {
 	for _, d := range x.Decls {
 		sym := fc.declSym[d]
 		if sym == nil {
-			panic(tapeBail{})
+			fc.errorf(d, "declaration of %s has no symbol", d.Name)
 		}
 		if d.Init == nil {
 			continue
@@ -530,7 +421,7 @@ func (tc *tapeCompiler) tapeDecl(x *ast.DeclStmt) {
 			tc.ta.popF()
 		case slotPtr:
 			if sym.IsArray() || sym.Type.Kind == types.Struct {
-				panic(tapeBail{})
+				fc.errorf(d, "array/struct initializers are not supported")
 			}
 			r := tc.ptrExpr(d.Init)
 			tc.emit(tinstr{op: tMovP, a: int32(sl.idx), b: r})
@@ -546,7 +437,7 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 		return
 	}
 	if fc.cf.retVoid {
-		panic(tapeBail{})
+		fc.errorf(x, "value returned from void function")
 	}
 	switch fc.cf.retKind {
 	case slotInt:
@@ -567,18 +458,25 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 	}
 }
 
-// tapeFor mirrors forStmt: fused kernels still win where they match
-// (escaped behind tStmt); everything else linearizes.
-func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
-	if lk := tc.fc.matchLoop(x); lk.run != nil {
-		tc.escapeStmt(tc.fc.seqKernelStmt(lk))
+// seqFor compiles a sequential for loop given its match: the fused
+// kernel's launch where the matcher found one, otherwise a rotated
+// loop — entry test, body, post, bottom test jumping back. The
+// condition compiles twice but evaluates once per round exactly as the
+// top-test form does (entry + one per iteration), so side effects and
+// traps keep their order, and the hot path pays one taken branch per
+// iteration instead of two.
+func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
+	if lk.run != nil {
+		kern, iter := tc.fc.fused(lk), lk.iterSlot
+		// The dispatch loop leaves the first failing iterator value in
+		// the slot: hi+1 here, lo on the empty path (launchLoop).
+		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
+			kern(e, lo, hi)
+			e.I[iter] = hi + 1
+			return ctrlNext
+		}, true)
 		return
 	}
-	// Rotated loop: entry test, body, post, bottom test jumping back.
-	// The condition compiles twice but evaluates once per round exactly
-	// as the top-test form did (entry + one per iteration), so side
-	// effects and traps keep their order — and the hot path pays one
-	// taken branch per iteration instead of two.
 	if x.Init != nil {
 		tc.stmt(x.Init)
 	}
@@ -589,7 +487,7 @@ func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
 		tc.ta.popI()
 	}
 	lbody := tc.here()
-	ctx := tc.pushLoop()
+	ctx := tc.pushLoop(false)
 	tc.stmt(x.Body)
 	tc.popLoop()
 	lpost := tc.here()
@@ -598,12 +496,10 @@ func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
 	}
 	if x.Cond != nil {
 		r := tc.test(x.Cond)
-		jnz := tc.emit(tinstr{op: tJnz, b: r})
+		tc.jumpTo(tinstr{op: tJnz, b: r}, lbody)
 		tc.ta.popI()
-		tc.tp.code[jnz].a = int32(lbody - jnz)
 	} else {
-		jpc := tc.emit(tinstr{op: tJmp})
-		tc.tp.code[jpc].a = int32(lbody - jpc)
+		tc.jumpTo(tinstr{op: tJmp}, lbody)
 	}
 	if jz >= 0 {
 		tc.patch(jz)
@@ -612,13 +508,55 @@ func (tc *tapeCompiler) tapeFor(x *ast.ForStmt) {
 	tc.patchList(ctx.conts, lpost)
 }
 
+// tapeSwitch compiles a switch into a compare chain over the tag
+// (cases in source order, the first equal label wins, then default),
+// followed by the case bodies in source order, so execution falls
+// through from the selected case until a break.
+func (tc *tapeCompiler) tapeSwitch(x *ast.SwitchStmt) {
+	fc := tc.fc
+	tag := tc.integer(x.Tag)
+	jumps := make([]int, len(x.Cases))
+	deflt := -1
+	for i, c := range x.Cases {
+		if c.Value == nil {
+			if deflt < 0 {
+				deflt = i
+			}
+			continue
+		}
+		v, ok := sema.ConstInt(c.Value)
+		if !ok {
+			fc.errorf(c, "case label must be constant")
+		}
+		k := tc.loadConstI(v)
+		tc.emit(tinstr{op: tEqI, a: k, b: tag, c: k})
+		jumps[i] = tc.emit(tinstr{op: tJnz, b: k})
+		tc.ta.popI()
+	}
+	tc.ta.popI()
+	miss := tc.emit(tinstr{op: tJmp})
+	ctx := tc.pushLoop(true)
+	for i, c := range x.Cases {
+		switch {
+		case i == deflt:
+			tc.patch(miss)
+		case c.Value != nil:
+			tc.patch(jumps[i])
+		}
+		tc.stmtList(c.Body)
+	}
+	tc.popLoop()
+	if deflt < 0 {
+		tc.patch(miss)
+	}
+	tc.patchList(ctx.breaks, tc.here())
+}
+
 // ----------------------------------------------------------------------------
-// Expressions. Every emitter nets exactly one new register of its
-// result kind; operand registers pop as soon as the consuming
-// instruction is emitted.
+// Expressions
 
 // test compiles any scalar expression into an int register that is
-// nonzero iff the closure backend's cond would be true.
+// nonzero iff the expression is true in C.
 func (tc *tapeCompiler) test(e ast.Expr) int32 {
 	t := tc.fc.typeOf(e)
 	switch t.Kind {
@@ -693,24 +631,9 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 	case *ast.UnaryExpr:
 		return tc.intUnary(x)
 	case *ast.PostfixExpr:
-		// x++ as int expression: the old value stays on the stack.
-		lv := tc.lval(x.X, tkI)
-		v := tc.get(lv)
-		delta := int64(1)
-		if x.Op == token.DEC {
-			delta = -1
-		}
-		d := tc.loadConstI(delta)
-		nv := tc.ta.allocI()
-		tc.emit(tinstr{op: tAddI, a: nv, b: v, c: d})
-		tc.set(lv, nv)
-		tc.ta.popI() // nv
-		tc.ta.popI() // d
-		return v
+		return tc.incdec(x.X, x.Op, true, tkI)
 	case *ast.AssignExpr:
-		// Assignment as an expression value re-evaluates the RHS in the
-		// closure backend; escape the whole statement to preserve that.
-		panic(tapeBail{})
+		return tc.assign(x)
 	case *ast.CondExpr:
 		r := tc.ta.allocI()
 		c := tc.test(x.Cond)
@@ -728,186 +651,129 @@ func (tc *tapeCompiler) intExpr(e ast.Expr) int32 {
 		return r
 	case *ast.IndexExpr, *ast.MemberExpr:
 		p := tc.addr(e)
+		tc.ta.popP()
 		r := tc.ta.allocI()
 		tc.emit(tinstr{op: tLdInd, a: r, b: p})
-		tc.ta.popP()
-		// r is now the top int temp; shift it down over the freed slot
-		// is unnecessary — registers are indices, not stack cells.
 		return r
 	case *ast.CastExpr:
-		if fc.typeOf(x).Kind == types.Int {
-			inner := fc.typeOf(x.X)
-			if inner.Kind == types.Float {
-				f := tc.flt(x.X)
-				tc.ta.popF()
-				r := tc.ta.allocI()
-				tc.emit(tinstr{op: tF2I, a: r, b: f})
-				return r
-			}
-			return tc.intExpr(x.X)
+		t := fc.typeOf(x)
+		if t.Kind != types.Int {
+			fc.errorf(e, "unsupported cast to %s in integer context", t)
 		}
-		panic(tapeBail{})
+		if fc.typeOf(x.X).Kind == types.Float {
+			f := tc.flt(x.X)
+			tc.ta.popF()
+			r := tc.ta.allocI()
+			tc.emit(tinstr{op: tF2I, a: r, b: f})
+			return r
+		}
+		return tc.intExpr(x.X)
 	case *ast.SizeofExpr:
 		return tc.loadConstI(fc.sizeofValue(x))
 	case *ast.CallExpr:
-		if inl, ok := fc.inlineCall(x); ok {
-			return tc.intExpr(inl)
-		}
-		return tc.callI(fc.callInt(x))
+		return tc.callInt(x)
+	case *ast.StringLit:
+		fc.errorf(e, "string literal in integer context")
 	}
-	panic(tapeBail{})
+	fc.errorf(e, "unsupported integer expression %T", e)
+	return 0
 }
+
+// Opcodes of the integer and float binary operators.
+var (
+	intOps = map[token.Kind]topcode{
+		token.ADD: tAddI, token.SUB: tSubI, token.MUL: tMulI, token.QUO: tDivI,
+		token.REM: tRemI, token.AND: tAndI, token.OR: tOrI, token.XOR: tXorI,
+		token.SHL: tShlI, token.SHR: tShrI,
+	}
+	fltOps = map[token.Kind]topcode{
+		token.ADD: tAddF, token.SUB: tSubF, token.MUL: tMulF, token.QUO: tDivF,
+	}
+	// cmpOps holds the int, float and pointer compare of each operator.
+	cmpOps = map[token.Kind][3]topcode{
+		token.EQL: {tEqI, tEqF, tPtrEq}, token.NEQ: {tNeI, tNeF, tPtrNe},
+		token.LSS: {tLtI, tLtF, tPtrLt}, token.LEQ: {tLeI, tLeF, tPtrLe},
+		token.GTR: {tGtI, tGtF, tPtrGt}, token.GEQ: {tGeI, tGeF, tPtrGe},
+	}
+)
 
 func (tc *tapeCompiler) intBinary(x *ast.BinaryExpr) int32 {
 	fc := tc.fc
-	tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
 	switch x.Op {
-	case token.LAND:
+	case token.LAND, token.LOR:
+		// The result is !and (resp. or) until both tests pass (fail).
+		and := x.Op == token.LAND
+		jop := tJnz
+		if and {
+			jop = tJz
+		}
 		r := tc.ta.allocI()
 		a := tc.test(x.X)
-		jz1 := tc.emit(tinstr{op: tJz, b: a})
+		j1 := tc.emit(tinstr{op: jop, b: a})
 		tc.ta.popI()
 		b := tc.test(x.Y)
-		jz2 := tc.emit(tinstr{op: tJz, b: b})
+		j2 := tc.emit(tinstr{op: jop, b: b})
 		tc.ta.popI()
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(1)})
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(b2i(and))})
 		jend := tc.emit(tinstr{op: tJmp})
-		tc.patch(jz1)
-		tc.patch(jz2)
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(0)})
-		tc.patch(jend)
-		return r
-	case token.LOR:
-		r := tc.ta.allocI()
-		a := tc.test(x.X)
-		jnz1 := tc.emit(tinstr{op: tJnz, b: a})
-		tc.ta.popI()
-		b := tc.test(x.Y)
-		jnz2 := tc.emit(tinstr{op: tJnz, b: b})
-		tc.ta.popI()
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(0)})
-		jend := tc.emit(tinstr{op: tJmp})
-		tc.patch(jnz1)
-		tc.patch(jnz2)
-		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(1)})
+		tc.patch(j1)
+		tc.patch(j2)
+		tc.emit(tinstr{op: tConstI, a: r, b: tc.tp.constIdxI(b2i(!and))})
 		tc.patch(jend)
 		return r
 	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
 		return tc.compare(x)
 	}
+	tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
 	if tl.IsPtr() || tr.IsPtr() {
-		if x.Op == token.SUB && tl.IsPtr() && tr.IsPtr() {
-			a := tc.ptrExpr(x.X)
-			b := tc.ptrExpr(x.Y)
-			r := tc.ta.allocI()
-			tc.emit(tinstr{op: tPtrDiff, a: r, b: a, c: b, aux: elemStride(tl.Elem)})
-			tc.ta.popP()
-			tc.ta.popP()
-			return r
+		if x.Op != token.SUB || !tl.IsPtr() || !tr.IsPtr() {
+			fc.errorf(x, "invalid pointer arithmetic in integer context")
 		}
-		panic(tapeBail{})
+		a := tc.ptrExpr(x.X)
+		b := tc.ptrExpr(x.Y)
+		tc.ta.popP()
+		tc.ta.popP()
+		r := tc.ta.allocI()
+		tc.emit(tinstr{op: tPtrDiff, a: r, b: a, c: b, aux: elemStride(tl.Elem)})
+		return r
 	}
 	a := tc.integer(x.X)
 	b := tc.integer(x.Y)
-	var op topcode
-	switch x.Op {
-	case token.ADD:
-		op = tAddI
-	case token.SUB:
-		op = tSubI
-	case token.MUL:
-		op = tMulI
-	case token.QUO:
-		op = tDivI
-	case token.REM:
-		op = tRemI
-	case token.AND:
-		op = tAndI
-	case token.OR:
-		op = tOrI
-	case token.XOR:
-		op = tXorI
-	case token.SHL:
-		op = tShlI
-	case token.SHR:
-		op = tShrI
-	default:
-		panic(tapeBail{})
+	op, ok := intOps[x.Op]
+	if !ok {
+		fc.errorf(x, "unsupported integer operator %s", x.Op)
 	}
 	tc.emit(tinstr{op: op, a: a, b: a, c: b})
 	tc.ta.popI()
 	return a
 }
 
+// compare compiles a comparison of arithmetic or pointer operands.
 func (tc *tapeCompiler) compare(x *ast.BinaryExpr) int32 {
 	fc := tc.fc
+	ops := cmpOps[x.Op]
 	tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
-	if tl.IsPtr() && tr.IsPtr() {
+	switch {
+	case tl.IsPtr() && tr.IsPtr():
 		a := tc.ptrExpr(x.X)
 		b := tc.ptrExpr(x.Y)
+		tc.ta.popP()
+		tc.ta.popP()
 		r := tc.ta.allocI()
-		var op topcode
-		switch x.Op {
-		case token.EQL:
-			op = tPtrEq
-		case token.NEQ:
-			op = tPtrNe
-		case token.LSS:
-			op = tPtrLt
-		case token.LEQ:
-			op = tPtrLe
-		case token.GTR:
-			op = tPtrGt
-		case token.GEQ:
-			op = tPtrGe
-		}
-		tc.emit(tinstr{op: op, a: r, b: a, c: b})
-		tc.ta.popP()
-		tc.ta.popP()
+		tc.emit(tinstr{op: ops[tkP], a: r, b: a, c: b})
 		return r
-	}
-	if tl.Kind == types.Float || tr.Kind == types.Float {
+	case tl.Kind == types.Float || tr.Kind == types.Float:
 		a := tc.num(x.X)
 		b := tc.num(x.Y)
+		tc.ta.popF()
+		tc.ta.popF()
 		r := tc.ta.allocI()
-		var op topcode
-		switch x.Op {
-		case token.EQL:
-			op = tEqF
-		case token.NEQ:
-			op = tNeF
-		case token.LSS:
-			op = tLtF
-		case token.LEQ:
-			op = tLeF
-		case token.GTR:
-			op = tGtF
-		case token.GEQ:
-			op = tGeF
-		}
-		tc.emit(tinstr{op: op, a: r, b: a, c: b})
-		tc.ta.popF()
-		tc.ta.popF()
+		tc.emit(tinstr{op: ops[tkF], a: r, b: a, c: b})
 		return r
 	}
 	a := tc.integer(x.X)
 	b := tc.integer(x.Y)
-	var op topcode
-	switch x.Op {
-	case token.EQL:
-		op = tEqI
-	case token.NEQ:
-		op = tNeI
-	case token.LSS:
-		op = tLtI
-	case token.LEQ:
-		op = tLeI
-	case token.GTR:
-		op = tGtI
-	case token.GEQ:
-		op = tGeI
-	}
-	tc.emit(tinstr{op: op, a: a, b: a, c: b})
+	tc.emit(tinstr{op: ops[tkI], a: a, b: a, c: b})
 	tc.ta.popI()
 	return a
 }
@@ -928,25 +794,15 @@ func (tc *tapeCompiler) intUnary(x *ast.UnaryExpr) int32 {
 		return a
 	case token.MUL:
 		p := tc.addr(x)
+		tc.ta.popP()
 		r := tc.ta.allocI()
 		tc.emit(tinstr{op: tLdInd, a: r, b: p})
-		tc.ta.popP()
 		return r
 	case token.INC, token.DEC:
-		// pre-increment yields the new value
-		lv := tc.lval(x.X, tkI)
-		v := tc.get(lv)
-		delta := int64(1)
-		if x.Op == token.DEC {
-			delta = -1
-		}
-		d := tc.loadConstI(delta)
-		tc.emit(tinstr{op: tAddI, a: v, b: v, c: d})
-		tc.ta.popI()
-		tc.set(lv, v)
-		return v
+		return tc.incdec(x.X, x.Op, false, tkI)
 	}
-	panic(tapeBail{})
+	tc.fc.errorf(x, "unsupported unary operator %s in integer context", x.Op)
+	return 0
 }
 
 func (tc *tapeCompiler) flt(e ast.Expr) int32 {
@@ -971,18 +827,9 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 	case *ast.BinaryExpr:
 		a := tc.num(x.X)
 		b := tc.num(x.Y)
-		var op topcode
-		switch x.Op {
-		case token.ADD:
-			op = tAddF
-		case token.SUB:
-			op = tSubF
-		case token.MUL:
-			op = tMulF
-		case token.QUO:
-			op = tDivF
-		default:
-			panic(tapeBail{})
+		op, ok := fltOps[x.Op]
+		if !ok {
+			fc.errorf(x, "unsupported float operator %s", x.Op)
 		}
 		tc.emit(tinstr{op: op, a: a, b: a, c: b})
 		tc.ta.popF()
@@ -995,41 +842,18 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 			return a
 		case token.MUL:
 			p := tc.addr(x)
+			tc.ta.popP()
 			r := tc.ta.allocF()
 			tc.emit(tinstr{op: tLdIndF, a: r, b: p})
-			tc.ta.popP()
 			return r
 		case token.INC, token.DEC:
-			// no float32 rounding on ++/--, matching the closure backend
-			lv := tc.lval(x.X, tkF)
-			v := tc.get(lv)
-			d := 1.0
-			if x.Op == token.DEC {
-				d = -1
-			}
-			dr := tc.loadConstF(d)
-			tc.emit(tinstr{op: tAddF, a: v, b: v, c: dr})
-			tc.ta.popF()
-			tc.set(lv, v)
-			return v
+			return tc.incdec(x.X, x.Op, false, tkF)
 		}
-		panic(tapeBail{})
+		fc.errorf(x, "unsupported unary %s in float context", x.Op)
 	case *ast.PostfixExpr:
-		lv := tc.lval(x.X, tkF)
-		v := tc.get(lv)
-		d := 1.0
-		if x.Op == token.DEC {
-			d = -1
-		}
-		dr := tc.loadConstF(d)
-		nv := tc.ta.allocF()
-		tc.emit(tinstr{op: tAddF, a: nv, b: v, c: dr})
-		tc.set(lv, nv)
-		tc.ta.popF() // nv
-		tc.ta.popF() // dr
-		return v
+		return tc.incdec(x.X, x.Op, true, tkF)
 	case *ast.AssignExpr:
-		panic(tapeBail{})
+		return tc.assign(x)
 	case *ast.CondExpr:
 		r := tc.ta.allocF()
 		c := tc.test(x.Cond)
@@ -1047,35 +871,30 @@ func (tc *tapeCompiler) flt(e ast.Expr) int32 {
 		return r
 	case *ast.IndexExpr, *ast.MemberExpr:
 		p := tc.addr(e)
+		tc.ta.popP()
 		r := tc.ta.allocF()
 		tc.emit(tinstr{op: tLdIndF, a: r, b: p})
-		tc.ta.popP()
 		return r
 	case *ast.CastExpr:
-		inner := fc.typeOf(x.X)
-		if inner.Kind == types.Float {
-			f := tc.flt(x.X)
-			if fc.typeOf(x).CSize == 4 {
-				// (float) cast of a double rounds through float32 like C.
-				tc.emit(tinstr{op: tRoundF, a: f, b: f})
-			}
-			return f
+		var r int32
+		if fc.typeOf(x.X).Kind == types.Float {
+			r = tc.flt(x.X)
+		} else {
+			g := tc.integer(x.X)
+			tc.ta.popI()
+			r = tc.ta.allocF()
+			tc.emit(tinstr{op: tI2F, a: r, b: g})
 		}
-		g := tc.integer(x.X)
-		tc.ta.popI()
-		r := tc.ta.allocF()
-		tc.emit(tinstr{op: tI2F, a: r, b: g})
 		if fc.typeOf(x).CSize == 4 {
+			// A conversion to float rounds through float32 like C.
 			tc.emit(tinstr{op: tRoundF, a: r, b: r})
 		}
 		return r
 	case *ast.CallExpr:
-		if inl, ok := fc.inlineCall(x); ok {
-			return tc.flt(inl)
-		}
-		return tc.callF(fc.callFlt(x))
+		return tc.callFlt(x)
 	}
-	panic(tapeBail{})
+	fc.errorf(e, "unsupported float expression %T", e)
+	return 0
 }
 
 func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
@@ -1093,6 +912,8 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 	case *ast.ParenExpr:
 		return tc.ptrExpr(x.X)
 	case *ast.IndexExpr:
+		// Partial indexing of a multi-dimensional array yields a row
+		// pointer; full indexing of a pointer-element array loads it.
 		if r, ok := tc.partialArrayIndex(x); ok {
 			return r
 		}
@@ -1100,7 +921,7 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 		tc.emit(tinstr{op: tLdIndP, a: p, b: p})
 		return p
 	case *ast.MemberExpr:
-		// array field decays to a pointer; pointer field loads
+		// An array field decays to a pointer; a pointer field loads.
 		_, fld := fc.fieldOf(x)
 		base := tc.structBase(x)
 		tc.emit(tinstr{op: tPtrImm, a: base, b: base, aux: int64(fld.Offset)})
@@ -1110,20 +931,21 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 		return base
 	case *ast.CastExpr:
 		if call, ok := stripParens(x.X).(*ast.CallExpr); ok && call.Fun.Name == "malloc" {
-			return tc.callP(fc.mallocCall(x, call))
+			return tc.malloc(x, call)
 		}
 		inner := fc.typeOf(x.X)
-		if inner.Kind == types.Ptr {
+		switch inner.Kind {
+		case types.Ptr:
 			return tc.ptrExpr(x.X)
-		}
-		if inner.Kind == types.Int {
+		case types.Int:
+			// null-pointer constants
 			g := tc.integer(x.X)
 			tc.ta.popI()
 			r := tc.ta.allocP()
 			tc.emit(tinstr{op: tIntToPtr, a: r, b: g})
 			return r
 		}
-		panic(tapeBail{})
+		fc.errorf(x, "unsupported pointer cast from %s", inner)
 	case *ast.BinaryExpr:
 		tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
 		switch {
@@ -1138,14 +960,14 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 			tc.ta.popI()
 			return p
 		case tr.IsPtr() && tl.Kind == types.Int && x.Op == token.ADD:
-			// i + p: the closure backend evaluates the pointer first
+			// i + p evaluates the pointer first
 			p := tc.ptrExpr(x.Y)
 			i := tc.integer(x.X)
 			tc.emit(tinstr{op: tPtrAdd, a: p, b: p, c: i, aux: elemStride(tr.Elem)})
 			tc.ta.popI()
 			return p
 		}
-		panic(tapeBail{})
+		fc.errorf(x, "unsupported pointer arithmetic")
 	case *ast.UnaryExpr:
 		switch x.Op {
 		case token.AND:
@@ -1155,7 +977,7 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 			tc.emit(tinstr{op: tLdIndP, a: p, b: p})
 			return p
 		}
-		panic(tapeBail{})
+		fc.errorf(x, "unsupported unary %s in pointer context", x.Op)
 	case *ast.CondExpr:
 		r := tc.ta.allocP()
 		c := tc.test(x.Cond)
@@ -1172,31 +994,29 @@ func (tc *tapeCompiler) ptrExpr(e ast.Expr) int32 {
 		tc.patch(jmp)
 		return r
 	case *ast.AssignExpr:
-		panic(tapeBail{})
+		return tc.assign(x)
 	case *ast.CallExpr:
 		if x.Fun.Name == "malloc" {
-			panic(tapeBail{}) // closure backend reports the cast diagnostic
+			fc.errorf(x, "malloc must be cast to its target pointer type, e.g. (int*)malloc(n)")
 		}
-		if inl, ok := fc.inlineCall(x); ok {
-			return tc.ptrExpr(inl)
-		}
-		return tc.callP(fc.callPtr(x))
+		return tc.callPtr(x)
 	case *ast.IntLit:
-		if x.Value == 0 {
-			r := tc.ta.allocP()
-			tc.emit(tinstr{op: tNullP, a: r})
-			return r
+		if x.Value != 0 {
+			fc.errorf(e, "non-zero integer used as pointer")
 		}
-		panic(tapeBail{})
+		r := tc.ta.allocP()
+		tc.emit(tinstr{op: tNullP, a: r})
+		return r
 	case *ast.StringLit:
-		// the closure materializes the segment at compile time
-		return tc.callP(fc.ptr(e))
+		return tc.stringLit(x)
 	}
-	panic(tapeBail{})
+	fc.errorf(e, "unsupported pointer expression %T", e)
+	return 0
 }
 
-// partialArrayIndex mirrors the closure backend's row-pointer rule for
-// under-subscripted multi-dimensional arrays.
+// partialArrayIndex handles a[i] (or a[i][j]...) where a is a declared
+// multi-dimensional array indexed with fewer subscripts than dimensions:
+// the result is a row pointer into the flattened segment.
 func (tc *tapeCompiler) partialArrayIndex(x *ast.IndexExpr) (int32, bool) {
 	fc := tc.fc
 	subs, base := collectSubs(x)
@@ -1219,8 +1039,8 @@ func (tc *tapeCompiler) partialArrayIndex(x *ast.IndexExpr) (int32, bool) {
 	return p, true
 }
 
-// flatOffset emits the row-major offset of the subscripts, evaluating
-// them left to right like the closure backend.
+// flatOffset emits the row-major offset of the subscripts over the
+// leading dims of sym, evaluating them left to right.
 func (tc *tapeCompiler) flatOffset(sym *sema.Symbol, subs []ast.Expr) int32 {
 	if len(subs) == 1 {
 		return tc.integer(subs[0])
@@ -1259,9 +1079,10 @@ func (tc *tapeCompiler) addr(e ast.Expr) int32 {
 				return p
 			}
 		}
+		// General chain: evaluate the base as a pointer, add the index.
 		bt := fc.typeOf(x.X)
 		if !bt.IsPtr() {
-			panic(tapeBail{})
+			fc.errorf(x, "indexing non-pointer")
 		}
 		p := tc.ptrExpr(x.X)
 		i := tc.integer(x.Index)
@@ -1272,7 +1093,6 @@ func (tc *tapeCompiler) addr(e ast.Expr) int32 {
 		if x.Op == token.MUL {
 			return tc.ptrExpr(x.X)
 		}
-		panic(tapeBail{})
 	case *ast.MemberExpr:
 		_, fld := fc.fieldOf(x)
 		base := tc.structBase(x)
@@ -1283,15 +1103,18 @@ func (tc *tapeCompiler) addr(e ast.Expr) int32 {
 		if sym.IsArray() || (sym.Type != nil && sym.Type.Kind == types.Struct) {
 			return tc.ptrExpr(x)
 		}
-		panic(tapeBail{}) // scalar address-of is a closure-side diagnostic
+		fc.errorf(x, "cannot take the address of scalar %s (frame storage)", x.Name)
 	}
-	panic(tapeBail{})
+	fc.errorf(e, "expression is not addressable")
+	return 0
 }
 
+// structBase emits the base pointer of a member access.
 func (tc *tapeCompiler) structBase(x *ast.MemberExpr) int32 {
 	if x.Arrow {
 		return tc.ptrExpr(x.X)
 	}
+	// value access: the struct lives in a segment referenced by its slot
 	return tc.addrOfStruct(x.X)
 }
 
@@ -1313,22 +1136,23 @@ func (tc *tapeCompiler) addrOfStruct(e ast.Expr) int32 {
 		tc.emit(tinstr{op: tPtrImm, a: base, b: base, aux: int64(fld.Offset)})
 		return base
 	}
-	panic(tapeBail{})
+	tc.fc.errorf(e, "unsupported struct expression")
+	return 0
 }
 
 // ----------------------------------------------------------------------------
-// Lvalues. get emits a load into a fresh register; set emits the store
-// of a source register. Non-identifier lvalues compute their address
-// independently in get and set — exactly the closure backend's
-// behavior for compound assignment and ++/--.
+// Lvalues and assignment. get emits a load into a fresh register; set
+// emits the store of a source register.
 
-// tlval is an lvalue of one slot kind: a frame or global slot, or the
-// address expression e.
+// tlval is an lvalue of one slot kind: a frame or global slot, the
+// address expression e (computed at each access), or, pinned, the
+// address held in pointer register slot (computed once).
 type tlval struct {
 	e      ast.Expr
 	kind   int
 	slot   int32
 	global bool
+	pinned bool
 }
 
 // lvalOps are the access opcodes of one slot kind.
@@ -1338,40 +1162,76 @@ var lvalOps = [3]struct{ ldG, stG, mov, ldInd, stInd topcode }{
 	tkP: {tLdGP, tStGP, tMovP, tLdIndP, tStIndP},
 }
 
-func (tc *tapeCompiler) lval(e ast.Expr, kind int) tlval {
+// kindOf is the register kind values of type t occupy.
+func kindOf(t *types.Type) int {
+	switch t.Kind {
+	case types.Float:
+		return tkF
+	case types.Ptr:
+		return tkP
+	}
+	return tkI
+}
+
+// lval resolves an lvalue. A pinned one computes its address now, into
+// a pointer register the caller pops after the last access.
+func (tc *tapeCompiler) lval(e ast.Expr, kind int, pin bool) tlval {
 	if x, ok := stripParens(e).(*ast.Ident); ok {
 		sl, global := tc.fc.slotOf(tc.fc.symOf(x), x)
 		return tlval{kind: kind, slot: int32(sl.idx), global: global}
 	}
+	if pin {
+		return tlval{kind: kind, slot: tc.addr(e), pinned: true}
+	}
 	return tlval{e: e, kind: kind}
 }
 
+// pinned reports whether the address of lvalue lhs must be computed once
+// and before rhs (nil for ++/--), the oracle's order: when computing it
+// has side effects, or when it and rhs could observe each other — rhs
+// has side effects, or both can trap. Otherwise the address is computed
+// at each access, after the right side, where the optimizer fuses it
+// into the indexed load or store.
+func (tc *tapeCompiler) pinned(lhs, rhs ast.Expr) bool {
+	if _, ok := stripParens(lhs).(*ast.Ident); ok {
+		return false
+	}
+	effects, traps := tc.fc.addrRisk(lhs)
+	if effects || rhs == nil {
+		return effects
+	}
+	reff, rtraps := tc.fc.risk(rhs)
+	return reff || (traps && rtraps)
+}
+
 func (tc *tapeCompiler) get(lv tlval) int32 {
-	ops := &lvalOps[lv.kind]
-	if lv.e == nil {
-		r := tc.ta.alloc(lv.kind)
-		op := ops.mov
-		if lv.global {
-			op = ops.ldG
-		}
-		tc.emit(tinstr{op: op, a: r, b: lv.slot})
-		return r
-	}
-	p := tc.addr(lv.e)
-	if lv.kind == tkP {
-		// The loaded pointer replaces its address in the same register.
-		tc.emit(tinstr{op: ops.ldInd, a: p, b: p})
-		return p
-	}
 	r := tc.ta.alloc(lv.kind)
-	tc.emit(tinstr{op: ops.ldInd, a: r, b: p})
-	tc.ta.popP()
+	tc.getInto(lv, r)
 	return r
+}
+
+// getInto loads the lvalue into register dst.
+func (tc *tapeCompiler) getInto(lv tlval, dst int32) {
+	ops := &lvalOps[lv.kind]
+	switch {
+	case lv.pinned:
+		tc.emit(tinstr{op: ops.ldInd, a: dst, b: lv.slot})
+	case lv.e != nil:
+		p := tc.addr(lv.e)
+		tc.emit(tinstr{op: ops.ldInd, a: dst, b: p})
+		tc.ta.popP()
+	case lv.global:
+		tc.emit(tinstr{op: ops.ldG, a: dst, b: lv.slot})
+	default:
+		tc.emit(tinstr{op: ops.mov, a: dst, b: lv.slot})
+	}
 }
 
 func (tc *tapeCompiler) set(lv tlval, src int32) {
 	ops := &lvalOps[lv.kind]
 	switch {
+	case lv.pinned:
+		tc.emit(tinstr{op: ops.stInd, a: lv.slot, b: src})
 	case lv.e != nil:
 		p := tc.addr(lv.e)
 		tc.emit(tinstr{op: ops.stInd, a: p, b: src})
@@ -1383,142 +1243,140 @@ func (tc *tapeCompiler) set(lv tlval, src int32) {
 	}
 }
 
-// assignEffect compiles a statement-context assignment. (Assignment in
-// expression-value context bails: the closure backend re-evaluates the
-// RHS there, and the tape must not paper over that.)
-func (tc *tapeCompiler) assignEffect(x *ast.AssignExpr) {
+// unpin frees a pinned lvalue's address register once the value v of
+// kind is final; a pointer value moves down into it. It returns the
+// register now holding v.
+func (tc *tapeCompiler) unpin(lv tlval, v int32) int32 {
+	if !lv.pinned {
+		return v
+	}
+	if lv.kind == tkP {
+		tc.emit(tinstr{op: tMovP, a: lv.slot, b: v})
+		v = lv.slot
+	}
+	tc.ta.popP()
+	return v
+}
+
+// assign compiles an assignment, storing once, and returns the register
+// holding the stored value — the value of the assignment expression —
+// of the left side's kind. A compound assignment evaluates the right
+// side, then loads the current value, like the oracle.
+func (tc *tapeCompiler) assign(x *ast.AssignExpr) int32 {
 	fc := tc.fc
 	tl := fc.typeOf(x.LHS)
-	switch tl.Kind {
-	case types.Float:
-		lv := tc.lval(x.LHS, tkF)
-		var v int32
-		if bin, ok := x.Op.AssignBinOp(); ok {
-			v = tc.get(lv)
+	kind := kindOf(tl)
+	lv := tc.lval(x.LHS, kind, tc.pinned(x.LHS, x.RHS))
+	var v int32
+	if bin, ok := x.Op.AssignBinOp(); ok {
+		v = tc.ta.alloc(kind)
+		var op topcode
+		switch kind {
+		case tkF:
 			r := tc.num(x.RHS)
-			var op topcode
-			switch bin {
-			case token.ADD:
-				op = tAddF
-			case token.SUB:
-				op = tSubF
-			case token.MUL:
-				op = tMulF
-			case token.QUO:
-				op = tDivF
-			default:
-				panic(tapeBail{})
+			tc.getInto(lv, v)
+			if op, ok = fltOps[bin]; !ok {
+				fc.errorf(x, "unsupported compound float assignment %s", x.Op)
 			}
 			tc.emit(tinstr{op: op, a: v, b: v, c: r})
 			tc.ta.popF()
-		} else {
-			v = tc.num(x.RHS)
-		}
-		// C float (4 bytes) rounds every stored value through float32.
-		if tl.CSize == 4 {
-			tc.emit(tinstr{op: tRoundF, a: v, b: v})
-		}
-		tc.set(lv, v)
-		tc.ta.popF()
-	case types.Ptr:
-		lv := tc.lval(x.LHS, tkP)
-		var v int32
-		if bin, ok := x.Op.AssignBinOp(); ok {
-			v = tc.get(lv)
+		case tkP:
 			r := tc.integer(x.RHS)
-			op := tPtrAdd
+			tc.getInto(lv, v)
 			switch bin {
 			case token.ADD:
 				op = tPtrAdd
 			case token.SUB:
 				op = tPtrSub
 			default:
-				panic(tapeBail{})
+				fc.errorf(x, "unsupported compound pointer assignment %s", x.Op)
 			}
 			tc.emit(tinstr{op: op, a: v, b: v, c: r, aux: elemStride(tl.Elem)})
 			tc.ta.popI()
-		} else {
-			v = tc.ptrExpr(x.RHS)
-		}
-		tc.set(lv, v)
-		tc.ta.popP()
-	default:
-		lv := tc.lval(x.LHS, tkI)
-		var v int32
-		if bin, ok := x.Op.AssignBinOp(); ok {
-			if bin == token.QUO || bin == token.REM {
-				// The closure backend evaluates the divisor first and
-				// traps on zero before the accumulator load.
-				r := tc.integer(x.RHS)
-				chk, op := tChkDiv0, tDivI
-				if bin == token.REM {
-					chk, op = tChkRem0, tRemI
-				}
-				tc.emit(tinstr{op: chk, b: r})
-				v = tc.get(lv)
-				tc.emit(tinstr{op: op, a: v, b: v, c: r})
-				tc.set(lv, v)
-				tc.ta.popI() // v
-				tc.ta.popI() // r
-				return
-			}
-			v = tc.get(lv)
+		default:
 			r := tc.integer(x.RHS)
-			var op topcode
-			switch bin {
-			case token.ADD:
-				op = tAddI
-			case token.SUB:
-				op = tSubI
-			case token.MUL:
-				op = tMulI
-			case token.AND:
-				op = tAndI
-			case token.OR:
-				op = tOrI
-			case token.XOR:
-				op = tXorI
-			case token.SHL:
-				op = tShlI
-			case token.SHR:
-				op = tShrI
-			default:
-				panic(tapeBail{})
+			tc.getInto(lv, v)
+			if op, ok = intOps[bin]; !ok {
+				fc.errorf(x, "unsupported compound assignment %s", x.Op)
 			}
 			tc.emit(tinstr{op: op, a: v, b: v, c: r})
 			tc.ta.popI()
-		} else {
+		}
+	} else {
+		switch kind {
+		case tkF:
+			v = tc.num(x.RHS)
+		case tkP:
+			v = tc.ptrExpr(x.RHS)
+		default:
 			v = tc.integer(x.RHS)
 		}
-		tc.set(lv, v)
-		tc.ta.popI()
 	}
+	// C float (4 bytes) rounds every stored value through float32.
+	if kind == tkF && tl.CSize == 4 {
+		tc.emit(tinstr{op: tRoundF, a: v, b: v})
+	}
+	tc.set(lv, v)
+	return tc.unpin(lv, v)
+}
+
+// incdec compiles ++/-- of an int or float lvalue and returns the
+// register holding the old value (post) or the new one. A 4-byte float
+// stores the new value rounded through float32, while a pre-increment
+// yields it unrounded, as the oracle does.
+func (tc *tapeCompiler) incdec(target ast.Expr, op token.Kind, post bool, kind int) int32 {
+	f32 := kind == tkF && tc.fc.typeOf(target).CSize == 4
+	lv := tc.lval(target, kind, tc.pinned(target, nil))
+	v := tc.get(lv)
+	delta := int64(1)
+	if op == token.DEC {
+		delta = -1
+	}
+	add, d := tAddF, int32(0)
+	if kind == tkF {
+		d = tc.loadConstF(float64(delta))
+	} else {
+		add, d = tAddI, tc.loadConstI(delta)
+	}
+	nv := v
+	if post || f32 {
+		nv = tc.ta.alloc(kind)
+	}
+	tc.emit(tinstr{op: add, a: nv, b: v, c: d})
+	if f32 {
+		if !post {
+			tc.emit(tinstr{op: tMovF, a: v, b: nv})
+		}
+		tc.emit(tinstr{op: tRoundF, a: nv, b: nv})
+	}
+	tc.set(lv, nv)
+	if nv != v {
+		tc.ta.pop(kind) // nv
+	}
+	tc.ta.pop(kind) // d
+	return tc.unpin(lv, v)
 }
 
 // effect compiles an expression statement for its side effects.
 func (tc *tapeCompiler) effect(e ast.Expr) {
-	fc := tc.fc
 	switch x := e.(type) {
 	case *ast.AssignExpr:
-		tc.assignEffect(x)
+		tc.assign(x)
+		tc.ta.pop(kindOf(tc.fc.typeOf(x.LHS)))
 	case *ast.CallExpr:
-		fn := fc.callEffect(x)
-		idx := int32(len(tc.tp.effFns))
-		tc.tp.effFns = append(tc.tp.effFns, fn)
-		tc.emit(tinstr{op: tEff, b: idx})
+		tc.callEffect(x)
 	case *ast.ParenExpr:
 		tc.effect(x.X)
 	default:
-		switch fc.typeOf(e).Kind {
-		case types.Float:
+		kind := kindOf(tc.fc.typeOf(e))
+		switch kind {
+		case tkF:
 			tc.flt(e)
-			tc.ta.popF()
-		case types.Ptr:
+		case tkP:
 			tc.ptrExpr(e)
-			tc.ta.popP()
 		default:
 			tc.intExpr(e)
-			tc.ta.popI()
 		}
+		tc.ta.pop(kind)
 	}
 }

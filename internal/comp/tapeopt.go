@@ -1,8 +1,8 @@
 package comp
 
-// Peephole optimizer over finished tapes. The front end emits one
-// instruction per closure-backend node, which keeps the translation
-// auditable but pays switch dispatch for every temp-register move. The
+// Peephole optimizer over finished tapes. The front end emits about one
+// instruction per AST node, which keeps the translation auditable but
+// pays switch dispatch for every temp-register move. The
 // passes here fuse those sequences into the superinstructions declared
 // in tape.go, cutting the dispatch count per source statement roughly
 // in half to a third.
@@ -13,7 +13,7 @@ package comp
 //     graph, and a write is only elided when the register is provably
 //     dead (frame slots below the temp base — locals and parameters —
 //     are always live);
-//   - windows never cross a jump target (leader), a closure escape, or
+//   - windows never cross a jump target (leader), a call or launch, or
 //     an instruction that could observe or clobber the moved value, so
 //     on every path the fused form reads the same values the expanded
 //     form read;
@@ -64,10 +64,11 @@ const (
 
 const (
 	tfPure    = 1 << iota // no trap, no memory/global/control effect
-	tfBarrier             // closure escape: unknown global/memory effects
+	tfBarrier             // call or launch: unknown global/memory effects
 	tfJump                // transfers control (incl. conditional)
 	tfExit                // leaves the tape (no fallthrough successor)
 	tfGWrite              // writes a global scalar/pointer slot
+	tfSite                // reads the regSpan of its site (siteAccs)
 )
 
 // tdesc describes one opcode for the optimizer. rI/rF/rP list the
@@ -112,8 +113,6 @@ func init() {
 		tdesc{rI: []tfield{fB, fC}, wI: w(fA), wF: no, wP: no, flags: tfPure})
 	tdef([]topcode{tDivI, tRemI},
 		tdesc{rI: []tfield{fB, fC}, wI: w(fA), wF: no, wP: no})
-	tdef([]topcode{tChkDiv0, tChkRem0},
-		tdesc{rI: []tfield{fB}, wI: no, wF: no, wP: no})
 	// tDivII/tRemII are pure: they are only created with aux != 0.
 	tdef([]topcode{tAddII, tRsbII, tMulII, tDivII, tRemII, tAndII, tOrII,
 		tXorII, tShlII, tShrII, tEqII, tNeII, tLtII, tLeII, tGtII, tGeII},
@@ -197,14 +196,19 @@ func init() {
 	tdef([]topcode{tRetF}, tdesc{rF: []tfield{fA}, wI: no, wF: no, wP: no, flags: tfExit})
 	tdef([]topcode{tRetP}, tdesc{rP: []tfield{fA}, wI: no, wF: no, wP: no, flags: tfExit})
 
-	// Escapes touch no temp registers: closure-compiled code works on
-	// the locals below the temp base, and nested tapes fully
-	// rematerialize their operands. tCall* results land in a temp.
-	tdef([]topcode{tCallI}, tdesc{wI: w(fA), wF: no, wP: no, flags: tfBarrier})
-	tdef([]topcode{tCallF}, tdesc{wI: no, wF: w(fA), wP: no, flags: tfBarrier})
-	tdef([]topcode{tCallP}, tdesc{wI: no, wF: no, wP: w(fA), flags: tfBarrier})
-	tdef([]topcode{tEff}, tdesc{wI: no, wF: no, wP: no, flags: tfBarrier})
-	tdef([]topcode{tStmt}, tdesc{wI: no, wF: no, wP: no, flags: tfBarrier | tfJump})
+	tdef([]topcode{tAbsI}, tdesc{rI: []tfield{fB}, wI: w(fA), wF: no, wP: no, flags: tfPure})
+	tdef([]topcode{tMinI, tMaxI}, tdesc{rI: []tfield{fB, fC}, wI: w(fA), wF: no, wP: no, flags: tfPure})
+	tdef([]topcode{tFloorD, tCeilD}, tdesc{rI: []tfield{fB, fC}, wI: w(fA), wF: no, wP: no})
+	tdef([]topcode{tRand}, tdesc{wI: w(fA), wF: no, wP: no})
+	tdef([]topcode{tSrand}, tdesc{rI: []tfield{fB}, wI: no, wF: no, wP: no})
+	tdef([]topcode{tMath1}, tdesc{rF: []tfield{fB}, wI: no, wF: w(fA), wP: no, flags: tfPure})
+	tdef([]topcode{tMath2}, tdesc{rF: []tfield{fB, fC}, wI: no, wF: w(fA), wP: no, flags: tfPure})
+	tdef([]topcode{tConstP}, tdesc{wI: no, wF: no, wP: w(fA), flags: tfPure})
+	tdef([]topcode{tMalloc}, tdesc{rI: []tfield{fC}, wI: no, wF: no, wP: w(fA)})
+	tdef([]topcode{tFree}, tdesc{rP: []tfield{fB}, wI: no, wF: no, wP: no, flags: tfBarrier})
+	// Site ops read the registers their site names and run arbitrary
+	// guest code; a call writes its result register (siteAccs).
+	tdef([]topcode{tCall, tPrintf, tStmt}, tdesc{wI: no, wF: no, wP: no, flags: tfBarrier | tfSite})
 
 	for i := range tdescs {
 		d := &tdescs[i]
@@ -313,15 +317,7 @@ func (tp *tape) succs(pc int, buf []int) []int {
 	if flags&tfExit == 0 {
 		buf = tp.addSucc(buf, pc+1)
 	}
-	switch {
-	case in.op == tStmt:
-		if in.a != tapeCtrlRet {
-			buf = tp.addSucc(buf, pc+int(in.a))
-		}
-		if in.c != tapeCtrlRet {
-			buf = tp.addSucc(buf, pc+int(in.c))
-		}
-	case flags&tfJump != 0:
+	if flags&tfJump != 0 {
 		buf = tp.addSucc(buf, pc+int(in.a))
 	}
 	return buf
@@ -347,15 +343,7 @@ func (lv *tlive) leaders(tp *tape) {
 		}
 	}
 	for pc := range tp.code {
-		in := &tp.code[pc]
-		if in.op == tStmt {
-			if in.a != tapeCtrlRet {
-				mark(pc, in.a)
-			}
-			if in.c != tapeCtrlRet {
-				mark(pc, in.c)
-			}
-		} else if tdescs[in.op].flags&tfJump != 0 {
+		if in := &tp.code[pc]; tdescs[in.op].flags&tfJump != 0 {
 			mark(pc, in.a)
 		}
 	}
@@ -479,16 +467,11 @@ func (lv *tlive) pass(tp *tape) bool {
 				}
 			}
 		}
+		if d.flags&tfSite != 0 {
+			lv.siteAccs(tp, in, row, base)
+		}
 		for _, a := range d.accs {
-			v := int(tfieldVal(in, a.field) - base[a.kind])
-			if v < 0 {
-				continue
-			}
-			if i, bit := lv.off[a.kind]+v>>6, uint64(1)<<uint(v&63); a.write {
-				row[i] &^= bit
-			} else {
-				row[i] |= bit
-			}
+			lv.mark(row, int(a.kind), tfieldVal(in, a.field)-base[a.kind], a.write)
 		}
 		cur := lv.in[pc*w : (pc+1)*w]
 		for i, x := range cur {
@@ -499,6 +482,42 @@ func (lv *tlive) pass(tp *tape) bool {
 		}
 	}
 	return changed
+}
+
+// mark applies one access of temp v (a slot minus its kind's temp base)
+// to a live row: a write kills it, a read makes it live.
+func (lv *tlive) mark(row []uint64, kind int, v int32, write bool) {
+	if v < 0 {
+		return
+	}
+	if i, bit := lv.off[kind]+int(v)>>6, uint64(1)<<uint(v&63); write {
+		row[i] &^= bit
+	} else {
+		row[i] |= bit
+	}
+}
+
+// siteAccs applies the accesses of a site op: a call's result write,
+// then the reads of the site's register span.
+func (lv *tlive) siteAccs(tp *tape, in *tinstr, row []uint64, base [3]int32) {
+	var sp *regSpan
+	switch in.op {
+	case tCall:
+		cs := &tp.calls[in.b]
+		if !cs.void {
+			lv.mark(row, int(cs.ret), in.a-base[cs.ret], true)
+		}
+		sp = &cs.args
+	case tPrintf:
+		sp = &tp.printfs[in.b].args
+	default:
+		sp = &tp.launches[in.b].regs
+	}
+	for k := tkI; k <= tkP; k++ {
+		for r := sp.first[k]; r < sp.first[k]+sp.n[k]; r++ {
+			lv.mark(row, k, r-base[k], false)
+		}
+	}
 }
 
 // liveAtBackTargets reports whether any temp is live into a backward
@@ -519,8 +538,7 @@ func (lv *tlive) liveAtBackTargets() bool {
 // Compaction
 
 // compact removes tNop instructions in place and remaps every relative
-// jump offset (including tStmt break/continue offsets) across the
-// removal.
+// jump offset across the removal.
 func (lv *tlive) compact(tp *tape) {
 	n := len(tp.code)
 	newpc := resize(lv.newpc, n+1)
@@ -542,18 +560,8 @@ func (lv *tlive) compact(tp *tape) {
 		if in.op == tNop {
 			continue
 		}
-		remap := func(off int32) int32 {
-			return int32(newpc[i+int(off)] - newpc[i])
-		}
-		if in.op == tStmt {
-			if in.a != tapeCtrlRet {
-				in.a = remap(in.a)
-			}
-			if in.c != tapeCtrlRet {
-				in.c = remap(in.c)
-			}
-		} else if tdescs[in.op].flags&tfJump != 0 {
-			in.a = remap(in.a)
+		if tdescs[in.op].flags&tfJump != 0 {
+			in.a = int32(newpc[i+int(in.a)] - newpc[i])
 		}
 		tp.code[newpc[i]] = in
 	}
@@ -661,8 +669,7 @@ func (tp *tape) elimDead(i int, lv *tlive) bool {
 
 // foldConstI folds [tConstI t,K][op … t …] into an immediate form when
 // t is a dead-after temp. Constant-constant chains fold back into
-// tConstI, constant branches into tJmp/nothing, and a passing
-// tChkDiv0/tChkRem0 on a nonzero constant disappears.
+// tConstI and constant branches into tJmp/nothing.
 func (tp *tape) foldConstI(i int, lv *tlive) bool {
 	if i+1 >= len(tp.code) || lv.ld[i+1] {
 		return false
@@ -673,13 +680,6 @@ func (tp *tape) foldConstI(i int, lv *tlive) bool {
 		return false
 	}
 	k := tp.constI[in.b]
-
-	// A nonzero constant divisor check always passes.
-	if (nx.op == tChkDiv0 || nx.op == tChkRem0) && nx.b == t && k != 0 {
-		*nx = tinstr{}
-		return true
-	}
-
 	if !tp.deadOrRedefined(lv, i+1, tkI, t) {
 		return false
 	}
@@ -995,7 +995,7 @@ func (tp *tape) elimMov(i int, lv *tlive) bool {
 }
 
 // scanStop reports instructions a forward value-motion scan cannot
-// cross: control flow, closure escapes, and jump targets.
+// cross: control flow, calls and launches, and jump targets.
 func (tp *tape) scanStop(j int, lv *tlive) bool {
 	if lv.ld[j] {
 		return true

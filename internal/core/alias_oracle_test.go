@@ -42,7 +42,7 @@ func aliasDefs() map[string]string { return apps.RelationalDefines(512, 544, 16,
 
 // TestAliasOracle12Processes is the relational-proof equivalence suite:
 // every workload runs on 12 concurrent Processes (alias analysis on and
-// off, both compiler backends, both statement engines, all loop
+// off, both compiler backends, all loop
 // schedules, mixed real and simulated teams) and every output must be
 // bit-identical to the sequential interp oracle. The alias-driven
 // parallelization and the relation-driven check elision remove only
@@ -57,12 +57,11 @@ func TestAliasOracle12Processes(t *testing.T) {
 	builds := []struct {
 		noAlias bool
 		backend comp.Backend
-		engine  comp.Engine
 	}{
-		{false, comp.BackendGCC, comp.EngineClosure},
-		{true, comp.BackendGCC, comp.EngineClosure},
-		{false, comp.BackendICC, comp.EngineTape},
-		{true, comp.BackendICC, comp.EngineTape},
+		{false, comp.BackendGCC},
+		{true, comp.BackendGCC},
+		{false, comp.BackendICC},
+		{true, comp.BackendICC},
 	}
 	for _, w := range aliasWorkloads() {
 		w := w
@@ -92,7 +91,6 @@ func TestAliasOracle12Processes(t *testing.T) {
 					cfg := withDefs(Config{Parallelize: true}, aliasDefs())
 					cfg.NoAlias = b.noAlias
 					cfg.Backend = b.backend
-					cfg.Engine = b.engine
 					cfg.Transform = transform.Options{Schedule: sched, MinParallelTrip: -1}
 					prog, _, _, err := BuildProgram(w.src, cfg)
 					if err != nil {

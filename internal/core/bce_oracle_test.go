@@ -37,7 +37,7 @@ func bceWorkloads() []struct {
 
 // TestBCEOracle12Processes is the check-elision equivalence proof:
 // every workload runs on 12 concurrent Processes (both compiler
-// backends, both statement engines, all loop schedules, each on a real
+// backends, all loop schedules, each on a real
 // and a simulated team) and every output must be
 // bit-identical to the sequential interp oracle — elision removes only
 // checks that could never fire, never a computation. Run under -race
@@ -47,10 +47,9 @@ func TestBCEOracle12Processes(t *testing.T) {
 	schedules := []string{"", "static,3", "dynamic,1"}
 	builds := []struct {
 		backend comp.Backend
-		engine  comp.Engine
 	}{
-		{comp.BackendGCC, comp.EngineClosure},
-		{comp.BackendICC, comp.EngineTape},
+		{comp.BackendGCC},
+		{comp.BackendICC},
 	}
 	for _, w := range bceWorkloads() {
 		w := w
@@ -79,7 +78,6 @@ func TestBCEOracle12Processes(t *testing.T) {
 				for _, sched := range schedules {
 					cfg := withDefs(Config{Parallelize: true}, w.defs)
 					cfg.Backend = b.backend
-					cfg.Engine = b.engine
 					cfg.Transform = transform.Options{Schedule: sched}
 					prog, _, _, err := BuildProgram(w.src, cfg)
 					if err != nil {
@@ -155,8 +153,8 @@ func marginDefines(n, m, slack int) map[string]string {
 // zero-slack build is proven with exactly one element of margin: it
 // must parallelize, elide, run clean and match the oracle. The
 // one-slack build is unprovable by exactly one element: the check
-// stays even with BCE on, and the program traps identically on both
-// engines and in the interp oracle — never a silent wrong answer.
+// stays even with BCE on, and the program traps identically on the tape
+// and in the interp oracle — never a silent wrong answer.
 func TestBCEProofMargin(t *testing.T) {
 	n, m := 256, 64
 
@@ -207,28 +205,26 @@ func TestBCEProofMargin(t *testing.T) {
 
 	t.Run("unprovable-by-one", func(t *testing.T) {
 		defs := marginDefines(n, m, 1)
-		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-			prog, art, _, err := BuildProgram(proofMarginSrc,
-				withDefs(Config{Parallelize: true, NoCache: true, Engine: eng}, defs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, l := range art.Report.Loops {
-				if l.Func == "gather" && l.ParallelLevel >= 0 {
-					t.Error("unprovable gather must stay serial")
-				}
-			}
-			proc, err := prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(2)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := proc.RunMain(); err == nil {
-				t.Fatalf("engine=%v: unprovable access must trap with BCE on", eng)
-			} else if _, isRT := err.(*comp.RuntimeError); !isRT {
-				t.Fatalf("engine=%v: want RuntimeError, got %T %v", eng, err, err)
+		prog, art, _, err := BuildProgram(proofMarginSrc,
+			withDefs(Config{Parallelize: true, NoCache: true}, defs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range art.Report.Loops {
+			if l.Func == "gather" && l.ParallelLevel >= 0 {
+				t.Error("unprovable gather must stay serial")
 			}
 		}
-		art, err := Front(proofMarginSrc, withDefs(Config{}, defs))
+		proc, err := prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proc.RunMain(); err == nil {
+			t.Fatal("unprovable access must trap with BCE on")
+		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
+			t.Fatalf("want RuntimeError, got %T %v", err, err)
+		}
+		art, err = Front(proofMarginSrc, withDefs(Config{}, defs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +262,9 @@ int main() { fill(); sum(); return 0; }
 `
 
 // TestBCEProofMarginSumKernel pins both edges of the proof boundary for
-// the sum kernel on both statement engines, against the interp oracle.
+// the sum kernel, against the interp oracle.
 func TestBCEProofMarginSumKernel(t *testing.T) {
 	n := 256
-	engines := []comp.Engine{comp.EngineClosure, comp.EngineTape}
 	oracle := func(defs map[string]string) (*interp.Interp, error) {
 		art, err := Front(sumMarginSrc, withDefs(Config{}, defs))
 		if err != nil {
@@ -293,57 +288,53 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range engines {
-			cfg := withDefs(Config{Vectorize: true, NoCache: true, Engine: eng}, defs)
-			prog, _, _, err := BuildProgram(sumMarginSrc, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The fill casts and takes a modulus, so only the sum fuses.
-			if prog.FusedKernels() != 1 {
-				t.Errorf("engine=%v: %d fused kernels, want the sum", eng, prog.FusedKernels())
-			}
-			if got := prog.ElidedChecks(); got != 1 {
-				t.Errorf("engine=%v: BCE elided %d checks, want the sum operand's", eng, got)
-			}
-			proc, err := prog.NewProcess(comp.ProcOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := proc.RunMain(); err != nil {
-				t.Fatalf("engine=%v: proven-edge run: %v", eng, err)
-			}
-			pp, err := proc.GlobalPtr("total")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snapshotVec(pp, "total", 1) != snapshotVec(op, "total", 1) {
-				t.Errorf("engine=%v: proven-edge sum differs from oracle", eng)
-			}
+		cfg := withDefs(Config{Vectorize: true, NoCache: true}, defs)
+		prog, _, _, err := BuildProgram(sumMarginSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fill casts and takes a modulus, so only the sum fuses.
+		if prog.FusedKernels() != 1 {
+			t.Errorf("%d fused kernels, want the sum", prog.FusedKernels())
+		}
+		if got := prog.ElidedChecks(); got != 1 {
+			t.Errorf("BCE elided %d checks, want the sum operand's", got)
+		}
+		proc, err := prog.NewProcess(comp.ProcOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proc.RunMain(); err != nil {
+			t.Fatalf("proven-edge run: %v", err)
+		}
+		pp, err := proc.GlobalPtr("total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshotVec(pp, "total", 1) != snapshotVec(op, "total", 1) {
+			t.Error("proven-edge sum differs from oracle")
 		}
 	})
 
 	t.Run("unprovable-by-one", func(t *testing.T) {
 		defs := marginDefines(n, n, 1)
-		for _, eng := range engines {
-			prog, _, _, err := BuildProgram(sumMarginSrc,
-				withDefs(Config{Vectorize: true, NoCache: true, Engine: eng}, defs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prog.FusedKernels() != 1 || prog.ElidedChecks() != 0 {
-				t.Errorf("engine=%v: %d fused kernels and %d elided checks, want the sum fused with its check kept",
-					eng, prog.FusedKernels(), prog.ElidedChecks())
-			}
-			proc, err := prog.NewProcess(comp.ProcOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := proc.RunMain(); err == nil {
-				t.Fatalf("engine=%v: unprovable sum operand must trap with BCE on", eng)
-			} else if _, isRT := err.(*comp.RuntimeError); !isRT {
-				t.Fatalf("engine=%v: want RuntimeError, got %T %v", eng, err, err)
-			}
+		prog, _, _, err := BuildProgram(sumMarginSrc,
+			withDefs(Config{Vectorize: true, NoCache: true}, defs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.FusedKernels() != 1 || prog.ElidedChecks() != 0 {
+			t.Errorf("%d fused kernels and %d elided checks, want the sum fused with its check kept",
+				prog.FusedKernels(), prog.ElidedChecks())
+		}
+		proc, err := prog.NewProcess(comp.ProcOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proc.RunMain(); err == nil {
+			t.Fatal("unprovable sum operand must trap with BCE on")
+		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
+			t.Fatalf("want RuntimeError, got %T %v", err, err)
 		}
 		if _, err := oracle(defs); err == nil {
 			t.Fatal("interp oracle must also trap")

@@ -46,12 +46,13 @@ func cacheKey(src string, cfg Config) CacheKey {
 	h := sha256.New()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("src:%d:%s;", len(src), src)
-	// The nofuse, nobce, combine, sparsepriv and memoshards literals
-	// stand where five since-deleted fields were hashed at their zero
-	// values: every key stays byte-identical to the one an older build
-	// wrote, so existing disk caches keep serving.
-	w("mode:%d;file:%s;par:%t;backend:%d;engine:%d;vec:%t;nofuse:false;nobce:false;noalias:%t;combine:0;sparsepriv:false;",
-		cfg.Mode, cfg.FileName, cfg.Parallelize, cfg.Backend, cfg.Engine, cfg.Vectorize, cfg.NoAlias)
+	// The engine, nofuse, nobce, combine, sparsepriv and memoshards
+	// literals stand where six since-deleted or ignored fields were
+	// hashed at their zero values: every default key stays
+	// byte-identical to the one an older build wrote, so existing disk
+	// caches keep serving.
+	w("mode:%d;file:%s;par:%t;backend:%d;engine:0;vec:%t;nofuse:false;nobce:false;noalias:%t;combine:0;sparsepriv:false;",
+		cfg.Mode, cfg.FileName, cfg.Parallelize, cfg.Backend, cfg.Vectorize, cfg.NoAlias)
 	w("memo:%t;memocap:%d;memoshards:0;", cfg.Memoize, cfg.MemoCapacity)
 	t := cfg.Transform
 	w("tile:%t;sizes:%v;skew:%t;sched:%s;mintrip:%d;",

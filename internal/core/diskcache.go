@@ -36,8 +36,8 @@ import (
 // transform) nor the analyses of the final model: it parses and
 // semantically checks the stored text — Compile needs the tree and its
 // model — and rebuilds the proof map from the header's ordinals. The
-// closure compile then runs again, because compiled Programs are Go
-// closures and cannot be serialized.
+// tape compile then runs again: compiled Programs hold Go closures
+// (kernel and region launches) and cannot be serialized.
 //
 // Why the stored proofs are trusted. They sit under the same checksum
 // as the text, and the text already decides what runs and where it runs

@@ -6,20 +6,24 @@ import (
 	"purec/internal/comp"
 )
 
-// A zero Config builds on the tape engine; the closure engine is an
-// explicit choice.
+// Config.Engine is deprecated and ignored: every Engine value builds the
+// same tape Program under the same cache key.
 func TestZeroConfigBuildsTape(t *testing.T) {
-	for _, c := range []struct {
-		cfg  Config
-		want comp.Engine
-	}{{Config{NoCache: true}, comp.EngineTape}, {Config{NoCache: true, Engine: comp.EngineClosure}, comp.EngineClosure}} {
-		res, err := Build(scheduleSrc, c.cfg)
+	var sizes [][3]int
+	for _, eng := range []comp.Engine{comp.EngineTape, comp.EngineClosure} {
+		cfg := Config{Parallelize: true, NoCache: true, Engine: eng}
+		res, err := Build(scheduleSrc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Program.Engine(); got != c.want {
-			t.Errorf("Config{Engine: %d} built %v, want %v", c.cfg.Engine, got, c.want)
+		instrs, consts, temps := res.Program.TapeStats()
+		sizes = append(sizes, [3]int{instrs, consts, temps})
+		if got, want := Key(scheduleSrc, cfg), Key(scheduleSrc, Config{Parallelize: true}); got != want {
+			t.Errorf("Engine %d: key %v, want the default key %v", eng, got, want)
 		}
+	}
+	if sizes[0] == [3]int{} || sizes[0] != sizes[1] {
+		t.Errorf("tape sizes %v: EngineClosure must build the same tape", sizes)
 	}
 }
 
@@ -38,7 +42,6 @@ func TestCompileFieldsKeepTheirKeys(t *testing.T) {
 		{"default", Config{Parallelize: true}, "ed6827b509fc2a704ddb93448eabb80a37d05475e372844339274cad21128a0d"},
 		{"icc", Config{Parallelize: true, Backend: comp.BackendICC}, "52c3350d7b5e3f83e787f376ccf94f6ab96a81c768fdf9d80f83d8316b78c2c2"},
 		{"vectorize", Config{Parallelize: true, Vectorize: true}, "74e14fa30f414e65a7a864d21d4553959e9decf03050fca80f429d87a2014e88"},
-		{"closure", Config{Parallelize: true, Engine: comp.EngineClosure}, "018959fe09d3f6721c99b523a8dd81ef56c89e118b8554690ffa6364e091f687"},
 		{"noalias", Config{Parallelize: true, NoAlias: true}, "5059960e4e036c73fa97688c57146a7739b8d1e47c0ec13e623e6ded4b38c5b0"},
 		{"memoize", Config{Parallelize: true, Memoize: true, MemoCapacity: 64}, "6dd5a6aec885ea2dd342bff0d0e3a6ab4a521b816f34d61392ee8db8909ebb0e"},
 	} {

@@ -21,12 +21,12 @@ var matchedBuilds = []struct {
 	{"gcc+vec", comp.BackendGCC, true},
 }
 
-// matchedCounts compiles one corpus sample under one build and engine
-// and returns Program.FusedKernels() and Program.ElidedChecks().
-func matchedCounts(t *testing.T, s apps.Sample, build int, par bool, eng comp.Engine) (fused, elided int) {
+// matchedCounts compiles one corpus sample under one build and returns
+// Program.FusedKernels() and Program.ElidedChecks().
+func matchedCounts(t *testing.T, s apps.Sample, build int, par bool) (fused, elided int) {
 	t.Helper()
 	b := matchedBuilds[build]
-	cfg := Config{Parallelize: par, Defines: s.Defines, Backend: b.backend, Vectorize: b.vectorize, Engine: eng}
+	cfg := Config{Parallelize: par, Defines: s.Defines, Backend: b.backend, Vectorize: b.vectorize}
 	art, err := Front(s.Src, cfg)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", s.Name, b.name, err)
@@ -40,13 +40,9 @@ func matchedCounts(t *testing.T, s apps.Sample, build int, par bool, eng comp.En
 
 // TestMatchedSetGolden pins which loops comp fuses and which checks it
 // elides: FusedKernels()/ElidedChecks() for every corpus source × build
-// × parallel/sequential, asserted under both statement engines — one
-// row serves both, which is the engine-parity contract: the tape
-// engine consults the same matcher as the closure engine, so the two
-// can never fuse or elide differently. The table was recorded at the
-// commit before the five kernel families moved behind one matcher
-// (PR 15, where closure and tape already agreed on every corpus cell)
-// and differs from that recording only in the cells CHANGES.md lists.
+// × parallel/sequential. The table was recorded at the commit before
+// the five kernel families moved behind one matcher and differs from
+// that recording only in the cells CHANGES.md lists.
 // To re-record after a change that is meant to move the matched set,
 // run
 //
@@ -63,11 +59,9 @@ func TestMatchedSetGolden(t *testing.T) {
 				}
 				key := s.Name + "/" + b.name + "/" + mode
 				want, ok := matchedGolden[key]
-				for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-					fused, elided := matchedCounts(t, s, bi, par, eng)
-					if got := [2]int{fused, elided}; !ok || got != want {
-						t.Errorf("engine=%v: %-30s {%d, %d},", eng, fmt.Sprintf("%q:", key), fused, elided)
-					}
+				fused, elided := matchedCounts(t, s, bi, par)
+				if got := [2]int{fused, elided}; !ok || got != want {
+					t.Errorf("%-30s {%d, %d},", fmt.Sprintf("%q:", key), fused, elided)
 				}
 			}
 		}

@@ -306,7 +306,7 @@ func runOracle(t *testing.T, src string) (out string, ret int64, trap string) {
 
 // TestAliasingDifferential holds every fused-kernel configuration to
 // the interpreter on the committed reproductions and on generated
-// aliasing loops: {closure, tape} × {gcc, icc+Vectorize}, equal
+// aliasing loops: {gcc, icc+Vectorize}, equal
 // stdout, return value and trap text. Fixed seeds; run under -race in
 // CI.
 func TestAliasingDifferential(t *testing.T) {
@@ -317,36 +317,34 @@ func TestAliasingDifferential(t *testing.T) {
 	fusedSomewhere, ptrLeafFused := 0, 0
 	for _, c := range cases {
 		wantOut, wantRet, wantTrap := runOracle(t, c.src)
-		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-			for _, icc := range []bool{false, true} {
-				cfg := Config{Engine: eng, NoCache: true}
-				if icc {
-					cfg.Backend, cfg.Vectorize = comp.BackendICC, true
+		for _, icc := range []bool{false, true} {
+			cfg := Config{NoCache: true}
+			if icc {
+				cfg.Backend, cfg.Vectorize = comp.BackendICC, true
+			}
+			prog, _, _, err := BuildProgram(c.src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", c.name, err, c.src)
+			}
+			if icc && prog.FusedKernels() > 0 {
+				fusedSomewhere++
+				if strings.Contains(c.src, "((pure float*)c") && prog.InlinedCalls() > 0 {
+					ptrLeafFused++
 				}
-				prog, _, _, err := BuildProgram(c.src, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v\n%s", c.name, err, c.src)
-				}
-				if icc && eng == comp.EngineClosure && prog.FusedKernels() > 0 {
-					fusedSomewhere++
-					if strings.Contains(c.src, "((pure float*)c") && prog.InlinedCalls() > 0 {
-						ptrLeafFused++
-					}
-				}
-				var buf strings.Builder
-				proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &buf})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ret, err := proc.RunMain()
-				trap := ""
-				if err != nil {
-					trap = err.Error()
-				}
-				if buf.String() != wantOut || ret != wantRet || trap != wantTrap {
-					t.Errorf("%s: engine=%v icc+vec=%v (%d fused kernels) differs from the interpreter\n%s\ngot  ret=%d trap=%q\n%s\nwant ret=%d trap=%q\n%s",
-						c.name, eng, icc, prog.FusedKernels(), c.src, ret, trap, buf.String(), wantRet, wantTrap, wantOut)
-				}
+			}
+			var buf strings.Builder
+			proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &buf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ret, err := proc.RunMain()
+			trap := ""
+			if err != nil {
+				trap = err.Error()
+			}
+			if buf.String() != wantOut || ret != wantRet || trap != wantTrap {
+				t.Errorf("%s: icc+vec=%v (%d fused kernels) differs from the interpreter\n%s\ngot  ret=%d trap=%q\n%s\nwant ret=%d trap=%q\n%s",
+					c.name, icc, prog.FusedKernels(), c.src, ret, trap, buf.String(), wantRet, wantTrap, wantOut)
 			}
 		}
 	}

@@ -54,8 +54,8 @@ const (
 )
 
 // Config controls one pipeline run. The compile-relevant fields (Mode,
-// Defines, Files, Parallelize, Transform, Backend, Engine, Vectorize,
-// NoAlias, Memoize, MemoCapacity) form the
+// Defines, Files, Parallelize, Transform, Backend, Vectorize, NoAlias,
+// Memoize, MemoCapacity) form the
 // content-addressed program-cache key; TeamSize, Stdout and the cache
 // controls are run state and never affect the compiled Program.
 type Config struct {
@@ -76,9 +76,10 @@ type Config struct {
 	Transform transform.Options
 	// Backend selects the GCC or ICC compile analog.
 	Backend comp.Backend
-	// Engine selects linearized-tape (default) or closure-tree statement
-	// execution in the compiled Program. Results are bit-identical either
-	// way. Compile-relevant: part of the program-cache key.
+	// Engine is ignored: every Program runs on the tape.
+	//
+	// Deprecated: kept until callers stop setting it.
+	//lint:cachekey deprecated and ignored: every engine builds the same tape Program
 	Engine comp.Engine
 	// Vectorize enables the PluTo-SICA SIMD analog: fused-kernel
 	// compilation of canonical reduction loops anywhere in the program.
@@ -367,7 +368,6 @@ func (a *Artifact) Compile(cfg Config) (*comp.Program, error) {
 	}
 	prog, err := comp.CompileProgram(a.Info, comp.Options{
 		Backend:      cfg.Backend,
-		Engine:       cfg.Engine,
 		Vectorize:    cfg.Vectorize,
 		Proofs:       proofs,
 		Memoize:      cfg.Memoize,

@@ -21,7 +21,7 @@ import (
 // scalar reduction, a memoizable pure call, an element-wise float
 // kernel, and printf output. Integer reductions are bit-identical under
 // any bracketing, and the float array is element-wise, so every
-// schedule, team size and engine must reproduce the serial interp
+// schedule and team size must reproduce the serial interp
 // oracle exactly — run after run after run on the same reused Process.
 const poolOracleSrc = `
 int hist[32];
@@ -143,8 +143,8 @@ func snapProcess(proc *comp.Process, ret int64, out string) (poolOracleState, er
 
 // TestPoolReuseOracle12Goroutines is the daemon's determinism gate: 12
 // goroutines hammer one compiled Program through a shared ProcessPool —
-// every configuration of {schedule} × {closure, tape} × {gcc, icc} plus
-// a memoizing build — with team sizes cycling through real and
+// every configuration of {schedule} × gcc on the tape, plus icc and a
+// memoizing build — with team sizes cycling through real and
 // simulated teams, and every single run (reused Process or fresh) must
 // reproduce the serial interp oracle bit for bit: return value, stdout
 // bytes, the integer histogram, the float vector and the scalar total.
@@ -163,15 +163,14 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 	var variants []variant
 	for _, sched := range []string{"", "static,3", "dynamic,1", "guided,2"} {
 		variants = append(variants, variant{
-			name: "closure/gcc/" + sched,
-			cfg: Config{FileName: "t.c", Parallelize: true, Engine: comp.EngineClosure,
+			name: "tape/gcc/" + sched,
+			cfg: Config{FileName: "t.c", Parallelize: true,
 				Transform: transform.Options{Schedule: sched}},
 		})
 	}
 	variants = append(variants,
-		variant{"tape/gcc/", Config{FileName: "t.c", Parallelize: true, Engine: comp.EngineTape}},
-		variant{"closure/icc/", Config{FileName: "t.c", Parallelize: true, Backend: comp.BackendICC, Engine: comp.EngineClosure}},
-		variant{"closure/gcc/memo", Config{FileName: "t.c", Parallelize: true, Memoize: true, Engine: comp.EngineClosure}},
+		variant{"tape/icc/", Config{FileName: "t.c", Parallelize: true, Backend: comp.BackendICC}},
+		variant{"tape/gcc/memo", Config{FileName: "t.c", Parallelize: true, Memoize: true}},
 	)
 
 	teamSizes := []int{1, 2, 3, 5, 8}
@@ -319,40 +318,38 @@ func TestPoolCleanAfterDeepTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-		cfg := Config{FileName: "t.c", Parallelize: true, Engine: eng, NoCache: true,
-			Transform: transform.Options{Schedule: "dynamic,1", MinParallelTrip: -1}}
-		prog, _, _, err := BuildProgram(poolTrapSrc, cfg)
+	cfg := Config{FileName: "t.c", Parallelize: true, NoCache: true,
+		Transform: transform.Options{Schedule: "dynamic,1", MinParallelTrip: -1}}
+	prog, _, _, err := BuildProgram(poolTrapSrc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := prog.NewPool(comp.PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(3) }})
+	for round, entry := range []string{"boom", "boompar", "forever", "boom"} {
+		proc, err := pool.Get()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := prog.NewPool(comp.PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(3) }})
-		for round, entry := range []string{"boom", "boompar", "forever", "boom"} {
-			proc, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = proc.CallInt(entry)
-			if _, isRT := err.(*comp.RuntimeError); !isRT {
-				t.Fatalf("engine=%v %s: err %v, want a guest trap", eng, entry, err)
-			}
-			pool.Put(proc)
-
-			again, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again != proc {
-				t.Fatal("expected the trapped Process back (size-1 pool)")
-			}
-			var out bytes.Buffer
-			again.SetStdout(&out)
-			ret, err := again.RunMain()
-			if err != nil || ret != wantRet || out.String() != wantOut.String() {
-				t.Errorf("engine=%v round %d after %s: ret %d err %v out %q, oracle %d %q",
-					eng, round, entry, ret, err, out.String(), wantRet, wantOut.String())
-			}
-			pool.Put(again)
+		_, err = proc.CallInt(entry)
+		if _, isRT := err.(*comp.RuntimeError); !isRT {
+			t.Fatalf("%s: err %v, want a guest trap", entry, err)
 		}
+		pool.Put(proc)
+
+		again, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != proc {
+			t.Fatal("expected the trapped Process back (size-1 pool)")
+		}
+		var out bytes.Buffer
+		again.SetStdout(&out)
+		ret, err := again.RunMain()
+		if err != nil || ret != wantRet || out.String() != wantOut.String() {
+			t.Errorf("round %d after %s: ret %d err %v out %q, oracle %d %q",
+				round, entry, ret, err, out.String(), wantRet, wantOut.String())
+		}
+		pool.Put(again)
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // pragmaRow is one hand-written OpenMP pragma over one loop. A row
-// with diag is malformed: the tape build, the closure build and the
-// interp load must all refuse it with that message. A row without diag
-// is valid: all three must run it to ret.
+// with diag is malformed: the build and the interp load must both
+// refuse it with that message. A row without diag is valid: both must
+// run it to ret.
 type pragmaRow struct {
 	name string
 	src  string
@@ -192,8 +192,8 @@ int main(void) {
 
 // TestPragmaParity holds the compiler and the interp oracle to one
 // reading of every hand-written pragma: a malformed pragma is refused
-// by the tape build, the closure build and the interp load with
-// byte-identical text (from the source position on), and a valid one
+// by the build and the interp load with byte-identical text (from the
+// source position on), and a valid one
 // runs to the same result on a simulated 3-worker team and in the
 // oracle.
 func TestPragmaParity(t *testing.T) {
@@ -206,19 +206,16 @@ func TestPragmaParity(t *testing.T) {
 			}
 			var diags []string
 			var rets []int64
-			for _, eng := range []comp.Engine{comp.EngineTape, comp.EngineClosure} {
-				prog, err := art.Compile(Config{Engine: eng})
-				if err != nil {
-					diags = append(diags, sourceDiag(err))
-					continue
-				}
+			if prog, err := art.Compile(Config{}); err != nil {
+				diags = append(diags, sourceDiag(err))
+			} else {
 				proc, err := prog.NewProcess(comp.ProcOptions{Team: rt.NewSimTeam(3)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				ret, err := proc.RunMain()
 				if err != nil {
-					t.Fatalf("engine %v: %v", eng, err)
+					t.Fatal(err)
 				}
 				rets = append(rets, ret)
 			}
@@ -239,17 +236,17 @@ func TestPragmaParity(t *testing.T) {
 				}
 				for _, ret := range rets {
 					if ret != row.ret {
-						t.Fatalf("tape, closure, interp returned %v, want %d each", rets, row.ret)
+						t.Fatalf("tape, interp returned %v, want %d each", rets, row.ret)
 					}
 				}
 				return
 			}
-			if len(diags) != 3 {
-				t.Fatalf("malformed pragma ran on %d of 3 (returned %v; refused with %q)", 3-len(diags), rets, diags)
+			if len(diags) != 2 {
+				t.Fatalf("malformed pragma ran on %d of 2 (returned %v; refused with %q)", 2-len(diags), rets, diags)
 			}
 			for _, d := range diags {
 				if d != diags[0] || !strings.HasSuffix(d, ": "+row.diag) {
-					t.Fatalf("tape, closure, interp refused with %q, want one text ending in %q", diags, row.diag)
+					t.Fatalf("tape, interp refused with %q, want one text ending in %q", diags, row.diag)
 				}
 			}
 		})

@@ -274,7 +274,7 @@ int main(void) {
 }
 
 // TestStripDifferential holds the strip evaluator to the interpreter on
-// the generated cases: × {closure, tape} × {sequential build; parallel
+// the generated cases: × {sequential build; parallel
 // builds under static and dynamic,1 on real teams of 1, 2 and 3
 // workers} — {sequential gcc, gcc+vec} for the float-fold cases —,
 // equal stdout, return value and trap text. The parallel builds launch
@@ -317,51 +317,49 @@ func TestStripDifferential(t *testing.T) {
 			}
 			wantCells = fmt.Sprint(p.Seg.I, p.Seg.F)
 		}
-		for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-			for _, b := range builds {
-				if b.par && c.traps {
-					continue
+		for _, b := range builds {
+			if b.par && c.traps {
+				continue
+			}
+			cfg := Config{Parallelize: b.par, Vectorize: b.vec, NoCache: true,
+				Transform: transform.Options{Schedule: b.sched, MinParallelTrip: -1}}
+			prog, _, _, err := BuildProgram(c.src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", c.name, err, c.src)
+			}
+			if !b.par && b.vec == c.seq && c.fused >= 0 && prog.FusedKernels() != c.fused {
+				t.Errorf("%s: vec=%v: %d fused kernels, want %d\n%s", c.name, b.vec, prog.FusedKernels(), c.fused, c.src)
+			}
+			workers := []int{0}
+			if b.par {
+				workers = []int{1, 2, 3}
+			}
+			for _, w := range workers {
+				var team *rt.Team
+				if w > 0 {
+					team = rt.NewTeam(w)
 				}
-				cfg := Config{Parallelize: b.par, Vectorize: b.vec, Engine: eng, NoCache: true,
-					Transform: transform.Options{Schedule: b.sched, MinParallelTrip: -1}}
-				prog, _, _, err := BuildProgram(c.src, cfg)
+				var out strings.Builder
+				proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &out, Team: team})
 				if err != nil {
-					t.Fatalf("%s: %v\n%s", c.name, err, c.src)
+					t.Fatal(err)
 				}
-				if !b.par && b.vec == c.seq && c.fused >= 0 && prog.FusedKernels() != c.fused {
-					t.Errorf("%s: engine=%v vec=%v: %d fused kernels, want %d\n%s", c.name, eng, b.vec, prog.FusedKernels(), c.fused, c.src)
+				ret, err := proc.RunMain()
+				trap := ""
+				if err != nil {
+					trap = err.Error()
 				}
-				workers := []int{0}
-				if b.par {
-					workers = []int{1, 2, 3}
+				if out.String() != wantOut.String() || ret != wantRet || trap != wantTrap {
+					t.Errorf("%s: par=%v sched=%q vec=%v workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
+						c.name, b.par, b.sched, b.vec, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
 				}
-				for _, w := range workers {
-					var team *rt.Team
-					if w > 0 {
-						team = rt.NewTeam(w)
-					}
-					var out strings.Builder
-					proc, err := prog.NewProcess(comp.ProcOptions{Stdout: &out, Team: team})
+				if c.traps {
+					p, err := proc.GlobalPtr("out")
 					if err != nil {
 						t.Fatal(err)
 					}
-					ret, err := proc.RunMain()
-					trap := ""
-					if err != nil {
-						trap = err.Error()
-					}
-					if out.String() != wantOut.String() || ret != wantRet || trap != wantTrap {
-						t.Errorf("%s: engine=%v par=%v sched=%q vec=%v workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
-							c.name, eng, b.par, b.sched, b.vec, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
-					}
-					if c.traps {
-						p, err := proc.GlobalPtr("out")
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := fmt.Sprint(p.Seg.I, p.Seg.F); got != wantCells {
-							t.Errorf("%s: engine=%v vec=%v: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, eng, b.vec, got, wantCells)
-						}
+					if got := fmt.Sprint(p.Seg.I, p.Seg.F); got != wantCells {
+						t.Errorf("%s: vec=%v: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, b.vec, got, wantCells)
 					}
 				}
 			}

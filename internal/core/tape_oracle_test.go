@@ -13,8 +13,8 @@ import (
 )
 
 // tapeWorkloads are the kernel workloads plus the non-canonical branchy
-// body, the one workload whose every iteration runs on the statement
-// engine, sized down for tests.
+// body, the one workload whose every iteration dispatches on the tape,
+// sized down for tests.
 func tapeWorkloads() []struct {
 	name string
 	src  string
@@ -37,9 +37,8 @@ func tapeWorkloads() []struct {
 
 // TestTapeEngineOracle12Processes is the tape-backend equivalence
 // proof: every tape workload runs on 12 concurrent Processes (mixed
-// real and simulated teams, all loop schedules) of tape-engine
-// Programs, and every output must be bit-identical to the sequential
-// interp oracle. Run under -race in
+// real and simulated teams, all loop schedules), and every output must
+// be bit-identical to the sequential interp oracle. Run under -race in
 // CI: tape workers clone the environment slice headers but share the
 // constant pools and instruction array read-only.
 func TestTapeEngineOracle12Processes(t *testing.T) {
@@ -70,7 +69,6 @@ func TestTapeEngineOracle12Processes(t *testing.T) {
 			errs := make(chan error, len(schedules)*3)
 			for si, sched := range schedules {
 				cfg := withDefs(w.cfg, w.defs)
-				cfg.Engine = comp.EngineTape
 				cfg.Transform = transform.Options{Schedule: sched}
 				prog, _, _, err := BuildProgram(w.src, cfg)
 				if err != nil {
@@ -116,12 +114,11 @@ func TestTapeEngineOracle12Processes(t *testing.T) {
 	}
 }
 
-// TestTapeEngineTrapParity pins the trap side of the engine contract:
-// faulty programs must fail as runtime errors on the tape engine
-// exactly as they do on the closure engine and in the interp oracle —
-// same fault, never a silent wrong answer. The loop bodies are doubly
-// braced, a form the matcher rejects, so the statement engines
-// themselves run them.
+// TestTapeEngineTrapParity pins the trap side of the tape contract:
+// faulty programs must fail as runtime errors on the tape exactly as
+// they do in the interp oracle — same fault, never a silent wrong
+// answer. The loop bodies are doubly braced, a form the matcher
+// rejects, so the tape's dispatch itself runs them.
 func TestTapeEngineTrapParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,19 +156,17 @@ int main(void) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, eng := range []comp.Engine{comp.EngineClosure, comp.EngineTape} {
-				res, err := Build(tc.src, Config{Engine: eng})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Program.FusedKernels() != 0 {
-					t.Fatalf("engine=%v: the loop fused", eng)
-				}
-				if _, err := res.Machine.RunMain(); err == nil {
-					t.Fatalf("engine=%v: faulty program must trap", eng)
-				} else if _, isRT := err.(*comp.RuntimeError); !isRT {
-					t.Fatalf("engine=%v: want RuntimeError, got %T %v", eng, err, err)
-				}
+			res, err := Build(tc.src, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Program.FusedKernels() != 0 {
+				t.Fatal("the loop fused")
+			}
+			if _, err := res.Machine.RunMain(); err == nil {
+				t.Fatal("faulty program must trap")
+			} else if _, isRT := err.(*comp.RuntimeError); !isRT {
+				t.Fatalf("want RuntimeError, got %T %v", err, err)
 			}
 			// The oracle agrees the program is faulty.
 			art, err := Front(tc.src, Config{})

@@ -213,9 +213,6 @@ type RunRequest struct {
 type RunOptions struct {
 	// Backend selects the compiler analog: "gcc" (default) or "icc".
 	Backend string `json:"backend,omitempty"`
-	// Engine selects the statement engine: "tape" (default) or
-	// "closure".
-	Engine string `json:"engine,omitempty"`
 	// Cores sizes the worker team of this run (default 1).
 	Cores int `json:"cores,omitempty"`
 	// Sequential disables parallelization (the purecc -seq baseline).
@@ -245,14 +242,6 @@ func (s *Server) config(req *RunRequest) (core.Config, error) {
 		cfg.Backend = comp.BackendICC
 	default:
 		return cfg, fmt.Errorf("unknown backend %q (want gcc or icc)", req.Options.Backend)
-	}
-	switch req.Options.Engine {
-	case "", "tape":
-		cfg.Engine = comp.EngineTape
-	case "closure":
-		cfg.Engine = comp.EngineClosure
-	default:
-		return cfg, fmt.Errorf("unknown engine %q (want tape or closure)", req.Options.Engine)
 	}
 	if _, _, err := rt.ParseSchedule(req.Options.Schedule); err != nil {
 		return cfg, err

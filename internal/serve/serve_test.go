@@ -194,42 +194,39 @@ int main(void) { return f(0); }
 	}
 }
 
-// TestDefaultEngineIsTape: a request that names no engine builds on
-// the tape, "closure" still builds on closures, and the two are
-// different programs.
+// TestDefaultEngineIsTape: every request runs on the tape. The retired
+// "engine" option an older client may still send is ignored, so a
+// request naming "closure" is served the very program a request naming
+// none built.
 func TestDefaultEngineIsTape(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	keys := map[string]bool{}
-	for _, c := range []struct {
-		engine string
-		want   comp.Engine
-	}{{"", comp.EngineTape}, {"closure", comp.EngineClosure}} {
-		req := RunRequest{Source: serveSrc, Options: RunOptions{Engine: c.engine}}
-		resp := post(t, ts, req)
-		if body := readBody(t, resp); resp.StatusCode != http.StatusOK || body != "sum=85344\n" {
-			t.Fatalf("engine %q: status %d body %q", c.engine, resp.StatusCode, body)
-		}
-		keys[resp.Header.Get("X-Purecd-Program")] = true
-		cfg, err := s.config(&req)
+	_, ts := newTestServer(t, Options{})
+	src, err := json.Marshal(serveSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i, options := range []string{`{}`, `{"engine": "closure"}`} {
+		body := `{"source": ` + string(src) + `, "options": ` + options + `}`
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, _, source, err := s.Cache().BuildDetail(serveSrc, cfg)
-		if err != nil || source != core.SourceMemory {
-			t.Fatalf("engine %q: rebuild %v from %v, want the request's program from memory", c.engine, err, source)
+		if out := readBody(t, resp); resp.StatusCode != http.StatusOK || out != "sum=85344\n" {
+			t.Fatalf("options %s: status %d body %q", options, resp.StatusCode, out)
 		}
-		if prog.Engine() != c.want {
-			t.Errorf("engine %q built %v, want %v", c.engine, prog.Engine(), c.want)
+		if build := resp.Header.Get("X-Purecd-Build"); i > 0 && build != "memory" {
+			t.Errorf("options %s: build %q, want the first request's program from memory", options, build)
 		}
+		keys = append(keys, resp.Header.Get("X-Purecd-Program"))
 	}
-	if len(keys) != 2 {
-		t.Errorf("default and closure requests share a program key: %v", keys)
+	if keys[0] != keys[1] {
+		t.Errorf("program keys %v differ: the engine option must not reach the build", keys)
 	}
 }
 
 // TestTrapTrailerText: a guest that traps after streaming output gets
 // the fault as the X-Purecd-Error trailer, with Go's "runtime error: "
-// prefix once, on both engines.
+// prefix once.
 func TestTrapTrailerText(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	src := `int main(void) {
@@ -238,15 +235,13 @@ func TestTrapTrailerText(t *testing.T) {
     p[9] = 3;
     return 0;
 }`
-	for _, engine := range []string{"", "closure"} {
-		resp := post(t, ts, RunRequest{Source: src, Options: RunOptions{Engine: engine}})
-		if body := readBody(t, resp); body != "before\n" {
-			t.Fatalf("engine %q: body %q", engine, body)
-		}
-		want := "runtime error: index out of range [9] with length 4"
-		if got := resp.Trailer.Get("X-Purecd-Error"); got != want {
-			t.Errorf("engine %q: trailer %q, want %q", engine, got, want)
-		}
+	resp := post(t, ts, RunRequest{Source: src})
+	if body := readBody(t, resp); body != "before\n" {
+		t.Fatalf("body %q", body)
+	}
+	want := "runtime error: index out of range [9] with length 4"
+	if got := resp.Trailer.Get("X-Purecd-Error"); got != want {
+		t.Errorf("trailer %q, want %q", got, want)
 	}
 }
 
@@ -390,7 +385,6 @@ func TestRunOptionsValidated(t *testing.T) {
 	for _, req := range []RunRequest{
 		{Source: ""},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Backend: "clang"}},
-		{Source: "int main(void){return 0;}", Options: RunOptions{Engine: "jit"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Cores: -1}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "bogus"}},
 		{Source: "int main(void){return 0;}", Options: RunOptions{Schedule: "dynamic,0"}},
@@ -413,7 +407,7 @@ func TestRunOptionsValidated(t *testing.T) {
 	for _, opts := range []RunOptions{
 		{},
 		{Sequential: true},
-		{Engine: "closure"},
+		{Memoize: true},
 		{Backend: "icc", Cores: 2, Schedule: "dynamic,1"},
 	} {
 		resp := post(t, ts, RunRequest{Source: src, Options: opts})

@@ -116,16 +116,6 @@ const (
 	BackendICC = comp.BackendICC
 )
 
-// Engine selects linearized-tape (default) or closure-tree statement
-// execution in the compiled Program; results are bit-identical.
-type Engine = comp.Engine
-
-// Execution engines.
-const (
-	EngineClosure = comp.EngineClosure
-	EngineTape    = comp.EngineTape
-)
-
 // Build runs the complete compiler chain of the paper's Fig. 1 on src
 // and pairs the compiled Program with one fresh Process as
 // Result.Machine. Builds hit the program cache when (src, cfg) was seen
