@@ -2,122 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 	"testing"
 
 	"purec/internal/apps"
 	"purec/internal/comp"
 	"purec/internal/interp"
 	"purec/internal/rt"
-	"purec/internal/transform"
 )
 
-// bceWorkloads are the check-elision equivalence programs: the proven
-// gather (elided per-element test, parallelized nest), the opaque
-// gather (checked, force-serialized) and axpy (elided launch checks).
-func bceWorkloads() []struct {
-	name string
-	src  string
-	defs map[string]string
-	out  string
-	n    int
-} {
-	return []struct {
-		name string
-		src  string
-		defs map[string]string
-		out  string
-		n    int
-	}{
-		{"gather-proven", apps.GatherSrc, apps.GatherDefines(512, 128, 2), "y", 512},
-		{"gather-opaque", apps.GatherOpaqueSrc, apps.GatherDefines(512, 128, 2), "y", 512},
-		{"axpy", apps.AxpySrc, apps.KernDefines(512, 2), "y", 512},
-	}
-}
-
-// TestBCEOracle12Processes is the check-elision equivalence proof:
-// every workload runs on 12 concurrent Processes (both compiler
-// backends, all loop schedules, each on a real
-// and a simulated team) and every output must be
-// bit-identical to the sequential interp oracle — elision removes only
-// checks that could never fire, never a computation. Run under -race
-// in CI.
+// TestBCEOracle12Processes is the check-elision equivalence proof: the
+// proven gather (elided per-element test, parallelized nest), the
+// opaque gather (checked, force-serialized) and axpy (elided launch
+// checks) run through the oracle matrix — elision removes only checks
+// that could never fire, never a computation.
 func TestBCEOracle12Processes(t *testing.T) {
-	teamSizes := []int{1, 2, 3, 5, 8, 16}
-	schedules := []string{"", "static,3", "dynamic,1"}
-	builds := []struct {
-		backend comp.Backend
-	}{
-		{comp.BackendGCC},
-		{comp.BackendICC},
-	}
-	for _, w := range bceWorkloads() {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			first, err := Build(w.src, withDefs(Config{Parallelize: true}, w.defs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			in, err := interp.New(first.Info, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := in.RunMain(); err != nil {
-				t.Fatal(err)
-			}
-			op, err := in.GlobalPtr(w.out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotVec(op, w.out, w.n)
-
-			var wg sync.WaitGroup
-			errs := make(chan error, 2*len(builds)*len(schedules))
-			idx := 0
-			for _, b := range builds {
-				for _, sched := range schedules {
-					cfg := withDefs(Config{Parallelize: true}, w.defs)
-					cfg.Backend = b.backend
-					cfg.Transform = transform.Options{Schedule: sched}
-					prog, _, _, err := BuildProgram(w.src, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					size := teamSizes[idx%len(teamSizes)]
-					idx++
-					for _, team := range []*rt.Team{rt.NewTeam(size), rt.NewSimTeam(size)} {
-						wg.Add(1)
-						go func(prog *comp.Program, team *rt.Team, sched string) {
-							defer wg.Done()
-							proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-							if err != nil {
-								errs <- err
-								return
-							}
-							if _, err := proc.RunMain(); err != nil {
-								errs <- fmt.Errorf("sched=%q: %v", sched, err)
-								return
-							}
-							p, err := proc.GlobalPtr(w.out)
-							if err != nil {
-								errs <- err
-								return
-							}
-							if got := snapshotVec(p, w.out, w.n); got != want {
-								errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
-									sched, team.Size(), team.Simulated())
-							}
-						}(prog, team, sched)
-					}
-				}
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
-	}
+	gd, par := apps.GatherDefines(512, 128, 2), Config{Parallelize: true}
+	runOracleMatrix(t, false, []oracleRow{
+		{name: "gather-proven", src: apps.GatherSrc, defines: gd, base: par},
+		{name: "gather-opaque", src: apps.GatherOpaqueSrc, defines: gd, base: par},
+		{name: "axpy", src: apps.AxpySrc, defines: apps.KernDefines(512, 2), base: par},
+	})
 }
 
 // proofMarginSrc is the exactly-one-element margin: with SLACK=0 the
@@ -176,30 +81,13 @@ func TestBCEProofMargin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := proc.RunMain(); err != nil {
-			t.Fatalf("proven-edge run: %v", err)
-		}
-		first, err := Build(proofMarginSrc, withDefs(Config{}, defs))
+		oracle, err := Front(proofMarginSrc, withDefs(Config{}, defs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := interp.New(first.Info, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := in.RunMain(); err != nil {
-			t.Fatal(err)
-		}
-		op, err := in.GlobalPtr("y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := proc.GlobalPtr("y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snapshotVec(pp, "y", n) != snapshotVec(op, "y", n) {
-			t.Error("proven-edge output differs from oracle")
+		got, want := observeRun(art.Info, proc), observeInterp(t, oracle)
+		if got != want || !strings.Contains(got, `trap=""`) {
+			t.Errorf("proven-edge run must be clean and match the oracle; first difference at %s", firstDiff(got, want))
 		}
 	})
 
@@ -265,31 +153,18 @@ int main() { fill(); sum(); return 0; }
 // the sum kernel, against the interp oracle.
 func TestBCEProofMarginSumKernel(t *testing.T) {
 	n := 256
-	oracle := func(defs map[string]string) (*interp.Interp, error) {
+	oracle := func(defs map[string]string) string {
 		art, err := Front(sumMarginSrc, withDefs(Config{}, defs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := interp.New(art.Info, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = in.RunMain()
-		return in, err
+		return observeInterp(t, art)
 	}
 
 	t.Run("proven-edge", func(t *testing.T) {
 		defs := marginDefines(n, n, 0)
-		in, err := oracle(defs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := in.GlobalPtr("total")
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := withDefs(Config{Vectorize: true, NoCache: true}, defs)
-		prog, _, _, err := BuildProgram(sumMarginSrc, cfg)
+		prog, art, _, err := BuildProgram(sumMarginSrc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,15 +179,9 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := proc.RunMain(); err != nil {
-			t.Fatalf("proven-edge run: %v", err)
-		}
-		pp, err := proc.GlobalPtr("total")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snapshotVec(pp, "total", 1) != snapshotVec(op, "total", 1) {
-			t.Error("proven-edge sum differs from oracle")
+		got, want := observeRun(art.Info, proc), oracle(defs)
+		if got != want || !strings.Contains(got, `trap=""`) {
+			t.Errorf("proven-edge sum must be clean and match the oracle; first difference at %s", firstDiff(got, want))
 		}
 	})
 
@@ -336,7 +205,7 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
 			t.Fatalf("want RuntimeError, got %T %v", err, err)
 		}
-		if _, err := oracle(defs); err == nil {
+		if strings.Contains(oracle(defs), `trap=""`) {
 			t.Fatal("interp oracle must also trap")
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -198,6 +199,15 @@ func (c *ProgramCache) BuildDetail(src string, cfg Config) (*comp.Program, *Arti
 	c.mu.Unlock()
 	e.once.Do(func() {
 		defer e.done.Store(true)
+		// A panicking once.Do still counts as done: without this the
+		// entry would keep neither a Program nor an error, and every
+		// later request for the key would get (nil, nil). The error
+		// carries the stack, so the failure can be diagnosed.
+		defer func() {
+			if r := recover(); r != nil {
+				e.prog, e.err = nil, fmt.Errorf("internal error: %v\n%s", r, debug.Stack())
+			}
+		}()
 		if disk != nil {
 			if art, ok := disk.Load(src, key, cfg); ok {
 				if prog, err := art.Compile(cfg); err == nil {

@@ -1,132 +1,51 @@
 package core
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"purec/internal/apps"
 	"purec/internal/comp"
 	"purec/internal/interp"
-	"purec/internal/mem"
 	"purec/internal/rt"
-	"purec/internal/transform"
 )
 
-// snapshotIntVec renders the bit pattern of an int vector global.
-func snapshotIntVec(p mem.Pointer, n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%d,", p.Add(int64(i)).LoadInt())
-	}
-	return b.String()
-}
-
 // TestArrayReductionOracle12Processes is the array-reduction
-// equivalence proof (run under -race in CI): the histogram workload
-// runs through the full pipeline — scop recognition, the
-// reduction(+:hist[]) pragma, privatized per-worker copies — on 12
-// concurrent Processes mixing real and simulated teams, every
-// schedule clause, and every output must be
-// bit-identical to the sequential interp oracle. Integer array
-// reductions are exact by contract regardless of grouping.
+// equivalence proof: the histogram workload runs through the full
+// pipeline — scop recognition, the reduction(+:hist[]) pragma,
+// privatized per-worker copies — and through the oracle matrix, and so
+// does its serial build. Every build must also fuse the scatter and
+// compute the arithmetic reference: integer array reductions are exact
+// by contract regardless of grouping.
 func TestArrayReductionOracle12Processes(t *testing.T) {
 	const n, bins = 6000, 32
 	defs := apps.HistogramDefines(n, bins)
-
-	// Sequential interp oracle.
-	art, err := Front(apps.HistogramSrc, Config{Defines: defs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := interp.New(art.Info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.RunMain(); err != nil {
-		t.Fatal(err)
-	}
-	op, err := in.GlobalPtr("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotIntVec(op, bins)
-
-	// The oracle must agree with the arithmetic reference.
 	ref := apps.HistogramRef(n, bins)
-	var refSnap strings.Builder
-	for _, v := range ref {
-		fmt.Fprintf(&refSnap, "%d,", v)
-	}
-	if want != refSnap.String() {
-		t.Fatalf("oracle %s != reference %s", want, refSnap.String())
-	}
-
-	teamSizes := []int{1, 2, 3, 5, 8, 16}
-	for _, sched := range []string{"", "static,5", "dynamic,1", "guided,2"} {
-		cfg := Config{Parallelize: true, Defines: defs,
-			Transform: transform.Options{Schedule: sched}}
-		prog, _, _, err := BuildProgram(apps.HistogramSrc, cfg)
+	check := func(t *testing.T, b oracleBuild) {
+		if b.prog.FusedKernels() == 0 {
+			t.Errorf("%v: build reports zero fused kernels", b)
+		}
+		proc, err := b.prog.NewProcess(comp.ProcOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.FusedKernels() == 0 {
-			t.Fatal("build reports zero fused kernels")
+		if _, err := proc.RunMain(); err != nil {
+			t.Fatal(err)
 		}
-		const procs = 12
-		var wg sync.WaitGroup
-		errs := make(chan error, procs)
-		for p := 0; p < procs; p++ {
-			team := rt.NewTeam(teamSizes[p%len(teamSizes)])
-			if p%2 == 1 {
-				team = rt.NewSimTeam(teamSizes[p%len(teamSizes)])
+		out, err := proc.GlobalPtr("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range ref {
+			if got := out.Add(int64(i)).LoadInt(); got != want {
+				t.Fatalf("%v: bin %d holds %d, reference %d", b, i, got, want)
 			}
-			wg.Add(1)
-			go func(team *rt.Team) {
-				defer wg.Done()
-				proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if _, err := proc.RunMain(); err != nil {
-					errs <- fmt.Errorf("sched=%q: %v", sched, err)
-					return
-				}
-				gp, err := proc.GlobalPtr("out")
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := snapshotIntVec(gp, bins); got != want {
-					errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
-						sched, team.Size(), team.Simulated())
-				}
-			}(team)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
 		}
 	}
-
-	// Serial build (no parallelization) also matches.
-	seq, err := Build(apps.HistogramSrc, Config{Defines: defs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seq.Machine.RunMain(); err != nil {
-		t.Fatal(err)
-	}
-	gp, err := seq.Machine.GlobalPtr("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotIntVec(gp, bins); got != want {
-		t.Error("serial build differs from oracle")
-	}
+	runOracleMatrix(t, false, []oracleRow{
+		{name: "parallel", src: apps.HistogramSrc, defines: defs, base: Config{Parallelize: true}, check: check},
+		{name: "serial", src: apps.HistogramSrc, defines: defs, check: check},
+	})
 }
 
 // TestHistogramPipelineEmitsArrayClause pins the end-to-end plumbing:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -261,7 +262,9 @@ func leafSnapshot(ptr func(string) (mem.Pointer, error), vecs []leafVec) string 
 		if err != nil {
 			return err.Error()
 		}
-		b.WriteString(snapFloatVec(func(i int64) float64 { return p.Add(i).LoadFloat() }, v.n))
+		for i := 0; i < v.n; i++ {
+			fmt.Fprintf(&b, "%x,", math.Float64bits(p.Add(int64(i)).LoadFloat()))
+		}
 	}
 	return b.String()
 }

@@ -42,11 +42,11 @@ func TestPuritySoundnessOracle(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		before := snapshotGlobals(t, in)
+		before := observe(info, interpGlobals{in}, 0, "", "")
 		if _, err := in.Call("probe", interp.IntV(3)); err != nil {
 			return true // runtime fault is fine; side-effects are not
 		}
-		after := snapshotGlobals(t, in)
+		after := observe(info, interpGlobals{in}, 0, "", "")
 		if before != after {
 			t.Logf("purity checker accepted a function with side-effects!\nsource:\n%s\nbefore: %s\nafter:  %s",
 				src, before, after)
@@ -57,22 +57,6 @@ func TestPuritySoundnessOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// snapshotGlobals renders the observable global scalar and array state.
-func snapshotGlobals(t *testing.T, in *interp.Interp) string {
-	t.Helper()
-	var b strings.Builder
-	p, err := in.GlobalPtr("garr")
-	if err == nil && !p.IsNull() {
-		for i := 0; i < 4; i++ {
-			fmt.Fprintf(&b, "%v,", p.Add(int64(i)).LoadInt())
-		}
-	}
-	if v, err := in.GlobalValue("gscalar"); err == nil {
-		fmt.Fprintf(&b, "g=%d", v.AsInt())
-	}
-	return b.String()
 }
 
 // genOracleProgram builds a small program with a pure-marked probe

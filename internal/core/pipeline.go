@@ -288,12 +288,10 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	}
 
 	// PC-PosPro: lower pure to plain C and re-insert system includes.
-	lowered, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
-	if err != nil {
-		return nil, reparseError("transformed source does not reparse", err)
-	}
-	StripPure(lowered)
-	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.Print(lowered), includes)
+	// The working tree has served its purpose once Transformed is
+	// printed, so it is lowered in place.
+	StripPure(file)
+	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.Print(file), includes)
 
 	// Restart the chain on the generated file: re-parse and re-check so
 	// the Compile step starts from a fresh semantic model. The model
@@ -303,7 +301,7 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	// hands to GCC.
 	finalFile, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
 	if err != nil {
-		return nil, reparseError("final source does not reparse", err)
+		return nil, reparseError("transformed source does not reparse", err)
 	}
 	finalInfo, err := sema.Check(finalFile)
 	if err != nil {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
+	"purec/internal/apps"
 	"purec/internal/comp"
 	"purec/internal/parser"
+	"purec/internal/rt"
 	"purec/internal/transform"
 )
 
@@ -213,6 +216,58 @@ func TestTilingThroughPipeline(t *testing.T) {
 	if got != want {
 		t.Fatalf("tiled result %d want %d", got, want)
 	}
+}
+
+// TestCorpusUnderTileAndSkew: the regenerated nests of tiling and
+// skewing must print as C that reparses, and compute what the
+// untransformed program computes.
+func TestCorpusUnderTileAndSkew(t *testing.T) {
+	for _, s := range apps.Corpus() {
+		art, err := Front(s.Src, Config{Defines: s.Defines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := observeInterp(t, art)
+		for _, tr := range []transform.Options{{Tile: true}, {Skew: true}, {Tile: true, Skew: true}} {
+			tr.MinParallelTrip = -1
+			prog, art, _, err := BuildProgram(s.Src, Config{Defines: s.Defines, Parallelize: true, NoCache: true, Transform: tr})
+			if err != nil {
+				t.Errorf("%s tile=%v skew=%v: %v", s.Name, tr.Tile, tr.Skew, err)
+				continue
+			}
+			proc, err := prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(3)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := observeRun(art.Info, proc); got != want {
+				t.Errorf("%s tile=%v skew=%v differs from the oracle at %s", s.Name, tr.Tile, tr.Skew, firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// FuzzFront: any source goes through Front and Compile to an artifact
+// or an error, never a Go panic. mode picks tiling, skewing and the
+// backend. Nothing runs: a guest loop has no fuel yet, so while (1);
+// would hang the fuzzer.
+func FuzzFront(f *testing.F) {
+	for i, s := range apps.Corpus() {
+		var defs []string
+		for k, v := range s.Defines {
+			defs = append(defs, "#define "+k+" "+v+"\n")
+		}
+		sort.Strings(defs)
+		f.Add(strings.Join(defs, "")+s.Src, uint8(i))
+	}
+	f.Add("\"\\", uint8(0))
+	f.Add("int f(void A){ return 0; } int main(void){ return 0; }", uint8(0))
+	f.Fuzz(func(t *testing.T, src string, mode uint8) {
+		cfg := Config{Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
+			Transform: transform.Options{Tile: mode&1 != 0, Skew: mode&2 != 0}}
+		if art, err := Front(src, cfg); err == nil {
+			_, _ = art.Compile(cfg)
+		}
+	})
 }
 
 // A nest at the statement-nesting limit passes the first parse; tiling

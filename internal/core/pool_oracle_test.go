@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,105 +54,23 @@ int main(void) {
 }
 `
 
-// poolOracleState is the complete observable outcome of one run.
-type poolOracleState struct {
-	ret   int64
-	out   string
-	hist  string
-	fvec  string
-	total int64
-}
-
-func snapIntVec(load func(i int64) int64, n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%d,", load(int64(i)))
-	}
-	return b.String()
-}
-
-func snapFloatVec(load func(i int64) float64, n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%x,", math.Float64bits(load(int64(i))))
-	}
-	return b.String()
-}
-
-// poolOracleWant runs the serial tree-walking interpreter and snapshots
-// the full observable state.
-func poolOracleWant(t *testing.T) poolOracleState {
-	t.Helper()
-	art, err := Front(poolOracleSrc, Config{FileName: "t.c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	in, err := interp.New(art.Info, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ret, err := in.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := in.GlobalPtr("hist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := in.GlobalPtr("fvec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, err := in.GlobalValue("total")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return poolOracleState{
-		ret:   ret,
-		out:   out.String(),
-		hist:  snapIntVec(func(i int64) int64 { return hp.Add(i).LoadInt() }, 32),
-		fvec:  snapFloatVec(func(i int64) float64 { return fp.Add(i).LoadFloat() }, 256),
-		total: tv.AsInt(),
-	}
-}
-
-// snapProcess snapshots a finished machine run.
-func snapProcess(proc *comp.Process, ret int64, out string) (poolOracleState, error) {
-	hp, err := proc.GlobalPtr("hist")
-	if err != nil {
-		return poolOracleState{}, err
-	}
-	fp, err := proc.GlobalPtr("fvec")
-	if err != nil {
-		return poolOracleState{}, err
-	}
-	tot, err := proc.GlobalInt("total")
-	if err != nil {
-		return poolOracleState{}, err
-	}
-	return poolOracleState{
-		ret:   ret,
-		out:   out,
-		hist:  snapIntVec(func(i int64) int64 { return hp.Add(i).LoadInt() }, 32),
-		fvec:  snapFloatVec(func(i int64) float64 { return fp.Add(i).LoadFloat() }, 256),
-		total: tot,
-	}, nil
-}
-
 // TestPoolReuseOracle12Goroutines is the daemon's determinism gate: 12
 // goroutines hammer one compiled Program through a shared ProcessPool —
 // every configuration of {schedule} × gcc on the tape, plus icc and a
 // memoizing build — with team sizes cycling through real and
 // simulated teams, and every single run (reused Process or fresh) must
-// reproduce the serial interp oracle bit for bit: return value, stdout
-// bytes, the integer histogram, the float vector and the scalar total.
+// leave the serial interp oracle's whole observable state (observe):
+// return value, stdout bytes, every global and the heap behind them.
 // A reset that leaked PRNG state, heap contents, globals or memo state
 // between runs fails here. Run under -race in CI.
 func TestPoolReuseOracle12Goroutines(t *testing.T) {
-	want := poolOracleWant(t)
-	if want.out == "" {
-		t.Fatal("oracle produced no output")
+	art, err := Front(poolOracleSrc, Config{FileName: "t.c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observeInterp(t, art)
+	if strings.Contains(want, `stdout=""`) || !strings.Contains(want, `trap=""`) {
+		t.Fatalf("oracle produced no output or trapped: %s", strings.SplitN(want, "\n", 2)[0])
 	}
 
 	type variant struct {
@@ -177,7 +94,7 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			prog, _, _, err := BuildProgram(poolOracleSrc, v.cfg)
+			prog, art, _, err := BuildProgram(poolOracleSrc, v.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,23 +127,10 @@ func TestPoolReuseOracle12Goroutines(t *testing.T) {
 							errs <- fmt.Errorf("g%d r%d get: %v", g, r, err)
 							return
 						}
-						var out bytes.Buffer
-						proc.SetStdout(&out)
-						ret, err := proc.RunMain()
-						if err != nil {
-							errs <- fmt.Errorf("g%d r%d run: %v", g, r, err)
-							return
-						}
-						got, err := snapProcess(proc, ret, out.String())
+						got := observeRun(art.Info, proc)
 						pool.Put(proc)
-						if err != nil {
-							errs <- fmt.Errorf("g%d r%d snapshot: %v", g, r, err)
-							return
-						}
 						if got != want {
-							errs <- fmt.Errorf("g%d r%d diverged from oracle: ret %d/%d out %q/%q total %d/%d hist eq=%v fvec eq=%v",
-								g, r, got.ret, want.ret, got.out, want.out,
-								got.total, want.total, got.hist == want.hist, got.fvec == want.fvec)
+							errs <- fmt.Errorf("g%d r%d diverged from the oracle at %s", g, r, firstDiff(got, want))
 							return
 						}
 					}

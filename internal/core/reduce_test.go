@@ -2,12 +2,9 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
-	"purec/internal/comp"
 	"purec/internal/interp"
-	"purec/internal/rt"
 	"purec/internal/transform"
 )
 
@@ -122,71 +119,16 @@ int run(void) {
 int main(void) { return run(); }
 `
 
-// TestReductionOracle12Processes proves integer reductions bit-identical
-// across backends and team sizes: 12 concurrent Processes (mixed real
-// and simulated teams, both backends) must all return exactly the
-// sequential interp oracle's value. Run under -race in CI.
+// TestReductionOracle12Processes proves integer reductions
+// bit-identical through the oracle matrix; every build must carry the
+// reduction clause.
 func TestReductionOracle12Processes(t *testing.T) {
-	cfgs := []Config{
-		{Parallelize: true, Backend: comp.BackendGCC, Transform: transform.Options{Schedule: "dynamic,1"}},
-		{Parallelize: true, Backend: comp.BackendICC, Transform: transform.Options{Schedule: "guided,2"}},
-	}
-	// Sequential oracle from the first build's checked model.
-	first, err := Build(reduceOracleSrc, cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(first.Stages.Transformed, "reduction(+:s)") {
-		t.Fatalf("reduction not recognized:\n%s", first.Stages.Transformed)
-	}
-	in, err := interp.New(first.Info, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := in.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const procs = 12
-	teamSizes := []int{1, 2, 3, 5, 8, 16}
-	var wg sync.WaitGroup
-	errs := make(chan error, procs*len(cfgs))
-	for _, cfg := range cfgs {
-		prog, _, _, err := BuildProgram(reduceOracleSrc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < procs; p++ {
-			n := teamSizes[p%len(teamSizes)]
-			team := rt.NewTeam(n)
-			if p%2 == 1 {
-				team = rt.NewSimTeam(n)
+	runOracleMatrix(t, false, []oracleRow{{name: "weight", src: reduceOracleSrc, base: Config{Parallelize: true},
+		check: func(t *testing.T, b oracleBuild) {
+			if !strings.Contains(b.art.Stages.Transformed, "reduction(+:s)") {
+				t.Fatalf("reduction not recognized:\n%s", b.art.Stages.Transformed)
 			}
-			wg.Add(1)
-			go func(prog *comp.Program, team *rt.Team, backend comp.Backend) {
-				defer wg.Done()
-				proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-				if err != nil {
-					errs <- err
-					return
-				}
-				got, err := proc.RunMain()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got != want {
-					errs <- &comp.RuntimeError{Msg: "reduction mismatch"}
-				}
-			}(prog, team, cfg.Backend)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("process: %v", err)
-	}
+		}}})
 }
 
 // TestReductionUnderTiling checks reductions compose with the tiling

@@ -1,117 +1,21 @@
 package core
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"purec/internal/apps"
 	"purec/internal/comp"
 	"purec/internal/interp"
-	"purec/internal/rt"
-	"purec/internal/transform"
 )
 
-// tapeWorkloads are the kernel workloads plus the non-canonical branchy
-// body, the one workload whose every iteration dispatches on the tape,
-// sized down for tests.
-func tapeWorkloads() []struct {
-	name string
-	src  string
-	defs map[string]string
-	out  string
-	n    int
-	cfg  Config
-} {
-	ws := kernelWorkloads()
-	ws = append(ws, struct {
-		name string
-		src  string
-		defs map[string]string
-		out  string
-		n    int
-		cfg  Config
-	}{"noncanon", apps.NoncanonSrc, apps.KernDefines(512, 2), "y", 512, Config{Parallelize: true}})
-	return ws
-}
-
 // TestTapeEngineOracle12Processes is the tape-backend equivalence
-// proof: every tape workload runs on 12 concurrent Processes (mixed
-// real and simulated teams, all loop schedules), and every output must
-// be bit-identical to the sequential interp oracle. Run under -race in
-// CI: tape workers clone the environment slice headers but share the
-// constant pools and instruction array read-only.
+// proof: the kernel workloads plus the non-canonical branchy body, the
+// one workload whose every iteration dispatches on the tape, run
+// through the oracle matrix. Tape workers clone the environment slice
+// headers but share the constant pools and instruction array read-only.
 func TestTapeEngineOracle12Processes(t *testing.T) {
-	teamSizes := []int{1, 2, 3, 5, 8, 16}
-	schedules := []string{"", "static,5", "dynamic,1", "guided,2"}
-	for _, w := range tapeWorkloads() {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			// Sequential interp oracle.
-			first, err := Build(w.src, withDefs(w.cfg, w.defs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			in, err := interp.New(first.Info, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := in.RunMain(); err != nil {
-				t.Fatal(err)
-			}
-			op, err := in.GlobalPtr(w.out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotVec(op, w.out, w.n)
-
-			var wg sync.WaitGroup
-			errs := make(chan error, len(schedules)*3)
-			for si, sched := range schedules {
-				cfg := withDefs(w.cfg, w.defs)
-				cfg.Transform = transform.Options{Schedule: sched}
-				prog, _, _, err := BuildProgram(w.src, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 3 processes per schedule: 12 concurrent processes.
-				for p := 0; p < 3; p++ {
-					idx := si*3 + p
-					team := rt.NewTeam(teamSizes[idx%len(teamSizes)])
-					if idx%2 == 1 {
-						team = rt.NewSimTeam(teamSizes[idx%len(teamSizes)])
-					}
-					wg.Add(1)
-					go func(prog *comp.Program, team *rt.Team, sched string) {
-						defer wg.Done()
-						proc, err := prog.NewProcess(comp.ProcOptions{Team: team})
-						if err != nil {
-							errs <- err
-							return
-						}
-						if _, err := proc.RunMain(); err != nil {
-							errs <- fmt.Errorf("sched=%q: %v", sched, err)
-							return
-						}
-						p, err := proc.GlobalPtr(w.out)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if got := snapshotVec(p, w.out, w.n); got != want {
-							errs <- fmt.Errorf("sched=%q team=%d sim=%v: output differs from oracle",
-								sched, team.Size(), team.Simulated())
-						}
-					}(prog, team, sched)
-				}
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
-	}
+	runOracleMatrix(t, false, append(kernelRows(), oracleRow{name: "noncanon",
+		src: apps.NoncanonSrc, defines: apps.KernDefines(512, 2), base: Config{Parallelize: true}}))
 }
 
 // TestTapeEngineTrapParity pins the trap side of the tape contract:

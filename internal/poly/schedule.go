@@ -101,15 +101,16 @@ func LegalSkew(deps []*Dep, l int) (f int64, ok bool) {
 }
 
 // ApplySkew returns a new nest with iterator level l+1 skewed by factor f
-// against level l: the new iterator j' satisfies j' = j + f·i, so the
-// domain and all accesses substitute j = j' − f·i.
+// against level l: the new iterator j_sk satisfies j_sk = j + f·i, so
+// the domain and all accesses substitute j = j_sk − f·i. The name is a
+// C identifier, because code generation prints it as one.
 func ApplySkew(n *Nest, l int, f int64) *Nest {
 	if f == 0 {
 		return n
 	}
 	i := n.Iters[l]
 	j := n.Iters[l+1]
-	jNew := j + "'"
+	jNew := j + "_sk"
 	subst := func(a Affine) Affine {
 		cj := a.CoefOf(j)
 		if cj == 0 {
@@ -117,7 +118,7 @@ func ApplySkew(n *Nest, l int, f int64) *Nest {
 		}
 		r := a.Clone()
 		delete(r.Coef, j)
-		// j = j' - f*i
+		// j = j_sk - f*i
 		r = r.Add(Var(jNew).Scale(cj)).Add(Var(i).Scale(-f * cj))
 		return r
 	}

@@ -320,6 +320,7 @@ func (e *Expander) expandLine(line string, depth int) (string, error) {
 				}
 				j++
 			}
+			j = min(j, len(line)) // a trailing backslash skips past the end
 			out.WriteString(line[i:j])
 			i = j
 		case c == '/' && i+1 < len(line) && line[i+1] == '/':

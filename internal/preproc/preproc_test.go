@@ -34,6 +34,16 @@ func TestObjectMacro(t *testing.T) {
 	}
 }
 
+// TestTrailingEscapeInLiteral: a backslash that ends the line inside an
+// unterminated literal is copied through for the lexer to reject.
+func TestTrailingEscapeInLiteral(t *testing.T) {
+	for _, src := range []string{"\"\\", "int x = '\\", "#define N 1\nchar *s = \"N\\"} {
+		if _, err := Expand(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}
+
 func TestMacroTokenBoundary(t *testing.T) {
 	out, err := Expand("#define N 10\nint NN = N;\nint xN;\n")
 	if err != nil {

@@ -303,8 +303,14 @@ func (c *checker) makeVarSymbol(vd *ast.VarDecl, kind SymKind) *Symbol {
 func (c *checker) collectFunc(fd *ast.FuncDecl) {
 	ret := c.typeOfAST(fd.Ret, fd.Pos())
 	sig := &Sig{Name: fd.Name, Pure: fd.Pure, Ret: ret, Decl: fd}
-	for _, p := range fd.Params {
-		sig.Params = append(sig.Params, c.typeOfAST(p.Type, p.NamePos))
+	for i, p := range fd.Params {
+		t := c.typeOfAST(p.Type, p.NamePos)
+		if t.Kind == types.Void {
+			// (void) is consumed by the parser; any other void
+			// parameter would be a variable without storage.
+			c.errorf(fd.Pos(), "parameter %d of %s has type void: void is allowed only as the sole unnamed parameter", i+1, fd.Name)
+		}
+		sig.Params = append(sig.Params, t)
 	}
 	if prev, ok := c.info.Funcs[fd.Name]; ok {
 		// A definition may follow a prototype; purity and arity must agree.

@@ -59,6 +59,22 @@ func TestUndeclaredFunction(t *testing.T) {
 	}
 }
 
+// TestVoidParameterRejected: void is a parameter list only as the sole
+// unnamed parameter; a void parameter would be a variable without
+// storage that later stages cannot lay out.
+func TestVoidParameterRejected(t *testing.T) {
+	for _, src := range []string{
+		"int f(void A) { return 0; }",
+		"int f(int a, void) { return a; }",
+	} {
+		_, err := check(t, src)
+		if err == nil || !strings.Contains(err.Error(), "has type void") {
+			t.Errorf("%s: got %v", src, err)
+		}
+	}
+	mustCheck(t, "int f(void) { return 0; } int g(void* p) { return p == 0; }")
+}
+
 func TestArgCountMismatch(t *testing.T) {
 	_, err := check(t, `
 int g(int a, int b) { return a + b; }

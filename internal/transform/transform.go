@@ -131,7 +131,7 @@ func transformOne(sc *scop.SCoP, opts Options) (LoopReport, error) {
 			sdeps := poly.AnalyzeDeps(skewed)
 			spar := poly.ParallelLevels(skewed, sdeps)
 			if poly.OutermostParallel(spar) >= 0 || poly.Permutable(skewed, sdeps) {
-				rewriteSkewedBody(sc, nest.Iters[0], nest.Iters[1], f)
+				rewriteSkewedBody(sc, nest.Iters[0], nest.Iters[1], skewed.Iters[1], f)
 				nest, deps, par = skewed, sdeps, spar
 				lr.Skewed, lr.SkewFactor = true, f
 			}
@@ -400,11 +400,8 @@ func constTrip(l poly.Loop) (int64, bool) {
 }
 
 // rewriteSkewedBody substitutes the skewed iterator in the body
-// statements: with j' = j + f·i every use of j becomes (j' − f·i).
-func rewriteSkewedBody(sc *scop.SCoP, i, j string, f int64) {
-	jNew := j + "'"
-	// The printed name j' is not a valid identifier; use js suffix.
-	jNew = skewedName(j)
+// statements: with jNew = j + f·i every use of j becomes (jNew − f·i).
+func rewriteSkewedBody(sc *scop.SCoP, i, j, jNew string, f int64) {
 	for _, stmt := range sc.BodyStmts {
 		ast.RewriteExpr(stmt, func(e ast.Expr) ast.Expr {
 			id, ok := e.(*ast.Ident)
@@ -424,19 +421,6 @@ func rewriteSkewedBody(sc *scop.SCoP, i, j string, f int64) {
 	}
 }
 
-// skewedName maps the poly package's primed iterator (j') to a valid C
-// identifier (j_sk).
-func skewedName(j string) string { return j + "_sk" }
-
-// astName converts poly iterator names (which may contain primes from
-// skewing) to valid C identifiers.
-func astName(v string) string {
-	if strings.HasSuffix(v, "'") {
-		return skewedName(strings.TrimSuffix(v, "'"))
-	}
-	return v
-}
-
 // buildLoops regenerates the loop nest AST from the generated structure
 // and returns it together with the pragma text inserted (if any).
 func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast.Stmt, string) {
@@ -446,19 +430,18 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast
 	pragma := ""
 	for k := len(gen.Loops) - 1; k >= 0; k-- {
 		l := gen.Loops[k]
-		name := astName(l.Iter)
 		f := &ast.ForStmt{
 			Init: &ast.DeclStmt{Decls: []*ast.VarDecl{{
 				Type: &ast.TypeExpr{Base: ast.Int},
-				Name: name,
+				Name: l.Iter,
 				Init: boundsExpr(l.Lowers, true),
 			}}},
 			Cond: &ast.BinaryExpr{
-				X:  &ast.Ident{Name: name},
+				X:  &ast.Ident{Name: l.Iter},
 				Op: token.LEQ,
 				Y:  boundsExpr(l.Uppers, false),
 			},
-			Post: &ast.PostfixExpr{X: &ast.Ident{Name: name}, Op: token.INC},
+			Post: &ast.PostfixExpr{X: &ast.Ident{Name: l.Iter}, Op: token.INC},
 			Body: body,
 		}
 		var stmts []ast.Stmt
@@ -552,7 +535,7 @@ func ompPragma(gen *poly.GenNest, k int, opts Options, sc *scop.SCoP) string {
 	reds := sc.Reductions
 	var privates []string
 	for i := k + 1; i < len(gen.Loops); i++ {
-		privates = append(privates, astName(gen.Loops[i].Iter))
+		privates = append(privates, gen.Loops[i].Iter)
 	}
 	privates = append(privates, sc.PrivateScalars...)
 	sort.Strings(privates)
@@ -627,7 +610,7 @@ func affineExpr(a poly.Affine) ast.Expr {
 	}
 	for _, v := range a.Vars() {
 		c := a.Coef[v]
-		id := &ast.Ident{Name: astName(v)}
+		id := &ast.Ident{Name: v}
 		switch {
 		case c == 1:
 			add(id, false)
