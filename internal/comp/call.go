@@ -194,10 +194,11 @@ func (fc *funcCompiler) memoizes(x *ast.CallExpr, callee *cfunc) bool {
 }
 
 // userCall compiles a call of a user-defined function: the arguments by
-// their parameters' kinds (a 4-byte float parameter rounds its value
-// through float32, like every C conversion to float), then the tCall.
-// ret is the result kind, ignored for a call in statement position.
-func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool) int32 {
+// their parameters' kinds into consecutive temps (a 4-byte float
+// parameter rounds its value through float32, like every C conversion
+// to float), then the tCall, whose result lands in hint when set. ret is
+// the result kind, ignored for a call in statement position.
+func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool, hint int32) int32 {
 	fc := tc.fc
 	name := x.Fun.Name
 	callee, ok := fc.prog.funcs[name]
@@ -218,17 +219,7 @@ func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool) int3
 		if err != nil {
 			fc.errorf(x, "%v", err)
 		}
-		switch k {
-		case slotInt:
-			tc.integer(arg)
-		case slotFloat:
-			r := tc.num(arg)
-			if pt.CSize == 4 && !fc.f32Exact(arg) {
-				tc.emit(tinstr{op: tRoundF, a: r, b: r})
-			}
-		default:
-			tc.ptrExpr(arg)
-		}
+		tc.argInto(arg, int(k), k == slotFloat && pt.CSize == 4 && !fc.f32Exact(arg))
 	}
 	cs := callSite{fn: callee, args: tc.ta.span(from), ret: ret, void: !value, memo: memoized,
 		bypass: fc.prog.memoize && callee.pure && (!value || !callee.memoizable)}
@@ -238,85 +229,94 @@ func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool) int3
 	tc.ta.restore(from)
 	var dst int32
 	if value {
-		dst = tc.ta.alloc(int(ret))
+		dst = tc.dest(from, int(ret), hint)
 	}
 	tc.tp.calls = append(tc.tp.calls, cs)
 	tc.emit(tinstr{op: tCall, a: dst, b: int32(len(tc.tp.calls) - 1)})
 	return dst
 }
 
+// argInto compiles a site argument into the next temp of its kind.
+func (tc *tapeCompiler) argInto(arg ast.Expr, kind int, f32 bool) {
+	t := tc.ta.alloc(kind)
+	lvl := tc.ta.level()
+	tc.toReg(tc.operand(arg, kind, t, f32), kind, t)
+	tc.ta.restore(lvl)
+}
+
 // callInt compiles an int-valued call.
-func (tc *tapeCompiler) callInt(x *ast.CallExpr) int32 {
-	fc := tc.fc
+func (tc *tapeCompiler) callInt(x *ast.CallExpr, hint int32) opnd {
+	lvl := tc.ta.level()
+	in := tinstr{}
 	switch name := x.Fun.Name; name {
 	case "abs":
-		a := tc.integer(x.Args[0])
-		tc.emit(tinstr{op: tAbsI, a: a, b: a})
-		return a
+		in = tinstr{op: tAbsI, b: tc.toReg(tc.intOp(x.Args[0], -1), tkI, -1)}
 	case "floord", "ceild", "imin", "imax":
-		a := tc.integer(x.Args[0])
-		b := tc.integer(x.Args[1])
-		tc.emit(tinstr{op: intBuiltins[name], a: a, b: a, c: b})
-		tc.ta.popI()
-		return a
+		l := tc.intOp(x.Args[0], -1)
+		tc.hold(&l, tkI, x.Args[1])
+		r := tc.intOp(x.Args[1], -1)
+		in = tinstr{op: intBuiltins[name], b: tc.toReg(l, tkI, -1), c: tc.toReg(r, tkI, -1)}
 	case "rand":
 		// a deterministic LCG, so runs are reproducible
-		r := tc.ta.allocI()
-		tc.emit(tinstr{op: tRand, a: r})
-		return r
+		in.op = tRand
 	case "printf":
 		tc.printf(x)
-		return tc.loadConstI(0)
+		return immI(0)
 	case "clock":
-		return tc.loadConstI(0)
+		return immI(0)
+	default:
+		if i, ok := mathFn(name); ok && mathFns[i].f1 != nil {
+			in = tinstr{op: tF2I, b: tc.toReg(tc.callFlt(x, -1), tkF, -1)}
+			break
+		}
+		if inl, ok := tc.fc.inlineCall(x); ok {
+			return tc.intOp(inl, hint)
+		}
+		return reg(tc.userCall(x, slotInt, true, hint))
 	}
-	if i, ok := mathFn(x.Fun.Name); ok && mathFns[i].f1 != nil {
-		f := tc.callFlt(x)
-		tc.ta.popF()
-		r := tc.ta.allocI()
-		tc.emit(tinstr{op: tF2I, a: r, b: f})
-		return r
-	}
-	if inl, ok := fc.inlineCall(x); ok {
-		return tc.intExpr(inl)
-	}
-	return tc.userCall(x, slotInt, true)
+	in.a = tc.dest(lvl, tkI, hint)
+	tc.emit(in)
+	return reg(in.a)
 }
 
 // callFlt compiles a float-valued call.
-func (tc *tapeCompiler) callFlt(x *ast.CallExpr) int32 {
+func (tc *tapeCompiler) callFlt(x *ast.CallExpr, hint int32) opnd {
 	fc := tc.fc
 	name := x.Fun.Name
-	if i, ok := mathFn(name); ok {
-		if mathFns[i].f1 != nil {
-			if len(x.Args) != 1 {
-				fc.errorf(x, "%s takes one argument", name)
-			}
-			a := tc.num(x.Args[0])
-			tc.emit(tinstr{op: tMath1, a: a, b: a, c: int32(i)})
-			return a
+	i, ok := mathFn(name)
+	if !ok {
+		if inl, ok := fc.inlineCall(x); ok {
+			return tc.fltOp(inl, hint, false)
 		}
+		return reg(tc.userCall(x, slotFloat, true, hint))
+	}
+	lvl := tc.ta.level()
+	var in tinstr
+	if mathFns[i].f1 != nil {
+		if len(x.Args) != 1 {
+			fc.errorf(x, "%s takes one argument", name)
+		}
+		in = tinstr{op: tMath1, b: tc.toReg(tc.fltOp(x.Args[0], -1, false), tkF, -1), c: int32(i)}
+	} else {
 		if len(x.Args) != 2 {
 			fc.errorf(x, "%s takes two arguments", name)
 		}
-		a := tc.num(x.Args[0])
-		b := tc.num(x.Args[1])
-		tc.emit(tinstr{op: tMath2, a: a, b: a, c: b, aux: int64(i)})
-		tc.ta.popF()
-		return a
+		l := tc.fltOp(x.Args[0], -1, false)
+		tc.hold(&l, tkF, x.Args[1])
+		r := tc.fltOp(x.Args[1], -1, false)
+		in = tinstr{op: tMath2, b: tc.toReg(l, tkF, -1), c: tc.toReg(r, tkF, -1), aux: int64(i)}
 	}
-	if inl, ok := fc.inlineCall(x); ok {
-		return tc.flt(inl)
-	}
-	return tc.userCall(x, slotFloat, true)
+	in.a = tc.dest(lvl, tkF, hint)
+	tc.emit(in)
+	return reg(in.a)
 }
 
 // callPtr compiles a pointer-valued user call.
-func (tc *tapeCompiler) callPtr(x *ast.CallExpr) int32 {
+func (tc *tapeCompiler) callPtr(x *ast.CallExpr, hint int32) opnd {
 	if inl, ok := tc.fc.inlineCall(x); ok {
-		return tc.ptrExpr(inl)
+		return tc.ptrOp(inl, hint)
 	}
-	return tc.userCall(x, slotPtr, true)
+	return reg(tc.userCall(x, slotPtr, true, hint))
 }
 
 // callEffect compiles a call in statement position. A pure user call
@@ -330,27 +330,22 @@ func (tc *tapeCompiler) callEffect(x *ast.CallExpr) {
 		if len(x.Args) != 1 {
 			fc.errorf(x, "free takes one argument")
 		}
-		p := tc.ptrExpr(x.Args[0])
-		tc.emit(tinstr{op: tFree, b: p})
-		tc.ta.popP()
+		tc.emit(tinstr{op: tFree, b: tc.toReg(tc.ptrOp(x.Args[0], -1), tkP, -1)})
 		return
 	case "printf":
 		tc.printf(x)
 		return
 	case "srand":
-		a := tc.integer(x.Args[0])
-		tc.emit(tinstr{op: tSrand, b: a})
-		tc.ta.popI()
+		tc.emit(tinstr{op: tSrand, b: tc.toReg(tc.intOp(x.Args[0], -1), tkI, -1)})
 		return
 	case "malloc":
 		fc.errorf(x, "malloc result must be used (cast and assign it)")
 	}
 	if _, ok := mathFn(x.Fun.Name); ok {
-		tc.callFlt(x)
-		tc.ta.popF()
+		tc.callFlt(x, -1)
 		return
 	}
-	tc.userCall(x, 0, false)
+	tc.userCall(x, 0, false, -1)
 }
 
 // ----------------------------------------------------------------------------
@@ -394,16 +389,11 @@ func (tc *tapeCompiler) printf(x *ast.CallExpr) {
 		}
 		arg := x.Args[ai]
 		ai++
-		switch verbKind(pc.verb) {
-		case tkI:
-			tc.integer(arg)
-		case tkF:
-			tc.num(arg)
-		case tkP:
-			tc.ptrExpr(arg)
-		default:
+		k := verbKind(pc.verb)
+		if k < 0 {
 			fc.errorf(x, "printf: unsupported verb %%%c", pc.verb)
 		}
+		tc.argInto(arg, k, false)
 	}
 	tc.tp.printfs = append(tc.tp.printfs, printfSite{pieces: pieces, args: tc.ta.span(from)})
 	tc.ta.restore(from)
@@ -535,12 +525,13 @@ func (m *mallocSite) alloc(e *env, b int64) mem.Pointer {
 
 // malloc compiles (T*)malloc(bytes): the segment kind and cell count
 // derive from the cast's element type.
-func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr) int32 {
+func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr, hint int32) int32 {
 	fc := tc.fc
 	if len(call.Args) != 1 {
 		fc.errorf(call, "malloc takes one argument")
 	}
-	b := tc.integer(call.Args[0])
+	lvl := tc.ta.level()
+	b := tc.toReg(tc.intOp(call.Args[0], -1), tkI, -1)
 	t := fc.typeOf(cast)
 	if !t.IsPtr() {
 		fc.errorf(cast, "malloc cast must be a pointer type")
@@ -559,21 +550,20 @@ func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr) int32 {
 		}
 	}
 	tc.tp.mallocs = append(tc.tp.mallocs, m)
-	tc.ta.popI()
-	r := tc.ta.allocP()
+	r := tc.dest(lvl, tkP, hint)
 	tc.emit(tinstr{op: tMalloc, a: r, b: int32(len(tc.tp.mallocs) - 1), c: b})
 	return r
 }
 
 // stringLit materializes a string literal's segment at compile time; the
 // tape loads its pointer.
-func (tc *tapeCompiler) stringLit(x *ast.StringLit) int32 {
+func (tc *tapeCompiler) stringLit(x *ast.StringLit, hint int32) int32 {
 	seg := mem.NewSegment(mem.CellInt, len(x.Value)+1, "string")
 	for i := 0; i < len(x.Value); i++ {
 		seg.I[i] = int64(x.Value[i]) //lint:rawmem fresh segment sized len+1, i < len by the loop bound
 	}
 	tc.tp.constP = append(tc.tp.constP, mem.Pointer{Seg: seg})
-	r := tc.ta.allocP()
+	r := tc.dest(tc.ta.level(), tkP, hint)
 	tc.emit(tinstr{op: tConstP, a: r, b: int32(len(tc.tp.constP) - 1)})
 	return r
 }

@@ -479,7 +479,7 @@ func TestCompilerInterpreterAgreeProperty(t *testing.T) {
 	}
 }
 
-// FuzzTapeVsInterp runs genIntProgram's programs on the tape and the
+// FuzzTapeVsInterp runs genProgram's programs on the tape and the
 // interp oracle: stdout, return value and trap text must be equal. A
 // finding leaves testdata/fuzz/FuzzTapeVsInterp/<hash>.
 func FuzzTapeVsInterp(f *testing.F) {
@@ -490,7 +490,7 @@ func FuzzTapeVsInterp(f *testing.F) {
 }
 
 func tapeVsInterp(t *testing.T, seed uint32) {
-	src := genIntProgram(seed)
+	src := genProgram(seed)
 	info := mustCheck(t, src)
 	m, err := Compile(info, Options{})
 	if err != nil {
@@ -518,21 +518,29 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 	}
 }
 
-// genIntProgram builds a deterministic random integer program: arithmetic
+// genProgram builds a deterministic random program: integer arithmetic
 // that may divide by zero, branches and loops, switch with
 // fall-through, assignments used as values in conditions and
 // initializers, indexed stores whose address has side effects, calls of
-// a non-leaf function that writes a global, and printf.
-func genIntProgram(seed uint32) string {
+// a non-leaf function that writes a global, printf, and float and
+// double arithmetic — multiply-adds in both operand orders, 4-byte
+// float array loads and stores, literals on either side of every
+// operator, comparisons under &&, || and ?:.
+func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
 		s = s*1664525 + 1013904223
 		return int(s>>16) % n
 	}
 	ops := []string{"+", "-", "*", "%", "/", "&", "|", "^"}
+	fops := []string{"+", "-", "*", "/"}
+	cmps := []string{"<", "<=", ">", ">=", "==", "!="}
+	lits := []string{"0.5f", "2.0f", "-1.25f", "0.1f", "3.0", "0.0f"}
+	lit := func() string { return lits[next(len(lits))] }
 	var b strings.Builder
 	b.WriteString(`int g;
 int h[8];
+float fa[8];
 int bump(int d) {
     int r = 0;
     for (int k = 0; k < 2; k++) r = r + d;
@@ -541,12 +549,17 @@ int bump(int d) {
 }
 int main(void) {
 `)
+	fmt.Fprintf(&b, " float f = %s; double d = %s;\n", lit(), lit())
 	fmt.Fprintf(&b, " int a = %d; int v = 1; int x = 0;\n", next(100)+1)
 	for i := 0; i < 12; i++ {
 		op := ops[next(len(ops))]
 		c := next(37) + 1
-		fmt.Fprintf(&b, " a = (a %s %d) + v;\n", op, c)
-		switch next(9) {
+		if next(2) == 0 {
+			fmt.Fprintf(&b, " a = (a %s %d) + v;\n", op, c)
+		} else {
+			fmt.Fprintf(&b, " a = (%d %s a) + v;\n", c, op)
+		}
+		switch next(14) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
 		case 1:
@@ -581,8 +594,34 @@ int main(void) {
 			if next(4) == 0 {
 				fmt.Fprintf(&b, " a = a / (v - %d);\n", next(4))
 			}
+		case 9:
+			if next(2) == 0 {
+				fmt.Fprintf(&b, " f = f * %s + d;\n", lit())
+			} else {
+				fmt.Fprintf(&b, " d = d + %s * fa[a & 7];\n", lit())
+			}
+		case 10:
+			fop := fops[next(len(fops))]
+			if next(2) == 0 {
+				fmt.Fprintf(&b, " fa[x & 7] = f %s %s;\n", fop, lit())
+			} else {
+				fmt.Fprintf(&b, " fa[v & 7] %s= %s %s d;\n", fops[next(3)], lit(), fop)
+			}
+		case 11:
+			fmt.Fprintf(&b, " { float t = fa[a & 7]; d = t * d + fa[x & 7]; f = fa[v & 7] + t * f; }\n")
+		case 12:
+			fmt.Fprintf(&b, " if (f %s %s && %s %s d || !(a %% 3)) f = f - %s; else d = d / (f + %s);\n",
+				cmps[next(len(cmps))], lit(), lit(), cmps[next(len(cmps))], lit(), lit())
+		case 13:
+			fmt.Fprintf(&b, " f = d %s %s ? f * %s : %s - d; f++; a = a + (int)(f * 8.0f) %% 1000;\n",
+				cmps[next(len(cmps))], lit(), lit(), lit())
 		}
 	}
-	b.WriteString(` printf("%d %d %d %d %d\n", a, v, x, g, h[3]);` + "\n return a;\n}\n")
+	// Floats print scaled to integers, so a float32 rounding shows.
+	b.WriteString(` for (int k = 0; k < 8; k++) printf("%d ", (int)(fa[k] * 1e12));
+ printf("%d %d %d %d %d %d %d\n", a, v, x, g, h[3], (int)(f * 1e12), (int)(d * 1e12));
+ return a;
+}
+`)
 	return b.String()
 }

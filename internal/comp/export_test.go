@@ -11,7 +11,7 @@ import (
 func TapeDump(p *Program) string {
 	var b strings.Builder
 	for i, tp := range p.tapes {
-		fmt.Fprintf(&b, "tape %d (temps from %d/%d/%d): %v\n", i, tp.tmpI, tp.tmpF, tp.tmpP, tp.code)
+		fmt.Fprintf(&b, "tape %d: %v\n", i, tp.code)
 	}
 	if len(p.tapes) > 0 {
 		fmt.Fprintf(&b, "constI %v\nconstF %x\n", p.tapes[0].constI, p.tapes[0].constF)

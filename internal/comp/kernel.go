@@ -341,7 +341,7 @@ func (tc *tapeCompiler) kernelOperands(k *fusedKernel) {
 		tc.accessOperands(&k.store)
 	}
 	if k.cellX != nil {
-		k.cell = tc.addr(k.cellX)
+		k.cell = tc.addrReg(tc.address(k.cellX), tc.ta.level(), -1)
 	}
 	if k.gat.baseX != nil {
 		k.gat.base = tc.baseOperand(k.gat.baseX)
@@ -349,40 +349,39 @@ func (tc *tapeCompiler) kernelOperands(k *fusedKernel) {
 	for i := range k.loads {
 		tc.accessOperands(&k.loads[i])
 	}
-	float := k.floatInvs()
-	if float {
-		k.inv = tc.ta.level()[tkF]
-	} else {
-		k.inv = tc.ta.level()[tkI]
+	kind := tkI
+	if k.floatInvs() {
+		kind = tkF
 	}
+	k.inv = tc.ta.level()[kind]
 	for _, x := range k.invX {
-		switch {
-		case x == nil:
-			tc.loadConstI(1)
-		case float:
-			tc.num(x)
-		default:
-			tc.integer(x)
+		if x == nil {
+			tc.toReg(immI(1), tkI, tc.ta.alloc(tkI))
+			continue
 		}
+		tc.argInto(x, kind, false)
 	}
 }
 
 // accessOperands emits an operand's base and invariant offset.
 func (tc *tapeCompiler) accessOperands(a *kAccess) {
-	a.base, a.off = tc.baseOperand(a.baseX), -1
-	for _, t := range a.offX {
-		r := tc.integer(t.x)
+	a.base = tc.baseOperand(a.baseX)
+	off := immI(0)
+	lvl := tc.ta.level()
+	for i, t := range a.offX {
+		tl := tc.ta.level()
+		o := tc.intOp(t.x, -1)
 		if t.c != 1 {
-			c := tc.loadConstI(t.c)
-			tc.emit(tinstr{op: tMulI, a: r, b: r, c: c})
-			tc.ta.popI()
+			o = tc.arithI(t.x, token.MUL, o, immI(t.c), tl, -1)
 		}
-		if a.off < 0 {
-			a.off = r
-			continue
+		if i > 0 {
+			o = tc.arithI(t.x, token.ADD, off, o, lvl, -1)
 		}
-		tc.emit(tinstr{op: tAddI, a: a.off, b: a.off, c: r})
-		tc.ta.popI()
+		off = o
+	}
+	a.off = -1
+	if len(a.offX) > 0 {
+		a.off = tc.toReg(off, tkI, -1)
 	}
 }
 
@@ -390,12 +389,7 @@ func (tc *tapeCompiler) accessOperands(a *kAccess) {
 // slot — which a reduction worker's clone privatizes — or a temp the
 // expression is evaluated into.
 func (tc *tapeCompiler) baseOperand(x ast.Expr) int32 {
-	if id, ok := stripParens(x).(*ast.Ident); ok {
-		if sl, global := tc.fc.slotOf(tc.fc.symOf(id), id); !global && sl.kind == slotPtr {
-			return int32(sl.idx)
-		}
-	}
-	return tc.ptrExpr(x)
+	return tc.toReg(tc.ptrOp(x, -1), tkP, -1)
 }
 
 // strideAny is the stride of a data-dependent operand: it meets no

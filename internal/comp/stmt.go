@@ -37,11 +37,9 @@ func (fc *funcCompiler) ompLoop(list []ast.Stmt, i int) (*ast.ForStmt, *omp.Regi
 // launchFn runs a launched loop over the non-empty range lo..hi.
 type launchFn func(e *env, lo, hi int64) ctrl
 
-// launch is the site of a tStmt: what it runs and the registers it
-// reads.
+// launch is the site of a tStmt: what it runs.
 type launch struct {
-	run  launchFn
-	regs regSpan
+	run launchFn
 }
 
 // canonicalLoop is a loop of omp.Canonical's shape: "for (i = LB; i <
@@ -74,36 +72,30 @@ func (fc *funcCompiler) canonical(x *ast.ForStmt) (canonicalLoop, bool) {
 }
 
 // launchLoop emits the launch of run over cl's bounds: lower, then
-// upper, into registers; an empty range skips the launch (with
-// emptyIter it leaves lower in the iterator slot, as the dispatch loop
-// would); otherwise k's operands (k may be nil) follow, then the tStmt.
+// upper; an empty range skips the launch (with emptyIter it leaves lower
+// in the iterator slot, as the dispatch loop would); otherwise k's
+// operands (k may be nil) follow, then the tStmt reading the bounds'
+// registers.
 func (tc *tapeCompiler) launchLoop(cl *canonicalLoop, k *fusedKernel, run launchFn, emptyIter bool) {
-	from := tc.ta.level()
-	lo := tc.integer(cl.lowerX)
-	hi := tc.integer(cl.upperX)
+	lo := tc.intOp(cl.lowerX, -1)
+	tc.hold(&lo, tkI, cl.upperX)
+	hi := tc.intOp(cl.upperX, -1)
 	if !cl.inclusive {
-		one := tc.loadConstI(1)
-		tc.emit(tinstr{op: tSubI, a: hi, b: hi, c: one})
-		tc.ta.popI()
+		hi = tc.arithI(cl.upperX, token.SUB, hi, immI(1), tc.ta.level(), -1)
 	}
-	t := tc.ta.allocI()
-	tc.emit(tinstr{op: tLtI, a: t, b: hi, c: lo})
-	empty := tc.emit(tinstr{op: tJnz, b: t})
-	tc.ta.popI()
+	empty := tc.cmpJumpOps(token.LSS, hi, lo, true, false)
 	if k != nil {
 		tc.kernelOperands(k)
 	}
-	tc.tp.launches = append(tc.tp.launches, launch{run: run, regs: tc.ta.span(from)})
-	tc.emit(tinstr{op: tStmt, a: lo, b: int32(len(tc.tp.launches) - 1), c: hi})
-	if emptyIter {
-		done := tc.emit(tinstr{op: tJmp})
-		tc.patch(empty)
-		tc.emit(tinstr{op: tMovI, a: int32(cl.iterSlot), b: lo})
-		tc.patch(done)
-	} else {
-		tc.patch(empty)
+	tc.tp.launches = append(tc.tp.launches, launch{run: run})
+	tc.emit(tinstr{op: tStmt, a: tc.toReg(lo, tkI, -1), b: int32(len(tc.tp.launches) - 1), c: tc.toReg(hi, tkI, -1)})
+	if emptyIter && empty != noJump {
+		done := tc.jump(tinstr{op: tJmp})
+		tc.patchHere(empty)
+		tc.toReg(lo, tkI, int32(cl.iterSlot))
+		empty = done
 	}
-	tc.ta.restore(from)
+	tc.patchHere(empty)
 }
 
 // parallelRegion compiles loop f under its bound pragma. Any reduction

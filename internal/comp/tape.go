@@ -6,10 +6,11 @@ package comp
 // hot path through mem would re-add the call overhead the tape exists to cut.
 
 // Linearized bytecode: statement/expression trees flatten into a flat
-// instruction array executed by one switch-dispatch loop, with
-// constants pooled and every operand materialized in fixed frame slots
-// — no per-node closures and no interface calls on the hot path. The
-// tape is the only statement engine.
+// instruction array executed by one switch-dispatch loop, operands in
+// fixed frame slots, immediates or the constant pools — no per-node
+// closures and no interface calls on the hot path. The tape compiler
+// (tapecompile.go) picks the superinstructions below as it emits, in
+// one pass. The tape is the only statement engine.
 //
 // The tape contract is the interp oracle's, bit for bit:
 //
@@ -158,11 +159,10 @@ const (
 	tStmt   // launches[b] over [I[a], I[c]]: a parallel region or kernel
 
 	// ------------------------------------------------------------------
-	// Fused superinstructions, produced only by the peephole optimizer
-	// (tapeopt.go), never by the front end. Each one is semantically the
-	// exact instruction sequence it replaces — same operand evaluation
-	// order, same trap points, same float64 arithmetic and float32
-	// rounding — with writes of dead temp registers elided.
+	// Fused superinstructions. Each one is semantically the exact
+	// sequence of the plain ops above it stands for — same operand
+	// values, same trap points, same float64 arithmetic and float32
+	// rounding — without the intermediate temp registers.
 
 	// Integer ops with an immediate operand in aux.
 	tAddII // I[a] = I[b] + aux
@@ -271,10 +271,6 @@ type tinstr struct {
 type tape struct {
 	code []tinstr
 	*tapePools
-
-	// first temp register of each kind (frame slots below these are
-	// locals/params, which the optimizer must treat as always live)
-	tmpI, tmpF, tmpP int32
 }
 
 // tapePools are the constant and site pools shared by every tape of

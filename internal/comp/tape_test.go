@@ -250,6 +250,17 @@ func TestTapeEquivalence(t *testing.T) {
 			printf("%f %f %f %f\n", f, g, a, b);
 			return 0;
 		}`},
+		// A kernel operand's offset of several scaled invariant terms.
+		{"kernel-offset-terms", `float x[64], y[64];
+		int main(void) {
+			int p = 2, q = 3;
+			for (int i = 0; i < 8; i++) x[i] = i + 1;
+			for (int i = 0; i < 8; i++) y[(i + p + q) * 2] = x[(i + q + p) * 3 - 15];
+			int s = 0;
+			for (int i = 0; i < 64; i++) s = s * 3 + (int)y[i];
+			printf("%d\n", s);
+			return 0;
+		}`},
 		{"parallel-region", `double x[64], y[64];
 		int main(void) {
 			for (int i = 0; i < 64; i++) { x[i] = i; y[i] = 0.0; }
@@ -439,8 +450,12 @@ func TestTapeConstantPooling(t *testing.T) {
 // grows past the locals by exactly the deepest expression's register
 // need, and execution stays inside it.
 func TestTapeSlotAllocation(t *testing.T) {
-	src := `int main(void) {
-		return ((1 + 2) * (3 + 4)) + ((5 + 6) * (7 + 8));
+	// The operands are globals: constants would fold at compile time,
+	// and a local is read in place, so neither needs a register.
+	src := `int a, b, c, d, e, f, g, h;
+	int main(void) {
+		a = 1; b = 2; c = 3; d = 4; e = 5; f = 6; g = 7; h = 8;
+		return ((a + b) * (c + d)) + ((e + f) * (g + h));
 	}`
 	m, _ := compileTape(t, src)
 	prog := m.Program()

@@ -13,10 +13,37 @@ import (
 // one workload whose every iteration dispatches on the tape, run
 // through the oracle matrix. Tape workers clone the environment slice
 // headers but share the constant pools and instruction array read-only.
+//
+// The iterators row reads loop iterators declared outside their nests
+// after the nests ran (a local, a global another function returns, both
+// iterators of a 2-deep nest): those nests must stay serial, since the
+// parallelized form declares fresh iterators.
 func TestTapeEngineOracle12Processes(t *testing.T) {
 	runOracleMatrix(t, false, append(kernelRows(), oracleRow{name: "noncanon",
-		src: apps.NoncanonSrc, defines: apps.KernDefines(512, 2), base: Config{Parallelize: true}}))
+		src: apps.NoncanonSrc, defines: apps.KernDefines(512, 2), base: Config{Parallelize: true}},
+		oracleRow{name: "iterators", src: liveIteratorSrc, base: Config{Parallelize: true}}))
 }
+
+const liveIteratorSrc = `
+float a[100];
+float b[8][8];
+int g;
+int lastg(void) { return g; }
+int main(void) {
+    int i, j;
+    for (i = 0; i < 100; i++)
+        a[i] = 2.0f * i;
+    printf("%d\n", i);
+    for (g = 0; g < 100; g++)
+        a[g] = a[g] + 1.0f;
+    printf("%d\n", lastg());
+    for (i = 0; i < 8; i++)
+        for (j = 0; j < 8; j++)
+            b[i][j] = i + j;
+    printf("%d %d\n", i, j);
+    return 0;
+}
+`
 
 // TestTapeEngineTrapParity pins the trap side of the tape contract:
 // faulty programs must fail as runtime errors on the tape exactly as

@@ -240,8 +240,82 @@ func (d *detector) tryNest(f *ast.ForStmt) *SCoP {
 		if !d.buildBody(sc, body) {
 			return nil
 		}
+		if it := d.liveIterator(sc); it != "" {
+			d.rejectf(f.Pos(), "iterator %s is live after the loop nest", it)
+			return nil
+		}
 		return sc
 	}
+}
+
+// liveIterator names an iterator the nest assigns without declaring it
+// whose value can outlive the nest — the transformed nest declares
+// fresh iterators, so that value would be lost. A global can always be
+// read later; a local can when it is mentioned outside the nest, except
+// inside another for loop, not containing the nest, whose init assigns
+// the iterator without reading it (C89-style reuse of one i).
+func (d *detector) liveIterator(sc *SCoP) string {
+	for _, l := range sc.Loops {
+		init, ok := l.For.Init.(*ast.ExprStmt)
+		if !ok {
+			continue
+		}
+		sym := d.info.Ref[init.X.(*ast.AssignExpr).LHS.(*ast.Ident)]
+		if sym != nil && (sym.Kind == sema.SymGlobal || d.mentionedOutside(sym, sc.Outer)) {
+			return l.Iter
+		}
+	}
+	return ""
+}
+
+// mentionedOutside reports whether the function mentions sym outside
+// nest and outside every loop that re-initializes it first.
+func (d *detector) mentionedOutside(sym *sema.Symbol, nest *ast.ForStmt) bool {
+	found := false
+	ast.Walk(d.fn.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.ForStmt:
+			return x != nest && !(d.reinits(x, sym) && !contains(x, nest))
+		case *ast.Ident:
+			found = found || d.info.Ref[x] == sym
+		}
+		return !found
+	})
+	return found
+}
+
+// reinits reports whether f's init is sym = e with e not reading sym.
+func (d *detector) reinits(f *ast.ForStmt, sym *sema.Symbol) bool {
+	init, ok := f.Init.(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	as, ok := init.X.(*ast.AssignExpr)
+	if !ok || as.Op != token.ASSIGN {
+		return false
+	}
+	id, ok := as.LHS.(*ast.Ident)
+	if !ok || d.info.Ref[id] != sym {
+		return false
+	}
+	reads := false
+	ast.Walk(as.RHS, func(n ast.Node) bool {
+		if x, ok := n.(*ast.Ident); ok && d.info.Ref[x] == sym {
+			reads = true
+		}
+		return !reads
+	})
+	return !reads
+}
+
+// contains reports whether node n lies in the subtree of root.
+func contains(root, n ast.Node) bool {
+	in := false
+	ast.Walk(root, func(m ast.Node) bool {
+		in = in || m == n
+		return !in
+	})
+	return in
 }
 
 // innerLoopOrBody returns the single inner for-loop when the body is

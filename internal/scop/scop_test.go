@@ -500,3 +500,34 @@ int main(void) {
 		t.Fatalf("general conditional must not form a SCoP, got %d", len(res.SCoPs))
 	}
 }
+
+// TestLiveIteratorRejected: the transformed nest declares its iterators
+// afresh, so a nest whose iterator is a global, or a local declared
+// outside the nest and read after it, stays serial; the rejection names
+// the iterator. Reusing one i in a later loop that re-initializes it is
+// not a read.
+func TestLiveIteratorRejected(t *testing.T) {
+	for _, c := range []struct{ name, src, iter string }{
+		{"local", `float a[100];
+int main(void) { int i; for (i = 0; i < 100; i++) a[i] = 2.0f * i; printf("%d\n", i); return 0; }`, "i"},
+		{"global", `float a[100]; int i;
+int last(void) { return i; }
+int main(void) { for (i = 0; i < 100; i++) a[i] = 2.0f * i; return last(); }`, "i"},
+		{"nest", `float b[8][8];
+int main(void) { int i, j; for (i = 0; i < 8; i++) for (j = 0; j < 8; j++) b[i][j] = i + j; printf("%d %d\n", i, j); return 0; }`, "j"},
+	} {
+		res, _ := detect(t, c.src)
+		if len(res.SCoPs) != 0 {
+			t.Errorf("%s: %d SCoPs, want the nest rejected", c.name, len(res.SCoPs))
+		}
+		want := "iterator " + c.iter + " is live after the loop nest"
+		if !strings.Contains(strings.Join(res.Rejections, "\n"), want) {
+			t.Errorf("%s: rejections %q lack %q", c.name, res.Rejections, want)
+		}
+	}
+	res, _ := detect(t, `float a[100], b[100];
+int main(void) { int i; for (i = 0; i < 100; i++) a[i] = 1.0f; for (i = 0; i < 100; i++) b[i] = a[i]; return 0; }`)
+	if len(res.SCoPs) != 2 {
+		t.Errorf("reused iterator: %d SCoPs, want 2 (rejections %q)", len(res.SCoPs), res.Rejections)
+	}
+}

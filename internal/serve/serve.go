@@ -113,9 +113,12 @@ type Server struct {
 	slots  chan struct{}
 	queued atomic.Int64
 
+	// mu guards the pools, which outlive cache rebuilds, and the run
+	// counts of the programs being served; a count's entry is dropped
+	// when it returns to zero.
 	mu     sync.Mutex
 	pools  map[core.CacheKey]*comp.ProcessPool
-	quotas map[core.CacheKey]*atomic.Int64
+	quotas map[core.CacheKey]int
 
 	reqs    reqCounters
 	latency latencyRecorder
@@ -170,7 +173,7 @@ func New(opts Options) (*Server, error) {
 		start:  time.Now(),
 		slots:  make(chan struct{}, opts.MaxConcurrent),
 		pools:  map[core.CacheKey]*comp.ProcessPool{},
-		quotas: map[core.CacheKey]*atomic.Int64{},
+		quotas: map[core.CacheKey]int{},
 	}
 	if opts.CacheDir != "" {
 		disk, err := core.NewDiskCache(opts.CacheDir, opts.DiskEntries)
@@ -288,9 +291,8 @@ func (s *Server) acquireSlot(w http.ResponseWriter) bool {
 	}
 }
 
-// programState returns the pool and quota counter of a program,
-// creating them on first use.
-func (s *Server) programState(key core.CacheKey, prog *comp.Program, cores int) (*comp.ProcessPool, *atomic.Int64) {
+// pool returns the Process pool of a program, creating it on first use.
+func (s *Server) pool(key core.CacheKey, prog *comp.Program, cores int) *comp.ProcessPool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pool, ok := s.pools[key]
@@ -301,12 +303,28 @@ func (s *Server) programState(key core.CacheKey, prog *comp.Program, cores int) 
 		})
 		s.pools[key] = pool
 	}
-	quota, ok := s.quotas[key]
-	if !ok {
-		quota = &atomic.Int64{}
-		s.quotas[key] = quota
+	return pool
+}
+
+// enter counts a run of the program against its quota, false when the
+// quota is full.
+func (s *Server) enter(key core.CacheKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.quotas[key] >= s.opts.PerProgramLimit {
+		return false
 	}
-	return pool, quota
+	s.quotas[key]++
+	return true
+}
+
+// leave ends a run counted by enter.
+func (s *Server) leave(key core.CacheKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.quotas[key]--; s.quotas[key] == 0 {
+		delete(s.quotas, key)
+	}
 }
 
 // handleRun serves POST /run: admit, build (cached), draw a pooled
@@ -346,20 +364,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Per-program quota first: rejecting over-quota requests before the
 	// global gate keeps one hot program from starving the queue for
 	// everyone else.
-	s.mu.Lock()
-	quota, ok := s.quotas[key]
-	if !ok {
-		quota = &atomic.Int64{}
-		s.quotas[key] = quota
-	}
-	s.mu.Unlock()
-	if quota.Add(1) > int64(s.opts.PerProgramLimit) {
-		quota.Add(-1)
+	if !s.enter(key) {
 		s.reqs.RejectedQuota.Add(1)
 		jsonError(w, http.StatusTooManyRequests, "per-program run quota (%d) exceeded", s.opts.PerProgramLimit)
 		return
 	}
-	defer quota.Add(-1)
+	defer s.leave(key)
 
 	// Global admission: the slot covers the build too — compilation is
 	// the expensive phase a saturated daemon must bound.
@@ -384,7 +394,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if cores < 1 {
 		cores = 1
 	}
-	pool, _ := s.programState(key, prog, cores)
+	pool := s.pool(key, prog, cores)
 	before := pool.Stats().Reuses
 	proc, err := pool.Get()
 	if err != nil {

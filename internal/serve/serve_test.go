@@ -335,6 +335,25 @@ int main(void) {
 	}
 }
 
+// TestQuotasDoNotAccumulate: a program's run count is dropped when its
+// last run ends, so serving many distinct programs leaves no quota
+// entries behind.
+func TestQuotasDoNotAccumulate(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	for i := 0; i < 20; i++ {
+		resp := post(t, ts, RunRequest{Source: fmt.Sprintf(`int main(void) { printf("%%d\n", %d); return 0; }`, i)})
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK || body != fmt.Sprintf("%d\n", i) {
+			t.Fatalf("program %d: status %d, body %q", i, resp.StatusCode, body)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.quotas)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d quota entries left after every run ended, want 0", n)
+	}
+}
+
 // TestStdoutMatchesPurecc: the daemon's response body must be
 // byte-for-byte the stdout a direct purecc-style run produces.
 func TestStdoutMatchesPurecc(t *testing.T) {
