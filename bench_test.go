@@ -488,22 +488,25 @@ func BenchmarkPurityChecker(b *testing.B) {
 
 // BenchmarkCompilerChain measures the tool-chain itself (preprocess,
 // parse, purity check, polyhedral transform, compile) on the matmul
-// program — the compile-time cost of the paper's approach.
+// program — the compile-time cost of the paper's approach. NoCache
+// keeps the program cache from answering every build after the first.
 func BenchmarkCompilerChain(b *testing.B) {
 	defs := apps.MatmulDefines(64)
 	b.Run("pure-full-chain", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Build(apps.MatmulSrc, core.Config{
-				Parallelize: true, Defines: defs, Stdout: io.Discard,
+				Parallelize: true, Defines: defs, Stdout: io.Discard, NoCache: true,
 			}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("seq-no-polyhedral", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Build(apps.MatmulSrc, core.Config{
-				Defines: defs, Stdout: io.Discard,
+				Defines: defs, Stdout: io.Discard, NoCache: true,
 			}); err != nil {
 				b.Fatal(err)
 			}

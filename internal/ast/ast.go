@@ -9,7 +9,11 @@
 // stages of Fig. 1 are plain tree rewrites.
 package ast
 
-import "purec/internal/token"
+import (
+	"fmt"
+
+	"purec/internal/token"
+)
 
 // Node is implemented by every syntax tree node.
 type Node interface {
@@ -253,6 +257,57 @@ func (*MemberExpr) exprNode()  {}
 func (*CastExpr) exprNode()    {}
 func (*SizeofExpr) exprNode()  {}
 func (*ParenExpr) exprNode()   {}
+
+// CloneExpr returns a deep copy of e: the copy shares no node with e,
+// so a rewrite may place it next to the original.
+func CloneExpr(e Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *Ident:
+		c := *x
+		return &c
+	case *IntLit:
+		c := *x
+		return &c
+	case *FloatLit:
+		c := *x
+		return &c
+	case *CharLit:
+		c := *x
+		return &c
+	case *StringLit:
+		c := *x
+		return &c
+	case *BinaryExpr:
+		return &BinaryExpr{X: CloneExpr(x.X), Op: x.Op, Y: CloneExpr(x.Y)}
+	case *UnaryExpr:
+		return &UnaryExpr{OpPos: x.OpPos, Op: x.Op, X: CloneExpr(x.X)}
+	case *PostfixExpr:
+		return &PostfixExpr{X: CloneExpr(x.X), Op: x.Op}
+	case *AssignExpr:
+		return &AssignExpr{LHS: CloneExpr(x.LHS), Op: x.Op, RHS: CloneExpr(x.RHS)}
+	case *CondExpr:
+		return &CondExpr{Cond: CloneExpr(x.Cond), Then: CloneExpr(x.Then), Else: CloneExpr(x.Else)}
+	case *CallExpr:
+		c := &CallExpr{Fun: CloneExpr(x.Fun).(*Ident), Args: make([]Expr, len(x.Args))}
+		for i, a := range x.Args {
+			c.Args[i] = CloneExpr(a)
+		}
+		return c
+	case *IndexExpr:
+		return &IndexExpr{X: CloneExpr(x.X), Index: CloneExpr(x.Index)}
+	case *MemberExpr:
+		return &MemberExpr{X: CloneExpr(x.X), Name: x.Name, Arrow: x.Arrow}
+	case *CastExpr:
+		return &CastExpr{LPos: x.LPos, Type: x.Type.Clone(), X: CloneExpr(x.X)}
+	case *SizeofExpr:
+		return &SizeofExpr{SizePos: x.SizePos, Type: x.Type.Clone(), X: CloneExpr(x.X)}
+	case *ParenExpr:
+		return &ParenExpr{LPos: x.LPos, X: CloneExpr(x.X)}
+	}
+	panic(fmt.Sprintf("ast: CloneExpr of %T", e))
+}
 
 // ----------------------------------------------------------------------------
 // Statements

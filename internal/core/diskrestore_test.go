@@ -13,6 +13,7 @@ import (
 	"purec/internal/comp"
 	"purec/internal/interp"
 	"purec/internal/rt"
+	"purec/internal/transform"
 )
 
 // restoreSample is what the disk-restore tests range over: a seeded
@@ -321,5 +322,136 @@ func TestDiskCacheRollOverFromV1(t *testing.T) {
 	pass(SourceDisk)
 	if st := d.Stats(); st.Stale != 2 || st.Corrupt != 0 || st.Revalidation != 0 || st.Stores != 2 || st.Hits != 4 {
 		t.Fatalf("after two more passes: %+v, want the same 2 stale and 4 hits", st)
+	}
+}
+
+// TestTransformedNestTrapsAgree: a guest trap inside a nest that tiling
+// or skewing rebuilt — the loops, bounds and rewritten subscripts are
+// nodes transform synthesized — reads the same in a fresh build, in a
+// build restored from a disk entry (which re-parses the printed text),
+// and in the interpreter on either model: same stdout, same return,
+// byte-identical trap text. The bodies hold two statements so the
+// nests run on the tape, not as fused kernels, whose hoisted range
+// check has a text of its own.
+func TestTransformedNestTrapsAgree(t *testing.T) {
+	rows := []struct {
+		name, src string
+		skewed    bool
+	}{
+		{"oob-read", `float B[4096];
+float C[64][64];
+float E[64][64];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++) {
+            C[i][j] = B[i * 64 + j + 1] + 1.0f;
+            E[i][j] = 2.0f;
+        }
+    printf("unreached\n");
+    return 0;
+}
+`, false},
+		{"div-zero", `int K[64][64];
+int L[64][64];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++) {
+            K[i][j] = 100 / (i + j - 126);
+            L[i][j] = 2;
+        }
+    printf("unreached\n");
+    return 0;
+}
+`, false},
+		{"skewed-stencil-oob", `float A[64][64];
+float D[64][64];
+float E[64][64];
+int main(void) {
+    printf("start\n");
+    for (int i = 1; i < 64; i++)
+        for (int j = 1; j < 63; j++) {
+            A[i][j] = A[i - 1][j] + A[i][j - 1] + A[i - 1][j + 1] + D[i][j + 2];
+            E[i][j] = 2.0f;
+        }
+    printf("unreached\n");
+    return 0;
+}
+`, true},
+	}
+	for _, row := range rows {
+		for _, tr := range []transform.Options{{Tile: true}, {Skew: true}, {Tile: true, Skew: true}} {
+			tr.MinParallelTrip = -1
+			cfg := Config{FileName: "t.c", Parallelize: true, Transform: tr}
+			name := fmt.Sprintf("%s tile=%v skew=%v", row.name, tr.Tile, tr.Skew)
+			cold, err := Front(row.src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// The stencil's nest tiles only once it is skewed.
+			lr := cold.Report.Loops[0]
+			if lr.Tiled != (tr.Tile && (!row.skewed || tr.Skew)) || lr.Skewed != (row.skewed && tr.Skew) {
+				t.Fatalf("%s: tiled=%v skewed=%v, not what the row's transform does", name, lr.Tiled, lr.Skewed)
+			}
+			coldProg, err := cold.Compile(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			dir := t.TempDir()
+			writer, err := NewDiskCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key(row.src, cfg)
+			if err := writer.Store(key, cfg, cold); err != nil {
+				t.Fatalf("%s: store: %v", name, err)
+			}
+			reader, err := NewDiskCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, ok := reader.Load(row.src, key, cfg)
+			if !ok {
+				t.Fatalf("%s: the stored entry did not load", name)
+			}
+			restoredProg, err := restored.Compile(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			type outcome struct {
+				stdout string
+				ret    int64
+				trap   string
+			}
+			interpret := func(art *Artifact) outcome {
+				var out strings.Builder
+				in, err := interp.New(art.Info, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ret, err := in.RunMain()
+				trap := ""
+				if err != nil {
+					trap = strings.TrimPrefix(err.Error(), "interp ")
+				}
+				return outcome{out.String(), ret, trap}
+			}
+			run := func(prog *comp.Program) outcome {
+				out, ret, trap := runProgram(t, prog, 2)
+				return outcome{out, ret, trap}
+			}
+			want := interpret(cold)
+			if want.trap == "" || want.stdout != "start\n" {
+				t.Fatalf("%s: the interpreter ran %+v, want a trap after the first line", name, want)
+			}
+			for what, got := range map[string]outcome{
+				"fresh build": run(coldProg), "restored build": run(restoredProg),
+				"interp on the restored model": interpret(restored)} {
+				if got != want {
+					t.Errorf("%s: %s gives %+v, the interpreter %+v", name, what, got, want)
+				}
+			}
+		}
 	}
 }

@@ -17,12 +17,15 @@
 //
 // Per the paper, the chain restarts from the beginning on the transformed
 // source ("we start the GCC toolchain from the beginning with the program
-// file built at the end of our compiler pass"), which also guarantees the
-// executed program is exactly the printed artifact.
+// file built at the end of our compiler pass"), so the executed program
+// is exactly the printed artifact. Front parses once and keeps that
+// guarantee as an invariant: printing the transformed source places the
+// working tree where the text puts it, so the model it re-checks and
+// compiles is the tree parsing the artifact builds — the tree
+// DiskCache.Load does build — node for node and position for position.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -281,29 +284,27 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		for i, sc := range sres.SCoPs {
 			scop.RestoreCalls(sc, subs[i])
 		}
-		res.Stages.Transformed = ast.Print(file)
-	} else {
-		res.Stages.Marked = ast.Print(file)
-		res.Stages.Transformed = res.Stages.Marked
+	}
+	// Size hints: the generated loops and pragmas make Transformed about
+	// 1.4 times Marked, and lowering turns "pure " into "const ".
+	res.Stages.Transformed = ast.PrintPlaced(file, len(res.Stages.Marked)*3/2)
+	if !cfg.Parallelize {
+		res.Stages.Marked = res.Stages.Transformed
 	}
 
+	// Restart the chain on the generated file without parsing it: the
+	// print placed the working tree, so it is the tree parsing
+	// Transformed builds. It keeps the pure markers, which carry the
+	// inlining and vectorization facts GCC/ICC would rediscover from the
+	// const lowering plus static analysis. The parse's nesting limits
+	// still apply, since tiling adds loop levels.
+	if err := parser.CheckNesting(file); err != nil {
+		return nil, fmt.Errorf("parse: %v", err)
+	}
 	// PC-PosPro: lower pure to plain C and re-insert system includes.
-	// The working tree has served its purpose once Transformed is
-	// printed, so it is lowered in place.
-	StripPure(file)
-	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.Print(file), includes)
-
-	// Restart the chain on the generated file: re-parse and re-check so
-	// the Compile step starts from a fresh semantic model. The model
-	// keeps the pure markers (they carry the inlining and vectorization
-	// facts GCC/ICC would rediscover from the const lowering plus static
-	// analysis); Stages.Final is the plain-C artifact the paper's chain
-	// hands to GCC.
-	finalFile, err := parser.Parse(cfg.FileName, res.Stages.Transformed)
-	if err != nil {
-		return nil, reparseError("transformed source does not reparse", err)
-	}
-	finalInfo, err := sema.Check(finalFile)
+	// Stages.Final is the plain-C artifact the paper's chain hands to GCC.
+	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.PrintLowered(file, len(res.Stages.Transformed)*33/32), includes)
+	finalInfo, err := sema.Check(file)
 	if err != nil {
 		return nil, fmt.Errorf("internal: final source does not re-check: %v", err)
 	}
@@ -317,18 +318,6 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		res.Memoizable = append(res.Memoizable, name)
 	}
 	return res, nil
-}
-
-// reparseError reports a failed re-parse of the generated source. A
-// nesting limit is the source's fault, not the chain's: tiling adds
-// loop levels, so a nest near the limit can pass the first parse and
-// exceed it on the re-parse, and that fails as the same parse error.
-func reparseError(what string, err error) error {
-	var pe *parser.Error
-	if errors.As(err, &pe) && pe.TooDeep {
-		return fmt.Errorf("parse: %v", err)
-	}
-	return fmt.Errorf("internal: %s: %v", what, err)
 }
 
 // markBoundedStars transfers the analysis' bounds proofs onto the star
@@ -426,39 +415,19 @@ func Build(src string, cfg Config) (*Result, error) {
 // StripPure lowers the pure extension to plain C in place: pure pointer
 // qualifiers become const and the pure function modifier is removed —
 // the exact lowering of Sect. 3.2 ("The pointer prefixes are replaced
-// with the const keyword ... we remove the function prefix completely").
+// with the const keyword ... we remove the function prefix completely"),
+// by the rule ast.PrintLowered prints (ast.LowerPure).
 func StripPure(f *ast.File) {
-	strip := func(t *ast.TypeExpr) {
-		if t == nil {
-			return
-		}
-		if t.Pure {
-			// "pure T*" was normalized to both a type-level and an
-			// outermost-pointer-level qualifier; lower it to a single
-			// leading const ("const T*").
-			t.Pure = false
-			t.Const = true
-			if n := len(t.Ptrs); n > 0 && t.Ptrs[n-1].Pure {
-				t.Ptrs[n-1].Pure = false
-			}
-		}
-		for i := range t.Ptrs {
-			if t.Ptrs[i].Pure {
-				t.Ptrs[i].Pure = false
-				t.Ptrs[i].Const = true
-			}
-		}
-	}
 	ast.Walk(f, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncDecl:
 			x.Pure = false
-			strip(x.Ret)
-			for i := range x.Params {
-				strip(x.Params[i].Type)
-			}
 		case *ast.TypeExpr:
-			strip(x)
+			for i := range x.Ptrs {
+				x.Ptrs[i] = ast.PtrQual{Const: ast.LowerPure(x, i)}
+			}
+			x.Const = ast.LowerPure(x, -1)
+			x.Pure = false
 		}
 		return true
 	})

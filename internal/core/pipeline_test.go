@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -247,9 +248,10 @@ func TestCorpusUnderTileAndSkew(t *testing.T) {
 }
 
 // FuzzFront: any source goes through Front and Compile to an artifact
-// or an error, never a Go panic. mode picks tiling, skewing and the
-// backend. Nothing runs: a guest loop has no fuel yet, so while (1);
-// would hang the fuzzer.
+// or an error, never a Go panic, and the working tree of every artifact
+// is the tree its printed Transformed parses to (sameAsParse). mode
+// picks tiling, skewing and the backend. Nothing runs: a guest loop has
+// no fuel yet, so while (1); would hang the fuzzer.
 func FuzzFront(f *testing.F) {
 	for i, s := range apps.Corpus() {
 		var defs []string
@@ -262,12 +264,41 @@ func FuzzFront(f *testing.F) {
 	f.Add("\"\\", uint8(0))
 	f.Add("int f(void A){ return 0; } int main(void){ return 0; }", uint8(0))
 	f.Fuzz(func(t *testing.T, src string, mode uint8) {
-		cfg := Config{Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
+		cfg := Config{FileName: "t.c", Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
 			Transform: transform.Options{Tile: mode&1 != 0, Skew: mode&2 != 0}}
 		if art, err := Front(src, cfg); err == nil {
+			if err := sameAsParse(art, cfg.FileName); err != nil {
+				t.Fatal(err)
+			}
 			_, _ = art.Compile(cfg)
 		}
 	})
+}
+
+// TestFrontAllocationIsLinearInItsText: a modest source can print a
+// large Transformed — 10 000 statements under 120 nested blocks are
+// 107 KB of source and 4.9 MB of indented text — so what Front
+// allocates must be bounded by the text it prints. A re-parse of that
+// text (28 bytes of tokens per byte) and an indentation string per line
+// once put it at 52 times the text.
+func TestFrontAllocationIsLinearInItsText(t *testing.T) {
+	src := "int main(void) {\n    int x = 0;\n" + strings.Repeat("{", 120) + "\n" +
+		strings.Repeat("x = x + 1;\n", 10000) + strings.Repeat("}", 120) + "\n    return x;\n}\n"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	art, err := Front(src, Config{Parallelize: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := len(art.Stages.Transformed)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B of source, %d B of Transformed, Front allocated %d B (%.1f× the text)",
+		len(src), text, alloc, float64(alloc)/float64(text))
+	if alloc > 16*uint64(text) {
+		t.Errorf("Front allocated %d B for %d B of Transformed, budget 16× the text", alloc, text)
+	}
 }
 
 // A nest at the statement-nesting limit passes the first parse; tiling

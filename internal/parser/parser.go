@@ -47,14 +47,14 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parse parses a complete translation unit. file names the source for
 // positions; src must already be preprocessed except for #pragma lines.
+// The parser pulls its tokens from the lexer as it goes; a lexical error
+// anywhere in src is reported in place of a parse error.
 func Parse(file, src string) (*ast.File, error) {
-	lx := lexer.New(file, src)
-	toks := lx.ScanAll()
-	if err := lx.Errors().Err(); err != nil {
+	p := newParser(file, src)
+	f, err := p.parseFile()
+	if err := p.lexErr(); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, file: file}
-	f, err := p.parseFile()
 	if err != nil {
 		return nil, err
 	}
@@ -64,26 +64,29 @@ func Parse(file, src string) (*ast.File, error) {
 // ParseExpr parses a single expression (used by tests and the bench
 // harness for parameter expressions).
 func ParseExpr(src string) (ast.Expr, error) {
-	lx := lexer.New("<expr>", src)
-	toks := lx.ScanAll()
-	if err := lx.Errors().Err(); err != nil {
+	p := newParser("<expr>", src)
+	e, err := p.expr()
+	if err == nil && p.kind() != token.EOF {
+		err = p.errorf("unexpected %s after expression", p.tok())
+	}
+	if err := p.lexErr(); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, file: "<expr>"}
-	e, err := p.expr()
 	if err != nil {
 		return nil, err
-	}
-	if p.tok().Kind != token.EOF {
-		return nil, p.errorf("unexpected %s after expression", p.tok())
 	}
 	return e, nil
 }
 
 type parser struct {
-	toks []token.Token
-	pos  int
-	file string
+	lx *lexer.Lexer
+	// ring holds the tokens from pos on, token i at ring[i&(ringSize-1)];
+	// scanned counts the tokens taken from the lexer. The grammar looks
+	// at most two tokens ahead and never backs up, so no token before
+	// pos is kept.
+	ring         [ringSize]token.Token
+	pos, scanned int
+	file         string
 
 	// structTags collects struct names declared so far so that
 	// "struct x" type references can be validated early.
@@ -94,23 +97,72 @@ type parser struct {
 	stmtDepth, exprDepth int
 }
 
-func (p *parser) tok() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
+// ringSize is how many tokens the parser buffers, a power of two. The
+// ring is refilled a run of tokens at a time: pulling them one by one
+// costs a call per token, about a tenth of the parse.
+const ringSize = 16
+
+func newParser(file, src string) *parser {
+	return &parser{lx: lexer.New(file, src), file: file}
 }
 
+// lexErr scans the rest of the source and returns its lexical errors.
+func (p *parser) lexErr() error {
+	for p.ahead(0).Kind != token.EOF {
+		p.pos++
+	}
+	return p.lx.Errors().Err()
+}
+
+// fill scans tokens into the free slots of the ring, stopping after EOF.
+func (p *parser) fill() {
+	for p.scanned < p.pos+ringSize {
+		if p.scanned > 0 && p.ring[(p.scanned-1)&(ringSize-1)].Kind == token.EOF {
+			return
+		}
+		p.ring[p.scanned&(ringSize-1)] = p.lx.Scan()
+		p.scanned++
+	}
+}
+
+// ahead returns the token i places after the current one (i <= 2); past
+// the end of the source it is the EOF token.
+func (p *parser) ahead(i int) token.Token {
+	if p.scanned <= p.pos+i {
+		p.fill()
+		if p.scanned <= p.pos+i {
+			return p.ring[(p.scanned-1)&(ringSize-1)]
+		}
+	}
+	return p.ring[(p.pos+i)&(ringSize-1)]
+}
+
+func (p *parser) tok() token.Token {
+	if p.scanned > p.pos {
+		return p.ring[p.pos&(ringSize-1)]
+	}
+	return p.ahead(0)
+}
+
+// kind is tok().Kind without copying the token.
+func (p *parser) kind() token.Kind {
+	if p.scanned > p.pos {
+		return p.ring[p.pos&(ringSize-1)].Kind
+	}
+	return p.ahead(0).Kind
+}
+
+func (p *parser) peek() token.Token { return p.ahead(1) }
+
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.tok()
 	if t.Kind != token.EOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *parser) at(k token.Kind) bool { return p.tok().Kind == k }
+func (p *parser) at(k token.Kind) bool { return p.kind() == k }
 
 func (p *parser) accept(k token.Kind) bool {
 	if p.at(k) {
@@ -140,9 +192,14 @@ func (p *parser) deeper() error {
 	return nil
 }
 
-// tooDeep is the error of a nesting limit.
+// tooDeep is the error of a nesting limit at the current token.
 func (p *parser) tooDeep(what string, limit int) error {
-	return &Error{Pos: p.tok().Pos, Msg: fmt.Sprintf("%s nesting exceeds %d levels", what, limit), TooDeep: true}
+	return tooDeep(p.tok().Pos, what, limit)
+}
+
+// tooDeep is the error of a nesting limit at pos.
+func tooDeep(pos token.Pos, what string, limit int) error {
+	return &Error{Pos: pos, Msg: fmt.Sprintf("%s nesting exceeds %d levels", what, limit), TooDeep: true}
 }
 
 // ----------------------------------------------------------------------------
@@ -164,7 +221,7 @@ func (p *parser) parseFile() (*ast.File, error) {
 }
 
 func (p *parser) topDecl() (ast.Decl, error) {
-	switch p.tok().Kind {
+	switch p.kind() {
 	case token.PRAGMA:
 		t := p.next()
 		return &ast.PragmaDecl{PragmaPos: t.Pos, Text: t.Lit}, nil
@@ -175,7 +232,7 @@ func (p *parser) topDecl() (ast.Decl, error) {
 		// Either a struct declaration "struct X { ... };" or a variable
 		// of struct type "struct X v;".
 		if p.peek().Kind == token.IDENT {
-			if p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == token.LBRACE {
+			if p.ahead(2).Kind == token.LBRACE {
 				return p.structDecl()
 			}
 		}
@@ -291,7 +348,7 @@ func normalizePure(t *ast.TypeExpr) {
 // declModifiers consumes leading pure/static/inline/extern modifiers.
 func (p *parser) declModifiers() (pure, static, inline bool) {
 	for {
-		switch p.tok().Kind {
+		switch p.kind() {
 		case token.PURE:
 			// pure directly before a base type: function purity or
 			// pure-qualified declaration (disambiguated by typeExpr).
@@ -403,7 +460,7 @@ func (p *parser) funcRest(ret *ast.TypeExpr, name token.Token, static, inline bo
 
 // isTypeStart reports whether the current token can begin a type.
 func (p *parser) isTypeStart() bool {
-	switch p.tok().Kind {
+	switch p.kind() {
 	case token.VOID, token.CHAR, token.SHORT, token.INT, token.LONG,
 		token.FLOAT, token.DOUBLE, token.UNSIGNED, token.SIGNED,
 		token.STRUCT, token.CONST:
@@ -450,7 +507,7 @@ func (p *parser) baseTypeExpr() (*ast.TypeExpr, error) {
 		}
 		break
 	}
-	switch p.tok().Kind {
+	switch p.kind() {
 	case token.VOID:
 		p.next()
 		t.Base = ast.Void
@@ -565,7 +622,7 @@ func (p *parser) blockStmt() (*ast.BlockStmt, error) {
 }
 
 func (p *parser) stmt() (ast.Stmt, error) {
-	switch p.tok().Kind {
+	switch p.kind() {
 	case token.LBRACE, token.IF, token.FOR, token.WHILE, token.DO, token.SWITCH:
 		if p.stmtDepth == MaxStmtDepth {
 			return nil, p.tooDeep("statement", MaxStmtDepth)
@@ -627,7 +684,7 @@ func (p *parser) stmt() (ast.Stmt, error) {
 
 // compoundStmt parses a statement that contains statements.
 func (p *parser) compoundStmt() (ast.Stmt, error) {
-	switch p.tok().Kind {
+	switch p.kind() {
 	case token.IF:
 		return p.ifStmt()
 	case token.FOR:
@@ -852,7 +909,7 @@ func (p *parser) assignExpr() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok().Kind.IsAssignOp() {
+	if p.kind().IsAssignOp() {
 		op := p.next().Kind
 		depth := p.exprDepth
 		if err := p.deeper(); err != nil {
@@ -904,7 +961,7 @@ func (p *parser) binExpr(minPrec int) (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.tok().Kind
+		op := p.kind()
 		prec := op.Precedence()
 		if prec < minPrec || prec == 0 {
 			return lhs, nil
@@ -1017,13 +1074,13 @@ func (p *parser) postfixExpr() (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		switch p.tok().Kind {
+		switch p.kind() {
 		case token.LBRACK, token.LPAREN, token.DOT, token.ARROW, token.INC, token.DEC:
 			if err := p.deeper(); err != nil {
 				return nil, err
 			}
 		}
-		switch p.tok().Kind {
+		switch p.kind() {
 		case token.LBRACK:
 			p.next()
 			idx, err := p.expr()

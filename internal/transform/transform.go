@@ -483,7 +483,7 @@ func substPrivates(sc *scop.SCoP) []ast.Stmt {
 			ast.RewriteExpr(s, func(e ast.Expr) ast.Expr {
 				if id, ok := e.(*ast.Ident); ok {
 					if r, ok2 := repl[id.Name]; ok2 {
-						return &ast.ParenExpr{X: cloneExpr(r)}
+						return &ast.ParenExpr{X: ast.CloneExpr(r)}
 					}
 				}
 				return e
@@ -501,29 +501,6 @@ func substPrivates(sc *scop.SCoP) []ast.Stmt {
 		out = append(out, s)
 	}
 	return out
-}
-
-// cloneExpr deep-copies the expression forms an affine initializer can
-// contain, so each substituted use site owns its nodes. Other forms
-// cannot appear in an affine initializer; they are returned shared as a
-// harmless fallback (the transformed source is printed and re-parsed,
-// which deduplicates).
-func cloneExpr(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case *ast.Ident:
-		c := *x
-		return &c
-	case *ast.IntLit:
-		c := *x
-		return &c
-	case *ast.ParenExpr:
-		return &ast.ParenExpr{X: cloneExpr(x.X), LPos: x.LPos}
-	case *ast.BinaryExpr:
-		return &ast.BinaryExpr{X: cloneExpr(x.X), Op: x.Op, Y: cloneExpr(x.Y)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, OpPos: x.OpPos, X: cloneExpr(x.X)}
-	}
-	return e
 }
 
 // ompPragma builds the OpenMP directive for the parallel loop: the inner

@@ -75,6 +75,8 @@ type Result struct {
 	Alias *AliasResult
 	safe  map[ast.Expr]bool
 	notes map[ast.Expr]string
+	// walks counts the interval walks over the program.
+	walks int
 }
 
 // Proven reports whether the index expression was proven in-bounds for
@@ -131,6 +133,8 @@ type analyzer struct {
 
 	declToSym      map[*ast.VarDecl]*sema.Symbol
 	uninitReported map[*sema.Symbol]bool
+	// assigned memoizes assignedSyms per statement or expression.
+	assigned map[ast.Node]assignSet
 
 	contentChanged bool
 	changed        map[*sema.Symbol]bool
@@ -138,6 +142,38 @@ type analyzer struct {
 
 // Analyze runs the value-range analysis over the checked program.
 func Analyze(info *sema.Info) *Result {
+	a := newAnalyzer(info)
+	// Array contents feed other arrays' contents (idx2[i] = idx[i]), so
+	// collecting iterates to a fixpoint; anything still widening after a
+	// few rounds is poisoned to unbounded. Every round after the first
+	// also proves: a round that changed no content saw the final
+	// contents throughout, so its findings, notes and proofs stand. A
+	// round that changed some is discarded, and only a poisoning needs a
+	// walk that proves alone.
+	for round := 0; ; round++ {
+		prove := round > 0
+		a.contentChanged = false
+		a.changed = map[*sema.Symbol]bool{}
+		a.walkAll(true, prove)
+		if !a.contentChanged && prove {
+			break
+		}
+		if prove {
+			a.res.Findings = a.res.Findings[:0]
+			clear(a.res.safe)
+			clear(a.res.notes)
+			clear(a.uninitReported)
+		}
+		if a.contentChanged && round >= 2 {
+			a.poison()
+			a.walkAll(false, true)
+			break
+		}
+	}
+	return a.finish()
+}
+
+func newAnalyzer(info *sema.Info) *analyzer {
 	a := &analyzer{
 		info:           info,
 		res:            &Result{safe: map[ast.Expr]bool{}, notes: map[ast.Expr]string{}},
@@ -150,27 +186,23 @@ func Analyze(info *sema.Info) *Result {
 		declToSym:      map[*ast.VarDecl]*sema.Symbol{},
 		uninitReported: map[*sema.Symbol]bool{},
 		changed:        map[*sema.Symbol]bool{},
+		assigned:       map[ast.Node]assignSet{},
 	}
 	a.collectFacts()
 	a.alias = a.analyzeAliases()
-	// Array contents feed other arrays' contents (idx2[i] = idx[i]), so
-	// the collect pass iterates to a fixpoint; anything still widening
-	// after a few rounds is poisoned to unbounded.
-	for round := 0; ; round++ {
-		a.contentChanged = false
-		a.changed = map[*sema.Symbol]bool{}
-		a.walkAll(false)
-		if !a.contentChanged {
-			break
-		}
-		if round >= 2 {
-			for sym := range a.changed {
-				a.content[sym] = Top()
-			}
-			break
-		}
+	return a
+}
+
+// poison sets every content the last round still widened to unbounded.
+func (a *analyzer) poison() {
+	for sym := range a.changed {
+		a.content[sym] = Top()
 	}
-	a.walkAll(true)
+}
+
+// finish adds the dead-code findings and orders the findings by
+// position.
+func (a *analyzer) finish() *Result {
 	a.deadCode()
 	a.res.Alias = a.alias
 	sort.SliceStable(a.res.Findings, func(i, j int) bool {
@@ -528,13 +560,17 @@ func (a *analyzer) widenContent(sym *sema.Symbol, iv Interval) {
 // ----------------------------------------------------------------------------
 // Per-function interval walk
 
-func (a *analyzer) walkAll(prove bool) {
+// walkAll walks every function body once: collect widens the index
+// array contents, prove records findings, notes and proofs.
+func (a *analyzer) walkAll(collect, prove bool) {
+	a.res.walks++
 	for _, fd := range a.info.File.Funcs() {
 		if fd.Body == nil {
 			continue
 		}
 		w := &walker{
 			a:       a,
+			collect: collect,
 			prove:   prove,
 			env:     map[*sema.Symbol]Interval{},
 			written: map[*sema.Symbol]bool{},
@@ -547,6 +583,7 @@ func (a *analyzer) walkAll(prove bool) {
 
 type walker struct {
 	a       *analyzer
+	collect bool
 	prove   bool
 	env     map[*sema.Symbol]Interval
 	written map[*sema.Symbol]bool
@@ -557,7 +594,7 @@ type walker struct {
 }
 
 func (w *walker) branch() *walker {
-	c := &walker{a: w.a, prove: w.prove,
+	c := &walker{a: w.a, collect: w.collect, prove: w.prove,
 		env:     make(map[*sema.Symbol]Interval, len(w.env)),
 		written: make(map[*sema.Symbol]bool, len(w.written)),
 		refine:  make(map[string]Interval, len(w.refine)),
@@ -688,17 +725,37 @@ func (w *walker) havocGlobals() {
 	w.clearRefines()
 }
 
+// assignSet is what a statement may assign: the symbols, and whether it
+// calls an impure function.
+type assignSet struct {
+	syms   map[*sema.Symbol]bool
+	impure bool
+}
+
+// assignedSyms returns what n may assign. It is computed once per node
+// per analysis, and a loop inside n contributes the memoized set of its
+// body, so nested loops are not walked again for each enclosing one.
 func (w *walker) assignedSyms(n ast.Node) (map[*sema.Symbol]bool, bool) {
-	out := map[*sema.Symbol]bool{}
-	impure := false
+	if s, ok := w.a.assigned[n]; ok {
+		return s.syms, s.impure
+	}
+	s := assignSet{syms: map[*sema.Symbol]bool{}}
 	add := func(e ast.Expr) {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 			if sym := w.a.info.Ref[id]; sym != nil {
-				out[sym] = true
+				s.syms[sym] = true
 			}
 		}
 	}
-	ast.Walk(n, func(m ast.Node) bool {
+	body := func(b ast.Stmt) {
+		syms, impure := w.assignedSyms(b)
+		for sym := range syms {
+			s.syms[sym] = true
+		}
+		s.impure = s.impure || impure
+	}
+	var visit ast.Visitor
+	visit = func(m ast.Node) bool {
 		switch x := m.(type) {
 		case *ast.AssignExpr:
 			add(x.LHS)
@@ -710,17 +767,33 @@ func (w *walker) assignedSyms(n ast.Node) (map[*sema.Symbol]bool, bool) {
 			add(x.X)
 		case *ast.VarDecl:
 			if sym := w.a.declToSym[x]; sym != nil {
-				out[sym] = true
+				s.syms[sym] = true
 			}
 		case *ast.CallExpr:
 			sig := w.a.info.Funcs[x.Fun.Name]
 			if sig == nil || !sig.Pure {
-				impure = true
+				s.impure = true
 			}
+		case *ast.ForStmt:
+			ast.Walk(x.Init, visit)
+			ast.Walk(x.Cond, visit)
+			ast.Walk(x.Post, visit)
+			body(x.Body)
+			return false
+		case *ast.WhileStmt:
+			ast.Walk(x.Cond, visit)
+			body(x.Body)
+			return false
+		case *ast.DoStmt:
+			body(x.Body)
+			ast.Walk(x.Cond, visit)
+			return false
 		}
 		return true
-	})
-	return out, impure
+	}
+	ast.Walk(n, visit)
+	w.a.assigned[n] = s
+	return s.syms, s.impure
 }
 
 // ----------------------------------------------------------------------------
@@ -870,7 +943,7 @@ func (w *walker) forStmt(x *ast.ForStmt) {
 		}
 		w.havoc(x.Body, nil)
 		if x.Post != nil {
-			w.havoc(&ast.ExprStmt{X: x.Post}, nil)
+			w.havoc(x.Post, nil)
 		}
 		if x.Cond != nil {
 			w.deadGuard(x.Cond)
@@ -1253,7 +1326,7 @@ func (w *walker) incDec(target ast.Expr, op token.Kind) Interval {
 	case *ast.IndexExpr:
 		iv := w.access(t, true)
 		if id, _ := chainOf(t); id != nil {
-			if sym := w.a.info.Ref[id]; sym != nil && !w.prove {
+			if sym := w.a.info.Ref[id]; sym != nil && w.collect {
 				w.a.widenContent(sym, Top())
 			}
 		}
@@ -1302,7 +1375,7 @@ func (w *walker) assign(x *ast.AssignExpr) Interval {
 	case *ast.IndexExpr:
 		w.access(l, true)
 		if id, subs := chainOf(l); id != nil {
-			if sym := w.a.info.Ref[id]; sym != nil && !w.prove && fullAccess(sym, subs, w.a) {
+			if sym := w.a.info.Ref[id]; sym != nil && w.collect && fullAccess(sym, subs, w.a) {
 				if x.Op == token.ASSIGN {
 					w.a.widenContent(sym, rhs)
 				} else {
