@@ -173,6 +173,32 @@ func Assignments(n Node) []*AssignExpr {
 	return out
 }
 
+// Update normalises an update expression to `lhs op= rhs`: op is
+// token.ASSIGN for a plain store and the binary operator of a compound
+// one; x++ and ++x are x += 1, x-- and --x are x -= 1, with a nil rhs.
+// lhs is nil when e is no assignment, increment or decrement.
+func Update(e Expr) (lhs Expr, op token.Kind, rhs Expr) {
+	var step token.Kind
+	switch u := e.(type) {
+	case *AssignExpr:
+		if bin, compound := u.Op.AssignBinOp(); compound {
+			return u.LHS, bin, u.RHS
+		}
+		return u.LHS, token.ASSIGN, u.RHS
+	case *PostfixExpr:
+		lhs, step = u.X, u.Op
+	case *UnaryExpr:
+		lhs, step = u.X, u.Op
+	}
+	switch step {
+	case token.INC:
+		return lhs, token.ADD, nil
+	case token.DEC:
+		return lhs, token.SUB, nil
+	}
+	return nil, 0, nil
+}
+
 // MinMaxUpdate matches the canonical guarded min/max accumulator
 // update statements with a plain scalar accumulator:
 //

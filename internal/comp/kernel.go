@@ -30,10 +30,11 @@ package comp
 //     distance rule, so one that an operand can read (x[3] += x[k], a
 //     histogram whose target is its own index array) runs element by
 //     element, written through every iteration;
-//  5. an integer division or modulo by zero, and a gathered load
-//     outside its array, trap with the dispatch loop's message, after
-//     exactly the cells the dispatch loop would have written (replay,
-//     strip.go).
+//  5. an integer division or modulo by zero, a gathered load outside
+//     its array, and an affine operand that runs off its array (its
+//     hoisted range check fails) trap with the dispatch loop's message,
+//     after exactly the cells the dispatch loop would have written
+//     (replay, strip.go).
 //
 // Recognition (match.go) classifies the statement by its sink and
 // compiles the value the sink consumes to a small postfix tape over
@@ -97,10 +98,11 @@ type fusedKernel struct {
 	store kAccess // sinkStore
 	// acc is the frame slot of a fold's accumulator, or cellX its
 	// iterator-invariant memory cell, whose address the launch computes
-	// into register cell.
+	// into register cell. inv is the first register of the invariants.
 	acc   int
 	cellX ast.Expr
 	cell  int32
+	inv   int32
 	// gat is the data-dependent array: the source of the opGather load,
 	// or the scatter target, which op updates.
 	gat kGather
@@ -115,10 +117,11 @@ type fusedKernel struct {
 	// operand, and likewise for invX. gatX is the node the classifier
 	// matched as the gathered load.
 	invX  []ast.Expr
-	inv   int32
 	loadX []ast.Expr
 	gatX  ast.Expr
 	tape  []kOp
+	// run is the launch function emit selected.
+	run kernRun
 
 	prog []stripOp
 	regs int     // columns the program uses
@@ -131,6 +134,10 @@ type fusedKernel struct {
 	sink       uint8
 	f32        bool // the sink rounds through float32: its C type is 4 bytes
 	float      bool // element kind of the program (and of every load)
+	// rmw marks a compound store Y[i] op= rhs: the tape's first load
+	// reads the store's own cell, which the dispatch loop reads after
+	// the right side.
+	rmw bool
 }
 
 // maxTapeDepth bounds the evaluation stack a tape may need: the
@@ -399,15 +406,17 @@ const strideAny = -1
 // prepFrame reads everything loop-invariant from the launch registers:
 // the sink's target and the operand ranges (one check each), the strip
 // length their overlap allows, invariant scalars, the sink's rounding
-// mode.
+// mode. When an operand runs off its array it does not return: the
+// launch replays (replay, strip.go).
 func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
+	inside := int64(fr.n) // leading elements whose operands lie in their arrays
 	var st kspan
 	ss := k.store.stride
 	switch {
 	case k.sink == sinkStore:
 		st = k.store.span(e, lo, hi)
-		k.store.cells(st, &fr.dst)
+		inside = k.store.cells(st, &fr.dst, inside)
 	case k.cellX != nil:
 		// The accumulator cell is a store of stride 0, at every element.
 		p := e.P[k.cell]
@@ -432,13 +441,16 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	}
 	for i := range k.loads {
 		ld := k.loads[i].span(e, lo, hi)
-		k.loads[i].cells(ld, &fr.loads[i])
+		inside = k.loads[i].cells(ld, &fr.loads[i], inside)
 		fr.strip = min(fr.strip, hazard(st, ss, ld, k.loads[i].stride))
 	}
 	if k.floatInvs() {
 		copy(fr.invF[:], e.F[k.inv:int(k.inv)+len(k.invX)])
 	} else {
 		copy(fr.invI[:], e.I[k.inv:int(k.inv)+len(k.invX)])
+	}
+	if inside < int64(fr.n) {
+		k.replay(e, fr, lo+inside)
 	}
 }
 

@@ -129,7 +129,7 @@ func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 	if !ok {
 		return lk
 	}
-	lhs, op, rhs := updateOf(es.X)
+	lhs, op, rhs := ast.Update(es.X)
 	if lhs == nil {
 		return lk
 	}
@@ -160,31 +160,6 @@ func (fc *funcCompiler) matchLoop(x *ast.ForStmt) loopKernel {
 		fc.matchHist(&lk, lhs, op, rhs)
 	}
 	return lk
-}
-
-// updateOf normalises the loop's expression statement to `lhs op= rhs`:
-// op is ASSIGN for a plain store and the binary operator of a compound
-// one; x++ and --x are x += 1 with a nil rhs.
-func updateOf(e ast.Expr) (lhs ast.Expr, op token.Kind, rhs ast.Expr) {
-	var step token.Kind
-	switch u := e.(type) {
-	case *ast.AssignExpr:
-		if bin, compound := u.Op.AssignBinOp(); compound {
-			return u.LHS, bin, u.RHS
-		}
-		return u.LHS, token.ASSIGN, u.RHS
-	case *ast.PostfixExpr:
-		lhs, step = u.X, u.Op
-	case *ast.UnaryExpr:
-		lhs, step = u.X, u.Op
-	}
-	switch step {
-	case token.INC:
-		return lhs, token.ADD, nil
-	case token.DEC:
-		return lhs, token.SUB, nil
-	}
-	return nil, 0, nil
 }
 
 // singleStmt unwraps a body that consists of exactly one statement.
@@ -219,7 +194,7 @@ func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, r
 	if op == token.ASSIGN {
 		ok = fc.buildTape(k, rhs, lk.iterSym)
 	} else if code, isOp := tapeOp(op, k.float); isOp {
-		k.loads, k.loadX = append(k.loads, store), append(k.loadX, nil)
+		k.loads, k.loadX, k.rmw = append(k.loads, store), append(k.loadX, nil), true
 		ok = k.push(kOp{code: opLoad}) && fc.buildTape(k, rhs, lk.iterSym) && k.push(kOp{code: code})
 	}
 	if ok {
@@ -841,11 +816,13 @@ func (a *kAccess) span(e *env, lo, hi int64) kspan {
 	return kspan{seg: p.Seg, first: off + a.stride*lo, last: off + a.stride*hi}
 }
 
-// cells range-checks a located operand — the hoisted per-launch check,
-// which traps as a runtime error like the dispatch loop's per-access
-// checks — and hands its raw cells to the zeroed frame slot s.
-func (a *kAccess) cells(sp kspan, s *kslice) {
+// cells range-checks a located operand — the hoisted per-launch check —
+// and hands its raw cells to the zeroed frame slot s. It returns
+// inside, or fewer when the operand runs off its array after fewer
+// leading elements; a freed segment traps.
+func (a *kAccess) cells(sp kspan, s *kslice, inside int64) int64 {
 	s.stride = int(a.stride)
+	var err error
 	switch {
 	case a.trusted && a.float:
 		// The range check was discharged at compile time (see the
@@ -854,16 +831,23 @@ func (a *kAccess) cells(sp kspan, s *kslice) {
 	case a.trusted:
 		s.i = sp.seg.TrustedIntRange(sp.first, sp.last+1)
 	case a.float:
-		xs, err := sp.seg.FloatRange(sp.first, sp.last+1)
-		if err != nil {
-			rtPanic("%v", err)
-		}
-		s.f = xs
+		s.f, err = sp.seg.FloatRange(sp.first, sp.last+1)
 	default:
-		xs, err := sp.seg.IntRange(sp.first, sp.last+1)
-		if err != nil {
-			rtPanic("%v", err)
-		}
-		s.i = xs
+		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
 	}
+	if err == nil {
+		return inside
+	}
+	if sp.seg.Freed() {
+		rtPanic("%v", err)
+	}
+	n := int64(len(sp.seg.I))
+	if a.float {
+		n = int64(len(sp.seg.F))
+	}
+	if sp.first < 0 || sp.first >= n {
+		return 0
+	}
+	// The first cell lies inside, so the stride is positive.
+	return min(inside, (n-1-sp.first)/a.stride+1)
 }

@@ -66,8 +66,8 @@ func (p *Program) NewPool(opts PoolOptions) *ProcessPool {
 
 // Get returns a Process in the program's initial state: an idle pooled
 // Process reset in place when one is available, a fresh arena-backed
-// Process otherwise. The caller runs it sequentially and returns it
-// with Put.
+// Process otherwise (Process.Reused tells which). The caller runs it
+// sequentially and returns it with Put.
 func (pl *ProcessPool) Get() (*Process, error) {
 	pl.mu.Lock()
 	var proc *Process
@@ -83,6 +83,7 @@ func (pl *ProcessPool) Get() (*Process, error) {
 			pl.mu.Lock()
 			pl.reuses++
 			pl.mu.Unlock()
+			proc.reused = true
 			return proc, nil
 		}
 		// A Process that cannot reset is discarded; fall through to a

@@ -63,6 +63,8 @@ type Process struct {
 	// parallel regions are race-free (sequentially the CAS never
 	// retries, keeping the LCG stream deterministic).
 	randState atomic.Uint64
+	// reused records how ProcessPool.Get handed the Process out.
+	reused bool
 }
 
 // nextRand advances the deterministic LCG and returns the C rand()
@@ -123,6 +125,10 @@ func (p *Process) SetTeam(t *rt.Team) { p.team = t }
 
 // Team returns the worker team the process runs parallel regions on.
 func (p *Process) Team() *rt.Team { return p.team }
+
+// Reused reports whether ProcessPool.Get handed out this Process reset
+// from an earlier run rather than fresh.
+func (p *Process) Reused() bool { return p.reused }
 
 // SetStdout redirects printf output (between runs).
 func (p *Process) SetStdout(w io.Writer) {

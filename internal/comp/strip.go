@@ -34,7 +34,10 @@ package comp
 //     outside its array stores nothing and is re-run at strip length 1,
 //     where the trapping op traps, so the cells written before the trap
 //     and the message (the first trapping op of the first trapping
-//     element) are the dispatch loop's.
+//     element) are the dispatch loop's. A launch whose affine operand
+//     runs off its array runs the elements before that as usual and
+//     the first one outside alone, through the segments' own slices
+//     (fusedKernel.replay).
 
 import (
 	"math/bits"
@@ -205,11 +208,19 @@ func (k *fusedKernel) lower() bool {
 
 // emit selects the kernel body — nil when the tape exceeds a bound of
 // the evaluator — and drops what only recognition needed: the launch
-// function keeps k alive for as long as the Program lives.
+// function keeps k alive for as long as the Program lives. The tape
+// stays for replay when an operand's range check can fail.
 func (k *fusedKernel) emit() kernRun {
-	run := k.body()
-	k.tape, k.loadX, k.gatX = nil, nil, nil
-	return run
+	k.run = k.body()
+	k.loadX, k.gatX = nil, nil
+	checked := k.sink == sinkStore && !k.store.trusted
+	for _, a := range k.loads {
+		checked = checked || !a.trusted
+	}
+	if !checked {
+		k.tape = nil
+	}
+	return k.run
 }
 
 // body is a specialized loop for the few shapes that have one,
@@ -628,6 +639,85 @@ func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGa
 		d[i] = src[cell]
 	}
 	return true
+}
+
+// replay finishes a launch at element t, the first whose affine operand
+// lies outside its array, after running the elements before it: it
+// evaluates t alone the way the dispatch loop does — in the tape's
+// order, except that a compound store reads its own cell after the
+// right side, loads and the store through the segments' own slices —
+// so t traps with the dispatch loop's message, at its first trapping
+// op.
+func (k *fusedKernel) replay(e *env, fr *kframe, t int64) {
+	if t > fr.lo {
+		k.run(e, fr.lo, t-1)
+	}
+	var fs [maxTapeDepth][1]float64
+	var is [maxTapeDepth][1]int64
+	load := func(a *kAccess, at int) {
+		sp := a.span(e, t, t)
+		if a.float {
+			fs[at][0] = sp.seg.F[sp.first]
+		} else {
+			is[at][0] = sp.seg.I[sp.first]
+		}
+	}
+	n := 0
+	for i, op := range k.tape {
+		if k.rmw && i == len(k.tape)-1 {
+			load(&k.store, 0)
+		}
+		switch op.code {
+		case opLoad:
+			if !k.rmw || i > 0 {
+				load(&k.loads[op.arg], n)
+			}
+			n++
+		case opInv:
+			fs[n][0], is[n][0] = fr.invF[op.arg], fr.invI[op.arg]
+			n++
+		case opIter, opIterF:
+			fs[n][0], is[n][0] = float64(t), t
+			n++
+		case opGather:
+			load(&k.loads[op.arg], n)
+			ix := kslice{i: is[n][:]}
+			if k.float {
+				gatherIdx(fs[n][:], fr.gat.Seg.F, fr.gat.Off, ix, 0, &k.gat)
+			} else {
+				gatherIdx(is[n][:], fr.gat.Seg.I, fr.gat.Off, ix, 0, &k.gat)
+			}
+			n++
+		case opNeg:
+			fs[n-1][0], is[n-1][0] = -fs[n-1][0], -is[n-1][0]
+		case opNot:
+			is[n-1][0] = ^is[n-1][0]
+		case opRound:
+			fs[n-1][0] = float64(float32(fs[n-1][0]))
+		default:
+			n--
+			switch {
+			case k.float:
+				arith(op.code, formVV, fs[n-1][:], fs[n-1][:], fs[n][:], 0)
+			case op.code == opQuo && is[n][0] == 0:
+				rtPanic("integer division by zero")
+			case op.code == opRem && is[n][0] == 0:
+				rtPanic("integer modulo by zero")
+			case op.code <= opQuo:
+				arith(op.code, formVV, is[n-1][:], is[n-1][:], is[n][:], 0)
+			default:
+				intStrip(op.code, formVV, is[n-1][:], is[n-1][:], is[n][:], 0)
+			}
+		}
+	}
+	// Only a store can be the operand outside when the right side was
+	// not: the sink of every other kernel is no affine operand.
+	sp := k.store.span(e, t, t)
+	if k.float {
+		sp.seg.F[sp.first] = fs[0][0]
+	} else {
+		sp.seg.I[sp.first] = is[0][0]
+	}
 }
 
 func iterStrip[T int64 | float64](d []T, first int64) {

@@ -330,13 +330,14 @@ func TestDiskCacheRollOverFromV1(t *testing.T) {
 // nodes transform synthesized — reads the same in a fresh build, in a
 // build restored from a disk entry (which re-parses the printed text),
 // and in the interpreter on either model: same stdout, same return,
-// byte-identical trap text. The bodies hold two statements so the
-// nests run on the tape, not as fused kernels, whose hoisted range
-// check has a text of its own.
+// byte-identical trap text. The two-statement bodies run on the tape;
+// the fused rows' inner loops are kernels whose operand runs off its
+// array, on 1- and 2-worker teams, and built sequentially, where the
+// globals they stored before the trap must be interp's too.
 func TestTransformedNestTrapsAgree(t *testing.T) {
 	rows := []struct {
-		name, src string
-		skewed    bool
+		name, src     string
+		skewed, fused bool
 	}{
 		{"oob-read", `float B[4096];
 float C[64][64];
@@ -351,7 +352,7 @@ int main(void) {
     printf("unreached\n");
     return 0;
 }
-`, false},
+`, false, false},
 		{"div-zero", `int K[64][64];
 int L[64][64];
 int main(void) {
@@ -364,7 +365,7 @@ int main(void) {
     printf("unreached\n");
     return 0;
 }
-`, false},
+`, false, false},
 		{"skewed-stencil-oob", `float A[64][64];
 float D[64][64];
 float E[64][64];
@@ -378,10 +379,107 @@ int main(void) {
     printf("unreached\n");
     return 0;
 }
-`, true},
+`, true, false},
+		{"fused-float-map", `float B[4096];
+float C[64][64];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            C[i][j] = B[i * 64 + j + 1] * 2.0f + 1.0f;
+    printf("unreached\n");
+    return 0;
+}
+`, false, true},
+		{"fused-int-sum", `int K[4096];
+int main(void) {
+    int s = 0;
+    printf("start\n");
+    for (int i = 0; i < 4096; i++)
+        K[i] = i % 7;
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            s += K[i * 64 + j + 1];
+    printf("unreached %d\n", s);
+    return 0;
+}
+`, false, true},
+		{"fused-min-fold", `int K[4096];
+int main(void) {
+    int m = 1000;
+    printf("start\n");
+    for (int i = 0; i < 4096; i++)
+        K[i] = 4096 - i;
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            if (K[i * 64 + j + 1] < m) m = K[i * 64 + j + 1];
+    printf("unreached %d\n", m);
+    return 0;
+}
+`, false, true},
+		{"fused-read-before-start", `float B[4096];
+float C[64][64];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            C[i][j] = B[i * 64 + j - 1] + 1.0f;
+    printf("unreached\n");
+    return 0;
+}
+`, false, true},
+		// Both operands run off at the last element: the dispatch loop
+		// reads the right side before the compound store's own cell.
+		{"fused-compound-order", `float X[8], Y[10];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 9; i++)
+        Y[i + 2] += X[i] + 1.0f;
+    printf("unreached\n");
+    return 0;
+}
+`, false, true},
+		// The last element divides by zero before it reads past X.
+		{"fused-division-first", `int X[8], Y[10], D[10];
+int main(void) {
+    printf("start\n");
+    for (int i = 0; i < 8; i++)
+        D[i] = i + 1;
+    for (int i = 0; i < 9; i++)
+        Y[i] = 5 / D[i + 1] + X[i];
+    printf("unreached\n");
+    return 0;
+}
+`, false, true},
 	}
 	for _, row := range rows {
-		for _, tr := range []transform.Options{{Tile: true}, {Skew: true}, {Tile: true, Skew: true}} {
+		if row.fused {
+			// Built sequentially, every store before the trap shows.
+			art, err := Front(row.src, Config{FileName: "t.c"})
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			prog, err := art.Compile(Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			if prog.FusedKernels() == 0 {
+				t.Fatalf("%s: no fused kernel", row.name)
+			}
+			proc, err := prog.NewProcess(comp.ProcOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := observeRun(art.Info, proc), observeInterp(t, art); got != want {
+				t.Errorf("%s sequential: the build differs from the interpreter at %s", row.name, firstDiff(got, want))
+			}
+		}
+		transforms := []transform.Options{{Tile: true}, {Skew: true}, {Tile: true, Skew: true}}
+		if row.fused {
+			// A tiled inner loop is no kernel.
+			transforms = []transform.Options{{}}
+		}
+		for _, tr := range transforms {
 			tr.MinParallelTrip = -1
 			cfg := Config{FileName: "t.c", Parallelize: true, Transform: tr}
 			name := fmt.Sprintf("%s tile=%v skew=%v", row.name, tr.Tile, tr.Skew)
@@ -437,17 +535,20 @@ int main(void) {
 				}
 				return outcome{out.String(), ret, trap}
 			}
-			run := func(prog *comp.Program) outcome {
-				out, ret, trap := runProgram(t, prog, 2)
+			run := func(prog *comp.Program, workers int) outcome {
+				out, ret, trap := runProgram(t, prog, workers)
 				return outcome{out, ret, trap}
 			}
 			want := interpret(cold)
 			if want.trap == "" || want.stdout != "start\n" {
 				t.Fatalf("%s: the interpreter ran %+v, want a trap after the first line", name, want)
 			}
+			if row.fused && coldProg.FusedKernels() == 0 {
+				t.Fatalf("%s: no fused kernel", name)
+			}
 			for what, got := range map[string]outcome{
-				"fresh build": run(coldProg), "restored build": run(restoredProg),
-				"interp on the restored model": interpret(restored)} {
+				"fresh build": run(coldProg, 2), "fresh build, 1 worker": run(coldProg, 1),
+				"restored build": run(restoredProg, 2), "interp on the restored model": interpret(restored)} {
 				if got != want {
 					t.Errorf("%s: %s gives %+v, the interpreter %+v", name, what, got, want)
 				}

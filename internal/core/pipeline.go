@@ -297,8 +297,9 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	// Transformed builds. It keeps the pure markers, which carry the
 	// inlining and vectorization facts GCC/ICC would rediscover from the
 	// const lowering plus static analysis. The parse's nesting limits
-	// still apply, since tiling adds loop levels.
-	if err := parser.CheckNesting(file); err != nil {
+	// still apply, since tiling adds loop levels: a tree that may pass
+	// them is parsed after all, and that parse's error is the answer.
+	if err := parser.CheckNesting(file, res.Stages.Transformed); err != nil {
 		return nil, fmt.Errorf("parse: %v", err)
 	}
 	// PC-PosPro: lower pure to plain C and re-insert system includes.

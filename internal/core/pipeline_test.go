@@ -263,6 +263,13 @@ func FuzzFront(f *testing.F) {
 	}
 	f.Add("\"\\", uint8(0))
 	f.Add("int f(void A){ return 0; } int main(void){ return 0; }", uint8(0))
+	// The nesting walk trips on these and leaves the answer to the
+	// parse: a tiled nest at the statement limit and one level under it
+	// (tiling takes both past it), and a skewed subscript whose nodes
+	// outnumber MaxExprDepth while its parser levels stay under it.
+	f.Add(tiledNest(parser.MaxStmtDepth-2), uint8(1))
+	f.Add(tiledNest(parser.MaxStmtDepth-3), uint8(1))
+	f.Add(skewedChain(1012), uint8(2))
 	f.Fuzz(func(t *testing.T, src string, mode uint8) {
 		cfg := Config{FileName: "t.c", Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
 			Transform: transform.Options{Tile: mode&1 != 0, Skew: mode&2 != 0}}
@@ -301,15 +308,30 @@ func TestFrontAllocationIsLinearInItsText(t *testing.T) {
 	}
 }
 
+// tiledNest is a tileable 2-deep nest under depth blocks.
+func tiledNest(depth int) string {
+	return "float A[64][64];\nint main(void) {\n" + strings.Repeat("{\n", depth) +
+		"for (int i = 0; i < 64; i++)\n for (int j = 0; j < 64; j++)\n A[i][j] = A[i][j] + 1.0f;\n" +
+		strings.Repeat("}\n", depth) + "return 0;\n}\n"
+}
+
+// skewedChain is a nest that skewing rewrites (dependences (1,0),
+// (0,1), (1,-1)) whose last read subscripts with j at the end of a
+// links-long chain of + 0: skewing turns that j into (j_sk - 1 * i),
+// three parser levels deeper.
+func skewedChain(links int) string {
+	return "float A[64][64];\nint main(void) {\n" +
+		" for (int i = 1; i < 63; ++i)\n  for (int j = 1; j < 62; ++j)\n" +
+		"   A[i][j] = A[i - 1][j] + A[i][j - 1] + A[i - 1][" + strings.Repeat("0 + ", links) + "j + 1];\n" +
+		" return 0;\n}\n"
+}
+
 // A nest at the statement-nesting limit passes the first parse; tiling
 // adds loop levels, so the re-parse of the transformed source exceeds
 // the limit. That is the source's parse error, not an internal
 // one.
 func TestTilingPastTheNestingLimitIsAParseError(t *testing.T) {
-	depth := parser.MaxStmtDepth - 2 // the i and j loops fill the last two levels
-	src := "float A[64][64];\nint main(void) {\n" + strings.Repeat("{\n", depth) +
-		"for (int i = 0; i < 64; i++)\n for (int j = 0; j < 64; j++)\n A[i][j] = A[i][j] + 1.0f;\n" +
-		strings.Repeat("}\n", depth) + "return 0;\n}\n"
+	src := tiledNest(parser.MaxStmtDepth - 2) // the i and j loops fill the last two levels
 	if _, err := parser.Parse("t.c", src); err != nil {
 		t.Fatalf("the source itself must parse: %v", err)
 	}

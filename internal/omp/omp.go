@@ -5,11 +5,12 @@
 // interpreter oracle (internal/interp) at load time, so the two accept
 // the same pragmas and reject a malformed one with the same text.
 //
-// Parse reads the pragma text; Resolve binds one reduction clause to
-// its accumulator update; Bind composes them with the canonical-loop
-// test for one pragma and the loop it annotates. Execution stays with
-// the callers: the compiler turns bound sites into private slots, the
-// oracle runs every loop serially.
+// Parse reads the pragma text; ReductionUpdate is the one definition
+// of a reduction update, which scop recognizes with too; Resolve binds
+// one reduction clause to its accumulator update; Bind composes them
+// with the canonical-loop test for one pragma and the loop it
+// annotates. Execution stays with the callers: the compiler turns
+// bound sites into private slots, the oracle runs every loop serially.
 package omp
 
 import (
@@ -207,10 +208,9 @@ func Bind(info *sema.Info, pr *ast.PragmaStmt, f *ast.ForStmt) (*Region, error) 
 // Resolve binds clause c of the pragma annotating loop f to the update
 // it names, returning the base identifier of the accumulator there:
 //
-//   - +, -, *, &, |, ^ on a scalar: `s op= e`, and for "-" also the
-//     left-anchored plain form `s = s - e`;
-//   - the same on an array (reduction(op:A[])): `A[e] op= v`, and for
-//     "+" also `A[e]++` and `A[e]--` (sum contributions);
+//   - +, -, *, &, |, ^: a ReductionUpdate with the clause's operator
+//     whose accumulator is the scalar, or for reduction(op:A[]) an
+//     element of the array;
 //   - min/max: some plain assignment to the accumulator (the scalar, or
 //     an element of the array) must exist; the site is the guarded
 //     update `if (x < m) m = x;` or its ?: form in the clause's
@@ -276,8 +276,8 @@ func Resolve(info *sema.Info, f *ast.ForStmt, c Clause) (*ast.Ident, error) {
 	} else {
 		ast.Walk(f.Body, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok && site == nil {
-				if lv := c.update(e); lv != nil {
-					site = bind(lv)
+				if acc, _, kind := ReductionUpdate(e); kind == c.Kind {
+					site = bind(acc)
 				}
 			}
 			return site == nil
@@ -292,32 +292,42 @@ func Resolve(info *sema.Info, f *ast.ForStmt, c Clause) (*ast.Ident, error) {
 	return site, nil
 }
 
-// update returns the lvalue e updates with the clause's operator, or
-// nil when e is no such update.
-func (c Clause) update(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case *ast.AssignExpr:
-		if bin, ok := x.Op.AssignBinOp(); ok && bin == c.Kind {
-			return x.LHS
+// ReductionUpdate is the one definition of a reduction update: Resolve
+// binds clauses to it and scop recognizes the reductions transform
+// writes clauses for with it. It reports the accumulator lvalue e
+// updates, the operand e folds into it (nil for ++ and --) and the
+// operator, for
+//
+//   - `acc op= data` with op from the operator table;
+//   - `s = s - data` on a scalar s, the spelled-out "-" update
+//     (s = data - s is not one);
+//   - `A[e]++` and `A[e]--` on an array element, sum contributions
+//     of the "+" clause.
+//
+// acc is nil and kind token.ILLEGAL when e is no reduction update.
+func ReductionUpdate(e ast.Expr) (acc, data ast.Expr, kind token.Kind) {
+	lhs, op, rhs := ast.Update(e)
+	switch {
+	case lhs == nil:
+	case rhs == nil:
+		if _, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+			return lhs, nil, token.ADD
 		}
-		if !c.Array && c.Kind == token.SUB && x.Op == token.ASSIGN {
-			// s = s - e; s = e - s is not a reduction.
-			if b, ok := ast.Unparen(x.RHS).(*ast.BinaryExpr); ok && b.Op == token.SUB {
-				if id, ok := ast.Unparen(b.X).(*ast.Ident); ok && id.Name == c.Var {
-					return x.LHS
-				}
+	case op == token.ASSIGN:
+		s, isID := lhs.(*ast.Ident)
+		if b, ok := ast.Unparen(rhs).(*ast.BinaryExpr); isID && ok && b.Op == token.SUB {
+			if x, ok := ast.Unparen(b.X).(*ast.Ident); ok && x.Name == s.Name {
+				return lhs, b.Y, token.SUB
 			}
 		}
-	case *ast.PostfixExpr:
-		if c.Array && c.Kind == token.ADD && (x.Op == token.INC || x.Op == token.DEC) {
-			return x.X
-		}
-	case *ast.UnaryExpr:
-		if c.Array && c.Kind == token.ADD && (x.Op == token.INC || x.Op == token.DEC) {
-			return x.X
+	default:
+		for _, o := range ops {
+			if o.kind == op {
+				return lhs, rhs, op
+			}
 		}
 	}
-	return nil
+	return nil, nil, token.ILLEGAL
 }
 
 // unbound is the error of a clause whose loop has no update to bind.

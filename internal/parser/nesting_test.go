@@ -54,7 +54,7 @@ func sameLimitError(t *testing.T, name string, f *ast.File) (tooDeep bool) {
 	t.Helper()
 	src := ast.PrintPlaced(f, 0)
 	_, perr := Parse("t.c", src)
-	cerr := CheckNesting(f)
+	cerr := CheckNesting(f, src)
 	if fmt.Sprint(perr) != fmt.Sprint(cerr) {
 		t.Fatalf("%s: CheckNesting says %v, the parse says %v", name, cerr, perr)
 	}
@@ -81,6 +81,24 @@ func TestCheckNestingIsTheParse(t *testing.T) {
 		}
 		if deep := sameLimitError(t, fmt.Sprintf("statements/%d", n), inFunc(s)); deep != (n > MaxStmtDepth) {
 			t.Fatalf("statements/%d: too deep = %v", n, deep)
+		}
+	}
+	// An operator chain whose last operand is nested parentheses enters
+	// about one level per link and one per parenthesis, but its tree is
+	// only as tall as the longer of the two: a check that measured tree
+	// height would pass the 600 + 600 row.
+	for _, n := range []int{400, 600} {
+		parens := ast.Expr(&ast.Ident{Name: "x"})
+		for i := 0; i < n; i++ {
+			parens = &ast.ParenExpr{X: parens}
+		}
+		chain := one()
+		for i := 1; i < n; i++ {
+			chain = &ast.BinaryExpr{X: chain, Op: token.ADD, Y: one()}
+		}
+		chain = &ast.BinaryExpr{X: chain, Op: token.ADD, Y: parens}
+		if deep := sameLimitError(t, fmt.Sprintf("chain+parens/%d", n), inFunc(&ast.ExprStmt{X: chain})); deep != (2*n > MaxExprDepth) {
+			t.Fatalf("chain+parens/%d: too deep = %v", n, deep)
 		}
 	}
 	// Expression levels: one shape repeated up to and past the limit,

@@ -13,6 +13,7 @@ package scop
 
 import (
 	"fmt"
+	"slices"
 
 	"purec/internal/ast"
 	"purec/internal/omp"
@@ -501,8 +502,7 @@ func (d *detector) buildBody(sc *SCoP, body []ast.Stmt) bool {
 			sc.SubstPrivates[name] = init
 		}
 	}
-	d.recognizeReductions(sc, body)
-	d.recognizeArrayReductions(sc, body, b.arrayCands)
+	d.recognizeReductions(sc, body, b.cands)
 	renamed := d.resolvePointerAccesses(sc, b)
 	d.dropConflictingRegionReductions(sc, renamed)
 
@@ -533,174 +533,34 @@ func (d *detector) buildBody(sc *SCoP, body []ast.Stmt) bool {
 	return true
 }
 
-// reductionOps maps the compound assignment operators that form
-// canonical reductions to their underlying binary operator.
-var reductionOps = map[token.Kind]token.Kind{
-	token.ADDASSIGN: token.ADD,
-	token.SUBASSIGN: token.SUB,
-	token.MULASSIGN: token.MUL,
-	token.ANDASSIGN: token.AND,
-	token.ORASSIGN:  token.OR,
-	token.XORASSIGN: token.XOR,
-}
-
-// binReductionOps is the same parallelizable subset keyed by the
-// underlying binary operator. SUB qualifies by negation onto "+": the
-// body's subtractions land in zero-seeded privates, whose partials
-// fold back with addition (the OpenMP "-" clause semantics).
-var binReductionOps = map[token.Kind]bool{
-	token.ADD: true,
-	token.SUB: true,
-	token.MUL: true,
-	token.AND: true,
-	token.OR:  true,
-	token.XOR: true,
-}
-
-// recognizeReductions finds canonical reduction statements in the
-// innermost body: a top-level `s op= expr` where s is a function-local
-// scalar whose ONLY appearance in the whole nest body is that compound
-// assignment's left-hand side (so no other statement reads or writes the
-// accumulator, and expr itself does not mention it), for an
-// associative-commutative op. Qualifying accumulators get their scalar
-// accesses tagged poly.Access.Reduction, which removes them from the
-// parallelism decision, and are recorded on the SCoP so the transformer
-// can emit reduction clauses.
+// recognizeReductions promotes the body builder's candidates — a
+// reduction update (omp.ReductionUpdate: s op= e, s = s - e,
+// A[e] op= v, A[e]++/--) or a guarded min/max update
+// (ast.MinMaxUpdateLV) whose accumulator occurs in the statement only
+// as its target — to reductions. An accumulator qualifies when every
+// appearance of its name in the nest body sits inside its candidate
+// statements (one for a scalar), they all agree on one operator (or
+// one min/max direction), and it is function-local: a scalar, an
+// array, or a single-level pointer. Its accesses in those statements
+// get tagged poly.Access.Reduction, which removes them from the
+// parallelism decision (for arrays, dissolving the conservative star
+// self-dependences), and a Reduction entry, which the transformer
+// renders as a reduction(op:s) or reduction(op:A[]) clause.
 //
-// Global accumulators are excluded: the execution backends privatize the
-// accumulator via per-worker frame clones, which global storage does not
-// participate in.
-func (d *detector) recognizeReductions(sc *SCoP, body []ast.Stmt) {
-	uses := map[string]int{}
-	for _, s := range body {
-		for _, id := range ast.Idents(s) {
-			uses[id.Name]++
-		}
-	}
-	for k, s := range body {
-		// Guarded min/max updates (if-pattern and ?: form): the
-		// ROADMAP follow-up of the op= reductions below. The marker
-		// operator is LSS for min, GTR for max.
-		if m, _, op, ok := ast.MinMaxUpdate(s); ok {
-			own := 0
-			for _, id := range ast.Idents(s) {
-				if id.Name == m.Name {
-					own++
-				}
-			}
-			if uses[m.Name] == own {
-				d.tagReduction(sc, k, m, op)
-			}
-			continue
-		}
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		as, ok := es.X.(*ast.AssignExpr)
-		if !ok {
-			continue
-		}
-		if as.Op == token.ASSIGN {
-			// Plain left-anchored subtraction s = s - e: the "-" clause's
-			// spelled-out form. Only SUB gets plain-form recognition —
-			// its compound form is the one op= spelling whose operands
-			// don't commute, so the plain spelling is common in real
-			// code; the accumulator must appear exactly twice in the
-			// statement (LHS and the subtraction's left operand) and
-			// nowhere else in the nest.
-			id, okID := as.LHS.(*ast.Ident)
-			bin, okBin := stripParens(as.RHS).(*ast.BinaryExpr)
-			if !okID || !okBin || bin.Op != token.SUB {
-				continue
-			}
-			x, okX := stripParens(bin.X).(*ast.Ident)
-			if !okX || x.Name != id.Name {
-				continue
-			}
-			own := 0
-			for _, sid := range ast.Idents(s) {
-				if sid.Name == id.Name {
-					own++
-				}
-			}
-			if own != 2 || uses[id.Name] != 2 {
-				continue
-			}
-			d.tagReduction(sc, k, id, token.SUB)
-			continue
-		}
-		op, ok := reductionOps[as.Op]
-		if !ok {
-			continue
-		}
-		id, ok := as.LHS.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if uses[id.Name] != 1 {
-			// The accumulator is read or written elsewhere in the nest
-			// (or inside its own right-hand side): a real dependence.
-			continue
-		}
-		d.tagReduction(sc, k, id, op)
-	}
-}
-
-// tagReduction validates the accumulator symbol, tags its scalar
-// accesses in body statement k as reduction accesses (removing them
-// from the parallelism decision) and records the clause. Float
-// accumulators support +, -, * and the min/max comparison markers.
-func (d *detector) tagReduction(sc *SCoP, k int, id *ast.Ident, op token.Kind) {
-	sym := d.info.Ref[id]
-	if sym == nil || sym.Kind == sema.SymGlobal || sym.IsArray() ||
-		sym.Type == nil || sym.Type.IsPtr() {
-		return
-	}
-	switch sym.Type.Kind {
-	case types.Int:
-		// every recognized op applies
-	case types.Float:
-		if op != token.ADD && op != token.SUB && op != token.MUL && op != token.LSS && op != token.GTR {
-			return
-		}
-	default:
-		return
-	}
-	arr := "scalar:" + id.Name
-	st := sc.Nest.Stmts[k]
-	for i := range st.Writes {
-		if st.Writes[i].Array == arr {
-			st.Writes[i].Reduction = true
-		}
-	}
-	for i := range st.Reads {
-		if st.Reads[i].Array == arr {
-			st.Reads[i].Reduction = true
-		}
-	}
-	sc.Reductions = append(sc.Reductions, Reduction{Var: id.Name, Op: op})
-}
-
-// recognizeArrayReductions promotes the body builder's array-update
-// candidates (A[e] op= v, A[e]++/--, guarded min/max on A[e]) to array
-// reductions: A must be a function-local declared array whose every
-// appearance in the nest body sits inside those candidate statements,
-// and all candidates must agree on one associative-commutative
-// operator (or one min/max direction). Qualifying arrays get their
-// accesses tagged poly.Access.Reduction — dissolving the conservative
-// star self-dependences — and a Reduction{IsArray: true} entry, which
-// the transformer renders as a reduction(op:A[]) clause.
-//
-// Single-level pointer bases (float *p with p[e] op= v) qualify too:
-// the runtime privatizes whatever segment the pointer addresses, and
-// the alias resolution pass keeps the tagging sound (an unresolved
-// pointer stays MayAlias and serializes; a resolved one conflicts by
-// region name with any other access of its target). Global arrays and
-// arrays read elsewhere in the nest (the hist[a[i]] = hist[b[i]] + 1
-// near-miss) stay untagged: their star dependences serialize the nest
-// and the transformer's SerialReason names the offending access.
-func (d *detector) recognizeArrayReductions(sc *SCoP, body []ast.Stmt, cands []arrayCand) {
+// Global accumulators are excluded: the execution backends privatize
+// the accumulator via per-worker frame clones, which global storage
+// does not participate in. Pointer bases privatize through their frame
+// pointer slot (the worker's clone is repointed at a private segment)
+// — but only single-level pointers: privatizing a row-pointer table
+// would still share the rows. Whether the target region is disjoint
+// from everything else the nest touches is the alias resolution pass's
+// concern: an unresolved pointer's accesses stay MayAlias and the
+// transformer serializes the nest; a resolved one pairs with any other
+// access of its region as an ordinary dependence. Arrays read elsewhere
+// in the nest (the hist[a[i]] = hist[b[i]] + 1 near-miss) stay
+// untagged: their star dependences serialize the nest and the
+// transformer's SerialReason names the offending access.
+func (d *detector) recognizeReductions(sc *SCoP, body []ast.Stmt, cands []reductionCand) {
 	if len(cands) == 0 {
 		return
 	}
@@ -710,53 +570,50 @@ func (d *detector) recognizeArrayReductions(sc *SCoP, body []ast.Stmt, cands []a
 			uses[id.Name]++
 		}
 	}
-	byArr := map[string][]arrayCand{}
+	// Scalar clauses come first, each kind in statement order.
+	slices.SortStableFunc(cands, func(a, b reductionCand) int {
+		switch {
+		case a.array == b.array:
+			return 0
+		case a.array:
+			return 1
+		}
+		return -1
+	})
+	byAcc := map[string][]reductionCand{}
 	var order []string
 	for _, c := range cands {
-		if _, seen := byArr[c.base.Name]; !seen {
+		if _, seen := byAcc[c.base.Name]; !seen {
 			order = append(order, c.base.Name)
 		}
-		byArr[c.base.Name] = append(byArr[c.base.Name], c)
+		byAcc[c.base.Name] = append(byAcc[c.base.Name], c)
 	}
 	for _, name := range order {
-		cs := byArr[name]
-		op := cs[0].op
+		cs := byAcc[name]
+		op, array := cs[0].op, cs[0].array
 		sameOp := true
 		own := 0
 		for _, c := range cs {
-			if c.op != op {
-				sameOp = false
-			}
+			sameOp = sameOp && c.op == op && c.array == array
 			for _, id := range ast.Idents(body[c.stmt]) {
 				if id.Name == name {
 					own++
 				}
 			}
 		}
-		// Mixed operators on one array cannot share a single combine;
-		// a use outside the candidate statements is a real dependence.
-		if !sameOp || uses[name] != own {
+		// Mixed operators on one accumulator cannot share a single
+		// combine; a use outside the candidate statements is a real
+		// dependence. A scalar takes a single update statement.
+		if !sameOp || uses[name] != own || !array && len(cs) > 1 {
 			continue
 		}
 		sym := d.info.Ref[cs[0].base]
 		if sym == nil || sym.Kind == sema.SymGlobal || sym.Type == nil {
-			// Global accumulators live in Process storage shared by all
-			// workers; the per-worker frame clone cannot privatize them.
 			continue
 		}
-		if !sym.IsArray() {
-			// Pointer bases privatize through their frame pointer slot
-			// (the worker's clone is repointed at a private segment) —
-			// but only single-level pointers: privatizing a row-pointer
-			// table would still share the rows. Whether the target
-			// region is disjoint from everything else the nest touches
-			// is the alias resolution pass's concern: an unresolved
-			// pointer's accesses stay MayAlias and the transformer
-			// serializes the nest; a resolved one pairs with any other
-			// access of its region as an ordinary dependence.
-			if !sym.Type.IsPtr() || sym.Type.Elem == nil || sym.Type.Elem.IsPtr() {
-				continue
-			}
+		if array && !sym.IsArray() && (!sym.Type.IsPtr() || sym.Type.Elem == nil || sym.Type.Elem.IsPtr()) ||
+			!array && (sym.IsArray() || sym.Type.IsPtr()) {
+			continue
 		}
 		elem := sym.Type.BaseElem()
 		if elem == nil {
@@ -772,20 +629,24 @@ func (d *detector) recognizeArrayReductions(sc *SCoP, body []ast.Stmt, cands []a
 		default:
 			continue
 		}
+		acc := name
+		if !array {
+			acc = "scalar:" + name
+		}
 		for _, c := range cs {
 			st := sc.Nest.Stmts[c.stmt]
 			for i := range st.Writes {
-				if st.Writes[i].Array == name {
+				if st.Writes[i].Array == acc {
 					st.Writes[i].Reduction = true
 				}
 			}
 			for i := range st.Reads {
-				if st.Reads[i].Array == name {
+				if st.Reads[i].Array == acc {
 					st.Reads[i].Reduction = true
 				}
 			}
 		}
-		sc.Reductions = append(sc.Reductions, Reduction{Var: name, Op: op, IsArray: true})
+		sc.Reductions = append(sc.Reductions, Reduction{Var: name, Op: op, IsArray: array})
 	}
 }
 
@@ -993,10 +854,10 @@ type bodyBuilder struct {
 	// — the array-update family recognizeReductions may later tag as
 	// array reductions.
 	starOK bool
-	// arrayCands are the array-update statements (A[e] op= v, ++/--,
-	// guarded min/max on A[e]) found in the body; recognizeReductions
-	// promotes them to array reductions when the array qualifies.
-	arrayCands []arrayCand
+	// cands are the reduction updates of a scalar or an array element
+	// found in the body; recognizeReductions promotes them to
+	// reductions when the accumulator qualifies.
+	cands []reductionCand
 	// priv maps body-defined private scalars to their definition. A
 	// definition affine in the iterators/parameters is substituted
 	// into later subscripts (so y[i] = x[j] with j = i + k stays an
@@ -1026,11 +887,12 @@ type privScalar struct {
 	isAffine bool
 }
 
-// arrayCand is one candidate array-reduction update statement.
-type arrayCand struct {
-	stmt int        // body statement index
-	base *ast.Ident // the updated array's base identifier
-	op   token.Kind // ADD/MUL/AND/OR/XOR, or LSS/GTR for min/max
+// reductionCand is one candidate reduction update statement.
+type reductionCand struct {
+	stmt  int        // body statement index
+	base  *ast.Ident // the accumulator, or the updated array's base identifier
+	op    token.Kind // ADD/SUB/MUL/AND/OR/XOR, or LSS/GTR for min/max
+	array bool       // the target is an array element
 }
 
 func (b *bodyBuilder) statement(s ast.Stmt, seq int) (*poly.Statement, bool) {
@@ -1042,9 +904,10 @@ func (b *bodyBuilder) statement(s ast.Stmt, seq int) (*poly.Statement, bool) {
 		// (lo[b[i]] = x < lo[b[i]] ? x : lo[b[i]]): an array-reduction
 		// candidate, handled like the if-form below. The same ?: form
 		// on a recognized private scalar is an iteration-local clamp.
-		if target, data, dir, ok := ast.MinMaxUpdateLV(x); ok {
+		target, data, op, minMax := ast.MinMaxUpdateLV(x)
+		if minMax {
 			if ix, okIx := target.(*ast.IndexExpr); okIx {
-				return st, b.minMaxArrayUpdate(st, seq, ix, data, dir)
+				return st, b.arrayUpdate(st, seq, ix, true, op, data, data)
 			}
 			if id, okID := target.(*ast.Ident); okID {
 				if done, okP := b.privMinMax(id, data, st); done {
@@ -1060,6 +923,12 @@ func (b *bodyBuilder) statement(s ast.Stmt, seq int) (*poly.Statement, bool) {
 		}
 		if !b.expr(x.X, st, true) {
 			return nil, false
+		}
+		if !minMax {
+			target, data, op = omp.ReductionUpdate(x.X)
+		}
+		if id, okID := target.(*ast.Ident); okID {
+			b.scalarCand(seq, id, data, op)
 		}
 		return st, true
 	case *ast.DeclStmt:
@@ -1092,10 +961,11 @@ func (b *bodyBuilder) statement(s ast.Stmt, seq int) (*poly.Statement, bool) {
 				if !b.expr(data, st, false) || !b.expr(data, st, false) {
 					return nil, false
 				}
+				b.scalarCand(seq, m, data, dir)
 				return st, true
 			}
 			if ix, okIx := target.(*ast.IndexExpr); okIx {
-				return st, b.minMaxArrayUpdate(st, seq, ix, data, dir)
+				return st, b.arrayUpdate(st, seq, ix, true, dir, data, data)
 			}
 		}
 		b.d.rejectf(s.Pos(), "conditional in SCoP body is not a canonical min/max update (if (x < m) m = x;)")
@@ -1108,10 +978,28 @@ func (b *bodyBuilder) statement(s ast.Stmt, seq int) (*poly.Statement, bool) {
 	}
 }
 
-// minMaxArrayUpdate records the accesses of a guarded min/max update
-// whose target is an array element (affine or data-dependent
-// subscript) and registers the array-reduction candidate.
-func (b *bodyBuilder) minMaxArrayUpdate(st *poly.Statement, seq int, target *ast.IndexExpr, data ast.Expr, dir token.Kind) bool {
+// scalarCand registers the update of scalar s in body statement seq as
+// a reduction candidate unless the data it folds in reads s.
+func (b *bodyBuilder) scalarCand(seq int, s *ast.Ident, data ast.Expr, op token.Kind) {
+	for _, id := range ast.Idents(data) {
+		if id.Name == s.Name {
+			return
+		}
+	}
+	b.cands = append(b.cands, reductionCand{stmt: seq, base: s, op: op})
+}
+
+// arrayUpdate records the accesses of a statement that updates array
+// element target (affine or data-dependent subscript): the write, with
+// rmw the read of the cell it updates, and a read of each of reads. op
+// is the update's reduction operator, or token.ILLEGAL; the statement
+// becomes an array-reduction candidate when its accesses of the array
+// are exactly the target's read-modify-write pair. A further read —
+// the data or a subscript reading the accumulator, as in
+// hist[a[i]] += hist[b[i]] or hist[hist[i]]++ — is a real dependence;
+// registering such a statement would let the tagging pass dissolve it
+// and miscompile the nest.
+func (b *bodyBuilder) arrayUpdate(st *poly.Statement, seq int, target *ast.IndexExpr, rmw bool, op token.Kind, reads ...ast.Expr) bool {
 	base := ast.BaseIdent(target)
 	if base == nil {
 		b.d.rejectf(target.Pos(), "array base must be a named array")
@@ -1119,19 +1007,16 @@ func (b *bodyBuilder) minMaxArrayUpdate(st *poly.Statement, seq int, target *ast
 	}
 	b.starOK = true
 	defer func() { b.starOK = false }()
-	// The guard reads the element, the branch may write it; the data
-	// expression is read twice, like the source.
-	if !b.indexAccess(target, st, true) || !b.indexAccess(target, st, false) {
+	if !b.indexAccess(target, st, true) || rmw && !b.indexAccess(target, st, false) {
 		return false
 	}
-	if !b.expr(data, st, false) || !b.expr(data, st, false) {
-		return false
+	for _, e := range reads {
+		if e != nil && !b.expr(e, st, false) {
+			return false
+		}
 	}
-	if countAccesses(st, base.Name) == 2 {
-		// Exactly the target's read-modify-write pair: any further
-		// access of the array (a subscript like lo[lo[i]] reading the
-		// accumulator) is a real dependence, not a reduction.
-		b.arrayCands = append(b.arrayCands, arrayCand{stmt: seq, base: base, op: dir})
+	if op != token.ILLEGAL && countAccesses(st, base.Name) == 2 {
+		b.cands = append(b.cands, reductionCand{stmt: seq, base: base, op: op, array: true})
 	}
 	return true
 }
@@ -1195,11 +1080,11 @@ func (b *bodyBuilder) privDecl(ds *ast.DeclStmt, st *poly.Statement) bool {
 // iteration's j is then self-contained and the statement records only
 // the reads of e. done=false falls back to the scalar-write path.
 func (b *bodyBuilder) privAssign(e ast.Expr, st *poly.Statement, seq int) (done, ok bool) {
-	as, okAs := stripParens(e).(*ast.AssignExpr)
+	as, okAs := ast.Unparen(e).(*ast.AssignExpr)
 	if !okAs || as.Op != token.ASSIGN {
 		return false, false
 	}
-	id, okID := stripParens(as.LHS).(*ast.Ident)
+	id, okID := ast.Unparen(as.LHS).(*ast.Ident)
 	if !okID || b.iters[id.Name] {
 		return false, false
 	}
@@ -1249,7 +1134,7 @@ func (b *bodyBuilder) privMinMax(m *ast.Ident, data ast.Expr, st *poly.Statement
 func (b *bodyBuilder) privatizable(sym *sema.Symbol, seq int) bool {
 	stores := 0
 	for _, as := range ast.Assignments(b.sc.Outer) {
-		if lhs, okL := stripParens(as.LHS).(*ast.Ident); okL && b.d.info.Ref[lhs] == sym {
+		if lhs, okL := ast.Unparen(as.LHS).(*ast.Ident); okL && b.d.info.Ref[lhs] == sym {
 			stores++
 		}
 	}
@@ -1362,76 +1247,16 @@ func (b *bodyBuilder) notePtr(name string, sym *sema.Symbol) {
 // access with a data-dependent subscript — `A[e]++`, `A[e]--`,
 // `A[e] op= v` and the near-miss plain `A[e] = v`. done reports
 // whether the statement was consumed (the caller falls back to the
-// affine path otherwise); updates with an associative-commutative
-// operator additionally register an array-reduction candidate.
+// affine path otherwise); a reduction update (omp.ReductionUpdate)
+// additionally registers an array-reduction candidate.
 func (b *bodyBuilder) starUpdate(e ast.Expr, st *poly.Statement, seq int) (done, ok bool) {
-	var target *ast.IndexExpr
-	var compoundOp token.Kind
-	var candOp token.Kind
-	var rhs ast.Expr
-	switch x := e.(type) {
-	case *ast.AssignExpr:
-		ix, okIx := stripParens(x.LHS).(*ast.IndexExpr)
-		if !okIx || b.subsAffine(ix) {
-			return false, false
-		}
-		target, rhs = ix, x.RHS
-		if x.Op != token.ASSIGN {
-			bin, okOp := x.Op.AssignBinOp()
-			if !okOp {
-				return false, false
-			}
-			compoundOp = bin
-			if binReductionOps[bin] {
-				candOp = bin
-			}
-		}
-	case *ast.PostfixExpr:
-		ix, okIx := stripParens(x.X).(*ast.IndexExpr)
-		if !okIx || b.subsAffine(ix) || (x.Op != token.INC && x.Op != token.DEC) {
-			return false, false
-		}
-		// ++/-- are += 1 / -= 1: both sum contributions, so both map to
-		// the + clause (the decrement accumulates a negative partial).
-		target, compoundOp, candOp = ix, token.ADD, token.ADD
-	case *ast.UnaryExpr:
-		ix, okIx := stripParens(x.X).(*ast.IndexExpr)
-		if !okIx || b.subsAffine(ix) || (x.Op != token.INC && x.Op != token.DEC) {
-			return false, false
-		}
-		target, compoundOp, candOp = ix, token.ADD, token.ADD
-	default:
+	lhs, op, rhs := ast.Update(e)
+	target, okIx := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !okIx || b.subsAffine(target) {
 		return false, false
 	}
-	base := ast.BaseIdent(target)
-	if base == nil {
-		b.d.rejectf(target.Pos(), "array base must be a named array")
-		return true, false
-	}
-	b.starOK = true
-	defer func() { b.starOK = false }()
-	if !b.indexAccess(target, st, true) {
-		return true, false
-	}
-	if compoundOp != 0 {
-		// Read-modify-write: the update reads the cell it writes.
-		if !b.indexAccess(target, st, false) {
-			return true, false
-		}
-	}
-	if rhs != nil && !b.expr(rhs, st, false) {
-		return true, false
-	}
-	// A reduction candidate's accesses of the array must be exactly
-	// the target's read-modify-write pair. A further read — the
-	// right-hand side or a subscript reading the accumulator, as in
-	// hist[a[i]] += hist[b[i]] or hist[hist[i]]++ — is a real
-	// dependence; registering such a statement would let the tagging
-	// pass dissolve it and miscompile the nest.
-	if candOp != 0 && countAccesses(st, base.Name) == 2 {
-		b.arrayCands = append(b.arrayCands, arrayCand{stmt: seq, base: base, op: candOp})
-	}
-	return true, true
+	_, _, kind := omp.ReductionUpdate(e)
+	return true, b.arrayUpdate(st, seq, target, op != token.ASSIGN, kind, rhs)
 }
 
 // subsAffine reports whether every subscript of the index chain is an
@@ -1459,8 +1284,6 @@ func collectIndexChain(e *ast.IndexExpr) ([]ast.Expr, ast.Expr) {
 		base = ix.X
 	}
 }
-
-func stripParens(e ast.Expr) ast.Expr { return ast.Unparen(e) }
 
 // expr collects accesses of e into st; topLevel allows one assignment.
 func (b *bodyBuilder) expr(e ast.Expr, st *poly.Statement, topLevel bool) bool {

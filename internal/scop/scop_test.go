@@ -375,6 +375,51 @@ int main(void) {
 	}
 }
 
+// TestReductionShapesPinned pins the verdict on hand-written update
+// shapes, scalar and array: the clauses detection records for the one
+// nest, empty when the shape is no reduction.
+func TestReductionShapesPinned(t *testing.T) {
+	cases := []struct{ body, want string }{
+		{"s -= d[i];", "-:s"},
+		{"s = s - d[i];", "-:s"},
+		{"A[b[i]]--;", "+:A[]"},
+		{"if (d[i] < m) m = d[i];", "min:m"},
+		{"m = d[i] > m ? d[i] : m;", "max:m"},
+		{"if (d[i] > A[b[i]]) A[b[i]] = d[i];", "max:A[]"},
+		{"A[b[i]] = d[i] < A[b[i]] ? d[i] : A[b[i]];", "min:A[]"},
+		{"s = d[i] - s;", ""},
+		{"s++;", ""},
+		{"(s) += d[i];", ""},
+		{"A[b[i]] = A[b[i]] - 3;", ""},
+		{"s += d[i]; s -= d[i];", ""},
+		{"A[b[i]] += 2; A[b[i]] *= 3;", ""},
+		{"if (d[i] < m) m = d[i]; m += d[i];", ""},
+	}
+	for _, c := range cases {
+		res, _ := detect(t, `
+int d[100], b[100];
+int main(void) {
+    int s = 0, m = 0;
+    int A[16];
+    for (int i = 0; i < 100; i++) {
+        `+c.body+`
+    }
+    return s + m + A[0];
+}
+`)
+		if len(res.SCoPs) != 1 {
+			t.Fatalf("%s: %d SCoPs (%v)", c.body, len(res.SCoPs), res.Rejections)
+		}
+		var specs []string
+		for _, r := range res.SCoPs[0].Reductions {
+			specs = append(specs, r.Clause().Spec())
+		}
+		if got := strings.Join(specs, " "); got != c.want {
+			t.Errorf("%s: reductions %q, want %q", c.body, got, c.want)
+		}
+	}
+}
+
 func TestReductionGlobalAccumulatorNotRecognized(t *testing.T) {
 	// Globals cannot be privatized through the frame clone, so they stay
 	// ordinary serializing scalar writes.

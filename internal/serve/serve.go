@@ -395,7 +395,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		cores = 1
 	}
 	pool := s.pool(key, prog, cores)
-	before := pool.Stats().Reuses
 	proc, err := pool.Get()
 	if err != nil {
 		// A global array past mem.MaxSegmentCells traps while the
@@ -411,7 +410,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer pool.Put(proc)
 	poolState := "fresh"
-	if pool.Stats().Reuses > before {
+	if proc.Reused() {
 		poolState = "reused"
 	}
 	// Pools hand back the Process with whatever team it was created

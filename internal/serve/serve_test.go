@@ -150,6 +150,61 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 	}
 }
 
+// TestPoolHeaderIsTheGet: under concurrent requests for one program,
+// X-Purecd-Pool says what each request's own Get did, so the headers
+// add up to the pool's counters: as many "fresh" as Processes created,
+// as many "reused" as resets. Reading the counters around Get let a
+// sibling's reuse in between label a fresh Process "reused".
+func TestPoolHeaderIsTheGet(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrent: 8, PoolSize: 1})
+	// Runs long enough that requests overlap: a drained pool creates
+	// Processes while siblings reset theirs.
+	src := `int main(void) {
+    int s = 0;
+    for (int i = 0; i < 20000; i++)
+        s = (s * 31 + i) % 1000003;
+    printf("%d\n", s);
+    return 0;
+}`
+	const clients, rounds = 8, 25
+	var mu sync.Mutex
+	headers := map[string]uint64{}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				body, _ := json.Marshal(RunRequest{Source: src})
+				resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				mu.Lock()
+				headers[resp.Header.Get("X-Purecd-Pool")]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.Lock()
+	if len(s.pools) != 1 {
+		t.Fatalf("%d pools, want the one program's", len(s.pools))
+	}
+	var st comp.PoolStats
+	for _, pool := range s.pools {
+		st = pool.Stats()
+	}
+	s.mu.Unlock()
+	t.Logf("headers %v, pool %+v", headers, st)
+	if headers["fresh"]+headers["reused"] != clients*rounds || headers["fresh"] != st.Fresh || headers["reused"] != st.Reuses {
+		t.Fatalf("headers %v, pool %+v: want fresh = Fresh and reused = Reuses over %d requests", headers, st, clients*rounds)
+	}
+}
+
 // TestGuestTrapReturnsStructuredError: a guest that traps (use after
 // free; recursion without end, which used to take the whole daemon
 // down with Go's fatal stack overflow) must produce a structured JSON
