@@ -1,6 +1,7 @@
 package ast_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -179,5 +180,29 @@ func TestPragmaRoundTrip(t *testing.T) {
 	f2 := parse(t, out)
 	if ast.Print(f2) != out {
 		t.Fatal("pragma print not stable")
+	}
+}
+
+// TestPrintLimits: each stage printer writes a text of at most limit
+// bytes and stops with a *TooLongError naming the limit one byte short.
+func TestPrintLimits(t *testing.T) {
+	printers := map[string]func(f *ast.File, limit int) (string, error){
+		"limited": ast.PrintLimited,
+		"placed":  func(f *ast.File, limit int) (string, error) { return ast.PrintPlaced(f, 0, limit) },
+		"lowered": func(f *ast.File, limit int) (string, error) { return ast.PrintLowered(f, 0, limit) },
+	}
+	for name, print := range printers {
+		text, err := print(parse(t, walkSrc), 0)
+		if err != nil {
+			t.Fatalf("%s without a limit: %v", name, err)
+		}
+		if got, err := print(parse(t, walkSrc), len(text)); err != nil || got != text {
+			t.Errorf("%s at a limit of its length: %v", name, err)
+		}
+		_, err = print(parse(t, walkSrc), len(text)-1)
+		var tooLong *ast.TooLongError
+		if !errors.As(err, &tooLong) || tooLong.Limit != len(text)-1 {
+			t.Errorf("%s one byte short: %v", name, err)
+		}
 	}
 }

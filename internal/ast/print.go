@@ -16,27 +16,59 @@ func Print(f *File) string {
 	return p.b.String()
 }
 
+// PrintLimited renders f as Print does, or stops with a *TooLongError
+// when the text would exceed limit bytes.
+func PrintLimited(f *File, limit int) (string, error) {
+	p := printer{limit: limit}
+	return p.print(f, 0)
+}
+
 // PrintPlaced renders f exactly as Print does and makes f the tree that
 // parsing the output builds: every node moves to the line:col of f.Name
 // where it is printed, parentheses the printer inserts become ParenExpr
 // nodes, and literals without a spelling get the one printed for them.
 // The tree must not share a node between two places. sizeHint is the
-// expected length of the text, 0 when unknown.
-func PrintPlaced(f *File, sizeHint int) string {
-	p := printer{place: true, name: f.Name, line: 1}
-	p.b.Grow(sizeHint)
-	p.file(f)
-	return p.b.String()
+// expected length of the text, 0 when unknown. A text that would exceed
+// limit bytes stops the print with a *TooLongError, and the tree is
+// then only partly placed.
+func PrintPlaced(f *File, sizeHint, limit int) (string, error) {
+	p := printer{place: true, name: f.Name, line: 1, limit: limit}
+	return p.print(f, sizeHint)
 }
 
 // PrintLowered renders f with the pure extension lowered to plain C
-// (LowerPure), leaving f itself untouched. sizeHint is as for
-// PrintPlaced.
-func PrintLowered(f *File, sizeHint int) string {
-	p := printer{lower: true}
+// (LowerPure), leaving f itself untouched. sizeHint and limit are as
+// for PrintPlaced.
+func PrintLowered(f *File, sizeHint, limit int) (string, error) {
+	p := printer{lower: true, limit: limit}
+	return p.print(f, sizeHint)
+}
+
+// TooLongError is the error of a print stopped at its limit.
+type TooLongError struct{ Limit int }
+
+func (e *TooLongError) Error() string {
+	return "printed source exceeds " + strconv.Itoa(e.Limit) + " bytes"
+}
+
+// print renders f, stopping when the text would pass p.limit: room
+// panics with the limit's error, and print recovers it.
+func (p *printer) print(f *File, sizeHint int) (text string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tooLong, ok := r.(*TooLongError)
+			if !ok {
+				panic(r)
+			}
+			err = tooLong
+		}
+	}()
+	if p.limit > 0 {
+		sizeHint = min(sizeHint, p.limit)
+	}
 	p.b.Grow(sizeHint)
 	p.file(f)
-	return p.b.String()
+	return p.b.String(), nil
 }
 
 // PrintStmt renders a single statement (used in diagnostics and tests).
@@ -87,6 +119,9 @@ type printer struct {
 	place           bool
 	name            string
 	line, lineStart int
+
+	// limit, when positive, bounds the text in bytes.
+	limit int
 }
 
 // spaces is one chunk of indentation, written without allocating.
@@ -112,11 +147,15 @@ func (p *printer) tab() {
 	}
 }
 
-// room makes space for n more bytes. Past 64 KiB it doubles the buffer:
-// append grows a large buffer by a quarter at a time, which allocates
-// about five times the text. Below, append's closer fit wastes less of
-// a text that a cached artifact keeps.
+// room makes space for n more bytes, or stops the print when they would
+// pass the limit. Past 64 KiB it doubles the buffer: append grows a
+// large buffer by a quarter at a time, which allocates about five times
+// the text. Below, append's closer fit wastes less of a text that a
+// cached artifact keeps.
 func (p *printer) room(n int) {
+	if p.limit > 0 && p.b.Len()+n > p.limit {
+		panic(&TooLongError{Limit: p.limit})
+	}
 	if c := p.b.Cap(); c >= 64<<10 && c-p.b.Len() < n {
 		p.b.Grow(n)
 	}

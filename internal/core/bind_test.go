@@ -101,7 +101,7 @@ int main(void) {
 		for i, sc := range sres.SCoPs {
 			scop.RestoreCalls(sc, subs[i])
 		}
-		if ast.PrintPlaced(file, 0) != art.Stages.Transformed {
+		if text, err := ast.PrintPlaced(file, 0, 0); err != nil || text != art.Stages.Transformed {
 			t.Fatalf("%s %+v: the chain by hand prints other text than Front", name, b.cfg.Transform)
 		}
 		final, err := sema.Check(file)

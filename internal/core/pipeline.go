@@ -18,11 +18,13 @@
 // Per the paper, the chain restarts from the beginning on the transformed
 // source ("we start the GCC toolchain from the beginning with the program
 // file built at the end of our compiler pass"), so the executed program
-// is exactly the printed artifact. Front parses once and keeps that
-// guarantee as an invariant: printing the transformed source places the
-// working tree where the text puts it, so the model it re-checks and
-// compiles is the tree parsing the artifact builds — the tree
-// DiskCache.Load does build — node for node and position for position.
+// is exactly the printed artifact. Front parses, checks and analyzes
+// once and keeps that guarantee as an invariant: printing the
+// transformed source places the working tree where the text puts it, so
+// the tree it compiles is the tree parsing the artifact builds — the
+// tree DiskCache.Load does build — node for node and position for
+// position, and the semantic model it brings up to date from the
+// rewrites is the one checking that tree builds.
 package core
 
 import (
@@ -149,11 +151,12 @@ type Artifact struct {
 	// Info is the semantic model of the final source; the Compile step
 	// turns it into an executable comp.Program.
 	Info *sema.Info
-	// VRA is the value-range analysis of the final source: the bounds
-	// proofs the Compile step uses for check elimination, and the
-	// diagnostics purecc -analyze reports. An Artifact restored by
-	// DiskCache.Load carries the proofs only, and of its Stages only
-	// Original and Transformed.
+	// VRA is the one value-range analysis Front runs, on the user's
+	// source: its diagnostics, which purecc -analyze reports, and the
+	// bounds proofs of the accesses that are still nodes of the final
+	// source, which the Compile step uses for check elimination. An
+	// Artifact restored by DiskCache.Load carries the proofs only, and
+	// of its Stages only Original and Transformed.
 	VRA *vra.Result
 }
 
@@ -238,20 +241,20 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		res.Pure = append(res.Pure, name)
 	}
 
-	// Value-range analysis on the original model. Its findings carry the
-	// positions the user wrote, so they are what Artifact.VRA reports;
-	// the bounds proofs are recomputed on the final model below because
-	// they must key off the syntax nodes the Compile step lowers.
-	early := vra.Analyze(info)
+	// Value-range analysis, once, on the user's model: its findings
+	// carry the positions the user wrote, and its proofs, keyed by
+	// access node, carry over to the final model below.
+	analysis := vra.Analyze(info)
 
+	var edits *sema.Edits
 	if cfg.Parallelize {
-		// The alias oracle hands the detector the early analysis's
+		// The alias oracle hands the detector the analysis's
 		// points-to facts; both run over the same model, so symbols
 		// match. The guard keeps a typed-nil oracle out of the
 		// interface value.
 		var oracle scop.AliasOracle
-		if !cfg.NoAlias && early.Alias != nil {
-			oracle = early.Alias
+		if !cfg.NoAlias && analysis.Alias != nil {
+			oracle = analysis.Alias
 		}
 		sres := scop.DetectWith(info, pres, scop.Options{
 			AllowPureCalls: cfg.Mode == ModePure,
@@ -268,26 +271,31 @@ func Front(src string, cfg Config) (*Artifact, error) {
 		// parallelize its nest (gather parallelization). This runs before
 		// pragma marking and call substitution so every real call is
 		// still visible to the analysis.
-		markBoundedStars(sres.SCoPs, early)
+		markBoundedStars(sres.SCoPs, analysis)
 		scop.MarkPragmas(sres.SCoPs)
 		// Temporarily hide the pure calls from the polyhedral stage.
 		subs := make([][]scop.Substitution, len(sres.SCoPs))
 		for i, sc := range sres.SCoPs {
 			subs[i] = scop.SubstituteCalls(sc)
 		}
-		res.Stages.Marked = ast.Print(file)
-		rep, err := transform.Parallelize(sres.SCoPs, cfg.Transform)
+		if res.Stages.Marked, err = ast.PrintLimited(file, preproc.MaxExpansion); err != nil {
+			return nil, fmt.Errorf("print marked source: %v", err)
+		}
+		rep, ed, err := transform.ParallelizeEdits(sres.SCoPs, cfg.Transform)
 		if err != nil {
 			return nil, fmt.Errorf("polyhedral transform: %v", err)
 		}
 		res.Report = rep
+		edits = ed
 		for i, sc := range sres.SCoPs {
 			scop.RestoreCalls(sc, subs[i])
 		}
 	}
 	// Size hints: the generated loops and pragmas make Transformed about
 	// 1.4 times Marked, and lowering turns "pure " into "const ".
-	res.Stages.Transformed = ast.PrintPlaced(file, len(res.Stages.Marked)*3/2)
+	if res.Stages.Transformed, err = ast.PrintPlaced(file, len(res.Stages.Marked)*3/2, preproc.MaxExpansion); err != nil {
+		return nil, fmt.Errorf("print transformed source: %v", err)
+	}
 	if !cfg.Parallelize {
 		res.Stages.Marked = res.Stages.Transformed
 	}
@@ -304,18 +312,24 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	}
 	// PC-PosPro: lower pure to plain C and re-insert system includes.
 	// Stages.Final is the plain-C artifact the paper's chain hands to GCC.
-	res.Stages.Final = preproc.ReinsertSystemIncludes(ast.PrintLowered(file, len(res.Stages.Transformed)*33/32), includes)
-	finalInfo, err := sema.Check(file)
+	lowered, err := ast.PrintLowered(file, len(res.Stages.Transformed)*33/32, preproc.MaxExpansion)
 	if err != nil {
-		return nil, fmt.Errorf("internal: final source does not re-check: %v", err)
+		return nil, fmt.Errorf("print final source: %v", err)
 	}
-	res.Info = finalInfo
-	// Re-run the value-range analysis on the final model for the bounds
-	// proofs (keyed to the nodes Compile lowers), but keep the findings
-	// from the original model: their positions match the user's source.
-	res.VRA = vra.Analyze(finalInfo)
-	res.VRA.Findings = early.Findings
-	for name := range purity.Memoizable(finalInfo) {
+	res.Stages.Final = preproc.ReinsertSystemIncludes(lowered, includes)
+	// The final model is the user's model brought up to date: sema
+	// checks only the loops transform built and the statements it
+	// edited, and the proofs of the accesses that are still in the tree
+	// stay (vra.Result.Retain gives why they stay sound).
+	if edits != nil {
+		if err := sema.Recheck(info, edits); err != nil {
+			return nil, fmt.Errorf("internal: final source does not re-check: %v", err)
+		}
+		analysis.Retain(file)
+	}
+	res.Info = info
+	res.VRA = analysis
+	for name := range purity.Memoizable(info) {
 		res.Memoizable = append(res.Memoizable, name)
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"purec/internal/apps"
 	"purec/internal/comp"
 	"purec/internal/parser"
+	"purec/internal/preproc"
 	"purec/internal/rt"
 	"purec/internal/transform"
 )
@@ -248,18 +250,16 @@ func TestCorpusUnderTileAndSkew(t *testing.T) {
 }
 
 // FuzzFront: any source goes through Front and Compile to an artifact
-// or an error, never a Go panic, and the working tree of every artifact
-// is the tree its printed Transformed parses to (sameAsParse). mode
-// picks tiling, skewing and the backend. Nothing runs: a guest loop has
-// no fuel yet, so while (1); would hang the fuzzer.
+// or an error, never a Go panic, the working tree of every artifact is
+// the tree its printed Transformed parses to (sameAsParse, which also
+// carries the proofs across with EncodeProofs), and its one model is
+// the one a fresh sema.Check of that tree builds
+// (sameModelAsFreshCheck). mode picks tiling, skewing and the backend.
+// Nothing runs: a guest loop has no fuel yet, so while (1); would hang
+// the fuzzer.
 func FuzzFront(f *testing.F) {
 	for i, s := range apps.Corpus() {
-		var defs []string
-		for k, v := range s.Defines {
-			defs = append(defs, "#define "+k+" "+v+"\n")
-		}
-		sort.Strings(defs)
-		f.Add(strings.Join(defs, "")+s.Src, uint8(i))
+		f.Add(withDefines(s.Src, s.Defines), uint8(i))
 	}
 	f.Add("\"\\", uint8(0))
 	f.Add("int f(void A){ return 0; } int main(void){ return 0; }", uint8(0))
@@ -270,6 +270,10 @@ func FuzzFront(f *testing.F) {
 	f.Add(tiledNest(parser.MaxStmtDepth-2), uint8(1))
 	f.Add(tiledNest(parser.MaxStmtDepth-3), uint8(1))
 	f.Add(skewedChain(1012), uint8(2))
+	// Forward substitution of a private, and a skewed pointer nest whose
+	// carried proofs are more than a fresh analysis finds.
+	f.Add(withDefines(apps.DerivedSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(0))
+	f.Add(withDefines(apps.AliasedPairSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(2))
 	f.Fuzz(func(t *testing.T, src string, mode uint8) {
 		cfg := Config{FileName: "t.c", Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
 			Transform: transform.Options{Tile: mode&1 != 0, Skew: mode&2 != 0}}
@@ -277,9 +281,22 @@ func FuzzFront(f *testing.F) {
 			if err := sameAsParse(art, cfg.FileName); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := sameModelAsFreshCheck(art); err != nil {
+				t.Fatal(err)
+			}
 			_, _ = art.Compile(cfg)
 		}
 	})
+}
+
+// withDefines prefixes src with a #define line per entry of defs.
+func withDefines(src string, defs map[string]string) string {
+	var lines []string
+	for k, v := range defs {
+		lines = append(lines, "#define "+k+" "+v+"\n")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "") + src
 }
 
 // TestFrontAllocationIsLinearInItsText: a modest source can print a
@@ -305,6 +322,46 @@ func TestFrontAllocationIsLinearInItsText(t *testing.T) {
 		len(src), text, alloc, float64(alloc)/float64(text))
 	if alloc > 16*uint64(text) {
 		t.Errorf("Front allocated %d B for %d B of Transformed, budget 16× the text", alloc, text)
+	}
+}
+
+// TestFrontCapsPrintedStages: 50 000 statements under 125 nested blocks
+// are 550 KB of source and would print 26 MB of indented text per
+// stage. Every printed stage is capped at preproc.MaxExpansion: the
+// print stops there and Front fails naming the limit, so what it
+// allocates beyond the same statements in one block is bounded by the
+// cap, not by the text the source would print.
+func TestFrontCapsPrintedStages(t *testing.T) {
+	body := strings.Repeat("x = x + 1;\n", 50000)
+	deep := "int main(void) {\n    int x = 0;\n" + strings.Repeat("{", 125) + "\n" + body +
+		strings.Repeat("}", 125) + "\n    return x;\n}\n"
+	flat := "int main(void) {\n    int x = 0;\n{\n" + body + "}\n    return x;\n}\n"
+	front := func(src string, par bool) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Front(src, Config{Parallelize: par})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	base, err := front(flat, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		par   bool
+		stage string
+	}{{true, "marked"}, {false, "transformed"}} {
+		alloc, err := front(deep, c.par)
+		want := fmt.Sprintf("print %s source: printed source exceeds %d bytes", c.stage, preproc.MaxExpansion)
+		if err == nil || err.Error() != want {
+			t.Errorf("par=%v: %v, want %q", c.par, err, want)
+		}
+		t.Logf("par=%v: Front allocated %d MB, the statements in one block %d MB", c.par, alloc>>20, base>>20)
+		if alloc > base+3*preproc.MaxExpansion {
+			t.Errorf("par=%v: Front allocated %d B, %d B more than for the same statements in one block; the cap allows %d",
+				c.par, alloc, alloc-base, 3*preproc.MaxExpansion)
+		}
 	}
 }
 

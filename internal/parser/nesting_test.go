@@ -52,7 +52,10 @@ func inFunc(s ast.Stmt) *ast.File {
 // parsing the tree's printed text reports.
 func sameLimitError(t *testing.T, name string, f *ast.File) (tooDeep bool) {
 	t.Helper()
-	src := ast.PrintPlaced(f, 0)
+	src, err := ast.PrintPlaced(f, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, perr := Parse("t.c", src)
 	cerr := CheckNesting(f, src)
 	if fmt.Sprint(perr) != fmt.Sprint(cerr) {

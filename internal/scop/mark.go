@@ -88,17 +88,23 @@ func RestoreCalls(sc *SCoP, subs []Substitution) {
 	for _, s := range subs {
 		byName[s.Name] = s.Call
 	}
-	for _, stmt := range sc.BodyStmts {
-		ast.RewriteExpr(stmt, func(e ast.Expr) ast.Expr {
-			id, ok := e.(*ast.Ident)
-			if !ok {
-				return e
-			}
-			if call, hit := byName[id.Name]; hit {
-				return call
-			}
+	// A call nested in the arguments of another was substituted first,
+	// so its placeholder sits inside the outer call: restore into the
+	// arguments of every call put back.
+	var restore func(e ast.Expr) ast.Expr
+	restore = func(e ast.Expr) ast.Expr {
+		id, ok := e.(*ast.Ident)
+		if !ok {
 			return e
-		})
+		}
+		if call, hit := byName[id.Name]; hit {
+			ast.RewriteExpr(call, restore)
+			return call
+		}
+		return e
+	}
+	for _, stmt := range sc.BodyStmts {
+		ast.RewriteExpr(stmt, restore)
 	}
 }
 

@@ -191,9 +191,21 @@ func Check(f *ast.File) (*Info, error) {
 type checker struct {
 	info   *Info
 	scopes []map[string]*Symbol
+	// depth is the number of open scopes; scopes keeps the maps of
+	// closed ones for reuse.
+	depth  int
 	cur    *Sig // function being checked
 	curFn  *ast.FuncDecl
 	locals int
+
+	// Recheck state: the edits being checked, the function's symbols
+	// before them and the position after the last one found, and
+	// whether kept statements are being checked again rather than only
+	// walked for their declarations.
+	ed     *Edits
+	old    []*Symbol
+	next   int
+	retype bool
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -334,11 +346,19 @@ func (c *checker) collectFunc(fd *ast.FuncDecl) {
 // ----------------------------------------------------------------------------
 // Function bodies
 
-func (c *checker) push() { c.scopes = append(c.scopes, map[string]*Symbol{}) }
-func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) push() {
+	if c.depth < len(c.scopes) {
+		clear(c.scopes[c.depth])
+	} else {
+		c.scopes = append(c.scopes, map[string]*Symbol{})
+	}
+	c.depth++
+}
+
+func (c *checker) pop() { c.depth-- }
 
 func (c *checker) declare(sym *Symbol, pos token.Pos) {
-	top := c.scopes[len(c.scopes)-1]
+	top := c.scopes[c.depth-1]
 	if _, dup := top[sym.Name]; dup {
 		c.errorf(pos, "%s redeclared in this scope", sym.Name)
 		return
@@ -350,7 +370,7 @@ func (c *checker) declare(sym *Symbol, pos token.Pos) {
 }
 
 func (c *checker) lookup(name string) *Symbol {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
+	for i := c.depth - 1; i >= 0; i-- {
 		if s, ok := c.scopes[i][name]; ok {
 			return s
 		}
@@ -380,17 +400,13 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 func (c *checker) stmt(s ast.Stmt) {
+	if c.ed != nil && c.recheckStmt(s) {
+		return
+	}
 	switch x := s.(type) {
 	case *ast.DeclStmt:
 		for _, d := range x.Decls {
-			sym := c.makeVarSymbol(d, SymLocal)
-			if d.Init != nil {
-				t := c.expr(d.Init)
-				if !sym.IsArray() && !types.AssignableLoose(sym.Type, t) {
-					c.errorf(d.Pos(), "cannot initialize %s (%s) from %s", d.Name, sym.Type, t)
-				}
-			}
-			c.declare(sym, d.Pos())
+			c.local(d, c.symbolOf(d))
 		}
 	case *ast.ExprStmt:
 		c.expr(x.X)
@@ -456,6 +472,30 @@ func (c *checker) stmt(s ast.Stmt) {
 	case *ast.BreakStmt, *ast.ContinueStmt, *ast.EmptyStmt, *ast.PragmaStmt:
 		// nothing to check
 	}
+}
+
+// local checks the declaration of sym by d and declares it.
+func (c *checker) local(d *ast.VarDecl, sym *Symbol) {
+	if d.Init != nil {
+		t := c.expr(d.Init)
+		if !sym.IsArray() && !types.AssignableLoose(sym.Type, t) {
+			c.errorf(d.Pos(), "cannot initialize %s (%s) from %s", d.Name, sym.Type, t)
+		}
+	}
+	c.declare(sym, d.Pos())
+}
+
+// symbolOf returns the symbol a local declaration defines: a new one,
+// or on a recheck the one Check made for it.
+func (c *checker) symbolOf(d *ast.VarDecl) *Symbol {
+	if c.ed == nil {
+		return c.makeVarSymbol(d, SymLocal)
+	}
+	if sym := c.kept(d); sym != nil {
+		return sym
+	}
+	c.errorf(d.Pos(), "declaration of %s was neither checked nor built", d.Name)
+	return c.makeVarSymbol(d, SymLocal)
 }
 
 func (c *checker) condition(e ast.Expr) {

@@ -685,6 +685,8 @@ func TestHostileSourcesAreRejected(t *testing.T) {
 		{"operator-chain", "int main(void) { int x = 1" + strings.Repeat("+1", 1000000) + "; return x; }",
 			"expression nesting exceeds 1024 levels"},
 		{"macro-bomb", bomb.String(), "macro expansion exceeds 16777216 bytes"},
+		{"deep-print", "int main(void) {\nint x = 0;\n" + strings.Repeat("{", 125) + strings.Repeat("x = x + 1;\n", 50000) +
+			strings.Repeat("}", 125) + "\nreturn x;\n}\n", "printed source exceeds 16777216 bytes"},
 		{"trailing-escape", "\"\\", "unterminated string literal"},
 		{"void-parameter", "int f(void A){ return 0; } int main(void){ return 0; }",
 			"parameter 1 of f has type void"},

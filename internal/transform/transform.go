@@ -10,12 +10,14 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"purec/internal/ast"
 	"purec/internal/poly"
 	"purec/internal/scop"
+	"purec/internal/sema"
 	"purec/internal/token"
 )
 
@@ -105,18 +107,35 @@ func (r *Report) String() string {
 
 // Parallelize transforms every SCoP in place and returns the report.
 func Parallelize(scops []*scop.SCoP, opts Options) (*Report, error) {
-	rep := &Report{}
-	for _, sc := range scops {
-		lr, err := transformOne(sc, opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Loops = append(rep.Loops, lr)
-	}
-	return rep, nil
+	rep, _, err := ParallelizeEdits(scops, opts)
+	return rep, err
 }
 
-func transformOne(sc *scop.SCoP, opts Options) (LoopReport, error) {
+// ParallelizeEdits is Parallelize that also records what it did to the
+// tree, for sema.Recheck: the loops it built, the body statements in
+// which it substituted an iterator or a private, and which built
+// iterator declarations take over from a declaration of the nest.
+func ParallelizeEdits(scops []*scop.SCoP, opts Options) (*Report, *sema.Edits, error) {
+	rep := &Report{}
+	ed := &sema.Edits{
+		Built:      map[*ast.ForStmt]bool{},
+		Edited:     map[ast.Stmt]bool{},
+		Redeclares: map[*ast.VarDecl]*ast.VarDecl{},
+	}
+	for _, sc := range scops {
+		lr, err := transformOne(sc, opts, ed)
+		if err != nil {
+			return rep, ed, err
+		}
+		rep.Loops = append(rep.Loops, lr)
+		if !slices.Contains(ed.Funcs, sc.Func) {
+			ed.Funcs = append(ed.Funcs, sc.Func)
+		}
+	}
+	return rep, ed, nil
+}
+
+func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, error) {
 	lr := LoopReport{Func: sc.Func.Name, Depth: sc.Nest.Depth(),
 		AliasNotes: sc.AliasNotes, PrivateScalars: sc.PrivateScalars}
 	nest := sc.Nest
@@ -131,7 +150,7 @@ func transformOne(sc *scop.SCoP, opts Options) (LoopReport, error) {
 			sdeps := poly.AnalyzeDeps(skewed)
 			spar := poly.ParallelLevels(skewed, sdeps)
 			if poly.OutermostParallel(spar) >= 0 || poly.Permutable(skewed, sdeps) {
-				rewriteSkewedBody(sc, nest.Iters[0], nest.Iters[1], skewed.Iters[1], f)
+				rewriteSkewedBody(sc, nest.Iters[0], nest.Iters[1], skewed.Iters[1], f, ed)
 				nest, deps, par = skewed, sdeps, spar
 				lr.Skewed, lr.SkewFactor = true, f
 			}
@@ -204,9 +223,16 @@ func transformOne(sc *scop.SCoP, opts Options) (LoopReport, error) {
 		lr.SerialReason = serialReason(nest, deps, forced, aliased, tripSuppressed, opts)
 	}
 
-	newLoop, pragma := buildLoops(gen, parIdx, opts, sc)
+	newLoop, pragma := buildLoops(gen, parIdx, opts, sc, ed)
 	lr.Pragma = pragma
 	replaceStmt(sc.Func.Body, sc.Outer, newLoop)
+	for _, l := range sc.Loops {
+		for _, n := range []ast.Node{l.For.Init, l.For.Cond, l.For.Post} {
+			if n != nil {
+				ed.Dropped = append(ed.Dropped, n)
+			}
+		}
+	}
 	return lr, nil
 }
 
@@ -401,41 +427,76 @@ func constTrip(l poly.Loop) (int64, bool) {
 
 // rewriteSkewedBody substitutes the skewed iterator in the body
 // statements: with jNew = j + f·i every use of j becomes (jNew − f·i).
-func rewriteSkewedBody(sc *scop.SCoP, i, j, jNew string, f int64) {
+func rewriteSkewedBody(sc *scop.SCoP, i, j, jNew string, f int64, ed *sema.Edits) {
+	subst := func(e ast.Expr) ast.Expr {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name != j {
+			return e
+		}
+		return &ast.ParenExpr{LPos: id.Pos(), X: &ast.BinaryExpr{
+			X:  &ast.Ident{NamePos: id.Pos(), Name: jNew},
+			Op: token.SUB,
+			Y: &ast.BinaryExpr{
+				X:  &ast.IntLit{Value: f, Text: fmt.Sprintf("%d", f)},
+				Op: token.MUL,
+				Y:  &ast.Ident{NamePos: id.Pos(), Name: i},
+			},
+		}}
+	}
 	for _, stmt := range sc.BodyStmts {
-		ast.RewriteExpr(stmt, func(e ast.Expr) ast.Expr {
-			id, ok := e.(*ast.Ident)
-			if !ok || id.Name != j {
-				return e
-			}
-			return &ast.ParenExpr{LPos: id.Pos(), X: &ast.BinaryExpr{
-				X:  &ast.Ident{NamePos: id.Pos(), Name: jNew},
-				Op: token.SUB,
-				Y: &ast.BinaryExpr{
-					X:  &ast.IntLit{Value: f, Text: fmt.Sprintf("%d", f)},
-					Op: token.MUL,
-					Y:  &ast.Ident{NamePos: id.Pos(), Name: i},
-				},
-			}}
-		})
+		ast.RewriteExpr(stmt, recording(stmt, ed, subst))
+	}
+	substInCalls(sc, ed, subst)
+}
+
+// substInCalls applies subst inside the arguments of the nest's pure
+// calls too: while the nest is transformed they are out of the tree,
+// replaced by placeholders (scop.SubstituteCalls), and go back in
+// unchanged.
+func substInCalls(sc *scop.SCoP, ed *sema.Edits, subst func(ast.Expr) ast.Expr) {
+	for _, call := range sc.PureCalls {
+		ast.RewriteExpr(call, recording(nil, ed, subst))
+	}
+}
+
+// recording wraps the substitution f so that ed records each
+// expression f replaces as dropped, and the body statement stmt (nil
+// inside a call) as edited when f replaces an expression in it or when
+// it holds a placeholder, whose call substInCalls may change.
+func recording(stmt ast.Stmt, ed *sema.Edits, f func(ast.Expr) ast.Expr) func(ast.Expr) ast.Expr {
+	return func(e ast.Expr) ast.Expr {
+		r := f(e)
+		if r != e {
+			ed.Dropped = append(ed.Dropped, e)
+		}
+		if id, ok := e.(*ast.Ident); stmt != nil && (r != e || ok && scop.IsPlaceholder(id.Name)) {
+			ed.Edited[stmt] = true
+		}
+		return r
 	}
 }
 
 // buildLoops regenerates the loop nest AST from the generated structure
-// and returns it together with the pragma text inserted (if any).
-func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast.Stmt, string) {
+// and returns it together with the pragma text inserted (if any). ed
+// records the loops it builds, and each iterator declaration that takes
+// over the declaration of an original loop of the nest.
+func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP, ed *sema.Edits) (ast.Stmt, string) {
 	// Innermost body: the original statements, with affine private
 	// scalar definitions forward-substituted into their uses.
-	var body ast.Stmt = &ast.BlockStmt{List: substPrivates(sc)}
+	var body ast.Stmt = &ast.BlockStmt{List: substPrivates(sc, ed)}
 	pragma := ""
 	for k := len(gen.Loops) - 1; k >= 0; k-- {
 		l := gen.Loops[k]
+		decl := &ast.VarDecl{
+			Type: &ast.TypeExpr{Base: ast.Int},
+			Name: l.Iter,
+			Init: boundsExpr(l.Lowers, true),
+		}
+		if old := iteratorDecl(sc, l.Iter); old != nil {
+			ed.Redeclares[decl] = old
+		}
 		f := &ast.ForStmt{
-			Init: &ast.DeclStmt{Decls: []*ast.VarDecl{{
-				Type: &ast.TypeExpr{Base: ast.Int},
-				Name: l.Iter,
-				Init: boundsExpr(l.Lowers, true),
-			}}},
+			Init: &ast.DeclStmt{Decls: []*ast.VarDecl{decl}},
 			Cond: &ast.BinaryExpr{
 				X:  &ast.Ident{Name: l.Iter},
 				Op: token.LEQ,
@@ -444,6 +505,7 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast
 			Post: &ast.PostfixExpr{X: &ast.Ident{Name: l.Iter}, Op: token.INC},
 			Body: body,
 		}
+		ed.Built[f] = true
 		var stmts []ast.Stmt
 		if k == parIdx {
 			pragma = ompPragma(gen, k, opts, sc)
@@ -462,6 +524,17 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast
 	return body, pragma
 }
 
+// iteratorDecl returns the declaration of iter in the header of an
+// original loop of the nest, nil when no header declares it.
+func iteratorDecl(sc *scop.SCoP, iter string) *ast.VarDecl {
+	for _, l := range sc.Loops {
+		if ds, ok := l.For.Init.(*ast.DeclStmt); ok && l.Iter == iter && len(ds.Decls) == 1 {
+			return ds.Decls[0]
+		}
+	}
+	return nil
+}
+
 // substPrivates forward-substitutes the SCoP's affine private scalar
 // definitions (`int j = i + k;`) into their uses and drops the
 // declarations, so a derived-subscript body collapses to the single
@@ -471,23 +544,24 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP) (ast
 // iterators, parameters and constants: re-evaluating it per use is
 // deterministic and cannot trap, so the rewrite is observation- and
 // trap-equivalent. Bodies without substitutable decls pass through
-// unchanged.
-func substPrivates(sc *scop.SCoP) []ast.Stmt {
+// unchanged. ed records the statements the substitution edits.
+func substPrivates(sc *scop.SCoP, ed *sema.Edits) []ast.Stmt {
 	if len(sc.SubstPrivates) == 0 {
 		return sc.BodyStmts
 	}
 	repl := map[string]ast.Expr{}
+	subst := func(e ast.Expr) ast.Expr {
+		if id, ok := e.(*ast.Ident); ok {
+			if r, ok2 := repl[id.Name]; ok2 {
+				return &ast.ParenExpr{X: ast.CloneExpr(r)}
+			}
+		}
+		return e
+	}
 	out := make([]ast.Stmt, 0, len(sc.BodyStmts))
 	for _, s := range sc.BodyStmts {
 		if len(repl) > 0 {
-			ast.RewriteExpr(s, func(e ast.Expr) ast.Expr {
-				if id, ok := e.(*ast.Ident); ok {
-					if r, ok2 := repl[id.Name]; ok2 {
-						return &ast.ParenExpr{X: ast.CloneExpr(r)}
-					}
-				}
-				return e
-			})
+			ast.RewriteExpr(s, recording(s, ed, subst))
 		}
 		if ds, ok := s.(*ast.DeclStmt); ok && len(ds.Decls) == 1 {
 			d := ds.Decls[0]
@@ -495,11 +569,13 @@ func substPrivates(sc *scop.SCoP) []ast.Stmt {
 				// Record the live (already-substituted) initializer and
 				// drop the declaration.
 				repl[d.Name] = d.Init
+				ed.Dropped = append(ed.Dropped, s)
 				continue
 			}
 		}
 		out = append(out, s)
 	}
+	substInCalls(sc, ed, subst)
 	return out
 }
 

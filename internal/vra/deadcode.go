@@ -15,59 +15,77 @@ import (
 // Address-taken variables are exempt (a pointer may read them), as are
 // globals and parameters.
 func (a *analyzer) deadCode() {
+	d := &liveness{
+		a:           a,
+		reads:       map[*sema.Symbol]int{},
+		stores:      map[*sema.Symbol][]*ast.AssignExpr{},
+		pending:     map[*sema.Symbol]*ast.AssignExpr{},
+		overwritten: map[*ast.AssignExpr]bool{},
+	}
 	for _, fd := range a.info.File.Funcs() {
 		if fd.Body == nil {
 			continue
 		}
-		a.deadCodeFunc(fd)
+		d.function(fd)
 	}
 }
 
-type storeSite struct {
-	pos  token.Pos
-	expr string
+// liveness holds the maps of the dead-code pass, cleared per function
+// (and pending per block) rather than made anew. A store is kept as its
+// assignment node and printed only into a finding.
+type liveness struct {
+	a           *analyzer
+	reads       map[*sema.Symbol]int
+	stores      map[*sema.Symbol][]*ast.AssignExpr
+	pending     map[*sema.Symbol]*ast.AssignExpr
+	overwritten map[*ast.AssignExpr]bool
 }
 
-func (a *analyzer) deadCodeFunc(fd *ast.FuncDecl) {
-	eligible := func(sym *sema.Symbol) bool {
-		return sym != nil && sym.Kind == sema.SymLocal && !sym.IsArray() &&
-			!a.addrTaken[sym]
-	}
+func (d *liveness) eligible(sym *sema.Symbol) bool {
+	return sym != nil && sym.Kind == sema.SymLocal && !sym.IsArray() &&
+		!d.a.addrTaken[sym]
+}
+
+func (d *liveness) function(fd *ast.FuncDecl) {
+	a := d.a
+	clear(d.reads)
+	clear(d.stores)
+	clear(d.overwritten)
 
 	// Reference census: every identifier occurrence is a use, except
 	// the target of a plain assignment (compound assigns and ++/--
-	// read the old value, so their targets stay uses).
-	reads := map[*sema.Symbol]int{}
-	stores := map[*sema.Symbol][]storeSite{}
-	storeTargets := map[*ast.Ident]bool{}
+	// read the old value, so their targets stay uses). The walk is
+	// pre-order, so it meets an assignment before the target
+	// identifier under its parentheses.
+	var target *ast.Ident
 	ast.Walk(fd.Body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignExpr); ok && as.Op == token.ASSIGN {
-			if id, okI := ast.Unparen(as.LHS).(*ast.Ident); okI {
-				storeTargets[id] = true
-				if sym := a.info.Ref[id]; eligible(sym) {
-					stores[sym] = append(stores[sym], storeSite{
-						pos: as.Pos(), expr: ast.PrintExpr(as),
-					})
+		switch x := n.(type) {
+		case *ast.AssignExpr:
+			if x.Op != token.ASSIGN {
+				break
+			}
+			if id, ok := ast.Unparen(x.LHS).(*ast.Ident); ok {
+				target = id
+				if sym := a.info.Ref[id]; d.eligible(sym) {
+					d.stores[sym] = append(d.stores[sym], x)
 				}
 			}
-		}
-		return true
-	})
-	ast.Walk(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !storeTargets[id] {
-			if sym := a.info.Ref[id]; sym != nil {
-				reads[sym]++
+		case *ast.Ident:
+			if x == target {
+				target = nil
+			} else if sym := a.info.Ref[x]; sym != nil {
+				d.reads[sym]++
 			}
 		}
 		return true
 	})
 
 	for _, sym := range a.info.FuncLocals[fd.Name] {
-		if !eligible(sym) || sym.Decl == nil || reads[sym] > 0 {
+		if !d.eligible(sym) || sym.Decl == nil || d.reads[sym] > 0 {
 			continue
 		}
 		switch {
-		case len(stores[sym]) == 0:
+		case len(d.stores[sym]) == 0:
 			a.res.Findings = append(a.res.Findings, Finding{
 				Kind: UnusedVar,
 				Pos:  sym.Decl.Pos(),
@@ -76,13 +94,14 @@ func (a *analyzer) deadCodeFunc(fd *ast.FuncDecl) {
 					sym.Name, sym.Decl.Pos()),
 			})
 		default:
-			for _, st := range stores[sym] {
+			for _, as := range d.stores[sym] {
+				expr := ast.PrintExpr(as)
 				a.res.Findings = append(a.res.Findings, Finding{
 					Kind: DeadStore,
-					Pos:  st.pos,
-					Expr: st.expr,
+					Pos:  as.Pos(),
+					Expr: expr,
 					Msg: fmt.Sprintf("value stored by %s is never read (%s has no reads in %s)",
-						st.expr, sym.Name, fd.Name),
+						expr, sym.Name, fd.Name),
 				})
 			}
 		}
@@ -91,42 +110,45 @@ func (a *analyzer) deadCodeFunc(fd *ast.FuncDecl) {
 	// Straight-line overwrites: x = e1; x = e2; with no intervening
 	// read of x, no control flow and no calls makes e1's store dead
 	// even when x is live later.
-	overwritten := map[token.Pos]bool{}
 	ast.Walk(fd.Body, func(n ast.Node) bool {
 		blk, ok := n.(*ast.BlockStmt)
 		if !ok {
 			return true
 		}
-		pending := map[*sema.Symbol]storeSite{}
+		clear(d.pending)
 		for _, st := range blk.List {
 			as := plainAssign(st)
 			if as == nil {
 				// Any other statement may read or branch: forget all.
-				pending = map[*sema.Symbol]storeSite{}
+				clear(d.pending)
 				continue
 			}
 			id, _ := ast.Unparen(as.LHS).(*ast.Ident)
 			sym := a.info.Ref[id]
 			// Reads inside this statement kill the pending stores of
 			// what they read.
-			for _, rid := range ast.Idents(as.RHS) {
-				delete(pending, a.info.Ref[rid])
-			}
-			if !eligible(sym) || !effectFree(as.RHS) || hasCall(as.RHS) {
-				delete(pending, sym)
+			ast.Walk(as.RHS, func(m ast.Node) bool {
+				if rid, ok := m.(*ast.Ident); ok {
+					delete(d.pending, a.info.Ref[rid])
+				}
+				return true
+			})
+			if !d.eligible(sym) || !effectFree(as.RHS) || hasCall(as.RHS) {
+				delete(d.pending, sym)
 				continue
 			}
-			if prev, okP := pending[sym]; okP && !overwritten[prev.pos] {
-				overwritten[prev.pos] = true
+			if prev, okP := d.pending[sym]; okP && !d.overwritten[prev] {
+				d.overwritten[prev] = true
+				expr := ast.PrintExpr(prev)
 				a.res.Findings = append(a.res.Findings, Finding{
 					Kind: DeadStore,
-					Pos:  prev.pos,
-					Expr: prev.expr,
+					Pos:  prev.Pos(),
+					Expr: expr,
 					Msg: fmt.Sprintf("value stored by %s is overwritten by %s before any read",
-						prev.expr, as2line(as)),
+						expr, as2line(as)),
 				})
 			}
-			pending[sym] = storeSite{pos: as.Pos(), expr: ast.PrintExpr(as)}
+			d.pending[sym] = as
 		}
 		return true
 	})

@@ -76,3 +76,29 @@ func RestoreProofs(file *ast.File, ords []int) (*Result, error) {
 	}
 	return &Result{safe: safe}, nil
 }
+
+// Retain keeps the proofs whose index expressions are still nodes of
+// file, the tree the analysis ran on as a rewrite left it, and drops
+// the rest. A kept proof stays sound as long as the rewrite leaves each
+// surviving access the same set of index values: regenerating loop
+// headers over the same iteration domain, and substituting inside an
+// access an iterator or private by an expression equal to its value
+// there, do.
+func (r *Result) Retain(file *ast.File) {
+	live := func(visit func(*ast.IndexExpr)) {
+		ast.Walk(file, func(m ast.Node) bool {
+			if e, ok := m.(*ast.IndexExpr); ok && r.safe[e] {
+				visit(e)
+			}
+			return true
+		})
+	}
+	n := 0
+	live(func(*ast.IndexExpr) { n++ })
+	if n == len(r.safe) {
+		return
+	}
+	safe := make(map[ast.Expr]bool, n)
+	live(func(e *ast.IndexExpr) { safe[e] = true })
+	r.safe = safe
+}
