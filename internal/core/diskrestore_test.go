@@ -428,6 +428,36 @@ int main(void) {
     return 0;
 }
 `, false, true},
+		// Variables named like the iterators tiling and skewing add, in
+		// subscripts the analysis proves in bounds: the added iterators
+		// take other names, so the proofs still hold for what the
+		// subscripts read.
+		{"tile-name-in-subscript", `float B[2][64];
+float X[4096];
+float C[64][64];
+int main(void) {
+    int iT = 0;
+    printf("start\n");
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            C[i][j] = B[iT + 1][j] + X[i * 64 + j + 1];
+    printf("unreached\n");
+    return 0;
+}
+`, false, false},
+		{"skew-name-in-subscript", `float A[64][64];
+float D[64][64];
+float W[2];
+int main(void) {
+    int j_sk = 0;
+    printf("start\n");
+    for (int i = 1; i < 64; i++)
+        for (int j = 1; j < 63; j++)
+            A[i][j] = A[i - 1][j] + A[i][j - 1] + A[i - 1][j + 1] + D[i][j + 2] * W[j_sk + 1];
+    printf("unreached\n");
+    return 0;
+}
+`, true, false},
 		// Both operands run off at the last element: the dispatch loop
 		// reads the right side before the compound store's own cell.
 		{"fused-compound-order", `float X[8], Y[10];
@@ -542,6 +572,13 @@ int main(void) {
 			want := interpret(cold)
 			if want.trap == "" || want.stdout != "start\n" {
 				t.Fatalf("%s: the interpreter ran %+v, want a trap after the first line", name, want)
+			}
+			plain, err := Front(row.src, Config{FileName: "t.c"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := interpret(plain); got != want {
+				t.Errorf("%s: the interpreter gives %+v on the rewritten program, %+v on the user's", name, want, got)
 			}
 			if row.fused && coldProg.FusedKernels() == 0 {
 				t.Fatalf("%s: no fused kernel", name)

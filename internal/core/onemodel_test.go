@@ -20,8 +20,10 @@ import (
 // the hard way: pure calls whose arguments mention a skewed iterator or
 // a substituted private, nested pure calls, an iterator declared before
 // its loop (the built header declares a new one), a long iterator (the
-// built header declares an int), and a global named like a tile
-// iterator that the tiled body reads.
+// built header declares an int), and variables named like the iterators
+// tiling and skewing add, which the body reads (the added iterators
+// take other names, so the body still reads the user's variable), and
+// a nest two unbraced loops deep (the rewrite must find it there).
 var recheckShapes = []apps.Sample{
 	{Name: "skew-call", Src: `float A[64][64];
 pure float f(int k) { return (float)k * 0.5f; }
@@ -75,7 +77,40 @@ int main(void) {
     for (int i = 0; i < 64; i++)
         for (int j = 0; j < 64; j++)
             A[i][j] = A[i][j] + (float)iT;
-    return 0;
+    return (int)A[40][40];
+}
+`},
+	{Name: "tile-name-subscript", Src: `float A[64][64];
+float B[3][64];
+int main(void) {
+    int iT = 1;
+    int iT1 = 0;
+    for (int i = 0; i < 64; i++)
+        B[2][i] = (float)i;
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            A[i][j] = B[iT + 1][j] + (float)iT1;
+    return (int)A[40][40];
+}
+`},
+	{Name: "skew-name-capture", Src: `float A[64][64];
+pure float f(int k) { return (float)k * 0.5f; }
+int main(void) {
+    int j_sk = 3;
+    for (int i = 1; i < 63; ++i)
+        for (int j = 1; j < 62; ++j)
+            A[i][j] = A[i - 1][j] + A[i][j - 1] + A[i - 1][j + 1] + f(j_sk);
+    return (int)A[10][10];
+}
+`},
+	{Name: "nest-under-unbraced-loops", Src: `float A[64][64];
+int main(void) {
+    for (int r = 1; r < 100; r = r * 2)
+        for (int s = 1; s < 10; s = s * 3)
+            for (int i = 0; i < 64; i++)
+                for (int j = 0; j < 64; j++)
+                    A[i][j] = A[i][j] + (float)(r + s);
+    return (int)A[5][5];
 }
 `},
 }
@@ -88,15 +123,22 @@ int main(void) {
 var supersetProofs = map[string][]string{
 	"aliased-pair/skew":      {"p[(i_sk - 1 * r)]", "q[(i_sk - 1 * r)]"},
 	"aliased-pair/tile+skew": {"p[(i_sk - 1 * r)]", "q[(i_sk - 1 * r)]"},
-	"skew-call/skew":         skewedStencilProofs,
-	"skew-call/tile+skew":    skewedStencilProofs,
+	"skew-call/skew":         skewedStencilProofs("j_sk"),
+	"skew-call/tile+skew":    skewedStencilProofs("j_sk"),
+	// The user's j_sk keeps its name; the skewed iterator is j_sk1.
+	"skew-name-capture/skew":      skewedStencilProofs("j_sk1"),
+	"skew-name-capture/tile+skew": skewedStencilProofs("j_sk1"),
 	"skewed-chain": {"A[i - 1][(j_sk - 1 * i)]",
 		"A[i - 1][" + strings.Repeat("0 + ", 16) + "(j_sk - 1 * i) + 1]",
 		"A[i][(j_sk - 1 * i) - 1]", "A[i][(j_sk - 1 * i)]"},
 }
 
-var skewedStencilProofs = []string{"A[i - 1][(j_sk - 1 * i) + 1]", "A[i - 1][(j_sk - 1 * i)]",
-	"A[i][(j_sk - 1 * i) - 1]", "A[i][(j_sk - 1 * i)]"}
+// skewedStencilProofs lists the stencil accesses of the skew shapes
+// after skewing j into jNew.
+func skewedStencilProofs(jNew string) []string {
+	j := "(" + jNew + " - 1 * i)"
+	return []string{"A[i - 1][" + j + " + 1]", "A[i - 1][" + j + "]", "A[i][" + j + " - 1]", "A[i][" + j + "]"}
+}
 
 // TestOneModelIsTheFreshOne: Front checks and analyzes the user's model
 // once and carries both through the rewrites (sema.Recheck,
@@ -138,6 +180,10 @@ func TestOneModelIsTheFreshOne(t *testing.T) {
 	rows = append(rows,
 		row{"tiled-nest", tiledNest(4), Config{Parallelize: true, Transform: transform.Options{Tile: true}}},
 		row{"skewed-chain", skewedChain(16), Config{Parallelize: true, Transform: transform.Options{Skew: true}}})
+	shape := map[string]bool{}
+	for _, s := range recheckShapes {
+		shape[s.Src] = true
+	}
 	built := 0
 	for _, r := range rows {
 		r.cfg.FileName = "t.c"
@@ -154,6 +200,17 @@ func TestOneModelIsTheFreshOne(t *testing.T) {
 		}
 		if err := sameAsTwoPassBuild(art, r.cfg, len(supersetProofs[r.name]) > 0); err != nil {
 			t.Errorf("%s: %v", r.name, err)
+		}
+		if shape[r.src] {
+			// The rewrite does not change what the program computes: no
+			// new iterator captures a variable the body reads.
+			plain, err := Front(r.src, Config{FileName: "t.c", Defines: r.cfg.Defines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := observeInterp(t, art), observeInterp(t, plain); got != want {
+				t.Errorf("%s: the rewritten program differs from the user's at %s", r.name, firstDiff(got, want))
+			}
 		}
 		built++
 	}

@@ -274,6 +274,11 @@ func FuzzFront(f *testing.F) {
 	// carried proofs are more than a fresh analysis finds.
 	f.Add(withDefines(apps.DerivedSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(0))
 	f.Add(withDefines(apps.AliasedPairSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(2))
+	// Skewed and tiled shapes that Recheck gets right the hard way, and
+	// variables named like the iterators the rewrites add.
+	for _, s := range recheckShapes {
+		f.Add(s.Src, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, src string, mode uint8) {
 		cfg := Config{FileName: "t.c", Parallelize: true, Backend: comp.Backend(mode >> 2 & 1),
 			Transform: transform.Options{Tile: mode&1 != 0, Skew: mode&2 != 0}}

@@ -379,7 +379,7 @@ func TestTiling(t *testing.T) {
 	if !Permutable(n, deps) {
 		t.Fatal("double-buffered stencil must be permutable")
 	}
-	g, err := Tile(n, []int{4, 4}, ParallelLevels(n, deps))
+	g, err := Tile(n, []int{4, 4}, ParallelLevels(n, deps), func(it string) string { return it + "T" })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,17 @@ func LegalSkew(deps []*Dep, l int) (f int64, ok bool) {
 // the domain and all accesses substitute j = j_sk − f·i. The name is a
 // C identifier, because code generation prints it as one.
 func ApplySkew(n *Nest, l int, f int64) *Nest {
+	return ApplySkewNamed(n, l, f, n.Iters[l+1]+"_sk")
+}
+
+// ApplySkewNamed is ApplySkew with the new iterator named jNew, a C
+// identifier the nest does not already use.
+func ApplySkewNamed(n *Nest, l int, f int64, jNew string) *Nest {
 	if f == 0 {
 		return n
 	}
 	i := n.Iters[l]
 	j := n.Iters[l+1]
-	jNew := j + "_sk"
 	subst := func(a Affine) Affine {
 		cj := a.CoefOf(j)
 		if cj == 0 {
@@ -228,8 +233,10 @@ func Generate(n *Nest, parallel []bool) (*GenNest, error) {
 // loops (size 0 or 1 leaves a level untiled) and returns the generated
 // tiled loop structure: tile loops first, then point loops constrained to
 // their tile. Tiling must have been proven legal via Permutable (possibly
-// after ApplySkew), exactly like PluTo's tiling phase.
-func Tile(n *Nest, sizes []int, parallel []bool) (*GenNest, error) {
+// after ApplySkew), exactly like PluTo's tiling phase. The tile loop of
+// iterator it is named tileIter(it), a C identifier the nest does not
+// already use.
+func Tile(n *Nest, sizes []int, parallel []bool, tileIter func(it string) string) (*GenNest, error) {
 	tiled := &Nest{
 		Params: append([]string{}, n.Params...),
 		Domain: n.Domain.Clone(),
@@ -237,7 +244,8 @@ func Tile(n *Nest, sizes []int, parallel []bool) (*GenNest, error) {
 	}
 	var tileIters []string
 	var pointIters []string
-	tileFlags := map[string]bool{}
+	// tileOf maps each tile iterator to the iterator it tiles.
+	tileOf := map[string]string{}
 	for k, it := range n.Iters {
 		size := 0
 		if k < len(sizes) {
@@ -247,10 +255,10 @@ func Tile(n *Nest, sizes []int, parallel []bool) (*GenNest, error) {
 			pointIters = append(pointIters, it)
 			continue
 		}
-		tit := it + "T"
+		tit := tileIter(it)
 		tileIters = append(tileIters, tit)
 		pointIters = append(pointIters, it)
-		tileFlags[tit] = true
+		tileOf[tit] = it
 		b := int64(size)
 		// tit*b <= it <= tit*b + b-1
 		tv := Var(tit).Scale(b)
@@ -260,9 +268,8 @@ func Tile(n *Nest, sizes []int, parallel []bool) (*GenNest, error) {
 	tiled.Iters = append(append([]string{}, tileIters...), pointIters...)
 	var par []bool
 	for _, it := range tiled.Iters {
-		if tileFlags[it] {
+		if base, ok := tileOf[it]; ok {
 			// A tile loop is parallel when its point loop level is.
-			base := it[:len(it)-1]
 			par = append(par, levelParallel(n, parallel, base))
 		} else {
 			par = append(par, levelParallel(n, parallel, it))
@@ -273,7 +280,7 @@ func Tile(n *Nest, sizes []int, parallel []bool) (*GenNest, error) {
 		return nil, err
 	}
 	for i := range g.Loops {
-		g.Loops[i].Tile = tileFlags[g.Loops[i].Iter]
+		_, g.Loops[i].Tile = tileOf[g.Loops[i].Iter]
 		g.Loops[i].Vector = i == len(g.Loops)-1
 	}
 	return g, nil

@@ -62,7 +62,7 @@ type Substitution struct {
 // SubstituteCalls replaces every pure call in the SCoP body by a unique
 // placeholder identifier tmpConst_<fn>_<k> so the polyhedral stage sees
 // the calls as constants (Sect. 3.3). It returns the substitutions needed
-// to restore them.
+// to restore them, and records them in sc.Substituted.
 func SubstituteCalls(sc *SCoP) []Substitution {
 	var subs []Substitution
 	seq := 0
@@ -78,7 +78,23 @@ func SubstituteCalls(sc *SCoP) []Substitution {
 			return &ast.Ident{NamePos: call.Pos(), Name: name}
 		})
 	}
+	sc.Substituted = subs
 	return subs
+}
+
+// Placeholder returns the call that the placeholder name stands for
+// while SubstituteCalls has the calls out of the body, nil when name is
+// no placeholder of sc.
+func (sc *SCoP) Placeholder(name string) *ast.CallExpr {
+	if !IsPlaceholder(name) {
+		return nil
+	}
+	for _, s := range sc.Substituted {
+		if s.Name == name {
+			return s.Call
+		}
+	}
+	return nil
 }
 
 // RestoreCalls re-inserts the substituted calls, the inverse of
@@ -106,6 +122,7 @@ func RestoreCalls(sc *SCoP, subs []Substitution) {
 	for _, stmt := range sc.BodyStmts {
 		ast.RewriteExpr(stmt, restore)
 	}
+	sc.Substituted = nil
 }
 
 // IsPlaceholder reports whether name is a tmpConst_ substitution

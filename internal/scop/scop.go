@@ -46,6 +46,9 @@ type SCoP struct {
 	BodyStmts []ast.Stmt
 	// PureCalls are the pure function calls appearing in the body.
 	PureCalls []*ast.CallExpr
+	// Substituted holds what SubstituteCalls returned, until
+	// RestoreCalls puts the calls back (see Placeholder).
+	Substituted []Substitution
 	// Reductions lists the recognized reduction accumulators of the body
 	// (s op= expr statements whose accumulator has no other use in the
 	// nest, and array updates like hist[a[i]]++ whose array is used

@@ -24,6 +24,13 @@ type Edits struct {
 	// Redeclares maps a built declaration of a loop iterator to the
 	// kept declaration of the same iterator that it takes over from.
 	Redeclares map[*ast.VarDecl]*ast.VarDecl
+	// Rebinds holds each built declaration of an iterator that the
+	// original loop declared outside its header (`int i; for (i = 0;
+	// ...)`): the kept statements under it read that name, which now
+	// names the built declaration. A built declaration in neither
+	// Redeclares nor Rebinds names an iterator the nest did not
+	// mention.
+	Rebinds map[*ast.VarDecl]bool
 	// Dropped holds the subtrees the rewrite took out of the tree.
 	Dropped []ast.Node
 }
@@ -36,8 +43,8 @@ type Edits struct {
 // iterator declaration that takes over a kept one keeps the kept
 // symbol, to which the kept statements are bound, when the types
 // agree. Otherwise it gets a new symbol, and when kept statements under
-// it could then be bound differently (its name was already visible, or
-// the kept symbol is dropped) those statements are checked again. The
+// it read its name (it is in Rebinds, or the kept symbol is dropped)
+// those statements are checked again. The
 // FuncLocals of each changed function are rebuilt in declaration order,
 // so symbol indices and frame layout are those of a fresh Check.
 func Recheck(in *Info, ed *Edits) error {
@@ -168,9 +175,9 @@ func (c *checker) builtLoop(f *ast.ForStmt) {
 // builtSymbol returns the symbol of a built declaration: the kept
 // symbol of the iterator it takes over when the two agree, else a new
 // one. A new symbol sets retype when identifiers of the kept statements
-// under the declaration may be bound differently than Check bound them:
-// they were bound to the kept symbol it does not take over, or its name
-// is visible here and so can be what they were bound to.
+// under the declaration read its name: they were bound to the kept
+// symbol it does not take over, or to a declaration outside the loop
+// (Rebinds).
 func (c *checker) builtSymbol(d *ast.VarDecl) *Symbol {
 	if old, ok := c.ed.Redeclares[d]; ok {
 		prev := c.kept(old)
@@ -180,7 +187,7 @@ func (c *checker) builtSymbol(d *ast.VarDecl) *Symbol {
 			return prev
 		}
 		c.retype = true
-	} else if c.lookup(d.Name) != nil {
+	} else if c.ed.Rebinds[d] {
 		c.retype = true
 	}
 	return c.makeVarSymbol(d, SymLocal)

@@ -121,6 +121,7 @@ func ParallelizeEdits(scops []*scop.SCoP, opts Options) (*Report, *sema.Edits, e
 		Built:      map[*ast.ForStmt]bool{},
 		Edited:     map[ast.Stmt]bool{},
 		Redeclares: map[*ast.VarDecl]*ast.VarDecl{},
+		Rebinds:    map[*ast.VarDecl]bool{},
 	}
 	for _, sc := range scops {
 		lr, err := transformOne(sc, opts, ed)
@@ -143,10 +144,12 @@ func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, erro
 	lr.Deps = len(deps)
 	par := poly.ParallelLevels(nest, deps)
 
+	names := &namer{sc: sc}
+
 	// Shearing when the outer level is serial but can be compensated.
 	if opts.Skew && poly.OutermostParallel(par) != 0 && nest.Depth() >= 2 {
 		if f, ok := poly.LegalSkew(deps, 0); ok && f > 0 {
-			skewed := poly.ApplySkew(nest, 0, f)
+			skewed := poly.ApplySkewNamed(nest, 0, f, names.fresh(nest.Iters[1]+"_sk"))
 			sdeps := poly.AnalyzeDeps(skewed)
 			spar := poly.ParallelLevels(skewed, sdeps)
 			if poly.OutermostParallel(spar) >= 0 || poly.Permutable(skewed, sdeps) {
@@ -189,7 +192,7 @@ func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, erro
 				sizes[i] = 32
 			}
 		}
-		gen, err = poly.Tile(nest, sizes, par)
+		gen, err = poly.Tile(nest, sizes, par, func(it string) string { return names.fresh(it + "T") })
 		lr.Tiled = err == nil
 	}
 	if gen == nil {
@@ -225,7 +228,9 @@ func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, erro
 
 	newLoop, pragma := buildLoops(gen, parIdx, opts, sc, ed)
 	lr.Pragma = pragma
-	replaceStmt(sc.Func.Body, sc.Outer, newLoop)
+	if !replaceStmt(sc.Func.Body, sc.Outer, newLoop) {
+		return lr, fmt.Errorf("SCoP in %s: the nest at %s is not in the function body", sc.Func.Name, sc.Outer.Pos())
+	}
 	for _, l := range sc.Loops {
 		for _, n := range []ast.Node{l.For.Init, l.For.Cond, l.For.Post} {
 			if n != nil {
@@ -234,6 +239,42 @@ func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, erro
 		}
 	}
 	return lr, nil
+}
+
+// namer names the iterators a rewrite adds to a nest: the name asked
+// for, or that name with a number appended when the nest already uses
+// it. A new loop declaring a name the body reads would capture it, and
+// one named like a parameter of the nest would merge the two in the
+// polyhedral model.
+type namer struct {
+	sc    *scop.SCoP
+	taken map[string]bool
+}
+
+func (n *namer) fresh(base string) string {
+	if n.taken == nil {
+		n.taken = map[string]bool{}
+		note := func(m ast.Node) bool {
+			switch x := m.(type) {
+			case *ast.Ident:
+				n.taken[x.Name] = true
+			case *ast.VarDecl:
+				n.taken[x.Name] = true
+			}
+			return true
+		}
+		ast.Walk(n.sc.Outer, note)
+		// The pure calls are out of the tree while the nest is rewritten.
+		for _, call := range n.sc.PureCalls {
+			ast.Walk(call, note)
+		}
+	}
+	name := base
+	for k := 1; n.taken[name]; k++ {
+		name = fmt.Sprintf("%s%d", base, k)
+	}
+	n.taken[name] = true
+	return name
 }
 
 // mayAliasAccess returns the first unresolved pointer access that
@@ -444,42 +485,41 @@ func rewriteSkewedBody(sc *scop.SCoP, i, j, jNew string, f int64, ed *sema.Edits
 		}}
 	}
 	for _, stmt := range sc.BodyStmts {
-		ast.RewriteExpr(stmt, recording(stmt, ed, subst))
-	}
-	substInCalls(sc, ed, subst)
-}
-
-// substInCalls applies subst inside the arguments of the nest's pure
-// calls too: while the nest is transformed they are out of the tree,
-// replaced by placeholders (scop.SubstituteCalls), and go back in
-// unchanged.
-func substInCalls(sc *scop.SCoP, ed *sema.Edits, subst func(ast.Expr) ast.Expr) {
-	for _, call := range sc.PureCalls {
-		ast.RewriteExpr(call, recording(nil, ed, subst))
+		ast.RewriteExpr(stmt, recording(sc, stmt, ed, subst))
 	}
 }
 
-// recording wraps the substitution f so that ed records each
-// expression f replaces as dropped, and the body statement stmt (nil
-// inside a call) as edited when f replaces an expression in it or when
-// it holds a placeholder, whose call substInCalls may change.
-func recording(stmt ast.Stmt, ed *sema.Edits, f func(ast.Expr) ast.Expr) func(ast.Expr) ast.Expr {
-	return func(e ast.Expr) ast.Expr {
+// recording wraps the substitution f of the body statement stmt so
+// that ed records each expression f replaces as dropped, and stmt as
+// edited when f replaces an expression in it. A placeholder of a pure
+// call (scop.SubstituteCalls) stands for the call, which is out of the
+// tree while the nest is rewritten and goes back in unchanged: f
+// applies inside the call's arguments as it does around the
+// placeholder.
+func recording(sc *scop.SCoP, stmt ast.Stmt, ed *sema.Edits, f func(ast.Expr) ast.Expr) func(ast.Expr) ast.Expr {
+	var rec func(ast.Expr) ast.Expr
+	rec = func(e ast.Expr) ast.Expr {
+		if id, ok := e.(*ast.Ident); ok {
+			if call := sc.Placeholder(id.Name); call != nil {
+				ast.RewriteExpr(call, rec)
+				return e
+			}
+		}
 		r := f(e)
 		if r != e {
 			ed.Dropped = append(ed.Dropped, e)
-		}
-		if id, ok := e.(*ast.Ident); stmt != nil && (r != e || ok && scop.IsPlaceholder(id.Name)) {
 			ed.Edited[stmt] = true
 		}
 		return r
 	}
+	return rec
 }
 
 // buildLoops regenerates the loop nest AST from the generated structure
 // and returns it together with the pragma text inserted (if any). ed
-// records the loops it builds, and each iterator declaration that takes
-// over the declaration of an original loop of the nest.
+// records the loops it builds, each iterator declaration that takes
+// over the declaration of an original loop of the nest, and each that
+// declares an original iterator no header of the nest declared.
 func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP, ed *sema.Edits) (ast.Stmt, string) {
 	// Innermost body: the original statements, with affine private
 	// scalar definitions forward-substituted into their uses.
@@ -492,8 +532,10 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP, ed *
 			Name: l.Iter,
 			Init: boundsExpr(l.Lowers, true),
 		}
-		if old := iteratorDecl(sc, l.Iter); old != nil {
+		if old, orig := iteratorDecl(sc, l.Iter); old != nil {
 			ed.Redeclares[decl] = old
+		} else if orig {
+			ed.Rebinds[decl] = true
 		}
 		f := &ast.ForStmt{
 			Init: &ast.DeclStmt{Decls: []*ast.VarDecl{decl}},
@@ -524,15 +566,20 @@ func buildLoops(gen *poly.GenNest, parIdx int, opts Options, sc *scop.SCoP, ed *
 	return body, pragma
 }
 
-// iteratorDecl returns the declaration of iter in the header of an
-// original loop of the nest, nil when no header declares it.
-func iteratorDecl(sc *scop.SCoP, iter string) *ast.VarDecl {
+// iteratorDecl reports whether iter is the iterator of an original
+// loop of the nest, and returns its declaration in that loop's header,
+// nil when the header does not declare it.
+func iteratorDecl(sc *scop.SCoP, iter string) (*ast.VarDecl, bool) {
 	for _, l := range sc.Loops {
-		if ds, ok := l.For.Init.(*ast.DeclStmt); ok && l.Iter == iter && len(ds.Decls) == 1 {
-			return ds.Decls[0]
+		if l.Iter != iter {
+			continue
 		}
+		if ds, ok := l.For.Init.(*ast.DeclStmt); ok && len(ds.Decls) == 1 {
+			return ds.Decls[0], true
+		}
+		return nil, true
 	}
-	return nil
+	return nil, false
 }
 
 // substPrivates forward-substitutes the SCoP's affine private scalar
@@ -561,7 +608,7 @@ func substPrivates(sc *scop.SCoP, ed *sema.Edits) []ast.Stmt {
 	out := make([]ast.Stmt, 0, len(sc.BodyStmts))
 	for _, s := range sc.BodyStmts {
 		if len(repl) > 0 {
-			ast.RewriteExpr(s, recording(s, ed, subst))
+			ast.RewriteExpr(s, recording(sc, s, ed, subst))
 		}
 		if ds, ok := s.(*ast.DeclStmt); ok && len(ds.Decls) == 1 {
 			d := ds.Decls[0]
@@ -575,7 +622,6 @@ func substPrivates(sc *scop.SCoP, ed *sema.Edits) []ast.Stmt {
 		}
 		out = append(out, s)
 	}
-	substInCalls(sc, ed, subst)
 	return out
 }
 
@@ -686,48 +732,37 @@ func affineExpr(a poly.Affine) ast.Expr {
 	return out
 }
 
-// replaceStmt swaps target for repl wherever it appears in the tree.
-func replaceStmt(b *ast.BlockStmt, target ast.Stmt, repl ast.Stmt) bool {
-	for i, s := range b.List {
-		if s == target {
-			b.List[i] = repl
+// replaceStmt swaps target for repl wherever it appears under s, and
+// reports whether it did.
+func replaceStmt(s ast.Stmt, target, repl ast.Stmt) bool {
+	swap := func(slot *ast.Stmt) bool {
+		if *slot == target {
+			*slot = repl
 			return true
 		}
-		switch x := s.(type) {
-		case *ast.BlockStmt:
-			if replaceStmt(x, target, repl) {
+		return *slot != nil && replaceStmt(*slot, target, repl)
+	}
+	switch x := s.(type) {
+	case *ast.BlockStmt:
+		for i := range x.List {
+			if swap(&x.List[i]) {
 				return true
 			}
-		case *ast.ForStmt:
-			if x.Body == target {
-				x.Body = repl
-				return true
-			}
-			if inner, ok := x.Body.(*ast.BlockStmt); ok && replaceStmt(inner, target, repl) {
-				return true
-			}
-		case *ast.WhileStmt:
-			if x.Body == target {
-				x.Body = repl
-				return true
-			}
-			if inner, ok := x.Body.(*ast.BlockStmt); ok && replaceStmt(inner, target, repl) {
-				return true
-			}
-		case *ast.IfStmt:
-			if x.Then == target {
-				x.Then = repl
-				return true
-			}
-			if x.Else == target {
-				x.Else = repl
-				return true
-			}
-			if inner, ok := x.Then.(*ast.BlockStmt); ok && replaceStmt(inner, target, repl) {
-				return true
-			}
-			if inner, ok := x.Else.(*ast.BlockStmt); ok && replaceStmt(inner, target, repl) {
-				return true
+		}
+	case *ast.ForStmt:
+		return swap(&x.Body)
+	case *ast.WhileStmt:
+		return swap(&x.Body)
+	case *ast.DoStmt:
+		return swap(&x.Body)
+	case *ast.IfStmt:
+		return swap(&x.Then) || swap(&x.Else)
+	case *ast.SwitchStmt:
+		for _, cl := range x.Cases {
+			for i := range cl.Body {
+				if swap(&cl.Body[i]) {
+					return true
+				}
 			}
 		}
 	}

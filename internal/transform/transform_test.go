@@ -204,6 +204,42 @@ func TestSkewingEnablesInnerParallelism(t *testing.T) {
 	}
 }
 
+// The iterators tiling and skewing add take names the nest does not
+// use: a loop declaring iT around a body that reads the user's iT would
+// make the body read the loop's.
+func TestAddedIteratorsTakeFreshNames(t *testing.T) {
+	src := `
+float A[64][64];
+pure float f(int k) { return (float)k; }
+int main(void) {
+    int iT = 1;
+    int iT1 = 2;
+    int j_sk = 3;
+    for (int i = 1; i < 63; ++i)
+        for (int j = 1; j < 62; ++j)
+            A[i][j] = A[i - 1][j] + A[i][j - 1] + A[i - 1][j + 1] + A[iT][iT1] + f(j_sk);
+    return 0;
+}
+`
+	info, scops := prep(t, src)
+	sc := mainSCoP(t, scops)
+	subs := scop.SubstituteCalls(sc)
+	rep, err := Parallelize([]*scop.SCoP{sc}, Options{Skew: true, Tile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scop.RestoreCalls(sc, subs)
+	if lr := rep.Loops[0]; !lr.Skewed || !lr.Tiled {
+		t.Fatalf("expected a skewed and tiled nest: %+v", lr)
+	}
+	out := ast.Print(info.File)
+	for _, want := range []string{"for (int iT2 = ", "for (int j_sk1T = ", "A[iT][iT1] + f(j_sk)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("no %q in\n%s", want, out)
+		}
+	}
+}
+
 func TestReportString(t *testing.T) {
 	_, scops := prep(t, matmulSrc)
 	sc := mainSCoP(t, scops)

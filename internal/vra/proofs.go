@@ -83,7 +83,10 @@ func RestoreProofs(file *ast.File, ords []int) (*Result, error) {
 // surviving access the same set of index values: regenerating loop
 // headers over the same iteration domain, and substituting inside an
 // access an iterator or private by an expression equal to its value
-// there, do.
+// there, do. So does declaring loop iterators, as long as each names
+// either an iterator of the nest it replaces or a variable the nest
+// does not mention: no identifier of a surviving access comes to read
+// another variable.
 func (r *Result) Retain(file *ast.File) {
 	live := func(visit func(*ast.IndexExpr)) {
 		ast.Walk(file, func(m ast.Node) bool {
