@@ -23,8 +23,8 @@
 //	-memo-capacity N      bound the memo table entry count (default
 //	                      65536)
 //	-analyze              print the value-range analysis report instead
-//	                      of running: bounds proofs feed check elision
-//	                      and gather parallelization; findings cover
+//	                      of running: bounds proofs feed gather
+//	                      parallelization; findings cover
 //	                      definite/possible out-of-bounds subscripts,
 //	                      reads of uninitialized scalars, and dead
 //	                      guards, each with the interval derivation. A
@@ -159,7 +159,6 @@ func main() {
 				fmt.Println(f)
 			}
 		}
-		fmt.Printf("elided checks: %d\n", prog.ElidedChecks())
 		if art.VRA != nil && art.VRA.HasDefiniteOOB() {
 			fatalf("program contains a definite out-of-bounds access")
 		}
@@ -190,7 +189,6 @@ func main() {
 		fmt.Printf("SCoPs: %d\n", art.SCoPs)
 		fmt.Printf("fused kernels: %d\n", prog.FusedKernels())
 		fmt.Printf("inlined calls: %d\n", prog.InlinedCalls())
-		fmt.Printf("elided checks: %d\n", prog.ElidedChecks())
 		instrs, consts, temps := prog.TapeStats()
 		fmt.Printf("tape: %d instructions, %d pooled constants, %d temp slots\n", instrs, consts, temps)
 		if art.Report != nil {

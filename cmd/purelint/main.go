@@ -1,7 +1,7 @@
 // Command purelint enforces the repository's guest-memory access
 // discipline on the Go sources: every read or write of a mem.Segment's
 // backing slices outside internal/mem must go through the package's
-// checked accessors (Load*/Store*, *Range, Trusted*Range), and pointer
+// checked accessors (Load*/Store*, FloatRange/IntRange), and pointer
 // offsets must move through AddChecked/DiffChecked rather than raw
 // field arithmetic.
 //
@@ -153,7 +153,7 @@ func lintFile(path string) ([]string, error) {
 		case *ast.SliceExpr:
 			if segSlice(x.X) {
 				report(x.Pos(), "rawmem",
-					"raw Segment subslice bypasses the mem accessors (use FloatRange/IntRange or a Trusted*Range)")
+					"raw Segment subslice bypasses the mem accessors (use FloatRange/IntRange)")
 			}
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD || x.Op == token.SUB || x.Op == token.MUL {

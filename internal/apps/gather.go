@@ -6,12 +6,12 @@ import "fmt"
 // differ only in what the value-range analysis can prove about idx.
 //
 // GatherSrc fills idx with (i*7+13) % M, so every cell is provably in
-// [0, M-1]: the gather read cannot trap, the per-element bounds test is
-// elided and the nest parallelizes. GatherOpaqueSrc routes the modulus
-// through a global set by another function — the contents of idx stay
-// unbounded, the checked read stays, and the nest is serialized for
-// trap-order parity. Both produce bit-identical outputs on in-bounds
-// data; the proof only removes work that could never fire.
+// [0, M-1]: the gather read cannot trap and the nest parallelizes.
+// GatherOpaqueSrc routes the modulus through a global set by another
+// function — the contents of idx stay unbounded, and the nest is
+// serialized for trap-order parity. Both keep the per-element bounds
+// test and produce bit-identical outputs on in-bounds data; the proof
+// only decides where the loop runs.
 
 // GatherSrc is the provable gather: idx contents in [0, M-1] by
 // construction, visible to the interval analysis.

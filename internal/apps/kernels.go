@@ -204,28 +204,6 @@ func KernRefAxpy(n, reps int) []float32 {
 	return y
 }
 
-// KernRefNoncanon computes the Noncanon result after reps sweeps with
-// the execution model's float semantics.
-func KernRefNoncanon(n, reps int) []float32 {
-	x := make([]float32, n)
-	y := make([]float32, n)
-	for i := 0; i < n; i++ {
-		x[i] = float32(float64(i%13) * 0.25)
-		y[i] = float32(float64(i%7) * 0.5)
-	}
-	for r := 0; r < reps; r++ {
-		for i := 0; i < n; i++ {
-			v := x[i]
-			if v > 2.5 {
-				y[i] = float32(float64(v)*0.5 + float64(y[i])*0.25)
-			} else {
-				y[i] = float32(float64(v) + 0.125)
-			}
-		}
-	}
-	return y
-}
-
 // KernRefStencil computes the stencil result (one sweep is
 // idempotent-free, so reps matters only through x staying constant).
 func KernRefStencil(n int) []float32 {

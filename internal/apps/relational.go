@@ -40,8 +40,8 @@ int main(void) {
 
 // ClampGatherSrc is the ?:-clamp idiom of the k-means assignment step:
 // the data-dependent index d[i] is clamped into [0, M-1] inline, the
-// path-sensitive refinement proves the access, and the clamped gather
-// kernel elides its per-element bounds test.
+// path-sensitive refinement proves the access, and the nest
+// parallelizes.
 const ClampGatherSrc = `
 float x[M];
 float y[N];

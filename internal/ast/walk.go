@@ -1,6 +1,10 @@
 package ast
 
-import "purec/internal/token"
+import (
+	"slices"
+
+	"purec/internal/token"
+)
 
 // Visitor is invoked by Walk for each node; if the result is false the
 // children of the node are not visited.
@@ -214,7 +218,7 @@ func MinMaxUpdate(s Stmt) (m *Ident, data Expr, dir token.Kind, ok bool) {
 	if !ok {
 		return nil, nil, 0, false
 	}
-	id, okID := unparen(target).(*Ident)
+	id, okID := Unparen(target).(*Ident)
 	if !okID {
 		return nil, nil, 0, false
 	}
@@ -238,7 +242,7 @@ func MinMaxUpdateLV(s Stmt) (target Expr, data Expr, dir token.Kind, ok bool) {
 		if x.Else != nil {
 			return fail()
 		}
-		cond, okC := unparen(x.Cond).(*BinaryExpr)
+		cond, okC := Unparen(x.Cond).(*BinaryExpr)
 		if !okC {
 			return fail()
 		}
@@ -246,13 +250,13 @@ func MinMaxUpdateLV(s Stmt) (target Expr, data Expr, dir token.Kind, ok bool) {
 		if as == nil || as.Op != token.ASSIGN {
 			return fail()
 		}
-		target = unparen(as.LHS)
+		target = Unparen(as.LHS)
 		base := BaseIdent(target)
 		if base == nil {
 			return fail()
 		}
 		data, smaller, okD := relAgainstExpr(cond, target, base.Name)
-		if !okD || PrintExpr(unparen(as.RHS)) != PrintExpr(data) {
+		if !okD || PrintExpr(Unparen(as.RHS)) != PrintExpr(data) {
 			return fail()
 		}
 		// The if-form takes the data when the condition holds.
@@ -265,16 +269,16 @@ func MinMaxUpdateLV(s Stmt) (target Expr, data Expr, dir token.Kind, ok bool) {
 		if !okA || as.Op != token.ASSIGN {
 			return fail()
 		}
-		target = unparen(as.LHS)
+		target = Unparen(as.LHS)
 		base := BaseIdent(target)
 		if base == nil {
 			return fail()
 		}
-		ce, okCE := unparen(as.RHS).(*CondExpr)
+		ce, okCE := Unparen(as.RHS).(*CondExpr)
 		if !okCE {
 			return fail()
 		}
-		cond, okC := unparen(ce.Cond).(*BinaryExpr)
+		cond, okC := Unparen(ce.Cond).(*BinaryExpr)
 		if !okC {
 			return fail()
 		}
@@ -282,7 +286,7 @@ func MinMaxUpdateLV(s Stmt) (target Expr, data Expr, dir token.Kind, ok bool) {
 		if !okD {
 			return fail()
 		}
-		then, els := unparen(ce.Then), unparen(ce.Else)
+		then, els := Unparen(ce.Then), Unparen(ce.Else)
 		dataS, targetS := PrintExpr(data), PrintExpr(target)
 		takeData := false
 		switch {
@@ -308,7 +312,7 @@ func MinMaxUpdateLV(s Stmt) (target Expr, data Expr, dir token.Kind, ok bool) {
 // A[i][j]. Nil when the expression has no identifier base.
 func BaseIdent(e Expr) *Ident {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := Unparen(e).(type) {
 		case *Ident:
 			return x
 		case *IndexExpr:
@@ -330,10 +334,10 @@ func relAgainstExpr(cond *BinaryExpr, target Expr, baseName string) (data Expr, 
 	}
 	targetS := PrintExpr(target)
 	switch {
-	case PrintExpr(unparen(cond.X)) == targetS && !mentions(cond.Y, baseName):
+	case PrintExpr(Unparen(cond.X)) == targetS && !mentions(cond.Y, baseName):
 		// m < x: data larger when true; m > x: data smaller.
 		return cond.Y, cond.Op == token.GTR, true
-	case PrintExpr(unparen(cond.Y)) == targetS && !mentions(cond.X, baseName):
+	case PrintExpr(Unparen(cond.Y)) == targetS && !mentions(cond.X, baseName):
 		// x < m: data smaller when true; x > m: data larger.
 		return cond.X, cond.Op == token.LSS, true
 	}
@@ -384,7 +388,21 @@ func Unparen(e Expr) Expr {
 	}
 }
 
-func unparen(e Expr) Expr { return Unparen(e) }
+// IndexChain flattens A[e1][e2]... into its subscripts, outermost
+// first, and the base the chain indexes (e itself when it is not an
+// IndexExpr).
+func IndexChain(e Expr) (subs []Expr, base Expr) {
+	base = e
+	for {
+		ix, ok := base.(*IndexExpr)
+		if !ok {
+			slices.Reverse(subs)
+			return subs, base
+		}
+		subs = append(subs, ix.Index)
+		base = ix.X
+	}
+}
 
 // RewriteExpr applies f to every expression under n bottom-up, replacing
 // each expression by f's result. It covers the expression positions of all

@@ -372,7 +372,7 @@ func (tc *tapeCompiler) printf(x *ast.CallExpr) {
 	if len(x.Args) == 0 {
 		fc.errorf(x, "printf needs a format string")
 	}
-	lit, ok := stripParens(x.Args[0]).(*ast.StringLit)
+	lit, ok := ast.Unparen(x.Args[0]).(*ast.StringLit)
 	if !ok {
 		fc.errorf(x, "printf format must be a string literal")
 	}
@@ -642,11 +642,11 @@ func (fc *funcCompiler) risk(e ast.Expr) (effects, traps bool) {
 // addrRisk is risk for computing the address of lvalue e: its own cell
 // is not read.
 func (fc *funcCompiler) addrRisk(e ast.Expr) (effects, traps bool) {
-	switch x := stripParens(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return false, false
 	case *ast.IndexExpr:
-		subs, base := collectSubs(x)
+		subs, base := ast.IndexChain(x)
 		if id, ok := base.(*ast.Ident); ok {
 			if sym := fc.prog.info.Ref[id]; sym != nil && sym.IsArray() && len(subs) == len(sym.Dims) {
 				for _, s := range subs {

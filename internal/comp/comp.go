@@ -108,12 +108,6 @@ type Options struct {
 	// MemoCapacity bounds the memo table entry count (0 selects
 	// memo.DefaultCapacity).
 	MemoCapacity int
-	// Proofs is the value-range analysis' proven-in-bounds access set,
-	// keyed by the syntax nodes of the compiled model (vra.Result.Proofs
-	// over the same sema.Info). Accesses in the set may have their
-	// runtime range checks elided; nil disables elision entirely.
-	//lint:cachekey derived deterministically from the hashed source by the value-range analysis
-	Proofs map[ast.Expr]bool
 }
 
 // slotKind is the storage class of a frame slot.

@@ -156,21 +156,6 @@ func (fc *funcCompiler) sizeofValue(x *ast.SizeofExpr) int64 {
 	return int64(t.CSize)
 }
 
-func collectSubs(e ast.Expr) ([]ast.Expr, ast.Expr) {
-	var subs []ast.Expr
-	cur := e
-	for {
-		ix, ok := cur.(*ast.IndexExpr)
-		if !ok {
-			return subs, cur
-		}
-		subs = append([]ast.Expr{ix.Index}, subs...)
-		cur = ix.X
-	}
-}
-
-func stripParens(e ast.Expr) ast.Expr { return ast.Unparen(e) }
-
 // fieldOf resolves the struct field of a member expression.
 func (fc *funcCompiler) fieldOf(x *ast.MemberExpr) (*types.Type, types.Field) {
 	bt := fc.typeOf(x.X)

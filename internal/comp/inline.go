@@ -195,9 +195,9 @@ func (fc *funcCompiler) expandCall(x *ast.CallExpr, depth int) ast.Expr {
 // substitutable decides condition 4 for one argument and the number of
 // times its parameter is read.
 func (fc *funcCompiler) substitutable(arg ast.Expr, uses int) bool {
-	arg = stripParens(arg)
+	arg = ast.Unparen(arg)
 	for c, ok := arg.(*ast.CastExpr); ok; c, ok = arg.(*ast.CastExpr) {
-		arg = stripParens(c.X) // converting a name or a literal is still no work
+		arg = ast.Unparen(c.X) // converting a name or a literal is still no work
 	}
 	switch a := arg.(type) {
 	case *ast.Ident:
@@ -332,7 +332,7 @@ func (fc *funcCompiler) convertTo(e ast.Expr, dst *types.Type, te *ast.TypeExpr)
 // float cell holds, what a conversion to float or a float-returning
 // function just rounded, and literals that survive the round trip.
 func (fc *funcCompiler) f32Exact(e ast.Expr) bool {
-	e = stripParens(e)
+	e = ast.Unparen(e)
 	switch x := e.(type) {
 	case *ast.FloatLit:
 		return float64(float32(x.Value)) == x.Value
@@ -359,7 +359,7 @@ func (fc *funcCompiler) f32Exact(e ast.Expr) bool {
 // to a 4-byte float cell: the store rounds anyway.
 func (fc *funcCompiler) peelF32(e ast.Expr) ast.Expr {
 	for {
-		c, ok := stripParens(e).(*ast.CastExpr)
+		c, ok := ast.Unparen(e).(*ast.CastExpr)
 		if !ok {
 			return e
 		}

@@ -193,7 +193,7 @@ func tapeOp(op token.Kind, float bool) (uint8, bool) {
 // gathered load. Anything else (calls, other gathers, int/float casts,
 // mixed-kind subtrees that vary with the iterator) rejects the loop.
 func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol) bool {
-	e = stripParens(e)
+	e = ast.Unparen(e)
 	if fc.hoistable(e, iter) {
 		// Invariant leaf: any effect-free scalar expression, evaluated
 		// once per launch (converted to float in a float tape, as the
@@ -294,7 +294,7 @@ func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
 // float-typed expression, or an int-typed leaf the tape converts (the
 // iterator, or an invariant expression).
 func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
-	e = stripParens(e)
+	e = ast.Unparen(e)
 	t := fc.exprType(e)
 	if t == nil {
 		return false

@@ -17,8 +17,8 @@ package comp
 //     into a scalar (kindMinMax). The sinks are disjoint, so a loop has
 //     at most one kind and callers filter on it;
 //   - every operand is a kAccess (affine in the iterator, one hoisted
-//     range check per launch, elidable under a value-range proof) or a
-//     kGather (x[idx[affine]], optionally ?:-clamped) built on one;
+//     range check per launch) or a kGather (x[idx[affine]], optionally
+//     ?:-clamped, one compare per gathered element) built on one;
 //   - each classifier admits its sink's operand shapes and compiles the
 //     value the sink consumes with buildTape, so every kernel runs on
 //     the strip evaluator (strip.go), which ends in the sink.
@@ -71,32 +71,15 @@ type loopKernel struct {
 	// GTR), so parallelReduceFor can hold the kernel against its clause.
 	acc string
 	dir token.Kind
-	// elided counts the runtime checks value-range proofs discharged in
-	// this kernel (see kAccess.trusted).
-	elided int
 }
 
-// fuse emits k as the loop's kernel of the given kind, counting the
-// checks value-range proofs elided in it: of its operands and its store
-// and, in a gather map, of the gathered load (the matched-set golden
-// table pins the ELL product's count to its operands). A kernel past a
+// fuse emits k as the loop's kernel of the given kind. A kernel past a
 // bound of the evaluator leaves the loop unfused.
 func (lk *loopKernel) fuse(kind loopKind, k *fusedKernel) {
 	if lk.run = k.emit(); lk.run == nil {
 		return
 	}
 	lk.kind, lk.k = kind, k
-	for _, a := range k.loads {
-		if a.trusted {
-			lk.elided++
-		}
-	}
-	if k.store.trusted {
-		lk.elided++
-	}
-	if k.sink == sinkStore && k.gat.trusted {
-		lk.elided++
-	}
 }
 
 // fuseReductions reports whether canonical float reduction loops
@@ -174,10 +157,9 @@ func singleStmt(s ast.Stmt) ast.Stmt {
 }
 
 // fused commits a matched kernel to the program: it counts as one
-// fused loop plus the checks its proofs elided.
+// fused loop.
 func (fc *funcCompiler) fused(lk loopKernel) kernRun {
 	fc.prog.fusedKernels++
-	fc.prog.elidedChecks += lk.elided
 	return lk.run
 }
 
@@ -212,7 +194,7 @@ func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, r
 // compiler to reassociate, hence fuseReductions — it fuses on every
 // backend.
 func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
-	id, ok := stripParens(lhs).(*ast.Ident)
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -235,14 +217,13 @@ func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
 // matchGatherMap recognizes the pure gather Y[a*i+b] = x[idx[c*i+d]]
 // (a = 0 included). Element kinds must match exactly — implicit
 // conversions stay on the dispatch path. The gathered read pays a
-// per-element bounds compare unless the value-range analysis proved the
-// index contents inside x's extent; that elision counts as one check.
+// per-element bounds compare.
 func (fc *funcCompiler) matchGatherMap(lk *loopKernel, dst kAccess, rhs ast.Expr) {
 	g, ok := fc.matchGather(rhs, lk.iterSym)
 	if !ok || g.float != dst.float {
 		return
 	}
-	k := &fusedKernel{store: dst, gat: g, gatX: stripParens(rhs), float: dst.float, f32: dst.f32}
+	k := &fusedKernel{store: dst, gat: g, gatX: ast.Unparen(rhs), float: dst.float, f32: dst.f32}
 	if fc.buildTape(k, rhs, lk.iterSym) {
 		lk.fuse(kindMap, k)
 	}
@@ -261,7 +242,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	iter := lk.iterSym
 	k := &fusedKernel{sink: sinkSum, float: true}
 	name := ""
-	switch x := stripParens(lhs).(type) {
+	switch x := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		sym := fc.prog.info.Ref[x]
 		if sym == nil || sym.Kind == sema.SymGlobal || sym.Type.Kind != types.Float {
@@ -290,7 +271,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 	// reproduces that; around anything else it must be the identity.
 	term := fc.peelF32(rhs)
 	factors := []ast.Expr{term}
-	if v, isBin := stripParens(term).(*ast.BinaryExpr); isBin && v.Op == token.MUL {
+	if v, isBin := ast.Unparen(term).(*ast.BinaryExpr); isBin && v.Op == token.MUL {
 		factors = []ast.Expr{v.X, v.Y}
 	} else if term != rhs && !fc.f32Exact(term) {
 		return
@@ -308,7 +289,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 			if !g.float || g.idx.stride != 1 || g.clamped() {
 				return
 			}
-			k.gat, k.gatX = g, stripParens(f)
+			k.gat, k.gatX = g, ast.Unparen(f)
 		} else {
 			return
 		}
@@ -350,12 +331,12 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 	case rhs != nil && (!fc.hoistable(rhs, iter) || !fc.effectFree(rhs)):
 		return
 	case rhs != nil && !g.float:
-		if t := fc.exprType(stripParens(rhs)); t == nil || t.Kind != types.Int {
+		if t := fc.exprType(ast.Unparen(rhs)); t == nil || t.Kind != types.Int {
 			return
 		}
 	}
 	k.invX = []ast.Expr{rhs}
-	if fc.buildTape(k, stripParens(lhs).(*ast.IndexExpr).Index, iter) {
+	if fc.buildTape(k, ast.Unparen(lhs).(*ast.IndexExpr).Index, iter) {
 		lk.fuse(kindHist, k)
 	}
 }
@@ -403,15 +384,6 @@ type kAccess struct {
 	stride    int64 // constant iterator coefficient, 0 = invariant access
 	float     bool
 	f32       bool // stored C type is 4 bytes (float32 rounding at stores)
-	// trusted marks an operand whose per-launch range check the
-	// value-range analysis discharged at compile time: every subscript
-	// the loop can form is proven inside the array extent, and the
-	// analysis' escape reasoning guarantees the underlying segment
-	// cannot have been freed (a pointer that ever reaches free() is
-	// escaped and unprovable). prep then skips the range check; the
-	// null-pointer check stays, and the Go slice expression remains the
-	// memory-safety backstop.
-	trusted bool
 }
 
 // kGather is a gathered operand x[idx[c*i+d]]: the gathered array's
@@ -426,9 +398,6 @@ type kGather struct {
 	float  bool
 	f32    bool
 	named  bool // the gathered array is a plain identifier
-	// trusted: the value-range analysis proved every index the loop can
-	// read inside the gathered array's extent.
-	trusted bool
 }
 
 func (g *kGather) clamped() bool { return g.lo != math.MinInt64 || g.hi != math.MaxInt64 }
@@ -439,7 +408,7 @@ func (g *kGather) clamped() bool { return g.lo != math.MinInt64 || g.hi != math.
 // data-dependent subscript that is an affine int access, possibly
 // wrapped in a ?:-min/max clamp with constant bounds.
 func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, bool) {
-	gx, ok := stripParens(e).(*ast.IndexExpr)
+	gx, ok := ast.Unparen(e).(*ast.IndexExpr)
 	if !ok {
 		return kGather{}, false
 	}
@@ -447,7 +416,7 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 		return kGather{}, false
 	}
-	baseID, named := stripParens(gx.X).(*ast.Ident)
+	baseID, named := ast.Unparen(gx.X).(*ast.Ident)
 	if named {
 		if sym := fc.symOf(baseID); sym.IsArray() && len(sym.Dims) != 1 {
 			return kGather{}, false
@@ -460,7 +429,7 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 	if fc.usesSym(gx.X, iter) || !fc.effectFree(gx.X) {
 		return kGather{}, false
 	}
-	sub, lo, hi, ok := fc.matchClamp(stripParens(gx.Index))
+	sub, lo, hi, ok := fc.matchClamp(ast.Unparen(gx.Index))
 	if !ok {
 		return kGather{}, false
 	}
@@ -470,10 +439,9 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 	}
 	return kGather{
 		baseX: gx.X, idx: idx, lo: lo, hi: hi,
-		float:   t.Kind == types.Float,
-		f32:     t.Kind == types.Float && t.CSize == 4,
-		named:   named,
-		trusted: fc.prog.proven(ast.Expr(gx)),
+		float: t.Kind == types.Float,
+		f32:   t.Kind == types.Float && t.CSize == 4,
+		named: named,
 	}, true
 }
 
@@ -493,11 +461,11 @@ func (fc *funcCompiler) matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok
 	if !isCond {
 		return e, lo, hi, true
 	}
-	cond, isBin := stripParens(ce.Cond).(*ast.BinaryExpr)
+	cond, isBin := ast.Unparen(ce.Cond).(*ast.BinaryExpr)
 	if !isBin {
 		return nil, 0, 0, false
 	}
-	v, bound, op := stripParens(cond.X), stripParens(cond.Y), cond.Op
+	v, bound, op := ast.Unparen(cond.X), ast.Unparen(cond.Y), cond.Op
 	k, isLit := intLitValue(bound)
 	if !isLit {
 		// Mirrored form: L > v ? L : rest.
@@ -517,10 +485,10 @@ func (fc *funcCompiler) matchClamp(e ast.Expr) (inner ast.Expr, lo, hi int64, ok
 		return nil, 0, 0, false
 	}
 	// The taken arm must be the bound constant.
-	if tk, isTk := intLitValue(stripParens(ce.Then)); !isTk || tk != k {
+	if tk, isTk := intLitValue(ast.Unparen(ce.Then)); !isTk || tk != k {
 		return nil, 0, 0, false
 	}
-	rest, rlo, rhi, okR := fc.matchClamp(stripParens(ce.Else))
+	rest, rlo, rhi, okR := fc.matchClamp(ast.Unparen(ce.Else))
 	if !okR || !fc.sameExpr(rest, v) {
 		return nil, 0, 0, false
 	}
@@ -561,7 +529,7 @@ func (fc *funcCompiler) sameExpr(a, b ast.Expr) bool {
 // minus.
 func intLitValue(e ast.Expr) (int64, bool) {
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.SUB {
-		if v, ok2 := intLitValue(stripParens(u.X)); ok2 {
+		if v, ok2 := intLitValue(ast.Unparen(u.X)); ok2 {
 			return -v, true
 		}
 		return 0, false
@@ -579,7 +547,7 @@ func intLitValue(e ast.Expr) (int64, bool) {
 // decomposes the flat cell index as stride*iter + offset with a
 // constant stride ≥ 0 and a hoisted invariant offset.
 func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bool) {
-	x, ok := stripParens(e).(*ast.IndexExpr)
+	x, ok := ast.Unparen(e).(*ast.IndexExpr)
 	if !ok {
 		return kAccess{}, false
 	}
@@ -589,17 +557,16 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	}
 	// Declared (possibly multi-dimensional) array, fully subscripted:
 	// row-major flattening with per-dimension strides.
-	subs, base := collectSubs(x)
+	subs, base := ast.IndexChain(x)
 	if id, okID := base.(*ast.Ident); okID {
 		if sym := fc.prog.info.Ref[id]; sym != nil && sym.IsArray() {
 			if len(subs) != len(sym.Dims) {
 				return kAccess{}, false
 			}
 			acc := kAccess{
-				baseX:   id,
-				float:   t.Kind == types.Float,
-				f32:     t.Kind == types.Float && t.CSize == 4,
-				trusted: fc.prog.proven(e),
+				baseX: id,
+				float: t.Kind == types.Float,
+				f32:   t.Kind == types.Float && t.CSize == 4,
 			}
 			dimStride := int64(1)
 			for d := len(subs) - 1; d >= 0; d-- {
@@ -633,12 +600,11 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 		return kAccess{}, false
 	}
 	return kAccess{
-		baseX:   x.X,
-		offX:    inv,
-		stride:  coef,
-		float:   bt.Elem.Kind == types.Float,
-		f32:     bt.Elem.Kind == types.Float && bt.Elem.CSize == 4,
-		trusted: fc.prog.proven(e),
+		baseX:  x.X,
+		offX:   inv,
+		stride: coef,
+		float:  bt.Elem.Kind == types.Float,
+		f32:    bt.Elem.Kind == types.Float && bt.Elem.CSize == 4,
 	}, true
 }
 
@@ -655,7 +621,7 @@ type kTerm struct {
 // (negative coefficients are decomposed correctly and rejected by the
 // callers).
 func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, []kTerm, bool) {
-	e = stripParens(e)
+	e = ast.Unparen(e)
 	if id, ok := e.(*ast.Ident); ok && fc.prog.info.Ref[id] == iter {
 		return 1, nil, true
 	}
@@ -823,16 +789,9 @@ func (a *kAccess) span(e *env, lo, hi int64) kspan {
 func (a *kAccess) cells(sp kspan, s *kslice, inside int64) int64 {
 	s.stride = int(a.stride)
 	var err error
-	switch {
-	case a.trusted && a.float:
-		// The range check was discharged at compile time (see the
-		// kAccess.trusted contract); only the slice handoff remains.
-		s.f = sp.seg.TrustedFloatRange(sp.first, sp.last+1)
-	case a.trusted:
-		s.i = sp.seg.TrustedIntRange(sp.first, sp.last+1)
-	case a.float:
+	if a.float {
 		s.f, err = sp.seg.FloatRange(sp.first, sp.last+1)
-	default:
+	} else {
 		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
 	}
 	if err == nil {

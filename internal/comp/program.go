@@ -28,11 +28,6 @@ type Program struct {
 	// inlinedCalls counts the call sites leaf-pure inlining replaced by
 	// the callee's return expression, for the "inlined calls: N" line.
 	inlinedCalls int
-	// proofs is the value-range analysis' proven-in-bounds access set
-	// (Options.Proofs), and elidedChecks counts the runtime checks
-	// compilation dropped, for the purecc "elided checks: N" report line.
-	proofs       map[ast.Expr]bool
-	elidedChecks int
 	// tapes lists every compiled tape in compile order and tapeTemps
 	// counts the temp registers of all functions, for TapeStats and
 	// inspection.
@@ -58,7 +53,6 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 		info:        info,
 		backend:     opts.Backend,
 		vectorize:   opts.Vectorize,
-		proofs:      opts.Proofs,
 		funcs:       map[string]*cfunc{},
 		globalSlots: map[*sema.Symbol]slot{},
 	}
@@ -134,16 +128,11 @@ func (p *Program) FusedKernels() int { return p.fusedKernels }
 // fusion was such a call shows up in FusedKernels as well.
 func (p *Program) InlinedCalls() int { return p.inlinedCalls }
 
-// ElidedChecks returns the number of runtime range checks compilation
-// dropped on the strength of value-range bounds proofs (0 when built
-// without proofs).
-func (p *Program) ElidedChecks() int { return p.elidedChecks }
-
-// proven reports whether the access expression carries a bounds proof
-// the compiler may act on.
-func (p *Program) proven(e ast.Expr) bool {
-	return p.proofs[e]
-}
+// ElidedChecks returns 0: every fused operand keeps its per-launch
+// range check and every gathered load its per-element compare.
+//
+// Deprecated: kept until callers stop reading it.
+func (p *Program) ElidedChecks() int { return 0 }
 
 // Info returns the semantic model the program was compiled from.
 func (p *Program) Info() *sema.Info { return p.info }

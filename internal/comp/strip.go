@@ -209,17 +209,10 @@ func (k *fusedKernel) lower() bool {
 // emit selects the kernel body — nil when the tape exceeds a bound of
 // the evaluator — and drops what only recognition needed: the launch
 // function keeps k alive for as long as the Program lives. The tape
-// stays for replay when an operand's range check can fail.
+// stays for replay when an operand's range check fails.
 func (k *fusedKernel) emit() kernRun {
 	k.run = k.body()
 	k.loadX, k.gatX = nil, nil
-	checked := k.sink == sinkStore && !k.store.trusted
-	for _, a := range k.loads {
-		checked = checked || !a.trusted
-	}
-	if !checked {
-		k.tape = nil
-	}
 	return k.run
 }
 
@@ -621,16 +614,16 @@ func gatherStrip[T int64 | float64](d, src []T, stride, t0 int) {
 }
 
 // gatherIdx loads the strip's gathered cells src[off+clamp(idx)], idx
-// walking ix. Unless the bounds proof made the compare needless, an
-// index outside src stops it with false — in a strip of one after
-// trapping through the very slice access of the dispatch loop.
+// walking ix. An index outside src stops it with false — in a strip of
+// one after trapping through the very slice access of the dispatch
+// loop.
 func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGather) bool {
 	idx, s, c := ix.i, ix.stride, t0*ix.stride
-	lo, hi, trusted := g.lo, g.hi, g.trusted
+	lo, hi := g.lo, g.hi
 	for i := range d {
 		cell := off + int(min(max(idx[c], lo), hi))
 		c += s
-		if !trusted && uint(cell) >= uint(len(src)) {
+		if uint(cell) >= uint(len(src)) {
 			if len(d) == 1 {
 				_ = src[cell]
 			}

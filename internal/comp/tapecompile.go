@@ -1114,7 +1114,7 @@ func (tc *tapeCompiler) ptrOp(e ast.Expr, hint int32) opnd {
 		}
 		return reg(tc.load(a, tkP, lvl, hint, false))
 	case *ast.CastExpr:
-		if call, ok := stripParens(x.X).(*ast.CallExpr); ok && call.Fun.Name == "malloc" {
+		if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok && call.Fun.Name == "malloc" {
 			return reg(tc.malloc(x, call, hint))
 		}
 		switch inner := fc.typeOf(x.X); inner.Kind {
@@ -1201,7 +1201,7 @@ func (tc *tapeCompiler) ptrPair(x *ast.BinaryExpr) (int32, int32) {
 // multi-dimensional array indexed with fewer subscripts than dimensions:
 // the result is a row pointer into the flattened segment.
 func (tc *tapeCompiler) partialArrayIndex(x *ast.IndexExpr, hint int32) (int32, bool) {
-	subs, base := collectSubs(x)
+	subs, base := ast.IndexChain(x)
 	id, ok := base.(*ast.Ident)
 	if !ok {
 		return 0, false
@@ -1246,7 +1246,7 @@ func (tc *tapeCompiler) address(e ast.Expr) taddr {
 	case *ast.ParenExpr:
 		return tc.address(x.X)
 	case *ast.IndexExpr:
-		subs, base := collectSubs(x)
+		subs, base := ast.IndexChain(x)
 		if id, ok := base.(*ast.Ident); ok {
 			if sym := fc.symOf(id); sym.IsArray() && len(subs) == len(sym.Dims) {
 				// An array's own slot never changes: its base needs no hold.
@@ -1393,7 +1393,7 @@ func kindOf(t *types.Type) int {
 
 // lval resolves an lvalue, computing a memory cell's address now.
 func (tc *tapeCompiler) lval(e ast.Expr, kind int) tlval {
-	if x, ok := stripParens(e).(*ast.Ident); ok {
+	if x, ok := ast.Unparen(e).(*ast.Ident); ok {
 		sl, global := tc.fc.slotOf(tc.fc.symOf(x), x)
 		return tlval{kind: kind, slot: int32(sl.idx), global: global}
 	}
@@ -1406,7 +1406,7 @@ func (tc *tapeCompiler) lval(e ast.Expr, kind int) tlval {
 // side effects, or both can trap. Otherwise the address is computed
 // after the right side, where the indexed store reads it.
 func (tc *tapeCompiler) pinned(lhs, rhs ast.Expr) bool {
-	if _, ok := stripParens(lhs).(*ast.Ident); ok {
+	if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 		return false
 	}
 	effects, traps := tc.fc.addrRisk(lhs)
@@ -1471,7 +1471,7 @@ func (tc *tapeCompiler) assign(x *ast.AssignExpr, hint int32, value bool) opnd {
 	f32 := kind == tkF && tl.CSize == 4
 	bin, compound := x.Op.AssignBinOp()
 	lvl := tc.ta.level()
-	_, named := stripParens(x.LHS).(*ast.Ident)
+	_, named := ast.Unparen(x.LHS).(*ast.Ident)
 	pin := tc.pinned(x.LHS, x.RHS)
 	var lv tlval
 	if named || pin {

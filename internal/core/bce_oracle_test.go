@@ -11,11 +11,11 @@ import (
 	"purec/internal/rt"
 )
 
-// TestBCEOracle12Processes is the check-elision equivalence proof: the
-// proven gather (elided per-element test, parallelized nest), the
-// opaque gather (checked, force-serialized) and axpy (elided launch
-// checks) run through the oracle matrix — elision removes only checks
-// that could never fire, never a computation.
+// TestBCEOracle12Processes runs the bounds-proof builds through the
+// oracle matrix: the proven gather (parallelized nest), the opaque
+// gather (force-serialized) and axpy (fused, launch checks in place).
+// A proof decides only where a loop runs in parallel, never what it
+// computes.
 func TestBCEOracle12Processes(t *testing.T) {
 	gd, par := apps.GatherDefines(512, 128, 2), Config{Parallelize: true}
 	runOracleMatrix(t, false, []oracleRow{
@@ -56,10 +56,10 @@ func marginDefines(n, m, slack int) map[string]string {
 
 // TestBCEProofMargin pins both edges of the proof boundary. The
 // zero-slack build is proven with exactly one element of margin: it
-// must parallelize, elide, run clean and match the oracle. The
-// one-slack build is unprovable by exactly one element: the check
-// stays even with BCE on, and the program traps identically on the tape
-// and in the interp oracle — never a silent wrong answer.
+// must parallelize, run clean and match the oracle. The one-slack build
+// is unprovable by exactly one element: it stays serial, and the
+// program traps identically on the tape and in the interp oracle —
+// never a silent wrong answer.
 func TestBCEProofMargin(t *testing.T) {
 	n, m := 256, 64
 
@@ -73,9 +73,6 @@ func TestBCEProofMargin(t *testing.T) {
 			if l.Func == "gather" && l.ParallelLevel < 0 {
 				t.Errorf("proven-edge gather serialized: %s", l.SerialReason)
 			}
-		}
-		if prog.ElidedChecks() == 0 {
-			t.Error("proven-edge build elided no checks")
 		}
 		proc, err := prog.NewProcess(comp.ProcOptions{Team: rt.NewTeam(4)})
 		if err != nil {
@@ -108,7 +105,7 @@ func TestBCEProofMargin(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := proc.RunMain(); err == nil {
-			t.Fatal("unprovable access must trap with BCE on")
+			t.Fatal("unprovable access must trap")
 		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
 			t.Fatalf("want RuntimeError, got %T %v", err, err)
 		}
@@ -127,11 +124,10 @@ func TestBCEProofMargin(t *testing.T) {
 }
 
 // sumMarginSrc is the proof-margin pair for a reduce kernel, whose
-// operands are ordinary kAccesses and so honour value-range proofs like
-// map operands do: with SLACK=0 the sum reads x[0..N-1], the proof
-// holds with nothing to spare and the launch check is elided; with
-// SLACK=1 the last subscript is N, one past the end, the proof fails
-// and the kept check must trap.
+// operands are ordinary kAccesses with one range check per launch: with
+// SLACK=0 the sum reads x[0..N-1], inside with nothing to spare; with
+// SLACK=1 the last subscript is N, one past the end, and the launch
+// check must trap.
 const sumMarginSrc = `
 float x[N];
 float total[1];
@@ -172,9 +168,6 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 		if prog.FusedKernels() != 1 {
 			t.Errorf("%d fused kernels, want the sum", prog.FusedKernels())
 		}
-		if got := prog.ElidedChecks(); got != 1 {
-			t.Errorf("BCE elided %d checks, want the sum operand's", got)
-		}
 		proc, err := prog.NewProcess(comp.ProcOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -192,16 +185,15 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.FusedKernels() != 1 || prog.ElidedChecks() != 0 {
-			t.Errorf("%d fused kernels and %d elided checks, want the sum fused with its check kept",
-				prog.FusedKernels(), prog.ElidedChecks())
+		if prog.FusedKernels() != 1 {
+			t.Errorf("%d fused kernels, want the sum", prog.FusedKernels())
 		}
 		proc, err := prog.NewProcess(comp.ProcOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := proc.RunMain(); err == nil {
-			t.Fatal("unprovable sum operand must trap with BCE on")
+			t.Fatal("unprovable sum operand must trap")
 		} else if _, isRT := err.(*comp.RuntimeError); !isRT {
 			t.Fatalf("want RuntimeError, got %T %v", err, err)
 		}

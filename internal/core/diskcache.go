@@ -14,7 +14,6 @@ import (
 
 	"purec/internal/parser"
 	"purec/internal/sema"
-	"purec/internal/vra"
 )
 
 // The persistent program cache stores validated build products on disk,
@@ -24,31 +23,22 @@ import (
 // (the header, diskEntry) followed by the raw text of the lowered,
 // polyhedrally transformed source (Stages.Transformed), unescaped. The
 // header carries the front end's verdicts (pure set, SCoP count,
-// rejections), the two facts the storing build derived from the final
-// model — the bounds proofs of its value-range analysis, as node
-// ordinals of the stored text (vra.EncodeProofs), and the memoizable
-// set — and a SHA-256 over every one of those fields plus the text.
-// Stages.Final, like Stripped/Expanded/Marked and the transform Report,
-// is not persisted: no consumer of a restored artifact reads it.
+// rejections), the memoizable set the storing build derived from the
+// final model, and a SHA-256 over every one of those fields plus the
+// text. Stages.Final, like Stripped/Expanded/Marked and the transform
+// Report, is not persisted: no consumer of a restored artifact reads
+// it.
 //
 // What Load runs. Restoring an entry re-enters neither the pipeline
-// front end (preprocess, parse, purity, SCoP detection, polyhedral
-// transform) nor the analyses of the final model: it parses and
-// semantically checks the stored text — Compile needs the tree and its
-// model — and rebuilds the proof map from the header's ordinals. The
-// tape compile then runs again: compiled Programs hold Go closures
-// (kernel and region launches) and cannot be serialized.
-//
-// Why the stored proofs are trusted. They sit under the same checksum
-// as the text, and the text already decides what runs and where it runs
-// in parallel (its #pragma lines are executed as written, not
-// re-derived): whoever can forge a proof list with a matching sum can
-// forge the program. Independently of the sum, a list that cannot have
-// come from an analysis of the stored text is refused, and a proof that
-// is wrong anyway only removes a guest-level check in front of a Go
-// slice access — Go's own bounds check still stands behind it, so the
-// worst case is a Go bounds panic reported as a runtime error, never a
-// read or write outside the guest's segments.
+// front end (preprocess, parse, purity, value-range analysis, SCoP
+// detection, polyhedral transform) nor the purity analysis of the
+// final model: it parses and semantically checks the stored text —
+// Compile needs the tree and its model. The text already decides what
+// runs and where it runs in parallel (its #pragma lines are executed as
+// written, not re-derived), and every guest check stays in the compiled
+// program, so the header holds nothing that can remove one. The tape
+// compile then runs again: compiled Programs hold Go closures (kernel
+// and region launches) and cannot be serialized.
 //
 // Entries that fail any of this (truncated files, bit flips, another
 // format version, a payload that no longer revalidates) are rejected,
@@ -63,8 +53,9 @@ import (
 // contract changes; entries of other versions are rejected as stale.
 // Version 1 was one indented JSON document holding Transformed and
 // Final as escaped strings; its whole file decodes as a header, which
-// is how Load recognises it.
-const diskEntryVersion = 2
+// is how Load recognises it. Version 2 also stored the bounds proofs of
+// the storing build as node ordinals of the text.
+const diskEntryVersion = 3
 
 // diskEntry is the header line of one on-disk cache entry; the
 // transformed source follows it after a newline.
@@ -76,9 +67,6 @@ type diskEntry struct {
 	Memoizable []string `json:"memoizable,omitempty"`
 	SCoPs      int      `json:"scops"`
 	Rejections []string `json:"rejections,omitempty"`
-	// Proofs names the accesses the storing build proved in bounds, as
-	// ascending expression-node ordinals of the stored text.
-	Proofs []int `json:"proofs,omitempty"`
 	// Sum is the hex SHA-256 of the canonical payload; Load rejects
 	// entries whose recomputed sum differs (bit flip, truncation, hand
 	// edits).
@@ -93,7 +81,7 @@ func (e *diskEntry) sum(text []byte) string {
 	fmt.Fprintf(h, "pure:%d:%s;memo:%d:%s;scops:%d;rej:%d:%s;",
 		len(e.Pure), strings.Join(e.Pure, ","), len(e.Memoizable), strings.Join(e.Memoizable, ","),
 		e.SCoPs, len(e.Rejections), strings.Join(e.Rejections, "\x00"))
-	fmt.Fprintf(h, "proofs:%d:%v;text:%d:", len(e.Proofs), e.Proofs, len(text))
+	fmt.Fprintf(h, "text:%d:", len(text))
 	h.Write(text)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -103,8 +91,8 @@ func (e *diskEntry) sum(text []byte) string {
 // and the build falls back to the full pipeline: Corrupt (undecodable,
 // wrong key or checksum mismatch — a torn write or a bit flip), Stale
 // (written under another diskEntryVersion — a toolchain roll-over) or
-// Revalidation (checksummed clean, but the text or the proof list no
-// longer revalidates against this toolchain).
+// Revalidation (checksummed clean, but the text or the memoizable set
+// no longer revalidates against this toolchain).
 type DiskStats struct {
 	Hits         uint64 `json:"hits"`
 	Misses       uint64 `json:"misses"`
@@ -258,12 +246,6 @@ func (d *DiskCache) Store(key CacheKey, cfg Config, art *Artifact) error {
 	}
 	sort.Strings(e.Pure)
 	sort.Strings(e.Memoizable)
-	if art.VRA != nil {
-		var err error
-		if e.Proofs, err = art.VRA.EncodeProofs(art.Info.File); err != nil {
-			return err
-		}
-	}
 	text := []byte(art.Stages.Transformed)
 	e.Sum = e.sum(text)
 	data, err := json.Marshal(e)
@@ -341,12 +323,11 @@ func (d *DiskCache) evictOver() {
 // Artifact. The stored text is already lowered and transformed, so the
 // chain's restart on its own generated file shrinks to what Compile
 // cannot do without: parse and semantic check of the text (the tree and
-// its model), then the proof map rebuilt from the entry's ordinals onto
-// the nodes of that tree. Neither vra.Analyze nor purity.Memoizable
-// runs — the storing build held both results, and the entry carries
-// them under its checksum. Artifact.VRA of a restored artifact is
-// proofs-only: Compile reads nothing else, and the user-source findings
-// of -analyze are a front-end concern that was never restored.
+// its model). purity.Memoizable does not run — the storing build held
+// the result, and the entry carries it under its checksum. Artifact.VRA
+// of a restored artifact is nil: Compile does not read it, and the
+// user-source findings of -analyze are a front-end concern that was
+// never restored.
 func restoreArtifact(src string, e *diskEntry, text string) (*Artifact, error) {
 	art := &Artifact{
 		Pure:       e.Pure,
@@ -369,9 +350,6 @@ func restoreArtifact(src string, e *diskEntry, text string) (*Artifact, error) {
 		if sig := info.Funcs[name]; sig == nil || !sig.Pure || sig.Builtin {
 			return nil, fmt.Errorf("stored memoizable set names %s, no pure function of the stored source", name)
 		}
-	}
-	if art.VRA, err = vra.RestoreProofs(file, e.Proofs); err != nil {
-		return nil, fmt.Errorf("stored proofs do not revalidate: %v", err)
 	}
 	return art, nil
 }

@@ -68,13 +68,12 @@ func sorted(names []string) []string {
 
 // TestDiskRestoreEqualsBuild: an artifact that went through Store and a
 // Load by another DiskCache compiles to the program the cold build
-// compiled — same proofs, same memoizable set, same elided checks and
-// fused kernels — and that program prints and returns what the
-// interpreter does, on a real 2-worker team. The
-// load provably runs no analysis: the restored artifact has no findings
-// and no alias facts.
+// compiled — same memoizable set, same fused kernels — and that program
+// prints and returns what the interpreter does, on a real 2-worker
+// team. The load provably runs no value-range analysis: the restored
+// artifact has none.
 func TestDiskRestoreEqualsBuild(t *testing.T) {
-	restored, withProofs, memoizable := 0, 0, 0
+	restored, memoizable := 0, 0
 	for _, s := range restoreSample(t) {
 		base := Config{FileName: "t.c", Parallelize: true, Memoize: true, Defines: s.Defines}
 		oracle, err := Front(s.Src, base)
@@ -134,15 +133,12 @@ func TestDiskRestoreEqualsBuild(t *testing.T) {
 		if FrontRuns() != front {
 			t.Fatalf("%s: Load entered the front end", name)
 		}
-		if art.VRA.Alias != nil || len(art.VRA.Findings) != 0 {
-			t.Fatalf("%s: restored analysis carries alias facts or findings: Load re-analysed", name)
+		if art.VRA != nil {
+			t.Fatalf("%s: restored artifact carries a value-range analysis: Load re-analysed", name)
 		}
 		if art.Stages.Transformed != cold.Stages.Transformed || art.Stages.Final != "" {
 			t.Fatalf("%s: restored stages differ: Transformed equal=%v, Final %d bytes, want equal and empty",
 				name, art.Stages.Transformed == cold.Stages.Transformed, len(art.Stages.Final))
-		}
-		if got, want := len(art.VRA.Proofs()), len(cold.VRA.Proofs()); got != want {
-			t.Errorf("%s: %d proofs restored, cold build has %d", name, got, want)
 		}
 		if got, want := fmt.Sprint(sorted(art.Memoizable)), fmt.Sprint(sorted(cold.Memoizable)); got != want {
 			t.Errorf("%s: memoizable set %s restored, cold build has %s", name, got, want)
@@ -151,11 +147,11 @@ func TestDiskRestoreEqualsBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: restored artifact does not compile: %v", name, err)
 		}
-		if prog.ElidedChecks() != coldProg.ElidedChecks() || prog.FusedKernels() != coldProg.FusedKernels() ||
+		if prog.FusedKernels() != coldProg.FusedKernels() ||
 			fmt.Sprint(sorted(prog.Memoizable())) != fmt.Sprint(sorted(coldProg.Memoizable())) {
-			t.Errorf("%s: restored program has %d elided checks, %d fused kernels, memoizes %v; cold build %d, %d, %v",
-				name, prog.ElidedChecks(), prog.FusedKernels(), sorted(prog.Memoizable()),
-				coldProg.ElidedChecks(), coldProg.FusedKernels(), sorted(coldProg.Memoizable()))
+			t.Errorf("%s: restored program has %d fused kernels, memoizes %v; cold build %d, %v",
+				name, prog.FusedKernels(), sorted(prog.Memoizable()),
+				coldProg.FusedKernels(), sorted(coldProg.Memoizable()))
 		}
 		out, ret, trap := runProgram(t, prog, 2)
 		if out != wantOut.String() || ret != wantRet || trap != wantTrap {
@@ -163,17 +159,14 @@ func TestDiskRestoreEqualsBuild(t *testing.T) {
 				name, ret, trap, wantRet, wantTrap, firstDiff(out, wantOut.String()))
 		}
 		restored++
-		if len(art.VRA.Proofs()) > 0 {
-			withProofs++
-		}
 		if len(art.Memoizable) > 0 {
 			memoizable++
 		}
 	}
-	// The comparison is only worth its time while the entries carry
-	// something: most programs have proofs, some a memoizable set.
-	if withProofs < restored/2 || memoizable == 0 {
-		t.Errorf("of %d restored artifacts only %d carried proofs and %d a memoizable set", restored, withProofs, memoizable)
+	// The comparison is only worth its time while some entries carry a
+	// memoizable set.
+	if memoizable == 0 {
+		t.Errorf("none of %d restored artifacts carried a memoizable set", restored)
 	}
 }
 
@@ -181,7 +174,7 @@ func TestDiskRestoreEqualsBuild(t *testing.T) {
 // also stamps the checksum Store would have computed for the edited
 // fields — what an entry looks like that was damaged before it was
 // summed, or written by a toolchain whose analysis disagrees with this
-// parser; without, the stored sum stays and no longer matches.
+// one; without, the stored sum stays and no longer matches.
 func editHeader(t *testing.T, path string, resum bool, edit func(e *diskEntry)) {
 	t.Helper()
 	editEntry(t, path, func(header, text []byte) []byte {
@@ -201,53 +194,25 @@ func editHeader(t *testing.T, path string, resum bool, edit func(e *diskEntry)) 
 	})
 }
 
-// TestDiskCacheTamperedProofsRejected: the proof list and the memoizable
-// set sit under the integrity sum, and a list that sums clean but cannot
-// have come from an analysis of the stored text is a revalidation
-// failure. Either way the entry is deleted, never executed, and the
-// request is served by a rebuild that prints what the source says.
-func TestDiskCacheTamperedProofsRejected(t *testing.T) {
-	// diskCacheSrc proves two accesses, acc[i] as store and as load.
-	proofsOf := func(t *testing.T, e *diskEntry) []int {
-		if len(e.Proofs) != 2 {
-			t.Fatalf("stored entry has proofs %v, want two", e.Proofs)
-		}
-		return e.Proofs
-	}
-	for _, c := range []struct {
-		name string
-		edit func(t *testing.T, e *diskEntry)
-	}{
-		{"ordinal-past-the-end", func(t *testing.T, e *diskEntry) { e.Proofs = append(proofsOf(t, e), 1<<20) }},
-		{"ordinals-out-of-order", func(t *testing.T, e *diskEntry) { p := proofsOf(t, e); e.Proofs = []int{p[1], p[0]} }},
-		{"ordinal-repeated", func(t *testing.T, e *diskEntry) { p := proofsOf(t, e); e.Proofs = []int{p[0], p[0]} }},
-		{"negative-ordinal", func(t *testing.T, e *diskEntry) { e.Proofs = append([]int{-1}, proofsOf(t, e)...) }},
-		// The node after a proven acc[i] in walk order is its base, the
-		// identifier acc: an expression, but nothing the analysis proves.
-		{"ordinal-on-an-identifier", func(t *testing.T, e *diskEntry) { p := proofsOf(t, e); e.Proofs = []int{p[0], p[0] + 1} }},
-		{"memoizable-names-no-pure-function", func(t *testing.T, e *diskEntry) { e.Memoizable = []string{"main"} }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			corruptAndRebuild(t, "revalidation", func(t *testing.T, path string) {
-				editHeader(t, path, true, func(e *diskEntry) { c.edit(t, e) })
-			})
+// TestDiskCacheTamperedMemoizableRejected: the memoizable set sits
+// under the integrity sum, and a set that sums clean but names no pure
+// function of the stored text is a revalidation failure. Either way the
+// entry is deleted, never executed, and the request is served by a
+// rebuild that prints what the source says.
+func TestDiskCacheTamperedMemoizableRejected(t *testing.T) {
+	noPureFunction := func(e *diskEntry) { e.Memoizable = []string{"main"} }
+	t.Run("memoizable-names-no-pure-function", func(t *testing.T) {
+		corruptAndRebuild(t, "revalidation", func(t *testing.T, path string) {
+			editHeader(t, path, true, noPureFunction)
 		})
-	}
-	// The same edits under the sum the entry was stored with never get as
-	// far as revalidation.
-	for _, c := range []struct {
-		name string
-		edit func(t *testing.T, e *diskEntry)
-	}{
-		{"proofs-stale-sum", func(t *testing.T, e *diskEntry) { e.Proofs = proofsOf(t, e)[:1] }},
-		{"memoizable-stale-sum", func(t *testing.T, e *diskEntry) { e.Memoizable = []string{"main"} }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			corruptAndRebuild(t, "corrupt", func(t *testing.T, path string) {
-				editHeader(t, path, false, func(e *diskEntry) { c.edit(t, e) })
-			})
+	})
+	// The same edit under the sum the entry was stored with never gets
+	// as far as revalidation.
+	t.Run("memoizable-stale-sum", func(t *testing.T) {
+		corruptAndRebuild(t, "corrupt", func(t *testing.T, path string) {
+			editHeader(t, path, false, noPureFunction)
 		})
-	}
+	})
 	// The helper itself must not be what gets the entries rejected: an
 	// entry re-summed without an edit is a hit.
 	d, dir := newDiskTest(t, 0)
@@ -262,8 +227,8 @@ func TestDiskCacheTamperedProofsRejected(t *testing.T) {
 	}
 }
 
-// rollSrc is the second program of testdata/diskcache-v1 (the first is
-// diskCacheSrc).
+// rollSrc is the second program of testdata/diskcache-v1 and -v2 (the
+// first is diskCacheSrc).
 const rollSrc = `
 int *buf;
 
@@ -282,11 +247,21 @@ int main(void) {
 `
 
 // TestDiskCacheRollOverFromV1: testdata/diskcache-v1 holds two entries
-// exactly as the previous format wrote them (one indented JSON document
+// exactly as the first format wrote them (one indented JSON document
 // each, version 1). A daemon of this version pointed at such a
 // directory rejects each entry once, as stale and as nothing else,
 // rebuilds it, and serves it from disk from then on.
-func TestDiskCacheRollOverFromV1(t *testing.T) {
+func TestDiskCacheRollOverFromV1(t *testing.T) { rollOver(t, "diskcache-v1") }
+
+// TestDiskCacheRollOverFromV2: testdata/diskcache-v2 holds the same two
+// programs as version 2 wrote them, a header line carrying the storing
+// build's bounds proofs as node ordinals, then the text. They roll over
+// like version 1: stale once, rebuilt, served from disk.
+func TestDiskCacheRollOverFromV2(t *testing.T) { rollOver(t, "diskcache-v2") }
+
+// rollOver points a fresh disk cache at the entries of testdata/<old>,
+// written under an older diskEntryVersion.
+func rollOver(t *testing.T, old string) {
 	d, dir := newDiskTest(t, 0)
 	cfg := Config{FileName: "t.c", Parallelize: true}
 	programs := []struct{ file, src, out string }{
@@ -294,7 +269,7 @@ func TestDiskCacheRollOverFromV1(t *testing.T) {
 		{"twice.json", rollSrc, "t=992\n"},
 	}
 	for _, p := range programs {
-		data, err := os.ReadFile(filepath.Join("testdata", "diskcache-v1", p.file))
+		data, err := os.ReadFile(filepath.Join("testdata", old, p.file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +291,7 @@ func TestDiskCacheRollOverFromV1(t *testing.T) {
 	}
 	pass(SourceCompiled)
 	if st := d.Stats(); st.Stale != 2 || st.Corrupt != 0 || st.Revalidation != 0 || st.Stores != 2 || st.Hits != 0 {
-		t.Fatalf("after the first pass over a v1 directory: %+v, want 2 stale, 2 stores", st)
+		t.Fatalf("after the first pass over %s: %+v, want 2 stale, 2 stores", old, st)
 	}
 	pass(SourceDisk)
 	pass(SourceDisk)
@@ -430,8 +405,8 @@ int main(void) {
 `, false, true},
 		// Variables named like the iterators tiling and skewing add, in
 		// subscripts the analysis proves in bounds: the added iterators
-		// take other names, so the proofs still hold for what the
-		// subscripts read.
+		// take other names, so the subscripts still read the user's
+		// variables.
 		{"tile-name-in-subscript", `float B[2][64];
 float X[4096];
 float C[64][64];

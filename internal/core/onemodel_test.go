@@ -13,7 +13,6 @@ import (
 	"purec/internal/sema"
 	"purec/internal/transform"
 	"purec/internal/types"
-	"purec/internal/vra"
 )
 
 // recheckShapes are sources whose final model Recheck must get right
@@ -115,39 +114,13 @@ int main(void) {
 `},
 }
 
-// supersetProofs lists the builds whose carried proofs are a strict
-// superset of what a fresh analysis of the final tree proves, with the
-// accesses only the carried proofs hold. A skewed subscript i_sk - 1 * r
-// takes the same values the original r did, but the interval analysis
-// cannot see that from the rewritten text.
-var supersetProofs = map[string][]string{
-	"aliased-pair/skew":      {"p[(i_sk - 1 * r)]", "q[(i_sk - 1 * r)]"},
-	"aliased-pair/tile+skew": {"p[(i_sk - 1 * r)]", "q[(i_sk - 1 * r)]"},
-	"skew-call/skew":         skewedStencilProofs("j_sk"),
-	"skew-call/tile+skew":    skewedStencilProofs("j_sk"),
-	// The user's j_sk keeps its name; the skewed iterator is j_sk1.
-	"skew-name-capture/skew":      skewedStencilProofs("j_sk1"),
-	"skew-name-capture/tile+skew": skewedStencilProofs("j_sk1"),
-	"skewed-chain": {"A[i - 1][(j_sk - 1 * i)]",
-		"A[i - 1][" + strings.Repeat("0 + ", 16) + "(j_sk - 1 * i) + 1]",
-		"A[i][(j_sk - 1 * i) - 1]", "A[i][(j_sk - 1 * i)]"},
-}
-
-// skewedStencilProofs lists the stencil accesses of the skew shapes
-// after skewing j into jNew.
-func skewedStencilProofs(jNew string) []string {
-	j := "(" + jNew + " - 1 * i)"
-	return []string{"A[i - 1][" + j + " + 1]", "A[i - 1][" + j + "]", "A[i][" + j + " - 1]", "A[i][" + j + "]"}
-}
-
-// TestOneModelIsTheFreshOne: Front checks and analyzes the user's model
-// once and carries both through the rewrites (sema.Recheck,
-// vra.Result.Retain). The test holds that model to what the two-pass
-// route built — a fresh sema.Check and vra.Analyze of the final tree —
-// on every corpus program under every transform, in parallel and
-// sequential builds, on generated programs and on the nests that
-// stress the nesting walk: the same types, bindings, frame layout,
-// proofs, tapes, fused kernels and elided checks.
+// TestOneModelIsTheFreshOne: Front checks the user's model once and
+// carries it through the rewrites (sema.Recheck). The test holds that
+// model to what the two-pass route built — a fresh sema.Check of the
+// final tree — on every corpus program under every transform, in
+// parallel and sequential builds, on generated programs and on the
+// nests that stress the nesting walk: the same types, bindings, frame
+// layout, tapes and fused kernels.
 func TestOneModelIsTheFreshOne(t *testing.T) {
 	modes := []struct {
 		name string
@@ -194,11 +167,11 @@ func TestOneModelIsTheFreshOne(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		if err := sameAsFreshCheck(art, supersetProofs[r.name]); err != nil {
+		if _, err := sameModelAsFreshCheck(art); err != nil {
 			t.Errorf("%s: %v", r.name, err)
 			continue
 		}
-		if err := sameAsTwoPassBuild(art, r.cfg, len(supersetProofs[r.name]) > 0); err != nil {
+		if err := sameAsTwoPassBuild(art, r.cfg); err != nil {
 			t.Errorf("%s: %v", r.name, err)
 		}
 		if shape[r.src] {
@@ -215,52 +188,6 @@ func TestOneModelIsTheFreshOne(t *testing.T) {
 		built++
 	}
 	t.Logf("%d of %d builds equal the two-pass route", built, len(rows))
-}
-
-// sameAsFreshCheck compares art's model with a fresh sema.Check and
-// vra.Analyze of its final tree (sameModelAsFreshCheck, then the proof
-// ordinals). extra lists the accesses only art's carried proofs may
-// prove.
-func sameAsFreshCheck(art *Artifact, extra []string) error {
-	fresh, err := sameModelAsFreshCheck(art)
-	if err != nil {
-		return err
-	}
-	file := art.Info.File
-	got, err := art.VRA.EncodeProofs(file)
-	if err != nil {
-		return err
-	}
-	want, err := vra.Analyze(fresh).EncodeProofs(file)
-	if err != nil {
-		return err
-	}
-	if slices.Equal(got, want) {
-		if len(extra) > 0 {
-			return fmt.Errorf("proofs equal a fresh analysis, but %v are listed as carried only", extra)
-		}
-		return nil
-	}
-	var only []string
-	restored, err := vra.RestoreProofs(file, got)
-	if err != nil {
-		return err
-	}
-	for e := range restored.Proofs() {
-		only = append(only, ast.PrintExpr(e))
-	}
-	fresher, _ := vra.RestoreProofs(file, want)
-	for e := range fresher.Proofs() {
-		if !restored.Proven(e) {
-			return fmt.Errorf("a fresh analysis proves %s, the carried proofs do not", ast.PrintExpr(e))
-		}
-		only = slices.DeleteFunc(only, func(s string) bool { return s == ast.PrintExpr(e) })
-	}
-	slices.Sort(only)
-	if !slices.Equal(only, extra) {
-		return fmt.Errorf("only the carried proofs prove %v, listed %v", only, extra)
-	}
-	return nil
 }
 
 // sameModelAsFreshCheck compares art's semantic model with a fresh
@@ -327,9 +254,8 @@ func sameSymbol(got, want *sema.Symbol) error {
 }
 
 // sameAsTwoPassBuild compiles art and the two-pass route's model of
-// the same final tree and compares the tapes, fused kernels and elided
-// checks; with superset, art's extra proofs may elide more checks.
-func sameAsTwoPassBuild(art *Artifact, cfg Config, superset bool) error {
+// the same final tree and compares the tapes and fused kernels.
+func sameAsTwoPassBuild(art *Artifact, cfg Config) error {
 	prog, err := art.Compile(cfg)
 	if err != nil {
 		return err
@@ -345,7 +271,6 @@ func sameAsTwoPassBuild(art *Artifact, cfg Config, superset bool) error {
 	twoPass, err := comp.CompileProgram(fresh, comp.Options{
 		Backend:    cfg.Backend,
 		Vectorize:  cfg.Vectorize,
-		Proofs:     vra.Analyze(fresh).Proofs(),
 		Memoize:    cfg.Memoize,
 		Memoizable: memoizable,
 	})
@@ -357,10 +282,8 @@ func sameAsTwoPassBuild(art *Artifact, cfg Config, superset bool) error {
 	if gi != wi || gc != wc || gt != wt {
 		return fmt.Errorf("tape of %d instructions, %d constants, %d temps; two-pass %d, %d, %d", gi, gc, gt, wi, wc, wt)
 	}
-	elided := prog.ElidedChecks() == twoPass.ElidedChecks() || superset && prog.ElidedChecks() > twoPass.ElidedChecks()
-	if prog.FusedKernels() != twoPass.FusedKernels() || !elided {
-		return fmt.Errorf("%d fused, %d elided; two-pass %d, %d",
-			prog.FusedKernels(), prog.ElidedChecks(), twoPass.FusedKernels(), twoPass.ElidedChecks())
+	if prog.FusedKernels() != twoPass.FusedKernels() {
+		return fmt.Errorf("%d fused kernels; two-pass %d", prog.FusedKernels(), twoPass.FusedKernels())
 	}
 	return nil
 }

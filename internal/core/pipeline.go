@@ -153,10 +153,10 @@ type Artifact struct {
 	Info *sema.Info
 	// VRA is the one value-range analysis Front runs, on the user's
 	// source: its diagnostics, which purecc -analyze reports, and the
-	// bounds proofs of the accesses that are still nodes of the final
-	// source, which the Compile step uses for check elimination. An
-	// Artifact restored by DiskCache.Load carries the proofs only, and
-	// of its Stages only Original and Transformed.
+	// bounds proofs that decided gather parallelization inside Front
+	// (markBoundedStars). Nothing after Front reads the proofs. An
+	// Artifact restored by DiskCache.Load has no VRA, and of its Stages
+	// only Original and Transformed.
 	VRA *vra.Result
 }
 
@@ -242,8 +242,8 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	}
 
 	// Value-range analysis, once, on the user's model: its findings
-	// carry the positions the user wrote, and its proofs, keyed by
-	// access node, carry over to the final model below.
+	// carry the positions the user wrote, and its proofs decide which
+	// star reads may be parallelized.
 	analysis := vra.Analyze(info)
 
 	var edits *sema.Edits
@@ -319,13 +319,11 @@ func Front(src string, cfg Config) (*Artifact, error) {
 	res.Stages.Final = preproc.ReinsertSystemIncludes(lowered, includes)
 	// The final model is the user's model brought up to date: sema
 	// checks only the loops transform built and the statements it
-	// edited, and the proofs of the accesses that are still in the tree
-	// stay (vra.Result.Retain gives why they stay sound).
+	// edited.
 	if edits != nil {
 		if err := sema.Recheck(info, edits); err != nil {
 			return nil, fmt.Errorf("internal: final source does not re-check: %v", err)
 		}
-		analysis.Retain(file)
 	}
 	res.Info = info
 	res.VRA = analysis
@@ -364,14 +362,9 @@ func markBoundedStars(scops []*scop.SCoP, res *vra.Result) {
 // Compile turns the front-end artifact into an immutable, shareable
 // executable Program — the "GCC/ICC" step of Fig. 1.
 func (a *Artifact) Compile(cfg Config) (*comp.Program, error) {
-	var proofs map[ast.Expr]bool
-	if a.VRA != nil {
-		proofs = a.VRA.Proofs()
-	}
 	prog, err := comp.CompileProgram(a.Info, comp.Options{
 		Backend:      cfg.Backend,
 		Vectorize:    cfg.Vectorize,
-		Proofs:       proofs,
 		Memoize:      cfg.Memoize,
 		Memoizable:   a.Memoizable,
 		MemoCapacity: cfg.MemoCapacity,

@@ -251,9 +251,8 @@ func TestCorpusUnderTileAndSkew(t *testing.T) {
 
 // FuzzFront: any source goes through Front and Compile to an artifact
 // or an error, never a Go panic, the working tree of every artifact is
-// the tree its printed Transformed parses to (sameAsParse, which also
-// carries the proofs across with EncodeProofs), and its one model is
-// the one a fresh sema.Check of that tree builds
+// the tree its printed Transformed parses to (sameAsParse), and its one
+// model is the one a fresh sema.Check of that tree builds
 // (sameModelAsFreshCheck). mode picks tiling, skewing and the backend.
 // Nothing runs: a guest loop has no fuel yet, so while (1); would hang
 // the fuzzer.
@@ -270,8 +269,7 @@ func FuzzFront(f *testing.F) {
 	f.Add(tiledNest(parser.MaxStmtDepth-2), uint8(1))
 	f.Add(tiledNest(parser.MaxStmtDepth-3), uint8(1))
 	f.Add(skewedChain(1012), uint8(2))
-	// Forward substitution of a private, and a skewed pointer nest whose
-	// carried proofs are more than a fresh analysis finds.
+	// Forward substitution of a private, and a skewed pointer nest.
 	f.Add(withDefines(apps.DerivedSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(0))
 	f.Add(withDefines(apps.AliasedPairSrc, apps.RelationalDefines(96, 112, 16, 2)), uint8(2))
 	// Skewed and tiled shapes that Recheck gets right the hard way, and

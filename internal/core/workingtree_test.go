@@ -6,19 +6,15 @@ import (
 	"testing"
 
 	"purec/internal/apps"
-	"purec/internal/ast"
 	"purec/internal/comp"
 	"purec/internal/parser"
 	"purec/internal/transform"
-	"purec/internal/vra"
 )
 
 // treeCmp walks a working tree and a parsed tree in lockstep.
 type treeCmp struct {
 	// seen holds every node of the working tree reached so far.
 	seen map[treeNode]bool
-	// parsed maps each expression node of the working tree to its twin.
-	parsed map[ast.Expr]ast.Expr
 }
 
 type treeNode struct {
@@ -29,36 +25,14 @@ type treeNode struct {
 // sameAsParse reports where the working tree of art differs from the
 // tree parsing art.Stages.Transformed builds: a node of another type, a
 // position, operator, name, value or literal or pragma text that
-// differs, or a node of the working tree that is reachable twice. It
-// also checks that the proofs of art, carried across by EncodeProofs
-// and RestoreProofs as a disk entry carries them, name the twins of the
-// nodes they were computed on.
+// differs, or a node of the working tree that is reachable twice.
 func sameAsParse(art *Artifact, fileName string) error {
 	parsed, err := parser.Parse(fileName, art.Stages.Transformed)
 	if err != nil {
 		return fmt.Errorf("transformed source does not parse: %v", err)
 	}
-	c := &treeCmp{seen: map[treeNode]bool{}, parsed: map[ast.Expr]ast.Expr{}}
-	if err := c.cmp(reflect.ValueOf(art.Info.File), reflect.ValueOf(parsed), "file"); err != nil {
-		return err
-	}
-	ords, err := art.VRA.EncodeProofs(art.Info.File)
-	if err != nil {
-		return err
-	}
-	restored, err := vra.RestoreProofs(parsed, ords)
-	if err != nil {
-		return err
-	}
-	for e := range art.VRA.Proofs() {
-		if !restored.Proven(c.parsed[e]) {
-			return fmt.Errorf("proof of %s at %s names another node after the restore", ast.PrintExpr(e), e.Pos())
-		}
-	}
-	if got, want := len(restored.Proofs()), len(art.VRA.Proofs()); got != want {
-		return fmt.Errorf("%d proofs restored from %d", got, want)
-	}
-	return nil
+	c := &treeCmp{seen: map[treeNode]bool{}}
+	return c.cmp(reflect.ValueOf(art.Info.File), reflect.ValueOf(parsed), "file")
 }
 
 func (c *treeCmp) cmp(a, b reflect.Value, path string) error {
@@ -81,9 +55,6 @@ func (c *treeCmp) cmp(a, b reflect.Value, path string) error {
 			return fmt.Errorf("%s: %s is reachable twice in the working tree", path, a.Type())
 		}
 		c.seen[key] = true
-		if e, ok := a.Interface().(ast.Expr); ok {
-			c.parsed[e] = b.Interface().(ast.Expr)
-		}
 		return c.cmp(a.Elem(), b.Elem(), path+"/"+a.Elem().Type().Name())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {

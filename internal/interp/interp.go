@@ -537,7 +537,7 @@ func (in *Interp) lvalue(e ast.Expr, fr *frame) location {
 	case *ast.ParenExpr:
 		return in.lvalue(x.X, fr)
 	case *ast.IndexExpr:
-		subs, base := collectSubs(x)
+		subs, base := ast.IndexChain(x)
 		if id, ok := base.(*ast.Ident); ok {
 			sym := in.info.Ref[id]
 			if sym != nil && sym.IsArray() && len(subs) == len(sym.Dims) {
@@ -717,7 +717,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) Value {
 		return in.callExpr(x, fr)
 	case *ast.IndexExpr:
 		// partial array indexing yields a pointer
-		subs, base := collectSubs(x)
+		subs, base := ast.IndexChain(x)
 		if id, ok := base.(*ast.Ident); ok {
 			sym := in.info.Ref[id]
 			if sym != nil && sym.IsArray() && len(subs) < len(sym.Dims) {
@@ -753,7 +753,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) Value {
 	case *ast.CastExpr:
 		t := in.typeOf(x)
 		// (T*)malloc(n)
-		if call, ok := stripParens(x.X).(*ast.CallExpr); ok && call.Fun.Name == "malloc" && t.IsPtr() {
+		if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok && call.Fun.Name == "malloc" && t.IsPtr() {
 			bytes := in.eval(call.Args[0], fr).AsInt()
 			elem := t.Elem
 			var kind mem.CellKind
@@ -1130,7 +1130,7 @@ func (in *Interp) callExpr(x *ast.CallExpr, fr *frame) Value {
 }
 
 func (in *Interp) printf(x *ast.CallExpr, fr *frame) {
-	lit, ok := stripParens(x.Args[0]).(*ast.StringLit)
+	lit, ok := ast.Unparen(x.Args[0]).(*ast.StringLit)
 	if !ok {
 		panic("printf format must be a literal")
 	}
@@ -1192,29 +1192,6 @@ func (in *Interp) printf(x *ast.CallExpr, fr *frame) {
 		}
 	}
 	fmt.Fprint(in.stdout, b.String())
-}
-
-func collectSubs(e ast.Expr) ([]ast.Expr, ast.Expr) {
-	var subs []ast.Expr
-	cur := e
-	for {
-		ix, ok := cur.(*ast.IndexExpr)
-		if !ok {
-			return subs, cur
-		}
-		subs = append([]ast.Expr{ix.Index}, subs...)
-		cur = ix.X
-	}
-}
-
-func stripParens(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 var mathUnary = map[string]func(float64) float64{

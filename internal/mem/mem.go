@@ -152,23 +152,6 @@ func (s *Segment) IntRange(lo, hi int64) ([]int64, error) {
 	return s.I[lo:hi], nil
 }
 
-// TrustedFloatRange hands back the raw float cells of [lo, hi) without
-// the range validation: the caller holds a static bounds proof that the
-// range fits (value-range analysis check elimination). Freed-segment
-// detection is intentionally kept out of the proof's scope — callers
-// that must trap on freed segments check Freed() separately — and the
-// Go slice expression remains the memory-safety backstop: a wrong proof
-// panics here instead of reading out of bounds.
-func (s *Segment) TrustedFloatRange(lo, hi int64) []float64 {
-	return s.F[lo:hi]
-}
-
-// TrustedIntRange hands back the raw integer cells of [lo, hi) without
-// the range validation; see TrustedFloatRange.
-func (s *Segment) TrustedIntRange(lo, hi int64) []int64 {
-	return s.I[lo:hi]
-}
-
 // checkRange is the shared validation of the bulk-range accessors.
 func (s *Segment) checkRange(lo, hi int64, n int, kind string) error {
 	if s.Freed() {

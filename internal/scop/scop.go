@@ -1265,27 +1265,13 @@ func (b *bodyBuilder) starUpdate(e ast.Expr, st *poly.Statement, seq int) (done,
 // subsAffine reports whether every subscript of the index chain is an
 // affine expression of the nest's iterators and parameters.
 func (b *bodyBuilder) subsAffine(e *ast.IndexExpr) bool {
-	subs, _ := collectIndexChain(e)
+	subs, _ := ast.IndexChain(e)
 	for _, sub := range subs {
 		if _, err := b.affineSub(sub); err != nil {
 			return false
 		}
 	}
 	return true
-}
-
-// collectIndexChain flattens A[e1][e2]... into its subscripts and base.
-func collectIndexChain(e *ast.IndexExpr) ([]ast.Expr, ast.Expr) {
-	var subs []ast.Expr
-	base := ast.Expr(e)
-	for {
-		ix, ok := base.(*ast.IndexExpr)
-		if !ok {
-			return subs, base
-		}
-		subs = append([]ast.Expr{ix.Index}, subs...)
-		base = ix.X
-	}
 }
 
 // expr collects accesses of e into st; topLevel allows one assignment.
@@ -1373,7 +1359,7 @@ func (b *bodyBuilder) lhs(e ast.Expr, st *poly.Statement, compound bool) bool {
 // conservative star access instead of rejecting the nest; the
 // subscript expressions are then validated as ordinary reads.
 func (b *bodyBuilder) indexAccess(e *ast.IndexExpr, st *poly.Statement, write bool) bool {
-	subs, base := collectIndexChain(e)
+	subs, base := ast.IndexChain(e)
 	id, ok := base.(*ast.Ident)
 	if !ok {
 		b.d.rejectf(e.Pos(), "array base must be a named array")

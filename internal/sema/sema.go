@@ -156,9 +156,6 @@ type Info struct {
 	errs       []error
 }
 
-// Errs returns the accumulated semantic errors.
-func (in *Info) Errs() []error { return in.errs }
-
 // Check analyzes f and returns the populated Info. The error joins all
 // diagnostics; Info is still usable for inspection when err != nil.
 func Check(f *ast.File) (*Info, error) {

@@ -24,7 +24,7 @@ type Target struct {
 	Off int64
 	// DeclInit reports that the single store is the pointer's own
 	// declaration initializer, which dominates every later use in the
-	// function — the form check-elision proofs may rely on.
+	// function — the form bounds proofs may rely on.
 	DeclInit bool
 }
 

@@ -127,7 +127,7 @@ func renderAll(res *Result) string {
 
 // TestClampProofs pins the path-sensitive refinement: all three clamp
 // idioms (if-statement, ?:, else-branch) prove their x[j] access, so no
-// corpus finding fires and every x[j] check may be elided.
+// corpus finding fires.
 func TestClampProofs(t *testing.T) {
 	res := analyzeFile(t, "clamp.pc")
 	proven := 0
@@ -154,8 +154,7 @@ func TestDerivedProofs(t *testing.T) {
 }
 
 // TestCleanProofs pins the prover side of the corpus: the clean gather
-// program's reads are all proven, so the compiler may elide their
-// checks and parallelize the nest.
+// program's reads are all proven, so its nest may be parallelized.
 func TestCleanProofs(t *testing.T) {
 	res := analyzeFile(t, "clean.pc")
 	if len(res.Proofs()) == 0 {

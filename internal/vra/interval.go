@@ -2,8 +2,8 @@
 // syntax tree: it derives integer intervals for loop iterators, affine
 // subscript expressions and index-array contents, compares them against
 // declared array extents, and exports both bounds proofs (consumed by
-// the compiler's check-elimination and the gather-parallelization
-// passes) and human-readable diagnostics (purecc -analyze).
+// gather parallelization, core.markBoundedStars) and human-readable
+// diagnostics (purecc -analyze).
 //
 // The analysis is flow-sensitive for scalars inside one function body
 // and flow-insensitive for array contents and pointer extents across
@@ -12,7 +12,8 @@
 // model's segment initialization), so a proof derived from it holds at
 // every read site regardless of call order. All derived intervals are
 // over-approximations; a proof is only emitted when the whole interval
-// fits inside the extent, which is what makes check elision sound.
+// fits inside the extent, which is what makes a proven star read safe
+// to parallelize.
 package vra
 
 import (
@@ -35,9 +36,6 @@ func Range(lo, hi int64) Interval { return Interval{Lo: lo, Hi: hi} }
 
 // Top returns the unbounded interval (-inf, +inf).
 func Top() Interval { return Interval{NoLo: true, NoHi: true} }
-
-// IsTop reports whether the interval is unbounded on both sides.
-func (iv Interval) IsTop() bool { return iv.NoLo && iv.NoHi }
 
 // Bounded reports whether both ends are finite.
 func (iv Interval) Bounded() bool { return !iv.NoLo && !iv.NoHi }

@@ -80,12 +80,11 @@ type Result struct {
 }
 
 // Proven reports whether the index expression was proven in-bounds for
-// every execution: its subscript intervals fit the array extent. Only a
-// proven access may have its runtime check elided.
+// every execution: its subscript intervals fit the array extent. A
+// proven star read may be parallelized (core.markBoundedStars).
 func (r *Result) Proven(e ast.Expr) bool { return r.safe[e] }
 
-// Proofs returns the proven-access set keyed by syntax node, the form
-// the compiler consumes.
+// Proofs returns the proven-access set keyed by syntax node.
 func (r *Result) Proofs() map[ast.Expr]bool { return r.safe }
 
 // Note returns the derivation recorded for an index expression that was
