@@ -146,12 +146,13 @@ func main() {
 		fatalf("unknown backend %q (want gcc or icc)", *backend)
 	}
 
-	prog, art, _, err := core.BuildProgram(string(src), cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	if *analyze {
+		// The findings are the front end's: the compile step, which may
+		// refuse the program, does not run.
+		art, err := core.Front(string(src), cfg)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		if art.VRA == nil || len(art.VRA.Findings) == 0 {
 			fmt.Println("value-range analysis: no findings")
 		} else {
@@ -163,6 +164,11 @@ func main() {
 			fatalf("program contains a definite out-of-bounds access")
 		}
 		return
+	}
+
+	prog, art, _, err := core.BuildProgram(string(src), cfg)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	switch *emit {

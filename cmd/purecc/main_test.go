@@ -88,3 +88,48 @@ func TestReportInlinedCalls(t *testing.T) {
 		}
 	}
 }
+
+// -analyze prints the front end's findings without compiling: a program
+// the compile step refuses (printf's %q verb) still gets its findings,
+// and a definite out-of-bounds access still exits 1.
+func TestAnalyzeSkipsTheCompileStep(t *testing.T) {
+	dir, bin := buildPurecc(t)
+	for _, c := range []struct {
+		name, src string
+		exit      int
+		want      []string
+	}{
+		{"oob", "int a[4];\nint main(void) {\n  int u;\n  a[5] = 1;\n  printf(\"%q\\n\", 1);\n  return 0;\n}\n", 1, []string{
+			"oob.c:3:7: unused variable: u",
+			"oob.c:4:3: definite out-of-bounds: a[5] always out of bounds",
+			"purecc: program contains a definite out-of-bounds access",
+		}},
+		{"unused", "int main(void) {\n  int u;\n  printf(\"%q\\n\", 1);\n  return 0;\n}\n", 0, []string{
+			"unused.c:2:7: unused variable: u",
+		}},
+	} {
+		path := filepath.Join(dir, c.name+".c")
+		if err := os.WriteFile(path, []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := exec.Command(bin, path).CombinedOutput(); err == nil || !strings.Contains(string(out), "unsupported verb %q") {
+			t.Fatalf("%s: the compile step accepted the program (%v):\n%s", c.name, err, out)
+		}
+		out, err := exec.Command(bin, "-analyze", path).CombinedOutput()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != c.exit {
+			t.Errorf("%s: -analyze exit %d, want %d:\n%s", c.name, code, c.exit, out)
+		}
+		for _, line := range c.want {
+			if !strings.Contains(string(out), line) {
+				t.Errorf("%s: -analyze output lacks %q:\n%s", c.name, line, out)
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"purec/internal/mem"
 	"purec/internal/memo"
 	"purec/internal/rt"
-	"purec/internal/sema"
 )
 
 // ProcOptions configure one run of a Program.
@@ -42,10 +41,12 @@ type Process struct {
 	prog *Program
 	heap mem.Heap
 
-	// global storage
-	gI []int64
-	gF []float64
-	gP []mem.Pointer
+	// global storage; gSegs[i] is the segment of the Program's
+	// globalSegs[i], kept across runs
+	gI    []int64
+	gF    []float64
+	gP    []mem.Pointer
+	gSegs []*mem.Segment
 
 	stdout io.Writer
 	team   *rt.Team
@@ -85,9 +86,8 @@ func (p *Program) NewProcess(opts ProcOptions) (*Process, error) {
 	return p.newProcess(opts, nil)
 }
 
-// newProcess is NewProcess with an optional arena attached before the
-// first allocation, so the global array segments of the very first
-// ResetGlobals are already tracked for recycling (the pool's path).
+// newProcess is NewProcess with an optional arena attached (the pool's
+// path), which recycles the storage of every segment a run allocates.
 func (p *Program) newProcess(opts ProcOptions, arena *mem.Arena) (*Process, error) {
 	pr := &Process{
 		prog:   p,
@@ -149,14 +149,14 @@ func (p *Process) ArenaStats() mem.ArenaStats {
 
 // Reset returns the Process to the C program's initial state for its
 // next pooled run without reallocating what the previous run already
-// paid for: every segment of the finished run is poisoned — stale
-// pointers keep trapping exactly as after free() — and its backing
-// storage is recycled through the arena, globals and constant
-// initializers are re-established, the heap counters, the rand stream
-// and any stale simulated-time accounting are cleared. The worker team
-// is kept. On a Process without an arena, Reset degrades to
-// ResetGlobals plus the rand/team reset (fresh allocations, same
-// observable state).
+// paid for: every heap and local segment of the finished run is
+// poisoned — stale pointers keep trapping exactly as after free() — and
+// its backing storage is recycled through the arena, the global
+// segments are zeroed in place and the constant initializers rewritten
+// (ResetGlobals), the heap counters, the rand stream and any stale
+// simulated-time accounting are cleared. The worker team is kept. On a
+// Process without an arena, the heap and local segments of the next run
+// are fresh allocations; the observable state is the same.
 func (p *Process) Reset() error {
 	p.heap.ReleaseLive()
 	p.root.reset()
@@ -183,10 +183,13 @@ func (p *Process) MemoStats() memo.Stats {
 	return p.memo.Stats()
 }
 
-// ResetGlobals zeroes global storage, re-creates global array segments
-// and re-evaluates constant initializers. Run it between measurements so
-// each run starts from the C program's initial state. A global array
-// over mem.MaxSegmentCells is a *RuntimeError here.
+// ResetGlobals returns global storage to the C program's initial state
+// from the Program's template: scalars zeroed and their constant
+// initial values written, global segments zeroed in place. The segments
+// are laid out by the first call and stay with the Process, outside the
+// heap's released set; one the guest freed (or whose cells are gone) is
+// laid out again. A global array over mem.MaxSegmentCells is a
+// *RuntimeError here.
 func (p *Process) ResetGlobals() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -195,56 +198,31 @@ func (p *Process) ResetGlobals() (err error) {
 			}
 		}
 	}()
-	for i := range p.gI {
-		p.gI[i] = 0
-	}
-	for i := range p.gF {
-		p.gF[i] = 0
-	}
-	for i := range p.gP {
-		p.gP[i] = mem.Pointer{}
-	}
 	if p.gI == nil {
 		p.gI = make([]int64, p.prog.nGI)
 		p.gF = make([]float64, p.prog.nGF)
 		p.gP = make([]mem.Pointer, p.prog.nGP)
+		p.gSegs = make([]*mem.Segment, len(p.prog.globalSegs))
 	}
+	clear(p.gI)
+	clear(p.gF)
+	clear(p.gP)
 	p.heap.Reset()
-	for _, g := range p.prog.info.Globals {
-		sl := p.prog.globalSlots[g]
-		if g.IsArray() {
-			cells := 1
-			for _, d := range g.Dims {
-				cells *= d
-			}
-			kind, err := cellKindOf(g.ElemType())
-			if err != nil {
-				return fmt.Errorf("global %s: %v", g.Name, err)
-			}
-			p.gP[sl.idx] = mem.Pointer{Seg: p.heap.NewSegment(kind, cells, "global "+g.Name)}
-			continue
+	for i, g := range p.prog.globalSegs {
+		seg := p.gSegs[i]
+		if seg == nil || seg.Freed() || seg.Len() != g.cells {
+			seg = mem.NewSegment(g.kind, g.cells, g.name)
+			p.gSegs[i] = seg
+		} else {
+			seg.Clear()
 		}
-		if g.Decl != nil && g.Decl.Init != nil {
-			v, ok := sema.ConstInt(g.Decl.Init)
-			if !ok {
-				if fv, okf := constFloat(g.Decl.Init); okf {
-					if sl.kind == slotFloat {
-						p.gF[sl.idx] = fv
-						continue
-					}
-				}
-				return fmt.Errorf("global %s: initializer must be constant", g.Name)
-			}
-			switch sl.kind {
-			case slotInt:
-				p.gI[sl.idx] = v
-			case slotFloat:
-				p.gF[sl.idx] = float64(v)
-			default:
-				if v != 0 {
-					return fmt.Errorf("global pointer %s: only 0 initializer supported", g.Name)
-				}
-			}
+		p.gP[g.slot] = mem.Pointer{Seg: seg}
+	}
+	for _, in := range p.prog.globalInits {
+		if in.slot.kind == slotInt {
+			p.gI[in.slot.idx] = in.i
+		} else {
+			p.gF[in.slot.idx] = in.f
 		}
 	}
 	return nil

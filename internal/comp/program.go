@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"purec/internal/ast"
+	"purec/internal/mem"
 	"purec/internal/memo"
 	"purec/internal/purity"
 	"purec/internal/sema"
+	"purec/internal/types"
 )
 
 // Program is an immutable, concurrency-safe compile artifact: the
@@ -38,6 +40,11 @@ type Program struct {
 	globalSlots map[*sema.Symbol]slot
 	// global slot counts (the per-Process storage sizes)
 	nGI, nGF, nGP int
+	// globalSegs and globalInits are the globals' initial state as
+	// data: the segments a Process lays out once and zeroes in place
+	// per run, and the non-zero constant initial values of scalars.
+	globalSegs  []globalSeg
+	globalInits []globalInit
 
 	// memoization (Options.Memoize)
 	memoize bool
@@ -162,27 +169,94 @@ func (p *Program) Memoizable() []string {
 	return out
 }
 
-// layoutGlobals assigns global slots and records the storage sizes each
-// Process must allocate.
+// globalSeg is the template of one global segment (an array or a
+// struct): the P slot of its base pointer and the storage every Process
+// lays out for it.
+type globalSeg struct {
+	slot  int
+	kind  mem.CellKind
+	cells int
+	name  string
+}
+
+// globalInit is a scalar global's constant initial value, written into
+// its slot at the start of every run.
+type globalInit struct {
+	slot slot
+	i    int64
+	f    float64
+}
+
+// layoutGlobals assigns global slots, records the storage sizes each
+// Process must allocate, and folds the globals' segments and constant
+// initializers into the template ResetGlobals replays.
 func (p *Program) layoutGlobals() error {
 	var nI, nF, nP int
 	for _, g := range p.info.Globals {
-		sl, err := slotFor(g)
+		k, err := slotFor(g)
 		if err != nil {
 			return fmt.Errorf("global %s: %v", g.Name, err)
 		}
-		switch sl {
+		sl := slot{kind: k}
+		switch k {
 		case slotInt:
-			p.globalSlots[g] = slot{slotInt, nI}
+			sl.idx = nI
 			nI++
 		case slotFloat:
-			p.globalSlots[g] = slot{slotFloat, nF}
+			sl.idx = nF
 			nF++
 		case slotPtr:
-			p.globalSlots[g] = slot{slotPtr, nP}
+			sl.idx = nP
 			nP++
+		}
+		p.globalSlots[g] = sl
+		switch {
+		case g.IsArray():
+			kind, err := cellKindOf(g.ElemType())
+			if err != nil {
+				return fmt.Errorf("global %s: %v", g.Name, err)
+			}
+			cells := 1
+			for _, d := range g.Dims {
+				cells *= d
+			}
+			p.globalSegs = append(p.globalSegs, globalSeg{sl.idx, kind, cells, "global " + g.Name})
+		case g.Type.Kind == types.Struct:
+			p.globalSegs = append(p.globalSegs, globalSeg{sl.idx, mem.CellMixed, structCells(g.Type), "global " + g.Name})
+		case g.Decl != nil && g.Decl.Init != nil:
+			in, err := constInit(g, sl)
+			if err != nil {
+				return err
+			}
+			if in.i != 0 || in.f != 0 {
+				p.globalInits = append(p.globalInits, in)
+			}
 		}
 	}
 	p.nGI, p.nGF, p.nGP = nI, nF, nP
 	return nil
+}
+
+// constInit folds the initializer of scalar global g, stored in sl.
+func constInit(g *sema.Symbol, sl slot) (globalInit, error) {
+	in := globalInit{slot: sl}
+	v, ok := sema.ConstInt(g.Decl.Init)
+	if !ok {
+		if fv, okf := constFloat(g.Decl.Init); okf && sl.kind == slotFloat {
+			in.f = fv
+			return in, nil
+		}
+		return in, fmt.Errorf("global %s: initializer must be constant", g.Name)
+	}
+	switch sl.kind {
+	case slotInt:
+		in.i = v
+	case slotFloat:
+		in.f = float64(v)
+	default:
+		if v != 0 {
+			return in, fmt.Errorf("global pointer %s: only 0 initializer supported", g.Name)
+		}
+	}
+	return in, nil
 }

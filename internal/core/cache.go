@@ -176,13 +176,19 @@ func (c *ProgramCache) build(src string, cfg Config) (*comp.Program, *Artifact, 
 // in-flight build), SourceDisk (restored from the persistent cache,
 // front end skipped) or SourceCompiled (full pipeline).
 func (c *ProgramCache) BuildDetail(src string, cfg Config) (*comp.Program, *Artifact, BuildSource, error) {
+	return c.BuildKeyed(Key(src, cfg), src, cfg)
+}
+
+// BuildKeyed is BuildDetail for a caller that already holds the build's
+// key, so a request hashes its source once. key must be Key(src, cfg):
+// the cache trusts it, and a wrong key serves another build's Program.
+func (c *ProgramCache) BuildKeyed(key CacheKey, src string, cfg Config) (*comp.Program, *Artifact, BuildSource, error) {
 	if err := cfg.check(); err != nil {
 		return nil, nil, SourceCompiled, err
 	}
 	if cfg.FileName == "" {
 		cfg.FileName = "program.c"
 	}
-	key := cacheKey(src, cfg)
 	c.mu.Lock()
 	disk := c.disk
 	e, hit := c.entries[key]

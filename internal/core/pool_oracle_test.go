@@ -257,3 +257,86 @@ func TestPoolCleanAfterDeepTrap(t *testing.T) {
 		pool.Put(again)
 	}
 }
+
+// freshSrc writes a global of every kind — int, float, pointer, array
+// and struct — after printing what it found there, keeps a malloc'd
+// block behind a global pointer, frees a global array a second global
+// points into, and traps part-way.
+const freshSrc = `
+struct P { int x; float y; };
+int gi = 7;
+float gf = 2.5;
+float gh = 3;
+int *gp;
+int *gq = 0;
+int arr[8];
+float farr[4];
+struct P gs;
+int idx = 4;
+
+int main(void) {
+    int s = 0;
+    for (int i = 0; i < 8; i++)
+        s += arr[i];
+    float t = 0.0f;
+    for (int i = 0; i < 4; i++)
+        t += farr[i];
+    printf("gi=%d gf=%f gh=%f s=%d t=%f gs=%d,%f\n", gi, gf, gh, s, t, gs.x, gs.y);
+    gi = 11;
+    gf = 1.25;
+    gh = 0.5;
+    for (int i = 0; i < 8; i++)
+        arr[i] = i * 3;
+    for (int i = 0; i < 4; i++)
+        farr[i] = 0.5f * i;
+    gs.x = 9;
+    gs.y = 4.5;
+    gp = (int*)malloc(4 * sizeof(int));
+    gp[2] = 42;
+    gq = &arr[3];
+    free(arr);
+    printf("gp[2]=%d\n", gp[2]);
+    farr[idx] = 1.0f;
+    printf("unreachable\n");
+    return 0;
+}
+`
+
+// TestPooledProcessStartsFresh: every run of a pooled Process whose
+// previous run wrote every global, freed a global array and trapped
+// must observe exactly what a fresh Process and the interp oracle do.
+// The reset lays the freed array out again, zeroes the other global
+// segments in place and rewrites the constant initializers.
+func TestPooledProcessStartsFresh(t *testing.T) {
+	for _, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
+		prog, art, _, err := BuildProgram(freshSrc, Config{FileName: "t.c", Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := observeInterp(t, art)
+		if !strings.Contains(want, `trap="runtime error: index out of range [4] with length 4"`) {
+			t.Fatalf("oracle did not trap part-way: %s", strings.SplitN(want, "\n", 2)[0])
+		}
+		fresh, err := prog.NewProcess(comp.ProcOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := observeRun(art.Info, fresh); got != want {
+			t.Fatalf("%v: a fresh Process differs from the oracle at %s", backend, firstDiff(got, want))
+		}
+		pool := prog.NewPool(comp.PoolOptions{Size: 1})
+		for run := 1; run <= 3; run++ {
+			proc, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if proc.Reused() != (run > 1) {
+				t.Fatalf("%v run %d: Reused() = %v", backend, run, proc.Reused())
+			}
+			if got := observeRun(art.Info, proc); got != want {
+				t.Fatalf("%v run %d of the pooled Process differs from the oracle at %s", backend, run, firstDiff(got, want))
+			}
+			pool.Put(proc)
+		}
+	}
+}

@@ -149,6 +149,8 @@ func (in *Interp) Reset() (err error) {
 			}
 			kind := cellKind(g.ElemType())
 			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(kind, cells, "global "+g.Name)})
+		} else if g.Type.Kind == types.Struct {
+			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(mem.CellMixed, structCellCount(g.Type), "global "+g.Name)})
 		} else if g.Decl != nil && g.Decl.Init != nil {
 			v, ok := sema.ConstInt(g.Decl.Init)
 			if ok {

@@ -112,6 +112,13 @@ func NewSegment(k CellKind, n int, name string) *Segment {
 	return s
 }
 
+// Clear zeroes every cell in place.
+func (s *Segment) Clear() {
+	clear(s.I)
+	clear(s.F)
+	clear(s.P)
+}
+
 // Freed reports whether the segment was released by free() (and its
 // storage poisoned).
 func (s *Segment) Freed() bool { return s.freed.Load() }

@@ -15,7 +15,8 @@
 //	GET  /stats    cache/memo hit rates, pool reuse, admission, latency
 //	GET  /healthz  liveness probe
 //
-// A body longer than Options.MaxSourceBytes is answered 413.
+// A body longer than Options.MaxSourceBytes is answered 413. The body
+// is read whole and must hold one JSON object; data after it is a 400.
 //
 // Overload behaviour: a request over the per-program quota is rejected
 // immediately with 429; a request that finds the global wait queue full,
@@ -24,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -336,8 +338,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decode(w, r, &req); err != nil {
 		s.reqs.BadRequests.Add(1)
 		// An oversize body is a size problem, not malformed JSON.
 		var tooBig *http.MaxBytesError
@@ -383,7 +384,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.latency.record(time.Since(start)) }()
 
-	prog, _, source, err := s.cache.BuildDetail(req.Source, cfg)
+	prog, _, source, err := s.cache.BuildKeyed(key, req.Source, cfg)
 	if err != nil {
 		s.reqs.BuildErrors.Add(1)
 		jsonError(w, http.StatusUnprocessableEntity, "build: %v", err)
@@ -442,6 +443,37 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	out.ensureHeader()
 	w.Header().Set(http.TrailerPrefix+"X-Purecd-Ret", fmt.Sprintf("%d", ret))
 	s.reqs.OK.Add(1)
+}
+
+// bodyPool holds the buffers request bodies are read into. A buffer
+// that grew past maxPooledBody is left to the collector, so one huge
+// request does not pin its memory in the pool (fmt's printer pool does
+// the same).
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// decode reads the whole body, up to MaxSourceBytes, into a pooled
+// buffer and unmarshals it as one JSON object: data after the object is
+// an error. The decoded strings are copies, so the buffer goes back to
+// the pool before decode returns.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *RunRequest) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if n := r.ContentLength; n > 0 && n <= s.opts.MaxSourceBytes {
+		// The extra MinRead keeps ReadFrom's final, empty read from
+		// growing the buffer.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxSourceBytes)); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), req)
 }
 
 // deferredWriter delays WriteHeader until the guest's first output

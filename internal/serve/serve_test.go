@@ -500,7 +500,8 @@ func TestRunOptionsValidated(t *testing.T) {
 
 // TestBodyLimit: a body over MaxSourceBytes is a 413 naming the limit
 // (not a truncated-JSON 400), a body of exactly the limit is served,
-// and malformed JSON under the limit stays a 400.
+// and malformed JSON under the limit stays a 400, as does data after
+// the JSON object.
 func TestBodyLimit(t *testing.T) {
 	body, err := json.Marshal(RunRequest{Source: `int main(void) { printf("ok\n"); return 0; }`})
 	if err != nil {
@@ -534,8 +535,53 @@ func TestBodyLimit(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(got, "bad request body") {
 		t.Errorf("malformed under the limit: %d %s, want 400", code, got)
 	}
-	if n := s.reqs.BadRequests.Load(); n != 2 {
-		t.Errorf("bad_requests = %d, want 2", n)
+
+	code, got = send([]byte(`{"source": "int main(void) { return 0; }"} {}`))
+	if code != http.StatusBadRequest || !strings.Contains(got, "after top-level value") {
+		t.Errorf("data after the object: %d %s, want 400", code, got)
+	}
+	if n := s.reqs.BadRequests.Load(); n != 3 {
+		t.Errorf("bad_requests = %d, want 3", n)
+	}
+}
+
+// TestConcurrentRequestsKeepTheirSources: request bodies are read into
+// pooled buffers, so a buffer reused while an earlier request still
+// read its source would run the wrong program. Distinct sources of
+// distinct lengths, posted concurrently twice over (compiled, then
+// memory hits), must each print their own number. Run under -race.
+func TestConcurrentRequestsKeepTheirSources(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxConcurrent: 4, QueueDepth: 64})
+	const n = 32
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src := fmt.Sprintf("int main(void) {\n    printf(\"%%d\\n\", %d);\n    return 0;\n}\n// %s\n", i, strings.Repeat("x", 97*i))
+				body, err := json.Marshal(RunRequest{Source: src})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				out, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := fmt.Sprintf("%d\n", i); resp.StatusCode != http.StatusOK || string(out) != want {
+					t.Errorf("round %d source %d: %d %q, want 200 %q", round, i, resp.StatusCode, out, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
