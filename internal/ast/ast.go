@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"purec/internal/token"
+	"purec/internal/types"
 )
 
 // Node is implemented by every syntax tree node.
@@ -23,6 +24,13 @@ type Node interface {
 // Expr is implemented by all expression nodes.
 type Expr interface {
 	Node
+	// Checked returns the type sema gave the expression, nil before
+	// it is checked.
+	Checked() *types.Type
+	// SetChecked records the expression's type; sema.Check and
+	// sema.Recheck call it, and a pass that builds a node for its own
+	// use may type that node.
+	SetChecked(*types.Type)
 	exprNode()
 }
 
@@ -109,8 +117,16 @@ func (t *TypeExpr) Clone() *TypeExpr {
 // ----------------------------------------------------------------------------
 // Expressions
 
+// typed is embedded in every expression node: the node's checked type,
+// so the semantic model needs no table keyed by node.
+type typed struct{ t *types.Type }
+
+func (x *typed) Checked() *types.Type     { return x.t }
+func (x *typed) SetChecked(t *types.Type) { x.t = t }
+
 // Ident is a use of a name.
 type Ident struct {
+	typed
 	NamePos token.Pos
 	Name    string
 }
@@ -118,6 +134,7 @@ type Ident struct {
 // IntLit is an integer literal; Value is the parsed value and Text the
 // original spelling.
 type IntLit struct {
+	typed
 	LitPos token.Pos
 	Value  int64
 	Text   string
@@ -125,6 +142,7 @@ type IntLit struct {
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
+	typed
 	LitPos token.Pos
 	Value  float64
 	Text   string
@@ -132,6 +150,7 @@ type FloatLit struct {
 
 // CharLit is a character constant; Value is its integer value.
 type CharLit struct {
+	typed
 	LitPos token.Pos
 	Value  int64
 	Text   string
@@ -139,6 +158,7 @@ type CharLit struct {
 
 // StringLit is a string literal; Value is the unquoted value.
 type StringLit struct {
+	typed
 	LitPos token.Pos
 	Value  string
 	Text   string
@@ -147,6 +167,7 @@ type StringLit struct {
 // BinaryExpr is X Op Y for the arithmetic, bit, shift, comparison and
 // logical operators.
 type BinaryExpr struct {
+	typed
 	X  Expr
 	Op token.Kind
 	Y  Expr
@@ -154,6 +175,7 @@ type BinaryExpr struct {
 
 // UnaryExpr is a prefix operator application: -X, !X, ~X, *X, &X, ++X, --X.
 type UnaryExpr struct {
+	typed
 	OpPos token.Pos
 	Op    token.Kind
 	X     Expr
@@ -161,12 +183,14 @@ type UnaryExpr struct {
 
 // PostfixExpr is X++ or X--.
 type PostfixExpr struct {
+	typed
 	X  Expr
 	Op token.Kind
 }
 
 // AssignExpr is LHS op= RHS, with Op one of the assignment operators.
 type AssignExpr struct {
+	typed
 	LHS Expr
 	Op  token.Kind
 	RHS Expr
@@ -174,6 +198,7 @@ type AssignExpr struct {
 
 // CondExpr is Cond ? Then : Else.
 type CondExpr struct {
+	typed
 	Cond Expr
 	Then Expr
 	Else Expr
@@ -183,18 +208,21 @@ type CondExpr struct {
 // matching the paper's compiler pass which resolves calls by name against
 // its hashset of pure functions.
 type CallExpr struct {
+	typed
 	Fun  *Ident
 	Args []Expr
 }
 
 // IndexExpr is X[Index].
 type IndexExpr struct {
+	typed
 	X     Expr
 	Index Expr
 }
 
 // MemberExpr is X.Name or X->Name.
 type MemberExpr struct {
+	typed
 	X     Expr
 	Name  string
 	Arrow bool
@@ -203,6 +231,7 @@ type MemberExpr struct {
 // CastExpr is (Type)X, including pure casts such as (pure int*)p
 // (paper Listing 3).
 type CastExpr struct {
+	typed
 	LPos token.Pos
 	Type *TypeExpr
 	X    Expr
@@ -211,6 +240,7 @@ type CastExpr struct {
 // SizeofExpr is sizeof(Type) or sizeof expr; exactly one of Type and X is
 // set.
 type SizeofExpr struct {
+	typed
 	SizePos token.Pos
 	Type    *TypeExpr
 	X       Expr
@@ -219,6 +249,7 @@ type SizeofExpr struct {
 // ParenExpr is a parenthesized expression, preserved for faithful
 // round-tripping of the source.
 type ParenExpr struct {
+	typed
 	LPos token.Pos
 	X    Expr
 }

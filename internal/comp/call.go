@@ -150,7 +150,7 @@ func (cs *callSite) runMemo(e *env, dst int32) {
 
 // paramType resolves the declared type of callee's i-th parameter.
 func (fc *funcCompiler) paramType(callee *cfunc, i int) (*types.Type, error) {
-	return types.FromAST(callee.decl.Params[i].Type, func(tag string) (*types.Type, error) {
+	return sema.FromAST(callee.decl.Params[i].Type, func(tag string) (*types.Type, error) {
 		if st, ok := fc.prog.info.Structs[tag]; ok {
 			return st, nil
 		}
@@ -538,7 +538,7 @@ func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr, hint int3
 	}
 	m := mallocSite{name: "malloc@" + fc.cf.name}
 	if elem := t.Elem; elem.Kind == types.Struct {
-		m.kind, m.cellBytes = mem.CellMixed, int64(elem.CSize)/int64(structCells(elem))
+		m.kind, m.cellBytes = mem.CellMixed, int64(elem.CSize)/int64(elem.Cells())
 	} else {
 		k, err := cellKindOf(elem)
 		if err != nil {
@@ -626,11 +626,11 @@ func (fc *funcCompiler) risk(e ast.Expr) (effects, traps bool) {
 		case *ast.IndexExpr, *ast.MemberExpr:
 			traps = true
 		case *ast.BinaryExpr:
-			if t := fc.exprType(y); y.Op == token.QUO || y.Op == token.REM || (t != nil && t.IsPtr()) {
+			if t := y.Checked(); y.Op == token.QUO || y.Op == token.REM || (t != nil && t.IsPtr()) {
 				traps = true
 			}
 		case *ast.CastExpr:
-			if t := fc.exprType(y); t != nil && t.IsPtr() {
+			if t := y.Checked(); t != nil && t.IsPtr() {
 				traps = true
 			}
 		}

@@ -191,22 +191,6 @@ type cfunc struct {
 // run executes the function body on its activation.
 func (cf *cfunc) run(e *env) { cf.tape.run(e, runOnce, 0, 0, 0) }
 
-func constFloat(e ast.Expr) (float64, bool) {
-	switch x := e.(type) {
-	case *ast.FloatLit:
-		return x.Value, true
-	case *ast.IntLit:
-		return float64(x.Value), true
-	case *ast.UnaryExpr:
-		if v, ok := constFloat(x.X); ok {
-			return -v, true
-		}
-	case *ast.ParenExpr:
-		return constFloat(x.X)
-	}
-	return 0, false
-}
-
 func slotFor(sym *sema.Symbol) (slotKind, error) {
 	if sym.IsArray() {
 		return slotPtr, nil
@@ -243,27 +227,6 @@ func cellKindOf(t *types.Type) (mem.CellKind, error) {
 		return mem.CellFloat, nil
 	}
 	return mem.CellInt, fmt.Errorf("no cell kind for %s", t)
-}
-
-// structCells returns the flattened cell count of a struct type.
-func structCells(t *types.Type) int {
-	n := 0
-	for _, f := range t.Fields {
-		n += f.Count
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-// elemStride returns the pointer-arithmetic stride (in cells) of a
-// pointee type: structs advance by their cell count, scalars by 1.
-func elemStride(t *types.Type) int64 {
-	if t != nil && t.Kind == types.Struct {
-		return int64(structCells(t))
-	}
-	return 1
 }
 
 // RuntimeError is a trapped execution fault (out-of-bounds access, nil

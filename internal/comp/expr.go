@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"purec/internal/ast"
-	"purec/internal/mem"
 	"purec/internal/sema"
 	"purec/internal/types"
 )
@@ -21,11 +20,10 @@ type funcCompiler struct {
 	declSym map[*ast.VarDecl]*sema.Symbol
 	sig     *sema.Sig
 	// Leaf-pure inlining state (inline.go): the rewrite of every call
-	// site decided so far, the calls the depth cap left as calls, and
-	// the types of the nodes the rewrites synthesized.
-	inlined   map[*ast.CallExpr]ast.Expr
-	keepCall  map[*ast.CallExpr]bool
-	synthType map[ast.Expr]*types.Type
+	// site decided so far and the calls the depth cap left as calls.
+	// The nodes the rewrites synthesize carry their types themselves.
+	inlined  map[*ast.CallExpr]ast.Expr
+	keepCall map[*ast.CallExpr]bool
 	// talloc manages the temp register space shared by the function's
 	// tapes and scratch is the compile's tape working memory, both while
 	// the body compiles.
@@ -62,26 +60,17 @@ func (fc *funcCompiler) compile() (err error) {
 		}
 		var sl slot
 		switch {
-		case sym.IsArray():
+		case sym.IsArray() || sym.Type.Kind == types.Struct:
+			// Arrays and structs live in a segment referenced from a P
+			// slot.
 			sl = slot{slotPtr, fc.cf.nP}
 			fc.cf.nP++
 			kind, kerr := cellKindOf(sym.ElemType())
 			if kerr != nil {
 				fc.errorf(sym.Decl, "%v", kerr)
 			}
-			cells := 1
-			for _, d := range sym.Dims {
-				cells *= d
-			}
 			fc.cf.arrays = append(fc.cf.arrays, arrayAlloc{
-				slot: sl.idx, kind: kind, cells: cells,
-				name: fc.cf.name + "." + sym.Name,
-			})
-		case sym.Type.Kind == types.Struct:
-			sl = slot{slotPtr, fc.cf.nP}
-			fc.cf.nP++
-			fc.cf.arrays = append(fc.cf.arrays, arrayAlloc{
-				slot: sl.idx, kind: mem.CellMixed, cells: structCells(sym.Type),
+				slot: sl.idx, kind: kind, cells: sym.Cells(),
 				name: fc.cf.name + "." + sym.Name,
 			})
 		default:
@@ -132,7 +121,7 @@ func (fc *funcCompiler) symOf(id *ast.Ident) *sema.Symbol {
 
 // typeOf returns the checked type of an expression.
 func (fc *funcCompiler) typeOf(e ast.Expr) *types.Type {
-	t := fc.exprType(e)
+	t := e.Checked()
 	if t == nil {
 		fc.errorf(e, "expression has no type information (was the file re-checked after transformation?)")
 	}
@@ -141,7 +130,7 @@ func (fc *funcCompiler) typeOf(e ast.Expr) *types.Type {
 
 func (fc *funcCompiler) sizeofValue(x *ast.SizeofExpr) int64 {
 	if x.Type != nil {
-		t, err := types.FromAST(x.Type, func(tag string) (*types.Type, error) {
+		t, err := sema.FromAST(x.Type, func(tag string) (*types.Type, error) {
 			if st, ok := fc.prog.info.Structs[tag]; ok {
 				return st, nil
 			}

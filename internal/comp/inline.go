@@ -293,7 +293,7 @@ func (fc *funcCompiler) subst(e ast.Expr, sub *paramSub, depth int) ast.Expr {
 		for i, a := range x.Args {
 			n.Args[i] = fc.subst(a, sub, depth)
 		}
-		fc.setType(n, fc.exprType(x))
+		n.SetChecked(x.Checked())
 		if inl := fc.expandCall(n, depth); inl != nil {
 			return inl
 		}
@@ -304,14 +304,14 @@ func (fc *funcCompiler) subst(e ast.Expr, sub *paramSub, depth int) ast.Expr {
 		// caller source.
 		return e
 	}
-	fc.setType(out, fc.exprType(e))
+	out.SetChecked(e.Checked())
 	return out
 }
 
 // convertTo wraps e in the C conversion to dst (spelled te) unless the
 // conversion cannot change the value.
 func (fc *funcCompiler) convertTo(e ast.Expr, dst *types.Type, te *ast.TypeExpr) ast.Expr {
-	src := fc.exprType(e)
+	src := e.Checked()
 	var same bool
 	switch dst.Kind {
 	case types.Float:
@@ -323,7 +323,7 @@ func (fc *funcCompiler) convertTo(e ast.Expr, dst *types.Type, te *ast.TypeExpr)
 		return e
 	}
 	c := &ast.CastExpr{LPos: e.Pos(), Type: te, X: e}
-	fc.setType(c, dst)
+	c.SetChecked(dst)
 	return c
 }
 
@@ -339,7 +339,7 @@ func (fc *funcCompiler) f32Exact(e ast.Expr) bool {
 	case *ast.IntLit:
 		return float64(float32(x.Value)) == float64(x.Value)
 	}
-	t := fc.exprType(e)
+	t := e.Checked()
 	if t == nil || t.Kind != types.Float || t.CSize != 4 {
 		return false
 	}
@@ -363,26 +363,10 @@ func (fc *funcCompiler) peelF32(e ast.Expr) ast.Expr {
 		if !ok {
 			return e
 		}
-		t, in := fc.exprType(c), fc.exprType(c.X)
+		t, in := c.Checked(), c.X.Checked()
 		if t == nil || in == nil || t.Kind != types.Float || t.CSize != 4 || in.Kind != types.Float {
 			return e
 		}
 		e = c.X
 	}
-}
-
-// exprType is the checked type of an expression: sema's for source
-// nodes, the overlay's for nodes inlining synthesized.
-func (fc *funcCompiler) exprType(e ast.Expr) *types.Type {
-	if t := fc.prog.info.ExprType[e]; t != nil {
-		return t
-	}
-	return fc.synthType[e]
-}
-
-func (fc *funcCompiler) setType(e ast.Expr, t *types.Type) {
-	if fc.synthType == nil {
-		fc.synthType = map[ast.Expr]*types.Type{}
-	}
-	fc.synthType[e] = t
 }

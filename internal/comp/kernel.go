@@ -198,7 +198,7 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		// Invariant leaf: any effect-free scalar expression, evaluated
 		// once per launch (converted to float in a float tape, as the
 		// dispatch loop converts it).
-		t := fc.exprType(e)
+		t := e.Checked()
 		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 			return false
 		}
@@ -245,7 +245,7 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		// subtree that varies with the iterator (e.g. i/2 stored to a
 		// float array) computes in integer arithmetic in the dispatch
 		// loop — evaluating it with float ops would diverge.
-		t := fc.exprType(e)
+		t := e.Checked()
 		if t == nil || (k.float && t.Kind != types.Float) || (!k.float && t.Kind != types.Int) {
 			return false
 		}
@@ -258,7 +258,7 @@ func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol)
 		}
 		return fc.buildTape(k, x.X, iter) && fc.buildTape(k, x.Y, iter) && k.push(kOp{code: op})
 	case *ast.CastExpr:
-		t, in := fc.exprType(x), fc.exprType(x.X)
+		t, in := x.Checked(), x.X.Checked()
 		if t == nil || in == nil || t.Kind != in.Kind || !t.IsArith() || (t.Kind == types.Float) != k.float {
 			return false
 		}
@@ -295,7 +295,7 @@ func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
 // iterator, or an invariant expression).
 func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 	e = ast.Unparen(e)
-	t := fc.exprType(e)
+	t := e.Checked()
 	if t == nil {
 		return false
 	}

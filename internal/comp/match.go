@@ -258,7 +258,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 		}
 		k.acc, k.f32, name = sl.idx, sym.Type.CSize == 4, x.Name
 	case *ast.IndexExpr:
-		t := fc.exprType(x)
+		t := x.Checked()
 		if t == nil || t.Kind != types.Float || fc.usesSym(x, iter) {
 			return
 		}
@@ -331,7 +331,7 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 	case rhs != nil && (!fc.hoistable(rhs, iter) || !fc.effectFree(rhs)):
 		return
 	case rhs != nil && !g.float:
-		if t := fc.exprType(ast.Unparen(rhs)); t == nil || t.Kind != types.Int {
+		if t := ast.Unparen(rhs).Checked(); t == nil || t.Kind != types.Int {
 			return
 		}
 	}
@@ -412,7 +412,7 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 	if !ok {
 		return kGather{}, false
 	}
-	t := fc.exprType(gx)
+	t := gx.Checked()
 	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 		return kGather{}, false
 	}
@@ -422,8 +422,8 @@ func (fc *funcCompiler) matchGather(e ast.Expr, iter *sema.Symbol) (kGather, boo
 			return kGather{}, false
 		}
 	}
-	bt := fc.exprType(gx.X)
-	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
+	bt := gx.X.Checked()
+	if bt == nil || !bt.IsPtr() || bt.Elem == nil || int64(bt.Elem.Cells()) != 1 {
 		return kGather{}, false
 	}
 	if fc.usesSym(gx.X, iter) || !fc.effectFree(gx.X) {
@@ -551,7 +551,7 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	if !ok {
 		return kAccess{}, false
 	}
-	t := fc.exprType(e)
+	t := e.Checked()
 	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
 		return kAccess{}, false
 	}
@@ -585,8 +585,8 @@ func (fc *funcCompiler) matchKAccess(e ast.Expr, iter *sema.Symbol) (kAccess, bo
 	// elements. The base must be invariant and effect-free — it hoists
 	// to one evaluation (fused stores write int/float cells, so they
 	// can never modify the pointer cells the base may load from).
-	bt := fc.exprType(x.X)
-	if bt == nil || !bt.IsPtr() || bt.Elem == nil || elemStride(bt.Elem) != 1 {
+	bt := x.X.Checked()
+	if bt == nil || !bt.IsPtr() || bt.Elem == nil || int64(bt.Elem.Cells()) != 1 {
 		return kAccess{}, false
 	}
 	if bt.Elem.Kind != types.Int && bt.Elem.Kind != types.Float {
@@ -626,7 +626,7 @@ func (fc *funcCompiler) affineInIter(e ast.Expr, iter *sema.Symbol) (int64, []kT
 		return 1, nil, true
 	}
 	if fc.hoistable(e, iter) {
-		t := fc.exprType(e)
+		t := e.Checked()
 		if t == nil || t.Kind != types.Int {
 			return 0, nil, false
 		}
@@ -697,7 +697,7 @@ func (fc *funcCompiler) hoistable(e ast.Expr, iter *sema.Symbol) bool {
 		case *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.ParenExpr, *ast.SizeofExpr, *ast.TypeExpr:
 		case *ast.CastExpr:
 			// An arithmetic conversion computes on its operand alone.
-			if t := fc.exprType(x); t == nil || !t.IsArith() {
+			if t := x.Checked(); t == nil || !t.IsArith() {
 				ok = false
 			}
 		case *ast.BinaryExpr:

@@ -211,18 +211,12 @@ func (p *Program) layoutGlobals() error {
 		}
 		p.globalSlots[g] = sl
 		switch {
-		case g.IsArray():
+		case g.IsArray() || g.Type.Kind == types.Struct:
 			kind, err := cellKindOf(g.ElemType())
 			if err != nil {
 				return fmt.Errorf("global %s: %v", g.Name, err)
 			}
-			cells := 1
-			for _, d := range g.Dims {
-				cells *= d
-			}
-			p.globalSegs = append(p.globalSegs, globalSeg{sl.idx, kind, cells, "global " + g.Name})
-		case g.Type.Kind == types.Struct:
-			p.globalSegs = append(p.globalSegs, globalSeg{sl.idx, mem.CellMixed, structCells(g.Type), "global " + g.Name})
+			p.globalSegs = append(p.globalSegs, globalSeg{sl.idx, kind, g.Cells(), "global " + g.Name})
 		case g.Decl != nil && g.Decl.Init != nil:
 			in, err := constInit(g, sl)
 			if err != nil {
@@ -242,7 +236,7 @@ func constInit(g *sema.Symbol, sl slot) (globalInit, error) {
 	in := globalInit{slot: sl}
 	v, ok := sema.ConstInt(g.Decl.Init)
 	if !ok {
-		if fv, okf := constFloat(g.Decl.Init); okf && sl.kind == slotFloat {
+		if fv, okf := sema.ConstFloat(g.Decl.Init); okf && sl.kind == slotFloat {
 			in.f = fv
 			return in, nil
 		}

@@ -765,7 +765,7 @@ func (tc *tapeCompiler) intBinary(x *ast.BinaryExpr, hint int32) opnd {
 		}
 		a, b := tc.ptrPair(x)
 		d := tc.dest(lvl, tkI, hint)
-		tc.emit(tinstr{op: tPtrDiff, a: d, b: a, c: b, aux: elemStride(tl.Elem)})
+		tc.emit(tinstr{op: tPtrDiff, a: d, b: a, c: b, aux: int64(tl.Elem.Cells())})
 		return reg(d)
 	}
 	l := tc.intOp(x.X, -1)
@@ -1138,12 +1138,12 @@ func (tc *tapeCompiler) ptrOp(e ast.Expr, hint int32) opnd {
 		case tl.IsPtr() && tr.Kind == types.Int:
 			p := tc.ptrOp(x.X, -1)
 			tc.hold(&p, tkP, x.Y)
-			return tc.ptrAdd(x.Op, p, tc.intOp(x.Y, -1), elemStride(tl.Elem), lvl, hint)
+			return tc.ptrAdd(x.Op, p, tc.intOp(x.Y, -1), int64(tl.Elem.Cells()), lvl, hint)
 		case tr.IsPtr() && tl.Kind == types.Int && x.Op == token.ADD:
 			// i + p evaluates the pointer first
 			p := tc.ptrOp(x.Y, -1)
 			tc.hold(&p, tkP, x.X)
-			return tc.ptrAdd(x.Op, p, tc.intOp(x.X, -1), elemStride(tr.Elem), lvl, hint)
+			return tc.ptrAdd(x.Op, p, tc.intOp(x.X, -1), int64(tr.Elem.Cells()), lvl, hint)
 		}
 		fc.errorf(x, "unsupported pointer arithmetic")
 	case *ast.UnaryExpr:
@@ -1211,7 +1211,7 @@ func (tc *tapeCompiler) partialArrayIndex(x *ast.IndexExpr, hint int32) (int32, 
 		return 0, false
 	}
 	lvl := tc.ta.level()
-	a := taddr{base: tc.ptrOp(id, -1), idx: tc.flatOffset(sym, subs), stride: 1}
+	a := taddr{base: tc.ptrOp(id, -1), idx: tc.flatOffset(sym, subs), stride: int64(sym.ElemType().Cells())}
 	for _, d := range sym.Dims[len(subs):] {
 		a.stride *= int64(d)
 	}
@@ -1250,7 +1250,7 @@ func (tc *tapeCompiler) address(e ast.Expr) taddr {
 		if id, ok := base.(*ast.Ident); ok {
 			if sym := fc.symOf(id); sym.IsArray() && len(subs) == len(sym.Dims) {
 				// An array's own slot never changes: its base needs no hold.
-				return taddr{base: tc.ptrOp(id, -1), idx: tc.flatOffset(sym, subs), stride: 1}
+				return taddr{base: tc.ptrOp(id, -1), idx: tc.flatOffset(sym, subs), stride: int64(sym.ElemType().Cells())}
 			}
 		}
 		// General chain: the base as a pointer, plus the index.
@@ -1260,7 +1260,7 @@ func (tc *tapeCompiler) address(e ast.Expr) taddr {
 		}
 		b := tc.ptrOp(x.X, -1)
 		tc.hold(&b, tkP, x.Index)
-		return taddr{base: b, idx: tc.toReg(tc.intOp(x.Index, -1), tkI, -1), stride: elemStride(bt.Elem)}
+		return taddr{base: b, idx: tc.toReg(tc.intOp(x.Index, -1), tkI, -1), stride: int64(bt.Elem.Cells())}
 	case *ast.UnaryExpr:
 		if x.Op == token.MUL {
 			return taddr{base: tc.ptrOp(x.X, -1), idx: -1}
@@ -1506,14 +1506,14 @@ func (tc *tapeCompiler) assign(x *ast.AssignExpr, hint int32, value bool) opnd {
 		lv = tc.lval(x.LHS, kind)
 	}
 	if local {
-		v := tc.arith(kind, x, bin, reg(lv.slot), r, elemStride(tl.Elem), lv.slot)
+		v := tc.arith(kind, x, bin, reg(lv.slot), r, int64(tl.Elem.Cells()), lv.slot)
 		if f32 {
 			tc.emit(tinstr{op: tRoundF, a: v, b: v})
 		}
 		tc.ta.restore(lvl)
 		return reg(v)
 	}
-	v := tc.arith(kind, x, bin, reg(tc.get(lv)), r, elemStride(tl.Elem), hint)
+	v := tc.arith(kind, x, bin, reg(tc.get(lv)), r, int64(tl.Elem.Cells()), hint)
 	if f32 && value {
 		v = tc.toReg(tc.round(reg(v), hint, true), tkF, hint)
 	}

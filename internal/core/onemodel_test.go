@@ -196,6 +196,15 @@ func TestOneModelIsTheFreshOne(t *testing.T) {
 // position), and each function's locals in order.
 func sameModelAsFreshCheck(art *Artifact) (*sema.Info, error) {
 	file := art.Info.File
+	// The types live on the nodes, which a fresh check retypes: keep
+	// the model's first.
+	model := map[ast.Expr]*types.Type{}
+	ast.Walk(file, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			model[e] = e.Checked()
+		}
+		return true
+	})
 	fresh, err := sema.Check(file)
 	if err != nil {
 		return nil, fmt.Errorf("the final tree does not check afresh: %v", err)
@@ -220,7 +229,7 @@ func sameModelAsFreshCheck(art *Artifact) (*sema.Info, error) {
 		if !ok || bad != nil {
 			return bad == nil
 		}
-		got, want := art.Info.ExprType[e], fresh.ExprType[e]
+		got, want := model[e], e.Checked()
 		if (got == nil) != (want == nil) || want != nil && !types.Equal(got, want) {
 			bad = fmt.Errorf("%s at %s has type %v, a fresh check %v", ast.PrintExpr(e), e.Pos(), got, want)
 			return false

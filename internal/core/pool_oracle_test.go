@@ -258,20 +258,21 @@ func TestPoolCleanAfterDeepTrap(t *testing.T) {
 	}
 }
 
-// freshSrc writes a global of every kind — int, float, pointer, array
-// and struct — after printing what it found there, keeps a malloc'd
-// block behind a global pointer, frees a global array a second global
-// points into, and traps part-way.
+// freshSrc writes a global of every kind — int, float, pointer, array,
+// struct and array of structs — after printing what it found there,
+// keeps a malloc'd block behind a global pointer, frees a global array a
+// second global points into, and traps part-way.
 const freshSrc = `
 struct P { int x; float y; };
 int gi = 7;
-float gf = 2.5;
+float gf = -2.5;
 float gh = 3;
 int *gp;
 int *gq = 0;
 int arr[8];
 float farr[4];
 struct P gs;
+struct P gsa[3];
 int idx = 4;
 
 int main(void) {
@@ -281,7 +282,7 @@ int main(void) {
     float t = 0.0f;
     for (int i = 0; i < 4; i++)
         t += farr[i];
-    printf("gi=%d gf=%f gh=%f s=%d t=%f gs=%d,%f\n", gi, gf, gh, s, t, gs.x, gs.y);
+    printf("gi=%d gf=%f gh=%f s=%d t=%f gs=%d,%f gsa=%d,%f\n", gi, gf, gh, s, t, gs.x, gs.y, gsa[2].x, gsa[2].y);
     gi = 11;
     gf = 1.25;
     gh = 0.5;
@@ -291,6 +292,10 @@ int main(void) {
         farr[i] = 0.5f * i;
     gs.x = 9;
     gs.y = 4.5;
+    for (int i = 0; i < 3; i++) {
+        gsa[i].x = i + 1;
+        gsa[i].y = 1.5 * i;
+    }
     gp = (int*)malloc(4 * sizeof(int));
     gp[2] = 42;
     gq = &arr[3];

@@ -18,11 +18,50 @@ import (
 // after the nests ran (a local, a global another function returns, both
 // iterators of a 2-deep nest): those nests must stay serial, since the
 // parallelized form declares fresh iterators.
+//
+// The struct-array rows index arrays of structs, global and local, one
+// and two dimensions deep, with array fields: an element is as many
+// cells as its struct, so the storage and every subscript count cells,
+// not elements.
 func TestTapeEngineOracle12Processes(t *testing.T) {
+	par := Config{Parallelize: true}
 	runOracleMatrix(t, false, append(kernelRows(), oracleRow{name: "noncanon",
-		src: apps.NoncanonSrc, defines: apps.KernDefines(512, 2), base: Config{Parallelize: true}},
-		oracleRow{name: "iterators", src: liveIteratorSrc, base: Config{Parallelize: true}}))
+		src: apps.NoncanonSrc, defines: apps.KernDefines(512, 2), base: par},
+		oracleRow{name: "iterators", src: liveIteratorSrc, base: par},
+		oracleRow{name: "struct-array-global", src: structArraySrc, defines: map[string]string{"LOCAL": "0"}, base: par},
+		oracleRow{name: "struct-array-local", src: structArraySrc, defines: map[string]string{"LOCAL": "1"}, base: par}))
 }
+
+// structArraySrc fills an array of structs and a grid of them, global
+// or (LOCAL=1) local to main, reads them back in another order and
+// leaves a plain parallel nest beside them for the teams.
+const structArraySrc = `
+struct P { int x; float y; int w[2]; };
+#if LOCAL == 0
+struct P ga[40];
+struct P grid[4][5];
+#endif
+int sq[64];
+
+int main(void) {
+#if LOCAL == 1
+    struct P ga[40];
+    struct P grid[4][5];
+#endif
+    for (int i = 0; i < 40; i++) { ga[i].x = i * 3; ga[i].y = 0.5f * i; ga[i].w[1] = i; ga[i].w[0] = 0; }
+    for (int i = 0; i < 4; i++)
+        for (int j = 0; j < 5; j++) { grid[i][j].x = i * 5 + j; grid[i][j].w[1] = j; }
+    for (int i = 0; i < 64; i++)
+        sq[i] = i * i;
+    int s = 0;
+    for (int i = 0; i < 40; i++)
+        s += ga[i].x + ga[39 - i].w[1] + ga[i].w[0];
+    for (int i = 0; i < 4; i++)
+        s += grid[i][4].x * grid[3][i].w[1];
+    printf("%d %f %d\n", s, ga[39].y, sq[63]);
+    return 0;
+}
+`
 
 const liveIteratorSrc = `
 float a[100];

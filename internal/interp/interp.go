@@ -142,15 +142,8 @@ func (in *Interp) Reset() (err error) {
 	in.heap.Reset()
 	for _, g := range in.info.Globals {
 		c := &cell{sym: g}
-		if g.IsArray() {
-			cells := 1
-			for _, d := range g.Dims {
-				cells *= d
-			}
-			kind := cellKind(g.ElemType())
-			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(kind, cells, "global "+g.Name)})
-		} else if g.Type.Kind == types.Struct {
-			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(mem.CellMixed, structCellCount(g.Type), "global "+g.Name)})
+		if g.IsArray() || g.Type.Kind == types.Struct {
+			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(g.ElemType()), g.Cells(), "global "+g.Name)})
 		} else if g.Decl != nil && g.Decl.Init != nil {
 			v, ok := sema.ConstInt(g.Decl.Init)
 			if ok {
@@ -159,8 +152,8 @@ func (in *Interp) Reset() (err error) {
 				} else {
 					c.v = IntV(v)
 				}
-			} else if fl, okf := g.Decl.Init.(*ast.FloatLit); okf {
-				c.v = FloatV(fl.Value)
+			} else if f, okf := sema.ConstFloat(g.Decl.Init); okf && g.Type.Kind == types.Float {
+				c.v = FloatV(f)
 			} else {
 				return fmt.Errorf("global %s: non-constant initializer", g.Name)
 			}
@@ -454,30 +447,15 @@ func (in *Interp) declare(d *ast.VarDecl, fr *frame) {
 	}
 	c := &cell{sym: sym}
 	if sym.IsArray() {
-		cells := 1
-		for _, dim := range sym.Dims {
-			cells *= dim
-		}
-		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(sym.ElemType()), cells, "arr "+d.Name)})
+		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(sym.ElemType()), sym.Cells(), "arr "+d.Name)})
 	} else if sym.Type.Kind == types.Struct {
-		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(mem.CellMixed, structCellCount(sym.Type), "struct "+d.Name)})
+		c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(mem.CellMixed, sym.Cells(), "struct "+d.Name)})
 	} else if d.Init != nil {
 		c.v = in.convert(in.eval(d.Init, fr), sym.Type)
 	} else {
 		c.v = zeroOf(sym.Type)
 	}
 	fr.vars[sym] = c
-}
-
-func structCellCount(t *types.Type) int {
-	n := 0
-	for _, f := range t.Fields {
-		n += f.Count
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
 }
 
 func (in *Interp) symForDecl(d *ast.VarDecl) *sema.Symbol {
@@ -545,7 +523,7 @@ func (in *Interp) lvalue(e ast.Expr, fr *frame) location {
 			if sym != nil && sym.IsArray() && len(subs) == len(sym.Dims) {
 				p := in.load(id, fr).P
 				off := int64(0)
-				stride := int64(1)
+				stride := int64(sym.ElemType().Cells())
 				for i := len(subs) - 1; i >= 0; i-- {
 					off += in.eval(subs[i], fr).AsInt() * stride
 					stride *= int64(sym.Dims[i])
@@ -557,11 +535,7 @@ func (in *Interp) lvalue(e ast.Expr, fr *frame) location {
 		bt := in.typeOf(x.X)
 		p := in.eval(x.X, fr).P
 		idx := in.eval(x.Index, fr).AsInt()
-		stride := int64(1)
-		if bt.Elem.Kind == types.Struct {
-			stride = int64(structCellCount(bt.Elem))
-		}
-		return location{ptr: p.Add(idx * stride), kind: cellKind(bt.Elem), t: bt.Elem}
+		return location{ptr: p.Add(idx * int64(bt.Elem.Cells())), kind: cellKind(bt.Elem), t: bt.Elem}
 	case *ast.UnaryExpr:
 		if x.Op == token.MUL {
 			bt := in.typeOf(x.X)
@@ -656,7 +630,7 @@ func (in *Interp) set(loc location, v Value) {
 }
 
 func (in *Interp) typeOf(e ast.Expr) *types.Type {
-	t := in.info.ExprType[e]
+	t := e.Checked()
 	if t == nil {
 		panic("untyped expression")
 	}
@@ -724,7 +698,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) Value {
 			sym := in.info.Ref[id]
 			if sym != nil && sym.IsArray() && len(subs) < len(sym.Dims) {
 				p := in.load(id, fr).P
-				stride := int64(1)
+				stride := int64(sym.ElemType().Cells())
 				for _, d := range sym.Dims[len(subs):] {
 					stride *= int64(d)
 				}
@@ -762,7 +736,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) Value {
 			cellBytes := int64(elem.CSize)
 			if elem.Kind == types.Struct {
 				kind = mem.CellMixed
-				cellBytes = int64(elem.CSize) / int64(structCellCount(elem))
+				cellBytes = int64(elem.CSize) / int64(elem.Cells())
 			} else {
 				kind = cellKind(elem)
 			}
@@ -778,7 +752,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) Value {
 		return in.convert(in.eval(x.X, fr), t)
 	case *ast.SizeofExpr:
 		if x.Type != nil {
-			t, err := types.FromAST(x.Type, func(tag string) (*types.Type, error) {
+			t, err := sema.FromAST(x.Type, func(tag string) (*types.Type, error) {
 				if st, ok := in.info.Structs[tag]; ok {
 					return st, nil
 				}
@@ -799,9 +773,9 @@ func addValue(v Value, d int64, t *types.Type) Value {
 	case types.Float:
 		return FloatV(v.F + float64(d))
 	case types.Ptr:
-		stride := int64(1)
-		if t != nil && t.Elem != nil && t.Elem.Kind == types.Struct {
-			stride = int64(structCellCount(t.Elem))
+		var stride int64 = 1
+		if t != nil {
+			stride = int64(t.Elem.Cells())
 		}
 		return PtrV(v.P.Add(d * stride))
 	default:
@@ -895,12 +869,7 @@ func (in *Interp) binary(x *ast.BinaryExpr, fr *frame) Value {
 	panic("bad int op " + x.Op.String())
 }
 
-func strideOf(t *types.Type) int64 {
-	if t.Elem != nil && t.Elem.Kind == types.Struct {
-		return int64(structCellCount(t.Elem))
-	}
-	return 1
-}
+func strideOf(t *types.Type) int64 { return int64(t.Elem.Cells()) }
 
 func compare(a, b Value, op token.Kind) bool {
 	if a.K == types.Ptr || b.K == types.Ptr {

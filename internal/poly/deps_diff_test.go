@@ -47,8 +47,15 @@ func checkNest(t *testing.T, name string, n *poly.Nest) bool {
 	if err := sameDeps(poly.AnalyzeDeps(n), want); err != nil {
 		t.Errorf("%s: %v\ndomain: %s", name, err, n.Domain)
 	}
+	if err := sameDeps(reused.Analyze(n), want); err != nil {
+		t.Errorf("%s, on a solver that saw the nests before: %v\ndomain: %s", name, err, n.Domain)
+	}
 	return true
 }
+
+// reused is one solver every nest checkNest compares goes through, so
+// nothing a nest leaves in it may change the next one's answer.
+var reused poly.DepSolver
 
 // nestsOf runs the front end up to SCoP detection, the way core.Front
 // does, and returns the detected nests.

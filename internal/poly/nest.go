@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -195,137 +196,240 @@ func (d *Dep) String() string {
 // level, it builds the dependence polyhedron (both instances in the
 // domain, equal subscripts, source lexicographically before target) and
 // tests emptiness with Fourier–Motzkin. Non-empty systems yield a Dep
-// with its distance vector bounds.
+// with its distance vector bounds. It is DepSolver.Analyze on a solver
+// of its own; a caller analysing several nests keeps one DepSolver.
 func AnalyzeDeps(n *Nest) []*Dep {
-	ds := newDepSolver(n)
-	var deps []*Dep
+	var ds DepSolver
+	return ds.Analyze(n)
+}
+
+// DepSolver computes the dependences of one nest at a time. Dependence
+// polyhedra live in dense rows over one column layout per nest: source
+// iterators [0,d), target iterators [d,2d), then every other name of the
+// nest (the parameters, shared by both instances), then the distance
+// variable. The solver keeps its column map, names, lowered accesses and
+// row buffers from one nest to the next, so a warmed solver allocates
+// only the dependences it returns. The zero value is ready to use; a
+// DepSolver is not safe for concurrent use.
+type DepSolver struct {
+	d     int
+	delta int // column of the distance variable (the last one)
+	col   map[string]int
+	// names holds the name of each column below delta; an iterator's
+	// two columns both hold the iterator, and sort as it$s and it$t.
+	names []string
+	// order lists the columns but delta the way their names sort: the
+	// elimination order, which with the tightening fixes the answers.
+	order []int
+	dom   rows     // the domain of both instances, lowered once
+	accs  []access // per statement, writes then reads
+	first []int    // statement i's accesses are accs[first[i]:first[i+1]]
+	subs  []int64  // the lowered subscripts, delta+2 entries each
+	// The systems of the pair at hand, each extending the one before:
+	// subscripts equal; outer iterators equal; source before target at
+	// one level. work is the copy being solved.
+	base, outer, level, work rows
+	tmp                      []int64
+	// found and dist collect the dependences of the nest and their
+	// distance vectors (d entries each) until Analyze copies them out.
+	found []Dep
+	dist  []DistEntry
+}
+
+// access is an Access with the offset of its first subscript row in
+// DepSolver.subs.
+type access struct {
+	*Access
+	sub int
+}
+
+// Analyze computes the dependences of n as AnalyzeDeps does.
+func (ds *DepSolver) Analyze(n *Nest) []*Dep {
+	ds.lower(n)
 	for i, s1 := range n.Stmts {
 		for j, s2 := range n.Stmts {
-			for _, a1 := range ds.accs[i] {
-				for _, a2 := range ds.accs[j] {
+			for _, a1 := range ds.accs[ds.first[i]:ds.first[i+1]] {
+				for _, a2 := range ds.accs[ds.first[j]:ds.first[j+1]] {
 					if a1.Array != a2.Array || (!a1.Write && !a2.Write) {
 						continue
 					}
 					if !a1.Star && !a2.Star && len(a1.Subs) != len(a2.Subs) {
 						continue
 					}
-					deps = ds.pair(deps, s1, s2, a1, a2)
+					ds.pair(s1, s2, a1, a2)
 				}
 			}
 		}
 	}
-	return deps
+	return ds.collect()
 }
 
-// depSolver is the per-nest state of AnalyzeDeps. Dependence polyhedra
-// live in dense rows over one column layout: source iterators [0,d),
-// target iterators [d,2d), then every other name of the nest (the
-// parameters, shared by both instances), then the distance variable.
-type depSolver struct {
-	d     int
-	delta int // column of the distance variable (the last one)
-	// order lists the columns but delta the way their names i$s, i$t, N
-	// sort: the elimination order, which with the tightening fixes the
-	// answers.
-	order []int
-	dom   rows       // the domain of both instances, lowered once
-	accs  [][]access // per statement, writes then reads
-	// The systems of the pair at hand, each extending the one before:
-	// subscripts equal; outer iterators equal; source before target at
-	// one level. work is the copy being solved.
-	base, outer, level, work rows
-	tmp                      []int64
+// collect copies the dependences found into one allocation each for
+// the pointers, the Deps and the distance vectors.
+func (ds *DepSolver) collect() []*Dep {
+	if len(ds.found) == 0 {
+		return nil
+	}
+	out := make([]*Dep, len(ds.found))
+	deps := make([]Dep, len(ds.found))
+	dist := make([]DistEntry, len(ds.dist))
+	copy(deps, ds.found)
+	copy(dist, ds.dist)
+	for i := range deps {
+		deps[i].Dist = dist[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
+		out[i] = &deps[i]
+	}
+	clear(ds.found) // drop the statement pointers
+	return out
 }
 
-// access is an Access with its subscripts lowered to rows over the
-// source instance.
-type access struct {
-	Access
-	subs [][]int64
-}
-
-func newDepSolver(n *Nest) *depSolver {
-	ds := &depSolver{d: n.Depth()}
-	col := map[string]int{}
-	names := make([]string, 2*ds.d)
+// lower lays out the columns of n and lowers its domain and the
+// subscripts of its accesses into rows over the source instance.
+func (ds *DepSolver) lower(n *Nest) {
+	ds.d = n.Depth()
+	if ds.col == nil {
+		ds.col = map[string]int{}
+	}
+	clear(ds.col)
+	ds.names = ds.names[:0]
 	for k, it := range n.Iters {
-		col[it] = k
-		names[k], names[ds.d+k] = it+"$s", it+"$t"
+		ds.col[it] = k
+		ds.names = append(ds.names, it)
 	}
-	note := func(a Affine) {
-		for v := range a.Coef {
-			if _, ok := col[v]; !ok {
-				col[v] = len(names)
-				names = append(names, v)
-			}
-		}
-	}
+	ds.names = append(ds.names, n.Iters...)
 	for _, c := range n.Domain.Cons {
-		note(c.Expr)
+		ds.note(c.Expr)
 	}
-	stmtAccs := make([][]Access, len(n.Stmts))
-	for i, s := range n.Stmts {
-		stmtAccs[i] = s.Accesses()
-		for _, a := range stmtAccs[i] {
-			for _, sub := range a.Subs {
-				note(sub)
+	clear(ds.accs)
+	ds.accs, ds.first = ds.accs[:0], ds.first[:0]
+	rows := 0
+	for _, s := range n.Stmts {
+		ds.first = append(ds.first, len(ds.accs))
+		for _, part := range [2][]Access{s.Writes, s.Reads} {
+			for i := range part {
+				a := &part[i]
+				ds.accs = append(ds.accs, access{Access: a, sub: rows})
+				rows += len(a.Subs)
+				for _, sub := range a.Subs {
+					ds.note(sub)
+				}
 			}
 		}
 	}
-	ds.delta = len(names)
-	for c := range names {
+	ds.first = append(ds.first, len(ds.accs))
+	ds.delta = len(ds.names)
+	ds.order = ds.order[:0]
+	for c := range ds.delta {
 		ds.order = append(ds.order, c)
 	}
-	slices.SortFunc(ds.order, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	slices.SortFunc(ds.order, ds.compareCols)
 
-	lower := func(a Affine) []int64 {
-		row := make([]int64, ds.delta+2)
-		for v, k := range a.Coef {
-			row[col[v]] = k
-		}
-		row[ds.delta+1] = a.Const
-		return row
-	}
-	ds.tmp = make([]int64, ds.delta+2)
-	ds.dom.nc = ds.delta + 1
+	w := ds.delta + 2
+	ds.tmp = zeroed(ds.tmp, w)
+	ds.dom.reset(ds.delta + 1)
 	for _, c := range n.Domain.Cons {
-		row := lower(c.Expr)
+		row := ds.lowerAffine(ds.tmp, c.Expr)
 		ds.dom.put(row, c.Rel == EQ)
 		copy(row[ds.d:], row[:ds.d]) // the same constraint on the target instance
 		clear(row[:ds.d])
 		ds.dom.put(row, c.Rel == EQ)
 	}
-	for _, accs := range stmtAccs {
-		las := make([]access, len(accs))
-		for i, a := range accs {
-			las[i].Access = a
-			for _, sub := range a.Subs {
-				las[i].subs = append(las[i].subs, lower(sub))
-			}
+	ds.subs = zeroed(ds.subs, rows*w)
+	for _, a := range ds.accs {
+		for k, sub := range a.Subs {
+			ds.lowerAffine(ds.subRow(a, k), sub)
 		}
-		ds.accs = append(ds.accs, las)
 	}
-	return ds
+	ds.found, ds.dist = ds.found[:0], ds.dist[:0]
+}
+
+// note gives every name of a that has no column yet the next one.
+func (ds *DepSolver) note(a Affine) {
+	for v := range a.Coef {
+		if _, ok := ds.col[v]; !ok {
+			ds.col[v] = len(ds.names)
+			ds.names = append(ds.names, v)
+		}
+	}
+}
+
+// lowerAffine writes a into row over the source instance's columns.
+func (ds *DepSolver) lowerAffine(row []int64, a Affine) []int64 {
+	clear(row)
+	for v, k := range a.Coef {
+		row[ds.col[v]] = k
+	}
+	row[ds.delta+1] = a.Const
+	return row
+}
+
+// subRow returns the row of the k-th subscript of a.
+func (ds *DepSolver) subRow(a access, k int) []int64 {
+	w := ds.delta + 2
+	return ds.subs[(a.sub+k)*w : (a.sub+k+1)*w]
+}
+
+// compareCols orders two columns by their names, an iterator's source
+// and target columns as it$s and it$t, without building those names.
+func (ds *DepSolver) compareCols(a, b int) int {
+	na, sa := ds.names[a], ds.suffix(a)
+	nb, sb := ds.names[b], ds.suffix(b)
+	la, lb := len(na)+len(sa), len(nb)+len(sb)
+	for i := 0; i < la && i < lb; i++ {
+		if x, y := byteAt(na, sa, i), byteAt(nb, sb, i); x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return cmp.Compare(la, lb)
+}
+
+// suffix is what column c's name sorts with after it.
+func (ds *DepSolver) suffix(c int) string {
+	switch {
+	case c < ds.d:
+		return "$s"
+	case c < 2*ds.d:
+		return "$t"
+	}
+	return ""
+}
+
+// byteAt is the i-th byte of a+b.
+func byteAt(a, b string, i int) byte {
+	if i < len(a) {
+		return a[i]
+	}
+	return b[i-len(a)]
+}
+
+// zeroed returns s resized to n zero entries, reusing its array.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // unit returns the scratch row target_k - source_k + dcoef·delta + c.
-func (ds *depSolver) unit(k int, dcoef, c int64) []int64 {
+func (ds *DepSolver) unit(k int, dcoef, c int64) []int64 {
 	clear(ds.tmp)
 	ds.tmp[k], ds.tmp[ds.d+k], ds.tmp[ds.delta], ds.tmp[ds.delta+1] = -1, 1, dcoef, c
 	return ds.tmp
 }
 
-// pair appends the dependences with source access a1 in s1 and target
+// pair records the dependences with source access a1 in s1 and target
 // access a2 in s2.
-func (ds *depSolver) pair(deps []*Dep, s1, s2 *Statement, a1, a2 access) []*Dep {
+func (ds *DepSolver) pair(s1, s2 *Statement, a1, a2 access) {
 	d := ds.d
 	ds.base.copyFrom(&ds.dom)
 	// A star access may touch any cell, so no subscript equation can
 	// constrain the dependence polyhedron: every instance pair that the
 	// ordering admits conflicts conservatively.
 	if !a1.Star && !a2.Star {
-		for k, src := range a1.subs {
-			dst := a2.subs[k]
+		for k := range a1.Subs {
+			src, dst := ds.subRow(a1, k), ds.subRow(a2, k)
 			for c := range ds.tmp {
 				if c < d {
 					ds.tmp[c], ds.tmp[d+c] = src[c], -dst[c]
@@ -337,10 +441,10 @@ func (ds *depSolver) pair(deps []*Dep, s1, s2 *Statement, a1, a2 access) []*Dep 
 		}
 	}
 	if ds.base.infeasible {
-		return deps
+		return
 	}
-	kind := classifyDep(a1.Access, a2.Access)
-	reduction := a1.Reduction && a2.Reduction
+	dep := Dep{Src: s1, Dst: s2, Array: a1.Array, Kind: classifyDep(*a1.Access, *a2.Access),
+		Reduction: a1.Reduction && a2.Reduction}
 	// Carried at level l: outer iterators equal, level-l source < target.
 	ds.outer.copyFrom(&ds.base)
 	for l := 1; l <= d; l++ {
@@ -351,19 +455,18 @@ func (ds *depSolver) pair(deps []*Dep, s1, s2 *Statement, a1, a2 access) []*Dep 
 		if ds.work.isEmpty(ds.order) {
 			continue
 		}
-		deps = append(deps, &Dep{
-			Src: s1, Dst: s2, Array: a1.Array, Level: l, Kind: kind,
-			Dist: ds.distVector(), Reduction: reduction,
-		})
+		dep.Level = l
+		ds.found = append(ds.found, dep)
+		ds.distVector()
 	}
 	// Loop-independent dependence: same iteration, s1 textually before s2.
 	if s1.Seq < s2.Seq && !ds.outer.isEmpty(ds.order) {
-		deps = append(deps, &Dep{
-			Src: s1, Dst: s2, Array: a1.Array, Level: 0, Kind: kind,
-			Dist: zeroDist(d), Reduction: reduction,
-		})
+		dep.Level = 0
+		ds.found = append(ds.found, dep)
+		for range d {
+			ds.dist = append(ds.dist, DistEntry{Known: true})
+		}
 	}
-	return deps
 }
 
 func classifyDep(a1, a2 Access) DepKind {
@@ -377,19 +480,10 @@ func classifyDep(a1, a2 Access) DepKind {
 	}
 }
 
-func zeroDist(d int) []DistEntry {
-	out := make([]DistEntry, d)
-	for i := range out {
-		out[i] = DistEntry{Known: true}
-	}
-	return out
-}
-
-// distVector computes per-level bounds of dst−src over the dependence
-// polyhedron in ds.level.
-func (ds *depSolver) distVector() []DistEntry {
-	out := make([]DistEntry, ds.d)
-	for k := range out {
+// distVector appends the per-level bounds of dst−src over the
+// dependence polyhedron in ds.level to ds.dist.
+func (ds *DepSolver) distVector() {
+	for k := range ds.d {
 		ds.work.copyFrom(&ds.level)
 		ds.work.put(ds.unit(k, -1, 0), true) // dst - src - delta == 0
 		lo, hasLo, hi, hasHi := ds.work.bounds(ds.delta, ds.order)
@@ -398,7 +492,6 @@ func (ds *depSolver) distVector() []DistEntry {
 			e.Known = true
 			e.Val = lo
 		}
-		out[k] = e
+		ds.dist = append(ds.dist, e)
 	}
-	return out
 }

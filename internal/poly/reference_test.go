@@ -358,3 +358,11 @@ func (a Affine) Rename(f func(string) string) Affine {
 	}
 	return r
 }
+
+func zeroDist(d int) []DistEntry {
+	out := make([]DistEntry, d)
+	for i := range out {
+		out[i] = DistEntry{Known: true}
+	}
+	return out
+}

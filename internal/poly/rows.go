@@ -34,6 +34,12 @@ type rows struct {
 	overflow   bool    // some row was dropped by checked arithmetic or the budget
 }
 
+// reset empties s and gives it nc variable columns, keeping its buffers.
+func (s *rows) reset(nc int) {
+	s.nc, s.a = nc, s.a[:0]
+	s.infeasible, s.overflow = false, false
+}
+
 // copyFrom makes s a copy of o, reusing s's buffers.
 func (s *rows) copyFrom(o *rows) {
 	s.nc, s.a = o.nc, append(s.a[:0], o.a...)

@@ -201,7 +201,13 @@ func TestDenseNestIsBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyzeDeps(b *testing.B) {
+// sampleNests are the shapes BenchmarkAnalyzeDeps times: a map, a
+// five-point stencil, matmul, a skewed in-place stencil and a star
+// reduction.
+func sampleNests() []struct {
+	name string
+	nest *Nest
+} {
 	i, j, k, one := Var("i"), Var("j"), Var("k"), NewAffine(1)
 	box := func(iters ...string) *Nest {
 		n := &Nest{Iters: iters, Params: []string{"N"}, Domain: NewSystem()}
@@ -238,17 +244,28 @@ func BenchmarkAnalyzeDeps(b *testing.B) {
 			Reads: []Access{{Array: "s", Reduction: true}, {Array: "hist", Star: true}, rd("b", i)}},
 	}
 
-	for _, c := range []struct {
+	return []struct {
 		name string
 		nest *Nest
 	}{
 		{"map1d", map1}, {"stencil5", stencil}, {"matmul", matmul},
 		{"skewed-stencil", ApplySkew(seidel, 0, 1)}, {"star-reduction", hist},
-	} {
+	}
+}
+
+func BenchmarkAnalyzeDeps(b *testing.B) {
+	for _, c := range sampleNests() {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
 				AnalyzeDeps(c.nest)
+			}
+		})
+		b.Run(c.name+"-reused", func(b *testing.B) {
+			var ds DepSolver
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				ds.Analyze(c.nest)
 			}
 		})
 	}

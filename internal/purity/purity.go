@@ -387,7 +387,7 @@ func (c *checker) checkStoreBase(base ast.Expr, pos token.Pos) {
 		c.errorf(pos, "pure function %s: unsupported store base", c.fn.Name)
 	case *ast.BinaryExpr:
 		// pointer arithmetic: the base pointer determines the object
-		tl := c.info.ExprType[x.X]
+		tl := x.X.Checked()
 		if tl != nil && tl.IsPtr() {
 			c.checkStoreBase(x.X, pos)
 			return
@@ -485,7 +485,7 @@ func (c *checker) classify(e ast.Expr) prov {
 		// through a pure cast before use (Listing 2, extPtr3).
 		return provExternal
 	case *ast.CastExpr:
-		t := c.info.ExprType[x]
+		t := x.Checked()
 		if t != nil && t.IsPtr() && t.Pure {
 			return provPure
 		}
@@ -496,7 +496,7 @@ func (c *checker) classify(e ast.Expr) prov {
 		}
 		return provUnknown
 	case *ast.BinaryExpr:
-		tl := c.info.ExprType[x.X]
+		tl := x.X.Checked()
 		if tl != nil && tl.IsPtr() {
 			return c.classify(x.X)
 		}
@@ -618,7 +618,7 @@ func (c *checker) checkGlobalPurePointers() {
 			continue
 		}
 		if _, ok := g.Decl.Init.(*ast.CastExpr); !ok {
-			ct := c.info.ExprType[g.Decl.Init]
+			ct := g.Decl.Init.Checked()
 			if ct == nil || !ct.IsPtr() || !ct.Pure {
 				c.res.Errors = append(c.res.Errors, fmt.Errorf("%s: global pure pointer %s must be initialized from a (pure T*) cast", g.Decl.Pos(), g.Name))
 			}

@@ -48,27 +48,16 @@ type Edits struct {
 // FuncLocals of each changed function are rebuilt in declaration order,
 // so symbol indices and frame layout are those of a fresh Check.
 func Recheck(in *Info, ed *Edits) error {
-	// Forget the dropped nodes: the Info does not keep them alive. A
-	// map keeps the slots of deleted keys until it grows, so ExprType
-	// then moves to a map sized for the kept nodes plus the ones the
-	// check below adds: a fresh Check's size, for as long as a cache
-	// holds the Info.
+	// Forget the dropped identifiers: the Info does not keep them
+	// alive. Types live on the nodes and go with them.
 	for _, n := range ed.Dropped {
 		ast.Walk(n, func(m ast.Node) bool {
-			if e, ok := m.(ast.Expr); ok {
-				delete(in.ExprType, e)
-			}
 			if id, ok := m.(*ast.Ident); ok {
 				delete(in.Ref, id)
 			}
 			return true
 		})
 	}
-	exprType := make(map[ast.Expr]*types.Type, len(in.ExprType)+ed.checked())
-	for e, t := range in.ExprType {
-		exprType[e] = t
-	}
-	in.ExprType = exprType
 	c := &checker{info: in, ed: ed}
 	n := len(in.errs)
 	for _, fd := range ed.Funcs {
@@ -82,29 +71,6 @@ func Recheck(in *Info, ed *Edits) error {
 		msgs = append(msgs, e.Error())
 	}
 	return fmt.Errorf("%s", strings.Join(msgs, "\n"))
-}
-
-// checked counts the expressions in the headers of the built loops
-// and in the edited statements: at most as many as Recheck types anew.
-func (ed *Edits) checked() int {
-	n := 0
-	count := func(m ast.Node) bool {
-		if _, ok := m.(ast.Expr); ok {
-			n++
-		}
-		return true
-	}
-	for f := range ed.Built {
-		for _, h := range []ast.Node{f.Init, f.Cond, f.Post} {
-			if h != nil {
-				ast.Walk(h, count)
-			}
-		}
-	}
-	for s := range ed.Edited {
-		ast.Walk(s, count)
-	}
-	return n
 }
 
 func (c *checker) recheckFunc(fd *ast.FuncDecl) {

@@ -62,6 +62,17 @@ func (s *Symbol) ElemType() *types.Type {
 	return t
 }
 
+// Cells returns how many memory cells the variable's storage holds:
+// for an array, its elements times the cells of one element (a struct
+// element has one cell per scalar field cell).
+func (s *Symbol) Cells() int {
+	n := s.ElemType().Cells()
+	for _, d := range s.Dims {
+		n *= d
+	}
+	return n
+}
+
 // Sig is a function signature.
 type Sig struct {
 	Name     string
@@ -143,8 +154,8 @@ func IsPureBuiltin(name string) bool {
 
 // Info is the result of semantic analysis.
 type Info struct {
-	File      *ast.File
-	ExprType  map[ast.Expr]*types.Type
+	File *ast.File
+	// Every expression of File carries its type (ast.Expr.Checked).
 	Ref       map[*ast.Ident]*Symbol
 	Funcs     map[string]*Sig
 	Structs   map[string]*types.Type
@@ -161,7 +172,6 @@ type Info struct {
 func Check(f *ast.File) (*Info, error) {
 	in := &Info{
 		File:       f,
-		ExprType:   make(map[ast.Expr]*types.Type),
 		Ref:        make(map[*ast.Ident]*Symbol),
 		Funcs:      make(map[string]*Sig),
 		Structs:    make(map[string]*types.Type),
@@ -216,8 +226,51 @@ func (c *checker) resolveStruct(tag string) (*types.Type, error) {
 	return nil, fmt.Errorf("undefined struct %s", tag)
 }
 
+// FromAST converts a syntactic type expression into a semantic type.
+// resolve may be nil when the type contains no struct references.
+func FromAST(te *ast.TypeExpr, resolve types.Resolver) (*types.Type, error) {
+	if te == nil {
+		return types.VoidType, nil
+	}
+	var base *types.Type
+	switch te.Base {
+	case ast.Void:
+		base = types.VoidType
+	case ast.Char:
+		base = types.CharType
+	case ast.Short:
+		base = types.ShortType
+	case ast.Int:
+		base = types.IntType
+	case ast.Long:
+		base = types.LongType
+	case ast.Unsigned:
+		base = types.UnsignedType
+	case ast.Float:
+		base = types.FloatType
+	case ast.Double:
+		base = types.DoubleType
+	case ast.Struct:
+		if resolve == nil {
+			return nil, fmt.Errorf("struct %s used where no struct resolver is available", te.StructName)
+		}
+		st, err := resolve(te.StructName)
+		if err != nil {
+			return nil, err
+		}
+		base = st
+	default:
+		return nil, fmt.Errorf("unsupported base type %v", te.Base)
+	}
+	t := base
+	for _, q := range te.Ptrs {
+		t = types.PointerTo(t, q.Pure, q.Const)
+	}
+	return t, nil
+}
+
 func (c *checker) typeOfAST(te *ast.TypeExpr, pos token.Pos) *types.Type {
-	t, err := types.FromAST(te, c.resolveStruct)
+	t, err := FromAST(te, c.resolveStruct)
 	if err != nil {
 		c.errorf(pos, "%v", err)
 		return types.IntType
@@ -510,7 +563,7 @@ func (c *checker) expr(e ast.Expr) *types.Type {
 	if t == nil {
 		t = types.IntType
 	}
-	c.info.ExprType[e] = t
+	e.SetChecked(t)
 	return t
 }
 
@@ -815,11 +868,33 @@ func ConstInt(e ast.Expr) (int64, bool) {
 		}
 	case *ast.SizeofExpr:
 		if x.Type != nil {
-			t, err := types.FromAST(x.Type, nil)
+			t, err := FromAST(x.Type, nil)
 			if err == nil {
 				return int64(t.CSize), true
 			}
 		}
+	}
+	return 0, false
+}
+
+// ConstFloat folds a constant initializer of a float variable: a float
+// or integer literal, possibly negated or parenthesized, reporting
+// success. Integer constant expressions fold with ConstInt first.
+func ConstFloat(e ast.Expr) (float64, bool) {
+	switch x := e.(type) {
+	case *ast.FloatLit:
+		return x.Value, true
+	case *ast.IntLit:
+		return float64(x.Value), true
+	case *ast.UnaryExpr:
+		if x.Op != token.SUB {
+			return 0, false
+		}
+		if v, ok := ConstFloat(x.X); ok {
+			return -v, true
+		}
+	case *ast.ParenExpr:
+		return ConstFloat(x.X)
 	}
 	return 0, false
 }

@@ -168,9 +168,23 @@ float g(float x, int i) { return x + (float)i; }
 `)
 	fd := in.File.LookupFunc("g")
 	ret := fd.Body.List[0].(*ast.ReturnStmt)
-	tt := in.ExprType[ret.X]
+	tt := ret.X.Checked()
 	if tt == nil || tt.Kind != types.Float {
 		t.Fatalf("return type: %s", tt)
+	}
+}
+
+func TestFromAST(t *testing.T) {
+	te := &ast.TypeExpr{Base: ast.Float, Ptrs: []ast.PtrQual{{Pure: true}}}
+	ty, err := FromAST(te, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ty.IsPtr() || !ty.Pure || ty.Elem != types.FloatType {
+		t.Fatalf("got %s", ty)
+	}
+	if _, err := FromAST(&ast.TypeExpr{Base: ast.Struct, StructName: "x"}, nil); err == nil {
+		t.Error("struct without resolver must fail")
 	}
 }
 

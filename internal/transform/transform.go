@@ -123,8 +123,11 @@ func ParallelizeEdits(scops []*scop.SCoP, opts Options) (*Report, *sema.Edits, e
 		Redeclares: map[*ast.VarDecl]*ast.VarDecl{},
 		Rebinds:    map[*ast.VarDecl]bool{},
 	}
+	// One dependence solver serves every nest, skewed ones included:
+	// it keeps its tables from one to the next.
+	var ds poly.DepSolver
 	for _, sc := range scops {
-		lr, err := transformOne(sc, opts, ed)
+		lr, err := transformOne(sc, opts, ed, &ds)
 		if err != nil {
 			return rep, ed, err
 		}
@@ -136,11 +139,11 @@ func ParallelizeEdits(scops []*scop.SCoP, opts Options) (*Report, *sema.Edits, e
 	return rep, ed, nil
 }
 
-func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, error) {
+func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits, ds *poly.DepSolver) (LoopReport, error) {
 	lr := LoopReport{Func: sc.Func.Name, Depth: sc.Nest.Depth(),
 		AliasNotes: sc.AliasNotes, PrivateScalars: sc.PrivateScalars}
 	nest := sc.Nest
-	deps := poly.AnalyzeDeps(nest)
+	deps := ds.Analyze(nest)
 	lr.Deps = len(deps)
 	par := poly.ParallelLevels(nest, deps)
 
@@ -150,7 +153,7 @@ func transformOne(sc *scop.SCoP, opts Options, ed *sema.Edits) (LoopReport, erro
 	if opts.Skew && poly.OutermostParallel(par) != 0 && nest.Depth() >= 2 {
 		if f, ok := poly.LegalSkew(deps, 0); ok && f > 0 {
 			skewed := poly.ApplySkewNamed(nest, 0, f, names.fresh(nest.Iters[1]+"_sk"))
-			sdeps := poly.AnalyzeDeps(skewed)
+			sdeps := ds.Analyze(skewed)
 			spar := poly.ParallelLevels(skewed, sdeps)
 			if poly.OutermostParallel(spar) >= 0 || poly.Permutable(skewed, sdeps) {
 				rewriteSkewedBody(sc, nest.Iters[0], nest.Iters[1], skewed.Iters[1], f, ed)

@@ -7,12 +7,7 @@
 // enforces.
 package types
 
-import (
-	"fmt"
-	"strings"
-
-	"purec/internal/ast"
-)
+import "strings"
 
 // Kind classifies a semantic type.
 type Kind int
@@ -152,47 +147,18 @@ func AssignableLoose(dst, src *Type) bool {
 // Resolver maps struct tags to their declared types.
 type Resolver func(tag string) (*Type, error)
 
-// FromAST converts a syntactic type expression into a semantic type.
-// resolve may be nil when the type contains no struct references.
-func FromAST(te *ast.TypeExpr, resolve Resolver) (*Type, error) {
-	if te == nil {
-		return VoidType, nil
+// Cells returns how many memory cells one value of t occupies: a
+// struct's flattened field cells (at least one), one for any other type.
+// Indexing into an array of t strides by it.
+func (t *Type) Cells() int {
+	if t == nil || t.Kind != Struct {
+		return 1
 	}
-	var base *Type
-	switch te.Base {
-	case ast.Void:
-		base = VoidType
-	case ast.Char:
-		base = CharType
-	case ast.Short:
-		base = ShortType
-	case ast.Int:
-		base = IntType
-	case ast.Long:
-		base = LongType
-	case ast.Unsigned:
-		base = UnsignedType
-	case ast.Float:
-		base = FloatType
-	case ast.Double:
-		base = DoubleType
-	case ast.Struct:
-		if resolve == nil {
-			return nil, fmt.Errorf("struct %s used where no struct resolver is available", te.StructName)
-		}
-		st, err := resolve(te.StructName)
-		if err != nil {
-			return nil, err
-		}
-		base = st
-	default:
-		return nil, fmt.Errorf("unsupported base type %v", te.Base)
+	n := 0
+	for _, f := range t.Fields {
+		n += f.Count
 	}
-	t := base
-	for _, q := range te.Ptrs {
-		t = PointerTo(t, q.Pure, q.Const)
-	}
-	return t, nil
+	return max(n, 1)
 }
 
 // Promote returns the arithmetic result type of a binary operation on a

@@ -1,10 +1,6 @@
 package types
 
-import (
-	"testing"
-
-	"purec/internal/ast"
-)
+import "testing"
 
 func TestString(t *testing.T) {
 	cases := []struct {
@@ -67,20 +63,6 @@ func TestPromote(t *testing.T) {
 	}
 	if Promote(CharType, ShortType) != IntType {
 		t.Error("char+short=int")
-	}
-}
-
-func TestFromAST(t *testing.T) {
-	te := &ast.TypeExpr{Base: ast.Float, Ptrs: []ast.PtrQual{{Pure: true}}}
-	ty, err := FromAST(te, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ty.IsPtr() || !ty.Pure || ty.Elem != FloatType {
-		t.Fatalf("got %s", ty)
-	}
-	if _, err := FromAST(&ast.TypeExpr{Base: ast.Struct, StructName: "x"}, nil); err == nil {
-		t.Error("struct without resolver must fail")
 	}
 }
 

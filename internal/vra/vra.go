@@ -1021,7 +1021,7 @@ func (w *walker) condTruth(cond ast.Expr) (canTrue, canFalse bool) {
 			t2, f2 := b.condTruth(x.Y)
 			return t1 || t2, f1 && f2
 		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			if !isIntExpr(w.a.info, x.X) || !isIntExpr(w.a.info, x.Y) {
+			if !isIntExpr(x.X) || !isIntExpr(x.Y) {
 				return true, true
 			}
 			// Relational entailment first: after j = i + 1 the test
@@ -1036,8 +1036,8 @@ func (w *walker) condTruth(cond ast.Expr) (canTrue, canFalse bool) {
 	return true, true
 }
 
-func isIntExpr(info *sema.Info, e ast.Expr) bool {
-	t := info.ExprType[e]
+func isIntExpr(e ast.Expr) bool {
+	t := e.Checked()
 	return t != nil && t.Kind == types.Int
 }
 
@@ -1093,7 +1093,7 @@ func (w *walker) applyCond(cond ast.Expr, truth bool) {
 				w.applyCond(x.Y, false)
 			}
 		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			if !isIntExpr(w.a.info, x.X) || !isIntExpr(w.a.info, x.Y) {
+			if !isIntExpr(x.X) || !isIntExpr(x.Y) {
 				return
 			}
 			w.applyRel(x.X, x.Op, w.eval(x.Y), truth)
