@@ -351,103 +351,40 @@ func (tc *tapeCompiler) callEffect(x *ast.CallExpr) {
 // ----------------------------------------------------------------------------
 // printf
 
-// printfPiece is literal text, or one conversion (verb != 0).
-type printfPiece struct {
-	text string
-	verb byte
-}
-
 // printfSite is the site of a tPrintf: the parsed constant format and
 // the registers holding one argument per conversion.
 type printfSite struct {
-	pieces []printfPiece
+	pieces []sema.FormatPiece
 	args   regSpan
 }
 
-// printf compiles a printf with a constant format string: one argument
-// per conversion, evaluated in order; arguments past the last
-// conversion are never evaluated.
+// printf compiles a printf whose format sema.Check has held to its
+// arguments: one argument per conversion, evaluated in order;
+// arguments past the last conversion are never evaluated.
 func (tc *tapeCompiler) printf(x *ast.CallExpr) {
-	fc := tc.fc
-	if len(x.Args) == 0 {
-		fc.errorf(x, "printf needs a format string")
-	}
-	lit, ok := ast.Unparen(x.Args[0]).(*ast.StringLit)
-	if !ok {
-		fc.errorf(x, "printf format must be a string literal")
-	}
-	format := lit.Value
-	pieces := parseFormat(format)
+	pieces := sema.ParseFormat(ast.Unparen(x.Args[0]).(*ast.StringLit).Value)
 	from := tc.ta.level()
 	ai := 1
 	for _, pc := range pieces {
-		if pc.verb == 0 {
-			continue
+		if pc.Verb != 0 {
+			tc.argInto(x.Args[ai], verbKind(pc.Verb), false)
+			ai++
 		}
-		if ai >= len(x.Args) {
-			fc.errorf(x, "printf: not enough arguments for format %q", format)
-		}
-		arg := x.Args[ai]
-		ai++
-		k := verbKind(pc.verb)
-		if k < 0 {
-			fc.errorf(x, "printf: unsupported verb %%%c", pc.verb)
-		}
-		tc.argInto(arg, k, false)
 	}
 	tc.tp.printfs = append(tc.tp.printfs, printfSite{pieces: pieces, args: tc.ta.span(from)})
 	tc.ta.restore(from)
 	tc.emit(tinstr{op: tPrintf, b: int32(len(tc.tp.printfs) - 1)})
 }
 
-// parseFormat splits a format into text and conversions; flags, width,
-// precision and length modifiers are skipped.
-func parseFormat(format string) []printfPiece {
-	var pieces []printfPiece
-	i := 0
-	for i < len(format) {
-		j := strings.IndexByte(format[i:], '%')
-		if j < 0 {
-			pieces = append(pieces, printfPiece{text: format[i:]})
-			break
-		}
-		if j > 0 {
-			pieces = append(pieces, printfPiece{text: format[i : i+j]})
-		}
-		i += j + 1
-		for i < len(format) && (format[i] == '-' || format[i] == '+' || format[i] == ' ' ||
-			format[i] == '.' || (format[i] >= '0' && format[i] <= '9')) {
-			i++
-		}
-		for i < len(format) && format[i] == 'l' {
-			i++
-		}
-		if i >= len(format) {
-			break
-		}
-		v := format[i]
-		i++
-		if v == '%' {
-			pieces = append(pieces, printfPiece{text: "%"})
-			continue
-		}
-		pieces = append(pieces, printfPiece{verb: v})
-	}
-	return pieces
-}
-
-// verbKind is the register kind of a conversion's argument, -1 for an
-// unsupported verb.
+// verbKind is the register kind of a conversion's argument.
 func verbKind(v byte) int {
 	switch v {
-	case 'd', 'i', 'u', 'x', 'c':
-		return tkI
 	case 'f', 'g', 'e':
 		return tkF
 	case 's':
 		return tkP
 	}
-	return -1
+	return tkI
 }
 
 // run formats the arguments and writes the result in one piece.
@@ -455,14 +392,14 @@ func (ps *printfSite) run(e *env) {
 	var b strings.Builder
 	next := ps.args.first
 	for _, pc := range ps.pieces {
-		if pc.verb == 0 {
-			b.WriteString(pc.text)
+		if pc.Verb == 0 {
+			b.WriteString(pc.Text)
 			continue
 		}
-		k := verbKind(pc.verb)
+		k := verbKind(pc.Verb)
 		r := next[k]
 		next[k]++
-		switch pc.verb {
+		switch pc.Verb {
 		case 'd', 'i', 'u':
 			fmt.Fprintf(&b, "%d", e.I[r])
 		case 'x':

@@ -522,10 +522,13 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // that may divide by zero, branches and loops, switch with
 // fall-through, assignments used as values in conditions and
 // initializers, indexed stores whose address has side effects, calls of
-// a non-leaf function that writes a global, printf, and float and
-// double arithmetic — multiply-adds in both operand orders, 4-byte
-// float array loads and stores, literals on either side of every
-// operator, comparisons under &&, || and ?:.
+// a non-leaf function that writes a global, printf, float and double
+// arithmetic — multiply-adds in both operand orders, 4-byte float array
+// loads and stores, literals on either side of every operator,
+// comparisons under &&, || and ?: —, and loops that fuse into kernels (a
+// float map, an int sum, an int map dividing by the iterator's distance
+// to a constant, a scatter through h's own cells) at drawn offsets and
+// trip counts that may run off the 8-cell arrays or divide by zero.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -559,7 +562,16 @@ int main(void) {
 		} else {
 			fmt.Fprintf(&b, " a = (%d %s a) + v;\n", c, op)
 		}
-		switch next(14) {
+		// A kernel-shaped loop's header and its operand k plus a drawn
+		// offset: now and then one runs off an 8-cell array by a cell
+		// at either end.
+		off := next(4) - next(2)
+		loop := fmt.Sprintf("for (int k = %d; k < %d; k++)", next(2), next(9-max(off, 0))+next(2))
+		kc := fmt.Sprintf("k + %d", off)
+		if off < 0 {
+			kc = "k - 1"
+		}
+		switch next(18) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
 		case 1:
@@ -615,6 +627,14 @@ int main(void) {
 		case 13:
 			fmt.Fprintf(&b, " f = d %s %s ? f * %s : %s - d; f++; a = a + (int)(f * 8.0f) %% 1000;\n",
 				cmps[next(len(cmps))], lit(), lit(), lit())
+		case 14:
+			fmt.Fprintf(&b, " %s fa[k] = fa[%s] * %s + d;\n", loop, kc, lit())
+		case 15:
+			fmt.Fprintf(&b, " %s x += h[%s];\n", loop, kc)
+		case 16:
+			fmt.Fprintf(&b, " %s h[k] = h[%s] / (k - %d);\n", loop, kc, next(12))
+		case 17:
+			fmt.Fprintf(&b, " %s h[h[%s]] += %d;\n", loop, kc, next(5)+1)
 		}
 	}
 	// Floats print scaled to integers, so a float32 rounding shows.

@@ -30,21 +30,23 @@ package comp
 //     distance rule, so one that an operand can read (x[3] += x[k], a
 //     histogram whose target is its own index array) runs element by
 //     element, written through every iteration;
-//  5. an integer division or modulo by zero, a gathered load outside
-//     its array, and an affine operand that runs off its array (its
-//     hoisted range check fails) trap with the dispatch loop's message,
-//     after exactly the cells the dispatch loop would have written
-//     (replay, strip.go).
+//  5. a kernel never traps: where the dispatch loop would (a null or
+//     freed base, an operand or accumulator cell off its array, a zero
+//     divisor, a gathered index or scatter target outside its array),
+//     it stops and returns the first iteration it did not complete,
+//     and the loop's dispatch body runs the rest (the bail-out rule,
+//     strip.go) — the trap and the cells before it are the dispatch
+//     loop's own.
 //
 // Recognition (match.go) classifies the statement by its sink and
-// compiles the value the sink consumes to a small postfix tape over
-// operand loads, at most one gathered load, hoisted invariants and the
-// iterator. strip.go lowers the tape to a register program and runs it
-// a strip of elements at a time into the sink; two float shapes (scale,
-// triad) keep a single-pass loop in front of it. Either way the launch
-// state is a kframe on the Go stack, filled from the registers the
-// launch's tape code computed (kernelOperands): a launch allocates
-// nothing.
+// compiles the value the sink consumes to a small value-numbered node
+// array over operand loads, at most one gathered load, hoisted
+// invariants and the iterator. strip.go lowers the nodes to a register
+// program and runs it a strip of elements at a time into the sink; two
+// float shapes (scale, triad) keep a single-pass loop in front of it.
+// Either way the launch state is a kframe on the Go stack, filled from
+// the registers the launch's tape code computed (kernelOperands): a
+// launch allocates nothing.
 
 import (
 	"purec/internal/ast"
@@ -54,14 +56,16 @@ import (
 	"purec/internal/types"
 )
 
-// tape opcodes. The tape is the postfix form of the loop body's
-// right-hand side; float and int tapes share the arithmetic opcodes.
+// Node opcodes. A kernel's expression is a value-numbered node array
+// over leaves — the ops up to opGather — and operators; float and int
+// kernels share the arithmetic opcodes, and the lowered strip program
+// reuses every one of them.
 const (
-	opLoad   uint8 = iota // push loads[arg] at the current iteration
-	opInv                 // push invariant arg (invF/invI)
-	opIter                // push the iterator value (int tape)
-	opIterF               // push float64(iterator) (float tape)
-	opGather              // push the kernel's gathered load, its index cell loads[arg]
+	opLoad   uint8 = iota // loads[a] at the current iteration
+	opInv                 // invariant a (invF/invI)
+	opIter                // the iterator value (int kernel)
+	opIterF               // float64(iterator) (float kernel)
+	opGather              // the kernel's gathered load, its index cell loads[a]
 	opAdd
 	opSub
 	opMul
@@ -77,9 +81,12 @@ const (
 	opRound // float only: round through float32, a C conversion to float
 )
 
-type kOp struct {
+// knode is one node of a kernel's expression: an operator over the
+// nodes a and b (b < 0 for a unary one), or a leaf whose a indexes the
+// loads or the invariants.
+type knode struct {
 	code uint8
-	arg  int
+	a, b int8
 }
 
 // Sinks: what a kernel does with the value its program computes.
@@ -91,9 +98,9 @@ const (
 	sinkScatter              // gat[v] op= the kernel's one invariant
 )
 
-// fusedKernel is a recognized tape kernel: the sink and its target, the
-// operands, and the tape — first in postfix form, then lowered to the
-// register program the strip evaluator runs.
+// fusedKernel is a recognized kernel: the sink and its target, the
+// operands, and the expression the sink consumes — first as nodes, then
+// lowered to the register program the strip evaluator runs.
 type fusedKernel struct {
 	store kAccess // sinkStore
 	// acc is the frame slot of a fold's accumulator, or cellX its
@@ -119,9 +126,10 @@ type fusedKernel struct {
 	invX  []ast.Expr
 	loadX []ast.Expr
 	gatX  ast.Expr
-	tape  []kOp
-	// run is the launch function emit selected.
-	run kernRun
+	// nodes is the expression, its root last, in the compile's scratch
+	// buffer; ops counts the nodes asked for, repeats included.
+	nodes []knode
+	ops   int
 
 	prog []stripOp
 	regs int     // columns the program uses
@@ -134,25 +142,36 @@ type fusedKernel struct {
 	sink       uint8
 	f32        bool // the sink rounds through float32: its C type is 4 bytes
 	float      bool // element kind of the program (and of every load)
-	// rmw marks a compound store Y[i] op= rhs: the tape's first load
-	// reads the store's own cell, which the dispatch loop reads after
-	// the right side.
-	rmw bool
 }
 
-// maxTapeDepth bounds the evaluation stack a tape may need: the
-// lowering's stack is that deep.
+// maxTapeDepth bounds the depth of the evaluation stack a postfix walk
+// of the expression needs: how many operands an operator's subtrees
+// may leave pending.
 const maxTapeDepth = 16
 
-// push appends a tape op; false when the tape outgrows what a lowering
-// looks at (the loop then stays on the dispatch path).
-func (k *fusedKernel) push(op kOp) bool {
-	k.tape = append(k.tape, op)
-	return len(k.tape) <= maxNodes
+// node adds nd — entered with depth values pending — to the
+// expression, or finds the equal node it already has: identical
+// subtrees (the argument an inlined square(x) duplicates) are one node,
+// computed once per strip. It returns -1 when the expression outgrows
+// what a lowering looks at (the loop then stays on the dispatch path).
+func (fc *funcCompiler) node(k *fusedKernel, nd knode, depth int) int8 {
+	if k.nodes == nil {
+		k.nodes = fc.scratch.nodes[:0]
+	}
+	if k.ops++; k.ops > maxNodes || depth >= maxTapeDepth {
+		return -1
+	}
+	for id, x := range k.nodes {
+		if x == nd {
+			return int8(id)
+		}
+	}
+	k.nodes = append(k.nodes, nd)
+	return int8(len(k.nodes) - 1)
 }
 
-// tapeOp maps a binary operator token to its tape opcode for the
-// element kind.
+// tapeOp maps a binary operator token to its opcode for the element
+// kind.
 func tapeOp(op token.Kind, float bool) (uint8, bool) {
 	switch op {
 	case token.ADD:
@@ -184,100 +203,117 @@ func tapeOp(op token.Kind, float bool) (uint8, bool) {
 	return 0, false
 }
 
-// buildTape compiles e into postfix tape ops of the kernel's element
-// kind. Whole loop-invariant subexpressions hoist into one evaluation
-// per launch; affine array accesses become raw-slice loads; the
-// iterator itself is a leaf; a conversion between float types is the
-// identity or one rounding op (inlined pure calls leave those behind);
-// the node the classifier matched as the kernel's gather is the
-// gathered load. Anything else (calls, other gathers, int/float casts,
-// mixed-kind subtrees that vary with the iterator) rejects the loop.
-func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol) bool {
+// buildTape compiles e, entered with depth values pending, into nodes
+// of the kernel's element kind and returns its node, -1 when the loop
+// does not fuse. Whole loop-invariant subexpressions hoist into one
+// evaluation per launch; affine array accesses become raw-slice loads;
+// the iterator itself is a leaf; a conversion between float types is
+// the identity or one rounding op (inlined pure calls leave those
+// behind); the node the classifier matched as the kernel's gather is
+// the gathered load. Anything else (calls, other gathers, int/float
+// casts, mixed-kind subtrees that vary with the iterator) rejects the
+// loop.
+func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol, depth int) int8 {
 	e = ast.Unparen(e)
 	if fc.hoistable(e, iter) {
 		// Invariant leaf: any effect-free scalar expression, evaluated
-		// once per launch (converted to float in a float tape, as the
+		// once per launch (converted to float in a float kernel, as the
 		// dispatch loop converts it).
 		t := e.Checked()
 		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
-			return false
+			return -1
 		}
 		if !k.float && t.Kind != types.Int {
-			return false
+			return -1
 		}
 		j := indexOfExpr(k.invX, e)
 		if j < 0 {
 			j = len(k.invX)
 			k.invX = append(k.invX, e)
 		}
-		return k.push(kOp{code: opInv, arg: j})
+		return fc.node(k, knode{code: opInv, a: int8(j), b: -1}, depth)
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
 		if fc.prog.info.Ref[x] != iter {
-			return false
+			return -1
 		}
 		if k.float {
-			return k.push(kOp{code: opIterF})
+			return fc.node(k, knode{code: opIterF, a: -1, b: -1}, depth)
 		}
-		return k.push(kOp{code: opIter})
+		return fc.node(k, knode{code: opIter, a: -1, b: -1}, depth)
 	case *ast.IndexExpr:
 		if e == k.gatX {
 			k.loads, k.loadX = append(k.loads, k.gat.idx), append(k.loadX, nil)
-			return k.push(kOp{code: opGather, arg: len(k.loads) - 1})
+			return fc.node(k, knode{code: opGather, a: int8(len(k.loads) - 1), b: -1}, depth)
 		}
 		j := indexOfExpr(k.loadX, e)
 		if j < 0 {
 			acc, ok := fc.matchKAccess(x, iter)
 			if !ok || acc.float != k.float {
-				return false
+				return -1
 			}
 			j = len(k.loads)
 			k.loads, k.loadX = append(k.loads, acc), append(k.loadX, e)
 		}
-		return k.push(kOp{code: opLoad, arg: j})
+		return fc.node(k, knode{code: opLoad, a: int8(j), b: -1}, depth)
 	case *ast.BinaryExpr:
 		op, ok := tapeOp(x.Op, k.float)
 		if !ok {
-			return false
+			return -1
 		}
-		// The node's own C type must match the tape kind: an int-typed
-		// subtree that varies with the iterator (e.g. i/2 stored to a
-		// float array) computes in integer arithmetic in the dispatch
-		// loop — evaluating it with float ops would diverge.
+		// The node's own C type must match the kernel's kind: an
+		// int-typed subtree that varies with the iterator (e.g. i/2
+		// stored to a float array) computes in integer arithmetic in the
+		// dispatch loop — evaluating it with float ops would diverge.
 		t := e.Checked()
 		if t == nil || (k.float && t.Kind != types.Float) || (!k.float && t.Kind != types.Int) {
-			return false
+			return -1
 		}
 		if k.float {
 			// Both operand subtrees must be float-typed or reduce to
-			// invariant/iterator leaves the float tape can represent.
+			// invariant/iterator leaves the float kernel can represent.
 			if !fc.floatTapeOperand(x.X, iter) || !fc.floatTapeOperand(x.Y, iter) {
-				return false
+				return -1
 			}
 		}
-		return fc.buildTape(k, x.X, iter) && fc.buildTape(k, x.Y, iter) && k.push(kOp{code: op})
+		return fc.binary(k, op, fc.buildTape(k, x.X, iter, depth), x.Y, iter, depth)
 	case *ast.CastExpr:
 		t, in := x.Checked(), x.X.Checked()
 		if t == nil || in == nil || t.Kind != in.Kind || !t.IsArith() || (t.Kind == types.Float) != k.float {
-			return false
+			return -1
 		}
-		if !fc.buildTape(k, x.X, iter) {
-			return false
+		a := fc.buildTape(k, x.X, iter, depth)
+		if a < 0 || !k.float || t.CSize != 4 || fc.f32Exact(x.X) {
+			return a
 		}
-		if k.float && t.CSize == 4 && !fc.f32Exact(x.X) {
-			return k.push(kOp{code: opRound})
-		}
-		return true
+		return fc.node(k, knode{code: opRound, a: a, b: -1}, depth)
 	case *ast.UnaryExpr:
-		switch x.Op {
-		case token.SUB:
-			return fc.buildTape(k, x.X, iter) && k.push(kOp{code: opNeg})
-		case token.TILDE:
-			return !k.float && fc.buildTape(k, x.X, iter) && k.push(kOp{code: opNot})
+		if x.Op != token.SUB && (x.Op != token.TILDE || k.float) {
+			return -1
+		}
+		code := opNeg
+		if x.Op == token.TILDE {
+			code = opNot
+		}
+		if a := fc.buildTape(k, x.X, iter, depth); a >= 0 {
+			return fc.node(k, knode{code: code, a: a, b: -1}, depth)
 		}
 	}
-	return false
+	return -1
+}
+
+// binary builds the operator node a op y, a the node of its left
+// operand, or -1 when either operand does not fuse.
+func (fc *funcCompiler) binary(k *fusedKernel, op uint8, a int8, y ast.Expr, iter *sema.Symbol, depth int) int8 {
+	if a < 0 {
+		return -1
+	}
+	b := fc.buildTape(k, y, iter, depth+1)
+	if b < 0 {
+		return -1
+	}
+	return fc.node(k, knode{code: op, a: a, b: b}, depth)
 }
 
 // indexOfExpr finds the very node e among xs, -1 when it is new.
@@ -290,8 +326,8 @@ func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
 	return -1
 }
 
-// floatTapeOperand reports whether e can be a float-tape subtree: a
-// float-typed expression, or an int-typed leaf the tape converts (the
+// floatTapeOperand reports whether e can be a float-kernel subtree: a
+// float-typed expression, or an int-typed leaf the kernel converts (the
 // iterator, or an invariant expression).
 func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 	e = ast.Unparen(e)
@@ -314,7 +350,7 @@ func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
 // ----------------------------------------------------------------------------
 // Launch
 
-// kframe is the per-launch state of a tape kernel after hoisting. It
+// kframe is the per-launch state of a kernel after hoisting. It
 // lives on the launching goroutine's stack: the operand arrays are
 // fixed-size, so a launch allocates nothing.
 type kframe struct {
@@ -406,33 +442,43 @@ const strideAny = -1
 // prepFrame reads everything loop-invariant from the launch registers:
 // the sink's target and the operand ranges (one check each), the strip
 // length their overlap allows, invariant scalars, the sink's rounding
-// mode. When an operand runs off its array it does not return: the
-// launch replays (replay, strip.go).
-func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
+// mode. It reports false when the launch cannot start — a base is null
+// or freed, an operand or the accumulator cell lies outside its array —
+// and then the dispatch body runs the whole range.
+func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
-	inside := int64(fr.n) // leading elements whose operands lie in their arrays
 	var st kspan
 	ss := k.store.stride
 	switch {
 	case k.sink == sinkStore:
 		st = k.store.span(e, lo, hi)
-		inside = k.store.cells(st, &fr.dst, inside)
+		if !k.store.cells(st, &fr.dst) {
+			return false
+		}
 	case k.cellX != nil:
 		// The accumulator cell is a store of stride 0, at every element.
 		p := e.P[k.cell]
+		if p.IsNull() {
+			return false
+		}
+		cell, err := p.Seg.FloatRange(int64(p.Off), int64(p.Off)+1)
+		if err != nil {
+			return false
+		}
 		st, ss = kspan{p.Seg, int64(p.Off), int64(p.Off)}, 0
-		cells := p.Seg.F
-		fr.accF = &cells[p.Off] // the dispatch loop's access, and its trap
+		fr.accF = &cell[0]
 	case k.float:
 		fr.accF = &e.F[k.acc]
 	case k.sink != sinkScatter:
 		fr.accI = &e.I[k.acc]
 	}
 	if k.gat.baseX != nil {
-		// A null base faults here as on the dispatch loop's first access.
 		// The array is a scatter's store, or a gathered load against the
-		// store (against itself, the scatter's is the same walk).
-		fr.gat = e.P[k.gat.base]
+		// store (against itself, the scatter's is the same walk); its
+		// cells are compared element by element.
+		if fr.gat = e.P[k.gat.base]; fr.gat.IsNull() {
+			return false
+		}
 		all := kspan{fr.gat.Seg, 0, int64(fr.gat.Seg.Len()) - 1}
 		if k.sink == sinkScatter {
 			st, ss = all, strideAny
@@ -441,7 +487,9 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	}
 	for i := range k.loads {
 		ld := k.loads[i].span(e, lo, hi)
-		inside = k.loads[i].cells(ld, &fr.loads[i], inside)
+		if !k.loads[i].cells(ld, &fr.loads[i]) {
+			return false
+		}
 		fr.strip = min(fr.strip, hazard(st, ss, ld, k.loads[i].stride))
 	}
 	if k.floatInvs() {
@@ -449,9 +497,7 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) {
 	} else {
 		copy(fr.invI[:], e.I[k.inv:int(k.inv)+len(k.invX)])
 	}
-	if inside < int64(fr.n) {
-		k.replay(e, fr, lo+inside)
-	}
+	return true
 }
 
 // hazard is the distance rule of the strip evaluator: the longest strip
@@ -479,46 +525,51 @@ func hazard(st kspan, ss int64, ld kspan, ls int64) int {
 // ----------------------------------------------------------------------------
 // Shapes
 //
-// Two float tapes keep a specialized single-pass loop in front of the
+// Two float shapes keep a specialized single-pass loop in front of the
 // strip evaluator, because there a pass per op costs what the whole
 // loop does: the store rounds through float32, and that rounding is as
 // expensive as the arithmetic it follows (see CHANGES.md, PR 22, for
 // the numbers that kept these and retired the fill, copy and stencil
 // loops and the integer twins of these two).
 
-// tapeIs matches the kernel tape against an opcode signature.
-func (k *fusedKernel) tapeIs(codes ...uint8) bool {
-	if len(k.tape) != len(codes) {
-		return false
+// scaled matches node id against a * X[i] in either operand order and
+// returns the load and the invariant.
+func (k *fusedKernel) scaled(id int8) (ld, inv int8, ok bool) {
+	nd := k.nodes[id]
+	if nd.code != opMul {
+		return 0, 0, false
 	}
-	for i, c := range codes {
-		if k.tape[i].code != c {
-			return false
-		}
+	x, y := k.nodes[nd.a], k.nodes[nd.b]
+	if x.code == opLoad {
+		x, y = y, x
 	}
-	return true
+	return y.a, x.a, x.code == opInv && y.code == opLoad
 }
 
 // emitScale handles the float Y[i] = a * X[i] (either operand order).
 func emitScale(k *fusedKernel) kernRun {
-	if !k.float || (!k.tapeIs(opInv, opLoad, opMul) && !k.tapeIs(opLoad, opInv, opMul)) {
+	x, inv, ok := k.scaled(int8(len(k.nodes) - 1))
+	if !k.float || !ok {
 		return nil
 	}
-	return func(e *env, lo, hi int64) {
+	return func(e *env, lo, hi int64) int64 {
 		var fr kframe
-		k.prepFrame(&fr, e, lo, hi)
-		a := fr.invF[0]
+		if !k.prepFrame(&fr, e, lo, hi) {
+			return lo
+		}
+		a := fr.invF[inv]
 		dst, ds := fr.dst.f, fr.dst.stride
-		src, ss := fr.loads[0].f, fr.loads[0].stride
+		src, ss := fr.loads[x].f, fr.loads[x].stride
 		if fr.f32 {
 			for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
 				dst[c] = float64(float32(a * src[s]))
 			}
-			return
+			return hi + 1
 		}
 		for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
 			dst[c] = a * src[s]
 		}
+		return hi + 1
 	}
 }
 
@@ -527,28 +578,25 @@ func emitScale(k *fusedKernel) kernRun {
 // exactly commutative, so one loop serves all of them). Compound
 // Y[i] += a*X[i] desugars to the Z=Y instance.
 func emitTriad(k *fusedKernel) kernRun {
-	var x, z int // tape positions of the scaled and the added load
-	switch {
-	case !k.float:
-		return nil
-	case k.tapeIs(opInv, opLoad, opMul, opLoad, opAdd):
-		x, z = 1, 3
-	case k.tapeIs(opLoad, opInv, opMul, opLoad, opAdd):
-		x, z = 0, 3
-	case k.tapeIs(opLoad, opInv, opLoad, opMul, opAdd):
-		z, x = 0, 2
-	case k.tapeIs(opLoad, opLoad, opInv, opMul, opAdd):
-		z, x = 0, 1
-	default:
+	root := k.nodes[len(k.nodes)-1]
+	if !k.float || root.code != opAdd {
 		return nil
 	}
-	// One inlined argument read twice is one load: the indices come from
-	// the tape, not from the positions.
-	x, z = k.tape[x].arg, k.tape[z].arg
-	return func(e *env, lo, hi int64) {
+	p, q := root.a, root.b
+	if k.nodes[p].code == opLoad {
+		p, q = q, p
+	}
+	x, inv, ok := k.scaled(p)
+	if !ok || k.nodes[q].code != opLoad {
+		return nil
+	}
+	z := k.nodes[q].a
+	return func(e *env, lo, hi int64) int64 {
 		var fr kframe
-		k.prepFrame(&fr, e, lo, hi)
-		a := fr.invF[0]
+		if !k.prepFrame(&fr, e, lo, hi) {
+			return lo
+		}
+		a := fr.invF[inv]
 		dst, ds := fr.dst.f, fr.dst.stride
 		xs, xss := fr.loads[x].f, fr.loads[x].stride
 		zs, zss := fr.loads[z].f, fr.loads[z].stride
@@ -556,10 +604,11 @@ func emitTriad(k *fusedKernel) kernRun {
 			for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
 				dst[c] = float64(float32(a*xs[xi] + zs[zi]))
 			}
-			return
+			return hi + 1
 		}
 		for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
 			dst[c] = a*xs[xi] + zs[zi]
 		}
+		return hi + 1
 	}
 }

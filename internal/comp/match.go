@@ -11,7 +11,7 @@ package comp
 //
 //   - the statement is classified by its sink — an element store
 //     Y[a*i+b] (kindMap), an accumulate acc += … that the iterator does
-//     not move: an integer tape into a local scalar, or a float
+//     not move: an integer expression into a local scalar, or a float
 //     sum/dot/ELL term into a scalar or cell (kindReduce), an indexed
 //     update A[B[a*i+b]] op= inv (kindHist), or a guarded min/max fold
 //     into a scalar (kindMinMax). The sinks are disjoint, so a loop has
@@ -22,6 +22,9 @@ package comp
 //   - each classifier admits its sink's operand shapes and compiles the
 //     value the sink consumes with buildTape, so every kernel runs on
 //     the strip evaluator (strip.go), which ends in the sink.
+//
+// A matched loop keeps its dispatch body too: a kernel stops where the
+// dispatch loop would trap, and the body finishes the range.
 //
 // The matcher only records operand expressions: the launch evaluates
 // them on the tape (kernelOperands), and the kernel reads the registers
@@ -43,16 +46,18 @@ import (
 )
 
 // kernRun executes iterations [lo, hi] (inclusive, lo ≤ hi) of a fused
-// loop. Parallel regions call it once per chunk — rt hands out no empty
+// loop and returns the first one it did not complete, hi+1 when it ran
+// them all; the launch runs the rest on the loop's dispatch body.
+// Parallel regions call it once per chunk — rt hands out no empty
 // chunk —; sequential loops once, when the range is not empty.
-type kernRun func(e *env, lo, hi int64)
+type kernRun func(e *env, lo, hi int64) int64
 
 // loopKind classifies a fused loop by the sink of its statement.
 type loopKind uint8
 
 const (
 	kindMap    loopKind = iota + 1 // Y[a*i+b] (op)= f(operands), gathers included
-	kindReduce                     // acc += <int tape>, acc a local int; acc += x[k] (* y[k] | * y[z[k]]), acc a float scalar or invariant cell
+	kindReduce                     // acc += <int expression>, acc a local int; acc += x[k] (* y[k] | * y[z[k]]), acc a float scalar or invariant cell
 	kindHist                       // A[B[a*i+b]] op= inv, A[B[a*i+b]]++
 	kindMinMax                     // if (x[k] < m) m = x[k]; and its ?: form
 )
@@ -167,32 +172,32 @@ func (fc *funcCompiler) fused(lk loopKernel) kernRun {
 // Sinks
 
 // matchMap recognizes the element-wise statement Y[a*i+b] (op)= rhs with
-// rhs a tape over affine loads, hoisted invariants and the iterator.
-// Compound Y[i] op= rhs is Y[i] = Y[i] op rhs with the load walking the
-// same cells as the store.
+// rhs an expression over affine loads, hoisted invariants and the
+// iterator. Compound Y[i] op= rhs is Y[i] = Y[i] op rhs with the load
+// walking the same cells as the store.
 func (fc *funcCompiler) matchMap(lk *loopKernel, store kAccess, op token.Kind, rhs ast.Expr) {
 	k := &fusedKernel{store: store, float: store.float, f32: store.f32}
-	ok := false
+	root := int8(-1)
 	if op == token.ASSIGN {
-		ok = fc.buildTape(k, rhs, lk.iterSym)
+		root = fc.buildTape(k, rhs, lk.iterSym, 0)
 	} else if code, isOp := tapeOp(op, k.float); isOp {
-		k.loads, k.loadX, k.rmw = append(k.loads, store), append(k.loadX, nil), true
-		ok = k.push(kOp{code: opLoad}) && fc.buildTape(k, rhs, lk.iterSym) && k.push(kOp{code: code})
+		k.loads, k.loadX = append(k.loads, store), append(k.loadX, nil)
+		root = fc.binary(k, code, fc.node(k, knode{code: opLoad, b: -1}, 0), rhs, lk.iterSym, 0)
 	}
-	if ok {
+	if root >= 0 {
 		lk.fuse(kindMap, k)
 	}
 }
 
-// matchIntSum recognizes the integer sum acc += rhs, rhs an int tape
-// over affine loads, invariants and the iterator — the paper's headline
-// `s += square(f(i))` once the leaf call is inlined. The accumulator is
-// a local int scalar no store narrows, other than the iterator, that
-// neither feeds the bounds (the dispatch loop re-evaluates those per
-// iteration) nor is read by rhs. An integer sum is exact in any order,
-// so unlike the float reductions of matchReduce — which C forbids a
-// compiler to reassociate, hence fuseReductions — it fuses on every
-// backend.
+// matchIntSum recognizes the integer sum acc += rhs, rhs an int
+// expression over affine loads, invariants and the iterator — the
+// paper's headline `s += square(f(i))` once the leaf call is inlined.
+// The accumulator is a local int scalar no store narrows, other than
+// the iterator, that neither feeds the bounds (the dispatch loop
+// re-evaluates those per iteration) nor is read by rhs. An integer sum
+// is exact in any order, so unlike the float reductions of matchReduce
+// — which C forbids a compiler to reassociate, hence fuseReductions —
+// it fuses on every backend.
 func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
@@ -208,7 +213,7 @@ func (fc *funcCompiler) matchIntSum(lk *loopKernel, lhs, rhs ast.Expr) {
 		return
 	}
 	k := &fusedKernel{sink: sinkSum, acc: sl.idx}
-	if fc.buildTape(k, rhs, lk.iterSym) {
+	if fc.buildTape(k, rhs, lk.iterSym, 0) >= 0 {
 		lk.acc = id.Name
 		lk.fuse(kindReduce, k)
 	}
@@ -224,7 +229,7 @@ func (fc *funcCompiler) matchGatherMap(lk *loopKernel, dst kAccess, rhs ast.Expr
 		return
 	}
 	k := &fusedKernel{store: dst, gat: g, gatX: ast.Unparen(rhs), float: dst.float, f32: dst.f32}
-	if fc.buildTape(k, rhs, lk.iterSym) {
+	if fc.buildTape(k, rhs, lk.iterSym, 0) >= 0 {
 		lk.fuse(kindMap, k)
 	}
 }
@@ -294,7 +299,7 @@ func (fc *funcCompiler) matchReduce(lk *loopKernel, lhs, rhs ast.Expr) {
 			return
 		}
 	}
-	if direct > 0 && fc.buildTape(k, rhs, iter) {
+	if direct > 0 && fc.buildTape(k, rhs, iter, 0) >= 0 {
 		lk.acc = name
 		lk.fuse(kindReduce, k)
 	}
@@ -326,7 +331,7 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 	k := &fusedKernel{sink: sinkScatter, gat: g, op: op, f32: g.f32}
 	// The update value — 1 for ++/-- (a nil invariant), otherwise a
 	// hoistable invariant — is the kernel's one invariant: the index
-	// tape is a single load.
+	// expression is a single load.
 	switch {
 	case rhs != nil && (!fc.hoistable(rhs, iter) || !fc.effectFree(rhs)):
 		return
@@ -336,7 +341,7 @@ func (fc *funcCompiler) matchHist(lk *loopKernel, lhs ast.Expr, op token.Kind, r
 		}
 	}
 	k.invX = []ast.Expr{rhs}
-	if fc.buildTape(k, ast.Unparen(lhs).(*ast.IndexExpr).Index, iter) {
+	if fc.buildTape(k, ast.Unparen(lhs).(*ast.IndexExpr).Index, iter, 0) >= 0 {
 		lk.fuse(kindHist, k)
 	}
 }
@@ -363,7 +368,7 @@ func (fc *funcCompiler) matchMinMax(lk *loopKernel, m *ast.Ident, data ast.Expr,
 	if dir == token.LSS {
 		k.sink = sinkMin
 	}
-	if fc.buildTape(k, data, lk.iterSym) {
+	if fc.buildTape(k, data, lk.iterSym, 0) >= 0 {
 		lk.acc, lk.dir = m.Name, dir
 		lk.fuse(kindMinMax, k)
 	}
@@ -769,12 +774,10 @@ type kspan struct {
 }
 
 // span reads base and offset from their launch registers and locates
-// the operand's cells for iterations [lo, hi].
+// the operand's cells for iterations [lo, hi]; a null base has no
+// segment.
 func (a *kAccess) span(e *env, lo, hi int64) kspan {
 	p := e.P[a.base]
-	if p.IsNull() {
-		rtPanic("null pointer operand in fused loop")
-	}
 	off := int64(p.Off)
 	if a.off >= 0 {
 		off += e.I[a.off]
@@ -783,10 +786,12 @@ func (a *kAccess) span(e *env, lo, hi int64) kspan {
 }
 
 // cells range-checks a located operand — the hoisted per-launch check —
-// and hands its raw cells to the zeroed frame slot s. It returns
-// inside, or fewer when the operand runs off its array after fewer
-// leading elements; a freed segment traps.
-func (a *kAccess) cells(sp kspan, s *kslice, inside int64) int64 {
+// and hands its raw cells to the zeroed frame slot s. It reports false
+// when the operand has no segment, a freed one, or runs off its array.
+func (a *kAccess) cells(sp kspan, s *kslice) bool {
+	if sp.seg == nil {
+		return false
+	}
 	s.stride = int(a.stride)
 	var err error
 	if a.float {
@@ -794,19 +799,5 @@ func (a *kAccess) cells(sp kspan, s *kslice, inside int64) int64 {
 	} else {
 		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
 	}
-	if err == nil {
-		return inside
-	}
-	if sp.seg.Freed() {
-		rtPanic("%v", err)
-	}
-	n := int64(len(sp.seg.I))
-	if a.float {
-		n = int64(len(sp.seg.F))
-	}
-	if sp.first < 0 || sp.first >= n {
-		return 0
-	}
-	// The first cell lies inside, so the stride is positive.
-	return min(inside, (n-1-sp.first)/a.stride+1)
+	return err == nil
 }

@@ -2,6 +2,7 @@ package comp
 
 import (
 	"fmt"
+	"math"
 
 	"purec/internal/ast"
 	"purec/internal/mem"
@@ -222,7 +223,7 @@ func (p *Program) layoutGlobals() error {
 			if err != nil {
 				return err
 			}
-			if in.i != 0 || in.f != 0 {
+			if in.i != 0 || math.Float64bits(in.f) != 0 { // -0.0 too
 				p.globalInits = append(p.globalInits, in)
 			}
 		}
@@ -234,23 +235,13 @@ func (p *Program) layoutGlobals() error {
 // constInit folds the initializer of scalar global g, stored in sl.
 func constInit(g *sema.Symbol, sl slot) (globalInit, error) {
 	in := globalInit{slot: sl}
-	v, ok := sema.ConstInt(g.Decl.Init)
-	if !ok {
-		if fv, okf := sema.ConstFloat(g.Decl.Init); okf && sl.kind == slotFloat {
-			in.f = fv
-			return in, nil
-		}
+	v, f, ok := sema.ConstScalar(g.Type, g.Decl.Init)
+	switch {
+	case !ok:
 		return in, fmt.Errorf("global %s: initializer must be constant", g.Name)
+	case sl.kind == slotPtr && v != 0:
+		return in, fmt.Errorf("global pointer %s: only 0 initializer supported", g.Name)
 	}
-	switch sl.kind {
-	case slotInt:
-		in.i = v
-	case slotFloat:
-		in.f = float64(v)
-	default:
-		if v != 0 {
-			return in, fmt.Errorf("global pointer %s: only 0 initializer supported", g.Name)
-		}
-	}
+	in.i, in.f = v, f
 	return in, nil
 }

@@ -131,12 +131,14 @@ func runsInline(e *env) bool {
 // dispatch entirely: each worker runs the fused kernel over its chunk
 // bounds (composing with every schedule, on real and simulated teams),
 // reading the parent environment's operand registers and writing only
-// the shared segments. omp.Bind has proved the loop canonical.
+// the shared segments; where a kernel stops, the worker's dispatch body
+// runs the rest of its chunk. omp.Bind has proved the loop canonical.
 func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 	fc := tc.fc
 	lk := fc.matchLoop(x)
 	sched, chunk := r.Schedule, r.Chunk
 	iterSlot := lk.iterSlot
+	body := fc.loopBody(lk.body, iterSlot)
 	if lk.kind == kindMap {
 		// Chunked map kernels are safe — gathers included, which arrive
 		// here once the polyhedral stage parallelizes proven-bounded
@@ -145,16 +147,18 @@ func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 		kern := fc.fused(lk)
 		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
 			if runsInline(e) {
-				return inlineKernel(e, iterSlot, lo, hi, kern)
+				return inlineKernel(e, iterSlot, lo, hi, kern, body)
 			}
-			e.team.ParallelFor(lo, hi, sched, chunk, func(_ int, clo, chi int64) {
-				kern(e, clo, chi)
+			e.p.growWorkers(e.team.Size())
+			e.team.ParallelFor(lo, hi, sched, chunk, func(w int, clo, chi int64) {
+				if t := kern(e, clo, chi); t <= chi {
+					body(e.workerEnv(w), t, chi, true)
+				}
 			})
 			return ctrlNext
 		}, false)
 		return
 	}
-	body := fc.loopBody(lk.body, iterSlot)
 	tc.launchLoop(&lk.canonicalLoop, nil, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			return body(e, lo, hi, false)
@@ -168,10 +172,13 @@ func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 }
 
 // inlineKernel runs a parallel region's fused kernel inline on the
-// calling environment, leaving the last iteration value in the
-// iterator slot like the dispatch inline loop does.
-func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun) ctrl {
-	kern(e, lo, hi)
+// calling environment, and the dispatch body from where it stopped,
+// leaving the last iteration value in the iterator slot like the
+// dispatch inline loop does.
+func inlineKernel(e *env, iterSlot int, lo, hi int64, kern kernRun, body loopFn) ctrl {
+	if t := kern(e, lo, hi); t <= hi {
+		return body(e, t, hi, false)
+	}
 	e.I[iterSlot] = hi
 	return ctrlNext
 }
@@ -255,14 +262,11 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 	}
 	sched, chunk := rg.Schedule, rg.Chunk
 	iterSlot := lk.iterSlot
-	var body loopFn // a fused reduction never dispatches its body
-	if vecChunk == nil {
-		body = fc.loopBody(lk.body, iterSlot)
-	}
+	body := fc.loopBody(lk.body, iterSlot)
 	tc.launchLoop(&lk.canonicalLoop, k, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			if vecChunk != nil {
-				return inlineKernel(e, iterSlot, lo, hi, vecChunk)
+				return inlineKernel(e, iterSlot, lo, hi, vecChunk, body)
 			}
 			return body(e, lo, hi, false)
 		}
@@ -277,8 +281,9 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 		bodyFn := func(_ int, clo, chi int64, acc any) any {
 			we := acc.(*env)
 			if vecChunk != nil {
-				vecChunk(we, clo, chi)
-			} else {
+				clo = vecChunk(we, clo, chi)
+			}
+			if clo <= chi {
 				body(we, clo, chi, true)
 			}
 			return we

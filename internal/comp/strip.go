@@ -1,16 +1,16 @@
 package comp
 
 // The strip evaluator: the one body every fused loop runs on. The
-// postfix tape of a matched loop is lowered once, at compile time, to a
-// small register program; a launch then executes that program one op at
-// a time over a strip of up to stripLen elements — each op a tight loop
-// over columns, the next op over the columns it left — instead of
-// re-dispatching the whole tape per element (the vector-at-a-time
-// execution of column stores: Boncz, Zukowski, Nes, "MonetDB/X100:
-// Hyper-pipelining query execution", CIDR 2005). The result column of
-// a strip goes to the kernel's sink: the element store, a fold into an
-// accumulator (sum, with a root product folded straight from its two
-// operands, or min/max), or a histogram scatter.
+// value-numbered expression of a matched loop is lowered once, at
+// compile time, to a small register program; a launch then executes
+// that program one op at a time over a strip of up to stripLen elements
+// — each op a tight loop over columns, the next op over the columns it
+// left — instead of re-dispatching the loop body per element (the
+// vector-at-a-time execution of column stores: Boncz, Zukowski, Nes,
+// "MonetDB/X100: Hyper-pipelining query execution", CIDR 2005). The
+// result column of a strip goes to the kernel's sink: the element
+// store, a fold into an accumulator (sum, with a root product folded
+// straight from its two operands, or min/max), or a histogram scatter.
 //
 // Columns live in a fixed-size array on the launching goroutine's Go
 // stack and are addressed positionally (buf[r*stripLen:][:n]): map
@@ -19,7 +19,7 @@ package comp
 // per launch — on the heap. Launch invariants stay scalars and
 // unit-stride loads are read where they lie; neither occupies a column.
 //
-// Two things keep a strip indistinguishable from the per-iteration
+// Two rules keep a strip indistinguishable from the per-iteration
 // dispatch loop (contract rules 2, 4 and 5 of kernel.go):
 //
 //   - the distance rule: every load of a strip is read before any of
@@ -30,14 +30,14 @@ package comp
 //     by one); the same walk (Y[i] op= …) and forward reads are no
 //     hazard. An accumulator cell is written back after every strip,
 //     so where an operand can read it, strips of one write it through;
-//   - replay: a strip that meets a zero divisor or a gathered index
-//     outside its array stores nothing and is re-run at strip length 1,
-//     where the trapping op traps, so the cells written before the trap
-//     and the message (the first trapping op of the first trapping
-//     element) are the dispatch loop's. A launch whose affine operand
-//     runs off its array runs the elements before that as usual and
-//     the first one outside alone, through the segments' own slices
-//     (fusedKernel.replay).
+//   - the bail-out rule: a launch never traps. One that cannot start
+//     (a null or freed base, an operand or accumulator cell outside its
+//     array) returns lo; a strip that meets a zero divisor or a gathered
+//     index outside its array sinks nothing and returns its first
+//     element; a scatter stops at its first index outside the target.
+//     The loop's dispatch body runs the rest, so the cells written
+//     before a trap and its message are the dispatch loop's by
+//     construction.
 
 import (
 	"math/bits"
@@ -54,9 +54,9 @@ const (
 	maxRegs   = 16
 	smallRegs = 4
 	// maxLoads and maxInvs size the operand arrays of a launch frame
-	// (a tape as deep as maxTapeDepth allows can hold that many loads);
-	// maxNodes bounds the tape a lowering looks at. A loop past any
-	// bound stays on the dispatch path.
+	// (an expression as deep as maxTapeDepth allows can hold that many
+	// loads); maxNodes bounds the nodes a lowering looks at, repeats
+	// included. A loop past any bound stays on the dispatch path.
 	maxLoads = maxTapeDepth
 	maxInvs  = 8
 	maxNodes = 64
@@ -84,64 +84,24 @@ type stripOp struct {
 	a, b operand
 }
 
-// lower compiles the postfix tape into k.prog with value numbering —
-// identical subtrees (the argument an inlined square(x) duplicates)
-// get one node, so they are computed once per strip — and assigns
-// columns by a linear scan that frees a column at its value's last use.
-// It reports false when the kernel exceeds a bound of the evaluator.
+// lower compiles the kernel's nodes into k.prog and assigns columns by
+// a linear scan that frees a column at its value's last use. It reports
+// false when the kernel exceeds a bound of the evaluator.
 func (k *fusedKernel) lower() bool {
 	if len(k.loads) > maxLoads || len(k.invX) > maxInvs {
 		return false
 	}
-	// Value numbering: a node is its opcode and operand nodes (the
-	// operand index for leaves); the tape is short, so finding an equal
-	// node is a scan.
-	type node struct {
-		code uint8
-		a, b int8
-	}
-	var (
-		nodes [maxNodes]node
-		last  [maxNodes]int8 // index of the last node reading this one
-		stack [maxTapeDepth]int8
-		n, sp int
-	)
-	for _, op := range k.tape {
-		nd := node{code: op.code, a: -1, b: -1}
-		switch op.code {
-		case opLoad, opInv, opGather:
-			nd.a = int8(op.arg)
-		case opIter, opIterF:
-		case opNeg, opNot, opRound:
-			sp--
-			nd.a = stack[sp]
-		default:
-			sp -= 2
-			nd.a, nd.b = stack[sp], stack[sp+1]
-		}
-		id := 0
-		for id < n && nodes[id] != nd {
-			id++
-		}
-		if id == n {
-			nodes[n] = nd
-			n++
-			if nd.code != opLoad && nd.code != opInv && nd.code != opGather {
-				if nd.a >= 0 {
-					last[nd.a] = int8(id)
-				}
-				if nd.b >= 0 {
-					last[nd.b] = int8(id)
-				}
+	nodes, n := k.nodes, len(k.nodes)
+	var last [maxNodes]int8 // index of the last node reading this one
+	for id, nd := range nodes {
+		if nd.code > opGather {
+			last[nd.a] = int8(id)
+			if nd.b >= 0 {
+				last[nd.b] = int8(id)
 			}
 		}
-		if sp == len(stack) {
-			return false
-		}
-		stack[sp] = int8(id)
-		sp++
 	}
-	root := int(stack[0])
+	root := n - 1
 	last[root] = maxNodes // the sink reads it after the last op
 	// A float sum folds its root product, rounded or not, straight from
 	// the two operands: a separate product pass costs up to 60 % on a
@@ -206,14 +166,14 @@ func (k *fusedKernel) lower() bool {
 	return true
 }
 
-// emit selects the kernel body — nil when the tape exceeds a bound of
+// emit selects the kernel body — nil when the kernel exceeds a bound of
 // the evaluator — and drops what only recognition needed: the launch
-// function keeps k alive for as long as the Program lives. The tape
-// stays for replay when an operand's range check fails.
+// function keeps k alive for as long as the Program lives, and the
+// nodes lie in the compile's scratch buffer.
 func (k *fusedKernel) emit() kernRun {
-	k.run = k.body()
-	k.loadX, k.gatX = nil, nil
-	return k.run
+	run := k.body()
+	k.loadX, k.gatX, k.nodes = nil, nil, nil
+	return run
 }
 
 // body is a specialized loop for the few shapes that have one,
@@ -235,62 +195,63 @@ func (k *fusedKernel) body() kernRun {
 	// none, one column, smallRegs or maxRegs columns.
 	switch {
 	case k.regs == 0 && k.float:
-		return func(e *env, lo, hi int64) { k.runFloat(e, lo, hi, nil) }
+		return func(e *env, lo, hi int64) int64 { return k.runFloat(e, lo, hi, nil) }
 	case k.regs == 0:
-		return func(e *env, lo, hi int64) { k.runInt(e, lo, hi, nil) }
+		return func(e *env, lo, hi int64) int64 { return k.runInt(e, lo, hi, nil) }
 	case k.regs == 1 && k.float:
-		return func(e *env, lo, hi int64) {
+		return func(e *env, lo, hi int64) int64 {
 			var buf [stripLen]float64
-			k.runFloat(e, lo, hi, buf[:])
+			return k.runFloat(e, lo, hi, buf[:])
 		}
 	case k.regs == 1:
-		return func(e *env, lo, hi int64) {
+		return func(e *env, lo, hi int64) int64 {
 			var buf [stripLen]int64
-			k.runInt(e, lo, hi, buf[:])
+			return k.runInt(e, lo, hi, buf[:])
 		}
 	case k.float && k.regs <= smallRegs:
-		return func(e *env, lo, hi int64) {
+		return func(e *env, lo, hi int64) int64 {
 			var buf [smallRegs * stripLen]float64
-			k.runFloat(e, lo, hi, buf[:])
+			return k.runFloat(e, lo, hi, buf[:])
 		}
 	case k.float:
-		return func(e *env, lo, hi int64) {
+		return func(e *env, lo, hi int64) int64 {
 			var buf [maxRegs * stripLen]float64
-			k.runFloat(e, lo, hi, buf[:])
+			return k.runFloat(e, lo, hi, buf[:])
 		}
 	case k.regs <= smallRegs:
-		return func(e *env, lo, hi int64) {
+		return func(e *env, lo, hi int64) int64 {
 			var buf [smallRegs * stripLen]int64
-			k.runInt(e, lo, hi, buf[:])
+			return k.runInt(e, lo, hi, buf[:])
 		}
 	}
-	return func(e *env, lo, hi int64) {
+	return func(e *env, lo, hi int64) int64 {
 		var buf [maxRegs * stripLen]int64
-		k.runInt(e, lo, hi, buf[:])
+		return k.runInt(e, lo, hi, buf[:])
 	}
 }
 
 // runFloat is one launch of a float kernel: strip by strip, evaluate
 // and sink — store, rounding through float32 exactly when the stored C
-// type is 4 bytes, or fold into the accumulator.
-func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) {
+// type is 4 bytes, or fold into the accumulator. It returns the first
+// element it did not complete, hi+1 after the whole range.
+func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) int64 {
 	var fr kframe
-	k.prepFrame(&fr, e, lo, hi)
+	if !k.prepFrame(&fr, e, lo, hi) {
+		return lo
+	}
 	if k.res.kind == inInv { // a fill: a fold's operands all vary
 		v := fr.invF[k.res.idx]
 		if fr.f32 {
 			v = float64(float32(v))
 		}
 		fillStrip(fr.dst.f, fr.dst.stride, fr.n, v)
-		return
+		return hi + 1
 	}
-	for t0 := 0; t0 < fr.n; {
-		n := min(fr.strip, fr.n-t0)
-		res, res2, ok := k.evalFloat(&fr, buf, t0, n)
+	for t0 := 0; t0 < fr.n; t0 += fr.strip {
+		res, res2, ok := k.evalFloat(&fr, buf, t0, min(fr.strip, fr.n-t0))
 		switch {
 		case !ok:
-			fr.strip = 1 // replay
-			continue
+			return lo + int64(t0)
 		case k.sink == sinkSum:
 			*fr.accF = foldSum(*fr.accF, res, res2, k.mul, k.round, fr.f32)
 		case k.sink != sinkStore:
@@ -300,32 +261,32 @@ func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) {
 		default:
 			storeStrip(fr.dst.f, fr.dst.stride, t0, res)
 		}
-		t0 += n
 	}
+	return hi + 1
 }
 
 // runInt is one launch of an integer kernel: the element store of a
 // map, a fold into the accumulator's frame slot (a sum is exact in any
 // order, so the strip's partial sums are the loop's), or the index
-// column of a scatter.
-func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) {
+// column of a scatter. It returns what runFloat does.
+func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
 	var fr kframe
-	k.prepFrame(&fr, e, lo, hi)
+	if !k.prepFrame(&fr, e, lo, hi) {
+		return lo
+	}
 	if k.res.kind == inInv {
 		if v := fr.invI[k.res.idx]; k.sink == sinkSum {
 			*fr.accI += v * int64(fr.n)
 		} else {
 			fillStrip(fr.dst.i, fr.dst.stride, fr.n, v)
 		}
-		return
+		return hi + 1
 	}
-	for t0 := 0; t0 < fr.n; {
-		n := min(fr.strip, fr.n-t0)
-		res, ok := k.evalInt(&fr, buf, t0, n)
+	for t0 := 0; t0 < fr.n; t0 += fr.strip {
+		res, ok := k.evalInt(&fr, buf, t0, min(fr.strip, fr.n-t0))
 		switch {
 		case !ok:
-			fr.strip = 1 // replay
-			continue
+			return lo + int64(t0)
 		case k.sink == sinkStore:
 			storeStrip(fr.dst.i, fr.dst.stride, t0, res)
 		case k.sink == sinkSum:
@@ -335,12 +296,14 @@ func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) {
 			}
 			*fr.accI += s
 		case k.sink == sinkScatter:
-			k.scatter(&fr, res)
+			if n := k.scatter(&fr, res); n < len(res) {
+				return lo + int64(t0+n)
+			}
 		default:
 			*fr.accI = foldMinMax(*fr.accI, res, k.sink == sinkMin, false)
 		}
-		t0 += n
 	}
+	return hi + 1
 }
 
 // foldSum adds a strip to acc in ascending order: the column a, or with
@@ -392,15 +355,17 @@ func foldMinMax[T int64 | float64](acc T, a []T, less, f32 bool) T {
 }
 
 // scatter applies a strip of histogram updates gat[v] op= u, u the
-// kernel's one invariant, in element order and each through the slice
-// access of the dispatch loop: an index outside the array traps with
-// its message once the cells before it are updated.
-func (k *fusedKernel) scatter(fr *kframe, ix []int64) {
+// kernel's one invariant, in element order up to the first index
+// outside the array, and returns how many it applied.
+func (k *fusedKernel) scatter(fr *kframe, ix []int64) int {
 	off := fr.gat.Off
 	if k.gat.float {
 		dst, v := fr.gat.Seg.F, fr.invF[0]
-		for _, b := range ix {
+		for j, b := range ix {
 			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
 			var nv float64
 			switch k.op {
 			case token.ADD:
@@ -415,35 +380,60 @@ func (k *fusedKernel) scatter(fr *kframe, ix []int64) {
 			}
 			dst[c] = nv
 		}
-		return
+		return len(ix)
 	}
 	dst, v := fr.gat.Seg.I, fr.invI[0]
 	switch k.op {
 	case token.ADD:
-		for _, b := range ix {
-			dst[off+int(b)] += v
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] += v
 		}
 	case token.SUB:
-		for _, b := range ix {
-			dst[off+int(b)] -= v
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] -= v
 		}
 	case token.MUL:
-		for _, b := range ix {
-			dst[off+int(b)] *= v
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] *= v
 		}
 	case token.AND:
-		for _, b := range ix {
-			dst[off+int(b)] &= v
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] &= v
 		}
 	case token.OR:
-		for _, b := range ix {
-			dst[off+int(b)] |= v
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] |= v
 		}
-	case token.XOR:
-		for _, b := range ix {
-			dst[off+int(b)] ^= v
+	default:
+		for j, b := range ix {
+			c := off + int(b)
+			if uint(c) >= uint(len(dst)) {
+				return j
+			}
+			dst[c] ^= v
 		}
 	}
+	return len(ix)
 }
 
 // storeStrip writes a strip's results to the store operand. The results
@@ -495,7 +485,7 @@ const (
 // evalFloat runs the register program over elements [t0, t0+n) of the
 // launch and returns the result column — with a folded root product,
 // its two operand columns. A gathered index outside its array makes it
-// report false instead (see gatherIdx).
+// report false instead.
 func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2 []float64, ok bool) {
 	col := func(o operand) []float64 {
 		if o.kind == inLoad {
@@ -540,8 +530,7 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2
 }
 
 // evalInt is evalFloat for integer programs. A zero divisor anywhere in
-// the strip makes it report false before the op divides — in a strip
-// of one, trap with the dispatch loop's message.
+// the strip makes it report false before the op divides.
 func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, bool) {
 	col := func(o operand) []int64 {
 		if o.kind == inLoad {
@@ -586,12 +575,7 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, bool
 						zero = zero || v == 0
 					}
 				}
-				switch {
-				case zero && n == 1 && op.code == opQuo:
-					rtPanic("integer division by zero")
-				case zero && n == 1:
-					rtPanic("integer modulo by zero")
-				case zero:
+				if zero {
 					return nil, false
 				}
 			}
@@ -614,9 +598,7 @@ func gatherStrip[T int64 | float64](d, src []T, stride, t0 int) {
 }
 
 // gatherIdx loads the strip's gathered cells src[off+clamp(idx)], idx
-// walking ix. An index outside src stops it with false — in a strip of
-// one after trapping through the very slice access of the dispatch
-// loop.
+// walking ix. An index outside src stops it with false.
 func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGather) bool {
 	idx, s, c := ix.i, ix.stride, t0*ix.stride
 	lo, hi := g.lo, g.hi
@@ -624,93 +606,11 @@ func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGa
 		cell := off + int(min(max(idx[c], lo), hi))
 		c += s
 		if uint(cell) >= uint(len(src)) {
-			if len(d) == 1 {
-				_ = src[cell]
-			}
 			return false
 		}
 		d[i] = src[cell]
 	}
 	return true
-}
-
-// replay finishes a launch at element t, the first whose affine operand
-// lies outside its array, after running the elements before it: it
-// evaluates t alone the way the dispatch loop does — in the tape's
-// order, except that a compound store reads its own cell after the
-// right side, loads and the store through the segments' own slices —
-// so t traps with the dispatch loop's message, at its first trapping
-// op.
-func (k *fusedKernel) replay(e *env, fr *kframe, t int64) {
-	if t > fr.lo {
-		k.run(e, fr.lo, t-1)
-	}
-	var fs [maxTapeDepth][1]float64
-	var is [maxTapeDepth][1]int64
-	load := func(a *kAccess, at int) {
-		sp := a.span(e, t, t)
-		if a.float {
-			fs[at][0] = sp.seg.F[sp.first]
-		} else {
-			is[at][0] = sp.seg.I[sp.first]
-		}
-	}
-	n := 0
-	for i, op := range k.tape {
-		if k.rmw && i == len(k.tape)-1 {
-			load(&k.store, 0)
-		}
-		switch op.code {
-		case opLoad:
-			if !k.rmw || i > 0 {
-				load(&k.loads[op.arg], n)
-			}
-			n++
-		case opInv:
-			fs[n][0], is[n][0] = fr.invF[op.arg], fr.invI[op.arg]
-			n++
-		case opIter, opIterF:
-			fs[n][0], is[n][0] = float64(t), t
-			n++
-		case opGather:
-			load(&k.loads[op.arg], n)
-			ix := kslice{i: is[n][:]}
-			if k.float {
-				gatherIdx(fs[n][:], fr.gat.Seg.F, fr.gat.Off, ix, 0, &k.gat)
-			} else {
-				gatherIdx(is[n][:], fr.gat.Seg.I, fr.gat.Off, ix, 0, &k.gat)
-			}
-			n++
-		case opNeg:
-			fs[n-1][0], is[n-1][0] = -fs[n-1][0], -is[n-1][0]
-		case opNot:
-			is[n-1][0] = ^is[n-1][0]
-		case opRound:
-			fs[n-1][0] = float64(float32(fs[n-1][0]))
-		default:
-			n--
-			switch {
-			case k.float:
-				arith(op.code, formVV, fs[n-1][:], fs[n-1][:], fs[n][:], 0)
-			case op.code == opQuo && is[n][0] == 0:
-				rtPanic("integer division by zero")
-			case op.code == opRem && is[n][0] == 0:
-				rtPanic("integer modulo by zero")
-			case op.code <= opQuo:
-				arith(op.code, formVV, is[n-1][:], is[n-1][:], is[n][:], 0)
-			default:
-				intStrip(op.code, formVV, is[n-1][:], is[n-1][:], is[n][:], 0)
-			}
-		}
-	}
-	// Only a store can be the operand outside when the right side was
-	// not: the sink of every other kernel is no affine operand.
-	sp := k.store.span(e, t, t)
-	if k.float {
-		sp.seg.F[sp.first] = fs[0][0]
-	} else {
-		sp.seg.I[sp.first] = is[0][0]
-	}
 }
 
 func iterStrip[T int64 | float64](d []T, first int64) {

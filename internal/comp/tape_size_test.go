@@ -10,34 +10,36 @@ import (
 
 // tapeSizeCeiling holds, per apps.Corpus() program, the tape
 // instruction count each build had when instruction selection was a
-// peephole pass over finished tapes (5 386 in all): {seq/gcc, seq/icc,
+// peephole pass over finished tapes (5 386 in all), plus the
+// instructions of the dispatch bodies its fused loops carry since a
+// kernel stops instead of trapping (552 in all): {seq/gcc, seq/icc,
 // par/gcc, par/icc}. Selecting as the tape is emitted must never make a
 // build longer.
 var tapeSizeCeiling = map[string][4]int{
-	"matmul":           {84, 80, 89, 83},
-	"matmul-noinitpar": {85, 81, 89, 83},
-	"matmul-inlined":   {84, 84, 91, 91},
-	"matmul-kern":      {81, 79, 86, 82},
-	"heat":             {91, 91, 90, 90},
-	"heat-inlined":     {78, 78, 77, 77},
-	"satellite":        {134, 132, 137, 133},
+	"matmul":           {84, 86, 89, 89},
+	"matmul-noinitpar": {85, 87, 89, 89},
+	"matmul-inlined":   {87, 87, 94, 94},
+	"matmul-kern":      {81, 83, 86, 86},
+	"heat":             {114, 114, 113, 113},
+	"heat-inlined":     {100, 100, 99, 99},
+	"satellite":        {134, 136, 137, 137},
 	"memosat":          {79, 79, 80, 80},
-	"lama":             {81, 76, 82, 77},
+	"lama":             {81, 85, 82, 86},
 	"lama-manual":      {73, 73, 74, 74},
-	"reduce-sum":       {15, 15, 13, 13},
-	"reduce-dot":       {46, 42, 47, 41},
-	"axpy":             {38, 38, 38, 38},
-	"copy":             {32, 32, 32, 32},
-	"stencil":          {38, 38, 38, 38},
+	"reduce-sum":       {19, 19, 17, 17},
+	"reduce-dot":       {46, 48, 47, 47},
+	"axpy":             {42, 42, 42, 42},
+	"copy":             {34, 34, 34, 34},
+	"stencil":          {47, 47, 47, 47},
 	"noncanon":         {39, 39, 40, 40},
-	"histogram":        {37, 37, 33, 33},
-	"sparsehist":       {39, 39, 31, 31},
-	"gather":           {35, 35, 33, 33},
-	"gather-opaque":    {38, 38, 38, 38},
-	"derived":          {22, 22, 25, 25},
-	"clamp-gather":     {42, 42, 43, 43},
-	"ptr-scale":        {30, 30, 30, 30},
-	"aliased-pair":     {30, 30, 32, 32},
+	"histogram":        {49, 49, 45, 45},
+	"sparsehist":       {53, 53, 45, 45},
+	"gather":           {42, 42, 40, 40},
+	"gather-opaque":    {46, 46, 46, 46},
+	"derived":          {22, 22, 28, 28},
+	"clamp-gather":     {45, 45, 46, 46},
+	"ptr-scale":        {34, 34, 34, 34},
+	"aliased-pair":     {34, 34, 36, 36},
 }
 
 // TestTapeSizeCeiling compiles every corpus program sequential and
@@ -69,5 +71,5 @@ func TestTapeSizeCeiling(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("corpus total: %d tape instructions (ceiling 5386)", total)
+	t.Logf("corpus total: %d tape instructions (ceiling 5938)", total)
 }

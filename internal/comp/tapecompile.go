@@ -111,8 +111,9 @@ type tapeScratch struct {
 	depth int
 	ta    tapeAlloc
 	pools *tapePools
-	free  tapePools // emptied pool buffers and cleared dedup indexes
-	tapes []*tape   // the program's finished tapes, in compile order
+	free  tapePools       // emptied pool buffers and cleared dedup indexes
+	tapes []*tape         // the program's finished tapes, in compile order
+	nodes [maxNodes]knode // the expression of the kernel being matched
 }
 
 var tapeScratchPool = sync.Pool{New: func() any {
@@ -403,20 +404,23 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 }
 
 // seqFor compiles a sequential for loop given its match: the fused
-// kernel's launch where the matcher found one, otherwise a rotated
-// loop — entry test, body, post, bottom test jumping back. The
-// condition compiles twice but evaluates once per round exactly as the
-// top-test form does (entry + one per iteration), so side effects and
-// traps keep their order, and the hot path pays one taken branch per
-// iteration instead of two. A post of v++ and a bottom test v < K
-// become one tIncJltII.
+// kernel's launch where the matcher found one — the dispatch body runs
+// what the kernel leaves —, otherwise a rotated loop — entry test, body,
+// post, bottom test jumping back. The condition compiles twice but
+// evaluates once per round exactly as the top-test form does (entry +
+// one per iteration), so side effects and traps keep their order, and
+// the hot path pays one taken branch per iteration instead of two. A
+// post of v++ and a bottom test v < K become one tIncJltII.
 func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 	if lk.run != nil {
 		kern, iter := tc.fc.fused(lk), lk.iterSlot
+		body := tc.fc.loopBody(lk.body, iter)
 		// The dispatch loop leaves the first failing iterator value in
 		// the slot: hi+1 here, lo on the empty path (launchLoop).
 		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
-			kern(e, lo, hi)
+			if t := kern(e, lo, hi); t <= hi {
+				body(e, t, hi, false)
+			}
 			e.I[iter] = hi + 1
 			return ctrlNext
 		}, true)

@@ -181,6 +181,34 @@ int main(void) { return bad(1); }
 	}
 }
 
+// TestPrintfFormatErrorsNameTheUsersLine: a printf whose format is no
+// literal, lacks an argument or uses an unsupported verb is refused by
+// the front end's check at the line the user wrote, on the parallel
+// build — whose transformed text moves that line — and the sequential
+// one alike.
+func TestPrintfFormatErrorsNameTheUsersLine(t *testing.T) {
+	for _, c := range []struct{ call, want string }{
+		{`printf("%q\n", 1);`, "printf: unsupported verb %q"},
+		{`printf("%d %d\n", 1);`, `printf: not enough arguments for format "%d %d\n"`},
+		{`printf(f);`, "printf format must be a string literal"},
+	} {
+		src := fmt.Sprintf(`int a[64]; int b[64];
+int main(void) {
+    for (int i = 0; i < 64; i++) a[i] = i;
+    for (int i = 0; i < 64; i++) b[i] = a[i] * 2;
+    char* f = "x"; %s
+    return b[5];
+}
+`, c.call)
+		for _, par := range []bool{true, false} {
+			_, _, _, err := BuildProgram(src, Config{FileName: "p.c", Parallelize: par, NoCache: true})
+			if err == nil || !strings.Contains(err.Error(), "p.c:5:20: "+c.want) {
+				t.Errorf("%s parallel=%v: got %v, want p.c:5:20: %s", c.call, par, err, c.want)
+			}
+		}
+	}
+}
+
 func TestDefinesInjection(t *testing.T) {
 	src := `
 int main(void) { return PROBLEM; }

@@ -259,7 +259,9 @@ func TestPoolCleanAfterDeepTrap(t *testing.T) {
 }
 
 // freshSrc writes a global of every kind — int, float, pointer, array,
-// struct and array of structs — after printing what it found there,
+// struct and array of structs, and scalars whose initializers fold
+// float arithmetic and casts, convert a float constant to an int or are
+// a negative zero — after printing what it found there,
 // keeps a malloc'd block behind a global pointer, frees a global array a
 // second global points into, and traps part-way.
 const freshSrc = `
@@ -274,6 +276,10 @@ float farr[4];
 struct P gs;
 struct P gsa[3];
 int idx = 4;
+float gk = 1.0 / 4.0;
+int gn = 2.5;
+double gd = (float)0.1 * 3 + 1 / 2;
+float gz = -0.0;
 
 int main(void) {
     int s = 0;
@@ -283,6 +289,8 @@ int main(void) {
     for (int i = 0; i < 4; i++)
         t += farr[i];
     printf("gi=%d gf=%f gh=%f s=%d t=%f gs=%d,%f gsa=%d,%f\n", gi, gf, gh, s, t, gs.x, gs.y, gsa[2].x, gsa[2].y);
+    printf("gk=%f gn=%d gd=%.17g gz=%f\n", gk, gn, gd, gz);
+    gk = 2.0; gn = 5; gd = 1.0; gz = 1.0;
     gi = 11;
     gf = 1.25;
     gh = 0.5;

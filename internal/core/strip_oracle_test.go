@@ -152,6 +152,33 @@ int main(void) {
 	sum("global", 1, "g = 3;", "for (int i = 0; i < 700; i++) g += x[i] * 3;", "g")
 	sum("char", 1, "char c = 1;", "for (int i = 0; i < 700; i++) c += x[i] * 5;", "c")
 	sum("iterator", 1, "int s = 0; int i;", "for (i = 0; i < 700; i++) i += x[i] % 2 + 1;", "i")
+	// An operand whose base is null or freed: the same loop runs once
+	// over a live base (fused, out written), then once more over the
+	// dead one, where the dispatch loop dies at its first element.
+	for _, tc := range []struct{ name, dead, loop string }{
+		{"null-map-load", "p = 0;", "out[i] = p[i] * 2 + 1;"},
+		{"null-map-store", "q = 0;", "q[i] = x[i] - 5;"},
+		{"freed-float-map", "free(fa);", "fout[i] = fa[i] * 0.5f + 1.0f;"},
+		{"freed-int-sum", "free(a);", "s += a[i] * 3;"},
+		{"null-gather-base", "p = 0;", "out[i] = p[idx[i]];"},
+		{"freed-scatter-target", "free(h);", "h[idx[i]] += 3;"},
+	} {
+		cases = append(cases, stripCase{name: "trap-" + tc.name, fused: 2, traps: true, src: fmt.Sprintf(`
+int x[400]; int idx[400]; int out[400]; float fout[400];
+int main(void) {
+    int* a = (int*)malloc(400 * sizeof(int)); int* h = (int*)malloc(50 * sizeof(int));
+    float* fa = (float*)malloc(400 * sizeof(float));
+    for (int i = 0; i < 400; i++) { x[i] = i * 3 + 1; idx[i] = (i * 7) %% 50; a[i] = i %% 9; fa[i] = 0.25f * (float)i; }
+    for (int i = 0; i < 50; i++) h[i] = i;
+    int* p = x; int* q = out; int s = 0;
+    for (int r = 0; r < 2; r++) {
+        for (int i = 0; i < 400; i++) %[2]s
+        printf("round %%d %%d %%d %%g %%d\n", r, out[r * 7], s, fout[9], h[r]);
+        %[1]s
+    }
+    return 0;
+}`, tc.dead, tc.loop)})
+	}
 	return append(cases, genSinkCases(trips)...)
 }
 
@@ -306,7 +333,7 @@ func TestStripDifferential(t *testing.T) {
 		if err != nil {
 			wantTrap = strings.TrimPrefix(err.Error(), "interp ")
 		}
-		if c.traps != (wantTrap != "") || (c.traps && !strings.Contains(wantTrap, "by zero") && !strings.Contains(wantTrap, "index out of range")) {
+		if c.traps != (wantTrap != "") || (c.traps && !strings.Contains(wantTrap, "by zero") && !strings.Contains(wantTrap, "index out of range") && !strings.Contains(wantTrap, "nil pointer dereference")) {
 			t.Fatalf("%s: interp trap %q, case expects traps=%v", c.name, wantTrap, c.traps)
 		}
 		wantCells := ""

@@ -145,17 +145,14 @@ func (in *Interp) Reset() (err error) {
 		if g.IsArray() || g.Type.Kind == types.Struct {
 			c.v = PtrV(mem.Pointer{Seg: mem.NewSegment(cellKind(g.ElemType()), g.Cells(), "global "+g.Name)})
 		} else if g.Decl != nil && g.Decl.Init != nil {
-			v, ok := sema.ConstInt(g.Decl.Init)
-			if ok {
-				if g.Type.Kind == types.Float {
-					c.v = FloatV(float64(v))
-				} else {
-					c.v = IntV(v)
-				}
-			} else if f, okf := sema.ConstFloat(g.Decl.Init); okf && g.Type.Kind == types.Float {
-				c.v = FloatV(f)
-			} else {
+			v, f, ok := sema.ConstScalar(g.Type, g.Decl.Init)
+			switch {
+			case !ok:
 				return fmt.Errorf("global %s: non-constant initializer", g.Name)
+			case g.Type.Kind == types.Float:
+				c.v = FloatV(f)
+			default:
+				c.v = IntV(v)
 			}
 		} else {
 			c.v = zeroOf(g.Type)

@@ -741,6 +741,9 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 	if !sig.Variadic && len(x.Args) != len(sig.Params) {
 		c.errorf(x.Pos(), "function %s expects %d arguments, got %d", name, len(sig.Params), len(x.Args))
 	}
+	if sig.Builtin && name == "printf" {
+		c.printf(x)
+	}
 	for i, a := range x.Args {
 		at := c.expr(a)
 		if i < len(sig.Params) && !types.AssignableLoose(sig.Params[i], at) {
@@ -877,24 +880,74 @@ func ConstInt(e ast.Expr) (int64, bool) {
 	return 0, false
 }
 
-// ConstFloat folds a constant initializer of a float variable: a float
-// or integer literal, possibly negated or parenthesized, reporting
-// success. Integer constant expressions fold with ConstInt first.
+// ConstFloat folds a constant arithmetic expression: an integer
+// constant expression (ConstInt, so 1/4 is 0 as in C), a float literal,
+// and + - * / negation and arithmetic casts over those, reporting
+// success. A cast to an integer type truncates toward zero, one to a
+// 4-byte float rounds through float32.
 func ConstFloat(e ast.Expr) (float64, bool) {
+	if v, ok := ConstInt(e); ok {
+		return float64(v), true
+	}
 	switch x := e.(type) {
 	case *ast.FloatLit:
 		return x.Value, true
-	case *ast.IntLit:
-		return float64(x.Value), true
-	case *ast.UnaryExpr:
-		if x.Op != token.SUB {
-			return 0, false
-		}
-		if v, ok := ConstFloat(x.X); ok {
-			return -v, true
-		}
 	case *ast.ParenExpr:
 		return ConstFloat(x.X)
+	case *ast.UnaryExpr:
+		if v, ok := ConstFloat(x.X); ok && x.Op == token.SUB {
+			return -v, true
+		}
+	case *ast.CastExpr:
+		if v, ok := ConstFloat(x.X); ok {
+			return convertConst(x.Checked(), v)
+		}
+	case *ast.BinaryExpr:
+		a, ok1 := ConstFloat(x.X)
+		b, ok2 := ConstFloat(x.Y)
+		if !ok1 || !ok2 {
+			return 0, false
+		}
+		switch x.Op {
+		case token.ADD:
+			return a + b, true
+		case token.SUB:
+			return a - b, true
+		case token.MUL:
+			return a * b, true
+		case token.QUO:
+			return a / b, true
+		}
+	}
+	return 0, false
+}
+
+// ConstScalar folds the constant initializer e of a scalar of type t
+// and converts it as a store to t does: an integer constant exactly, a
+// float constant truncated toward zero into an integer, rounded through
+// float32 into a 4-byte float.
+func ConstScalar(t *types.Type, e ast.Expr) (int64, float64, bool) {
+	if v, ok := ConstInt(e); ok && t.Kind != types.Float {
+		return v, 0, true
+	}
+	f, ok := ConstFloat(e)
+	if !ok {
+		return 0, 0, false
+	}
+	f, ok = convertConst(t, f)
+	return int64(f), f, ok
+}
+
+// convertConst converts a folded constant to the arithmetic type t.
+func convertConst(t *types.Type, v float64) (float64, bool) {
+	switch {
+	case t == nil:
+	case t.Kind == types.Int:
+		return float64(int64(v)), true
+	case t.Kind == types.Float && t.CSize == 4:
+		return float64(float32(v)), true
+	case t.Kind == types.Float:
+		return v, true
 	}
 	return 0, false
 }
