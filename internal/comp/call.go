@@ -338,8 +338,6 @@ func (tc *tapeCompiler) callEffect(x *ast.CallExpr) {
 	case "srand":
 		tc.emit(tinstr{op: tSrand, b: tc.toReg(tc.intOp(x.Args[0], -1), tkI, -1)})
 		return
-	case "malloc":
-		fc.errorf(x, "malloc result must be used (cast and assign it)")
 	}
 	if _, ok := mathFn(x.Fun.Name); ok {
 		tc.callFlt(x, -1)
@@ -461,7 +459,8 @@ func (m *mallocSite) alloc(e *env, b int64) mem.Pointer {
 }
 
 // malloc compiles (T*)malloc(bytes): the segment kind and cell count
-// derive from the cast's element type.
+// derive from the cast's element type. sema.Check refuses every malloc
+// that is not the operand of a pointer cast.
 func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr, hint int32) int32 {
 	fc := tc.fc
 	if len(call.Args) != 1 {
@@ -470,9 +469,6 @@ func (tc *tapeCompiler) malloc(cast *ast.CastExpr, call *ast.CallExpr, hint int3
 	lvl := tc.ta.level()
 	b := tc.toReg(tc.intOp(call.Args[0], -1), tkI, -1)
 	t := fc.typeOf(cast)
-	if !t.IsPtr() {
-		fc.errorf(cast, "malloc cast must be a pointer type")
-	}
 	m := mallocSite{name: "malloc@" + fc.cf.name}
 	if elem := t.Elem; elem.Kind == types.Struct {
 		m.kind, m.cellBytes = mem.CellMixed, int64(elem.CSize)/int64(elem.Cells())

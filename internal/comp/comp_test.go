@@ -525,10 +525,12 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // a non-leaf function that writes a global, printf, float and double
 // arithmetic — multiply-adds in both operand orders, 4-byte float array
 // loads and stores, literals on either side of every operator,
-// comparisons under &&, || and ?: —, and loops that fuse into kernels (a
-// float map, an int sum, an int map dividing by the iterator's distance
-// to a constant, a scatter through h's own cells) at drawn offsets and
-// trip counts that may run off the 8-cell arrays or divide by zero.
+// comparisons under &&, || and ?:, in-place float32 roundings where an
+// if/else or ?: joins —, a loop whose register bound its body changes,
+// and loops that fuse into kernels (a float map, an int sum, an int map
+// dividing by the iterator's distance to a constant, a scatter through
+// h's own cells) at drawn offsets and trip counts that may run off the
+// 8-cell arrays or divide by zero.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -571,7 +573,7 @@ int main(void) {
 		if off < 0 {
 			kc = "k - 1"
 		}
-		switch next(18) {
+		switch next(20) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
 		case 1:
@@ -635,6 +637,19 @@ int main(void) {
 			fmt.Fprintf(&b, " %s h[k] = h[%s] / (k - %d);\n", loop, kc, next(12))
 		case 17:
 			fmt.Fprintf(&b, " %s h[h[%s]] += %d;\n", loop, kc, next(5)+1)
+		case 18:
+			b.WriteString(" for (int k = 0; k < v; k++) { v = v - (k & 1); a = a + k; }\n")
+		case 19:
+			// A float op ends one arm of a branch, the other jumps to
+			// the join, and the value rounds in place there.
+			switch next(3) {
+			case 0:
+				fmt.Fprintf(&b, " if (a > %d) d = d * %s; d = (float)d;\n", next(500), lit())
+			case 1:
+				fmt.Fprintf(&b, " if (a & 1) f = f + %s; else d = d - f; d = (float)d;\n", lit())
+			default:
+				fmt.Fprintf(&b, " { double t = a > %d ? d * %s : d - %s; t = (float)t; f = f + t; }\n", next(500), lit(), lit())
+			}
 		}
 	}
 	// Floats print scaled to integers, so a float32 rounding shows.

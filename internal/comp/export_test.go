@@ -18,3 +18,32 @@ func TapeDump(p *Program) string {
 	}
 	return b.String()
 }
+
+// LoopLengths returns the instructions one iteration of each loop of
+// function fn in p dispatches: first every nested tape fn compiled (the
+// body of a parallel or fused loop, run once per iteration; nested
+// tapes finish before the tape that launches them), then each backward
+// jump of fn's own tape in pc order, from its target through the jump.
+func LoopLengths(p *Program, fn string) []int {
+	own := p.funcs[fn].tape
+	mains := map[*tape]bool{}
+	for _, cf := range p.funcs {
+		mains[cf.tape] = true
+	}
+	var n []int
+	for _, tp := range p.tapes {
+		if tp == own {
+			break
+		}
+		if n = append(n, len(tp.code)); mains[tp] {
+			n = n[:0]
+		}
+	}
+	for _, in := range own.code {
+		jump := in.op == tJmp || in.op == tJz || in.op == tJnz || in.op >= tJeqI && in.op <= tIncJltI
+		if jump && in.a < 0 {
+			n = append(n, 1-int(in.a))
+		}
+	}
+	return n
+}

@@ -16,9 +16,10 @@ package comp
 //
 //   - operands evaluate in the oracle's order, so side effects inside
 //     subexpressions observe the same intermediate state;
-//   - float arithmetic is float64 with tRoundF emitted at exactly the
-//     oracle's float32 store-rounding points (4-byte stores,
-//     declarations, returns, casts);
+//   - float arithmetic is float64, rounded through float32 at exactly
+//     the oracle's store-rounding points (4-byte stores, declarations,
+//     returns, casts): a rounding point is a tRoundF, or it is folded
+//     into the op that produced the value (the …R forms below);
 //   - traps reuse the same primitives (rtPanic messages, addScaled,
 //     DiffChecked, raw Load/Store panics recovered by Process.CallInt),
 //     so bounds, overflow, use-after-free poisoning and cross-segment
@@ -232,6 +233,7 @@ const (
 	tJzP      // when P[b].IsNull()
 	tJnzP     // when !P[b].IsNull()
 	tIncJltII // I[b]++; jump when I[b] < aux (rotated loop tail)
+	tIncJltI  // I[b]++; jump when I[b] < I[c] (rotated loop tail)
 
 	// Indexed memory superinstructions: base reload + index arithmetic +
 	// access in one step. b = base (global P slot on the G forms, frame
@@ -255,7 +257,38 @@ const (
 	tStIdxF
 	tStIdxP
 	tStIdxFR
+
+	// Rounded float ops: the op, then tRoundF on its destination —
+	// F[a] = float64(float32(op)) — for a value rounded where it is
+	// made. rounded maps each op to its form.
+	tAddFR
+	tSubFR
+	tMulFR
+	tDivFR
+	tNegFR
+	tI2FR
+	tAddFCR
+	tSubFCR
+	tRsbFCR
+	tMulFCR
+	tDivFCR
+	tRdivFCR
+	tMulAddFR
+	tMulAddFCR
+	tAddMulFR
+	tAddMulFCR
 )
+
+// rounded is the rounded form of each float op that writes F[a], 0 for
+// every other op.
+var rounded = [256]topcode{
+	tAddF: tAddFR, tSubF: tSubFR, tMulF: tMulFR, tDivF: tDivFR,
+	tNegF: tNegFR, tI2F: tI2FR,
+	tAddFC: tAddFCR, tSubFC: tSubFCR, tRsbFC: tRsbFCR,
+	tMulFC: tMulFCR, tDivFC: tDivFCR, tRdivFC: tRdivFCR,
+	tMulAddF: tMulAddFR, tMulAddFC: tMulAddFCR,
+	tAddMulF: tAddMulFR, tAddMulFC: tAddMulFCR,
+}
 
 // tinstr is one tape instruction word.
 type tinstr struct {
@@ -509,6 +542,39 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 			case tAddMulFC:
 				F[in.a] = F[in.aux] + float64(F[in.b]*cf[in.c])
 
+			case tAddFR:
+				F[in.a] = float64(float32(F[in.b] + F[in.c]))
+			case tSubFR:
+				F[in.a] = float64(float32(F[in.b] - F[in.c]))
+			case tMulFR:
+				F[in.a] = float64(float32(F[in.b] * F[in.c]))
+			case tDivFR:
+				F[in.a] = float64(float32(F[in.b] / F[in.c]))
+			case tNegFR:
+				F[in.a] = float64(float32(-F[in.b]))
+			case tI2FR:
+				F[in.a] = float64(float32(float64(I[in.b])))
+			case tAddFCR:
+				F[in.a] = float64(float32(F[in.b] + cf[in.c]))
+			case tSubFCR:
+				F[in.a] = float64(float32(F[in.b] - cf[in.c]))
+			case tRsbFCR:
+				F[in.a] = float64(float32(cf[in.c] - F[in.b]))
+			case tMulFCR:
+				F[in.a] = float64(float32(F[in.b] * cf[in.c]))
+			case tDivFCR:
+				F[in.a] = float64(float32(F[in.b] / cf[in.c]))
+			case tRdivFCR:
+				F[in.a] = float64(float32(cf[in.c] / F[in.b]))
+			case tMulAddFR:
+				F[in.a] = float64(float32(float64(F[in.b]*F[in.c]) + F[in.aux]))
+			case tMulAddFCR:
+				F[in.a] = float64(float32(float64(F[in.b]*cf[in.c]) + F[in.aux]))
+			case tAddMulFR:
+				F[in.a] = float64(float32(F[in.aux] + float64(F[in.b]*F[in.c])))
+			case tAddMulFCR:
+				F[in.a] = float64(float32(F[in.aux] + float64(F[in.b]*cf[in.c])))
+
 			case tLdGI:
 				I[in.a] = e.p.gI[in.b]
 			case tStGI:
@@ -745,6 +811,13 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 				v := I[in.b] + 1
 				I[in.b] = v
 				if v < in.aux {
+					pc += int(in.a)
+					continue
+				}
+			case tIncJltI:
+				v := I[in.b] + 1
+				I[in.b] = v
+				if v < I[in.c] {
 					pc += int(in.a)
 					continue
 				}

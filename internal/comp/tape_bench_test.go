@@ -70,3 +70,62 @@ func benchDispatch(b *testing.B, src string) {
 
 func BenchmarkAxpyTape(b *testing.B)   { benchDispatch(b, benchSrc) }
 func BenchmarkBranchTape(b *testing.B) { benchDispatch(b, benchBranchSrc) }
+
+// benchFloatN is the trip count of each float loop: long enough that
+// the call around the loop is noise.
+const benchFloatN = 4096
+
+// benchDotSrc is matmul's dot (Listing 7) over one row pair, and
+// benchErrSrc the err loop of the satellite retrieval over one pixel's
+// bands: float32 values rounded at every assignment, a register-bound
+// loop tail, no kernel.
+const (
+	benchDotSrc = `
+float x[4096], y[4096];
+
+pure float mult(float a, float b) {
+    return a * b;
+}
+
+pure float dot(pure float* a, pure float* b, int size) {
+    float res = 0.0f;
+    for (int i = 0; i < size; ++i)
+        res += mult(a[i], b[i]);
+    return res;
+}
+
+int run(void) { return (int)dot((pure float*)x, (pure float*)y, 4096); }
+
+int main(void) { return run(); }
+`
+	benchErrSrc = `
+float px[4096], table[4096];
+
+pure float err(pure float* px, pure float* table, int bands, float tau) {
+    float err = 0.0f;
+    for (int b = 0; b < bands; b++) {
+        float model = tau * table[b] + (1.0f - tau) * 0.2f;
+        float d = px[b] - model;
+        if (d < 0.0f)
+            d = -d;
+        err += d;
+    }
+    return err;
+}
+
+int run(void) { return (int)err((pure float*)px, (pure float*)table, 4096, 0.1f); }
+
+int main(void) { return run(); }
+`
+)
+
+// BenchmarkTapeFloatLoops reports the ns one iteration of each float
+// loop takes on the tape.
+func BenchmarkTapeFloatLoops(b *testing.B) {
+	for _, c := range []struct{ name, src string }{{"dot", benchDotSrc}, {"err", benchErrSrc}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchDispatch(b, c.src)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchFloatN), "ns/iter")
+		})
+	}
+}

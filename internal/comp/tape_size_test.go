@@ -14,7 +14,9 @@ import (
 // instructions of the dispatch bodies its fused loops carry since a
 // kernel stops instead of trapping (552 in all): {seq/gcc, seq/icc,
 // par/gcc, par/icc}. Selecting as the tape is emitted must never make a
-// build longer.
+// build longer. With float32 roundings folded into the ops that make
+// the values and register-bound loop tails fused, the corpus totals
+// 5 179 instructions.
 var tapeSizeCeiling = map[string][4]int{
 	"matmul":           {84, 86, 89, 89},
 	"matmul-noinitpar": {85, 87, 89, 89},
@@ -72,4 +74,46 @@ func TestTapeSizeCeiling(t *testing.T) {
 		}
 	}
 	t.Logf("corpus total: %d tape instructions (ceiling 5938)", total)
+}
+
+// TestHotLoopInstructionCounts pins the instructions one iteration of
+// the hot loop of three corpus applications dispatches on the tape
+// (parallel build, GCC backend, where none of them fuses a kernel):
+// matmul's dot body (Listing 7), the err loop of the satellite
+// retrieval and the ELL row loop of lama. Each float32 rounding rides
+// on the op that made the value, and each loop tail is one
+// increment-compare-branch.
+func TestHotLoopInstructionCounts(t *testing.T) {
+	for _, c := range []struct {
+		prog, fn string
+		loop     int // index into comp.LoopLengths
+		want     int
+	}{
+		{"matmul", "dot", 0, 4}, // load, load, rounded product, rounded sum
+		{"satellite", "retrieve", 1, 10},
+		{"lama", "ellrow", 0, 9},
+	} {
+		var src apps.Sample
+		for _, s := range apps.Corpus() {
+			if s.Name == c.prog {
+				src = s
+			}
+		}
+		cfg := core.Config{Parallelize: true, Defines: src.Defines, Backend: comp.BackendGCC}
+		art, err := core.Front(src.Src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := art.Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.FusedKernels() != 0 {
+			t.Fatalf("%s fused %d kernels; its loops are meant to run on the tape", c.prog, prog.FusedKernels())
+		}
+		n := comp.LoopLengths(prog, c.fn)
+		if c.loop >= len(n) || n[c.loop] != c.want {
+			t.Errorf("%s %s: loop instruction counts %v, want loop %d at %d", c.prog, c.fn, n, c.loop, c.want)
+		}
+	}
 }

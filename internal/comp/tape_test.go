@@ -2,6 +2,8 @@ package comp
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,6 +77,28 @@ func TestTapeEquivalence(t *testing.T) {
 					s = s * 2 + i + j;
 				}
 			return s;
+		}`},
+		// A double rounded in place where a branch joins or a loop body
+		// begins: the path that skips the float op before it (or the
+		// back edge) jumps onto the rounding, so it must not fold into
+		// that op.
+		{"round-at-join", `int main(void) {
+			double w = 0.1;
+			int n = 0;
+			w = w * 3.0;
+			do { w = (float)w; w = w + 0.1; n++; } while (n < 3);
+			printf("%d\n", (int)(w * 1e12));
+			for (int c = 0; c < 2; c++) {
+				double d = 0.1, e = 0.1;
+				if (c) d = d * 3.0;
+				d = (float)d;
+				if (c) e = e + 1.0; else e = e - 0.2;
+				e = (float)e;
+				double t = c ? e * 0.3 : d - 0.7;
+				t = (float)t;
+				printf("%d %d %d\n", (int)(d * 1e12), (int)(e * 1e12), (int)(t * 1e12));
+			}
+			return 0;
 		}`},
 		{"switch-escape", `int main(void) {
 			int s = 0;
@@ -538,5 +562,67 @@ func TestTapeInlinesLeafCalls(t *testing.T) {
 		int main(void) { int r = tri(5); return r; }`)
 	if calls(tapeOf(t, m.Program().funcs["main"])) == 0 {
 		t.Fatal("a non-leaf call left no call op on the tape: the scan above proves nothing")
+	}
+}
+
+// TestRoundedOpsMatchTheirPairs: every rounded op equals its plain op
+// followed by tRoundF on the destination, bit for bit, with the
+// destination apart from and aliasing the first operand. The operands
+// cover NaN, ±Inf, ±0, float32 subnormals, float64 values past float32's
+// range and 0.1; I2F's integers include ±(2^53 + 2^29 + 1), which
+// float64 rounds to a float32 tie, so rounding twice differs from
+// rounding once there.
+func TestRoundedOpsMatchTheirPairs(t *testing.T) {
+	fs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat32, 3 * math.SmallestNonzeroFloat32 / 2, 0x1p-127,
+		3.5e38, -3.5e38, 1e300, 0.1, 1.0 / 3, -2.5}
+	is := []int64{0, -1, 7, 1<<24 + 1, 1<<53 + 1<<29 + 1, -(1<<53 + 1<<29 + 1), math.MaxInt64, math.MinInt64}
+	// run executes code once over registers F, I and the pooled
+	// constant k, and returns the float registers.
+	run := func(code []tinstr, F []float64, I []int64, k float64) []float64 {
+		tp := &tape{code: code, tapePools: &tapePools{constF: []float64{k}}}
+		e := &env{I: I, F: slices.Clone(F)}
+		tp.run(e, runOnce, 0, 0, 0)
+		return e.F
+	}
+	n := 0
+	for op, rop := range rounded {
+		if rop == 0 {
+			continue
+		}
+		n++
+		in := tinstr{op: topcode(op), b: 1, c: 2, aux: 3}
+		switch in.op {
+		case tAddFC, tSubFC, tRsbFC, tMulFC, tDivFC, tRdivFC, tMulAddFC, tAddMulFC:
+			in.c = 0 // constF[0]
+		}
+		ints := []int64{0}
+		if in.op == tI2F {
+			ints = is
+		}
+		for _, a := range []int32{0, 1} {
+			in.a = a
+			r := in
+			r.op = rop
+			for _, iv := range ints {
+				for _, x := range fs {
+					for _, y := range fs {
+						for _, z := range fs {
+							F, I := []float64{0, x, y, z}, []int64{0, iv}
+							want := run([]tinstr{in, {op: tRoundF, a: a, b: a}}, F, I, y)
+							got := run([]tinstr{r}, F, I, y)
+							for i := range got {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("%v on F=%v I=%v k=%v: F[%d] = %v, the op then tRoundF leave %v", r, F, I, y, i, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if n != 16 {
+		t.Fatalf("%d rounded ops, want 16", n)
 	}
 }

@@ -95,6 +95,10 @@ type tapeCompiler struct {
 	tp    *tape
 	ta    *tapeAlloc
 	loops []tapeLoopCtx
+	// label is the highest pc of this tape a jump lands on, or will once
+	// a loop's back edge is patched; an in-place rounding emitted there
+	// does not fold (roundTo).
+	label int
 	// buf is the emission buffer this nesting depth keeps between tapes.
 	buf []tinstr
 }
@@ -168,7 +172,7 @@ func (fc *funcCompiler) newTape(s ast.Stmt) *tape {
 	tc := sc.tcs[sc.depth]
 	sc.depth++
 	tp := &tape{code: tc.buf[:0], tapePools: sc.pools}
-	tc.fc, tc.tp, tc.ta, tc.loops = fc, tp, fc.talloc, tc.loops[:0]
+	tc.fc, tc.tp, tc.ta, tc.loops, tc.label = fc, tp, fc.talloc, tc.loops[:0], noJump
 	tc.stmt(s)
 	tc.buf, tp.code = tp.code[:0], clone(tp.code)
 	tc.fc, tc.tp, tc.ta = nil, nil, nil
@@ -223,6 +227,13 @@ func (tc *tapeCompiler) emit(in tinstr) int {
 
 func (tc *tapeCompiler) here() int { return len(tc.tp.code) }
 
+// mark returns the current end of the tape as a label: the target of a
+// backward jump patched once the code after it is emitted.
+func (tc *tapeCompiler) mark() int {
+	tc.label = tc.here()
+	return tc.label
+}
+
 // noJump is the empty jump list. A list is the pc of its last jump; an
 // unpatched jump's offset field holds the pc of the one before it.
 const noJump = -1
@@ -248,6 +259,9 @@ func (tc *tapeCompiler) concat(l1, l2 int) int {
 
 // patchTo aims every jump of list at target.
 func (tc *tapeCompiler) patchTo(list, target int) {
+	if list != noJump {
+		tc.label = max(tc.label, target)
+	}
 	for pc := list; pc != noJump; {
 		in := &tc.tp.code[pc]
 		next := int(in.a)
@@ -298,7 +312,7 @@ func (tc *tapeCompiler) stmt(s ast.Stmt) {
 	case *ast.ForStmt:
 		tc.seqFor(x, tc.fc.matchLoop(x))
 	case *ast.WhileStmt:
-		lcond := tc.here()
+		lcond := tc.mark()
 		exit := tc.jumpIf(x.Cond, false)
 		tc.pushLoop(false)
 		tc.stmt(x.Body)
@@ -307,11 +321,11 @@ func (tc *tapeCompiler) stmt(s ast.Stmt) {
 		tc.patchHere(tc.concat(exit, ctx.breaks))
 		tc.patchTo(ctx.conts, lcond)
 	case *ast.DoStmt:
-		lbody := tc.here()
+		lbody := tc.mark()
 		tc.pushLoop(false)
 		tc.stmt(x.Body)
 		ctx := tc.popLoop()
-		lcond := tc.here()
+		lcond := tc.mark()
 		tc.patchTo(tc.jumpIf(x.Cond, true), lbody)
 		tc.patchHere(ctx.breaks)
 		tc.patchTo(ctx.conts, lcond)
@@ -410,7 +424,8 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 // evaluates once per round exactly as the top-test form does (entry +
 // one per iteration), so side effects and traps keep their order, and
 // the hot path pays one taken branch per iteration instead of two. A
-// post of v++ and a bottom test v < K become one tIncJltII.
+// post of v++ and a bottom test v < K become one tIncJltII, v < r (r a
+// register other than v) one tIncJltI.
 func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 	if lk.run != nil {
 		kern, iter := tc.fc.fused(lk), lk.iterSlot
@@ -433,11 +448,11 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 	if x.Cond != nil {
 		exit = tc.jumpIf(x.Cond, false)
 	}
-	lbody := tc.here()
+	lbody := tc.mark()
 	tc.pushLoop(false)
 	tc.stmt(x.Body)
 	ctx := tc.popLoop()
-	lpost := tc.here()
+	lpost := tc.mark()
 	if x.Post != nil {
 		tc.effect(x.Post)
 	}
@@ -451,17 +466,27 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 }
 
 // incJlt fuses a loop tail that compiled to [tAddII v,v,1 at lpost]
-// [tJltII v < K, the jump list back] into one tIncJltII to lbody.
+// [tJltII v < K, or tJltI v < r, the jump list back] into one tIncJltII
+// or tIncJltI to lbody.
 func (tc *tapeCompiler) incJlt(lpost, back, lbody int) bool {
 	code := tc.tp.code
 	if back != lpost+1 || len(code) != lpost+2 {
 		return false
 	}
 	add, j := code[lpost], code[back]
-	if add.op != tAddII || add.a != add.b || add.aux != 1 || j.op != tJltII || j.b != add.a || j.c != 0 {
+	if add.op != tAddII || add.a != add.b || add.aux != 1 || j.b != add.a {
 		return false
 	}
-	code[lpost] = tinstr{op: tIncJltII, a: int32(lbody - lpost), b: add.a, aux: j.aux}
+	in := tinstr{a: int32(lbody - lpost), b: add.a}
+	switch {
+	case j.op == tJltII && j.c == 0:
+		in.op, in.aux = tIncJltII, j.aux
+	case j.op == tJltI && j.aux == 0 && j.c != add.a:
+		in.op, in.c = tIncJltI, j.c
+	default:
+		return false
+	}
+	code[lpost] = in
 	tc.tp.code = code[:back]
 	return true
 }
@@ -964,8 +989,24 @@ func (tc *tapeCompiler) round(o opnd, hint int32, f32 bool) opnd {
 			d = tc.ta.alloc(tkF)
 		}
 	}
-	tc.emit(tinstr{op: tRoundF, a: d, b: r})
+	tc.roundTo(d, r)
 	return reg(d)
+}
+
+// roundTo emits F[d] = float64(float32(F[r])). Rounding in place folds
+// into the instruction just emitted when that one wrote F[r] and has a
+// rounded form — unless a jump lands on the rounding, which must then
+// run on its own: `if (c) d = d * 2.0; d = (float)d;` on a double d
+// emits the product, the label, and a rounding of d in place.
+func (tc *tapeCompiler) roundTo(d, r int32) {
+	code := tc.tp.code
+	if n := len(code); d == r && n > 0 && tc.label < n {
+		if last := &code[n-1]; last.a == r && rounded[last.op] != 0 {
+			last.op = rounded[last.op]
+			return
+		}
+	}
+	tc.emit(tinstr{op: tRoundF, a: d, b: r})
 }
 
 func (tc *tapeCompiler) fltVal(e ast.Expr, hint int32, f32 bool) opnd {
@@ -1163,9 +1204,6 @@ func (tc *tapeCompiler) ptrOp(e ast.Expr, hint int32) opnd {
 	case *ast.AssignExpr:
 		return tc.assign(x, hint, true)
 	case *ast.CallExpr:
-		if x.Fun.Name == "malloc" {
-			fc.errorf(x, "malloc must be cast to its target pointer type, e.g. (int*)malloc(n)")
-		}
 		return tc.callPtr(x, hint)
 	case *ast.IntLit:
 		if x.Value != 0 {
@@ -1347,7 +1385,7 @@ func (tc *tapeCompiler) load(a taddr, kind int, lvl [3]int32, hint int32, f32 bo
 	}
 	tc.emit(in)
 	if f32 {
-		tc.emit(tinstr{op: tRoundF, a: in.a, b: in.a})
+		tc.roundTo(in.a, in.a)
 	}
 	return in.a
 }
@@ -1512,7 +1550,7 @@ func (tc *tapeCompiler) assign(x *ast.AssignExpr, hint int32, value bool) opnd {
 	if local {
 		v := tc.arith(kind, x, bin, reg(lv.slot), r, int64(tl.Elem.Cells()), lv.slot)
 		if f32 {
-			tc.emit(tinstr{op: tRoundF, a: v, b: v})
+			tc.roundTo(v, v)
 		}
 		tc.ta.restore(lvl)
 		return reg(v)
@@ -1553,7 +1591,7 @@ func (tc *tapeCompiler) incdec(target ast.Expr, op token.Kind, post bool, kind i
 		}
 		tc.arith(kind, target, token.ADD, reg(lv.slot), delta, 0, nv)
 		if f32 {
-			tc.emit(tinstr{op: tRoundF, a: lv.slot, b: nv})
+			tc.roundTo(lv.slot, nv)
 		}
 		return res
 	}

@@ -209,6 +209,35 @@ int main(void) {
 	}
 }
 
+// TestMallocRulesNameTheUsersLine: a malloc whose result is dropped,
+// one not cast to its target pointer type and one cast to a non-pointer
+// are refused by the front end's check at the line the user wrote, on
+// the parallel build — whose transformed text moves that line — and the
+// sequential one alike.
+func TestMallocRulesNameTheUsersLine(t *testing.T) {
+	for _, c := range []struct{ stmt, want string }{
+		{`malloc(4);`, "p.c:5:20: malloc result must be used (cast and assign it)"},
+		{`(malloc(4));`, "p.c:5:21: malloc result must be used (cast and assign it)"},
+		{`f = malloc(4);`, "p.c:5:24: malloc must be cast to its target pointer type"},
+		{`a[0] = (int)malloc(4);`, "p.c:5:27: malloc cast must be a pointer type"},
+	} {
+		src := fmt.Sprintf(`int a[64]; int b[64];
+int main(void) {
+    for (int i = 0; i < 64; i++) a[i] = i;
+    for (int i = 0; i < 64; i++) b[i] = a[i] * 2;
+    char* f = "x"; %s
+    return b[5];
+}
+`, c.stmt)
+		for _, par := range []bool{true, false} {
+			_, _, _, err := BuildProgram(src, Config{FileName: "p.c", Parallelize: par, NoCache: true})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s parallel=%v: got %v, want %s", c.stmt, par, err, c.want)
+			}
+		}
+	}
+}
+
 func TestDefinesInjection(t *testing.T) {
 	src := `
 int main(void) { return PROBLEM; }

@@ -213,6 +213,10 @@ type checker struct {
 	old    []*Symbol
 	next   int
 	retype bool
+
+	// placed is the malloc call whose position is already judged: the
+	// operand of the cast being checked, or a dropped result.
+	placed *ast.CallExpr
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -459,7 +463,7 @@ func (c *checker) stmt(s ast.Stmt) {
 			c.local(d, c.symbolOf(d))
 		}
 	case *ast.ExprStmt:
-		c.expr(x.X)
+		c.effect(x.X)
 	case *ast.BlockStmt:
 		c.push()
 		for _, s2 := range x.List {
@@ -481,7 +485,7 @@ func (c *checker) stmt(s ast.Stmt) {
 			c.condition(x.Cond)
 		}
 		if x.Post != nil {
-			c.expr(x.Post)
+			c.effect(x.Post)
 		}
 		c.stmt(x.Body)
 		c.pop()
@@ -624,8 +628,14 @@ func (c *checker) exprInner(e ast.Expr) *types.Type {
 	case *ast.MemberExpr:
 		return c.member(x)
 	case *ast.CastExpr:
+		call := mallocCall(x.X)
+		c.placed = call
 		c.expr(x.X)
-		return c.typeOfAST(x.Type, x.Pos())
+		t := c.typeOfAST(x.Type, x.Pos())
+		if call != nil && !t.IsPtr() {
+			c.errorf(x.Pos(), "malloc cast must be a pointer type")
+		}
+		return t
 	case *ast.SizeofExpr:
 		if x.X != nil {
 			c.expr(x.X)
@@ -741,8 +751,11 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 	if !sig.Variadic && len(x.Args) != len(sig.Params) {
 		c.errorf(x.Pos(), "function %s expects %d arguments, got %d", name, len(sig.Params), len(x.Args))
 	}
-	if sig.Builtin && name == "printf" {
+	switch {
+	case sig.Builtin && name == "printf":
 		c.printf(x)
+	case sig.Builtin && name == "malloc" && x != c.placed:
+		c.errorf(x.Pos(), "malloc must be cast to its target pointer type, e.g. (int*)malloc(n)")
 	}
 	for i, a := range x.Args {
 		at := c.expr(a)
@@ -751,6 +764,24 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 		}
 	}
 	return sig.Ret
+}
+
+// effect checks an expression evaluated for its side effects alone: a
+// malloc there would leak its block.
+func (c *checker) effect(e ast.Expr) {
+	if call := mallocCall(e); call != nil {
+		c.errorf(call.Pos(), "malloc result must be used (cast and assign it)")
+		c.placed = call
+	}
+	c.expr(e)
+}
+
+// mallocCall returns e as a call of malloc, parentheses dropped, or nil.
+func mallocCall(e ast.Expr) *ast.CallExpr {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && call.Fun.Name == "malloc" {
+		return call
+	}
+	return nil
 }
 
 func symKindFor(sig *Sig) SymKind {
