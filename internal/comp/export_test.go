@@ -47,3 +47,53 @@ func LoopLengths(p *Program, fn string) []int {
 	}
 	return n
 }
+
+// KernelDump renders every fused kernel of p in launch order: its sink,
+// element kind and rounding, the strides of its loads (g marks a
+// gathered load's index walk), a gather's clamp, the scatter operator,
+// the invariant count and the lowered strip program with its columns.
+func KernelDump(p *Program) string {
+	if len(p.tapes) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	for _, l := range p.tapes[0].launches {
+		k := l.k
+		if k == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "sink=%d float=%v f32=%v loads=[", k.sink, k.float, k.f32)
+		for i, ld := range k.loads {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d", ld.stride)
+			if !ld.float {
+				b.WriteByte('i')
+			}
+		}
+		fmt.Fprintf(&b, "]")
+		if k.sink == sinkStore {
+			fmt.Fprintf(&b, " store=%d", k.store.stride)
+		}
+		if k.sink == sinkScatter {
+			fmt.Fprintf(&b, " op=%v", k.op)
+		}
+		if k.sink == sinkScatter || k.hasGather() {
+			fmt.Fprintf(&b, " gat={%d %d %v}", k.gat.lo, k.gat.hi, k.gat.float)
+		}
+		fmt.Fprintf(&b, " invs=%d regs=%d res=%v res2=%v mul=%v round=%v prog=%v\n",
+			len(k.invX), k.regs, k.res, k.res2, k.mul, k.round, k.prog)
+	}
+	return b.String()
+}
+
+// hasGather reports whether k's program reads a gathered load.
+func (k *fusedKernel) hasGather() bool {
+	for _, op := range k.prog {
+		if op.code == opGather {
+			return true
+		}
+	}
+	return false
+}

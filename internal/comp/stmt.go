@@ -37,9 +37,11 @@ func (fc *funcCompiler) ompLoop(list []ast.Stmt, i int) (*ast.ForStmt, *omp.Regi
 // launchFn runs a launched loop over the non-empty range lo..hi.
 type launchFn func(e *env, lo, hi int64) ctrl
 
-// launch is the site of a tStmt: what it runs.
+// launch is the site of a tStmt: what it runs, and the fused kernel it
+// launches (nil for a parallel region over the dispatch body).
 type launch struct {
 	run launchFn
+	k   *fusedKernel
 }
 
 // canonicalLoop is a loop of omp.Canonical's shape: "for (i = LB; i <
@@ -87,7 +89,7 @@ func (tc *tapeCompiler) launchLoop(cl *canonicalLoop, k *fusedKernel, run launch
 	if k != nil {
 		tc.kernelOperands(k)
 	}
-	tc.tp.launches = append(tc.tp.launches, launch{run: run})
+	tc.tp.launches = append(tc.tp.launches, launch{run: run, k: k})
 	tc.emit(tinstr{op: tStmt, a: tc.toReg(lo, tkI, -1), b: int32(len(tc.tp.launches) - 1), c: tc.toReg(hi, tkI, -1)})
 	if emptyIter && empty != noJump {
 		done := tc.jump(tinstr{op: tJmp})
