@@ -5,7 +5,7 @@ import (
 )
 
 // callBenchSrc holds the ways a guest call can go: leafmap's stencil
-// through a leaf pure function inlines into the loop matcher (handmap
+// through a leaf pure function inlines into a lifted kernel (handmap
 // is the same loop with the call substituted by hand, casts kept);
 // leafloop is matmul's row product, a leaf call inside a float sum that
 // gcc does not fuse, so the tape's dispatch evaluates the inlined

@@ -10,9 +10,9 @@ import (
 
 // BenchmarkCompileProgram measures the compile side of comp — the
 // "GCC/ICC" step alone, front end excluded: one op is Artifact.Compile
-// over every apps.Corpus() source. The loop-kernel matcher runs once
-// per for statement here, so allocs/op is the native number to watch
-// when the matcher or an emitter changes.
+// over every apps.Corpus() source. The lifter reads every canonical
+// loop's body here, so allocs/op is the native number to watch when
+// the lifter or an emitter changes.
 func BenchmarkCompileProgram(b *testing.B) {
 	for _, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
 		b.Run(backend.String(), func(b *testing.B) {

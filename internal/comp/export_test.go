@@ -83,7 +83,7 @@ func KernelDump(p *Program) string {
 			fmt.Fprintf(&b, " gat={%d %d %v}", k.gat.lo, k.gat.hi, k.gat.float)
 		}
 		fmt.Fprintf(&b, " invs=%d regs=%d res=%v res2=%v mul=%v round=%v prog=%v\n",
-			len(k.invX), k.regs, k.res, k.res2, k.mul, k.round, k.prog)
+			len(k.invs), k.regs, k.res, k.res2, k.mul, k.round, k.prog)
 	}
 	return b.String()
 }

@@ -1,12 +1,12 @@
 package comp
 
-// Kernel fusion: canonical innermost loops whose body is one
-// fusible statement — an element-wise affine array store (copy, fill,
-// scale, axpy-style triads, stencil reads, compound assigns, gathers,
-// general int/float maps), a sum, dot or min/max fold into an
-// accumulator, or a histogram scatter — compile into a single Go kernel
-// that walks the raw memory segments instead of dispatching tape
-// instructions per iteration per operand.
+// Kernel fusion: canonical innermost loops whose body is one fusible
+// statement — an element-wise affine array store (copy, fill, scale,
+// axpy-style triads, stencil reads, compound assigns, gathers, general
+// int/float maps), a sum, dot or min/max fold into an accumulator, or a
+// histogram scatter — run as a Go kernel that walks the raw memory
+// segments instead of dispatching tape instructions per iteration per
+// operand.
 //
 // The fused-kernel contract (see README "Kernel fusion"):
 //
@@ -21,9 +21,9 @@ package comp
 //     copies) behaves identically: the single-pass loops below run
 //     ascending, the strip evaluator bounds its strips by the distance
 //     rule (strip.go, hazard below);
-//  3. float arithmetic is float64 with one float32 rounding at the
-//     store exactly when the stored C type is 4 bytes — bit-identical
-//     to the dispatch loop and the interp oracle;
+//  3. float arithmetic is float64 with float32 roundings exactly where
+//     the body's tape rounds — bit-identical to the dispatch loop and
+//     the interp oracle;
 //  4. operands are live views of guest memory, so a kernel caches
 //     across iterations only values no operand can read: a fold's
 //     accumulator cell and a scatter's target are stores to the
@@ -38,22 +38,23 @@ package comp
 //     strip.go) — the trap and the cells before it are the dispatch
 //     loop's own.
 //
-// Recognition (match.go) classifies the statement by its sink and
-// compiles the value the sink consumes to a small value-numbered node
-// array over operand loads, at most one gathered load, hoisted
-// invariants and the iterator. strip.go lowers the nodes to a register
-// program and runs it a strip of elements at a time into the sink; two
-// float shapes (scale, triad) keep a single-pass loop in front of it.
-// Either way the launch state is a kframe on the Go stack, filled from
-// the registers the launch's tape code computed (kernelOperands): a
-// launch allocates nothing.
+// The lifter (lift.go) reads a kernel off the loop's own body tape: a
+// sink, strided operands, at most one gathered load, and a
+// value-numbered node array over them, the iterator and launch
+// invariants. strip.go lowers the nodes to a register program and runs
+// it a strip of elements at a time into the sink; two float shapes
+// (scale, triad) keep a single-pass loop in front of it. Either way the
+// launch state is a kframe on the Go stack: prepFrame reads the bases
+// and invariant registers the body reads, computes the invariants the
+// body would compute every iteration once, and checks every operand's
+// range — a launch allocates nothing, and the launch's tape code is
+// only the bounds.
 
 import (
-	"purec/internal/ast"
+	"math"
+
 	"purec/internal/mem"
-	"purec/internal/sema"
 	"purec/internal/token"
-	"purec/internal/types"
 )
 
 // Node opcodes. A kernel's expression is a value-numbered node array
@@ -95,41 +96,34 @@ const (
 	sinkSum                  // acc += v, in ascending order
 	sinkMin                  // if (v < acc) acc = v
 	sinkMax                  // if (v > acc) acc = v
-	sinkScatter              // gat[v] op= the kernel's one invariant
+	sinkScatter              // gat[v] op= invariant upd
 )
 
-// fusedKernel is a recognized kernel: the sink and its target, the
-// operands, and the expression the sink consumes — first as nodes, then
-// lowered to the register program the strip evaluator runs.
+// fusedKernel is a lifted kernel: the sink and its target, the
+// operands, the launch invariants and the expression the sink consumes
+// — first as nodes, then lowered to the register program the strip
+// evaluator runs.
 type fusedKernel struct {
-	store kAccess // sinkStore
-	// acc is the frame slot of a fold's accumulator, or cellX its
-	// iterator-invariant memory cell, whose address the launch computes
-	// into register cell. inv is the first register of the invariants.
+	// store is the stored array of a map, or with cell the memory cell
+	// a float sum folds into (stride 0); acc is the frame slot of a
+	// register fold's accumulator.
+	store kAccess
+	cell  bool
 	acc   int
-	cellX ast.Expr
-	cell  int32
-	inv   int32
-	// gat is the data-dependent array: the source of the opGather load,
-	// or the scatter target, which op updates.
-	gat kGather
-	op  token.Kind
+	// gat is the data-dependent array (when gathered): the source of the
+	// opGather load, or the scatter target, which op updates by the
+	// invariant in slot upd.
+	gat      kGather
+	gathered bool
+	op       token.Kind
+	upd      int8
+	run      kernRun
 
 	loads []kAccess
-	// invX are the invariants the launch evaluates into consecutive
-	// registers from inv — float ones when floatInvs — a nil entry is
-	// the constant 1 of a scatter's ++/--. loadX holds the syntax node
-	// each load was built from: a node met again — inlining substitutes
-	// one argument node for every read of its parameter — is the same
-	// operand, and likewise for invX. gatX is the node the classifier
-	// matched as the gathered load.
-	invX  []ast.Expr
-	loadX []ast.Expr
-	gatX  ast.Expr
+	invs  []kinv
 	// nodes is the expression, its root last, in the compile's scratch
-	// buffer; ops counts the nodes asked for, repeats included.
+	// buffer until the kernel is emitted.
 	nodes []knode
-	ops   int
 
 	prog []stripOp
 	regs int     // columns the program uses
@@ -144,207 +138,80 @@ type fusedKernel struct {
 	float      bool // element kind of the program (and of every load)
 }
 
-// maxTapeDepth bounds the depth of the evaluation stack a postfix walk
-// of the expression needs: how many operands an operator's subtrees
-// may leave pending.
-const maxTapeDepth = 16
-
-// node adds nd — entered with depth values pending — to the
-// expression, or finds the equal node it already has: identical
-// subtrees (the argument an inlined square(x) duplicates) are one node,
-// computed once per strip. It returns -1 when the expression outgrows
-// what a lowering looks at (the loop then stays on the dispatch path).
-func (fc *funcCompiler) node(k *fusedKernel, nd knode, depth int) int8 {
-	if k.nodes == nil {
-		k.nodes = fc.scratch.nodes[:0]
-	}
-	if k.ops++; k.ops > maxNodes || depth >= maxTapeDepth {
-		return -1
-	}
-	for id, x := range k.nodes {
-		if x == nd {
-			return int8(id)
-		}
-	}
-	k.nodes = append(k.nodes, nd)
-	return int8(len(k.nodes) - 1)
+// kinv is one launch invariant of register kind kind: a leaf — frame
+// register r, global slot r, the constant c (a float's bits) — or an
+// op over the slots a and b before it (b < 0 for a unary one); a
+// pointer load reads base slot b at index slot a times c cells.
+type kinv struct {
+	code uint8
+	kind uint8
+	a, b int8
+	r    int32
+	c    int64
 }
 
-// tapeOp maps a binary operator token to its opcode for the element
-// kind.
-func tapeOp(op token.Kind, float bool) (uint8, bool) {
-	switch op {
-	case token.ADD:
-		return opAdd, true
-	case token.SUB:
-		return opSub, true
-	case token.MUL:
-		return opMul, true
-	case token.QUO:
-		return opQuo, true
-	}
-	if float {
-		return 0, false
-	}
-	switch op {
-	case token.REM:
-		return opRem, true
-	case token.AND:
-		return opAnd, true
-	case token.OR:
-		return opOr, true
-	case token.XOR:
-		return opXor, true
-	case token.SHL:
-		return opShl, true
-	case token.SHR:
-		return opShr, true
-	}
-	return 0, false
+// kAccess is one array operand of a fused kernel: the pointer in
+// invariant slot base, and the cell off·scale + stride·iter from it,
+// off an invariant slot (-1 for none) and scale the tape access's
+// element stride.
+type kAccess struct {
+	base   int8
+	off    int8
+	scale  int64
+	stride int64 // cells per iteration, 0 = invariant access
+	float  bool
 }
 
-// buildTape compiles e, entered with depth values pending, into nodes
-// of the kernel's element kind and returns its node, -1 when the loop
-// does not fuse. Whole loop-invariant subexpressions hoist into one
-// evaluation per launch; affine array accesses become raw-slice loads;
-// the iterator itself is a leaf; a conversion between float types is
-// the identity or one rounding op (inlined pure calls leave those
-// behind); the node the classifier matched as the kernel's gather is
-// the gathered load. Anything else (calls, other gathers, int/float
-// casts, mixed-kind subtrees that vary with the iterator) rejects the
-// loop.
-func (fc *funcCompiler) buildTape(k *fusedKernel, e ast.Expr, iter *sema.Symbol, depth int) int8 {
-	e = ast.Unparen(e)
-	if fc.hoistable(e, iter) {
-		// Invariant leaf: any effect-free scalar expression, evaluated
-		// once per launch (converted to float in a float kernel, as the
-		// dispatch loop converts it).
-		t := e.Checked()
-		if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
-			return -1
-		}
-		if !k.float && t.Kind != types.Int {
-			return -1
-		}
-		j := indexOfExpr(k.invX, e)
-		if j < 0 {
-			j = len(k.invX)
-			k.invX = append(k.invX, e)
-		}
-		return fc.node(k, knode{code: opInv, a: int8(j), b: -1}, depth)
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if fc.prog.info.Ref[x] != iter {
-			return -1
-		}
-		if k.float {
-			return fc.node(k, knode{code: opIterF, a: -1, b: -1}, depth)
-		}
-		return fc.node(k, knode{code: opIter, a: -1, b: -1}, depth)
-	case *ast.IndexExpr:
-		if e == k.gatX {
-			k.loads, k.loadX = append(k.loads, k.gat.idx), append(k.loadX, nil)
-			return fc.node(k, knode{code: opGather, a: int8(len(k.loads) - 1), b: -1}, depth)
-		}
-		j := indexOfExpr(k.loadX, e)
-		if j < 0 {
-			acc, ok := fc.matchKAccess(x, iter)
-			if !ok || acc.float != k.float {
-				return -1
-			}
-			j = len(k.loads)
-			k.loads, k.loadX = append(k.loads, acc), append(k.loadX, e)
-		}
-		return fc.node(k, knode{code: opLoad, a: int8(j), b: -1}, depth)
-	case *ast.BinaryExpr:
-		op, ok := tapeOp(x.Op, k.float)
-		if !ok {
-			return -1
-		}
-		// The node's own C type must match the kernel's kind: an
-		// int-typed subtree that varies with the iterator (e.g. i/2
-		// stored to a float array) computes in integer arithmetic in the
-		// dispatch loop — evaluating it with float ops would diverge.
-		t := e.Checked()
-		if t == nil || (k.float && t.Kind != types.Float) || (!k.float && t.Kind != types.Int) {
-			return -1
-		}
-		if k.float {
-			// Both operand subtrees must be float-typed or reduce to
-			// invariant/iterator leaves the float kernel can represent.
-			if !fc.floatTapeOperand(x.X, iter) || !fc.floatTapeOperand(x.Y, iter) {
-				return -1
-			}
-		}
-		return fc.binary(k, op, fc.buildTape(k, x.X, iter, depth), x.Y, iter, depth)
-	case *ast.CastExpr:
-		t, in := x.Checked(), x.X.Checked()
-		if t == nil || in == nil || t.Kind != in.Kind || !t.IsArith() || (t.Kind == types.Float) != k.float {
-			return -1
-		}
-		a := fc.buildTape(k, x.X, iter, depth)
-		if a < 0 || !k.float || t.CSize != 4 || fc.f32Exact(x.X) {
-			return a
-		}
-		return fc.node(k, knode{code: opRound, a: a, b: -1}, depth)
-	case *ast.UnaryExpr:
-		if x.Op != token.SUB && (x.Op != token.TILDE || k.float) {
-			return -1
-		}
-		code := opNeg
-		if x.Op == token.TILDE {
-			code = opNot
-		}
-		if a := fc.buildTape(k, x.X, iter, depth); a >= 0 {
-			return fc.node(k, knode{code: code, a: a, b: -1}, depth)
-		}
-	}
-	return -1
+// kGather is the gathered array of a kernel: the pointer in invariant
+// slot base, and the ?:-clamp of the indices it is read at (open sides
+// are the int64 extremes).
+type kGather struct {
+	base   int8
+	lo, hi int64
+	float  bool
 }
 
-// binary builds the operator node a op y, a the node of its left
-// operand, or -1 when either operand does not fuse.
-func (fc *funcCompiler) binary(k *fusedKernel, op uint8, a int8, y ast.Expr, iter *sema.Symbol, depth int) int8 {
-	if a < 0 {
-		return -1
-	}
-	b := fc.buildTape(k, y, iter, depth+1)
-	if b < 0 {
-		return -1
-	}
-	return fc.node(k, knode{code: op, a: a, b: b}, depth)
+// kslice is one prepared operand: the checked raw cells plus the
+// per-iteration stride within them.
+type kslice struct {
+	f      []float64
+	i      []int64
+	stride int
 }
 
-// indexOfExpr finds the very node e among xs, -1 when it is new.
-func indexOfExpr(xs []ast.Expr, e ast.Expr) int {
-	for i, x := range xs {
-		if x == e {
-			return i
-		}
-	}
-	return -1
+// kspan is the cell range [first, last] of seg one operand touches
+// over a launch.
+type kspan struct {
+	seg         *mem.Segment
+	first, last int64
 }
 
-// floatTapeOperand reports whether e can be a float-kernel subtree: a
-// float-typed expression, or an int-typed leaf the kernel converts (the
-// iterator, or an invariant expression).
-func (fc *funcCompiler) floatTapeOperand(e ast.Expr, iter *sema.Symbol) bool {
-	e = ast.Unparen(e)
-	t := e.Checked()
-	if t == nil {
+// span locates the operand's cells for iterations [lo, hi]; a null
+// base has no segment.
+func (a *kAccess) span(fr *kframe, e *env, lo, hi int64) kspan {
+	p := fr.invP[a.base]
+	off := int64(p.Off)
+	if a.off >= 0 {
+		off += fr.invI[a.off] * a.scale
+	}
+	return kspan{seg: p.Seg, first: off + a.stride*lo, last: off + a.stride*hi}
+}
+
+// cells range-checks a located operand — the hoisted per-launch check —
+// and hands its raw cells to the zeroed frame slot s. It reports false
+// when the operand has no segment, a freed one, or runs off its array.
+func (a *kAccess) cells(sp kspan, s *kslice) bool {
+	if sp.seg == nil {
 		return false
 	}
-	if t.Kind == types.Float {
-		return true
+	s.stride = int(a.stride)
+	var err error
+	if a.float {
+		s.f, err = sp.seg.FloatRange(sp.first, sp.last+1)
+	} else {
+		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
 	}
-	if t.Kind != types.Int {
-		return false
-	}
-	if id, ok := e.(*ast.Ident); ok && fc.prog.info.Ref[id] == iter {
-		return true
-	}
-	return fc.hoistable(e, iter)
+	return err == nil
 }
 
 // ----------------------------------------------------------------------------
@@ -367,116 +234,144 @@ type kframe struct {
 	loads [maxLoads]kslice
 	invF  [maxInvs]float64
 	invI  [maxInvs]int64
+	invP  [maxInvs]mem.Pointer
 }
 
-// floatInvs reports whether the invariants are float: those of a float
-// program, and a float scatter's update.
-func (k *fusedKernel) floatInvs() bool {
-	return k.float || (k.sink == sinkScatter && k.gat.float)
-}
-
-// kernelOperands emits the launch-time evaluation of k's operands —
-// in order the store, the accumulator cell, the gathered or scattered
-// array, the loads, the invariants — and records the registers they
-// land in. The launch keeps them allocated until its tStmt.
-func (tc *tapeCompiler) kernelOperands(k *fusedKernel) {
-	if k.sink == sinkStore {
-		tc.accessOperands(&k.store)
-	}
-	if k.cellX != nil {
-		k.cell = tc.addrReg(tc.address(k.cellX), tc.ta.level(), -1)
-	}
-	if k.gat.baseX != nil {
-		k.gat.base = tc.baseOperand(k.gat.baseX)
-	}
-	for i := range k.loads {
-		tc.accessOperands(&k.loads[i])
-	}
-	kind := tkI
-	if k.floatInvs() {
-		kind = tkF
-	}
-	k.inv = tc.ta.level()[kind]
-	for _, x := range k.invX {
-		if x == nil {
-			tc.toReg(immI(1), tkI, tc.ta.alloc(tkI))
+// invariants computes the launch invariants in slot order from the
+// registers and global slots the body reads. An integer division by
+// zero or a pointer load off its array among them makes it report
+// false: the launch does not start, and the dispatch body raises the
+// trap in iteration order.
+func (k *fusedKernel) invariants(fr *kframe, e *env) bool {
+	for s := range k.invs {
+		iv := &k.invs[s]
+		switch iv.kind {
+		case tkP:
+			switch iv.code {
+			case opReg:
+				fr.invP[s] = e.P[iv.r]
+			case opGlob:
+				fr.invP[s] = e.p.gP[iv.r]
+			default: // opLoad
+				p := fr.invP[iv.b]
+				if p.IsNull() {
+					return false
+				}
+				cells, c := p.Seg.P, int64(p.Off)+fr.invI[iv.a]*iv.c
+				if uint64(c) >= uint64(len(cells)) {
+					return false
+				}
+				fr.invP[s] = cells[c]
+			}
+			continue
+		case tkF:
+			x, y := fr.invF[max(iv.a, 0)], fr.invF[max(iv.b, 0)]
+			var v float64
+			switch iv.code {
+			case opReg:
+				v = e.F[iv.r]
+			case opGlob:
+				v = e.p.gF[iv.r]
+			case opConst:
+				v = math.Float64frombits(uint64(iv.c))
+			case opI2F:
+				v = float64(fr.invI[iv.a])
+			case opAdd:
+				v = x + y
+			case opSub:
+				v = x - y
+			case opMul:
+				v = x * y
+			case opQuo:
+				v = x / y
+			case opNeg:
+				v = -x
+			case opRound:
+				v = float64(float32(x))
+			}
+			fr.invF[s] = v
 			continue
 		}
-		tc.argInto(x, kind, false)
-	}
-}
-
-// accessOperands emits an operand's base and invariant offset.
-func (tc *tapeCompiler) accessOperands(a *kAccess) {
-	a.base = tc.baseOperand(a.baseX)
-	off := immI(0)
-	lvl := tc.ta.level()
-	for i, t := range a.offX {
-		tl := tc.ta.level()
-		o := tc.intOp(t.x, -1)
-		if t.c != 1 {
-			o = tc.arithI(t.x, token.MUL, o, immI(t.c), tl, -1)
+		x, y := fr.invI[max(iv.a, 0)], fr.invI[max(iv.b, 0)]
+		var v int64
+		switch iv.code {
+		case opReg:
+			v = e.I[iv.r]
+		case opGlob:
+			v = e.p.gI[iv.r]
+		case opConst:
+			v = iv.c
+		case opAdd:
+			v = x + y
+		case opSub:
+			v = x - y
+		case opMul:
+			v = x * y
+		case opQuo, opRem:
+			if y == 0 {
+				return false
+			}
+			if v = x / y; iv.code == opRem {
+				v = x % y
+			}
+		case opAnd:
+			v = x & y
+		case opOr:
+			v = x | y
+		case opXor:
+			v = x ^ y
+		case opShl:
+			v = x << uint(y)
+		case opShr:
+			v = x >> uint(y)
+		case opNeg:
+			v = -x
+		case opNot:
+			v = ^x
 		}
-		if i > 0 {
-			o = tc.arithI(t.x, token.ADD, off, o, lvl, -1)
-		}
-		off = o
+		fr.invI[s] = v
 	}
-	a.off = -1
-	if len(a.offX) > 0 {
-		a.off = tc.toReg(off, tkI, -1)
-	}
-}
-
-// baseOperand is the register of a kernel's base pointer: a local's own
-// slot — which a reduction worker's clone privatizes — or a temp the
-// expression is evaluated into.
-func (tc *tapeCompiler) baseOperand(x ast.Expr) int32 {
-	return tc.toReg(tc.ptrOp(x, -1), tkP, -1)
+	return true
 }
 
 // strideAny is the stride of a data-dependent operand: it meets no
 // affine stride, so any overlap with it runs element by element.
 const strideAny = -1
 
-// prepFrame reads everything loop-invariant from the launch registers:
-// the sink's target and the operand ranges (one check each), the strip
-// length their overlap allows, invariant scalars, the sink's rounding
-// mode. It reports false when the launch cannot start — a base is null
-// or freed, an operand or the accumulator cell lies outside its array —
-// and then the dispatch body runs the whole range.
+// prepFrame computes the launch invariants and reads everything else
+// loop-invariant: the sink's target and the operand ranges (one check
+// each), the strip length their overlap allows, the sink's rounding
+// mode. It reports false when the launch cannot start — an invariant
+// divides by zero, a base is null or freed, an operand or the
+// accumulator cell lies outside its array — and then the dispatch body
+// runs the whole range.
 func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
+	if !k.invariants(fr, e) {
+		return false
+	}
 	var st kspan
 	ss := k.store.stride
 	switch {
-	case k.sink == sinkStore:
-		st = k.store.span(e, lo, hi)
+	case k.sink == sinkStore || k.cell:
+		// An accumulator cell is a store of stride 0, at every element.
+		st = k.store.span(fr, e, lo, hi)
 		if !k.store.cells(st, &fr.dst) {
 			return false
 		}
-	case k.cellX != nil:
-		// The accumulator cell is a store of stride 0, at every element.
-		p := e.P[k.cell]
-		if p.IsNull() {
-			return false
+		if k.cell {
+			fr.accF = &fr.dst.f[0]
 		}
-		cell, err := p.Seg.FloatRange(int64(p.Off), int64(p.Off)+1)
-		if err != nil {
-			return false
-		}
-		st, ss = kspan{p.Seg, int64(p.Off), int64(p.Off)}, 0
-		fr.accF = &cell[0]
 	case k.float:
 		fr.accF = &e.F[k.acc]
 	case k.sink != sinkScatter:
 		fr.accI = &e.I[k.acc]
 	}
-	if k.gat.baseX != nil {
+	if k.gathered {
 		// The array is a scatter's store, or a gathered load against the
 		// store (against itself, the scatter's is the same walk); its
 		// cells are compared element by element.
-		if fr.gat = e.P[k.gat.base]; fr.gat.IsNull() {
+		if fr.gat = fr.invP[k.gat.base]; fr.gat.IsNull() {
 			return false
 		}
 		all := kspan{fr.gat.Seg, 0, int64(fr.gat.Seg.Len()) - 1}
@@ -486,16 +381,11 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 		fr.strip = hazard(st, ss, all, strideAny)
 	}
 	for i := range k.loads {
-		ld := k.loads[i].span(e, lo, hi)
+		ld := k.loads[i].span(fr, e, lo, hi)
 		if !k.loads[i].cells(ld, &fr.loads[i]) {
 			return false
 		}
 		fr.strip = min(fr.strip, hazard(st, ss, ld, k.loads[i].stride))
-	}
-	if k.floatInvs() {
-		copy(fr.invF[:], e.F[k.inv:int(k.inv)+len(k.invX)])
-	} else {
-		copy(fr.invI[:], e.I[k.inv:int(k.inv)+len(k.invX)])
 	}
 	return true
 }

@@ -122,6 +122,41 @@ int main(void) {
 	}
 }
 
+// TestFusedGathersMatchDispatchAndOracle: ?:-clamped gathers. C tests
+// a nested clamp's outer level first, so a level whose bound lies
+// outside the range of the levels inside it is no min/max: it keeps
+// its branches, stays on dispatch and must read what interp reads
+// (x[15] for idx 20 below the upper pair, x[20] for idx 3 below the
+// lower-then-upper pair). A well-formed clamp fuses.
+func TestFusedGathersMatchDispatchAndOracle(t *testing.T) {
+	cases := []struct {
+		name  string
+		body  string
+		fused int
+	}{
+		{"upper-then-upper", "y[i] = x[idx[i] > 15 ? 15 : (idx[i] > 10 ? 10 : idx[i])];", 0},
+		{"lower-then-upper", "y[i] = x[idx[i] < 20 ? 20 : (idx[i] > 15 ? 15 : idx[i])];", 0},
+		{"well-formed", "y[i] = x[idx[i] < 0 ? 0 : (idx[i] > 15 ? 15 : idx[i])];", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf(`
+float x[32], y[64];
+int idx[64];
+int main(void) {
+    for (int i = 0; i < 32; i++) x[i] = (float)i * 0.5f;
+    for (int i = 0; i < 64; i++) idx[i] = i %% 3 == 0 ? 20 : (i %% 3 == 1 ? 3 : i %% 24);
+    for (int i = 0; i < 64; i++) %s
+    return (int)(y[0] + y[1] + y[2]);
+}`, c.body)
+			m := fuseCompare(t, src, "y")
+			if got := m.Program().FusedKernels(); got != c.fused {
+				t.Errorf("%d fused kernels, want %d", got, c.fused)
+			}
+		})
+	}
+}
+
 func TestFusedStridedRead(t *testing.T) {
 	// Constant-stride subscripts (2*i) walk the raw slice with a
 	// per-iteration cursor increment of 2.
@@ -243,8 +278,16 @@ func oracleMachine(t *testing.T, src string) *interp.Interp {
 	return in
 }
 
+// TestFusedDivisionByZeroTraps: a fused loop traps where dispatch and
+// interp do, with their text. An invariant division by a zero variable
+// is no launch-time trap: next to an operand that runs off its array
+// first (int x[4] from i = 5), the trap is the load's.
 func TestFusedDivisionByZeroTraps(t *testing.T) {
-	src := `
+	cases := []struct {
+		name, src string
+		fused     int
+	}{
+		{"varying-divisor", `
 int v[8], w[8];
 int main(void) {
     for (int i = 0; i < 8; i++)
@@ -253,18 +296,39 @@ int main(void) {
     for (int i = 0; i < 8; i++)
         w[i] = v[i] / z;
     return 0;
-}`
-	m := compile(t, src, Options{})
-	if m.Program().FusedKernels() != 2 {
-		t.Fatalf("want both loops fused, got %d kernels", m.Program().FusedKernels())
+}`, 2},
+		{"invariant-divisor-after-oob-load", `
+int x[4], y[16];
+int main(void) {
+    int n = 7, d = 0;
+    for (int i = 5; i < 9; i++)
+        y[i] = x[i] + n / d;
+    return 0;
+}`, 1},
+		{"invariant-modulo-in-sum-after-oob-load", `
+int x[4];
+int main(void) {
+    int n = 7, d = 0, s = 0;
+    for (int i = 5; i < 9; i++)
+        s += x[i] + n % d;
+    return s;
+}`, 1},
 	}
-	_, err := m.RunMain()
-	if err == nil {
-		t.Fatal("division by zero must trap")
-	}
-	_, want := oracleMachine(t, src).RunMain()
-	if want == nil || "interp "+err.Error() != want.Error() {
-		t.Fatalf("trap %q, interp %v", err, want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := compile(t, c.src, Options{})
+			if m.Program().FusedKernels() != c.fused {
+				t.Fatalf("want %d fused loops, got %d kernels", c.fused, m.Program().FusedKernels())
+			}
+			_, err := m.RunMain()
+			if err == nil {
+				t.Fatal("the loop must trap")
+			}
+			_, want := oracleMachine(t, c.src).RunMain()
+			if want == nil || "interp "+err.Error() != want.Error() {
+				t.Fatalf("trap %q, interp %v", err, want)
+			}
+		})
 	}
 }
 
@@ -531,43 +595,90 @@ int main(void) {
 	}
 }
 
-// TestFusedTapeDepthLimit pins the accept/reject boundaries of a tape
-// kernel: a right-nested sum of maxTapeDepth loads needs exactly
-// maxTapeDepth stack cells and fuses, one more load stays on the
-// dispatch path (the builder bails at the push that overflows); a
-// left-nested body of depth 2 fuses up to the frame's maxLoads operands
-// and the lowering's maxNodes ops, and stays on dispatch past either.
-// All of them agree with dispatch and the oracle.
-func TestFusedTapeDepthLimit(t *testing.T) {
+// TestFusedKernelLimits pins the accept/reject boundaries of the
+// lifter's own bounds, each at its limit and one past it: maxLoads
+// distinct strided operands (x[i], x[i + i], …: no invariant offsets),
+// maxInvs launch invariants (the bases of x and y and one constant per
+// addend), maxRegs strip columns (the powers i, i*i, … of a
+// right-nested sum all stay live until its innermost addition) and
+// maxNodes lifted values (the bases of x and y, the iterator, the load,
+// then two per level of (… * i + i)). A loop past any bound stays on
+// the dispatch path; all of them agree with dispatch and the oracle.
+func TestFusedKernelLimits(t *testing.T) {
 	program := func(rhs string) string {
-		return fmt.Sprintf(`int x[64]; int y[64];
+		return fmt.Sprintf(`int x[1100]; int y[64];
 		int main(void) {
-			for (int i = 0; i < 64; i++) x[i] = i * 3 - 40;
+			for (int i = 0; i < 1100; i++) x[i] = i * 3 - 40;
 			for (int i = 0; i < 64; i++) y[i] = %s;
 			return y[63];
 		}`, rhs)
 	}
-	rightNested := func(loads int) string {
-		return strings.Repeat("x[i] + (", loads-1) + "x[i]" + strings.Repeat(")", loads-1)
+	sum := func(n int, term func(k int) string) string {
+		terms := make([]string, n)
+		for k := range terms {
+			terms[k] = term(k + 1)
+		}
+		return strings.Join(terms, " + ")
 	}
-	leftNested := func(loads int) string { return strings.Repeat("x[i] + ", loads-1) + "x[i]" }
+	strided := func(n int) string {
+		return sum(n, func(k int) string { return "x[i" + strings.Repeat(" + i", k-1) + "]" })
+	}
+	constants := func(n int) string { return "x[i] + " + sum(n, func(k int) string { return fmt.Sprint(k) }) }
+	powers := func(n int) string {
+		rhs := "i"
+		for k := 2; k <= n; k++ {
+			rhs = strings.Repeat("i * ", k-1) + "i + (" + rhs + ")"
+		}
+		return rhs
+	}
+	nodes := func(n int) string { return strings.Repeat("(", n) + "x[i]" + strings.Repeat(" * i + i)", n) }
 	cases := []struct {
 		name  string
 		rhs   string
 		fused int // kernels besides the fill loop
 	}{
-		{"at-limit", rightNested(maxTapeDepth), 1},
-		{"one-past", rightNested(maxTapeDepth + 1), 0},
-		{"shallow-at-load-limit", leftNested(maxLoads), 1},
-		{"shallow-past-load-limit", leftNested(maxLoads + 1), 0},
-		{"shallow-at-node-limit", "x[i]" + strings.Repeat(" * i + i", (maxNodes-1)/4), 1},
-		{"shallow-past-node-limit", "x[i]" + strings.Repeat(" * i + i", (maxNodes-1)/4+1), 0},
+		{"loads-at-limit", strided(maxLoads), 1},
+		{"loads-one-past", strided(maxLoads + 1), 0},
+		{"invs-at-limit", constants(maxInvs - 2), 1},
+		{"invs-one-past", constants(maxInvs - 1), 0},
+		{"regs-at-limit", powers(maxRegs), 1},
+		{"regs-one-past", powers(maxRegs + 1), 0},
+		{"nodes-at-limit", nodes((maxNodes - 4) / 2), 1},
+		{"nodes-one-past", nodes((maxNodes-4)/2 + 1), 0},
 	}
 	for _, c := range cases {
 		m := fuseCompare(t, program(c.rhs), "y")
 		if got := m.Program().FusedKernels(); got != 1+c.fused {
 			t.Errorf("%s: %d fused kernels, want %d", c.name, got, 1+c.fused)
 		}
+	}
+}
+
+// TestLifterRefusals: bodies whose tape the lifter does not read stay
+// on the dispatch path and agree with the oracle — a call that does
+// not inline, printf, a store to a global scalar, a pointer store and a
+// store through a pointer loaded every iteration.
+func TestLifterRefusals(t *testing.T) {
+	for _, c := range []struct{ name, body string }{
+		{"call", "y[i] = twice(x[i]);"},
+		{"printf", `{ y[i] = x[i]; printf(""); }`},
+		{"global-scalar-store", "g = x[i];"},
+		{"pointer-store", "ptrs[i] = x;"},
+		{"store-through-loaded-pointer", "*ptrs[i] = x[i];"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf(`int x[64]; int y[64]; int g; int *ptrs[64];
+			pure int twice(int v) { int w = v + v; return w; }
+			int main(void) {
+				for (int i = 0; i < 64; i++) { x[i] = i * 3 - 40; ptrs[i] = &y[i]; }
+				for (int i = 0; i < 64; i++) %s
+				return y[63] + g;
+			}`, c.body)
+			m := fuseCompare(t, src, "y")
+			if got := m.Program().FusedKernels(); got != 0 {
+				t.Errorf("%d fused kernels, want the loop on dispatch", got)
+			}
+		})
 	}
 }
 

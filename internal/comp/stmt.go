@@ -1,13 +1,13 @@
 package comp
 
 // Loop launches: a fused kernel (kernel.go) or a parallel region runs
-// behind one tStmt. The tape computes what the launch needs into
-// registers just before it — the canonical bounds, then, once the range
-// is known not to be empty, the kernel's operands (bases, offsets,
-// invariants) — so a zero-trip loop evaluates no operand. The launch
-// runs on the launching goroutine: the registers are written before any
-// worker starts, and workers only read them (map kernels on the shared
-// parent frame) or their copies (workerEnv clones the frame).
+// behind one tStmt. The tape computes the canonical bounds into
+// registers just before it and skips the launch when the range is
+// empty; a kernel reads its operands' bases and invariants from the
+// registers and global slots its body reads (prepFrame), so a zero-trip
+// loop evaluates no operand. The launch runs on the launching
+// goroutine, and workers only read the frame (map kernels on the shared
+// parent frame) or its copy (workerEnv clones the frame).
 
 import (
 	"purec/internal/ast"
@@ -15,6 +15,13 @@ import (
 	"purec/internal/sema"
 	"purec/internal/token"
 )
+
+// fused commits a lifted kernel to the program: it counts as one fused
+// loop.
+func (fc *funcCompiler) fused(k *fusedKernel) kernRun {
+	fc.prog.fusedKernels++
+	return k.run
+}
 
 // ompLoop binds the pragma list[i] to the for loop that follows it.
 // It returns a nil region unless the pragma is an omp parallel for
@@ -51,7 +58,7 @@ type canonicalLoop struct {
 	iterSym  *sema.Symbol
 	body     ast.Stmt
 	// lowerX and upperX are the bound expressions (upperX exclusive
-	// unless inclusive); the matcher checks them for hoistability, and a
+	// unless inclusive); the lifter checks them for hoistability, and a
 	// launch evaluates them once.
 	lowerX, upperX ast.Expr
 	inclusive      bool
@@ -75,9 +82,9 @@ func (fc *funcCompiler) canonical(x *ast.ForStmt) (canonicalLoop, bool) {
 
 // launchLoop emits the launch of run over cl's bounds: lower, then
 // upper; an empty range skips the launch (with emptyIter it leaves lower
-// in the iterator slot, as the dispatch loop would); otherwise k's
-// operands (k may be nil) follow, then the tStmt reading the bounds'
-// registers.
+// in the iterator slot, as the dispatch loop would); otherwise the
+// tStmt reads the bounds' registers. k is the kernel run launches, nil
+// for none.
 func (tc *tapeCompiler) launchLoop(cl *canonicalLoop, k *fusedKernel, run launchFn, emptyIter bool) {
 	lo := tc.intOp(cl.lowerX, -1)
 	tc.hold(&lo, tkI, cl.upperX)
@@ -86,9 +93,6 @@ func (tc *tapeCompiler) launchLoop(cl *canonicalLoop, k *fusedKernel, run launch
 		hi = tc.arithI(cl.upperX, token.SUB, hi, immI(1), tc.ta.level(), -1)
 	}
 	empty := tc.cmpJumpOps(token.LSS, hi, lo, true, false)
-	if k != nil {
-		tc.kernelOperands(k)
-	}
 	tc.tp.launches = append(tc.tp.launches, launch{run: run, k: k})
 	tc.emit(tinstr{op: tStmt, a: tc.toReg(lo, tkI, -1), b: int32(len(tc.tp.launches) - 1), c: tc.toReg(hi, tkI, -1)})
 	if emptyIter && empty != noJump {
@@ -137,17 +141,18 @@ func runsInline(e *env) bool {
 // runs the rest of its chunk. omp.Bind has proved the loop canonical.
 func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 	fc := tc.fc
-	lk := fc.matchLoop(x)
+	cl, _ := fc.canonical(x)
 	sched, chunk := r.Schedule, r.Chunk
-	iterSlot := lk.iterSlot
-	body := fc.loopBody(lk.body, iterSlot)
-	if lk.kind == kindMap {
+	iterSlot := cl.iterSlot
+	tp := fc.loopBody(cl.body)
+	body := tp.loop(iterSlot)
+	if k := tc.lift(tp.code, &cl); k != nil && k.sink == sinkStore {
 		// Chunked map kernels are safe — gathers included, which arrive
 		// here once the polyhedral stage parallelizes proven-bounded
 		// nests: chunks partition the store range and the gathered array
 		// is only read.
-		kern := fc.fused(lk)
-		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
+		kern := fc.fused(k)
+		tc.launchLoop(&cl, k, func(e *env, lo, hi int64) ctrl {
 			if runsInline(e) {
 				return inlineKernel(e, iterSlot, lo, hi, kern, body)
 			}
@@ -161,7 +166,7 @@ func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 		}, false)
 		return
 	}
-	tc.launchLoop(&lk.canonicalLoop, nil, func(e *env, lo, hi int64) ctrl {
+	tc.launchLoop(&cl, nil, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			return body(e, lo, hi, false)
 		}
@@ -224,13 +229,14 @@ func (fc *funcCompiler) scalarReductionFor(site *ast.Ident, op token.Kind) (r re
 // execution of the loop — always correct, never silently wrong.
 func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 	fc := tc.fc
-	lk := fc.matchLoop(x)
 	reds := make([]reduction, 0, len(rg.Reductions))
 	hasArray := false
+	var slots []slot // the accumulators' slots, in clause order
 	for i, c := range rg.Reductions {
 		var r reduction
 		ok := false
-		switch site := rg.Sites[i]; {
+		site := rg.Sites[i]
+		switch {
 		case site == nil:
 		case c.Array:
 			r, ok = fc.arrayReductionFor(site, c.Kind)
@@ -238,34 +244,47 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 			r, ok = fc.scalarReductionFor(site, c.Kind)
 		}
 		if !ok {
-			tc.seqFor(x, lk)
+			tc.seqFor(x)
 			return
 		}
+		sl, _ := fc.slotOf(fc.prog.info.Ref[site], site)
+		slots = append(slots, sl)
 		hasArray = hasArray || c.Array
 		reds = append(reds, r)
 	}
+	cl, _ := fc.canonical(x)
+	tp := fc.loopBody(cl.body)
 	// A fusible reduction body composes with the parallel runtime: each
 	// worker runs the fused kernel over its chunk bounds, accumulating
-	// into its private clone's identity-initialized accumulator slot
-	// (the body is the single statement updating the clause accumulator,
-	// so the kernel's accumulator and the clause's coincide), and the
-	// partials fold back in worker order exactly like the dispatch path.
-	// Array-reduction bodies use the scatter kernel: the worker's cloned
-	// pointer slot aims it at the private copy. A min/max fold is the
-	// clause's own guarded update, so the kernel must match the single
-	// clause's accumulator and direction.
+	// into its private clone's identity-initialized accumulator slot,
+	// and the partials fold back in worker order exactly like the
+	// dispatch path. The kernel must update a clause's own accumulator:
+	// a sum into its register, a scatter into its array — the worker's
+	// cloned pointer slot aims it at the private copy — and a min/max
+	// fold, the single clause's guarded update, in its direction.
 	var vecChunk kernRun
-	var k *fusedKernel
-	switch {
-	case hasArray && lk.kind == kindHist,
-		!hasArray && lk.kind == kindReduce,
-		!hasArray && lk.kind == kindMinMax && len(reds) == 1 && lk.acc == rg.Reductions[0].Var && lk.dir == rg.Reductions[0].Kind:
-		vecChunk, k = fc.fused(lk), lk.k
+	k := tc.lift(tp.code, &cl)
+	if k != nil && !k.cell && len(reds) == 1 {
+		acc := slot{slotInt, k.acc}
+		if k.float {
+			acc.kind = slotFloat
+		}
+		one := slots[0] == acc
+		switch {
+		case hasArray && k.sink == sinkScatter && k.invs[k.gat.base] == kinv{code: opReg, kind: tkP, a: -1, b: -1, r: int32(slots[0].idx)} && slots[0].kind == slotPtr,
+			!hasArray && k.sink == sinkSum && one,
+			!hasArray && k.sink == sinkMin && one && rg.Reductions[0].Kind == token.LSS,
+			!hasArray && k.sink == sinkMax && one && rg.Reductions[0].Kind == token.GTR:
+			vecChunk = fc.fused(k)
+		}
+	}
+	if vecChunk == nil {
+		k = nil
 	}
 	sched, chunk := rg.Schedule, rg.Chunk
-	iterSlot := lk.iterSlot
-	body := fc.loopBody(lk.body, iterSlot)
-	tc.launchLoop(&lk.canonicalLoop, k, func(e *env, lo, hi int64) ctrl {
+	iterSlot := cl.iterSlot
+	body := tp.loop(iterSlot)
+	tc.launchLoop(&cl, k, func(e *env, lo, hi int64) ctrl {
 		if runsInline(e) {
 			if vecChunk != nil {
 				return inlineKernel(e, iterSlot, lo, hi, vecChunk, body)

@@ -1,8 +1,8 @@
 package comp
 
 // The strip evaluator: the one body every fused loop runs on. The
-// value-numbered expression of a matched loop is lowered once, at
-// compile time, to a small register program; a launch then executes
+// value-numbered expression the lifter read off a loop's body tape is
+// lowered once, at compile time, to a small register program; a launch then executes
 // that program one op at a time over a strip of up to stripLen elements
 // — each op a tight loop over columns, the next op over the columns it
 // left — instead of re-dispatching the loop body per element (the
@@ -53,12 +53,12 @@ const (
 	// buffer, and rows of a hundred elements notice 16 KiB of that).
 	maxRegs   = 16
 	smallRegs = 4
-	// maxLoads and maxInvs size the operand arrays of a launch frame
-	// (an expression as deep as maxTapeDepth allows can hold that many
-	// loads); maxNodes bounds the nodes a lowering looks at, repeats
-	// included. A loop past any bound stays on the dispatch path.
-	maxLoads = maxTapeDepth
-	maxInvs  = 8
+	// maxLoads and maxInvs size the operand and invariant arrays of a
+	// launch frame; maxNodes bounds the values a lift numbers, and with
+	// them the nodes a lowering looks at. A loop past any bound stays on
+	// the dispatch path.
+	maxLoads = 16
+	maxInvs  = 16
 	maxNodes = 64
 )
 
@@ -88,7 +88,7 @@ type stripOp struct {
 // a linear scan that frees a column at its value's last use. It reports
 // false when the kernel exceeds a bound of the evaluator.
 func (k *fusedKernel) lower() bool {
-	if len(k.loads) > maxLoads || len(k.invX) > maxInvs {
+	if len(k.loads) > maxLoads || len(k.invs) > maxInvs {
 		return false
 	}
 	nodes, n := k.nodes, len(k.nodes)
@@ -167,12 +167,12 @@ func (k *fusedKernel) lower() bool {
 }
 
 // emit selects the kernel body — nil when the kernel exceeds a bound of
-// the evaluator — and drops what only recognition needed: the launch
-// function keeps k alive for as long as the Program lives, and the
-// nodes lie in the compile's scratch buffer.
+// the evaluator — and drops the nodes: the launch function keeps k
+// alive for as long as the Program lives, and the nodes lie in the
+// compile's scratch buffer.
 func (k *fusedKernel) emit() kernRun {
 	run := k.body()
-	k.loadX, k.gatX, k.nodes = nil, nil, nil
+	k.nodes = nil
 	return run
 }
 
@@ -355,12 +355,12 @@ func foldMinMax[T int64 | float64](acc T, a []T, less, f32 bool) T {
 }
 
 // scatter applies a strip of histogram updates gat[v] op= u, u the
-// kernel's one invariant, in element order up to the first index
+// kernel's invariant upd, in element order up to the first index
 // outside the array, and returns how many it applied.
 func (k *fusedKernel) scatter(fr *kframe, ix []int64) int {
 	off := fr.gat.Off
 	if k.gat.float {
-		dst, v := fr.gat.Seg.F, fr.invF[0]
+		dst, v := fr.gat.Seg.F, fr.invF[k.upd]
 		for j, b := range ix {
 			c := off + int(b)
 			if uint(c) >= uint(len(dst)) {
@@ -382,7 +382,7 @@ func (k *fusedKernel) scatter(fr *kframe, ix []int64) int {
 		}
 		return len(ix)
 	}
-	dst, v := fr.gat.Seg.I, fr.invI[0]
+	dst, v := fr.gat.Seg.I, fr.invI[k.upd]
 	switch k.op {
 	case token.ADD:
 		for j, b := range ix {

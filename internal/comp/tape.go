@@ -46,7 +46,8 @@ import (
 var nullPtr mem.Pointer
 
 // topcode is a tape instruction opcode. (The t prefix keeps the set
-// disjoint from the fused-kernel postfix opcodes in kernel.go.)
+// apart from the kernel node opcodes of kernel.go, which the lifter
+// maps them to.)
 type topcode uint8
 
 const (
@@ -182,6 +183,8 @@ const (
 	tLeII
 	tGtII
 	tGeII
+	tMaxII // I[a] = max(I[b], aux) — a ?: clamp v < K ? K : v
+	tMinII // I[a] = min(I[b], aux) — a ?: clamp v > K ? K : v
 
 	// Float ops against a pooled constant: c indexes constF.
 	tAddFC // F[a] = F[b] + constF[c]
@@ -472,6 +475,10 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 				I[in.a] = b2i(I[in.b] > in.aux)
 			case tGeII:
 				I[in.a] = b2i(I[in.b] >= in.aux)
+			case tMaxII:
+				I[in.a] = max(I[in.b], in.aux)
+			case tMinII:
+				I[in.a] = min(I[in.b], in.aux)
 
 			case tConstF:
 				F[in.a] = cf[in.b]

@@ -7,16 +7,17 @@ import (
 	"purec/internal/sema"
 )
 
-// benchSrc is an axpy-shaped dispatch workload: the doubly braced body
-// keeps the matcher off the loop, so every iteration pays full
-// statement dispatch on the tape.
+// benchSrc is an axpy-shaped dispatch workload: the body leaves its
+// value in a local, which keeps the lifter off the loop, so every
+// iteration pays full statement dispatch on the tape.
 const benchSrc = `
 float x[4096], y[4096];
 
 int run(void) {
 	float a = 1.5f;
 	for (int i = 0; i < 4096; i++) {
-		{ y[i] = a * x[i] + y[i]; }
+		float v = a * x[i] + y[i];
+		y[i] = v;
 	}
 	return 0;
 }

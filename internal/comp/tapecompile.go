@@ -115,9 +115,9 @@ type tapeScratch struct {
 	depth int
 	ta    tapeAlloc
 	pools *tapePools
-	free  tapePools       // emptied pool buffers and cleared dedup indexes
-	tapes []*tape         // the program's finished tapes, in compile order
-	nodes [maxNodes]knode // the expression of the kernel being matched
+	free  tapePools // emptied pool buffers and cleared dedup indexes
+	tapes []*tape   // the program's finished tapes, in compile order
+	lift  liftScratch
 }
 
 var tapeScratchPool = sync.Pool{New: func() any {
@@ -194,20 +194,23 @@ func (fc *funcCompiler) compileTapeBody() {
 	fc.talloc, fc.scratch = nil, nil
 }
 
-// loopFn runs a parallel loop's body for the iterator values lo..hi on
-// e: inline (break ends the range, return propagates) or, with chunk
-// set, as a worker's chunk (every iteration runs, ctrl results are
-// dropped).
+// loopFn runs a loop's body for the iterator values lo..hi on e:
+// inline (break ends the range, return propagates) or, with chunk set,
+// as a worker's chunk (every iteration runs, ctrl results are dropped).
 type loopFn func(e *env, lo, hi int64, chunk bool) ctrl
 
-// loopBody compiles a parallel-loop body over iterator slot slot into a
-// nested tape sharing the function's temp registers (all temps are dead
-// at the region boundary, and worker clones copy the extended frame),
-// run once per range.
-func (fc *funcCompiler) loopBody(s ast.Stmt, slot int) loopFn {
+// loopBody compiles a loop body into a nested tape sharing the
+// function's temp registers (all temps are dead at the region
+// boundary, and worker clones copy the extended frame).
+func (fc *funcCompiler) loopBody(s ast.Stmt) *tape {
 	saved := fc.talloc.level()
 	tp := fc.newTape(s)
 	fc.talloc.restore(saved)
+	return tp
+}
+
+// loop runs the body tape once per range over iterator slot slot.
+func (tp *tape) loop(slot int) loopFn {
 	return func(e *env, lo, hi int64, chunk bool) ctrl {
 		mode := runRange
 		if chunk {
@@ -310,7 +313,7 @@ func (tc *tapeCompiler) stmt(s ast.Stmt) {
 		}
 		tc.patchHere(skip)
 	case *ast.ForStmt:
-		tc.seqFor(x, tc.fc.matchLoop(x))
+		tc.seqFor(x)
 	case *ast.WhileStmt:
 		lcond := tc.mark()
 		exit := tc.jumpIf(x.Cond, false)
@@ -408,39 +411,27 @@ func (tc *tapeCompiler) tapeReturn(x *ast.ReturnStmt) {
 		tc.emit(tinstr{op: tRet})
 		return
 	}
-	if fc.cf.retVoid {
-		fc.errorf(x, "value returned from void function")
-	}
 	kind := int(fc.cf.retKind)
 	f32 := kind == tkF && fc.sig != nil && fc.sig.Ret.CSize == 4
 	r := tc.toReg(tc.operand(x.X, kind, -1, f32), kind, -1)
 	tc.emit(tinstr{op: [3]topcode{tRetI, tRetF, tRetP}[kind], a: r})
 }
 
-// seqFor compiles a sequential for loop given its match: the fused
-// kernel's launch where the matcher found one — the dispatch body runs
-// what the kernel leaves —, otherwise a rotated loop — entry test, body,
-// post, bottom test jumping back. The condition compiles twice but
-// evaluates once per round exactly as the top-test form does (entry +
-// one per iteration), so side effects and traps keep their order, and
-// the hot path pays one taken branch per iteration instead of two. A
-// post of v++ and a bottom test v < K become one tIncJltII, v < r (r a
-// register other than v) one tIncJltI.
-func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
-	if lk.run != nil {
-		kern, iter := tc.fc.fused(lk), lk.iterSlot
-		body := tc.fc.loopBody(lk.body, iter)
-		// The dispatch loop leaves the first failing iterator value in
-		// the slot: hi+1 here, lo on the empty path (launchLoop).
-		tc.launchLoop(&lk.canonicalLoop, lk.k, func(e *env, lo, hi int64) ctrl {
-			if t := kern(e, lo, hi); t <= hi {
-				body(e, t, hi, false)
-			}
-			e.I[iter] = hi + 1
-			return ctrlNext
-		}, true)
-		return
-	}
+// seqFor compiles a sequential for loop as a rotated loop — entry
+// test, body, post, bottom test jumping back. The condition compiles
+// twice but evaluates once per round exactly as the top-test form does
+// (entry + one per iteration), so side effects and traps keep their
+// order, and the hot path pays one taken branch per iteration instead
+// of two. A post of v++ and a bottom test v < K become one tIncJltII,
+// v < r (r a register other than v) one tIncJltI.
+//
+// A canonical loop's body, once compiled, is offered to the lifter;
+// when it lifts, the loop's code is cut back and becomes the kernel's
+// launch, and the body's code moves to the nested tape the launch runs
+// where the kernel stops.
+func (tc *tapeCompiler) seqFor(x *ast.ForStmt) {
+	cl, canon := tc.fc.canonical(x)
+	start, label := tc.here(), tc.label
 	if x.Init != nil {
 		tc.stmt(x.Init)
 	}
@@ -452,6 +443,15 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 	tc.pushLoop(false)
 	tc.stmt(x.Body)
 	ctx := tc.popLoop()
+	if canon && ctx.breaks == noJump && ctx.conts == noJump {
+		if k := tc.lift(tc.tp.code[lbody:], &cl); k != nil {
+			body := &tape{code: clone(tc.tp.code[lbody:]), tapePools: tc.tp.tapePools}
+			tc.fc.scratch.tapes = append(tc.fc.scratch.tapes, body)
+			tc.tp.code, tc.label = tc.tp.code[:start], label
+			tc.seqKernel(&cl, k, body.loop(cl.iterSlot))
+			return
+		}
+	}
 	lpost := tc.mark()
 	if x.Post != nil {
 		tc.effect(x.Post)
@@ -463,6 +463,21 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt, lk loopKernel) {
 	}
 	tc.patchHere(tc.concat(exit, ctx.breaks))
 	tc.patchTo(ctx.conts, lpost)
+}
+
+// seqKernel launches a sequential loop's kernel: the dispatch body runs
+// what the kernel leaves, and the dispatch loop leaves the first
+// failing iterator value in the slot: hi+1 here, lo on the empty path
+// (launchLoop).
+func (tc *tapeCompiler) seqKernel(cl *canonicalLoop, k *fusedKernel, body loopFn) {
+	kern, iter := tc.fc.fused(k), cl.iterSlot
+	tc.launchLoop(cl, k, func(e *env, lo, hi int64) ctrl {
+		if t := kern(e, lo, hi); t <= hi {
+			body(e, t, hi, false)
+		}
+		e.I[iter] = hi + 1
+		return ctrlNext
+	}, true)
 }
 
 // incJlt fuses a loop tail that compiled to [tAddII v,v,1 at lpost]
@@ -496,7 +511,6 @@ func (tc *tapeCompiler) incJlt(lpost, back, lbody int) bool {
 // followed by the case bodies in source order, so execution falls
 // through from the selected case until a break.
 func (tc *tapeCompiler) tapeSwitch(x *ast.SwitchStmt) {
-	fc := tc.fc
 	tag := tc.toReg(tc.intOp(x.Tag, -1), tkI, -1)
 	jumps := make([]int, len(x.Cases))
 	deflt := -1
@@ -507,10 +521,7 @@ func (tc *tapeCompiler) tapeSwitch(x *ast.SwitchStmt) {
 			}
 			continue
 		}
-		v, ok := sema.ConstInt(c.Value)
-		if !ok {
-			fc.errorf(c, "case label must be constant")
-		}
+		v, _ := sema.ConstInt(c.Value) // sema.Check refuses a label that is not
 		jumps[i] = tc.jump(tinstr{op: tJeqII, b: tag, aux: v})
 	}
 	miss := tc.jump(tinstr{op: tJmp})
@@ -690,6 +701,9 @@ func (tc *tapeCompiler) intVal(e ast.Expr, hint int32) opnd {
 	case *ast.AssignExpr:
 		return tc.assign(x, hint, true)
 	case *ast.CondExpr:
+		if v, steps, n := tc.fc.clamp(x); n > 0 {
+			return tc.clampOp(v, steps[:n], lvl, hint)
+		}
 		return tc.cond(x, tkI, hint, false)
 	case *ast.IndexExpr, *ast.MemberExpr:
 		return reg(tc.load(tc.address(e), tkI, lvl, hint, false))
@@ -949,6 +963,117 @@ func (tc *tapeCompiler) cond(x *ast.CondExpr, kind int, hint int32, f32 bool) op
 	tc.toReg(tc.operand(x.Else, kind, d, f32), kind, d)
 	tc.ta.restore(lvl)
 	tc.patchHere(done)
+	return reg(d)
+}
+
+// maxClamp bounds the levels of a ?: clamp compiled to tMaxII/tMinII.
+const maxClamp = 4
+
+// clampStep is one level of a ?: clamp: max(·, k), or min(·, k) when
+// upper is set.
+type clampStep struct {
+	k     int64
+	upper bool
+}
+
+// clamp recognizes a ?: clamp of an effect-free int v against integer
+// constants:
+//
+//	v < K ? K : rest   (also K > v ? K : rest)   max(rest, K)
+//	v > K ? K : rest   (also K < v ? K : rest)   min(rest, K)
+//
+// rest is v itself or a nested clamp of v. C tests the outer level
+// first, so a level is its max or min only when K lies inside the range
+// rest can take; otherwise the ?: keeps its branches. It returns v and
+// the steps innermost first, n = 0 when x is no clamp.
+func (fc *funcCompiler) clamp(x *ast.CondExpr) (v ast.Expr, steps [maxClamp]clampStep, n int) {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	var outer [maxClamp]clampStep
+	for depth := 0; ; depth++ {
+		cond, ok := ast.Unparen(x.Cond).(*ast.BinaryExpr)
+		if !ok || depth == maxClamp || (cond.Op != token.LSS && cond.Op != token.GTR) {
+			return nil, steps, 0
+		}
+		u, bound, upper := cond.X, cond.Y, cond.Op == token.GTR
+		k, isK := sema.ConstInt(bound)
+		if !isK {
+			// The mirrored form: K > v, K < v.
+			u, bound, upper = cond.Y, cond.X, !upper
+			k, isK = sema.ConstInt(bound)
+		}
+		if t, isT := sema.ConstInt(x.Then); !isK || !isT || t != k || fc.typeOf(u).Kind != types.Int {
+			return nil, steps, 0
+		}
+		outer[depth] = clampStep{k, upper}
+		if v == nil {
+			if hasSideEffects(fc, u) {
+				return nil, steps, 0
+			}
+			v = u
+		} else if !sameValue(fc, u, v) {
+			return nil, steps, 0
+		}
+		rest := ast.Unparen(x.Else)
+		if inner, isCond := rest.(*ast.CondExpr); isCond {
+			x = inner
+			continue
+		}
+		if !sameValue(fc, rest, v) {
+			return nil, steps, 0
+		}
+		// Innermost first, each level's bound inside the range below it.
+		for n = 0; n <= depth; n++ {
+			s := outer[depth-n]
+			if s.k < lo || s.k > hi {
+				return nil, steps, 0
+			}
+			if s.upper {
+				hi = s.k
+			} else {
+				lo = s.k
+			}
+			steps[n] = s
+		}
+		return v, steps, n
+	}
+}
+
+// sameValue reports whether two effect-free expressions are the same
+// syntax over the same symbols, so they evaluate to one value.
+func sameValue(fc *funcCompiler, a, b ast.Expr) bool {
+	a, b = ast.Unparen(a), ast.Unparen(b)
+	switch x := a.(type) {
+	case *ast.Ident:
+		y, ok := b.(*ast.Ident)
+		return ok && fc.prog.info.Ref[x] == fc.prog.info.Ref[y] && fc.prog.info.Ref[x] != nil
+	case *ast.IntLit:
+		y, ok := b.(*ast.IntLit)
+		return ok && x.Value == y.Value
+	case *ast.IndexExpr:
+		y, ok := b.(*ast.IndexExpr)
+		return ok && sameValue(fc, x.X, y.X) && sameValue(fc, x.Index, y.Index)
+	case *ast.BinaryExpr:
+		y, ok := b.(*ast.BinaryExpr)
+		return ok && x.Op == y.Op && sameValue(fc, x.X, y.X) && sameValue(fc, x.Y, y.Y)
+	case *ast.UnaryExpr:
+		y, ok := b.(*ast.UnaryExpr)
+		return ok && x.Op == y.Op && sameValue(fc, x.X, y.X)
+	}
+	return false
+}
+
+// clampOp compiles v once and applies the clamp steps to it.
+func (tc *tapeCompiler) clampOp(v ast.Expr, steps []clampStep, lvl [3]int32, hint int32) opnd {
+	r := tc.toReg(tc.intOp(v, -1), tkI, -1)
+	d := tc.dest(lvl, tkI, hint)
+	for _, s := range steps {
+		op := tMaxII
+		if s.upper {
+			op = tMinII
+		}
+		tc.emit(tinstr{op: op, a: d, b: r, aux: s.k})
+		r = d
+	}
 	return reg(d)
 }
 

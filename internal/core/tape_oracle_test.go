@@ -87,7 +87,7 @@ int main(void) {
 // TestTapeEngineTrapParity pins the trap side of the tape contract:
 // faulty programs must fail as runtime errors on the tape exactly as
 // they do in the interp oracle — same fault, never a silent wrong
-// answer. The loop bodies are doubly braced, a form the matcher
+// answer. The loop bodies leave a value in a local, which the lifter
 // rejects, so the tape's dispatch itself runs them.
 func TestTapeEngineTrapParity(t *testing.T) {
 	cases := []struct {
@@ -99,7 +99,8 @@ float *y;
 int main(void) {
     y = (float*)malloc(8 * sizeof(float));
     for (int i = 0; i <= 8; i++) {
-        { y[i] = 1.0f; }
+        float v = 1.0f;
+        y[i] = v;
     }
     return 0;
 }
@@ -110,7 +111,8 @@ int main(void) {
     d = 0;
     int s = 0;
     for (int i = 0; i < 4; i++) {
-        { s = s + i / d; }
+        int q = i / d;
+        s = s + q;
     }
     return s;
 }
