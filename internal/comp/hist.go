@@ -14,7 +14,7 @@ package comp
 // of the loop: always correct, never silently wrong. A clause naming
 // no matching update at all is a malformed pragma, rejected by
 // omp.Bind before the loop compiles. The canonical histogram body
-// additionally fuses into a scatter kernel (matchHist).
+// additionally lifts to a scatter kernel (lift.go).
 
 import (
 	"purec/internal/ast"

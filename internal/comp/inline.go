@@ -1,10 +1,10 @@
 package comp
 
 // Leaf-pure inlining: a call of a pure function whose body is exactly
-// `return <expr>;` is rewritten, as syntax, into that expression before
-// anything classifies or compiles it — the loop matcher (match.go) sees
-// `next[i][j] = avg(cur[i-1], cur[i], cur[i+1], j)` as the stencil it
-// is, and the expression compilers never build a frame for it. This is
+// `return <expr>;` is rewritten, as syntax, into that expression when
+// the tape compiles it — `next[i][j] = avg(cur[i-1], cur[i], cur[i+1],
+// j)` compiles to the stencil it is, which the lifter (lift.go) reads
+// as a kernel, and the expression compilers never build a frame for it. This is
 // the -O2 inlining both GCC and ICC perform, made unconditional for the
 // one shape where it cannot lose: the paper measured the extracted heat
 // stencil at 87.8 vs 47.5 G instructions against the hand-inlined loop
@@ -129,9 +129,9 @@ func inlinableType(t *types.Type) bool {
 
 // inlineCall is the inlining decision: the expression that replaces the
 // call, or false when it stays a call. Every compiler of a call —
-// callFlt, callInt, callPtr and, through inlineCalls, matchLoop — asks
-// here, and asks once per call site: the verdict is cached, so the
-// matcher and the dispatch path always see the same rewrite.
+// callFlt, callInt, callPtr — asks here, and asks once per call site:
+// the verdict is cached, so every compile of the site sees the same
+// rewrite.
 func (fc *funcCompiler) inlineCall(x *ast.CallExpr) (ast.Expr, bool) {
 	return fc.inlineAt(x, 0)
 }
@@ -149,13 +149,6 @@ func (fc *funcCompiler) inlineAt(x *ast.CallExpr, depth int) (ast.Expr, bool) {
 	}
 	fc.inlined[x] = e
 	return e, true
-}
-
-// inlineCalls rewrites every inlinable call inside a source expression,
-// sharing the subtrees it does not touch (an expression without such a
-// call comes back as it went in).
-func (fc *funcCompiler) inlineCalls(e ast.Expr) ast.Expr {
-	return fc.subst(e, nil, 0)
 }
 
 // expandCall builds the replacement of one call, or nil.
@@ -353,20 +346,4 @@ func (fc *funcCompiler) f32Exact(e ast.Expr) bool {
 		return user
 	}
 	return false
-}
-
-// peelF32 strips conversions to float off a value about to be stored
-// to a 4-byte float cell: the store rounds anyway.
-func (fc *funcCompiler) peelF32(e ast.Expr) ast.Expr {
-	for {
-		c, ok := ast.Unparen(e).(*ast.CastExpr)
-		if !ok {
-			return e
-		}
-		t, in := c.Checked(), c.X.Checked()
-		if t == nil || in == nil || t.Kind != types.Float || t.CSize != 4 || in.Kind != types.Float {
-			return e
-		}
-		e = c.X
-	}
 }

@@ -120,7 +120,10 @@ type fusedKernel struct {
 	run      kernRun
 
 	loads []kAccess
-	invs  []kinv
+	// invs is the launch program: the invariants, each an lnode whose a
+	// and b name the slots of earlier ones (a pointer load reads base
+	// slot b at index slot a times c cells).
+	invs []lnode
 	// nodes is the expression, its root last, in the compile's scratch
 	// buffer until the kernel is emitted.
 	nodes []knode
@@ -138,16 +141,17 @@ type fusedKernel struct {
 	float      bool // element kind of the program (and of every load)
 }
 
-// kinv is one launch invariant of register kind kind: a leaf — frame
-// register r, global slot r, the constant c (a float's bits) — or an
-// op over the slots a and b before it (b < 0 for a unary one); a
-// pointer load reads base slot b at index slot a times c cells.
-type kinv struct {
-	code uint8
-	kind uint8
-	a, b int8
-	r    int32
-	c    int64
+// into is the frame slot a register fold or a scatter accumulates into;
+// none for a map, a memory cell, or a scatter target the body does not
+// read from a frame pointer register.
+func (k *fusedKernel) into() slot {
+	switch {
+	case k.sink == sinkScatter && k.invs[k.gat.base].op == opReg:
+		return slot{slotPtr, int(k.invs[k.gat.base].r)}
+	case k.sink == sinkStore || k.sink == sinkScatter || k.cell:
+		return slot{slotPtr, -1}
+	}
+	return slot{slotKind(b2i(k.float)), k.acc}
 }
 
 // kAccess is one array operand of a fused kernel: the pointer in
@@ -245,91 +249,55 @@ type kframe struct {
 func (k *fusedKernel) invariants(fr *kframe, e *env) bool {
 	for s := range k.invs {
 		iv := &k.invs[s]
-		switch iv.kind {
-		case tkP:
-			switch iv.code {
-			case opReg:
-				fr.invP[s] = e.P[iv.r]
-			case opGlob:
-				fr.invP[s] = e.p.gP[iv.r]
-			default: // opLoad
-				p := fr.invP[iv.b]
-				if p.IsNull() {
-					return false
-				}
-				cells, c := p.Seg.P, int64(p.Off)+fr.invI[iv.a]*iv.c
-				if uint64(c) >= uint64(len(cells)) {
-					return false
-				}
-				fr.invP[s] = cells[c]
+		a, b := max(iv.a, 0), max(iv.b, 0)
+		// The slot and its operands as one-cell columns of the strip ops.
+		vi, xi, yi := fr.invI[s:s+1], fr.invI[a:a+1], fr.invI[b:b+1]
+		vf, xf, yf := fr.invF[s:s+1], fr.invF[a:a+1], fr.invF[b:b+1]
+		switch {
+		case iv.op == opReg || iv.op == opGlob:
+			I, F, P := e.I, e.F, e.P
+			if iv.op == opGlob {
+				I, F, P = e.p.gI, e.p.gF, e.p.gP
 			}
-			continue
-		case tkF:
-			x, y := fr.invF[max(iv.a, 0)], fr.invF[max(iv.b, 0)]
-			var v float64
-			switch iv.code {
-			case opReg:
-				v = e.F[iv.r]
-			case opGlob:
-				v = e.p.gF[iv.r]
-			case opConst:
-				v = math.Float64frombits(uint64(iv.c))
-			case opI2F:
-				v = float64(fr.invI[iv.a])
-			case opAdd:
-				v = x + y
-			case opSub:
-				v = x - y
-			case opMul:
-				v = x * y
-			case opQuo:
-				v = x / y
-			case opNeg:
-				v = -x
-			case opRound:
-				v = float64(float32(x))
+			switch iv.kind {
+			case tkI:
+				vi[0] = I[iv.r]
+			case tkF:
+				vf[0] = F[iv.r]
+			default:
+				fr.invP[s] = P[iv.r]
 			}
-			fr.invF[s] = v
-			continue
-		}
-		x, y := fr.invI[max(iv.a, 0)], fr.invI[max(iv.b, 0)]
-		var v int64
-		switch iv.code {
-		case opReg:
-			v = e.I[iv.r]
-		case opGlob:
-			v = e.p.gI[iv.r]
-		case opConst:
-			v = iv.c
-		case opAdd:
-			v = x + y
-		case opSub:
-			v = x - y
-		case opMul:
-			v = x * y
-		case opQuo, opRem:
-			if y == 0 {
+		case iv.op == opConst:
+			vi[0], vf[0] = iv.c, math.Float64frombits(uint64(iv.c))
+		case iv.op == opLoad: // a pointer cell
+			p := fr.invP[b]
+			if p.IsNull() {
 				return false
 			}
-			if v = x / y; iv.code == opRem {
-				v = x % y
+			cells, c := p.Seg.P, int64(p.Off)+xi[0]*iv.c
+			if uint64(c) >= uint64(len(cells)) {
+				return false
 			}
-		case opAnd:
-			v = x & y
-		case opOr:
-			v = x | y
-		case opXor:
-			v = x ^ y
-		case opShl:
-			v = x << uint(y)
-		case opShr:
-			v = x >> uint(y)
-		case opNeg:
-			v = -x
-		case opNot:
-			v = ^x
+			fr.invP[s] = cells[c]
+		case iv.op == opI2F:
+			vf[0] = float64(xi[0])
+		case iv.op == opRound:
+			vf[0] = float64(float32(xf[0]))
+		case iv.op == opNeg && iv.kind == tkF:
+			negStrip(vf, xf)
+		case iv.op == opNeg:
+			negStrip(vi, xi)
+		case iv.op == opNot:
+			vi[0] = ^xi[0]
+		case iv.kind == tkF:
+			arith(iv.op, formVV, vf, xf, yf, 0)
+		case (iv.op == opQuo || iv.op == opRem) && yi[0] == 0:
+			return false
+		case iv.op <= opQuo:
+			arith(iv.op, formVV, vi, xi, yi, 0)
+		default:
+			intStrip(iv.op, formVV, vi, xi, yi, 0)
 		}
-		fr.invI[s] = v
 	}
 	return true
 }

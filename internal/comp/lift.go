@@ -1,47 +1,28 @@
 package comp
 
-// The lifter: the one front door of kernel fusion. A canonical loop's
-// body compiles to tape code first — a parallel loop's into the nested
-// tape it runs on, a sequential loop's in place — and the lifter reads
-// that code back as a kernel, the way a trace recorder reads a loop's
-// bytecode (LuaJIT's SSA IR); what the lifter cannot read stays on the
-// tape. So a C rule the tape compiler encodes (evaluation order, float32
-// rounding points, integer division, clamps) is encoded once, and the
-// kernel computes exactly what the dispatch body does.
+// The lifter, the one front door of kernel fusion, reads a canonical
+// loop's compiled body tape back as a kernel — a recorder over bytecode
+// (LuaJIT's SSA IR) feeding vectorized interpretation (strip.go). The C
+// rules the tape compiler encodes (evaluation order, float32 rounding
+// points, integer division, clamps) are thus encoded once.
 //
-// Lifting is symbolic execution of the body's straight-line code:
-//
-//   - every instruction becomes one value-numbered node (lnode) over the
-//     values in its operand registers; a rounded …R op is the op and an
-//     opRound, a multiply-add a product and a sum;
-//   - a register the body never writes holds a launch invariant, and so
-//     does a global slot (the body never stores one: a lifted body's
-//     only store is to an array); the iterator's register is the
-//     iterator;
-//   - an indexed load reads its index register as coef·iter + an
-//     invariant, a strided operand (kAccess); a load whose index is
-//     another load — through ?: clamps, which the tape compiler emits as
-//     tMaxII/tMinII — is the kernel's gathered load.
-//
-// The sink is what the body does with its value:
-//
-//   - a store at an affine index is a map (kindMap);
-//   - acc = acc + v into a local register is a sum, and so is a float
-//     cell updated at one invariant index (kindReduce); float sums pass
-//     the fuseReductions gate and keep the dot shapes of the paper's
-//     vectorized pure functions;
-//   - a load, an update by an invariant and a store through one loaded
-//     index is a scatter (kindHist);
-//   - a compare of a unit-stride load with a local, a branch over the
-//     update, and the load again into the local is a min/max fold
-//     (kindMinMax).
-//
-// Anything else — a call, printf, a store to a global scalar or through
-// a pointer, any other branch, a local the loop leaves behind — keeps
-// the loop on the tape. The lifted nodes then lower to the strip
-// program (strip.go), the invariants to a launch program prepFrame runs
-// (kernel.go), and the loop keeps its dispatch body: a kernel stops
-// where the dispatch loop would trap, and the body finishes the range.
+// Lifting is symbolic execution of straight-line code: each instruction
+// becomes value-numbered nodes (lnode) over its operand registers' values
+// (a rounded …R op is the op and an opRound); registers the body never
+// writes and global slots (a lifted body stores only array cells) hold
+// launch invariants; an indexed load whose index is coef·iter + an
+// invariant is a strided operand, one whose index is a load — through the
+// tMaxII/tMinII of a ?: clamp — the gathered load. The sink classifies the
+// body: a store at an affine index is a map; acc = acc + v into a local
+// (or, for floats, a cell at an invariant index) a sum, floats behind the
+// fuseReductions gate in the paper's dot shapes; a load, update by an
+// invariant and store through one loaded index a scatter; compare, branch
+// and reload of a unit-stride load into a local a min/max fold. Anything
+// else — a call, printf, a store to a global scalar or through a pointer,
+// another branch, a local left behind — keeps the loop on the tape. The
+// varying nodes lower to the strip program, the invariant ones to the
+// launch program prepFrame runs, and the loop keeps its dispatch body for
+// where a kernel stops.
 
 import (
 	"math"
@@ -69,12 +50,11 @@ func (fc *funcCompiler) fuseReductions() bool {
 	return (fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize
 }
 
-// Lifter-only node codes, after the strip codes of kernel.go: leaves
-// for launch invariants, the conversion of an invariant int to float,
-// and a ?: clamp of a gathered index.
+// Lifter-only node codes, after the strip codes of kernel.go: launch
+// invariant leaves, the conversion of an int to float, and a ?: clamp.
 const (
-	opReg   = opRound + 1 + iota // register r of the node's kind
-	opGlob                       // global slot r of the node's kind
+	opReg   = opRound + 1 + iota // register r on entry to the body
+	opGlob                       // global slot r
 	opConst                      // the constant c (a float's bits)
 	opI2F                        // float64(a)
 	opClamp                      // max(a, c) when b == 0, min(a, c) otherwise
@@ -84,54 +64,49 @@ const (
 // reads the cell of base node b at index node a times the element
 // stride c; a gather is a load whose index is itself a load.
 type lnode struct {
-	op   uint8
-	kind uint8
-	a, b int8
-	r    int32
-	c    int64
+	op, kind uint8
+	a, b     int8
+	r        int32
+	c        int64
 }
 
-// lreg is the value register r of the kind holds at the current point
-// of a lift.
+// lreg is the node register r of the kind holds at the current point.
 type lreg struct {
 	kind uint8
 	r    int32
 	n    int8
 }
 
-// lifter is the working state of one lift. Everything it holds lives
-// on the compile's scratch, so a body that does not lift costs no
-// allocation; the kernel is copied out when one does.
+// lifter is the working state of one lift, on the compile's scratch: a
+// body that does not lift costs no allocation.
 type lifter struct {
 	fc    *funcCompiler
-	temps [3]int32 // the first temp of each register kind
+	temps [3]int32 // the first temp register of each kind
 	iter  int32
 	nodes []lnode
-	regs  []lreg
-	// st is the body's one store: base and index node, element stride,
-	// value node, and whether it rounds through float32.
+	regs  []lreg // every register the body writes, with its last value
+	// st is the body's one store: base, index and value nodes, element
+	// stride, and whether it rounds through float32.
 	st struct {
 		ok, float, f32 bool
 		base, idx, val int8
 		aux            int64
 	}
-	// branch is the pc of a fold's conditional jump (-1 for none): the
-	// code after it runs exactly when node lt < node gt. A ?: fold of a
-	// 4-byte float ends in an else arm that rounds register elseRound in
-	// place (-1 for none), and the walk ends at the taken arm's jump.
+	// branch is the pc of a fold's conditional jump (-1 for none), after
+	// which the code runs exactly when node lt < node gt. A ?: fold into
+	// a 4-byte float ends in an else arm that rounds register elseRound
+	// in place; the walk stops at the jump over it.
 	branch    int
 	lt, gt    int8
 	elseRound int32
-	done      bool
+	done, bad bool
 
-	// The kernel being built: after the walk every node is marked
-	// invariant or not, and kid maps a varying node to its strip node
-	// and an invariant one to its launch slot (-1 until assigned).
-	building bool
-	inv      []bool
-	kid      []int8
-	k        fusedKernel
-	bad      bool
+	// After the walk: inv marks each node invariant, and kid maps a
+	// varying node to its strip node, an invariant one to its launch
+	// slot (-1 until assigned).
+	inv []bool
+	kid []int8
+	k   fusedKernel
 }
 
 // liftScratch backs a lifter's slices.
@@ -142,16 +117,15 @@ type liftScratch struct {
 	kid   [maxNodes]int8
 	kn    [maxNodes]knode
 	loads [maxLoads]kAccess
-	invs  [maxInvs]kinv
+	invs  [maxInvs]lnode
 }
 
 // maxBody bounds the instructions of a body the lifter reads.
 const maxBody = 4 * maxNodes
 
-// lift reads code — the body of the canonical loop cl — as a kernel. It
-// returns nil when the body does not lift, its bounds are not fixed
-// across the loop or the kernel exceeds a bound of the evaluator, and
-// the kernel with its run function otherwise.
+// lift reads code — the body of the canonical loop cl — as a kernel: nil
+// when the body does not lift, the bounds could change under it or the
+// kernel exceeds a bound of the evaluator.
 func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	if len(code) > maxBody {
 		return nil
@@ -167,7 +141,6 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	if l.bad {
 		return nil
 	}
-	l.building = true
 	for _, nd := range l.nodes {
 		l.inv, l.kid = append(l.inv, l.invariant(nd)), append(l.kid, -1)
 	}
@@ -183,8 +156,8 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	return k
 }
 
-// node adds nd, or finds the equal node it already has, and returns
-// its id; past maxNodes the lift fails.
+// node adds nd, or finds the equal node it already has, and returns its
+// id; past maxNodes the lift fails.
 func (l *lifter) node(nd lnode) int8 {
 	for id, x := range l.nodes {
 		if x == nd {
@@ -196,22 +169,30 @@ func (l *lifter) node(nd lnode) int8 {
 		return 0
 	}
 	l.nodes = append(l.nodes, nd)
-	if l.building {
+	if len(l.inv) > 0 { // built after the walk
 		l.inv, l.kid = append(l.inv, l.invariant(nd)), append(l.kid, -1)
 	}
 	return int8(len(l.nodes) - 1)
 }
 
+func (l *lifter) op(code, kind uint8, a, b int8) int8 {
+	return l.node(lnode{op: code, kind: kind, a: a, b: b})
+}
+
+// leaf is the node of a leaf: register or global slot r, or constant c.
+func (l *lifter) leaf(code, kind uint8, r int32, c int64) int8 {
+	return l.node(lnode{op: code, kind: kind, a: -1, b: -1, r: r, c: c})
+}
+
 // invariant reports whether nd is computed at launch: a leaf the body
 // never writes, or an op over such values — a pointer load included,
-// since a lifted body stores only int and float cells. Other loads,
-// gathers, clamps and the iterator vary.
+// since a lifted body stores only int and float cells.
 func (l *lifter) invariant(nd lnode) bool {
 	switch nd.op {
 	case opConst, opGlob:
 		return true
 	case opReg:
-		return !l.writes(nd.kind, nd.r)
+		return l.find(nd.kind, nd.r) < 0
 	case opLoad:
 		return nd.kind == tkP && l.inv[nd.a] && l.inv[nd.b]
 	case opGather, opIter, opClamp:
@@ -220,83 +201,87 @@ func (l *lifter) invariant(nd lnode) bool {
 	return l.inv[nd.a] && (nd.b < 0 || l.inv[nd.b])
 }
 
-// writes reports whether the body writes register r of the kind.
-func (l *lifter) writes(kind uint8, r int32) bool {
-	for _, x := range l.regs {
+// find is the index in regs of register r of the kind, -1 when the body
+// has not written it.
+func (l *lifter) find(kind uint8, r int32) int {
+	for i, x := range l.regs {
 		if x.kind == kind && x.r == r {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// get is the node of the value in register r of the kind: what the
-// body last wrote there, or the register's value on entry.
+// get is the node of the value in register r of the kind.
 func (l *lifter) get(kind uint8, r int32) int8 {
-	for _, x := range l.regs {
-		if x.kind == kind && x.r == r {
-			return x.n
-		}
-	}
-	if kind == tkI && r == l.iter {
+	switch i := l.find(kind, r); {
+	case i >= 0:
+		return l.regs[i].n
+	case kind == tkI && r == l.iter:
 		return l.node(lnode{op: opIter, a: -1, b: -1})
 	}
-	return l.entry(kind, r)
+	return l.leaf(opReg, kind, r, 0)
 }
 
-// entry is the node of register r's value on entry to the body.
-func (l *lifter) entry(kind uint8, r int32) int8 {
-	return l.node(lnode{op: opReg, kind: kind, a: -1, b: -1, r: r})
-}
-
-// set records that register r of the kind now holds node n. A lifted
-// body never writes the iterator, and before a fold's branch no local.
+// set records that register r of the kind now holds node n; a lifted
+// body never writes the iterator.
 func (l *lifter) set(kind uint8, r int32, n int8) {
-	if kind == tkI && r == l.iter {
+	switch i := l.find(kind, r); {
+	case kind == tkI && r == l.iter:
 		l.bad = true
-		return
+	case i >= 0:
+		l.regs[i].n = n
+	default:
+		l.regs = append(l.regs, lreg{kind, r, n})
 	}
-	for i := range l.regs {
-		if x := &l.regs[i]; x.kind == kind && x.r == r {
-			x.n = n
-			return
-		}
-	}
-	l.regs = append(l.regs, lreg{kind: kind, r: r, n: n})
 }
 
-// op is the node op(a, b) of the kind; b < 0 for a unary op.
-func (l *lifter) op(code, kind uint8, a, b int8) int8 {
-	return l.node(lnode{op: code, kind: kind, a: a, b: b})
+// Operand forms of the tape ops the lifter reads as one node.
+const (
+	fRR  = iota + 1 // op(b, c)
+	fRK             // op(b, K): K is aux, or constF[c] for a float op
+	fKR             // op(K, b)
+	fR              // op(b)
+	fMov            // b
+	fK              // the pooled constant b
+	fG              // global slot b
+	fLd             // an indexed load, from a global base when op is 1
+)
+
+// liftOp is how the lifter reads a tape op: the node op, the kinds of
+// the result and of the operands, and the operand form.
+type liftOp struct{ op, kind, in, form uint8 }
+
+var liftOps = [256]liftOp{
+	tConstI: {form: fK}, tMovI: {form: fMov}, tLdGI: {form: fG},
+	tConstF: {kind: tkF, form: fK}, tMovF: {kind: tkF, in: tkF, form: fMov}, tLdGF: {kind: tkF, form: fG},
+	tMovP: {kind: tkP, in: tkP, form: fMov}, tLdGP: {kind: tkP, form: fG},
+	tAddI: {opAdd, tkI, tkI, fRR}, tSubI: {opSub, tkI, tkI, fRR}, tMulI: {opMul, tkI, tkI, fRR},
+	tDivI: {opQuo, tkI, tkI, fRR}, tRemI: {opRem, tkI, tkI, fRR}, tAndI: {opAnd, tkI, tkI, fRR},
+	tOrI: {opOr, tkI, tkI, fRR}, tXorI: {opXor, tkI, tkI, fRR}, tShlI: {opShl, tkI, tkI, fRR},
+	tShrI: {opShr, tkI, tkI, fRR}, tAddII: {opAdd, tkI, tkI, fRK}, tMulII: {opMul, tkI, tkI, fRK},
+	tDivII: {opQuo, tkI, tkI, fRK}, tRemII: {opRem, tkI, tkI, fRK}, tAndII: {opAnd, tkI, tkI, fRK},
+	tOrII: {opOr, tkI, tkI, fRK}, tXorII: {opXor, tkI, tkI, fRK}, tShlII: {opShl, tkI, tkI, fRK},
+	tShrII: {opShr, tkI, tkI, fRK}, tRsbII: {opSub, tkI, tkI, fKR}, tNegI: {opNeg, tkI, tkI, fR},
+	tCmplI: {opNot, tkI, tkI, fR},
+	tAddF:  {opAdd, tkF, tkF, fRR}, tSubF: {opSub, tkF, tkF, fRR}, tMulF: {opMul, tkF, tkF, fRR},
+	tDivF: {opQuo, tkF, tkF, fRR}, tAddFC: {opAdd, tkF, tkF, fRK}, tSubFC: {opSub, tkF, tkF, fRK},
+	tMulFC: {opMul, tkF, tkF, fRK}, tDivFC: {opQuo, tkF, tkF, fRK}, tRsbFC: {opSub, tkF, tkF, fKR},
+	tRdivFC: {opQuo, tkF, tkF, fKR}, tNegF: {opNeg, tkF, tkF, fR}, tRoundF: {opRound, tkF, tkF, fR},
+	tI2F:   {opI2F, tkF, tkI, fR},
+	tLdIdx: {kind: tkI, form: fLd}, tLdIdxF: {kind: tkF, form: fLd}, tLdIdxP: {kind: tkP, form: fLd},
+	tLdGIdx: {1, tkI, 0, fLd}, tLdGIdxF: {1, tkF, 0, fLd}, tLdGIdxP: {1, tkP, 0, fLd},
 }
 
-func (l *lifter) konstI(v int64) int8 {
-	return l.node(lnode{op: opConst, a: -1, b: -1, c: v})
-}
-
-func (l *lifter) konstF(v float64) int8 {
-	return l.node(lnode{op: opConst, kind: tkF, a: -1, b: -1, c: int64(math.Float64bits(v))})
-}
-
-// liftOps is the node op of each arithmetic tape op: int ops over two
-// registers (…I) or a register and aux (…II), float ops over two
-// registers (…F) or a register and a pooled constant (…FC).
-var liftOps = [256]uint8{
-	tAddI: opAdd, tSubI: opSub, tMulI: opMul, tDivI: opQuo, tRemI: opRem,
-	tAndI: opAnd, tOrI: opOr, tXorI: opXor, tShlI: opShl, tShrI: opShr,
-	tAddII: opAdd, tMulII: opMul, tDivII: opQuo, tRemII: opRem,
-	tAndII: opAnd, tOrII: opOr, tXorII: opXor, tShlII: opShl, tShrII: opShr,
-	tAddF: opAdd, tSubF: opSub, tMulF: opMul, tDivF: opQuo,
-	tAddFC: opAdd, tSubFC: opSub, tMulFC: opMul, tDivFC: opQuo,
-}
-
-// unrounded maps each rounded …R op back to its op.
+// unrounded maps each rounded …R op, indexed accesses included, back to
+// the op it rounds the result of.
 var unrounded = func() (u [256]topcode) {
 	for op, r := range rounded {
 		if r != 0 {
 			u[r] = topcode(op)
 		}
 	}
+	u[tLdGIdxFR], u[tLdIdxFR], u[tStGIdxFR], u[tStIdxFR] = tLdGIdxF, tLdIdxF, tStGIdxF, tStIdxF
 	return u
 }()
 
@@ -308,130 +293,86 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 	if u := unrounded[op]; u != 0 {
 		op, round = u, true
 	}
+	d := liftOps[op]
 	var v int8
-	switch op {
-	case tConstI:
-		l.set(tkI, in.a, l.konstI(pl.constI[in.b]))
-		return
-	case tMovI:
-		l.set(tkI, in.a, l.get(tkI, in.b))
-		return
-	case tLdGI:
-		l.set(tkI, in.a, l.glob(tkI, in.b))
-		return
-	case tLdGP:
-		l.set(tkP, in.a, l.glob(tkP, in.b))
-		return
-	case tMovP:
-		l.set(tkP, in.a, l.get(tkP, in.b))
-		return
-	case tLdGIdxP, tLdIdxP:
-		l.set(tkP, in.a, l.load(in, op == tLdGIdxP, tkP))
-		return
-	case tAddI, tSubI, tMulI, tDivI, tRemI, tAndI, tOrI, tXorI, tShlI, tShrI:
-		l.set(tkI, in.a, l.op(liftOps[op], tkI, l.get(tkI, in.b), l.get(tkI, in.c)))
-		return
-	case tAddII, tMulII, tDivII, tRemII, tAndII, tOrII, tXorII, tShlII, tShrII:
-		l.set(tkI, in.a, l.op(liftOps[op], tkI, l.get(tkI, in.b), l.konstI(in.aux)))
-		return
-	case tRsbII:
-		l.set(tkI, in.a, l.op(opSub, tkI, l.konstI(in.aux), l.get(tkI, in.b)))
-		return
-	case tNegI:
-		l.set(tkI, in.a, l.op(opNeg, tkI, l.get(tkI, in.b), -1))
-		return
-	case tCmplI:
-		l.set(tkI, in.a, l.op(opNot, tkI, l.get(tkI, in.b), -1))
-		return
-	case tMaxII, tMinII:
-		l.set(tkI, in.a, l.node(lnode{op: opClamp, a: l.get(tkI, in.b), b: int8(op - tMaxII), c: in.aux}))
-		return
-	case tLdGIdx, tLdIdx:
-		l.set(tkI, in.a, l.load(in, op == tLdGIdx, tkI))
-		return
-	case tStGIdx, tStIdx, tStGIdxF, tStIdxF, tStGIdxFR, tStIdxFR:
-		l.store(in, op)
-		return
-	case tJltI, tJleI, tJltF, tJgtF:
-		l.fold(in, code, pc)
-		return
-	case tJmp:
-		// The ?: form of a fold ends its taken arm with a jump to the end.
-		l.bad, l.done = l.branch < 0 || pc+int(in.a) != len(code), true
-		return
-
-	case tConstF:
-		v = l.konstF(pl.constF[in.b])
-	case tMovF:
-		v = l.get(tkF, in.b)
-	case tLdGF:
-		v = l.glob(tkF, in.b)
-	case tAddF, tSubF, tMulF, tDivF:
-		v = l.op(liftOps[op], tkF, l.get(tkF, in.b), l.get(tkF, in.c))
-	case tAddFC, tSubFC, tMulFC, tDivFC:
-		v = l.op(liftOps[op], tkF, l.get(tkF, in.b), l.konstF(pl.constF[in.c]))
-	case tRsbFC:
-		v = l.op(opSub, tkF, l.konstF(pl.constF[in.c]), l.get(tkF, in.b))
-	case tRdivFC:
-		v = l.op(opQuo, tkF, l.konstF(pl.constF[in.c]), l.get(tkF, in.b))
-	case tNegF:
-		v = l.op(opNeg, tkF, l.get(tkF, in.b), -1)
-	case tRoundF:
-		v, round = l.get(tkF, in.b), true
-	case tI2F:
-		v = l.op(opI2F, tkF, l.get(tkI, in.b), -1)
-	case tMulAddF, tAddMulF:
-		v = l.mulAdd(op == tMulAddF, l.get(tkF, in.b), l.get(tkF, in.c), l.get(tkF, int32(in.aux)))
-	case tMulAddFC, tAddMulFC:
-		v = l.mulAdd(op == tMulAddFC, l.get(tkF, in.b), l.konstF(pl.constF[in.c]), l.get(tkF, int32(in.aux)))
-	case tLdGIdxF, tLdIdxF:
-		v = l.load(in, op == tLdGIdxF, tkF)
-	case tLdGIdxFR, tLdIdxFR:
-		v, round = l.load(in, op == tLdGIdxFR, tkF), true
+	switch d.form {
+	case fRR:
+		v = l.op(d.op, d.kind, l.get(d.in, in.b), l.get(d.in, in.c))
+	case fRK, fKR:
+		x, y := l.get(d.in, in.b), l.leaf(opConst, tkI, 0, in.aux)
+		if d.in == tkF {
+			y = l.konstF(pl, in.c)
+		}
+		if d.form == fKR {
+			x, y = y, x
+		}
+		v = l.op(d.op, d.kind, x, y)
+	case fR:
+		v = l.op(d.op, d.kind, l.get(d.in, in.b), -1)
+	case fMov:
+		v = l.get(d.in, in.b)
+	case fK:
+		if d.kind == tkF {
+			v = l.konstF(pl, in.b)
+		} else {
+			v = l.leaf(opConst, tkI, 0, pl.constI[in.b])
+		}
+	case fG:
+		v = l.leaf(opGlob, d.kind, in.b, 0)
+	case fLd:
+		idx := l.get(tkI, in.c)
+		nd := lnode{op: opLoad, kind: d.kind, a: idx, b: l.base(in.b, d.op == 1), c: in.aux}
+		if l.indexLoad(idx) >= 0 && d.kind != tkP {
+			nd.op = opGather
+		}
+		v = l.node(nd)
 	default:
-		l.bad = true
-		return
+		switch op {
+		case tMaxII, tMinII:
+			v = l.node(lnode{op: opClamp, a: l.get(tkI, in.b), b: int8(op - tMaxII), c: in.aux})
+		case tMulAddF, tAddMulF, tMulAddFC, tAddMulFC:
+			y := l.get(tkF, in.c)
+			if op == tMulAddFC || op == tAddMulFC {
+				y = l.konstF(pl, in.c)
+			}
+			p, s := l.op(opMul, tkF, l.get(tkF, in.b), y), l.get(tkF, int32(in.aux))
+			if v = l.op(opAdd, tkF, s, p); op == tMulAddF || op == tMulAddFC {
+				v = l.op(opAdd, tkF, p, s)
+			}
+			d.kind = tkF
+		case tStGIdx, tStIdx, tStGIdxF, tStIdxF:
+			l.store(in, op, round)
+			return
+		case tJltI, tJleI, tJltF, tJgtF:
+			l.fold(in, code, pc)
+			return
+		case tJmp:
+			// The ?: form of a fold ends its taken arm with a jump to the end.
+			l.bad, l.done = l.branch < 0 || pc+int(in.a) != len(code), true
+			return
+		default:
+			l.bad = true
+			return
+		}
 	}
 	if round {
 		v = l.op(opRound, tkF, v, -1)
 	}
-	l.set(tkF, in.a, v)
+	l.set(d.kind, in.a, v)
 }
 
-// mulAdd is the node of a multiply-add: x*y + s, or s + x*y.
-func (l *lifter) mulAdd(first bool, x, y, s int8) int8 {
-	p := l.op(opMul, tkF, x, y)
-	if first {
-		return l.op(opAdd, tkF, p, s)
-	}
-	return l.op(opAdd, tkF, s, p)
-}
-
-// glob is the node of global slot r of the kind.
-func (l *lifter) glob(kind uint8, r int32) int8 {
-	return l.node(lnode{op: opGlob, kind: kind, a: -1, b: -1, r: r})
+// konstF is the node of pooled float constant i.
+func (l *lifter) konstF(pl *tapePools, i int32) int8 {
+	return l.leaf(opConst, tkF, 0, int64(math.Float64bits(pl.constF[i])))
 }
 
 // base is the node of an indexed access's base: global pointer slot b,
 // or pointer register b.
 func (l *lifter) base(b int32, glob bool) int8 {
 	if glob {
-		return l.glob(tkP, b)
+		return l.leaf(opGlob, tkP, b, 0)
 	}
 	return l.get(tkP, b)
-}
-
-// load is the node of an indexed load of the kind (index register in.c,
-// base in.b, element stride in.aux): a gathered load when the index is
-// itself a load, through any clamps; a strided load when — the kernel
-// asks — the index is affine.
-func (l *lifter) load(in tinstr, glob bool, kind uint8) int8 {
-	idx := l.get(tkI, in.c)
-	nd := lnode{op: opLoad, kind: kind, a: idx, b: l.base(in.b, glob), c: in.aux}
-	if l.indexLoad(idx) >= 0 && kind != tkP {
-		nd.op = opGather
-	}
-	return l.node(nd)
 }
 
 // indexLoad is the int load under a chain of clamps from n, -1 when
@@ -447,47 +388,36 @@ func (l *lifter) indexLoad(n int8) int8 {
 }
 
 // store records the body's one store, before any branch.
-func (l *lifter) store(in tinstr, op topcode) {
-	if l.st.ok || l.branch >= 0 {
+func (l *lifter) store(in tinstr, op topcode, f32 bool) {
+	st := &l.st
+	if st.ok || l.branch >= 0 {
 		l.bad = true
 		return
 	}
-	st := &l.st
-	st.ok, st.f32 = true, op == tStGIdxFR || op == tStIdxFR
-	st.float = st.f32 || op == tStGIdxF || op == tStIdxF
-	kind := uint8(tkI)
-	if st.float {
-		kind = tkF
-	}
-	st.idx, st.aux, st.val = l.get(tkI, in.c), in.aux, l.get(kind, in.a)
-	st.base = l.base(in.b, op == tStGIdx || op == tStGIdxF || op == tStGIdxFR)
+	st.ok, st.f32, st.float = true, f32, op == tStGIdxF || op == tStIdxF
+	st.idx, st.aux, st.val = l.get(tkI, in.c), in.aux, l.get(uint8(b2i(st.float)), in.a)
+	st.base = l.base(in.b, op == tStGIdx || op == tStGIdxF)
 }
 
 // fold records the conditional jump of a min/max fold: the first
-// branch, before any local is written, taken unless a strict compare
+// branch, before the body writes a local, taken unless a strict compare
 // holds, forward to the end of the body — or to an else arm that only
 // rounds a register in place, after a jump to the end. Float compares
 // are never negated away, so only their taken-when-false forms qualify.
 func (l *lifter) fold(in tinstr, code []tinstr, pc int) {
-	n, end := len(code), pc+int(in.a)
+	n, end, neg := len(code), pc+int(in.a), in.aux != 0
 	switch {
 	case l.branch >= 0 || l.st.ok:
 		l.bad = true
-		return
-	case end == n:
-	case end == n-1 && code[n-1].op == tRoundF && code[n-1].a == code[n-1].b && code[n-2].op == tJmp:
-		l.elseRound = code[n-1].a
-	default:
+	case end == n-1 && code[end].op == tRoundF && code[end].a == code[end].b && code[end-1].op == tJmp:
+		l.elseRound = code[end].a
+	case end != n:
 		l.bad = true
-		return
 	}
 	for _, x := range l.regs {
-		if x.r < l.temps[x.kind] {
-			l.bad = true
-			return
-		}
+		l.bad = l.bad || x.r < l.temps[x.kind]
 	}
-	kind, neg := uint8(tkI), in.aux != 0
+	kind := uint8(tkI)
 	if in.op == tJltF || in.op == tJgtF {
 		kind = tkF
 	}
@@ -499,21 +429,12 @@ func (l *lifter) fold(in tinstr, code []tinstr, pc int) {
 		l.lt, l.gt = c, b
 	default:
 		l.bad = true
-		return
 	}
 	l.branch = pc
 }
 
 // ----------------------------------------------------------------------------
 // The kernel
-
-// kernelKind is the register kind of a float or int kernel's values.
-func (l *lifter) kernelKind(float bool) uint8 {
-	if float {
-		return tkF
-	}
-	return tkI
-}
 
 // kernel classifies the lifted body by its sink and builds the kernel
 // into l.k. It reports false when the body is none of the sinks or its
@@ -527,16 +448,14 @@ func (l *lifter) kernel() bool {
 		}
 	}
 	l.k.acc = int(acc.r)
-	var root int8
+	root := int8(-1)
 	switch {
 	case l.branch >= 0 && locals == 1:
 		root = l.minMax(acc)
 	case l.branch < 0 && l.st.ok && locals == 0:
 		root = l.storeSink()
-	case l.branch < 0 && !l.st.ok && locals == 1:
+	case l.branch < 0 && !l.st.ok && locals == 1 && acc.kind != tkP:
 		root = l.sum(acc)
-	default:
-		return false
 	}
 	return root >= 0 && !l.bad
 }
@@ -546,19 +465,20 @@ func (l *lifter) kernel() bool {
 // a pure gather only.
 func (l *lifter) storeSink() int8 {
 	k, st := &l.k, &l.st
-	k.f32 = st.f32
+	k.f32, k.float = st.f32, st.float
 	if st.f32 && l.nodes[st.val].op == opRound {
 		st.val = l.nodes[st.val].a // the store rounds again
 	}
+	cell := lnode{op: opLoad, kind: uint8(b2i(st.float)), a: st.idx, b: st.base, c: st.aux}
 	if il := l.indexLoad(st.idx); il >= 0 {
-		return l.scatter(il)
+		cell.op = opGather
+		return l.scatter(il, cell)
 	}
-	cell := lnode{op: opLoad, kind: l.kernelKind(st.float), a: st.idx, b: st.base, c: st.aux}
 	a, ok := l.access(cell)
 	if !ok {
 		return -1
 	}
-	k.float, k.store = st.float, a
+	k.store = a
 	if a.stride == 0 {
 		if v, isSum := l.addend(st.val, cell); isSum && st.float {
 			k.cell = true
@@ -573,15 +493,14 @@ func (l *lifter) storeSink() int8 {
 }
 
 // scatter is the sink gat[il] op= u: the stored value is the op of the
-// cell the same index loads from the same base and an invariant u.
-func (l *lifter) scatter(il int8) int8 {
+// gathered cell g the store writes and an invariant u.
+func (l *lifter) scatter(il int8, g lnode) int8 {
 	k, st := &l.k, &l.st
 	v := l.nodes[st.val]
-	if st.idx != il || st.aux != 1 || v.op < opAdd || v.op >= opRound || v.b < 0 ||
-		scatterOps[v.op] == 0 || (st.float && v.op > opMul) {
+	if st.idx != il || st.aux != 1 || v.op >= opRound || v.b < 0 || scatterOps[v.op] == 0 ||
+		(st.float && v.op > opMul) || !l.inv[st.base] {
 		return -1
 	}
-	g := lnode{op: opGather, kind: l.kernelKind(st.float), a: st.idx, b: st.base, c: st.aux}
 	u := v.b
 	switch {
 	case l.nodes[v.a] == g:
@@ -590,10 +509,10 @@ func (l *lifter) scatter(il int8) int8 {
 	default:
 		return -1
 	}
-	if !l.inv[u] || l.nodes[u].kind != g.kind || !l.inv[st.base] {
+	if !l.inv[u] || l.nodes[u].kind != g.kind {
 		return -1
 	}
-	k.sink, k.op = sinkScatter, scatterOps[v.op]
+	k.sink, k.op, k.float = sinkScatter, scatterOps[v.op], false
 	k.gathered, k.gat = true, kGather{base: l.invSlot(st.base), lo: math.MinInt64, hi: math.MaxInt64, float: st.float}
 	k.upd = l.invSlot(u)
 	return l.strip(il)
@@ -605,8 +524,7 @@ var scatterOps = [opRound]token.Kind{opAdd: token.ADD, opSub: token.SUB, opMul: 
 
 // addend returns v when node s is x + v or v + x.
 func (l *lifter) addend(s int8, x lnode) (int8, bool) {
-	nd := l.nodes[s]
-	switch {
+	switch nd := l.nodes[s]; {
 	case nd.op != opAdd:
 	case l.nodes[nd.a] == x:
 		return nd.b, true
@@ -628,14 +546,14 @@ func (l *lifter) sum(acc lreg) int8 {
 	if k.float && l.nodes[s].op == opRound {
 		k.f32, s = true, l.nodes[s].a
 	}
-	v, ok := l.addend(s, lnode{op: opReg, kind: acc.kind, a: -1, b: -1, r: acc.r})
-	switch {
+	switch v, ok := l.addend(s, lnode{op: opReg, kind: acc.kind, a: -1, b: -1, r: acc.r}); {
 	case !ok:
 		return -1
 	case k.float:
 		return l.dot(v)
+	default:
+		return l.strip(v)
 	}
-	return l.strip(v)
 }
 
 // dot admits the terms of the ICC-vectorization analog (Sect. 4.3.1:
@@ -645,9 +563,6 @@ func (l *lifter) sum(acc lreg) int8 {
 // through float32 or not — what the inlined helper mult(a, b) of the
 // paper's sources leaves behind.
 func (l *lifter) dot(v int8) int8 {
-	if !l.fc.fuseReductions() {
-		return -1
-	}
 	l.k.float, l.k.sink = true, sinkSum
 	t := v
 	if l.nodes[t].op == opRound {
@@ -661,25 +576,22 @@ func (l *lifter) dot(v int8) int8 {
 	}
 	direct := 0
 	for _, f := range factors {
-		nd := l.nodes[f]
-		ld := nd
-		if nd.op == opGather {
+		ld := l.nodes[f]
+		switch {
+		case ld.op == opGather && l.indexLoad(ld.a) == ld.a:
 			// The ELL shape walks the index array at unit stride and
 			// reads the gathered array unclamped.
-			if l.indexLoad(nd.a) != nd.a {
-				return -1
-			}
-			ld = l.nodes[nd.a]
-		} else if nd.op != opLoad {
-			return -1
-		} else {
+			ld = l.nodes[ld.a]
+		case ld.op == opLoad && ld.kind == tkF:
 			direct++
+		default:
+			return -1
 		}
-		if a, ok := l.access(ld); !ok || a.stride != 1 || nd.kind != tkF {
+		if a, ok := l.access(ld); !ok || a.stride != 1 {
 			return -1
 		}
 	}
-	if direct == 0 {
+	if direct == 0 || !l.fc.fuseReductions() {
 		return -1
 	}
 	return l.strip(v)
@@ -689,9 +601,7 @@ func (l *lifter) dot(v int8) int8 {
 // accumulator's value on entry, and the code after the branch writes v
 // — rounded through float32 for a 4-byte float — to the accumulator.
 func (l *lifter) minMax(acc lreg) int8 {
-	k := &l.k
-	entry := l.entry(acc.kind, acc.r)
-	v := l.lt
+	k, entry, v := &l.k, l.leaf(opReg, acc.kind, acc.r, 0), l.lt
 	k.sink = sinkMin
 	if l.lt == entry {
 		v, k.sink = l.gt, sinkMax
@@ -722,7 +632,7 @@ func (l *lifter) access(nd lnode) (kAccess, bool) {
 		return kAccess{}, false
 	}
 	coef, inv, ok := l.affine(nd.a)
-	if !ok || coef < 0 || l.bad {
+	if !ok || coef < 0 {
 		return kAccess{}, false
 	}
 	a := kAccess{base: l.invSlot(nd.b), off: -1, scale: nd.c, stride: coef * nd.c, float: nd.kind == tkF}
@@ -739,7 +649,6 @@ func (l *lifter) affine(n int8) (coef int64, inv int8, ok bool) {
 	nd := l.nodes[n]
 	switch {
 	case nd.kind != tkI || l.bad:
-		return 0, -1, false
 	case l.inv[n]:
 		return 0, n, true
 	case nd.op == opIter:
@@ -748,95 +657,89 @@ func (l *lifter) affine(n int8) (coef int64, inv int8, ok bool) {
 		ca, ia, oka := l.affine(nd.a)
 		cb, ib, okb := l.affine(nd.b)
 		if !oka || !okb {
-			return 0, -1, false
+			break
 		}
 		if nd.op == opSub {
-			cb = -cb
+			cb, ib = -cb, l.scale(ib, -1)
 		}
-		switch {
-		case ib < 0:
-			return ca + cb, ia, true
-		case ia < 0 && nd.op == opSub:
-			return ca + cb, l.op(opNeg, tkI, ib, -1), true
-		case ia < 0:
-			return ca + cb, ib, true
+		if ia >= 0 && ib >= 0 {
+			ib = l.op(opAdd, tkI, ia, ib)
+		} else if ib < 0 {
+			ib = ia
 		}
-		return ca + cb, l.op(nd.op, tkI, ia, ib), true
+		return ca + cb, ib, true
 	case nd.op == opMul:
 		x, c := nd.a, l.nodes[nd.b]
 		if c.op != opConst {
 			x, c = nd.b, l.nodes[nd.a]
 		}
-		if c.op != opConst {
-			return 0, -1, false
+		if cx, ix, okx := l.affine(x); okx && c.op == opConst {
+			return cx * c.c, l.scale(ix, c.c), true
 		}
-		cx, ix, okx := l.affine(x)
-		if !okx || ix < 0 {
-			return cx * c.c, -1, okx
-		}
-		return cx * c.c, l.op(opMul, tkI, ix, l.konstI(c.c)), true
 	case nd.op == opNeg:
-		c, i, ok := l.affine(nd.a)
-		if !ok || i < 0 {
-			return -c, -1, ok
+		if c, i, okx := l.affine(nd.a); okx {
+			return -c, l.scale(i, -1), true
 		}
-		return -c, l.op(opNeg, tkI, i, -1), true
 	}
 	return 0, -1, false
+}
+
+// scale is the invariant node c·n, -1 for none.
+func (l *lifter) scale(n int8, c int64) int8 {
+	switch {
+	case n < 0:
+		return -1
+	case c == -1:
+		return l.op(opNeg, tkI, n, -1)
+	}
+	return l.op(opMul, tkI, n, l.leaf(opConst, tkI, 0, c))
 }
 
 // strip maps node n into the kernel's strip nodes (value-numbered
 // again: an invariant is one opInv leaf however it was reached) and
 // returns its id, -1 when n cannot run there — every varying node must
 // be of the kernel's element kind, an int one in a float kernel only
-// the converted iterator.
+// the iterator converted exactly.
 func (l *lifter) strip(n int8) int8 {
 	if l.kid[n] >= 0 && !l.inv[n] {
 		return l.kid[n]
 	}
 	k, nd := &l.k, l.nodes[n]
-	var kn knode
+	kn := knode{code: nd.op, a: -1, b: -1}
 	switch {
-	case nd.kind != l.kernelKind(k.float):
+	case nd.kind != uint8(b2i(k.float)):
 		return -1
 	case l.inv[n]:
 		kn = knode{code: opInv, a: l.invSlot(n), b: -1}
 	case nd.op == opIter:
-		kn = knode{code: opIter, a: -1, b: -1}
-	case nd.op == opI2F:
-		if l.nodes[nd.a].op != opIter {
-			return -1
-		}
-		kn = knode{code: opIterF, a: -1, b: -1}
-	case nd.op == opRound && l.nodes[nd.a].op == opI2F && !l.inv[nd.a]:
-		// A varying int enters a float kernel only as the iterator
-		// converted exactly; a (float) conversion of it stays on the tape.
-		return -1
+	case nd.op == opI2F && l.nodes[nd.a].op == opIter:
+		kn.code = opIterF
 	case nd.op == opLoad:
-		kn = knode{code: opLoad, a: l.loadSlot(nd), b: -1}
+		kn.a = l.loadSlot(nd)
 	case nd.op == opGather:
-		kn = knode{code: opGather, a: l.gather(nd), b: -1}
+		kn.a = l.gather(nd)
+	case nd.op == opRound && l.nodes[nd.a].op == opI2F:
+		return -1 // a (float) conversion of the iterator stays on the tape
 	case nd.op >= opAdd && nd.op <= opRound:
-		kn = knode{code: nd.op, a: l.strip(nd.a), b: -1}
-		if nd.b >= 0 {
-			if kn.b = l.strip(nd.b); kn.b < 0 {
-				return -1
-			}
+		if kn.a = l.strip(nd.a); nd.b >= 0 && kn.a >= 0 {
+			kn.b = l.strip(nd.b)
+		}
+		if kn.a < 0 || (nd.b >= 0 && kn.b < 0) {
+			return -1
 		}
 	default:
 		return -1
 	}
-	if kn.a < 0 && kn.code != opIter && kn.code != opIterF || l.bad {
+	if l.bad || kn.a < 0 && kn.code != opIter && kn.code != opIterF {
 		return -1
 	}
-	id := int8(-1)
+	id := int8(len(k.nodes))
 	for i, x := range k.nodes {
 		if x == kn {
 			id = int8(i)
 		}
 	}
-	if id < 0 {
-		id = int8(len(k.nodes))
+	if id == int8(len(k.nodes)) {
 		k.nodes = append(k.nodes, kn)
 	}
 	if !l.inv[n] {
@@ -875,14 +778,12 @@ func (l *lifter) gather(nd lnode) int8 {
 	}
 	var chain [maxNodes]int8
 	n, depth := nd.a, 0
-	for l.nodes[n].op == opClamp {
-		chain[depth], n, depth = n, l.nodes[n].a, depth+1
+	for ; l.nodes[n].op == opClamp; depth++ {
+		chain[depth], n = n, l.nodes[n].a
 	}
 	g := kGather{base: l.invSlot(nd.b), lo: math.MinInt64, hi: math.MaxInt64, float: nd.kind == tkF}
-	for depth > 0 {
-		depth--
-		c := l.nodes[chain[depth]]
-		if c.b == 0 {
+	for depth--; depth >= 0; depth-- {
+		if c := l.nodes[chain[depth]]; c.b == 0 {
 			g.lo, g.hi = max(g.lo, c.c), max(g.hi, c.c)
 		} else {
 			g.lo, g.hi = min(g.lo, c.c), min(g.hi, c.c)
@@ -902,12 +803,12 @@ func (l *lifter) invSlot(n int8) int8 {
 		return l.kid[n]
 	}
 	nd := l.nodes[n]
-	iv := kinv{code: nd.op, kind: nd.kind, a: -1, b: -1, r: nd.r, c: nd.c}
-	if nd.op != opReg && nd.op != opGlob && nd.op != opConst {
+	iv := nd
+	if nd.a >= 0 {
 		iv.a = l.invSlot(nd.a)
-		if nd.b >= 0 {
-			iv.b = l.invSlot(nd.b)
-		}
+	}
+	if nd.b >= 0 {
+		iv.b = l.invSlot(nd.b)
 	}
 	if len(l.k.invs) == maxInvs || l.bad {
 		l.bad = true
@@ -928,36 +829,26 @@ func (fc *funcCompiler) localSym(sl slot) *sema.Symbol {
 	return nil
 }
 
-// ----------------------------------------------------------------------------
-// Bounds
-
-// boundsFixed reports whether cl's bounds evaluate once per launch to
-// what the dispatch loop reads at every iteration: invariant,
-// effect-free and free of memory reads (hoistable), and free of the
-// accumulator, the one local a lifted body writes.
+// boundsFixed reports whether cl's bounds, evaluated once per launch,
+// are what the dispatch loop reads at every iteration: hoistable, and
+// free of the accumulator, the one local a lifted body may write.
 func (fc *funcCompiler) boundsFixed(cl *canonicalLoop, k *fusedKernel) bool {
-	acc := -1
-	if (k.sink != sinkStore && k.sink != sinkScatter) && !k.cell {
-		acc = k.acc
-	}
-	return fc.hoistable(cl.lowerX, cl.iterSym, acc, k.float) && fc.hoistable(cl.upperX, cl.iterSym, acc, k.float)
+	acc := fc.localSym(k.into())
+	return fc.hoistable(cl.lowerX, cl.iterSym, acc) && fc.hoistable(cl.upperX, cl.iterSym, acc)
 }
 
 // hoistable reports whether e is loop-invariant, effect-free and free
 // of memory reads, so evaluating it once per launch cannot be observed
-// even when a fused store aliases other arrays: scalars qualify — other
-// than the iterator and the local register acc (a float one when
-// float) the body writes —, array loads and calls do not.
-func (fc *funcCompiler) hoistable(e ast.Expr, iter *sema.Symbol, acc int, float bool) bool {
+// even when a fused store aliases other arrays: scalars other than the
+// iterator and acc qualify, array loads and calls do not.
+func (fc *funcCompiler) hoistable(e ast.Expr, iter, acc *sema.Symbol) bool {
 	ok := true
 	ast.Walk(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
 			sym := fc.prog.info.Ref[x]
-			if sym == nil || sym == iter || sym.IsArray() ||
+			if sym == nil || sym == iter || sym == acc || sym.IsArray() ||
 				sym.Type == nil || sym.Type.Kind == types.Ptr || sym.Type.Kind == types.Struct {
-				ok = false
-			} else if sl, local := fc.slots[sym]; local && sl.idx == acc && (sl.kind == slotFloat) == float {
 				ok = false
 			}
 		case *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.ParenExpr, *ast.SizeofExpr, *ast.TypeExpr:

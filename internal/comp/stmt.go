@@ -16,13 +16,6 @@ import (
 	"purec/internal/token"
 )
 
-// fused commits a lifted kernel to the program: it counts as one fused
-// loop.
-func (fc *funcCompiler) fused(k *fusedKernel) kernRun {
-	fc.prog.fusedKernels++
-	return k.run
-}
-
 // ompLoop binds the pragma list[i] to the for loop that follows it.
 // It returns a nil region unless the pragma is an omp parallel for
 // annotating a loop; a malformed pragma is a compile error (omp.Bind).
@@ -151,7 +144,8 @@ func (tc *tapeCompiler) parallelFor(x *ast.ForStmt, r *omp.Region) {
 		// here once the polyhedral stage parallelizes proven-bounded
 		// nests: chunks partition the store range and the gathered array
 		// is only read.
-		kern := fc.fused(k)
+		kern := k.run
+		fc.prog.fusedKernels++
 		tc.launchLoop(&cl, k, func(e *env, lo, hi int64) ctrl {
 			if runsInline(e) {
 				return inlineKernel(e, iterSlot, lo, hi, kern, body)
@@ -231,12 +225,11 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 	fc := tc.fc
 	reds := make([]reduction, 0, len(rg.Reductions))
 	hasArray := false
-	var slots []slot // the accumulators' slots, in clause order
+	var acc slot // the accumulator of the last clause
 	for i, c := range rg.Reductions {
 		var r reduction
 		ok := false
-		site := rg.Sites[i]
-		switch {
+		switch site := rg.Sites[i]; {
 		case site == nil:
 		case c.Array:
 			r, ok = fc.arrayReductionFor(site, c.Kind)
@@ -247,8 +240,7 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 			tc.seqFor(x)
 			return
 		}
-		sl, _ := fc.slotOf(fc.prog.info.Ref[site], site)
-		slots = append(slots, sl)
+		acc, _ = fc.slotOf(fc.prog.info.Ref[rg.Sites[i]], x)
 		hasArray = hasArray || c.Array
 		reds = append(reds, r)
 	}
@@ -258,27 +250,17 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 	// worker runs the fused kernel over its chunk bounds, accumulating
 	// into its private clone's identity-initialized accumulator slot,
 	// and the partials fold back in worker order exactly like the
-	// dispatch path. The kernel must update a clause's own accumulator:
-	// a sum into its register, a scatter into its array — the worker's
-	// cloned pointer slot aims it at the private copy — and a min/max
-	// fold, the single clause's guarded update, in its direction.
+	// dispatch path. The kernel must update the one clause's
+	// accumulator: a sum into its register, a scatter into its array —
+	// the worker's cloned pointer slot aims it at the private copy — or
+	// a min/max fold, the clause's guarded update, in its direction.
 	var vecChunk kernRun
 	k := tc.lift(tp.code, &cl)
-	if k != nil && !k.cell && len(reds) == 1 {
-		acc := slot{slotInt, k.acc}
-		if k.float {
-			acc.kind = slotFloat
-		}
-		one := slots[0] == acc
-		switch {
-		case hasArray && k.sink == sinkScatter && k.invs[k.gat.base] == kinv{code: opReg, kind: tkP, a: -1, b: -1, r: int32(slots[0].idx)} && slots[0].kind == slotPtr,
-			!hasArray && k.sink == sinkSum && one,
-			!hasArray && k.sink == sinkMin && one && rg.Reductions[0].Kind == token.LSS,
-			!hasArray && k.sink == sinkMax && one && rg.Reductions[0].Kind == token.GTR:
-			vecChunk = fc.fused(k)
-		}
-	}
-	if vecChunk == nil {
+	if dir := rg.Reductions[0].Kind; k != nil && len(reds) == 1 && k.into() == acc &&
+		(k.sink == sinkMin) == (dir == token.LSS) && (k.sink == sinkMax) == (dir == token.GTR) {
+		vecChunk = k.run
+		fc.prog.fusedKernels++
+	} else {
 		k = nil
 	}
 	sched, chunk := rg.Schedule, rg.Chunk

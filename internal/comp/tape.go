@@ -45,9 +45,7 @@ import (
 // nullPtr is the null pointer constant stored by tNullP/tIntToPtr.
 var nullPtr mem.Pointer
 
-// topcode is a tape instruction opcode. (The t prefix keeps the set
-// apart from the kernel node opcodes of kernel.go, which the lifter
-// maps them to.)
+// topcode is a tape instruction opcode (the lifter maps it to kernel.go's).
 type topcode uint8
 
 const (

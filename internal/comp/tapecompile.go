@@ -448,7 +448,17 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt) {
 			body := &tape{code: clone(tc.tp.code[lbody:]), tapePools: tc.tp.tapePools}
 			tc.fc.scratch.tapes = append(tc.fc.scratch.tapes, body)
 			tc.tp.code, tc.label = tc.tp.code[:start], label
-			tc.seqKernel(&cl, k, body.loop(cl.iterSlot))
+			kern, run, iter := k.run, body.loop(cl.iterSlot), cl.iterSlot
+			tc.fc.prog.fusedKernels++
+			// The dispatch loop leaves the first failing iterator value in
+			// the slot: hi+1 here, lo on the empty path (launchLoop).
+			tc.launchLoop(&cl, k, func(e *env, lo, hi int64) ctrl {
+				if t := kern(e, lo, hi); t <= hi {
+					run(e, t, hi, false)
+				}
+				e.I[iter] = hi + 1
+				return ctrlNext
+			}, true)
 			return
 		}
 	}
@@ -463,21 +473,6 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt) {
 	}
 	tc.patchHere(tc.concat(exit, ctx.breaks))
 	tc.patchTo(ctx.conts, lpost)
-}
-
-// seqKernel launches a sequential loop's kernel: the dispatch body runs
-// what the kernel leaves, and the dispatch loop leaves the first
-// failing iterator value in the slot: hi+1 here, lo on the empty path
-// (launchLoop).
-func (tc *tapeCompiler) seqKernel(cl *canonicalLoop, k *fusedKernel, body loopFn) {
-	kern, iter := tc.fc.fused(k), cl.iterSlot
-	tc.launchLoop(cl, k, func(e *env, lo, hi int64) ctrl {
-		if t := kern(e, lo, hi); t <= hi {
-			body(e, t, hi, false)
-		}
-		e.I[iter] = hi + 1
-		return ctrlNext
-	}, true)
 }
 
 // incJlt fuses a loop tail that compiled to [tAddII v,v,1 at lpost]
@@ -701,8 +696,8 @@ func (tc *tapeCompiler) intVal(e ast.Expr, hint int32) opnd {
 	case *ast.AssignExpr:
 		return tc.assign(x, hint, true)
 	case *ast.CondExpr:
-		if v, steps, n := tc.fc.clamp(x); n > 0 {
-			return tc.clampOp(v, steps[:n], lvl, hint)
+		if tc.fc.clamp(x) {
+			return tc.clampOp(x, lvl, hint)
 		}
 		return tc.cond(x, tkI, hint, false)
 	case *ast.IndexExpr, *ast.MemberExpr:
@@ -966,76 +961,68 @@ func (tc *tapeCompiler) cond(x *ast.CondExpr, kind int, hint int32, f32 bool) op
 	return reg(d)
 }
 
-// maxClamp bounds the levels of a ?: clamp compiled to tMaxII/tMinII.
-const maxClamp = 4
-
-// clampStep is one level of a ?: clamp: max(·, k), or min(·, k) when
-// upper is set.
-type clampStep struct {
-	k     int64
-	upper bool
+// clampLevel reads one level of a ?: clamp of an int v against an
+// integer constant K: v < K ? K : rest (also K > v ? K : rest) is
+// max(rest, K), and v > K ? K : rest (also K < v ? K : rest) is
+// min(rest, K), an upper bound.
+func (fc *funcCompiler) clampLevel(x *ast.CondExpr) (v, rest ast.Expr, k int64, upper, ok bool) {
+	cond, isBin := ast.Unparen(x.Cond).(*ast.BinaryExpr)
+	if !isBin || (cond.Op != token.LSS && cond.Op != token.GTR) {
+		return nil, nil, 0, false, false
+	}
+	v, upper = cond.X, cond.Op == token.GTR
+	if k, ok = sema.ConstInt(cond.Y); !ok {
+		v, upper = cond.Y, !upper
+		k, ok = sema.ConstInt(cond.X)
+	}
+	t, isT := sema.ConstInt(x.Then)
+	return v, x.Else, k, upper, ok && isT && t == k && fc.typeOf(v).Kind == types.Int
 }
 
-// clamp recognizes a ?: clamp of an effect-free int v against integer
-// constants:
-//
-//	v < K ? K : rest   (also K > v ? K : rest)   max(rest, K)
-//	v > K ? K : rest   (also K < v ? K : rest)   min(rest, K)
-//
-// rest is v itself or a nested clamp of v. C tests the outer level
-// first, so a level is its max or min only when K lies inside the range
-// rest can take; otherwise the ?: keeps its branches. It returns v and
-// the steps innermost first, n = 0 when x is no clamp.
-func (fc *funcCompiler) clamp(x *ast.CondExpr) (v ast.Expr, steps [maxClamp]clampStep, n int) {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	var outer [maxClamp]clampStep
-	for depth := 0; ; depth++ {
-		cond, ok := ast.Unparen(x.Cond).(*ast.BinaryExpr)
-		if !ok || depth == maxClamp || (cond.Op != token.LSS && cond.Op != token.GTR) {
-			return nil, steps, 0
-		}
-		u, bound, upper := cond.X, cond.Y, cond.Op == token.GTR
-		k, isK := sema.ConstInt(bound)
-		if !isK {
-			// The mirrored form: K > v, K < v.
-			u, bound, upper = cond.Y, cond.X, !upper
-			k, isK = sema.ConstInt(bound)
-		}
-		if t, isT := sema.ConstInt(x.Then); !isK || !isT || t != k || fc.typeOf(u).Kind != types.Int {
-			return nil, steps, 0
-		}
-		outer[depth] = clampStep{k, upper}
-		if v == nil {
-			if hasSideEffects(fc, u) {
-				return nil, steps, 0
-			}
-			v = u
-		} else if !sameValue(fc, u, v) {
-			return nil, steps, 0
-		}
-		rest := ast.Unparen(x.Else)
-		if inner, isCond := rest.(*ast.CondExpr); isCond {
-			x = inner
-			continue
-		}
-		if !sameValue(fc, rest, v) {
-			return nil, steps, 0
-		}
-		// Innermost first, each level's bound inside the range below it.
-		for n = 0; n <= depth; n++ {
-			s := outer[depth-n]
-			if s.k < lo || s.k > hi {
-				return nil, steps, 0
-			}
-			if s.upper {
-				hi = s.k
-			} else {
-				lo = s.k
-			}
-			steps[n] = s
-		}
-		return v, steps, n
+// clamp reports whether x is a ?: clamp of an effect-free int v: levels
+// whose rest is v itself or the next level. C tests the outer level
+// first, so a level is its max or min only when its K lies inside the
+// range [lo, hi] the levels within it leave; otherwise the ?: keeps its
+// branches.
+func (fc *funcCompiler) clamp(x *ast.CondExpr) bool {
+	v, _, _, _, ok := fc.clampLevel(x)
+	_, _, ok = fc.clampRange(x, v)
+	return ok && !hasSideEffects(fc, v)
+}
+
+func (fc *funcCompiler) clampRange(e, v ast.Expr) (lo, hi int64, ok bool) {
+	x, isCond := ast.Unparen(e).(*ast.CondExpr)
+	if !isCond {
+		return math.MinInt64, math.MaxInt64, v != nil && sameValue(fc, e, v)
 	}
+	u, rest, k, upper, ok := fc.clampLevel(x)
+	if !ok || !sameValue(fc, u, v) {
+		return 0, 0, false
+	}
+	switch lo, hi, ok = fc.clampRange(rest, v); {
+	case !ok || k < lo || k > hi:
+		return 0, 0, false
+	case upper:
+		return lo, k, true
+	}
+	return k, hi, true
+}
+
+// clampOp compiles the clamp e: its v once, then a tMaxII or tMinII per
+// level, innermost first.
+func (tc *tapeCompiler) clampOp(e ast.Expr, lvl [3]int32, hint int32) opnd {
+	x, isCond := ast.Unparen(e).(*ast.CondExpr)
+	if !isCond {
+		return tc.intOp(e, hint)
+	}
+	_, rest, k, upper, _ := tc.fc.clampLevel(x)
+	in := tinstr{op: tMaxII, b: tc.toReg(tc.clampOp(rest, tc.ta.level(), -1), tkI, -1), aux: k}
+	if upper {
+		in.op = tMinII
+	}
+	in.a = tc.dest(lvl, tkI, hint)
+	tc.emit(in)
+	return reg(in.a)
 }
 
 // sameValue reports whether two effect-free expressions are the same
@@ -1060,21 +1047,6 @@ func sameValue(fc *funcCompiler, a, b ast.Expr) bool {
 		return ok && x.Op == y.Op && sameValue(fc, x.X, y.X)
 	}
 	return false
-}
-
-// clampOp compiles v once and applies the clamp steps to it.
-func (tc *tapeCompiler) clampOp(v ast.Expr, steps []clampStep, lvl [3]int32, hint int32) opnd {
-	r := tc.toReg(tc.intOp(v, -1), tkI, -1)
-	d := tc.dest(lvl, tkI, hint)
-	for _, s := range steps {
-		op := tMaxII
-		if s.upper {
-			op = tMinII
-		}
-		tc.emit(tinstr{op: op, a: d, b: r, aux: s.k})
-		r = d
-	}
-	return reg(d)
 }
 
 // ----------------------------------------------------------------------------
@@ -1444,11 +1416,8 @@ func (tc *tapeCompiler) address(e ast.Expr) taddr {
 		d := tc.ta.alloc(tkP)
 		tc.emit(tinstr{op: tPtrImm, a: d, b: b, aux: int64(fld.Offset)})
 		return taddr{base: reg(d), idx: -1}
-	case *ast.Ident:
-		if sym := fc.symOf(x); sym.IsArray() || (sym.Type != nil && sym.Type.Kind == types.Struct) {
-			return taddr{base: tc.ptrOp(x, -1), idx: -1}
-		}
-		fc.errorf(x, "cannot take the address of scalar %s (frame storage)", x.Name)
+	case *ast.Ident: // an array or a struct: sema.Check refuses a scalar
+		return taddr{base: tc.ptrOp(x, -1), idx: -1}
 	}
 	fc.errorf(e, "expression is not addressable")
 	return taddr{}

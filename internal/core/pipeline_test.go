@@ -238,6 +238,32 @@ int main(void) {
 	}
 }
 
+// TestCheckRulesNameTheUsersLine: rules the front end's check owns —
+// the address of a scalar variable, a case label that is no constant —
+// are refused at the line the user wrote, on the parallel build and the
+// sequential one alike.
+func TestCheckRulesNameTheUsersLine(t *testing.T) {
+	for _, c := range []struct{ stmt, want string }{
+		{`int v = 0; int *p = &v;`, "p.c:4:41: cannot take the address of scalar v (frame storage)"},
+		{`switch (b[1]) { case b[2]: break; }`, "p.c:4:36: case label must be an integer constant"},
+	} {
+		src := fmt.Sprintf(`int a[64]; int b[64];
+int main(void) {
+    for (int i = 0; i < 64; i++) a[i] = i;
+    char* f = "x"; %s
+    for (int i = 0; i < 64; i++) b[i] = a[i] * 2;
+    return b[5];
+}
+`, c.stmt)
+		for _, par := range []bool{true, false} {
+			_, _, _, err := BuildProgram(src, Config{FileName: "p.c", Parallelize: par, NoCache: true})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s parallel=%v: got %v, want %s", c.stmt, par, err, c.want)
+			}
+		}
+	}
+}
+
 func TestDefinesInjection(t *testing.T) {
 	src := `
 int main(void) { return PROBLEM; }

@@ -703,6 +703,13 @@ func (c *checker) unary(x *ast.UnaryExpr) *types.Type {
 		return t.Elem
 	case token.AND:
 		c.requireLvalue(x.X)
+		// A scalar variable lives in a frame or global slot, not in
+		// addressable memory.
+		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
+			if sym := c.info.Ref[id]; sym != nil && !sym.IsArray() && t.Kind != types.Struct {
+				c.errorf(id.Pos(), "cannot take the address of scalar %s (frame storage)", id.Name)
+			}
+		}
 		return types.PointerTo(t, false, false)
 	case token.INC, token.DEC:
 		c.requireLvalue(x.X)

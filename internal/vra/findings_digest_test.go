@@ -23,7 +23,7 @@ var findingsGolden = map[string]string{
 	"clamp.pc":         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // 0
 	"clean.pc":         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // 0
 	"copy":             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // 0
-	"dead-code-shapes": "f2fb38c44822b47916f8531c7d6065bec310d24f8f8e59cbcb9420eca89e052f", // 8
+	"dead-code-shapes": "cfd81034ef5386083aa75917bfd3038262552d48082fca05ad15471b4ce0b2b9", // 7
 	"dead_guard.pc":    "3cc4903393d64586a388c5150281af2bc31257d84a8896024bc2bda0b9f562de", // 2
 	"dead_store.pc":    "ae648ac37f72932383e750fc40cb93c0b74aa83b6184aff36fa93b6ebb708fa9", // 2
 	"definite_oob.pc":  "b93b5596810f9d9156e6773c84df41cfe49992ad28bb85169aaeec87faf6a638", // 2
@@ -56,13 +56,13 @@ var findingsGolden = map[string]string{
 
 // deadCodeShapes exercises the liveness pass: overwrites in nested and
 // sibling blocks, a read between two stores, compound stores, a store
-// through parentheses, an address-taken local, stores with calls or side
+// through parentheses, a local array a pointer aims into, stores with calls or side
 // effects on the right, and locals that are never read.
 const deadCodeShapes = `int g;
 int f(int v) { return v + 1; }
 int main(void) {
-    int a = 0, b, c, d, e, h, k;
-    int *p = &k;
+    int a = 0, b, c, d, e, h, k[1];
+    int *p = &k[0];
     a = 1;
     a = 2;
     b = a;
@@ -75,8 +75,8 @@ int main(void) {
     h += 2;
     h = 3;
     *p = 1;
-    k = 2;
-    k = 3;
+    k[0] = 2;
+    k[0] = 3;
     for (int i = 0; i < 4; i++) { a = i; a = i + 1; g = a; }
     if (g) { b = 1; b = 2; } else { b = 3; }
     while (g > 10) { d = 1; g--; d = 2; }
