@@ -529,8 +529,10 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // if/else or ?: joins —, a loop whose register bound its body changes,
 // and loops that fuse into kernels (a float map, an int sum, an int map
 // dividing by the iterator's distance to a constant, a scatter through
-// h's own cells) at drawn offsets and trip counts that may run off the
-// 8-cell arrays or divide by zero.
+// h's own cells, a map and a sum adding a division by an invariant that
+// may be 0, a gather through two ?: clamps with drawn bounds) at drawn
+// offsets and trip counts that may run off the 8-cell arrays or divide
+// by zero.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -573,7 +575,7 @@ int main(void) {
 		if off < 0 {
 			kc = "k - 1"
 		}
-		switch next(20) {
+		switch next(22) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
 		case 1:
@@ -650,6 +652,20 @@ int main(void) {
 			default:
 				fmt.Fprintf(&b, " { double t = a > %d ? d * %s : d - %s; t = (float)t; f = f + t; }\n", next(500), lit(), lit())
 			}
+		case 20:
+			// A division by an invariant that may be drawn as 0, next to
+			// an operand that may run off its array: the load traps first.
+			if z := next(3); next(2) == 0 {
+				fmt.Fprintf(&b, " { int z = %d; %s h[k] = h[%s] + a / z; }\n", z, loop, kc)
+			} else {
+				fmt.Fprintf(&b, " { int z = %d; %s x += h[%s] + a %% z; }\n", z, loop, kc)
+			}
+		case 21:
+			// Two ?: clamps of a gathered index, each either way, their
+			// constant bounds drawn in any order.
+			v, c1, c2 := "h["+kc+"]", cmps[2*next(2)], cmps[2*next(2)]
+			k1, k2 := next(8), next(8)
+			fmt.Fprintf(&b, " %s fa[k] = fa[%s %s %d ? %d : (%s %s %d ? %d : %s)];\n", loop, v, c1, k1, k1, v, c2, k2, k2, v)
 		}
 	}
 	// Floats print scaled to integers, so a float32 rounding shows.
