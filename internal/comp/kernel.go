@@ -105,11 +105,12 @@ const (
 // evaluator runs.
 type fusedKernel struct {
 	// store is the stored array of a map, or with cell the memory cell
-	// a float sum folds into (stride 0); acc is the frame slot of a
-	// register fold's accumulator.
+	// a float sum folds into (stride 0); acc is the frame slot a
+	// register fold accumulates into, or the pointer slot a scatter's
+	// target is read from ({slotPtr, -1} for none).
 	store kAccess
 	cell  bool
-	acc   int
+	acc   slot
 	// gat is the data-dependent array (when gathered): the source of the
 	// opGather load, or the scatter target, which op updates by the
 	// invariant in slot upd.
@@ -139,19 +140,6 @@ type fusedKernel struct {
 	sink       uint8
 	f32        bool // the sink rounds through float32: its C type is 4 bytes
 	float      bool // element kind of the program (and of every load)
-}
-
-// into is the frame slot a register fold or a scatter accumulates into;
-// none for a map, a memory cell, or a scatter target the body does not
-// read from a frame pointer register.
-func (k *fusedKernel) into() slot {
-	switch {
-	case k.sink == sinkScatter && k.invs[k.gat.base].op == opReg:
-		return slot{slotPtr, int(k.invs[k.gat.base].r)}
-	case k.sink == sinkStore || k.sink == sinkScatter || k.cell:
-		return slot{slotPtr, -1}
-	}
-	return slot{slotKind(b2i(k.float)), k.acc}
 }
 
 // kAccess is one array operand of a fused kernel: the pointer in
@@ -331,9 +319,9 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 			fr.accF = &fr.dst.f[0]
 		}
 	case k.float:
-		fr.accF = &e.F[k.acc]
+		fr.accF = &e.F[k.acc.idx]
 	case k.sink != sinkScatter:
-		fr.accI = &e.I[k.acc]
+		fr.accI = &e.I[k.acc.idx]
 	}
 	if k.gathered {
 		// The array is a scatter's store, or a gathered load against the

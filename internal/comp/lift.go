@@ -123,9 +123,8 @@ type liftScratch struct {
 // maxBody bounds the instructions of a body the lifter reads.
 const maxBody = 4 * maxNodes
 
-// lift reads code — the body of the canonical loop cl — as a kernel: nil
-// when the body does not lift, the bounds could change under it or the
-// kernel exceeds a bound of the evaluator.
+// lift reads code, the body of the canonical loop cl, as a kernel: nil
+// when the body does not lift or the bounds could change under it.
 func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	if len(code) > maxBody {
 		return nil
@@ -201,8 +200,7 @@ func (l *lifter) invariant(nd lnode) bool {
 	return l.inv[nd.a] && (nd.b < 0 || l.inv[nd.b])
 }
 
-// find is the index in regs of register r of the kind, -1 when the body
-// has not written it.
+// find is register r's index in regs, -1 when the body has not written it.
 func (l *lifter) find(kind uint8, r int32) int {
 	for i, x := range l.regs {
 		if x.kind == kind && x.r == r {
@@ -437,8 +435,7 @@ func (l *lifter) fold(in tinstr, code []tinstr, pc int) {
 // The kernel
 
 // kernel classifies the lifted body by its sink and builds the kernel
-// into l.k. It reports false when the body is none of the sinks or its
-// value does not run on the strip evaluator.
+// into l.k; false when the body is none of the sinks.
 func (l *lifter) kernel() bool {
 	var acc lreg
 	locals := 0
@@ -447,12 +444,13 @@ func (l *lifter) kernel() bool {
 			acc, locals = x, locals+1
 		}
 	}
-	l.k.acc = int(acc.r)
+	l.k.acc = slot{slotKind(acc.kind), int(acc.r)}
 	root := int8(-1)
 	switch {
 	case l.branch >= 0 && locals == 1:
 		root = l.minMax(acc)
 	case l.branch < 0 && l.st.ok && locals == 0:
+		l.k.acc = slot{slotPtr, -1}
 		root = l.storeSink()
 	case l.branch < 0 && !l.st.ok && locals == 1 && acc.kind != tkP:
 		root = l.sum(acc)
@@ -515,6 +513,9 @@ func (l *lifter) scatter(il int8, g lnode) int8 {
 	k.sink, k.op, k.float = sinkScatter, scatterOps[v.op], false
 	k.gathered, k.gat = true, kGather{base: l.invSlot(st.base), lo: math.MinInt64, hi: math.MaxInt64, float: st.float}
 	k.upd = l.invSlot(u)
+	if b := l.nodes[st.base]; b.op == opReg {
+		k.acc.idx = int(b.r)
+	}
 	return l.strip(il)
 }
 
@@ -556,12 +557,10 @@ func (l *lifter) sum(acc lreg) int8 {
 	}
 }
 
-// dot admits the terms of the ICC-vectorization analog (Sect. 4.3.1:
-// ICC vectorizes the extracted pure dot function, not the inlined
-// loop) behind the fuseReductions gate: X[k], X[k]*Y[k] and
-// X[k]*Y[Z[k]] over unit-stride float operands, the product rounded
-// through float32 or not — what the inlined helper mult(a, b) of the
-// paper's sources leaves behind.
+// dot admits the ICC-vectorization analog's terms (Sect. 4.3.1) behind
+// the fuseReductions gate: X[k], X[k]*Y[k] and X[k]*Y[Z[k]] over
+// unit-stride float operands, the product rounded through float32 (the
+// inlined helper mult(a, b) of the paper's sources) or not.
 func (l *lifter) dot(v int8) int8 {
 	l.k.float, l.k.sink = true, sinkSum
 	t := v
@@ -695,11 +694,9 @@ func (l *lifter) scale(n int8, c int64) int8 {
 	return l.op(opMul, tkI, n, l.leaf(opConst, tkI, 0, c))
 }
 
-// strip maps node n into the kernel's strip nodes (value-numbered
-// again: an invariant is one opInv leaf however it was reached) and
-// returns its id, -1 when n cannot run there — every varying node must
-// be of the kernel's element kind, an int one in a float kernel only
-// the iterator converted exactly.
+// strip maps node n into the kernel's strip nodes and returns its id,
+// -1 when n cannot run there: a varying node must be of the kernel's
+// element kind, an int one in a float kernel the iterator converted.
 func (l *lifter) strip(n int8) int8 {
 	if l.kid[n] >= 0 && !l.inv[n] {
 		return l.kid[n]
@@ -748,8 +745,7 @@ func (l *lifter) strip(n int8) int8 {
 	return id
 }
 
-// loadSlot is the index of load node nd among the kernel's operands,
-// -1 when its index is not affine or the operands are full.
+// loadSlot is load node nd's operand slot, -1 when it has none.
 func (l *lifter) loadSlot(nd lnode) int8 {
 	a, ok := l.access(nd)
 	if !ok {
@@ -833,7 +829,7 @@ func (fc *funcCompiler) localSym(sl slot) *sema.Symbol {
 // are what the dispatch loop reads at every iteration: hoistable, and
 // free of the accumulator, the one local a lifted body may write.
 func (fc *funcCompiler) boundsFixed(cl *canonicalLoop, k *fusedKernel) bool {
-	acc := fc.localSym(k.into())
+	acc := fc.localSym(k.acc)
 	return fc.hoistable(cl.lowerX, cl.iterSym, acc) && fc.hoistable(cl.upperX, cl.iterSym, acc)
 }
 
@@ -858,10 +854,7 @@ func (fc *funcCompiler) hoistable(e ast.Expr, iter, acc *sema.Symbol) bool {
 				ok = false
 			}
 		case *ast.BinaryExpr:
-			switch x.Op {
-			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
-				token.AND, token.OR, token.XOR, token.SHL, token.SHR:
-			default:
+			if x.Op < token.ADD || x.Op > token.SHR { // arithmetic and bitwise ops
 				ok = false
 			}
 		case *ast.UnaryExpr:

@@ -256,7 +256,7 @@ func (tc *tapeCompiler) parallelReduceFor(x *ast.ForStmt, rg *omp.Region) {
 	// a min/max fold, the clause's guarded update, in its direction.
 	var vecChunk kernRun
 	k := tc.lift(tp.code, &cl)
-	if dir := rg.Reductions[0].Kind; k != nil && len(reds) == 1 && k.into() == acc &&
+	if dir := rg.Reductions[0].Kind; k != nil && len(reds) == 1 && k.acc == acc &&
 		(k.sink == sinkMin) == (dir == token.LSS) && (k.sink == sinkMax) == (dir == token.GTR) {
 		vecChunk = k.run
 		fc.prog.fusedKernels++
