@@ -180,7 +180,7 @@ type kspan struct {
 
 // span locates the operand's cells for iterations [lo, hi]; a null
 // base has no segment.
-func (a *kAccess) span(fr *kframe, e *env, lo, hi int64) kspan {
+func (a *kAccess) span(fr *kframe, lo, hi int64) kspan {
 	p := fr.invP[a.base]
 	off := int64(p.Off)
 	if a.off >= 0 {
@@ -311,7 +311,7 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 	switch {
 	case k.sink == sinkStore || k.cell:
 		// An accumulator cell is a store of stride 0, at every element.
-		st = k.store.span(fr, e, lo, hi)
+		st = k.store.span(fr, lo, hi)
 		if !k.store.cells(st, &fr.dst) {
 			return false
 		}
@@ -337,7 +337,7 @@ func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
 		fr.strip = hazard(st, ss, all, strideAny)
 	}
 	for i := range k.loads {
-		ld := k.loads[i].span(fr, e, lo, hi)
+		ld := k.loads[i].span(fr, lo, hi)
 		if !k.loads[i].cells(ld, &fr.loads[i]) {
 			return false
 		}
