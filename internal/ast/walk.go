@@ -203,31 +203,16 @@ func Update(e Expr) (lhs Expr, op token.Kind, rhs Expr) {
 	return nil, 0, nil
 }
 
-// MinMaxUpdate matches the canonical guarded min/max accumulator
-// update statements with a plain scalar accumulator:
+// MinMaxUpdateLV matches the canonical guarded min/max accumulator
+// update statements
 //
 //	if (x < m) m = x;            (if-pattern; also with m on the left)
 //	m = x < m ? x : m;           (conditional form; also keep-current)
 //
-// returning the accumulator identifier m (the assignment target), the
-// data expression x, and the direction: token.LSS for a minimum
-// ("replace m when the data is smaller"), token.GTR for a maximum.
-// It is MinMaxUpdateLV restricted to identifier targets.
-func MinMaxUpdate(s Stmt) (m *Ident, data Expr, dir token.Kind, ok bool) {
-	target, data, dir, ok := MinMaxUpdateLV(s)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	id, okID := Unparen(target).(*Ident)
-	if !okID {
-		return nil, nil, 0, false
-	}
-	return id, data, dir, true
-}
-
-// MinMaxUpdateLV generalizes MinMaxUpdate to any lvalue target,
-// covering the array-element accumulators of array reductions
-// (`if (x < lo[b[i]]) lo[b[i]] = x;` and its `?:` form). The target
+// returning the accumulator m (the assignment target: a scalar or an
+// array element, `if (x < lo[b[i]]) lo[b[i]] = x;`), the data
+// expression x, and the direction: token.LSS for a minimum ("replace m
+// when the data is smaller"), token.GTR for a maximum. The target
 // expression must be syntactically identical everywhere it appears in
 // the pattern (compared by printed form), and the data expression must
 // not mention the target's base variable at all — a read of the
