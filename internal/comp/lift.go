@@ -297,9 +297,11 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 	case fRR:
 		v = l.op(d.op, d.kind, l.get(d.in, in.b), l.get(d.in, in.c))
 	case fRK, fKR:
-		x, y := l.get(d.in, in.b), l.leaf(opConst, tkI, 0, in.aux)
+		x, y := l.get(d.in, in.b), int8(0)
 		if d.in == tkF {
 			y = l.konstF(pl, in.c)
+		} else {
+			y = l.leaf(opConst, tkI, 0, in.aux)
 		}
 		if d.form == fKR {
 			x, y = y, x
@@ -329,9 +331,11 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 		case tMaxII, tMinII:
 			v = l.node(lnode{op: opClamp, a: l.get(tkI, in.b), b: int8(op - tMaxII), c: in.aux})
 		case tMulAddF, tAddMulF, tMulAddFC, tAddMulFC:
-			y := l.get(tkF, in.c)
+			var y int8
 			if op == tMulAddFC || op == tAddMulFC {
 				y = l.konstF(pl, in.c)
+			} else {
+				y = l.get(tkF, in.c)
 			}
 			p, s := l.op(opMul, tkF, l.get(tkF, in.b), y), l.get(tkF, int32(in.aux))
 			if v = l.op(opAdd, tkF, s, p); op == tMulAddF || op == tMulAddFC {
