@@ -530,9 +530,9 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // and loops that fuse into kernels (a float map, an int sum, an int map
 // dividing by the iterator's distance to a constant, a scatter through
 // h's own cells, a map and a sum adding a division by an invariant that
-// may be 0, a gather through two ?: clamps with drawn bounds) at drawn
-// offsets and trip counts that may run off the 8-cell arrays or divide
-// by zero.
+// may be 0, a gather through two ?: clamps with drawn bounds, a map next
+// to a division or a load whose value nothing reads) at drawn offsets
+// and trip counts that may run off the 8-cell arrays or divide by zero.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -575,7 +575,7 @@ int main(void) {
 		if off < 0 {
 			kc = "k - 1"
 		}
-		switch next(22) {
+		switch next(23) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
 		case 1:
@@ -666,6 +666,15 @@ int main(void) {
 			v, c1, c2 := "h["+kc+"]", cmps[2*next(2)], cmps[2*next(2)]
 			k1, k2 := next(8), next(8)
 			fmt.Fprintf(&b, " %s fa[k] = fa[%s %s %d ? %d : (%s %s %d ? %d : %s)];\n", loop, v, c1, k1, k1, v, c2, k2, k2, v)
+		case 22:
+			// A division by an invariant that may be 0, or a load that
+			// may run off its array, whose value nothing reads, beside a
+			// map: the dispatch body traps on it.
+			if z := next(3); next(2) == 0 {
+				fmt.Fprintf(&b, " { int z = %d; %s { a / z; h[k] = h[k] + %d; } }\n", z, loop, next(5)+1)
+			} else {
+				fmt.Fprintf(&b, " %s { h[%s]; fa[k] = fa[k] * %s; }\n", loop, kc, lit())
+			}
 		}
 	}
 	// Floats print scaled to integers, so a float32 rounding shows.

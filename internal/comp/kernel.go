@@ -1,12 +1,11 @@
 package comp
 
-// Kernel fusion: canonical innermost loops whose body is one fusible
-// statement — an element-wise affine array store (copy, fill, scale,
-// axpy-style triads, stencil reads, compound assigns, gathers, general
-// int/float maps), a sum, dot or min/max fold into an accumulator, or a
-// histogram scatter — run as a Go kernel that walks the raw memory
-// segments instead of dispatching tape instructions per iteration per
-// operand.
+// Kernel fusion: a canonical loop whose body tape the lifter (lift.go)
+// reads as a kernel — an element-wise store (copy, fill, scale, triads,
+// stencils, compound assigns, gathers, general int/float maps), a sum,
+// dot or min/max fold into an accumulator, or a histogram scatter —
+// runs as a Go kernel that walks the raw memory segments instead of
+// dispatching tape instructions per iteration per operand.
 //
 // The fused-kernel contract (see README "Kernel fusion"):
 //
@@ -38,17 +37,15 @@ package comp
 //     strip.go) — the trap and the cells before it are the dispatch
 //     loop's own.
 //
-// The lifter (lift.go) reads a kernel off the loop's own body tape: a
-// sink, strided operands, at most one gathered load, and a
-// value-numbered node array over them, the iterator and launch
-// invariants. strip.go lowers the nodes to a register program and runs
-// it a strip of elements at a time into the sink; two float shapes
-// (scale, triad) keep a single-pass loop in front of it. Either way the
-// launch state is a kframe on the Go stack: prepFrame reads the bases
-// and invariant registers the body reads, computes the invariants the
-// body would compute every iteration once, and checks every operand's
-// range — a launch allocates nothing, and the launch's tape code is
-// only the bounds.
+// A kernel is a sink, strided operands, at most one gathered load, and
+// value-numbered nodes over them, the iterator and launch invariants.
+// strip.go lowers the nodes to a register program and runs it a strip
+// of elements at a time into the sink; two float shapes (scale, triad)
+// keep a single-pass loop in front of it. Either way the launch state
+// is a kframe on the Go stack: prepFrame reads the bases and invariant
+// registers the body reads, computes once the invariants the body
+// would compute every iteration, and checks every operand's range — a
+// launch allocates nothing, and its tape code is only the bounds.
 
 import (
 	"math"

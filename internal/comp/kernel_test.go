@@ -157,6 +157,24 @@ int main(void) {
 	}
 }
 
+// TestFusedTwoGathersOfOneArray: two index loads gather from one array
+// under one clamp; the kernel checks both, so neither is a value it
+// leaves out, and the loop fuses.
+func TestFusedTwoGathersOfOneArray(t *testing.T) {
+	src := `
+int x[100], y[1000], idx[1000], jdx[1000];
+int main(void) {
+    for (int i = 0; i < 1000; i++) { idx[i] = (i * 37) % 100; jdx[i] = (i * 11) % 100; }
+    for (int i = 0; i < 100; i++) x[i] = i * 3;
+    for (int i = 0; i < 1000; i++) y[i] = x[idx[i]] + x[jdx[i]];
+    return y[999];
+}`
+	m := fuseCompare(t, src, "y")
+	if got := m.Program().FusedKernels(); got != 2 {
+		t.Errorf("%d fused kernels, want the x fill and the gathers", got)
+	}
+}
+
 func TestFusedStridedRead(t *testing.T) {
 	// Constant-stride subscripts (2*i) walk the raw slice with a
 	// per-iteration cursor increment of 2.
@@ -656,25 +674,43 @@ func TestFusedKernelLimits(t *testing.T) {
 
 // TestLifterRefusals: bodies whose tape the lifter does not read stay
 // on the dispatch path and agree with the oracle — a call that does
-// not inline, printf, a store to a global scalar, a pointer store and a
-// store through a pointer loaded every iteration.
+// not inline, printf, a store to a global scalar, a pointer store, a
+// store through a pointer loaded every iteration, and a value that can
+// trap but that no sink reads (a division by zero, a load off its
+// array), which the kernel would drop where the dispatch body traps.
 func TestLifterRefusals(t *testing.T) {
-	for _, c := range []struct{ name, body string }{
-		{"call", "y[i] = twice(x[i]);"},
-		{"printf", `{ y[i] = x[i]; printf(""); }`},
-		{"global-scalar-store", "g = x[i];"},
-		{"pointer-store", "ptrs[i] = x;"},
-		{"store-through-loaded-pointer", "*ptrs[i] = x[i];"},
+	for _, c := range []struct {
+		name, body string
+		trap       bool
+	}{
+		{"call", "y[i] = twice(x[i]);", false},
+		{"printf", `{ y[i] = x[i]; printf(""); }`, false},
+		{"global-scalar-store", "g = x[i];", false},
+		{"pointer-store", "ptrs[i] = x;", false},
+		{"store-through-loaded-pointer", "*ptrs[i] = x[i];", false},
+		{"unread-division-by-zero", "{ a / z; y[i] = x[i]; }", true},
+		{"unread-load-off-its-array", "{ x[i + n]; y[i] = x[i]; }", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src := fmt.Sprintf(`int x[64]; int y[64]; int g; int *ptrs[64];
 			pure int twice(int v) { int w = v + v; return w; }
 			int main(void) {
+				int a = 7, z = 0, n = 64;
 				for (int i = 0; i < 64; i++) { x[i] = i * 3 - 40; ptrs[i] = &y[i]; }
 				for (int i = 0; i < 64; i++) %s
 				return y[63] + g;
 			}`, c.body)
-			m := fuseCompare(t, src, "y")
+			var m *Machine
+			if c.trap {
+				m = compile(t, src, Options{})
+				_, err := m.RunMain()
+				_, want := oracleMachine(t, src).RunMain()
+				if err == nil || want == nil || "interp "+err.Error() != want.Error() {
+					t.Fatalf("trap %v, interp %v", err, want)
+				}
+			} else {
+				m = fuseCompare(t, src, "y")
+			}
 			if got := m.Program().FusedKernels(); got != 0 {
 				t.Errorf("%d fused kernels, want the loop on dispatch", got)
 			}

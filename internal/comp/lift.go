@@ -11,18 +11,19 @@ package comp
 // (a rounded …R op is the op and an opRound); registers the body never
 // writes and global slots (a lifted body stores only array cells) hold
 // launch invariants; an indexed load whose index is coef·iter + an
-// invariant is a strided operand, one whose index is a load — through the
-// tMaxII/tMinII of a ?: clamp — the gathered load. The sink classifies the
-// body: a store at an affine index is a map; acc = acc + v into a local
-// (or, for floats, a cell at an invariant index) a sum, floats behind the
-// fuseReductions gate in the paper's dot shapes; a load, update by an
-// invariant and store through one loaded index a scatter; compare, branch
-// and reload of a unit-stride load into a local a min/max fold. Anything
-// else — a call, printf, a store to a global scalar or through a pointer,
-// another branch, a local left behind — keeps the loop on the tape. The
-// varying nodes lower to the strip program, the invariant ones to the
-// launch program prepFrame runs, and the loop keeps its dispatch body for
-// where a kernel stops.
+// invariant is a strided operand, one whose index is a load — through
+// the tMaxII/tMinII of a ?: clamp — a gathered load. The sink classifies
+// the body: a store at an affine index is a map; acc = acc + v into a
+// local (or, for floats, a cell at an invariant index) a sum, floats
+// behind the fuseReductions gate in the paper's dot shapes; a load,
+// update by an invariant and store through one loaded index a scatter;
+// compare, branch and reload of a unit-stride load into a local a
+// min/max fold. Anything else — a call, printf, a store to a global
+// scalar or through a pointer, another branch, a local left behind, a
+// load or integer division whose value no sink reads (the kernel would
+// not check it) — keeps the loop on the tape. The varying nodes lower to
+// the strip program, the invariant ones to the launch program prepFrame
+// runs, and the loop keeps its dispatch body for where a kernel stops.
 
 import (
 	"math"
@@ -51,13 +52,15 @@ func (fc *funcCompiler) fuseReductions() bool {
 }
 
 // Lifter-only node codes, after the strip codes of kernel.go: launch
-// invariant leaves, the conversion of an int to float, and a ?: clamp.
+// invariant leaves, the conversion of an int to float, and the max and
+// min against a constant a ?: clamp level compiles to.
 const (
 	opReg   = opRound + 1 + iota // register r on entry to the body
 	opGlob                       // global slot r
 	opConst                      // the constant c (a float's bits)
 	opI2F                        // float64(a)
-	opClamp                      // max(a, c) when b == 0, min(a, c) otherwise
+	opMax                        // max(a, b), b a constant
+	opMin                        // min(a, b), b a constant
 )
 
 // lnode is one value of a lifted body, of register kind kind. A load
@@ -86,11 +89,12 @@ type lifter struct {
 	nodes []lnode
 	regs  []lreg // every register the body writes, with its last value
 	// st is the body's one store: base, index and value nodes, element
-	// stride, and whether it rounds through float32.
+	// stride, its float32 rounding, and the load of the cell it writes.
 	st struct {
 		ok, float, f32 bool
 		base, idx, val int8
 		aux            int64
+		cell           lnode
 	}
 	// branch is the pc of a fold's conditional jump (-1 for none), after
 	// which the code runs exactly when node lt < node gt. A ?: fold into
@@ -146,13 +150,12 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	if !l.kernel() || !tc.fc.boundsFixed(cl, &l.k) {
 		return nil
 	}
-	k := new(fusedKernel)
-	*k = l.k
+	k := l.k
 	k.loads, k.invs = clone(k.loads), clone(k.invs)
 	if k.run = k.emit(); k.run == nil {
 		return nil
 	}
-	return k
+	return &k
 }
 
 // node adds nd, or finds the equal node it already has, and returns its
@@ -194,7 +197,7 @@ func (l *lifter) invariant(nd lnode) bool {
 		return l.find(nd.kind, nd.r) < 0
 	case opLoad:
 		return nd.kind == tkP && l.inv[nd.a] && l.inv[nd.b]
-	case opGather, opIter, opClamp:
+	case opGather, opIter, opMax, opMin:
 		return false
 	}
 	return l.inv[nd.a] && (nd.b < 0 || l.inv[nd.b])
@@ -261,12 +264,14 @@ var liftOps = [256]liftOp{
 	tDivII: {opQuo, tkI, tkI, fRK}, tRemII: {opRem, tkI, tkI, fRK}, tAndII: {opAnd, tkI, tkI, fRK},
 	tOrII: {opOr, tkI, tkI, fRK}, tXorII: {opXor, tkI, tkI, fRK}, tShlII: {opShl, tkI, tkI, fRK},
 	tShrII: {opShr, tkI, tkI, fRK}, tRsbII: {opSub, tkI, tkI, fKR}, tNegI: {opNeg, tkI, tkI, fR},
-	tCmplI: {opNot, tkI, tkI, fR},
-	tAddF:  {opAdd, tkF, tkF, fRR}, tSubF: {opSub, tkF, tkF, fRR}, tMulF: {opMul, tkF, tkF, fRR},
+	tCmplI: {opNot, tkI, tkI, fR}, tMaxII: {opMax, tkI, tkI, fRK}, tMinII: {opMin, tkI, tkI, fRK},
+	tAddF: {opAdd, tkF, tkF, fRR}, tSubF: {opSub, tkF, tkF, fRR}, tMulF: {opMul, tkF, tkF, fRR},
 	tDivF: {opQuo, tkF, tkF, fRR}, tAddFC: {opAdd, tkF, tkF, fRK}, tSubFC: {opSub, tkF, tkF, fRK},
 	tMulFC: {opMul, tkF, tkF, fRK}, tDivFC: {opQuo, tkF, tkF, fRK}, tRsbFC: {opSub, tkF, tkF, fKR},
 	tRdivFC: {opQuo, tkF, tkF, fKR}, tNegF: {opNeg, tkF, tkF, fR}, tRoundF: {opRound, tkF, tkF, fR},
-	tI2F:   {opI2F, tkF, tkI, fR},
+	tI2F:     {opI2F, tkF, tkI, fR},
+	tMulAddF: {opMul, tkF, tkF, fRR}, tMulAddFC: {opMul, tkF, tkF, fRK},
+	tAddMulF: {opMul, tkF, tkF, fRR}, tAddMulFC: {opMul, tkF, tkF, fRK},
 	tLdIdx: {kind: tkI, form: fLd}, tLdIdxF: {kind: tkF, form: fLd}, tLdIdxP: {kind: tkP, form: fLd},
 	tLdGIdx: {1, tkI, 0, fLd}, tLdGIdxF: {1, tkF, 0, fLd}, tLdGIdxP: {1, tkP, 0, fLd},
 }
@@ -299,7 +304,7 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 	case fRK, fKR:
 		x, y := l.get(d.in, in.b), int8(0)
 		if d.in == tkF {
-			y = l.konstF(pl, in.c)
+			y = l.leaf(opConst, tkF, 0, int64(math.Float64bits(pl.constF[in.c])))
 		} else {
 			y = l.leaf(opConst, tkI, 0, in.aux)
 		}
@@ -313,7 +318,7 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 		v = l.get(d.in, in.b)
 	case fK:
 		if d.kind == tkF {
-			v = l.konstF(pl, in.b)
+			v = l.leaf(opConst, tkF, 0, int64(math.Float64bits(pl.constF[in.b])))
 		} else {
 			v = l.leaf(opConst, tkI, 0, pl.constI[in.b])
 		}
@@ -328,44 +333,28 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 		v = l.node(nd)
 	default:
 		switch op {
-		case tMaxII, tMinII:
-			v = l.node(lnode{op: opClamp, a: l.get(tkI, in.b), b: int8(op - tMaxII), c: in.aux})
-		case tMulAddF, tAddMulF, tMulAddFC, tAddMulFC:
-			var y int8
-			if op == tMulAddFC || op == tAddMulFC {
-				y = l.konstF(pl, in.c)
-			} else {
-				y = l.get(tkF, in.c)
-			}
-			p, s := l.op(opMul, tkF, l.get(tkF, in.b), y), l.get(tkF, int32(in.aux))
-			if v = l.op(opAdd, tkF, s, p); op == tMulAddF || op == tMulAddFC {
-				v = l.op(opAdd, tkF, p, s)
-			}
-			d.kind = tkF
 		case tStGIdx, tStIdx, tStGIdxF, tStIdxF:
 			l.store(in, op, round)
-			return
 		case tJltI, tJleI, tJltF, tJgtF:
 			l.fold(in, code, pc)
-			return
 		case tJmp:
 			// The ?: form of a fold ends its taken arm with a jump to the end.
 			l.bad, l.done = l.branch < 0 || pc+int(in.a) != len(code), true
-			return
 		default:
 			l.bad = true
-			return
 		}
+		return
+	}
+	switch op { // a multiply-add: the product, then the sum
+	case tMulAddF, tMulAddFC:
+		v = l.op(opAdd, tkF, v, l.get(tkF, int32(in.aux)))
+	case tAddMulF, tAddMulFC:
+		v = l.op(opAdd, tkF, l.get(tkF, int32(in.aux)), v)
 	}
 	if round {
 		v = l.op(opRound, tkF, v, -1)
 	}
 	l.set(d.kind, in.a, v)
-}
-
-// konstF is the node of pooled float constant i.
-func (l *lifter) konstF(pl *tapePools, i int32) int8 {
-	return l.leaf(opConst, tkF, 0, int64(math.Float64bits(pl.constF[i])))
 }
 
 // base is the node of an indexed access's base: global pointer slot b,
@@ -380,13 +369,18 @@ func (l *lifter) base(b int32, glob bool) int8 {
 // indexLoad is the int load under a chain of clamps from n, -1 when
 // there is none.
 func (l *lifter) indexLoad(n int8) int8 {
-	for l.nodes[n].op == opClamp {
+	for l.clamp(n) {
 		n = l.nodes[n].a
 	}
 	if nd := l.nodes[n]; nd.op == opLoad && nd.kind == tkI {
 		return n
 	}
 	return -1
+}
+
+// clamp reports whether node n is a ?: clamp level.
+func (l *lifter) clamp(n int8) bool {
+	return l.nodes[n].op == opMax || l.nodes[n].op == opMin
 }
 
 // store records the body's one store, before any branch.
@@ -419,10 +413,7 @@ func (l *lifter) fold(in tinstr, code []tinstr, pc int) {
 	for _, x := range l.regs {
 		l.bad = l.bad || x.r < l.temps[x.kind]
 	}
-	kind := uint8(tkI)
-	if in.op == tJltF || in.op == tJgtF {
-		kind = tkF
-	}
+	kind := uint8(b2i(in.op == tJltF || in.op == tJgtF))
 	b, c := l.get(kind, in.b), l.get(kind, in.c)
 	switch {
 	case (in.op == tJltI || in.op == tJltF) && neg:
@@ -459,7 +450,26 @@ func (l *lifter) kernel() bool {
 	case l.branch < 0 && !l.st.ok && locals == 1 && acc.kind != tkP:
 		root = l.sum(acc)
 	}
-	return root >= 0 && !l.bad
+	return root >= 0 && !l.bad && !l.dropsTrap()
+}
+
+// dropsTrap reports whether the kernel leaves out a value that can trap
+// — a load, an integer division or remainder — that the sink does not
+// read: the launch would not check it, and the loop would complete where
+// the dispatch body traps. A load of the stored cell, and the index load
+// under a gathered load, are checked as the store and the gather.
+func (l *lifter) dropsTrap() bool {
+	for n, nd := range l.nodes {
+		drop := l.kid[n] < 0 && !(l.st.ok && nd == l.st.cell) &&
+			(nd.op == opLoad || nd.op == opGather || nd.kind == tkI && (nd.op == opQuo || nd.op == opRem))
+		for g, x := range l.nodes {
+			drop = drop && !(x.op == opGather && l.kid[g] >= 0 && l.indexLoad(x.a) == int8(n))
+		}
+		if drop {
+			return true
+		}
+	}
+	return false
 }
 
 // storeSink classifies the store: a scatter through a loaded index, a
@@ -471,18 +481,18 @@ func (l *lifter) storeSink() int8 {
 	if st.f32 && l.nodes[st.val].op == opRound {
 		st.val = l.nodes[st.val].a // the store rounds again
 	}
-	cell := lnode{op: opLoad, kind: uint8(b2i(st.float)), a: st.idx, b: st.base, c: st.aux}
+	st.cell = lnode{op: opLoad, kind: uint8(b2i(st.float)), a: st.idx, b: st.base, c: st.aux}
 	if il := l.indexLoad(st.idx); il >= 0 {
-		cell.op = opGather
-		return l.scatter(il, cell)
+		st.cell.op = opGather
+		return l.scatter(il)
 	}
-	a, ok := l.access(cell)
+	a, ok := l.access(st.cell)
 	if !ok {
 		return -1
 	}
 	k.store = a
 	if a.stride == 0 {
-		if v, isSum := l.addend(st.val, cell); isSum && st.float {
+		if v, isSum := l.addend(st.val, st.cell); isSum && st.float {
 			k.cell = true
 			return l.dot(v)
 		}
@@ -496,8 +506,8 @@ func (l *lifter) storeSink() int8 {
 
 // scatter is the sink gat[il] op= u: the stored value is the op of the
 // gathered cell g the store writes and an invariant u.
-func (l *lifter) scatter(il int8, g lnode) int8 {
-	k, st := &l.k, &l.st
+func (l *lifter) scatter(il int8) int8 {
+	k, st, g := &l.k, &l.st, l.st.cell
 	v := l.nodes[st.val]
 	if st.idx != il || st.aux != 1 || v.op >= opRound || v.b < 0 || scatterOps[v.op] == 0 ||
 		(st.float && v.op > opMul) || !l.inv[st.base] {
@@ -768,32 +778,34 @@ func (l *lifter) loadSlot(nd lnode) int8 {
 }
 
 // gather registers the kernel's one gathered array (a second one does
-// not lift) and returns the operand slot of its index load. Clamps
-// compose from the innermost out: min(max(x, lo), hi) followed by
-// max(·, K) is min(max(x, max(lo, K)), max(hi, K)), and followed by
-// min(·, K) it is min(max(x, min(lo, K)), min(hi, K)).
+// not lift) and returns the operand slot of its index load.
 func (l *lifter) gather(nd lnode) int8 {
 	if nd.c != 1 || !l.inv[nd.b] {
 		return -1
 	}
-	var chain [maxNodes]int8
-	n, depth := nd.a, 0
-	for ; l.nodes[n].op == opClamp; depth++ {
-		chain[depth], n = n, l.nodes[n].a
-	}
-	g := kGather{base: l.invSlot(nd.b), lo: math.MinInt64, hi: math.MaxInt64, float: nd.kind == tkF}
-	for depth--; depth >= 0; depth-- {
-		if c := l.nodes[chain[depth]]; c.b == 0 {
-			g.lo, g.hi = max(g.lo, c.c), max(g.hi, c.c)
-		} else {
-			g.lo, g.hi = min(g.lo, c.c), min(g.hi, c.c)
-		}
-	}
-	if l.k.gathered && l.k.gat != g {
+	g := kGather{base: l.invSlot(nd.b), float: nd.kind == tkF}
+	if g.lo, g.hi = l.clampRange(nd.a); l.k.gathered && l.k.gat != g {
 		return -1
 	}
 	l.k.gathered, l.k.gat = true, g
-	return l.loadSlot(l.nodes[n])
+	return l.loadSlot(l.nodes[l.indexLoad(nd.a)])
+}
+
+// clampRange is the range [lo, hi] the clamps from node n leave. Clamps
+// compose from the innermost out: min(max(x, lo), hi) followed by
+// max(·, K) is min(max(x, max(lo, K)), max(hi, K)), and followed by
+// min(·, K) it is min(max(x, min(lo, K)), min(hi, K)).
+func (l *lifter) clampRange(n int8) (lo, hi int64) {
+	if !l.clamp(n) {
+		return math.MinInt64, math.MaxInt64
+	}
+	nd := l.nodes[n]
+	lo, hi = l.clampRange(nd.a)
+	k := l.nodes[nd.b].c
+	if nd.op == opMax {
+		return max(lo, k), max(hi, k)
+	}
+	return min(lo, k), min(hi, k)
 }
 
 // invSlot is the launch slot of invariant node n, its operands' slots
@@ -830,24 +842,18 @@ func (fc *funcCompiler) localSym(sl slot) *sema.Symbol {
 }
 
 // boundsFixed reports whether cl's bounds, evaluated once per launch,
-// are what the dispatch loop reads at every iteration: hoistable, and
-// free of the accumulator, the one local a lifted body may write.
+// are what the dispatch loop reads at every iteration: loop-invariant,
+// effect-free and free of memory reads, so evaluating them once cannot
+// be observed even when a fused store aliases other arrays. Scalars
+// other than the iterator and the accumulator, the one local a lifted
+// body may write, qualify; array loads and calls do not.
 func (fc *funcCompiler) boundsFixed(cl *canonicalLoop, k *fusedKernel) bool {
-	acc := fc.localSym(k.acc)
-	return fc.hoistable(cl.lowerX, cl.iterSym, acc) && fc.hoistable(cl.upperX, cl.iterSym, acc)
-}
-
-// hoistable reports whether e is loop-invariant, effect-free and free
-// of memory reads, so evaluating it once per launch cannot be observed
-// even when a fused store aliases other arrays: scalars other than the
-// iterator and acc qualify, array loads and calls do not.
-func (fc *funcCompiler) hoistable(e ast.Expr, iter, acc *sema.Symbol) bool {
-	ok := true
-	ast.Walk(e, func(n ast.Node) bool {
+	acc, ok := fc.localSym(k.acc), true
+	hoistable := func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
 			sym := fc.prog.info.Ref[x]
-			if sym == nil || sym == iter || sym == acc || sym.IsArray() ||
+			if sym == nil || sym == cl.iterSym || sym == acc || sym.IsArray() ||
 				sym.Type == nil || sym.Type.Kind == types.Ptr || sym.Type.Kind == types.Struct {
 				ok = false
 			}
@@ -869,6 +875,8 @@ func (fc *funcCompiler) hoistable(e ast.Expr, iter, acc *sema.Symbol) bool {
 			ok = false
 		}
 		return ok
-	})
+	}
+	ast.Walk(cl.lowerX, hoistable)
+	ast.Walk(cl.upperX, hoistable)
 	return ok
 }

@@ -32,9 +32,10 @@ package comp
 //     so where an operand can read it, strips of one write it through;
 //   - the bail-out rule: a launch never traps. One that cannot start
 //     (a null or freed base, an operand or accumulator cell outside its
-//     array) returns lo; a strip that meets a zero divisor or a gathered
-//     index outside its array sinks nothing and returns its first
-//     element; a scatter stops at its first index outside the target.
+//     array, an invariant divisor of zero) returns lo; a strip that
+//     meets a zero divisor or a gathered index outside its array sinks
+//     nothing and returns its first element; a scatter stops at its
+//     first index outside the target.
 //     The loop's dispatch body runs the rest, so the cells written
 //     before a trap and its message are the dispatch loop's by
 //     construction.

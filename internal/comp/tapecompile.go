@@ -696,7 +696,7 @@ func (tc *tapeCompiler) intVal(e ast.Expr, hint int32) opnd {
 	case *ast.AssignExpr:
 		return tc.assign(x, hint, true)
 	case *ast.CondExpr:
-		if tc.fc.clamp(x) {
+		if _, _, ok := tc.fc.clampRange(x, nil); ok {
 			return tc.clampOp(x, lvl, hint)
 		}
 		return tc.cond(x, tkI, hint, false)
@@ -979,23 +979,20 @@ func (fc *funcCompiler) clampLevel(x *ast.CondExpr) (v, rest ast.Expr, k int64, 
 	return v, x.Else, k, upper, ok && isT && t == k && fc.typeOf(v).Kind == types.Int
 }
 
-// clamp reports whether x is a ?: clamp of an effect-free int v: levels
-// whose rest is v itself or the next level. C tests the outer level
+// clampRange reports whether e is a ?: clamp of an effect-free int v
+// (nil: the v of e's outer level), its levels' rest v itself or the
+// next level, and the range [lo, hi] it leaves. C tests the outer level
 // first, so a level is its max or min only when its K lies inside the
-// range [lo, hi] the levels within it leave; otherwise the ?: keeps its
-// branches.
-func (fc *funcCompiler) clamp(x *ast.CondExpr) bool {
-	v, _, _, _, ok := fc.clampLevel(x)
-	_, _, ok = fc.clampRange(x, v)
-	return ok && !hasSideEffects(fc, v)
-}
-
+// range the levels within it leave; otherwise the ?: keeps its branches.
 func (fc *funcCompiler) clampRange(e, v ast.Expr) (lo, hi int64, ok bool) {
 	x, isCond := ast.Unparen(e).(*ast.CondExpr)
 	if !isCond {
-		return math.MinInt64, math.MaxInt64, v != nil && sameValue(fc, e, v)
+		return math.MinInt64, math.MaxInt64, sameValue(fc, e, v) && !hasSideEffects(fc, e)
 	}
 	u, rest, k, upper, ok := fc.clampLevel(x)
+	if v == nil {
+		v = u
+	}
 	if !ok || !sameValue(fc, u, v) {
 		return 0, 0, false
 	}
