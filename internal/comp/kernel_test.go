@@ -137,15 +137,17 @@ func TestFusedGathersMatchDispatchAndOracle(t *testing.T) {
 		{"upper-then-upper", "y[i] = x[idx[i] > 15 ? 15 : (idx[i] > 10 ? 10 : idx[i])];", 0},
 		{"lower-then-upper", "y[i] = x[idx[i] < 20 ? 20 : (idx[i] > 15 ? 15 : idx[i])];", 0},
 		{"well-formed", "y[i] = x[idx[i] < 0 ? 0 : (idx[i] > 15 ? 15 : idx[i])];", 1},
+		// Two index loads gather from one array; the kernel checks both.
+		{"two-index-arrays", "y[i] = x[idx[i]] + x[jdx[i]];", 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src := fmt.Sprintf(`
 float x[32], y[64];
-int idx[64];
+int idx[64], jdx[64];
 int main(void) {
     for (int i = 0; i < 32; i++) x[i] = (float)i * 0.5f;
-    for (int i = 0; i < 64; i++) idx[i] = i %% 3 == 0 ? 20 : (i %% 3 == 1 ? 3 : i %% 24);
+    for (int i = 0; i < 64; i++) { idx[i] = i %% 3 == 0 ? 20 : (i %% 3 == 1 ? 3 : i %% 24); jdx[i] = i * 7 %% 32; }
     for (int i = 0; i < 64; i++) %s
     return (int)(y[0] + y[1] + y[2]);
 }`, c.body)
@@ -154,24 +156,6 @@ int main(void) {
 				t.Errorf("%d fused kernels, want %d", got, c.fused)
 			}
 		})
-	}
-}
-
-// TestFusedTwoGathersOfOneArray: two index loads gather from one array
-// under one clamp; the kernel checks both, so neither is a value it
-// leaves out, and the loop fuses.
-func TestFusedTwoGathersOfOneArray(t *testing.T) {
-	src := `
-int x[100], y[1000], idx[1000], jdx[1000];
-int main(void) {
-    for (int i = 0; i < 1000; i++) { idx[i] = (i * 37) % 100; jdx[i] = (i * 11) % 100; }
-    for (int i = 0; i < 100; i++) x[i] = i * 3;
-    for (int i = 0; i < 1000; i++) y[i] = x[idx[i]] + x[jdx[i]];
-    return y[999];
-}`
-	m := fuseCompare(t, src, "y")
-	if got := m.Program().FusedKernels(); got != 2 {
-		t.Errorf("%d fused kernels, want the x fill and the gathers", got)
 	}
 }
 
