@@ -90,8 +90,8 @@ func TestReportInlinedCalls(t *testing.T) {
 }
 
 // -analyze prints the front end's findings without compiling: a program
-// the compile step refuses (a pointer cast from a float) still gets its
-// findings, and a definite out-of-bounds access still exits 1.
+// the compile step refuses (a non-zero integer used as a pointer) still
+// gets its findings, and a definite out-of-bounds access still exits 1.
 func TestAnalyzeSkipsTheCompileStep(t *testing.T) {
 	dir, bin := buildPurecc(t)
 	for _, c := range []struct {
@@ -99,12 +99,12 @@ func TestAnalyzeSkipsTheCompileStep(t *testing.T) {
 		exit      int
 		want      []string
 	}{
-		{"oob", "int a[4];\nint main(void) {\n  int u;\n  a[5] = 1;\n  float v = 0.0f; int *p = (int*)v;\n  return 0;\n}\n", 1, []string{
+		{"oob", "int a[4];\nint main(void) {\n  int u;\n  a[5] = 1;\n  int *p = 5;\n  return 0;\n}\n", 1, []string{
 			"oob.c:3:7: unused variable: u",
 			"oob.c:4:3: definite out-of-bounds: a[5] always out of bounds",
 			"purecc: program contains a definite out-of-bounds access",
 		}},
-		{"unused", "int main(void) {\n  int u;\n  float v = 0.0f; int *p = (int*)v;\n  return 0;\n}\n", 0, []string{
+		{"unused", "int main(void) {\n  int u;\n  int *p = 5;\n  return 0;\n}\n", 0, []string{
 			"unused.c:2:7: unused variable: u",
 		}},
 	} {
@@ -112,7 +112,7 @@ func TestAnalyzeSkipsTheCompileStep(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if out, err := exec.Command(bin, path).CombinedOutput(); err == nil || !strings.Contains(string(out), "unsupported pointer cast from float") {
+		if out, err := exec.Command(bin, path).CombinedOutput(); err == nil || !strings.Contains(string(out), "non-zero integer used as pointer") {
 			t.Fatalf("%s: the compile step accepted the program (%v):\n%s", c.name, err, out)
 		}
 		out, err := exec.Command(bin, "-analyze", path).CombinedOutput()

@@ -2,6 +2,7 @@ package comp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -96,4 +97,54 @@ func (k *fusedKernel) hasGather() bool {
 		}
 	}
 	return false
+}
+
+// FuncValues walks everything p's tapes reach — code, pools, call,
+// printf and malloc sites, launch records, kernels and reduction
+// clauses — except the syntax tree and checked model the Program keeps
+// (packages ast and sema). It returns the path of every non-nil func
+// value it finds and the names of the types it visited.
+func FuncValues(p *Program) (funcs []string, visited map[string]bool) {
+	visited = map[string]bool{}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		t := v.Type()
+		if pkg := t.PkgPath(); pkg == "purec/internal/ast" || pkg == "purec/internal/sema" {
+			return
+		}
+		visited[t.String()] = true
+		switch v.Kind() {
+		case reflect.Func:
+			if !v.IsNil() {
+				funcs = append(funcs, path)
+			}
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem(), path)
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+t.Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key(), path+"{key}")
+				walk(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()))
+			}
+		}
+	}
+	for i, tp := range p.tapes {
+		walk(reflect.ValueOf(tp), fmt.Sprintf("tape %d", i))
+	}
+	return funcs, visited
 }

@@ -24,11 +24,12 @@ import (
 	"purec/internal/types"
 )
 
-// arrayReductionFor builds the privatize/combine pair for the array
-// whose base identifier is site (bound by omp.Resolve). ok requires a function-local declared
-// array — or a single-level local pointer the alias analysis resolved,
-// which the transformer only tags when its target region is known — of
-// int/float elements reachable through a frame pointer slot.
+// arrayReductionFor builds the clause privatizing the array whose base
+// identifier is site (bound by omp.Resolve). ok requires a
+// function-local declared array — or a single-level local pointer the
+// alias analysis resolved, which the transformer only tags when its
+// target region is known — of int/float elements reachable through a
+// frame pointer slot.
 func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r reduction, ok bool) {
 	sym := fc.prog.info.Ref[site]
 	if sym == nil || sym.Kind == sema.SymGlobal || sym.Type == nil {
@@ -39,8 +40,8 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 	if !sym.IsArray() {
 		// A local pointer base qualifies when it is single-level: its
 		// slot then holds a pointer into the target region, and the
-		// privatize/combine pair below works on the pointed-to segment
-		// exactly as it does for a decayed local array.
+		// clause privatizes and combines the pointed-to segment exactly
+		// as it does a decayed local array.
 		if !sym.Type.IsPtr() || sym.Type.Elem == nil || sym.Type.Elem.IsPtr() {
 			return reduction{}, false
 		}
@@ -53,12 +54,11 @@ func (fc *funcCompiler) arrayReductionFor(site *ast.Ident, op token.Kind) (r red
 	if !sym.IsArray() {
 		elem = sym.Type.Elem
 	}
-	f32 := elem.Kind == types.Float && elem.CSize == 4
 	switch elem.Kind {
 	case types.Int:
-		r, ok = arrayReduction[int64](sl.idx, site.Name, mem.CellInt, op, false)
+		r, ok = newReduction(sl.idx, true, mem.CellInt, op, false, site.Name)
 	case types.Float:
-		r, ok = arrayReduction[float64](sl.idx, site.Name, mem.CellFloat, op, f32)
+		r, ok = newReduction(sl.idx, true, mem.CellFloat, op, elem.CSize == 4, site.Name)
 	}
 	return r, ok
 }

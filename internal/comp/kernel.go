@@ -115,7 +115,11 @@ type fusedKernel struct {
 	gathered bool
 	op       token.Kind
 	upd      int8
-	run      kernRun
+	// body is what a launch runs (the body… constants of strip.go), and
+	// for the two float shapes sx, sa and sz name the X load, the
+	// invariant a and the Z load of a*X[i] (+ Z[i]).
+	body       uint8
+	sx, sa, sz int8
 
 	loads []kAccess
 	// invs is the launch program: the invariants, each an lnode whose a
@@ -375,6 +379,35 @@ func hazard(st kspan, ss int64, ld kspan, ls int64) int {
 // the numbers that kept these and retired the fill, copy and stencil
 // loops and the integer twins of these two).
 
+// shape matches a float map against the two shapes and sets the
+// launch body and its operands. Float addition and multiplication are
+// exactly commutative, so one loop serves every operand order; compound
+// Y[i] += a*X[i] desugars to the Z=Y instance of the triad.
+func (k *fusedKernel) shape() bool {
+	if !k.float || k.sink != sinkStore {
+		return false
+	}
+	root := int8(len(k.nodes) - 1)
+	if x, a, ok := k.scaled(root); ok {
+		k.body, k.sx, k.sa = bodyScale, x, a
+		return true
+	}
+	nd := k.nodes[root]
+	if nd.code != opAdd {
+		return false
+	}
+	p, q := nd.a, nd.b
+	if k.nodes[p].code == opLoad {
+		p, q = q, p
+	}
+	x, a, ok := k.scaled(p)
+	if !ok || k.nodes[q].code != opLoad {
+		return false
+	}
+	k.body, k.sx, k.sa, k.sz = bodyTriad, x, a, k.nodes[q].a
+	return true
+}
+
 // scaled matches node id against a * X[i] in either operand order and
 // returns the load and the invariant.
 func (k *fusedKernel) scaled(id int8) (ld, inv int8, ok bool) {
@@ -389,69 +422,34 @@ func (k *fusedKernel) scaled(id int8) (ld, inv int8, ok bool) {
 	return y.a, x.a, x.code == opInv && y.code == opLoad
 }
 
-// emitScale handles the float Y[i] = a * X[i] (either operand order).
-func emitScale(k *fusedKernel) kernRun {
-	x, inv, ok := k.scaled(int8(len(k.nodes) - 1))
-	if !k.float || !ok {
-		return nil
+// axpy runs the two shapes: the scale Y[i] = a*X[i] and the triad
+// Y[i] = a*X[i] + Z[i].
+func (k *fusedKernel) axpy(e *env, lo, hi int64) int64 {
+	var fr kframe
+	if !k.prepFrame(&fr, e, lo, hi) {
+		return lo
 	}
-	return func(e *env, lo, hi int64) int64 {
-		var fr kframe
-		if !k.prepFrame(&fr, e, lo, hi) {
-			return lo
+	a := fr.invF[k.sa]
+	dst, ds := fr.dst.f, fr.dst.stride
+	xs, xss := fr.loads[k.sx].f, fr.loads[k.sx].stride
+	zs, zss := fr.loads[k.sz].f, fr.loads[k.sz].stride
+	switch {
+	case k.body == bodyScale && fr.f32:
+		for t, c, xi := 0, 0, 0; t < fr.n; t, c, xi = t+1, c+ds, xi+xss {
+			dst[c] = float64(float32(a * xs[xi]))
 		}
-		a := fr.invF[inv]
-		dst, ds := fr.dst.f, fr.dst.stride
-		src, ss := fr.loads[x].f, fr.loads[x].stride
-		if fr.f32 {
-			for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-				dst[c] = float64(float32(a * src[s]))
-			}
-			return hi + 1
+	case k.body == bodyScale:
+		for t, c, xi := 0, 0, 0; t < fr.n; t, c, xi = t+1, c+ds, xi+xss {
+			dst[c] = a * xs[xi]
 		}
-		for t, c, s := 0, 0, 0; t < fr.n; t, c, s = t+1, c+ds, s+ss {
-			dst[c] = a * src[s]
+	case fr.f32:
+		for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
+			dst[c] = float64(float32(a*xs[xi] + zs[zi]))
 		}
-		return hi + 1
-	}
-}
-
-// emitTriad handles the float axpy family Y[i] = a*X[i] + Z[i] in its
-// add-commuted operand orders (float addition and multiplication are
-// exactly commutative, so one loop serves all of them). Compound
-// Y[i] += a*X[i] desugars to the Z=Y instance.
-func emitTriad(k *fusedKernel) kernRun {
-	root := k.nodes[len(k.nodes)-1]
-	if !k.float || root.code != opAdd {
-		return nil
-	}
-	p, q := root.a, root.b
-	if k.nodes[p].code == opLoad {
-		p, q = q, p
-	}
-	x, inv, ok := k.scaled(p)
-	if !ok || k.nodes[q].code != opLoad {
-		return nil
-	}
-	z := k.nodes[q].a
-	return func(e *env, lo, hi int64) int64 {
-		var fr kframe
-		if !k.prepFrame(&fr, e, lo, hi) {
-			return lo
-		}
-		a := fr.invF[inv]
-		dst, ds := fr.dst.f, fr.dst.stride
-		xs, xss := fr.loads[x].f, fr.loads[x].stride
-		zs, zss := fr.loads[z].f, fr.loads[z].stride
-		if fr.f32 {
-			for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
-				dst[c] = float64(float32(a*xs[xi] + zs[zi]))
-			}
-			return hi + 1
-		}
+	default:
 		for t, c, xi, zi := 0, 0, 0, 0; t < fr.n; t, c, xi, zi = t+1, c+ds, xi+xss, zi+zss {
 			dst[c] = a*xs[xi] + zs[zi]
 		}
-		return hi + 1
 	}
+	return hi + 1
 }

@@ -34,13 +34,6 @@ import (
 	"purec/internal/types"
 )
 
-// kernRun executes iterations [lo, hi] (inclusive, lo ≤ hi) of a fused
-// loop and returns the first one it did not complete, hi+1 when it ran
-// them all; the launch runs the rest on the loop's dispatch body.
-// Parallel regions call it once per chunk — rt hands out no empty
-// chunk —; sequential loops once, when the range is not empty.
-type kernRun func(e *env, lo, hi int64) int64
-
 // fuseReductions reports whether canonical float reduction loops
 // compile to fused kernels here: the ICC backend vectorizes extracted
 // pure functions, and Options.Vectorize extends that everywhere (the
@@ -152,7 +145,7 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	}
 	k := l.k
 	k.loads, k.invs = clone(k.loads), clone(k.invs)
-	if k.run = k.emit(); k.run == nil {
+	if !k.emit() {
 		return nil
 	}
 	return &k

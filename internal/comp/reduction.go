@@ -1,14 +1,13 @@
 package comp
 
-// The reduction runtime of parallelReduceFor: one operator table —
-// identity, fold, float32-rounding wrap — generic over int64 and
-// float64 accumulators, and the two accumulator layouts built on it:
-// a scalar frame slot, and a privatized array segment (a dense,
-// identity-filled copy per worker that ran a chunk). Every clause
-// combines linearly: rt folds the partials into the caller in worker
-// order 0..n-1 after the join. Scalar clauses, min/max clauses and
-// array clauses all draw their operator from here; the interp oracle
-// keeps its own copy on purpose.
+// The reduction clauses of a parallel region as data: each clause names
+// its accumulator — a scalar frame slot, or the pointer slot of a
+// privatized array segment (a dense, identity-filled copy per worker
+// that ran a chunk) — its cell kind and its operator. One operator
+// table, generic over int64 and float64 cells, gives the identity and
+// the fold. Every clause combines linearly: rt folds the partials into
+// the caller in worker order 0..n-1 after the join. The interp oracle
+// keeps its own copy of the table on purpose.
 
 import (
 	"math"
@@ -17,75 +16,58 @@ import (
 	"purec/internal/token"
 )
 
-// reduction is a compiled reduction accumulator: identity installation
-// into a worker's private environment and the worker-ordered combine
-// back into the parent environment.
+// reduction is one compiled reduction clause: the frame slot of its
+// accumulator (a scalar int or float slot, or with array the pointer
+// slot of the array), its cell kind, operator and float32 rounding, and
+// the array's name for the traps.
 type reduction struct {
-	setIdentity func(we *env)
-	combine     func(dst, src *env)
+	slot  int
+	array bool
+	kind  mem.CellKind
+	op    token.Kind
+	// f32 marks a 4-byte C float accumulator: every folded value rounds
+	// through float32 (min/max pick among already-rounded values, which
+	// the rounding maps to themselves).
+	f32  bool
+	name string
 }
 
 // cell is the value kind of an accumulator.
 type cell interface{ int64 | float64 }
 
-// redOp is one reduction operator over T.
-type redOp[T cell] struct {
-	identity T
-	fold     func(a, b T) T
+// newReduction is the clause reducing into slot under operator op; ok
+// is false for an operator the cell kind does not support (the loop
+// then runs serially). "-" reduces by negation onto "+": the loop body
+// subtracts into an identity-seeded private, so each partial is
+// −(chunk sum) and partials add (see omp's operator table). The bitwise
+// operators exist for ints only.
+func newReduction(slot int, array bool, kind mem.CellKind, op token.Kind, f32 bool, name string) (r reduction, ok bool) {
+	switch op {
+	case token.ADD, token.SUB, token.MUL, token.LSS, token.GTR:
+	case token.AND, token.OR, token.XOR:
+		if kind != mem.CellInt {
+			return r, false
+		}
+	default:
+		return r, false
+	}
+	return reduction{slot: slot, array: array, kind: kind, op: op, f32: f32, name: name}, true
 }
 
-// reductionOp is the operator table. "-" reduces by negation onto "+":
-// the loop body subtracts into an identity-seeded private, so each
-// partial is −(chunk sum) and partials add (see omp's operator table).
-// Min and max (LSS/GTR) seed with the comparison's absorbing element
-// and fold by strict comparison, so NaN partials never replace an
-// accumulator — exactly like the guarded update in the loop body. The
-// bitwise operators exist for int64 only; ok is false for an operator
-// T does not support. f32 marks a 4-byte C float accumulator: it
-// rounds every stored value through float32, and the combine is a
-// store (min/max pick among already-rounded values, which the rounding
-// maps to themselves).
-func reductionOp[T cell](op token.Kind, f32 bool) (r redOp[T], ok bool) {
+// identity is op's identity over T. Min and max (LSS/GTR) seed with the
+// comparison's absorbing element.
+func identity[T cell](op token.Kind) T {
 	switch op {
-	case token.ADD, token.SUB:
-		r = redOp[T]{0, func(a, b T) T { return a + b }}
 	case token.MUL:
-		r = redOp[T]{1, func(a, b T) T { return a * b }}
+		return 1
+	case token.AND:
+		return -1
 	case token.LSS:
-		r = redOp[T]{extreme[T](+1), func(a, b T) T {
-			if b < a {
-				return b
-			}
-			return a
-		}}
+		return extreme[T](+1)
 	case token.GTR:
-		r = redOp[T]{extreme[T](-1), func(a, b T) T {
-			if b > a {
-				return b
-			}
-			return a
-		}}
-	default:
-		bits, isInt := any(&r).(*redOp[int64])
-		if !isInt {
-			return r, false
-		}
-		switch op {
-		case token.AND:
-			*bits = redOp[int64]{-1, func(a, b int64) int64 { return a & b }}
-		case token.OR:
-			*bits = redOp[int64]{0, func(a, b int64) int64 { return a | b }}
-		case token.XOR:
-			*bits = redOp[int64]{0, func(a, b int64) int64 { return a ^ b }}
-		default:
-			return r, false
-		}
+		return extreme[T](-1)
 	}
-	if f32 {
-		inner := r.fold
-		r.fold = func(a, b T) T { return T(float32(inner(a, b))) }
-	}
-	return r, true
+	return 0
 }
 
 // extreme returns T's largest (sign > 0) or smallest value: ±Inf for
@@ -104,85 +86,124 @@ func extreme[T cell](sign int) T {
 	return v
 }
 
-// frame returns the environment's T-typed scalar slots.
-func frame[T cell](e *env) []T {
-	if s, ok := any(&e.I).(*[]T); ok {
-		return *s
+// setIdentity installs the clause's identity into worker environment
+// we: into its scalar slot, or into a fresh private segment sized like
+// the parent's array, installed into the cloned pointer slot so the
+// unchanged loop body (or the scatter kernel) updates the copy.
+func (r *reduction) setIdentity(we *env) {
+	if r.array {
+		p := we.P[r.slot]
+		if p.IsNull() || p.Seg.Freed() {
+			rtPanic("array reduction accumulator %s is not allocated", r.name)
+		}
+		seg := mem.NewSegment(r.kind, p.Seg.Len(), p.Seg.Name+" (reduction private)")
+		// Keep the slot's element offset: a pointer base like p = &a[4]
+		// must index the private segment exactly as it indexed the shared
+		// one, or the combine would fold shifted cells.
+		//lint:rawmem repointing the slot at an equal-length private segment; p.Off was validated when p was built
+		we.P[r.slot] = mem.Pointer{Seg: seg, Off: p.Off}
 	}
-	return *any(&e.F).(*[]T)
+	if r.kind == mem.CellFloat {
+		fillIdentity(r, cellsOf[float64](r, we))
+	} else {
+		fillIdentity(r, cellsOf[int64](r, we))
+	}
 }
 
-// scalarReduction reduces into frame slot idx under clause operator op;
-// ok is false when T has no such operator (the loop then runs serially).
-func scalarReduction[T cell](idx int, op token.Kind, f32 bool) (r reduction, ok bool) {
-	o, ok := reductionOp[T](op, f32)
-	return reduction{
-		setIdentity: func(we *env) { frame[T](we)[idx] = o.identity },
-		combine: func(dst, src *env) {
-			d := frame[T](dst)
-			d[idx] = o.fold(d[idx], frame[T](src)[idx])
-		},
-	}, ok
-}
-
-// arrayReduction reduces into the array behind pointer slot idx: every
-// worker receives a private identity-valued segment sized like the
-// parent's array, installed into its cloned environment's slot so the
-// unchanged loop body (or the hist kernel) updates the copy, and the
-// privates fold back element-wise.
-func arrayReduction[T cell](idx int, name string, kind mem.CellKind, op token.Kind, f32 bool) (r reduction, ok bool) {
-	o, ok := reductionOp[T](op, f32)
-	return reduction{
-		setIdentity: func(we *env) {
-			p := we.P[idx]
-			if p.IsNull() || p.Seg.Freed() {
-				rtPanic("array reduction accumulator %s is not allocated", name)
-			}
-			seg := newPrivate(kind, p.Seg.Len(), o.identity, p.Seg.Name+" (reduction private)")
-			// Keep the slot's element offset: a pointer base like
-			// p = &a[4] must index the private segment exactly as it
-			// indexed the shared one, or the combine would fold shifted
-			// cells.
-			//lint:rawmem repointing the slot at an equal-length private segment; p.Off was validated when p was built
-			we.P[idx] = mem.Pointer{Seg: seg, Off: p.Off}
-		},
-		combine: func(dst, src *env) {
-			dp, sp := dst.P[idx], src.P[idx]
-			if dp.IsNull() || sp.IsNull() || dp.Seg.Len() != sp.Seg.Len() {
-				rtPanic("array reduction accumulator %s changed under the loop", name)
-			}
-			foldSegs(dp.Seg, sp.Seg, o.fold)
-		},
-	}, ok
-}
-
-// newPrivate allocates one identity-valued private accumulator.
-func newPrivate[T cell](kind mem.CellKind, n int, identity T, label string) *mem.Segment {
-	seg := mem.NewSegment(kind, n, label)
-	if identity != 0 { // fresh segments are zeroed
-		cells := denseCells[T](seg)
+// fillIdentity fills a clause's accumulator cells with its identity.
+func fillIdentity[T cell](r *reduction, cells []T) {
+	if v := identity[T](r.op); v != 0 || !r.array { // fresh segments are zeroed
 		for i := range cells {
-			cells[i] = identity
+			cells[i] = v
 		}
 	}
-	return seg
 }
 
-// foldSegs folds the source accumulator segment into the destination
-// element-wise.
-func foldSegs[T cell](d, s *mem.Segment, fold func(a, b T) T) {
-	dc, sc := denseCells[T](d), denseCells[T](s)
-	for i := range dc {
-		dc[i] = fold(dc[i], sc[i])
+// combine folds worker environment src's accumulator into dst's.
+func (r *reduction) combine(dst, src *env) {
+	if r.array {
+		dp, sp := dst.P[r.slot], src.P[r.slot]
+		if dp.IsNull() || sp.IsNull() || dp.Seg.Len() != sp.Seg.Len() {
+			rtPanic("array reduction accumulator %s changed under the loop", r.name)
+		}
+	}
+	if r.kind == mem.CellFloat {
+		fold(r.op, r.f32, cellsOf[float64](r, dst), cellsOf[float64](r, src))
+	} else {
+		fold(r.op, false, cellsOf[int64](r, dst), cellsOf[int64](r, src))
 	}
 }
 
-// denseCells returns an accumulator segment's T-typed backing cells.
-// The callers walk equal-length accumulator pairs (validated by
-// arrayReduction's combine) or a fresh private, in range loops.
-func denseCells[T cell](s *mem.Segment) []T {
-	if c, ok := any(&s.I).(*[]T); ok {
+// cellsOf returns the clause's accumulator cells in e: its scalar slot,
+// or the elements of its array (the pointer-to-slice assertions box
+// nothing).
+func cellsOf[T cell](r *reduction, e *env) []T {
+	if !r.array {
+		if s, ok := any(&e.I).(*[]T); ok {
+			return (*s)[r.slot:][:1]
+		}
+		return (*any(&e.F).(*[]T))[r.slot:][:1]
+	}
+	seg := e.P[r.slot].Seg
+	if c, ok := any(&seg.I).(*[]T); ok {
 		return *c
 	}
-	return *any(&s.F).(*[]T)
+	return *any(&seg.F).(*[]T)
+}
+
+// fold folds s into d element-wise under op, one loop per operator.
+// Min and max fold by strict comparison, so NaN partials never replace
+// an accumulator — exactly like the guarded update in the loop body.
+// With f32 every folded value rounds through float32, as the
+// accumulator's 4-byte store does.
+func fold[T cell](op token.Kind, f32 bool, d, s []T) {
+	s = s[:len(d)]
+	switch op {
+	case token.ADD, token.SUB:
+		for i, v := range s {
+			d[i] += v
+		}
+	case token.MUL:
+		for i, v := range s {
+			d[i] *= v
+		}
+	case token.LSS:
+		for i, v := range s {
+			if v < d[i] {
+				d[i] = v
+			}
+		}
+	case token.GTR:
+		for i, v := range s {
+			if v > d[i] {
+				d[i] = v
+			}
+		}
+	default:
+		foldBits(op, *any(&d).(*[]int64), *any(&s).(*[]int64))
+	}
+	if f32 {
+		for i, v := range d {
+			d[i] = T(float32(v))
+		}
+	}
+}
+
+// foldBits is fold for the bitwise operators, which newReduction admits
+// for int cells only.
+func foldBits(op token.Kind, d, s []int64) {
+	switch op {
+	case token.AND:
+		for i, v := range s {
+			d[i] &= v
+		}
+	case token.OR:
+		for i, v := range s {
+			d[i] |= v
+		}
+	default:
+		for i, v := range s {
+			d[i] ^= v
+		}
+	}
 }

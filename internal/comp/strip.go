@@ -85,9 +85,10 @@ type stripOp struct {
 	a, b operand
 }
 
-// lower compiles the kernel's nodes into k.prog and assigns columns by
-// a linear scan that frees a column at its value's last use. It reports
-// false when the kernel exceeds a bound of the evaluator.
+// lower compiles the kernel's nodes into k.prog, assigns columns by a
+// linear scan that frees a column at its value's last use and picks the
+// buffer class. It reports false when the kernel exceeds a bound of the
+// evaluator.
 func (k *fusedKernel) lower() bool {
 	if len(k.loads) > maxLoads || len(k.invs) > maxInvs {
 		return false
@@ -164,71 +165,106 @@ func (k *fusedKernel) lower() bool {
 	if k.mul {
 		k.res, k.res2 = where[nodes[root].a], where[nodes[root].b]
 	}
+	switch {
+	case k.regs == 0:
+		k.body = bodyStrip0
+	case k.regs == 1:
+		k.body = bodyStrip1
+	case k.regs <= smallRegs:
+		k.body = bodyStripSmall
+	default:
+		k.body = bodyStripMax
+	}
 	return true
 }
 
-// emit selects the kernel body — nil when the kernel exceeds a bound of
-// the evaluator — and drops the nodes: the launch function keeps k
-// alive for as long as the Program lives, and the nodes lie in the
-// compile's scratch buffer.
-func (k *fusedKernel) emit() kernRun {
-	run := k.body()
+// Launch bodies: one of the two float shapes (kernel.go), or the strip
+// evaluator of the kernel's element kind with a strip buffer of the
+// smallest size class its columns fit — none, one column, smallRegs or
+// maxRegs columns — since a launch zeroes its buffer.
+const (
+	bodyStrip0 uint8 = iota
+	bodyStrip1
+	bodyStripSmall
+	bodyStripMax
+	bodyScale
+	bodyTriad
+)
+
+// emit picks the kernel's launch body — false when the kernel exceeds a
+// bound of the evaluator — and drops the nodes: the launch keeps k alive
+// for as long as the Program lives, and the nodes lie in the compile's
+// scratch buffer.
+func (k *fusedKernel) emit() bool {
+	ok := k.shape() || k.lower()
 	k.nodes = nil
-	return run
+	return ok
 }
 
-// body is a specialized loop for the few shapes that have one,
-// otherwise the evaluator of the kernel's element kind wrapped in a
-// launch function that owns the strip buffer.
-func (k *fusedKernel) body() kernRun {
-	if k.sink == sinkStore {
-		if r := emitScale(k); r != nil {
-			return r
-		}
-		if r := emitTriad(k); r != nil {
-			return r
-		}
-	}
-	if !k.lower() {
-		return nil
-	}
-	// A launch zeroes its buffer, so it takes the smallest size class:
-	// none, one column, smallRegs or maxRegs columns.
+// run executes iterations [lo, hi] (inclusive, lo ≤ hi) of a fused loop
+// and returns the first one it did not complete, hi+1 when it ran them
+// all; the launch runs the rest on the loop's dispatch body.
+func (k *fusedKernel) run(e *env, lo, hi int64) int64 {
 	switch {
-	case k.regs == 0 && k.float:
-		return func(e *env, lo, hi int64) int64 { return k.runFloat(e, lo, hi, nil) }
-	case k.regs == 0:
-		return func(e *env, lo, hi int64) int64 { return k.runInt(e, lo, hi, nil) }
-	case k.regs == 1 && k.float:
-		return func(e *env, lo, hi int64) int64 {
-			var buf [stripLen]float64
-			return k.runFloat(e, lo, hi, buf[:])
-		}
-	case k.regs == 1:
-		return func(e *env, lo, hi int64) int64 {
-			var buf [stripLen]int64
-			return k.runInt(e, lo, hi, buf[:])
-		}
-	case k.float && k.regs <= smallRegs:
-		return func(e *env, lo, hi int64) int64 {
-			var buf [smallRegs * stripLen]float64
-			return k.runFloat(e, lo, hi, buf[:])
-		}
+	case k.body >= bodyScale:
+		return k.axpy(e, lo, hi)
+	case k.body == bodyStrip0 && k.float:
+		return k.runFloat(e, lo, hi, nil)
+	case k.body == bodyStrip0:
+		return k.runInt(e, lo, hi, nil)
+	case k.body == bodyStrip1 && k.float:
+		return k.runFloat1(e, lo, hi)
+	case k.body == bodyStrip1:
+		return k.runInt1(e, lo, hi)
+	case k.body == bodyStripSmall && k.float:
+		return k.runFloatSmall(e, lo, hi)
+	case k.body == bodyStripSmall:
+		return k.runIntSmall(e, lo, hi)
 	case k.float:
-		return func(e *env, lo, hi int64) int64 {
-			var buf [maxRegs * stripLen]float64
-			return k.runFloat(e, lo, hi, buf[:])
-		}
-	case k.regs <= smallRegs:
-		return func(e *env, lo, hi int64) int64 {
-			var buf [smallRegs * stripLen]int64
-			return k.runInt(e, lo, hi, buf[:])
-		}
+		return k.runFloatMax(e, lo, hi)
 	}
-	return func(e *env, lo, hi int64) int64 {
-		var buf [maxRegs * stripLen]int64
-		return k.runInt(e, lo, hi, buf[:])
-	}
+	return k.runIntMax(e, lo, hi)
+}
+
+// The strip buffers, one size class and element kind per function: a
+// launch's frame holds only its kernel's buffer (noinline keeps them
+// out of the frame of run; the compiler gives two arrays of one
+// function a slot each).
+
+//go:noinline
+func (k *fusedKernel) runFloat1(e *env, lo, hi int64) int64 {
+	var buf [stripLen]float64
+	return k.runFloat(e, lo, hi, buf[:])
+}
+
+//go:noinline
+func (k *fusedKernel) runInt1(e *env, lo, hi int64) int64 {
+	var buf [stripLen]int64
+	return k.runInt(e, lo, hi, buf[:])
+}
+
+//go:noinline
+func (k *fusedKernel) runFloatSmall(e *env, lo, hi int64) int64 {
+	var buf [smallRegs * stripLen]float64
+	return k.runFloat(e, lo, hi, buf[:])
+}
+
+//go:noinline
+func (k *fusedKernel) runIntSmall(e *env, lo, hi int64) int64 {
+	var buf [smallRegs * stripLen]int64
+	return k.runInt(e, lo, hi, buf[:])
+}
+
+//go:noinline
+func (k *fusedKernel) runFloatMax(e *env, lo, hi int64) int64 {
+	var buf [maxRegs * stripLen]float64
+	return k.runFloat(e, lo, hi, buf[:])
+}
+
+//go:noinline
+func (k *fusedKernel) runIntMax(e *env, lo, hi int64) int64 {
+	var buf [maxRegs * stripLen]int64
+	return k.runInt(e, lo, hi, buf[:])
 }
 
 // runFloat is one launch of a float kernel: strip by strip, evaluate

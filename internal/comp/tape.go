@@ -354,8 +354,9 @@ type runMode uint8
 const (
 	// runOnce executes the tape once and returns the result.
 	runOnce runMode = iota
-	// runRange is a parallel loop run inline: break ends the range,
-	// return propagates, continue goes on to the next iteration.
+	// runRange is a launched loop run inline: break ends the range,
+	// return propagates, continue goes on to the next iteration, and a
+	// completed range leaves hi+1 in the iterator slot.
 	runRange
 	// runChunk is a worker's chunk of a parallel loop: every iteration
 	// runs and ctrl results are dropped.
@@ -899,6 +900,9 @@ func (tp *tape) run(e *env, mode runMode, slot int, lo, hi int64) ctrl {
 		default:
 			return c
 		}
+	}
+	if mode == runRange {
+		I[slot] = hi + 1
 	}
 	return ctrlNext
 }

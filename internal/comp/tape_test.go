@@ -2,6 +2,7 @@ package comp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -297,6 +298,17 @@ func TestTapeEquivalence(t *testing.T) {
 				s += y[i];
 			return (int)s;
 		}`},
+	}
+	// A pointer compared with the constant 0 takes the pointer path: p
+	// null and not, p == 0 and 0 != p, as a branch and as a value.
+	for _, p := range []struct{ name, init string }{{"null", "0"}, {"nonnull", "&g[1]"}} {
+		for _, cmp := range []struct{ name, expr string }{{"eq-zero", "p == 0"}, {"zero-ne", "0 != p"}} {
+			cases = append(cases,
+				struct{ name, src string }{"ptr-" + p.name + "-" + cmp.name + "-branch", fmt.Sprintf(`int g[3];
+		int main(void) { int *p = %s; int r = 5; if (%s) r = 7; return r; }`, p.init, cmp.expr)},
+				struct{ name, src string }{"ptr-" + p.name + "-" + cmp.name + "-value", fmt.Sprintf(`int g[3];
+		int main(void) { int *p = %s; int r = 1 + (%s); return r; }`, p.init, cmp.expr)})
+		}
 	}
 	for _, c := range cases {
 		c := c
@@ -624,5 +636,16 @@ func TestRoundedOpsMatchTheirPairs(t *testing.T) {
 	}
 	if n != 16 {
 		t.Fatalf("%d rounded ops, want 16", n)
+	}
+}
+
+// TestPointerComparedWithStructRefused: a comparison takes the pointer
+// path when either operand is a pointer, and an operand that is neither
+// a pointer nor arithmetic is refused rather than read as a register.
+func TestPointerComparedWithStructRefused(t *testing.T) {
+	src := "struct S { int a; };\nstruct S s;\nint main(void) {\n    int *p = 0;\n    return p == s;\n}\n"
+	_, err := Compile(mustCheck(t, src), Options{})
+	if err == nil || !strings.Contains(err.Error(), "t.c:5:17: pointer compared with struct S") {
+		t.Fatalf("compile: %v", err)
 	}
 }

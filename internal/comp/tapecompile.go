@@ -194,11 +194,6 @@ func (fc *funcCompiler) compileTapeBody() {
 	fc.talloc, fc.scratch = nil, nil
 }
 
-// loopFn runs a loop's body for the iterator values lo..hi on e:
-// inline (break ends the range, return propagates) or, with chunk set,
-// as a worker's chunk (every iteration runs, ctrl results are dropped).
-type loopFn func(e *env, lo, hi int64, chunk bool) ctrl
-
 // loopBody compiles a loop body into a nested tape sharing the
 // function's temp registers (all temps are dead at the region
 // boundary, and worker clones copy the extended frame).
@@ -207,17 +202,6 @@ func (fc *funcCompiler) loopBody(s ast.Stmt) *tape {
 	tp := fc.newTape(s)
 	fc.talloc.restore(saved)
 	return tp
-}
-
-// loop runs the body tape once per range over iterator slot slot.
-func (tp *tape) loop(slot int) loopFn {
-	return func(e *env, lo, hi int64, chunk bool) ctrl {
-		mode := runRange
-		if chunk {
-			mode = runChunk
-		}
-		return tp.run(e, mode, slot, lo, hi)
-	}
 }
 
 // ----------------------------------------------------------------------------
@@ -448,17 +432,8 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt) {
 			body := &tape{code: clone(tc.tp.code[lbody:]), tapePools: tc.tp.tapePools}
 			tc.fc.scratch.tapes = append(tc.fc.scratch.tapes, body)
 			tc.tp.code, tc.label = tc.tp.code[:start], label
-			kern, run, iter := k.run, body.loop(cl.iterSlot), cl.iterSlot
 			tc.fc.prog.fusedKernels++
-			// The dispatch loop leaves the first failing iterator value in
-			// the slot: hi+1 here, lo on the empty path (launchLoop).
-			tc.launchLoop(&cl, k, func(e *env, lo, hi int64) ctrl {
-				if t := kern(e, lo, hi); t <= hi {
-					run(e, t, hi, false)
-				}
-				e.I[iter] = hi + 1
-				return ctrlNext
-			}, true)
+			tc.launchLoop(&cl, launch{body: body, k: k})
 			return
 		}
 	}
@@ -843,14 +818,14 @@ func (tc *tapeCompiler) arithI(n ast.Node, op token.Kind, l, r opnd, lvl [3]int3
 }
 
 // compare compiles a comparison of arithmetic or pointer operands as a
-// 0/1 value.
+// 0/1 value; one pointer operand makes it a pointer comparison (ptrPair).
 func (tc *tapeCompiler) compare(x *ast.BinaryExpr, hint int32) opnd {
 	fc := tc.fc
 	lvl := tc.ta.level()
 	tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
 	ci := int32(x.Op - token.EQL)
 	switch {
-	case tl.IsPtr() && tr.IsPtr():
+	case tl.IsPtr() || tr.IsPtr():
 		a, b := tc.ptrPair(x)
 		d := tc.dest(lvl, tkI, hint)
 		tc.emit(tinstr{op: tPtrEq + topcode(ci), a: d, b: a, c: b})
@@ -1324,13 +1299,30 @@ func (tc *tapeCompiler) ptrAdd(op token.Kind, p, i opnd, stride int64, lvl [3]in
 	return reg(in.a)
 }
 
-// ptrPair compiles both pointer operands of a binary expression into
-// registers.
+// ptrPair compiles both operands of a pointer comparison or difference
+// into pointer registers. A non-pointer operand of a comparison is the
+// null pointer, as on the interpreter (C allows only the constant 0
+// there); it is evaluated for its effects alone.
 func (tc *tapeCompiler) ptrPair(x *ast.BinaryExpr) (int32, int32) {
-	l := tc.ptrOp(x.X, -1)
+	l := tc.ptrSide(x.X)
 	tc.hold(&l, tkP, x.Y)
-	r := tc.ptrOp(x.Y, -1)
+	r := tc.ptrSide(x.Y)
 	return tc.toReg(l, tkP, -1), tc.toReg(r, tkP, -1)
+}
+
+// ptrSide compiles one operand of ptrPair.
+func (tc *tapeCompiler) ptrSide(e ast.Expr) opnd {
+	switch t := tc.fc.typeOf(e); {
+	case t.IsPtr():
+		return tc.ptrOp(e, -1)
+	case !t.IsArith():
+		tc.fc.errorf(e, "pointer compared with %s", t)
+	}
+	lvl := tc.ta.level()
+	tc.effect(e)
+	d := tc.dest(lvl, tkP, -1)
+	tc.emit(tinstr{op: tNullP, a: d})
+	return reg(d)
 }
 
 // partialArrayIndex handles a[i] (or a[i][j]...) where a is a declared
@@ -1810,7 +1802,7 @@ func (tc *tapeCompiler) cmpJump(x *ast.BinaryExpr, sense bool) int {
 	tl, tr := fc.typeOf(x.X), fc.typeOf(x.Y)
 	var j int
 	switch {
-	case tl.IsPtr() && tr.IsPtr():
+	case tl.IsPtr() || tr.IsPtr():
 		j = tc.jumpIfValue(tc.compare(x, -1), sense)
 	case tl.Kind == types.Float || tr.Kind == types.Float:
 		l := tc.fltOp(x.X, -1, false)

@@ -37,8 +37,10 @@ import (
 // runs and where it runs in parallel (its #pragma lines are executed as
 // written, not re-derived), and every guest check stays in the compiled
 // program, so the header holds nothing that can remove one. The tape
-// compile then runs again: compiled Programs hold Go closures (kernel
-// and region launches) and cannot be serialized.
+// compile then runs again: a compiled Program is data (tapes, pools,
+// launch records, kernels, reduction clauses; no func value), but
+// nothing encodes or verifies one yet, and it still points into the
+// tree and model it was compiled from (ROADMAP item 10(b)).
 //
 // Entries that fail any of this (truncated files, bit flips, another
 // format version, a payload that no longer revalidates) are rejected,

@@ -246,6 +246,10 @@ func TestCheckRulesNameTheUsersLine(t *testing.T) {
 	for _, c := range []struct{ stmt, want string }{
 		{`int v = 0; int *p = &v;`, "p.c:4:41: cannot take the address of scalar v (frame storage)"},
 		{`switch (b[1]) { case b[2]: break; }`, "p.c:4:36: case label must be an integer constant"},
+		{`float v = 1.0f; int *q = (int*)v;`, "p.c:4:45: unsupported pointer cast from float"},
+		{`double v = 2.0; int *q = (int*)v;`, "p.c:4:45: unsupported pointer cast from double"},
+		{`int *q = &a[0]; int k = (int)q;`, "p.c:4:44: unsupported cast from pointer int* to int"},
+		{`int k = (int)"ab";`, "p.c:4:28: unsupported cast from pointer char const* to int"},
 	} {
 		src := fmt.Sprintf(`int a[64]; int b[64];
 int main(void) {

@@ -630,10 +630,15 @@ func (c *checker) exprInner(e ast.Expr) *types.Type {
 	case *ast.CastExpr:
 		call := mallocCall(x.X)
 		c.placed = call
-		c.expr(x.X)
+		from := c.expr(x.X)
 		t := c.typeOfAST(x.Type, x.Pos())
-		if call != nil && !t.IsPtr() {
+		switch {
+		case call != nil && !t.IsPtr():
 			c.errorf(x.Pos(), "malloc cast must be a pointer type")
+		case t.IsPtr() && from.IsArith() && from.Kind != types.Int:
+			c.errorf(x.Pos(), "unsupported pointer cast from %s", from)
+		case t.IsArith() && from.IsPtr():
+			c.errorf(x.Pos(), "unsupported cast from pointer %s to %s", from, t)
 		}
 		return t
 	case *ast.SizeofExpr:
