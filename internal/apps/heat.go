@@ -48,8 +48,9 @@ int main(void) {
 // The paper found this version faster than pure under GCC because the
 // inlined body avoids one function call per cell (Sect. 4.3.2: 47.5 vs
 // 87.8 billion user-space instructions). That gap is the paper's, not
-// this compiler's: avg is a leaf pure function, comp inlines it before
-// matching the loop, and the two sources compile to the same kernels.
+// this compiler's: avg is a leaf pure function, comp compiles each call
+// of it as the expression it returns, and the two sources compile to the
+// same kernels.
 const HeatInlinedSrc = `
 float **cur, **next;
 

@@ -61,14 +61,6 @@ func TestWalkPrune(t *testing.T) {
 	}
 }
 
-func TestCalls(t *testing.T) {
-	f := parse(t, walkSrc)
-	calls := ast.Calls(f)
-	if len(calls) != 1 || calls[0].Fun.Name != "f" {
-		t.Fatalf("calls: %v", calls)
-	}
-}
-
 func TestAssignments(t *testing.T) {
 	f := parse(t, walkSrc)
 	as := ast.Assignments(f)

@@ -140,18 +140,6 @@ func isNilNode(n Node) bool {
 	return false
 }
 
-// Calls returns every call expression under n in source order.
-func Calls(n Node) []*CallExpr {
-	var out []*CallExpr
-	Walk(n, func(m Node) bool {
-		if c, ok := m.(*CallExpr); ok {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
 // Idents returns every identifier use under n in source order.
 func Idents(n Node) []*Ident {
 	var out []*Ident

@@ -3,9 +3,10 @@ package comp
 // Calls on the tape. A call evaluates its arguments into consecutive
 // registers of each kind, then one op runs the callee — a user function
 // on a frame pushed on the caller's stack, a memoized one behind the
-// memo table, or printf — reading them through its site. Leaf pure
-// calls never get here: they compile as the expression they return
-// (inline.go). The fixed-arity builtins are plain register ops.
+// memo table, or printf — reading them through its site. A value call
+// of a leaf pure function evaluates its arguments the same way and then
+// compiles as the expression the callee returns (inline.go). The
+// fixed-arity builtins are plain register ops.
 
 import (
 	"fmt"
@@ -193,23 +194,26 @@ func (fc *funcCompiler) memoizes(x *ast.CallExpr, callee *cfunc) bool {
 	return true
 }
 
-// userCall compiles a call of a user-defined function: the arguments by
-// their parameters' kinds into consecutive temps (a 4-byte float
+// userCall compiles a call of a user-defined function: the arguments,
+// left to right, converted to their parameters' types (a 4-byte float
 // parameter rounds its value through float32, like every C conversion
-// to float), then the tCall, whose result lands in hint when set. ret is
-// the result kind, ignored for a call in statement position.
-func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool, hint int32) int32 {
+// to float), then the tCall, whose result lands in hint when set — or,
+// for a value call of a leaf callee, the callee's expression over the
+// arguments' operands (inline.go). ret is the result kind, ignored for
+// a call in statement position.
+func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool, hint int32) opnd {
 	fc := tc.fc
 	name := x.Fun.Name
 	callee, ok := fc.prog.funcs[name]
 	if !ok {
 		fc.errorf(x, "call of unknown function %s", name)
 	}
-	memoized := value && fc.memoizes(x, callee)
 	if len(x.Args) != len(callee.decl.Params) {
 		fc.errorf(x, "function %s expects %d arguments, got %d", name, len(callee.decl.Params), len(x.Args))
 	}
-	from := tc.ta.level()
+	inline := value && fc.inlines(callee)
+	memoized := !inline && value && fc.memoizes(x, callee)
+	from, first := tc.ta.level(), len(fc.bound)
 	for i, arg := range x.Args {
 		pt, err := fc.paramType(callee, i)
 		if err != nil {
@@ -219,7 +223,24 @@ func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool, hint
 		if err != nil {
 			fc.errorf(x, "%v", err)
 		}
-		tc.argInto(arg, int(k), k == slotFloat && pt.CSize == 4 && !fc.f32Exact(arg))
+		f32 := k == slotFloat && pt.CSize == 4 && !fc.f32Exact(arg)
+		if !inline {
+			tc.argInto(arg, int(k), f32)
+			continue
+		}
+		// The operand is read where the callee reads its parameter; a
+		// pending product is computed now, once for every read.
+		o := tc.operand(arg, int(k), -1, f32)
+		for _, next := range x.Args[i+1:] {
+			tc.hold(&o, int(k), next)
+		}
+		if o.k == oMul {
+			o = reg(tc.toReg(o, tkF, -1))
+		}
+		fc.bound = append(fc.bound, boundParam{sym: callee.leaf.params[i], o: o})
+	}
+	if inline {
+		return tc.inline(callee, first, from, int(ret), hint)
 	}
 	cs := callSite{fn: callee, args: tc.ta.span(from), ret: ret, void: !value, memo: memoized,
 		bypass: fc.prog.memoize && callee.pure && (!value || !callee.memoizable)}
@@ -233,7 +254,7 @@ func (tc *tapeCompiler) userCall(x *ast.CallExpr, ret slotKind, value bool, hint
 	}
 	tc.tp.calls = append(tc.tp.calls, cs)
 	tc.emit(tinstr{op: tCall, a: dst, b: int32(len(tc.tp.calls) - 1)})
-	return dst
+	return reg(dst)
 }
 
 // argInto compiles a site argument into the next temp of its kind.
@@ -269,10 +290,7 @@ func (tc *tapeCompiler) callInt(x *ast.CallExpr, hint int32) opnd {
 			in = tinstr{op: tF2I, b: tc.toReg(tc.callFlt(x, -1), tkF, -1)}
 			break
 		}
-		if inl, ok := tc.fc.inlineCall(x); ok {
-			return tc.intOp(inl, hint)
-		}
-		return reg(tc.userCall(x, slotInt, true, hint))
+		return tc.userCall(x, slotInt, true, hint)
 	}
 	in.a = tc.dest(lvl, tkI, hint)
 	tc.emit(in)
@@ -285,10 +303,7 @@ func (tc *tapeCompiler) callFlt(x *ast.CallExpr, hint int32) opnd {
 	name := x.Fun.Name
 	i, ok := mathFn(name)
 	if !ok {
-		if inl, ok := fc.inlineCall(x); ok {
-			return tc.fltOp(inl, hint, false)
-		}
-		return reg(tc.userCall(x, slotFloat, true, hint))
+		return tc.userCall(x, slotFloat, true, hint)
 	}
 	lvl := tc.ta.level()
 	var in tinstr
@@ -313,10 +328,7 @@ func (tc *tapeCompiler) callFlt(x *ast.CallExpr, hint int32) opnd {
 
 // callPtr compiles a pointer-valued user call.
 func (tc *tapeCompiler) callPtr(x *ast.CallExpr, hint int32) opnd {
-	if inl, ok := tc.fc.inlineCall(x); ok {
-		return tc.ptrOp(inl, hint)
-	}
-	return reg(tc.userCall(x, slotPtr, true, hint))
+	return tc.userCall(x, slotPtr, true, hint)
 }
 
 // callEffect compiles a call in statement position. A pure user call

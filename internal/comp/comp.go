@@ -15,8 +15,10 @@
 //     observation that ICC does not vectorize the PluTo-inlined code.
 //
 // Both inline calls of leaf pure functions — a body that is one return
-// expression — as syntax, before loops are matched (inline.go); every
-// other call runs on a per-goroutine frame stack (frames.go).
+// expression — on the tape: the arguments evaluate once, and the
+// callee's expression compiles over their operands, so a loop calling
+// one lifts like the loop written out (inline.go); every other call
+// runs on a per-goroutine frame stack (frames.go).
 //
 // #pragma omp parallel for statements are honored by dispatching loop
 // ranges onto an rt.Team with the requested schedule. internal/omp reads

@@ -531,8 +531,10 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // dividing by the iterator's distance to a constant, a scatter through
 // h's own cells, a map and a sum adding a division by an invariant that
 // may be 0, a gather through two ?: clamps with drawn bounds, a map next
-// to a division or a load whose value nothing reads) at drawn offsets
-// and trip counts that may run off the 8-cell arrays or divide by zero.
+// to a division or a load whose value nothing reads, a sum of leaf pure
+// calls) at drawn offsets and trip counts that may run off the 8-cell
+// arrays or divide by zero, and a leaf call with an argument that has a
+// side effect.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -554,6 +556,7 @@ int bump(int d) {
     g = g + r % 101;
     return g % 97;
 }
+pure int mix(int p, int q) { return q * (q - p) % 7; }
 int main(void) {
 `)
 	fmt.Fprintf(&b, " float f = %s; double d = %s;\n", lit(), lit())
@@ -677,6 +680,19 @@ int main(void) {
 			}
 		}
 	}
+	// Leaf calls of mix, which reads q before p and q twice, drawn after
+	// the statements above so that every seed keeps the program it had
+	// before them: a kernel-shaped sum whose arguments may run off either
+	// end of h — q's walking forward (the loop fuses) or backward (it
+	// stays on the tape, and both arguments can run off at one
+	// iteration) —, then a call with an argument that has a side effect.
+	q := fmt.Sprintf("k + %d", next(4)-1)
+	if next(2) == 0 {
+		q = fmt.Sprintf("%d - k", next(3)+6)
+	}
+	fmt.Fprintf(&b, " for (int k = %d; k < %d; k++) x += mix(h[k + %d], h[%s]);\n", next(2), next(8)+next(3), next(4)-1, q)
+	args := [...]string{"x++, h[a & 7]", "x, x++", fmt.Sprintf("h[%d], x++", next(10))}
+	fmt.Fprintf(&b, " a = a + mix(%s);\n", args[next(len(args))])
 	// Floats print scaled to integers, so a float32 rounding shows.
 	b.WriteString(` for (int k = 0; k < 8; k++) printf("%d ", (int)(fa[k] * 1e12));
  printf("%d %d %d %d %d %d %d\n", a, v, x, g, h[3], (int)(f * 1e12), (int)(d * 1e12));

@@ -19,11 +19,11 @@ type funcCompiler struct {
 	// declSym maps declarations to their symbols.
 	declSym map[*ast.VarDecl]*sema.Symbol
 	sig     *sema.Sig
-	// Leaf-pure inlining state (inline.go): the rewrite of every call
-	// site decided so far and the calls the depth cap left as calls.
-	// The nodes the rewrites synthesize carry their types themselves.
-	inlined  map[*ast.CallExpr]ast.Expr
-	keepCall map[*ast.CallExpr]bool
+	// Leaf-pure inlining state (inline.go): the parameters of the
+	// callees being inlined, each bound to its argument's operand (the
+	// first active of them visible), and the number of expansions open.
+	bound         []boundParam
+	active, depth int
 	// talloc manages the temp register space shared by the function's
 	// tapes and scratch is the compile's tape working memory, both while
 	// the body compiles.

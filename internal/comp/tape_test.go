@@ -206,6 +206,38 @@ func TestTapeEquivalence(t *testing.T) {
 			q->x += 10;
 			return q->x * p.y;
 		}`},
+		// A struct value in statement position: evaluated for its
+		// address's side effects and the read of its first cell.
+		{"struct-stmt", `struct S { int a; };
+		struct S s;
+		int main(void) { s; return 7; }`},
+		{"struct-elem-stmt", `struct S { float f; int a; };
+		struct S sa[4];
+		int main(void) {
+			int n = 0;
+			for (int i = 0; i < 4; i++) { sa[i]; n += i; }
+			return n;
+		}`},
+		{"struct-elem-effect-stmt", `struct S { int a; int b; };
+		struct S sa[4];
+		int g;
+		int bump(void) { g = g + 1; return g; }
+		int main(void) {
+			sa[bump()];
+			sa[bump()];
+			printf("%d\n", g);
+			return g;
+		}`},
+		// The null-pointer constant in every form sema admits: folded,
+		// parenthesized, as either arm of a ?: with a pointer.
+		{"null-constants", `int a[3];
+		int *id(int *p) { return p; }
+		int main(void) {
+			int c = 1;
+			int *p = (0), *q = c ? 0 : a, *r = c ? a : 1 - 1;
+			p = id(2 - 2);
+			return (p == 0) + (q == 0) * 2 + (r == 0) * 4 + (id(0) == 0) * 8;
+		}`},
 		{"calls", `int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
 		int twice(int v) { return 2 * v; }
 		int main(void) { return fib(12) + twice(5); }`},

@@ -49,12 +49,14 @@ const (
 
 // tapeAlloc manages one function's temp register space: next is the
 // next free register of each kind, from base (just past the locals) up,
-// and high the high-water mark. The main tape and every nested
-// parallel-body tape of the function share the registers; the marks
-// extend cf.nI/nF/nP when compilation finishes, which makes worker
-// clones privatize temps for free.
+// and high the high-water mark. No emitter overwrites a register below
+// held in place: the locals and, while a leaf callee's expression
+// compiles, the temps its parameters are bound to. The main tape and
+// every nested parallel-body tape of the function share the registers;
+// the marks extend cf.nI/nF/nP when compilation finishes, which makes
+// worker clones privatize temps for free.
 type tapeAlloc struct {
-	base, next, high [3]int32
+	base, next, high, held [3]int32
 }
 
 // alloc allocates a temp register of the kind.
@@ -185,7 +187,7 @@ func (fc *funcCompiler) newTape(s ast.Stmt) *tape {
 func (fc *funcCompiler) compileTapeBody() {
 	sc := fc.scratch
 	base := [3]int32{int32(fc.cf.nI), int32(fc.cf.nF), int32(fc.cf.nP)}
-	sc.ta = tapeAlloc{base: base, next: base, high: base}
+	sc.ta = tapeAlloc{base: base, next: base, high: base, held: base}
 	fc.talloc = &sc.ta
 	fc.cf.tape = fc.newTape(fc.cf.decl.Body)
 	h := sc.ta.high
@@ -441,11 +443,13 @@ func (tc *tapeCompiler) seqFor(x *ast.ForStmt) {
 	if x.Post != nil {
 		tc.effect(x.Post)
 	}
+	n := tc.fc.prog.inlinedCalls // the condition's calls count once
 	if x.Cond == nil {
 		tc.patchTo(tc.jump(tinstr{op: tJmp}), lbody)
 	} else if back := tc.jumpIf(x.Cond, true); !tc.incJlt(lpost, back, lbody) {
 		tc.patchTo(back, lbody)
 	}
+	tc.fc.prog.inlinedCalls = n
 	tc.patchHere(tc.concat(exit, ctx.breaks))
 	tc.patchTo(ctx.conts, lpost)
 }
@@ -542,8 +546,8 @@ func (o opnd) isImm() bool       { return o.k == oImm }
 func f32Round(v float64) float64 { return float64(float32(v)) }
 
 // local reports whether register r of the kind is a frame slot (a
-// local or parameter) rather than a temp.
-func (tc *tapeCompiler) local(kind int, r int32) bool { return r < tc.ta.base[kind] }
+// local or parameter) or a held temp rather than a temp of its own.
+func (tc *tapeCompiler) local(kind int, r int32) bool { return r < tc.ta.held[kind] }
 
 // hold prepares o to be held while next evaluates: a descriptor that
 // reads a frame or global slot at its consumer moves into a temp when
@@ -653,6 +657,9 @@ func (tc *tapeCompiler) intVal(e ast.Expr, hint int32) opnd {
 	case *ast.SizeofExpr:
 		return immI(fc.sizeofValue(x))
 	case *ast.Ident:
+		if o, ok := fc.param(x); ok {
+			return o
+		}
 		sl, global := fc.slotOf(fc.symOf(x), x)
 		if !global {
 			return reg(int32(sl.idx))
@@ -1085,6 +1092,9 @@ func (tc *tapeCompiler) fltVal(e ast.Expr, hint int32, f32 bool) opnd {
 	case *ast.FloatLit:
 		return tc.round(immF(x.Value), hint, f32)
 	case *ast.Ident:
+		if o, ok := fc.param(x); ok {
+			return tc.round(o, hint, f32)
+		}
 		sl, global := fc.slotOf(fc.symOf(x), x)
 		if !global {
 			return tc.round(reg(int32(sl.idx)), hint, f32)
@@ -1206,8 +1216,21 @@ func (tc *tapeCompiler) arithF(n ast.Node, op token.Kind, l, r opnd, lvl [3]int3
 func (tc *tapeCompiler) ptrOp(e ast.Expr, hint int32) opnd {
 	fc := tc.fc
 	lvl := tc.ta.level()
+	if fc.typeOf(e).Kind == types.Int {
+		// sema.Check converts an integer to a pointer only as the
+		// null-pointer constant.
+		if v, ok := sema.ConstInt(e); !ok || v != 0 {
+			fc.errorf(e, "internal error: non-zero integer used as pointer")
+		}
+		d := tc.dest(lvl, tkP, hint)
+		tc.emit(tinstr{op: tNullP, a: d})
+		return reg(d)
+	}
 	switch x := e.(type) {
 	case *ast.Ident:
+		if o, ok := fc.param(x); ok {
+			return o
+		}
 		sl, global := fc.slotOf(fc.symOf(x), x)
 		if global {
 			return opnd{k: oGlob, r: int32(sl.idx)}
@@ -1274,13 +1297,6 @@ func (tc *tapeCompiler) ptrOp(e ast.Expr, hint int32) opnd {
 		return tc.assign(x, hint, true)
 	case *ast.CallExpr:
 		return tc.callPtr(x, hint)
-	case *ast.IntLit:
-		if x.Value != 0 {
-			fc.errorf(e, "non-zero integer used as pointer")
-		}
-		d := tc.dest(lvl, tkP, hint)
-		tc.emit(tinstr{op: tNullP, a: d})
-		return reg(d)
 	case *ast.StringLit:
 		return reg(tc.stringLit(x, hint))
 	}
@@ -1704,7 +1720,15 @@ func (tc *tapeCompiler) effect(e ast.Expr) {
 		tc.effect(x.X)
 		return
 	}
-	kind := kindOf(tc.fc.typeOf(e))
+	t := tc.fc.typeOf(e)
+	if t.Kind == types.Struct {
+		// A struct value is its cells: evaluating it computes its address
+		// and reads its first cell, which traps where the interpreter's
+		// read does.
+		tc.load(tc.address(e), tkI, tc.ta.level(), -1, false)
+		return
+	}
+	kind := kindOf(t)
 	switch x := e.(type) {
 	case *ast.PostfixExpr:
 		if kind != tkP {

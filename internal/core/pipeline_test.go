@@ -250,6 +250,11 @@ func TestCheckRulesNameTheUsersLine(t *testing.T) {
 		{`double v = 2.0; int *q = (int*)v;`, "p.c:4:45: unsupported pointer cast from double"},
 		{`int *q = &a[0]; int k = (int)q;`, "p.c:4:44: unsupported cast from pointer int* to int"},
 		{`int k = (int)"ab";`, "p.c:4:28: unsupported cast from pointer char const* to int"},
+		{`int *p = 5;`, "p.c:4:25: cannot initialize p (int*) from int"},
+		{`int n = 5; int *p = n;`, "p.c:4:36: cannot initialize p (int*) from int"},
+		{`int *p = a; p = 64 - 1;`, "p.c:4:32: cannot assign int to int*"},
+		{`free(8);`, "p.c:4:25: argument 1 of free: cannot pass int as void*"},
+		{`int c[2] = 3;`, "p.c:4:24: cannot initialize c (array of int) from int"},
 	} {
 		src := fmt.Sprintf(`int a[64]; int b[64];
 int main(void) {

@@ -96,7 +96,7 @@ pure int add(pure int* a, int n) { int s = 0, *t, u[3]; for (int i = 0; i < n; i
 int main(void) {
     struct pt p;
     int x = 3, y;
-    int a[4] = 0;
+    int a[4], z = 0;
     p.x = 1;
     y = - -x + - --x + -(-x) + ~!x;
     y = (x = 2) ? x : (y = 1);

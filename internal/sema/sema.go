@@ -332,11 +332,32 @@ func (c *checker) collectGlobal(vd *ast.VarDecl) {
 	c.info.Globals = append(c.info.Globals, sym)
 	c.info.GlobalMap[vd.Name] = sym
 	if vd.Init != nil {
-		t := c.expr(vd.Init)
-		if !types.AssignableLoose(sym.Type, t) && !sym.IsArray() {
-			c.errorf(vd.Pos(), "cannot initialize %s (%s) from %s", vd.Name, sym.Type, t)
-		}
+		c.initializer(vd, sym)
 	}
+}
+
+// initializer checks the initializer of sym's declaration vd: an array
+// has none (the subset has no brace lists), a scalar, pointer or struct
+// one its type can be assigned.
+func (c *checker) initializer(vd *ast.VarDecl, sym *Symbol) {
+	t := c.expr(vd.Init)
+	switch {
+	case sym.IsArray():
+		c.errorf(vd.Pos(), "cannot initialize %s (array of %s) from %s", vd.Name, sym.ElemType(), t)
+	case !assignable(sym.Type, t, vd.Init):
+		c.errorf(vd.Pos(), "cannot initialize %s (%s) from %s", vd.Name, sym.Type, t)
+	}
+}
+
+// assignable reports whether the value of e, of type src, converts
+// implicitly to dst: types.AssignableLoose, except that an integer
+// converts to a pointer only as the null-pointer constant 0.
+func assignable(dst, src *types.Type, e ast.Expr) bool {
+	if dst != nil && dst.Kind == types.Ptr && src != nil && src.Kind == types.Int {
+		v, ok := ConstInt(e)
+		return ok && v == 0
+	}
+	return types.AssignableLoose(dst, src)
 }
 
 // makeVarSymbol builds the symbol for a variable declaration, decaying
@@ -500,7 +521,7 @@ func (c *checker) stmt(s ast.Stmt) {
 			t := c.expr(x.X)
 			if c.cur != nil && c.cur.Ret.IsVoid() {
 				c.errorf(x.Pos(), "return with a value in void function %s", c.cur.Name)
-			} else if c.cur != nil && !types.AssignableLoose(c.cur.Ret, t) {
+			} else if c.cur != nil && !assignable(c.cur.Ret, t, x.X) {
 				c.errorf(x.Pos(), "cannot return %s from function returning %s", t, c.cur.Ret)
 			}
 		} else if c.cur != nil && !c.cur.Ret.IsVoid() {
@@ -531,10 +552,7 @@ func (c *checker) stmt(s ast.Stmt) {
 // local checks the declaration of sym by d and declares it.
 func (c *checker) local(d *ast.VarDecl, sym *Symbol) {
 	if d.Init != nil {
-		t := c.expr(d.Init)
-		if !sym.IsArray() && !types.AssignableLoose(sym.Type, t) {
-			c.errorf(d.Pos(), "cannot initialize %s (%s) from %s", d.Name, sym.Type, t)
-		}
+		c.initializer(d, sym)
 	}
 	c.declare(sym, d.Pos())
 }
@@ -608,8 +626,17 @@ func (c *checker) exprInner(e ast.Expr) *types.Type {
 		c.condition(x.Cond)
 		t1 := c.expr(x.Then)
 		t2 := c.expr(x.Else)
-		if t1.IsArith() && t2.IsArith() {
+		switch {
+		case t1.IsArith() && t2.IsArith():
 			return types.Promote(t1, t2)
+		case t1.IsPtr() && t2.Kind == types.Int && !assignable(t1, t2, x.Else):
+			c.errorf(x.Else.Pos(), "cannot convert %s to %s in ?:", t2, t1)
+		case t2.IsPtr() && t1.Kind == types.Int:
+			// An integer arm converts to the pointer arm's type.
+			if !assignable(t2, t1, x.Then) {
+				c.errorf(x.Then.Pos(), "cannot convert %s to %s in ?:", t1, t2)
+			}
+			return t2
 		}
 		return t1
 	case *ast.CallExpr:
@@ -729,7 +756,7 @@ func (c *checker) assign(x *ast.AssignExpr) *types.Type {
 	tr := c.expr(x.RHS)
 	c.requireLvalue(x.LHS)
 	if x.Op == token.ASSIGN {
-		if !types.AssignableLoose(tl, tr) {
+		if !assignable(tl, tr, x.RHS) {
 			c.errorf(x.Pos(), "cannot assign %s to %s", tr, tl)
 		}
 	} else if bin, ok := x.Op.AssignBinOp(); ok {
@@ -771,7 +798,7 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 	}
 	for i, a := range x.Args {
 		at := c.expr(a)
-		if i < len(sig.Params) && !types.AssignableLoose(sig.Params[i], at) {
+		if i < len(sig.Params) && !assignable(sig.Params[i], at, a) {
 			c.errorf(a.Pos(), "argument %d of %s: cannot pass %s as %s", i+1, name, at, sig.Params[i])
 		}
 	}

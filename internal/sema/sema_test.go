@@ -303,3 +303,28 @@ int f(float x) { switch (x) { case 1: return 0; } return 1; }
 		t.Fatalf("got %v", err)
 	}
 }
+
+// TestIntegerToPointerOnlyAsNull holds every implicit conversion to a
+// pointer — global and local initializer, assignment, argument, return
+// — to the null-pointer constant: 0 (folded, parenthesized) converts,
+// any other integer is refused at its line. An array has no initializer.
+func TestIntegerToPointerOnlyAsNull(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int *g = 5;", "t.c:1:6: cannot initialize g (int*) from int"},
+		{"int f(void) { int n = 5; int *p = n; return 0; }", "t.c:1:31: cannot initialize p (int*) from int"},
+		{"int f(void) { int *p; p = 3; return 0; }", "t.c:1:23: cannot assign int to int*"},
+		{"int h(int *p) { return 0; } int f(void) { return h(7); }", "t.c:1:52: argument 1 of h: cannot pass int as int*"},
+		{"int *f(int n) { return n; }", "t.c:1:17: cannot return int from function returning int*"},
+		{"int a[2] = 3;", "t.c:1:5: cannot initialize a (array of int) from int"},
+		{"int f(void) { float m[2][3] = 1.5f; return 0; }", "t.c:1:21: cannot initialize m (array of float) from float"},
+		{"int a[2]; int f(int c) { int *p = c ? a : 2; return 0; }", "t.c:1:43: cannot convert int to int* in ?:"},
+		{"int a[2]; int f(int c) { int *p = c ? c : a; return 0; }", "t.c:1:39: cannot convert int to int* in ?:"},
+	} {
+		if _, err := check(t, c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %s", c.src, err, c.want)
+		}
+	}
+	mustCheck(t, `int *g = 0;
+int h(int *p) { return p == 0; }
+int *f(int c) { int *p = (0); p = 1 - 1; h(0); p = c ? 0 : p; p = c ? p : 0; return 0; }`)
+}
