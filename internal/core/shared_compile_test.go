@@ -11,11 +11,9 @@ import (
 // TestConcurrentCompilesShareTheTree: one Artifact, as a cache holds
 // it, is compiled and run by four goroutines at once, each under
 // another backend and vectorization. The checked types live on the
-// nodes of the artifact's tree, which every compile reads; a compile
-// may type only the nodes it builds itself (the expressions leaf-pure
-// inlining synthesizes), so under -race a compile that wrote a type
-// onto a node of the shared tree fails here. Every run must observe
-// what the interp oracle does.
+// nodes of the artifact's tree, which every compile only reads, so
+// under -race a compile that wrote a type onto a node of the shared
+// tree fails here. Every run must observe what the interp oracle does.
 func TestConcurrentCompilesShareTheTree(t *testing.T) {
 	builds := []Config{
 		{Backend: comp.BackendGCC},
