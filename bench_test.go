@@ -118,7 +118,6 @@ func BenchmarkFig3MatmulGCC(b *testing.B) {
 	}{
 		{"seq", apps.MatmulSrc, core.Config{}},
 		{"PluTo", apps.MatmulInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo}},
-		{"PluTo-SICA", apps.MatmulInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Vectorize: true}},
 		{"pure", apps.MatmulSrc, core.Config{Parallelize: true}},
 		{"pure-no-init-par", apps.MatmulNoInitParSrc, core.Config{Parallelize: true}},
 	}
@@ -152,7 +151,6 @@ func BenchmarkFig4MatmulICC(b *testing.B) {
 		cfg  core.Config
 	}{
 		{"PluTo", apps.MatmulInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC}},
-		{"PluTo-SICA", apps.MatmulInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC, Vectorize: true}},
 		{"pure", apps.MatmulSrc, core.Config{Parallelize: true, Backend: comp.BackendICC}},
 	}
 	for _, v := range variants {
@@ -190,8 +188,8 @@ func BenchmarkFig6Heat(b *testing.B) {
 		cfg  core.Config
 	}{
 		{"seq", apps.HeatSrc, core.Config{}},
-		{"PluTo-SICA-gcc", apps.HeatInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Vectorize: true}},
-		{"PluTo-SICA-icc", apps.HeatInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC, Vectorize: true}},
+		{"PluTo-gcc", apps.HeatInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo}},
+		{"PluTo-icc", apps.HeatInlinedSrc, core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC}},
 		{"pure-gcc", apps.HeatSrc, core.Config{Parallelize: true}},
 		{"pure-icc", apps.HeatSrc, core.Config{Parallelize: true, Backend: comp.BackendICC}},
 	}
@@ -281,7 +279,7 @@ func BenchmarkFig10Lama(b *testing.B) {
 		{"auto-gcc", apps.LamaSrc, core.Config{Parallelize: true}},
 		{"auto-icc", apps.LamaSrc, core.Config{Parallelize: true, Backend: comp.BackendICC}},
 		{"manual-gcc", apps.LamaManualSrc, core.Config{}},
-		{"manual-icc", apps.LamaManualSrc, core.Config{Backend: comp.BackendICC, Vectorize: true}},
+		{"manual-icc", apps.LamaManualSrc, core.Config{Backend: comp.BackendICC}},
 	}
 	for _, v := range variants {
 		res := buildFor(b, v.src, defs, v.cfg)
@@ -322,23 +320,6 @@ func BenchmarkAblationTiling(b *testing.B) {
 		res := buildFor(b, apps.MatmulInlinedSrc, defs, cfg)
 		b.Run(name+"/cores=8", func(b *testing.B) {
 			runMachine(b, res, 8, "", "main")
-		})
-	}
-}
-
-// BenchmarkAblationVectorize isolates the fused-kernel compilation (the
-// SICA/ICC SIMD analog) on the inlined matmul.
-func BenchmarkAblationVectorize(b *testing.B) {
-	defs := apps.MatmulDefines(benchMatmulN)
-	for _, vec := range []bool{false, true} {
-		cfg := core.Config{Parallelize: true, Mode: core.ModePluTo, Vectorize: vec}
-		name := "scalar"
-		if vec {
-			name = "vectorized"
-		}
-		res := buildFor(b, apps.MatmulInlinedSrc, defs, cfg)
-		b.Run(name+"/cores=1", func(b *testing.B) {
-			runMachine(b, res, 1, "", "main")
 		})
 	}
 }

@@ -7,14 +7,12 @@
 //	purecc [flags] file.c
 //
 //	-mode pure|pluto      parallelizer mode (default pure)
-//	-backend gcc|icc      compiler analog (default gcc); either way
-//	                      the program runs on the tape, flat bytecode
-//	                      executed by a switch-dispatch loop
+//	-backend gcc|icc      compiler analog (default gcc), a label: both
+//	                      run the same tape, flat bytecode executed by a
+//	                      switch-dispatch loop, and the same fused kernels
 //	-cores N              worker count for parallel regions (default 1)
 //	-seq                  disable parallelization (sequential baseline)
 //	-tile                 enable rectangular tiling (PluTo-SICA analog)
-//	-vectorize            enable fused reduction kernels everywhere
-//	                      (SICA SIMD analog)
 //	-skew                 enable loop shearing when it enables parallelism
 //	-schedule S           OpenMP schedule clause (e.g. dynamic,1)
 //	-memo                 memoize calls of memoizable pure functions
@@ -82,11 +80,10 @@ func (d defineFlags) Set(s string) error {
 
 func main() {
 	mode := flag.String("mode", "pure", "parallelizer mode: pure or pluto")
-	backend := flag.String("backend", "gcc", "compiler analog: gcc or icc")
+	backend := flag.String("backend", "gcc", "compiler analog, a label: gcc or icc")
 	cores := flag.Int("cores", 1, "worker count")
 	seq := flag.Bool("seq", false, "disable parallelization")
 	tile := flag.Bool("tile", false, "enable rectangular tiling")
-	vectorize := flag.Bool("vectorize", false, "enable fused reduction kernels everywhere (SICA SIMD analog)")
 	skew := flag.Bool("skew", false, "enable loop shearing")
 	schedule := flag.String("schedule", "", "OpenMP schedule clause")
 	memoize := flag.Bool("memo", false, "memoize calls of memoizable pure functions")
@@ -123,7 +120,6 @@ func main() {
 			Skew:     *skew,
 			Schedule: *schedule,
 		},
-		Vectorize:    *vectorize,
 		NoAlias:      *noAlias,
 		Memoize:      *memoize,
 		MemoCapacity: *memoCap,

@@ -250,7 +250,7 @@ var cacheKeyStructs = []struct{ file, typeName string }{
 // contains the cache implementation (so linting an unrelated subtree
 // stays silent). Field-name matching is deliberately flat: a hashed
 // Config field and a comp.Options field of the same name (Backend,
-// Engine, Vectorize, …) are the same knob — the pipeline copies one into
+// Engine, Memoize, …) are the same knob — the pipeline copies one into
 // the other — so one hash write covers both declarations.
 func checkCacheKey(files []string) ([]string, error) {
 	bySuffix := func(sfx string) string {

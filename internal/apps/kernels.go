@@ -100,8 +100,8 @@ int main(void) {
 
 // MatmulKernSrc is the kernel matrix-multiplication workload: the paper's
 // extracted-dot matmul (Listing 7 shape) with an init/run split so the
-// harness times only the compute. Under the ICC backend the dot loop
-// compiles to the fused reduction kernel; on dispatch it pays tape
+// harness times only the compute. On every backend the dot loop
+// compiles to the fused reduction kernel; on dispatch it would pay tape
 // instructions per iteration per operand.
 const MatmulKernSrc = `
 float **A, **Bt, **C;

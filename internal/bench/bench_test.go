@@ -27,7 +27,7 @@ func TestCollectMatmulQuick(t *testing.T) {
 		t.Fatal("no sequential baseline")
 	}
 	f3 := d.Fig3()
-	if len(f3.Series) != 5 {
+	if len(f3.Series) != 4 {
 		t.Fatalf("Fig3 series: %d", len(f3.Series))
 	}
 	for _, s := range f3.Series {
@@ -38,7 +38,7 @@ func TestCollectMatmulQuick(t *testing.T) {
 		}
 	}
 	f5 := d.Fig5()
-	if f5.Kind != "speedup" || len(f5.Series) != 9 {
+	if f5.Kind != "speedup" || len(f5.Series) != 7 {
 		t.Fatalf("Fig5: %+v", f5)
 	}
 	out := f3.Render()

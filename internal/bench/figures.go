@@ -17,8 +17,8 @@ import (
 type MatmulData struct {
 	P      Params
 	SeqGCC float64
-	GCC    []Series // PluTo, PluTo-SICA, pure, pure(no-init), MKL
-	ICC    []Series // PluTo, PluTo-SICA, pure, MKL
+	GCC    []Series // PluTo, pure, pure(no-init), MKL
+	ICC    []Series // PluTo, pure, MKL
 }
 
 // CollectMatmul measures all matrix-multiplication variants.
@@ -37,8 +37,6 @@ func CollectMatmul(p Params) (*MatmulData, error) {
 	gccVariants := []variant{
 		{name: "PluTo (gcc)", src: apps.MatmulInlinedSrc, defs: defs,
 			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendGCC}},
-		{name: "PluTo-SICA (gcc)", src: apps.MatmulInlinedSrc, defs: defs,
-			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendGCC, Vectorize: true}},
 		{name: "pure (gcc)", src: apps.MatmulSrc, defs: defs,
 			cfg: core.Config{Parallelize: true, Backend: comp.BackendGCC}},
 		{name: "pure no-init-par (gcc)", src: apps.MatmulNoInitParSrc, defs: defs,
@@ -55,8 +53,6 @@ func CollectMatmul(p Params) (*MatmulData, error) {
 	iccVariants := []variant{
 		{name: "PluTo (icc)", src: apps.MatmulInlinedSrc, defs: defs,
 			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC}},
-		{name: "PluTo-SICA (icc)", src: apps.MatmulInlinedSrc, defs: defs,
-			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC, Vectorize: true}},
 		{name: "pure (icc)", src: apps.MatmulSrc, defs: defs,
 			cfg: core.Config{Parallelize: true, Backend: comp.BackendICC}},
 		mklVariant(p, "MKL (hand-tuned)"),
@@ -88,6 +84,7 @@ func (d *MatmulData) Fig3() *Figure {
 		Notes: []string{
 			"pure beats PluTo because the malloc loop is parallelized (malloc is in the pure hashset)",
 			"pure no-init-par excludes the allocation loop and lands near PluTo",
+			executorNote,
 		},
 	}
 }
@@ -99,11 +96,15 @@ func (d *MatmulData) Fig4() *Figure {
 		Title: fmt.Sprintf("matrix-matrix multiplication, execution time, ICC backend (N=%d)", d.P.MatmulN),
 		Kind:  "time", Cores: sortedCores(d.P.Cores),
 		Series: d.ICC, Baseline: d.SeqGCC, BaseName: "gcc -O2 analog",
-		Notes: []string{
-			"ICC vectorizes the extracted pure dot function; the PluTo-inlined loop does not benefit",
-		},
+		Notes: []string{executorNote},
 	}
 }
+
+// executorNote explains why Figs. 3–5 show no PluTo-SICA rows and no
+// gcc/icc gap: the paper's ICC vectorizes the extracted pure dot
+// (Sect. 4.3.1), but the executor runs every bit-identical reduction as
+// a fused kernel whichever backend a build names.
+const executorNote = "the executor fuses every bit-identical reduction, the dot included, on both backends: PluTo-SICA equals PluTo, and the paper's gcc/icc gap returns as a cost-table input once the figures run on counted time"
 
 // Fig5 renders the speedups of all variants (paper Fig. 5).
 func (d *MatmulData) Fig5() *Figure {
@@ -149,10 +150,10 @@ func CollectHeat(p Params) (*HeatData, error) {
 		return nil, err
 	}
 	variants := []variant{
-		{name: "PluTo-SICA (gcc)", src: apps.HeatInlinedSrc, defs: defs,
-			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendGCC, Vectorize: true}},
-		{name: "PluTo-SICA (icc)", src: apps.HeatInlinedSrc, defs: defs,
-			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC, Vectorize: true}},
+		{name: "PluTo (gcc)", src: apps.HeatInlinedSrc, defs: defs,
+			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendGCC}},
+		{name: "PluTo (icc)", src: apps.HeatInlinedSrc, defs: defs,
+			cfg: core.Config{Parallelize: true, Mode: core.ModePluTo, Backend: comp.BackendICC}},
 		{name: "pure (gcc)", src: apps.HeatSrc, defs: defs,
 			cfg: core.Config{Parallelize: true, Backend: comp.BackendGCC}},
 		{name: "pure (icc)", src: apps.HeatSrc, defs: defs,
@@ -359,7 +360,7 @@ func CollectLama(p Params) (*LamaData, error) {
 			cfg: core.Config{Backend: comp.BackendGCC}},
 		{name: "manual static (icc)", src: apps.LamaManualSrc, defs: defs,
 			init: "initell", entry: "run",
-			cfg: core.Config{Backend: comp.BackendICC, Vectorize: true}},
+			cfg: core.Config{Backend: comp.BackendICC}},
 	}
 	for _, v := range variants {
 		s, err := measure(v, p.Cores, p.Reps)

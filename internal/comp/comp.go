@@ -3,19 +3,14 @@
 //
 // It plays the role of GCC/ICC in the paper's tool chain (Fig. 1): the
 // transformed, pragma-annotated source becomes an executable artifact.
-// Two backends model the two compilers of the evaluation:
+// The two compilers of the evaluation, GCC and ICC, are a Backend
+// label on the Program and nothing more: every loop the lifter accepts,
+// float sums and dots included, runs as a fused kernel operating
+// directly on memory segments (lift.go), bit-identical to the dispatch
+// loop, whichever compiler the build names.
 //
-//   - BackendGCC compiles straightforwardly (the GCC -O2 analog);
-//   - BackendICC additionally replaces canonical reduction loops inside
-//     extracted pure functions by fused kernels operating directly on
-//     memory segments — the analog of ICC's automatic vectorization of
-//     the extracted dot-product function that the paper credits for the
-//     pure+ICC advantage (Sect. 4.3.1). Inlined loop bodies in the
-//     surrounding code are not "vectorized", matching the paper's
-//     observation that ICC does not vectorize the PluTo-inlined code.
-//
-// Both inline calls of leaf pure functions — a body that is one return
-// expression — on the tape: the arguments evaluate once, and the
+// Calls of leaf pure functions — a body that is one return
+// expression — inline on the tape: the arguments evaluate once, and the
 // callee's expression compiles over their operands, so a loop calling
 // one lifts like the loop written out (inline.go); every other call
 // runs on a per-goroutine frame stack (frames.go).
@@ -81,10 +76,11 @@ const (
 	EngineClosure
 )
 
-// Options configure compilation. Backend and Vectorize shape the
-// Program; Team and Stdout seed the initial Process of a Machine built
-// with Compile (CompileProgram ignores them).
+// Options configure compilation. Team and Stdout seed the initial
+// Process of a Machine built with Compile (CompileProgram ignores them).
 type Options struct {
+	// Backend names the compiler analog the Program reports; it does not
+	// change what the Program runs.
 	Backend Backend
 	// Team executes parallel regions; nil means a single worker.
 	//lint:cachekey run state: seeds the initial Process, never the Program
@@ -92,11 +88,6 @@ type Options struct {
 	// Stdout receives printf output (defaults to os.Stdout).
 	//lint:cachekey run state: seeds the initial Process, never the Program
 	Stdout io.Writer
-	// Vectorize applies the fused-kernel compilation to canonical
-	// reduction loops everywhere, not only inside pure functions — the
-	// PluTo-SICA SIMD-code-generation analog. BackendICC implies it for
-	// pure functions only.
-	Vectorize bool
 	// Memoize wraps call sites of memoizable pure functions (scalar
 	// signature, global-free body — see purity.Memoizable) behind a
 	// concurrency-safe memo table shared by every Process of the

@@ -389,8 +389,9 @@ func TestICCBackendMatchesGCC(t *testing.T) {
 }
 
 func TestVectorizedKernelIsUsed(t *testing.T) {
-	// Compile dot with ICC and verify the kernel computes the same value
-	// as the scalar path on a direct call.
+	// Compile dot and verify its kernel computes the same value as the
+	// scalar path (the same build with its kernels dropped) on a direct
+	// call.
 	src := `
 pure float dot(pure float* a, pure float* b, int size) {
     float res = 0.0f;
@@ -408,14 +409,18 @@ int main(void) { return 0; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcc, err := Compile(info, Options{Backend: BackendGCC})
+	fused, err := Compile(info, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	icc, err := Compile(info, Options{Backend: BackendICC})
+	if fused.Program().FusedKernels() != 1 {
+		t.Fatalf("%d fused kernels, want the dot", fused.Program().FusedKernels())
+	}
+	scalar, err := Compile(info, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	DropKernels(scalar.Program())
 	n := 257
 	av := make([]float64, n)
 	bv := make([]float64, n)
@@ -425,16 +430,16 @@ int main(void) { return 0; }
 	}
 	pa := newFloatSeg(av)
 	pb := newFloatSeg(bv)
-	rg, err := gcc.CallFloat("dot", pa, pb, int64(n))
+	rg, err := fused.CallFloat("dot", pa, pb, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := icc.CallFloat("dot", pa, pb, int64(n))
+	ri, err := scalar.CallFloat("dot", pa, pb, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rg != ri {
-		t.Fatalf("vectorized kernel differs: gcc=%v icc=%v", rg, ri)
+		t.Fatalf("vectorized kernel differs: kernel=%v scalar=%v", rg, ri)
 	}
 	if rg == 0 {
 		t.Fatal("dot returned zero, inputs ignored")
@@ -532,9 +537,11 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // h's own cells, a map and a sum adding a division by an invariant that
 // may be 0, a gather through two ?: clamps with drawn bounds, a map next
 // to a division or a load whose value nothing reads, a sum of leaf pure
-// calls) at drawn offsets and trip counts that may run off the 8-cell
-// arrays or divide by zero, and a leaf call with an argument that has a
-// side effect.
+// calls, and last a float or double sum or dot — f += fa[k]*fb[k],
+// its product rounded through a leaf call or not, d += fa[k], or
+// f += fa[k]*fb[h[k]]) at drawn offsets and trip counts that may run
+// off the 8-cell arrays or divide by zero, and a leaf call with an
+// argument that has a side effect.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -546,10 +553,22 @@ func genProgram(seed uint32) string {
 	cmps := []string{"<", "<=", ">", ">=", "==", "!="}
 	lits := []string{"0.5f", "2.0f", "-1.25f", "0.1f", "3.0", "0.0f"}
 	lit := func() string { return lits[next(len(lits))] }
+	// kernelLoop draws a kernel-shaped loop's header and its operand k
+	// plus a drawn offset: now and then one runs off an 8-cell array by
+	// a cell at either end.
+	kernelLoop := func() (loop, kc string) {
+		off := next(4) - next(2)
+		loop = fmt.Sprintf("for (int k = %d; k < %d; k++)", next(2), next(9-max(off, 0))+next(2))
+		kc = fmt.Sprintf("k + %d", off)
+		if off < 0 {
+			kc = "k - 1"
+		}
+		return loop, kc
+	}
 	var b strings.Builder
 	b.WriteString(`int g;
 int h[8];
-float fa[8];
+float fa[8], fb[8];
 int bump(int d) {
     int r = 0;
     for (int k = 0; k < 2; k++) r = r + d;
@@ -557,6 +576,7 @@ int bump(int d) {
     return g % 97;
 }
 pure int mix(int p, int q) { return q * (q - p) % 7; }
+pure float fmul(float p, float q) { return p * q; }
 int main(void) {
 `)
 	fmt.Fprintf(&b, " float f = %s; double d = %s;\n", lit(), lit())
@@ -569,15 +589,7 @@ int main(void) {
 		} else {
 			fmt.Fprintf(&b, " a = (%d %s a) + v;\n", c, op)
 		}
-		// A kernel-shaped loop's header and its operand k plus a drawn
-		// offset: now and then one runs off an 8-cell array by a cell
-		// at either end.
-		off := next(4) - next(2)
-		loop := fmt.Sprintf("for (int k = %d; k < %d; k++)", next(2), next(9-max(off, 0))+next(2))
-		kc := fmt.Sprintf("k + %d", off)
-		if off < 0 {
-			kc = "k - 1"
-		}
+		loop, kc := kernelLoop()
 		switch next(23) {
 		case 0:
 			fmt.Fprintf(&b, " if (a > %d) v = v + 1; else v = v - 1;\n", next(500))
@@ -693,6 +705,21 @@ int main(void) {
 	fmt.Fprintf(&b, " for (int k = %d; k < %d; k++) x += mix(h[k + %d], h[%s]);\n", next(2), next(8)+next(3), next(4)-1, q)
 	args := [...]string{"x++, h[a & 7]", "x, x++", fmt.Sprintf("h[%d], x++", next(10))}
 	fmt.Fprintf(&b, " a = a + mix(%s);\n", args[next(len(args))])
+	// A float or double sum or dot, drawn last for the same reason,
+	// over fb filled by a map: a fold whose operand, or whose gathered
+	// index's cell, may run off its array, so its kernel stops there.
+	loop, kc := kernelLoop()
+	b.WriteString(" for (int k = 0; k < 8; k++) fb[k] = fa[k] * 0.5f + (float)k;\n")
+	switch next(4) {
+	case 0:
+		fmt.Fprintf(&b, " %s f += fa[k] * fb[%s];\n", loop, kc)
+	case 1:
+		fmt.Fprintf(&b, " %s f += fmul(fa[k], fb[%s]);\n", loop, kc)
+	case 2:
+		fmt.Fprintf(&b, " %s d += fa[%s];\n", loop, kc)
+	default:
+		fmt.Fprintf(&b, " %s f += fa[k] * fb[h[%s]];\n", loop, kc)
+	}
 	// Floats print scaled to integers, so a float32 rounding shows.
 	b.WriteString(` for (int k = 0; k < 8; k++) printf("%d ", (int)(fa[k] * 1e12));
  printf("%d %d %d %d %d %d %d\n", a, v, x, g, h[3], (int)(f * 1e12), (int)(d * 1e12));

@@ -49,6 +49,19 @@ func LoopLengths(p *Program, fn string) []int {
 	return n
 }
 
+// DropKernels clears the kernel of every launch of p and zeroes its
+// fused-loop count, so each fused loop runs the dispatch body it
+// carries for where a kernel stops: a test reads or times a loop's
+// dispatch with no build option.
+func DropKernels(p *Program) {
+	if len(p.tapes) > 0 {
+		for i := range p.tapes[0].launches {
+			p.tapes[0].launches[i].k = nil
+		}
+	}
+	p.fusedKernels = 0
+}
+
 // KernelDump renders every fused kernel of p in launch order: its sink,
 // element kind and rounding, the strides of its loads (g marks a
 // gathered load's index walk), a gather's clamp, the scatter operator,

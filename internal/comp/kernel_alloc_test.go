@@ -21,9 +21,10 @@ import (
 // the outer loop's region launch) and not per strip. Each program holds
 // a 9-op int map (hist's initialisation), the integer-sum sink, a
 // 4-load float stencil, a gather map, a histogram scatter, an int min
-// fold and a vectorized float dot fold (its products and sums are
+// fold and a float dot fold (its products and sums are
 // exact, so any worker split prints the same), and must print what the
-// interpreter prints.
+// interpreter prints; so must matmul, whose fused dot every iteration
+// of a parallel region launches.
 func TestKernelLaunchesDoNotAllocate(t *testing.T) {
 	for _, c := range []struct {
 		pragma string
@@ -79,29 +80,63 @@ int main(void) {
     printf("%%d %%d %%g %%g %%d %%d %%g\n", data[1999], s, next[31][17], gy[1234], hist[9], m, d);
     return 0;
 }`, pragma, clause("+:s"), clause("+:hist[]"), clause("min:m"), clause("+:d"))
-		_, want := oracleRun(t, src)
-		prog := compileProgram(t, src, Options{Vectorize: true})
-		if prog.FusedKernels() != 8 {
-			t.Fatalf("pragma=%q: %d fused kernels, want 8", pragma, prog.FusedKernels())
+		launchAllocs(t, fmt.Sprintf("pragma=%q", pragma), src, 8, c.bound)
+	}
+	// Matmul (Listing 7 with the pragmas the front end writes): the
+	// fused dot launched inline from a pure call in each of 4 096
+	// iterations of a parallel region, under the region bound above.
+	launchAllocs(t, "matmul", `
+float A[64][64], Bt[64][64], C[64][64];
+pure float mult(float a, float b) { return a * b; }
+pure float dot(pure float* a, pure float* b, int size) {
+    float res = 0.0f;
+#pragma omp parallel for reduction(+:res)
+    for (int i = 0; i <= size - 1; i++)
+        res += mult(a[i], b[i]);
+    return res;
+}
+int main(void) {
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++) {
+            A[i][j] = (float)((i + j) % 13) * 0.25f;
+            Bt[i][j] = (float)((i - j) % 7) * 0.5f;
+        }
+#pragma omp parallel for
+    for (int i = 0; i < 64; i++)
+        for (int j = 0; j < 64; j++)
+            C[i][j] = dot((pure float*)A[i], (pure float*)Bt[j], 64);
+    printf("%g %g %g\n", C[0][0], C[17][42], C[63][63]);
+    return 0;
+}`, 1, 95)
+}
+
+// launchAllocs runs src from a pool of processes on 2-worker teams,
+// checks that it fuses the kernels it should and prints what the
+// interpreter prints, and bounds its allocations per pooled run.
+func launchAllocs(t *testing.T, name, src string, kernels int, bound float64) {
+	t.Helper()
+	_, want := oracleRun(t, src)
+	prog := compileProgram(t, src, Options{})
+	if prog.FusedKernels() != kernels {
+		t.Fatalf("%s: %d fused kernels, want %d", name, prog.FusedKernels(), kernels)
+	}
+	pool := prog.NewPool(PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(2) }})
+	run := func() {
+		proc, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
 		}
-		pool := prog.NewPool(PoolOptions{Size: 1, NewTeam: func() *rt.Team { return rt.NewTeam(2) }})
-		run := func() {
-			proc, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			proc.SetStdout(&out)
-			if _, err := proc.RunMain(); err != nil || out.String() != want {
-				t.Fatalf("pragma=%q: printed %q err %v, oracle %q", pragma, out.String(), err, want)
-			}
-			pool.Put(proc)
+		var out bytes.Buffer
+		proc.SetStdout(&out)
+		if _, err := proc.RunMain(); err != nil || out.String() != want {
+			t.Fatalf("%s: printed %q err %v, oracle %q", name, out.String(), err, want)
 		}
-		run() // grows the frame stacks, the arena and the team once
-		allocs := testing.AllocsPerRun(10, run)
-		t.Logf("pragma=%q: %.0f allocations per run", pragma, allocs)
-		if allocs > c.bound {
-			t.Errorf("pragma=%q: %.0f allocations per run of 10 000-odd launches, want a small constant", pragma, allocs)
-		}
+		pool.Put(proc)
+	}
+	run() // grows the frame stacks, the arena and the team once
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("%s: %.0f allocations per run", name, allocs)
+	if allocs > bound {
+		t.Errorf("%s: %.0f allocations per run of thousands of launches, want a small constant", name, allocs)
 	}
 }

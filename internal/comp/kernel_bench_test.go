@@ -125,13 +125,13 @@ func BenchmarkFusedAxpy(b *testing.B) {
 }
 
 // BenchmarkFusedMatmul times the extracted-dot matmul with the fused
-// reduction kernel (ICC backend) against its dispatch baseline.
+// reduction kernel against its dispatch baseline.
 func BenchmarkFusedMatmul(b *testing.B) {
 	b.Run("dispatch", func(b *testing.B) {
-		benchEntry(b, dispatchProgram(b, benchMatmulDispatchSrc, Options{Backend: BackendICC}))
+		benchEntry(b, dispatchProgram(b, benchMatmulDispatchSrc, Options{}))
 	})
 	b.Run("fused", func(b *testing.B) {
-		m := benchProgram(b, benchMatmulSrc, Options{Backend: BackendICC})
+		m := benchProgram(b, benchMatmulSrc, Options{})
 		if m.Program().FusedKernels() < 1 {
 			b.Fatal("dot loop did not fuse")
 		}
@@ -147,13 +147,14 @@ func BenchmarkFusedMatmul(b *testing.B) {
 // launch size, and hazard1 the loop-carried x[i] = x[i-1] + 1, which
 // the distance rule runs at strip length 1 — the floor of the single
 // code path. The sink rows follow: the float dot folds with a float
-// and a double accumulator (vectorized builds), the checked gather, the
+// accumulator, over unrounded products (dot-float, a float64 fold) and
+// over the paper's rounded mult(a, b) products (dot-mult, a native
+// float32 fold), and with a double one; the checked gather, the
 // hist scatter and a double min fold.
 func BenchmarkKernelStrip(b *testing.B) {
 	for _, c := range []struct {
 		name, src string
 		elems     int
-		opts      Options
 	}{
 		{"intmap9", `
 int data[65536];
@@ -162,7 +163,7 @@ int run(void) {
     for (int i = 0; i < 65536; i++)
         data[i] = ((i + 1000003) * 1103515245 + 12345) % 4096;
     return 0;
-}`, 65536, Options{}},
+}`, 65536},
 		{"intsum", `
 int result;
 pure int square(int x) { return x * x; }
@@ -173,7 +174,7 @@ int run(void) {
         s += square((i + 1000003) % 8191);
     result = s;
     return 0;
-}`, 65536, Options{}},
+}`, 65536},
 		{"stencil4", `
 float cur[128][128], next[128][128];
 void setup(void) {
@@ -186,7 +187,7 @@ int run(void) {
         for (int j = 1; j < 127; j++)
             next[i][j] = 0.25f * (cur[i - 1][j] + cur[i][j - 1] + cur[i][j + 1] + cur[i + 1][j]);
     return 0;
-}`, 126 * 126, Options{}},
+}`, 126 * 126},
 		{"hazard1", `
 int x[65536];
 void setup(void) {}
@@ -194,7 +195,7 @@ int run(void) {
     for (int i = 1; i < 65536; i++)
         x[i] = x[i - 1] + 1;
     return 0;
-}`, 65535, Options{}},
+}`, 65535},
 		{"dot-float", `
 float x[65536], y[65536];
 float result;
@@ -207,7 +208,21 @@ int run(void) {
         s += x[i] * y[i];
     result = s;
     return 0;
-}`, 65536, Options{Vectorize: true}},
+}`, 65536},
+		{"dot-mult", `
+float x[65536], y[65536];
+float result;
+pure float mult(float a, float b) { return a * b; }
+void setup(void) {
+    for (int i = 0; i < 65536; i++) { x[i] = (float)(i % 13) * 0.25f; y[i] = (float)(i % 7) * 0.5f; }
+}
+int run(void) {
+    float s = 0.0f;
+    for (int i = 0; i < 65536; i++)
+        s += mult(x[i], y[i]);
+    result = s;
+    return 0;
+}`, 65536},
 		{"dot-double", `
 double x[65536], y[65536];
 double result;
@@ -220,7 +235,7 @@ int run(void) {
         s += x[i] * y[i];
     result = s;
     return 0;
-}`, 65536, Options{Vectorize: true}},
+}`, 65536},
 		{"gather", `
 int idx[65536];
 float x[4096], y[65536];
@@ -232,7 +247,7 @@ int run(void) {
     for (int i = 0; i < 65536; i++)
         y[i] = x[idx[i]];
     return 0;
-}`, 65536, Options{}},
+}`, 65536},
 		{"hist", `
 int data[65536];
 int hist[256];
@@ -243,7 +258,7 @@ int run(void) {
     for (int i = 0; i < 65536; i++)
         hist[data[i]]++;
     return 0;
-}`, 65536, Options{}},
+}`, 65536},
 		{"min", `
 double a[65536];
 double result;
@@ -256,10 +271,10 @@ int run(void) {
         if (a[i] < m) m = a[i];
     result = m;
     return 0;
-}`, 65536, Options{}},
+}`, 65536},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			m := benchProgram(b, c.src, c.opts)
+			m := benchProgram(b, c.src, Options{})
 			if m.Program().FusedKernels() < 1 {
 				b.Fatalf("%s did not fuse", c.name)
 			}

@@ -15,7 +15,7 @@ import (
 var updateKernels = flag.Bool("update-kernels", false, "rewrite testdata/kernels.golden")
 
 // TestCorpusKernelsGolden pins every fused kernel of apps.Corpus() under
-// {gcc, icc, gcc+vec} × {par, seq}: sink, load strides, clamp, strip
+// {gcc, icc} × {par, seq}: sink, load strides, clamp, strip
 // program and columns (comp.KernelDump). A change that is meant to
 // move a kernel re-records the file with -update-kernels and lists the
 // moved rows in CHANGES.md.
@@ -23,12 +23,8 @@ func TestCorpusKernelsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, s := range apps.Corpus() {
 		for _, par := range []bool{true, false} {
-			for _, build := range []struct {
-				name      string
-				backend   comp.Backend
-				vectorize bool
-			}{{"gcc", comp.BackendGCC, false}, {"icc", comp.BackendICC, false}, {"gcc+vec", comp.BackendGCC, true}} {
-				cfg := core.Config{Parallelize: par, Defines: s.Defines, Backend: build.backend, Vectorize: build.vectorize}
+			for _, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
+				cfg := core.Config{Parallelize: par, Defines: s.Defines, Backend: backend}
 				art, err := core.Front(s.Src, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -38,7 +34,7 @@ func TestCorpusKernelsGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				if d := comp.KernelDump(prog); d != "" {
-					fmt.Fprintf(&b, "== %s/%s/par=%v\n%s", s.Name, build.name, par, d)
+					fmt.Fprintf(&b, "== %s/%v/par=%v\n%s", s.Name, backend, par, d)
 				}
 			}
 		}
@@ -66,6 +62,40 @@ func TestCorpusKernelsGolden(t *testing.T) {
 			}
 			if g != w {
 				t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
+			}
+		}
+	}
+}
+
+// TestBackendIsALabel: the backend a build names reaches no compile
+// decision. The gcc and icc builds of every apps.Corpus() sample, par
+// and seq, give the same kernels and the same tapes word for word (so
+// every loop dispatches the same instructions), and differ only in the
+// label Program.Backend reports.
+func TestBackendIsALabel(t *testing.T) {
+	for _, s := range apps.Corpus() {
+		for _, par := range []bool{true, false} {
+			var kernels, tapes [2]string
+			for i, backend := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
+				cfg := core.Config{Parallelize: par, Defines: s.Defines, Backend: backend}
+				art, err := core.Front(s.Src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := art.Compile(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prog.Backend() != backend {
+					t.Errorf("%s par=%v: Backend() = %v, built as %v", s.Name, par, prog.Backend(), backend)
+				}
+				kernels[i], tapes[i] = comp.KernelDump(prog), comp.TapeDump(prog)
+			}
+			if kernels[0] != kernels[1] {
+				t.Errorf("%s par=%v: kernels differ\ngcc %s\nicc %s", s.Name, par, kernels[0], kernels[1])
+			}
+			if tapes[0] != tapes[1] {
+				t.Errorf("%s par=%v: tapes differ\ngcc %s\nicc %s", s.Name, par, tapes[0], tapes[1])
 			}
 		}
 	}

@@ -459,8 +459,7 @@ int main(void) {
 	}
 	want := out.AsInt()
 	for _, team := range reduceTeams() {
-		// Vectorize extends reduction fusion beyond pure/ICC contexts.
-		m := compile(t, src, Options{Team: team, Vectorize: true})
+		m := compile(t, src, Options{Team: team})
 		if _, err := m.RunMain(); err != nil {
 			t.Fatalf("team %d (sim=%v): %v", team.Size(), team.Simulated(), err)
 		}
@@ -605,17 +604,17 @@ int main(void) {
     out = s;   /* dispatch: the bound grows from 4 to 10 as s grows */
     return (int)s;
 }`
-	want := runWithTeam(t, src, nil)
+	want := runSerialOracle(t, src)
 	if want != 10 {
-		t.Fatalf("dispatch baseline = %d, want 10 (self-extending bound)", want)
+		t.Fatalf("oracle = %d, want 10 (self-extending bound)", want)
 	}
-	m := compile(t, src, Options{Vectorize: true})
+	m := compile(t, src, Options{})
 	got, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("vectorized build: got %d, dispatch gives %d (bound must not be hoisted)", got, want)
+		t.Fatalf("compiled build: got %d, the oracle gives %d (bound must not be hoisted)", got, want)
 	}
 }
 

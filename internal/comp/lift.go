@@ -14,14 +14,14 @@ package comp
 // invariant is a strided operand, one whose index is a load — through
 // the tMaxII/tMinII of a ?: clamp — a gathered load. The sink classifies
 // the body: a store at an affine index is a map; acc = acc + v into a
-// local (or, for floats, a cell at an invariant index) a sum, floats
-// behind the fuseReductions gate in the paper's dot shapes; a load,
-// update by an invariant and store through one loaded index a scatter;
-// compare, branch and reload of a unit-stride load into a local a
-// min/max fold. Anything else — a call, printf, a store to a global
-// scalar or through a pointer, another branch, a local left behind, a
-// load or integer division whose value no sink reads (the kernel would
-// not check it) — keeps the loop on the tape. The varying nodes lower to
+// local (or, for floats, a cell at an invariant index) a sum, floats in
+// the paper's dot shapes; a load, update by an invariant and store
+// through one loaded index a scatter; compare, branch and reload of a
+// unit-stride load into a local a min/max fold. Anything else — a call,
+// printf, a store to a global scalar or through a pointer, another
+// branch, a local left behind, a load or integer division whose value
+// no sink reads (the kernel would not check it) — keeps the loop on the
+// tape. The varying nodes lower to
 // the strip program, the invariant ones to the launch program prepFrame
 // runs, and the loop keeps its dispatch body for where a kernel stops.
 
@@ -33,16 +33,6 @@ import (
 	"purec/internal/token"
 	"purec/internal/types"
 )
-
-// fuseReductions reports whether canonical float reduction loops
-// compile to fused kernels here: the ICC backend vectorizes extracted
-// pure functions, and Options.Vectorize extends that everywhere (the
-// PluTo-SICA analog). The gate models C's ban on reassociating float
-// sums (Sect. 4.3.1); integer sums are exact in any order and do not
-// pass through it.
-func (fc *funcCompiler) fuseReductions() bool {
-	return (fc.prog.backend == BackendICC && fc.cf.pure) || fc.prog.vectorize
-}
 
 // Lifter-only node codes, after the strip codes of kernel.go: launch
 // invariant leaves, the conversion of an int to float, and the max and
@@ -543,8 +533,8 @@ func (l *lifter) addend(s int8, x lnode) (int8, bool) {
 }
 
 // sum is the sink acc = acc + v into a local int no store narrows or —
-// a dot term behind the fuseReductions gate — a local float, whose
-// partial sums round through float32 when the sum does.
+// a dot term — a local float, whose partial sums round through float32
+// when the sum does.
 func (l *lifter) sum(acc lreg) int8 {
 	k, s := &l.k, acc.n
 	k.float, k.sink = acc.kind == tkF, sinkSum
@@ -564,10 +554,11 @@ func (l *lifter) sum(acc lreg) int8 {
 	}
 }
 
-// dot admits the ICC-vectorization analog's terms (Sect. 4.3.1) behind
-// the fuseReductions gate: X[k], X[k]*Y[k] and X[k]*Y[Z[k]] over
-// unit-stride float operands, the product rounded through float32 (the
-// inlined helper mult(a, b) of the paper's sources) or not.
+// dot admits the terms of the paper's dot and ELL row (Sect. 4.3.1):
+// X[k], X[k]*Y[k] and X[k]*Y[Z[k]] over unit-stride float operands,
+// the product rounded through float32 (the inlined helper mult(a, b)
+// of the paper's sources) or not. The fold adds in iteration order, so
+// it is the dispatch loop's sum bit for bit on every backend.
 func (l *lifter) dot(v int8) int8 {
 	l.k.float, l.k.sink = true, sinkSum
 	t := v
@@ -597,7 +588,7 @@ func (l *lifter) dot(v int8) int8 {
 			return -1
 		}
 	}
-	if direct == 0 || !l.fc.fuseReductions() {
+	if direct == 0 {
 		return -1
 	}
 	return l.strip(v)

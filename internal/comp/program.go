@@ -21,9 +21,8 @@ import (
 // Options.Memoize): pure-call results are referentially transparent, so
 // sharing them across Processes never changes observable behaviour.
 type Program struct {
-	info      *sema.Info
-	backend   Backend
-	vectorize bool
+	info    *sema.Info
+	backend Backend
 	// fusedKernels counts the loops compiled into fused segment-walking
 	// kernels (element-wise and reduction shapes), for the purecc
 	// "fused kernels: N" report line.
@@ -60,7 +59,6 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	p := &Program{
 		info:        info,
 		backend:     opts.Backend,
-		vectorize:   opts.Vectorize,
 		funcs:       map[string]*cfunc{},
 		globalSlots: map[*sema.Symbol]slot{},
 	}
@@ -111,7 +109,8 @@ func CompileProgram(info *sema.Info, opts Options) (*Program, error) {
 	return p, nil
 }
 
-// Backend returns the compile backend analog the program was built with.
+// Backend returns the compiler analog the program was built with, a
+// label only: both backends compile the same tapes and kernels.
 func (p *Program) Backend() Backend { return p.backend }
 
 // TapeStats returns the tape size counters: total instruction words,

@@ -346,7 +346,12 @@ func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
 // foldSum adds a strip to acc in ascending order: the column a, or with
 // mul the products a[i]*b[i], rounded through float32 first with round;
 // with f32 every partial sum rounds through float32, like the
-// accumulator's store in the dispatch loop.
+// accumulator's store in the dispatch loop. With round and f32 both
+// addends of each partial sum are binary32 values (a 4-byte float
+// accumulator, a rounded product), so the sum runs natively in float32:
+// adding in binary64 and then rounding to binary32 gives exactly the
+// binary32 sum, because 53 ≥ 2·24+2 (Figueroa, "When is double rounding
+// innocuous?", 1995).
 func foldSum(acc float64, a, b []float64, mul, round, f32 bool) float64 {
 	b = b[:len(a)]
 	switch {
@@ -357,12 +362,15 @@ func foldSum(acc float64, a, b []float64, mul, round, f32 bool) float64 {
 				acc = float64(float32(acc))
 			}
 		}
+	case round && f32:
+		s := float32(acc)
+		for i, v := range a {
+			s += float32(v * b[i])
+		}
+		return float64(s)
 	case round:
 		for i, v := range a {
 			acc += float64(float32(v * b[i]))
-			if f32 {
-				acc = float64(float32(acc))
-			}
 		}
 	default:
 		for i, v := range a {

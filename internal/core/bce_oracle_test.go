@@ -159,7 +159,7 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 
 	t.Run("proven-edge", func(t *testing.T) {
 		defs := marginDefines(n, n, 0)
-		cfg := withDefs(Config{Vectorize: true, NoCache: true}, defs)
+		cfg := withDefs(Config{NoCache: true}, defs)
 		prog, art, _, err := BuildProgram(sumMarginSrc, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestBCEProofMarginSumKernel(t *testing.T) {
 	t.Run("unprovable-by-one", func(t *testing.T) {
 		defs := marginDefines(n, n, 1)
 		prog, _, _, err := BuildProgram(sumMarginSrc,
-			withDefs(Config{Vectorize: true, NoCache: true}, defs))
+			withDefs(Config{NoCache: true}, defs))
 		if err != nil {
 			t.Fatal(err)
 		}

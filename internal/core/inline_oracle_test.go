@@ -372,7 +372,7 @@ func leafInfo(t *testing.T, c leafCase, src string, cfg Config) (*comp.Program, 
 		t.Fatal(err)
 	}
 	prog, err := comp.CompileProgram(info, comp.Options{
-		Backend: cfg.Backend, Vectorize: cfg.Vectorize, Memoize: cfg.Memoize,
+		Backend: cfg.Backend, Memoize: cfg.Memoize,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -403,7 +403,7 @@ func leafRun(t *testing.T, c leafCase, src string, cfg Config, team *rt.Team) (l
 
 // TestLeafInlineDifferential holds leaf-pure inlining to the
 // interpreter and to the hand-inlined twin of every case, over
-// {gcc, icc, gcc+Vectorize} × {parallel on a 3-worker team,
+// {gcc, icc} × {parallel on a 3-worker team,
 // sequential}.
 // Run under -race in CI.
 func TestLeafInlineDifferential(t *testing.T) {
@@ -430,7 +430,7 @@ func TestLeafInlineDifferential(t *testing.T) {
 			for _, b := range matchedBuilds {
 				for _, par := range []bool{true, false} {
 					cfg := Config{
-						Backend: b.backend, Vectorize: b.vectorize,
+						Backend: b.backend,
 						Memoize: c.memoize, NoCache: true,
 						Parallelize: par,
 						Transform:   transform.Options{MinParallelTrip: -1},

@@ -23,16 +23,14 @@ func kernelRows() []oracleRow {
 
 // TestKernelFusionOracle12Processes is the fused-kernel equivalence
 // proof: every kernel workload runs through the oracle matrix, and
-// every build of it must fuse a kernel — matmul's float dot only on
-// icc, as gcc fuses it only with Vectorize. Fused parallel workers
-// share the parent environment read-only and write disjoint chunk
-// slices.
+// every build of it must fuse a kernel, matmul's float dot included.
+// Fused parallel workers share the parent environment read-only and
+// write disjoint chunk slices.
 func TestKernelFusionOracle12Processes(t *testing.T) {
 	rows := kernelRows()
 	for i := range rows {
-		iccOnly := rows[i].name == "matmul"
 		rows[i].check = func(t *testing.T, b oracleBuild) {
-			if b.prog.FusedKernels() == 0 && (b.cfg.Backend == comp.BackendICC || !iccOnly) {
+			if b.prog.FusedKernels() == 0 {
 				t.Errorf("%v: build reports zero fused kernels", b)
 			}
 		}

@@ -41,7 +41,6 @@ func TestCompileFieldsKeepTheirKeys(t *testing.T) {
 	}{
 		{"default", Config{Parallelize: true}, "ed6827b509fc2a704ddb93448eabb80a37d05475e372844339274cad21128a0d"},
 		{"icc", Config{Parallelize: true, Backend: comp.BackendICC}, "52c3350d7b5e3f83e787f376ccf94f6ab96a81c768fdf9d80f83d8316b78c2c2"},
-		{"vectorize", Config{Parallelize: true, Vectorize: true}, "74e14fa30f414e65a7a864d21d4553959e9decf03050fca80f429d87a2014e88"},
 		{"noalias", Config{Parallelize: true, NoAlias: true}, "5059960e4e036c73fa97688c57146a7739b8d1e47c0ec13e623e6ded4b38c5b0"},
 		{"memoize", Config{Parallelize: true, Memoize: true, MemoCapacity: 64}, "6dd5a6aec885ea2dd342bff0d0e3a6ab4a521b816f34d61392ee8db8909ebb0e"},
 	} {

@@ -279,7 +279,6 @@ func sameAsTwoPassBuild(art *Artifact, cfg Config) error {
 	}
 	twoPass, err := comp.CompileProgram(fresh, comp.Options{
 		Backend:    cfg.Backend,
-		Vectorize:  cfg.Vectorize,
 		Memoize:    cfg.Memoize,
 		Memoizable: memoizable,
 	})

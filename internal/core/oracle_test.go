@@ -290,7 +290,7 @@ func runOracle(t *testing.T, src string) (out string, ret int64, trap string) {
 
 // TestAliasingDifferential holds every fused-kernel configuration to
 // the interpreter on the committed reproductions and on generated
-// aliasing loops: {gcc, icc+Vectorize}, equal
+// aliasing loops: {gcc, icc}, equal
 // stdout, return value and trap text. Fixed seeds; run under -race in
 // CI.
 func TestAliasingDifferential(t *testing.T) {
@@ -304,7 +304,7 @@ func TestAliasingDifferential(t *testing.T) {
 		for _, icc := range []bool{false, true} {
 			cfg := Config{NoCache: true}
 			if icc {
-				cfg.Backend, cfg.Vectorize = comp.BackendICC, true
+				cfg.Backend = comp.BackendICC
 			}
 			prog, _, _, err := BuildProgram(c.src, cfg)
 			if err != nil {

@@ -59,8 +59,8 @@ const (
 )
 
 // Config controls one pipeline run. The compile-relevant fields (Mode,
-// Defines, Files, Parallelize, Transform, Backend, Vectorize, NoAlias,
-// Memoize, MemoCapacity) form the
+// Defines, Files, Parallelize, Transform, Backend, NoAlias, Memoize,
+// MemoCapacity) form the
 // content-addressed program-cache key; TeamSize, Stdout and the cache
 // controls are run state and never affect the compiled Program.
 type Config struct {
@@ -79,16 +79,14 @@ type Config struct {
 	// Transform configures the polyhedral stage (tiling, skewing,
 	// schedule clause).
 	Transform transform.Options
-	// Backend selects the GCC or ICC compile analog.
+	// Backend names the GCC or ICC compile analog: a label the Program
+	// reports, compiled the same either way.
 	Backend comp.Backend
 	// Engine is ignored: every Program runs on the tape.
 	//
 	// Deprecated: kept until callers stop setting it.
 	//lint:cachekey deprecated and ignored: every engine builds the same tape Program
 	Engine comp.Engine
-	// Vectorize enables the PluTo-SICA SIMD analog: fused-kernel
-	// compilation of canonical reduction loops anywhere in the program.
-	Vectorize bool
 	// NoAlias disables the points-to analysis (alias resolution is on
 	// by default): the SCoP detector then treats every pointer-based
 	// access conservatively, so nests reading or writing through
@@ -364,7 +362,6 @@ func markBoundedStars(scops []*scop.SCoP, res *vra.Result) {
 func (a *Artifact) Compile(cfg Config) (*comp.Program, error) {
 	prog, err := comp.CompileProgram(a.Info, comp.Options{
 		Backend:      cfg.Backend,
-		Vectorize:    cfg.Vectorize,
 		Memoize:      cfg.Memoize,
 		Memoizable:   a.Memoizable,
 		MemoCapacity: cfg.MemoCapacity,

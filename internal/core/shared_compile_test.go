@@ -9,8 +9,8 @@ import (
 )
 
 // TestConcurrentCompilesShareTheTree: one Artifact, as a cache holds
-// it, is compiled and run by four goroutines at once, each under
-// another backend and vectorization. The checked types live on the
+// it, is compiled and run by four goroutines at once, two under each
+// backend. The checked types live on the
 // nodes of the artifact's tree, which every compile only reads, so
 // under -race a compile that wrote a type onto a node of the shared
 // tree fails here. Every run must observe what the interp oracle does.
@@ -18,8 +18,8 @@ func TestConcurrentCompilesShareTheTree(t *testing.T) {
 	builds := []Config{
 		{Backend: comp.BackendGCC},
 		{Backend: comp.BackendICC},
-		{Backend: comp.BackendGCC, Vectorize: true},
-		{Backend: comp.BackendICC, Vectorize: true},
+		{Backend: comp.BackendGCC},
+		{Backend: comp.BackendICC},
 	}
 	compiled := 0
 	for _, c := range leafCases {
@@ -60,9 +60,9 @@ func TestConcurrentCompilesShareTheTree(t *testing.T) {
 		wg.Wait()
 		for i, b := range builds {
 			if errs[i] != nil {
-				t.Errorf("%s %v vectorize=%v: %v", c.name, b.Backend, b.Vectorize, errs[i])
+				t.Errorf("%s %v #%d: %v", c.name, b.Backend, i, errs[i])
 			} else if got[i] != want {
-				t.Errorf("%s %v vectorize=%v differs from the oracle at %s", c.name, b.Backend, b.Vectorize, firstDiff(got[i], want))
+				t.Errorf("%s %v #%d differs from the oracle at %s", c.name, b.Backend, i, firstDiff(got[i], want))
 			}
 		}
 		compiled++

@@ -21,9 +21,8 @@ type stripCase struct {
 	// before it is schedule-dependent, so these compare sequential
 	// builds only — stdout, trap text and the cells of `out`.
 	traps bool
-	// seq: the case folds floats, which fuse into sums only under
-	// -vectorize and reassociate across workers, so it runs the
-	// sequential gcc and gcc+vec builds, and fused counts the latter.
+	// seq: the case folds floats, which reassociate across workers,
+	// so it runs the sequential build only.
 	seq bool
 }
 
@@ -303,7 +302,7 @@ int main(void) {
 // TestStripDifferential holds the strip evaluator to the interpreter on
 // the generated cases: × {sequential build; parallel
 // builds under static and dynamic,1 on real teams of 1, 2 and 3
-// workers} — {sequential gcc, gcc+vec} for the float-fold cases —,
+// workers} — the sequential build only for the float-fold cases —,
 // equal stdout, return value and trap text. The parallel builds launch
 // the map kernels chunk by chunk from parallelFor on the shared parent
 // environment and the int sum and min/max folds from parallelReduceFor
@@ -312,12 +311,11 @@ func TestStripDifferential(t *testing.T) {
 	type build struct {
 		par   bool
 		sched string
-		vec   bool
 	}
 	for _, c := range genStripCases() {
-		builds := []build{{false, "", false}, {true, "static", false}, {true, "dynamic,1", false}}
+		builds := []build{{false, ""}, {true, "static"}, {true, "dynamic,1"}}
 		if c.seq {
-			builds = []build{{false, "", false}, {false, "", true}}
+			builds = builds[:1]
 		}
 		art, err := Front(c.src, Config{})
 		if err != nil {
@@ -348,14 +346,14 @@ func TestStripDifferential(t *testing.T) {
 			if b.par && c.traps {
 				continue
 			}
-			cfg := Config{Parallelize: b.par, Vectorize: b.vec, NoCache: true,
+			cfg := Config{Parallelize: b.par, NoCache: true,
 				Transform: transform.Options{Schedule: b.sched, MinParallelTrip: -1}}
 			prog, _, _, err := BuildProgram(c.src, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", c.name, err, c.src)
 			}
-			if !b.par && b.vec == c.seq && c.fused >= 0 && prog.FusedKernels() != c.fused {
-				t.Errorf("%s: vec=%v: %d fused kernels, want %d\n%s", c.name, b.vec, prog.FusedKernels(), c.fused, c.src)
+			if !b.par && c.fused >= 0 && prog.FusedKernels() != c.fused {
+				t.Errorf("%s: %d fused kernels, want %d\n%s", c.name, prog.FusedKernels(), c.fused, c.src)
 			}
 			workers := []int{0}
 			if b.par {
@@ -377,8 +375,8 @@ func TestStripDifferential(t *testing.T) {
 					trap = err.Error()
 				}
 				if out.String() != wantOut.String() || ret != wantRet || trap != wantTrap {
-					t.Errorf("%s: par=%v sched=%q vec=%v workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
-						c.name, b.par, b.sched, b.vec, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
+					t.Errorf("%s: par=%v sched=%q workers=%d differs from the interpreter\n%s\ngot  ret=%d trap=%q\nwant ret=%d trap=%q\nstdout: %s",
+						c.name, b.par, b.sched, w, c.src, ret, trap, wantRet, wantTrap, firstDiff(out.String(), wantOut.String()))
 				}
 				if c.traps {
 					p, err := proc.GlobalPtr("out")
@@ -386,7 +384,7 @@ func TestStripDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got := fmt.Sprint(p.Seg.I, p.Seg.F); got != wantCells {
-						t.Errorf("%s: vec=%v: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, b.vec, got, wantCells)
+						t.Errorf("%s: cells written before the trap differ from the interpreter's\ngot  %s\nwant %s", c.name, got, wantCells)
 					}
 				}
 			}

@@ -216,7 +216,8 @@ type RunRequest struct {
 // Every field is part of the program's content address except Cores,
 // which only sizes the run's worker team.
 type RunOptions struct {
-	// Backend selects the compiler analog: "gcc" (default) or "icc".
+	// Backend names the compiler analog, a label: "gcc" (default) or
+	// "icc".
 	Backend string `json:"backend,omitempty"`
 	// Cores sizes the worker team of this run (default 1).
 	Cores int `json:"cores,omitempty"`

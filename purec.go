@@ -107,7 +107,8 @@ func NewMemoTable(capacity, shards int) *MemoTable {
 // schedule clause).
 type TransformOptions = transform.Options
 
-// Backend selects the compiler analog used for execution.
+// Backend names the compiler analog of a build: a label the Program
+// reports, compiled the same either way.
 type Backend = comp.Backend
 
 // Compiler backends.
