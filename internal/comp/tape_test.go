@@ -228,6 +228,22 @@ func TestTapeEquivalence(t *testing.T) {
 			printf("%d\n", g);
 			return g;
 		}`},
+		// A ?: in statement position is a branch: each arm runs as an
+		// effect, a struct arm included.
+		{"struct-cond-stmt", `struct S { int a; };
+		struct S s, t;
+		int g;
+		int bump(void) { g = g + 1; return g; }
+		int main(void) {
+			int c = 1;
+			c ? s : t;
+			c = 0;
+			c ? s : t;
+			c ? bump() : (g += 10);
+			!c ? bump() : (g += 10);
+			printf("%d\n", g);
+			return 3;
+		}`},
 		// The null-pointer constant in every form sema admits: folded,
 		// parenthesized, as either arm of a ?: with a pointer.
 		{"null-constants", `int a[3];

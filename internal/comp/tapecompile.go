@@ -374,7 +374,7 @@ func (tc *tapeCompiler) tapeDecl(x *ast.DeclStmt) {
 		}
 		sl := fc.slots[sym]
 		if sl.kind == slotPtr && (sym.IsArray() || sym.Type.Kind == types.Struct) {
-			fc.errorf(d, "array/struct initializers are not supported")
+			fc.errorf(d, "internal error: initializer of array or struct %s", d.Name)
 		}
 		tc.setLocal(int32(sl.idx), int(sl.kind), d.Init, sl.kind == slotFloat && sym.Type.CSize == 4)
 	}
@@ -641,7 +641,7 @@ func (tc *tapeCompiler) intOp(e ast.Expr, hint int32) opnd {
 		tc.emit(tinstr{op: tF2I, a: d, b: r})
 		return reg(d)
 	case types.Ptr:
-		tc.fc.errorf(e, "pointer used in integer context")
+		tc.fc.errorf(e, "internal error: pointer used in integer context")
 	}
 	return tc.intVal(e, hint)
 }
@@ -1718,6 +1718,16 @@ func (tc *tapeCompiler) effect(e ast.Expr) {
 		return
 	case *ast.ParenExpr:
 		tc.effect(x.X)
+		return
+	case *ast.CondExpr:
+		// A ?: whose value nothing reads is a branch between its arms'
+		// effects, whatever their type.
+		skip := tc.jumpIf(x.Cond, false)
+		tc.effect(x.Then)
+		done := tc.jump(tinstr{op: tJmp})
+		tc.patchHere(skip)
+		tc.effect(x.Else)
+		tc.patchHere(done)
 		return
 	}
 	t := tc.fc.typeOf(e)

@@ -255,8 +255,15 @@ func TestCheckRulesNameTheUsersLine(t *testing.T) {
 		{`int *p = a; p = 64 - 1;`, "p.c:4:32: cannot assign int to int*"},
 		{`free(8);`, "p.c:4:25: argument 1 of free: cannot pass int as void*"},
 		{`int c[2] = 3;`, "p.c:4:24: cannot initialize c (array of int) from int"},
+		{`struct S t = g;`, "p.c:4:29: cannot initialize local t (struct S): only a global struct takes an initializer"},
+		{`{ struct S t = g; }`, "p.c:4:31: cannot initialize local t (struct S): only a global struct takes an initializer"},
+		{`float v = 1.0f; int *q = b[0] ? a : v;`, "p.c:4:56: cannot convert float to int* in ?:"},
+		{`float v = 1.0f; int k = b[0] ? v : a;`, "p.c:4:51: cannot convert float to int* in ?:"},
+		{`printf("%d", a);`, "p.c:4:33: printf: %d takes a number, got int*"},
+		{`printf("%s", 5);`, "p.c:4:33: printf: %s takes a pointer, got int"},
+		{`printf("%s", g);`, "p.c:4:33: printf: %s takes a pointer, got struct S"},
 	} {
-		src := fmt.Sprintf(`int a[64]; int b[64];
+		src := fmt.Sprintf(`int a[64]; int b[64]; struct S { int x; }; struct S g; struct S h = g;
 int main(void) {
     for (int i = 0; i < 64; i++) a[i] = i;
     char* f = "x"; %s

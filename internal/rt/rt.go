@@ -10,6 +10,13 @@
 // reproducing the scaling plateaus the paper observes beyond the
 // machine's effective parallelism.
 //
+// Every region draws its chunks from one queue: static chunk k belongs
+// to worker k mod n, dynamic and guided chunks are claimed from one
+// compare-and-swap cursor. A real team drains the queue concurrently,
+// the calling goroutine running worker 0's chunks (the thread that
+// meets an OpenMP parallel construct is thread 0 of its team); a
+// simulated team replays the same queue in chunk order.
+//
 // All chunk bookkeeping runs in unsigned offsets relative to the loop's
 // lower bound, so iteration ranges touching the int64 boundaries
 // (hi near math.MaxInt64, lo near math.MinInt64) schedule correctly —
@@ -20,6 +27,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,9 +163,9 @@ func (t *Team) TakeSim() (real, virt time.Duration) {
 type Body func(w int, lo, hi int64)
 
 // span is an iteration range in unsigned offsets relative to the loop
-// lower bound. Every scheduler below works in this space: offsets of a
-// non-empty [lo, hi] always fit uint64, and converting back with
-// lo+int64(off) is exact under two's-complement wraparound.
+// lower bound. The queue works in this space: offsets of a non-empty
+// [lo, hi] always fit uint64, and converting back with lo+int64(off)
+// is exact under two's-complement wraparound.
 type span struct {
 	lo    int64
 	total uint64 // iteration count; never 0
@@ -179,34 +187,167 @@ func (s span) chunkEnd(start, chunk uint64) uint64 {
 	return end
 }
 
-// normRange validates [lo, hi] and converts it to offset space. The one
-// range whose length exceeds uint64 — the full int64 space — has its
-// first iteration peeled by the callers so total stays representable
-// (such a loop is unrunnable anyway; this only guarantees we never
-// mis-schedule it).
-func normRange(lo, hi int64) span {
-	return span{lo: lo, total: uint64(hi-lo) + 1}
+// queue is the one chunk source of a region, for every schedule and
+// both modes. Static chunk k (k < nchunks) is worker k's contiguous
+// block without a chunk size, and the k-th piece of c iterations with
+// one; either way it belongs to worker k mod n. Dynamic and guided
+// chunks are claimed in offset order from the shared cursor next. A
+// real team's goroutines share the queue through wg and box.
+type queue struct {
+	span
+	sched   Schedule
+	n       uint64 // team size
+	c       uint64 // chunk size; 0 for static blocks
+	nchunks uint64 // static: the chunk count; dynamic, guided: a bound on it
+	next    atomic.Uint64
+	wg      sync.WaitGroup
+	box     panicBox
 }
 
-// uchunk sanitizes a user chunk size for offset arithmetic.
-func (s span) uchunk(chunk int) uint64 {
-	if chunk < 1 {
-		return 1
+// newQueue builds the queue of the non-empty range [lo, hi]. The one
+// range whose length exceeds uint64 — the full int64 space — has its
+// first iteration peeled by ParallelFor so total stays representable
+// (such a loop is unrunnable anyway; this only guarantees we never
+// mis-schedule it).
+func newQueue(lo, hi int64, n int, sched Schedule, chunk int) *queue {
+	q := &queue{span: span{lo: lo, total: uint64(hi-lo) + 1}, sched: sched, n: uint64(n)}
+	if sched == Static && chunk < 1 {
+		q.nchunks = min(q.n, q.total)
+		return q
 	}
-	c := uint64(chunk)
-	if c > s.total {
-		c = s.total
+	q.c = min(uint64(max(chunk, 1)), q.total)
+	// ceil(total/c) never overflows, and neither does k*c for
+	// k < nchunks (it is at most total-1).
+	q.nchunks = q.total / q.c
+	if q.total%q.c != 0 {
+		q.nchunks++
 	}
-	return c
+	return q
+}
+
+// chunk returns the k-th chunk of the region: static chunk k, or for
+// dynamic and guided the next claim off the cursor (k unused). ok is
+// false once the chunks are gone.
+func (q *queue) chunk(k uint64) (lo, hi int64, ok bool) {
+	var start, end uint64
+	switch {
+	case q.sched != Static:
+		if start, end, ok = q.claim(); !ok {
+			return 0, 0, false
+		}
+	case k >= q.nchunks:
+		return 0, 0, false
+	case q.c == 0:
+		per, rem := q.total/q.n, q.total%q.n
+		start = k*per + min(k, rem)
+		end = start + per - 1 // wraps when per is 0; k < rem then
+		if k < rem {
+			end++
+		}
+	default:
+		start = k * q.c
+		end = q.chunkEnd(start, q.c)
+	}
+	lo, hi = q.seg(start, end)
+	return lo, hi, true
+}
+
+// claim takes the next dynamic or guided chunk, at least c iterations
+// and for guided max(c, remaining/(2n)). Claims go through
+// compare-and-swap so the cursor never advances past the iteration
+// count — a blind fetch-add could wrap the cursor when the range ends
+// near the top of the offset space and re-issue executed chunks.
+func (q *queue) claim() (start, end uint64, ok bool) {
+	for {
+		start = q.next.Load()
+		if start >= q.total {
+			return 0, 0, false
+		}
+		c := q.c
+		if q.sched == Guided {
+			c = max(c, (q.total-start)/(2*q.n))
+		}
+		end = q.chunkEnd(start, c)
+		if q.next.CompareAndSwap(start, end+1) {
+			return start, end, true
+		}
+	}
+}
+
+// work runs worker w's share of a real team's region — its static
+// chunks w, w+n, w+2n, ..., or claims until the cursor runs dry — and
+// catches its panic into box: a panicking worker stops executing its
+// remaining chunks.
+func (q *queue) work(w int, body Body) {
+	defer q.box.catch()
+	for k := uint64(w); ; k += q.n {
+		lo, hi, ok := q.chunk(k)
+		if !ok {
+			return
+		}
+		body(w, lo, hi)
+		if k+q.n < k {
+			return // the next static chunk index would wrap (unreachable in practice)
+		}
+	}
+}
+
+// replay runs a simulated region: the queue's chunks execute
+// sequentially in chunk order, chunk k as worker k mod n (so every
+// schedule is deterministic at a fixed team size), while their
+// measured durations are charged to virtual workers — a static chunk
+// to its owner, a dynamic or guided chunk to the least-loaded virtual
+// worker plus SimDynamicDispatch, which is what a work queue converges
+// to (greedy list scheduling). The region's simulated duration is the
+// busiest virtual worker's time plus the fork/join overhead.
+func (t *Team) replay(q *queue, body Body) {
+	regionStart := time.Now()
+	workers := make([]time.Duration, t.n)
+	for k := uint64(0); ; k++ {
+		lo, hi, ok := q.chunk(k)
+		if !ok {
+			break
+		}
+		chunkStart := time.Now()
+		body(int(k%q.n), lo, hi)
+		d := time.Since(chunkStart)
+		if q.sched == Static {
+			workers[k%q.n] += d
+		} else {
+			workers[argmin(workers)] += d + SimDynamicDispatch
+		}
+	}
+	virt := slices.Max(workers) + time.Duration(t.n)*SimForkJoinPerWorker
+	t.mu.Lock()
+	t.simReal += time.Since(regionStart)
+	t.simVirt += virt
+	t.mu.Unlock()
+}
+
+func argmin(ds []time.Duration) int {
+	best := 0
+	for i, d := range ds {
+		if d < ds[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // ParallelFor executes iterations lo..hi (inclusive) across the team
-// using the given schedule. Simulated teams are dispatched before the
-// single-worker fast path: a 1-worker simulated team still needs its
-// region accounted (simFor handles n=1), otherwise the simulated 1-core
-// baseline would report zero region time. Real 1-worker teams run
-// inline, giving the 1-core baseline an honest measurement without
-// goroutine overhead.
+// using the given schedule; it is the one entry of every region, the
+// reductions' included. An empty range runs nothing. Simulated teams
+// are dispatched before the single-worker fast path: a 1-worker
+// simulated team still needs its region accounted, otherwise the
+// simulated 1-core baseline would report zero region time. A real
+// 1-worker team runs inline, giving the 1-core baseline an honest
+// measurement without goroutine overhead. A larger real team runs
+// worker 0 on the calling goroutine, whose stack has already grown
+// (OpenMP's encountering thread is thread 0 of its team), and starts a
+// goroutine only for each other worker that can receive a chunk; a
+// panic re-raises on the calling goroutine after every worker has
+// stopped. In simulated mode chunk k of the region runs as worker
+// k mod n, in chunk order (see replay).
 func (t *Team) ParallelFor(lo, hi int64, sched Schedule, chunk int, body Body) {
 	if hi < lo {
 		return
@@ -216,23 +357,25 @@ func (t *Team) ParallelFor(lo, hi int64, sched Schedule, chunk int, body Body) {
 		body(0, lo, lo)
 		lo++
 	}
-	if t.sim {
-		t.simFor(normRange(lo, hi), sched, chunk, body)
-		return
-	}
-	if t.n == 1 {
+	if !t.sim && t.n == 1 {
 		body(0, lo, hi)
 		return
 	}
-	sp := normRange(lo, hi)
-	switch sched {
-	case Dynamic:
-		t.dynamicFor(sp, sp.uchunk(chunk), body)
-	case Guided:
-		t.guidedFor(sp, sp.uchunk(chunk), body)
-	default:
-		t.staticFor(sp, chunk, body)
+	q := newQueue(lo, hi, t.n, sched, chunk)
+	if t.sim {
+		t.replay(q, body)
+		return
 	}
+	for w := 1; w < int(min(q.n, q.nchunks)); w++ {
+		q.wg.Add(1)
+		go func() {
+			defer q.wg.Done()
+			q.work(w, body)
+		}()
+	}
+	q.work(0, body)
+	q.wg.Wait()
+	q.box.rethrow()
 }
 
 // ReduceBody is the per-range work function of a parallel reduction
@@ -299,9 +442,10 @@ func (t *Team) ParallelForReduceArray(lo, hi int64, sched Schedule, chunk int,
 // accumulators: alloc runs for every worker up front, combine visits
 // every worker) and ParallelForReduceArray (lazy: alloc runs on a
 // worker's first chunk, combine skips workers that never worked).
-// Both contracts share the deterministic sim-mode accumulation, the
-// sim combine-on-critical-path accounting and the schedule dispatch,
-// so the subtle parts exist exactly once.
+// Both run their chunks through ParallelFor, whose simulated replay
+// hands chunk k to accumulator k mod n, and share the sim
+// combine-on-critical-path accounting, so the subtle parts exist
+// exactly once.
 func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int,
 	alloc func(w int) any, lazy bool, body ReduceBody, combine func(w int, acc any)) {
 	if hi < lo {
@@ -311,54 +455,20 @@ func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int,
 	used := make([]bool, t.n)
 	if !lazy {
 		for w := range accs {
-			accs[w] = alloc(w)
-			used[w] = true
+			accs[w], used[w] = alloc(w), true
 		}
 	}
-	get := func(w int) any {
+	t.ParallelFor(lo, hi, sched, chunk, func(w int, clo, chi int64) {
 		if !used[w] {
-			accs[w] = alloc(w)
-			used[w] = true
+			accs[w], used[w] = alloc(w), true
 		}
-		return accs[w]
-	}
-	if lo == math.MinInt64 && hi == math.MaxInt64 {
-		accs[0] = body(0, lo, lo, get(0))
-		lo++
-	}
-	wrapped := func(w int, clo, chi int64) { accs[w] = body(w, clo, chi, get(w)) }
-	switch {
-	case t.sim:
-		// Deterministic accumulation: chunks are produced in a fixed
-		// sequential order; assign accumulators round-robin over that
-		// order instead of by the timing model's least-loaded virtual
-		// worker, which varies with measured durations.
-		k := 0
-		simWrapped := func(_ int, clo, chi int64) {
-			a := k % t.n
-			k++
-			accs[a] = body(a, clo, chi, get(a))
-		}
-		t.simFor(normRange(lo, hi), sched, chunk, simWrapped)
-	case t.n == 1:
-		wrapped(0, lo, hi)
-	default:
-		sp := normRange(lo, hi)
-		switch sched {
-		case Dynamic:
-			t.dynamicFor(sp, sp.uchunk(chunk), wrapped)
-		case Guided:
-			t.guidedFor(sp, sp.uchunk(chunk), wrapped)
-		default:
-			t.staticFor(sp, chunk, wrapped)
-		}
-	}
+		accs[w] = body(w, clo, chi, accs[w])
+	})
 	// Combine after the join, in worker order 0..n-1 on the calling
 	// goroutine. In real mode each accs[w] was only touched by worker
-	// w's goroutine, and wg.Wait in the scheduler ordered those writes
-	// before this read. In simulated mode the combine runs serially
-	// after the barrier, so its wall time is charged to the region's
-	// critical path as is.
+	// w, and the join ordered those writes before this read. In
+	// simulated mode the combine runs serially after the barrier, so
+	// its wall time is charged to the region's critical path as is.
 	var start time.Time
 	if t.sim {
 		start = time.Now()
@@ -377,122 +487,30 @@ func (t *Team) reduceLoop(lo, hi int64, sched Schedule, chunk int,
 	}
 }
 
-// simFor runs the region sequentially while accounting virtual worker
-// times per the schedule policy.
-func (t *Team) simFor(sp span, sched Schedule, chunk int, body Body) {
-	regionStart := time.Now()
-	workers := make([]time.Duration, t.n)
-	uchunk := sp.uchunk(chunk)
-	switch sched {
-	case Dynamic, Guided:
-		// Greedy list scheduling: each chunk goes to the least-loaded
-		// virtual worker, which is what a work queue converges to.
-		cur := uint64(0)
-		for cur < sp.total {
-			c := uchunk
-			if sched == Guided {
-				c = (sp.total - cur) / uint64(2*t.n)
-				if c < uchunk {
-					c = uchunk
-				}
-			}
-			end := sp.chunkEnd(cur, c)
-			w := argmin(workers)
-			clo, chi := sp.seg(cur, end)
-			chunkStart := time.Now()
-			body(w, clo, chi)
-			workers[w] += time.Since(chunkStart) + SimDynamicDispatch
-			if end == sp.total-1 {
-				break
-			}
-			cur = end + 1
-		}
-	default:
-		if chunk >= 1 {
-			// schedule(static,c): chunks assigned round-robin.
-			n := uint64(t.n)
-			for k, start := uint64(0), uint64(0); ; k++ {
-				end := sp.chunkEnd(start, uchunk)
-				w := int(k % n)
-				clo, chi := sp.seg(start, end)
-				chunkStart := time.Now()
-				body(w, clo, chi)
-				workers[w] += time.Since(chunkStart)
-				if end == sp.total-1 {
-					break
-				}
-				start = end + 1
-			}
-			break
-		}
-		// Default static: one contiguous block per worker.
-		per := sp.total / uint64(t.n)
-		rem := sp.total % uint64(t.n)
-		start := uint64(0)
-		for w := 0; w < t.n; w++ {
-			cnt := per
-			if uint64(w) < rem {
-				cnt++
-			}
-			if cnt == 0 {
-				continue
-			}
-			blo, bhi := sp.seg(start, start+cnt-1)
-			blockStart := time.Now()
-			body(w, blo, bhi)
-			workers[w] += time.Since(blockStart)
-			start += cnt
-		}
-	}
-	var maxW time.Duration
-	for _, d := range workers {
-		if d > maxW {
-			maxW = d
-		}
-	}
-	virt := maxW + time.Duration(t.n)*SimForkJoinPerWorker
-	t.mu.Lock()
-	t.simReal += time.Since(regionStart)
-	t.simVirt += virt
-	t.mu.Unlock()
-}
-
-func argmin(ds []time.Duration) int {
-	best := 0
-	for i, d := range ds {
-		if d < ds[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// panicBox carries the first panic raised inside a worker goroutine
-// across the join, so a trap in a parallel region (an out-of-bounds
-// store through a data-dependent subscript, say) surfaces on the
-// calling goroutine as the same runtime error a sequential loop would
-// raise — instead of crashing the process from a goroutine nobody can
-// recover. A panicking worker stops executing its remaining chunks;
-// the siblings drain theirs before the re-raise, so which side
-// effects landed is schedule-dependent, exactly like OpenMP.
+// panicBox carries the first panic raised by a worker across the
+// join, so a trap in a parallel region (an out-of-bounds store through
+// a data-dependent subscript, say) surfaces on the calling goroutine
+// as the same runtime error a sequential loop would raise — instead of
+// crashing the process from a goroutine nobody can recover. The
+// siblings of a panicking worker drain their chunks before the
+// re-raise, so which side effects landed is schedule-dependent,
+// exactly like OpenMP.
 type panicBox struct {
 	mu  sync.Mutex
 	val any
 	set bool
 }
 
-// protect runs f, capturing its panic (first writer wins).
-func (b *panicBox) protect(f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.mu.Lock()
-			if !b.set {
-				b.val, b.set = r, true
-			}
-			b.mu.Unlock()
+// catch, deferred, records the panic unwinding its caller (first
+// writer wins) and stops it.
+func (b *panicBox) catch() {
+	if r := recover(); r != nil {
+		b.mu.Lock()
+		if !b.set {
+			b.val, b.set = r, true
 		}
-	}()
-	f()
+		b.mu.Unlock()
+	}
 }
 
 // rethrow re-raises the captured panic on the calling goroutine.
@@ -500,136 +518,4 @@ func (b *panicBox) rethrow() {
 	if b.set {
 		panic(b.val)
 	}
-}
-
-// staticFor assigns worker w the w-th contiguous block; with an
-// explicit chunk (schedule(static,c)) chunks go round-robin instead.
-func (t *Team) staticFor(sp span, chunk int, body Body) {
-	var box panicBox
-	if chunk >= 1 {
-		uchunk := sp.uchunk(chunk)
-		// Worker w owns chunks w, w+n, w+2n, ... of the chunk grid.
-		// nchunks = ceil(total/uchunk) never overflows, and neither does
-		// ck*uchunk for ck < nchunks (it is at most total-1).
-		nchunks := sp.total / uchunk
-		if sp.total%uchunk != 0 {
-			nchunks++
-		}
-		n := uint64(t.n)
-		var wg sync.WaitGroup
-		for w := uint64(0); w < n && w < nchunks; w++ {
-			wg.Add(1)
-			go func(w uint64) {
-				defer wg.Done()
-				box.protect(func() {
-					for ck := w; ck < nchunks; {
-						start := ck * uchunk
-						end := sp.chunkEnd(start, uchunk)
-						clo, chi := sp.seg(start, end)
-						body(int(w), clo, chi)
-						if ck > math.MaxUint64-n {
-							break // next chunk index would wrap (unreachable in practice)
-						}
-						ck += n
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-		box.rethrow()
-		return
-	}
-	per := sp.total / uint64(t.n)
-	rem := sp.total % uint64(t.n)
-	var wg sync.WaitGroup
-	start := uint64(0)
-	for w := 0; w < t.n; w++ {
-		cnt := per
-		if uint64(w) < rem {
-			cnt++
-		}
-		if cnt == 0 {
-			continue
-		}
-		wLo, wHi := sp.seg(start, start+cnt-1)
-		start += cnt
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			box.protect(func() { body(w, lo, hi) })
-		}(w, wLo, wHi)
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
-// dynamicFor hands out chunks from a shared counter. Claims go through
-// compare-and-swap so the counter never advances past the iteration
-// count — a blind fetch-add could wrap the counter when the range ends
-// near the top of the offset space and re-issue already-executed chunks.
-func (t *Team) dynamicFor(sp span, uchunk uint64, body Body) {
-	var box panicBox
-	var next atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < t.n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			box.protect(func() {
-				for {
-					start := next.Load()
-					if start >= sp.total {
-						return
-					}
-					end := sp.chunkEnd(start, uchunk)
-					if !next.CompareAndSwap(start, end+1) {
-						continue
-					}
-					clo, chi := sp.seg(start, end)
-					body(w, clo, chi)
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
-// guidedFor hands out exponentially shrinking chunks of at least
-// minChunk iterations (the OpenMP schedule(guided,c) clause).
-func (t *Team) guidedFor(sp span, minChunk uint64, body Body) {
-	var box panicBox
-	var mu sync.Mutex
-	cur := uint64(0)
-	var wg sync.WaitGroup
-	for w := 0; w < t.n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			box.protect(func() {
-				for {
-					mu.Lock()
-					if cur >= sp.total {
-						mu.Unlock()
-						return
-					}
-					remaining := sp.total - cur
-					chunk := remaining / uint64(2*t.n)
-					if chunk < minChunk {
-						chunk = minChunk
-					}
-					if chunk > remaining {
-						chunk = remaining
-					}
-					start := cur
-					cur += chunk
-					mu.Unlock()
-					clo, chi := sp.seg(start, start+chunk-1)
-					body(w, clo, chi)
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	box.rethrow()
 }

@@ -241,9 +241,10 @@ func TestParseScheduleEdgeCases(t *testing.T) {
 
 // TestAllSchedulesCoverageMatrix is the exactly-once contract for every
 // schedule policy in both execution modes: for each (schedule, chunk,
-// workers, range) cell, real-mode ParallelFor (staticFor / dynamicFor /
-// guidedFor) and simulated-mode ParallelFor (simFor) must execute every
-// iteration in [lo,hi] exactly once.
+// workers, range) cell, real-mode ParallelFor (workers draining the
+// region's queue concurrently) and simulated-mode ParallelFor (replay
+// of the same queue) must execute every iteration in [lo,hi] exactly
+// once.
 func TestAllSchedulesCoverageMatrix(t *testing.T) {
 	ranges := []struct{ lo, hi int64 }{
 		{0, 0},    // single iteration

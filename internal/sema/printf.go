@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"purec/internal/ast"
+	"purec/internal/types"
 )
 
 // FormatPiece is one piece of a printf format: literal text, or one
@@ -45,11 +46,16 @@ func ParseFormat(format string) []FormatPiece {
 	return pieces
 }
 
+// charPtr is the type of a %s argument.
+var charPtr = types.PointerTo(types.CharType, false, false)
+
 // printfVerbs are the conversions printf supports.
 const printfVerbs = "diuxcfges"
 
-// printf holds a printf call to its format: a string literal whose
-// conversions are all supported, each with an argument.
+// printf holds a printf call, its arguments checked, to its format: a
+// string literal whose conversions are all supported, each with an
+// argument of its kind — a pointer (the constant 0 included) for %s, a
+// number for every other conversion.
 func (c *checker) printf(x *ast.CallExpr) {
 	if len(x.Args) == 0 {
 		c.errorf(x.Pos(), "printf needs a format string")
@@ -71,6 +77,13 @@ func (c *checker) printf(x *ast.CallExpr) {
 			c.errorf(x.Pos(), "printf: unsupported verb %%%c", pc.Verb)
 			return
 		default:
+			a := x.Args[len(x.Args)-args]
+			switch t := a.Checked(); {
+			case pc.Verb == 's' && !t.IsPtr() && !assignable(charPtr, t, a):
+				c.errorf(a.Pos(), "printf: %%s takes a pointer, got %s", t)
+			case pc.Verb != 's' && !t.IsArith():
+				c.errorf(a.Pos(), "printf: %%%c takes a number, got %s", pc.Verb, t)
+			}
 			args--
 		}
 	}

@@ -337,8 +337,9 @@ func (c *checker) collectGlobal(vd *ast.VarDecl) {
 }
 
 // initializer checks the initializer of sym's declaration vd: an array
-// has none (the subset has no brace lists), a scalar, pointer or struct
-// one its type can be assigned.
+// has none (the subset has no brace lists), nor has a local struct; a
+// scalar, a pointer or a global struct has one its type can be
+// assigned.
 func (c *checker) initializer(vd *ast.VarDecl, sym *Symbol) {
 	t := c.expr(vd.Init)
 	switch {
@@ -346,6 +347,8 @@ func (c *checker) initializer(vd *ast.VarDecl, sym *Symbol) {
 		c.errorf(vd.Pos(), "cannot initialize %s (array of %s) from %s", vd.Name, sym.ElemType(), t)
 	case !assignable(sym.Type, t, vd.Init):
 		c.errorf(vd.Pos(), "cannot initialize %s (%s) from %s", vd.Name, sym.Type, t)
+	case sym.Kind != SymGlobal && sym.Type.Kind == types.Struct:
+		c.errorf(vd.Pos(), "cannot initialize local %s (%s): only a global struct takes an initializer", vd.Name, sym.Type)
 	}
 }
 
@@ -629,10 +632,11 @@ func (c *checker) exprInner(e ast.Expr) *types.Type {
 		switch {
 		case t1.IsArith() && t2.IsArith():
 			return types.Promote(t1, t2)
-		case t1.IsPtr() && t2.Kind == types.Int && !assignable(t1, t2, x.Else):
+		case t1.IsPtr() && t2.IsArith() && !assignable(t1, t2, x.Else):
 			c.errorf(x.Else.Pos(), "cannot convert %s to %s in ?:", t2, t1)
-		case t2.IsPtr() && t1.Kind == types.Int:
-			// An integer arm converts to the pointer arm's type.
+		case t2.IsPtr() && t1.IsArith():
+			// An integer arm converts to the pointer arm's type; a
+			// float arm does not.
 			if !assignable(t2, t1, x.Then) {
 				c.errorf(x.Then.Pos(), "cannot convert %s to %s in ?:", t1, t2)
 			}
@@ -790,10 +794,7 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 	if !sig.Variadic && len(x.Args) != len(sig.Params) {
 		c.errorf(x.Pos(), "function %s expects %d arguments, got %d", name, len(sig.Params), len(x.Args))
 	}
-	switch {
-	case sig.Builtin && name == "printf":
-		c.printf(x)
-	case sig.Builtin && name == "malloc" && x != c.placed:
+	if sig.Builtin && name == "malloc" && x != c.placed {
 		c.errorf(x.Pos(), "malloc must be cast to its target pointer type, e.g. (int*)malloc(n)")
 	}
 	for i, a := range x.Args {
@@ -801,6 +802,9 @@ func (c *checker) call(x *ast.CallExpr) *types.Type {
 		if i < len(sig.Params) && !assignable(sig.Params[i], at, a) {
 			c.errorf(a.Pos(), "argument %d of %s: cannot pass %s as %s", i+1, name, at, sig.Params[i])
 		}
+	}
+	if sig.Builtin && name == "printf" {
+		c.printf(x)
 	}
 	return sig.Ret
 }
