@@ -540,8 +540,10 @@ func tapeVsInterp(t *testing.T, seed uint32) {
 // calls, and last a float or double sum or dot — f += fa[k]*fb[k],
 // its product rounded through a leaf call or not, d += fa[k], or
 // f += fa[k]*fb[h[k]]) at drawn offsets and trip counts that may run
-// off the 8-cell arrays or divide by zero, and a leaf call with an
-// argument that has a side effect.
+// off the 8-cell arrays or divide by zero, a leaf call with an argument
+// that has a side effect, and last an if-converted loop — a guarded
+// register arm, an if/else pair, a body local a map stores, or a
+// general float sum.
 func genProgram(seed uint32) string {
 	s := seed
 	next := func(n int) int {
@@ -723,6 +725,25 @@ int main(void) {
 	// Floats print scaled to integers, so a float32 rounding shows.
 	b.WriteString(` for (int k = 0; k < 8; k++) printf("%d ", (int)(fa[k] * 1e12));
  printf("%d %d %d %d %d %d %d\n", a, v, x, g, h[3], (int)(f * 1e12), (int)(d * 1e12));
+`)
+	// An if-converted body, drawn last and run after the print, so that
+	// a seed keeps its program and its output up to here: a guarded
+	// register arm or an if/else pair over a body local, a body local a
+	// map stores, or a general float sum, whose load may run off its
+	// array at the first or the last iteration.
+	loop, kc = kernelLoop()
+	switch c := next(9); next(4) {
+	case 0:
+		fmt.Fprintf(&b, " %s { float t = fa[%s] - %s; if (t < 0.0f) t = -t; f += t; }\n", loop, kc, lit())
+	case 1:
+		fmt.Fprintf(&b, " %s { int t = h[%s]; if (t > %d) t = t - %d; else t = %d - t; x += t; }\n", loop, kc, c, c, c)
+	case 2:
+		fmt.Fprintf(&b, " %s { float t = fa[%s] * %s; fb[k] = t; }\n", loop, kc, lit())
+	default:
+		fmt.Fprintf(&b, " %s d += fa[%s] - fb[k] * %s;\n", loop, kc, lit())
+	}
+	b.WriteString(` for (int k = 0; k < 8; k++) printf("%d ", (int)(fb[k] * 1e12));
+ printf("%d %d %d\n", x, (int)(f * 1e12), (int)(d * 1e12));
  return a;
 }
 `)

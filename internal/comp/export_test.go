@@ -161,3 +161,24 @@ func FuncValues(p *Program) (funcs []string, visited map[string]bool) {
 	}
 	return funcs, visited
 }
+
+// String renders a strip op as the struct it was before selects took a
+// third operand, which only a select shows.
+func (op stripOp) String() string {
+	if op.code == opSel {
+		return fmt.Sprintf("{%d %d %v %v %v}", op.code, op.dst, op.a, op.b, op.c)
+	}
+	return fmt.Sprintf("{%d %d %v %v}", op.code, op.dst, op.a, op.b)
+}
+
+// KernelsIn counts the fused loops function fn of p launches from its
+// own tape.
+func KernelsIn(p *Program, fn string) int {
+	n := 0
+	for _, in := range p.funcs[fn].tape.code {
+		if in.op == tStmt && p.tapes[0].launches[in.b].k != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -83,11 +83,14 @@ type frameStack struct {
 	// beyond depth are recycled by the next push.
 	envs  []*env
 	depth int
+	// ks is the launch state of the kernels run on this stack, made at
+	// its first launch.
+	ks *kscratch
 	// Every push and pop writes the fields above, and the stacks of a
 	// region's workers are allocated back to back: the padding rounds
 	// the struct up to the 256-byte size class, so no two stacks share
 	// a cache line (or an adjacent-line prefetch pair).
-	_ [256 - 152]byte
+	_ [256 - 160]byte
 }
 
 // reset drops every frame, including those a trap left unpopped.

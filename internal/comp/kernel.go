@@ -42,13 +42,17 @@ package comp
 // strip.go lowers the nodes to a register program and runs it a strip
 // of elements at a time into the sink; two float shapes (scale, triad)
 // keep a single-pass loop in front of it. Either way the launch state
-// is a kframe on the Go stack: prepFrame reads the bases and invariant
-// registers the body reads, computes once the invariants the body
-// would compute every iteration, and checks every operand's range — a
-// launch allocates nothing, and its tape code is only the bounds.
+// is the kframe of the launching goroutine's frame stack, reused and
+// never zeroed: prepFrame reads the bases and invariant registers the
+// body reads, computes once the invariants the body would compute every
+// iteration — the constant ones were computed at compile time, and a
+// frame holds them while launches of one kernel follow each other — and
+// checks every operand's range. A launch allocates nothing, and its
+// tape code is only the bounds.
 
 import (
 	"math"
+	"math/bits"
 
 	"purec/internal/mem"
 	"purec/internal/token"
@@ -77,14 +81,18 @@ const (
 	opNeg
 	opNot   // int only (~)
 	opRound // float only: round through float32, a C conversion to float
+	opLt    // 1 where a < b, 0 elsewhere
+	opLe
+	opEq
+	opSel // a where the compare c is 1, b where it is 0
 )
 
 // knode is one node of a kernel's expression: an operator over the
-// nodes a and b (b < 0 for a unary one), or a leaf whose a indexes the
-// loads or the invariants.
+// nodes a and b (b < 0 for a unary one) and, for a select, c, or a leaf
+// whose a indexes the loads or the invariants.
 type knode struct {
-	code uint8
-	a, b int8
+	code    uint8
+	a, b, c int8
 }
 
 // Sinks: what a kernel does with the value its program computes.
@@ -120,6 +128,9 @@ type fusedKernel struct {
 	// invariant a and the Z load of a*X[i] (+ Z[i]).
 	body       uint8
 	sx, sa, sz int8
+	// consts has bit s set when invariant s is a constant, its value
+	// computed at compile time (an opConst).
+	consts uint32
 
 	loads []kAccess
 	// invs is the launch program: the invariants, each an lnode whose a
@@ -131,8 +142,11 @@ type fusedKernel struct {
 	nodes []knode
 
 	prog []stripOp
-	regs int     // columns the program uses
-	res  operand // where the program leaves its result
+	// rounds has bit i set when op i rounds, in place, the column op
+	// i-1 wrote: the evaluator rounds it as part of op i-1.
+	rounds uint64
+	regs   int     // columns the program uses
+	res    operand // where the program leaves its result
 	// mul: a sum's root product is folded from its operands res and
 	// res2, rounded through float32 first with round (otherwise res2 is
 	// res).
@@ -150,9 +164,9 @@ type fusedKernel struct {
 type kAccess struct {
 	base   int8
 	off    int8
+	float  bool
 	scale  int64
 	stride int64 // cells per iteration, 0 = invariant access
-	float  bool
 }
 
 // kGather is the gathered array of a kernel: the pointer in invariant
@@ -210,9 +224,9 @@ func (a *kAccess) cells(sp kspan, s *kslice) bool {
 // ----------------------------------------------------------------------------
 // Launch
 
-// kframe is the per-launch state of a kernel after hoisting. It
-// lives on the launching goroutine's stack: the operand arrays are
-// fixed-size, so a launch allocates nothing.
+// kframe is the per-launch state of a kernel after hoisting. Each
+// frame stack has one (kscratch), so a launch allocates nothing; a field
+// a launch does not set holds what an earlier launch left there.
 type kframe struct {
 	n     int
 	lo    int64
@@ -230,82 +244,152 @@ type kframe struct {
 	invP  [maxInvs]mem.Pointer
 }
 
-// invariants computes the launch invariants in slot order from the
-// registers and global slots the body reads. An integer division by
-// zero or a pointer load off its array among them makes it report
-// false: the launch does not start, and the dispatch body raises the
-// trap in iteration order.
-func (k *fusedKernel) invariants(fr *kframe, e *env) bool {
-	for s := range k.invs {
-		iv := &k.invs[s]
-		a, b := max(iv.a, 0), max(iv.b, 0)
-		// The slot and its operands as one-cell columns of the strip ops.
-		vi, xi, yi := fr.invI[s:s+1], fr.invI[a:a+1], fr.invI[b:b+1]
-		vf, xf, yf := fr.invF[s:s+1], fr.invF[a:a+1], fr.invF[b:b+1]
-		switch {
-		case iv.op == opReg || iv.op == opGlob:
-			I, F, P := e.I, e.F, e.P
-			if iv.op == opGlob {
-				I, F, P = e.p.gI, e.p.gF, e.p.gP
-			}
-			switch iv.kind {
-			case tkI:
-				vi[0] = I[iv.r]
-			case tkF:
-				vf[0] = F[iv.r]
-			default:
-				fr.invP[s] = P[iv.r]
-			}
-		case iv.op == opConst:
-			vi[0], vf[0] = iv.c, math.Float64frombits(uint64(iv.c))
-		case iv.op == opLoad: // a pointer cell
-			p := fr.invP[b]
-			if p.IsNull() {
-				return false
-			}
-			cells, c := p.Seg.P, int64(p.Off)+xi[0]*iv.c
-			if uint64(c) >= uint64(len(cells)) {
-				return false
-			}
-			fr.invP[s] = cells[c]
-		case iv.op == opI2F:
-			vf[0] = float64(xi[0])
-		case iv.op == opRound:
-			vf[0] = float64(float32(xf[0]))
-		case iv.op == opNeg && iv.kind == tkF:
-			negStrip(vf, xf)
-		case iv.op == opNeg:
-			negStrip(vi, xi)
-		case iv.op == opNot:
-			vi[0] = ^xi[0]
-		case iv.kind == tkF:
-			arith(iv.op, formVV, vf, xf, yf, 0)
-		case (iv.op == opQuo || iv.op == opRem) && yi[0] == 0:
-			return false
-		case iv.op <= opQuo:
-			arith(iv.op, formVV, vi, xi, yi, 0)
-		default:
-			intStrip(iv.op, formVV, vi, xi, yi, 0)
+// kscratch is the launch state of one frame stack, on which one kernel
+// runs at a time: the frame, whose constant invariants are last's, and
+// the strip columns, grown to the widest program run on it.
+type kscratch struct {
+	fr   kframe
+	last *fusedKernel
+	f    []float64
+	i    []int64
+}
+
+// invariant computes launch invariant s, a scalar, from the registers
+// and global slots the body reads and the invariants before it. An
+// integer division by zero or a pointer load off its array makes it
+// report false: the launch does not start, and the dispatch body raises
+// the trap in iteration order.
+func (k *fusedKernel) invariant(fr *kframe, e *env, s int) bool {
+	iv := &k.invs[s]
+	a, b := max(iv.a, 0), max(iv.b, 0)
+	x, y := fr.invI[a], fr.invI[b]
+	switch {
+	case iv.op == opReg || iv.op == opGlob:
+		I, F, P := e.I, e.F, e.P
+		if iv.op == opGlob {
+			I, F, P = e.p.gI, e.p.gF, e.p.gP
 		}
+		switch iv.kind {
+		case tkI:
+			fr.invI[s] = I[iv.r]
+		case tkF:
+			fr.invF[s] = F[iv.r]
+		default:
+			fr.invP[s] = P[iv.r]
+		}
+	case iv.op == opConst:
+		fr.invI[s], fr.invF[s] = iv.c, math.Float64frombits(uint64(iv.c))
+	case iv.op == opLoad: // a pointer cell
+		p := fr.invP[b]
+		if p.IsNull() {
+			return false
+		}
+		cells, c := p.Seg.P, int64(p.Off)+x*iv.c
+		if uint64(c) >= uint64(len(cells)) {
+			return false
+		}
+		fr.invP[s] = cells[c]
+	case iv.kind == tkF:
+		fr.invF[s] = floatOp(iv.op, fr.invF[a], fr.invF[b], x)
+	case (iv.op == opQuo || iv.op == opRem) && y == 0:
+		return false
+	default:
+		fr.invI[s] = intOp(iv.op, x, y)
 	}
 	return true
+}
+
+// floatOp is float op code over x and y, or over the int xi for opI2F.
+func floatOp(code uint8, x, y float64, xi int64) float64 {
+	switch code {
+	case opAdd:
+		return x + y
+	case opSub:
+		return x - y
+	case opMul:
+		return x * y
+	case opQuo:
+		return x / y
+	case opNeg:
+		return -x
+	case opRound:
+		return float64(float32(x))
+	}
+	return float64(xi)
+}
+
+// intOp is int op code over x and y, y ≠ 0 for a division.
+func intOp(code uint8, x, y int64) int64 {
+	switch code {
+	case opAdd:
+		return x + y
+	case opSub:
+		return x - y
+	case opMul:
+		return x * y
+	case opQuo:
+		return x / y
+	case opRem:
+		return x % y
+	case opAnd:
+		return x & y
+	case opOr:
+		return x | y
+	case opXor:
+		return x ^ y
+	case opShl:
+		return x << uint(y)
+	case opShr:
+		return x >> uint(y)
+	case opNeg:
+		return -x
+	}
+	return ^x
+}
+
+// fold computes at compile time each invariant that is a constant or
+// an op over constants, and records it as a constant.
+func (k *fusedKernel) fold() {
+	var fr kframe
+	for s := range k.invs {
+		iv := &k.invs[s]
+		if iv.op == opReg || iv.op == opGlob || iv.op == opLoad ||
+			iv.a >= 0 && k.consts&(1<<iv.a) == 0 || iv.b >= 0 && k.consts&(1<<iv.b) == 0 || !k.invariant(&fr, nil, s) {
+			continue
+		}
+		c := fr.invI[s]
+		if iv.kind == tkF {
+			c = int64(math.Float64bits(fr.invF[s]))
+		}
+		*iv, k.consts = lnode{op: opConst, kind: iv.kind, a: -1, b: -1, c: c}, k.consts|1<<s
+	}
 }
 
 // strideAny is the stride of a data-dependent operand: it meets no
 // affine stride, so any overlap with it runs element by element.
 const strideAny = -1
 
-// prepFrame computes the launch invariants and reads everything else
+// prepFrame computes the launch invariants into the frame stack's frame
+// and reads everything else
 // loop-invariant: the sink's target and the operand ranges (one check
 // each), the strip length their overlap allows, the sink's rounding
 // mode. It reports false when the launch cannot start — an invariant
 // divides by zero, a base is null or freed, an operand or the
 // accumulator cell lies outside its array — and then the dispatch body
 // runs the whole range.
-func (k *fusedKernel) prepFrame(fr *kframe, e *env, lo, hi int64) bool {
+func (k *fusedKernel) prepFrame(ks *kscratch, e *env, lo, hi int64) bool {
+	fr := &ks.fr
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
-	if !k.invariants(fr, e) {
-		return false
+	if ks.last != k {
+		for m := k.consts; m != 0; m &= m - 1 {
+			k.invariant(fr, e, bits.TrailingZeros32(m))
+		}
+		ks.last = k
+	}
+	for m := (uint32(1)<<len(k.invs) - 1) &^ k.consts; m != 0; m &= m - 1 {
+		if !k.invariant(fr, e, bits.TrailingZeros32(m)) {
+			return false
+		}
 	}
 	var st kspan
 	ss := k.store.stride
@@ -424,11 +508,7 @@ func (k *fusedKernel) scaled(id int8) (ld, inv int8, ok bool) {
 
 // axpy runs the two shapes: the scale Y[i] = a*X[i] and the triad
 // Y[i] = a*X[i] + Z[i].
-func (k *fusedKernel) axpy(e *env, lo, hi int64) int64 {
-	var fr kframe
-	if !k.prepFrame(&fr, e, lo, hi) {
-		return lo
-	}
+func (k *fusedKernel) axpy(fr *kframe, hi int64) int64 {
 	a := fr.invF[k.sa]
 	dst, ds := fr.dst.f, fr.dst.stride
 	xs, xss := fr.loads[k.sx].f, fr.loads[k.sx].stride

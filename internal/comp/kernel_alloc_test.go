@@ -8,8 +8,11 @@ package comp
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"purec/internal/apps"
+	"purec/internal/preproc"
 	"purec/internal/rt"
 )
 
@@ -108,6 +111,18 @@ int main(void) {
     printf("%g %g %g\n", C[0][0], C[17][42], C[63][63]);
     return 0;
 }`, 1, 13)
+	// Satellite's retrieval (Sect. 4.3) over 200 pixels, printing a
+	// checksum: the pure retrieve launches its 12-band err fold — a
+	// select of a rounded body local, folded in float32 — thousands of
+	// times per run, under the count the run had while that loop ran on
+	// the tape (its mallocs: the cube's rows).
+	sat, err := preproc.Expand("#define NPIX 200\n#define BANDS 12\n#define MAXITERS 24\n" +
+		strings.Replace(apps.SatelliteSrc, "return run();",
+			`run(); float s = 0.0f; for (int p = 0; p < NPIX; p++) s += aod[p]; printf("%g\n", s); return 0;`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	launchAllocs(t, "satellite", sat, 3, 218)
 }
 
 // launchAllocs runs src from a pool of processes on 2-worker teams,

@@ -231,7 +231,7 @@ func TestFusedPostLoopIteratorValue(t *testing.T) {
 		kernels            int
 	}{
 		{"map-kernel", "", "w[i] = i;", 1},
-		{"dispatch-only", "", "{ int v = i; w[i] = v; }", 0},
+		{"dispatch-only", "", "{ w[i] = i; w[i] = i; }", 0},
 		{"scalar-reduction", " reduction(+:s)", "s += w[i];", 1},
 	}
 	teams := []struct {
@@ -743,5 +743,37 @@ func TestLifterRefusals(t *testing.T) {
 				t.Errorf("%d fused kernels, want the loop on dispatch", got)
 			}
 		})
+	}
+}
+
+// TestBodyLocalCarriedStaysOnDispatch: a local the loop body declares
+// is a temp of the lifter only once the body has written it. One the
+// body reads first carries the last iteration's value on the tape (C
+// gives it none; the interpreter starts it at 0), so such a loop stays
+// on dispatch and returns that value.
+func TestBodyLocalCarriedStaysOnDispatch(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want int64
+	}{
+		{"{ int t; if (i > 0) s += t; t = x[i]; }", 5922},     // x[0] + … + x[62]
+		{"{ int t; y[i] = t; t = x[i]; }", 187},               // y[63] = x[62]
+		{"{ float f; if (i > 0) s += (int)f; f = 0.5f; }", 0}, // f stays 0.5f
+		{"{ int t; if (x[i] > 90) t = x[i]; s += t; }", 4777}, // x[30] + … + x[63]
+	} {
+		src := fmt.Sprintf(`int x[64]; int y[64];
+			int main(void) {
+				int s = 0;
+				for (int i = 0; i < 64; i++) x[i] = i * 3 + 1;
+				for (int i = 0; i < 64; i++) %s
+				return s + y[63];
+			}`, c.body)
+		m := compile(t, src, Options{})
+		if got := m.Program().FusedKernels(); got != 1 {
+			t.Errorf("%s: %d fused kernels, want only the initialising loop's", c.body, got)
+		}
+		if got, err := m.RunMain(); err != nil || got != c.want {
+			t.Errorf("%s: returned %d, %v; want %d", c.body, got, err, c.want)
+		}
 	}
 }

@@ -6,24 +6,32 @@ package comp
 // rules the tape compiler encodes (evaluation order, float32 rounding
 // points, integer division, clamps) are thus encoded once.
 //
-// Lifting is symbolic execution of straight-line code: each instruction
+// Lifting is symbolic execution of the body's code: each instruction
 // becomes value-numbered nodes (lnode) over its operand registers' values
 // (a rounded …R op is the op and an opRound); registers the body never
 // writes and global slots (a lifted body stores only array cells) hold
 // launch invariants; an indexed load whose index is coef·iter + an
 // invariant is a strided operand, one whose index is a load — through
-// the tMaxII/tMinII of a ?: clamp — a gathered load. The sink classifies
-// the body: a store at an affine index is a map; acc = acc + v into a
-// local (or, for floats, a cell at an invariant index) a sum, floats in
-// the paper's dot shapes; a load, update by an invariant and store
-// through one loaded index a scatter; compare, branch and reload of a
-// unit-stride load into a local a min/max fold. Anything else — a call,
-// printf, a store to a global scalar or through a pointer, another
-// branch, a local left behind, a load or integer division whose value
-// no sink reads (the kernel would not check it) — keeps the loop on the
-// tape. The varying nodes lower to
-// the strip program, the invariant ones to the launch program prepFrame
-// runs, and the loop keeps its dispatch body for where a kernel stops.
+// the tMaxII/tMinII of a ?: clamp — a gathered load. A forward branch
+// over arms that only write registers is if-converted (Allen, Kennedy,
+// Porterfield & Warren, "Conversion of control dependence to data
+// dependence", POPL 1983): where the arms join, each register they wrote
+// holds the select c ? then : else over the branch's 0/1 compare. A
+// scalar local the body declares is dead after the loop, so it is a
+// temp, once the body has written it. The sink classifies the body: a
+// store at an affine index is a map; acc = acc + v into a local (or, for
+// floats, a cell at an invariant index) a sum; a load, update by an
+// invariant and store through one loaded index a scatter; a select of a
+// unit-stride load and the local's value on entry under a strict compare
+// of the two a min/max fold. Anything else — a call, printf, a store to
+// a global scalar or through a pointer, a store, load or trapping
+// integer division in an arm, a nested branch, a local of the function
+// left behind, a body local read before the body writes it (a value
+// carried from the last iteration), a load or integer division whose
+// value no sink reads (the kernel would not check it) — keeps the loop
+// on the tape. The varying nodes lower to the strip program, the
+// invariant ones to the launch program prepFrame runs, and the loop
+// keeps its dispatch body for where a kernel stops.
 
 import (
 	"math"
@@ -38,17 +46,18 @@ import (
 // invariant leaves, the conversion of an int to float, and the max and
 // min against a constant a ?: clamp level compiles to.
 const (
-	opReg   = opRound + 1 + iota // register r on entry to the body
-	opGlob                       // global slot r
-	opConst                      // the constant c (a float's bits)
-	opI2F                        // float64(a)
-	opMax                        // max(a, b), b a constant
-	opMin                        // min(a, b), b a constant
+	opReg   = opSel + 1 + iota // register r on entry to the body
+	opGlob                     // global slot r
+	opConst                    // the constant c (a float's bits)
+	opI2F                      // float64(a)
+	opMax                      // max(a, b), b a constant
+	opMin                      // min(a, b), b a constant
 )
 
 // lnode is one value of a lifted body, of register kind kind. A load
 // reads the cell of base node b at index node a times the element
-// stride c; a gather is a load whose index is itself a load.
+// stride c; a gather is a load whose index is itself a load; a select
+// is a where the compare node r holds, b where it does not.
 type lnode struct {
 	op, kind uint8
 	a, b     int8
@@ -71,6 +80,8 @@ type lifter struct {
 	iter  int32
 	nodes []lnode
 	regs  []lreg // every register the body writes, with its last value
+	// locals are the scalar locals the body declares.
+	locals []lreg
 	// st is the body's one store: base, index and value nodes, element
 	// stride, its float32 rounding, and the load of the cell it writes.
 	st struct {
@@ -79,14 +90,17 @@ type lifter struct {
 		aux            int64
 		cell           lnode
 	}
-	// branch is the pc of a fold's conditional jump (-1 for none), after
-	// which the code runs exactly when node lt < node gt. A ?: fold into
-	// a 4-byte float ends in an else arm that rounds register elseRound
-	// in place; the walk stops at the jump over it.
-	branch    int
-	lt, gt    int8
-	elseRound int32
-	done, bad bool
+	// br is the open branch: its compare node, whether the arm that
+	// falls through runs where it holds, the pc the arms join at and
+	// that of the else arm (-1 for none), and the registers on entry to
+	// it, at the end of the first arm and where they join.
+	br struct {
+		open, flag    bool
+		cond          int8
+		end, els      int
+		pre, thn, out []lreg
+	}
+	bad bool
 
 	// After the walk: inv marks each node invariant, and kid maps a
 	// varying node to its strip node, an invariant one to its launch
@@ -118,13 +132,30 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 	}
 	ls := &tc.fc.scratch.lift
 	l := &ls.l
-	*l = lifter{fc: tc.fc, temps: tc.ta.base, iter: int32(cl.iterSlot), branch: -1, elseRound: -1,
-		nodes: ls.nodes[:0], regs: l.regs[:0], inv: ls.inv[:0], kid: ls.kid[:0],
+	br := l.br
+	*l = lifter{fc: tc.fc, temps: tc.ta.base, iter: int32(cl.iterSlot),
+		nodes: ls.nodes[:0], regs: l.regs[:0], locals: l.locals[:0], inv: ls.inv[:0], kid: ls.kid[:0],
 		k: fusedKernel{nodes: ls.kn[:0], loads: ls.loads[:0], invs: ls.invs[:0]}}
-	for pc := 0; pc < len(code) && !l.bad && !l.done; pc++ {
-		l.step(tc.tp.tapePools, code, pc)
+	l.br.pre, l.br.thn, l.br.out = br.pre[:0], br.thn[:0], br.out[:0]
+	ast.Walk(cl.body, func(n ast.Node) bool {
+		if d, ok := n.(*ast.VarDecl); ok {
+			if sym := tc.fc.declSym[d]; sym != nil && !sym.IsArray() && sym.Type.Kind != types.Struct {
+				sl := tc.fc.slots[sym]
+				l.locals = append(l.locals, lreg{kind: uint8(sl.kind), r: int32(sl.idx)})
+			}
+		}
+		_, expr := n.(ast.Expr)
+		return !expr
+	})
+	for pc := 0; pc <= len(code) && !l.bad; pc++ {
+		if l.br.open && pc == l.br.end {
+			l.join()
+		}
+		if pc < len(code) {
+			l.step(tc.tp.tapePools, code, pc)
+		}
 	}
-	if l.bad {
+	if l.bad || l.br.open {
 		return nil
 	}
 	for _, nd := range l.nodes {
@@ -142,14 +173,15 @@ func (tc *tapeCompiler) lift(code []tinstr, cl *canonicalLoop) *fusedKernel {
 }
 
 // node adds nd, or finds the equal node it already has, and returns its
-// id; past maxNodes the lift fails.
+// id; past maxNodes, or for a new value that can trap in an arm, the
+// lift fails.
 func (l *lifter) node(nd lnode) int8 {
 	for id, x := range l.nodes {
 		if x == nd {
 			return int8(id)
 		}
 	}
-	if len(l.nodes) == maxNodes {
+	if len(l.nodes) == maxNodes || l.br.open && l.traps(nd) {
 		l.bad = true
 		return 0
 	}
@@ -158,6 +190,19 @@ func (l *lifter) node(nd lnode) int8 {
 		l.inv, l.kid = append(l.inv, l.invariant(nd)), append(l.kid, -1)
 	}
 	return int8(len(l.nodes) - 1)
+}
+
+// traps reports whether node nd can trap: a load, or an integer
+// division or remainder by other than a nonzero constant.
+func (l *lifter) traps(nd lnode) bool {
+	switch {
+	case nd.op == opLoad || nd.op == opGather:
+		return true
+	case nd.kind == tkI && (nd.op == opQuo || nd.op == opRem):
+		d := l.nodes[nd.b]
+		return d.op != opConst || d.c == 0
+	}
+	return false
 }
 
 func (l *lifter) op(code, kind uint8, a, b int8) int8 {
@@ -180,7 +225,7 @@ func (l *lifter) invariant(nd lnode) bool {
 		return l.find(nd.kind, nd.r) < 0
 	case opLoad:
 		return nd.kind == tkP && l.inv[nd.a] && l.inv[nd.b]
-	case opGather, opIter, opMax, opMin:
+	case opGather, opIter, opMax, opMin, opLt, opLe, opEq, opSel:
 		return false
 	}
 	return l.inv[nd.a] && (nd.b < 0 || l.inv[nd.b])
@@ -188,7 +233,11 @@ func (l *lifter) invariant(nd lnode) bool {
 
 // find is register r's index in regs, -1 when the body has not written it.
 func (l *lifter) find(kind uint8, r int32) int {
-	for i, x := range l.regs {
+	return findReg(l.regs, kind, r)
+}
+
+func findReg(regs []lreg, kind uint8, r int32) int {
+	for i, x := range regs {
 		if x.kind == kind && x.r == r {
 			return i
 		}
@@ -198,11 +247,19 @@ func (l *lifter) find(kind uint8, r int32) int {
 
 // get is the node of the value in register r of the kind.
 func (l *lifter) get(kind uint8, r int32) int8 {
-	switch i := l.find(kind, r); {
+	return l.value(l.regs, kind, r)
+}
+
+// value is the node register r of the kind holds in regs: its value on
+// entry to the body when regs does not hold it. A body local has none.
+func (l *lifter) value(regs []lreg, kind uint8, r int32) int8 {
+	switch i := findReg(regs, kind, r); {
 	case i >= 0:
-		return l.regs[i].n
+		return regs[i].n
 	case kind == tkI && r == l.iter:
 		return l.node(lnode{op: opIter, a: -1, b: -1})
+	case findReg(l.locals, kind, r) >= 0:
+		l.bad = true
 	}
 	return l.leaf(opReg, kind, r, 0)
 }
@@ -315,14 +372,16 @@ func (l *lifter) step(pl *tapePools, code []tinstr, pc int) {
 		}
 		v = l.node(nd)
 	default:
-		switch op {
-		case tStGIdx, tStIdx, tStGIdxF, tStIdxF:
+		switch {
+		case op == tStGIdx || op == tStIdx || op == tStGIdxF || op == tStIdxF:
 			l.store(in, op, round)
-		case tJltI, tJleI, tJltF, tJgtF:
-			l.fold(in, code, pc)
-		case tJmp:
-			// The ?: form of a fold ends its taken arm with a jump to the end.
-			l.bad, l.done = l.branch < 0 || pc+int(in.a) != len(code), true
+		case jumpOps[op].code != 0:
+			l.branch(pl, code, in, pc)
+		case op == tJmp && l.br.open && pc == l.br.els-1:
+			// The first arm ends: the else arm starts from the
+			// registers on entry to the branch.
+			l.br.thn = append(l.br.thn[:0], l.regs...)
+			l.regs = append(l.regs[:0], l.br.pre...)
 		default:
 			l.bad = true
 		}
@@ -366,10 +425,10 @@ func (l *lifter) clamp(n int8) bool {
 	return l.nodes[n].op == opMax || l.nodes[n].op == opMin
 }
 
-// store records the body's one store, before any branch.
+// store records the body's one store, outside the arms of a branch.
 func (l *lifter) store(in tinstr, op topcode, f32 bool) {
 	st := &l.st
-	if st.ok || l.branch >= 0 {
+	if st.ok || l.br.open {
 		l.bad = true
 		return
 	}
@@ -378,35 +437,96 @@ func (l *lifter) store(in tinstr, op topcode, f32 bool) {
 	st.base = l.base(in.b, op == tStGIdx || op == tStGIdxF)
 }
 
-// fold records the conditional jump of a min/max fold: the first
-// branch, before the body writes a local, taken unless a strict compare
-// holds, forward to the end of the body — or to an else arm that only
-// rounds a register in place, after a jump to the end. Float compares
-// are never negated away, so only their taken-when-false forms qualify.
-func (l *lifter) fold(in tinstr, code []tinstr, pc int) {
-	n, end, neg := len(code), pc+int(in.a), in.aux != 0
-	switch {
-	case l.branch >= 0 || l.st.ok:
+// jumpOp reads a conditional jump, which jumps iff its predicate !=
+// its flag (tape.go), as the compare node code over operands of the
+// kind: b, and the register c (form fRR), the immediate or pooled
+// constant (fRK) or zero (fR), in swapped order with swap. With not
+// the predicate is the compare's negation.
+type jumpOp struct {
+	code, kind, form uint8
+	swap, not        bool
+}
+
+var jumpOps = [256]jumpOp{
+	tJz: {opEq, tkI, fR, false, false}, tJnz: {opEq, tkI, fR, false, true},
+	tJzF: {opEq, tkF, fR, false, false}, tJnzF: {opEq, tkF, fR, false, true},
+	tJeqI: {opEq, tkI, fRR, false, false}, tJltI: {opLt, tkI, fRR, false, false}, tJleI: {opLe, tkI, fRR, false, false},
+	tJeqII: {opEq, tkI, fRK, false, false}, tJltII: {opLt, tkI, fRK, false, false}, tJleII: {opLe, tkI, fRK, false, false},
+	tJeqF: {opEq, tkF, fRR, false, false}, tJneF: {opEq, tkF, fRR, false, true},
+	tJltF: {opLt, tkF, fRR, false, false}, tJleF: {opLe, tkF, fRR, false, false},
+	tJgtF: {opLt, tkF, fRR, true, false}, tJgeF: {opLe, tkF, fRR, true, false},
+	tJeqFC: {opEq, tkF, fRK, false, false}, tJneFC: {opEq, tkF, fRK, false, true},
+	tJltFC: {opLt, tkF, fRK, false, false}, tJleFC: {opLe, tkF, fRK, false, false},
+	tJgtFC: {opLt, tkF, fRK, true, false}, tJgeFC: {opLe, tkF, fRK, true, false},
+}
+
+// branch opens the forward conditional jump at pc. Its first arm runs
+// up to the jump's target; when that arm ends in a forward jump, an
+// else arm (empty for a ?: whose else is the value on entry) runs from
+// the target to where that jump lands. The arms join at
+// the end of the last one. A jump that leaves the body, or one inside
+// an arm, fails the lift.
+func (l *lifter) branch(pl *tapePools, code []tinstr, in tinstr, pc int) {
+	d, end := jumpOps[in.op], pc+int(in.a)
+	if l.br.open || end <= pc+1 || end > len(code) {
 		l.bad = true
-	case end == n-1 && code[end].op == tRoundF && code[end].a == code[end].b && code[end-1].op == tJmp:
-		l.elseRound = code[end].a
-	case end != n:
-		l.bad = true
+		return
 	}
-	for _, x := range l.regs {
-		l.bad = l.bad || x.r < l.temps[x.kind]
-	}
-	kind := uint8(b2i(in.op == tJltF || in.op == tJgtF))
-	b, c := l.get(kind, in.b), l.get(kind, in.c)
+	x, y, flag := l.get(d.kind, in.b), int8(0), in.aux != 0
 	switch {
-	case (in.op == tJltI || in.op == tJltF) && neg:
-		l.lt, l.gt = b, c
-	case in.op == tJleI && !neg, in.op == tJgtF && neg:
-		l.lt, l.gt = c, b
+	case d.form == fRR:
+		y = l.get(d.kind, in.c)
+	case d.form == fRK && d.kind == tkF:
+		y = l.leaf(opConst, tkF, 0, int64(math.Float64bits(pl.constF[in.c])))
+	case d.form == fRK:
+		y, flag = l.leaf(opConst, tkI, 0, in.aux), in.c != 0
 	default:
-		l.bad = true
+		y, flag = l.leaf(opConst, d.kind, 0, 0), false
 	}
-	l.branch = pc
+	if d.swap {
+		x, y = y, x
+	}
+	// The first arm runs where the compare equals flag.
+	code0, flag := d.code, flag != d.not
+	if d.kind == tkI && !flag && code0 != opEq {
+		// Exact for integers: !(x < y) is y <= x, !(x <= y) is y < x.
+		code0, x, y, flag = opLt+opLe-code0, y, x, true
+	}
+	br := &l.br
+	br.cond, br.flag = l.op(code0, d.kind, x, y), flag
+	br.open, br.end, br.els = true, end, -1
+	if j := code[end-1]; j.op == tJmp && j.a > 0 && end-1+int(j.a) <= len(code) {
+		br.els, br.end = end, end-1+int(j.a)
+	}
+	br.pre = append(br.pre[:0], l.regs...)
+}
+
+// join closes the branch: each register an arm wrote holds the select,
+// over the branch's compare, of its values at the ends of the two paths.
+func (l *lifter) join() {
+	br := &l.br
+	br.open = false
+	first, second := l.regs, br.pre // an if's arm, and the jump over it
+	if br.els >= 0 {
+		first, second = br.thn, l.regs
+	}
+	out := br.out[:0]
+	for _, regs := range [2][]lreg{first, second} {
+		for _, x := range regs {
+			if findReg(out, x.kind, x.r) >= 0 {
+				continue
+			}
+			t, f := l.value(first, x.kind, x.r), l.value(second, x.kind, x.r)
+			if !br.flag {
+				t, f = f, t
+			}
+			if t != f {
+				t = l.node(lnode{op: opSel, kind: x.kind, a: t, b: f, r: int32(br.cond)})
+			}
+			out = append(out, lreg{x.kind, x.r, t})
+		}
+	}
+	l.regs, br.out = append(l.regs[:0], out...), out
 }
 
 // ----------------------------------------------------------------------------
@@ -418,33 +538,33 @@ func (l *lifter) kernel() bool {
 	var acc lreg
 	locals := 0
 	for _, x := range l.regs {
-		if x.r < l.temps[x.kind] {
+		if x.r < l.temps[x.kind] && findReg(l.locals, x.kind, x.r) < 0 {
 			acc, locals = x, locals+1
 		}
 	}
 	l.k.acc = slot{slotKind(acc.kind), int(acc.r)}
 	root := int8(-1)
 	switch {
-	case l.branch >= 0 && locals == 1:
-		root = l.minMax(acc)
-	case l.branch < 0 && l.st.ok && locals == 0:
+	case l.st.ok && locals == 0:
 		l.k.acc = slot{slotPtr, -1}
 		root = l.storeSink()
-	case l.branch < 0 && !l.st.ok && locals == 1 && acc.kind != tkP:
+	case l.st.ok || locals != 1 || acc.kind == tkP:
+	case l.nodes[acc.n].op == opSel:
+		root = l.minMax(acc)
+	default:
 		root = l.sum(acc)
 	}
 	return root >= 0 && !l.bad && !l.dropsTrap()
 }
 
 // dropsTrap reports whether the kernel leaves out a value that can trap
-// — a load, an integer division or remainder — that the sink does not
-// read: the launch would not check it, and the loop would complete where
-// the dispatch body traps. A load of the stored cell, and the index load
-// under a gathered load, are checked as the store and the gather.
+// that the sink does not read: the launch would not check it, and the
+// loop would complete where the dispatch body traps. A load of the
+// stored cell, and the index load under a gathered load, are checked as
+// the store and the gather.
 func (l *lifter) dropsTrap() bool {
 	for n, nd := range l.nodes {
-		drop := l.kid[n] < 0 && !(l.st.ok && nd == l.st.cell) &&
-			(nd.op == opLoad || nd.op == opGather || nd.kind == tkI && (nd.op == opQuo || nd.op == opRem))
+		drop := l.kid[n] < 0 && !(l.st.ok && nd == l.st.cell) && l.traps(nd)
 		for g, x := range l.nodes {
 			drop = drop && !(x.op == opGather && l.kid[g] >= 0 && l.indexLoad(x.a) == int8(n))
 		}
@@ -476,8 +596,8 @@ func (l *lifter) storeSink() int8 {
 	k.store = a
 	if a.stride == 0 {
 		if v, isSum := l.addend(st.val, st.cell); isSum && st.float {
-			k.cell = true
-			return l.dot(v)
+			k.cell, k.sink = true, sinkSum
+			return l.strip(v)
 		}
 		if l.nodes[st.val].op != opGather {
 			return -1
@@ -532,9 +652,10 @@ func (l *lifter) addend(s int8, x lnode) (int8, bool) {
 	return 0, false
 }
 
-// sum is the sink acc = acc + v into a local int no store narrows or —
-// a dot term — a local float, whose partial sums round through float32
-// when the sum does.
+// sum is the sink acc = acc + v into a local int no store narrows or a
+// local float, whose partial sums round through float32 when the sum
+// does. The fold adds in iteration order, so it is the dispatch loop's
+// sum bit for bit on every backend.
 func (l *lifter) sum(acc lreg) int8 {
 	k, s := &l.k, acc.n
 	k.float, k.sink = acc.kind == tkF, sinkSum
@@ -544,78 +665,40 @@ func (l *lifter) sum(acc lreg) int8 {
 	if k.float && l.nodes[s].op == opRound {
 		k.f32, s = true, l.nodes[s].a
 	}
-	switch v, ok := l.addend(s, lnode{op: opReg, kind: acc.kind, a: -1, b: -1, r: acc.r}); {
-	case !ok:
-		return -1
-	case k.float:
-		return l.dot(v)
-	default:
+	if v, ok := l.addend(s, lnode{op: opReg, kind: acc.kind, a: -1, b: -1, r: acc.r}); ok {
 		return l.strip(v)
 	}
+	return -1
 }
 
-// dot admits the terms of the paper's dot and ELL row (Sect. 4.3.1):
-// X[k], X[k]*Y[k] and X[k]*Y[Z[k]] over unit-stride float operands,
-// the product rounded through float32 (the inlined helper mult(a, b)
-// of the paper's sources) or not. The fold adds in iteration order, so
-// it is the dispatch loop's sum bit for bit on every backend.
-func (l *lifter) dot(v int8) int8 {
-	l.k.float, l.k.sink = true, sinkSum
-	t := v
-	if l.nodes[t].op == opRound {
-		t = l.nodes[t].a
-	}
-	factors := []int8{t}
-	if nd := l.nodes[t]; nd.op == opMul {
-		factors = []int8{nd.a, nd.b}
-	} else if t != v {
-		return -1
-	}
-	direct := 0
-	for _, f := range factors {
-		ld := l.nodes[f]
-		switch {
-		case ld.op == opGather && l.indexLoad(ld.a) == ld.a:
-			// The ELL shape walks the index array at unit stride and
-			// reads the gathered array unclamped.
-			ld = l.nodes[ld.a]
-		case ld.op == opLoad && ld.kind == tkF:
-			direct++
-		default:
-			return -1
-		}
-		if a, ok := l.access(ld); !ok || a.stride != 1 {
-			return -1
-		}
-	}
-	if direct == 0 {
-		return -1
-	}
-	return l.strip(v)
-}
-
-// minMax is the fold: lt < gt compares a unit-stride load v with the
-// accumulator's value on entry, and the code after the branch writes v
-// — rounded through float32 for a 4-byte float — to the accumulator.
+// minMax is the fold: the accumulator's value is the select, under a
+// strict compare of a unit-stride load v with the value on entry, of v
+// where the compare holds and the value on entry elsewhere — for a
+// 4-byte float, v rounded through float32, and the entry value rounded
+// or not.
 func (l *lifter) minMax(acc lreg) int8 {
-	k, entry, v := &l.k, l.leaf(opReg, acc.kind, acc.r, 0), l.lt
-	k.sink = sinkMin
-	if l.lt == entry {
-		v, k.sink = l.gt, sinkMax
-	} else if l.gt != entry {
+	k, sel := &l.k, l.nodes[acc.n]
+	entry, c, v := l.leaf(opReg, acc.kind, acc.r, 0), l.nodes[sel.r], sel.a
+	if nd := l.nodes[v]; nd.op == opRound {
+		k.f32, v = true, nd.a
+	}
+	switch {
+	case c.op != opLt:
+		return -1
+	case c.a == v && c.b == entry:
+		k.sink = sinkMin
+	case c.a == entry && c.b == v:
+		k.sink = sinkMax
+	default:
+		return -1
+	}
+	// The rounding of the accumulator on the else path is the identity:
+	// a 4-byte float local holds float32 values.
+	if sel.b != entry && !(k.f32 && l.nodes[sel.b] == lnode{op: opRound, kind: tkF, a: entry, b: -1}) {
 		return -1
 	}
 	nd := l.nodes[v]
 	if a, ok := l.access(nd); !ok || a.stride != 1 || nd.kind != acc.kind {
-		return -1
-	}
-	switch {
-	case acc.n == v && l.elseRound < 0:
-	case l.nodes[acc.n] == lnode{op: opRound, kind: tkF, a: v, b: -1} && (l.elseRound < 0 || l.elseRound == acc.r):
-		// The else arm's rounding of the accumulator is the identity:
-		// a 4-byte float local holds float32 values.
-		k.f32 = true
-	default:
 		return -1
 	}
 	k.float = nd.kind == tkF
@@ -715,11 +798,14 @@ func (l *lifter) strip(n int8) int8 {
 		kn.a = l.gather(nd)
 	case nd.op == opRound && l.nodes[nd.a].op == opI2F:
 		return -1 // a (float) conversion of the iterator stays on the tape
-	case nd.op >= opAdd && nd.op <= opRound:
+	case nd.op >= opAdd && nd.op <= opSel:
 		if kn.a = l.strip(nd.a); nd.b >= 0 && kn.a >= 0 {
 			kn.b = l.strip(nd.b)
 		}
-		if kn.a < 0 || (nd.b >= 0 && kn.b < 0) {
+		if nd.op == opSel && kn.b >= 0 {
+			kn.c = l.strip(int8(nd.r))
+		}
+		if kn.a < 0 || (nd.b >= 0 && kn.b < 0) || kn.c < 0 {
 			return -1
 		}
 	default:

@@ -7,7 +7,8 @@ package comp
 // and global slots its body reads (prepFrame), so a zero-trip loop
 // evaluates no operand. The launch runs on the launching goroutine, and
 // workers only read the frame (map kernels on the shared parent frame)
-// or its copy (workerEnv clones the frame).
+// or its copy (workerEnv clones the frame); a kernel keeps its launch
+// state on the frame stack of the goroutine that runs it.
 
 import (
 	"purec/internal/ast"
@@ -67,7 +68,7 @@ func (l *launch) run(e *env, lo, hi int64) ctrl {
 		return ctrlNext
 	case !l.parallel || runsInline(e):
 		if l.k != nil {
-			lo = l.k.run(e, lo, hi)
+			lo = l.k.run(e, e.fs, lo, hi)
 		}
 		if lo <= hi {
 			return l.body.run(e, runRange, l.iter, lo, hi)
@@ -78,7 +79,7 @@ func (l *launch) run(e *env, lo, hi int64) ctrl {
 		// parent's frame, and a chunk it completes copies no frame.
 		e.team.ParallelFor(lo, hi, l.sched, l.chunk, func(w int, clo, chi int64) {
 			if l.k != nil {
-				clo = l.k.run(e, clo, chi)
+				clo = l.k.run(e, e.p.workers[w], clo, chi)
 			}
 			if clo <= chi {
 				l.body.run(e.workerEnv(w), runChunk, l.iter, clo, chi)
@@ -96,7 +97,7 @@ func (l *launch) run(e *env, lo, hi int64) ctrl {
 		body := func(_ int, clo, chi int64, acc any) any {
 			we := acc.(*env)
 			if l.k != nil {
-				clo = l.k.run(we, clo, chi)
+				clo = l.k.run(we, we.fs, clo, chi)
 			}
 			if clo <= chi {
 				l.body.run(we, runChunk, l.iter, clo, chi)

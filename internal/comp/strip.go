@@ -49,11 +49,8 @@ import (
 const (
 	// stripLen is the number of elements an op processes per dispatch.
 	stripLen = 128
-	// maxRegs bounds the columns of a register program and smallRegs
-	// is the size class almost every kernel fits (a launch zeroes its
-	// buffer, and rows of a hundred elements notice 16 KiB of that).
-	maxRegs   = 16
-	smallRegs = 4
+	// maxRegs bounds the columns of a register program.
+	maxRegs = 16
 	// maxLoads and maxInvs size the operand and invariant arrays of a
 	// launch frame; maxNodes bounds the values a lift numbers, and with
 	// them the nodes a lowering looks at. A loop past any bound stays on
@@ -76,13 +73,13 @@ const (
 )
 
 // stripOp is one op of the register program: dst = a code b over the
-// strip. opLoad gathers a strided load into dst, opGather the gathered
-// cells its index load a names, opIter/opIterF write the iterator
-// values.
+// strip (c ? a : b for a select). opLoad gathers a strided load into
+// dst, opGather the gathered cells its index load a names,
+// opIter/opIterF write the iterator values.
 type stripOp struct {
-	code uint8
-	dst  uint8
-	a, b operand
+	code    uint8
+	dst     uint8
+	a, b, c operand
 }
 
 // lower compiles the kernel's nodes into k.prog, assigns columns by a
@@ -101,9 +98,15 @@ func (k *fusedKernel) lower() bool {
 			if nd.b >= 0 {
 				last[nd.b] = int8(id)
 			}
+			if nd.code == opSel {
+				last[nd.c] = int8(id)
+			}
 		}
 	}
 	root := n - 1
+	if k.sink == sinkSum && k.float && nodes[root].code == opInv {
+		return false // an invariant term adds up one rounding at a time
+	}
 	last[root] = maxNodes // the sink reads it after the last op
 	// A float sum folds its root product, rounded or not, straight from
 	// the two operands: a separate product pass costs up to 60 % on a
@@ -113,9 +116,11 @@ func (k *fusedKernel) lower() bool {
 		if nodes[r].code == opRound {
 			r = int(nodes[r].a)
 		}
-		if nd := nodes[r]; nd.code == opMul {
+		if nd := nodes[r]; nd.code == opMul && nodes[nd.a].code != opInv && nodes[nd.b].code != opInv {
 			k.mul, k.round, root, n = true, r != root, r, r
 			last[nd.a], last[nd.b] = maxNodes, maxNodes
+		} else {
+			k.round = k.binary32(int8(root))
 		}
 	}
 
@@ -142,7 +147,11 @@ func (k *fusedKernel) lower() bool {
 			op.a = operand{inLoad, uint8(nd.a)}
 		case opIter, opIterF:
 		default:
-			for _, in := range [2]int8{nd.a, nd.b} {
+			c := int8(-1)
+			if nd.code == opSel {
+				c, op.c = nd.c, where[nd.c]
+			}
+			for _, in := range [3]int8{nd.a, nd.b, c} {
 				if in >= 0 && where[in].kind == inCol && int(last[in]) == id {
 					free |= 1 << where[in].idx
 				}
@@ -165,117 +174,84 @@ func (k *fusedKernel) lower() bool {
 	if k.mul {
 		k.res, k.res2 = where[nodes[root].a], where[nodes[root].b]
 	}
-	switch {
-	case k.regs == 0:
-		k.body = bodyStrip0
-	case k.regs == 1:
-		k.body = bodyStrip1
-	case k.regs <= smallRegs:
-		k.body = bodyStripSmall
-	default:
-		k.body = bodyStripMax
+	// A rounding in place of the column the op before it wrote runs as
+	// part of that op.
+	for i := 1; i < len(k.prog); i++ {
+		if op, prev := k.prog[i], k.prog[i-1]; op.code == opRound && op.dst == prev.dst && op.a == (operand{inCol, prev.dst}) {
+			k.rounds |= 1 << i
+		}
 	}
 	return true
 }
 
-// Launch bodies: one of the two float shapes (kernel.go), or the strip
-// evaluator of the kernel's element kind with a strip buffer of the
-// smallest size class its columns fit — none, one column, smallRegs or
-// maxRegs columns — since a launch zeroes its buffer.
+// binary32 reports whether every value of node id is a binary32 one: a
+// rounding through float32, or a negation or select of such values.
+func (k *fusedKernel) binary32(id int8) bool {
+	switch nd := k.nodes[id]; nd.code {
+	case opRound:
+		return true
+	case opNeg:
+		return k.binary32(nd.a)
+	case opSel:
+		return k.binary32(nd.a) && k.binary32(nd.b)
+	}
+	return false
+}
+
+// Launch bodies: the strip evaluator, or one of the two float shapes
+// (kernel.go).
 const (
-	bodyStrip0 uint8 = iota
-	bodyStrip1
-	bodyStripSmall
-	bodyStripMax
+	bodyStrip uint8 = iota
 	bodyScale
 	bodyTriad
 )
 
 // emit picks the kernel's launch body — false when the kernel exceeds a
-// bound of the evaluator — and drops the nodes: the launch keeps k alive
-// for as long as the Program lives, and the nodes lie in the compile's
-// scratch buffer.
+// bound of the evaluator —, computes its constant invariants and drops
+// the nodes: the launch keeps k alive for as long as the Program lives,
+// and the nodes lie in the compile's scratch buffer.
 func (k *fusedKernel) emit() bool {
 	ok := k.shape() || k.lower()
 	k.nodes = nil
+	k.fold()
 	return ok
 }
 
 // run executes iterations [lo, hi] (inclusive, lo ≤ hi) of a fused loop
-// and returns the first one it did not complete, hi+1 when it ran them
-// all; the launch runs the rest on the loop's dispatch body.
-func (k *fusedKernel) run(e *env, lo, hi int64) int64 {
-	switch {
-	case k.body >= bodyScale:
-		return k.axpy(e, lo, hi)
-	case k.body == bodyStrip0 && k.float:
-		return k.runFloat(e, lo, hi, nil)
-	case k.body == bodyStrip0:
-		return k.runInt(e, lo, hi, nil)
-	case k.body == bodyStrip1 && k.float:
-		return k.runFloat1(e, lo, hi)
-	case k.body == bodyStrip1:
-		return k.runInt1(e, lo, hi)
-	case k.body == bodyStripSmall && k.float:
-		return k.runFloatSmall(e, lo, hi)
-	case k.body == bodyStripSmall:
-		return k.runIntSmall(e, lo, hi)
-	case k.float:
-		return k.runFloatMax(e, lo, hi)
+// on the launch state of frame stack fs and returns the first one it did
+// not complete, hi+1 when it ran them all; the launch runs the rest on
+// the loop's dispatch body.
+func (k *fusedKernel) run(e *env, fs *frameStack, lo, hi int64) int64 {
+	ks := fs.ks
+	if ks == nil {
+		ks = new(kscratch)
+		fs.ks = ks
 	}
-	return k.runIntMax(e, lo, hi)
-}
-
-// The strip buffers, one size class and element kind per function: a
-// launch's frame holds only its kernel's buffer (noinline keeps them
-// out of the frame of run; the compiler gives two arrays of one
-// function a slot each).
-
-//go:noinline
-func (k *fusedKernel) runFloat1(e *env, lo, hi int64) int64 {
-	var buf [stripLen]float64
-	return k.runFloat(e, lo, hi, buf[:])
-}
-
-//go:noinline
-func (k *fusedKernel) runInt1(e *env, lo, hi int64) int64 {
-	var buf [stripLen]int64
-	return k.runInt(e, lo, hi, buf[:])
-}
-
-//go:noinline
-func (k *fusedKernel) runFloatSmall(e *env, lo, hi int64) int64 {
-	var buf [smallRegs * stripLen]float64
-	return k.runFloat(e, lo, hi, buf[:])
-}
-
-//go:noinline
-func (k *fusedKernel) runIntSmall(e *env, lo, hi int64) int64 {
-	var buf [smallRegs * stripLen]int64
-	return k.runInt(e, lo, hi, buf[:])
-}
-
-//go:noinline
-func (k *fusedKernel) runFloatMax(e *env, lo, hi int64) int64 {
-	var buf [maxRegs * stripLen]float64
-	return k.runFloat(e, lo, hi, buf[:])
-}
-
-//go:noinline
-func (k *fusedKernel) runIntMax(e *env, lo, hi int64) int64 {
-	var buf [maxRegs * stripLen]int64
-	return k.runInt(e, lo, hi, buf[:])
+	if !k.prepFrame(ks, e, lo, hi) {
+		return lo
+	}
+	n := k.regs * stripLen
+	switch {
+	case k.body != bodyStrip:
+		return k.axpy(&ks.fr, hi)
+	case k.float:
+		if len(ks.f) < n {
+			ks.f = make([]float64, n)
+		}
+		return k.runFloat(&ks.fr, ks.f, hi)
+	}
+	if len(ks.i) < n {
+		ks.i = make([]int64, n)
+	}
+	return k.runInt(&ks.fr, ks.i, hi)
 }
 
 // runFloat is one launch of a float kernel: strip by strip, evaluate
 // and sink — store, rounding through float32 exactly when the stored C
 // type is 4 bytes, or fold into the accumulator. It returns the first
 // element it did not complete, hi+1 after the whole range.
-func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) int64 {
-	var fr kframe
-	if !k.prepFrame(&fr, e, lo, hi) {
-		return lo
-	}
+func (k *fusedKernel) runFloat(fr *kframe, buf []float64, hi int64) int64 {
+	lo := fr.lo
 	if k.res.kind == inInv { // a fill: a fold's operands all vary
 		v := fr.invF[k.res.idx]
 		if fr.f32 {
@@ -285,7 +261,7 @@ func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) int64 {
 		return hi + 1
 	}
 	for t0 := 0; t0 < fr.n; t0 += fr.strip {
-		res, res2, ok := k.evalFloat(&fr, buf, t0, min(fr.strip, fr.n-t0))
+		res, res2, ok := k.evalFloat(fr, buf, t0, min(fr.strip, fr.n-t0))
 		switch {
 		case !ok:
 			return lo + int64(t0)
@@ -306,11 +282,8 @@ func (k *fusedKernel) runFloat(e *env, lo, hi int64, buf []float64) int64 {
 // map, a fold into the accumulator's frame slot (a sum is exact in any
 // order, so the strip's partial sums are the loop's), or the index
 // column of a scatter. It returns what runFloat does.
-func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
-	var fr kframe
-	if !k.prepFrame(&fr, e, lo, hi) {
-		return lo
-	}
+func (k *fusedKernel) runInt(fr *kframe, buf []int64, hi int64) int64 {
+	lo := fr.lo
 	if k.res.kind == inInv {
 		if v := fr.invI[k.res.idx]; k.sink == sinkSum {
 			*fr.accI += v * int64(fr.n)
@@ -320,7 +293,7 @@ func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
 		return hi + 1
 	}
 	for t0 := 0; t0 < fr.n; t0 += fr.strip {
-		res, ok := k.evalInt(&fr, buf, t0, min(fr.strip, fr.n-t0))
+		res, ok := k.evalInt(fr, buf, t0, min(fr.strip, fr.n-t0))
 		switch {
 		case !ok:
 			return lo + int64(t0)
@@ -333,7 +306,7 @@ func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
 			}
 			*fr.accI += s
 		case k.sink == sinkScatter:
-			if n := k.scatter(&fr, res); n < len(res) {
+			if n := k.scatter(fr, res); n < len(res) {
 				return lo + int64(t0+n)
 			}
 		default:
@@ -346,15 +319,27 @@ func (k *fusedKernel) runInt(e *env, lo, hi int64, buf []int64) int64 {
 // foldSum adds a strip to acc in ascending order: the column a, or with
 // mul the products a[i]*b[i], rounded through float32 first with round;
 // with f32 every partial sum rounds through float32, like the
-// accumulator's store in the dispatch loop. With round and f32 both
-// addends of each partial sum are binary32 values (a 4-byte float
-// accumulator, a rounded product), so the sum runs natively in float32:
-// adding in binary64 and then rounding to binary32 gives exactly the
-// binary32 sum, because 53 ≥ 2·24+2 (Figueroa, "When is double rounding
-// innocuous?", 1995).
+// accumulator's store in the dispatch loop. Without mul, round says the
+// column's values are binary32 ones. With round and f32 both addends of
+// each partial sum are binary32 values (a 4-byte float accumulator, a
+// rounded term), so the sum runs natively in float32: adding in binary64
+// and then rounding to binary32 gives exactly the binary32 sum, because
+// 53 ≥ 2·24+2 (Figueroa, "When is double rounding innocuous?", 1995).
 func foldSum(acc float64, a, b []float64, mul, round, f32 bool) float64 {
 	b = b[:len(a)]
 	switch {
+	case round && f32 && !mul:
+		s := float32(acc)
+		for _, v := range a {
+			s += float32(v)
+		}
+		return float64(s)
+	case round && f32:
+		s := float32(acc)
+		for i, v := range a {
+			s += float32(v * b[i])
+		}
+		return float64(s)
 	case !mul:
 		for _, v := range a {
 			acc += v
@@ -362,12 +347,6 @@ func foldSum(acc float64, a, b []float64, mul, round, f32 bool) float64 {
 				acc = float64(float32(acc))
 			}
 		}
-	case round && f32:
-		s := float32(acc)
-		for i, v := range a {
-			s += float32(v * b[i])
-		}
-		return float64(s)
 	case round:
 		for i, v := range a {
 			acc += float64(float32(v * b[i]))
@@ -538,10 +517,25 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2
 		}
 		return buf[int(o.idx)*stripLen:][:n]
 	}
-	for i := range k.prog {
+	in := func(o operand) ([]float64, int) {
+		if o.kind == inInv {
+			return fr.invF[o.idx:][:1], 0
+		}
+		return col(o), 1
+	}
+	for i := 0; i < len(k.prog); i++ {
 		op := &k.prog[i]
 		d := buf[int(op.dst)*stripLen:][:n]
 		switch op.code {
+		case opLt, opLe, opEq:
+			a, sa := in(op.a)
+			b, sb := in(op.b)
+			cmpStrip(op.code, d, a, b, sa, sb)
+		case opSel:
+			a, sa := in(op.a)
+			b, sb := in(op.b)
+			c, _ := in(op.c)
+			selStrip(d, a, b, c, sa, sb)
 		case opLoad:
 			gatherStrip(d, fr.loads[op.a.idx].f, fr.loads[op.a.idx].stride, t0)
 		case opGather:
@@ -570,6 +564,12 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2
 			}
 			arith(op.code, form, d, a, b, s)
 		}
+		if k.rounds&(2<<i) != 0 {
+			for j, v := range d {
+				d[j] = float64(float32(v))
+			}
+			i++
+		}
 	}
 	return col(k.res), col(k.res2), true
 }
@@ -583,10 +583,25 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, bool
 		}
 		return buf[int(o.idx)*stripLen:][:n]
 	}
+	in := func(o operand) ([]int64, int) {
+		if o.kind == inInv {
+			return fr.invI[o.idx:][:1], 0
+		}
+		return col(o), 1
+	}
 	for i := range k.prog {
 		op := &k.prog[i]
 		d := buf[int(op.dst)*stripLen:][:n]
 		switch op.code {
+		case opLt, opLe, opEq:
+			a, sa := in(op.a)
+			b, sb := in(op.b)
+			cmpStrip(op.code, d, a, b, sa, sb)
+		case opSel:
+			a, sa := in(op.a)
+			b, sb := in(op.b)
+			c, _ := in(op.c)
+			selStrip(d, a, b, c, sa, sb)
 		case opLoad:
 			gatherStrip(d, fr.loads[op.a.idx].i, fr.loads[op.a.idx].stride, t0)
 		case opGather:
@@ -656,6 +671,44 @@ func gatherIdx[T int64 | float64](d, src []T, off int, ix kslice, t0 int, g *kGa
 		d[i] = src[cell]
 	}
 	return true
+}
+
+// cmpStrip writes 1 where a code b holds and 0 elsewhere, over operands
+// walked at stride sa and sb: 1 for a column, 0 for a scalar.
+func cmpStrip[T int64 | float64](code uint8, d, a, b []T, sa, sb int) {
+	switch code {
+	case opLt:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = truth[T](a[x] < b[y])
+		}
+	case opLe:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = truth[T](a[x] <= b[y])
+		}
+	default:
+		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+			d[i] = truth[T](a[x] == b[y])
+		}
+	}
+}
+
+func truth[T int64 | float64](t bool) T {
+	if t {
+		return 1
+	}
+	return 0
+}
+
+// selStrip writes a where the compare column c is 1 and b where it is
+// 0 (a compare is always a column).
+func selStrip[T int64 | float64](d, a, b, c []T, sa, sb int) {
+	for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
+		v := b[y]
+		if c[i] != 0 {
+			v = a[x]
+		}
+		d[i] = v
+	}
 }
 
 func iterStrip[T int64 | float64](d []T, first int64) {

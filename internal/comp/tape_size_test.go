@@ -77,6 +77,32 @@ func TestTapeSizeCeiling(t *testing.T) {
 	t.Logf("corpus total: %d tape instructions (ceiling 5938)", total)
 }
 
+// TestSatelliteErrLoopLifts pins the paper's satellite retrieval
+// (Sect. 4.3) to kernels: retrieve launches both its band loops fused,
+// the reflectance dot and the err fold (a body local, a select where it
+// compares below zero, a float32 sum), on every build of the corpus
+// source.
+func TestSatelliteErrLoopLifts(t *testing.T) {
+	var src apps.Sample
+	for _, s := range apps.Corpus() {
+		if s.Name == "satellite" {
+			src = s
+		}
+	}
+	for _, par := range []bool{true, false} {
+		for _, be := range []comp.Backend{comp.BackendGCC, comp.BackendICC} {
+			cfg := core.Config{Parallelize: par, Defines: src.Defines, Backend: be}
+			prog, _, _, err := core.BuildProgram(src.Src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := comp.KernelsIn(prog, "retrieve"); n != 2 {
+				t.Errorf("parallel=%v %v: retrieve launches %d kernels, want its dot and its err loop", par, be, n)
+			}
+		}
+	}
+}
+
 // TestHotLoopInstructionCounts pins the instructions one iteration of
 // the hot loop of three corpus applications dispatches on the tape
 // (parallel build, GCC backend, kernels dropped so that every loop runs
@@ -90,9 +116,9 @@ func TestHotLoopInstructionCounts(t *testing.T) {
 		loop     int // index into comp.LoopLengths
 		want     int
 	}{
-		{"matmul", "dot", 0, 4}, // load, load, rounded product, rounded sum
-		{"satellite", "retrieve", 1, 10},
-		{"lama", "ellrow", 0, 8}, // its fused loop's dispatch body: the in-place loop's 9 less the tail the launch runs
+		{"matmul", "dot", 0, 4},         // load, load, rounded product, rounded sum
+		{"satellite", "retrieve", 1, 9}, // its fused err loop's dispatch body: the in-place loop's 10 less the tail
+		{"lama", "ellrow", 0, 8},        // its fused loop's dispatch body: the in-place loop's 9 less the tail the launch runs
 	} {
 		var src apps.Sample
 		for _, s := range apps.Corpus() {

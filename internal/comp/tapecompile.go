@@ -1332,7 +1332,7 @@ func (tc *tapeCompiler) ptrSide(e ast.Expr) opnd {
 	case t.IsPtr():
 		return tc.ptrOp(e, -1)
 	case !t.IsArith():
-		tc.fc.errorf(e, "pointer compared with %s", t)
+		tc.fc.errorf(e, "internal error: pointer compared with %s (sema refuses it)", t)
 	}
 	lvl := tc.ta.level()
 	tc.effect(e)

@@ -262,6 +262,15 @@ func TestCheckRulesNameTheUsersLine(t *testing.T) {
 		{`printf("%d", a);`, "p.c:4:33: printf: %d takes a number, got int*"},
 		{`printf("%s", 5);`, "p.c:4:33: printf: %s takes a pointer, got int"},
 		{`printf("%s", g);`, "p.c:4:33: printf: %s takes a pointer, got struct S"},
+		{`int k = g == h;`, "p.c:4:28: invalid operands to ==: struct S and struct S"},
+		{`int k = a != g;`, "p.c:4:28: invalid operands to !=: int* and struct S"},
+		{`int k = g < 1;`, "p.c:4:28: invalid operands to <: struct S and int"},
+		{`int k = !g;`, "p.c:4:28: invalid operand to !: struct S"},
+		{`int k = g && 1;`, "p.c:4:28: invalid operands to &&: struct S and int"},
+		{`int k = 1 || g;`, "p.c:4:28: invalid operands to ||: int and struct S"},
+		{`float v = 1.0f; int k = a < v;`, "p.c:4:44: invalid operands to <: int* and float"},
+		{`float v = 1.0f; int k = a == v;`, "p.c:4:44: invalid operands to ==: int* and float"},
+		{`double v = 2.0; int k = v > a;`, "p.c:4:44: invalid operands to >: double and int*"},
 	} {
 		src := fmt.Sprintf(`int a[64]; int b[64]; struct S { int x; }; struct S g; struct S h = g;
 int main(void) {

@@ -178,7 +178,66 @@ int main(void) {
     return 0;
 }`, tc.dead, tc.loop)})
 	}
-	return append(cases, genSinkCases(trips)...)
+	cases = append(cases, genSinkCases(trips)...)
+	return append(cases, genSelectCases(trips)...)
+}
+
+// genSelectCases builds the programs of the lifter's if-conversion and
+// body locals: satellite's err fold (a body local rounded through
+// float32, negated where it compares below zero) and its map twin over
+// NaN of both signs, −0.0, ±Inf and subnormals; if/else arm pairs of
+// both kinds; and the bodies that must stay on dispatch — a body local
+// read before the body writes it, a load or a division only an arm
+// evaluates — whose fused counts leave those loops out.
+func genSelectCases(trips []int) []stripCase {
+	var folds strings.Builder
+	for _, t := range trips {
+		fmt.Fprintf(&folds, `
+    ef = 0.0f; for (int k = 0; k < %[1]d; k++) { float model = 0.25f * tb[k] + 0.5f; float d = px[k] - model; if (d < 0.0f) d = -d; ef += d; }
+    ed = 0.0; for (int k = 0; k < %[1]d; k++) { double d = qd[k] * 0.5; if (d < 0.0) d = -d; ed += d; }
+    for (int k = 0; k < %[1]d; k++) { float d = px[k] - 0.125f; if (d < 0.0f) d = -d; out[k] = d; }
+    for (int k = 0; k < %[1]d; k++) { float t; if (px[k] < tb[k]) t = px[k] * 2.0f; else t = tb[k] - 1.0f; out2[k] = t; }
+    is = 0; for (int k = 0; k < %[1]d; k++) { int t = ia[k]; if (t > 7) t = t - 7; else t = 7 - t; is += t; }
+    printf("%%.9g %%.17g %%d\n", ef, ed, is);
+    for (int k = 0; k < %[1]d; k += 7) printf("%%g %%g %%d %%d\n", out[k], out2[k], out[k] == out[k], out[k] < 0.0f);`, t)
+	}
+	n := 2*256 + 3
+	return []stripCase{
+		{name: "select-specials", fused: 5 * len(trips), seq: true, src: fmt.Sprintf(`
+float px[%[1]d]; float tb[%[1]d]; double qd[%[1]d]; int ia[%[1]d]; float out[%[1]d]; float out2[%[1]d];
+int main(void) {
+    float zf = 0.0f; double z = 0.0;
+    for (int i = 0; i < %[1]d; i++) {
+        px[i] = 0.1f * (float)(i %% 23) - 1.1f; tb[i] = 0.3f * (float)(i %% 7);
+        qd[i] = 0.7 * (double)(i %% 13) - 4.2; ia[i] = (i * 11) %% 17;
+    }
+    for (int i = 0; i < %[1]d; i += 31) { px[i] = zf / zf; qd[i] = -(z / z); }
+    for (int i = 5; i < %[1]d; i += 37) { px[i] = -(zf / zf); qd[i] = z / z; }
+    for (int i = 9; i < %[1]d; i += 41) { px[i] = -0.0f; tb[i] = -0.0f; qd[i] = -0.0; }
+    for (int i = 13; i < %[1]d; i += 43) { px[i] = 1.0f / zf; qd[i] = -1.0 / z; }
+    for (int i = 17; i < %[1]d; i += 47) { px[i] = -1.0f / zf; qd[i] = 1.0 / z; }
+    for (int i = 21; i < %[1]d; i += 29) { px[i] = 1.0e-40f; tb[i] = -3.0e-39f; qd[i] = -4.0e-310; }
+    float ef; double ed; int is;%[2]s
+    return 0;
+}`, n, folds.String())},
+		// A load or a division that only an arm evaluates may trap
+		// where the guard says it must not. Only the initialising loop
+		// fuses. (A body local read before the body writes it has no
+		// value in C; comp's TestLifterRefusals keeps it on dispatch.)
+		{name: "select-stays-on-dispatch", fused: 1, src: `
+int x[400]; int idx[400]; int num[400]; int den[400]; int out[400];
+int main(void) {
+    for (int i = 0; i < 400; i++) x[i] = i * 3 + 1;
+    for (int i = 0; i < 400; i++) { idx[i] = (i * 7) % 60; num[i] = i * 13; den[i] = i % 5; }
+    int s = 0;
+    for (int i = 0; i < 400; i++) { int t = -1; if (idx[i] < 50) t = x[idx[i]]; out[i] = t; }
+    for (int i = 0; i < 400; i++) { int t = 1; if (den[i] != 0) t = num[i] / den[i]; s += t; }
+    for (int i = 0; i < 400; i++) { int t = 1; if (den[i] > 1) t = num[i] % den[i]; out[i] += t; }
+    printf("%d\n", s);
+    for (int i = 0; i < 400; i += 9) printf("%d\n", out[i]);
+    return 0;
+}`},
+	}
 }
 
 // genSinkCases builds the programs of the sinks other than the element

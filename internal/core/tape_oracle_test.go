@@ -87,8 +87,9 @@ int main(void) {
 // TestTapeEngineTrapParity pins the trap side of the tape contract:
 // faulty programs must fail as runtime errors on the tape exactly as
 // they do in the interp oracle — same fault, never a silent wrong
-// answer. The loop bodies leave a value in a local, which the lifter
-// rejects, so the tape's dispatch itself runs them.
+// answer. The loop bodies store twice, or fold an accumulator that
+// reads itself, which the lifter rejects, so the tape's dispatch itself
+// runs them.
 func TestTapeEngineTrapParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -101,6 +102,7 @@ int main(void) {
     for (int i = 0; i <= 8; i++) {
         float v = 1.0f;
         y[i] = v;
+        y[i] = v;
     }
     return 0;
 }
@@ -112,7 +114,7 @@ int main(void) {
     int s = 0;
     for (int i = 0; i < 4; i++) {
         int q = i / d;
-        s = s + q;
+        s = s * 2 + q;
     }
     return s;
 }

@@ -574,8 +574,7 @@ func (c *checker) symbolOf(d *ast.VarDecl) *Symbol {
 }
 
 func (c *checker) condition(e ast.Expr) {
-	t := c.expr(e)
-	if t != nil && !t.IsArith() && !t.IsPtr() {
+	if t := c.expr(e); !scalar(t) {
 		c.errorf(e.Pos(), "condition must be scalar, got %s", t)
 	}
 }
@@ -684,11 +683,20 @@ func (c *checker) exprInner(e ast.Expr) *types.Type {
 	return types.IntType
 }
 
+// scalar reports whether t is an arithmetic or pointer type.
+func scalar(t *types.Type) bool { return t.IsArith() || t.IsPtr() }
+
 func (c *checker) binary(x *ast.BinaryExpr) *types.Type {
 	tl := c.expr(x.X)
 	tr := c.expr(x.Y)
 	switch x.Op {
 	case token.LAND, token.LOR, token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+		// Both operands are scalars, and a comparison does not set a
+		// pointer against a floating value (C11 6.5.8, 6.5.9, 6.5.13).
+		if !scalar(tl) || !scalar(tr) || x.Op != token.LAND && x.Op != token.LOR &&
+			(tl.IsPtr() && tr.Kind == types.Float || tr.IsPtr() && tl.Kind == types.Float) {
+			c.errorf(x.Pos(), "invalid operands to %s: %s and %s", x.Op, tl, tr)
+		}
 		return types.IntType
 	case token.REM, token.AND, token.OR, token.XOR, token.SHL, token.SHR:
 		if tl.Kind != types.Int || tr.Kind != types.Int {
@@ -725,6 +733,9 @@ func (c *checker) unary(x *ast.UnaryExpr) *types.Type {
 		}
 		return t
 	case token.NOT:
+		if !scalar(t) {
+			c.errorf(x.Pos(), "invalid operand to !: %s", t)
+		}
 		return types.IntType
 	case token.TILDE:
 		if t.Kind != types.Int {
