@@ -596,7 +596,7 @@ func (l *lifter) storeSink() int8 {
 	k.store = a
 	if a.stride == 0 {
 		if v, isSum := l.addend(st.val, st.cell); isSum && st.float {
-			k.cell, k.sink = true, sinkSum
+			k.cell, k.sink, k.round = true, sinkSum, l.binary32(v)
 			return l.strip(v)
 		}
 		if l.nodes[st.val].op != opGather {
@@ -666,9 +666,25 @@ func (l *lifter) sum(acc lreg) int8 {
 		k.f32, s = true, l.nodes[s].a
 	}
 	if v, ok := l.addend(s, lnode{op: opReg, kind: acc.kind, a: -1, b: -1, r: acc.r}); ok {
+		k.round = k.float && l.binary32(v)
 		return l.strip(v)
 	}
 	return -1
+}
+
+// binary32 reports whether every value of float node n is a binary32
+// one: a rounding through float32, or a negation or select of such
+// values.
+func (l *lifter) binary32(n int8) bool {
+	switch nd := l.nodes[n]; nd.op {
+	case opRound:
+		return true
+	case opNeg:
+		return l.binary32(nd.a)
+	case opSel:
+		return l.binary32(nd.a) && l.binary32(nd.b)
+	}
+	return false
 }
 
 // minMax is the fold: the accumulator's value is the select, under a
@@ -798,6 +814,8 @@ func (l *lifter) strip(n int8) int8 {
 		kn.a = l.gather(nd)
 	case nd.op == opRound && l.nodes[nd.a].op == opI2F:
 		return -1 // a (float) conversion of the iterator stays on the tape
+	case nd.op == opRound && l.binary32(nd.a):
+		return l.strip(nd.a) // the identity on binary32 values
 	case nd.op >= opAdd && nd.op <= opSel:
 		if kn.a = l.strip(nd.a); nd.b >= 0 && kn.a >= 0 {
 			kn.b = l.strip(nd.b)

@@ -2,8 +2,8 @@ package comp
 
 // The strip evaluator: the one body every fused loop runs on. The
 // value-numbered expression the lifter read off a loop's body tape is
-// lowered once, at compile time, to a small register program; a launch then executes
-// that program one op at a time over a strip of up to stripLen elements
+// lowered once, at compile time, to a small register program; a launch
+// then executes that program one op at a time over a strip of up to stripLen elements
 // — each op a tight loop over columns, the next op over the columns it
 // left — instead of re-dispatching the loop body per element (the
 // vector-at-a-time execution of column stores: Boncz, Zukowski, Nes,
@@ -12,12 +12,13 @@ package comp
 // store, a fold into an accumulator (sum, with a root product folded
 // straight from its two operands, or min/max), or a histogram scatter.
 //
-// Columns live in a fixed-size array on the launching goroutine's Go
-// stack and are addressed positionally (buf[r*stripLen:][:n]): map
-// kernels of a parallel region run concurrently on the shared parent
-// env, so scratch can live neither there nor — without an allocation
-// per launch — on the heap. Launch invariants stay scalars and
-// unit-stride loads are read where they lie; neither occupies a column.
+// Columns are addressed positionally (buf[r*stripLen:][:n]) in the
+// launch state of the frame stack the kernel runs on (kscratch), grown
+// once to the widest program and never zeroed: map kernels of a
+// parallel region run concurrently on the shared parent env, so scratch
+// cannot live there, but each runs on its worker's own stack. Launch
+// invariants stay scalars and unit-stride loads are read where they
+// lie; neither occupies a column.
 //
 // Two rules keep a strip indistinguishable from the per-iteration
 // dispatch loop (contract rules 2, 4 and 5 of kernel.go):
@@ -119,8 +120,6 @@ func (k *fusedKernel) lower() bool {
 		if nd := nodes[r]; nd.code == opMul && nodes[nd.a].code != opInv && nodes[nd.b].code != opInv {
 			k.mul, k.round, root, n = true, r != root, r, r
 			last[nd.a], last[nd.b] = maxNodes, maxNodes
-		} else {
-			k.round = k.binary32(int8(root))
 		}
 	}
 
@@ -182,20 +181,6 @@ func (k *fusedKernel) lower() bool {
 		}
 	}
 	return true
-}
-
-// binary32 reports whether every value of node id is a binary32 one: a
-// rounding through float32, or a negation or select of such values.
-func (k *fusedKernel) binary32(id int8) bool {
-	switch nd := k.nodes[id]; nd.code {
-	case opRound:
-		return true
-	case opNeg:
-		return k.binary32(nd.a)
-	case opSel:
-		return k.binary32(nd.a) && k.binary32(nd.b)
-	}
-	return false
 }
 
 // Launch bodies: the strip evaluator, or one of the two float shapes
@@ -679,24 +664,17 @@ func cmpStrip[T int64 | float64](code uint8, d, a, b []T, sa, sb int) {
 	switch code {
 	case opLt:
 		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
-			d[i] = truth[T](a[x] < b[y])
+			d[i] = T(b2i(a[x] < b[y]))
 		}
 	case opLe:
 		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
-			d[i] = truth[T](a[x] <= b[y])
+			d[i] = T(b2i(a[x] <= b[y]))
 		}
 	default:
 		for i, x, y := 0, 0, 0; i < len(d); i, x, y = i+1, x+sa, y+sb {
-			d[i] = truth[T](a[x] == b[y])
+			d[i] = T(b2i(a[x] == b[y]))
 		}
 	}
-}
-
-func truth[T int64 | float64](t bool) T {
-	if t {
-		return 1
-	}
-	return 0
 }
 
 // selStrip writes a where the compare column c is 1 and b where it is
