@@ -211,24 +211,17 @@ func (a *kAccess) span(fr *kframe, lo, hi int64) kspan {
 // and hands its raw cells to frame slot s. It reports false when the
 // operand has no segment, a freed one, or runs off its array.
 func (a *kAccess) cells(sp kspan, s *kslice) bool {
-	if sp.seg == nil || sp.seg.Freed() || sp.first < 0 || sp.last < sp.first {
+	if sp.seg == nil {
 		return false
 	}
 	s.stride = int(a.stride)
+	var err error
 	if a.float {
-		s.f = sp.seg.F
-		if sp.last >= int64(len(s.f)) {
-			return false
-		}
-		s.f = s.f[sp.first : sp.last+1]
-		return true
+		s.f, err = sp.seg.FloatRange(sp.first, sp.last+1)
+	} else {
+		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
 	}
-	s.i = sp.seg.I
-	if sp.last >= int64(len(s.i)) {
-		return false
-	}
-	s.i = s.i[sp.first : sp.last+1]
-	return true
+	return err == nil
 }
 
 // ----------------------------------------------------------------------------
@@ -271,29 +264,22 @@ type kscratch struct {
 // the trap in iteration order.
 func (k *fusedKernel) invariant(fr *kframe, e *env, s int) bool {
 	iv := &k.invs[s]
-	switch iv.op<<2 | iv.kind {
-	case opReg<<2 | tkI:
-		fr.invI[s] = e.I[iv.r]
-		return true
-	case opReg<<2 | tkF:
-		fr.invF[s] = e.F[iv.r]
-		return true
-	case opReg<<2 | tkP:
-		fr.invP[s] = e.P[iv.r]
-		return true
-	case opGlob<<2 | tkI:
-		fr.invI[s] = e.p.gI[iv.r]
-		return true
-	case opGlob<<2 | tkF:
-		fr.invF[s] = e.p.gF[iv.r]
-		return true
-	case opGlob<<2 | tkP:
-		fr.invP[s] = e.p.gP[iv.r]
-		return true
-	}
 	a, b := max(iv.a, 0), max(iv.b, 0)
 	x, y := fr.invI[a], fr.invI[b]
 	switch {
+	case iv.op == opReg || iv.op == opGlob:
+		I, F, P := e.I, e.F, e.P
+		if iv.op == opGlob {
+			I, F, P = e.p.gI, e.p.gF, e.p.gP
+		}
+		switch iv.kind {
+		case tkI:
+			fr.invI[s] = I[iv.r]
+		case tkF:
+			fr.invF[s] = F[iv.r]
+		default:
+			fr.invP[s] = P[iv.r]
+		}
 	case iv.op == opConst:
 		fr.invI[s], fr.invF[s] = iv.c, math.Float64frombits(uint64(iv.c))
 	case iv.op == opLoad: // a pointer cell

@@ -222,7 +222,7 @@ func (l *lifter) invariant(nd lnode) bool {
 	case opConst, opGlob:
 		return true
 	case opReg:
-		return l.find(nd.kind, nd.r) < 0
+		return findReg(l.regs, nd.kind, nd.r) < 0
 	case opLoad:
 		return nd.kind == tkP && l.inv[nd.a] && l.inv[nd.b]
 	case opGather, opIter, opMax, opMin, opLt, opLe, opEq, opSel:
@@ -231,11 +231,7 @@ func (l *lifter) invariant(nd lnode) bool {
 	return l.inv[nd.a] && (nd.b < 0 || l.inv[nd.b])
 }
 
-// find is register r's index in regs, -1 when the body has not written it.
-func (l *lifter) find(kind uint8, r int32) int {
-	return findReg(l.regs, kind, r)
-}
-
+// findReg is register r's index in regs, -1 when regs does not hold it.
 func findReg(regs []lreg, kind uint8, r int32) int {
 	for i, x := range regs {
 		if x.kind == kind && x.r == r {
@@ -267,7 +263,7 @@ func (l *lifter) value(regs []lreg, kind uint8, r int32) int8 {
 // set records that register r of the kind now holds node n; a lifted
 // body never writes the iterator.
 func (l *lifter) set(kind uint8, r int32, n int8) {
-	switch i := l.find(kind, r); {
+	switch i := findReg(l.regs, kind, r); {
 	case kind == tkI && r == l.iter:
 		l.bad = true
 	case i >= 0:

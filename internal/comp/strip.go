@@ -3,11 +3,12 @@ package comp
 // The strip evaluator: the one body every fused loop runs on. The
 // value-numbered expression the lifter read off a loop's body tape is
 // lowered once, at compile time, to a small register program; a launch
-// then executes that program one op at a time over a strip of up to stripLen elements
-// — each op a tight loop over columns, the next op over the columns it
-// left — instead of re-dispatching the loop body per element (the
-// vector-at-a-time execution of column stores: Boncz, Zukowski, Nes,
-// "MonetDB/X100: Hyper-pipelining query execution", CIDR 2005). The
+// then executes that program one op at a time over a strip of up to
+// stripLen elements — each op a tight loop over columns, the next op
+// over the columns it left — instead of re-dispatching the loop body
+// per element (the vector-at-a-time execution of column stores: Boncz,
+// Zukowski, Nes, "MonetDB/X100: Hyper-pipelining query execution",
+// CIDR 2005). The
 // result column of a strip goes to the kernel's sink: the element
 // store, a fold into an accumulator (sum, with a root product folded
 // straight from its two operands, or min/max), or a histogram scatter.
