@@ -162,8 +162,9 @@ func FuncValues(p *Program) (funcs []string, visited map[string]bool) {
 	return funcs, visited
 }
 
-// String renders a strip op as the struct it was before selects took a
-// third operand, which only a select shows.
+// String renders a strip op as {code dst a b}, adding c only for a
+// select, so the ops of testdata/kernels.golden that have no third
+// operand keep their text.
 func (op stripOp) String() string {
 	if op.code == opSel {
 		return fmt.Sprintf("{%d %d %v %v %v}", op.code, op.dst, op.a, op.b, op.c)

@@ -13,8 +13,8 @@ package comp
 // The fused-kernel contract (see README "Kernel fusion"):
 //
 //  1. one hoisted range check per affine operand per kernel launch —
-//     the mem.Segment Float/IntRange API validates [lo,hi) once and
-//     hands back the raw cell slice, replacing the per-access bounds
+//     the check of mem.Segment's Float/IntRange validates [lo,hi) once
+//     and hands back the raw cell slice, replacing the per-access bounds
 //     checks of the dispatch loop; a data-dependent cell (a gathered
 //     load, a scatter target) is compared per element;
 //  2. every iteration reads and writes the cells the dispatch loop's
@@ -207,21 +207,29 @@ func (a *kAccess) span(fr *kframe, lo, hi int64) kspan {
 	return kspan{seg: p.Seg, first: off + a.stride*lo, last: off + a.stride*hi}
 }
 
-// cells range-checks a located operand — the hoisted per-launch check —
-// and hands its raw cells to frame slot s. It reports false when the
-// operand has no segment, a freed one, or runs off its array.
+// cells range-checks a located operand — the hoisted per-launch check,
+// mem.Segment.FloatRange's without its call and error — and hands its
+// raw cells to frame slot s. It reports false when the operand has no
+// segment, a freed one, or runs off its array.
 func (a *kAccess) cells(sp kspan, s *kslice) bool {
-	if sp.seg == nil {
+	if sp.seg == nil || sp.seg.Freed() || sp.first < 0 || sp.last < sp.first {
 		return false
 	}
 	s.stride = int(a.stride)
-	var err error
 	if a.float {
-		s.f, err = sp.seg.FloatRange(sp.first, sp.last+1)
-	} else {
-		s.i, err = sp.seg.IntRange(sp.first, sp.last+1)
+		s.f = sp.seg.F
+		if sp.last >= int64(len(s.f)) {
+			return false
+		}
+		s.f = s.f[sp.first : sp.last+1]
+		return true
 	}
-	return err == nil
+	s.i = sp.seg.I
+	if sp.last >= int64(len(s.i)) {
+		return false
+	}
+	s.i = s.i[sp.first : sp.last+1]
+	return true
 }
 
 // ----------------------------------------------------------------------------
@@ -264,22 +272,29 @@ type kscratch struct {
 // the trap in iteration order.
 func (k *fusedKernel) invariant(fr *kframe, e *env, s int) bool {
 	iv := &k.invs[s]
+	switch iv.op<<2 | iv.kind {
+	case opReg<<2 | tkI:
+		fr.invI[s] = e.I[iv.r]
+		return true
+	case opReg<<2 | tkF:
+		fr.invF[s] = e.F[iv.r]
+		return true
+	case opReg<<2 | tkP:
+		fr.invP[s] = e.P[iv.r]
+		return true
+	case opGlob<<2 | tkI:
+		fr.invI[s] = e.p.gI[iv.r]
+		return true
+	case opGlob<<2 | tkF:
+		fr.invF[s] = e.p.gF[iv.r]
+		return true
+	case opGlob<<2 | tkP:
+		fr.invP[s] = e.p.gP[iv.r]
+		return true
+	}
 	a, b := max(iv.a, 0), max(iv.b, 0)
 	x, y := fr.invI[a], fr.invI[b]
 	switch {
-	case iv.op == opReg || iv.op == opGlob:
-		I, F, P := e.I, e.F, e.P
-		if iv.op == opGlob {
-			I, F, P = e.p.gI, e.p.gF, e.p.gP
-		}
-		switch iv.kind {
-		case tkI:
-			fr.invI[s] = I[iv.r]
-		case tkF:
-			fr.invF[s] = F[iv.r]
-		default:
-			fr.invP[s] = P[iv.r]
-		}
 	case iv.op == opConst:
 		fr.invI[s], fr.invF[s] = iv.c, math.Float64frombits(uint64(iv.c))
 	case iv.op == opLoad: // a pointer cell
