@@ -13,8 +13,8 @@ package comp
 // The fused-kernel contract (see README "Kernel fusion"):
 //
 //  1. one hoisted range check per affine operand per kernel launch —
-//     the check of mem.Segment's Float/IntRange validates [lo,hi) once
-//     and hands back the raw cell slice, replacing the per-access bounds
+//     mem.Segment's FloatCells/IntCells validate [lo,hi) once
+//     and hand back the raw cell slice, replacing the per-access bounds
 //     checks of the dispatch loop; a data-dependent cell (a gathered
 //     load, a scatter target) is compared per element;
 //  2. every iteration reads and writes the cells the dispatch loop's
@@ -48,14 +48,12 @@ package comp
 // is the kframe of the launching goroutine's frame stack, reused and
 // never zeroed: prepFrame reads the bases and invariant registers the
 // body reads, computes once the invariants the body would compute every
-// iteration — the constant ones were computed at compile time, and a
-// frame holds them while launches of one kernel follow each other — and
+// iteration — the constant ones were computed at compile time — and
 // checks every operand's range. A launch allocates nothing, and its
 // tape code is only the bounds.
 
 import (
 	"math"
-	"math/bits"
 
 	"purec/internal/mem"
 	"purec/internal/token"
@@ -131,9 +129,6 @@ type fusedKernel struct {
 	// invariant a and the Z load of a*X[i] (+ Z[i]).
 	body       uint8
 	sx, sa, sz int8
-	// consts has bit s set when invariant s is a constant, its value
-	// computed at compile time (an opConst).
-	consts uint32
 
 	loads []kAccess
 	// invs is the launch program: the invariants, each an lnode whose a
@@ -145,11 +140,8 @@ type fusedKernel struct {
 	nodes []knode
 
 	prog []stripOp
-	// rounds has bit i set when op i rounds, in place, the column op
-	// i-1 wrote: the evaluator rounds it as part of op i-1.
-	rounds uint64
-	regs   int     // columns the program uses
-	res    operand // where the program leaves its result
+	regs int     // columns the program uses
+	res  operand // where the program leaves its result
 	// mul: a sum's root product is folded from its operands res and
 	// res2, rounded through float32 first with round (otherwise res2 is
 	// res).
@@ -208,28 +200,21 @@ func (a *kAccess) span(fr *kframe, lo, hi int64) kspan {
 }
 
 // cells range-checks a located operand — the hoisted per-launch check,
-// mem.Segment.FloatRange's without its call and error — and hands its
-// raw cells to frame slot s. It reports false when the operand has no
-// segment, a freed one, or runs off its array.
+// mem.Segment.FloatCells or IntCells — and hands its raw cells to frame
+// slot s. It reports false when the operand has no segment, a freed
+// one, or runs off its array.
 func (a *kAccess) cells(sp kspan, s *kslice) bool {
-	if sp.seg == nil || sp.seg.Freed() || sp.first < 0 || sp.last < sp.first {
+	if sp.seg == nil {
 		return false
 	}
 	s.stride = int(a.stride)
+	ok := false
 	if a.float {
-		s.f = sp.seg.F
-		if sp.last >= int64(len(s.f)) {
-			return false
-		}
-		s.f = s.f[sp.first : sp.last+1]
-		return true
+		s.f, ok = sp.seg.FloatCells(sp.first, sp.last+1)
+	} else {
+		s.i, ok = sp.seg.IntCells(sp.first, sp.last+1)
 	}
-	s.i = sp.seg.I
-	if sp.last >= int64(len(s.i)) {
-		return false
-	}
-	s.i = s.i[sp.first : sp.last+1]
-	return true
+	return ok
 }
 
 // ----------------------------------------------------------------------------
@@ -256,13 +241,12 @@ type kframe struct {
 }
 
 // kscratch is the launch state of one frame stack, on which one kernel
-// runs at a time: the frame, whose constant invariants are last's, and
-// the strip columns, grown to the widest program run on it.
+// runs at a time: the frame and the strip columns, grown to the widest
+// program run on it.
 type kscratch struct {
-	fr   kframe
-	last *fusedKernel
-	f    []float64
-	i    []int64
+	fr kframe
+	f  []float64
+	i  []int64
 }
 
 // invariant computes launch invariant s, a scalar, from the registers
@@ -369,17 +353,18 @@ func intOp(code uint8, x, y int64) int64 {
 // an op over constants, and records it as a constant.
 func (k *fusedKernel) fold() {
 	var fr kframe
+	konst := func(a int8) bool { return a < 0 || k.invs[a].op == opConst }
 	for s := range k.invs {
 		iv := &k.invs[s]
 		if iv.op == opReg || iv.op == opGlob || iv.op == opLoad ||
-			iv.a >= 0 && k.consts&(1<<iv.a) == 0 || iv.b >= 0 && k.consts&(1<<iv.b) == 0 || !k.invariant(&fr, nil, s) {
+			!konst(iv.a) || !konst(iv.b) || !k.invariant(&fr, nil, s) {
 			continue
 		}
 		c := fr.invI[s]
 		if iv.kind == tkF {
 			c = int64(math.Float64bits(fr.invF[s]))
 		}
-		*iv, k.consts = lnode{op: opConst, kind: iv.kind, a: -1, b: -1, c: c}, k.consts|1<<s
+		*iv = lnode{op: opConst, kind: iv.kind, a: -1, b: -1, c: c}
 	}
 }
 
@@ -398,14 +383,8 @@ const strideAny = -1
 func (k *fusedKernel) prepFrame(ks *kscratch, e *env, lo, hi int64) bool {
 	fr := &ks.fr
 	fr.n, fr.lo, fr.strip, fr.f32 = int(hi-lo+1), lo, stripLen, k.f32
-	if ks.last != k {
-		for m := k.consts; m != 0; m &= m - 1 {
-			k.invariant(fr, e, bits.TrailingZeros32(m))
-		}
-		ks.last = k
-	}
-	for m := (uint32(1)<<len(k.invs) - 1) &^ k.consts; m != 0; m &= m - 1 {
-		if !k.invariant(fr, e, bits.TrailingZeros32(m)) {
+	for s := range k.invs {
+		if !k.invariant(fr, e, s) {
 			return false
 		}
 	}

@@ -86,6 +86,11 @@ func TestFusedShapesMatchDispatchAndOracle(t *testing.T) {
 		{"iter_float", "y[i] = x[i] * i;"},
 		{"mixed_invariant", "y[i] = x[i] * (a + 1.5f) - b;"},
 		{"int_div", "w[i] = v[i] / (c + 1);"},
+		{"int_div_const", "w[i] = v[i] / 7;"},
+		{"int_rem_const", "w[i] = v[i] % 7;"},
+		{"int_div_pow2", "w[i] = v[i] / 4;"},
+		{"int_rem_pow2", "w[i] = v[i] % 16;"},
+		{"int_rem_invariant", "w[i] = (v[i] * 1103515245 + 12345) % (c + 8188);"},
 		{"int_shift", "w[i] = v[i] << 2;"},
 		{"neg", "y[i] = -x[i];"},
 		{"deep", "y[i] = (x[i] + 1.0f) * (x[i] - 1.0f) / (a + 2.0f);"},
@@ -118,6 +123,36 @@ int main(void) {
 					m.Program().FusedKernels())
 			}
 		})
+	}
+}
+
+// TestDivStripIsTruncatingDivision: the shift and reciprocal forms of
+// a / s and a % s by an invariant s ≥ 2 are Go's (and C's) truncating
+// division for every numerator, the int64 extremes included, also in
+// place.
+func TestDivStripIsTruncatingDivision(t *testing.T) {
+	xs := []int64{0, 1, -1, 2, -2, 4095, 4096, -4097, 8190, 8191, -8191,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for x, i := uint64(1), 0; i < 4096; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		xs = append(xs, int64(x), int64(x)>>(i%63))
+	}
+	for _, s := range []int64{2, 3, 7, 10, 641, 4096, 8191, 1 << 32, 1<<32 + 1, 1 << 62, math.MaxInt64} {
+		for _, code := range []uint8{opQuo, opRem} {
+			d := make([]int64, len(xs))
+			divStrip(code, d, xs, s)
+			in := append([]int64(nil), xs...)
+			divStrip(code, in, in, s)
+			for i, x := range xs {
+				want := x / s
+				if code == opRem {
+					want = x % s
+				}
+				if d[i] != want || in[i] != want {
+					t.Fatalf("op %d: %d by %d = %d (in place %d), want %d", code, x, s, d[i], in[i], want)
+				}
+			}
+		}
 	}
 }
 

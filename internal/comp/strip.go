@@ -174,13 +174,6 @@ func (k *fusedKernel) lower() bool {
 	if k.mul {
 		k.res, k.res2 = where[nodes[root].a], where[nodes[root].b]
 	}
-	// A rounding in place of the column the op before it wrote runs as
-	// part of that op.
-	for i := 1; i < len(k.prog); i++ {
-		if op, prev := k.prog[i], k.prog[i-1]; op.code == opRound && op.dst == prev.dst && op.a == (operand{inCol, prev.dst}) {
-			k.rounds |= 1 << i
-		}
-	}
 	return true
 }
 
@@ -509,7 +502,7 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2
 		}
 		return col(o), 1
 	}
-	for i := 0; i < len(k.prog); i++ {
+	for i := range k.prog {
 		op := &k.prog[i]
 		d := buf[int(op.dst)*stripLen:][:n]
 		switch op.code {
@@ -549,12 +542,6 @@ func (k *fusedKernel) evalFloat(fr *kframe, buf []float64, t0, n int) (res, res2
 				b = col(op.b)
 			}
 			arith(op.code, form, d, a, b, s)
-		}
-		if k.rounds&(2<<i) != 0 {
-			for j, v := range d {
-				d[j] = float64(float32(v))
-			}
-			i++
 		}
 	}
 	return col(k.res), col(k.res2), true
@@ -625,9 +612,12 @@ func (k *fusedKernel) evalInt(fr *kframe, buf []int64, t0, n int) ([]int64, bool
 					return nil, false
 				}
 			}
-			if op.code <= opQuo {
+			switch {
+			case (op.code == opQuo || op.code == opRem) && form == formVS && s >= 2 && len(d) >= 4:
+				divStrip(op.code, d, a, s)
+			case op.code <= opQuo:
 				arith(op.code, form, d, a, b, s)
-			} else {
+			default:
 				intStrip(op.code, form, d, a, b, s)
 			}
 		}
@@ -759,9 +749,46 @@ func arith[T int64 | float64](code, form uint8, d, a, b []T, s T) {
 	}
 }
 
+// divStrip is C's truncating a / s or a % s over a strip, by an
+// invariant s ≥ 2, without a divide per element: a shift for a power of
+// two, else the multiply of |a| by s's 65-bit reciprocal (Granlund and
+// Montgomery, "Division by invariant integers using multiplication",
+// PLDI 1994, Fig. 4.1). The reciprocal costs one divide, so evalInt
+// leaves strips under 4 elements to arith. Every shift count is below
+// 63; masking it with 63 spares Go's check for wider ones.
+func divStrip(code uint8, d, a []int64, s int64) {
+	a = a[:len(d)]
+	if s&(s-1) == 0 {
+		k, m := uint(bits.TrailingZeros64(uint64(s))), s-1
+		for i, x := range a {
+			y := x + (x>>63)&m // a negative x rounds toward zero
+			if code == opRem {
+				d[i] = x - y&^m
+			} else {
+				d[i] = y >> (k & 63)
+			}
+		}
+		return
+	}
+	l := uint(bits.Len64(uint64(s - 1)))
+	r, _ := bits.Div64(1<<l-uint64(s), 0, uint64(s))
+	r, l = r+1, (l-1)&63
+	for i, x := range a {
+		sg := x >> 63
+		u := uint64((x ^ sg) - sg) // |x|
+		t, _ := bits.Mul64(u, r)
+		q := (int64((t+(u-t)>>1)>>l) ^ sg) - sg
+		if code == opRem {
+			q = x - q*s
+		}
+		d[i] = q
+	}
+}
+
 // intStrip runs an integer-only binary op over a strip: the modulo
-// (over divisors evalInt has checked), whose cost is the division's,
-// and the bitwise and shift ops, which are rare. Neither earns a loop
+// that divStrip does not take (over divisors evalInt has checked),
+// whose cost is the division's, and the bitwise and shift ops, which
+// are rare. Neither earns a loop
 // per operand form, so a scalar operand is a one-cell column walked at
 // stride 0.
 func intStrip(code, form uint8, d, a, b []int64, s int64) {

@@ -223,7 +223,8 @@ int main(void) {
 		// A load or a division that only an arm evaluates may trap
 		// where the guard says it must not. Only the initialising loop
 		// fuses. (A body local read before the body writes it has no
-		// value in C; comp's TestLifterRefusals keeps it on dispatch.)
+		// value in C; comp's TestBodyLocalCarriedStaysOnDispatch keeps it
+		// on dispatch.)
 		{name: "select-stays-on-dispatch", fused: 1, src: `
 int x[400]; int idx[400]; int num[400]; int den[400]; int out[400];
 int main(void) {
@@ -287,7 +288,20 @@ int main(void) {
     for (int k = 0; k < 400; k++) out[3] += x[k] * y[z[k]];
     return 0;
 }`})
-	var folds, aliased, minmax, scatter strings.Builder
+	var folds, aliased, minmax, scatter, divs strings.Builder
+	// Integer / and % by an invariant: a shift for a power of two, the
+	// reciprocal otherwise, the hardware divide for a negative divisor
+	// and for strips under 4 elements — over numerators of every sign
+	// and the int extremes.
+	divisors := []string{"2", "7", "4096", "8191", "d", "-7"}
+	for _, t := range trips {
+		for _, dv := range divisors {
+			fmt.Fprintf(&divs, `
+    for (int i = 0; i < %[1]d; i++) q[i] = x[i] / %[2]s;
+    for (int i = 0; i < %[1]d; i++) r[i] = x[i] %% %[2]s;
+    for (int i = 0; i < %[1]d; i++) printf("%%d %%d\n", q[i], r[i]);`, t, dv)
+		}
+	}
 	for j, t := range trips {
 		fmt.Fprintf(&folds, `
     sf = 0.25f; for (int k = 0; k < %[1]d; k++) sf += xf[k]; printf("%%.9g\n", sf);
@@ -347,6 +361,14 @@ int main(void) {
 }`, n, minmax.String())},
 		// Int min/max folds, and a scatter through a pointer into its
 		// own index array, at unit and at double index stride.
+		stripCase{name: "divide-by-invariant", fused: 1 + 2*len(divisors)*len(trips), src: fmt.Sprintf(`
+int x[%[1]d]; int q[%[1]d]; int r[%[1]d];
+int main(void) {
+    for (int i = 0; i < %[1]d; i++) x[i] = i * 2862933555777941757 + 3037000493;
+    x[0] = -9223372036854775807 - 1; x[1] = 9223372036854775807; x[2] = -1; x[3] = 0;
+    int d = 1000003;%[2]s
+    return 0;
+}`, n, divs.String())},
 		stripCase{name: "fold-int-scatter", fused: 4 * len(trips), src: fmt.Sprintf(`
 int a[%[1]d]; int h[%[1]d];
 int main(void) {

@@ -144,31 +144,48 @@ func (s *Segment) Len() int {
 // bounds report an error (the fused-kernel analog of the per-access
 // traps).
 func (s *Segment) FloatRange(lo, hi int64) ([]float64, error) {
-	if err := s.checkRange(lo, hi, len(s.F), "float"); err != nil {
-		return nil, err
+	c, ok := s.FloatCells(lo, hi)
+	if !ok {
+		return nil, s.rangeErr(lo, hi, len(s.F), "float")
 	}
-	return s.F[lo:hi], nil
+	return c, nil
 }
 
 // IntRange validates the half-open cell range [lo, hi) once and hands
 // back the raw integer cells; see FloatRange.
 func (s *Segment) IntRange(lo, hi int64) ([]int64, error) {
-	if err := s.checkRange(lo, hi, len(s.I), "int"); err != nil {
-		return nil, err
+	c, ok := s.IntCells(lo, hi)
+	if !ok {
+		return nil, s.rangeErr(lo, hi, len(s.I), "int")
 	}
-	return s.I[lo:hi], nil
+	return c, nil
 }
 
-// checkRange is the shared validation of the bulk-range accessors.
-func (s *Segment) checkRange(lo, hi int64, n int, kind string) error {
+// FloatCells is FloatRange without the error: the one range check of
+// the bulk accessors, small enough to inline into a kernel launch. It
+// reports false where FloatRange reports an error.
+func (s *Segment) FloatCells(lo, hi int64) ([]float64, bool) {
+	if s.freed.Load() || lo < 0 || hi < lo || hi > int64(len(s.F)) {
+		return nil, false
+	}
+	return s.F[lo:hi], true
+}
+
+// IntCells is FloatCells for the integer cells.
+func (s *Segment) IntCells(lo, hi int64) ([]int64, bool) {
+	if s.freed.Load() || lo < 0 || hi < lo || hi > int64(len(s.I)) {
+		return nil, false
+	}
+	return s.I[lo:hi], true
+}
+
+// rangeErr names why FloatCells or IntCells refused [lo, hi).
+func (s *Segment) rangeErr(lo, hi int64, n int, kind string) error {
 	if s.Freed() {
 		return fmt.Errorf("use of freed segment %s", s.Name)
 	}
-	if lo < 0 || hi < lo || hi > int64(n) {
-		return fmt.Errorf("%s range [%d,%d) out of bounds of %s (%d cells)",
-			kind, lo, hi, s.Name, n)
-	}
-	return nil
+	return fmt.Errorf("%s range [%d,%d) out of bounds of %s (%d cells)",
+		kind, lo, hi, s.Name, n)
 }
 
 // Pointer is a C pointer value: a segment and an element offset.

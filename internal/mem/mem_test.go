@@ -209,6 +209,36 @@ func TestRangeAccessorsFreedSegment(t *testing.T) {
 	}
 }
 
+// TestCellsAreTheRangeCheck: FloatCells and IntCells accept exactly
+// the ranges FloatRange and IntRange do, live or freed.
+func TestCellsAreTheRangeCheck(t *testing.T) {
+	var h Heap
+	for _, free := range []bool{false, true} {
+		p := h.Malloc(CellMixed, 4, "m")
+		if free {
+			if err := h.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := p.Seg
+		for lo := int64(-1); lo <= 5; lo++ {
+			for hi := int64(-1); hi <= 5; hi++ {
+				fc, fok := s.FloatCells(lo, hi)
+				fr, ferr := s.FloatRange(lo, hi)
+				ic, iok := s.IntCells(lo, hi)
+				ir, ierr := s.IntRange(lo, hi)
+				if fok != (ferr == nil) || len(fc) != len(fr) || iok != (ierr == nil) || len(ic) != len(ir) {
+					t.Fatalf("freed=%v [%d,%d): FloatCells %v/%d, FloatRange %v/%d, IntCells %v/%d, IntRange %v/%d",
+						free, lo, hi, fok, len(fc), ferr, len(fr), iok, len(ic), ierr, len(ir))
+				}
+				if want := !free && 0 <= lo && lo <= hi && hi <= 4; fok != want || iok != want {
+					t.Fatalf("freed=%v [%d,%d): FloatCells %v, IntCells %v, want %v", free, lo, hi, fok, iok, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAddChecked(t *testing.T) {
 	s := NewSegment(CellInt, 4, "s")
 	p := Pointer{Seg: s, Off: 2}
